@@ -1,7 +1,7 @@
 GO ?= go
 SMOKEDIR ?= .smoke
 
-.PHONY: ci vet build test race fuzz chaos bench bench-baseline bench-matrix profile profile-smoke skip-guard footprint-guard cas-battery net-chaos smoke
+.PHONY: ci vet build test race fuzz chaos bench bench-compare bench-baseline bench-matrix profile profile-smoke skip-guard footprint-guard cas-battery net-chaos smoke
 
 # ci is the tier-1 gate: everything must stay green, including the race
 # detector over the worker pool, the observability counters, the
@@ -69,6 +69,20 @@ bench-baseline:
 bench:
 	$(GO) run ./cmd/benchbaseline -audit 0.05 -footprint -max-footprint-overhead 50 \
 		-cas -min-cas-hit-rate 50 -out BENCH_pr10.json
+
+# bench-compare judges two reports of the benchmark of record
+# (`go run ./benchmark -seed S -out FILE`, see benchmark/README.md). The
+# recipe exits with the comparison's own code — 0 pass, 1 regress, 2
+# unresolved — and prints it, because make reports a failed recipe's code
+# ("Error 1") but itself always exits 2: a caller that must tell regress
+# from unresolved reads the last line or runs .bench_build/benchmark
+# directly. The binary is built first since `go run` flattens every child
+# failure to 1.
+bench-compare:
+	@test -n "$(BASE)" -a -n "$(NEW)" || { echo "usage: make bench-compare BASE=base.json NEW=new.json" >&2; exit 64; }
+	@mkdir -p .bench_build && $(GO) build -o .bench_build/benchmark ./benchmark
+	@.bench_build/benchmark -compare $(BASE) $(NEW); code=$$?; \
+		echo "bench-compare: exit $$code (0 pass, 1 regress, 2 unresolved)"; exit $$code
 
 # bench-matrix regenerates the committed multi-core latency matrix
 # (docs/PERFORMANCE.md): workers × profile p50/p99 incremental latency,

@@ -258,6 +258,7 @@ type builderCounters struct {
 	frontendNS, passesNS, codegenNS         *obs.Counter
 	cacheHits, cacheMisses                  *obs.Counter
 	stateLoads, stateLoadMisses, stateSaves *obs.Counter
+	stateSaveUnchanged                      *obs.Counter
 	stateIOErrors, historyIOErrors          *obs.Counter
 	workerBusyNS                            *obs.Counter
 	panics, cancelled                       *obs.Counter
@@ -303,6 +304,7 @@ func NewBuilder(opts Options) (*Builder, error) {
 			stateLoads:         reg.Counter(obs.CtrStateLoads),
 			stateLoadMisses:    reg.Counter(obs.CtrStateLoadMisses),
 			stateSaves:         reg.Counter(obs.CtrStateSaves),
+			stateSaveUnchanged: reg.Counter(obs.CtrStateSaveUnchanged),
 			stateIOErrors:      reg.Counter(obs.CtrStateIOErrors),
 			historyIOErrors:    reg.Counter(obs.CtrHistoryIOErrors),
 			workerBusyNS:       reg.Counter(obs.CtrWorkerBusyNS),

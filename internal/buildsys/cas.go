@@ -33,7 +33,6 @@ import (
 	"statefulcc/internal/core"
 	"statefulcc/internal/obs"
 	"statefulcc/internal/state"
-	"statefulcc/internal/vfs"
 )
 
 // Action-key domains. The state domain carries the state-file layout
@@ -121,7 +120,7 @@ func (l *heldLease) abandon() {
 // lease if this worker won a coalescing leadership (the caller must
 // publish or abandon). Runs on a worker slot; every failure degrades to
 // (nil, nil) after counting and warning.
-func (b *Builder) casFetch(ctx context.Context, fsys vfs.FS, j compileJob) (*outcome, *heldLease) {
+func (b *Builder) casFetch(ctx context.Context, j compileJob) (*outcome, *heldLease) {
 	cc := b.cas
 	action := b.objectAction(j.name, j.src)
 	start := time.Now()
@@ -193,7 +192,7 @@ func (b *Builder) casFetch(ctx context.Context, fsys vfs.FS, j compileJob) (*out
 			out.casState = st
 			// Persist the adopted state locally so the next process of this
 			// client warms up without the network.
-			b.saveUnitState(fsys, j.name, st)
+			b.saveUnitState(j.name, st)
 		}
 	}
 	return out, nil

@@ -2,7 +2,9 @@ package buildsys_test
 
 // Build-system chaos suite — the tentpole robustness guarantee: walk every
 // injectable state/history I/O fault point of a build→edit→rebuild
-// sequence (including a fresh-process disk reload) and prove the
+// sequence (including a fresh-process disk reload whose state saves are
+// elided, a fresh process whose saves write, and the start-up sweep of a
+// crashed predecessor's temp files) and prove the
 // "never worse than cold" degradation invariant:
 //
 //  1. the builder returns success whenever the compile itself succeeds —
@@ -19,6 +21,8 @@ package buildsys_test
 // list.
 
 import (
+	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -68,31 +72,96 @@ func chaosBuilder(t *testing.T, fsys vfs.FS, stateDir string, workers int) *buil
 	return b
 }
 
-// chaosSequence runs the workload under test — build A, edit, rebuild B,
-// then a fresh builder ("new process") rebuilding B from disk state — and
-// returns the three programs' disassemblies. Builds must succeed: the
-// compile itself never touches the filesystem (sources come from the
-// in-memory snapshot), so any build error here means a state/history I/O
-// fault escaped the degradation layer.
-func chaosSequence(t *testing.T, fsys vfs.FS, stateDir string, workers int) (disA, disB, disB2 string) {
+// chaosWideSnap is chaosEditedSnap with both units edited again — the
+// commit the last "process" of the sequence builds, so that both of its
+// state saves find different bytes on disk and really write.
+func chaosWideSnap() project.Snapshot {
+	s := chaosEditedSnap()
+	s["lib.mc"] = append(s["lib.mc"], []byte(`
+func twice(n int) int { return n + n; }
+`)...)
+	s["main.mc"] = []byte(`
+extern func helper(n int) int;
+func main() int { print("sum", helper(6)); return helper(6) + helper(2); }
+`)
+	return s
+}
+
+// plantOrphans leaves the temp files a predecessor process would have
+// left had it died with one state save per unit in flight. Every builder
+// of the sequence starts over such a directory, so the start-up sweep's
+// removals are part of the recorded walk. Written past the fault injector:
+// the crash being simulated already happened.
+func plantOrphans(t *testing.T, stateDir string) {
 	t.Helper()
-	b1 := chaosBuilder(t, fsys, stateDir, workers)
-	repA, err := b1.Build(twoUnitSnap())
-	if err != nil {
-		t.Fatalf("build A failed under injected I/O fault: %v", err)
+	for _, unit := range []string{"lib", "main"} {
+		name := strings.Replace(state.TempPattern, "*", "orphan-"+unit, 1)
+		if err := os.WriteFile(filepath.Join(stateDir, name), []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	repB, err := b1.Build(chaosEditedSnap())
-	if err != nil {
-		t.Fatalf("rebuild B failed under injected I/O fault: %v", err)
+}
+
+// chaosSteps is the workload under test: build A, edit, rebuild B, a fresh
+// builder ("new process") rebuilding B from disk state (both state saves
+// find their bytes on disk and are elided), then another fresh builder
+// building C (both saves write).
+var chaosSteps = [4]struct {
+	name  string
+	fresh bool // built by a new builder over the same state directory
+	snap  func() project.Snapshot
+}{
+	{"build A", true, twoUnitSnap},
+	{"rebuild B", false, chaosEditedSnap},
+	{"fresh-builder rebuild B", true, chaosEditedSnap},
+	{"fresh-builder build C", true, chaosWideSnap},
+}
+
+// chaosSequenceReports runs chaosSteps over builders made by mk and returns
+// the four reports. Builds must succeed: the compile itself never touches
+// the filesystem (sources come from the in-memory snapshot), so any build
+// error here means a state/history I/O fault escaped the degradation layer.
+func chaosSequenceReports(t *testing.T, stateDir string, mk func() *buildsys.Builder) (reps [4]*buildsys.Report) {
+	t.Helper()
+	var b *buildsys.Builder
+	for i, st := range chaosSteps {
+		if st.fresh {
+			plantOrphans(t, stateDir)
+			b = mk()
+		}
+		rep, err := b.Build(st.snap())
+		if err != nil {
+			t.Fatalf("%s failed under injected I/O fault: %v", st.name, err)
+		}
+		reps[i] = rep
 	}
-	b2 := chaosBuilder(t, fsys, stateDir, workers)
-	repB2, err := b2.Build(chaosEditedSnap())
-	if err != nil {
-		t.Fatalf("fresh-builder rebuild B failed under injected I/O fault: %v", err)
+	return reps
+}
+
+// chaosSequence is chaosSequenceReports over chaosBuilder, reduced to the
+// four programs' disassemblies.
+func chaosSequence(t *testing.T, fsys vfs.FS, stateDir string, workers int) (dis [4]string) {
+	t.Helper()
+	reps := chaosSequenceReports(t, stateDir, func() *buildsys.Builder {
+		return chaosBuilder(t, fsys, stateDir, workers)
+	})
+	for i, rep := range reps {
+		dis[i] = codegen.DisassembleProgram(rep.Program)
 	}
-	return codegen.DisassembleProgram(repA.Program),
-		codegen.DisassembleProgram(repB.Program),
-		codegen.DisassembleProgram(repB2.Program)
+	return dis
+}
+
+// chaosBaselines are the stateless builds of chaosSteps' snapshots — the
+// byte-identity baselines every faulted build is compared against.
+func chaosBaselines(t *testing.T) (bases [4]string) {
+	t.Helper()
+	for i, st := range chaosSteps {
+		bases[i] = statelessDisasm(t, st.snap())
+	}
+	if bases[0] == bases[1] || bases[2] == bases[3] {
+		t.Fatal("edited snapshot compiles identically; the edit step is vacuous")
+	}
+	return bases
 }
 
 // statelessDisasm builds snap with the stateless policy — the byte-identity
@@ -146,19 +215,14 @@ func assertRecovered(t *testing.T, stateDir, wantDisB string, wantSkips int) {
 
 // TestChaosBuildRebuild is the fault-point walk over the whole sequence.
 func TestChaosBuildRebuild(t *testing.T) {
-	baseA := statelessDisasm(t, twoUnitSnap())
-	baseB := statelessDisasm(t, chaosEditedSnap())
-	if baseA == baseB {
-		t.Fatal("edited snapshot compiles identically; the edit step is vacuous")
-	}
+	bases := chaosBaselines(t)
 	wantSkips := controlSkips(t)
 
 	// Record a clean run to enumerate the fault points (Workers 1 keeps the
 	// recorded call sequence deterministic).
 	recDir := t.TempDir()
 	rec := vfs.NewFaultFS(vfs.OS, chaosCanon(recDir))
-	disA, disB, disB2 := chaosSequence(t, rec, recDir, 1)
-	if disA != baseA || disB != baseB || disB2 != baseB {
+	if chaosSequence(t, rec, recDir, 1) != bases {
 		t.Fatal("clean recorded run does not match the stateless baselines")
 	}
 	points := chaostest.Points(rec.Calls())
@@ -185,7 +249,7 @@ func TestChaosBuildRebuild(t *testing.T) {
 				t.Parallel()
 				dir := t.TempDir()
 				ffs := vfs.NewFaultFS(vfs.OS, chaosCanon(dir), vfs.WithRules(chaostest.RuleFor(p, kind)))
-				disA, disB, disB2 := chaosSequence(t, ffs, dir, 1)
+				dis := chaosSequence(t, ffs, dir, 1)
 
 				// Coverage self-check. Flight-recorder records embed build
 				// timings, so buffered write/read chunk counts can shift ±1
@@ -194,18 +258,14 @@ func TestChaosBuildRebuild(t *testing.T) {
 				chaostest.AssertFiredOrAbsent(t, ffs, p)
 
 				// Invariant: byte-identical output under every fault.
-				if disA != baseA {
-					t.Error("build A output differs from the stateless baseline")
-				}
-				if disB != baseB {
-					t.Error("rebuild B output differs from the stateless baseline")
-				}
-				if disB2 != baseB {
-					t.Error("fresh-builder rebuild B output differs from the stateless baseline")
+				for i, st := range chaosSteps {
+					if dis[i] != bases[i] {
+						t.Errorf("%s output differs from the stateless baseline", st.name)
+					}
 				}
 
 				// Invariant: the fault clears, state heals, skips recover.
-				assertRecovered(t, dir, baseB, wantSkips)
+				assertRecovered(t, dir, bases[1], wantSkips)
 			})
 		}
 	}
@@ -328,18 +388,17 @@ func fmt16ish(i int) string {
 // the property that makes a failing chaos seed reproducible from its seed
 // alone.
 func TestChaosSeededSchedules(t *testing.T) {
-	baseA := statelessDisasm(t, twoUnitSnap())
-	baseB := statelessDisasm(t, chaosEditedSnap())
+	bases := chaosBaselines(t)
 	wantSkips := controlSkips(t)
 
 	for _, seed := range []uint64{1, 7, 42, 1337} {
 		seed := seed
 		t.Run("seed"+strconv.FormatUint(seed, 10), func(t *testing.T) {
 			t.Parallel()
-			run := func(dir string) (disA, disB, disB2 string, injected []string) {
+			run := func(dir string) (dis [4]string, injected []string) {
 				ffs := vfs.NewFaultFS(vfs.OS, chaosCanon(dir),
 					vfs.WithSchedule(&vfs.Schedule{Seed: seed, Prob: 0.2, Torn: true}))
-				disA, disB, disB2 = chaosSequence(t, ffs, dir, 2)
+				dis = chaosSequence(t, ffs, dir, 2)
 				for _, c := range ffs.Injected() {
 					injected = append(injected, c.String())
 				}
@@ -347,8 +406,8 @@ func TestChaosSeededSchedules(t *testing.T) {
 				return
 			}
 
-			disA, disB, disB2, inj1 := run(t.TempDir())
-			if disA != baseA || disB != baseB || disB2 != baseB {
+			dis, inj1 := run(t.TempDir())
+			if dis != bases {
 				t.Fatalf("seed %d: faulted build output differs from stateless baseline", seed)
 			}
 
@@ -356,7 +415,7 @@ func TestChaosSeededSchedules(t *testing.T) {
 			// up to the timing-dependent write/read chunk points (identities
 			// on volatile-size files legitimately come and go; everything
 			// else must match exactly).
-			_, _, _, inj2 := run(t.TempDir())
+			_, inj2 := run(t.TempDir())
 			stable := func(in []string) []string {
 				var out []string
 				for _, s := range in {
@@ -380,5 +439,5 @@ func TestChaosSeededSchedules(t *testing.T) {
 	ffs := vfs.NewFaultFS(vfs.OS, chaosCanon(dir),
 		vfs.WithSchedule(&vfs.Schedule{Seed: 99, Prob: 0.3, Torn: true}))
 	chaosSequence(t, ffs, dir, 2)
-	assertRecovered(t, dir, baseB, wantSkips)
+	assertRecovered(t, dir, bases[1], wantSkips)
 }

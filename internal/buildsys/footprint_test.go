@@ -167,20 +167,19 @@ func TestFootprintPersistsInStateV6(t *testing.T) {
 	}
 }
 
-// TestChaosFootprintFaultWalk replays the build→edit→rebuild→fresh-builder
-// sequence with footprint tracing and enforcement on, injecting one
-// FaultError per recorded I/O point. Invariants: builds never fail, output
-// stays byte-identical to the stateless oracle (no fault may flip a cache
-// decision the wrong way), and honest builds never report missed
-// invalidations — a state file that fails to load or save just degrades to
-// an untracked (always-recompiled, never-cross-checked) unit.
+// TestChaosFootprintFaultWalk replays the chaos sequence (build → edit →
+// rebuild → two fresh builders) with footprint tracing and enforcement on,
+// injecting one FaultError per recorded I/O point. Invariants: builds never
+// fail, output stays byte-identical to the stateless oracle (no fault may
+// flip a cache decision the wrong way), and honest builds never report
+// missed invalidations — a state file that fails to load or save just
+// degrades to an untracked (always-recompiled, never-cross-checked) unit.
 func TestChaosFootprintFaultWalk(t *testing.T) {
-	baseA := statelessDisasm(t, twoUnitSnap())
-	baseB := statelessDisasm(t, chaosEditedSnap())
+	bases := chaosBaselines(t)
 
 	run := func(t *testing.T, fsys vfs.FS, dir string) {
 		t.Helper()
-		mk := func() *buildsys.Builder {
+		reps := chaosSequenceReports(t, dir, func() *buildsys.Builder {
 			b, err := buildsys.NewBuilder(buildsys.Options{
 				Mode: compiler.ModeStateful, StateDir: dir, Workers: 1, FS: fsys,
 				Footprint: true, EnforceFootprint: true,
@@ -189,30 +188,14 @@ func TestChaosFootprintFaultWalk(t *testing.T) {
 				t.Fatalf("builder creation must survive I/O faults: %v", err)
 			}
 			return b
-		}
-		b1 := mk()
-		repA, err := b1.Build(twoUnitSnap())
-		if err != nil {
-			t.Fatalf("build A failed under fault: %v", err)
-		}
-		repB, err := b1.Build(chaosEditedSnap())
-		if err != nil {
-			t.Fatalf("rebuild B failed under fault: %v", err)
-		}
-		b2 := mk()
-		repB2, err := b2.Build(chaosEditedSnap())
-		if err != nil {
-			t.Fatalf("fresh-builder rebuild failed under fault: %v", err)
-		}
-		for i, rep := range []*buildsys.Report{repA, repB, repB2} {
+		})
+		for i, rep := range reps {
 			if len(rep.FootprintMissed) != 0 {
 				t.Fatalf("build %d: honest faulted build reported missed invalidations: %v", i, rep.FootprintMissed)
 			}
-		}
-		if codegen.DisassembleProgram(repA.Program) != baseA ||
-			codegen.DisassembleProgram(repB.Program) != baseB ||
-			codegen.DisassembleProgram(repB2.Program) != baseB {
-			t.Fatal("faulted footprint build diverged from the stateless oracle")
+			if codegen.DisassembleProgram(rep.Program) != bases[i] {
+				t.Fatalf("build %d: faulted footprint build diverged from the stateless oracle", i)
+			}
 		}
 	}
 

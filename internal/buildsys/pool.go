@@ -43,7 +43,6 @@ import (
 	"statefulcc/internal/footprint"
 	"statefulcc/internal/obs"
 	"statefulcc/internal/project"
-	"statefulcc/internal/vfs"
 )
 
 // outcome is one unit's compile result.
@@ -261,32 +260,33 @@ func (b *Builder) compileOne(ctx context.Context, w int, j compileJob) outcome {
 	}
 
 	// Footprint mode attaches a per-unit trace: invalidating entries are
-	// pre-recorded, and the unit's state I/O goes through the trace's
-	// recording FS so it lands as advisory entries. The trace is private to
-	// this job — concurrent units never share one, so shared reads are
-	// counted once per reading unit, not globally.
+	// pre-recorded, and the unit's state load goes through the trace's
+	// recording FS so it lands as an advisory entry (saves do not: see
+	// saveUnitState). The trace is private to this job — concurrent units
+	// never share one, so shared reads are counted once per reading unit,
+	// not globally.
 	tr := b.newTrace(j.name, j.src)
-	fsys := b.fs
-	if tr != nil {
-		fsys = tr.FS(b.fs)
-	}
 
 	prev := j.prev
 	if prev == nil && j.probeDisk {
-		prev = b.loadUnitState(fsys, j.name)
+		loadFS := b.fs
+		if tr != nil {
+			loadFS = tr.FS(b.fs)
+		}
+		prev = b.loadUnitState(loadFS, j.name)
 	}
 
 	// A whole-unit quarantine (a pass panicked on this unit) compiles
 	// through the stateless fallback until enough clean builds lift it.
 	if b.statefulMode() && prev != nil && prev.Quarantine.Whole() {
-		return b.compileQuarantined(ctx, w, fsys, tr, j, prev)
+		return b.compileQuarantined(ctx, w, tr, j, prev)
 	}
 
 	// Shared cache: try a verified remote fetch before compiling; a miss
 	// may return a coalescing lease this worker must publish or abandon.
 	var lease *heldLease
 	if b.cas != nil {
-		remote, held := b.casFetch(ctx, fsys, j)
+		remote, held := b.casFetch(ctx, j)
 		if remote != nil {
 			return *remote
 		}
@@ -296,7 +296,7 @@ func (b *Builder) compileOne(ctx context.Context, w int, j compileJob) outcome {
 	res, err, panicked, msg := safeCompile(ctx, c, j.name, j.src, prev)
 	if panicked {
 		lease.abandon()
-		return b.compileAfterPanic(ctx, w, fsys, tr, j, msg)
+		return b.compileAfterPanic(ctx, w, tr, j, msg)
 	}
 	if err != nil {
 		lease.abandon()
@@ -306,7 +306,7 @@ func (b *Builder) compileOne(ctx context.Context, w int, j compileJob) outcome {
 	if res.State != nil {
 		b.settleQuarantine(res)
 		res.State.Footprint = fp
-		b.saveUnitState(fsys, j.name, res.State)
+		b.saveUnitState(j.name, res.State)
 	}
 	if b.cas != nil {
 		b.casPublish(j, res, lease)
@@ -333,7 +333,7 @@ func (b *Builder) finishTrace(tr *footprint.Trace, j compileJob, res *compiler.U
 // count. At core.QuarantineCleanTarget the quarantine lifts and the unit
 // restarts cold — the pre-panic records were discarded at engagement, so
 // trust rebuilds from fresh observations.
-func (b *Builder) compileQuarantined(ctx context.Context, w int, fsys vfs.FS, tr *footprint.Trace, j compileJob, marker *core.UnitState) outcome {
+func (b *Builder) compileQuarantined(ctx context.Context, w int, tr *footprint.Trace, j compileJob, marker *core.UnitState) outcome {
 	fc, ferr := b.fallback(w)
 	if ferr != nil {
 		return outcome{err: ferr}
@@ -345,7 +345,7 @@ func (b *Builder) compileQuarantined(ctx context.Context, w int, fsys vfs.FS, tr
 		// window restarts.
 		b.ctr.panics.Inc()
 		marker.Quarantine.Clean = 0
-		b.saveUnitState(fsys, j.name, marker)
+		b.saveUnitState(j.name, marker)
 		return outcome{
 			err:      fmt.Errorf("%s: pass panicked (unit quarantined, stateless retry): %s", j.name, msg),
 			panicked: true,
@@ -363,7 +363,7 @@ func (b *Builder) compileQuarantined(ctx context.Context, w int, fsys vfs.FS, tr
 		return outcome{res: res, qclear: true, fp: fp}
 	}
 	marker.Footprint = fp
-	b.saveUnitState(fsys, j.name, marker)
+	b.saveUnitState(j.name, marker)
 	return outcome{res: res, qstate: marker, fp: fp}
 }
 
@@ -371,7 +371,7 @@ func (b *Builder) compileQuarantined(ctx context.Context, w int, fsys vfs.FS, tr
 // state (its records may have been half-updated by the panicking pass),
 // and retry once on the stateless fallback so the unit — whose source is
 // not at fault — still compiles.
-func (b *Builder) compileAfterPanic(ctx context.Context, w int, fsys vfs.FS, tr *footprint.Trace, j compileJob, msg string) outcome {
+func (b *Builder) compileAfterPanic(ctx context.Context, w int, tr *footprint.Trace, j compileJob, msg string) outcome {
 	b.ctr.panics.Inc()
 	b.warnf("panic: unit %s: pass panicked: %s (unit quarantined, compiled stateless)", j.name, msg)
 
@@ -380,7 +380,7 @@ func (b *Builder) compileAfterPanic(ctx context.Context, w int, fsys vfs.FS, tr 
 		marker = core.NewUnitState(j.name, b.opts.Pipeline)
 		marker.Quarantine = &core.Quarantine{Reason: core.QuarantinePanic}
 		b.ctr.quarantineEngaged.Inc()
-		b.saveUnitState(fsys, j.name, marker)
+		b.saveUnitState(j.name, marker)
 	}
 
 	fc, ferr := b.fallback(w)

@@ -83,21 +83,27 @@ func (b *Builder) loadUnitState(fsys vfs.FS, unit string) *core.UnitState {
 	return st
 }
 
-// saveUnitState persists a unit's state through fsys; failures degrade to
-// a warning and a state.io_error count (state is advisory, and the atomic
-// writer never leaves partial files). Writes pass through a footprint
-// recording wrapper untouched — only reads are traced.
-func (b *Builder) saveUnitState(fsys vfs.FS, unit string, st *core.UnitState) {
+// saveUnitState persists a unit's state; failures degrade to a warning and
+// a state.io_error count (state is advisory, and the atomic writer never
+// leaves partial files). A save whose bytes are already on disk writes
+// nothing and counts as state.save_unchanged instead of state.saves. It
+// goes through b.fs, never a unit's footprint-recording wrapper: the
+// compare-read is the builder's bookkeeping, not a dependency of the unit.
+func (b *Builder) saveUnitState(unit string, st *core.UnitState) {
 	path := b.statePath(unit)
 	if path == "" {
 		return
 	}
-	if err := state.SaveFS(fsys, path, st); err != nil {
+	wrote, err := state.SaveChangedFS(b.fs, path, st)
+	switch {
+	case err != nil:
 		b.ctr.stateIOErrors.Inc()
 		b.warnf("state: save %s: %v (state not persisted)", filepath.Base(path), err)
-		return
+	case wrote:
+		b.ctr.stateSaves.Inc()
+	default:
+		b.ctr.stateSaveUnchanged.Inc()
 	}
-	b.ctr.stateSaves.Inc()
 }
 
 // sweepStateTemp removes orphaned atomic-write temp files (state and

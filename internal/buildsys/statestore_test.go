@@ -1,0 +1,249 @@
+package buildsys_test
+
+// Write-if-changed state persistence at the build-system level: a fresh
+// builder over a warm state directory recompiles every unit (the object
+// cache is in memory) but must write only the state files whose bytes
+// changed. Runs in the -race gate (Makefile `race` target) on a parallel
+// pool.
+
+import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+
+	"statefulcc/internal/buildsys"
+	"statefulcc/internal/codegen"
+	"statefulcc/internal/compiler"
+	"statefulcc/internal/footprint"
+	"statefulcc/internal/obs"
+	"statefulcc/internal/project"
+	"statefulcc/internal/state"
+	"statefulcc/internal/vfs"
+	"statefulcc/internal/vfs/chaostest"
+	"statefulcc/internal/workload"
+)
+
+// freshStateful is a new stateful builder ("new process") over dir on a
+// parallel pool, optionally behind fsys and with footprint tracing.
+func freshStateful(t *testing.T, fsys vfs.FS, dir string, traced bool) *buildsys.Builder {
+	t.Helper()
+	b, err := buildsys.NewBuilder(buildsys.Options{
+		Mode: compiler.ModeStateful, StateDir: dir, Workers: 4, FS: fsys, Footprint: traced,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// withNewFunc returns snap with a fresh function appended to each named
+// unit — an edit that always changes the unit's dormancy records.
+func withNewFunc(snap project.Snapshot, tag string, units ...string) project.Snapshot {
+	out := snap.Clone()
+	for i, u := range units {
+		out[u] = append(out[u],
+			fmt.Sprintf("\nfunc extra_%s_%d(x int) int { return x * 3 + %d; }\n", tag, i, i+1)...)
+	}
+	return out
+}
+
+// stateWrites tallies the atomic writer's steps on state files in a
+// recorded call log: temp files created, fsyncs, and renames, plus the
+// renamed-over file names.
+func stateWrites(calls []vfs.Call) (created, synced int, renamed []string) {
+	for _, c := range calls {
+		switch {
+		case c.Op == vfs.OpCreateTemp && filepath.Base(c.Path) == state.TempPattern:
+			created++
+		case c.Op == vfs.OpSync && filepath.Base(c.Path) == state.TempPattern:
+			synced++
+		case c.Op == vfs.OpRename && strings.HasSuffix(c.Path, ".state"):
+			renamed = append(renamed, c.Path)
+		}
+	}
+	sort.Strings(renamed)
+	return created, synced, renamed
+}
+
+// stateFiles maps each unit to its state file in dir and the file's bytes,
+// checking on the way that every file decodes and re-encodes to itself.
+func stateFiles(t *testing.T, dir string) (paths map[string]string, raw map[string][]byte) {
+	t.Helper()
+	paths, raw = map[string]string{}, map[string][]byte{}
+	matches, err := filepath.Glob(filepath.Join(dir, "*.state"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range matches {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Decode a copy: the decoded state aliases its input buffer.
+		st, err := state.DecodeBytes(bytes.Clone(data))
+		if err != nil {
+			t.Fatalf("%s does not decode: %v", filepath.Base(path), err)
+		}
+		var re bytes.Buffer
+		if err := state.Encode(&re, st); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(re.Bytes(), data) {
+			t.Fatalf("%s does not re-encode to its own bytes", filepath.Base(path))
+		}
+		paths[st.Unit], raw[st.Unit] = filepath.Base(path), data
+	}
+	return paths, raw
+}
+
+// TestStateWrittenOnlyWhenChanged: over a warm state directory a no-edit
+// build in a new process writes no state file, a k-unit edit writes
+// exactly the k edited units' files, and the counters say so.
+func TestStateWrittenOnlyWhenChanged(t *testing.T) {
+	base := workload.Generate(obsProfile())
+	units := base.Units()
+	n := len(units)
+	dir := t.TempDir()
+	canon := vfs.WithCanon(chaostest.Canon(dir, state.TempPattern))
+
+	cold := mustBuild(t, freshStateful(t, nil, dir, false), base)
+	if got := cold.Metrics[obs.CtrStateSaves]; got != int64(n) {
+		t.Fatalf("cold build: %s = %d, want %d", obs.CtrStateSaves, got, n)
+	}
+	if got := cold.Metrics[obs.CtrStateSaveUnchanged]; got != 0 {
+		t.Fatalf("cold build: %s = %d, want 0", obs.CtrStateSaveUnchanged, got)
+	}
+	paths, before := stateFiles(t, dir)
+	if len(paths) != n {
+		t.Fatalf("cold build left %d state files for %d units", len(paths), n)
+	}
+
+	// No edit, new process: every unit recompiles, nothing is written.
+	rec := vfs.NewFaultFS(vfs.OS, canon)
+	rep := mustBuild(t, freshStateful(t, rec, dir, false), base)
+	if rep.UnitsCompiled != n {
+		t.Fatalf("fresh builder compiled %d of %d units; the no-edit case is vacuous", rep.UnitsCompiled, n)
+	}
+	if c, s, r := stateWrites(rec.Calls()); c != 0 || s != 0 || len(r) != 0 {
+		t.Fatalf("no-edit build wrote state: %d temp files, %d syncs, renames %v", c, s, r)
+	}
+	if saves, same := rep.Metrics[obs.CtrStateSaves], rep.Metrics[obs.CtrStateSaveUnchanged]; saves != 0 || same != int64(n) {
+		t.Fatalf("no-edit build: %s = %d, %s = %d; want 0 and %d",
+			obs.CtrStateSaves, saves, obs.CtrStateSaveUnchanged, same, n)
+	}
+
+	// A k-unit edit, new process: exactly the edited units' files.
+	edited := []string{units[1], units[n-2]}
+	rec = vfs.NewFaultFS(vfs.OS, canon)
+	rep = mustBuild(t, freshStateful(t, rec, dir, false), withNewFunc(base, "a", edited...))
+	k := len(edited)
+	c, s, renamed := stateWrites(rec.Calls())
+	want := []string{paths[edited[0]], paths[edited[1]]}
+	sort.Strings(want)
+	if c != k || s != k || strings.Join(renamed, " ") != strings.Join(want, " ") {
+		t.Fatalf("%d-unit edit: %d temp files, %d syncs, renames %v; want %d, %d, %v", k, c, s, renamed, k, k, want)
+	}
+	if saves, same := rep.Metrics[obs.CtrStateSaves], rep.Metrics[obs.CtrStateSaveUnchanged]; saves != int64(k) || same != int64(n-k) {
+		t.Fatalf("%d-unit edit: %s = %d, %s = %d; want %d and %d",
+			k, obs.CtrStateSaves, saves, obs.CtrStateSaveUnchanged, same, k, n-k)
+	}
+	_, after := stateFiles(t, dir)
+	for _, u := range units {
+		changed := !bytes.Equal(before[u], after[u])
+		if isEdited := u == edited[0] || u == edited[1]; changed != isEdited {
+			t.Fatalf("unit %s: state bytes changed = %v, edited = %v", u, changed, isEdited)
+		}
+	}
+
+	// A file deleted or replaced behind the builder's back is rewritten:
+	// the compare is against the disk, not against what was loaded.
+	if err := os.Remove(filepath.Join(dir, paths[units[0]])); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, paths[units[2]]), []byte("not a state file"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep = mustBuild(t, freshStateful(t, nil, dir, false), withNewFunc(base, "a", edited...))
+	if got := rep.Metrics[obs.CtrStateSaves]; got != 2 {
+		t.Fatalf("after deleting one state file and corrupting another: %s = %d, want 2", obs.CtrStateSaves, got)
+	}
+	if _, healed := stateFiles(t, dir); len(healed) != n {
+		t.Fatalf("%d state files after healing, want %d", len(healed), n)
+	}
+}
+
+// TestBuilderPerCommitMatchesStateless: a new builder per commit over one
+// state directory (cold + 3 edits) links the stateless oracle's program at
+// every commit, with footprint tracing off and on, and leaves only
+// canonical state files behind.
+func TestBuilderPerCommitMatchesStateless(t *testing.T) {
+	base := workload.Generate(obsProfile())
+	hist := workload.GenerateHistory(base, 4242, 3, workload.DefaultCommitOptions())
+	stream := append([]project.Snapshot{base}, hist.Commits...)
+	oracle := make([]string, len(stream))
+	for i, snap := range stream {
+		oracle[i] = statelessDisasm(t, snap)
+	}
+	for _, traced := range []bool{false, true} {
+		traced := traced
+		t.Run(fmt.Sprintf("footprint=%v", traced), func(t *testing.T) {
+			t.Parallel()
+			dir := t.TempDir()
+			for i, snap := range stream {
+				rep := mustBuild(t, freshStateful(t, nil, dir, traced), snap)
+				if codegen.DisassembleProgram(rep.Program) != oracle[i] {
+					t.Fatalf("commit %d: program differs from the stateless oracle", i)
+				}
+				if len(rep.Warnings) != 0 {
+					t.Fatalf("commit %d: warnings %v", i, rep.Warnings)
+				}
+				stateFiles(t, dir)
+			}
+		})
+	}
+}
+
+// TestSaveCompareStaysOutOfFootprint: the save's compare-read is builder
+// bookkeeping, not a dependency of the unit. A resident builder never
+// loads state from disk after its first build, so a recompiled unit's
+// footprint must name no file at all; a fresh builder's names only the
+// state file it loaded, with the hash of the bytes it loaded.
+func TestSaveCompareStaysOutOfFootprint(t *testing.T) {
+	base := workload.Generate(obsProfile())
+	units := base.Units()
+	edited := []string{units[0], units[3]}
+	files := func(r *footprint.Record) []footprint.Entry {
+		return r.Filter(func(k footprint.Kind) bool { return k == footprint.KindFile })
+	}
+
+	dir := t.TempDir()
+	b := freshStateful(t, nil, dir, true)
+	mustBuild(t, b, base)
+	rep := mustBuild(t, b, withNewFunc(base, "a", edited...))
+	if got := rep.Metrics[obs.CtrStateSaves]; got != int64(len(units)+len(edited)) {
+		t.Fatalf("resident builder: %s = %d after cold build + %d-unit edit", obs.CtrStateSaves, got, len(edited))
+	}
+	fps := b.Footprints()
+	for _, u := range edited {
+		if fps[u] == nil {
+			t.Fatalf("no footprint for recompiled unit %s", u)
+		}
+		if got := files(fps[u]); len(got) != 0 {
+			t.Fatalf("unit %s: footprint gained file reads from its save: %v", u, got)
+		}
+	}
+
+	paths, loaded := stateFiles(t, dir)
+	b2 := freshStateful(t, nil, dir, true)
+	mustBuild(t, b2, withNewFunc(base, "b", edited...))
+	for u, fp := range b2.Footprints() {
+		got := files(fp)
+		if len(got) != 1 || filepath.Base(got[0].Name) != paths[u] || got[0].Hash != footprint.HashBytes(loaded[u]) {
+			t.Fatalf("unit %s: file entries %v; want one read of %s as loaded", u, got, paths[u])
+		}
+	}
+}

@@ -82,9 +82,14 @@ const (
 	CtrFootprintRedundant = "footprint.redundant"
 
 	// Persistent-state counters (updated concurrently by workers).
-	CtrStateLoads      = "state.loads"
-	CtrStateLoadMisses = "state.load_misses"
-	CtrStateSaves      = "state.saves"
+	// state.saves counts state files actually written (temp+fsync+rename);
+	// state.save_unchanged counts saves elided because the bytes on disk
+	// already equalled the new encoding. Their sum is the save attempts
+	// that did not fail (those are state.io_error).
+	CtrStateLoads         = "state.loads"
+	CtrStateLoadMisses    = "state.load_misses"
+	CtrStateSaves         = "state.saves"
+	CtrStateSaveUnchanged = "state.save_unchanged"
 
 	// Degradation counters: state/history I/O failures the build absorbed
 	// (cold start, dropped save, dropped flight-recorder record) instead

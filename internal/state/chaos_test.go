@@ -1,17 +1,21 @@
 package state_test
 
 // State-layer chaos suite: walk every injectable I/O fault point of a
-// Save-over-existing-state + Load workload and prove the atomic-write
-// contract under all of them — the published state file only ever holds
-// the complete old bytes or the complete new bytes (a faulted save never
-// publishes a torn file), and the loader either returns one of the two
-// valid states or an error the callers treat as a cold start. The fault
+// Save-over-existing-state + Save-again + Load workload and prove the
+// write-if-changed and atomic-write contracts under all of them — the
+// published state file only ever holds the complete old bytes or the
+// complete new bytes (a faulted save never publishes a torn file), a save
+// that reports success has the new bytes on disk and is elided only when
+// they already were, and the loader either returns one of the two valid
+// states or an error the callers treat as a cold start. The fault
 // points come from recording a clean run, not from a hand-kept list.
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"statefulcc/internal/core"
@@ -93,14 +97,39 @@ func TestSaveSyncsBeforeRename(t *testing.T) {
 	}
 }
 
+// saveStep is one SaveChangedFS call of the chaos workload with the
+// published file's bytes read (past the fault injector) before and after.
+type saveStep struct {
+	before, after []byte
+	wrote         bool
+	err           error
+}
+
 // TestChaosSaveLoad is the fault-point walk.
 func TestChaosSaveLoad(t *testing.T) {
 	stOld, stNew, encOld, encNew := chaosStates(t)
 
-	// The workload under test: overwrite existing state, then read it back.
-	workload := func(fsys vfs.FS, path string) {
-		_ = state.SaveFS(fsys, path, stNew) // may fail under fault: that is the point
+	// The workload under test: overwrite existing state (the compare sees
+	// different bytes and must write), save the same state again (the
+	// compare sees equal bytes and elides), then read it back. Saves may
+	// fail under fault: that is the point.
+	workload := func(t *testing.T, fsys vfs.FS, path string) (steps [2]saveStep) {
+		t.Helper()
+		disk := func() []byte {
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("state file vanished under a save fault: %v", err)
+			}
+			return raw
+		}
+		for i := range steps {
+			s := &steps[i]
+			s.before = disk()
+			s.wrote, s.err = state.SaveChangedFS(fsys, path, stNew)
+			s.after = disk()
+		}
 		_, _ = state.LoadFS(fsys, path)
+		return steps
 	}
 	seed := func(t *testing.T, path string) {
 		t.Helper()
@@ -114,9 +143,13 @@ func TestChaosSaveLoad(t *testing.T) {
 	recPath := filepath.Join(recDir, "unit.state")
 	seed(t, recPath)
 	rec := vfs.NewFaultFS(vfs.OS, vfs.WithCanon(chaostest.Canon(recDir, state.TempPattern)))
-	workload(rec, recPath)
+	clean := workload(t, rec, recPath)
+	if !clean[0].wrote || clean[1].wrote || clean[0].err != nil || clean[1].err != nil {
+		t.Fatalf("clean run: want a write then an elision, got wrote=%v/%v err=%v/%v",
+			clean[0].wrote, clean[1].wrote, clean[0].err, clean[1].err)
+	}
 	points := chaostest.Points(rec.Calls())
-	if len(points) < 8 {
+	if len(points) < 14 {
 		t.Fatalf("recorded only %d fault points; the seam has shrunk: %v", len(points), points)
 	}
 	cov := chaostest.OpsCovered(points)
@@ -125,10 +158,14 @@ func TestChaosSaveLoad(t *testing.T) {
 			t.Fatalf("workload never performs %s; recording is not covering the save/load path (%v)", op, cov)
 		}
 	}
+	// Three opens of the published file: both saves' compares and the load.
+	if n := len(callsOn(points, vfs.OpOpen, "unit.state")); n != 3 {
+		t.Fatalf("recorded %d opens of the state file, want 3 (two compares + load): %v", n, points)
+	}
 
 	for _, p := range points {
 		kinds := []vfs.Fault{vfs.FaultError, vfs.FaultCrash}
-		if p.Op == vfs.OpWrite {
+		if p.Op == vfs.OpWrite || p.Op == vfs.OpRead {
 			kinds = append(kinds, vfs.FaultTorn)
 		}
 		for _, kind := range kinds {
@@ -140,42 +177,191 @@ func TestChaosSaveLoad(t *testing.T) {
 				ffs := vfs.NewFaultFS(vfs.OS,
 					vfs.WithCanon(chaostest.Canon(dir, state.TempPattern)),
 					vfs.WithRules(chaostest.RuleFor(p, kind)))
-				workload(ffs, path)
+				steps := workload(t, ffs, path)
 				chaostest.AssertFired(t, ffs, p)
 
-				// Invariant 1: the published file is exactly the old or the
-				// new encoding — an atomic writer never leaves a third thing.
-				raw, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatalf("state file vanished under a save fault: %v", err)
+				for i, s := range steps {
+					// Invariant 1: the published file is exactly the old or the
+					// new encoding — an atomic writer never leaves a third thing.
+					isOld, isNew := bytes.Equal(s.after, encOld), bytes.Equal(s.after, encNew)
+					if !isOld && !isNew {
+						t.Fatalf("save %d: state file holds %d bytes that are neither the old nor the new encoding", i, len(s.after))
+					}
+					// Invariant 2: a save lands or returns an error, and is
+					// elided only when the disk already held the new bytes.
+					if s.err == nil && !isNew {
+						t.Fatalf("save %d reported success but the old state is still published", i)
+					}
+					if s.err == nil && !s.wrote && !bytes.Equal(s.before, encNew) {
+						t.Fatalf("save %d was elided while the disk differed from the new encoding", i)
+					}
+					if s.err != nil && s.wrote {
+						t.Fatalf("save %d reported both a write and an error: %v", i, s.err)
+					}
 				}
-				isOld, isNew := bytes.Equal(raw, encOld), bytes.Equal(raw, encNew)
-				if !isOld && !isNew {
-					t.Fatalf("state file holds %d bytes that are neither the old nor the new encoding", len(raw))
+				// A failed save cleans up its temp file (a crash cannot: the
+				// builder's start-up sweep owns those).
+				if kind != vfs.FaultCrash {
+					if left, _ := filepath.Glob(filepath.Join(dir, state.TempPattern)); len(left) != 0 {
+						t.Fatalf("failed save left temp files behind: %v", left)
+					}
 				}
 
-				// Invariant 2: a clean load returns the matching valid state.
+				// Invariant 3: a clean load returns the matching valid state.
 				got, err := state.LoadFS(nil, path)
 				if err != nil || got == nil {
 					t.Fatalf("clean load of intact file failed: %v", err)
 				}
 				want := stOld
-				if isNew {
+				if bytes.Equal(steps[1].after, encNew) {
 					want = stNew
 				}
 				if got.Unit != want.Unit || got.RecordCount() != want.RecordCount() {
 					t.Fatalf("loaded state does not match the on-disk encoding's source state")
 				}
 
-				// Invariant 3: recovery — the next clean save fully heals.
+				// Invariant 4: recovery — the next clean save fully heals.
 				if err := state.SaveFS(nil, path, stNew); err != nil {
 					t.Fatalf("clean save after fault failed: %v", err)
 				}
-				raw, err = os.ReadFile(path)
+				raw, err := os.ReadFile(path)
 				if err != nil || !bytes.Equal(raw, encNew) {
 					t.Fatalf("recovery save did not publish the new state: %v", err)
 				}
 			})
+		}
+	}
+}
+
+// callsOn filters points to one (op, canonical path).
+func callsOn(points []vfs.Call, op vfs.Op, path string) []vfs.Call {
+	var out []vfs.Call
+	for _, p := range points {
+		if p.Op == op && p.Path == path {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// shortReadFS makes every file opened through it end one byte early — a
+// read that returns fewer bytes than the file holds, with a clean EOF.
+type shortReadFS struct{ vfs.FS }
+
+func (s shortReadFS) Open(name string) (vfs.File, error) {
+	f, err := s.FS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	fi, err := s.FS.Stat(name)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &shortFile{File: f, left: fi.Size() - 1}, nil
+}
+
+type shortFile struct {
+	vfs.File
+	left int64
+}
+
+func (f *shortFile) Read(p []byte) (int, error) {
+	if f.left <= 0 {
+		return 0, io.EOF
+	}
+	if int64(len(p)) > f.left {
+		p = p[:f.left]
+	}
+	n, err := f.File.Read(p)
+	f.left -= int64(n)
+	return n, err
+}
+
+// TestSaveWritesWheneverDiskDiffers: the direct cases of the
+// write-if-changed rule. Only a file that reads back fully and equal is
+// left alone; anything else on disk is replaced by the current encoding.
+func TestSaveWritesWheneverDiskDiffers(t *testing.T) {
+	st := goldenState()
+	var b bytes.Buffer
+	if err := state.Encode(&b, st); err != nil {
+		t.Fatal(err)
+	}
+	enc := b.Bytes()
+	v5, err := os.ReadFile(filepath.Join("testdata", "unitstate_v5.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := state.DecodeBytes(v5); err != nil || !reflect.DeepEqual(got, st) {
+		t.Fatalf("v5 golden does not hold goldenState (%v); the v5 case would be vacuous", err)
+	}
+	flipped := bytes.Clone(enc)
+	flipped[len(flipped)-2] ^= 0x40
+
+	cases := []struct {
+		name      string
+		disk      []byte // nil: no file
+		fsys      vfs.FS
+		wantWrote bool
+	}{
+		{"missing file", nil, vfs.OS, true},
+		{"equal bytes", enc, vfs.OS, false},
+		{"same length, different bytes", flipped, vfs.OS, true},
+		{"truncated file", enc[:len(enc)-1], vfs.OS, true},
+		{"longer file", append(bytes.Clone(enc), 0), vfs.OS, true},
+		{"empty file", []byte{}, vfs.OS, true},
+		{"v5 file", v5, vfs.OS, true},
+		{"equal bytes, short read", enc, shortReadFS{vfs.OS}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "unit.state")
+			if tc.disk != nil {
+				if err := os.WriteFile(path, tc.disk, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			wrote, err := state.SaveChangedFS(tc.fsys, path, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wrote != tc.wantWrote {
+				t.Fatalf("wrote = %v, want %v", wrote, tc.wantWrote)
+			}
+			raw, err := os.ReadFile(path)
+			if err != nil || !bytes.Equal(raw, enc) {
+				t.Fatalf("disk does not hold the current (v%d) encoding after the save: %v", state.FormatVersion, err)
+			}
+		})
+	}
+}
+
+// TestSaveCallLog pins the I/O a save performs: an elided save is one
+// open+read+close of the published file and nothing else, and a real save
+// renames its temp file away without a trailing unlink of the old name.
+func TestSaveCallLog(t *testing.T) {
+	st := goldenState()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "unit.state")
+	ffs := vfs.NewFaultFS(vfs.OS, vfs.WithCanon(chaostest.Canon(dir, state.TempPattern)))
+	if err := state.SaveFS(ffs, path, st); err != nil {
+		t.Fatal(err)
+	}
+	first := ffs.Calls()
+	for _, c := range first {
+		if c.Op == vfs.OpRemove {
+			t.Fatalf("successful save issued %v (the temp file was already renamed away)", c)
+		}
+	}
+	if len(callsOn(first, vfs.OpRename, "unit.state")) != 1 {
+		t.Fatalf("first save did not publish by rename: %v", first)
+	}
+	if err := state.SaveFS(ffs, path, st); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range ffs.Calls()[len(first):] {
+		if c.Path != "unit.state" || (c.Op != vfs.OpOpen && c.Op != vfs.OpRead && c.Op != vfs.OpClose) {
+			t.Fatalf("elided save performed %v; want only open/read/close of the state file", c)
 		}
 	}
 }

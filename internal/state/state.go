@@ -1,7 +1,8 @@
 // Package state persists the stateful compiler's dormancy records to disk.
 //
 // The format is a compact little-endian binary layout with a magic/version
-// header; writes are atomic (temp file + fsync + rename) so a crashed
+// header; a save whose bytes already sit on disk writes nothing, and every
+// write that does happen is atomic (temp file + fsync + rename) so a crashed
 // build or power loss never publishes a truncated state file — a corrupt
 // or stale file is simply discarded by the loader and the next build runs
 // cold, which is always safe because the records are a pure optimization.
@@ -61,7 +62,6 @@
 package state
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -92,47 +92,87 @@ const minFormatVersion = 3
 // never read back, so removal is always safe).
 const TempPattern = ".state-*"
 
-// Save writes the unit state to path atomically via the real filesystem.
+// Save is SaveFS on the real filesystem.
 func Save(path string, st *core.UnitState) error {
 	return SaveFS(vfs.OS, path, st)
 }
 
-// SaveFS writes the unit state to path atomically through fsys (nil means
-// the real filesystem): encode to a temp file, fsync it, then rename. The
-// Sync matters — without it a power loss after the rename could publish
-// an empty or truncated file; with it, either the old state or the
-// complete new state is on disk.
+// SaveFS persists the unit state at path through fsys (nil means the real
+// filesystem), writing only if the bytes on disk differ: see SaveChangedFS,
+// which additionally reports whether a write happened.
 func SaveFS(fsys vfs.FS, path string, st *core.UnitState) error {
+	_, err := SaveChangedFS(fsys, path, st)
+	return err
+}
+
+// SaveChangedFS is the write-if-changed save. The state is encoded once
+// into memory and compared with the bytes currently at path; if the file
+// reads back fully and equal, nothing is written and wrote is false. Every
+// other outcome of the compare — no file, an open/read/close failure, a
+// different length, different bytes (which includes any older format
+// version) — takes the atomic write: encode to a temp file, fsync it, then
+// rename. The Sync matters — without it a power loss after the rename
+// could publish an empty or truncated file; with it, either the old state
+// or the complete new state is on disk.
+//
+// The compare is against the disk rather than against bytes remembered at
+// load time, so callers keep no per-unit memory and a file deleted or
+// replaced behind the process's back is rewritten by the next save.
+func SaveChangedFS(fsys vfs.FS, path string, st *core.UnitState) (wrote bool, err error) {
 	fsys = vfs.Default(fsys)
+	var buf bytes.Buffer
+	if err := Encode(&buf, st); err != nil {
+		return false, err
+	}
+	enc := buf.Bytes()
+	if onDiskEqual(fsys, path, enc) {
+		return false, nil
+	}
 	if err := fsys.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("state: %w", err)
+		return false, fmt.Errorf("state: %w", err)
 	}
 	tmp, err := fsys.CreateTemp(filepath.Dir(path), TempPattern)
 	if err != nil {
-		return fmt.Errorf("state: %w", err)
+		return false, fmt.Errorf("state: %w", err)
 	}
-	defer fsys.Remove(tmp.Name())
+	if err := publish(fsys, tmp, enc, path); err != nil {
+		// Once renamed the temp name is gone, so it is removed only here.
+		_ = fsys.Remove(tmp.Name()) // best effort: sweepers delete orphaned temps
+		return false, fmt.Errorf("state: %w", err)
+	}
+	return true, nil
+}
 
-	w := bufio.NewWriter(tmp)
-	if err := Encode(w, st); err != nil {
+// onDiskEqual reports whether the file at path holds exactly enc. Any
+// failure to establish that reads as "differs", which only costs a write.
+func onDiskEqual(fsys vfs.FS, path string, enc []byte) bool {
+	f, err := fsys.Open(path)
+	if err != nil {
+		return false
+	}
+	// One spare byte, so a longer file cannot equal its own prefix and an
+	// equal file ends the read with io.ErrUnexpectedEOF.
+	got := make([]byte, len(enc)+1)
+	n, rerr := io.ReadFull(f, got)
+	cerr := f.Close()
+	return rerr == io.ErrUnexpectedEOF && cerr == nil && bytes.Equal(got[:n], enc)
+}
+
+// publish writes enc to the open temp file, makes it durable, and renames
+// it over path.
+func publish(fsys vfs.FS, tmp vfs.File, enc []byte, path string) error {
+	if _, err := tmp.Write(enc); err != nil {
 		tmp.Close()
 		return err
 	}
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("state: %w", err)
-	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		return fmt.Errorf("state: %w", err)
+		return err
 	}
 	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("state: %w", err)
+		return err
 	}
-	if err := fsys.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("state: %w", err)
-	}
-	return nil
+	return fsys.Rename(tmp.Name(), path)
 }
 
 // Load reads a unit state from the real filesystem; a missing file

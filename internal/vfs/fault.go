@@ -32,7 +32,8 @@ const (
 	// FaultError fails the operation with ErrInjected (or Rule.Err).
 	FaultError Fault = iota
 	// FaultTorn, on a write, writes only half the buffer before failing —
-	// a torn/short write. On any other op it behaves like FaultError.
+	// a torn/short write; on a read, fills only half the buffer before
+	// failing. On any other op it behaves like FaultError.
 	FaultTorn
 	// FaultCrash fails the operation and every subsequent operation on
 	// this FaultFS (and all files opened through it) with ErrCrashed.
@@ -354,7 +355,16 @@ type faultFile struct {
 func (f *faultFile) Name() string { return f.inner.Name() }
 
 func (f *faultFile) Read(p []byte) (int, error) {
-	if _, err := f.fs.begin(OpRead, f.path); err != nil {
+	kind, err := f.fs.begin(OpRead, f.path)
+	if err != nil {
+		if kind == FaultTorn && len(p) > 0 {
+			// Torn read: half the buffer fills, then the failure.
+			n, rerr := f.inner.Read(p[:len(p)/2])
+			if rerr != nil {
+				return n, rerr
+			}
+			return n, err
+		}
 		return 0, err
 	}
 	return f.inner.Read(p)

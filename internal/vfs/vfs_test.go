@@ -159,6 +159,29 @@ func TestFaultTornWrite(t *testing.T) {
 	}
 }
 
+// TestFaultTornRead: a torn read fills half the buffer and reports an
+// injected error with the short count.
+func TestFaultTornRead(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "torn")
+	if err := os.WriteFile(path, []byte("0123456789"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ffs := vfs.NewFaultFS(vfs.OS, vfs.WithRules(vfs.Rule{Op: vfs.OpRead, Kind: vfs.FaultTorn}))
+	f, err := ffs.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	buf := make([]byte, 10)
+	n, err := f.Read(buf)
+	if !errors.Is(err, vfs.ErrInjected) {
+		t.Fatalf("torn read reported %v", err)
+	}
+	if string(buf[:n]) != "01234" {
+		t.Fatalf("torn read filled %q, want %q", buf[:n], "01234")
+	}
+}
+
 // TestFaultCrash: after a crash fault fires, every subsequent operation —
 // including handles opened before the crash — fails with ErrCrashed.
 func TestFaultCrash(t *testing.T) {
