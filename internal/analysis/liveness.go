@@ -8,11 +8,16 @@ import (
 )
 
 // Liveness holds per-block live-in/live-out SSA value sets, keyed by value
-// ID in dense bitsets.
+// ID in dense bitsets. All sets are windows of one backing array that
+// Compute reuses, so a worker keeps one Liveness in its scratch; the sets
+// are valid until its next Compute.
 type Liveness struct {
 	fn      *ir.Func
 	LiveIn  []BitSet // indexed by block ID
 	LiveOut []BitSet
+
+	bits []uint64
+	walk dfsWalk
 }
 
 // BitSet is a fixed-capacity bitset over value IDs.
@@ -67,24 +72,38 @@ func (s BitSet) Count() int {
 	return n
 }
 
-// ComputeLiveness runs iterative backward liveness to a fixed point.
+// Release drops the analysis's references into the IR (see ir.Wipe).
+func (lv *Liveness) Release() {
+	lv.fn = nil
+	ir.Wipe(lv.walk.order)
+}
+
+// ComputeLiveness runs liveness over f in a fresh Liveness.
+func ComputeLiveness(f *ir.Func) *Liveness {
+	lv := &Liveness{}
+	lv.Compute(f)
+	return lv
+}
+
+// Compute runs iterative backward liveness to a fixed point, in place.
 // Phi operands are treated as live-out of the corresponding predecessor
 // (the standard SSA convention), not live-in of the phi's block.
-func ComputeLiveness(f *ir.Func) *Liveness {
+func (lv *Liveness) Compute(f *ir.Func) {
 	nb := f.NumBlockIDs()
-	nv := f.NumValues()
-	lv := &Liveness{
-		fn:      f,
-		LiveIn:  make([]BitSet, nb),
-		LiveOut: make([]BitSet, nb),
+	words := (f.NumValues() + 63) / 64
+	lv.fn = f
+	lv.LiveIn = ir.Dense(lv.LiveIn, nb)
+	lv.LiveOut = ir.Dense(lv.LiveOut, nb)
+	lv.bits = ir.Dense(lv.bits, (2*len(f.Blocks)+1)*words)
+	window := func(i int) BitSet { return lv.bits[i*words : (i+1)*words : (i+1)*words] }
+	for i, b := range f.Blocks {
+		lv.LiveIn[b.ID] = window(2 * i)
+		lv.LiveOut[b.ID] = window(2*i + 1)
 	}
-	for _, b := range f.Blocks {
-		lv.LiveIn[b.ID] = NewBitSet(nv)
-		lv.LiveOut[b.ID] = NewBitSet(nv)
-	}
+	tmp := window(2 * len(f.Blocks))
 
 	// Iterate in postorder until stable (backward problem).
-	po := f.Postorder()
+	po := lv.walk.postorder(f)
 	changed := true
 	for changed {
 		changed = false
@@ -93,7 +112,7 @@ func ComputeLiveness(f *ir.Func) *Liveness {
 			// live-out = union over successors of (live-in(s) minus s's phis,
 			// plus the phi operands flowing along this edge).
 			for _, s := range b.Succs() {
-				tmp := lv.LiveIn[s.ID].Clone()
+				copy(tmp, lv.LiveIn[s.ID])
 				for _, phi := range s.Phis {
 					tmp.Remove(phi.ID)
 				}
@@ -109,22 +128,21 @@ func ComputeLiveness(f *ir.Func) *Liveness {
 				}
 			}
 			// live-in = (live-out minus defs) plus uses, scanned backwards.
-			in := out.Clone()
+			copy(tmp, out)
 			if b.Term != nil {
-				stepLive(in, b.Term)
+				stepLive(tmp, b.Term)
 			}
 			for i := len(b.Instrs) - 1; i >= 0; i-- {
-				stepLive(in, b.Instrs[i])
+				stepLive(tmp, b.Instrs[i])
 			}
 			for _, phi := range b.Phis {
-				in.Remove(phi.ID)
+				tmp.Remove(phi.ID)
 			}
-			if in.UnionInto(lv.LiveIn[b.ID]) {
+			if tmp.UnionInto(lv.LiveIn[b.ID]) {
 				changed = true
 			}
 		}
 	}
-	return lv
 }
 
 // trackable reports whether liveness tracks the value (instructions and

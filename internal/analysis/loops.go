@@ -41,12 +41,47 @@ func (l *Loop) Contains(b *ir.Block) bool {
 	return false
 }
 
-// LoopInfo holds all natural loops of a function.
+// LoopInfo holds all natural loops of a function. Like DomTree it is
+// rebuilt in place (Find) by a worker that keeps one in its scratch: the
+// Loop values, too, are reused, so they are valid until the next Find.
 type LoopInfo struct {
 	// Loops in header reverse-postorder (outer loops before inner).
 	Loops []*Loop
 	// loopOf[b.ID] is the innermost loop containing the block, or nil.
 	loopOf []*Loop
+	// byHeader[b.ID] is the loop headed by the block, or nil.
+	byHeader []*Loop
+	// member[b.ID] == stamp marks membership in the loop being examined.
+	member []int32
+	stack  []*ir.Block
+	// pool holds every Loop this LoopInfo ever made; the first len(Loops)
+	// are in use.
+	pool []*Loop
+}
+
+// newLoop returns an empty loop headed by header, recycling one from an
+// earlier Find (with its slices' backing arrays) when there is one.
+func (li *LoopInfo) newLoop(header *ir.Block) *Loop {
+	n := len(li.Loops)
+	if n == len(li.pool) {
+		li.pool = append(li.pool, &Loop{})
+	}
+	l := li.pool[n]
+	*l = Loop{Header: header, Latches: l.Latches[:0], Blocks: append(l.Blocks[:0], header), Exits: l.Exits[:0]}
+	li.Loops = append(li.Loops, l)
+	return l
+}
+
+// Release drops the loops' references into the IR (see ir.Wipe).
+func (li *LoopInfo) Release() {
+	for _, l := range li.pool {
+		ir.Wipe(l.Latches)
+		ir.Wipe(l.Blocks)
+		ir.Wipe(l.Exits)
+		*l = Loop{Latches: l.Latches, Blocks: l.Blocks, Exits: l.Exits}
+	}
+	li.Loops = li.Loops[:0]
+	ir.Wipe(li.stack)
 }
 
 // InnermostLoop returns the innermost loop containing b, or nil.
@@ -65,13 +100,24 @@ func (li *LoopInfo) Depth(b *ir.Block) int {
 	return 0
 }
 
-// FindLoops detects natural loops: for each back edge (latch → header where
-// header dominates latch), the loop body is everything that reaches the
-// latch without passing through the header. Loops sharing a header are
-// merged, matching LLVM's convention.
+// FindLoops detects the natural loops of f in a fresh LoopInfo.
 func FindLoops(f *ir.Func, dom *DomTree) *LoopInfo {
-	li := &LoopInfo{loopOf: make([]*Loop, f.NumBlockIDs())}
-	byHeader := make(map[*ir.Block]*Loop)
+	li := &LoopInfo{}
+	li.Find(f, dom)
+	return li
+}
+
+// Find detects natural loops in place: for each back edge (latch → header
+// where header dominates latch), the loop body is everything that reaches
+// the latch without passing through the header. Loops sharing a header are
+// merged, matching LLVM's convention.
+func (li *LoopInfo) Find(f *ir.Func, dom *DomTree) {
+	n := f.NumBlockIDs()
+	li.Loops = li.Loops[:0]
+	li.loopOf = ir.Dense(li.loopOf, n)
+	li.byHeader = ir.Dense(li.byHeader, n)
+	li.member = ir.Dense(li.member, n)
+	stamp := int32(0)
 
 	for _, b := range dom.ReversePostorder() {
 		for _, s := range b.Succs() {
@@ -79,34 +125,37 @@ func FindLoops(f *ir.Func, dom *DomTree) *LoopInfo {
 				continue // not a back edge
 			}
 			header, latch := s, b
-			loop := byHeader[header]
+			loop := li.byHeader[header.ID]
 			if loop == nil {
-				loop = &Loop{Header: header, Blocks: []*ir.Block{header}}
-				byHeader[header] = loop
-				li.Loops = append(li.Loops, loop)
+				loop = li.newLoop(header)
+				li.byHeader[header.ID] = loop
 			}
 			loop.Latches = append(loop.Latches, latch)
 			// Walk backwards from the latch collecting the body.
-			in := map[*ir.Block]bool{header: true}
+			stamp++
 			for _, blk := range loop.Blocks {
-				in[blk] = true
+				li.member[blk.ID] = stamp
 			}
-			stack := []*ir.Block{latch}
+			stack := append(li.stack[:0], latch)
 			for len(stack) > 0 {
 				x := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
-				if in[x] {
+				if li.member[x.ID] == stamp {
 					continue
 				}
-				in[x] = true
+				li.member[x.ID] = stamp
 				loop.Blocks = append(loop.Blocks, x)
 				for _, p := range x.Preds {
-					if !in[p] && dom.Reachable(p) {
+					if li.member[p.ID] != stamp && dom.Reachable(p) {
 						stack = append(stack, p)
 					}
 				}
 			}
+			li.stack = stack
 		}
+	}
+	if len(li.Loops) == 0 {
+		return
 	}
 
 	// Sort loops by body size descending so that assigning loopOf in order
@@ -116,10 +165,6 @@ func FindLoops(f *ir.Func, dom *DomTree) *LoopInfo {
 	})
 	for _, l := range li.Loops {
 		for _, b := range l.Blocks {
-			if inner := li.loopOf[b.ID]; inner != nil && inner != l && b == inner.Header {
-				// l encloses inner (l was visited earlier only if bigger).
-				_ = inner
-			}
 			li.loopOf[b.ID] = l
 		}
 	}
@@ -149,29 +194,34 @@ func FindLoops(f *ir.Func, dom *DomTree) *LoopInfo {
 
 	// Exits.
 	for _, l := range li.Loops {
+		stamp++
+		for _, b := range l.Blocks {
+			li.member[b.ID] = stamp
+		}
 		for _, b := range l.Blocks {
 			for _, s := range b.Succs() {
-				if !l.Contains(s) {
+				if li.member[s.ID] != stamp {
 					l.Exits = append(l.Exits, LoopExit{From: b, To: s})
 				}
 			}
 		}
 	}
-	return li
 }
 
 // Preheader returns the unique block that enters the loop from outside via
 // a single edge to the header, or nil when no such block exists. LICM
 // creates one on demand.
 func (l *Loop) Preheader() *ir.Block {
-	var outside []*ir.Block
+	var pre *ir.Block
+	outside := 0
 	for _, p := range l.Header.Preds {
 		if !l.Contains(p) {
-			outside = append(outside, p)
+			pre = p
+			outside++
 		}
 	}
-	if len(outside) == 1 && len(outside[0].Succs()) == 1 {
-		return outside[0]
+	if outside == 1 && len(pre.Succs()) == 1 {
+		return pre
 	}
 	return nil
 }

@@ -17,30 +17,38 @@ import (
 func VerifySSA(f *ir.Func) error {
 	dom := BuildDomTree(f)
 
-	defBlock := make(map[*ir.Value]*ir.Block)
-	defIndex := make(map[*ir.Value]int) // position within block; phis = -1
-	seen := make(map[*ir.Value]bool)
-
+	// Dense tables by value ID. defs[id] is the placed value numbered id,
+	// so an operand some other function numbered (or one never placed)
+	// fails the identity check instead of being indexed.
+	nv := f.NumValues()
+	defs := make([]*ir.Value, nv)
+	defBlock := make([]*ir.Block, nv)
+	defIndex := make([]int, nv) // position within block; phis = -1
+	place := func(v *ir.Value, b *ir.Block, index int, once bool) error {
+		if v.ID < 0 || v.ID >= nv {
+			return fmt.Errorf("func %s: v%d is numbered past the function's %d value IDs", f.Name, v.ID, nv)
+		}
+		if once && defs[v.ID] != nil {
+			return fmt.Errorf("func %s: v%d defined twice", f.Name, v.ID)
+		}
+		defs[v.ID], defBlock[v.ID], defIndex[v.ID] = v, b, index
+		return nil
+	}
 	for _, b := range f.Blocks {
 		for _, v := range b.Phis {
-			if seen[v] {
-				return fmt.Errorf("func %s: v%d defined twice", f.Name, v.ID)
+			if err := place(v, b, -1, true); err != nil {
+				return err
 			}
-			seen[v] = true
-			defBlock[v] = b
-			defIndex[v] = -1
 		}
 		for i, v := range b.Instrs {
-			if seen[v] {
-				return fmt.Errorf("func %s: v%d defined twice", f.Name, v.ID)
+			if err := place(v, b, i, true); err != nil {
+				return err
 			}
-			seen[v] = true
-			defBlock[v] = b
-			defIndex[v] = i
 		}
 		if b.Term != nil {
-			defBlock[b.Term] = b
-			defIndex[b.Term] = len(b.Instrs)
+			if err := place(b.Term, b, len(b.Instrs), false); err != nil {
+				return err
+			}
 		}
 	}
 
@@ -50,12 +58,12 @@ func VerifySSA(f *ir.Func) error {
 		if def.Op == ir.OpConst || def.Op == ir.OpParam {
 			return true
 		}
-		db, ok := defBlock[def]
-		if !ok {
+		if def.ID < 0 || def.ID >= nv || defs[def.ID] != def {
 			return false // defined nowhere (foreign value)
 		}
+		db := defBlock[def.ID]
 		if db == useBlock {
-			return defIndex[def] < useIndex
+			return defIndex[def.ID] < useIndex
 		}
 		return dom.StrictlyDominates(db, useBlock)
 	}

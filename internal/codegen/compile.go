@@ -9,6 +9,7 @@ package codegen
 import (
 	"fmt"
 
+	"statefulcc/internal/analysis"
 	"statefulcc/internal/ir"
 )
 
@@ -27,14 +28,64 @@ func Compile(m *ir.Module) (*Object, error) {
 
 // CompileWithOptions lowers a whole module to an object file.
 func CompileWithOptions(m *ir.Module, opts Options) (*Object, error) {
+	return new(Scratch).CompileWithOptions(m, opts)
+}
+
+// Scratch is one worker's reusable working memory for code generation:
+// the liveness analysis, the interference matrix and the dense side tables
+// (indexed by Value.ID or Block.ID, see ir.Dense) of the function being
+// lowered. Everything is re-sized and zeroed per function, so only the
+// backing memory carries over. One Scratch per worker (a compiler.Compiler
+// owns one), never two goroutines on one; the package-level Compile
+// functions make a fresh one per module.
+type Scratch struct {
+	live analysis.Liveness
+	// adj is the interference matrix: row v.ID is a bitset over value IDs.
+	adj []uint64
+	// liveNow is the live set at the point of packColors' backward scan.
+	liveNow []uint64
+	// slotOf[v.ID] is the frame slot of a parameter or instruction result,
+	// plus one (0: none). Constants are interned by value in constSlot.
+	slotOf []int32
+	// colorUsed[c] == the running stamp marks color c taken by a neighbour
+	// of the value being colored.
+	colorUsed []int32
+	allocaOff []int64 // by value ID
+	blockPC   []int   // by block ID
+	constSlot map[int64]int32
+	consts    []constDef
+	code      []Instr
+	fixups    []fixup
+	tramps    []trampoline
+	moves     []move
+}
+
+// Compile lowers a whole module in the worker's scratch with default
+// options.
+func (s *Scratch) Compile(m *ir.Module) (*Object, error) {
+	return s.CompileWithOptions(m, Options{})
+}
+
+// CompileWithOptions lowers a whole module in the worker's scratch.
+func (s *Scratch) CompileWithOptions(m *ir.Module, opts Options) (*Object, error) {
+	// The scratch keeps its memory from unit to unit, not the unit's IR.
+	defer func() {
+		s.live.Release()
+		ir.Wipe(s.fixups)
+		ir.Wipe(s.tramps)
+	}()
 	obj := &Object{Unit: m.Unit}
 	obj.Externs = append(obj.Externs, m.Externs...)
 	for _, g := range m.Globals {
 		obj.Globals = append(obj.Globals, GlobalDef{Name: g.Name, Words: g.Words, Init: g.Init})
 	}
+	if s.constSlot == nil {
+		s.constSlot = make(map[int64]int32)
+	}
 	strIdx := make(map[string]int32)
+	obj.Funcs = make([]*FuncCode, 0, len(m.Funcs))
 	for i, f := range m.Funcs {
-		fc, err := compileFunc(f, obj, i, strIdx, opts)
+		fc, err := compileFunc(f, obj, i, strIdx, opts, s)
 		if err != nil {
 			return nil, fmt.Errorf("unit %s: %w", m.Unit, err)
 		}
@@ -44,17 +95,13 @@ func CompileWithOptions(m *ir.Module, opts Options) (*Object, error) {
 }
 
 type fnCompiler struct {
+	*Scratch
 	f       *ir.Func
 	obj     *Object
 	fnIndex int
 	strIdx  map[string]int32
 
-	code        []Instr
-	slotOf      map[*ir.Value]int32
-	constSlot   map[constKey]int32
-	consts      []constDef
 	nextSlot    int32
-	allocaOff   map[*ir.Value]int64
 	allocaWords int64
 	tempBase    int32
 	// pack enables liveness-driven slot sharing (pack.go).
@@ -62,16 +109,6 @@ type fnCompiler struct {
 	// frozen is set once slot assignment is complete; allocating new slots
 	// afterwards would corrupt alloca addressing, so it panics.
 	frozen bool
-
-	blockPC map[*ir.Block]int
-	// fixups: instruction pc whose Imm/Imm2 must be resolved to a block or
-	// trampoline start.
-	fixups []fixup
-	tramps []*trampoline
-}
-
-type constKey struct {
-	val int64
 }
 
 type constDef struct {
@@ -79,37 +116,44 @@ type constDef struct {
 	val  int64
 }
 
+// fixup is an instruction whose Imm (or Imm2) must be resolved to the
+// start of a block or of a trampoline.
 type fixup struct {
 	pc     int
 	second bool // patch Imm2 instead of Imm
 	block  *ir.Block
-	tramp  *trampoline
+	tramp  int // index into tramps plus one; 0: jump to block
 }
 
+// trampoline carries the phi moves[from:to] of one branch edge.
 type trampoline struct {
-	moves  []move
-	target *ir.Block
-	pc     int
+	from, to int
+	target   *ir.Block
+	pc       int
 }
 
 type move struct{ dst, src int32 }
 
-func compileFunc(f *ir.Func, obj *Object, fnIndex int, strIdx map[string]int32, opts Options) (*FuncCode, error) {
+func compileFunc(f *ir.Func, obj *Object, fnIndex int, strIdx map[string]int32, opts Options, s *Scratch) (*FuncCode, error) {
 	c := &fnCompiler{
-		f:         f,
-		obj:       obj,
-		fnIndex:   fnIndex,
-		strIdx:    strIdx,
-		slotOf:    make(map[*ir.Value]int32),
-		constSlot: make(map[constKey]int32),
-		allocaOff: make(map[*ir.Value]int64),
-		blockPC:   make(map[*ir.Block]int),
-		pack:      !opts.DisableSlotPacking,
+		Scratch: s,
+		f:       f,
+		obj:     obj,
+		fnIndex: fnIndex,
+		strIdx:  strIdx,
+		pack:    !opts.DisableSlotPacking,
 	}
+	s.slotOf = ir.Dense(s.slotOf, f.NumValues())
+	s.allocaOff = ir.Dense(s.allocaOff, f.NumValues())
+	s.blockPC = ir.Dense(s.blockPC, f.NumBlockIDs())
+	clear(s.constSlot)
+	s.consts, s.code, s.fixups = s.consts[:0], s.code[:0], s.fixups[:0]
+	s.tramps, s.moves = s.tramps[:0], s.moves[:0]
+
 	c.assignSlots()
 	c.emitPrologue()
 	for _, b := range f.Blocks {
-		c.blockPC[b] = len(c.code)
+		c.blockPC[b.ID] = len(c.code)
 		for _, v := range b.Instrs {
 			if err := c.emitInstr(v); err != nil {
 				return nil, fmt.Errorf("func %s: %w", f.Name, err)
@@ -127,7 +171,7 @@ func compileFunc(f *ir.Func, obj *Object, fnIndex int, strIdx map[string]int32, 
 		NumParams:   len(f.Params),
 		NumSlots:    int(c.nextSlot),
 		AllocaWords: int(c.allocaWords),
-		Code:        c.code,
+		Code:        append([]Instr(nil), c.code...),
 		HasResult:   f.Result != ir.TVoid,
 	}, nil
 }
@@ -137,30 +181,21 @@ func compileFunc(f *ir.Func, obj *Object, fnIndex int, strIdx map[string]int32, 
 // instruction results (shared between disjoint lifetimes when packing is
 // on), constants, and finally the parallel-copy temporaries.
 func (c *fnCompiler) assignSlots() {
-	var colors map[int]int32
 	if c.pack {
-		colors, c.nextSlot = packColors(c.f)
-	}
-	for i, p := range c.f.Params {
-		if c.pack {
-			c.slotOf[p] = colors[p.ID]
-		} else {
-			c.slotOf[p] = int32(i)
+		c.nextSlot = c.packColors()
+	} else {
+		for i, p := range c.f.Params {
+			c.slotOf[p.ID] = int32(i) + 1
 			c.nextSlot++
 		}
 	}
-	maxPhis := 0
 	c.f.ForEachValue(func(v *ir.Value) {
-		if v.Type != ir.TVoid {
-			if c.pack {
-				c.slotOf[v] = colors[v.ID]
-			} else {
-				c.slotOf[v] = c.nextSlot
-				c.nextSlot++
-			}
+		if v.Type != ir.TVoid && !c.pack {
+			c.slotOf[v.ID] = c.nextSlot + 1
+			c.nextSlot++
 		}
 		if v.Op == ir.OpAlloca {
-			c.allocaOff[v] = c.allocaWords
+			c.allocaOff[v.ID] = c.allocaWords
 			c.allocaWords += v.Aux
 		}
 		for _, a := range v.Args {
@@ -169,10 +204,9 @@ func (c *fnCompiler) assignSlots() {
 			}
 		}
 	})
+	maxPhis := 0
 	for _, b := range c.f.Blocks {
-		if len(b.Phis) > maxPhis {
-			maxPhis = len(b.Phis)
-		}
+		maxPhis = max(maxPhis, len(b.Phis))
 	}
 	c.tempBase = c.nextSlot
 	c.nextSlot += int32(maxPhis)
@@ -181,9 +215,7 @@ func (c *fnCompiler) assignSlots() {
 
 // constSlotFor interns a constant into a slot loaded in the prologue.
 func (c *fnCompiler) constSlotFor(v *ir.Value) int32 {
-	k := constKey{val: v.Aux}
-	if s, ok := c.constSlot[k]; ok {
-		c.slotOf[v] = s
+	if s, ok := c.constSlot[v.Aux]; ok {
 		return s
 	}
 	if c.frozen {
@@ -191,9 +223,8 @@ func (c *fnCompiler) constSlotFor(v *ir.Value) int32 {
 	}
 	s := c.nextSlot
 	c.nextSlot++
-	c.constSlot[k] = s
+	c.constSlot[v.Aux] = s
 	c.consts = append(c.consts, constDef{slot: s, val: v.Aux})
-	c.slotOf[v] = s
 	return s
 }
 
@@ -203,13 +234,17 @@ func (c *fnCompiler) emitPrologue() {
 	}
 }
 
-// slot returns the frame slot holding v's value.
+// slot returns the frame slot holding v's value. A constant is looked up
+// by value, never by ID: cloning shares constants between functions, so
+// their IDs index nothing (see ir.Dense).
 func (c *fnCompiler) slot(v *ir.Value) int32 {
-	if s, ok := c.slotOf[v]; ok {
-		return s
-	}
 	if v.Op == ir.OpConst {
 		return c.constSlotFor(v)
+	}
+	if v.ID < len(c.slotOf) {
+		if s := c.slotOf[v.ID]; s != 0 {
+			return s - 1
+		}
 	}
 	panic(fmt.Sprintf("codegen: value %s (%s) has no slot", v, v.Op))
 }
@@ -222,6 +257,18 @@ func (c *fnCompiler) internString(s string) int32 {
 	c.obj.Strings = append(c.obj.Strings, s)
 	c.strIdx[s] = i
 	return i
+}
+
+// argSlots returns the slots of v's operands (nil for none).
+func (c *fnCompiler) argSlots(v *ir.Value) []int32 {
+	if len(v.Args) == 0 {
+		return nil
+	}
+	slots := make([]int32, len(v.Args))
+	for i, a := range v.Args {
+		slots[i] = c.slot(a)
+	}
+	return slots
 }
 
 func (c *fnCompiler) emit(i Instr) int {
@@ -243,7 +290,7 @@ func (c *fnCompiler) emitInstr(v *ir.Value) error {
 		// Address = fp + numSlots + allocaOffset; numSlots is only known
 		// after slot assignment, which already ran, but temp slots are
 		// final too, so nextSlot is stable here.
-		c.emit(Instr{Op: ILea, A: c.slot(v), Imm: int64(c.nextSlot) + c.allocaOff[v], StrIdx: -1})
+		c.emit(Instr{Op: ILea, A: c.slot(v), Imm: int64(c.nextSlot) + c.allocaOff[v.ID], StrIdx: -1})
 	case ir.OpGlobalAddr:
 		pc := c.emit(Instr{Op: IGAddr, A: c.slot(v), StrIdx: -1})
 		c.obj.GlobalRelocs = append(c.obj.GlobalRelocs, Reloc{Func: c.fnIndex, Pc: pc, Symbol: v.Sym})
@@ -258,9 +305,7 @@ func (c *fnCompiler) emitInstr(v *ir.Value) error {
 		if v.Type != ir.TVoid {
 			in.A = c.slot(v)
 		}
-		for _, a := range v.Args {
-			in.Args = append(in.Args, c.slot(a))
-		}
+		in.Args = c.argSlots(v)
 		pc := c.emit(in)
 		c.obj.Relocs = append(c.obj.Relocs, Reloc{Func: c.fnIndex, Pc: pc, Symbol: v.Sym})
 	case ir.OpPrint:
@@ -268,9 +313,7 @@ func (c *fnCompiler) emitInstr(v *ir.Value) error {
 		if v.StrAux != "" {
 			in.StrIdx = c.internString(v.StrAux)
 		}
-		for _, a := range v.Args {
-			in.Args = append(in.Args, c.slot(a))
-		}
+		in.Args = c.argSlots(v)
 		c.emit(in)
 	case ir.OpAssert:
 		in := Instr{Op: IAssert, A: c.slot(v.Args[0]), StrIdx: -1}
@@ -284,26 +327,24 @@ func (c *fnCompiler) emitInstr(v *ir.Value) error {
 	return nil
 }
 
-// phiMoves builds the parallel-copy sequence for the edge pred→succ:
-// all sources are first copied into temporaries, then temporaries into the
-// phi slots, so that phis reading each other's old values stay correct.
-func (c *fnCompiler) phiMoves(pred, succ *ir.Block) []move {
-	if len(succ.Phis) == 0 {
-		return nil
-	}
-	var ms []move
+// phiMoves appends the parallel-copy sequence for the edge pred→succ to
+// c.moves, returning its bounds: all sources are first copied into
+// temporaries, then temporaries into the phi slots, so that phis reading
+// each other's old values stay correct.
+func (c *fnCompiler) phiMoves(pred, succ *ir.Block) (from, to int) {
+	from = len(c.moves)
 	for i, phi := range succ.Phis {
 		in := phi.Incoming(pred)
-		ms = append(ms, move{dst: c.tempBase + int32(i), src: c.slot(in)})
+		c.moves = append(c.moves, move{dst: c.tempBase + int32(i), src: c.slot(in)})
 	}
 	for i, phi := range succ.Phis {
-		ms = append(ms, move{dst: c.slot(phi), src: c.tempBase + int32(i)})
+		c.moves = append(c.moves, move{dst: c.slot(phi), src: c.tempBase + int32(i)})
 	}
-	return ms
+	return from, len(c.moves)
 }
 
-func (c *fnCompiler) emitMoves(ms []move) {
-	for _, m := range ms {
+func (c *fnCompiler) emitMoves(from, to int) {
+	for _, m := range c.moves[from:to] {
 		if m.dst != m.src {
 			c.emit(Instr{Op: IMov, A: m.dst, B: m.src, StrIdx: -1})
 		}
@@ -338,19 +379,19 @@ func (c *fnCompiler) emitTerminator(b *ir.Block) error {
 // edgeFixup routes a branch edge either directly to the target block or
 // through a trampoline carrying the edge's phi moves.
 func (c *fnCompiler) edgeFixup(pc int, second bool, pred, succ *ir.Block) fixup {
-	ms := c.phiMoves(pred, succ)
-	if len(ms) == 0 {
+	from, to := c.phiMoves(pred, succ)
+	if from == to {
 		return fixup{pc: pc, second: second, block: succ}
 	}
-	tr := &trampoline{moves: ms, target: succ}
-	c.tramps = append(c.tramps, tr)
-	return fixup{pc: pc, second: second, tramp: tr}
+	c.tramps = append(c.tramps, trampoline{from: from, to: to, target: succ})
+	return fixup{pc: pc, second: second, tramp: len(c.tramps)}
 }
 
 func (c *fnCompiler) emitTrampolines() {
-	for _, tr := range c.tramps {
+	for i := range c.tramps {
+		tr := &c.tramps[i]
 		tr.pc = len(c.code)
-		c.emitMoves(tr.moves)
+		c.emitMoves(tr.from, tr.to)
 		pc := c.emit(Instr{Op: IJmp, StrIdx: -1})
 		c.fixups = append(c.fixups, fixup{pc: pc, block: tr.target})
 	}
@@ -359,10 +400,10 @@ func (c *fnCompiler) emitTrampolines() {
 func (c *fnCompiler) resolveFixups() {
 	for _, fx := range c.fixups {
 		var target int
-		if fx.tramp != nil {
-			target = fx.tramp.pc
+		if fx.tramp != 0 {
+			target = c.tramps[fx.tramp-1].pc
 		} else {
-			target = c.blockPC[fx.block]
+			target = c.blockPC[fx.block.ID]
 		}
 		if fx.second {
 			c.code[fx.pc].Imm2 = int64(target)

@@ -13,42 +13,44 @@ package codegen
 // analysis does not track parameters).
 
 import (
+	"math/bits"
+
 	"statefulcc/internal/analysis"
 	"statefulcc/internal/ir"
 )
 
 // packColors assigns each value-producing instruction a frame slot, with
-// parameters pre-colored 0..n-1. Returns the coloring (by value ID) and
-// the number of slots used.
-func packColors(f *ir.Func) (map[int]int32, int32) {
-	lv := analysis.ComputeLiveness(f)
+// parameters pre-colored 0..n-1, writing the coloring to c.slotOf (slot
+// plus one, by value ID). Returns the number of slots used.
+func (c *fnCompiler) packColors() int32 {
+	f := c.f
+	lv := &c.live
+	lv.Compute(f)
 	nv := f.NumValues()
+	words := (nv + 63) / 64
 
-	// Interference adjacency as bitsets keyed by value ID.
-	adj := make([]analysis.BitSet, nv)
-	ensure := func(id int) analysis.BitSet {
-		if adj[id] == nil {
-			adj[id] = analysis.NewBitSet(nv)
-		}
-		return adj[id]
-	}
+	// Interference adjacency: row id is a bitset over value IDs.
+	c.adj = ir.Dense(c.adj, nv*words)
+	adj := c.adj
+	row := func(id int) analysis.BitSet { return adj[id*words : (id+1)*words] }
 	addEdge := func(a, b int) {
-		if a == b {
-			return
+		if a != b {
+			row(a).Add(b)
+			row(b).Add(a)
 		}
-		ensure(a).Add(b)
-		ensure(b).Add(a)
 	}
 	interfereWithSet := func(id int, set analysis.BitSet) {
-		for w := 0; w < nv; w++ {
-			if set.Has(w) {
-				addEdge(id, w)
+		for i, w := range set {
+			for ; w != 0; w &= w - 1 {
+				addEdge(id, i*64+bits.TrailingZeros64(w))
 			}
 		}
 	}
 
 	producesValue := func(v *ir.Value) bool { return v.Type != ir.TVoid }
 
+	live := analysis.BitSet(ir.Dense(c.liveNow, words))
+	c.liveNow = live
 	for _, b := range f.Blocks {
 		// Phi extras: live-in of the block, sibling phis, preds' live-out.
 		for _, phi := range b.Phis {
@@ -61,7 +63,7 @@ func packColors(f *ir.Func) (map[int]int32, int32) {
 			}
 		}
 		// Backward scan for ordinary definitions.
-		live := lv.LiveOut[b.ID].Clone()
+		copy(live, lv.LiveOut[b.ID])
 		scan := func(v *ir.Value) {
 			if producesValue(v) {
 				interfereWithSet(v.ID, live)
@@ -81,33 +83,35 @@ func packColors(f *ir.Func) (map[int]int32, int32) {
 		}
 	}
 
-	colors := make(map[int]int32, nv)
+	slotOf := c.slotOf
 	nParams := int32(len(f.Params))
 	for i, p := range f.Params {
-		colors[p.ID] = int32(i)
+		slotOf[p.ID] = int32(i) + 1
 	}
 	maxColor := nParams - 1
 
 	// Color in deterministic layout order; smallest color not used by any
-	// neighbor, never reusing the reserved parameter slots.
+	// neighbor, never reusing the reserved parameter slots. colorUsed[k]
+	// holding the current stamp marks color k taken.
+	used := ir.Dense(c.colorUsed, int(nParams)+1)
+	stamp := int32(0)
 	assign := func(v *ir.Value) {
-		used := make(map[int32]bool)
-		if adj[v.ID] != nil {
-			for w := 0; w < nv; w++ {
-				if adj[v.ID].Has(w) {
-					if c, ok := colors[w]; ok {
-						used[c] = true
-					}
+		stamp++
+		for i, w := range row(v.ID) {
+			for ; w != 0; w &= w - 1 {
+				if s := slotOf[i*64+bits.TrailingZeros64(w)]; s != 0 {
+					used[s-1] = stamp
 				}
 			}
 		}
-		c := nParams
-		for used[c] {
-			c++
+		k := nParams
+		for used[k] == stamp {
+			k++
 		}
-		colors[v.ID] = c
-		if c > maxColor {
-			maxColor = c
+		slotOf[v.ID] = k + 1
+		if k > maxColor {
+			maxColor = k
+			used = ir.Grow(used, int(k)+2)
 		}
 	}
 	for _, b := range f.Blocks {
@@ -120,5 +124,6 @@ func packColors(f *ir.Func) (map[int]int32, int32) {
 			}
 		}
 	}
-	return colors, maxColor + 1
+	c.colorUsed = used
+	return maxColor + 1
 }

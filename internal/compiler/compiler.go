@@ -84,11 +84,15 @@ type Options struct {
 
 // Compiler compiles units under a fixed policy. It is not safe for
 // concurrent use (the full cache and driver state are unsynchronized);
-// build systems run one compiler per worker.
+// build systems run one compiler per worker. That makes it the owner of
+// the worker's scratch memory — the passes' dense side tables inside its
+// driver, code generation's in cg — which is reused from unit to unit and
+// never shared between compilers.
 type Compiler struct {
 	opts   Options
 	driver *core.Driver
 	cache  *FullCache
+	cg     codegen.Scratch
 }
 
 // New builds a compiler.
@@ -260,7 +264,7 @@ func (c *Compiler) CompileUnitContext(ctx context.Context, unitName string, src 
 
 	if !c.opts.SkipCodegen {
 		start = now()
-		obj, err := codegen.Compile(m)
+		obj, err := c.cg.Compile(m)
 		if err != nil {
 			return nil, err
 		}

@@ -209,16 +209,19 @@ func sortedKeys(set map[string]bool) []string {
 // runPipelineSkipping executes the pipeline, skipping function passes for
 // pinned (cache-replayed) functions; module passes always run.
 func runPipelineSkipping(m *ir.Module, pipeline []string, pinned map[string]bool) error {
+	scratch := &passes.Scratch{}
 	for _, name := range pipeline {
 		info, ok := passes.Lookup(name)
 		if !ok {
 			return fmt.Errorf("fullcache: unknown pass %q", name)
 		}
+		inst := info.New()
+		passes.UseScratch(inst, scratch)
 		if info.Module {
-			info.New().(passes.ModulePass).RunModule(m)
+			inst.(passes.ModulePass).RunModule(m)
 			continue
 		}
-		p := info.New().(passes.FuncPass)
+		p := inst.(passes.FuncPass)
 		for _, f := range m.Funcs {
 			if pinned[f.Name] {
 				continue

@@ -1,0 +1,108 @@
+package compiler_test
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"sort"
+	"sync"
+	"testing"
+
+	"statefulcc/internal/codegen"
+	"statefulcc/internal/compiler"
+	"statefulcc/internal/workload"
+)
+
+// decoySrc is compiled by every worker before each real unit: a function
+// several times the size of anything in the snapshot, full of what the
+// passes keep tables on (promotable locals, phis, an unrollable loop, dead
+// stores, redundant loads). It leaves every table of the worker's scratch
+// long and full of entries for IR that is gone, which is the state a table
+// sized too short, or grown without zeroing, would read from.
+func decoySrc() string {
+	src := "var _d [64]int;\nfunc _helper(x int) int { return x * 2 + 1; }\nfunc decoy(n int) int {\n    var acc int = 0;\n"
+	for i := 0; i < 60; i++ {
+		src += fmt.Sprintf("    var v%d int = acc + %d;\n", i, i)
+		src += fmt.Sprintf("    if v%d > n { acc = acc + v%d; _d[%d] = acc; } else { acc = acc - _d[%d]; }\n", i, i, i%64, (i+1)%64)
+		src += fmt.Sprintf("    for var j%d int = 0; j%d < 4; j%d++ { acc = acc + _helper(j%d) + _d[%d] + _d[%d]; }\n", i, i, i, i, i%64, i%64)
+	}
+	return src + "    return acc;\n}\n"
+}
+
+// TestDirtyScratchAcrossWorkers compiles one snapshot on 1, 2 and 4 workers
+// — each a compiler.Compiler with its own scratch, fed from a shared queue
+// as the build system's pool does — dirtying every worker's scratch with the
+// decoy between units, and holds each linked program to the one built by a
+// fresh Compiler per unit. Run under the race detector (make race) it also
+// shows that no scratch is reachable from two workers.
+func TestDirtyScratchAcrossWorkers(t *testing.T) {
+	snap := workload.Generate(workload.QuickSuite()[1])
+	names := make([]string, 0, len(snap))
+	for name := range snap {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	decoy := []byte(decoySrc())
+
+	link := func(objs []*codegen.Object) [32]byte {
+		t.Helper()
+		p, err := codegen.Link(objs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sha256.Sum256([]byte(codegen.DisassembleProgram(p)))
+	}
+	newCompiler := func(mode compiler.Mode) *compiler.Compiler {
+		c, err := compiler.New(compiler.Options{Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+
+	for _, mode := range []compiler.Mode{compiler.ModeStateless, compiler.ModeStateful} {
+		clean := make([]*codegen.Object, len(names))
+		for i, name := range names {
+			res, err := newCompiler(mode).CompileUnit(name, snap[name], nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clean[i] = res.Object
+		}
+		want := link(clean)
+
+		for _, workers := range []int{1, 2, 4} {
+			objs := make([]*codegen.Object, len(names))
+			queue := make(chan int)
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					c := newCompiler(mode)
+					for i := range queue {
+						if _, err := c.CompileUnit("decoy.mc", decoy, nil); err != nil {
+							t.Errorf("decoy: %v", err)
+						}
+						res, err := c.CompileUnit(names[i], snap[names[i]], nil)
+						if err != nil {
+							t.Errorf("%s: %v", names[i], err)
+							continue
+						}
+						objs[i] = res.Object
+					}
+				}()
+			}
+			for i := range names {
+				queue <- i
+			}
+			close(queue)
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+			if got := link(objs); got != want {
+				t.Errorf("%s, %d workers: program differs from the one built on clean scratch", mode, workers)
+			}
+		}
+	}
+}

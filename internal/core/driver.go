@@ -108,6 +108,10 @@ type Driver struct {
 	// Drivers are single-threaded per worker, so no locking.
 	memo *fingerprint.Memo
 
+	// scratch is the working memory every pass instance above shares —
+	// like the driver, single-threaded per worker.
+	scratch *passes.Scratch
+
 	// auditState is the sentinel's splitmix64 PRNG state (advanced only
 	// when 0 < AuditRate < 1).
 	auditState uint64
@@ -121,18 +125,20 @@ func NewDriver(opts Options) (*Driver, error) {
 	if opts.AuditSeed == 0 {
 		opts.AuditSeed = 1
 	}
-	d := &Driver{opts: opts, auditState: opts.AuditSeed, memo: fingerprint.NewMemo()}
+	d := &Driver{opts: opts, auditState: opts.AuditSeed, memo: fingerprint.NewMemo(), scratch: &passes.Scratch{}}
 	for _, name := range opts.Pipeline {
 		info, ok := passes.Lookup(name)
 		if !ok {
 			return nil, fmt.Errorf("core: unknown pass %q", name)
 		}
 		d.infos = append(d.infos, info)
+		inst := info.New()
+		passes.UseScratch(inst, d.scratch)
 		if info.Module {
 			d.fps = append(d.fps, nil)
-			d.mps = append(d.mps, info.New().(passes.ModulePass))
+			d.mps = append(d.mps, inst.(passes.ModulePass))
 		} else {
-			d.fps = append(d.fps, info.New().(passes.FuncPass))
+			d.fps = append(d.fps, inst.(passes.FuncPass))
 			d.mps = append(d.mps, nil)
 		}
 	}
@@ -237,6 +243,8 @@ func (d *Driver) Run(m *ir.Module, st *UnitState) (*UnitState, *Stats, error) {
 // ctx's error (errors.Is-able against context.Canceled/DeadlineExceeded);
 // the partially updated state must not be persisted by the caller.
 func (d *Driver) RunContext(ctx context.Context, m *ir.Module, st *UnitState) (*UnitState, *Stats, error) {
+	// The scratch keeps its memory from unit to unit, not the unit's IR.
+	defer d.scratch.Release()
 	if !st.Compatible(d.opts.Pipeline) {
 		// Quarantine survives a pipeline change: it is keyed by pass name,
 		// and distrust in a pass is not cured by reordering the pipeline.

@@ -13,44 +13,92 @@ func CloneFunc(f *Func) *Func {
 		Result:  f.Result,
 		Private: f.Private,
 	}
-	vmap := make(map[*Value]*Value, f.NumValues())
+	var cm CloneMap
+	cm.Reset(f)
 	for _, p := range f.Params {
 		np := &Value{ID: g.takeValueID(), Op: OpParam, Type: p.Type, Aux: p.Aux}
 		g.Params = append(g.Params, np)
-		vmap[p] = np
+		cm.Values[p.ID] = np
 	}
-	CloneBlocksInto(g, f.Blocks, vmap)
+	CloneBlocksInto(g, f.Blocks, &cm)
 	return g
 }
 
+// CloneMap is the old→new remap of one CloneBlocksInto call: dense tables
+// indexed by the *source* function's value and block IDs (the destination
+// may be another function, as when inlining). The zero value is ready for
+// Reset; a pass keeps one in its worker's scratch.
+type CloneMap struct {
+	// Values[id] is what the source value numbered id maps to, nil for
+	// itself. Callers seed substitutions here before cloning.
+	Values []*Value
+	// Blocks[id] is the clone of the source block numbered id, nil for a
+	// block outside the cloned region.
+	Blocks []*Block
+	// seeded marks region values the caller substituted (not cloned).
+	seeded []bool
+}
+
+// Reset empties the map and sizes it for cloning blocks of src.
+func (cm *CloneMap) Reset(src *Func) {
+	cm.Values = Dense(cm.Values, src.NumValues())
+	cm.Blocks = Dense(cm.Blocks, src.NumBlockIDs())
+	cm.seeded = Dense(cm.seeded, src.NumValues())
+}
+
+// Release drops the map's references into the IR (see Wipe).
+func (cm *CloneMap) Release() {
+	Wipe(cm.Values)
+	Wipe(cm.Blocks)
+}
+
+// Value returns what source value v maps to (v itself when unmapped;
+// constants are shared, never remapped).
+func (cm *CloneMap) Value(v *Value) *Value {
+	if v.Op != OpConst && v.ID < len(cm.Values) {
+		if nv := cm.Values[v.ID]; nv != nil {
+			return nv
+		}
+	}
+	return v
+}
+
+// Block returns the clone of source block b (b itself outside the region).
+func (cm *CloneMap) Block(b *Block) *Block {
+	if b.ID < len(cm.Blocks) {
+		if nb := cm.Blocks[b.ID]; nb != nil {
+			return nb
+		}
+	}
+	return b
+}
+
 // CloneBlocksInto clones the given blocks into dst, remapping operands via
-// vmap. On entry vmap must contain mappings for values defined outside the
-// cloned region that should be substituted (e.g. callee params → call
-// arguments); values defined inside the region get fresh clones added to
-// vmap; any other operand maps to itself. A region value pre-seeded in vmap
-// is substituted instead of cloned — the unroller uses this to replace a
-// loop header's phis with the current iteration's values. Block operands
-// that point inside the region are remapped; edges leaving the region keep
-// their original targets (and those targets gain predecessor entries for
-// the clones).
+// cm. On entry cm (Reset for the blocks' function) must hold mappings for
+// values defined outside the cloned region that should be substituted (e.g.
+// callee params → call arguments); values defined inside the region get
+// fresh clones added to cm; any other operand maps to itself. A region
+// value pre-seeded in cm is substituted instead of cloned — the unroller
+// uses this to replace a loop header's phis with the current iteration's
+// values. Block operands that point inside the region are remapped; edges
+// leaving the region keep their original targets (and those targets gain
+// predecessor entries for the clones).
 //
-// The returned map gives the clone of each original block.
-func CloneBlocksInto(dst *Func, blocks []*Block, vmap map[*Value]*Value) map[*Block]*Block {
-	bmap := make(map[*Block]*Block, len(blocks))
+// Afterwards cm.Blocks gives the clone of each original block.
+func CloneBlocksInto(dst *Func, blocks []*Block, cm *CloneMap) {
 	for _, b := range blocks {
-		bmap[b] = dst.NewBlock()
+		cm.Blocks[b.ID] = dst.NewBlock()
 	}
 
 	// Pass 1: create shell clones of every value defined in the region so
 	// that forward references (phis) resolve. Pre-seeded values keep their
 	// substitution and are not cloned.
-	preseeded := make(map[*Value]bool)
-	cloneShell := func(v *Value) *Value {
-		if _, ok := vmap[v]; ok {
-			preseeded[v] = true
-			return vmap[v]
+	cloneShell := func(v *Value) {
+		if cm.Values[v.ID] != nil {
+			cm.seeded[v.ID] = true
+			return
 		}
-		nv := &Value{
+		cm.Values[v.ID] = &Value{
 			ID:     dst.takeValueID(),
 			Op:     v.Op,
 			Type:   v.Type,
@@ -58,8 +106,6 @@ func CloneBlocksInto(dst *Func, blocks []*Block, vmap map[*Value]*Value) map[*Bl
 			Sym:    v.Sym,
 			StrAux: v.StrAux,
 		}
-		vmap[v] = nv
-		return nv
 	}
 	for _, b := range blocks {
 		for _, v := range b.Phis {
@@ -73,58 +119,54 @@ func CloneBlocksInto(dst *Func, blocks []*Block, vmap map[*Value]*Value) map[*Bl
 		}
 	}
 
-	lookupV := func(v *Value) *Value {
-		if nv, ok := vmap[v]; ok {
-			return nv
-		}
-		return v
-	}
-	lookupB := func(b *Block) *Block {
-		if nb, ok := bmap[b]; ok {
-			return nb
-		}
-		return b
-	}
-
 	// Pass 2: fill operands and attach clones to their blocks. Pre-seeded
 	// values were substituted, not cloned, so they are skipped here.
+	cloneArgs := func(nv, v *Value) {
+		if len(v.Args) == 0 {
+			return
+		}
+		nv.Args = make([]*Value, len(v.Args))
+		for i, a := range v.Args {
+			nv.Args[i] = cm.Value(a)
+		}
+	}
+	cloneBlocks := func(list []*Block) []*Block {
+		if len(list) == 0 {
+			return nil
+		}
+		out := make([]*Block, len(list))
+		for i, b := range list {
+			out[i] = cm.Block(b)
+		}
+		return out
+	}
 	for _, b := range blocks {
-		nb := bmap[b]
+		nb := cm.Blocks[b.ID]
+		nb.Instrs = make([]*Value, 0, len(b.Instrs))
 		for _, v := range b.Phis {
-			if preseeded[v] {
+			if cm.seeded[v.ID] {
 				continue
 			}
-			nv := vmap[v]
-			for _, a := range v.Args {
-				nv.Args = append(nv.Args, lookupV(a))
-			}
-			for _, pb := range v.Blocks {
-				nv.Blocks = append(nv.Blocks, lookupB(pb))
-			}
+			nv := cm.Values[v.ID]
+			cloneArgs(nv, v)
+			nv.Blocks = cloneBlocks(v.Blocks)
 			nb.AddPhi(nv)
 		}
 		for _, v := range b.Instrs {
-			if preseeded[v] {
+			if cm.seeded[v.ID] {
 				continue
 			}
-			nv := vmap[v]
-			for _, a := range v.Args {
-				nv.Args = append(nv.Args, lookupV(a))
-			}
+			nv := cm.Values[v.ID]
+			cloneArgs(nv, v)
 			nb.AddInstr(nv)
 		}
 		if b.Term != nil {
-			nt := vmap[b.Term]
-			for _, a := range b.Term.Args {
-				nt.Args = append(nt.Args, lookupV(a))
-			}
-			for _, tb := range b.Term.Blocks {
-				nt.Blocks = append(nt.Blocks, lookupB(tb))
-			}
+			nt := cm.Values[b.Term.ID]
+			cloneArgs(nt, b.Term)
+			nt.Blocks = cloneBlocks(b.Term.Blocks)
 			nb.SetTerm(nt)
 		}
 	}
-	return bmap
 }
 
 // CloneModule deep-copies a whole module, used to snapshot IR for the

@@ -20,48 +20,6 @@ func (f *Func) ForEachValue(fn func(*Value)) {
 	}
 }
 
-// ReplaceAllUses rewrites every operand equal to old into new, across the
-// whole function. It does not remove old's defining instruction.
-func (f *Func) ReplaceAllUses(old, new *Value) {
-	f.ForEachValue(func(v *Value) {
-		for i, a := range v.Args {
-			if a == old {
-				v.Args[i] = new
-				if v.Block != nil {
-					v.Block.Touch()
-				}
-			}
-		}
-	})
-}
-
-// RemoveInstr removes the instruction from its block (by identity). Phis
-// and terminators are not handled here.
-func (b *Block) RemoveInstr(v *Value) bool {
-	for i, w := range b.Instrs {
-		if w == v {
-			b.Instrs = append(b.Instrs[:i], b.Instrs[i+1:]...)
-			v.Block = nil
-			b.TouchLayout()
-			return true
-		}
-	}
-	return false
-}
-
-// RemovePhi removes a phi from its block (by identity).
-func (b *Block) RemovePhi(v *Value) bool {
-	for i, w := range b.Phis {
-		if w == v {
-			b.Phis = append(b.Phis[:i], b.Phis[i+1:]...)
-			v.Block = nil
-			b.TouchLayout()
-			return true
-		}
-	}
-	return false
-}
-
 // RedirectEdge retargets the CFG edge from b to oldTo so that it points to
 // newTo instead: the terminator's block operand is rewritten, oldTo loses b
 // as a predecessor (its phis drop the operand), and newTo gains it. Phis in
@@ -85,22 +43,14 @@ func (b *Block) RedirectEdge(oldTo, newTo *Block) bool {
 	return done
 }
 
-// Unlink disconnects the block from the CFG (removing its outgoing edges
-// and fixing successors' phis) and deletes it from the function's block
-// list. The caller must ensure nothing references the block's values.
-func (f *Func) Unlink(b *Block) {
+// dropOutEdges removes the block's terminator and with it every outgoing
+// edge, fixing the successors' pred lists and phis.
+func (b *Block) dropOutEdges() {
 	if b.Term != nil {
 		for _, s := range b.Term.Blocks {
 			s.removePredEdge(b)
 		}
 		b.Term = nil
-	}
-	for i, q := range f.Blocks {
-		if q == b {
-			f.Blocks = append(f.Blocks[:i], f.Blocks[i+1:]...)
-			f.layoutGen++
-			break
-		}
 	}
 }
 
@@ -196,11 +146,9 @@ func (f *Func) ReversePostorder() []*Block {
 	return po
 }
 
-// Reachable returns a dense block-ID-indexed set of blocks reachable from
-// entry.
-func (f *Func) Reachable() []bool {
-	seen := make([]bool, f.NumBlockIDs())
-	var stack []*Block
+// markReachable sets seen[b.ID] for every block reachable from entry; seen
+// must be zeroed and NumBlockIDs long, stack is working space.
+func (f *Func) markReachable(seen []bool, stack []*Block) []bool {
 	if e := f.Entry(); e != nil {
 		stack = append(stack, e)
 		seen[e.ID] = true
@@ -219,17 +167,32 @@ func (f *Func) Reachable() []bool {
 }
 
 // RemoveUnreachable deletes blocks not reachable from entry, fixing the
-// phis of surviving blocks. Returns the number of blocks removed.
+// phis of surviving blocks. Returns the number of blocks removed. Most
+// passes open with it, so the common case — a function of ordinary size
+// with nothing to remove — runs on stack buffers without allocating.
 func (f *Func) RemoveUnreachable() int {
-	reach := f.Reachable()
-	var dead []*Block
+	var seenBuf [256]bool
+	var stackBuf [32]*Block
+	seen := seenBuf[:]
+	if n := f.NumBlockIDs(); n <= len(seenBuf) {
+		seen = seen[:n]
+	} else {
+		seen = make([]bool, n)
+	}
+	reach := f.markReachable(seen, stackBuf[:0])
+	keep := f.Blocks[:0]
 	for _, b := range f.Blocks {
-		if !reach[b.ID] {
-			dead = append(dead, b)
+		if reach[b.ID] {
+			keep = append(keep, b)
+		} else {
+			b.dropOutEdges()
 		}
 	}
-	for _, b := range dead {
-		f.Unlink(b)
+	n := len(f.Blocks) - len(keep)
+	if n > 0 {
+		clear(f.Blocks[len(keep):])
+		f.Blocks = keep
+		f.layoutGen++
 	}
-	return len(dead)
+	return n
 }

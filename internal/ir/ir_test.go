@@ -185,7 +185,9 @@ func TestReplaceAllUses(t *testing.T) {
 	f, blocks := buildDiamond(t)
 	phi := blocks["join"].Phis[0]
 	repl := f.ConstInt(99)
-	f.ReplaceAllUses(phi, repl)
+	table := make([]*ir.Value, f.NumValues())
+	table[phi.ID] = repl
+	f.ReplaceUses(table)
 	if blocks["join"].Term.Args[0] != repl {
 		t.Error("use not replaced")
 	}
@@ -360,5 +362,169 @@ func TestNumUses(t *testing.T) {
 	phi := blocks["join"].Phis[0]
 	if uses[phi.ID] != 1 {
 		t.Errorf("phi uses = %d, want 1 (the ret)", uses[phi.ID])
+	}
+}
+
+// bigFunc returns a function that has numbered far more values and blocks
+// than a diamond has, as a source of IDs no diamond-sized table holds.
+func bigFunc() *ir.Func {
+	g := ir.NewFunc("other", nil, ir.TVoid)
+	for i := 0; i < 64; i++ {
+		g.ConstInt(int64(i))
+		g.NewBlock()
+	}
+	return g
+}
+
+// TestVerifyIDsBeyondTables: the verifier indexes dense tables by value and
+// block ID, sized from the function's ID bounds. A value or block some other
+// function numbered — the shape of a pass bug that moves IR between
+// functions without renumbering — has an ID at or past those bounds (or one
+// that collides with a local ID) and must come back as an error, never as
+// an index out of range.
+func TestVerifyIDsBeyondTables(t *testing.T) {
+	other := bigFunc()
+
+	// A constant operand is shared freely: inlining leaves the callee's
+	// constants, with the callee's IDs, in the caller.
+	f, blocks := buildDiamond(t)
+	blocks["then"].Instrs[0].Args[1] = other.ConstInt(5)
+	if err := f.Verify(); err != nil {
+		t.Errorf("foreign constant operand rejected: %v", err)
+	}
+
+	// A pass-made phi and constant — IDs past the NumValues a table was
+	// sized with before the pass ran — verify like any other value.
+	f, blocks = buildDiamond(t)
+	sized := f.NumValues()
+	phi := f.NewValue(ir.OpPhi, ir.TInt, f.ConstInt(1), f.ConstInt(2))
+	phi.Blocks = []*ir.Block{blocks["then"], blocks["else"]}
+	blocks["join"].AddPhi(phi)
+	blocks["join"].Term.Args[0] = phi
+	if phi.ID < sized {
+		t.Fatalf("new phi numbered %d, below the old bound %d", phi.ID, sized)
+	}
+	if err := f.Verify(); err != nil {
+		t.Errorf("pass-made phi rejected: %v", err)
+	}
+
+	cases := []struct {
+		name    string
+		corrupt func(f *ir.Func, blocks map[string]*ir.Block)
+		want    string
+	}{
+		{"instruction numbered by another function", func(f *ir.Func, blocks map[string]*ir.Block) {
+			blocks["then"].AddInstr(other.NewValue(ir.OpAdd, ir.TInt, f.Params[0], f.Params[0]))
+		}, "numbered past"},
+		{"phi numbered by another function", func(f *ir.Func, blocks map[string]*ir.Block) {
+			phi := other.NewValue(ir.OpPhi, ir.TInt, f.Params[0], f.Params[0])
+			phi.Blocks = []*ir.Block{blocks["then"], blocks["else"]}
+			blocks["join"].AddPhi(phi)
+		}, "numbered past"},
+		{"operand numbered by another function", func(f *ir.Func, blocks map[string]*ir.Block) {
+			blocks["then"].Instrs[0].Args[0] = other.NewValue(ir.OpAdd, ir.TInt)
+		}, "undefined value"},
+		{"foreign operand with a local ID", func(f *ir.Func, blocks map[string]*ir.Block) {
+			g := ir.NewFunc("twin", []ir.Type{ir.TInt}, ir.TInt)
+			blocks["then"].Instrs[0].Args[0] = g.Params[0] // numbered 0, like f's own parameter
+		}, "undefined value"},
+		{"two instructions with one ID", func(f *ir.Func, blocks map[string]*ir.Block) {
+			dup := f.NewValue(ir.OpAdd, ir.TInt, f.Params[0], f.Params[0])
+			dup.ID = blocks["then"].Instrs[0].ID
+			blocks["else"].AddInstr(dup)
+		}, "two definitions"},
+		{"block numbered by another function", func(f *ir.Func, blocks map[string]*ir.Block) {
+			b := other.NewBlock()
+			b.Func = f
+			r := f.NewValue(ir.OpRet, ir.TVoid, f.ConstInt(0))
+			r.Block = b
+			b.Term = r
+			f.Blocks = append(f.Blocks, b)
+		}, "numbered past"},
+		{"branch to a block numbered by another function", func(f *ir.Func, blocks map[string]*ir.Block) {
+			blocks["then"].Term.Blocks[0] = other.NewBlock()
+		}, "foreign block"},
+		{"phi naming a block numbered by another function", func(f *ir.Func, blocks map[string]*ir.Block) {
+			blocks["join"].Phis[0].Blocks[0] = other.NewBlock()
+		}, "foreign block"},
+	}
+	for _, tc := range cases {
+		f, blocks := buildDiamond(t)
+		tc.corrupt(f, blocks)
+		err := f.Verify()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error mentioning %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestDenseTablesAndNewValues: the helpers passes build on must treat a
+// value created after a table was sized (its ID is past the table's end),
+// and a constant (whose ID means nothing), as "no entry".
+func TestDenseTablesAndNewValues(t *testing.T) {
+	f, blocks := buildDiamond(t)
+	thenB, join := blocks["then"], blocks["join"]
+	repl := ir.Dense[*ir.Value](nil, f.NumValues())
+	dead := ir.Dense[bool](nil, f.NumValues())
+
+	// Values made after sizing: one replaces the phi, one is appended to a
+	// block that is then compacted.
+	late := thenB.AddInstr(f.NewValue(ir.OpMul, ir.TInt, f.Params[0], f.Params[0]))
+	phi := join.Phis[0]
+	repl[phi.ID] = late
+	if got := ir.Resolve(repl, phi); got != late {
+		t.Errorf("Resolve(phi) = %v, want the late value", got)
+	}
+	if got := ir.Resolve(repl, late); got != late {
+		t.Errorf("Resolve of a value past the table = %v, want itself", got)
+	}
+	c := bigFunc().ConstInt(3) // a constant numbered far past the table
+	c.ID = phi.ID              // … or colliding with a replaced value
+	if got := ir.Resolve(repl, c); got != c {
+		t.Errorf("Resolve followed a constant's ID: %v", got)
+	}
+
+	if !f.ReplaceUses(repl) || join.Term.Args[0] != late {
+		t.Errorf("ReplaceUses left %v in the return", join.Term.Args[0])
+	}
+	if f.ReplaceUses(repl) {
+		t.Error("second ReplaceUses reported a change")
+	}
+
+	first := thenB.Instrs[0]
+	dead[first.ID] = true
+	gen, layout := thenB.Gen(), f.LayoutGen()
+	if n := thenB.RemoveInstrs(dead); n != 1 || len(thenB.Instrs) != 1 || thenB.Instrs[0] != late || first.Block != nil {
+		t.Errorf("RemoveInstrs removed %d, left %v", n, thenB.Instrs)
+	}
+	if thenB.Gen() == gen || f.LayoutGen() == layout {
+		t.Error("RemoveInstrs did not advance the block and layout generations")
+	}
+	gen, layout = thenB.Gen(), f.LayoutGen()
+	if n := thenB.RemoveInstrs(dead); n != 0 || thenB.Gen() != gen || f.LayoutGen() != layout {
+		t.Error("RemoveInstrs with nothing to remove touched the block")
+	}
+
+	// Grow keeps entries and zeroes what it exposes, including capacity a
+	// longer earlier use left dirty.
+	tbl := ir.Dense([]int32{7, 7, 7, 7, 7, 7, 7, 7}, 2)
+	tbl[1] = 5
+	tbl = ir.Grow(tbl, 6)
+	if len(tbl) != 6 || tbl[1] != 5 || tbl[2] != 0 || tbl[5] != 0 {
+		t.Errorf("Grow = %v", tbl)
+	}
+	tbl = ir.Grow(tbl, 100)
+	if len(tbl) != 100 || tbl[1] != 5 || tbl[99] != 0 {
+		t.Errorf("Grow past capacity lost entries: len %d", len(tbl))
+	}
+
+	// A CloneMap sized for one function answers for values of a bigger
+	// one (and for constants) with the value itself.
+	var cm ir.CloneMap
+	cm.Reset(f)
+	g := bigFunc()
+	far := g.NewValue(ir.OpAdd, ir.TInt)
+	if cm.Value(far) != far || cm.Value(c) != c || cm.Block(g.Blocks[60]) != g.Blocks[60] {
+		t.Error("CloneMap mapped a value or block past its tables")
 	}
 }

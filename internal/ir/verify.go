@@ -21,40 +21,81 @@ func (m *Module) Verify() error {
 			return fmt.Errorf("module %s: global %s has size %d", m.Unit, g.Name, g.Words)
 		}
 	}
+	var vt verifyTables // shared by the module's functions
 	for _, f := range m.Funcs {
 		if names[f.Name] {
 			return fmt.Errorf("module %s: duplicate symbol %s", m.Unit, f.Name)
 		}
 		names[f.Name] = true
-		if err := f.Verify(); err != nil {
+		if err := f.verify(&vt); err != nil {
 			return fmt.Errorf("module %s: %w", m.Unit, err)
 		}
 	}
 	return nil
 }
 
+// verifyTables are the verifier's dense side tables. def and inFunc are
+// sized from the function's ID bounds, so an ID at or past the bound — a
+// value or block some other function numbered — is reported, never indexed.
+type verifyTables struct {
+	// def[id] is the parameter, phi, instruction or terminator numbered id.
+	def []*Value
+	// inFunc[id] marks the block IDs in the function's layout.
+	inFunc []bool
+	// phiIn[id] counts a phi's operands for the pred with that block ID.
+	phiIn []int32
+}
+
 // Verify checks one function's structural invariants.
 func (f *Func) Verify() error {
+	var vt verifyTables
+	return f.verify(&vt)
+}
+
+func (f *Func) verify(vt *verifyTables) error {
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("func %s: no blocks", f.Name)
 	}
-	blockSet := make(map[*Block]bool, len(f.Blocks))
+	vt.inFunc = Dense(vt.inFunc, f.NumBlockIDs())
+	vt.phiIn = Dense(vt.phiIn, f.NumBlockIDs())
+	vt.def = Dense(vt.def, f.NumValues())
+	inFunc := func(b *Block) bool { return b.ID >= 0 && b.ID < len(vt.inFunc) && vt.inFunc[b.ID] && b.Func == f }
 	for _, b := range f.Blocks {
 		if b.Func != f {
 			return fmt.Errorf("func %s: block %s has wrong owner", f.Name, b.Name())
 		}
-		blockSet[b] = true
+		if b.ID < 0 || b.ID >= len(vt.inFunc) {
+			return fmt.Errorf("func %s: block %s is numbered past the function's %d block IDs", f.Name, b.Name(), len(vt.inFunc))
+		}
+		if vt.inFunc[b.ID] {
+			return fmt.Errorf("func %s: two blocks are numbered %s", f.Name, b.Name())
+		}
+		vt.inFunc[b.ID] = true
 	}
 	if len(f.Entry().Preds) != 0 {
 		return fmt.Errorf("func %s: entry block has predecessors", f.Name)
 	}
 
 	// Collect definitions to validate operand ownership.
-	defined := make(map[*Value]bool)
-	for _, p := range f.Params {
-		defined[p] = true
+	var defErr error
+	define := func(v *Value) {
+		switch {
+		case defErr != nil:
+		case v.ID < 0 || v.ID >= len(vt.def):
+			defErr = fmt.Errorf("func %s: %s v%d is numbered past the function's %d value IDs", f.Name, v.Op, v.ID, len(vt.def))
+		case vt.def[v.ID] != nil:
+			defErr = fmt.Errorf("func %s: two definitions are numbered v%d (%s and %s)", f.Name, v.ID, vt.def[v.ID].Op, v.Op)
+		default:
+			vt.def[v.ID] = v
+		}
 	}
-	f.ForEachValue(func(v *Value) { defined[v] = true })
+	for _, p := range f.Params {
+		define(p)
+	}
+	f.ForEachValue(define)
+	if defErr != nil {
+		return defErr
+	}
 
 	edgeCount := func(from, to *Block) int {
 		n := 0
@@ -75,7 +116,7 @@ func (f *Func) Verify() error {
 		}
 		// Pred lists mirror successor edges (with multiplicity).
 		for _, s := range b.Succs() {
-			if !blockSet[s] {
+			if !inFunc(s) {
 				return fmt.Errorf("func %s: block %s targets foreign block %s", f.Name, b.Name(), s.Name())
 			}
 			want := edgeCount(b, s)
@@ -91,7 +132,7 @@ func (f *Func) Verify() error {
 			}
 		}
 		for _, p := range b.Preds {
-			if !blockSet[p] {
+			if !inFunc(p) {
 				return fmt.Errorf("func %s: block %s has foreign pred", f.Name, b.Name())
 			}
 			if edgeCount(p, b) == 0 {
@@ -107,11 +148,12 @@ func (f *Func) Verify() error {
 				if a == nil {
 					return fmt.Errorf("func %s: %s in %s has nil arg %d", f.Name, v.LongString(), b.Name(), i)
 				}
-				// Constants are free-floating values, never stored in blocks.
+				// Constants are free-floating values, never stored in
+				// blocks, and their IDs mean nothing here (see dense.go).
 				if a.Op == OpConst {
 					continue
 				}
-				if !defined[a] {
+				if a.ID < 0 || a.ID >= len(vt.def) || vt.def[a.ID] != a {
 					return fmt.Errorf("func %s: %s in %s uses undefined value v%d (%s)",
 						f.Name, v.LongString(), b.Name(), a.ID, a.Op)
 				}
@@ -133,16 +175,22 @@ func (f *Func) Verify() error {
 				return fmt.Errorf("func %s: phi v%d in %s has %d operands for %d preds",
 					f.Name, phi.ID, b.Name(), len(phi.Args), len(b.Preds))
 			}
-			seen := make(map[*Block]int)
+			// Incoming blocks equal the preds as multisets. The counts
+			// return to zero on success: as many operands as preds, and
+			// every pred took one.
 			for _, in := range phi.Blocks {
-				seen[in]++
+				if !inFunc(in) {
+					return fmt.Errorf("func %s: phi v%d in %s names foreign block %s",
+						f.Name, phi.ID, b.Name(), in.Name())
+				}
+				vt.phiIn[in.ID]++
 			}
 			for _, p := range b.Preds {
-				if seen[p] == 0 {
+				if vt.phiIn[p.ID] == 0 {
 					return fmt.Errorf("func %s: phi v%d in %s missing operand for pred %s",
 						f.Name, phi.ID, b.Name(), p.Name())
 				}
-				seen[p]--
+				vt.phiIn[p.ID]--
 			}
 		}
 		for _, v := range b.Instrs {

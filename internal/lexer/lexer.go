@@ -116,7 +116,10 @@ func (l *Lexer) Next() Token {
 
 // Tokenize scans the whole file into a slice, always ending with EOF.
 func (l *Lexer) Tokenize() []Token {
-	var toks []Token
+	// MiniC source runs at four to five bytes a token (operators, short
+	// names, indentation), so one allocation of a quarter of the remaining
+	// bytes nearly always holds the file; denser code grows it once.
+	toks := make([]Token, 0, (len(l.src)-l.offset)/4+16)
 	for {
 		t := l.Next()
 		toks = append(toks, t)

@@ -9,63 +9,49 @@ import (
 )
 
 // DCE is the dead code elimination pass.
-type DCE struct{}
+type DCE struct{ scratchUser }
 
 // Name implements FuncPass.
 func (*DCE) Name() string { return "dce" }
 
 // Run implements FuncPass.
-func (*DCE) Run(f *ir.Func) bool {
-	live := make(map[*ir.Value]bool)
-	var work []*ir.Value
-
-	markRoot := func(v *ir.Value) {
-		if !live[v] {
-			live[v] = true
-			work = append(work, v)
+func (p *DCE) Run(f *ir.Func) bool {
+	s := p.scratch()
+	// dead[v.ID] stays set for exactly the values the mark phase never
+	// reaches. Constants and parameters are not in blocks, so they need no
+	// mark (and a constant's ID is not an index, see ir.Dense).
+	dead := s.flagTable(f)
+	work := s.values[:0]
+	for _, b := range f.Blocks {
+		for _, v := range b.Phis {
+			dead[v.ID] = true
+		}
+		for _, v := range b.Instrs {
+			if v.Op.HasSideEffects() {
+				work = append(work, v)
+			} else {
+				dead[v.ID] = true
+			}
+		}
+		if b.Term != nil {
+			work = append(work, b.Term)
 		}
 	}
-	f.ForEachValue(func(v *ir.Value) {
-		if v.Op.HasSideEffects() {
-			markRoot(v)
-		}
-	})
 	for len(work) > 0 {
 		v := work[len(work)-1]
 		work = work[:len(work)-1]
 		for _, a := range v.Args {
-			if !live[a] {
-				live[a] = true
+			if a.Block != nil && dead[a.ID] {
+				dead[a.ID] = false
 				work = append(work, a)
 			}
 		}
 	}
+	s.values = work
 
 	changed := false
 	for _, b := range f.Blocks {
-		removed := false
-		keepInstrs := b.Instrs[:0]
-		for _, v := range b.Instrs {
-			if live[v] || v.Op.HasSideEffects() {
-				keepInstrs = append(keepInstrs, v)
-			} else {
-				v.Block = nil
-				removed = true
-			}
-		}
-		b.Instrs = keepInstrs
-		keepPhis := b.Phis[:0]
-		for _, v := range b.Phis {
-			if live[v] {
-				keepPhis = append(keepPhis, v)
-			} else {
-				v.Block = nil
-				removed = true
-			}
-		}
-		b.Phis = keepPhis
-		if removed {
-			b.TouchLayout()
+		if b.RemoveInstrs(dead)+b.RemovePhis(dead) > 0 {
 			changed = true
 		}
 	}

@@ -11,7 +11,12 @@ import (
 
 // GlobalOpt removes unreferenced private globals and turns loads of
 // never-stored private scalar globals into constants.
-type GlobalOpt struct{}
+type GlobalOpt struct {
+	scratchUser
+	// addr[v.ID] is the usage of the global whose address v is or derives
+	// from through indexaddr (nil: none), for the function being scanned.
+	addr []*globalUsage
+}
 
 // Name implements ModulePass.
 func (*GlobalOpt) Name() string { return "globalopt" }
@@ -21,49 +26,55 @@ type globalUsage struct {
 	addrTaken bool // any OpGlobalAddr refers to it
 	stored    bool // a store reaches it (directly or via indexaddr)
 	escaped   bool // its address flows somewhere we do not track
+	used      bool // after constification, an instruction still uses its address
+	dropped   bool // removed from the module
 }
 
-func analyzeGlobals(m *ir.Module) map[string]*globalUsage {
+func (p *GlobalOpt) analyzeGlobals(m *ir.Module) map[string]*globalUsage {
 	usage := make(map[string]*globalUsage, len(m.Globals))
 	for _, g := range m.Globals {
 		usage[g.Name] = &globalUsage{}
 	}
 	for _, f := range m.Funcs {
-		// addrs maps values derived from each global's address.
-		addrs := make(map[*ir.Value]string)
-		f.ForEachValue(func(v *ir.Value) {
-			if v.Op == ir.OpGlobalAddr {
-				if u := usage[v.Sym]; u != nil {
-					u.addrTaken = true
-					addrs[v] = v.Sym
+		addr := ir.Dense(p.addr, f.NumValues())
+		p.addr = addr
+		addrOf := func(a *ir.Value) *globalUsage {
+			if a.Op == ir.OpGlobalAddr || a.Op == ir.OpIndexAddr {
+				return addr[a.ID]
+			}
+			return nil
+		}
+		for _, b := range f.Blocks {
+			for _, v := range b.Instrs {
+				if v.Op == ir.OpGlobalAddr {
+					if u := usage[v.Sym]; u != nil {
+						u.addrTaken = true
+						addr[v.ID] = u
+					}
 				}
 			}
-		})
+		}
 		// One propagation round suffices for indexaddr chains of depth 1;
 		// iterate for safety.
-		for {
-			grew := false
-			f.ForEachValue(func(v *ir.Value) {
-				if v.Op == ir.OpIndexAddr {
-					if name, ok := addrs[v.Args[0]]; ok {
-						if _, seen := addrs[v]; !seen {
-							addrs[v] = name
+		for grew := true; grew; {
+			grew = false
+			for _, b := range f.Blocks {
+				for _, v := range b.Instrs {
+					if v.Op == ir.OpIndexAddr && addr[v.ID] == nil {
+						if u := addrOf(v.Args[0]); u != nil {
+							addr[v.ID] = u
 							grew = true
 						}
 					}
 				}
-			})
-			if !grew {
-				break
 			}
 		}
 		f.ForEachValue(func(v *ir.Value) {
 			for i, a := range v.Args {
-				name, ok := addrs[a]
-				if !ok {
+				u := addrOf(a)
+				if u == nil {
 					continue
 				}
-				u := usage[name]
 				switch {
 				case v.Op == ir.OpLoad && i == 0:
 					// read
@@ -81,69 +92,99 @@ func analyzeGlobals(m *ir.Module) map[string]*globalUsage {
 }
 
 // RunModule implements ModulePass.
-func (*GlobalOpt) RunModule(m *ir.Module) bool {
-	usage := analyzeGlobals(m)
+func (p *GlobalOpt) RunModule(m *ir.Module) bool {
+	if len(m.Globals) == 0 {
+		return false
+	}
+	s := p.scratch()
+	usage := p.analyzeGlobals(m)
 	changed := false
 
-	// Constify loads of never-stored private scalars.
-	for _, g := range m.Globals {
-		u := usage[g.Name]
-		if !g.Private || g.Words != 1 || u.stored || u.escaped || !u.addrTaken {
+	// Constify loads of never-stored private scalars. Within a function
+	// the constants are created global by global in declaration order,
+	// loads in layout order within each, which fixes the IDs they take.
+	for _, f := range m.Funcs {
+		loads := s.values[:0]
+		for _, b := range f.Blocks {
+			for _, v := range b.Instrs {
+				if v.Op == ir.OpLoad && v.Args[0].Op == ir.OpGlobalAddr && usage[v.Args[0].Sym] != nil {
+					loads = append(loads, v)
+				}
+			}
+		}
+		s.values = loads
+		if len(loads) == 0 {
 			continue
 		}
-		for _, f := range m.Funcs {
-			var deadLoads []*ir.Value
-			f.ForEachValue(func(v *ir.Value) {
-				if v.Op == ir.OpLoad && v.Args[0].Op == ir.OpGlobalAddr && v.Args[0].Sym == g.Name {
-					deadLoads = append(deadLoads, v)
-				}
-			})
-			for _, ld := range deadLoads {
-				f.ReplaceAllUses(ld, makeConst(f, g.Init, ld.Type))
-				ld.Block.RemoveInstr(ld)
-				changed = true
+		repl, dead := s.replTable(f), s.flagTable(f)
+		replaced := false
+		for _, g := range m.Globals {
+			u := usage[g.Name]
+			if !g.Private || g.Words != 1 || u.stored || u.escaped || !u.addrTaken {
+				continue
 			}
+			for _, ld := range loads {
+				if ld.Args[0].Sym == g.Name {
+					repl[ld.ID] = makeConst(f, g.Init, ld.Type)
+					dead[ld.ID] = true
+					replaced = true
+				}
+			}
+		}
+		if replaced {
+			f.ReplaceUses(repl)
+			for _, b := range f.Blocks {
+				b.RemoveInstrs(dead)
+			}
+			changed = true
 		}
 	}
 
 	// Remove private globals that are no longer referenced at all
 	// (recompute after constification deleted loads; the GlobalAddr values
 	// may linger until DCE, so check for remaining addresses directly).
-	stillUsed := make(map[string]bool)
 	for _, f := range m.Funcs {
-		used := make(map[*ir.Value]bool)
-		f.ForEachValue(func(w *ir.Value) {
-			for _, a := range w.Args {
-				used[a] = true
-			}
-		})
+		used := s.flagTable(f)
 		f.ForEachValue(func(v *ir.Value) {
-			if v.Op == ir.OpGlobalAddr && used[v] {
-				stillUsed[v.Sym] = true
+			for _, a := range v.Args {
+				if a.Op == ir.OpGlobalAddr {
+					used[a.ID] = true
+				}
 			}
 		})
+		for _, b := range f.Blocks {
+			for _, v := range b.Instrs {
+				if u := usage[v.Sym]; v.Op == ir.OpGlobalAddr && used[v.ID] && u != nil {
+					u.used = true
+				}
+			}
+		}
 	}
 	keep := m.Globals[:0]
 	for _, g := range m.Globals {
-		if g.Private && !stillUsed[g.Name] {
+		if u := usage[g.Name]; g.Private && !u.used {
+			u.dropped = true
 			changed = true
-			// Also delete the now-dangling GlobalAddr instructions.
-			for _, f := range m.Funcs {
-				var dead []*ir.Value
-				f.ForEachValue(func(v *ir.Value) {
-					if v.Op == ir.OpGlobalAddr && v.Sym == g.Name {
-						dead = append(dead, v)
-					}
-				})
-				for _, v := range dead {
-					v.Block.RemoveInstr(v)
-				}
-			}
 			continue
 		}
 		keep = append(keep, g)
 	}
+	if len(keep) == len(m.Globals) {
+		return changed
+	}
 	m.Globals = keep
+	// Also delete the now-dangling GlobalAddr instructions.
+	for _, f := range m.Funcs {
+		dead := s.flagTable(f)
+		for _, b := range f.Blocks {
+			for _, v := range b.Instrs {
+				if u := usage[v.Sym]; v.Op == ir.OpGlobalAddr && u != nil && u.dropped {
+					dead[v.ID] = true
+				}
+			}
+			b.RemoveInstrs(dead)
+		}
+	}
 	return changed
 }
 

@@ -13,7 +13,13 @@ import (
 )
 
 // GVN is the global value numbering pass.
-type GVN struct{}
+type GVN struct {
+	scratchUser
+	// table and constIDs are emptied, not reallocated, per function.
+	table    map[exprKey]*ir.Value
+	constIDs map[[2]int64]int
+	added    []exprKey
+}
 
 // Name implements FuncPass.
 func (*GVN) Name() string { return "gvn" }
@@ -29,127 +35,128 @@ type exprKey struct {
 }
 
 // Run implements FuncPass.
-func (*GVN) Run(f *ir.Func) bool {
+func (p *GVN) Run(f *ir.Func) bool {
 	f.RemoveUnreachable()
-	dom := analysis.BuildDomTree(f)
-	table := make(map[exprKey]*ir.Value)
-	// repl maps replaced values to their representatives, applied lazily so
-	// chains resolve without repeated whole-function rewrites.
-	repl := make(map[*ir.Value]*ir.Value)
-	changed := false
-
-	resolve := func(v *ir.Value) *ir.Value {
-		for {
-			nv, ok := repl[v]
-			if !ok {
-				return v
-			}
-			v = nv
-		}
+	e := f.Entry()
+	if e == nil {
+		return false
 	}
-
-	// constID interns constants so equal constants share a value number.
-	constIDs := make(map[[2]int64]int)
-	valueNum := func(v *ir.Value) int {
-		v = resolve(v)
-		if v.Op == ir.OpConst {
-			k := [2]int64{v.Aux, int64(v.Type)}
-			if id, ok := constIDs[k]; ok {
-				return id
-			}
-			id := -(len(constIDs) + 2) // negative space for constants
-			constIDs[k] = id
-			return id
-		}
-		return v.ID
+	s := p.scratch()
+	s.dom.Build(f)
+	if p.table == nil {
+		p.table = make(map[exprKey]*ir.Value)
+		p.constIDs = make(map[[2]int64]int)
 	}
-
-	var visit func(b *ir.Block)
-	visit = func(b *ir.Block) {
-		var added []exprKey
-		for _, v := range append([]*ir.Value(nil), b.Instrs...) {
-			// Resolve operands through earlier replacements.
-			for i, a := range v.Args {
-				if r := resolve(a); r != a {
-					v.Args[i] = r
-					b.Touch()
-					changed = true
-				}
-			}
-			if v.Op == ir.OpCopy {
-				repl[v] = v.Args[0]
-				b.RemoveInstr(v)
-				changed = true
-				continue
-			}
-			if !numberable(v.Op) {
-				continue
-			}
-			key := exprKey{op: v.Op, typ: v.Type, aux: v.Aux, sym: v.Sym}
-			switch len(v.Args) {
-			case 1:
-				key.a0 = valueNum(v.Args[0])
-				key.a1 = -1
-			case 2:
-				key.a0 = valueNum(v.Args[0])
-				key.a1 = valueNum(v.Args[1])
-				if v.Op.IsCommutative() && key.a1 < key.a0 {
-					key.a0, key.a1 = key.a1, key.a0
-				}
-			}
-			if rep, ok := table[key]; ok {
-				repl[v] = rep
-				b.RemoveInstr(v)
-				changed = true
-				continue
-			}
-			table[key] = v
-			added = append(added, key)
-		}
-		// Phis and terminators also need operand resolution.
-		for _, phi := range b.Phis {
-			for i, a := range phi.Args {
-				if r := resolve(a); r != a {
-					phi.Args[i] = r
-					b.Touch()
-					changed = true
-				}
-			}
-		}
-		if b.Term != nil {
-			for i, a := range b.Term.Args {
-				if r := resolve(a); r != a {
-					b.Term.Args[i] = r
-					b.Touch()
-					changed = true
-				}
-			}
-		}
-		for _, c := range dom.Children(b) {
-			visit(c)
-		}
-		for _, k := range added {
-			delete(table, k)
-		}
+	clear(p.table)
+	clear(p.constIDs)
+	g := gvnWalk{
+		p:   p,
+		dom: &s.dom,
+		// repl maps replaced values to their representatives, applied
+		// lazily so chains resolve without repeated whole-function rewrites.
+		repl: s.replTable(f),
+		dead: s.flagTable(f),
 	}
-	if e := f.Entry(); e != nil {
-		visit(e)
-	}
+	g.visit(e)
+	p.added = p.added[:0]
 
 	// A final sweep: phis in blocks dominated by nothing we visited after
 	// their operands were replaced (back edges) still hold stale values.
-	f.ForEachValue(func(v *ir.Value) {
-		for i, a := range v.Args {
-			if r := resolve(a); r != a {
-				v.Args[i] = r
-				if v.Block != nil {
-					v.Block.Touch()
-				}
-				changed = true
+	if f.ReplaceUses(g.repl) {
+		g.changed = true
+	}
+	return g.changed
+}
+
+type gvnWalk struct {
+	p       *GVN
+	dom     *analysis.DomTree
+	repl    []*ir.Value
+	dead    []bool
+	changed bool
+}
+
+// valueNum is the value number of an operand: its representative's ID, or
+// an interned negative number so that equal constants share one.
+func (g *gvnWalk) valueNum(v *ir.Value) int {
+	v = ir.Resolve(g.repl, v)
+	if v.Op == ir.OpConst {
+		k := [2]int64{v.Aux, int64(v.Type)}
+		if id, ok := g.p.constIDs[k]; ok {
+			return id
+		}
+		id := -(len(g.p.constIDs) + 2) // negative space for constants
+		g.p.constIDs[k] = id
+		return id
+	}
+	return v.ID
+}
+
+// resolveArgs rewrites v's operands through earlier replacements.
+func (g *gvnWalk) resolveArgs(b *ir.Block, v *ir.Value) {
+	for i, a := range v.Args {
+		if r := ir.Resolve(g.repl, a); r != a {
+			v.Args[i] = r
+			b.Touch()
+			g.changed = true
+		}
+	}
+}
+
+func (g *gvnWalk) visit(b *ir.Block) {
+	table := g.p.table
+	mark := len(g.p.added)
+	removed := false
+	for _, v := range b.Instrs {
+		g.resolveArgs(b, v)
+		if v.Op == ir.OpCopy {
+			g.repl[v.ID] = v.Args[0]
+			g.dead[v.ID] = true
+			removed = true
+			continue
+		}
+		if !numberable(v.Op) {
+			continue
+		}
+		key := exprKey{op: v.Op, typ: v.Type, aux: v.Aux, sym: v.Sym}
+		switch len(v.Args) {
+		case 1:
+			key.a0 = g.valueNum(v.Args[0])
+			key.a1 = -1
+		case 2:
+			key.a0 = g.valueNum(v.Args[0])
+			key.a1 = g.valueNum(v.Args[1])
+			if v.Op.IsCommutative() && key.a1 < key.a0 {
+				key.a0, key.a1 = key.a1, key.a0
 			}
 		}
-	})
-	return changed
+		if rep, ok := table[key]; ok {
+			g.repl[v.ID] = rep
+			g.dead[v.ID] = true
+			removed = true
+			continue
+		}
+		table[key] = v
+		g.p.added = append(g.p.added, key)
+	}
+	if removed {
+		b.RemoveInstrs(g.dead)
+		g.changed = true
+	}
+	// Phis and terminators also need operand resolution.
+	for _, phi := range b.Phis {
+		g.resolveArgs(b, phi)
+	}
+	if b.Term != nil {
+		g.resolveArgs(b, b.Term)
+	}
+	for _, c := range g.dom.Children(b) {
+		g.visit(c)
+	}
+	for _, k := range g.p.added[mark:] {
+		delete(table, k)
+	}
+	g.p.added = g.p.added[:mark]
 }
 
 // numberable reports whether the op can be value-numbered. Loads are not

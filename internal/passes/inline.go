@@ -13,6 +13,7 @@ import (
 
 // Inline is the function-inlining pass.
 type Inline struct {
+	scratchUser
 	// Threshold is the maximum callee size (phis + instructions) eligible
 	// for inlining (default 24).
 	Threshold int
@@ -54,7 +55,7 @@ func (p *Inline) RunModule(m *ir.Module) bool {
 			if call.Block == nil {
 				continue
 			}
-			inlineCall(f, call.Block, call, callee)
+			inlineCall(f, call.Block, call, callee, p.scratch())
 			changed = true
 		}
 	}
@@ -70,13 +71,14 @@ func funcSize(f *ir.Func) int {
 }
 
 func selfRecursive(f *ir.Func) bool {
-	found := false
-	f.ForEachValue(func(v *ir.Value) {
-		if v.Op == ir.OpCall && v.Sym == f.Name {
-			found = true
+	for _, b := range f.Blocks {
+		for _, v := range b.Instrs {
+			if v.Op == ir.OpCall && v.Sym == f.Name {
+				return true
+			}
 		}
-	})
-	return found
+	}
+	return false
 }
 
 // callGraphPostorder orders functions callees-first, deterministically
@@ -90,13 +92,15 @@ func callGraphPostorder(m *ir.Module) []*ir.Func {
 			return
 		}
 		state[f] = 1
-		f.ForEachValue(func(v *ir.Value) {
-			if v.Op == ir.OpCall {
-				if callee := m.FindFunc(v.Sym); callee != nil && state[callee] == 0 {
-					visit(callee)
+		for _, b := range f.Blocks {
+			for _, v := range b.Instrs {
+				if v.Op == ir.OpCall {
+					if callee := m.FindFunc(v.Sym); callee != nil && state[callee] == 0 {
+						visit(callee)
+					}
 				}
 			}
-		})
+		}
 		state[f] = 2
 		order = append(order, f)
 	}
@@ -107,7 +111,7 @@ func callGraphPostorder(m *ir.Module) []*ir.Func {
 }
 
 // inlineCall splices a clone of callee into f at the given call site.
-func inlineCall(f *ir.Func, b *ir.Block, call *ir.Value, callee *ir.Func) {
+func inlineCall(f *ir.Func, b *ir.Block, call *ir.Value, callee *ir.Func, s *Scratch) {
 	// Locate the call within the block.
 	idx := -1
 	for i, v := range b.Instrs {
@@ -148,14 +152,15 @@ func inlineCall(f *ir.Func, b *ir.Block, call *ir.Value, callee *ir.Func) {
 	}
 
 	// Clone the callee with parameters bound to the call arguments.
-	vmap := make(map[*ir.Value]*ir.Value, len(callee.Params))
+	cm := &s.clone
+	cm.Reset(callee)
 	for i, p := range callee.Params {
-		vmap[p] = call.Args[i]
+		cm.Values[p.ID] = call.Args[i]
 	}
-	bmap := ir.CloneBlocksInto(f, callee.Blocks, vmap)
+	ir.CloneBlocksInto(f, callee.Blocks, cm)
 
 	// Enter the inlined body.
-	entry := bmap[callee.Entry()]
+	entry := cm.Blocks[callee.Entry().ID]
 	j := f.NewValue(ir.OpJump, ir.TVoid)
 	j.Blocks = []*ir.Block{entry}
 	j.Block = b
@@ -170,7 +175,7 @@ func inlineCall(f *ir.Func, b *ir.Block, call *ir.Value, callee *ir.Func) {
 	}
 	var rets []retSite
 	for _, cb := range callee.Blocks {
-		nb := bmap[cb]
+		nb := cm.Blocks[cb.ID]
 		if nb.Term != nil && nb.Term.Op == ir.OpRet {
 			var rv *ir.Value
 			if len(nb.Term.Args) == 1 {
@@ -201,7 +206,8 @@ func inlineCall(f *ir.Func, b *ir.Block, call *ir.Value, callee *ir.Func) {
 			cont.AddPhi(phi)
 			repl = phi
 		}
-		f.ReplaceAllUses(call, repl)
+		s.replTable(f)[call.ID] = repl
+		f.ReplaceUses(s.repl)
 	}
 
 	// A callee with no returning path leaves cont unreachable; clean up so

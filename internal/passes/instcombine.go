@@ -12,33 +12,74 @@ import (
 )
 
 // InstCombine is the peephole simplification pass.
-type InstCombine struct{}
+type InstCombine struct{ scratchUser }
 
 // Name implements FuncPass.
 func (*InstCombine) Name() string { return "instcombine" }
 
 // Run implements FuncPass.
-func (*InstCombine) Run(f *ir.Func) bool {
+func (p *InstCombine) Run(f *ir.Func) bool {
+	s := p.scratch()
 	changed := false
 	for round := 0; round < 16; round++ {
 		iter := false
+		// Values simplified away this round map to their replacement in
+		// repl (sized on the first one). Uses are rewritten when they are
+		// next looked at — an instruction's operands, and its operands'
+		// operands, which is as deep as the rules below read — and the
+		// rest of the function catches up when the round ends.
+		var repl []*ir.Value
+		var dead []bool
+		resolve := func(v *ir.Value) {
+			for i, a := range v.Args {
+				if r := ir.Resolve(repl, a); r != a {
+					v.Args[i] = r
+					v.Block.Touch()
+				}
+			}
+		}
 		for _, b := range f.Blocks {
-			for _, v := range append([]*ir.Value(nil), b.Instrs...) {
-				repl, mutated := simplifyValue(f, v)
+			removed := false
+			for _, v := range b.Instrs {
+				if repl != nil {
+					resolve(v)
+					for _, a := range v.Args {
+						if a.Block != nil {
+							resolve(a)
+						}
+					}
+				}
+				r, mutated := simplifyValue(f, v)
 				if mutated {
 					iter = true
 				}
-				if repl != nil {
-					f.ReplaceAllUses(v, repl)
-					b.RemoveInstr(v)
+				if r != nil {
+					if repl == nil {
+						repl, dead = s.replTable(f), s.flagTable(f)
+					}
+					repl[v.ID] = r
+					dead[v.ID] = true
+					removed = true
 					iter = true
 				}
 			}
+			if removed {
+				b.RemoveInstrs(dead)
+			}
 			if b.Term != nil && b.Term.Op == ir.OpBranch {
+				if repl != nil {
+					resolve(b.Term)
+					if cond := b.Term.Args[0]; cond.Block != nil {
+						resolve(cond)
+					}
+				}
 				if simplifyBranch(b) {
 					iter = true
 				}
 			}
+		}
+		if repl != nil {
+			f.ReplaceUses(repl)
 		}
 		if !iter {
 			break

@@ -13,38 +13,43 @@ import (
 )
 
 // LICM is the loop-invariant code motion pass.
-type LICM struct{}
+type LICM struct{ scratchUser }
 
 // Name implements FuncPass.
 func (*LICM) Name() string { return "licm" }
 
 // Run implements FuncPass.
-func (*LICM) Run(f *ir.Func) bool {
+func (p *LICM) Run(f *ir.Func) bool {
 	f.RemoveUnreachable()
-	dom := analysis.BuildDomTree(f)
-	loops := analysis.FindLoops(f, dom)
-	if len(loops.Loops) == 0 {
+	s := p.scratch()
+	s.dom.Build(f)
+	s.loops.Find(f, &s.dom)
+	loops := s.loops.Loops
+	if len(loops) == 0 {
 		return false
 	}
 	changed := false
 	// Loops are sorted by body size descending; iterating in reverse
 	// processes inner loops first, letting invariants migrate outward one
 	// level per LICM run of the enclosing loop.
-	for i := len(loops.Loops) - 1; i >= 0; i-- {
-		if hoistLoop(f, loops.Loops[i]) {
+	for i := len(loops) - 1; i >= 0; i-- {
+		if hoistLoop(f, loops[i], s) {
 			changed = true
 		}
 	}
 	return changed
 }
 
-func hoistLoop(f *ir.Func, loop *analysis.Loop) bool {
-	inLoop := make(map[*ir.Block]bool, len(loop.Blocks))
+func hoistLoop(f *ir.Func, loop *analysis.Loop, s *Scratch) bool {
+	// Hoisting for an inner loop may have created a preheader block and
+	// phis, so the tables are sized anew for every loop.
+	inLoop := ir.Dense(s.blockFlag, f.NumBlockIDs())
+	s.blockFlag = inLoop
 	for _, b := range loop.Blocks {
-		inLoop[b] = true
+		inLoop[b.ID] = true
 	}
 
-	hoisted := make(map[*ir.Value]bool)
+	hoisted := s.flagTable(f)
 	// hoistable: pure op whose operands are constants, params, values
 	// defined outside the loop, or values already marked for hoisting.
 	hoistable := func(v *ir.Value) bool {
@@ -55,7 +60,7 @@ func hoistLoop(f *ir.Func, loop *analysis.Loop) bool {
 			if a.Op == ir.OpConst || a.Op == ir.OpParam {
 				continue
 			}
-			if a.Block != nil && inLoop[a.Block] && !hoisted[a] {
+			if a.Block != nil && inLoop[a.Block.ID] && !hoisted[a.ID] {
 				return false
 			}
 		}
@@ -64,13 +69,13 @@ func hoistLoop(f *ir.Func, loop *analysis.Loop) bool {
 
 	// Fixed-point collection in deterministic (loop block list, layout)
 	// order; rounds guarantee defs precede users in the hoist list.
-	var toHoist []*ir.Value
+	toHoist := s.values[:0]
 	for {
 		found := false
 		for _, b := range loop.Blocks {
 			for _, v := range b.Instrs {
-				if !hoisted[v] && hoistable(v) {
-					hoisted[v] = true
+				if !hoisted[v.ID] && hoistable(v) {
+					hoisted[v.ID] = true
 					toHoist = append(toHoist, v)
 					found = true
 				}
@@ -80,6 +85,7 @@ func hoistLoop(f *ir.Func, loop *analysis.Loop) bool {
 			break
 		}
 	}
+	s.values = toHoist
 	if len(toHoist) == 0 {
 		return false
 	}
@@ -88,8 +94,10 @@ func hoistLoop(f *ir.Func, loop *analysis.Loop) bool {
 	if pre == nil {
 		return false
 	}
+	for _, b := range loop.Blocks {
+		b.RemoveInstrs(hoisted)
+	}
 	for _, v := range toHoist {
-		v.Block.RemoveInstr(v)
 		v.Block = pre
 		pre.Instrs = append(pre.Instrs, v)
 	}

@@ -18,48 +18,65 @@ import (
 )
 
 // LoadElim is the redundant-load elimination pass.
-type LoadElim struct{}
+type LoadElim struct{ scratchUser }
 
 // Name implements FuncPass.
 func (*LoadElim) Name() string { return "loadelim" }
 
 // Run implements FuncPass.
-func (*LoadElim) Run(f *ir.Func) bool {
+func (p *LoadElim) Run(f *ir.Func) bool {
+	s := p.scratch()
+	// avail[ptr.ID] is the current memory value behind ptr, valid while
+	// epoch[ptr.ID] equals the running epoch; a store or call starts a new
+	// epoch, which empties the table in O(1).
+	s.values = ir.Dense(s.values, f.NumValues())
+	avail, epoch, repl, dead := s.values, s.indexTable(f), s.replTable(f), s.flagTable(f)
+	now := int32(0)
+
 	changed := false
 	for _, b := range f.Blocks {
-		avail := make(map[*ir.Value]*ir.Value) // ptr -> current memory value
+		now++
 		removed := false
-		keep := b.Instrs[:0]
 		for _, v := range b.Instrs {
+			// Operands replaced earlier in this run are rewritten before
+			// they are looked at; the rest of the function catches up in
+			// the closing ReplaceUses.
+			for i, a := range v.Args {
+				if r := ir.Resolve(repl, a); r != a {
+					v.Args[i] = r
+					b.Touch()
+				}
+			}
 			switch v.Op {
 			case ir.OpLoad:
 				ptr := v.Args[0]
-				if known, ok := avail[ptr]; ok && known.Type == v.Type {
-					f.ReplaceAllUses(v, known)
-					v.Block = nil
+				if ptr.Op == ir.OpConst {
+					continue
+				}
+				if known := avail[ptr.ID]; epoch[ptr.ID] == now && known.Type == v.Type {
+					repl[v.ID] = known
+					dead[v.ID] = true
 					removed = true
-					changed = true
 					continue // drop the load
 				}
-				avail[ptr] = v
+				avail[ptr.ID], epoch[ptr.ID] = v, now
 			case ir.OpStore:
 				// Any store may alias any tracked pointer except itself.
-				ptr, val := v.Args[0], v.Args[1]
-				for k := range avail {
-					delete(avail, k)
+				now++
+				if ptr := v.Args[0]; ptr.Op != ir.OpConst {
+					avail[ptr.ID], epoch[ptr.ID] = v.Args[1], now
 				}
-				avail[ptr] = val
 			case ir.OpCall:
-				for k := range avail {
-					delete(avail, k)
-				}
+				now++
 			}
-			keep = append(keep, v)
 		}
-		b.Instrs = keep
 		if removed {
-			b.TouchLayout()
+			b.RemoveInstrs(dead)
+			changed = true
 		}
+	}
+	if changed {
+		f.ReplaceUses(repl)
 	}
 	return changed
 }

@@ -170,19 +170,21 @@ var QuickPipeline = []string{
 // This is the *stateless* execution path — exactly what a conventional
 // compiler does; the stateful driver lives in internal/core.
 func RunPipeline(m *ir.Module, pipeline []string) (bool, error) {
+	scratch := &Scratch{}
 	changed := false
 	for _, name := range pipeline {
 		in, ok := Lookup(name)
 		if !ok {
 			return changed, fmt.Errorf("passes: unknown pass %q in pipeline", name)
 		}
+		inst := in.New()
+		UseScratch(inst, scratch)
 		if in.Module {
-			p := in.New().(ModulePass)
-			if p.RunModule(m) {
+			if inst.(ModulePass).RunModule(m) {
 				changed = true
 			}
 		} else {
-			p := in.New().(FuncPass)
+			p := inst.(FuncPass)
 			for _, f := range m.Funcs {
 				if p.Run(f) {
 					changed = true

@@ -10,7 +10,7 @@ import (
 )
 
 // SCCP is the sparse conditional constant propagation pass.
-type SCCP struct{}
+type SCCP struct{ scratchUser }
 
 // Name implements FuncPass.
 func (*SCCP) Name() string { return "sccp" }
@@ -28,35 +28,39 @@ type lattice struct {
 	val  int64
 }
 
+// sccpState is the solver's working state, kept in the worker's Scratch.
 type sccpState struct {
-	f        *ir.Func
-	val      map[*ir.Value]lattice
-	execEdge map[[2]*ir.Block]bool
-	execBlk  map[*ir.Block]bool
-	users    map[*ir.Value][]*ir.Value
-	ssaWork  []*ir.Value
-	flowWork [][2]*ir.Block
+	f *ir.Func
+	// val[v.ID] is the lattice cell of an instruction or phi.
+	val []lattice
+	// execEdge[2*b.ID+i] marks the edge along b's i-th successor slot
+	// executable (a terminator has at most two).
+	execEdge []bool
+	execBlk  []bool // by block ID
+	// The users of the value numbered id, in layout order, are
+	// userList[userStart[id]:userStart[id+1]].
+	userStart []int32
+	userFill  []int32
+	userList  []*ir.Value
+	ssaWork   []*ir.Value
+	flowWork  [][2]*ir.Block
 }
 
 // Run implements FuncPass.
-func (*SCCP) Run(f *ir.Func) bool {
-	s := &sccpState{
-		f:        f,
-		val:      make(map[*ir.Value]lattice),
-		execEdge: make(map[[2]*ir.Block]bool),
-		execBlk:  make(map[*ir.Block]bool),
-		users:    make(map[*ir.Value][]*ir.Value),
-	}
-	f.ForEachValue(func(v *ir.Value) {
-		for _, a := range v.Args {
-			s.users[a] = append(s.users[a], v)
-		}
-	})
-
+func (p *SCCP) Run(f *ir.Func) bool {
 	entry := f.Entry()
 	if entry == nil {
 		return false
 	}
+	sc := p.scratch()
+	s := &sc.sccp
+	s.f = f
+	s.val = ir.Dense(s.val, f.NumValues())
+	s.execEdge = ir.Dense(s.execEdge, 2*f.NumBlockIDs())
+	s.execBlk = ir.Dense(s.execBlk, f.NumBlockIDs())
+	s.ssaWork, s.flowWork = s.ssaWork[:0], s.flowWork[:0]
+	s.indexUsers()
+
 	s.markBlock(entry)
 	for len(s.ssaWork) > 0 || len(s.flowWork) > 0 {
 		for len(s.flowWork) > 0 {
@@ -67,12 +71,65 @@ func (*SCCP) Run(f *ir.Func) bool {
 		for len(s.ssaWork) > 0 {
 			v := s.ssaWork[len(s.ssaWork)-1]
 			s.ssaWork = s.ssaWork[:len(s.ssaWork)-1]
-			if v.Block != nil && s.execBlk[v.Block] {
+			if v.Block != nil && s.execBlk[v.Block.ID] {
 				s.visit(v)
 			}
 		}
 	}
-	return s.rewrite()
+	return s.rewrite(sc)
+}
+
+// indexUsers builds the users table by counting sort: one scan counts each
+// value's uses, a second places the users in layout order. Constants have
+// no cell to lower and no meaningful ID, so they are not indexed.
+func (s *sccpState) indexUsers() {
+	n := s.f.NumValues()
+	s.userStart = ir.Dense(s.userStart, n+1)
+	count := s.userStart[1:]
+	for _, b := range s.f.Blocks {
+		for _, v := range b.Phis {
+			countUses(count, v)
+		}
+		for _, v := range b.Instrs {
+			countUses(count, v)
+		}
+		if b.Term != nil {
+			countUses(count, b.Term)
+		}
+	}
+	for i := 0; i < n; i++ {
+		s.userStart[i+1] += s.userStart[i]
+	}
+	s.userFill = append(s.userFill[:0], s.userStart[:n]...)
+	s.userList = ir.Dense(s.userList, int(s.userStart[n]))
+	for _, b := range s.f.Blocks {
+		for _, v := range b.Phis {
+			s.placeUser(v)
+		}
+		for _, v := range b.Instrs {
+			s.placeUser(v)
+		}
+		if b.Term != nil {
+			s.placeUser(b.Term)
+		}
+	}
+}
+
+func countUses(count []int32, v *ir.Value) {
+	for _, a := range v.Args {
+		if a.Op != ir.OpConst {
+			count[a.ID]++
+		}
+	}
+}
+
+func (s *sccpState) placeUser(v *ir.Value) {
+	for _, a := range v.Args {
+		if a.Op != ir.OpConst {
+			s.userList[s.userFill[a.ID]] = v
+			s.userFill[a.ID]++
+		}
+	}
 }
 
 func (s *sccpState) lookup(v *ir.Value) lattice {
@@ -82,12 +139,12 @@ func (s *sccpState) lookup(v *ir.Value) lattice {
 	case ir.OpParam:
 		return lattice{kind: latVarying}
 	}
-	return s.val[v]
+	return s.val[v.ID]
 }
 
 // lower updates v's lattice downwards, queueing its users when it changed.
 func (s *sccpState) lower(v *ir.Value, l lattice) {
-	old := s.val[v]
+	old := s.val[v.ID]
 	if old.kind == l.kind && (l.kind != latConst || old.val == l.val) {
 		return
 	}
@@ -98,15 +155,15 @@ func (s *sccpState) lower(v *ir.Value, l lattice) {
 			return
 		}
 	}
-	s.val[v] = l
-	s.ssaWork = append(s.ssaWork, s.users[v]...)
+	s.val[v.ID] = l
+	s.ssaWork = append(s.ssaWork, s.userList[s.userStart[v.ID]:s.userStart[v.ID+1]]...)
 }
 
 func (s *sccpState) markBlock(b *ir.Block) {
-	if s.execBlk[b] {
+	if s.execBlk[b.ID] {
 		return
 	}
-	s.execBlk[b] = true
+	s.execBlk[b.ID] = true
 	for _, phi := range b.Phis {
 		s.visit(phi)
 	}
@@ -118,17 +175,31 @@ func (s *sccpState) markBlock(b *ir.Block) {
 	}
 }
 
+// edgeExecutable reports whether some edge from → to is marked.
+func (s *sccpState) edgeExecutable(from, to *ir.Block) bool {
+	for i, t := range from.Succs() {
+		if t == to && s.execEdge[2*from.ID+i] {
+			return true
+		}
+	}
+	return false
+}
+
 func (s *sccpState) markEdge(from, to *ir.Block) {
-	key := [2]*ir.Block{from, to}
-	if s.execEdge[key] {
+	if s.edgeExecutable(from, to) {
 		return
 	}
-	s.execEdge[key] = true
-	s.flowWork = append(s.flowWork, key)
+	for i, t := range from.Succs() {
+		if t == to {
+			s.execEdge[2*from.ID+i] = true
+			break
+		}
+	}
+	s.flowWork = append(s.flowWork, [2]*ir.Block{from, to})
 }
 
 func (s *sccpState) processEdge(from, to *ir.Block) {
-	if s.execBlk[to] {
+	if s.execBlk[to.ID] {
 		// Re-evaluate phis: a new incoming edge can change their meet.
 		for _, phi := range to.Phis {
 			s.visit(phi)
@@ -169,7 +240,7 @@ func (s *sccpState) visit(v *ir.Value) {
 func (s *sccpState) visitPhi(v *ir.Value) {
 	res := lattice{kind: latUnknown}
 	for i, a := range v.Args {
-		if !s.execEdge[[2]*ir.Block{v.Blocks[i], v.Block}] {
+		if !s.edgeExecutable(v.Blocks[i], v.Block) {
 			continue
 		}
 		al := s.lookup(a)
@@ -228,38 +299,31 @@ func (s *sccpState) visitArith(v *ir.Value) {
 
 // rewrite applies the solution: constant values are substituted, constant
 // branches become jumps, and unreachable blocks are removed.
-func (s *sccpState) rewrite() bool {
-	changed := false
+func (s *sccpState) rewrite(sc *Scratch) bool {
+	repl, dead := sc.replTable(s.f), sc.flagTable(s.f)
+	// fold marks v for replacement by its constant when the solution has
+	// one. Loads and calls are never latConst, so every removed
+	// instruction is a pure computation.
+	fold := func(v *ir.Value) {
+		if l := s.val[v.ID]; l.kind == latConst && v.Type != ir.TVoid {
+			repl[v.ID] = makeConst(s.f, l.val, v.Type)
+			dead[v.ID] = true
+		}
+	}
+	changed, replaced := false, false
 	for _, b := range s.f.Blocks {
-		if !s.execBlk[b] {
+		if !s.execBlk[b.ID] {
 			continue
 		}
-		rewriteList := func(list []*ir.Value, remove func(*ir.Value) bool) {
-			for _, v := range append([]*ir.Value(nil), list...) {
-				l := s.val[v]
-				if l.kind != latConst || v.Type == ir.TVoid {
-					continue
-				}
-				if v.Op == ir.OpDiv || v.Op == ir.OpRem {
-					// Folded result exists, but operands proved constant
-					// only along executable paths; EvalBinary succeeded so
-					// replacement is safe.
-					_ = v
-				}
-				s.f.ReplaceAllUses(v, makeConst(s.f, l.val, v.Type))
-				if remove(v) {
-					changed = true
-				}
-			}
+		for _, v := range b.Phis {
+			fold(v)
 		}
-		rewriteList(b.Phis, func(v *ir.Value) bool { return b.RemovePhi(v) })
-		rewriteList(b.Instrs, func(v *ir.Value) bool {
-			// Keep instructions whose execution is observable even when
-			// the result is known (calls may print; loads cannot trap but
-			// keeping DCE-able ones is harmless... they are pure reads, so
-			// removal is fine; calls are never latConst anyway).
-			return b.RemoveInstr(v)
-		})
+		for _, v := range b.Instrs {
+			fold(v)
+		}
+		if b.RemovePhis(dead)+b.RemoveInstrs(dead) > 0 {
+			changed, replaced = true, true
+		}
 		if b.Term != nil && b.Term.Op == ir.OpBranch {
 			if c := s.lookup(b.Term.Args[0]); c.kind == latConst {
 				taken := b.Term.Blocks[0]
@@ -273,6 +337,9 @@ func (s *sccpState) rewrite() bool {
 	}
 	if s.f.RemoveUnreachable() > 0 {
 		changed = true
+	}
+	if replaced {
+		s.f.ReplaceUses(repl)
 	}
 	return changed
 }

@@ -10,13 +10,14 @@ import (
 )
 
 // SimplifyCFG is the control-flow cleanup pass.
-type SimplifyCFG struct{}
+type SimplifyCFG struct{ scratchUser }
 
 // Name implements FuncPass.
 func (*SimplifyCFG) Name() string { return "simplifycfg" }
 
 // Run implements FuncPass.
-func (*SimplifyCFG) Run(f *ir.Func) bool {
+func (p *SimplifyCFG) Run(f *ir.Func) bool {
+	s := p.scratch()
 	changed := false
 	for {
 		iter := false
@@ -26,13 +27,13 @@ func (*SimplifyCFG) Run(f *ir.Func) bool {
 		if foldConstBranches(f) {
 			iter = true
 		}
-		if removeTrivialPhis(f) {
+		if removeTrivialPhis(f, s) {
 			iter = true
 		}
-		if mergeStraightLine(f) {
+		if mergeStraightLine(f, s) {
 			iter = true
 		}
-		if threadEmptyBlocks(f) {
+		if threadEmptyBlocks(f, s) {
 			iter = true
 		}
 		if !iter {
@@ -74,16 +75,17 @@ func foldConstBranches(f *ir.Func) bool {
 // unhooking the old terminator's edges).
 func replaceTermWithJump(b, target *ir.Block) {
 	f := b.Func
-	var phis []*ir.Value
-	var vals []*ir.Value
+	// SetTerm drops b's old edges, and with them the operands target's
+	// phis hold for b; remember those to put them back on the new edge.
+	var buf [8]*ir.Value
+	vals := buf[:0]
 	for _, phi := range target.Phis {
-		phis = append(phis, phi)
 		vals = append(vals, phi.Incoming(b))
 	}
 	j := f.NewValue(ir.OpJump, ir.TVoid)
 	j.Blocks = []*ir.Block{target}
 	b.SetTerm(j)
-	for i, phi := range phis {
+	for i, phi := range target.Phis {
 		if vals[i] != nil {
 			phi.SetIncoming(b, vals[i])
 		}
@@ -92,13 +94,23 @@ func replaceTermWithJump(b, target *ir.Block) {
 
 // removeTrivialPhis replaces phis that have a single predecessor, or whose
 // operands are all identical (ignoring self-references), with the operand.
-func removeTrivialPhis(f *ir.Func) bool {
-	changed := false
+func removeTrivialPhis(f *ir.Func, s *Scratch) bool {
+	// The tables are sized on the first trivial phi: most runs find none.
+	var repl []*ir.Value
+	var dead []bool
 	for _, b := range f.Blocks {
-		for _, phi := range append([]*ir.Value(nil), b.Phis...) {
+		removed := false
+		for _, phi := range b.Phis {
 			var uniq *ir.Value
 			trivial := true
-			for _, a := range phi.Args {
+			for i, a := range phi.Args {
+				// A phi removed earlier in this sweep is seen as the value
+				// that replaced it.
+				if r := ir.Resolve(repl, a); r != a {
+					phi.Args[i] = r
+					b.Touch()
+					a = r
+				}
 				if a == phi {
 					continue
 				}
@@ -110,17 +122,26 @@ func removeTrivialPhis(f *ir.Func) bool {
 					continue
 				}
 				trivial = false
-				break
 			}
 			if !trivial || uniq == nil {
 				continue
 			}
-			f.ReplaceAllUses(phi, uniq)
-			b.RemovePhi(phi)
-			changed = true
+			if repl == nil {
+				repl, dead = s.replTable(f), s.flagTable(f)
+			}
+			repl[phi.ID] = uniq
+			dead[phi.ID] = true
+			removed = true
+		}
+		if removed {
+			b.RemovePhis(dead)
 		}
 	}
-	return changed
+	if repl == nil {
+		return false
+	}
+	f.ReplaceUses(repl)
+	return true
 }
 
 // sameValue treats equal constants as the same value even when they are
@@ -141,9 +162,11 @@ func sameValue(a, b *ir.Value) bool {
 // mergeStraightLine merges b into its unique predecessor when that
 // predecessor jumps only to b: pred's jump is replaced by b's body and
 // terminator.
-func mergeStraightLine(f *ir.Func) bool {
+func mergeStraightLine(f *ir.Func, sc *Scratch) bool {
+	var repl []*ir.Value // sized on the first phi folded away
 	changed := false
-	for _, b := range append([]*ir.Block(nil), f.Blocks...) {
+	sc.blocks = append(sc.blocks[:0], f.Blocks...)
+	for _, b := range sc.blocks {
 		if b == f.Entry() || len(b.Preds) != 1 {
 			continue
 		}
@@ -152,10 +175,16 @@ func mergeStraightLine(f *ir.Func) bool {
 			continue
 		}
 		// b has one pred, so its phis are single-operand; fold them first.
-		for _, phi := range append([]*ir.Value(nil), b.Phis...) {
-			f.ReplaceAllUses(phi, phi.Args[0])
-			b.RemovePhi(phi)
+		for _, phi := range b.Phis {
+			if repl == nil {
+				repl = sc.replTable(f)
+			}
+			if r := ir.Resolve(repl, phi.Args[0]); r != phi {
+				repl[phi.ID] = r
+			}
+			phi.Block = nil
 		}
+		b.Phis = nil
 		// Move instructions into pred.
 		for _, v := range b.Instrs {
 			v.Block = pred
@@ -196,14 +225,18 @@ func mergeStraightLine(f *ir.Func) bool {
 		}
 		changed = true
 	}
+	if repl != nil {
+		f.ReplaceUses(repl)
+	}
 	return changed
 }
 
 // threadEmptyBlocks redirects edges that pass through a block containing
 // only a jump (no phis, no instructions) straight to its destination.
-func threadEmptyBlocks(f *ir.Func) bool {
+func threadEmptyBlocks(f *ir.Func, sc *Scratch) bool {
 	changed := false
-	for _, b := range append([]*ir.Block(nil), f.Blocks...) {
+	sc.blocks = append(sc.blocks[:0], f.Blocks...)
+	for _, b := range sc.blocks {
 		if b == f.Entry() || len(b.Instrs) > 0 || len(b.Phis) > 0 {
 			continue
 		}
@@ -218,12 +251,14 @@ func threadEmptyBlocks(f *ir.Func) bool {
 		// duplicate edge into a block with phis (which our phi representation
 		// cannot express) and the pred is not already a dest predecessor
 		// with a conflicting phi value.
-		for _, p := range append([]*ir.Block(nil), b.Preds...) {
+		var predBuf [8]*ir.Block
+		var valBuf [8]*ir.Value
+		for _, p := range append(predBuf[:0], b.Preds...) {
 			if hasEdge(p, dest) && len(dest.Phis) > 0 {
 				continue
 			}
 			// The value flowing from b into dest's phis must now flow from p.
-			var phiVals []*ir.Value
+			phiVals := valBuf[:0]
 			for _, phi := range dest.Phis {
 				phiVals = append(phiVals, phi.Incoming(b))
 			}

@@ -26,6 +26,7 @@ import (
 
 // Unroll is the full loop-unrolling pass.
 type Unroll struct {
+	scratchUser
 	// MaxTrips bounds the trip count eligible for full unrolling
 	// (default 8).
 	MaxTrips int
@@ -47,18 +48,20 @@ func (u *Unroll) Run(f *ir.Func) bool {
 		maxCloned = 160
 	}
 
+	s := u.scratch()
 	changed := false
 	// Unroll one loop per outer iteration: unrolling invalidates the loop
 	// analysis, and an unrolled body may expose a newly-innermost loop.
 	for rounds := 0; rounds < 8; rounds++ {
 		f.RemoveUnreachable()
-		dom := analysis.BuildDomTree(f)
-		loops := analysis.FindLoops(f, dom)
+		s.dom.Build(f)
+		loops := &s.loops
+		loops.Find(f, &s.dom)
 		done := true
 		for i := len(loops.Loops) - 1; i >= 0; i-- {
 			loop := loops.Loops[i]
 			if plan, ok := planUnroll(f, loops, loop, maxTrips, maxCloned); ok {
-				expand(f, plan)
+				expand(f, plan, s)
 				changed = true
 				done = false
 				break
@@ -79,8 +82,9 @@ type unrollPlan struct {
 	exit     *ir.Block
 	bodySucc *ir.Block // header's in-loop successor
 	trips    int
-	// initOf maps each header phi to its value entering from the preheader.
-	initOf map[*ir.Value]*ir.Value
+	// initOf[i] is the value header.Phis[i] takes entering from the
+	// preheader.
+	initOf []*ir.Value
 }
 
 func planUnroll(f *ir.Func, loops *analysis.LoopInfo, loop *analysis.Loop, maxTrips, maxCloned int) (*unrollPlan, bool) {
@@ -204,13 +208,13 @@ func planUnroll(f *ir.Func, loops *analysis.LoopInfo, loop *analysis.Loop, maxTr
 		return nil, false
 	}
 
-	initOf := make(map[*ir.Value]*ir.Value, len(header.Phis))
-	for _, phi := range header.Phis {
+	initOf := make([]*ir.Value, len(header.Phis))
+	for i, phi := range header.Phis {
 		in := phi.Incoming(pre)
 		if in == nil {
 			return nil, false
 		}
-		initOf[phi] = in
+		initOf[i] = in
 	}
 	return &unrollPlan{
 		loop: loop, pre: pre, latch: latch, exit: exit,
@@ -219,52 +223,46 @@ func planUnroll(f *ir.Func, loops *analysis.LoopInfo, loop *analysis.Loop, maxTr
 }
 
 // expand materializes the unrolled loop.
-func expand(f *ir.Func, p *unrollPlan) {
+func expand(f *ir.Func, p *unrollPlan, s *Scratch) {
 	header := p.loop.Header
+	cm := &s.clone
 
-	// env maps each header phi to its value for the iteration being built.
-	env := make(map[*ir.Value]*ir.Value, len(p.initOf))
-	for phi, in := range p.initOf {
-		env[phi] = in
+	// env[i] is header.Phis[i]'s value for the iteration being built; seed
+	// substitutes them for the phis in the next clone.
+	env := p.initOf
+	seed := func() {
+		cm.Reset(f)
+		for i, phi := range header.Phis {
+			cm.Values[phi.ID] = env[i]
+		}
 	}
 
 	var headerClones []*ir.Block
 	var latchClones []*ir.Block
-	var finalVmap map[*ir.Value]*ir.Value
 
 	for k := 0; k < p.trips; k++ {
-		vmap := make(map[*ir.Value]*ir.Value)
-		for phi, v := range env {
-			vmap[phi] = v
-		}
-		bmap := ir.CloneBlocksInto(f, p.loop.Blocks, vmap)
-		hc := bmap[header]
+		seed()
+		ir.CloneBlocksInto(f, p.loop.Blocks, cm)
+		hc := cm.Blocks[header.ID]
 		// The check passes for this iteration: jump straight into the body
 		// clone (dropping the transient edge to the exit).
-		replaceTermWithJump(hc, bmap[p.bodySucc])
+		replaceTermWithJump(hc, cm.Blocks[p.bodySucc.ID])
 		headerClones = append(headerClones, hc)
-		latchClones = append(latchClones, bmap[p.latch])
+		latchClones = append(latchClones, cm.Blocks[p.latch.ID])
 
 		// Next iteration's phi values flow around the cloned backedge.
-		nextEnv := make(map[*ir.Value]*ir.Value, len(env))
-		for _, phi := range header.Phis {
-			in := phi.Incoming(p.latch)
-			if m, ok := vmap[in]; ok {
-				in = m
-			}
-			nextEnv[phi] = in
+		nextEnv := make([]*ir.Value, len(env))
+		for i, phi := range header.Phis {
+			nextEnv[i] = cm.Value(phi.Incoming(p.latch))
 		}
 		env = nextEnv
 	}
 
 	// Final check: the header executes once more (its instructions may have
 	// observable effects and feed the exit block's phis) and leaves the loop.
-	finalVmap = make(map[*ir.Value]*ir.Value)
-	for phi, v := range env {
-		finalVmap[phi] = v
-	}
-	fb := ir.CloneBlocksInto(f, []*ir.Block{header}, finalVmap)
-	finalCheck := fb[header]
+	seed()
+	ir.CloneBlocksInto(f, []*ir.Block{header}, cm)
+	finalCheck := cm.Blocks[header.ID]
 	replaceTermWithJump(finalCheck, p.exit)
 	headerClones = append(headerClones, finalCheck)
 
@@ -276,28 +274,22 @@ func expand(f *ir.Func, p *unrollPlan) {
 
 	// Supply the exit block's phi operands for the new incoming edge.
 	for _, phi := range p.exit.Phis {
-		in := phi.Incoming(header)
-		if in != nil {
-			if m, ok := finalVmap[in]; ok {
-				in = m
-			}
-			phi.SetIncoming(finalCheck, in)
+		if in := phi.Incoming(header); in != nil {
+			phi.SetIncoming(finalCheck, cm.Value(in))
 		}
 	}
 
 	// Values defined in the (dominating) original header may be used after
 	// the loop; route those uses to the final iteration's copies.
-	replaceOutside := func(old, new *ir.Value) {
-		if old != new {
-			f.ReplaceAllUses(old, new)
+	repl := s.replTable(f)
+	for _, list := range [2][]*ir.Value{header.Phis, header.Instrs} {
+		for _, v := range list {
+			if nv := cm.Value(v); nv != v {
+				repl[v.ID] = nv
+			}
 		}
 	}
-	for _, phi := range header.Phis {
-		replaceOutside(phi, finalVmap[phi])
-	}
-	for _, v := range header.Instrs {
-		replaceOutside(v, finalVmap[v])
-	}
+	f.ReplaceUses(repl)
 
 	// Enter the expansion instead of the original loop; the original blocks
 	// become unreachable and are removed (fixing the exit's old phi edge).
