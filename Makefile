@@ -27,13 +27,15 @@ test:
 # race exercises the parallel build engine (including the obs counters
 # registry and tracer under concurrent workers), the daemon's drain path,
 # and the workload differential suite under the race detector — and the
-# compile path itself: every worker reuses scratch memory (dense side
+# compile path itself: every worker reuses scratch memory (the frontend's
+# token buffer and tables, the passes' and code generation's dense side
 # tables) from unit to unit, which is shared state the moment two workers
 # can reach one scratch (internal/compiler's TestDirtyScratchAcrossWorkers
 # runs 1, 2 and 4 workers over one snapshot).
 race:
 	$(GO) test -race -timeout 15m ./internal/buildsys/... ./internal/obs/... ./internal/workload ./internal/footprint ./internal/cas ./cmd/minibuild
 	$(GO) test -race -timeout 15m ./internal/passes/... ./internal/core/... ./internal/codegen/... ./internal/analysis/... ./internal/compiler/...
+	$(GO) test -race -timeout 15m ./internal/lexer/... ./internal/parser/... ./internal/types/... ./internal/irbuild/...
 
 # fuzz runs the fingerprint stability/sensitivity fuzzer for a short burst
 # beyond its committed corpus.

@@ -50,6 +50,10 @@ func (*ArrayType) typeExpr()          {}
 type File struct {
 	Name  string
 	Decls []Decl
+	// NumExprs and NumDecls bound the numbers the parser gave this file's
+	// expressions (ExprNode.ID) and declaring nodes (DeclNode.ID): side
+	// tables over the file are slices of these lengths.
+	NumExprs, NumDecls int
 }
 
 // Pos returns the position of the first declaration, or NoPos when empty.
@@ -68,8 +72,20 @@ type Decl interface {
 	DeclName() string
 }
 
+// DeclNode is embedded in every node that declares a name — the four
+// declarations and Param. ID numbers them within their file, 0 to
+// File.NumDecls-1, so a checker's per-declaration results sit in a slice
+// instead of a map keyed by node. The parser assigns it; a tree built by
+// hand leaves it zero and cannot be type-checked before it is printed and
+// parsed.
+type DeclNode struct{ ID int32 }
+
+// DeclID returns the node's number within its file.
+func (n *DeclNode) DeclID() int { return int(n.ID) }
+
 // Param is one function parameter.
 type Param struct {
+	DeclNode
 	NamePos source.Pos
 	Name    string
 	Type    TypeExpr
@@ -79,6 +95,7 @@ func (p *Param) Pos() source.Pos { return p.NamePos }
 
 // FuncDecl is "func name(params) ret? { body }".
 type FuncDecl struct {
+	DeclNode
 	FuncPos source.Pos
 	Name    string
 	Params  []*Param
@@ -89,6 +106,7 @@ type FuncDecl struct {
 // ExternDecl is "extern func name(params) ret?;" — a prototype for a
 // function defined in another compilation unit.
 type ExternDecl struct {
+	DeclNode
 	ExternPos source.Pos
 	Name      string
 	Params    []*Param
@@ -98,6 +116,7 @@ type ExternDecl struct {
 // VarDecl is a global "var name type (= const)?;". Inside function bodies
 // the same node appears wrapped in a DeclStmt.
 type VarDecl struct {
+	DeclNode
 	VarPos source.Pos
 	Name   string
 	Type   TypeExpr
@@ -106,6 +125,7 @@ type VarDecl struct {
 
 // ConstDecl is "const name = constexpr;" — an int constant.
 type ConstDecl struct {
+	DeclNode
 	ConstPos source.Pos
 	Name     string
 	Value    Expr
@@ -223,35 +243,49 @@ func (*ExprStmt) stmt()     {}
 // Expr is an expression node.
 type Expr interface {
 	Node
-	expr()
+	// ExprID returns the expression's number within its file.
+	ExprID() int
 }
+
+// ExprNode is embedded in every expression node. ID numbers the file's
+// expressions 0 to File.NumExprs-1 (see DeclNode: same purpose, same
+// rule for hand-built trees).
+type ExprNode struct{ ID int32 }
+
+// ExprID returns the node's number within its file.
+func (n *ExprNode) ExprID() int { return int(n.ID) }
 
 // IdentExpr is a name use.
 type IdentExpr struct {
+	ExprNode
 	NamePos source.Pos
 	Name    string
 }
 
 // IntLit is an integer literal.
 type IntLit struct {
+	ExprNode
 	LitPos source.Pos
 	Value  int64
 }
 
 // BoolLit is "true" or "false".
 type BoolLit struct {
+	ExprNode
 	LitPos source.Pos
 	Value  bool
 }
 
 // StringLit appears only as the first argument of print.
 type StringLit struct {
+	ExprNode
 	LitPos source.Pos
 	Value  string
 }
 
 // BinaryExpr is "x op y".
 type BinaryExpr struct {
+	ExprNode
 	X  Expr
 	Op token.Kind
 	Y  Expr
@@ -259,6 +293,7 @@ type BinaryExpr struct {
 
 // UnaryExpr is "op x" for op in {-, !, ^}.
 type UnaryExpr struct {
+	ExprNode
 	OpPos source.Pos
 	Op    token.Kind
 	X     Expr
@@ -266,6 +301,7 @@ type UnaryExpr struct {
 
 // CallExpr is "callee(args)". Builtins (print, assert) are calls too.
 type CallExpr struct {
+	ExprNode
 	Callee *IdentExpr
 	Args   []Expr
 	Rparen source.Pos
@@ -273,12 +309,14 @@ type CallExpr struct {
 
 // IndexExpr is "arr[i]".
 type IndexExpr struct {
+	ExprNode
 	X     Expr // IdentExpr naming an array
 	Index Expr
 }
 
 // ParenExpr is "(x)"; kept so the printer round-trips faithfully.
 type ParenExpr struct {
+	ExprNode
 	LparenPos source.Pos
 	X         Expr
 }
@@ -292,16 +330,6 @@ func (e *UnaryExpr) Pos() source.Pos  { return e.OpPos }
 func (e *CallExpr) Pos() source.Pos   { return e.Callee.Pos() }
 func (e *IndexExpr) Pos() source.Pos  { return e.X.Pos() }
 func (e *ParenExpr) Pos() source.Pos  { return e.LparenPos }
-
-func (*IdentExpr) expr()  {}
-func (*IntLit) expr()     {}
-func (*BoolLit) expr()    {}
-func (*StringLit) expr()  {}
-func (*BinaryExpr) expr() {}
-func (*UnaryExpr) expr()  {}
-func (*CallExpr) expr()   {}
-func (*IndexExpr) expr()  {}
-func (*ParenExpr) expr()  {}
 
 // ---------------------------------------------------------------------------
 // Traversal

@@ -718,8 +718,8 @@ func assembleTimeline(workers int, rep *Report, compileStartNS int64, skips, com
 // the object cache is keyed by.
 func contentHash(src []byte) uint64 {
 	// The IR fingerprint hasher doubles as a fast general-purpose hash;
-	// length prefixing (inside String) keeps it unambiguous.
+	// length prefixing (inside Bytes) keeps it unambiguous.
 	h := fingerprint.New()
-	h.String(string(src))
+	h.Bytes(src)
 	return h.Sum()
 }

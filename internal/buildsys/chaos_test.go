@@ -382,11 +382,15 @@ func fmt16ish(i int) string {
 	return string([]byte{alpha[(i/10)%10], alpha[i%10]})
 }
 
-// TestChaosSeededSchedules: probabilistic multi-fault storms over the
-// concurrent (Workers 2) path. Every seed must uphold the degradation
-// invariant, and replaying the same seed must inject the same fault set —
-// the property that makes a failing chaos seed reproducible from its seed
-// alone.
+// TestChaosSeededSchedules: probabilistic multi-fault storms. Every seed
+// must uphold the degradation invariant on the concurrent (Workers 2) path,
+// and replaying the same seed must inject the same fault set — the property
+// that makes a failing chaos seed reproducible from its seed alone. The
+// replay is held at one worker: a fault is drawn per call identity
+// (op:canonical-path#n), and with two workers the temp files of both units'
+// saves share the identities close:.state-*#k, so which unit's save meets a
+// drawn fault — and then which destination file the next compare-read opens
+// and closes — is the scheduler's choice, not the seed's.
 func TestChaosSeededSchedules(t *testing.T) {
 	bases := chaosBaselines(t)
 	wantSkips := controlSkips(t)
@@ -395,40 +399,34 @@ func TestChaosSeededSchedules(t *testing.T) {
 		seed := seed
 		t.Run("seed"+strconv.FormatUint(seed, 10), func(t *testing.T) {
 			t.Parallel()
-			run := func(dir string) (dis [4]string, injected []string) {
+			run := func(workers int) (injected []string) {
+				dir := t.TempDir()
 				ffs := vfs.NewFaultFS(vfs.OS, chaosCanon(dir),
 					vfs.WithSchedule(&vfs.Schedule{Seed: seed, Prob: 0.2, Torn: true}))
-				dis = chaosSequence(t, ffs, dir, 2)
-				for _, c := range ffs.Injected() {
-					injected = append(injected, c.String())
+				if dis := chaosSequence(t, ffs, dir, workers); dis != bases {
+					t.Fatalf("seed %d, %d workers: faulted build output differs from stateless baseline", seed, workers)
 				}
-				sort.Strings(injected)
-				return
-			}
-
-			dis, inj1 := run(t.TempDir())
-			if dis != bases {
-				t.Fatalf("seed %d: faulted build output differs from stateless baseline", seed)
-			}
-
-			// Same seed, fresh directory: the injected fault set must replay
-			// up to the timing-dependent write/read chunk points (identities
-			// on volatile-size files legitimately come and go; everything
-			// else must match exactly).
-			_, inj2 := run(t.TempDir())
-			stable := func(in []string) []string {
-				var out []string
-				for _, s := range in {
-					if !strings.HasPrefix(s, string(vfs.OpWrite)+":") &&
-						!strings.HasPrefix(s, string(vfs.OpRead)+":") {
-						out = append(out, s)
+				// The write/read chunk points are left out: their identities
+				// on volatile-size files (the history embeds timings)
+				// legitimately come and go; everything else must match exactly.
+				for _, c := range ffs.Injected() {
+					if c.Op != vfs.OpWrite && c.Op != vfs.OpRead {
+						injected = append(injected, c.String())
 					}
 				}
-				return out
+				sort.Strings(injected)
+				return injected
 			}
-			s1, s2 := stable(inj1), stable(inj2)
-			if strings.Join(s1, "\n") != strings.Join(s2, "\n") {
-				t.Fatalf("seed %d does not replay:\nrun1: %v\nrun2: %v", seed, s1, s2)
+
+			run(2)
+
+			// Same seed, fresh directory, one worker: the fault set replays.
+			inj1, inj2 := run(1), run(1)
+			if len(inj1) == 0 {
+				t.Fatalf("seed %d injected nothing; the replay check is vacuous", seed)
+			}
+			if strings.Join(inj1, "\n") != strings.Join(inj2, "\n") {
+				t.Fatalf("seed %d does not replay:\nrun1: %v\nrun2: %v", seed, inj1, inj2)
 			}
 		})
 	}

@@ -249,10 +249,19 @@ func safeCompile(ctx context.Context, c *compiler.Compiler, name string, src []b
 // written only by this worker, so no synchronization is needed; the shared
 // counters it touches are atomic. The unit's state pointer (shared with
 // b.units) is only ever touched by the one worker compiling the unit.
-func (b *Builder) compileOne(ctx context.Context, w int, j compileJob) outcome {
+//
+// The unit's IR does not leave with the outcome: the build system reads the
+// object, the state and the statistics of a result, never its module, and
+// an outcome lives until the build's history record is written — all 208
+// post-pipeline modules of a cold build, re-marked by every collection, if
+// they came along.
+func (b *Builder) compileOne(ctx context.Context, w int, j compileJob) (out outcome) {
 	c := b.workers[w]
 	busyStart := time.Now()
 	defer func() {
+		if out.res != nil {
+			out.res.Module = nil
+		}
 		b.busy[w] += time.Since(busyStart).Nanoseconds()
 	}()
 	if cerr := ctx.Err(); cerr != nil {

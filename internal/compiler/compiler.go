@@ -85,13 +85,14 @@ type Options struct {
 // Compiler compiles units under a fixed policy. It is not safe for
 // concurrent use (the full cache and driver state are unsynchronized);
 // build systems run one compiler per worker. That makes it the owner of
-// the worker's scratch memory — the passes' dense side tables inside its
-// driver, code generation's in cg — which is reused from unit to unit and
-// never shared between compilers.
+// the worker's scratch memory — the frontend's in fe, the passes' dense side
+// tables inside its driver, code generation's in cg — which is reused from
+// unit to unit and never shared between compilers.
 type Compiler struct {
 	opts   Options
 	driver *core.Driver
 	cache  *FullCache
+	fe     frontend
 	cg     codegen.Scratch
 }
 
@@ -184,19 +185,36 @@ func (r *UnitResult) StageNS(name string) int64 {
 
 // Frontend runs lex/parse/check/lower on one unit.
 func Frontend(unitName string, src []byte) (*ir.Module, error) {
+	return new(frontend).build(unitName, src)
+}
+
+// frontend is one worker's frontend scratch: the token buffer and list
+// stacks of the parser, the checker's tables, the lowering's slot table and
+// block stacks. Each stage zeroes its own when it is done with a unit —
+// the checker's, which lowering still reads, here — so that neither a
+// failed unit nor a large one leaves anything for the next, and an idle
+// worker pins no unit's AST or IR.
+type frontend struct {
+	parse parser.Scratch
+	check types.Scratch
+	lower irbuild.Scratch
+}
+
+func (fe *frontend) build(unitName string, src []byte) (*ir.Module, error) {
 	var errs source.ErrorList
 	file := source.NewFile(unitName, src)
-	tree := parser.ParseFile(file, &errs)
+	tree := fe.parse.ParseFile(file, &errs)
 	if errs.HasErrors() {
 		errs.Sort()
 		return nil, fmt.Errorf("%s: %w", unitName, &errs)
 	}
-	info := types.Check(file, tree, &errs)
+	defer fe.check.Release()
+	info := fe.check.Check(file, tree, &errs)
 	if errs.HasErrors() {
 		errs.Sort()
 		return nil, fmt.Errorf("%s: %w", unitName, &errs)
 	}
-	return irbuild.Build(unitName, tree, info)
+	return fe.lower.Build(unitName, tree, info)
 }
 
 // CompileUnit compiles one unit from source. For stateful/predictive
@@ -233,7 +251,7 @@ func (c *Compiler) CompileUnitContext(ctx context.Context, unitName string, src 
 	t0 := now()
 
 	start := now()
-	m, err := Frontend(unitName, src)
+	m, err := c.fe.build(unitName, src)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -28,20 +29,56 @@ func decoySrc() string {
 	return src + "    return acc;\n}\n"
 }
 
+// brokenDecoySrc is a unit that does not type-check, larger than the decoy
+// and made to leave the most behind. The checker goes through the whole file
+// before the unit is refused, so when the error path leaves the frontend's
+// tables they are longer and fuller than after any unit that compiles:
+// initialized globals at the first declaration numbers (where probeSrc has
+// globals without initializers), the decoy with _helper declared a second
+// time (a declaration the checker gives no symbol, at a number that had one
+// in the unit before), more folded constants, and only then the errors.
+func brokenDecoySrc() string {
+	src := ""
+	for i := 0; i < 8; i++ {
+		src += fmt.Sprintf("var _g%d int = %d;\n", i, 11+i)
+	}
+	src += strings.Replace(decoySrc(), "func decoy(",
+		"func _helper(p int, q int, r int) int { return p + q + r; }\nfunc decoy(", 1)
+	src += "const _k = 7;\nfunc _more(a int, b int) int {\n    var s int = _k * 3;\n"
+	for i := 0; i < 40; i++ {
+		src += fmt.Sprintf("    var w%d int = (a + %d) * (_k + %d) + b;\n    s = s + w%d * _k;\n", i, i, i, i)
+	}
+	return src + "    return s;\n}\nfunc _broken() int { var x int = true; return y; }\n"
+}
+
+// probeSrc joins the snapshot: its globals have no initializers, so a value
+// left in the checker's table at their declaration numbers would become
+// their initial value and change what probe_globals folds to.
+func probeSrc() string {
+	src, sum := "", "0"
+	for i := 0; i < 8; i++ {
+		src += fmt.Sprintf("var _q%d int;\n", i)
+		sum += fmt.Sprintf(" + _q%d", i)
+	}
+	return src + "func probe_globals() int { return " + sum + "; }\n"
+}
+
 // TestDirtyScratchAcrossWorkers compiles one snapshot on 1, 2 and 4 workers
 // — each a compiler.Compiler with its own scratch, fed from a shared queue
-// as the build system's pool does — dirtying every worker's scratch with the
-// decoy between units, and holds each linked program to the one built by a
-// fresh Compiler per unit. Run under the race detector (make race) it also
-// shows that no scratch is reachable from two workers.
+// as the build system's pool does — dirtying every worker's scratch between
+// units with the decoy and with a larger one that fails type-checking, and
+// holds each linked program to the one built by a fresh Compiler per unit.
+// Run under the race detector (make race) it also shows that no scratch is
+// reachable from two workers.
 func TestDirtyScratchAcrossWorkers(t *testing.T) {
 	snap := workload.Generate(workload.QuickSuite()[1])
+	snap["probe.mc"] = []byte(probeSrc())
 	names := make([]string, 0, len(snap))
 	for name := range snap {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	decoy := []byte(decoySrc())
+	decoy, broken := []byte(decoySrc()), []byte(brokenDecoySrc())
 
 	link := func(objs []*codegen.Object) [32]byte {
 		t.Helper()
@@ -82,6 +119,9 @@ func TestDirtyScratchAcrossWorkers(t *testing.T) {
 					for i := range queue {
 						if _, err := c.CompileUnit("decoy.mc", decoy, nil); err != nil {
 							t.Errorf("decoy: %v", err)
+						}
+						if _, err := c.CompileUnit("broken.mc", broken, nil); err == nil || !strings.Contains(err.Error(), "undefined: y") || !strings.Contains(err.Error(), "_helper redeclared") {
+							t.Errorf("broken decoy: got %v, want its type errors", err)
 						}
 						res, err := c.CompileUnit(names[i], snap[names[i]], nil)
 						if err != nil {

@@ -243,8 +243,17 @@ func (d *Driver) Run(m *ir.Module, st *UnitState) (*UnitState, *Stats, error) {
 // ctx's error (errors.Is-able against context.Canceled/DeadlineExceeded);
 // the partially updated state must not be persisted by the caller.
 func (d *Driver) RunContext(ctx context.Context, m *ir.Module, st *UnitState) (*UnitState, *Stats, error) {
-	// The scratch keeps its memory from unit to unit, not the unit's IR.
-	defer d.scratch.Release()
+	// The scratch and the block memo keep their memory from unit to unit,
+	// not the unit's IR. For the memo that is also a matter of correctness —
+	// fresh IR means fresh *ir.Block identities and generation counters, and
+	// a stale entry keyed by a recycled pointer must not be consulted — so it
+	// never survives a compilation boundary; emptying it here rather than on
+	// entry keeps a resident worker's last unit from being pinned by the
+	// *ir.Func keys until its next compile.
+	defer func() {
+		d.scratch.Release()
+		d.memo.Reset()
+	}()
 	if !st.Compatible(d.opts.Pipeline) {
 		// Quarantine survives a pipeline change: it is keyed by pass name,
 		// and distrust in a pass is not cured by reordering the pipeline.
@@ -263,10 +272,6 @@ func (d *Driver) RunContext(ctx context.Context, m *ir.Module, st *UnitState) (*
 		stats.Slots[i].Pass = info.Name
 		stats.Slots[i].Module = info.Module
 	}
-	// The block memo never survives a compilation boundary: fresh IR means
-	// fresh *ir.Block identities and generation counters, and a stale entry
-	// keyed by a recycled pointer must not be consulted.
-	d.memo.Reset()
 	memoized0, rehashed0 := d.memo.BlocksMemoized, d.memo.BlocksRehashed
 	cache := &hashCache{
 		vals:      make(map[*ir.Func]uint64),

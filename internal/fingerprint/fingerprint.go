@@ -82,7 +82,13 @@ func (h *Hasher) Int(v int64) { h.Uint64(uint64(v)) }
 // prefix makes the tail word unambiguous — a short tail word can never
 // collide with a full word of another string — so the tail needs no
 // separate length re-derivation, just the remaining bytes packed once.
-func (h *Hasher) String(s string) {
+func (h *Hasher) String(s string) { foldText(h, s) }
+
+// Bytes folds b exactly as String folds string(b), without making the
+// string.
+func (h *Hasher) Bytes(b []byte) { foldText(h, b) }
+
+func foldText[T ~string | ~[]byte](h *Hasher, s T) {
 	h.Uint64(uint64(len(s)))
 	for len(s) >= 8 {
 		h.Uint64(uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |

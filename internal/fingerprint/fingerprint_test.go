@@ -1,6 +1,7 @@
 package fingerprint_test
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -229,6 +230,50 @@ func TestHasherProperties(t *testing.T) {
 	}
 	if err := quick.Check(concat, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBytesFoldsAsString: Bytes(b) and String(string(b)) are one digest —
+// every length around the eight-byte word and its tail (0 to 17), random
+// bytes beyond that, and mid-stream as well as on a fresh hasher. The build
+// system names state files and keys its object cache by this digest, so the
+// digests of a few fixed names, recorded before Bytes existed, are held too.
+func TestBytesFoldsAsString(t *testing.T) {
+	same := func(prefix uint64, b []byte) bool {
+		h1, h2 := fingerprint.New(), fingerprint.New()
+		h1.Uint64(prefix)
+		h2.Uint64(prefix)
+		h1.Bytes(b)
+		h2.String(string(b))
+		h1.Bytes(b[:len(b)/2])
+		h2.String(string(b[:len(b)/2]))
+		return h1.Sum() == h2.Sum()
+	}
+	rng := rand.New(rand.NewSource(19))
+	for n := 0; n <= 17; n++ {
+		for trial := 0; trial < 64; trial++ {
+			b := make([]byte, n)
+			rng.Read(b)
+			if !same(rng.Uint64(), b) {
+				t.Fatalf("Bytes and String differ on %x", b)
+			}
+		}
+	}
+	if err := quick.Check(same, &quick.Config{MaxCount: 500, Rand: rng}); err != nil {
+		t.Error(err)
+	}
+	for name, want := range map[string]uint64{
+		"":                  0x9b83da7d9a524ca6,
+		"a":                 0x7a406c08acdf2c48,
+		"main.mc":           0x0dbf0b294c4fc94d,
+		"pkg/unit-0042.mc":  0xeb01107c93760435,
+		"0123456789abcdefX": 0xbb7713b50f9fab68,
+	} {
+		h := fingerprint.New()
+		h.Bytes([]byte(name))
+		if got := h.Sum(); got != want {
+			t.Errorf("digest of %q = %#016x, recorded %#016x", name, got, want)
+		}
 	}
 }
 

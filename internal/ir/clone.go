@@ -5,19 +5,28 @@ package ir
 // with value remapping (used by the inliner and the loop unroller).
 
 // CloneFunc returns a deep copy of f with fresh value and block identities.
-// The copy belongs to the same module pointer but is not inserted into it.
-func CloneFunc(f *Func) *Func {
+// The copy belongs to the same module pointer but is not inserted into it,
+// and its IR sits on a slab of its own, not the module's.
+func CloneFunc(f *Func) *Func { return cloneFunc(f, nil) }
+
+// cloneFunc is CloneFunc with the copy's IR cut from mem.
+func cloneFunc(f *Func, mem *slab) *Func {
 	g := &Func{
 		Name:    f.Name,
 		Module:  f.Module,
 		Result:  f.Result,
 		Private: f.Private,
+		mem:     mem,
 	}
 	var cm CloneMap
 	cm.Reset(f)
-	for _, p := range f.Params {
-		np := &Value{ID: g.takeValueID(), Op: OpParam, Type: p.Type, Aux: p.Aux}
-		g.Params = append(g.Params, np)
+	if len(f.Params) > 0 {
+		g.Params = make([]*Value, len(f.Params))
+	}
+	for i, p := range f.Params {
+		np := g.newValue()
+		np.Op, np.Type, np.Aux = OpParam, p.Type, p.Aux
+		g.Params[i] = np
 		cm.Values[p.ID] = np
 	}
 	CloneBlocksInto(g, f.Blocks, &cm)
@@ -98,14 +107,9 @@ func CloneBlocksInto(dst *Func, blocks []*Block, cm *CloneMap) {
 			cm.seeded[v.ID] = true
 			return
 		}
-		cm.Values[v.ID] = &Value{
-			ID:     dst.takeValueID(),
-			Op:     v.Op,
-			Type:   v.Type,
-			Aux:    v.Aux,
-			Sym:    v.Sym,
-			StrAux: v.StrAux,
-		}
+		nv := dst.newValue()
+		nv.Op, nv.Type, nv.Aux, nv.Sym, nv.StrAux = v.Op, v.Type, v.Aux, v.Sym, v.StrAux
+		cm.Values[v.ID] = nv
 	}
 	for _, b := range blocks {
 		for _, v := range b.Phis {
@@ -125,7 +129,7 @@ func CloneBlocksInto(dst *Func, blocks []*Block, cm *CloneMap) {
 		if len(v.Args) == 0 {
 			return
 		}
-		nv.Args = make([]*Value, len(v.Args))
+		nv.Args = cut(&dst.slab().valPtrs, len(v.Args))
 		for i, a := range v.Args {
 			nv.Args[i] = cm.Value(a)
 		}
@@ -134,7 +138,7 @@ func CloneBlocksInto(dst *Func, blocks []*Block, cm *CloneMap) {
 		if len(list) == 0 {
 			return nil
 		}
-		out := make([]*Block, len(list))
+		out := cut(&dst.slab().blkPtrs, len(list))
 		for i, b := range list {
 			out[i] = cm.Block(b)
 		}
@@ -142,7 +146,7 @@ func CloneBlocksInto(dst *Func, blocks []*Block, cm *CloneMap) {
 	}
 	for _, b := range blocks {
 		nb := cm.Blocks[b.ID]
-		nb.Instrs = make([]*Value, 0, len(b.Instrs))
+		nb.Instrs = cut(&dst.slab().valPtrs, len(b.Instrs))[:0]
 		for _, v := range b.Phis {
 			if cm.seeded[v.ID] {
 				continue
@@ -179,7 +183,7 @@ func CloneModule(m *Module) *Module {
 		nm.Globals = append(nm.Globals, &gg)
 	}
 	for _, f := range m.Funcs {
-		nf := CloneFunc(f)
+		nf := cloneFunc(f, &nm.mem)
 		nf.Module = nm
 		nm.Funcs = append(nm.Funcs, nf)
 	}

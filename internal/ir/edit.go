@@ -89,7 +89,7 @@ func (b *Block) SplitEdge(succ *Block) *Block {
 	// Terminator of mid: jump to succ. Installed directly (succ's pred list
 	// was already fixed above, so SetTerm's bookkeeping would double-add).
 	j := f.NewValue(OpJump, TVoid)
-	j.Blocks = []*Block{succ}
+	j.Blocks = f.BlockList(succ)
 	j.Block = mid
 	mid.Term = j
 	return mid

@@ -19,6 +19,9 @@ type Module struct {
 	// Externs records the names this unit expects other units to provide;
 	// the linker checks them.
 	Externs []string
+
+	// mem is what the module's functions' IR is cut from (slab.go).
+	mem slab
 }
 
 // Global is a module-level variable. Arrays occupy Words > 1 consecutive
@@ -81,15 +84,32 @@ type Func struct {
 	nextValueID int
 	nextBlockID int
 	layoutGen   uint32
+	mem         *slab // nil until a bare function first needs it
 }
 
-// NewFunc creates an empty function with the given parameter types.
+// NewFunc creates an empty function with the given parameter types, its IR
+// on a slab of its own.
 func NewFunc(name string, params []Type, result Type) *Func {
-	f := &Func{Name: name, Result: result, Private: len(name) > 0 && name[0] == '_'}
+	return newFunc(nil, name, params, result)
+}
+
+// NewFunc creates an empty function of m, its IR on the module's slab. The
+// caller appends it to m.Funcs when it is complete.
+func (m *Module) NewFunc(name string, params []Type, result Type) *Func {
+	f := newFunc(&m.mem, name, params, result)
+	f.Module = m
+	return f
+}
+
+func newFunc(mem *slab, name string, params []Type, result Type) *Func {
+	f := &Func{Name: name, Result: result, Private: len(name) > 0 && name[0] == '_', mem: mem}
+	if len(params) > 0 {
+		f.Params = make([]*Value, len(params))
+	}
 	for i, t := range params {
-		f.Params = append(f.Params, &Value{
-			ID: f.takeValueID(), Op: OpParam, Type: t, Aux: int64(i),
-		})
+		p := f.newValue()
+		p.Op, p.Type, p.Aux = OpParam, t, int64(i)
+		f.Params[i] = p
 	}
 	return f
 }
@@ -110,7 +130,8 @@ func (f *Func) Entry() *Block {
 
 // NewBlock appends a fresh empty block to the function.
 func (f *Func) NewBlock() *Block {
-	b := &Block{ID: f.nextBlockID, Func: f}
+	b := &cut(&f.slab().blocks, 1)[0]
+	b.ID, b.Func = f.nextBlockID, f
 	f.nextBlockID++
 	f.Blocks = append(f.Blocks, b)
 	f.layoutGen++
@@ -133,23 +154,29 @@ func (f *Func) NumValues() int { return f.nextValueID }
 func (f *Func) NumBlockIDs() int { return f.nextBlockID }
 
 // NewValue creates an instruction value owned by this function but not yet
-// placed in any block.
+// placed in any block. The operands are copied (ValueList), so a caller's
+// variadic list need not outlive the call.
 func (f *Func) NewValue(op Op, t Type, args ...*Value) *Value {
-	return &Value{ID: f.takeValueID(), Op: op, Type: t, Args: args}
+	v := f.newValue()
+	v.Op, v.Type, v.Args = op, t, f.ValueList(args...)
+	return v
 }
 
 // ConstInt returns a fresh integer constant value.
-func (f *Func) ConstInt(v int64) *Value {
-	return &Value{ID: f.takeValueID(), Op: OpConst, Type: TInt, Aux: v}
+func (f *Func) ConstInt(c int64) *Value {
+	v := f.newValue()
+	v.Op, v.Type, v.Aux = OpConst, TInt, c
+	return v
 }
 
 // ConstBool returns a fresh boolean constant value.
-func (f *Func) ConstBool(v bool) *Value {
-	b := int64(0)
-	if v {
-		b = 1
+func (f *Func) ConstBool(c bool) *Value {
+	v := f.newValue()
+	v.Op, v.Type = OpConst, TBool
+	if c {
+		v.Aux = 1
 	}
-	return &Value{ID: f.takeValueID(), Op: OpConst, Type: TBool, Aux: b}
+	return v
 }
 
 // Block is a basic block: phis, then ordinary instructions, then one
@@ -208,6 +235,25 @@ func (b *Block) AddInstr(v *Value) *Value {
 	return v
 }
 
+// AddInstrs appends vs in order, as AddInstr would one at a time, but sizes
+// the block's list once, on the slab: for a builder that gathers a block's
+// instructions before it places them.
+func (b *Block) AddInstrs(vs []*Value) {
+	if len(vs) == 0 {
+		return
+	}
+	if n := len(b.Instrs); cap(b.Instrs)-n < len(vs) {
+		grown := cut(&b.Func.slab().valPtrs, n+len(vs))[:n]
+		copy(grown, b.Instrs)
+		b.Instrs = grown
+	}
+	for _, v := range vs {
+		v.Block = b
+	}
+	b.Instrs = append(b.Instrs, vs...)
+	b.TouchLayout()
+}
+
 // InsertInstr inserts v at position i among the ordinary instructions.
 func (b *Block) InsertInstr(i int, v *Value) {
 	v.Block = b
@@ -237,6 +283,11 @@ func (b *Block) SetTerm(v *Value) {
 	b.Term = v
 	b.Touch()
 	for _, s := range v.Blocks {
+		if s.Preds == nil {
+			// Nearly every block has one or two predecessors: room for both
+			// comes off the slab, a third moves the list to the heap.
+			s.Preds = cut(&s.Func.slab().blkPtrs, 2)[:0]
+		}
 		s.Preds = append(s.Preds, b)
 		s.Touch()
 	}

@@ -528,3 +528,93 @@ func TestDenseTablesAndNewValues(t *testing.T) {
 		t.Error("CloneMap mapped a value or block past its tables")
 	}
 }
+
+// TestSlabValuesAndLists: what a function cuts from its slab behaves like
+// memory of its own. Neighbouring values and lists do not overlap however
+// many chunks they span, a caller's operand slice is copied, appending to a
+// slab list moves it rather than overwriting the next one, and the IDs are
+// the ones one-by-one allocation gave.
+func TestSlabValuesAndLists(t *testing.T) {
+	m := &ir.Module{Unit: "slab.mc"}
+	f := m.NewFunc("f", []ir.Type{ir.TInt}, ir.TInt)
+	g := m.NewFunc("g", nil, ir.TVoid)
+	if f.Module != m || f.Params[0].ID != 0 || f.Params[0].Op != ir.OpParam {
+		t.Fatalf("Module.NewFunc: module %p, param %+v", f.Module, f.Params[0])
+	}
+
+	// Enough values for several chunks, interleaved between two functions of
+	// the module, each with operands.
+	const n = 700
+	args := []*ir.Value{f.Params[0], f.Params[0]}
+	var fv, gv []*ir.Value
+	for i := 0; i < n; i++ {
+		v := f.NewValue(ir.OpAdd, ir.TInt, args...)
+		v.Aux = int64(i)
+		fv = append(fv, v)
+		c := g.ConstInt(int64(-i))
+		gv = append(gv, c)
+		if v.ID != i+1 || c.ID != i {
+			t.Fatalf("IDs %d and %d at step %d, want %d and %d", v.ID, c.ID, i, i+1, i)
+		}
+	}
+	args[0], args[1] = nil, nil // the caller's slice was copied
+	for i := 0; i < n; i++ {
+		if v := fv[i]; v.Aux != int64(i) || len(v.Args) != 2 || v.Args[0] != f.Params[0] || v.Args[1] != f.Params[0] {
+			t.Fatalf("value %d was overwritten: %+v", i, v)
+		}
+		if c := gv[i]; c.Aux != int64(-i) || c.Op != ir.OpConst || c.Args != nil {
+			t.Fatalf("constant %d was overwritten: %+v", i, c)
+		}
+	}
+
+	// A list has no spare capacity: growing one leaves its neighbour alone.
+	a, b := f.ValueList(fv[0], fv[1]), f.ValueList(fv[2])
+	a = append(a, fv[3])
+	if b[0] != fv[2] || a[2] != fv[3] {
+		t.Error("appending to a slab list ran into the next one")
+	}
+	if f.ValueList() != nil || f.BlockList() != nil {
+		t.Error("empty lists must be nil")
+	}
+	b1, b2 := f.NewBlock(), f.NewBlock()
+	if bl := f.BlockList(b1, b2); len(bl) != 2 || bl[0] != b1 || bl[1] != b2 || b1.ID != 0 || b2.ID != 1 || b2.Func != f {
+		t.Errorf("BlockList / NewBlock: %v", bl)
+	}
+}
+
+// TestAddInstrsEqualsAddInstr: placing a block's instructions at once gives
+// the block AddInstr one at a time would have, with the generations advanced
+// and the list still extensible.
+func TestAddInstrsEqualsAddInstr(t *testing.T) {
+	f := ir.NewFunc("f", []ir.Type{ir.TInt}, ir.TInt)
+	b := f.NewBlock()
+	first := b.AddInstr(f.NewValue(ir.OpNeg, ir.TInt, f.Params[0]))
+	var rest []*ir.Value
+	for i := 0; i < 5; i++ {
+		rest = append(rest, f.NewValue(ir.OpAdd, ir.TInt, first, f.Params[0]))
+	}
+	gen, layout := b.Gen(), f.LayoutGen()
+	b.AddInstrs(nil)
+	if b.Gen() != gen || f.LayoutGen() != layout {
+		t.Error("AddInstrs of nothing touched the block")
+	}
+	b.AddInstrs(rest)
+	if b.Gen() == gen || f.LayoutGen() == layout {
+		t.Error("AddInstrs did not advance the block and layout generations")
+	}
+	rest[0] = nil // the block does not alias the caller's buffer
+	if len(b.Instrs) != 6 || b.Instrs[0] != first {
+		t.Fatalf("instrs %v", b.Instrs)
+	}
+	for i, v := range b.Instrs {
+		if v == nil || v.Block != b {
+			t.Errorf("instr %d: %v, owner %v", i, v, v.Block)
+		}
+	}
+	last := b.AddInstr(f.NewValue(ir.OpNeg, ir.TInt, first))
+	ret := f.NewValue(ir.OpRet, ir.TVoid, last)
+	b.SetTerm(ret)
+	if err := f.Verify(); err != nil {
+		t.Error(err)
+	}
+}

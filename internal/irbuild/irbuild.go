@@ -20,12 +20,38 @@ import (
 // Build lowers one checked compilation unit into an IR module.
 // The AST must have passed type checking without errors.
 func Build(unit string, tree *ast.File, info *types.Info) (*ir.Module, error) {
+	return new(Scratch).Build(unit, tree, info)
+}
+
+// Scratch is one worker's reusable lowering memory. Build zeroes it before
+// it returns, so nothing of a unit's IR or symbols stays behind. One Scratch
+// per worker, never two goroutines on one; the package-level Build makes a
+// fresh one.
+type Scratch struct {
+	// slots[n] is the alloca of the local or parameter whose declaration the
+	// parser numbered n (ast.DeclNode).
+	slots []*ir.Value
+	// loop control targets, innermost last.
+	breaks    []*ir.Block
+	continues []*ir.Block
+	// instrs gathers the current block's instructions until its terminator
+	// places them, in a list of exactly their number (ir.Block.AddInstrs).
+	instrs []*ir.Value
+	// blocks is the layout of the function being lowered; the function gets
+	// a copy of what RemoveUnreachable leaves of it.
+	blocks []*ir.Block
+}
+
+// Build is the package-level Build in the worker's scratch.
+func (s *Scratch) Build(unit string, tree *ast.File, info *types.Info) (*ir.Module, error) {
+	defer s.release()
+	s.slots = ir.Grow(s.slots, tree.NumDecls)
 	m := &ir.Module{Unit: unit}
 
 	for _, d := range tree.Decls {
 		switch d := d.(type) {
 		case *ast.VarDecl:
-			sym := info.Defs[d]
+			sym := info.DefOf(d)
 			if sym == nil {
 				continue
 			}
@@ -33,7 +59,7 @@ func Build(unit string, tree *ast.File, info *types.Info) (*ir.Module, error) {
 			if sym.Type.Kind == types.Array {
 				g.Words = sym.Type.Len
 			} else {
-				g.Init = info.GlobalInits[sym]
+				g.Init = info.GlobalInit(d)
 			}
 			m.Globals = append(m.Globals, g)
 		case *ast.ExternDecl:
@@ -41,18 +67,29 @@ func Build(unit string, tree *ast.File, info *types.Info) (*ir.Module, error) {
 		}
 	}
 
+	m.Funcs = make([]*ir.Func, 0, len(info.Funcs))
 	for _, fd := range info.Funcs {
-		fn, err := buildFunc(m, fd, info)
+		fn, err := s.buildFunc(m, fd, info)
 		if err != nil {
 			return nil, err
 		}
-		fn.Module = m
 		m.Funcs = append(m.Funcs, fn)
 	}
 	if err := m.Verify(); err != nil {
 		return nil, fmt.Errorf("irbuild produced invalid IR: %w", err)
 	}
 	return m, nil
+}
+
+// release zeroes the scratch through its capacity, keeping the memory.
+func (s *Scratch) release() {
+	ir.Wipe(s.slots)
+	ir.Wipe(s.breaks)
+	ir.Wipe(s.continues)
+	ir.Wipe(s.instrs)
+	ir.Wipe(s.blocks)
+	s.slots, s.breaks, s.continues = s.slots[:0], s.breaks[:0], s.continues[:0]
+	s.instrs, s.blocks = s.instrs[:0], s.blocks[:0]
 }
 
 func isPrivate(name string) bool { return len(name) > 0 && name[0] == '_' }
@@ -71,40 +108,38 @@ func irType(t *types.Type) ir.Type {
 }
 
 type builder struct {
-	m    *ir.Module
+	*Scratch
 	f    *ir.Func
 	info *types.Info
-	cur  *ir.Block
-	// vars maps local/param symbols to their allocas.
-	vars map[*types.Symbol]*ir.Value
-	// loop control targets, innermost last.
-	breaks    []*ir.Block
-	continues []*ir.Block
+	// cur is the block being filled, nil after a terminator. Its
+	// instructions so far wait in instrs: cur changes only when they have
+	// been placed (terminate) or there are none.
+	cur *ir.Block
 }
 
-func buildFunc(m *ir.Module, fd *ast.FuncDecl, info *types.Info) (*ir.Func, error) {
-	sym := info.Defs[fd]
-	fsym, ok := sym, sym != nil
-	if !ok {
+func (s *Scratch) buildFunc(m *ir.Module, fd *ast.FuncDecl, info *types.Info) (*ir.Func, error) {
+	fsym := info.DefOf(fd)
+	if fsym == nil {
 		return nil, fmt.Errorf("function %s has no symbol", fd.Name)
 	}
-	var ptypes []ir.Type
+	var ptypeBuf [8]ir.Type
+	ptypes := ptypeBuf[:0]
 	for _, p := range fsym.Sig.Params {
 		ptypes = append(ptypes, irType(p))
 	}
-	f := ir.NewFunc(fd.Name, ptypes, irType(fsym.Sig.Result))
+	f := m.NewFunc(fd.Name, ptypes, irType(fsym.Sig.Result))
+	f.Blocks = s.blocks[:0]
 
-	b := &builder{m: m, f: f, info: info, vars: make(map[*types.Symbol]*ir.Value)}
+	b := &builder{Scratch: s, f: f, info: info}
 	entry := f.NewBlock()
 	b.cur = entry
 
 	// Parameters are mutable in MiniC: spill each into an alloca.
 	for i, p := range fd.Params {
-		psym := info.Defs[p]
 		slot := f.NewValue(ir.OpAlloca, ir.TPtr)
 		slot.Aux = 1
 		b.emit(slot)
-		b.vars[psym] = slot
+		b.slots[p.ID] = slot
 		st := f.NewValue(ir.OpStore, ir.TVoid, slot, f.Params[i])
 		b.emit(st)
 	}
@@ -117,11 +152,15 @@ func buildFunc(m *ir.Module, fd *ast.FuncDecl, info *types.Info) (*ir.Func, erro
 	if b.cur != nil {
 		ret := f.NewValue(ir.OpRet, ir.TVoid)
 		if f.Result != ir.TVoid {
-			ret.Args = []*ir.Value{b.constZero(f.Result)}
+			ret.Args = f.ValueList(b.constZero(f.Result))
 		}
-		b.cur.SetTerm(ret)
+		b.terminate(ret)
 	}
 	f.RemoveUnreachable()
+	// The layout grew in the scratch; the function keeps a copy of its
+	// final length.
+	s.blocks = f.Blocks
+	f.Blocks = f.BlockList(s.blocks...)
 	return f, nil
 }
 
@@ -139,27 +178,31 @@ func (b *builder) emit(v *ir.Value) *ir.Value {
 	if b.cur == nil {
 		b.cur = b.f.NewBlock()
 	}
-	return b.cur.AddInstr(v)
+	b.instrs = append(b.instrs, v)
+	return v
 }
 
-// terminate installs t on the current block and clears it.
+// terminate places the current block's instructions, installs t on it and
+// clears it.
 func (b *builder) terminate(t *ir.Value) {
 	if b.cur == nil {
 		b.cur = b.f.NewBlock()
 	}
+	b.cur.AddInstrs(b.instrs)
+	b.instrs = b.instrs[:0]
 	b.cur.SetTerm(t)
 	b.cur = nil
 }
 
 func (b *builder) jumpTo(target *ir.Block) {
 	j := b.f.NewValue(ir.OpJump, ir.TVoid)
-	j.Blocks = []*ir.Block{target}
+	j.Blocks = b.f.BlockList(target)
 	b.terminate(j)
 }
 
 func (b *builder) branchTo(cond *ir.Value, then, els *ir.Block) {
 	br := b.f.NewValue(ir.OpBranch, ir.TVoid, cond)
-	br.Blocks = []*ir.Block{then, els}
+	br.Blocks = b.f.BlockList(then, els)
 	b.terminate(br)
 }
 
@@ -188,7 +231,7 @@ func (b *builder) stmt(s ast.Stmt) {
 	case *ast.ReturnStmt:
 		ret := b.f.NewValue(ir.OpRet, ir.TVoid)
 		if s.Value != nil {
-			ret.Args = []*ir.Value{b.expr(s.Value)}
+			ret.Args = b.f.ValueList(b.expr(s.Value))
 		}
 		b.terminate(ret)
 	case *ast.BreakStmt:
@@ -201,7 +244,7 @@ func (b *builder) stmt(s ast.Stmt) {
 }
 
 func (b *builder) localDecl(d *ast.VarDecl) {
-	sym := b.info.Defs[d]
+	sym := b.info.DefOf(d)
 	size := int64(1)
 	if sym.Type.Kind == types.Array {
 		size = sym.Type.Len
@@ -209,7 +252,7 @@ func (b *builder) localDecl(d *ast.VarDecl) {
 	slot := b.f.NewValue(ir.OpAlloca, ir.TPtr)
 	slot.Aux = size
 	b.emit(slot)
-	b.vars[sym] = slot
+	b.slots[d.ID] = slot
 	if d.Init != nil {
 		v := b.expr(d.Init)
 		b.emit(b.f.NewValue(ir.OpStore, ir.TVoid, slot, v))
@@ -225,8 +268,7 @@ func (b *builder) localDecl(d *ast.VarDecl) {
 func (b *builder) lvalueAddr(e ast.Expr) *ir.Value {
 	switch e := e.(type) {
 	case *ast.IdentExpr:
-		sym := b.info.Uses[e]
-		return b.symbolAddr(sym)
+		return b.symbolAddr(b.info.SymbolOf(e))
 	case *ast.IndexExpr:
 		base := b.lvalueAddr(e.X)
 		idx := b.expr(e.Index)
@@ -253,7 +295,13 @@ func (b *builder) symbolAddr(sym *types.Symbol) *ir.Value {
 		g.Sym = sym.Name
 		return b.emit(g)
 	default:
-		slot := b.vars[sym]
+		var slot *ir.Value
+		switch d := sym.Decl.(type) {
+		case *ast.VarDecl:
+			slot = b.slots[d.ID]
+		case *ast.Param:
+			slot = b.slots[d.ID]
+		}
 		if slot == nil {
 			panic(fmt.Sprintf("irbuild: no storage for %s %s", sym.Kind, sym.Name))
 		}
@@ -444,7 +492,7 @@ func cmpOp(k token.Kind) ir.Op {
 func (b *builder) expr(e ast.Expr) *ir.Value {
 	// Frontend constant folding: anything the checker proved constant
 	// lowers to a single literal.
-	if v, ok := b.info.ConstVals[e]; ok {
+	if v, ok := b.info.ConstVal(e); ok {
 		return b.f.ConstInt(v)
 	}
 	switch e := e.(type) {
@@ -455,7 +503,7 @@ func (b *builder) expr(e ast.Expr) *ir.Value {
 	case *ast.ParenExpr:
 		return b.expr(e.X)
 	case *ast.IdentExpr:
-		sym := b.info.Uses[e]
+		sym := b.info.SymbolOf(e)
 		if sym.Kind == types.SymConst {
 			return b.f.ConstInt(sym.Const)
 		}
@@ -528,18 +576,19 @@ func (b *builder) shortCircuit(e *ast.BinaryExpr) *ir.Value {
 	b.cur = join
 	phi := b.f.NewValue(ir.OpPhi, ir.TBool)
 	short := b.f.ConstBool(e.Op == token.LOR)
-	phi.Args = []*ir.Value{short, y}
-	phi.Blocks = []*ir.Block{fromLhs, fromRhs}
+	phi.Args = b.f.ValueList(short, y)
+	phi.Blocks = b.f.BlockList(fromLhs, fromRhs)
 	join.AddPhi(phi)
 	return phi
 }
 
 func (b *builder) call(e *ast.CallExpr) *ir.Value {
-	sym := b.info.Uses[e.Callee]
+	sym := b.info.SymbolOf(e.Callee)
 	if sym.Kind == types.SymBuiltin {
 		return b.builtinCall(e, sym)
 	}
-	var args []*ir.Value
+	var argBuf [8]*ir.Value
+	args := argBuf[:0]
 	for _, a := range e.Args {
 		args = append(args, b.expr(a))
 	}
@@ -552,7 +601,8 @@ func (b *builder) builtinCall(e *ast.CallExpr, sym *types.Symbol) *ir.Value {
 	switch sym.Name {
 	case types.BuiltinPrint:
 		var label string
-		var args []*ir.Value
+		var argBuf [8]*ir.Value
+		args := argBuf[:0]
 		for i, a := range e.Args {
 			if s, ok := a.(*ast.StringLit); ok && i == 0 {
 				label = s.Value

@@ -114,12 +114,22 @@ func (l *Lexer) Next() Token {
 	}
 }
 
-// Tokenize scans the whole file into a slice, always ending with EOF.
-func (l *Lexer) Tokenize() []Token {
+// Tokenize scans the whole file into a fresh slice, always ending with EOF.
+func (l *Lexer) Tokenize() []Token { return l.TokenizeInto(nil) }
+
+// TokenizeInto is Tokenize into the caller's buffer: the tokens overwrite
+// buf from its start and the filled slice comes back. A worker that lexes
+// file after file keeps one buffer, clearing it between files so the last
+// file's literal strings are not kept alive.
+func (l *Lexer) TokenizeInto(buf []Token) []Token {
 	// MiniC source runs at four to five bytes a token (operators, short
-	// names, indentation), so one allocation of a quarter of the remaining
-	// bytes nearly always holds the file; denser code grows it once.
-	toks := make([]Token, 0, (len(l.src)-l.offset)/4+16)
+	// names, indentation), so a buffer of a quarter of the remaining bytes
+	// nearly always holds the file; a shorter one is replaced at once rather
+	// than grown by doubling on the way, and denser code grows it once.
+	if want := (len(l.src)-l.offset)/4 + 16; cap(buf) < want {
+		buf = make([]Token, 0, want)
+	}
+	toks := buf[:0]
 	for {
 		t := l.Next()
 		toks = append(toks, t)
@@ -136,15 +146,22 @@ func (l *Lexer) skipSpace() {
 }
 
 func (l *Lexer) scanIdent(start int) Token {
+	// Keywords are all lower-case letters, so a name with a digit, an
+	// underscore or a capital is known to be one without a lookup; the
+	// lookup reads the bytes in place, and only a name is copied out.
+	lower := true
 	for l.offset < len(l.src) && (isLetter(l.src[l.offset]) || isDigit(l.src[l.offset])) {
+		if b := l.src[l.offset]; b < 'a' || b > 'z' {
+			lower = false
+		}
 		l.offset++
 	}
-	lit := string(l.src[start:l.offset])
-	kind := token.Lookup(lit)
-	if kind != token.IDENT {
-		return Token{Kind: kind, Pos: source.Pos(start)}
+	if lower {
+		if kind := token.Lookup(string(l.src[start:l.offset])); kind != token.IDENT {
+			return Token{Kind: kind, Pos: source.Pos(start)}
+		}
 	}
-	return Token{Kind: token.IDENT, Pos: source.Pos(start), Lit: lit}
+	return Token{Kind: token.IDENT, Pos: source.Pos(start), Lit: string(l.src[start:l.offset])}
 }
 
 func (l *Lexer) scanNumber(start int) Token {
@@ -252,7 +269,7 @@ type twoChar struct {
 	kind   token.Kind
 }
 
-var twoCharOps = map[byte][]twoChar{
+var twoCharOps = [256][]twoChar{
 	'+': {{'+', token.INC}, {'=', token.ADDASSIGN}},
 	'-': {{'-', token.DEC}, {'=', token.SUBASSIGN}},
 	'*': {{'=', token.MULASSIGN}},
@@ -266,7 +283,7 @@ var twoCharOps = map[byte][]twoChar{
 	'|': {{'|', token.LOR}},
 }
 
-var oneCharOps = map[byte]token.Kind{
+var oneCharOps = [256]token.Kind{
 	'+': token.ADD, '-': token.SUB, '*': token.MUL, '/': token.QUO, '%': token.REM,
 	'&': token.AND, '|': token.OR, '^': token.XOR,
 	'=': token.ASSIGN, '!': token.NOT, '<': token.LSS, '>': token.GTR,
@@ -277,7 +294,7 @@ var oneCharOps = map[byte]token.Kind{
 
 func (l *Lexer) scanOperator(start int) Token {
 	b := l.src[l.offset]
-	if cands, ok := twoCharOps[b]; ok {
+	if cands := twoCharOps[b]; cands != nil {
 		next := l.peekAt(1)
 		for _, c := range cands {
 			if next == c.second {
@@ -286,7 +303,7 @@ func (l *Lexer) scanOperator(start int) Token {
 			}
 		}
 	}
-	if k, ok := oneCharOps[b]; ok {
+	if k := oneCharOps[b]; k != token.ILLEGAL {
 		l.offset++
 		return Token{Kind: k, Pos: source.Pos(start)}
 	}

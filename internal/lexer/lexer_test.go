@@ -91,6 +91,49 @@ func TestIdentVsKeyword(t *testing.T) {
 	}
 }
 
+// TestEveryKeywordIsScanned: the scanner asks the keyword table only about
+// names made of lower-case letters, so every keyword must be one, and must
+// come back as its own kind — next to names that differ by a digit, an
+// underscore or a capital.
+func TestEveryKeywordIsScanned(t *testing.T) {
+	for word, kind := range token.Keywords {
+		toks, errs := lex(t, word+" "+word+"1 _"+word+" "+strings.ToUpper(word[:1])+word[1:])
+		if errs.HasErrors() {
+			t.Fatalf("%s: %v", word, errs)
+		}
+		want := []token.Kind{kind, token.IDENT, token.IDENT, token.IDENT, token.EOF}
+		if len(toks) != len(want) {
+			t.Fatalf("%s: %d tokens, want %d", word, len(toks), len(want))
+		}
+		for i, w := range want {
+			if toks[i].Kind != w {
+				t.Errorf("%s: token %d = %v, want %v", word, i, toks[i].Kind, w)
+			}
+		}
+	}
+}
+
+// TestTokenizeIntoReusesTheBuffer: the tokens of a second, shorter file
+// overwrite the first's in the same memory and equal a fresh Tokenize.
+func TestTokenizeIntoReusesTheBuffer(t *testing.T) {
+	var errs source.ErrorList
+	long := New(source.NewFile("a.mc", []byte("func f(a int) int { return a * 2 + 1; }")), &errs).TokenizeInto(nil)
+	src := "var x int = 3;"
+	short := New(source.NewFile("b.mc", []byte(src)), &errs).TokenizeInto(long)
+	if &short[0] != &long[0] {
+		t.Error("TokenizeInto allocated although the buffer was long enough")
+	}
+	want, _ := lex(t, src)
+	if len(short) != len(want) {
+		t.Fatalf("%d tokens, want %d", len(short), len(want))
+	}
+	for i := range want {
+		if short[i] != want[i] {
+			t.Errorf("token %d = %v, want %v", i, short[i], want[i])
+		}
+	}
+}
+
 func TestComments(t *testing.T) {
 	toks, errs := lex(t, "a // line comment\nb /* block\ncomment */ c")
 	if errs.HasErrors() {

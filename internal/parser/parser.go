@@ -16,17 +16,64 @@ import (
 
 // Parser consumes the token stream of one file.
 type Parser struct {
+	mem  *Scratch
 	file *source.File
 	toks []lexer.Token
 	pos  int
 	errs *source.ErrorList
+	// Next expression and declaration numbers (ast.ExprNode, ast.DeclNode).
+	nexprs, ndecls int32
+}
+
+// Scratch is one worker's reusable parsing memory: the token buffer, and
+// the stacks on which the entries of a statement, argument, parameter or
+// declaration list wait until the list is complete and is allocated once at
+// its final length (nested lists stack above their parents). Nothing of a
+// parsed file stays behind: ParseFile zeroes what it used. One Scratch per
+// worker, never two goroutines on one; the package-level functions make a
+// fresh one per call.
+type Scratch struct {
+	tokBuf []lexer.Token
+	stmts  []ast.Stmt
+	exprs  []ast.Expr
+	params []*ast.Param
+	decls  []ast.Decl
+}
+
+// take pops the entries above mark off a list stack into a slice of exactly
+// their number (nil for none).
+func take[T any](stack *[]T, mark int) []T {
+	var list []T
+	if top := (*stack)[mark:]; len(top) > 0 {
+		list = make([]T, len(top))
+		copy(list, top)
+	}
+	*stack = (*stack)[:mark]
+	return list
+}
+
+// release zeroes the scratch, keeping its memory: the tokens' literal
+// strings and the listed nodes live on in the AST only.
+func (s *Scratch) release() {
+	clear(s.tokBuf)
+	clear(s.stmts[:cap(s.stmts)])
+	clear(s.exprs[:cap(s.exprs)])
+	clear(s.params[:cap(s.params)])
+	clear(s.decls[:cap(s.decls)])
+	s.stmts, s.exprs, s.params, s.decls = s.stmts[:0], s.exprs[:0], s.params[:0], s.decls[:0]
 }
 
 // ParseFile lexes and parses one source file, reporting problems to errs.
 // A partial AST is returned even when errors occurred.
 func ParseFile(file *source.File, errs *source.ErrorList) *ast.File {
-	lx := lexer.New(file, errs)
-	p := &Parser{file: file, toks: lx.Tokenize(), errs: errs}
+	return new(Scratch).ParseFile(file, errs)
+}
+
+// ParseFile is the package-level ParseFile in the worker's scratch.
+func (s *Scratch) ParseFile(file *source.File, errs *source.ErrorList) *ast.File {
+	defer s.release()
+	s.tokBuf = lexer.New(file, errs).TokenizeInto(s.tokBuf)
+	p := &Parser{mem: s, file: file, toks: s.tokBuf, errs: errs}
 	return p.parseFile()
 }
 
@@ -38,8 +85,7 @@ func ParseSource(name, src string, errs *source.ErrorList) *ast.File {
 // ParseExpr parses a standalone expression, for tests and tools.
 func ParseExpr(src string, errs *source.ErrorList) ast.Expr {
 	f := source.NewFile("<expr>", []byte(src))
-	lx := lexer.New(f, errs)
-	p := &Parser{file: f, toks: lx.Tokenize(), errs: errs}
+	p := &Parser{mem: new(Scratch), file: f, toks: lexer.New(f, errs).Tokenize(), errs: errs}
 	e := p.parseExpr()
 	p.expect(token.EOF)
 	return e
@@ -86,6 +132,17 @@ func (p *Parser) errorf(format string, args ...any) {
 	p.errs.Errorf(p.file.Position(p.cur().Pos), format, args...)
 }
 
+// expr and decl number the node being built within the file.
+func (p *Parser) expr() ast.ExprNode {
+	p.nexprs++
+	return ast.ExprNode{ID: p.nexprs - 1}
+}
+
+func (p *Parser) decl() ast.DeclNode {
+	p.ndecls++
+	return ast.DeclNode{ID: p.ndecls - 1}
+}
+
 // sync skips tokens until a likely statement/declaration boundary.
 func (p *Parser) sync(stopAtBrace bool) {
 	for {
@@ -113,7 +170,7 @@ func (p *Parser) parseFile() *ast.File {
 	for !p.at(token.EOF) {
 		before := p.pos
 		if d := p.parseDecl(); d != nil {
-			f.Decls = append(f.Decls, d)
+			p.mem.decls = append(p.mem.decls, d)
 		}
 		if p.pos == before {
 			// Guarantee progress on pathological input.
@@ -121,6 +178,8 @@ func (p *Parser) parseFile() *ast.File {
 			p.advance()
 		}
 	}
+	f.Decls = take(&p.mem.decls, 0)
+	f.NumExprs, f.NumDecls = int(p.nexprs), int(p.ndecls)
 	return f
 }
 
@@ -144,7 +203,7 @@ func (p *Parser) parseDecl() ast.Decl {
 }
 
 func (p *Parser) parseFuncDecl() *ast.FuncDecl {
-	fn := &ast.FuncDecl{FuncPos: p.expect(token.FUNC).Pos}
+	fn := &ast.FuncDecl{DeclNode: p.decl(), FuncPos: p.expect(token.FUNC).Pos}
 	fn.Name = p.expect(token.IDENT).Lit
 	fn.Params = p.parseParams()
 	if p.at(token.INTTYPE) || p.at(token.BOOLTYPE) || p.at(token.LBRACK) {
@@ -155,7 +214,7 @@ func (p *Parser) parseFuncDecl() *ast.FuncDecl {
 }
 
 func (p *Parser) parseExternDecl() *ast.ExternDecl {
-	d := &ast.ExternDecl{ExternPos: p.expect(token.EXTERN).Pos}
+	d := &ast.ExternDecl{DeclNode: p.decl(), ExternPos: p.expect(token.EXTERN).Pos}
 	p.expect(token.FUNC)
 	d.Name = p.expect(token.IDENT).Lit
 	d.Params = p.parseParams()
@@ -168,18 +227,18 @@ func (p *Parser) parseExternDecl() *ast.ExternDecl {
 
 func (p *Parser) parseParams() []*ast.Param {
 	p.expect(token.LPAREN)
-	var params []*ast.Param
+	mark := len(p.mem.params)
 	for !p.at(token.RPAREN) && !p.at(token.EOF) {
-		if len(params) > 0 && !p.accept(token.COMMA) {
+		if len(p.mem.params) > mark && !p.accept(token.COMMA) {
 			p.errorf("expected ',' between parameters")
 			break
 		}
 		name := p.expect(token.IDENT)
 		typ := p.parseType()
-		params = append(params, &ast.Param{NamePos: name.Pos, Name: name.Lit, Type: typ})
+		p.mem.params = append(p.mem.params, &ast.Param{DeclNode: p.decl(), NamePos: name.Pos, Name: name.Lit, Type: typ})
 	}
 	p.expect(token.RPAREN)
-	return params
+	return take(&p.mem.params, mark)
 }
 
 func (p *Parser) parseType() ast.TypeExpr {
@@ -206,7 +265,7 @@ func (p *Parser) parseType() ast.TypeExpr {
 }
 
 func (p *Parser) parseVarDecl() *ast.VarDecl {
-	d := &ast.VarDecl{VarPos: p.expect(token.VAR).Pos}
+	d := &ast.VarDecl{DeclNode: p.decl(), VarPos: p.expect(token.VAR).Pos}
 	d.Name = p.expect(token.IDENT).Lit
 	d.Type = p.parseType()
 	if p.accept(token.ASSIGN) {
@@ -216,7 +275,7 @@ func (p *Parser) parseVarDecl() *ast.VarDecl {
 }
 
 func (p *Parser) parseConstDecl() *ast.ConstDecl {
-	d := &ast.ConstDecl{ConstPos: p.expect(token.CONST).Pos}
+	d := &ast.ConstDecl{DeclNode: p.decl(), ConstPos: p.expect(token.CONST).Pos}
 	d.Name = p.expect(token.IDENT).Lit
 	p.expect(token.ASSIGN)
 	d.Value = p.parseExpr()
@@ -228,16 +287,18 @@ func (p *Parser) parseConstDecl() *ast.ConstDecl {
 
 func (p *Parser) parseBlock() *ast.BlockStmt {
 	b := &ast.BlockStmt{LbracePos: p.expect(token.LBRACE).Pos}
+	mark := len(p.mem.stmts)
 	for !p.at(token.RBRACE) && !p.at(token.EOF) {
 		before := p.pos
 		if s := p.parseStmt(); s != nil {
-			b.Stmts = append(b.Stmts, s)
+			p.mem.stmts = append(p.mem.stmts, s)
 		}
 		if p.pos == before {
 			p.errorf("unexpected token %q in block", p.cur().String())
 			p.advance()
 		}
 	}
+	b.Stmts = take(&p.mem.stmts, mark)
 	p.expect(token.RBRACE)
 	return b
 }
@@ -304,7 +365,7 @@ func (p *Parser) parseSimpleStmt() ast.Stmt {
 		if !isLvalue(e) {
 			p.errs.Errorf(p.file.Position(e.Pos()), "operand of ++/-- must be a variable or array element")
 		}
-		return &ast.AssignStmt{Lhs: e, Op: op, Rhs: &ast.IntLit{LitPos: e.Pos(), Value: 1}}
+		return &ast.AssignStmt{Lhs: e, Op: op, Rhs: &ast.IntLit{ExprNode: p.expr(), LitPos: e.Pos(), Value: 1}}
 	default:
 		if _, ok := e.(*ast.CallExpr); !ok {
 			p.errs.Errorf(p.file.Position(e.Pos()), "expression statement must be a call")
@@ -374,7 +435,7 @@ func (p *Parser) parseBinary(minPrec int) ast.Expr {
 		}
 		op := p.advance().Kind
 		y := p.parseBinary(prec + 1)
-		x = &ast.BinaryExpr{X: x, Op: op, Y: y}
+		x = &ast.BinaryExpr{ExprNode: p.expr(), X: x, Op: op, Y: y}
 	}
 }
 
@@ -382,7 +443,7 @@ func (p *Parser) parseUnary() ast.Expr {
 	switch p.kind() {
 	case token.SUB, token.NOT, token.XOR:
 		t := p.advance()
-		return &ast.UnaryExpr{OpPos: t.Pos, Op: t.Kind, X: p.parseUnary()}
+		return &ast.UnaryExpr{ExprNode: p.expr(), OpPos: t.Pos, Op: t.Kind, X: p.parseUnary()}
 	}
 	return p.parsePostfix()
 }
@@ -395,12 +456,12 @@ func (p *Parser) parsePostfix() ast.Expr {
 			p.advance()
 			idx := p.parseExpr()
 			p.expect(token.RBRACK)
-			x = &ast.IndexExpr{X: x, Index: idx}
+			x = &ast.IndexExpr{ExprNode: p.expr(), X: x, Index: idx}
 		case token.LPAREN:
 			id, ok := x.(*ast.IdentExpr)
 			if !ok {
 				p.errorf("called object is not a function name")
-				id = &ast.IdentExpr{NamePos: x.Pos(), Name: "<error>"}
+				id = &ast.IdentExpr{ExprNode: p.expr(), NamePos: x.Pos(), Name: "<error>"}
 			}
 			x = p.parseCall(id)
 		default:
@@ -411,14 +472,16 @@ func (p *Parser) parsePostfix() ast.Expr {
 
 func (p *Parser) parseCall(callee *ast.IdentExpr) ast.Expr {
 	p.expect(token.LPAREN)
-	call := &ast.CallExpr{Callee: callee}
+	call := &ast.CallExpr{ExprNode: p.expr(), Callee: callee}
+	mark := len(p.mem.exprs)
 	for !p.at(token.RPAREN) && !p.at(token.EOF) {
-		if len(call.Args) > 0 && !p.accept(token.COMMA) {
+		if len(p.mem.exprs) > mark && !p.accept(token.COMMA) {
 			p.errorf("expected ',' between arguments")
 			break
 		}
-		call.Args = append(call.Args, p.parseExpr())
+		p.mem.exprs = append(p.mem.exprs, p.parseExpr())
 	}
+	call.Args = take(&p.mem.exprs, mark)
 	call.Rparen = p.expect(token.RPAREN).Pos
 	return call
 }
@@ -427,33 +490,33 @@ func (p *Parser) parsePrimary() ast.Expr {
 	switch p.kind() {
 	case token.IDENT:
 		t := p.advance()
-		return &ast.IdentExpr{NamePos: t.Pos, Name: t.Lit}
+		return &ast.IdentExpr{ExprNode: p.expr(), NamePos: t.Pos, Name: t.Lit}
 	case token.INT:
 		t := p.advance()
 		v, err := parseIntLit(t.Lit)
 		if err != nil {
 			p.errs.Errorf(p.file.Position(t.Pos), "invalid integer literal %q", t.Lit)
 		}
-		return &ast.IntLit{LitPos: t.Pos, Value: v}
+		return &ast.IntLit{ExprNode: p.expr(), LitPos: t.Pos, Value: v}
 	case token.TRUE:
-		return &ast.BoolLit{LitPos: p.advance().Pos, Value: true}
+		return &ast.BoolLit{ExprNode: p.expr(), LitPos: p.advance().Pos, Value: true}
 	case token.FALSE:
-		return &ast.BoolLit{LitPos: p.advance().Pos, Value: false}
+		return &ast.BoolLit{ExprNode: p.expr(), LitPos: p.advance().Pos, Value: false}
 	case token.STRING:
 		t := p.advance()
-		return &ast.StringLit{LitPos: t.Pos, Value: t.Lit}
+		return &ast.StringLit{ExprNode: p.expr(), LitPos: t.Pos, Value: t.Lit}
 	case token.LPAREN:
 		lp := p.advance()
 		x := p.parseExpr()
 		p.expect(token.RPAREN)
-		return &ast.ParenExpr{LparenPos: lp.Pos, X: x}
+		return &ast.ParenExpr{ExprNode: p.expr(), LparenPos: lp.Pos, X: x}
 	default:
 		p.errorf("expected expression, found %q", p.cur().String())
 		t := p.cur()
 		if !p.at(token.EOF) && !p.at(token.SEMICOLON) && !p.at(token.RBRACE) && !p.at(token.RPAREN) {
 			p.advance()
 		}
-		return &ast.IntLit{LitPos: t.Pos, Value: 0}
+		return &ast.IntLit{ExprNode: p.expr(), LitPos: t.Pos, Value: 0}
 	}
 }
 

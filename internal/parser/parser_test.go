@@ -273,3 +273,103 @@ func TestDanglingElse(t *testing.T) {
 		t.Error("final else lost")
 	}
 }
+
+// numbering checks that the parser gave every expression of the tree a
+// number of its own below NumExprs and every declaring node one below
+// NumDecls — what the checker's tables are indexed by.
+func numbering(t *testing.T, f *ast.File) {
+	t.Helper()
+	exprs := make([]bool, f.NumExprs)
+	decls := make([]bool, f.NumDecls)
+	mark := func(seen []bool, id int, n ast.Node) {
+		if id < 0 || id >= len(seen) {
+			t.Fatalf("%T numbered %d, outside the file's %d", n, id, len(seen))
+		}
+		if seen[id] {
+			t.Fatalf("%T shares number %d with another node", n, id)
+		}
+		seen[id] = true
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if e, ok := n.(ast.Expr); ok {
+			mark(exprs, e.ExprID(), n)
+		}
+		if d, ok := n.(interface{ DeclID() int }); ok {
+			mark(decls, d.DeclID(), n)
+		}
+		return true
+	})
+}
+
+const numberedSrc = `
+const K = 3;
+var g int = K * 2;
+var arr [4]int;
+extern func ext(x int, y bool) int;
+func f(a int, b bool) int {
+    var i int = 0;
+    for var j int = 0; j < K; j++ { arr[j] = ext(a + j, !b) * (g - 1); i += arr[j]; }
+    while i > 0 { i--; if i == 2 { break; } else { continue; } }
+    print("label", i, true);
+    return -i;
+}
+func main() { f(1, false); { var z int; z = 1; } }
+`
+
+func TestNodesAreNumbered(t *testing.T) {
+	f := mustParse(t, numberedSrc)
+	if f.NumExprs == 0 || f.NumDecls != 13 {
+		t.Errorf("NumExprs %d, NumDecls %d (want 13 names: K g arr ext x y f a b i j main z)", f.NumExprs, f.NumDecls)
+	}
+	numbering(t, f)
+	// Error recovery makes nodes of its own; they are numbered like the rest.
+	for _, src := range []string{
+		`func f() { x = ; y = 1 +; }`,
+		`func f(a int b int) { (1)(2); f(1 2); }`,
+		`var ; const = ; func () {}`,
+	} {
+		bad, errs := parse(t, src)
+		if !errs.HasErrors() {
+			t.Errorf("%q parsed without error", src)
+		}
+		numbering(t, bad)
+	}
+}
+
+// TestScratchParsesLikeAFreshParser: one Scratch over a long file, a broken
+// one and a short one gives each the tree a fresh parser gives it, and keeps
+// nothing of a file once it is parsed.
+func TestScratchParsesLikeAFreshParser(t *testing.T) {
+	var s Scratch
+	for _, src := range []string{numberedSrc + padFuncs(), `func f( { var x int = ; }`, `func g() int { return 1; }`, numberedSrc} {
+		var errs, wantErrs source.ErrorList
+		got := s.ParseFile(source.NewFile("t.mc", []byte(src)), &errs)
+		want := ParseFile(source.NewFile("t.mc", []byte(src)), &wantErrs)
+		if ast.Print(got) != ast.Print(want) || errs.Error() != wantErrs.Error() {
+			t.Errorf("scratch parse differs from a fresh one on %q", src)
+		}
+		if got.NumExprs != want.NumExprs || got.NumDecls != want.NumDecls {
+			t.Errorf("numbering differs: %d/%d exprs, %d/%d decls", got.NumExprs, want.NumExprs, got.NumDecls, want.NumDecls)
+		}
+		numbering(t, got)
+		for _, tok := range s.tokBuf[:cap(s.tokBuf)] {
+			if tok.Lit != "" {
+				t.Fatalf("token buffer still holds %q", tok.Lit)
+			}
+		}
+		if len(s.stmts)+len(s.exprs)+len(s.params)+len(s.decls) != 0 {
+			t.Fatal("list stacks not empty after a parse")
+		}
+	}
+}
+
+// padFuncs makes the first file of the scratch test the longest.
+func padFuncs() string {
+	var sb strings.Builder
+	for i := 0; i < 20; i++ {
+		sb.WriteString("func pad")
+		sb.WriteByte(byte('a' + i))
+		sb.WriteString("(a int, b int) int { return a * b + (a - b); }\n")
+	}
+	return sb.String()
+}

@@ -9,43 +9,6 @@ import (
 	"statefulcc/internal/testutil"
 )
 
-// allocSrc lowers to one function of a couple of hundred IR values with
-// everything the guarded passes work on: promotable locals in nested
-// control flow (phis), foldable and redundant arithmetic, dead
-// computations, a loop and an array.
-const allocSrc = `
-var table [16]int;
-
-func work(n int, seed int) int {
-    var acc int = 0;
-    var lo int = 3 * 4 + 1;
-    var hi int = lo * 2;
-    var dead int = n * 17 + seed;
-    for var i int = 0; i < n; i++ {
-        var t int = (seed + i) * (seed + i);
-        var u int = (seed + i) * (seed + i) + lo;
-        if t > hi {
-            acc = acc + t - u;
-            if i % 2 == 0 { acc = acc + lo; } else { acc = acc - hi; }
-        } else {
-            acc = acc + u * 2;
-            table[i % 16] = acc;
-        }
-        var k int = 0;
-        while k < 3 {
-            acc = acc + table[(i + k) % 16] * (lo + hi);
-            k++;
-        }
-        seed = (seed * 31 + 7) % 1009;
-        dead = dead + t;
-    }
-    if acc < 0 { acc = -acc; }
-    return acc + lo + hi;
-}
-
-func main() int { return work(10, 5); }
-`
-
 // TestPassAllocs holds the never-dormant floor of the compile path —
 // mem2reg, sccp, gvn, dce and code generation — to a small number of heap
 // allocations per function once the worker's scratch is warm. What is left
@@ -58,7 +21,7 @@ func main() int { return work(10, 5); }
 // 0 and 12.
 func TestPassAllocs(t *testing.T) {
 	const runs = 20
-	base, err := testutil.BuildModule("alloc.mc", allocSrc)
+	base, err := testutil.BuildModule("alloc.mc", testutil.AllocSrc)
 	if err != nil {
 		t.Fatal(err)
 	}

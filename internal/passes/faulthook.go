@@ -38,6 +38,9 @@ const (
 	// FaultBlock parks the pass until ReleaseFaultHook (or a safety
 	// timeout), holding a build in flight for drain/cancellation tests.
 	FaultBlock
+	// FaultObserve hands the function to FaultConfig.Observe and changes
+	// nothing, for tests that follow what becomes of a unit's IR.
+	FaultObserve
 )
 
 // FaultConfig describes one arming of the hook.
@@ -49,6 +52,8 @@ type FaultConfig struct {
 	// Times bounds the number of firings before the hook auto-disarms
 	// (0 = unlimited).
 	Times int
+	// Observe is what a FaultObserve firing calls, on the worker's goroutine.
+	Observe func(*ir.Func)
 }
 
 var (
@@ -151,6 +156,8 @@ func (*FaultHook) Run(f *ir.Func) bool {
 			case <-time.After(30 * time.Second): // safety: never wedge a suite
 			}
 		}
+	case FaultObserve:
+		cfg.Observe(f)
 	}
 	return false
 }

@@ -162,7 +162,7 @@ func inlineCall(f *ir.Func, b *ir.Block, call *ir.Value, callee *ir.Func, s *Scr
 	// Enter the inlined body.
 	entry := cm.Blocks[callee.Entry().ID]
 	j := f.NewValue(ir.OpJump, ir.TVoid)
-	j.Blocks = []*ir.Block{entry}
+	j.Blocks = f.BlockList(entry)
 	j.Block = b
 	b.Term = j
 	entry.Preds = append(entry.Preds, b)
@@ -182,7 +182,7 @@ func inlineCall(f *ir.Func, b *ir.Block, call *ir.Value, callee *ir.Func, s *Scr
 				rv = nb.Term.Args[0]
 			}
 			nj := f.NewValue(ir.OpJump, ir.TVoid)
-			nj.Blocks = []*ir.Block{cont}
+			nj.Blocks = f.BlockList(cont)
 			nb.SetTerm(nj)
 			rets = append(rets, retSite{nb, rv})
 		}

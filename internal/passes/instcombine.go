@@ -130,7 +130,7 @@ func simplifyValue(f *ir.Func, v *ir.Value) (*ir.Value, bool) {
 		if v.Op == ir.OpNot && x.Op.IsCompare() {
 			inv, _ := x.Op.InvertCompare()
 			v.Op = inv
-			v.Args = []*ir.Value{x.Args[0], x.Args[1]}
+			v.Args = f.ValueList(x.Args[0], x.Args[1])
 			v.Block.Touch()
 			return nil, true
 		}

@@ -150,7 +150,7 @@ func ensurePreheader(f *ir.Func, loop *analysis.Loop) *ir.Block {
 	// Terminate the preheader into the header and give every header phi a
 	// single operand for the new edge: the corresponding preheader phi.
 	j := f.NewValue(ir.OpJump, ir.TVoid)
-	j.Blocks = []*ir.Block{header}
+	j.Blocks = f.BlockList(header)
 	pre.SetTerm(j)
 	for i, phi := range header.Phis {
 		phi.SetIncoming(pre, prePhis[i])

@@ -83,7 +83,7 @@ func replaceTermWithJump(b, target *ir.Block) {
 		vals = append(vals, phi.Incoming(b))
 	}
 	j := f.NewValue(ir.OpJump, ir.TVoid)
-	j.Blocks = []*ir.Block{target}
+	j.Blocks = f.BlockList(target)
 	b.SetTerm(j)
 	for i, phi := range target.Phis {
 		if vals[i] != nil {

@@ -61,12 +61,12 @@ func reduceMul(f *ir.Func, b *ir.Block, i *int, v *ir.Value) bool {
 	switch {
 	case c == -1:
 		v.Op = ir.OpNeg
-		v.Args = []*ir.Value{x}
+		v.Args = f.ValueList(x)
 		b.Touch()
 		return true
 	case c > 1 && isPow2(c):
 		v.Op = ir.OpShl
-		v.Args = []*ir.Value{x, f.ConstInt(int64(bits.TrailingZeros64(uint64(c))))}
+		v.Args = f.ValueList(x, f.ConstInt(int64(bits.TrailingZeros64(uint64(c)))))
 		b.Touch()
 		return true
 	case c > 2 && isPow2(c-1):
@@ -75,7 +75,7 @@ func reduceMul(f *ir.Func, b *ir.Block, i *int, v *ir.Value) bool {
 		b.InsertInstr(*i, sh)
 		*i++
 		v.Op = ir.OpAdd
-		v.Args = []*ir.Value{sh, x}
+		v.Args = f.ValueList(sh, x)
 		b.Touch()
 		return true
 	case c > 2 && isPow2(c+1):
@@ -84,7 +84,7 @@ func reduceMul(f *ir.Func, b *ir.Block, i *int, v *ir.Value) bool {
 		b.InsertInstr(*i, sh)
 		*i++
 		v.Op = ir.OpSub
-		v.Args = []*ir.Value{sh, x}
+		v.Args = f.ValueList(sh, x)
 		b.Touch()
 		return true
 	}

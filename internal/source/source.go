@@ -9,6 +9,7 @@
 package source
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -60,7 +61,7 @@ type File struct {
 // (compiler inputs) so the eager scan keeps later lookups allocation-free.
 func NewFile(name string, content []byte) *File {
 	f := &File{Name: name, Content: content}
-	f.lines = append(f.lines, 0)
+	f.lines = make([]int, 1, 1+bytes.Count(content, []byte{'\n'}))
 	for i, b := range content {
 		if b == '\n' {
 			f.lines = append(f.lines, i+1)

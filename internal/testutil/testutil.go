@@ -80,3 +80,41 @@ func Run(units map[string]string, tf Transform) (string, int64, error) {
 func RunSource(src string, tf Transform) (string, int64, error) {
 	return Run(map[string]string{"main.mc": src}, tf)
 }
+
+// AllocSrc lowers to one function of a couple of hundred IR values with
+// everything the allocation guards (passes.TestPassAllocs,
+// compiler.TestFrontendAllocs) look at: promotable locals in nested
+// control flow (phis), foldable and redundant arithmetic, dead
+// computations, a loop and an array.
+const AllocSrc = `
+var table [16]int;
+
+func work(n int, seed int) int {
+    var acc int = 0;
+    var lo int = 3 * 4 + 1;
+    var hi int = lo * 2;
+    var dead int = n * 17 + seed;
+    for var i int = 0; i < n; i++ {
+        var t int = (seed + i) * (seed + i);
+        var u int = (seed + i) * (seed + i) + lo;
+        if t > hi {
+            acc = acc + t - u;
+            if i % 2 == 0 { acc = acc + lo; } else { acc = acc - hi; }
+        } else {
+            acc = acc + u * 2;
+            table[i % 16] = acc;
+        }
+        var k int = 0;
+        while k < 3 {
+            acc = acc + table[(i + k) % 16] * (lo + hi);
+            k++;
+        }
+        seed = (seed * 31 + 7) % 1009;
+        dead = dead + t;
+    }
+    if acc < 0 { acc = -acc; }
+    return acc + lo + hi;
+}
+
+func main() int { return work(10, 5); }
+`

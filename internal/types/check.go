@@ -11,71 +11,145 @@ import (
 )
 
 // Check type-checks one compilation unit. Diagnostics go to errs; the
-// returned Info is usable (for the checked parts) even on error.
+// returned Info is usable (for the checked parts) even on error. The tree
+// must come from the parser, which numbers the nodes Info is indexed by.
 func Check(file *source.File, tree *ast.File, errs *source.ErrorList) *Info {
-	c := &checker{
-		file: file,
-		errs: errs,
-		info: newInfo(),
-		top:  newScope(nil),
+	return new(Scratch).Check(file, tree, errs)
+}
+
+// Scratch is one worker's reusable checking memory: Info's tables, the
+// top-level scope and the stack of local scopes. One Scratch per worker,
+// never two goroutines on one; the package-level Check makes a fresh one.
+type Scratch struct {
+	info Info
+	top  map[string]*Symbol
+	// locals holds the block scopes of the function being checked, innermost
+	// last; a scope is the entries above the mark its opener keeps.
+	locals []*Symbol
+}
+
+// Check is the package-level Check in the worker's scratch. The Info it
+// returns is the scratch's own: it is valid until the next Check or Release.
+func (s *Scratch) Check(file *source.File, tree *ast.File, errs *source.ErrorList) *Info {
+	s.Release()
+	if s.top == nil {
+		s.top = make(map[string]*Symbol)
 	}
-	c.declareBuiltins()
+	s.info.exprs = sized(s.info.exprs, tree.NumExprs)
+	s.info.defs = sized(s.info.defs, tree.NumDecls)
+	s.info.globalInits = sized(s.info.globalInits, tree.NumDecls)
+	c := &checker{
+		Scratch: s,
+		file:    file,
+		errs:    errs,
+		syms:    make([]Symbol, 0, tree.NumDecls),
+	}
+	s.top[BuiltinPrint], s.top[BuiltinAssert] = builtinPrint, builtinAssert
 	c.collectTopLevel(tree)
 	c.checkBodies(tree)
-	return c.info
+	return &s.info
 }
 
-type scope struct {
-	parent  *scope
-	symbols map[string]*Symbol
+// Release zeroes the scratch, keeping its memory. Every table is as long as
+// its last file needed, so zeroing that far leaves the whole capacity zero —
+// which the next Check relies on: a larger file before a smaller one, or one
+// that stopped at an error, leaves nothing to be read as this file's. The
+// owner also calls it when a unit is done, so that an idle worker does not
+// pin the unit's AST and symbols.
+func (s *Scratch) Release() {
+	info := &s.info
+	clear(info.exprs)
+	clear(info.defs)
+	clear(info.globalInits)
+	clear(info.Funcs)
+	clear(info.Globals)
+	info.exprs, info.defs, info.globalInits = info.exprs[:0], info.defs[:0], info.globalInits[:0]
+	info.Funcs, info.Globals = info.Funcs[:0], info.Globals[:0]
+	clear(s.top)
+	clear(s.locals[:cap(s.locals)])
+	s.locals = s.locals[:0]
 }
 
-func newScope(parent *scope) *scope {
-	return &scope{parent: parent, symbols: make(map[string]*Symbol)}
-}
-
-func (s *scope) lookup(name string) *Symbol {
-	for sc := s; sc != nil; sc = sc.parent {
-		if sym, ok := sc.symbols[name]; ok {
-			return sym
-		}
+// sized returns a table of length n on buf's memory, which Release left
+// zeroed through its capacity.
+func sized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n, n+n/4)
 	}
-	return nil
+	return buf[:n]
 }
 
-func (s *scope) declare(sym *Symbol) *Symbol {
-	if prev, ok := s.symbols[sym.Name]; ok {
-		return prev
+// The builtins are the same two symbols in every unit; nothing writes to a
+// symbol after it is declared.
+var (
+	builtinPrint = &Symbol{
+		Kind: SymBuiltin, Name: BuiltinPrint,
+		Sig: &Signature{Result: VoidType}, // variadic; arg checking is special-cased
 	}
-	s.symbols[sym.Name] = sym
-	return nil
-}
+	builtinAssert = &Symbol{
+		Kind: SymBuiltin, Name: BuiltinAssert,
+		Sig: &Signature{Params: []*Type{BoolType}, Result: VoidType},
+	}
+)
 
 type checker struct {
+	*Scratch
 	file *source.File
 	errs *source.ErrorList
-	info *Info
-	top  *scope
+	// syms is the memory of this unit's symbols: one per declaring node, so
+	// sized once from the parser's count and never grown (symbols are
+	// pointed to).
+	syms []Symbol
 
 	// Per-function state.
 	fn        *ast.FuncDecl
 	fnSig     *Signature
 	loopDepth int
+	scope     int // where the innermost open scope starts in locals
 }
 
 func (c *checker) errorf(pos source.Pos, format string, args ...any) {
 	c.errs.Errorf(c.file.Position(pos), format, args...)
 }
 
-func (c *checker) declareBuiltins() {
-	c.top.declare(&Symbol{
-		Kind: SymBuiltin, Name: BuiltinPrint,
-		Sig: &Signature{Result: VoidType}, // variadic; arg checking is special-cased
-	})
-	c.top.declare(&Symbol{
-		Kind: SymBuiltin, Name: BuiltinAssert,
-		Sig: &Signature{Params: []*Type{BoolType}, Result: VoidType},
-	})
+// newSymbol places sym in the unit's symbol memory.
+func (c *checker) newSymbol(sym Symbol) *Symbol {
+	c.syms = append(c.syms, sym)
+	return &c.syms[len(c.syms)-1]
+}
+
+// openScope starts a block scope inside the current one, returning the
+// enclosing scope's mark for closeScope to go back to.
+func (c *checker) openScope() (outer int) {
+	outer, c.scope = c.scope, len(c.locals)
+	return outer
+}
+
+func (c *checker) closeScope(outer int) {
+	clear(c.locals[c.scope:])
+	c.locals, c.scope = c.locals[:c.scope], outer
+}
+
+// lookup resolves name innermost scope first, then at top level.
+func (c *checker) lookup(name string) *Symbol {
+	for i := len(c.locals) - 1; i >= 0; i-- {
+		if sym := c.locals[i]; sym.Name == name {
+			return sym
+		}
+	}
+	return c.top[name]
+}
+
+// declareLocal adds sym to the current scope, or returns the symbol already
+// declared there under its name.
+func (c *checker) declareLocal(sym *Symbol) *Symbol {
+	for _, prev := range c.locals[c.scope:] {
+		if prev.Name == sym.Name {
+			return prev
+		}
+	}
+	c.locals = append(c.locals, sym)
+	return nil
 }
 
 // resolveType converts a syntactic type to a semantic one.
@@ -99,6 +173,9 @@ func (c *checker) resolveType(t ast.TypeExpr) *Type {
 
 func (c *checker) signatureOf(params []*ast.Param, result ast.TypeExpr) *Signature {
 	sig := &Signature{Result: VoidType}
+	if len(params) > 0 {
+		sig.Params = make([]*Type, 0, len(params))
+	}
 	for _, p := range params {
 		t := c.resolveType(p.Type)
 		if t.Kind == Array {
@@ -124,21 +201,21 @@ func (c *checker) collectTopLevel(tree *ast.File) {
 	for _, d := range tree.Decls {
 		switch d := d.(type) {
 		case *ast.FuncDecl:
-			sym := &Symbol{Kind: SymFunc, Name: d.Name, Sig: c.signatureOf(d.Params, d.Result), Decl: d}
-			c.declareTop(sym, d.Pos())
+			sym := c.newSymbol(Symbol{Kind: SymFunc, Name: d.Name, Sig: c.signatureOf(d.Params, d.Result), Decl: d})
+			c.declareTop(sym, d.Pos(), d.ID)
 		case *ast.ExternDecl:
-			sym := &Symbol{Kind: SymExtern, Name: d.Name, Sig: c.signatureOf(d.Params, d.Result), Decl: d}
-			c.declareTop(sym, d.Pos())
+			sym := c.newSymbol(Symbol{Kind: SymExtern, Name: d.Name, Sig: c.signatureOf(d.Params, d.Result), Decl: d})
+			c.declareTop(sym, d.Pos(), d.ID)
 		case *ast.VarDecl:
 			t := c.resolveType(d.Type)
-			sym := &Symbol{Kind: SymGlobal, Name: d.Name, Type: t, Decl: d}
-			if c.declareTop(sym, d.Pos()) {
+			sym := c.newSymbol(Symbol{Kind: SymGlobal, Name: d.Name, Type: t, Decl: d})
+			if c.declareTop(sym, d.Pos(), d.ID) {
 				c.info.Globals = append(c.info.Globals, sym)
 				if d.Init != nil {
 					if t.Kind == Array {
 						c.errorf(d.Init.Pos(), "array globals cannot have initializers")
 					} else if v, ok := c.constEval(d.Init); ok {
-						c.info.GlobalInits[sym] = v
+						c.info.globalInits[d.ID] = v
 					} else {
 						c.errorf(d.Init.Pos(), "global initializer must be a constant expression")
 					}
@@ -149,20 +226,22 @@ func (c *checker) collectTopLevel(tree *ast.File) {
 			if !ok {
 				c.errorf(d.Value.Pos(), "const initializer must be a constant expression")
 			}
-			sym := &Symbol{Kind: SymConst, Name: d.Name, Type: IntType, Const: v, Decl: d}
-			c.declareTop(sym, d.Pos())
+			sym := c.newSymbol(Symbol{Kind: SymConst, Name: d.Name, Type: IntType, Const: v, Decl: d})
+			c.declareTop(sym, d.Pos(), d.ID)
 		}
 	}
 }
 
-func (c *checker) declareTop(sym *Symbol, pos source.Pos) bool {
-	if prev := c.top.declare(sym); prev != nil {
+// declareTop enters the symbol of the top-level declaration numbered id.
+func (c *checker) declareTop(sym *Symbol, pos source.Pos, id int32) bool {
+	if prev := c.top[sym.Name]; prev != nil {
 		// A matching extern followed by a definition (or vice versa) is
 		// an error in one unit: externs refer to other units only.
 		c.errorf(pos, "%s redeclared in this unit (previous declaration as %s)", sym.Name, prev.Kind)
 		return false
 	}
-	c.info.Defs[sym.Decl] = sym
+	c.top[sym.Name] = sym
+	c.info.defs[id] = sym
 	return true
 }
 
@@ -172,7 +251,7 @@ func (c *checker) checkBodies(tree *ast.File) {
 		if !ok {
 			continue
 		}
-		sym := c.info.Defs[fn]
+		sym := c.info.defs[fn.ID]
 		if sym == nil {
 			continue // redeclaration; already reported
 		}
@@ -181,15 +260,16 @@ func (c *checker) checkBodies(tree *ast.File) {
 		c.loopDepth = 0
 		c.info.Funcs = append(c.info.Funcs, fn)
 
-		fnScope := newScope(c.top)
+		outer := c.openScope() // the parameters' scope, which the body may shadow
 		for i, p := range fn.Params {
-			psym := &Symbol{Kind: SymParam, Name: p.Name, Type: sym.Sig.Params[i], Decl: p}
-			if prev := fnScope.declare(psym); prev != nil {
+			psym := c.newSymbol(Symbol{Kind: SymParam, Name: p.Name, Type: sym.Sig.Params[i], Decl: p})
+			if prev := c.declareLocal(psym); prev != nil {
 				c.errorf(p.Pos(), "duplicate parameter %s", p.Name)
 			}
-			c.info.Defs[p] = psym
+			c.info.defs[p.ID] = psym
 		}
-		c.checkBlock(fn.Body, newScope(fnScope))
+		c.checkScopedBlock(fn.Body)
+		c.closeScope(outer)
 
 		if sym.Sig.Result.Kind != Void && !blockReturns(fn.Body) {
 			c.errorf(fn.Pos(), "function %s: missing return on some paths", fn.Name)
@@ -200,10 +280,17 @@ func (c *checker) checkBodies(tree *ast.File) {
 
 // --- statements --------------------------------------------------------------
 
-func (c *checker) checkBlock(b *ast.BlockStmt, sc *scope) {
+// checkScopedBlock checks b in a scope of its own.
+func (c *checker) checkScopedBlock(b *ast.BlockStmt) {
+	outer := c.openScope()
+	c.checkBlock(b)
+	c.closeScope(outer)
+}
+
+func (c *checker) checkBlock(b *ast.BlockStmt) {
 	warned := false
 	for i, s := range b.Stmts {
-		c.checkStmt(s, sc)
+		c.checkStmt(s)
 		if !warned && i+1 < len(b.Stmts) && stmtTerminates(s) {
 			c.errs.Warnf(c.file.Position(b.Stmts[i+1].Pos()), "unreachable code")
 			warned = true
@@ -221,41 +308,42 @@ func stmtTerminates(s ast.Stmt) bool {
 	return stmtReturns(s)
 }
 
-func (c *checker) checkStmt(s ast.Stmt, sc *scope) {
+func (c *checker) checkStmt(s ast.Stmt) {
 	switch s := s.(type) {
 	case *ast.BlockStmt:
-		c.checkBlock(s, newScope(sc))
+		c.checkScopedBlock(s)
 	case *ast.DeclStmt:
-		c.checkLocalDecl(s.Decl, sc)
+		c.checkLocalDecl(s.Decl)
 	case *ast.AssignStmt:
-		c.checkAssign(s, sc)
+		c.checkAssign(s)
 	case *ast.IfStmt:
-		c.checkCond(s.Cond, sc)
-		c.checkBlock(s.Then, newScope(sc))
+		c.checkCond(s.Cond)
+		c.checkScopedBlock(s.Then)
 		if s.Else != nil {
-			c.checkStmt(s.Else, sc)
+			c.checkStmt(s.Else)
 		}
 	case *ast.WhileStmt:
-		c.checkCond(s.Cond, sc)
+		c.checkCond(s.Cond)
 		c.loopDepth++
-		c.checkBlock(s.Body, newScope(sc))
+		c.checkScopedBlock(s.Body)
 		c.loopDepth--
 	case *ast.ForStmt:
-		inner := newScope(sc)
+		outer := c.openScope() // the header's own scope
 		if s.Init != nil {
-			c.checkStmt(s.Init, inner)
+			c.checkStmt(s.Init)
 		}
 		if s.Cond != nil {
-			c.checkCond(s.Cond, inner)
+			c.checkCond(s.Cond)
 		}
 		if s.Post != nil {
-			c.checkStmt(s.Post, inner)
+			c.checkStmt(s.Post)
 		}
 		c.loopDepth++
-		c.checkBlock(s.Body, newScope(inner))
+		c.checkScopedBlock(s.Body)
 		c.loopDepth--
+		c.closeScope(outer)
 	case *ast.ReturnStmt:
-		c.checkReturn(s, sc)
+		c.checkReturn(s)
 	case *ast.BreakStmt:
 		if c.loopDepth == 0 {
 			c.errorf(s.Pos(), "break outside loop")
@@ -265,19 +353,19 @@ func (c *checker) checkStmt(s ast.Stmt, sc *scope) {
 			c.errorf(s.Pos(), "continue outside loop")
 		}
 	case *ast.ExprStmt:
-		c.checkExpr(s.X, sc)
+		c.checkExpr(s.X)
 	}
 }
 
-func (c *checker) checkLocalDecl(d *ast.VarDecl, sc *scope) {
+func (c *checker) checkLocalDecl(d *ast.VarDecl) {
 	t := c.resolveType(d.Type)
-	sym := &Symbol{Kind: SymLocal, Name: d.Name, Type: t, Decl: d}
-	if prev := sc.declare(sym); prev != nil {
+	sym := c.newSymbol(Symbol{Kind: SymLocal, Name: d.Name, Type: t, Decl: d})
+	if prev := c.declareLocal(sym); prev != nil {
 		c.errorf(d.Pos(), "%s redeclared in this scope", d.Name)
 	}
-	c.info.Defs[d] = sym
+	c.info.defs[d.ID] = sym
 	if d.Init != nil {
-		it := c.checkExpr(d.Init, sc)
+		it := c.checkExpr(d.Init)
 		if t.Kind == Array {
 			c.errorf(d.Init.Pos(), "array variables cannot have initializers")
 		} else if !it.Equal(t) && it.Kind != Invalid {
@@ -286,11 +374,11 @@ func (c *checker) checkLocalDecl(d *ast.VarDecl, sc *scope) {
 	}
 }
 
-func (c *checker) checkAssign(s *ast.AssignStmt, sc *scope) {
-	lt := c.checkExpr(s.Lhs, sc)
-	rt := c.checkExpr(s.Rhs, sc)
+func (c *checker) checkAssign(s *ast.AssignStmt) {
+	lt := c.checkExpr(s.Lhs)
+	rt := c.checkExpr(s.Rhs)
 	if id, ok := s.Lhs.(*ast.IdentExpr); ok {
-		if sym := c.info.Uses[id]; sym != nil {
+		if sym := c.info.SymbolOf(id); sym != nil {
 			switch sym.Kind {
 			case SymConst:
 				c.errorf(s.Pos(), "cannot assign to constant %s", sym.Name)
@@ -320,7 +408,7 @@ func (c *checker) checkAssign(s *ast.AssignStmt, sc *scope) {
 	}
 }
 
-func (c *checker) checkReturn(s *ast.ReturnStmt, sc *scope) {
+func (c *checker) checkReturn(s *ast.ReturnStmt) {
 	want := c.fnSig.Result
 	if s.Value == nil {
 		if want.Kind != Void {
@@ -328,7 +416,7 @@ func (c *checker) checkReturn(s *ast.ReturnStmt, sc *scope) {
 		}
 		return
 	}
-	got := c.checkExpr(s.Value, sc)
+	got := c.checkExpr(s.Value)
 	if want.Kind == Void {
 		c.errorf(s.Pos(), "function %s returns no value", c.fn.Name)
 		return
@@ -338,8 +426,8 @@ func (c *checker) checkReturn(s *ast.ReturnStmt, sc *scope) {
 	}
 }
 
-func (c *checker) checkCond(e ast.Expr, sc *scope) {
-	t := c.checkExpr(e, sc)
+func (c *checker) checkCond(e ast.Expr) {
+	t := c.checkExpr(e)
 	if t.Kind != Bool && t.Kind != Invalid {
 		c.errorf(e.Pos(), "condition must be bool, got %s", t)
 	}
@@ -347,16 +435,22 @@ func (c *checker) checkCond(e ast.Expr, sc *scope) {
 
 // --- expressions ---------------------------------------------------------------
 
-func (c *checker) checkExpr(e ast.Expr, sc *scope) *Type {
-	t := c.exprType(e, sc)
-	c.info.ExprTypes[e] = t
+// setConst records that e folds to the constant v.
+func (c *checker) setConst(e ast.Expr, v int64) {
+	x := &c.info.exprs[e.ExprID()]
+	x.val, x.isConst = v, true
+}
+
+func (c *checker) checkExpr(e ast.Expr) *Type {
+	t := c.exprType(e)
+	c.info.exprs[e.ExprID()].typ = t
 	return t
 }
 
-func (c *checker) exprType(e ast.Expr, sc *scope) *Type {
+func (c *checker) exprType(e ast.Expr) *Type {
 	switch e := e.(type) {
 	case *ast.IntLit:
-		c.info.ConstVals[e] = e.Value
+		c.setConst(e, e.Value)
 		return IntType
 	case *ast.BoolLit:
 		return BoolType
@@ -364,32 +458,32 @@ func (c *checker) exprType(e ast.Expr, sc *scope) *Type {
 		c.errorf(e.Pos(), "string literals are only allowed as the first argument of print")
 		return InvalidType
 	case *ast.ParenExpr:
-		return c.checkExpr(e.X, sc)
+		return c.checkExpr(e.X)
 	case *ast.IdentExpr:
-		return c.identType(e, sc)
+		return c.identType(e)
 	case *ast.UnaryExpr:
-		return c.unaryType(e, sc)
+		return c.unaryType(e)
 	case *ast.BinaryExpr:
-		return c.binaryType(e, sc)
+		return c.binaryType(e)
 	case *ast.IndexExpr:
-		return c.indexType(e, sc)
+		return c.indexType(e)
 	case *ast.CallExpr:
-		return c.callType(e, sc)
+		return c.callType(e)
 	default:
 		return InvalidType
 	}
 }
 
-func (c *checker) identType(e *ast.IdentExpr, sc *scope) *Type {
-	sym := sc.lookup(e.Name)
+func (c *checker) identType(e *ast.IdentExpr) *Type {
+	sym := c.lookup(e.Name)
 	if sym == nil {
 		c.errorf(e.Pos(), "undefined: %s", e.Name)
 		return InvalidType
 	}
-	c.info.Uses[e] = sym
+	c.info.exprs[e.ID].sym = sym
 	switch sym.Kind {
 	case SymConst:
-		c.info.ConstVals[e] = sym.Const
+		c.setConst(e, sym.Const)
 		return IntType
 	case SymFunc, SymExtern, SymBuiltin:
 		// Calls resolve their callee directly in callType, so reaching
@@ -402,19 +496,19 @@ func (c *checker) identType(e *ast.IdentExpr, sc *scope) *Type {
 	}
 }
 
-func (c *checker) unaryType(e *ast.UnaryExpr, sc *scope) *Type {
-	xt := c.checkExpr(e.X, sc)
+func (c *checker) unaryType(e *ast.UnaryExpr) *Type {
+	xt := c.checkExpr(e.X)
 	switch e.Op {
 	case token.SUB, token.XOR:
 		if xt.Kind != Int && xt.Kind != Invalid {
 			c.errorf(e.Pos(), "operator %s requires int, got %s", e.Op, xt)
 			return InvalidType
 		}
-		if v, ok := c.info.ConstVals[e.X]; ok {
+		if v, ok := c.info.ConstVal(e.X); ok {
 			if e.Op == token.SUB {
-				c.info.ConstVals[e] = -v
+				c.setConst(e, -v)
 			} else {
-				c.info.ConstVals[e] = ^v
+				c.setConst(e, ^v)
 			}
 		}
 		return IntType
@@ -428,21 +522,10 @@ func (c *checker) unaryType(e *ast.UnaryExpr, sc *scope) *Type {
 	return InvalidType
 }
 
-func (c *checker) binaryType(e *ast.BinaryExpr, sc *scope) *Type {
-	xt := c.checkExpr(e.X, sc)
-	yt := c.checkExpr(e.Y, sc)
+func (c *checker) binaryType(e *ast.BinaryExpr) *Type {
+	xt := c.checkExpr(e.X)
+	yt := c.checkExpr(e.Y)
 	bad := xt.Kind == Invalid || yt.Kind == Invalid
-
-	fold := func(res *Type) *Type {
-		if xv, ok := c.info.ConstVals[e.X]; ok {
-			if yv, ok := c.info.ConstVals[e.Y]; ok {
-				if v, ok := foldInt(e.Op, xv, yv); ok && res.Kind == Int {
-					c.info.ConstVals[e] = v
-				}
-			}
-		}
-		return res
-	}
 
 	switch e.Op {
 	case token.ADD, token.SUB, token.MUL, token.QUO, token.REM,
@@ -451,7 +534,14 @@ func (c *checker) binaryType(e *ast.BinaryExpr, sc *scope) *Type {
 			c.errorf(e.Pos(), "operator %s requires int operands, got %s and %s", e.Op, xt, yt)
 			return InvalidType
 		}
-		return fold(IntType)
+		if xv, ok := c.info.ConstVal(e.X); ok {
+			if yv, ok := c.info.ConstVal(e.Y); ok {
+				if v, ok := foldInt(e.Op, xv, yv); ok {
+					c.setConst(e, v)
+				}
+			}
+		}
+		return IntType
 	case token.LSS, token.LEQ, token.GTR, token.GEQ:
 		if !bad && (xt.Kind != Int || yt.Kind != Int) {
 			c.errorf(e.Pos(), "operator %s requires int operands, got %s and %s", e.Op, xt, yt)
@@ -474,9 +564,9 @@ func (c *checker) binaryType(e *ast.BinaryExpr, sc *scope) *Type {
 	return InvalidType
 }
 
-func (c *checker) indexType(e *ast.IndexExpr, sc *scope) *Type {
-	xt := c.checkExpr(e.X, sc)
-	it := c.checkExpr(e.Index, sc)
+func (c *checker) indexType(e *ast.IndexExpr) *Type {
+	xt := c.checkExpr(e.X)
+	it := c.checkExpr(e.Index)
 	if it.Kind != Int && it.Kind != Invalid {
 		c.errorf(e.Index.Pos(), "array index must be int, got %s", it)
 	}
@@ -486,42 +576,42 @@ func (c *checker) indexType(e *ast.IndexExpr, sc *scope) *Type {
 		}
 		return InvalidType
 	}
-	if v, ok := c.info.ConstVals[e.Index]; ok && (v < 0 || v >= xt.Len) {
+	if v, ok := c.info.ConstVal(e.Index); ok && (v < 0 || v >= xt.Len) {
 		c.errorf(e.Index.Pos(), "constant index %d out of bounds [0,%d)", v, xt.Len)
 	}
 	return IntType
 }
 
-func (c *checker) callType(e *ast.CallExpr, sc *scope) *Type {
-	sym := sc.lookup(e.Callee.Name)
+func (c *checker) callType(e *ast.CallExpr) *Type {
+	sym := c.lookup(e.Callee.Name)
 	if sym == nil {
 		c.errorf(e.Callee.Pos(), "undefined function: %s", e.Callee.Name)
 		for _, a := range e.Args {
-			c.checkExpr(a, sc)
+			c.checkExpr(a)
 		}
 		return InvalidType
 	}
-	c.info.Uses[e.Callee] = sym
+	c.info.exprs[e.Callee.ID].sym = sym
 	switch sym.Kind {
 	case SymFunc, SymExtern:
-		return c.checkCallArgs(e, sym.Sig, sc)
+		return c.checkCallArgs(e, sym.Sig)
 	case SymBuiltin:
-		return c.checkBuiltinCall(e, sym, sc)
+		return c.checkBuiltinCall(e, sym)
 	default:
 		c.errorf(e.Callee.Pos(), "%s is not a function", e.Callee.Name)
 		for _, a := range e.Args {
-			c.checkExpr(a, sc)
+			c.checkExpr(a)
 		}
 		return InvalidType
 	}
 }
 
-func (c *checker) checkCallArgs(e *ast.CallExpr, sig *Signature, sc *scope) *Type {
+func (c *checker) checkCallArgs(e *ast.CallExpr, sig *Signature) *Type {
 	if len(e.Args) != len(sig.Params) {
 		c.errorf(e.Pos(), "%s expects %d arguments, got %d", e.Callee.Name, len(sig.Params), len(e.Args))
 	}
 	for i, a := range e.Args {
-		at := c.checkExpr(a, sc)
+		at := c.checkExpr(a)
 		if i < len(sig.Params) && !at.Equal(sig.Params[i]) && at.Kind != Invalid {
 			c.errorf(a.Pos(), "argument %d of %s: cannot use %s as %s", i+1, e.Callee.Name, at, sig.Params[i])
 		}
@@ -529,7 +619,7 @@ func (c *checker) checkCallArgs(e *ast.CallExpr, sig *Signature, sc *scope) *Typ
 	return sig.Result
 }
 
-func (c *checker) checkBuiltinCall(e *ast.CallExpr, sym *Symbol, sc *scope) *Type {
+func (c *checker) checkBuiltinCall(e *ast.CallExpr, sym *Symbol) *Type {
 	switch sym.Name {
 	case BuiltinPrint:
 		// print(("fmt-like label")? , scalars...)
@@ -538,11 +628,10 @@ func (c *checker) checkBuiltinCall(e *ast.CallExpr, sym *Symbol, sc *scope) *Typ
 				if i != 0 {
 					c.errorf(a.Pos(), "string label must be the first print argument")
 				}
-				c.info.ExprTypes[a] = InvalidType
-				_ = s
+				c.info.exprs[s.ID].typ = InvalidType
 				continue
 			}
-			at := c.checkExpr(a, sc)
+			at := c.checkExpr(a)
 			if !at.IsScalar() && at.Kind != Invalid {
 				c.errorf(a.Pos(), "print argument must be int or bool, got %s", at)
 			}
@@ -553,7 +642,7 @@ func (c *checker) checkBuiltinCall(e *ast.CallExpr, sym *Symbol, sc *scope) *Typ
 			c.errorf(e.Pos(), "assert expects 1 or 2 arguments (cond, optional message)")
 		}
 		if len(e.Args) >= 1 {
-			c.checkCond(e.Args[0], sc)
+			c.checkCond(e.Args[0])
 		}
 		if len(e.Args) == 2 {
 			if _, ok := e.Args[1].(*ast.StringLit); !ok {
@@ -577,8 +666,8 @@ func (c *checker) constEval(e ast.Expr) (int64, bool) {
 	case *ast.ParenExpr:
 		return c.constEval(e.X)
 	case *ast.IdentExpr:
-		if sym := c.top.lookup(e.Name); sym != nil && sym.Kind == SymConst {
-			c.info.Uses[e] = sym
+		if sym := c.top[e.Name]; sym != nil && sym.Kind == SymConst {
+			c.info.exprs[e.ID].sym = sym
 			return sym.Const, true
 		}
 		return 0, false

@@ -58,9 +58,10 @@ const C = ^A;
 const D = A << 2;
 func main() { print(B, C, D); }`)
 	want := map[string]int64{"B": -10, "C": -11, "D": 40}
-	for _, sym := range info.Defs {
-		if v, ok := want[sym.Name]; ok && sym.Const != v {
-			t.Errorf("%s = %d, want %d", sym.Name, sym.Const, v)
+	syms := info.symbols()
+	for name, v := range want {
+		if sym := syms[name]; sym == nil || sym.Const != v {
+			t.Errorf("%s = %+v, want const %d", name, sym, v)
 		}
 	}
 	// Forward const references fail (single-pass top-level collection).

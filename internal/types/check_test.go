@@ -9,7 +9,28 @@ import (
 	"statefulcc/internal/source"
 )
 
-func check(t *testing.T, src string) (*Info, *source.ErrorList) {
+// checked is a checker result with the tree it is read by.
+type checked struct {
+	*Info
+	tree *ast.File
+}
+
+// symbols collects, by name, the symbol of every declaring node of the tree
+// (DefOf); a name declared twice keeps its last declaration.
+func (c *checked) symbols() map[string]*Symbol {
+	syms := map[string]*Symbol{}
+	ast.Inspect(c.tree, func(n ast.Node) bool {
+		if d, ok := n.(interface{ DeclID() int }); ok {
+			if sym := c.DefOf(d); sym != nil {
+				syms[sym.Name] = sym
+			}
+		}
+		return true
+	})
+	return syms
+}
+
+func check(t *testing.T, src string) (*checked, *source.ErrorList) {
 	t.Helper()
 	var errs source.ErrorList
 	file := source.NewFile("test.mc", []byte(src))
@@ -18,10 +39,10 @@ func check(t *testing.T, src string) (*Info, *source.ErrorList) {
 		t.Fatalf("parse errors: %v", errs)
 	}
 	info := Check(file, tree, &errs)
-	return info, &errs
+	return &checked{Info: info, tree: tree}, &errs
 }
 
-func mustCheck(t *testing.T, src string) *Info {
+func mustCheck(t *testing.T, src string) *checked {
 	t.Helper()
 	info, errs := check(t, src)
 	if errs.HasErrors() {
@@ -122,19 +143,16 @@ const A = 3;
 const B = A * 4 + 1;
 var g int = B - 1;
 func main() { }`)
-	var bsym *Symbol
-	for _, sym := range info.Defs {
-		if sym.Name == "B" {
-			bsym = sym
-		}
-	}
-	if bsym == nil || bsym.Const != 13 {
+	syms := info.symbols()
+	if bsym := syms["B"]; bsym == nil || bsym.Const != 13 {
 		t.Fatalf("B = %+v, want const 13", bsym)
 	}
-	for sym, v := range info.GlobalInits {
-		if sym.Name == "g" && v != 12 {
-			t.Errorf("g init = %d, want 12", v)
-		}
+	g := syms["g"]
+	if g == nil || g.Kind != SymGlobal {
+		t.Fatalf("g = %+v, want a global", g)
+	}
+	if v := info.GlobalInit(g.Decl.(*ast.VarDecl)); v != 12 {
+		t.Errorf("g init = %d, want 12", v)
 	}
 }
 
@@ -174,22 +192,28 @@ func TestStringOutsidePrint(t *testing.T) {
 func TestExprTypesRecorded(t *testing.T) {
 	info := mustCheck(t, `func f(a int) bool { return a * 2 > 3; }`)
 	counts := map[Kind]int{}
-	for _, tp := range info.ExprTypes {
-		counts[tp.Kind]++
-	}
-	if counts[Int] == 0 || counts[Bool] == 0 {
-		t.Errorf("expression types not recorded: %v", counts)
+	exprs := 0
+	ast.Inspect(info.tree, func(n ast.Node) bool {
+		if e, ok := n.(ast.Expr); ok {
+			counts[info.TypeOf(e).Kind]++
+			exprs++
+		}
+		return true
+	})
+	// a, 2, a * 2, 3 are int; the comparison is bool.
+	if exprs != info.tree.NumExprs || counts[Int] != 4 || counts[Bool] != 1 {
+		t.Errorf("expression types of %d/%d expressions: %v", exprs, info.tree.NumExprs, counts)
 	}
 }
 
 func TestSignatureString(t *testing.T) {
 	info := mustCheck(t, `func f(a int, b bool) int { return a; }`)
-	for _, sym := range info.Defs {
-		if sym.Name == "f" && sym.Sig != nil {
-			if got := sym.Sig.String(); got != "func(int, bool) int" {
-				t.Errorf("signature = %q", got)
-			}
-		}
+	f := info.symbols()["f"]
+	if f == nil || f.Sig == nil {
+		t.Fatalf("f = %+v, want a function symbol", f)
+	}
+	if got := f.Sig.String(); got != "func(int, bool) int" {
+		t.Errorf("signature = %q", got)
 	}
 }
 

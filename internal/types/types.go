@@ -156,42 +156,54 @@ const (
 	BuiltinAssert = "assert"
 )
 
-// Info is the checker's output: side tables keyed by AST node.
+// Info is the checker's output: side tables indexed by the numbers the
+// parser gave the file's expressions and declaring nodes (ast.ExprNode,
+// ast.DeclNode), read through the accessors below.
 type Info struct {
-	// ExprTypes maps each expression to its type.
-	ExprTypes map[ast.Expr]*Type
-	// Uses maps each identifier use to its symbol.
-	Uses map[*ast.IdentExpr]*Symbol
-	// Defs maps each declaring node to its symbol.
-	Defs map[ast.Node]*Symbol
 	// Funcs lists the checked function declarations in source order.
 	Funcs []*ast.FuncDecl
 	// Globals lists global variable symbols in source order.
 	Globals []*Symbol
-	// GlobalInits maps a global symbol to its constant initializer value.
-	GlobalInits map[*Symbol]int64
-	// ConstVals maps constant expressions that the checker folded
-	// (const-decl references and literal arithmetic) to their values.
-	ConstVals map[ast.Expr]int64
+
+	exprs []exprInfo // by expression number
+	defs  []*Symbol  // by declaration number
+	// globalInits holds a global's constant initializer value at the number
+	// of its VarDecl.
+	globalInits []int64
 }
 
-func newInfo() *Info {
-	return &Info{
-		ExprTypes:   make(map[ast.Expr]*Type),
-		Uses:        make(map[*ast.IdentExpr]*Symbol),
-		Defs:        make(map[ast.Node]*Symbol),
-		GlobalInits: make(map[*Symbol]int64),
-		ConstVals:   make(map[ast.Expr]int64),
-	}
+// exprInfo is what the checker found out about one expression.
+type exprInfo struct {
+	typ *Type   // nil when the expression was never checked
+	sym *Symbol // the symbol an identifier resolved to
+	// val is the expression's value when the checker folded it (const-decl
+	// references and literal arithmetic), isConst says that it did.
+	val     int64
+	isConst bool
 }
 
 // TypeOf returns the checked type of e, or InvalidType.
 func (info *Info) TypeOf(e ast.Expr) *Type {
-	if t, ok := info.ExprTypes[e]; ok {
+	if t := info.exprs[e.ExprID()].typ; t != nil {
 		return t
 	}
 	return InvalidType
 }
 
 // SymbolOf returns the symbol an identifier resolves to, or nil.
-func (info *Info) SymbolOf(e *ast.IdentExpr) *Symbol { return info.Uses[e] }
+func (info *Info) SymbolOf(e *ast.IdentExpr) *Symbol { return info.exprs[e.ID].sym }
+
+// ConstVal returns the value of an expression the checker folded to a
+// constant.
+func (info *Info) ConstVal(e ast.Expr) (int64, bool) {
+	x := &info.exprs[e.ExprID()]
+	return x.val, x.isConst
+}
+
+// DefOf returns the symbol a declaring node (a declaration or a parameter)
+// introduced, or nil when the checker rejected it.
+func (info *Info) DefOf(d interface{ DeclID() int }) *Symbol { return info.defs[d.DeclID()] }
+
+// GlobalInit returns the constant initializer value of a global (0 without
+// an initializer).
+func (info *Info) GlobalInit(d *ast.VarDecl) int64 { return info.globalInits[d.ID] }
