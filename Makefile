@@ -1,7 +1,7 @@
 GO ?= go
 SMOKEDIR ?= .smoke
 
-.PHONY: ci vet build test race fuzz chaos bench bench-compare bench-baseline bench-matrix profile profile-smoke skip-guard footprint-guard cas-battery net-chaos smoke
+.PHONY: ci fmt vet build test race fuzz chaos bench bench-compare bench-baseline bench-matrix profile profile-smoke skip-guard footprint-guard cas-battery net-chaos smoke
 
 # ci is the tier-1 gate: everything must stay green, including the race
 # detector over the worker pool, the observability counters, the
@@ -13,7 +13,11 @@ SMOKEDIR ?= .smoke
 # over one CAS must match the stateless oracle at every commit), and the
 # network-adversity battery (every client↔server exchange failed every
 # way must still produce oracle-identical builds).
-ci: vet build test race chaos smoke profile-smoke skip-guard footprint-guard cas-battery net-chaos
+ci: fmt vet build test race chaos smoke profile-smoke skip-guard footprint-guard cas-battery net-chaos
+
+# fmt fails when any file is not gofmt-clean (it lists them, changes none).
+fmt:
+	@test -z "$$(gofmt -l .)" || { gofmt -l . >&2; echo "fmt: run gofmt -w on the files above" >&2; exit 1; }
 
 vet:
 	$(GO) vet ./...

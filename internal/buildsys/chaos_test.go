@@ -3,8 +3,9 @@ package buildsys_test
 // Build-system chaos suite — the tentpole robustness guarantee: walk every
 // injectable state/history I/O fault point of a build→edit→rebuild
 // sequence (including a fresh-process disk reload whose state saves are
-// elided, a fresh process whose saves write, and the start-up sweep of a
-// crashed predecessor's temp files) and prove the
+// elided, a fresh process whose saves write, no-edit rebuilds whose only
+// I/O is the flight recorder's, and the start-up sweep of a crashed
+// predecessor's temp files) and prove the
 // "never worse than cold" degradation invariant:
 //
 //  1. the builder returns success whenever the compile itself succeeds —
@@ -23,6 +24,7 @@ package buildsys_test
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -102,29 +104,48 @@ func plantOrphans(t *testing.T, stateDir string) {
 	}
 }
 
-// chaosSteps is the workload under test: build A, edit, rebuild B, a fresh
-// builder ("new process") rebuilding B from disk state (both state saves
-// find their bytes on disk and are elided), then another fresh builder
-// building C (both saves write).
-var chaosSteps = [4]struct {
+// chaosStep is one build of the workload under test.
+type chaosStep struct {
 	name  string
 	fresh bool // built by a new builder over the same state directory
 	snap  func() project.Snapshot
-}{
-	{"build A", true, twoUnitSnap},
-	{"rebuild B", false, chaosEditedSnap},
-	{"fresh-builder rebuild B", true, chaosEditedSnap},
-	{"fresh-builder build C", true, chaosWideSnap},
 }
 
+// chaosIdleBuilds is how many times the last builder builds C again with
+// nothing edited. Every unit is served from memory and no state file is
+// touched: the flight recorder's append is the only I/O such a build does,
+// so these steps walk its fault points and nothing else. Six of them also
+// give history.jsonl as many opens and reads over the sequence as it had
+// when an append opened the file twice, so every fault point the walk has
+// ever named is still a point.
+const chaosIdleBuilds = 6
+
+// chaosSteps is the workload under test: build A, edit, rebuild B, a fresh
+// builder ("new process") rebuilding B from disk state (both state saves
+// find their bytes on disk and are elided), another fresh builder
+// building C (both saves write), and that builder building C again
+// chaosIdleBuilds times.
+var chaosSteps = func() []chaosStep {
+	steps := []chaosStep{
+		{"build A", true, twoUnitSnap},
+		{"rebuild B", false, chaosEditedSnap},
+		{"fresh-builder rebuild B", true, chaosEditedSnap},
+		{"fresh-builder build C", true, chaosWideSnap},
+	}
+	for i := 0; i < chaosIdleBuilds; i++ {
+		steps = append(steps, chaosStep{"no-edit rebuild C", false, chaosWideSnap})
+	}
+	return steps
+}()
+
 // chaosSequenceReports runs chaosSteps over builders made by mk and returns
-// the four reports. Builds must succeed: the compile itself never touches
+// one report per step. Builds must succeed: the compile itself never touches
 // the filesystem (sources come from the in-memory snapshot), so any build
 // error here means a state/history I/O fault escaped the degradation layer.
-func chaosSequenceReports(t *testing.T, stateDir string, mk func() *buildsys.Builder) (reps [4]*buildsys.Report) {
+func chaosSequenceReports(t *testing.T, stateDir string, mk func() *buildsys.Builder) (reps []*buildsys.Report) {
 	t.Helper()
 	var b *buildsys.Builder
-	for i, st := range chaosSteps {
+	for _, st := range chaosSteps {
 		if st.fresh {
 			plantOrphans(t, stateDir)
 			b = mk()
@@ -133,30 +154,30 @@ func chaosSequenceReports(t *testing.T, stateDir string, mk func() *buildsys.Bui
 		if err != nil {
 			t.Fatalf("%s failed under injected I/O fault: %v", st.name, err)
 		}
-		reps[i] = rep
+		reps = append(reps, rep)
 	}
 	return reps
 }
 
 // chaosSequence is chaosSequenceReports over chaosBuilder, reduced to the
-// four programs' disassemblies.
-func chaosSequence(t *testing.T, fsys vfs.FS, stateDir string, workers int) (dis [4]string) {
+// programs' disassemblies.
+func chaosSequence(t *testing.T, fsys vfs.FS, stateDir string, workers int) (dis []string) {
 	t.Helper()
 	reps := chaosSequenceReports(t, stateDir, func() *buildsys.Builder {
 		return chaosBuilder(t, fsys, stateDir, workers)
 	})
-	for i, rep := range reps {
-		dis[i] = codegen.DisassembleProgram(rep.Program)
+	for _, rep := range reps {
+		dis = append(dis, codegen.DisassembleProgram(rep.Program))
 	}
 	return dis
 }
 
 // chaosBaselines are the stateless builds of chaosSteps' snapshots — the
 // byte-identity baselines every faulted build is compared against.
-func chaosBaselines(t *testing.T) (bases [4]string) {
+func chaosBaselines(t *testing.T) (bases []string) {
 	t.Helper()
-	for i, st := range chaosSteps {
-		bases[i] = statelessDisasm(t, st.snap())
+	for _, st := range chaosSteps {
+		bases = append(bases, statelessDisasm(t, st.snap()))
 	}
 	if bases[0] == bases[1] || bases[2] == bases[3] {
 		t.Fatal("edited snapshot compiles identically; the edit step is vacuous")
@@ -222,7 +243,7 @@ func TestChaosBuildRebuild(t *testing.T) {
 	// recorded call sequence deterministic).
 	recDir := t.TempDir()
 	rec := vfs.NewFaultFS(vfs.OS, chaosCanon(recDir))
-	if chaosSequence(t, rec, recDir, 1) != bases {
+	if !slices.Equal(chaosSequence(t, rec, recDir, 1), bases) {
 		t.Fatal("clean recorded run does not match the stateless baselines")
 	}
 	points := chaostest.Points(rec.Calls())
@@ -356,6 +377,48 @@ func TestChaosHistorySurfaced(t *testing.T) {
 	}
 }
 
+// TestChaosHistoryReadFault: a read that fails while the flight recorder
+// takes stock of its file drops this build's record and nothing else — the
+// build is green and identical to the stateless one, the degradation is
+// warned about and counted once, and the history keeps every byte it had
+// (the append used to rewrite the file from the records read before the
+// fault).
+func TestChaosHistoryReadFault(t *testing.T) {
+	dir := t.TempDir()
+	mustBuild(t, chaosBuilder(t, nil, dir, 1), twoUnitSnap())
+	hpath := histpkg.Path(dir)
+	before, err := os.ReadFile(hpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ffs := vfs.NewFaultFS(vfs.OS, vfs.WithRules(
+		vfs.Rule{Op: vfs.OpRead, Path: histpkg.FileName, Nth: 1, Kind: vfs.FaultError}))
+	b := chaosBuilder(t, ffs, dir, 1)
+	rep := mustBuild(t, b, chaosEditedSnap())
+	if len(ffs.Injected()) != 1 {
+		t.Fatalf("injected %v, want the one history read", ffs.Injected())
+	}
+
+	if codegen.DisassembleProgram(rep.Program) != statelessDisasm(t, chaosEditedSnap()) {
+		t.Error("build output differs from the stateless baseline")
+	}
+	if len(rep.Warnings) != 1 || !strings.Contains(rep.Warnings[0], "history: append") {
+		t.Errorf("warnings = %q, want one about the history append", rep.Warnings)
+	}
+	if got := b.Metrics()[obs.CtrHistoryIOErrors]; got != 1 {
+		t.Errorf("%s = %d, want 1", obs.CtrHistoryIOErrors, got)
+	}
+	after, err := os.ReadFile(hpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != string(before) {
+		recs, _ := histpkg.Load(hpath)
+		t.Errorf("history file changed under a read fault: %d bytes → %d, %d records", len(before), len(after), len(recs))
+	}
+}
+
 // TestChaosWarningsBounded: a filesystem where everything fails must not
 // balloon the report — warnings cap plus a dropped-count trailer.
 func TestChaosWarningsBounded(t *testing.T) {
@@ -403,7 +466,7 @@ func TestChaosSeededSchedules(t *testing.T) {
 				dir := t.TempDir()
 				ffs := vfs.NewFaultFS(vfs.OS, chaosCanon(dir),
 					vfs.WithSchedule(&vfs.Schedule{Seed: seed, Prob: 0.2, Torn: true}))
-				if dis := chaosSequence(t, ffs, dir, workers); dis != bases {
+				if dis := chaosSequence(t, ffs, dir, workers); !slices.Equal(dis, bases) {
 					t.Fatalf("seed %d, %d workers: faulted build output differs from stateless baseline", seed, workers)
 				}
 				// The write/read chunk points are left out: their identities

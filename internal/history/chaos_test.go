@@ -4,9 +4,9 @@ package history_test
 // an append/rotate/load workload and prove the recorder degrades
 // gracefully — a faulted append may drop its record (the recorder is
 // advisory and reports the error to its caller), but it must never
-// corrupt the file into mangled or fused records, and the next clean
-// append must fully recover. Fault points are enumerated by recording a
-// clean run, not hand-kept.
+// corrupt the file into mangled or fused records, never lose a record
+// that was there before it, and the next clean append must fully recover.
+// Fault points are enumerated by recording a clean run, not hand-kept.
 
 import (
 	"path/filepath"
@@ -35,11 +35,29 @@ func chaosRecord(i int) *history.Record {
 }
 
 // appendWorkload appends nAppends records (tolerating per-append
-// failures, as the build system does) against fsys.
-func appendWorkload(fsys vfs.FS, path string, nAppends int) (failed int) {
+// failures, as the build system does) against fsys, and holds every append
+// — failed or not — to the no-loss invariant: a record that loaded before
+// the append and is inside the limit still loads after it.
+func appendWorkload(t *testing.T, fsys vfs.FS, path string, nAppends int) (failed int) {
+	t.Helper()
 	for i := 0; i < nAppends; i++ {
+		before, _ := history.LoadFS(nil, path)
+		if len(before) > chaosLimit-1 {
+			before = before[len(before)-(chaosLimit-1):]
+		}
 		if err := history.AppendFS(fsys, path, chaosRecord(i), chaosLimit); err != nil {
 			failed++
+		}
+		after, _ := history.LoadFS(nil, path)
+		have := make(map[[2]int]bool, len(after))
+		for _, r := range after {
+			have[[2]int{r.Seq, r.Workers}] = true
+		}
+		for _, r := range before {
+			if !have[[2]int{r.Seq, r.Workers}] {
+				t.Fatalf("append %d lost record Seq %d (written by append %d): %d records before, %d after",
+					i, r.Seq, r.Workers-1000, len(before), len(after))
+			}
 		}
 	}
 	return failed
@@ -79,12 +97,16 @@ func checkIntegrity(t *testing.T, path string, nAppends int) []history.Record {
 }
 
 func TestChaosAppend(t *testing.T) {
-	const nAppends = 6 // crosses the rotation threshold at chaosLimit
+	// Crosses the rotation threshold at chaosLimit and rotates on every
+	// append after it, nine times in all. Thirteen appends also give history.jsonl as many opens, reads
+	// and closes as six did when an append opened the file twice, so every
+	// fault point this walk has ever named is still a point.
+	const nAppends = 13
 
 	// Record a clean run to enumerate fault points.
 	recDir := t.TempDir()
 	rec := vfs.NewFaultFS(vfs.OS, vfs.WithCanon(chaostest.Canon(recDir, history.TempPattern)))
-	if failed := appendWorkload(rec, filepath.Join(recDir, history.FileName), nAppends); failed != 0 {
+	if failed := appendWorkload(t, rec, filepath.Join(recDir, history.FileName), nAppends); failed != 0 {
 		t.Fatalf("clean run failed %d appends", failed)
 	}
 	checkIntegrity(t, filepath.Join(recDir, history.FileName), nAppends)
@@ -113,10 +135,11 @@ func TestChaosAppend(t *testing.T) {
 				ffs := vfs.NewFaultFS(vfs.OS,
 					vfs.WithCanon(chaostest.Canon(dir, history.TempPattern)),
 					vfs.WithRules(chaostest.RuleFor(p, kind)))
-				appendWorkload(ffs, path, nAppends)
+				appendWorkload(t, ffs, path, nAppends)
 				chaostest.AssertFired(t, ffs, p)
 
-				// Degradation invariant: whatever survived is valid, ordered,
+				// Degradation invariant: no append lost a record (held inside
+				// appendWorkload), and whatever survived is valid, ordered,
 				// and bounded.
 				checkIntegrity(t, path, nAppends)
 
@@ -141,7 +164,7 @@ func TestChaosAppend(t *testing.T) {
 func TestChaosTornTrailingLine(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, history.FileName)
-	if failed := appendWorkload(nil, path, 2); failed != 0 {
+	if failed := appendWorkload(t, nil, path, 2); failed != 0 {
 		t.Fatal("seed appends failed")
 	}
 

@@ -9,9 +9,15 @@
 // (the /builds endpoint).
 //
 // The file is bounded: Append keeps only the newest Limit records
-// (default DefaultLimit), rewriting atomically when rotation is needed. A
-// torn trailing line from a crashed append is dropped on the next read —
-// the recorder is advisory, and must never fail a build.
+// (default DefaultLimit). An append reads the file once and decodes every
+// line to check it, one record at a time, keeping only where each valid
+// line starts and ends; it then either adds its line in place or, when the
+// file is at the limit or holds a line that did not decode, replaces the
+// file atomically with the newest valid lines copied as they stand plus
+// the new one. A torn trailing line from a crashed append is dropped on the
+// next read and repaired by the next append. The recorder is advisory and
+// must never fail a build: an append that cannot read or write reports an
+// error and leaves the history as it found it.
 //
 // Determinism: records encode via encoding/json, which sorts map keys, so
 // two encodings of the same record (and the metrics/unit tables inside it)
@@ -20,6 +26,7 @@ package history
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -35,6 +42,10 @@ const FileName = "history.jsonl"
 
 // DefaultLimit is the default record cap of a history file.
 const DefaultLimit = 200
+
+// maxLineBytes is the longest line read back as a record; a longer one is
+// corrupt.
+const maxLineBytes = 16 * 1024 * 1024
 
 // TempPattern is the glob the rotation rewriter's in-flight temp files
 // match. A crash mid-rewrite orphans one; like state.TempPattern files,
@@ -248,7 +259,7 @@ func LoadFS(fsys vfs.FS, path string) ([]Record, error) {
 
 	var recs []Record
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
@@ -270,19 +281,37 @@ func LoadFS(fsys vfs.FS, path string) ([]Record, error) {
 
 // Append writes rec to the history file at path, assigning the next Seq and
 // bounding the file to the newest limit records (DefaultLimit when limit
-// <= 0). The fast path is a plain O_APPEND write; when rotation or corrupt
-// lines make a rewrite necessary, the file is replaced atomically
-// (temp + fsync + rename) so a crash never loses the existing history.
+// <= 0). See AppendFS for what is read, what is kept and when the file is
+// rewritten.
 func Append(path string, rec *Record, limit int) error {
 	return AppendFS(vfs.OS, path, rec, limit)
 }
 
 // AppendFS is Append through an injectable filesystem (nil means the real
-// one). Every failure — including a short write or a failing Close on the
-// O_APPEND handle, which can silently drop a buffered record — is
-// detected and returned; callers that treat the recorder as advisory
-// (the build system) surface the error as a warning and counter rather
-// than dropping it on the floor.
+// one).
+//
+// What is read: the whole file, once, into one buffer. Every line is decoded
+// into a Record the way LoadFS decodes it — the decode is the validity
+// check — and then dropped: only the line's byte span and its Seq stay, so
+// the append never holds more than one old record decoded.
+//
+// What is written: rec gets the Seq after the last line that decoded. When
+// every byte of the file is a newline-terminated line that decoded and the
+// new record fits under the limit, the record's line is one O_APPEND write.
+// Otherwise — rotation, a corrupt or blank line, a torn or unterminated
+// tail — the newest limit-1 lines that decoded are copied to a temp file,
+// byte for byte as they stand (an old record is never re-marshalled, so
+// fields this version does not know survive), the new line follows, and the
+// temp file replaces the history atomically (fsync + rename): a crash never
+// loses the existing history.
+//
+// Every failure is returned, and none of them shrinks the history. A read
+// that fails, tears or crashes ends the append with the file untouched: the
+// lines it did not see are not lines that failed to decode. A short write or
+// a failing Close on the O_APPEND handle, which can silently drop a
+// buffered record, is detected too. Callers that treat the recorder as
+// advisory (the build system) surface the error as a warning and a counter
+// rather than dropping it on the floor.
 func AppendFS(fsys vfs.FS, path string, rec *Record, limit int) error {
 	fsys = vfs.Default(fsys)
 	if limit <= 0 {
@@ -292,21 +321,19 @@ func AppendFS(fsys vfs.FS, path string, rec *Record, limit int) error {
 		return fmt.Errorf("history: %w", err)
 	}
 
-	prev, err := LoadFS(fsys, path)
+	data, err := readFile(fsys, path)
 	if err != nil {
-		return err
+		return fmt.Errorf("history: %w", err)
 	}
-	rec.Seq = 1
-	if n := len(prev); n > 0 {
-		rec.Seq = prev[n-1].Seq + 1
-	}
+	kept, lastSeq, clean := scanLines(data)
+	rec.Seq = lastSeq + 1
 	line, err := rec.Encode()
 	if err != nil {
 		return fmt.Errorf("history: %w", err)
 	}
 	line = append(line, '\n')
 
-	if lines, partial, _ := fileShape(fsys, path); !partial && lines == len(prev) && len(prev)+1 <= limit {
+	if clean && len(kept)+1 <= limit {
 		f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return fmt.Errorf("history: %w", err)
@@ -326,10 +353,10 @@ func AppendFS(fsys vfs.FS, path string, rec *Record, limit int) error {
 		return nil
 	}
 
-	// Rewrite: drop corrupt lines, keep the newest limit-1 old records plus
-	// the new one, and swap atomically.
-	if len(prev) > limit-1 {
-		prev = prev[len(prev)-(limit-1):]
+	// Rewrite: the newest limit-1 lines that decoded, as they stand, then
+	// the new one; swap atomically.
+	if len(kept) > limit-1 {
+		kept = kept[len(kept)-(limit-1):]
 	}
 	tmp, err := fsys.CreateTemp(filepath.Dir(path), TempPattern)
 	if err != nil {
@@ -337,13 +364,16 @@ func AppendFS(fsys vfs.FS, path string, rec *Record, limit int) error {
 	}
 	defer fsys.Remove(tmp.Name())
 	w := bufio.NewWriter(tmp)
-	for i := range prev {
-		old, err := prev[i].Encode()
-		if err != nil {
-			continue
+	for i := 0; i < len(kept); {
+		// Neighbouring lines go out as one write.
+		run := kept[i]
+		for i++; i < len(kept) && kept[i].start == run.end; i++ {
+			run.end = kept[i].end
 		}
-		w.Write(old)
-		w.WriteByte('\n')
+		w.Write(data[run.start:run.end])
+		if data[run.end-1] != '\n' {
+			w.WriteByte('\n') // an unterminated last line that decoded
+		}
 	}
 	w.Write(line)
 	if err := w.Flush(); err != nil {
@@ -363,31 +393,67 @@ func AppendFS(fsys vfs.FS, path string, rec *Record, limit int) error {
 	return nil
 }
 
-// fileShape reports the number of newline-terminated lines and whether the
-// file ends in a partial (torn) line. A line count differing from the
-// parseable-record count, or a partial tail, forces the rewrite path — a
-// plain append after a torn line would fuse the new record onto it.
-func fileShape(fsys vfs.FS, path string) (lines int, partialTail bool, err error) {
-	f, err := fsys.Open(path)
+// readFile returns the bytes of the file at path (nil for a missing file),
+// read through fsys so that every read is a fault point. Any failure but
+// end of file is an error: a short history must never pass for a whole one.
+func readFile(fsys vfs.FS, path string) ([]byte, error) {
+	fi, err := fsys.Stat(path)
 	if os.IsNotExist(err) {
-		return 0, false, nil
+		return nil, nil
 	}
 	if err != nil {
-		return 0, false, err
+		return nil, err
+	}
+	f, err := fsys.Open(path)
+	if err != nil {
+		return nil, err
 	}
 	defer f.Close()
-	r := bufio.NewReader(f)
+	// One buffer of the file's size; the slack lets the read that reports
+	// end of file find room, so the buffer grows only if the file did.
+	data := make([]byte, 0, fi.Size()+512)
 	for {
-		b, err := r.ReadByte()
-		if err != nil {
-			break
+		if len(data) == cap(data) {
+			data = append(data, 0)[:len(data)]
 		}
-		if b == '\n' {
-			lines++
-			partialTail = false
-		} else {
-			partialTail = true
+		n, err := f.Read(data[len(data):cap(data)])
+		data = data[:len(data)+n]
+		if err == io.EOF {
+			return data, nil
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
-	return lines, partialTail, nil
+}
+
+// span is one line of the history file as offsets into its bytes: end is
+// past the newline when the line has one.
+type span struct{ start, end int }
+
+// scanLines walks the file's lines once and returns the spans of those
+// LoadFS would return a record for, the Seq of the last of them (0 when
+// there is none), and whether the file is clean: every byte belongs to a
+// newline-terminated line that decoded. Only a clean file may be appended
+// to in place — a plain append after a torn line would fuse the new record
+// onto it.
+func scanLines(data []byte) (kept []span, lastSeq int, clean bool) {
+	clean = true
+	for start := 0; start < len(data); {
+		text, _, terminated := bytes.Cut(data[start:], []byte{'\n'})
+		end := start + len(text)
+		if terminated {
+			end++
+		}
+		var rec Record
+		if len(text) >= maxLineBytes || json.Unmarshal(text, &rec) != nil {
+			clean = false // blank, torn or corrupt: LoadFS drops it too
+		} else {
+			kept = append(kept, span{start, end})
+			lastSeq = rec.Seq
+			clean = clean && terminated
+		}
+		start = end
+	}
+	return kept, lastSeq, clean
 }

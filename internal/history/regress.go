@@ -49,12 +49,12 @@ type RegressResult struct {
 	Regressed bool
 	Reasons   []string
 	// Newest/baseline figures, for reporting.
-	NewestSeq        int
-	BaselineBuilds   int
-	NewestSkipPct    float64
-	BaselineSkipPct  float64
-	NewestTotalMS    float64
-	BaselineTotalMS  float64
+	NewestSeq       int
+	BaselineBuilds  int
+	NewestSkipPct   float64
+	BaselineSkipPct float64
+	NewestTotalMS   float64
+	BaselineTotalMS float64
 }
 
 // String renders the verdict for CLI output.

@@ -7,12 +7,12 @@ import (
 
 func TestHistogramBuckets(t *testing.T) {
 	var h Histogram
-	h.Observe(1)                            // bucket 0 (≤ 4096)
-	h.Observe(BucketBound(0))               // still bucket 0 (inclusive bound)
-	h.Observe(BucketBound(0) + 1)           // bucket 1
-	h.Observe(BucketBound(HistBuckets - 1)) // last finite bucket
+	h.Observe(1)                              // bucket 0 (≤ 4096)
+	h.Observe(BucketBound(0))                 // still bucket 0 (inclusive bound)
+	h.Observe(BucketBound(0) + 1)             // bucket 1
+	h.Observe(BucketBound(HistBuckets - 1))   // last finite bucket
 	h.Observe(BucketBound(HistBuckets-1) + 1) // +Inf
-	h.Observe(-5)                           // clamps to 0 → bucket 0
+	h.Observe(-5)                             // clamps to 0 → bucket 0
 
 	s := h.Snapshot()
 	if s.Count != 6 {

@@ -24,9 +24,9 @@ func registrySnapshot() (*Registry, map[string]int64) {
 
 func TestPromName(t *testing.T) {
 	cases := map[string]string{
-		"pass.runs":                    "statefulcc_pass_runs",
+		"pass.runs":                     "statefulcc_pass_runs",
 		"decision.fingerprint_mismatch": "statefulcc_decision_fingerprint_mismatch",
-		"state.bytes-written":          "statefulcc_state_bytes_written",
+		"state.bytes-written":           "statefulcc_state_bytes_written",
 	}
 	for in, want := range cases {
 		if got := PromName(in); got != want {

@@ -1,0 +1,112 @@
+package testutil
+
+import (
+	"bytes"
+	"fmt"
+
+	"statefulcc/internal/history"
+)
+
+// historyPipeline is the standard pipeline's slots, the rows of a compiled
+// unit's decision table.
+var historyPipeline = []string{
+	"mem2reg", "simplifycfg", "instcombine", "sccp", "simplifycfg", "dce",
+	"inline", "instcombine", "gvn", "simplifycfg", "licm", "unroll",
+	"instcombine", "sccp", "strength", "gvn", "loadelim", "dse", "dce",
+	"simplifycfg", "globalopt", "deadfunc",
+}
+
+// historyCounters is the counters snapshot a stateful builder with a state
+// directory records (internal/obs).
+var historyCounters = []string{
+	"audit.sampled", "audit.unsound", "build.cancelled", "build.count",
+	"build.link_ns", "build.panic", "build.units_cached", "build.units_compiled",
+	"decision.cold_state", "decision.fingerprint_mismatch", "decision.not_dormant",
+	"decision.policy_disabled", "decision.quarantined", "decision.skipped_dormant",
+	"fingerprint.blocks_memoized", "fingerprint.blocks_rehashed", "fingerprint.hash_ns",
+	"fingerprint.hashes", "footprint.checked", "footprint.missed", "footprint.redundant",
+	"fullcache.hits", "fullcache.misses", "history.io_error", "pass.dormant",
+	"pass.mispredicted", "pass.run_ns", "pass.runs", "pass.saved_ns", "pass.skipped",
+	"quarantine.engaged", "quarantine.lifted", "stage.codegen_ns", "stage.frontend_ns",
+	"stage.passes_ns", "state.io_error", "state.load_misses", "state.loads",
+	"state.save_unchanged", "state.saves", "worker.busy_ns",
+}
+
+// HistoryRecord is a flight-recorder record with the shape of one megarepo
+// edit-loop build (≈ 30 KB encoded): 208 units of which two compiled, each
+// with the full 22-slot decision table, one timeline event per unit, and the
+// counters snapshot. The same seq gives the same record; Seq itself is left
+// for history.Append to assign.
+func HistoryRecord(seq int) *history.Record {
+	const units = 208
+	n := int64(seq)
+	rec := &history.Record{
+		TimeUnixMS:    1790000000000 + 170*n,
+		Mode:          "stateful",
+		Workers:       2,
+		TotalNS:       5700000 + 1009*n,
+		CompileNS:     2300000 + 503*n,
+		LinkNS:        1600000 + 251*n,
+		UnitsCompiled: 2,
+		UnitsCached:   units - 2,
+		StateBytes:    136000 + seq,
+		SkipRatePct:   23 + float64(seq%100)/7,
+		Metrics:       make(map[string]int64, len(historyCounters)),
+		Units:         make(map[string]history.UnitRecord, units),
+		Timeline: &history.Timeline{
+			Workers: 2, WallNS: 5700000 + 1009*n, CompileStartNS: 1720000 + n,
+			CompileWallNS: 2300000 + 503*n, LinkNS: 1600000 + 251*n,
+			Events: make([]history.TimelineEvent, 0, units),
+		},
+	}
+	for i, name := range historyCounters {
+		rec.Metrics[name] = n * int64(i*i*977+i)
+	}
+	// Which two units this build edited moves with seq, as in an edit loop.
+	edited := [2]int{1 + seq%(units-1), 1 + (seq*7+3)%(units-1)}
+	for u := 0; u < units; u++ {
+		name := "main.mc"
+		if u > 0 {
+			name = fmt.Sprintf("src/lib_%03d.mc", u-1)
+		}
+		at := 60000 + 5000*int64(u) + n
+		if u != edited[0] && u != edited[1] {
+			rec.Units[name] = history.UnitRecord{Cached: true}
+			rec.Timeline.Events = append(rec.Timeline.Events, history.TimelineEvent{
+				Unit: name, Worker: -1, Outcome: "skip", EnqueueNS: at, StartNS: at, EndNS: at + 4100})
+			continue
+		}
+		ur := history.UnitRecord{CompileNS: 1400000 + 31*n}
+		for slot, pass := range historyPipeline {
+			k := int64(slot + 1)
+			ur.Passes = append(ur.Passes, history.PassDecision{
+				Pass: pass, Slot: slot, Module: pass == "inline" || pass == "globalopt" || pass == "deadfunc",
+				Reason: "not-dormant-last-time", Runs: 3 + slot%3, Skipped: slot % 4, NotDormant: 3 + slot%3,
+				RunNS: 10000*k + n, SavedNS: 1400 * int64(slot%4), BlocksRehashed: 15 * int64(slot%3),
+			})
+		}
+		rec.Units[name] = ur
+		rec.Timeline.Events = append(rec.Timeline.Events, history.TimelineEvent{
+			Unit: name, Worker: u % 2, Outcome: "compile", EnqueueNS: 1720000, StartNS: 1740000 + at,
+			EndNS: 3200000 + at, FrontendNS: 350000 + n, PassesNS: 1000000 + n, CodegenNS: 22000 + n})
+	}
+	return rec
+}
+
+// HistoryFile is the bytes of a history file holding records 1..n of
+// HistoryRecord as canonical lines — what n appends under a limit of at
+// least n leave behind, without n builds or n reads of the file.
+func HistoryFile(n int) []byte {
+	var file bytes.Buffer
+	for seq := 1; seq <= n; seq++ {
+		rec := HistoryRecord(seq)
+		rec.Seq = seq
+		line, err := rec.Encode()
+		if err != nil {
+			panic(err) // a Record of plain values always encodes
+		}
+		file.Write(line)
+		file.WriteByte('\n')
+	}
+	return file.Bytes()
+}

@@ -104,11 +104,11 @@ func (osFS) CreateTemp(dir, pattern string) (File, error) {
 	return fixNil(os.CreateTemp(dir, pattern))
 }
 
-func (osFS) Rename(oldpath, newpath string) error       { return os.Rename(oldpath, newpath) }
-func (osFS) Remove(name string) error                   { return os.Remove(name) }
+func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
+func (osFS) Remove(name string) error                     { return os.Remove(name) }
 func (osFS) MkdirAll(path string, perm fs.FileMode) error { return os.MkdirAll(path, perm) }
-func (osFS) ReadDir(name string) ([]fs.DirEntry, error) { return os.ReadDir(name) }
-func (osFS) Stat(name string) (fs.FileInfo, error)      { return os.Stat(name) }
+func (osFS) ReadDir(name string) ([]fs.DirEntry, error)   { return os.ReadDir(name) }
+func (osFS) Stat(name string) (fs.FileInfo, error)        { return os.Stat(name) }
 
 // fixNil keeps a failed open from producing a non-nil File interface
 // wrapping a nil *os.File.
