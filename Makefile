@@ -35,9 +35,11 @@ test:
 # token buffer and tables, the passes' and code generation's dense side
 # tables) from unit to unit, which is shared state the moment two workers
 # can reach one scratch (internal/compiler's TestDirtyScratchAcrossWorkers
-# runs 1, 2 and 4 workers over one snapshot).
+# runs 1, 2 and 4 workers over one snapshot). The flight recorder is in the
+# list for what it shares across processes, not goroutines: its append, its
+# readers and the two-process append test run here too.
 race:
-	$(GO) test -race -timeout 15m ./internal/buildsys/... ./internal/obs/... ./internal/workload ./internal/footprint ./internal/cas ./cmd/minibuild
+	$(GO) test -race -timeout 15m ./internal/buildsys/... ./internal/obs/... ./internal/history/... ./internal/workload ./internal/footprint ./internal/cas ./cmd/minibuild
 	$(GO) test -race -timeout 15m ./internal/passes/... ./internal/core/... ./internal/codegen/... ./internal/analysis/... ./internal/compiler/...
 	$(GO) test -race -timeout 15m ./internal/lexer/... ./internal/parser/... ./internal/types/... ./internal/irbuild/...
 

@@ -33,11 +33,15 @@ const (
 	dashGanttMaxRows = 80  // longest-units cap on rendered rows
 	dashSparkWidth   = 240
 	dashSparkHeight  = 48
+	// dashWindow is how many of the newest builds the page reads and the
+	// sparklines plot. The page reloads itself every 2 s in every open tab;
+	// it must not decode the whole history each time.
+	dashWindow = 50
 )
 
 // handleDash serves the dashboard page.
 func (s *buildServer) handleDash(w http.ResponseWriter, _ *http.Request) {
-	recs, err := history.Load(s.histPath)
+	recs, err := history.LoadLast(s.histPath, dashWindow)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -111,15 +115,16 @@ func dashGantt(sb *strings.Builder, rec *history.Record) {
 		onChain[l.Unit] = true
 	}
 
+	// Units served from the local object cache were never scheduled and a
+	// record has no event for them (one written before PR 21 has a "skip"
+	// event each, dropped here); the record's tallies count them.
+	skips := rec.UnitsCached - rec.UnitsRemote
 	var sched []obs.UnitEvent
-	skips := 0
 	for _, e := range tl.Events {
 		if e.Scheduled() {
 			e.StartNS -= tl.CompileStartNS
 			e.EndNS -= tl.CompileStartNS
 			sched = append(sched, e)
-		} else {
-			skips++
 		}
 	}
 	if len(sched) == 0 {

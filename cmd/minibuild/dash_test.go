@@ -7,13 +7,19 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
 	"statefulcc/internal/history"
 	"statefulcc/internal/obs"
+	"statefulcc/internal/testutil"
 )
 
 // TestServeMetricsHistograms round-trips the /metrics histogram lines
@@ -152,5 +158,170 @@ func TestRenderProfileSections(t *testing.T) {
 	// -build selection: an explicit unknown sequence must error distinctly.
 	if _, err := pickTimelineRecord(recs, 999, srv.histPath); err == nil {
 		t.Error("pickTimelineRecord accepted an unknown build sequence")
+	}
+}
+
+// TestBothRecordShapesRenderAlike: history files hold records written before
+// PR 21 — a "skip" timeline event for every cached unit — until they rotate
+// out. Read back from a file, such a record and the record the same build
+// writes today validate, analyze and render to the same bytes on every
+// surface that shows a build.
+func TestBothRecordShapesRenderAlike(t *testing.T) {
+	// readBack is rec as a reader gets it: one line of a history file.
+	readBack := func(rec *history.Record, seq int) *history.Record {
+		t.Helper()
+		rec.Seq = seq
+		line, err := rec.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), history.FileName)
+		if err := os.WriteFile(path, append(line, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		recs, err := history.LoadLast(path, 1)
+		if err != nil || len(recs) != 1 {
+			t.Fatalf("%d records, err %v", len(recs), err)
+		}
+		return &recs[0]
+	}
+	render := func(rec *history.Record) map[string]string {
+		t.Helper()
+		tl := rec.Timeline.ToObs()
+		if err := tl.Validate(); err != nil {
+			t.Fatalf("build %d: %v", rec.Seq, err)
+		}
+		cp := obs.Analyze(tl)
+		var profile, gantt strings.Builder
+		renderProfile(&profile, rec, tl, cp)
+		dashGantt(&gantt, rec)
+		pj, err := json.Marshal(profileJSON(rec, tl, cp))
+		if err != nil {
+			t.Fatal(err)
+		}
+		explain, err := history.RenderExplain([]history.Record{*rec}, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return map[string]string{
+			"profile": profile.String(), "profile -json": string(pj), "/dash waterfall": gantt.String(),
+			"explain": explain, "history": history.RenderHistory([]history.Record{*rec}, 0),
+		}
+	}
+	same := func(old, slim *history.Record, mustShow string) {
+		t.Helper()
+		if len(old.Timeline.Events) <= len(slim.Timeline.Events) {
+			t.Fatalf("case is wrong about itself: old shape has %d events, new %d", len(old.Timeline.Events), len(slim.Timeline.Events))
+		}
+		was, now := render(old), render(slim)
+		for surface, want := range was {
+			if now[surface] != want {
+				t.Errorf("build %d, %s differs between the shapes:\n old %s\n new %s", old.Seq, surface, want, now[surface])
+			}
+		}
+		if !strings.Contains(now["/dash waterfall"], mustShow) {
+			t.Errorf("build %d: /dash waterfall lacks %q:\n%s", old.Seq, mustShow, now["/dash waterfall"])
+		}
+	}
+
+	for _, seq := range []int{1, 34, 200} {
+		same(readBack(testutil.HistoryRecordV1(seq), seq), readBack(testutil.HistoryRecord(seq), seq),
+			"2 scheduled, 206 cache skips")
+	}
+
+	// A build that compiled nothing: the old shape has an event per unit, the
+	// new one none, and the count shown is the record's own.
+	cached := func(rec *history.Record, skipEvents bool) *history.Record {
+		rec.UnitsCompiled, rec.UnitsCached, rec.Timeline.Events = 0, len(rec.Units), nil
+		names := make([]string, 0, len(rec.Units))
+		for name := range rec.Units {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for i, name := range names {
+			rec.Units[name] = history.UnitRecord{Cached: true}
+			if skipEvents {
+				at := int64(1000 * i)
+				rec.Timeline.Events = append(rec.Timeline.Events, history.TimelineEvent{
+					Unit: name, Worker: -1, Outcome: obs.OutcomeSkip, EnqueueNS: at, StartNS: at, EndNS: at + 900})
+			}
+		}
+		return rec
+	}
+	same(readBack(cached(testutil.HistoryRecordV1(7), true), 7), readBack(cached(testutil.HistoryRecord(7), false), 7),
+		"fully cached build (208 skips)")
+}
+
+// TestReadersTakeTheNewestRecords: over a history of 60 builds, the surfaces
+// that show the newest few read those — /builds?n= the n asked for (every
+// record for no n or a bad one), /dash its window, `profile` the newest or
+// the build it was asked for, wherever sequence numbers put it.
+func TestReadersTakeTheNewestRecords(t *testing.T) {
+	const builds = 60
+	srv := newTestServer(t)
+	if err := os.WriteFile(srv.histPath, testutil.HistoryFile(builds), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+	get := func(url string) []byte {
+		t.Helper()
+		res, err := ts.Client().Get(ts.URL + url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Body.Close()
+		body, err := io.ReadAll(res.Body)
+		if err != nil || res.StatusCode != 200 {
+			t.Fatalf("%s: status %d, err %v", url, res.StatusCode, err)
+		}
+		return body
+	}
+
+	for url, want := range map[string][2]int{ // first and last Seq served
+		"/builds?n=3": {builds - 2, builds}, "/builds?n=1": {builds, builds}, "/builds?n=500": {1, builds},
+		"/builds": {1, builds}, "/builds?n=x": {1, builds}, "/builds?n=-2": {1, builds}, "/builds?n=0": {1, builds},
+	} {
+		var recs []history.Record
+		if err := json.Unmarshal(get(url), &recs); err != nil {
+			t.Fatalf("%s: %v", url, err)
+		}
+		if len(recs) != want[1]-want[0]+1 || recs[0].Seq != want[0] || recs[len(recs)-1].Seq != want[1] {
+			t.Errorf("%s served %d records, want Seq %d to %d", url, len(recs), want[0], want[1])
+		}
+	}
+
+	page := string(get("/dash"))
+	for _, want := range []string{
+		fmt.Sprintf("build <b>#%d</b>", builds),
+		fmt.Sprintf("history window (%d builds)", dashWindow),
+		"2 scheduled, 206 cache skips",
+	} {
+		if !strings.Contains(page, want) {
+			t.Errorf("/dash page missing %q", want)
+		}
+	}
+
+	for _, seq := range []int{0, builds, builds - 1, 17, 1} {
+		want := seq
+		if seq == 0 {
+			want = builds // the newest
+		}
+		rec, err := loadTimelineRecord(srv.histPath, seq)
+		if err != nil || rec.Seq != want {
+			t.Errorf("profile -build %d: record %v, err %v; want Seq %d", seq, rec, err, want)
+		}
+	}
+	if _, err := loadTimelineRecord(srv.histPath, builds+1); err == nil || !strings.Contains(err.Error(), "no record with seq") {
+		t.Errorf("profile -build %d: err %v, want no such record", builds+1, err)
+	}
+	// Sequence numbers with a hole (records 21 to 40 cut out): counting back
+	// from the newest misses build 17, reading the whole file finds it.
+	lines := bytes.SplitAfter(testutil.HistoryFile(builds), []byte("\n"))
+	if err := os.WriteFile(srv.histPath, bytes.Join(append(lines[:20:20], lines[40:]...), nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := loadTimelineRecord(srv.histPath, 17); err != nil || rec.Seq != 17 {
+		t.Errorf("profile -build 17 over a history with a hole: record %v, err %v", rec, err)
 	}
 }

@@ -121,8 +121,8 @@ func runDeps(args []string) error {
 	// Flight-recorder detector: a live builder already caught a missed
 	// invalidation (footprint_missed on the newest record).
 	var recorded []string
-	if recs, herr := history.Load(history.Path(stateDir)); herr == nil && len(recs) > 0 {
-		recorded = recs[len(recs)-1].FootprintMissed
+	if recs, herr := history.LoadLast(history.Path(stateDir), 1); herr == nil && len(recs) > 0 {
+		recorded = recs[0].FootprintMissed
 	}
 
 	if *check {

@@ -10,10 +10,11 @@ import (
 	"statefulcc/internal/history"
 )
 
-// loadHistory reads the history file under the resolved state directory.
-func loadHistory(dir, cache string) ([]history.Record, string, error) {
+// loadHistory reads the newest n records (all when n <= 0) of the history
+// file under the resolved state directory.
+func loadHistory(dir, cache string, n int) ([]history.Record, string, error) {
 	path := history.Path(resolveStateDir(dir, cache))
-	recs, err := history.Load(path)
+	recs, err := history.LoadLast(path, n)
 	if err != nil {
 		return nil, path, err
 	}
@@ -33,7 +34,8 @@ func runExplain(args []string) error {
 	if rest := fs.Args(); len(rest) > 0 {
 		unit = rest[0]
 	}
-	recs, path, err := loadHistory(*dir, *cache)
+	// The newest build and the one before it, for the prev-reason column.
+	recs, path, err := loadHistory(*dir, *cache, 2)
 	if err != nil {
 		return err
 	}
@@ -56,7 +58,7 @@ func runHistory(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	recs, path, err := loadHistory(*dir, *cache)
+	recs, path, err := loadHistory(*dir, *cache, *n)
 	if err != nil {
 		return err
 	}
@@ -82,17 +84,18 @@ func runRegress(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	recs, path, err := loadHistory(*dir, *cache)
-	if err != nil {
-		return err
-	}
-	res, err := history.CheckRegress(recs, history.RegressOptions{
+	opt := history.RegressOptions{
 		Window:         *window,
 		SkipDropPts:    *skipDrop,
 		TimeRisePct:    *timeRise,
 		MinRecords:     *minRecords,
 		MinSkipRatePct: *minSkip,
-	})
+	}
+	recs, path, err := loadHistory(*dir, *cache, opt.Needs())
+	if err != nil {
+		return err
+	}
+	res, err := history.CheckRegress(recs, opt)
 	if err != nil {
 		return fmt.Errorf("%w (history: %s)", err, path)
 	}

@@ -36,11 +36,7 @@ func runProfile(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	recs, path, err := loadHistory(*dir, *cache)
-	if err != nil {
-		return err
-	}
-	rec, err := pickTimelineRecord(recs, *buildSeq, path)
+	rec, err := loadTimelineRecord(history.Path(resolveStateDir(*dir, *cache)), *buildSeq)
 	if err != nil {
 		return err
 	}
@@ -54,6 +50,31 @@ func runProfile(args []string) error {
 	}
 	renderProfile(os.Stdout, rec, tl, cp)
 	return nil
+}
+
+// loadTimelineRecord reads as much of the history as it takes to find the
+// record to profile: the newest record alone when that is the one, the
+// records back to build seq when sequence numbers run without gaps, and the
+// whole file when either guess misses (or to say what is wrong with it).
+func loadTimelineRecord(path string, seq int) (*history.Record, error) {
+	recs, err := history.LoadLast(path, 1)
+	if err != nil {
+		return nil, err
+	}
+	if len(recs) == 1 && seq <= recs[0].Seq {
+		if back := recs[0].Seq - seq; seq > 0 && back > 0 {
+			if recs, err = history.LoadLast(path, back+1); err != nil {
+				return nil, err
+			}
+		}
+		if rec, err := pickTimelineRecord(recs, seq, path); err == nil {
+			return rec, nil
+		}
+	}
+	if recs, err = history.Load(path); err != nil {
+		return nil, err
+	}
+	return pickTimelineRecord(recs, seq, path)
 }
 
 // pickTimelineRecord selects the record to profile: an explicit -build N,

@@ -448,16 +448,12 @@ func (s *buildServer) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // handleBuilds serves recent flight-recorder records as a JSON array
 // (newest last); ?n= bounds the count.
 func (s *buildServer) handleBuilds(w http.ResponseWriter, r *http.Request) {
-	recs, err := history.Load(s.histPath)
+	var n int // stays 0 — every record — when ?n= is absent or not a number
+	_, _ = fmt.Sscanf(r.URL.Query().Get("n"), "%d", &n)
+	recs, err := history.LoadLast(s.histPath, n)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
-	}
-	if nv := r.URL.Query().Get("n"); nv != "" {
-		var n int
-		if _, err := fmt.Sscanf(nv, "%d", &n); err == nil && n > 0 && len(recs) > n {
-			recs = recs[len(recs)-n:]
-		}
 	}
 	if recs == nil {
 		recs = []history.Record{}

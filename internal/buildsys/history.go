@@ -2,7 +2,9 @@ package buildsys
 
 // Flight-recorder integration: after every successful Build, one
 // internal/history record — build timings, the counters-registry snapshot,
-// and each unit's per-slot decision provenance — is appended to the state
+// each unit's per-slot decision provenance, and the scheduled part of the
+// timeline (Report.Timeline keeps an event for every unit; the record one
+// for every unit that occupied a worker) — is appended to the state
 // directory. Recording is advisory: it is skipped without a destination
 // and append failures never fail a build.
 

@@ -9,11 +9,16 @@ package buildsys_test
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"statefulcc/internal/buildsys"
 	"statefulcc/internal/compiler"
+	histpkg "statefulcc/internal/history"
 	"statefulcc/internal/obs"
+	"statefulcc/internal/project"
+	"statefulcc/internal/workload"
 )
 
 func TestTimelineInvariants(t *testing.T) {
@@ -140,5 +145,91 @@ func TestTimelineIncrementalSkips(t *testing.T) {
 	}
 	if cp := obs.Analyze(tl); len(cp.Chain) != 0 {
 		t.Errorf("fully cached build produced a %d-link chain", len(cp.Chain))
+	}
+}
+
+// TestRecordSizedByWork: the flight recorder persists what a build did. A
+// 2-unit edit of a 120-unit project leaves a record with two timeline events,
+// a cold build one with an event per unit, and the build's own timeline
+// (Report.Timeline) keeps one event per unit either way. Nothing a reader
+// uses goes missing: the persisted timeline validates and analyzes to the
+// same critical path as the full one.
+func TestRecordSizedByWork(t *testing.T) {
+	p := testProfile(5)
+	p.Files, p.FuncsPerFileMax, p.StmtsPerFuncMax = 120, 3, 5
+	base := workload.Generate(p)
+	edited, _ := workload.NewEditor(9).Commit(base, workload.CommitOptions{Units: 2})
+
+	dir := t.TempDir()
+	b, err := buildsys.NewBuilder(buildsys.Options{Mode: compiler.ModeStateful, Workers: 2, StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reps []*buildsys.Report
+	for _, snap := range []project.Snapshot{base, edited} {
+		rep, err := b.Build(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps = append(reps, rep)
+	}
+	if cold, warm := reps[0], reps[1]; cold.UnitsCompiled != len(base) || warm.UnitsCompiled != 2 {
+		t.Fatalf("case is wrong about itself: cold build compiled %d of %d, edit compiled %d, want all and 2",
+			cold.UnitsCompiled, len(base), warm.UnitsCompiled)
+	}
+	recs, err := histpkg.Load(histpkg.Path(dir))
+	if err != nil || len(recs) != 2 {
+		t.Fatalf("%d records, err %v; want 2", len(recs), err)
+	}
+
+	for i, rec := range recs {
+		rep := reps[i]
+		if len(rep.Timeline.Events) != len(base) {
+			t.Errorf("build %d: Report.Timeline has %d events, want one per unit (%d)", i, len(rep.Timeline.Events), len(base))
+		}
+		var scheduled []string
+		for _, e := range rep.Timeline.Events {
+			if e.Scheduled() {
+				scheduled = append(scheduled, e.Unit)
+			}
+		}
+		var persisted []string
+		for _, e := range rec.Timeline.Events {
+			persisted = append(persisted, e.Unit)
+		}
+		if !slices.Equal(persisted, scheduled) || len(persisted) != rep.UnitsCompiled {
+			t.Errorf("build %d: record has events for %v, want the %d scheduled units %v", i, persisted, rep.UnitsCompiled, scheduled)
+		}
+		if rec.UnitsCached != len(base)-len(persisted) || len(rec.Units) != len(base) {
+			t.Errorf("build %d: units_cached %d, %d units in the table; want %d and %d",
+				i, rec.UnitsCached, len(rec.Units), len(base)-len(persisted), len(base))
+		}
+		tl := rec.Timeline.ToObs()
+		if err := tl.Validate(); err != nil {
+			t.Errorf("build %d: persisted timeline: %v", i, err)
+		}
+		if got, want := obs.Analyze(tl), obs.Analyze(rep.Timeline); !reflect.DeepEqual(got, want) {
+			t.Errorf("build %d: persisted timeline analyzes to\n%+v\nthe build's own to\n%+v", i, got, want)
+		}
+	}
+
+	// Against the shape records had before: the same record with a "skip"
+	// event for every cached unit.
+	slim := recs[1]
+	old, oldTL := slim, *slim.Timeline
+	old.Timeline, oldTL.Events = &oldTL, nil
+	for _, e := range reps[1].Timeline.Events {
+		oldTL.Events = append(oldTL.Events, histpkg.TimelineEvent{
+			Unit: e.Unit, Worker: e.Worker, Outcome: e.Outcome, EnqueueNS: e.EnqueueNS, StartNS: e.StartNS, EndNS: e.EndNS,
+			FrontendNS: e.FrontendNS, PassesNS: e.PassesNS, CodegenNS: e.CodegenNS})
+	}
+	slimLine, err1 := slim.Encode()
+	oldLine, err2 := old.Encode()
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
+	t.Logf("2-unit edit of %d units: record %d bytes, %d with an event per unit", len(base), len(slimLine), len(oldLine))
+	if limit := len(oldLine) * 6 / 10; len(slimLine) > limit {
+		t.Errorf("record is %d bytes, want at most %d (0.6 × %d with an event per unit)", len(slimLine), limit, len(oldLine))
 	}
 }

@@ -6,7 +6,12 @@
 // processes. Three consumers sit on top: `minibuild explain` (decision
 // tables with deltas, explain.go), `minibuild history`/`regress`
 // (summaries and CI regression gating, regress.go), and `minibuild serve`
-// (the /builds endpoint).
+// (the /builds endpoint). They read through LoadLast, which decodes only the
+// newest records they show.
+//
+// A record is sized by the work its build did: decision tables and timeline
+// events exist for the units that compiled, and a unit served from the object
+// cache costs one short entry in Units and a share of UnitsCached.
 //
 // The file is bounded: Append keeps only the newest Limit records
 // (default DefaultLimit). An append reads the file once and decodes every
@@ -32,6 +37,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"time"
 
 	"statefulcc/internal/obs"
 	"statefulcc/internal/vfs"
@@ -109,9 +115,9 @@ type UnitRecord struct {
 	Remote bool `json:"remote,omitempty"`
 }
 
-// TimelineEvent is one unit's scheduling event in the compact persisted
-// form (single-letter keys: a record carries one event per unit per build,
-// and the history file is bounded by bytes in practice, not records).
+// TimelineEvent is one scheduled unit's event in the compact persisted form
+// (single-letter keys: the history file is bounded by bytes in practice, not
+// records).
 type TimelineEvent struct {
 	Unit    string `json:"u"`
 	Worker  int    `json:"w"`
@@ -129,6 +135,16 @@ type TimelineEvent struct {
 // Timeline is the persisted form of a build's scheduling timeline
 // (obs.Timeline): what `minibuild profile` and the serve /dash page
 // reconstruct schedules from after the building process exited.
+//
+// Events holds what the build did — one event per unit that occupied a worker
+// (compile, remote, panic, quarantine, error) — so a record's size follows
+// the build's work, not the project's. Units served from the object cache
+// have no event: their number is Record.UnitsCached less Record.UnitsRemote,
+// the partition stage they were decided in ends at CompileStartNS, and the
+// latency of each decision is in the builder's unit.skip_decision_ns
+// histogram (obs.HistSkipDecisionNS). Records written before this carried a
+// "skip" event on worker -1 for each of them; every reader drops unscheduled
+// events, so both shapes read the same.
 type Timeline struct {
 	Workers        int             `json:"workers"`
 	WallNS         int64           `json:"wall_ns"`
@@ -139,7 +155,7 @@ type Timeline struct {
 }
 
 // TimelineFromObs converts a build's in-memory timeline to its persisted
-// form (nil in, nil out).
+// form, keeping the scheduled events only (nil in, nil out).
 func TimelineFromObs(t *obs.Timeline) *Timeline {
 	if t == nil {
 		return nil
@@ -150,14 +166,18 @@ func TimelineFromObs(t *obs.Timeline) *Timeline {
 		CompileStartNS: t.CompileStartNS,
 		CompileWallNS:  t.CompileWallNS,
 		LinkNS:         t.LinkNS,
-		Events:         make([]TimelineEvent, len(t.Events)),
+		Events:         make([]TimelineEvent, 0, t.Compiled()),
 	}
-	for i, e := range t.Events {
-		out.Events[i] = TimelineEvent{
+	for i := range t.Events {
+		e := &t.Events[i]
+		if !e.Scheduled() {
+			continue
+		}
+		out.Events = append(out.Events, TimelineEvent{
 			Unit: e.Unit, Worker: e.Worker, Outcome: e.Outcome,
 			EnqueueNS: e.EnqueueNS, StartNS: e.StartNS, EndNS: e.EndNS,
 			FrontendNS: e.FrontendNS, PassesNS: e.PassesNS, CodegenNS: e.CodegenNS,
-		}
+		})
 	}
 	return out
 }
@@ -293,7 +313,10 @@ func Append(path string, rec *Record, limit int) error {
 // What is read: the whole file, once, into one buffer. Every line is decoded
 // into a Record the way LoadFS decodes it — the decode is the validity
 // check — and then dropped: only the line's byte span and its Seq stay, so
-// the append never holds more than one old record decoded.
+// the append never holds more than one old record decoded. Only a file that
+// ends in a torn line is read again (up to three times, about 11 ms in all):
+// the line may be another process's append still being written, and that
+// must not be taken for a crashed one and rewritten away.
 //
 // What is written: rec gets the Seq after the last line that decoded. When
 // every byte of the file is a newline-terminated line that decoded and the
@@ -326,6 +349,23 @@ func AppendFS(fsys vfs.FS, path string, rec *Record, limit int) error {
 		return fmt.Errorf("history: %w", err)
 	}
 	kept, lastSeq, clean := scanLines(data)
+	// A last line that neither ends nor decodes is what a crashed append
+	// leaves — or another process's append seen between two pages of its one
+	// write. Only the first may be rewritten away: replacing the file under a
+	// live writer loses its record and every record that lands before the
+	// rename. A live write ends within microseconds, a dead one never, so
+	// look again a few times before calling it dead.
+	for wait := tornTailWait; tornTail(data, kept) && wait <= 100*tornTailWait; wait *= 10 {
+		time.Sleep(wait)
+		again, err := readFile(fsys, path)
+		if err != nil {
+			return fmt.Errorf("history: %w", err)
+		}
+		if len(again) != len(data) {
+			data = again
+			kept, lastSeq, clean = scanLines(data)
+		}
+	}
 	rec.Seq = lastSeq + 1
 	line, err := rec.Encode()
 	if err != nil {
@@ -391,6 +431,19 @@ func AppendFS(fsys vfs.FS, path string, rec *Record, limit int) error {
 		return fmt.Errorf("history: %w", err)
 	}
 	return nil
+}
+
+// tornTailWait is the first of the three waits (×1, ×10, ×100) an append
+// gives a torn last line to turn into a whole one.
+const tornTailWait = 100 * time.Microsecond
+
+// tornTail reports whether data ends in an unterminated line that is not
+// among the kept ones.
+func tornTail(data []byte, kept []span) bool {
+	if len(data) == 0 || data[len(data)-1] == '\n' {
+		return false
+	}
+	return len(kept) == 0 || kept[len(kept)-1].end != len(data)
 }
 
 // readFile returns the bytes of the file at path (nil for a missing file),

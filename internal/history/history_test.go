@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -200,5 +201,23 @@ func TestCheckRegress(t *testing.T) {
 	// Too short.
 	if _, err := CheckRegress(base[:1], RegressOptions{}); err == nil {
 		t.Fatal("single-record history should error")
+	}
+
+	// Needs: the newest that-many records give the verdict the whole history
+	// gives, and one fewer does not.
+	var long []Record
+	for seq := 1; seq <= 40; seq++ {
+		long = append(long, Record{Seq: seq, SkipRatePct: float64(seq), TotalNS: int64(seq) * 1e6})
+	}
+	for _, opt := range []RegressOptions{{}, {Window: 3}, {Window: 3, MinRecords: 9}, {Window: 25, MinRecords: 40}} {
+		n := opt.Needs()
+		whole, err1 := CheckRegress(long, opt)
+		tail, err2 := CheckRegress(long[len(long)-n:], opt)
+		if err1 != nil || err2 != nil || !reflect.DeepEqual(whole, tail) {
+			t.Errorf("%+v: the newest %d records give %+v (err %v), all 40 give %+v (err %v)", opt, n, tail, err2, whole, err1)
+		}
+		if short, err := CheckRegress(long[len(long)-n+1:], opt); err == nil && reflect.DeepEqual(whole, short) {
+			t.Errorf("%+v: Needs() = %d, but %d records give the same verdict", opt, n, n-1)
+		}
 	}
 }

@@ -43,6 +43,14 @@ func (o *RegressOptions) defaults() {
 	}
 }
 
+// Needs is how many of a history's newest records CheckRegress reads under
+// these options: the newest, the window before it, and as many as MinRecords
+// asks to see exist.
+func (o RegressOptions) Needs() int {
+	o.defaults()
+	return max(o.Window+1, o.MinRecords)
+}
+
 // RegressResult is the verdict over one history.
 type RegressResult struct {
 	// Regressed is true when any check tripped; Reasons explains each.

@@ -86,8 +86,11 @@ type Timeline struct {
 	CompileWallNS  int64
 	// LinkNS is the link stage's duration (it follows the compile phase).
 	LinkNS int64
-	// Events has one entry per unit, in unit-name order (scheduling must
-	// not leak into the recorded artifact's shape).
+	// Events is in unit-name order (scheduling must not leak into the
+	// recorded artifact's shape). A build's own timeline has one entry per
+	// unit; one read back from the flight recorder has the scheduled events
+	// only (history.TimelineFromObs), and every consumer here — Validate,
+	// Analyze, Compiled — reads both the same.
 	Events []UnitEvent
 }
 

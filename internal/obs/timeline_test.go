@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -37,6 +38,32 @@ func TestTimelineValidateAccepts(t *testing.T) {
 	}
 	if got := tl.Compiled(); got != 3 {
 		t.Errorf("Compiled() = %d, want 3", got)
+	}
+}
+
+// TestTimelineScheduledEventsOnly: a timeline read back from the flight
+// recorder has no event for a unit served from the object cache. It validates,
+// counts and analyzes as the build's own timeline does — also when the build
+// scheduled nothing and no event is left.
+func TestTimelineScheduledEventsOnly(t *testing.T) {
+	full, slim := validTimeline(), validTimeline()
+	slim.Events = slim.Events[:3] // without d, the skip
+	if err := slim.Validate(); err != nil {
+		t.Fatalf("timeline without unscheduled events rejected: %v", err)
+	}
+	if slim.Compiled() != full.Compiled() {
+		t.Errorf("Compiled() = %d without the skip events, %d with", slim.Compiled(), full.Compiled())
+	}
+	if got, want := Analyze(slim), Analyze(full); !reflect.DeepEqual(got, want) {
+		t.Errorf("analysis without the skip events:\n%+v\nwith them:\n%+v", got, want)
+	}
+
+	slim.Events, slim.CompileWallNS = nil, 0
+	if err := slim.Validate(); err != nil {
+		t.Fatalf("timeline of a fully cached build, no events, rejected: %v", err)
+	}
+	if cp := Analyze(slim); len(cp.Chain) != 0 || len(cp.Workers) != slim.Workers {
+		t.Errorf("fully cached build: chain %v, %d worker rows; want none and %d", cp.Chain, len(cp.Workers), slim.Workers)
 	}
 }
 

@@ -33,11 +33,24 @@ var historyCounters = []string{
 }
 
 // HistoryRecord is a flight-recorder record with the shape of one megarepo
-// edit-loop build (≈ 30 KB encoded): 208 units of which two compiled, each
-// with the full 22-slot decision table, one timeline event per unit, and the
-// counters snapshot. The same seq gives the same record; Seq itself is left
-// for history.Append to assign.
+// edit-loop build (≈ 14 KB encoded): 208 units of which two compiled, each
+// with the full 22-slot decision table, a timeline event for each of the two,
+// and the counters snapshot. The same seq gives the same record; Seq itself
+// is left for history.Append to assign.
 func HistoryRecord(seq int) *history.Record {
+	return historyRecord(seq, false)
+}
+
+// HistoryRecordV1 is the same build as HistoryRecord(seq) in the shape
+// records had until PR 21 (≈ 29 KB): the timeline also carries a "skip" event
+// on worker -1 for each of the 206 units served from the object cache.
+// History files hold such records until they rotate out; readers must show
+// the two alike.
+func HistoryRecordV1(seq int) *history.Record {
+	return historyRecord(seq, true)
+}
+
+func historyRecord(seq int, skipEvents bool) *history.Record {
 	const units = 208
 	n := int64(seq)
 	rec := &history.Record{
@@ -64,6 +77,9 @@ func HistoryRecord(seq int) *history.Record {
 	}
 	// Which two units this build edited moves with seq, as in an edit loop.
 	edited := [2]int{1 + seq%(units-1), 1 + (seq*7+3)%(units-1)}
+	if edited[1] == edited[0] {
+		edited[1] = 1 + edited[0]%(units-1)
+	}
 	for u := 0; u < units; u++ {
 		name := "main.mc"
 		if u > 0 {
@@ -72,8 +88,10 @@ func HistoryRecord(seq int) *history.Record {
 		at := 60000 + 5000*int64(u) + n
 		if u != edited[0] && u != edited[1] {
 			rec.Units[name] = history.UnitRecord{Cached: true}
-			rec.Timeline.Events = append(rec.Timeline.Events, history.TimelineEvent{
-				Unit: name, Worker: -1, Outcome: "skip", EnqueueNS: at, StartNS: at, EndNS: at + 4100})
+			if skipEvents {
+				rec.Timeline.Events = append(rec.Timeline.Events, history.TimelineEvent{
+					Unit: name, Worker: -1, Outcome: "skip", EnqueueNS: at, StartNS: at, EndNS: at + 4100})
+			}
 			continue
 		}
 		ur := history.UnitRecord{CompileNS: 1400000 + 31*n}
@@ -86,9 +104,14 @@ func HistoryRecord(seq int) *history.Record {
 			})
 		}
 		rec.Units[name] = ur
+		// One worker each, inside the compile phase (obs.Timeline.Validate).
+		worker, start := 0, 1740000+1000*int64(u)+n
+		if u == edited[1] {
+			worker = 1
+		}
 		rec.Timeline.Events = append(rec.Timeline.Events, history.TimelineEvent{
-			Unit: name, Worker: u % 2, Outcome: "compile", EnqueueNS: 1720000, StartNS: 1740000 + at,
-			EndNS: 3200000 + at, FrontendNS: 350000 + n, PassesNS: 1000000 + n, CodegenNS: 22000 + n})
+			Unit: name, Worker: worker, Outcome: "compile", EnqueueNS: 1720000 + n, StartNS: start,
+			EndNS: start + ur.CompileNS, FrontendNS: 350000 + n, PassesNS: 1000000 + n, CodegenNS: 22000 + n})
 	}
 	return rec
 }
