@@ -1,19 +1,19 @@
 GO ?= go
 SMOKEDIR ?= .smoke
 
-.PHONY: ci fmt vet build test race fuzz chaos bench bench-compare bench-baseline bench-matrix profile profile-smoke skip-guard footprint-guard cas-battery net-chaos smoke
+.PHONY: ci fmt vet build test race fuzz chaos bench-compare profile-smoke footprint-guard cas-battery net-chaos smoke
 
 # ci is the tier-1 gate: everything must stay green, including the race
 # detector over the worker pool, the observability counters, the
 # crash/chaos robustness walk, the flight-recorder regression check on
-# the example project, the critical-path profiler end-to-end check, the
-# skip-rate guard (a fast stateful history whose measured skip rate must
-# clear the floor), the footprint guard (honest builds must produce
-# zero missed invalidations), the shared-cache battery (two clients
-# over one CAS must match the stateless oracle at every commit), and the
-# network-adversity battery (every client↔server exchange failed every
-# way must still produce oracle-identical builds).
-ci: fmt vet build test race chaos smoke profile-smoke skip-guard footprint-guard cas-battery net-chaos
+# the example project (which is also the skip-rate tripwire: `regress
+# -min-skip-rate`), the critical-path profiler end-to-end check, the
+# footprint guard (honest builds must produce zero missed invalidations),
+# the shared-cache battery (two clients over one CAS must match the
+# stateless oracle at every commit), and the network-adversity battery
+# (every client↔server exchange failed every way must still produce
+# oracle-identical builds).
+ci: fmt vet build test race chaos smoke profile-smoke footprint-guard cas-battery net-chaos
 
 # fmt fails when any file is not gofmt-clean (it lists them, changes none).
 fmt:
@@ -67,22 +67,6 @@ chaos:
 	$(GO) test -fuzz FuzzCASObjectDecode -fuzztime 20s ./internal/cas
 	$(GO) test -fuzz FuzzCASWire -fuzztime 20s ./internal/cas
 
-# bench-baseline regenerates the committed performance baseline.
-bench-baseline:
-	$(GO) run ./cmd/benchbaseline -out BENCH_baseline.json
-
-# bench records this PR's measurement alongside the seed baseline,
-# including the decision-provenance counters, the soundness sentinel's
-# overhead (unaudited p=0 vs sampled p=0.05 on the same histories), the
-# dependency-footprint tracing overhead — including the 200+ unit megarepo
-# row — held to a budget, the shared-cache two-client scenario held to a
-# cross-client hit-rate floor, and the degraded-network row (a fully
-# partitioned backend: the breaker must trip and the build fall back to
-# local compiles at bounded cost).
-bench:
-	$(GO) run ./cmd/benchbaseline -audit 0.05 -footprint -max-footprint-overhead 50 \
-		-cas -min-cas-hit-rate 50 -out BENCH_pr10.json
-
 # bench-compare judges two reports of the benchmark of record
 # (`go run ./benchmark -seed S -out FILE`, see benchmark/README.md). The
 # recipe exits with the comparison's own code — 0 pass, 1 regress, 2
@@ -96,19 +80,6 @@ bench-compare:
 	@mkdir -p .bench_build && $(GO) build -o .bench_build/benchmark ./benchmark
 	@.bench_build/benchmark -compare $(BASE) $(NEW); code=$$?; \
 		echo "bench-compare: exit $$code (0 pass, 1 regress, 2 unresolved)"; exit $$code
-
-# bench-matrix regenerates the committed multi-core latency matrix
-# (docs/PERFORMANCE.md): workers × profile p50/p99 incremental latency,
-# skip rate, fingerprint memo effectiveness, allocs/build, and the
-# old-vs-new fingerprint and state-layout comparisons.
-bench-matrix:
-	$(GO) run ./cmd/benchbaseline -matrix -workers 1,4,16 -repeats 5 -min-skip-rate 20 -out BENCH_pr6.json
-
-# profile writes pprof CPU and heap profiles of a matrix run for hot-path
-# work (inspect with `go tool pprof cpu.pprof`).
-profile:
-	$(GO) run ./cmd/benchbaseline -matrix -profiles 1 -workers 4 -out /dev/null \
-		-cpuprofile cpu.pprof -memprofile mem.pprof
 
 # profile-smoke is the critical-path profiler's end-to-end check: cold
 # build, edit, incremental rebuild, then `minibuild profile -json` on the
@@ -126,13 +97,6 @@ profile-smoke:
 	$(SMOKEDIR)-profile/minibuild profile -dir $(SMOKEDIR)-profile/proj -json \
 		| python3 -c 'import json,sys; d=json.load(sys.stdin); assert d["critical_path"], "empty critical path"; assert d["critical_total_ns"] >= d["longest_unit_ns"] > 0, "critical path below longest unit"'
 	rm -rf $(SMOKEDIR)-profile
-
-# skip-guard is the CI tripwire against regressions that silently destroy
-# the stateful win: a fast single-profile matrix whose measured skip rate
-# must clear the floor or the target exits non-zero.
-skip-guard:
-	$(GO) run ./cmd/benchbaseline -matrix -profiles 1 -workers 1 -commits 6 -repeats 1 \
-		-min-skip-rate 20 -out /dev/null
 
 # footprint-guard is the always-correct tripwire: honest suite builds with
 # footprint tracing on must cross-check every cached unit and report zero

@@ -9,6 +9,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 
 	"statefulcc/internal/state"
 )
@@ -43,7 +44,13 @@ func run(args []string) error {
 		if !*verbose {
 			continue
 		}
-		for name, fsRec := range st.Funcs {
+		names := make([]string, 0, len(st.Funcs))
+		for name := range st.Funcs {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			fsRec := st.Funcs[name]
 			fmt.Printf("  func %s:\n", name)
 			for i, r := range fsRec.Slots {
 				if !fsRec.Seen[i] {

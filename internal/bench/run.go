@@ -10,7 +10,6 @@ import (
 	"statefulcc/internal/buildsys"
 	"statefulcc/internal/compiler"
 	"statefulcc/internal/core"
-	"statefulcc/internal/obs"
 	"statefulcc/internal/project"
 	"statefulcc/internal/vm"
 	"statefulcc/internal/workload"
@@ -29,15 +28,6 @@ type Config struct {
 	Seed int64
 	// RunPrograms executes each built program (correctness experiments).
 	RunPrograms bool
-	// AuditRate forwards to buildsys.Options: the soundness sentinel's
-	// sampling probability (0 disables). Used to measure the sentinel's
-	// overhead against an unaudited run of the same history.
-	AuditRate float64
-	// Footprint / EnforceFootprint forward to buildsys.Options: dependency-
-	// footprint tracing and the always-correct mode. Used to price the
-	// tracing cross-check against an untraced run of the same history.
-	Footprint        bool
-	EnforceFootprint bool
 }
 
 func (c Config) withDefaults() Config {
@@ -83,13 +73,6 @@ type ProjectRun struct {
 	Cold BuildSample
 	// Incremental holds builds 1..N (one per commit).
 	Incremental []BuildSample
-	// Metrics is the builder's counters registry after the whole history
-	// (first repeat): cumulative dormancy, fingerprint, and stage totals.
-	Metrics map[string]int64
-	// Histograms is the builder's latency-histogram snapshot after the
-	// whole history (first repeat): per-unit compile latency, skip-decision
-	// latency, and build wall time distributions.
-	Histograms map[string]obs.HistogramSnapshot
 }
 
 // MeanIncrementalNS averages incremental build times.
@@ -118,10 +101,7 @@ func RunHistory(p workload.Profile, mode compiler.Mode, cfg Config) (*ProjectRun
 
 	var run *ProjectRun
 	for rep := 0; rep < cfg.Repeats; rep++ {
-		builder, err := buildsys.NewBuilder(buildsys.Options{
-			Mode: mode, AuditRate: cfg.AuditRate,
-			Footprint: cfg.Footprint, EnforceFootprint: cfg.EnforceFootprint,
-		})
+		builder, err := buildsys.NewBuilder(buildsys.Options{Mode: mode})
 		if err != nil {
 			return nil, err
 		}
@@ -139,8 +119,6 @@ func RunHistory(p workload.Profile, mode compiler.Mode, cfg Config) (*ProjectRun
 		}
 		if run == nil {
 			run = cur
-			run.Metrics = builder.Metrics()
-			run.Histograms = builder.Histograms()
 			continue
 		}
 		// Keep per-build minimum times.

@@ -11,7 +11,9 @@ import (
 	"testing"
 
 	"statefulcc/internal/buildsys"
+	"statefulcc/internal/codegen"
 	"statefulcc/internal/compiler"
+	"statefulcc/internal/obs"
 	"statefulcc/internal/project"
 	"statefulcc/internal/state"
 	"statefulcc/internal/vm"
@@ -87,11 +89,17 @@ func TestStatePersistenceAcrossBuilders(t *testing.T) {
 	}
 }
 
-// TestCorruptStateIsColdStart: truncated or garbage state files must yield
-// a correct cold rebuild, never an error.
+// TestCorruptStateIsColdStart: truncated or garbage state files, and a
+// well-formed file of an older layout, must yield a correct cold rebuild,
+// never an error — and the rebuild must leave state the next process loads.
 func TestCorruptStateIsColdStart(t *testing.T) {
 	dir := t.TempDir()
 	snap := twoUnitSnap()
+	snap["extra.mc"] = []byte("func extra(n int) int { return n + 1; }\n")
+	oldLayout, err := os.ReadFile(filepath.Join("..", "state", "testdata", "unitstate_v5.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	b1, err := buildsys.NewBuilder(buildsys.Options{Mode: compiler.ModeStateful, StateDir: dir, Workers: 2})
 	if err != nil {
@@ -103,35 +111,37 @@ func TestCorruptStateIsColdStart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Corrupt every state file a different way: truncate one, fill the
-	// next with garbage.
+	// Make every state file wrong a different way: truncate one, fill the
+	// next with garbage, replace the third with the frozen v5 bytes.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var oldLayoutPath string
 	i := 0
 	for _, e := range entries {
 		if !strings.HasSuffix(e.Name(), ".state") {
 			continue
 		}
 		path := filepath.Join(dir, e.Name())
-		if i%2 == 0 {
+		content := []byte("not a state file at all")
+		switch i {
+		case 0:
 			data, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(path, data[:len(data)/3], 0o644); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			if err := os.WriteFile(path, []byte("not a state file at all"), 0o644); err != nil {
-				t.Fatal(err)
-			}
+			content = data[:len(data)/3]
+		case 2:
+			content, oldLayoutPath = oldLayout, path
+		}
+		if err := os.WriteFile(path, content, 0o644); err != nil {
+			t.Fatal(err)
 		}
 		i++
 	}
-	if i == 0 {
-		t.Fatal("no state files written")
+	if i != len(snap) {
+		t.Fatalf("%d state files written, want %d", i, len(snap))
 	}
 
 	b2, err := buildsys.NewBuilder(buildsys.Options{Mode: compiler.ModeStateful, StateDir: dir, Workers: 2})
@@ -148,6 +158,42 @@ func TestCorruptStateIsColdStart(t *testing.T) {
 	}
 	if out != refOut || res.ExitValue != refRes.ExitValue {
 		t.Errorf("cold rebuild behaviour differs: %q/%d vs %q/%d", out, res.ExitValue, refOut, refRes.ExitValue)
+	}
+	if codegen.DisassembleProgram(rep.Program) != codegen.DisassembleProgram(ref.Program) {
+		t.Error("cold rebuild program differs from the reference")
+	}
+	if got := rep.Metrics[obs.CtrStateIOErrors]; got < int64(i) {
+		t.Errorf("%s = %d, want one per unloadable file (≥%d)", obs.CtrStateIOErrors, got, i)
+	}
+	var warned bool
+	for _, w := range rep.Warnings {
+		if strings.Contains(w, filepath.Base(oldLayoutPath)) && strings.Contains(w, "unsupported version") {
+			warned = true
+		}
+	}
+	if !warned {
+		t.Errorf("no warning names %s as an unsupported version: %v", filepath.Base(oldLayoutPath), rep.Warnings)
+	}
+
+	// The rejected file was overwritten in the current layout, and a fresh
+	// builder loads it and skips on it.
+	raw, err := os.ReadFile(oldLayoutPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := state.DecodeBytes(raw); err != nil {
+		t.Errorf("older-layout file was not rewritten as v%d: %v", state.FormatVersion, err)
+	}
+	b3, err := buildsys.NewBuilder(buildsys.Options{Mode: compiler.ModeStateful, StateDir: dir, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep3 := mustBuild(t, b3, snap)
+	if got := rep3.Metrics[obs.CtrStateLoads]; got != int64(i) {
+		t.Errorf("%s = %d after recovery, want %d", obs.CtrStateLoads, got, i)
+	}
+	if _, _, skipped := rep3.Stats().Totals(); skipped == 0 {
+		t.Error("recovered state produced no skips in a fresh builder")
 	}
 }
 

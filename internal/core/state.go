@@ -69,7 +69,7 @@ const (
 const QuarantineCleanTarget = 3
 
 // Quarantine marks a unit whose execution state is distrusted. It rides in
-// the persisted UnitState (format v4) so the distrust survives processes.
+// the persisted UnitState so the distrust survives processes.
 type Quarantine struct {
 	// Reason is one of the Quarantine* constants.
 	Reason string
@@ -153,7 +153,6 @@ type UnitState struct {
 	ModuleSeen []bool
 	// Quarantine, when non-nil, marks this unit's state as distrusted
 	// (a pass panicked, or the soundness sentinel caught an unsound skip).
-	// Persisted in format v4; v3 files load with no quarantine.
 	Quarantine *Quarantine
 	// Footprint, when non-nil, is the dependency footprint recorded during
 	// the compile that produced this state: the ground-truth read set the

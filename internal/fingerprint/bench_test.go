@@ -1,8 +1,8 @@
 package fingerprint_test
 
-// Microbenchmarks for the three fingerprinting regimes the driver mixes:
-// the retired flat walk (the pre-hierarchy cost reference), a cold memo
-// (first sight of a function in a Run), and a warm memo (unchanged IR).
+// Microbenchmarks for the three fingerprinting regimes the driver mixes: no
+// memo, a cold memo (first sight of a function in a Run), and a warm memo
+// (unchanged IR).
 // `go test ./internal/fingerprint -bench . -cpuprofile cpu.pprof` is the
 // profiling entry point for hot-path work.
 
@@ -25,17 +25,6 @@ func benchModule(b *testing.B) *ir.Module {
 		b.Fatal(err)
 	}
 	return m
-}
-
-func BenchmarkLegacyFunction(b *testing.B) {
-	m := benchModule(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, f := range m.Funcs {
-			fingerprint.LegacyFunction(f)
-		}
-	}
 }
 
 func BenchmarkFunctionNoMemo(b *testing.B) {

@@ -414,101 +414,6 @@ func FunctionWith(f *ir.Func, memo *Memo) uint64 {
 	return sum
 }
 
-// LegacyFunction is the pre-hierarchical (flat, allocating) fingerprint
-// implementation, retained verbatim so benchmarks can report the old-vs-new
-// cost side by side. Its hash values are not comparable with Function's —
-// only its cost is interesting.
-func LegacyFunction(f *ir.Func) uint64 {
-	h := New()
-	h.String(f.Name)
-	h.Int(int64(len(f.Params)))
-	for _, p := range f.Params {
-		h.Byte(byte(p.Type))
-	}
-	h.Byte(byte(f.Result))
-
-	num := make([]int32, f.NumValues())
-	for i, p := range f.Params {
-		num[p.ID] = int32(i)
-	}
-	next := int32(len(f.Params))
-	blockIndex := make([]int32, f.NumBlockIDs())
-	for i, b := range f.Blocks {
-		blockIndex[b.ID] = int32(i)
-		for _, v := range b.Phis {
-			num[v.ID] = next
-			next++
-		}
-		for _, v := range b.Instrs {
-			num[v.ID] = next
-			next++
-		}
-	}
-
-	ref := func(v *ir.Value) {
-		if v.Op == ir.OpConst {
-			h.Uint64(0xC0DE<<32 | uint64(v.Type))
-			h.Int(v.Aux)
-			return
-		}
-		h.Uint64(uint64(num[v.ID])<<2 | 1)
-	}
-	hashValue := func(v *ir.Value) {
-		h.Uint64(uint64(v.Op) | uint64(v.Type)<<8 | uint64(len(v.Args))<<16 | uint64(len(v.Blocks))<<32)
-		h.Int(v.Aux)
-		if v.Sym != "" || v.Op == ir.OpCall || v.Op == ir.OpGlobalAddr {
-			h.String(v.Sym)
-		}
-		if v.StrAux != "" || v.Op == ir.OpPrint || v.Op == ir.OpAssert {
-			h.String(v.StrAux)
-		}
-		for _, a := range v.Args {
-			ref(a)
-		}
-		for _, b := range v.Blocks {
-			h.Int(int64(blockIndex[b.ID]))
-		}
-	}
-
-	h.Int(int64(len(f.Blocks)))
-	for _, b := range f.Blocks {
-		h.Int(int64(len(b.Preds)))
-		var predSet uint64
-		for _, p := range b.Preds {
-			predSet += mix64(uint64(blockIndex[p.ID]) + 0x9e3779b97f4a7c15)
-		}
-		h.Uint64(predSet)
-		h.Int(int64(len(b.Phis)))
-		for _, v := range b.Phis {
-			h.Byte(byte(v.Op))
-			h.Byte(byte(v.Type))
-			h.Int(int64(len(v.Args)))
-			var set uint64
-			for i, a := range v.Args {
-				var valWord uint64
-				if a.Op == ir.OpConst {
-					valWord = 0xC000_0000_0000_0000 ^ uint64(a.Aux)<<8 ^ uint64(a.Type)
-				} else {
-					valWord = uint64(num[a.ID])<<8 | 0x01
-				}
-				pair := mix64(valWord) + mix64(uint64(blockIndex[v.Blocks[i].ID])^0xabcdef12345)
-				set += mix64(pair)
-			}
-			h.Uint64(set)
-		}
-		h.Int(int64(len(b.Instrs)))
-		for _, v := range b.Instrs {
-			hashValue(v)
-		}
-		if b.Term != nil {
-			hashValue(b.Term)
-		} else {
-			h.Byte(0xFF)
-		}
-	}
-	return h.Sum()
-}
-
 // Module fingerprints a whole module: globals, externs, and all functions
 // in name order (declaration order is irrelevant to module passes).
 func Module(m *ir.Module) uint64 {

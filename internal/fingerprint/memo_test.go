@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"statefulcc/internal/fingerprint"
-	"statefulcc/internal/ir"
 	"statefulcc/internal/passes"
 	"statefulcc/internal/project"
 	"statefulcc/internal/testutil"
@@ -150,24 +149,6 @@ func TestMemoInvalidate(t *testing.T) {
 	if got := memo.BlocksRehashed - r0; got != int64(len(target.Blocks)) {
 		t.Fatalf("after Invalidate(work), %d blocks rehashed, want %d (work's blocks only)",
 			got, len(target.Blocks))
-	}
-}
-
-// TestLegacyFunctionStable pins the retained benchmark-only reference: the
-// old flat algorithm must stay deterministic and sensitive so layout
-// comparisons remain meaningful.
-func TestLegacyFunctionStable(t *testing.T) {
-	m1, m2 := buildProbe(t), buildProbe(t)
-	for i := range m1.Funcs {
-		if fingerprint.LegacyFunction(m1.Funcs[i]) != fingerprint.LegacyFunction(m2.Funcs[i]) {
-			t.Errorf("LegacyFunction unstable on %s", m1.Funcs[i].Name)
-		}
-	}
-	f := m1.FindFunc("work")
-	before := fingerprint.LegacyFunction(f)
-	f.Blocks[0].AddInstr(f.NewValue(ir.OpConst, ir.TInt))
-	if fingerprint.LegacyFunction(f) == before {
-		t.Error("LegacyFunction insensitive to an added instruction")
 	}
 }
 

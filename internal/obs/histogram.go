@@ -111,7 +111,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 
 // HistogramSnapshot is a point-in-time copy of a histogram: per-bucket
 // (non-cumulative) counts plus the observation sum and count. It is the
-// form embedded in benchbaseline JSON and exported to Prometheus.
+// form Registry.HistSnapshot returns and /metrics exports to Prometheus.
 type HistogramSnapshot struct {
 	// Buckets holds HistBuckets+1 per-bucket counts; Buckets[i] counts
 	// observations in (BucketBound(i-1), BucketBound(i)], the last entry

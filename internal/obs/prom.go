@@ -168,15 +168,3 @@ func ParseProm(s string) map[string]int64 {
 	}
 	return out
 }
-
-// DecisionCounts extracts the decision.* provenance counters from a
-// snapshot — the per-reason execution totals behind a skip rate.
-func DecisionCounts(snap map[string]int64) map[string]int64 {
-	out := make(map[string]int64)
-	for name, v := range snap {
-		if strings.HasPrefix(name, "decision.") {
-			out[name] = v
-		}
-	}
-	return out
-}

@@ -92,22 +92,6 @@ func TestPromFormatShape(t *testing.T) {
 	}
 }
 
-func TestDecisionCounts(t *testing.T) {
-	_, snap := registrySnapshot()
-	dec := DecisionCounts(snap)
-	if len(dec) == 0 {
-		t.Fatal("no decision counters extracted")
-	}
-	for name := range dec {
-		if !strings.HasPrefix(name, "decision.") {
-			t.Errorf("non-decision counter leaked: %q", name)
-		}
-	}
-	if dec[CtrDecCold] != 4 || dec[CtrDecSkippedDormant] != 3 {
-		t.Errorf("decision values wrong: %v", dec)
-	}
-}
-
 // TestFormatMetricsDeterministic: the -metrics block is byte-stable across
 // snapshots of the same registry, and survives a parse round trip.
 func TestFormatMetricsDeterministic(t *testing.T) {

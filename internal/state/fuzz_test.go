@@ -6,18 +6,18 @@ package state_test
 //
 //  1. Decode never panics and never over-allocates, no matter the bytes:
 //     every slice it grows is bounded by the bytes actually present, not
-//     by counts declared in the header. This covers both decoders — the
-//     zero-copy v5 cursor and the legacy v3/v4 streaming parser.
+//     by counts declared in the header.
 //  2. Anything Decode accepts is canonical: re-encoding the decoded state
 //     succeeds, FileSize agrees with the re-encoded length, and decoding
-//     the re-encoding reproduces the state exactly (older versions
-//     migrate to the current layout in the process).
+//     the re-encoding reproduces the state exactly.
 //
 // Run with: go test -fuzz FuzzStateDecode ./internal/state
 
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -80,31 +80,37 @@ func fuzzSeedStates() []*core.UnitState {
 }
 
 func FuzzStateDecode(f *testing.F) {
-	// Seed both the current zero-copy layout and the frozen v4 layout so
-	// the fuzzer mutates structure in both decoders from the start.
+	var seeds [][]byte
 	for _, st := range fuzzSeedStates() {
-		for _, enc := range []func(*bytes.Buffer, *core.UnitState) error{
-			func(b *bytes.Buffer, st *core.UnitState) error { return state.Encode(b, st) },
-			func(b *bytes.Buffer, st *core.UnitState) error { return state.EncodeV4(b, st) },
-		} {
-			var buf bytes.Buffer
-			if err := enc(&buf, st); err != nil {
-				f.Fatal(err)
-			}
-			data := buf.Bytes()
-			f.Add(append([]byte(nil), data...))
-			// Truncations steer the fuzzer at every mid-structure boundary.
-			for _, n := range []int{0, 4, 8, 12, len(data) / 2, len(data) - 1} {
-				if n <= len(data) {
-					f.Add(append([]byte(nil), data[:n]...))
-				}
+		var buf bytes.Buffer
+		if err := state.Encode(&buf, st); err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, buf.Bytes())
+	}
+	// The frozen files of older layouts: the decoder rejects them at the
+	// version field, and one mutation of that field away is a well-formed
+	// body of the wrong shape behind an accepted header.
+	for _, name := range olderLayoutFiles {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, data)
+	}
+	for _, data := range seeds {
+		f.Add(append([]byte(nil), data...))
+		// Truncations steer the fuzzer at every mid-structure boundary.
+		for _, n := range []int{0, 4, 8, 12, len(data) / 2, len(data) - 1} {
+			if n <= len(data) {
+				f.Add(append([]byte(nil), data[:n]...))
 			}
 		}
 	}
 	// Adversarial headers: valid magic/version, then huge declared counts
-	// with no bytes behind them — the over-allocation shape — for every
-	// accepted version.
-	for _, v := range []uint32{3, 4, state.FormatVersion} {
+	// with no bytes behind them — the over-allocation shape — for the
+	// accepted version and for the ones on either side of it.
+	for _, v := range []uint32{3, 4, 5, state.FormatVersion, state.FormatVersion + 1} {
 		hdr := []byte("SCCSTATE")
 		hdr = binary.LittleEndian.AppendUint32(hdr, v)
 		hdr = binary.LittleEndian.AppendUint64(hdr, 42)    // pipeline hash

@@ -7,13 +7,10 @@ package state_test
 // up as a diff against testdata/, and an intended change forces a
 // conscious FormatVersion bump plus `go test ./internal/state -update`.
 //
-// Four pins exist: the current v6 layout (encoder + decoder; v5 zero-copy
-// plus the dependency-footprint block), the frozen v5 files from before
-// the footprint block (decode-only), the frozen v4 files from the
-// pre-length-prefix layout (EncodeV4 is retained, so both encoder halves
-// stay pinned), and the frozen v3 file from before the quarantine block.
-// The decoder must keep accepting the frozen versions forever (migration
-// path for state written by released binaries).
+// The pins are the current v6 layout, encoder and decoder. The frozen v3,
+// v4 and v5 files written by earlier encoders stay in testdata/ as
+// rejection fixtures: well-formed files of a layout the decoder no longer
+// reads (TestLoadRejectsVersionSkew, TestDecodeEveryPrefix).
 
 import (
 	"bytes"
@@ -31,6 +28,14 @@ import (
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
+
+// olderLayoutFiles are the frozen files of layouts the decoder no longer
+// reads. They are never regenerated.
+var olderLayoutFiles = []string{
+	"unitstate_v3.golden",
+	"unitstate_v4.golden", "unitstate_v4_quarantined.golden",
+	"unitstate_v5.golden", "unitstate_v5_quarantined.golden",
+}
 
 // goldenState exercises every shape the format distinguishes: unseen
 // slots, seen-changed slots, seen-dormant slots sharing one hash-table
@@ -61,7 +66,7 @@ func goldenState() *core.UnitState {
 	}
 }
 
-// goldenQuarantinedState adds the v4+ quarantine block shapes: a per-pass
+// goldenQuarantinedState adds the quarantine block shapes: a per-pass
 // quarantine with a nonzero clean count.
 func goldenQuarantinedState() *core.UnitState {
 	st := goldenState()
@@ -141,118 +146,17 @@ func TestGoldenFormatV6(t *testing.T) {
 	checkGolden(t, "unitstate_v6_footprint.golden", goldenFootprintState(), state.Encode)
 }
 
-// TestGoldenV5Frozen pins the decode side of the v5 layout: the frozen v5
-// files (written before the footprint block existed) must keep decoding to
-// the same states — with nil footprints — forever. No v5 encoder is
-// retained, so these files are never regenerated.
-func TestGoldenV5Frozen(t *testing.T) {
-	for _, tc := range []struct {
-		file string
-		st   *core.UnitState
-	}{
-		{"unitstate_v5.golden", goldenState()},
-		{"unitstate_v5_quarantined.golden", goldenQuarantinedState()},
-	} {
-		want, err := os.ReadFile(filepath.Join("testdata", tc.file))
-		if err != nil {
-			t.Fatalf("frozen v5 golden file missing: %v", err)
-		}
-		got, err := state.Decode(bytes.NewReader(want))
-		if err != nil {
-			t.Fatalf("v5 bytes no longer decode — migration path broken: %v", err)
-		}
-		if !reflect.DeepEqual(got, tc.st) {
-			t.Fatalf("v5 bytes decode to a different state:\ngot:  %+v\nwant: %+v", got, tc.st)
-		}
-		if got.Footprint != nil {
-			t.Fatalf("v5 file decoded with a footprint: %+v", got.Footprint)
-		}
-	}
-}
-
-// TestGoldenV4Frozen pins the previous layout from both ends: EncodeV4
-// (retained for layout-comparison benchmarks) must keep producing the
-// frozen v4 bytes, and the decoder must keep accepting them forever. The
-// files are never regenerated by -update.
-func TestGoldenV4Frozen(t *testing.T) {
-	for _, tc := range []struct {
-		file string
-		st   *core.UnitState
-	}{
-		{"unitstate_v4.golden", goldenState()},
-		{"unitstate_v4_quarantined.golden", goldenQuarantinedState()},
-	} {
-		want, err := os.ReadFile(filepath.Join("testdata", tc.file))
-		if err != nil {
-			t.Fatalf("frozen v4 golden file missing: %v", err)
-		}
-		var buf bytes.Buffer
-		if err := state.EncodeV4(&buf, tc.st); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Fatalf("EncodeV4 drifted from the frozen %s bytes\ngot:\n%s\nwant:\n%s",
-				tc.file, hex.Dump(buf.Bytes()), hex.Dump(want))
-		}
-		got, err := state.Decode(bytes.NewReader(want))
-		if err != nil {
-			t.Fatalf("v4 bytes no longer decode — migration path broken: %v", err)
-		}
-		if !reflect.DeepEqual(got, tc.st) {
-			t.Fatalf("v4 bytes decode to a different state:\ngot:  %+v\nwant: %+v", got, tc.st)
-		}
-	}
-}
-
-// TestDecodeV3Migration pins the migration path: the frozen v3 golden file
-// (written by the pre-quarantine encoder) must decode into the same state
-// with no quarantine, forever. This file is never regenerated — it is the
-// compatibility contract with already-deployed state directories.
-func TestDecodeV3Migration(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "unitstate_v3.golden"))
-	if err != nil {
-		t.Fatalf("frozen v3 golden file missing: %v", err)
-	}
-	got, err := state.Decode(bytes.NewReader(want))
-	if err != nil {
-		t.Fatalf("v3 bytes no longer decode — migration path broken: %v", err)
-	}
-	if !reflect.DeepEqual(got, goldenState()) {
-		t.Fatalf("v3 bytes decode to a different state:\ngot:  %+v\nwant: %+v",
-			got, goldenState())
-	}
-	if got.Quarantine != nil {
-		t.Fatalf("v3 file decoded with a quarantine: %+v", got.Quarantine)
-	}
-
-	// A migrated state re-encodes as the current version and round-trips.
-	var buf bytes.Buffer
-	if err := state.Encode(&buf, got); err != nil {
-		t.Fatal(err)
-	}
-	again, err := state.Decode(&buf)
-	if err != nil {
-		t.Fatalf("migrated re-encode does not decode: %v", err)
-	}
-	if !reflect.DeepEqual(again, got) {
-		t.Fatalf("v3→v%d migration round-trip drifted:\ngot:  %+v\nwant: %+v",
-			state.FormatVersion, again, got)
-	}
-}
-
 // TestDecodeEveryPrefix feeds the decoder every strict prefix of the
-// golden v6 files (and the frozen v5/v4/v3 ones). A truncated state file —
-// the torn-write shape the atomic saver is designed to prevent but a
-// hostile filesystem can still produce — must always be rejected, never
-// misparsed into a partial state.
+// golden v6 files. A truncated state file — the torn-write shape the atomic
+// saver is designed to prevent but a hostile filesystem can still produce —
+// must always be rejected, never misparsed into a partial state. The frozen
+// v5/v4/v3 files are walked too: every prefix of an older layout is an
+// error, never a panic.
 func TestDecodeEveryPrefix(t *testing.T) {
-	for _, file := range []string{
+	for _, file := range append([]string{
 		"unitstate_v6.golden", "unitstate_v6_quarantined.golden",
 		"unitstate_v6_footprint.golden",
-		"unitstate_v5.golden", "unitstate_v5_quarantined.golden",
-		"unitstate_v4.golden", "unitstate_v4_quarantined.golden",
-		"unitstate_v3.golden",
-	} {
+	}, olderLayoutFiles...) {
 		data, err := os.ReadFile(filepath.Join("testdata", file))
 		if err != nil {
 			t.Fatalf("golden file missing: %v", err)

@@ -10,8 +10,8 @@
 // the internal/vfs seam (SaveFS/LoadFS), and the chaos suites walk every
 // injectable fault point (docs/ROBUSTNESS.md).
 //
-// Layout (version 5). Two observations keep the state tiny, mirroring the
-// paper's pitch:
+// Layout. There is one layout and one decoder. Two observations keep the
+// state tiny, mirroring the paper's pitch:
 //
 //   - only *dormant* records can ever satisfy a skip, so records of active
 //     passes need no fingerprint at all — just a flags byte; and
@@ -25,9 +25,9 @@
 //
 //	magic "SCCSTATE" | u32 version | u64 pipelineHash | string unit
 //	quarantineBlock
-//	u32 recLen | recordBlock(module slots)                (v5+: length prefix)
+//	u32 recLen | recordBlock(module slots)
 //	u32 nFuncs | nFuncs × ( string name, u32 recLen, recordBlock(slots) )
-//	footprintBlock                                        (v6+)
+//	footprintBlock
 //
 //	quarantineBlock: u8 present [, string reason, uvarint clean,
 //	                 uvarint nPasses, nPasses × string ]
@@ -41,24 +41,21 @@
 // flags: bit0 = changed, bit1 = seen. hashIdx/cost follow only for seen
 // dormant (changed=0) slots.
 //
-// Version 5 introduced the zero-copy layout: the loader reads the whole
-// file into one buffer and DecodeBytes slices it in place — strings (unit
-// name, function names, quarantine reasons) are *references into the
-// buffer* (unsafe.String), never copies, and every record block carries a
-// u32 byte length so a reader can locate any function's records without
-// parsing the ones before it. The returned UnitState therefore aliases the
-// input buffer; callers must not mutate it (LoadFS always hands
-// DecodeBytes a fresh private buffer). Version 6 appends the optional
-// dependency-footprint block (the always-correct-mode ground truth,
-// internal/footprint) after the function table; everything before it is
-// unchanged, and footprint entry names are private copies, not views.
+// The layout is zero-copy: the loader reads the whole file into one buffer
+// and DecodeBytes slices it in place — strings (unit name, function names,
+// quarantine reasons) are *references into the buffer* (unsafe.String),
+// never copies, and every record block carries a u32 byte length so a
+// reader can locate any function's records without parsing the ones before
+// it. The returned UnitState therefore aliases the input buffer; callers
+// must not mutate it (LoadFS always hands DecodeBytes a fresh private
+// buffer). The optional dependency-footprint block (the always-correct-mode
+// ground truth, internal/footprint) follows the function table; its entry
+// names are private copies, not views.
 //
-// Version 3 files (no quarantineBlock), version 4 files (no record length
-// prefixes, copied strings), and version 5 files (no footprintBlock) still
-// decode: the loader accepts all four versions and migrates older ones
-// transparently, with a nil footprint where the file predates v6. The next
-// save rewrites the file as v6. EncodeV4 is retained so benchmarks can
-// compare the layouts and the frozen v4 golden pins stay reproducible.
+// A file of any other version is not migrated: DecodeBytes rejects it as an
+// unsupported version, the build runs that unit cold, and the next save
+// overwrites the file in the current layout — the paper's rule that state
+// is thrown away whenever the compiler changes.
 package state
 
 import (
@@ -78,13 +75,9 @@ import (
 
 var magic = [8]byte{'S', 'C', 'C', 'S', 'T', 'A', 'T', 'E'}
 
-// FormatVersion is the on-disk layout version the encoder writes (v6: the
-// v5 zero-copy layout plus the trailing dependency-footprint block).
+// FormatVersion is the on-disk layout version the encoder writes and the
+// only one the decoder accepts.
 const FormatVersion = 6
-
-// minFormatVersion is the oldest layout the decoder still accepts (v3,
-// which predates the quarantine block).
-const minFormatVersion = 3
 
 // TempPattern is the glob the atomic writer's in-flight temp files match.
 // A crash between temp creation and rename orphans one; owners of a state
@@ -184,9 +177,8 @@ func Load(path string) (*core.UnitState, error) {
 
 // LoadFS is Load through an injectable filesystem (nil means the real
 // one). The whole file is read into one private buffer and decoded in
-// place — the zero-copy path for v5 files, a plain parse for older
-// versions. Going through fsys.Open/Read (rather than mmap) keeps every
-// byte of the load path under the fault-injection seam.
+// place. Going through fsys.Open/Read (rather than mmap) keeps every byte of
+// the load path under the fault-injection seam.
 func LoadFS(fsys vfs.FS, path string) (*core.UnitState, error) {
 	f, err := vfs.Default(fsys).Open(path)
 	if os.IsNotExist(err) {
@@ -203,7 +195,7 @@ func LoadFS(fsys vfs.FS, path string) (*core.UnitState, error) {
 	return DecodeBytes(buf)
 }
 
-// Encode streams the state in the current (v5) binary format. Functions
+// Encode streams the state in the current binary format. Functions
 // are written in name order so the output is deterministic.
 func Encode(w io.Writer, st *core.UnitState) error {
 	e := &encoder{w: w}
@@ -214,7 +206,7 @@ func Encode(w io.Writer, st *core.UnitState) error {
 
 	e.quarantineBlock(st.Quarantine)
 
-	// Record blocks are length-prefixed in v5 so a reader can slice its way
+	// Record blocks are length-prefixed so a reader can slice its way
 	// to any function without parsing the blocks before it. The block is
 	// staged in a scratch buffer to learn its length; the buffer is reused
 	// across functions.
@@ -236,7 +228,7 @@ func Encode(w io.Writer, st *core.UnitState) error {
 	return e.err
 }
 
-// footprintBlock writes the optional dependency footprint (v6+) as a
+// footprintBlock writes the optional dependency footprint as a
 // length-prefixed embedding of the footprint package's own canonical
 // encoding.
 func (e *encoder) footprintBlock(fp *footprint.Record) {
@@ -289,35 +281,7 @@ func (e *encoder) sizedRecordBlock(scratch *bytes.Buffer, slots []core.Record, s
 	e.bytes(scratch.Bytes())
 }
 
-// EncodeV4 streams the state in the previous (v4) layout: no record
-// length prefixes. Retained for the frozen v4 golden pins and for
-// benchmarks that compare the layouts' encode/decode cost; new state is
-// always written by Encode.
-func EncodeV4(w io.Writer, st *core.UnitState) error {
-	e := &encoder{w: w}
-	e.bytes(magic[:])
-	e.u32(4)
-	e.u64(st.PipelineHash)
-	e.str(st.Unit)
-
-	e.quarantineBlock(st.Quarantine)
-	e.recordBlock(st.ModuleSlots, st.ModuleSeen)
-
-	names := make([]string, 0, len(st.Funcs))
-	for name := range st.Funcs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	e.u32(uint32(len(names)))
-	for _, name := range names {
-		fs := st.Funcs[name]
-		e.str(name)
-		e.recordBlock(fs.Slots, fs.Seen)
-	}
-	return e.err
-}
-
-// quarantineBlock writes the optional quarantine marker (v4+).
+// quarantineBlock writes the optional quarantine marker.
 func (e *encoder) quarantineBlock(q *core.Quarantine) {
 	if q == nil {
 		e.bytes([]byte{0})
@@ -330,31 +294,6 @@ func (e *encoder) quarantineBlock(q *core.Quarantine) {
 	for _, p := range q.Passes {
 		e.str(p)
 	}
-}
-
-func (d *decoder) quarantineBlock() *core.Quarantine {
-	var fb [1]byte
-	d.bytes(fb[:])
-	if d.err != nil || fb[0] == 0 {
-		return nil
-	}
-	if d.err == nil && fb[0] != 1 {
-		d.err = fmt.Errorf("bad quarantine marker %d", fb[0])
-		return nil
-	}
-	q := &core.Quarantine{Reason: d.str()}
-	q.Clean = int(d.uv())
-	n := d.uv()
-	if d.err == nil && n > 1<<12 {
-		d.err = fmt.Errorf("implausible quarantined-pass count %d", n)
-	}
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		q.Passes = append(q.Passes, d.str())
-	}
-	if d.err != nil {
-		return nil
-	}
-	return q
 }
 
 // recordBlock writes slot records with the distinct-hash table compression.
@@ -392,66 +331,8 @@ func (e *encoder) recordBlock(slots []core.Record, seen []bool) {
 	}
 }
 
-func (d *decoder) recordBlock() ([]core.Record, []bool) {
-	n := d.uv()
-	if d.err == nil && n > 1<<16 {
-		d.err = fmt.Errorf("implausible slot count %d", n)
-	}
-	if d.err != nil {
-		return nil, nil
-	}
-	nHashes := d.uv()
-	if d.err == nil && nHashes > n {
-		d.err = fmt.Errorf("hash table larger than slot count")
-	}
-	if d.err != nil {
-		return nil, nil
-	}
-	// Counts are attacker-controlled (uvarints from the file), so
-	// allocations grow with the bytes actually present instead of
-	// trusting the declared sizes — a crafted header cannot force a large
-	// up-front allocation.
-	hashes := make([]uint64, 0, min(nHashes, 64))
-	for i := uint64(0); i < nHashes; i++ {
-		h := d.u64()
-		if d.err != nil {
-			return nil, nil
-		}
-		hashes = append(hashes, h)
-	}
-	slots := make([]core.Record, 0, min(n, 256))
-	seen := make([]bool, 0, min(n, 256))
-	for i := uint64(0); i < n; i++ {
-		var fb [1]byte
-		d.bytes(fb[:])
-		if d.err != nil {
-			return nil, nil
-		}
-		var r core.Record
-		r.Changed = fb[0]&1 != 0
-		sn := fb[0]&2 != 0
-		if sn && !r.Changed {
-			hi := d.uv()
-			if d.err == nil && hi >= uint64(len(hashes)) {
-				d.err = fmt.Errorf("hash index out of range")
-			}
-			if d.err != nil {
-				return nil, nil
-			}
-			r.InputHash = hashes[hi]
-			r.CostNS = int64(d.uv()) << 8
-			if d.err != nil {
-				return nil, nil
-			}
-		}
-		slots = append(slots, r)
-		seen = append(seen, sn)
-	}
-	return slots, seen
-}
-
 // Decode parses the binary format. The reader is drained into one buffer
-// and handed to DecodeBytes, so v5 inputs decode zero-copy.
+// and handed to DecodeBytes.
 func Decode(r io.Reader) (*core.UnitState, error) {
 	buf, err := io.ReadAll(r)
 	if err != nil {
@@ -460,11 +341,12 @@ func Decode(r io.Reader) (*core.UnitState, error) {
 	return DecodeBytes(buf)
 }
 
-// DecodeBytes parses a state file held in memory. For v5 input the decode
-// is zero-copy: all strings in the returned state are unsafe.String views
-// into buf, so the caller must not mutate buf for the lifetime of the
-// state. Older versions (v3, v4) are parsed by the streaming decoder and
-// migrated; their strings are private copies.
+// DecodeBytes parses a state file held in memory. The decode is zero-copy:
+// all strings in the returned state are unsafe.String views into buf, so
+// the caller must not mutate buf for the lifetime of the state. Record
+// blocks are located via their length prefixes, and every declared length
+// is checked against the bytes actually present before use, so no count in
+// the file can force an allocation or an out-of-range slice.
 func DecodeBytes(buf []byte) (*core.UnitState, error) {
 	if len(buf) < 12 {
 		return nil, fmt.Errorf("state: %w", io.ErrUnexpectedEOF)
@@ -472,23 +354,9 @@ func DecodeBytes(buf []byte) (*core.UnitState, error) {
 	if !bytes.Equal(buf[:8], magic[:]) {
 		return nil, fmt.Errorf("state: bad magic")
 	}
-	v := binary.LittleEndian.Uint32(buf[8:12])
-	if v < minFormatVersion || v > FormatVersion {
+	if v := binary.LittleEndian.Uint32(buf[8:12]); v != FormatVersion {
 		return nil, fmt.Errorf("state: unsupported version %d", v)
 	}
-	if v < 5 {
-		return decodeStream(bytes.NewReader(buf))
-	}
-	return decodeV5(buf, v)
-}
-
-// decodeV5 is the zero-copy parser for v5 and v6: a cursor over buf whose
-// strings alias the buffer and whose record blocks are located via their
-// length prefixes. Every declared length is checked against the bytes
-// actually present before use, so no count in the file can force an
-// allocation or an out-of-range slice. v6 adds the trailing footprint
-// block; a v5 file simply has none.
-func decodeV5(buf []byte, v uint32) (*core.UnitState, error) {
 	d := &bdec{buf: buf, off: 12} // past magic + version
 	st := &core.UnitState{Funcs: make(map[string]*core.FuncState)}
 	st.PipelineHash = d.u64()
@@ -510,9 +378,7 @@ func decodeV5(buf []byte, v uint32) (*core.UnitState, error) {
 		}
 		st.Funcs[name] = &core.FuncState{Slots: slots, Seen: seen}
 	}
-	if v >= 6 && d.err == nil {
-		st.Footprint = d.footprintBlock()
-	}
+	st.Footprint = d.footprintBlock()
 	if d.err == nil && d.off != len(buf) {
 		d.err = fmt.Errorf("%d trailing bytes", len(buf)-d.off)
 	}
@@ -522,9 +388,8 @@ func decodeV5(buf []byte, v uint32) (*core.UnitState, error) {
 	return st, nil
 }
 
-// bdec is the v5 offset cursor. It reuses the streaming decoder's
-// recordBlock/quarantineBlock grammar by exposing the same primitive
-// methods, plus zero-copy strings and length-prefixed block slicing.
+// bdec is the only parser of state bytes: an offset cursor over the file
+// buffer with zero-copy strings and length-prefixed block slicing.
 type bdec struct {
 	buf []byte
 	off int
@@ -702,45 +567,6 @@ func (d *bdec) recordBlock() ([]core.Record, []bool) {
 	return slots, seen
 }
 
-// decodeStream parses the legacy (v3/v4) streaming layouts.
-func decodeStream(r io.Reader) (*core.UnitState, error) {
-	d := &decoder{r: r}
-	var m [8]byte
-	d.bytes(m[:])
-	if d.err == nil && m != magic {
-		return nil, fmt.Errorf("state: bad magic")
-	}
-	v := d.u32()
-	if d.err == nil && (v < minFormatVersion || v > 4) {
-		return nil, fmt.Errorf("state: unsupported version %d", v)
-	}
-	st := &core.UnitState{Funcs: make(map[string]*core.FuncState)}
-	st.PipelineHash = d.u64()
-	st.Unit = d.str()
-
-	if v >= 4 {
-		st.Quarantine = d.quarantineBlock()
-	}
-	st.ModuleSlots, st.ModuleSeen = d.recordBlock()
-
-	nFuncs := d.u32()
-	if d.err == nil && nFuncs > 1<<24 {
-		return nil, fmt.Errorf("state: implausible function count %d", nFuncs)
-	}
-	for i := uint32(0); i < nFuncs && d.err == nil; i++ {
-		name := d.str()
-		slots, seen := d.recordBlock()
-		if d.err != nil {
-			break
-		}
-		st.Funcs[name] = &core.FuncState{Slots: slots, Seen: seen}
-	}
-	if d.err != nil {
-		return nil, fmt.Errorf("state: %w", d.err)
-	}
-	return st, nil
-}
-
 // FileSize reports the serialized size of a state value, used by the
 // state-overhead experiments.
 func FileSize(st *core.UnitState) (int, error) {
@@ -792,82 +618,4 @@ func (e *encoder) uv(v uint64) {
 	var buf [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(buf[:], v)
 	e.bytes(buf[:n])
-}
-
-type decoder struct {
-	r   io.Reader
-	err error
-	buf [8]byte
-}
-
-func (d *decoder) bytes(b []byte) {
-	if d.err != nil {
-		return
-	}
-	_, d.err = io.ReadFull(d.r, b)
-}
-
-func (d *decoder) u32() uint32 {
-	d.bytes(d.buf[:4])
-	if d.err != nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(d.buf[:4])
-}
-
-func (d *decoder) u64() uint64 {
-	d.bytes(d.buf[:8])
-	if d.err != nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(d.buf[:8])
-}
-
-func (d *decoder) str() string {
-	n := d.u32()
-	if d.err != nil {
-		return ""
-	}
-	if n > 1<<20 {
-		d.err = fmt.Errorf("implausible string length %d", n)
-		return ""
-	}
-	// Chunked read: a bogus length field only costs as much memory as the
-	// file actually provides bytes for.
-	b := make([]byte, 0, min(n, 4096))
-	var chunk [4096]byte
-	for uint32(len(b)) < n && d.err == nil {
-		k := n - uint32(len(b))
-		if k > uint32(len(chunk)) {
-			k = uint32(len(chunk))
-		}
-		d.bytes(chunk[:k])
-		b = append(b, chunk[:k]...)
-	}
-	if d.err != nil {
-		return ""
-	}
-	return string(b)
-}
-
-func (d *decoder) uv() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, err := binary.ReadUvarint(d)
-	if err != nil {
-		d.err = err
-		return 0
-	}
-	return v
-}
-
-// ReadByte makes the decoder an io.ByteReader for ReadUvarint.
-func (d *decoder) ReadByte() (byte, error) {
-	var b [1]byte
-	d.bytes(b[:])
-	if d.err != nil {
-		return 0, d.err
-	}
-	return b[0], nil
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"statefulcc/internal/core"
@@ -130,16 +131,33 @@ func TestLoadRejectsCorrupt(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsVersionSkew: only FormatVersion decodes. A newer version
+// field and the frozen files of every older layout — well-formed in their
+// day — are all rejected as unsupported, with no state returned.
 func TestLoadRejectsVersionSkew(t *testing.T) {
 	st := buildState(t)
 	var buf bytes.Buffer
 	if err := state.Encode(&buf, st); err != nil {
 		t.Fatal(err)
 	}
-	b := buf.Bytes()
-	b[8] = 99 // bump version field
-	if _, err := state.Decode(bytes.NewReader(b)); err == nil {
-		t.Error("expected version error")
+	newer := buf.Bytes()
+	newer[8] = 99 // bump version field
+	inputs := map[string][]byte{"version 99": newer}
+	for _, name := range olderLayoutFiles {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatalf("frozen golden file missing: %v", err)
+		}
+		inputs[name] = data
+	}
+	for name, data := range inputs {
+		got, err := state.DecodeBytes(data)
+		if err == nil || !strings.Contains(err.Error(), "unsupported version") {
+			t.Errorf("%s: err = %v, want unsupported version", name, err)
+		}
+		if got != nil {
+			t.Errorf("%s: rejected file still returned a state: %+v", name, got)
+		}
 	}
 }
 
