@@ -35,12 +35,14 @@ test:
 # token buffer and tables, the passes' and code generation's dense side
 # tables) from unit to unit, which is shared state the moment two workers
 # can reach one scratch (internal/compiler's TestDirtyScratchAcrossWorkers
-# runs 1, 2 and 4 workers over one snapshot). The flight recorder is in the
-# list for what it shares across processes, not goroutines: its append, its
-# readers and the two-process append test run here too.
+# runs 1, 2 and 4 workers over one snapshot) — and the VM that runs what the
+# compile path made: linked functions share their argument pools, read-only,
+# with the cached objects they were linked from. The flight recorder is in
+# the list for what it shares across processes, not goroutines: its append,
+# its readers and the two-process append test run here too.
 race:
 	$(GO) test -race -timeout 15m ./internal/buildsys/... ./internal/obs/... ./internal/history/... ./internal/workload ./internal/footprint ./internal/cas ./cmd/minibuild
-	$(GO) test -race -timeout 15m ./internal/passes/... ./internal/core/... ./internal/codegen/... ./internal/analysis/... ./internal/compiler/...
+	$(GO) test -race -timeout 15m ./internal/passes/... ./internal/core/... ./internal/codegen/... ./internal/vm/... ./internal/analysis/... ./internal/compiler/...
 	$(GO) test -race -timeout 15m ./internal/lexer/... ./internal/parser/... ./internal/types/... ./internal/irbuild/...
 
 # fuzz runs the fingerprint stability/sensitivity fuzzer for a short burst

@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -162,10 +163,12 @@ func TestRenderProfileSections(t *testing.T) {
 }
 
 // TestBothRecordShapesRenderAlike: history files hold records written before
-// PR 21 — a "skip" timeline event for every cached unit — until they rotate
-// out. Read back from a file, such a record and the record the same build
-// writes today validate, analyze and render to the same bytes on every
-// surface that shows a build.
+// PR 21 — a "skip" timeline event for every cached unit — and before PR 23 — a
+// table entry for every cached unit, a pass name and a reason in every
+// decision row — until they rotate out. Read back from a file, such a record
+// and the record the same build writes today are the same record, and
+// validate, analyze and render to the same bytes on every surface that shows
+// a build.
 func TestBothRecordShapesRenderAlike(t *testing.T) {
 	// readBack is rec as a reader gets it: one line of a history file.
 	readBack := func(rec *history.Record, seq int) *history.Record {
@@ -208,48 +211,65 @@ func TestBothRecordShapesRenderAlike(t *testing.T) {
 			"explain": explain, "history": history.RenderHistory([]history.Record{*rec}, 0),
 		}
 	}
-	same := func(old, slim *history.Record, mustShow string) {
+	// same takes one build in the three shapes, oldest first.
+	same := func(seq int, mustShow string, shapes ...*history.Record) {
 		t.Helper()
-		if len(old.Timeline.Events) <= len(slim.Timeline.Events) {
-			t.Fatalf("case is wrong about itself: old shape has %d events, new %d", len(old.Timeline.Events), len(slim.Timeline.Events))
+		if v1, v2, now := shapes[0], shapes[1], shapes[2]; len(v1.Timeline.Events) <= len(v2.Timeline.Events) ||
+			len(v2.Units) <= len(now.Units) || len(v2.Units) != len(v1.Units) {
+			t.Fatalf("case is wrong about itself: %d, %d, %d events and %d, %d, %d units in the tables",
+				len(v1.Timeline.Events), len(v2.Timeline.Events), len(now.Timeline.Events), len(v1.Units), len(v2.Units), len(now.Units))
 		}
-		was, now := render(old), render(slim)
-		for surface, want := range was {
-			if now[surface] != want {
-				t.Errorf("build %d, %s differs between the shapes:\n old %s\n new %s", old.Seq, surface, want, now[surface])
+		now := readBack(shapes[2], seq)
+		want := render(now)
+		for i, old := range shapes[:2] {
+			old = readBack(old, seq)
+			if !reflect.DeepEqual(old, now) {
+				t.Errorf("build %d: shape %d reads back as another record than today's:\n%+v\n%+v", seq, i+1, old, now)
+			}
+			for surface, got := range render(old) {
+				if got != want[surface] {
+					t.Errorf("build %d, %s differs between shape %d and today's:\n old %s\n new %s", seq, surface, i+1, got, want[surface])
+				}
 			}
 		}
-		if !strings.Contains(now["/dash waterfall"], mustShow) {
-			t.Errorf("build %d: /dash waterfall lacks %q:\n%s", old.Seq, mustShow, now["/dash waterfall"])
+		if !strings.Contains(want["/dash waterfall"], mustShow) {
+			t.Errorf("build %d: /dash waterfall lacks %q:\n%s", seq, mustShow, want["/dash waterfall"])
 		}
 	}
 
 	for _, seq := range []int{1, 34, 200} {
-		same(readBack(testutil.HistoryRecordV1(seq), seq), readBack(testutil.HistoryRecord(seq), seq),
-			"2 scheduled, 206 cache skips")
+		same(seq, "2 scheduled, 206 cache skips",
+			testutil.HistoryRecordV1(seq), testutil.HistoryRecordV2(seq), testutil.HistoryRecord(seq))
 	}
 
-	// A build that compiled nothing: the old shape has an event per unit, the
-	// new one none, and the count shown is the record's own.
-	cached := func(rec *history.Record, skipEvents bool) *history.Record {
-		rec.UnitsCompiled, rec.UnitsCached, rec.Timeline.Events = 0, len(rec.Units), nil
-		names := make([]string, 0, len(rec.Units))
-		for name := range rec.Units {
-			names = append(names, name)
-		}
-		sort.Strings(names)
+	// A build that compiled nothing: the oldest shape has an event and an
+	// entry per unit, the next an entry, today's neither, and the count shown
+	// is the record's own.
+	var names []string
+	for name := range testutil.HistoryRecordV1(7).Units {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	cached := func(rec *history.Record, shape int) *history.Record {
+		rec.UnitsCompiled, rec.UnitsCached = 0, len(names)
+		rec.Units, rec.Pipeline, rec.Timeline.Events = map[string]history.UnitRecord{}, nil, []history.TimelineEvent{}
 		for i, name := range names {
-			rec.Units[name] = history.UnitRecord{Cached: true}
-			if skipEvents {
+			if shape < 3 {
+				rec.Units[name] = history.UnitRecord{Cached: true}
+			}
+			if shape == 1 {
 				at := int64(1000 * i)
 				rec.Timeline.Events = append(rec.Timeline.Events, history.TimelineEvent{
 					Unit: name, Worker: -1, Outcome: obs.OutcomeSkip, EnqueueNS: at, StartNS: at, EndNS: at + 900})
 			}
 		}
+		if shape == 3 {
+			rec.CachedDigest = history.CachedDigest(names)
+		}
 		return rec
 	}
-	same(readBack(cached(testutil.HistoryRecordV1(7), true), 7), readBack(cached(testutil.HistoryRecord(7), false), 7),
-		"fully cached build (208 skips)")
+	same(7, "fully cached build (208 skips)",
+		cached(testutil.HistoryRecordV1(7), 1), cached(testutil.HistoryRecordV2(7), 2), cached(testutil.HistoryRecord(7), 3))
 }
 
 // TestReadersTakeTheNewestRecords: over a history of 60 builds, the surfaces
@@ -323,5 +343,95 @@ func TestReadersTakeTheNewestRecords(t *testing.T) {
 	}
 	if rec, err := loadTimelineRecord(srv.histPath, 17); err != nil || rec.Seq != 17 {
 		t.Errorf("profile -build 17 over a history with a hole: record %v, err %v", rec, err)
+	}
+}
+
+// TestThreeRecordShapesOnEverySurface: the three histories under
+// internal/history/testdata — the same three builds as PR 20, PR 21 and
+// today's code write them — give the same bytes on /builds?n=, /dash and
+// `profile`, and `explain` knows the same units in each.
+func TestThreeRecordShapesOnEverySurface(t *testing.T) {
+	srv := newTestServer(t)
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+	get := func(url string) string {
+		t.Helper()
+		res, err := ts.Client().Get(ts.URL + url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Body.Close()
+		body, err := io.ReadAll(res.Body)
+		if err != nil || res.StatusCode != 200 {
+			t.Fatalf("%s: status %d, err %v", url, res.StatusCode, err)
+		}
+		return string(body)
+	}
+
+	var first string
+	var want map[string]string
+	for _, file := range []string{"history_pr20.jsonl", "history_pr21.jsonl", "history_pr23.jsonl"} {
+		data, err := os.ReadFile(filepath.Join("..", "..", "internal", "history", "testdata", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(srv.histPath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]string{}
+		for _, url := range []string{"/builds", "/builds?n=1", "/builds?n=2", "/dash"} {
+			got[url] = get(url)
+		}
+		for seq := 0; seq <= 3; seq++ {
+			rec, err := loadTimelineRecord(srv.histPath, seq)
+			if err != nil {
+				t.Fatalf("%s: profile -build %d: %v", file, seq, err)
+			}
+			tl := rec.Timeline.ToObs()
+			if err := tl.Validate(); err != nil {
+				t.Fatalf("%s: build %d: %v", file, seq, err)
+			}
+			cp := obs.Analyze(tl)
+			var text strings.Builder
+			renderProfile(&text, rec, tl, cp)
+			pj, err := json.Marshal(profileJSON(rec, tl, cp))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[fmt.Sprintf("profile -build %d", seq)] = text.String()
+			got[fmt.Sprintf("profile -build %d -json", seq)] = string(pj)
+		}
+		recs, err := history.LoadLast(srv.histPath, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Listed by build 3, listed by build 2 only, listed by neither.
+		for _, unit := range []string{"src/b.mc", "src/c.mc", "src/e.mc"} {
+			got["explain knows "+unit] = fmt.Sprint(unitKnown(recs, filepath.Dir(srv.histPath), unit))
+		}
+
+		if want == nil {
+			first, want = file, got
+			continue
+		}
+		for surface, text := range want {
+			if got[surface] != text {
+				t.Errorf("%s on %s:\n%s\non %s:\n%s", surface, file, got[surface], first, text)
+			}
+		}
+	}
+	for surface, text := range map[string]string{
+		"/dash":                  "2 scheduled, 3 cache skips",
+		"profile -build 3":       "1 compiled, 4 cached",
+		"profile -build 3 -json": `"pass":"inline"`,
+		"/builds?n=1":            `"cached_digest":"`,
+		"explain knows src/b.mc": "true", "explain knows src/c.mc": "true", "explain knows src/e.mc": "false",
+	} {
+		if !strings.Contains(want[surface], text) {
+			t.Errorf("%s lacks %q:\n%s", surface, text, want[surface])
+		}
+	}
+	if strings.Contains(want["/builds"], `"reason"`) || strings.Contains(want["/builds"], `"o":"skip"`) {
+		t.Errorf("/builds serves what a reader derives:\n%s", want["/builds"])
 	}
 }

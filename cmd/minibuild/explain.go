@@ -6,7 +6,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
+	"statefulcc/internal/buildsys"
 	"statefulcc/internal/history"
 )
 
@@ -42,12 +44,30 @@ func runExplain(args []string) error {
 	if len(recs) == 0 {
 		return fmt.Errorf("no build history at %s (run a stateful build first)", path)
 	}
+	// A record lists the units its build decided; any other unit of the
+	// project was cached and has its state file to show that it exists.
+	if unit != "" && !unitKnown(recs, resolveStateDir(*dir, *cache), unit) {
+		return fmt.Errorf("unknown unit %q: the last %d build(s) do not list it and %s holds no state file for it",
+			unit, len(recs), resolveStateDir(*dir, *cache))
+	}
 	out, err := history.RenderExplain(recs, unit)
 	if err != nil {
 		return err
 	}
 	fmt.Print(out)
 	return nil
+}
+
+// unitKnown reports whether any of recs lists unit or stateDir holds its
+// state file.
+func unitKnown(recs []history.Record, stateDir, unit string) bool {
+	for i := range recs {
+		if _, ok := recs[i].Units[unit]; ok {
+			return true
+		}
+	}
+	_, err := os.Stat(buildsys.StatePath(stateDir, unit))
+	return err == nil
 }
 
 // runHistory summarizes the newest records, one line per build.

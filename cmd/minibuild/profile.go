@@ -155,9 +155,9 @@ func passAttribution(rec *history.Record, unit string, top int) []map[string]any
 		ns   int64
 	}
 	var pts []pt
-	for _, p := range u.Passes {
-		if p.RunNS > 0 {
-			pts = append(pts, pt{p.Pass, p.RunNS})
+	for i := range u.Passes {
+		if p := &u.Passes[i]; p.RunNS > 0 {
+			pts = append(pts, pt{rec.PassName(p), p.RunNS})
 		}
 	}
 	sort.Slice(pts, func(i, j int) bool {

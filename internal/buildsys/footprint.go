@@ -83,7 +83,7 @@ func RecordObjectDeps(tr *footprint.Trace, obj *codegen.Object) {
 		if r.Func >= 0 && r.Func < len(obj.Funcs) {
 			code := obj.Funcs[r.Func].Code
 			if r.Pc >= 0 && r.Pc < len(code) {
-				arity = uint64(len(code[r.Pc].Args))
+				arity = uint64(code[r.Pc].C)
 			}
 		}
 		tr.Add(footprint.KindCall, r.Symbol, arity)

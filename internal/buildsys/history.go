@@ -2,11 +2,12 @@ package buildsys
 
 // Flight-recorder integration: after every successful Build, one
 // internal/history record — build timings, the counters-registry snapshot,
-// each unit's per-slot decision provenance, and the scheduled part of the
-// timeline (Report.Timeline keeps an event for every unit; the record one
-// for every unit that occupied a worker) — is appended to the state
-// directory. Recording is advisory: it is skipped without a destination
-// and append failures never fail a build.
+// the per-slot decision provenance of each unit the build decided, and the
+// scheduled part of the timeline (Report.Units and Report.Timeline keep an
+// entry for every unit; the record one for every unit the build did
+// something about, and a count and a digest for the rest) — is appended to
+// the state directory. Recording is advisory: it is skipped without a
+// destination and append failures never fail a build.
 
 import (
 	"time"
@@ -46,7 +47,10 @@ func (b *Builder) recordHistory(rep *Report) {
 	}
 }
 
-// historyRecord converts a build report into its flight-recorder record.
+// historyRecord converts a build report into its flight-recorder record:
+// every unit's outcome as the report has it, brought to the shape records
+// have on disk — decided units only — by the function that defines that
+// shape for readers too.
 func (b *Builder) historyRecord(rep *Report) *history.Record {
 	rec := &history.Record{
 		TimeUnixMS:    time.Now().UnixMilli(),
@@ -81,7 +85,6 @@ func (b *Builder) historyRecord(rep *Report) *history.Record {
 				Pass:        sl.Pass,
 				Slot:        slot,
 				Module:      sl.Module,
-				Reason:      sl.Reason(),
 				Runs:        sl.Runs,
 				Dormant:     sl.Dormant,
 				Skipped:     sl.Skipped,
@@ -101,5 +104,6 @@ func (b *Builder) historyRecord(rep *Report) *history.Record {
 		}
 		rec.Units[name] = u
 	}
+	rec.Normalize()
 	return rec
 }

@@ -32,6 +32,12 @@ func (b *Builder) statePath(unit string) string {
 	if b.opts.StateDir == "" {
 		return ""
 	}
+	return StatePath(b.opts.StateDir, unit)
+}
+
+// StatePath is the file a Builder with state directory stateDir keeps the
+// named unit's dormancy state in.
+func StatePath(stateDir, unit string) string {
 	var sb strings.Builder
 	for _, r := range unit {
 		switch {
@@ -43,7 +49,7 @@ func (b *Builder) statePath(unit string) string {
 		}
 	}
 	name := fmt16(contentHash([]byte(unit)))
-	return filepath.Join(b.opts.StateDir, sb.String()+"-"+name+stateSuffix)
+	return filepath.Join(stateDir, sb.String()+"-"+name+stateSuffix)
 }
 
 // fmt16 renders a hash as fixed-width lowercase hex without pulling fmt

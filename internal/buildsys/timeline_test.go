@@ -9,6 +9,8 @@ package buildsys_test
 
 import (
 	"fmt"
+	"maps"
+	"os"
 	"reflect"
 	"slices"
 	"testing"
@@ -149,9 +151,10 @@ func TestTimelineIncrementalSkips(t *testing.T) {
 }
 
 // TestRecordSizedByWork: the flight recorder persists what a build did. A
-// 2-unit edit of a 120-unit project leaves a record with two timeline events,
-// a cold build one with an event per unit, and the build's own timeline
-// (Report.Timeline) keeps one event per unit either way. Nothing a reader
+// 2-unit edit of a 120-unit project leaves a record with two timeline events
+// and two units in its table, a cold build one with an event and an entry per
+// unit, and the build's own report (Report.Timeline, Report.Units) keeps one
+// of each per unit either way. Nothing a reader
 // uses goes missing: the persisted timeline validates and analyzes to the
 // same critical path as the full one.
 func TestRecordSizedByWork(t *testing.T) {
@@ -200,9 +203,14 @@ func TestRecordSizedByWork(t *testing.T) {
 		if !slices.Equal(persisted, scheduled) || len(persisted) != rep.UnitsCompiled {
 			t.Errorf("build %d: record has events for %v, want the %d scheduled units %v", i, persisted, rep.UnitsCompiled, scheduled)
 		}
-		if rec.UnitsCached != len(base)-len(persisted) || len(rec.Units) != len(base) {
-			t.Errorf("build %d: units_cached %d, %d units in the table; want %d and %d",
-				i, rec.UnitsCached, len(rec.Units), len(base)-len(persisted), len(base))
+		if rec.UnitsCached != len(base)-len(persisted) || len(rec.Units) != len(persisted) || len(rep.Units) != len(base) {
+			t.Errorf("build %d: units_cached %d, %d units in the record's table, %d in the report's; want %d, %d and %d",
+				i, rec.UnitsCached, len(rec.Units), len(rep.Units), len(base)-len(persisted), len(persisted), len(base))
+		}
+		for _, name := range persisted {
+			if _, ok := rec.Units[name]; !ok {
+				t.Errorf("build %d: the record has an event for %s and no entry in its table", i, name)
+			}
 		}
 		tl := rec.Timeline.ToObs()
 		if err := tl.Validate(); err != nil {
@@ -213,11 +221,17 @@ func TestRecordSizedByWork(t *testing.T) {
 		}
 	}
 
-	// Against the shape records had before: the same record with a "skip"
-	// event for every cached unit.
+	// Against the shape records had at first: the same record with a "skip"
+	// event and a table entry for every cached unit.
 	slim := recs[1]
 	old, oldTL := slim, *slim.Timeline
 	old.Timeline, oldTL.Events = &oldTL, nil
+	old.Units = maps.Clone(slim.Units)
+	for name, ur := range reps[1].Units {
+		if !ur.Compiled {
+			old.Units[name] = histpkg.UnitRecord{Cached: true}
+		}
+	}
 	for _, e := range reps[1].Timeline.Events {
 		oldTL.Events = append(oldTL.Events, histpkg.TimelineEvent{
 			Unit: e.Unit, Worker: e.Worker, Outcome: e.Outcome, EnqueueNS: e.EnqueueNS, StartNS: e.StartNS, EndNS: e.EndNS,
@@ -228,8 +242,44 @@ func TestRecordSizedByWork(t *testing.T) {
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
-	t.Logf("2-unit edit of %d units: record %d bytes, %d with an event per unit", len(base), len(slimLine), len(oldLine))
+	t.Logf("2-unit edit of %d units: record %d bytes, %d with an event and an entry per unit", len(base), len(slimLine), len(oldLine))
 	if limit := len(oldLine) * 6 / 10; len(slimLine) > limit {
-		t.Errorf("record is %d bytes, want at most %d (0.6 × %d with an event per unit)", len(slimLine), limit, len(oldLine))
+		t.Errorf("record is %d bytes, want at most %d (0.6 × %d with an event and an entry per unit)", len(slimLine), limit, len(oldLine))
+	}
+}
+
+// TestRecordBytes holds the two record sizes the edit loop's cost follows —
+// every append decodes the whole file — on the megarepo: a 2-unit edit wrote
+// 14.2 KiB and a 208-unit compile 559 KiB when a record had an entry for
+// every unit and a pass name and a reason in every decision row.
+func TestRecordBytes(t *testing.T) {
+	base := workload.Generate(workload.MegaProfile())
+	edited, _ := workload.NewEditor(9).Commit(base, workload.CommitOptions{Units: 2})
+	dir := t.TempDir()
+	b, err := buildsys.NewBuilder(buildsys.Options{Mode: compiler.ModeStateful, StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, build := range []struct {
+		snap     project.Snapshot
+		compiled int
+		maxKiB   float64
+	}{{base, len(base), 380}, {edited, 2, 7}} {
+		if err := os.Remove(histpkg.Path(dir)); err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+		rep, err := b.Build(build.snap)
+		if err != nil || rep.UnitsCompiled != build.compiled {
+			t.Fatalf("compiled %d units, err %v; want %d", rep.UnitsCompiled, err, build.compiled)
+		}
+		line, err := os.ReadFile(histpkg.Path(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		kib := float64(len(line)) / 1024
+		t.Logf("%d of %d units compiled: record %.1f KiB", build.compiled, len(base), kib)
+		if kib > build.maxKiB {
+			t.Errorf("a build compiling %d of %d units wrote a record of %.1f KiB, want at most %.0f", build.compiled, len(base), kib, build.maxKiB)
+		}
 	}
 }

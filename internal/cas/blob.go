@@ -120,6 +120,15 @@ func uvarMin(data []byte) (v uint64, n int, err error) {
 // counts validated against bytes remaining before any allocation. The
 // decoded object links byte-identically to the original (the battery's
 // oracle check), and decode-accepted ⇒ re-encode byte-identical.
+//
+// An instruction's wire form is older than its memory form and is kept byte
+// for byte, because blob and action keys are hashes of these bytes: eight
+// fields — Op, Sub, A, B, C, Imm, the else-target of an IBr, the string index
+// of an IPrint or IAssert (-1 for every other opcode) — and the argument
+// slots of an ICall or IPrint. codegen.Instr holds the last three in B, Imm
+// and the function's argument pool (instrWire says which goes where); a wire
+// instruction with a value in a field its opcode does not use has no memory
+// form and is refused, so the compiler's objects are exactly what decodes.
 
 // EncodeObject renders a compiled unit object as its canonical payload.
 func EncodeObject(o *codegen.Object) []byte {
@@ -141,15 +150,16 @@ func EncodeObject(o *codegen.Object) []byte {
 		e.uv(uint64(len(f.Code)))
 		for i := range f.Code {
 			in := &f.Code[i]
+			w := wireOf(f, in)
 			e.buf = append(e.buf, byte(in.Op), in.Sub)
 			e.sv(int64(in.A))
-			e.sv(int64(in.B))
-			e.sv(int64(in.C))
-			e.sv(in.Imm)
-			e.sv(in.Imm2)
-			e.sv(int64(in.StrIdx))
-			e.uv(uint64(len(in.Args)))
-			for _, a := range in.Args {
+			e.sv(int64(w.b))
+			e.sv(int64(w.c))
+			e.sv(w.imm)
+			e.sv(w.elseTarget)
+			e.sv(w.str)
+			e.uv(uint64(len(w.args)))
+			for _, a := range w.args {
 				e.sv(int64(a))
 			}
 		}
@@ -186,18 +196,24 @@ func DecodeObject(data []byte) (*codegen.Object, error) {
 			AllocaWords: int(d.uv()),
 			HasResult:   d.bool(),
 		}
-		for range d.count(8) {
-			in := codegen.Instr{Op: codegen.Opcode(d.byte()), Sub: d.byte()}
+		if n := d.count(8); n > 0 {
+			f.Code = make([]codegen.Instr, n)
+		}
+		for i := range f.Code {
+			in := &f.Code[i]
+			*in = codegen.Instr{Op: codegen.Opcode(d.byte()), Sub: d.byte()}
 			in.A = d.i32()
-			in.B = d.i32()
-			in.C = d.i32()
-			in.Imm = d.sv()
-			in.Imm2 = d.sv()
-			in.StrIdx = d.i32()
+			w := instrWire{b: d.i32(), c: d.i32(), imm: d.sv(), elseTarget: int64(d.i32()), str: int64(d.i32())}
+			// The arguments go straight into the function's pool; into
+			// refuses them on an opcode that has none.
+			pooled := len(f.Args)
 			for range d.count(1) {
-				in.Args = append(in.Args, d.i32())
+				f.Args = append(f.Args, d.i32())
 			}
-			f.Code = append(f.Code, in)
+			w.args = f.Args[pooled:]
+			if !w.into(f, in) {
+				d.fail("object instruction %d of %s: a field %s does not use is set", i, f.Name, in.Op)
+			}
 		}
 		o.Funcs = append(o.Funcs, f)
 	}
@@ -215,7 +231,59 @@ func DecodeObject(data []byte) (*codegen.Object, error) {
 	if len(d.buf) != 0 {
 		return nil, fmt.Errorf("cas: %d trailing bytes after object: %w", len(d.buf), ErrVerify)
 	}
+	// What the linker and the VM index with — argument windows, jump
+	// targets, string indices, relocation sites in order — is checked here,
+	// so a blob that decodes can be linked and run without a second look.
+	if err := o.Validate(); err != nil {
+		return nil, fmt.Errorf("cas: %v: %w", err, ErrVerify)
+	}
 	return o, nil
+}
+
+// instrWire is what an instruction's wire form has beyond Op, Sub and A.
+type instrWire struct {
+	b, c            int32
+	imm             int64
+	elseTarget, str int64
+	args            []int32
+}
+
+// wireOf returns the wire form of in, an instruction of f.
+func wireOf(f *codegen.FuncCode, in *codegen.Instr) instrWire {
+	w := instrWire{b: in.B, c: in.C, imm: in.Imm, str: -1}
+	switch in.Op {
+	case codegen.ICall:
+		w.b, w.c, w.args = 0, 0, f.ArgSlots(in)
+	case codegen.IPrint:
+		w.b, w.c, w.imm, w.str, w.args = 0, 0, 0, in.Imm, f.ArgSlots(in)
+	case codegen.IAssert:
+		w.imm, w.str = 0, in.Imm
+	case codegen.IBr:
+		w.b, w.elseTarget = 0, int64(in.B)
+	}
+	return w
+}
+
+// into completes in, an instruction of f whose Op is set, from its wire form;
+// w.args are the last len(w.args) slots of f's pool. It reports whether w is
+// the wire form of what it made — whether in encodes back to the bytes it
+// came from.
+func (w instrWire) into(f *codegen.FuncCode, in *codegen.Instr) bool {
+	in.B, in.C, in.Imm = w.b, w.c, w.imm
+	switch in.Op {
+	case codegen.ICall, codegen.IPrint:
+		in.B, in.C = int32(len(f.Args)-len(w.args)), int32(len(w.args))
+		if in.Op == codegen.IPrint {
+			in.Imm = w.str
+		}
+	case codegen.IAssert:
+		in.Imm = w.str
+	case codegen.IBr:
+		in.B = int32(w.elseTarget)
+	}
+	back := wireOf(f, in)
+	return back.b == w.b && back.c == w.c && back.imm == w.imm && back.elseTarget == w.elseTarget &&
+		back.str == w.str && len(back.args) == len(w.args)
 }
 
 type objEnc struct{ buf []byte }

@@ -11,10 +11,15 @@ package cas_test
 // testdata/casblob_v1.golden freezes the v1 object-blob bytes. If this
 // test fails after a codec change, bump cas.BlobFormatVersion (old and new
 // processes then stop sharing instead of misdecoding each other) and
-// regenerate with -update.
+// regenerate with -update. (PR 23 regenerated it without a bump: the layout
+// did not move — every object the compiler makes encodes to the bytes it
+// did — but the golden object had an else-target on a constant and
+// arguments on a move, which an instruction can no longer hold and the
+// decoder now refuses.)
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"io"
 	"net/http"
@@ -74,6 +79,9 @@ func FuzzCASObjectDecode(f *testing.F) {
 	f.Add(cas.EncodeObject(&codegen.Object{Unit: "empty.mc"}))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	for _, h := range hostilePayloads(f) {
+		f.Add(h.payload)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		o, err := cas.DecodeObject(data)
 		if err != nil {
@@ -122,7 +130,8 @@ func FuzzCASWire(f *testing.F) {
 }
 
 // goldenObject exercises every Object field: globals, multiple functions,
-// instructions with operands/args/strings, relocs in both tables, externs.
+// every opcode that reads its function's argument pool, the string table or
+// a jump target, extreme operands, relocs in both tables, externs.
 func goldenObject() *codegen.Object {
 	return &codegen.Object{
 		Unit: "golden.mc",
@@ -134,19 +143,95 @@ func goldenObject() *codegen.Object {
 			{
 				Name: "main", NumParams: 0, NumSlots: 3, AllocaWords: 2, HasResult: true,
 				Code: []codegen.Instr{
-					{Op: 1, Sub: 0, A: 0, B: -1, C: 2, Imm: 42, Imm2: -9, StrIdx: 0},
-					{Op: 2, Sub: 3, A: 1, Args: []int32{0, -2, 7}, StrIdx: 1},
+					{Op: codegen.IConst, A: 0, Imm: 42},
+					{Op: codegen.ICall, A: 1, B: 0, C: 2, Imm: -9},
+					{Op: codegen.IBr, A: 1, B: 4, Imm: 3},
+					{Op: codegen.IPrint, B: 2, C: 1, Imm: 0},
+					{Op: codegen.IAssert, A: 2, Imm: 1},
+					{Op: codegen.IPrint, B: 3, C: 0, Imm: -1},
+					{Op: codegen.IRet, A: 1},
 				},
+				Args: []int32{0, -2, 7},
 			},
 			{
 				Name: "helper", NumParams: 2, NumSlots: 2, HasResult: false,
-				Code: []codegen.Instr{{Op: 3, A: 2147483647, B: -2147483648, StrIdx: -1}},
+				Code: []codegen.Instr{
+					{Op: codegen.IGAddr, A: 0},
+					{Op: codegen.IBin, Sub: 3, A: 2147483647, B: -2147483648, C: 2, Imm: 1 << 40},
+					{Op: codegen.IJmp, Imm: 0},
+				},
 			},
 		},
 		Strings:      []string{"hello", ""},
 		Relocs:       []codegen.Reloc{{Func: 0, Pc: 1, Symbol: "helper"}},
 		GlobalRelocs: []codegen.Reloc{{Func: 1, Pc: 0, Symbol: "g0"}},
 		Externs:      []string{"puts"},
+	}
+}
+
+// hostilePayloads are goldenObject's payload with one thing wrong each: what
+// a blob from an untrusted cache could say that the linker or the VM would
+// index with, or that has no place in an instruction. None may decode.
+func hostilePayloads(tb testing.TB) []hostilePayload {
+	// object edits the object before it is encoded (the encoder checks
+	// nothing), wire the bytes after: the wire form has fields the memory
+	// form has none for.
+	object := func(name string, edit func(o *codegen.Object)) hostilePayload {
+		o := goldenObject()
+		edit(o)
+		return hostilePayload{name, cas.EncodeObject(o)}
+	}
+	golden := cas.EncodeObject(goldenObject())
+	wire := func(name string, from, to []byte) hostilePayload {
+		if bytes.Count(golden, from) != 1 {
+			tb.Fatalf("%s: the golden payload has the instruction bytes %x %d times, want once", name, from, bytes.Count(golden, from))
+		}
+		return hostilePayload{name, bytes.Replace(golden, from, to, 1)}
+	}
+	main := func(o *codegen.Object, pc int) *codegen.Instr { return &o.Funcs[0].Code[pc] }
+	// main's first two instructions as encoded: op, sub, A, B, C, Imm,
+	// else-target, string, argument count and arguments.
+	konst := []byte{byte(codegen.IConst), 0, 0, 0, 0, 84, 0, 1, 0}
+	call := []byte{byte(codegen.ICall), 0, 2, 0, 0, 17, 0, 1, 2, 0, 3}
+	return []hostilePayload{
+		object("branch then-target past the function", func(o *codegen.Object) { main(o, 2).Imm = 7 }),
+		object("branch else-target negative", func(o *codegen.Object) { main(o, 2).B = -1 }),
+		object("jump target past the function", func(o *codegen.Object) { o.Funcs[1].Code[2].Imm = 1 << 33 }),
+		object("print string outside the table", func(o *codegen.Object) { main(o, 3).Imm = 2 }),
+		object("assert string below -1", func(o *codegen.Object) { main(o, 4).Imm = -2 }),
+		object("call without a relocation", func(o *codegen.Object) { o.Relocs = nil }),
+		object("duplicate relocation site", func(o *codegen.Object) { o.Relocs = append(o.Relocs, o.Relocs[0]) }),
+		object("relocations out of site order", func(o *codegen.Object) {
+			o.Funcs[0].Code[0] = codegen.Instr{Op: codegen.ICall, A: -1, B: 0, C: 0}
+			o.Relocs = []codegen.Reloc{{Func: 0, Pc: 1, Symbol: "helper"}, {Func: 0, Pc: 0, Symbol: "helper"}}
+		}),
+		object("relocation on an instruction that is no call", func(o *codegen.Object) {
+			o.Relocs = append(o.Relocs, codegen.Reloc{Func: 1, Pc: 1, Symbol: "helper"})
+		}),
+		object("global relocation outside the object", func(o *codegen.Object) { o.GlobalRelocs[0].Func = 5 }),
+		wire("else-target on a constant", konst, []byte{byte(codegen.IConst), 0, 0, 0, 0, 84, 2, 1, 0}),
+		wire("string on a constant", konst, []byte{byte(codegen.IConst), 0, 0, 0, 0, 84, 0, 0, 0}),
+		wire("argument on a constant", konst, []byte{byte(codegen.IConst), 0, 0, 0, 0, 84, 0, 1, 1, 0}),
+		wire("source slot on a call", call, []byte{byte(codegen.ICall), 0, 2, 2, 0, 17, 0, 1, 2, 0, 3}),
+		wire("string on a call", call, []byte{byte(codegen.ICall), 0, 2, 0, 0, 17, 0, 0, 2, 0, 3}),
+	}
+}
+
+type hostilePayload struct {
+	name    string
+	payload []byte
+}
+
+// TestDecodeObjectRejectsHostile: each hostile payload is refused as a
+// verification failure, and the payload it was made from is accepted.
+func TestDecodeObjectRejectsHostile(t *testing.T) {
+	if _, err := cas.DecodeObject(cas.EncodeObject(goldenObject())); err != nil {
+		t.Fatalf("the well-formed object does not decode: %v", err)
+	}
+	for _, h := range hostilePayloads(t) {
+		if _, err := cas.DecodeObject(h.payload); !errors.Is(err, cas.ErrVerify) {
+			t.Errorf("%s: decode returned %v, want a verification failure", h.name, err)
+		}
 	}
 }
 

@@ -40,20 +40,22 @@ const (
 	// IStore: mem[slot[A]] = slot[B].
 	IStore
 
-	// ICall: call function Imm (program function index) with args from
-	// Args slots; result (if any) into slot[A] (A = -1 for void).
+	// ICall: call function Imm (program function index) with the C argument
+	// slots at Args[B:B+C]; result (if any) into slot[A] (A = -1 for void).
 	ICall
 	// IRet: return slot[A] (A = -1 for void).
 	IRet
 
 	// IJmp: jump to instruction Imm.
 	IJmp
-	// IBr: if slot[A] != 0 jump to Imm else to Imm2.
+	// IBr: if slot[A] != 0 jump to Imm else to B.
 	IBr
 
-	// IPrint: print StrIdx label (if >= 0) and Args slots.
+	// IPrint: print the string Imm (if >= 0) and the C slots at
+	// Args[B:B+C].
 	IPrint
-	// IAssert: trap with StrIdx message if slot[A] == 0.
+	// IAssert: trap with the string Imm (if >= 0) as message if
+	// slot[A] == 0.
 	IAssert
 )
 
@@ -72,19 +74,22 @@ func (o Opcode) String() string {
 	return fmt.Sprintf("opcode(%d)", int(o))
 }
 
-// Instr is one bytecode instruction.
+// Instr is one bytecode instruction: 24 bytes and no pointers, so a linked
+// program costs the collector nothing to scan and a caller that keeps
+// programs (one per build) keeps little. The opcode table above says what
+// each opcode puts in A, B, C and Imm; what does not fit the three slots —
+// the argument lists of calls and prints — lives in the function's Args
+// pool, addressed by (B, C) = (offset, count).
 type Instr struct {
-	Op   Opcode
-	Sub  uint8 // ir.Op for IBin/IUn
-	A    int32 // dst slot (or cond for IBr/IAssert, addr for IStore)
-	B    int32 // src slot
-	C    int32 // src slot
-	Imm  int64 // constant / target pc / global addr / function index / bounds
-	Imm2 int64 // second target for IBr
-	// Args holds call/print argument slots.
-	Args []int32
-	// StrIdx indexes the program string table (labels/messages); -1 none.
-	StrIdx int32
+	Op  Opcode
+	Sub uint8 // ir.Op for IBin/IUn
+	A   int32 // dst slot (or cond for IBr/IAssert, addr for IStore)
+	B   int32 // src slot; Args offset for ICall/IPrint; else-target for IBr
+	C   int32 // src slot; Args count for ICall/IPrint
+	// Imm is the constant, target pc, global address, function index or
+	// bound; for IPrint/IAssert the index into the string table (labels and
+	// messages), -1 for none.
+	Imm int64
 }
 
 // FuncCode is one compiled function.
@@ -98,12 +103,19 @@ type FuncCode struct {
 	AllocaWords int
 	// Code is the instruction stream.
 	Code []Instr
+	// Args is the pool of call/print argument slots; an ICall or IPrint
+	// addresses its list as Args[B:B+C]. Never written after the function
+	// is compiled: the linker's copy of the function shares it.
+	Args []int32
 	// HasResult reports whether callers receive a value.
 	HasResult bool
 }
 
 // FrameWords is the total frame size in memory words.
 func (f *FuncCode) FrameWords() int { return f.NumSlots + f.AllocaWords }
+
+// ArgSlots returns the argument slots of the ICall or IPrint in.
+func (f *FuncCode) ArgSlots(in *Instr) []int32 { return f.Args[in.B : in.B+in.C] }
 
 // Object is the compiled form of one compilation unit, pre-link: calls and
 // globals are still symbolic.
@@ -116,13 +128,74 @@ type Object struct {
 	// Strings referenced by the unit's code.
 	Strings []string
 	// Relocs record call sites to patch: Code[Pc].Imm must become the
-	// program-wide function index of Symbol.
+	// program-wide function index of Symbol. One per ICall, in (Func, Pc)
+	// order — the linker walks them beside the code (see Validate).
 	Relocs []Reloc
 	// GlobalRelocs record IGAddr sites: Code[Pc].Imm must become the
-	// program-wide address of the named global.
+	// program-wide address of the named global. One per IGAddr, in
+	// (Func, Pc) order.
 	GlobalRelocs []Reloc
 	// Externs this unit expects at link time.
 	Externs []string
+}
+
+// Validate checks what the linker and the VM take on trust from an object,
+// wherever it came from (the compiler checks its own output once, the
+// shared cache every blob it decodes): every ICall and IPrint addresses a
+// window inside its function's Args pool, every jump lands inside its
+// function, every string index is in the table (or -1), and the two
+// relocation tables list exactly the ICall and the IGAddr sites in
+// (Func, Pc) order.
+func (o *Object) Validate() error {
+	calls, globals := relocCursor(o.Relocs), relocCursor(o.GlobalRelocs)
+	for fi, f := range o.Funcs {
+		inCode := func(pc int64) bool { return pc >= 0 && pc < int64(len(f.Code)) }
+		for pc := range f.Code {
+			in := &f.Code[pc]
+			ok := true
+			switch in.Op {
+			case ICall:
+				_, ok = calls.take(fi, pc)
+				ok = ok && in.argsIn(f)
+			case IGAddr:
+				_, ok = globals.take(fi, pc)
+			case IPrint:
+				ok = in.argsIn(f) && in.Imm >= -1 && in.Imm < int64(len(o.Strings))
+			case IAssert:
+				ok = in.Imm >= -1 && in.Imm < int64(len(o.Strings))
+			case IJmp:
+				ok = inCode(in.Imm)
+			case IBr:
+				ok = inCode(in.Imm) && inCode(int64(in.B))
+			}
+			if !ok {
+				return fmt.Errorf("unit %s: func %s pc %d: malformed %s (window, target, string or relocation out of place)",
+					o.Unit, f.Name, pc, in.Op)
+			}
+		}
+	}
+	if len(calls) != 0 || len(globals) != 0 {
+		return fmt.Errorf("unit %s: relocation that names no call or global-address site, or sites out of order", o.Unit)
+	}
+	return nil
+}
+
+func (in *Instr) argsIn(f *FuncCode) bool {
+	return in.B >= 0 && in.C >= 0 && int64(in.B)+int64(in.C) <= int64(len(f.Args))
+}
+
+// relocCursor is what is left of a relocation table while code is walked in
+// (Func, Pc) order beside it.
+type relocCursor []Reloc
+
+// take returns the symbol of the table's next relocation and steps past it,
+// if that relocation names the site (fn, pc).
+func (c *relocCursor) take(fn, pc int) (symbol string, ok bool) {
+	if len(*c) == 0 || (*c)[0].Func != fn || (*c)[0].Pc != pc {
+		return "", false
+	}
+	symbol, *c = (*c)[0].Symbol, (*c)[1:]
+	return symbol, true
 }
 
 // GlobalDef is a global variable in an object.

@@ -1,8 +1,10 @@
 package codegen_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"statefulcc/internal/codegen"
 	"statefulcc/internal/ir"
@@ -310,5 +312,60 @@ func main() int {
 	}
 	if out1 != out2 || exit1 != exit2 {
 		t.Errorf("codegen differs across IR forms: %q/%d vs %q/%d", out1, exit1, out2, exit2)
+	}
+}
+
+// TestInstrLayout: an instruction is 24 bytes with nothing in it the
+// collector has to follow. A linked megarepo program is 58 762 of them, and
+// whoever keeps programs keeps that many times this size.
+func TestInstrLayout(t *testing.T) {
+	if size := unsafe.Sizeof(codegen.Instr{}); size != 24 {
+		t.Errorf("Instr is %d bytes, want 24", size)
+	}
+	typ := reflect.TypeOf(codegen.Instr{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		default:
+			t.Errorf("Instr.%s is a %s: only fixed-size integers belong in an instruction", f.Name, f.Type.Kind())
+		}
+	}
+}
+
+// TestRelocationsInSiteOrder: the compiler emits an object's relocations in
+// (Func, Pc) order and the linker walks them beside the code with a cursor; an
+// object whose tables are out of order, short or long is refused by Validate
+// and by Link, never patched wrongly.
+func TestRelocationsInSiteOrder(t *testing.T) {
+	src := `
+var g int = 3;
+extern func lib(x int) int;
+func twice(x int) int { return lib(x) + lib(x + g); }
+func main() int { return twice(g) + lib(1); }`
+	lib := compileNamed(t, "lib.mc", `func lib(x int) int { return x + 1; }`)
+	for name, edit := range map[string]func(o *codegen.Object){
+		"swapped":   func(o *codegen.Object) { o.Relocs[0], o.Relocs[1] = o.Relocs[1], o.Relocs[0] },
+		"short":     func(o *codegen.Object) { o.Relocs = o.Relocs[:len(o.Relocs)-1] },
+		"duplicate": func(o *codegen.Object) { o.Relocs = append(o.Relocs, o.Relocs[len(o.Relocs)-1]) },
+		"globals":   func(o *codegen.Object) { o.GlobalRelocs = o.GlobalRelocs[1:] },
+	} {
+		obj := compileNamed(t, "u.mc", src)
+		if len(obj.Relocs) < 3 || len(obj.GlobalRelocs) < 2 {
+			t.Fatalf("case is wrong about itself: %d call and %d global relocations", len(obj.Relocs), len(obj.GlobalRelocs))
+		}
+		if err := obj.Validate(); err != nil {
+			t.Fatalf("compiled object: %v", err)
+		}
+		if _, err := codegen.Link([]*codegen.Object{obj, lib}); err != nil {
+			t.Fatalf("compiled object: %v", err)
+		}
+		edit(obj)
+		if err := obj.Validate(); err == nil {
+			t.Errorf("%s: Validate accepts the object", name)
+		}
+		if _, err := codegen.Link([]*codegen.Object{obj, lib}); err == nil {
+			t.Errorf("%s: Link accepts the object", name)
+		}
 	}
 }

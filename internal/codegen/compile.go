@@ -55,6 +55,7 @@ type Scratch struct {
 	constSlot map[int64]int32
 	consts    []constDef
 	code      []Instr
+	args      []int32 // the function's call/print argument pool
 	fixups    []fixup
 	tramps    []trampoline
 	moves     []move
@@ -91,6 +92,10 @@ func (s *Scratch) CompileWithOptions(m *ir.Module, opts Options) (*Object, error
 		}
 		obj.Funcs = append(obj.Funcs, fc)
 	}
+	// One check where the object is made; the linker and the VM rely on it.
+	if err := obj.Validate(); err != nil {
+		return nil, fmt.Errorf("codegen emitted a malformed object: %w", err)
+	}
 	return obj, nil
 }
 
@@ -116,11 +121,11 @@ type constDef struct {
 	val  int64
 }
 
-// fixup is an instruction whose Imm (or Imm2) must be resolved to the
-// start of a block or of a trampoline.
+// fixup is an instruction whose Imm (or, for the else-edge of an IBr, B)
+// must be resolved to the start of a block or of a trampoline.
 type fixup struct {
 	pc     int
-	second bool // patch Imm2 instead of Imm
+	second bool // patch B instead of Imm
 	block  *ir.Block
 	tramp  int // index into tramps plus one; 0: jump to block
 }
@@ -147,7 +152,7 @@ func compileFunc(f *ir.Func, obj *Object, fnIndex int, strIdx map[string]int32, 
 	s.allocaOff = ir.Dense(s.allocaOff, f.NumValues())
 	s.blockPC = ir.Dense(s.blockPC, f.NumBlockIDs())
 	clear(s.constSlot)
-	s.consts, s.code, s.fixups = s.consts[:0], s.code[:0], s.fixups[:0]
+	s.consts, s.code, s.args, s.fixups = s.consts[:0], s.code[:0], s.args[:0], s.fixups[:0]
 	s.tramps, s.moves = s.tramps[:0], s.moves[:0]
 
 	c.assignSlots()
@@ -172,6 +177,7 @@ func compileFunc(f *ir.Func, obj *Object, fnIndex int, strIdx map[string]int32, 
 		NumSlots:    int(c.nextSlot),
 		AllocaWords: int(c.allocaWords),
 		Code:        append([]Instr(nil), c.code...),
+		Args:        append([]int32(nil), c.args...),
 		HasResult:   f.Result != ir.TVoid,
 	}, nil
 }
@@ -230,7 +236,7 @@ func (c *fnCompiler) constSlotFor(v *ir.Value) int32 {
 
 func (c *fnCompiler) emitPrologue() {
 	for _, cd := range c.consts {
-		c.code = append(c.code, Instr{Op: IConst, A: cd.slot, Imm: cd.val, StrIdx: -1})
+		c.code = append(c.code, Instr{Op: IConst, A: cd.slot, Imm: cd.val})
 	}
 }
 
@@ -259,16 +265,14 @@ func (c *fnCompiler) internString(s string) int32 {
 	return i
 }
 
-// argSlots returns the slots of v's operands (nil for none).
-func (c *fnCompiler) argSlots(v *ir.Value) []int32 {
-	if len(v.Args) == 0 {
-		return nil
+// argSlots appends the slots of v's operands to the function's pool and
+// returns their window (offset, count).
+func (c *fnCompiler) argSlots(v *ir.Value) (off, n int32) {
+	off = int32(len(c.args))
+	for _, a := range v.Args {
+		c.args = append(c.args, c.slot(a))
 	}
-	slots := make([]int32, len(v.Args))
-	for i, a := range v.Args {
-		slots[i] = c.slot(a)
-	}
-	return slots
+	return off, int32(len(v.Args))
 }
 
 func (c *fnCompiler) emit(i Instr) int {
@@ -281,44 +285,44 @@ func (c *fnCompiler) emitInstr(v *ir.Value) error {
 	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem, ir.OpAnd, ir.OpOr,
 		ir.OpXor, ir.OpShl, ir.OpShr, ir.OpEq, ir.OpNe, ir.OpLt, ir.OpLe,
 		ir.OpGt, ir.OpGe:
-		c.emit(Instr{Op: IBin, Sub: uint8(v.Op), A: c.slot(v), B: c.slot(v.Args[0]), C: c.slot(v.Args[1]), StrIdx: -1})
+		c.emit(Instr{Op: IBin, Sub: uint8(v.Op), A: c.slot(v), B: c.slot(v.Args[0]), C: c.slot(v.Args[1])})
 	case ir.OpNeg, ir.OpCompl, ir.OpNot:
-		c.emit(Instr{Op: IUn, Sub: uint8(v.Op), A: c.slot(v), B: c.slot(v.Args[0]), StrIdx: -1})
+		c.emit(Instr{Op: IUn, Sub: uint8(v.Op), A: c.slot(v), B: c.slot(v.Args[0])})
 	case ir.OpCopy:
-		c.emit(Instr{Op: IMov, A: c.slot(v), B: c.slot(v.Args[0]), StrIdx: -1})
+		c.emit(Instr{Op: IMov, A: c.slot(v), B: c.slot(v.Args[0])})
 	case ir.OpAlloca:
 		// Address = fp + numSlots + allocaOffset; numSlots is only known
 		// after slot assignment, which already ran, but temp slots are
 		// final too, so nextSlot is stable here.
-		c.emit(Instr{Op: ILea, A: c.slot(v), Imm: int64(c.nextSlot) + c.allocaOff[v.ID], StrIdx: -1})
+		c.emit(Instr{Op: ILea, A: c.slot(v), Imm: int64(c.nextSlot) + c.allocaOff[v.ID]})
 	case ir.OpGlobalAddr:
-		pc := c.emit(Instr{Op: IGAddr, A: c.slot(v), StrIdx: -1})
+		pc := c.emit(Instr{Op: IGAddr, A: c.slot(v)})
 		c.obj.GlobalRelocs = append(c.obj.GlobalRelocs, Reloc{Func: c.fnIndex, Pc: pc, Symbol: v.Sym})
 	case ir.OpIndexAddr:
-		c.emit(Instr{Op: IIdx, A: c.slot(v), B: c.slot(v.Args[0]), C: c.slot(v.Args[1]), Imm: v.Aux, StrIdx: -1})
+		c.emit(Instr{Op: IIdx, A: c.slot(v), B: c.slot(v.Args[0]), C: c.slot(v.Args[1]), Imm: v.Aux})
 	case ir.OpLoad:
-		c.emit(Instr{Op: ILoad, A: c.slot(v), B: c.slot(v.Args[0]), StrIdx: -1})
+		c.emit(Instr{Op: ILoad, A: c.slot(v), B: c.slot(v.Args[0])})
 	case ir.OpStore:
-		c.emit(Instr{Op: IStore, A: c.slot(v.Args[0]), B: c.slot(v.Args[1]), StrIdx: -1})
+		c.emit(Instr{Op: IStore, A: c.slot(v.Args[0]), B: c.slot(v.Args[1])})
 	case ir.OpCall:
-		in := Instr{Op: ICall, A: -1, StrIdx: -1}
+		in := Instr{Op: ICall, A: -1}
 		if v.Type != ir.TVoid {
 			in.A = c.slot(v)
 		}
-		in.Args = c.argSlots(v)
+		in.B, in.C = c.argSlots(v)
 		pc := c.emit(in)
 		c.obj.Relocs = append(c.obj.Relocs, Reloc{Func: c.fnIndex, Pc: pc, Symbol: v.Sym})
 	case ir.OpPrint:
-		in := Instr{Op: IPrint, StrIdx: -1}
+		in := Instr{Op: IPrint, Imm: -1}
 		if v.StrAux != "" {
-			in.StrIdx = c.internString(v.StrAux)
+			in.Imm = int64(c.internString(v.StrAux))
 		}
-		in.Args = c.argSlots(v)
+		in.B, in.C = c.argSlots(v)
 		c.emit(in)
 	case ir.OpAssert:
-		in := Instr{Op: IAssert, A: c.slot(v.Args[0]), StrIdx: -1}
+		in := Instr{Op: IAssert, A: c.slot(v.Args[0]), Imm: -1}
 		if v.StrAux != "" {
-			in.StrIdx = c.internString(v.StrAux)
+			in.Imm = int64(c.internString(v.StrAux))
 		}
 		c.emit(in)
 	default:
@@ -346,7 +350,7 @@ func (c *fnCompiler) phiMoves(pred, succ *ir.Block) (from, to int) {
 func (c *fnCompiler) emitMoves(from, to int) {
 	for _, m := range c.moves[from:to] {
 		if m.dst != m.src {
-			c.emit(Instr{Op: IMov, A: m.dst, B: m.src, StrIdx: -1})
+			c.emit(Instr{Op: IMov, A: m.dst, B: m.src})
 		}
 	}
 }
@@ -355,7 +359,7 @@ func (c *fnCompiler) emitTerminator(b *ir.Block) error {
 	t := b.Term
 	switch t.Op {
 	case ir.OpRet:
-		in := Instr{Op: IRet, A: -1, StrIdx: -1}
+		in := Instr{Op: IRet, A: -1}
 		if len(t.Args) == 1 {
 			in.A = c.slot(t.Args[0])
 		}
@@ -363,11 +367,11 @@ func (c *fnCompiler) emitTerminator(b *ir.Block) error {
 	case ir.OpJump:
 		succ := t.Blocks[0]
 		c.emitMoves(c.phiMoves(b, succ))
-		pc := c.emit(Instr{Op: IJmp, StrIdx: -1})
+		pc := c.emit(Instr{Op: IJmp})
 		c.fixups = append(c.fixups, fixup{pc: pc, block: succ})
 	case ir.OpBranch:
 		thenB, elseB := t.Blocks[0], t.Blocks[1]
-		pc := c.emit(Instr{Op: IBr, A: c.slot(t.Args[0]), StrIdx: -1})
+		pc := c.emit(Instr{Op: IBr, A: c.slot(t.Args[0])})
 		c.fixups = append(c.fixups, c.edgeFixup(pc, false, b, thenB))
 		c.fixups = append(c.fixups, c.edgeFixup(pc, true, b, elseB))
 	default:
@@ -392,7 +396,7 @@ func (c *fnCompiler) emitTrampolines() {
 		tr := &c.tramps[i]
 		tr.pc = len(c.code)
 		c.emitMoves(tr.from, tr.to)
-		pc := c.emit(Instr{Op: IJmp, StrIdx: -1})
+		pc := c.emit(Instr{Op: IJmp})
 		c.fixups = append(c.fixups, fixup{pc: pc, block: tr.target})
 	}
 }
@@ -406,7 +410,7 @@ func (c *fnCompiler) resolveFixups() {
 			target = c.blockPC[fx.block.ID]
 		}
 		if fx.second {
-			c.code[fx.pc].Imm2 = int64(target)
+			c.code[fx.pc].B = int32(target)
 		} else {
 			c.code[fx.pc].Imm = int64(target)
 		}

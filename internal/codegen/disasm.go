@@ -16,8 +16,8 @@ func (f *FuncCode) Disassemble(strtab []string) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "func %s: params=%d slots=%d alloca=%d\n",
 		f.Name, f.NumParams, f.NumSlots, f.AllocaWords)
-	for pc, in := range f.Code {
-		fmt.Fprintf(&sb, "  %4d: %s\n", pc, disasmInstr(in, strtab))
+	for pc := range f.Code {
+		fmt.Fprintf(&sb, "  %4d: %s\n", pc, f.disasmInstr(&f.Code[pc], strtab))
 	}
 	return sb.String()
 }
@@ -32,26 +32,17 @@ func DisassembleObject(o *Object) string {
 	for _, x := range o.Externs {
 		fmt.Fprintf(&sb, "extern %s\n", x)
 	}
-	// Index relocations for inline annotation.
-	type site struct{ fn, pc int }
-	callSym := map[site]string{}
-	for _, r := range o.Relocs {
-		callSym[site{r.Func, r.Pc}] = r.Symbol
-	}
-	globSym := map[site]string{}
-	for _, r := range o.GlobalRelocs {
-		globSym[site{r.Func, r.Pc}] = r.Symbol
-	}
+	// Relocations annotate their sites inline; both tables are in site order.
+	calls, globals := relocCursor(o.Relocs), relocCursor(o.GlobalRelocs)
 	for fi, f := range o.Funcs {
 		fmt.Fprintf(&sb, "\nfunc %s: params=%d slots=%d alloca=%d\n",
 			f.Name, f.NumParams, f.NumSlots, f.AllocaWords)
-		for pc, in := range f.Code {
-			line := disasmInstr(in, o.Strings)
-			if sym, ok := callSym[site{fi, pc}]; ok {
-				line += " ; -> @" + sym
-			}
-			if sym, ok := globSym[site{fi, pc}]; ok {
-				line += " ; -> @" + sym
+		for pc := range f.Code {
+			line := f.disasmInstr(&f.Code[pc], o.Strings)
+			for _, table := range []*relocCursor{&calls, &globals} {
+				if sym, ok := table.take(fi, pc); ok {
+					line += " ; -> @" + sym
+				}
 			}
 			fmt.Fprintf(&sb, "  %4d: %s\n", pc, line)
 		}
@@ -71,16 +62,16 @@ func DisassembleProgram(p *Program) string {
 	return sb.String()
 }
 
-func disasmInstr(in Instr, strtab []string) string {
-	str := func(idx int32) string {
-		if idx >= 0 && int(idx) < len(strtab) {
+func (f *FuncCode) disasmInstr(in *Instr, strtab []string) string {
+	str := func(idx int64) string {
+		if idx >= 0 && idx < int64(len(strtab)) {
 			return fmt.Sprintf("%q", strtab[idx])
 		}
 		return ""
 	}
 	args := func() string {
-		parts := make([]string, len(in.Args))
-		for i, a := range in.Args {
+		parts := make([]string, in.C)
+		for i, a := range f.ArgSlots(in) {
 			parts[i] = fmt.Sprintf("s%d", a)
 		}
 		return strings.Join(parts, ", ")
@@ -120,19 +111,19 @@ func disasmInstr(in Instr, strtab []string) string {
 	case IJmp:
 		return fmt.Sprintf("jmp %d", in.Imm)
 	case IBr:
-		return fmt.Sprintf("br s%d ? %d : %d", in.A, in.Imm, in.Imm2)
+		return fmt.Sprintf("br s%d ? %d : %d", in.A, in.Imm, in.B)
 	case IPrint:
 		s := "print"
-		if lbl := str(in.StrIdx); lbl != "" {
+		if lbl := str(in.Imm); lbl != "" {
 			s += " " + lbl
 		}
-		if len(in.Args) > 0 {
+		if in.C > 0 {
 			s += " " + args()
 		}
 		return s
 	case IAssert:
 		s := fmt.Sprintf("assert s%d", in.A)
-		if msg := str(in.StrIdx); msg != "" {
+		if msg := str(in.Imm); msg != "" {
 			s += " " + msg
 		}
 		return s

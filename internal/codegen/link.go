@@ -4,7 +4,8 @@ package codegen
 // out the global segment, assigns program-wide function indices, merges
 // string tables, and patches call and global-address relocations. Objects
 // are never mutated — the build system caches them across builds — so every
-// patched function body is copied first.
+// patched function body is copied first; the argument pools, which nothing
+// patches, are shared with the objects.
 
 import (
 	"fmt"
@@ -49,48 +50,48 @@ func Link(objects []*Object) (*Program, error) {
 		}
 	}
 
-	// Pass 2: copy function bodies, remap strings, patch relocations.
+	// Pass 2: copy function bodies, remap strings, patch relocations. An
+	// object's relocations are in site order (Object.Validate), so a cursor
+	// per table walks them beside the code.
 	for _, o := range objs {
-		strMap := make([]int32, len(o.Strings))
+		strMap := make([]int64, len(o.Strings))
 		for i, s := range o.Strings {
-			strMap[i] = p.internString(s)
+			strMap[i] = int64(p.internString(s))
 		}
-		// Index this object's relocations by (func, pc).
-		type site struct{ fn, pc int }
-		callSym := make(map[site]string)
-		for _, r := range o.Relocs {
-			callSym[site{r.Func, r.Pc}] = r.Symbol
-		}
-		globSym := make(map[site]string)
-		for _, r := range o.GlobalRelocs {
-			globSym[site{r.Func, r.Pc}] = r.Symbol
-		}
+		calls, globals := relocCursor(o.Relocs), relocCursor(o.GlobalRelocs)
 
 		for fi, f := range o.Funcs {
-			nf := *f
+			nf := *f // shares f.Args: the pool is never written
 			nf.Code = make([]Instr, len(f.Code))
 			copy(nf.Code, f.Code)
 			for pc := range nf.Code {
 				in := &nf.Code[pc]
-				if in.StrIdx >= 0 {
-					in.StrIdx = strMap[in.StrIdx]
-				}
 				switch in.Op {
+				case IPrint, IAssert:
+					if in.Imm >= 0 {
+						in.Imm = strMap[in.Imm]
+					}
 				case ICall:
-					sym := callSym[site{fi, pc}]
+					sym, ok := calls.take(fi, pc)
+					if !ok {
+						return nil, errNoReloc(o, f, pc)
+					}
 					idx, ok := p.FuncIndex[sym]
 					if !ok {
 						return nil, fmt.Errorf("link: undefined function %s (called from %s in unit %s)",
 							sym, f.Name, o.Unit)
 					}
 					callee := p.Funcs[idx]
-					if len(in.Args) != callee.NumParams {
+					if int(in.C) != callee.NumParams {
 						return nil, fmt.Errorf("link: %s calls %s with %d args, want %d",
-							f.Name, sym, len(in.Args), callee.NumParams)
+							f.Name, sym, in.C, callee.NumParams)
 					}
 					in.Imm = int64(idx)
 				case IGAddr:
-					sym := globSym[site{fi, pc}]
+					sym, ok := globals.take(fi, pc)
+					if !ok {
+						return nil, errNoReloc(o, f, pc)
+					}
 					addr, ok := p.GlobalIndex[sym]
 					if !ok {
 						return nil, fmt.Errorf("link: undefined global %s (used by %s in unit %s)",
@@ -100,6 +101,10 @@ func Link(objects []*Object) (*Program, error) {
 				}
 			}
 			p.Funcs[p.FuncIndex[f.Name]] = &nf
+		}
+		if len(calls)+len(globals) != 0 {
+			return nil, fmt.Errorf("link: unit %s has %d relocation(s) that name no call or global-address site in order",
+				o.Unit, len(calls)+len(globals))
 		}
 	}
 
@@ -112,6 +117,11 @@ func Link(objects []*Object) (*Program, error) {
 		return nil, fmt.Errorf("link: no main function")
 	}
 	return p, nil
+}
+
+func errNoReloc(o *Object, f *FuncCode, pc int) error {
+	return fmt.Errorf("link: %s at pc %d of %s (unit %s) has no relocation, or the unit's relocations are out of site order",
+		f.Code[pc].Op, pc, f.Name, o.Unit)
 }
 
 func (p *Program) internString(s string) int32 {

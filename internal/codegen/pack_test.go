@@ -1,6 +1,7 @@
 package codegen_test
 
 import (
+	"slices"
 	"testing"
 
 	"statefulcc/internal/codegen"
@@ -199,26 +200,8 @@ func TestPackingDeterministic(t *testing.T) {
 		if a.Funcs[i].NumSlots != b.Funcs[i].NumSlots {
 			t.Fatalf("func %s: slot counts differ across runs", a.Funcs[i].Name)
 		}
-		if len(a.Funcs[i].Code) != len(b.Funcs[i].Code) {
-			t.Fatalf("func %s: code length differs", a.Funcs[i].Name)
-		}
-		for pc := range a.Funcs[i].Code {
-			if !packEqualInstr(a.Funcs[i].Code[pc], b.Funcs[i].Code[pc]) {
-				t.Fatalf("func %s pc %d: instruction differs across runs", a.Funcs[i].Name, pc)
-			}
+		if !slices.Equal(a.Funcs[i].Code, b.Funcs[i].Code) || !slices.Equal(a.Funcs[i].Args, b.Funcs[i].Args) {
+			t.Fatalf("func %s: code differs across runs", a.Funcs[i].Name)
 		}
 	}
-}
-
-func packEqualInstr(x, y codegen.Instr) bool {
-	if x.Op != y.Op || x.Sub != y.Sub || x.A != y.A || x.B != y.B || x.C != y.C ||
-		x.Imm != y.Imm || x.Imm2 != y.Imm2 || x.StrIdx != y.StrIdx || len(x.Args) != len(y.Args) {
-		return false
-	}
-	for i := range x.Args {
-		if x.Args[i] != y.Args[i] {
-			return false
-		}
-	}
-	return true
 }

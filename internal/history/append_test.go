@@ -217,7 +217,7 @@ func atLimitFile(tb testing.TB) (path string, size int) {
 }
 
 // BenchmarkAppendAtLimit is the cost every build of a lived-in checkout
-// pays: one append to a file at the default limit, 200 records of ≈ 14 KB.
+// pays: one append to a file at the default limit, 200 records of ≈ 5.7 KB.
 func BenchmarkAppendAtLimit(b *testing.B) {
 	path, size := atLimitFile(b)
 	b.ReportAllocs()
@@ -238,8 +238,10 @@ func BenchmarkAppendAtLimit(b *testing.B) {
 // The file is 200 records of the shape builds write. Until PR 21 that shape
 // had a timeline event for every cached unit (testutil.HistoryRecordV1): the
 // file was 5.71 MB and the same append allocated 31.9 MB on it (PR 19's: 38.8).
+// Until PR 23 it had a table entry for every cached unit and a pass name and a
+// reason in every decision row (testutil.HistoryRecordV2): 2.81 MB, 18.9 MB.
 func TestAppendAtLimitAllocBytes(t *testing.T) {
-	const nowMB = 18.9 // 2.81 MB file; 18.9 in three runs when PR 21 re-pinned it
+	const nowMB = 6.8 // 1.14 MB file; 6.8 in three runs when PR 23 re-pinned it
 	path, _ := atLimitFile(t)
 	recs := make([]*history.Record, 3)
 	for i := range recs {

@@ -13,10 +13,13 @@ import (
 	"time"
 )
 
-// RenderExplain renders the newest record's decision tables. With unit
-// non-empty, only that unit is shown (an unknown unit is an error). The
-// previous record, when present, supplies the prev-reason column and the
-// headline skip-rate delta.
+// RenderExplain renders the newest record's decision tables: every unit the
+// build decided, and one line counting the units it served from the object
+// cache. With unit non-empty, only that unit is shown; a unit the record does
+// not list was cached and is shown so. Whether the name is a unit of the
+// project at all is for the caller to know (`minibuild explain` looks for its
+// state file). The previous record, when present, supplies the prev-reason
+// column and the headline skip-rate delta.
 func RenderExplain(recs []Record, unit string) (string, error) {
 	if len(recs) == 0 {
 		return "", fmt.Errorf("history: no builds recorded yet")
@@ -45,21 +48,22 @@ func RenderExplain(recs []Record, unit string) (string, error) {
 			strings.Join(last.FootprintRedundant, ", "))
 	}
 
-	units := make([]string, 0, len(last.Units))
-	for name := range last.Units {
-		units = append(units, name)
-	}
-	sort.Strings(units)
-	if unit != "" {
-		if _, ok := last.Units[unit]; !ok {
-			return "", fmt.Errorf("history: unit %q not in build #%d (units: %s)",
-				unit, last.Seq, strings.Join(units, ", "))
+	// The units to show and, for the full listing, the cached ones it only
+	// counts.
+	units, unlisted := []string{unit}, 0
+	if unit == "" {
+		units, unlisted = nil, last.UnitsCached
+		for name, ur := range last.Units {
+			units = append(units, name)
+			if ur.Cached {
+				unlisted--
+			}
 		}
-		units = []string{unit}
+		sort.Strings(units)
 	}
 
 	for _, name := range units {
-		ur := last.Units[name]
+		ur := last.Unit(name)
 		sb.WriteString("\n")
 		if ur.Cached {
 			if inList(last.FootprintMissed, name) {
@@ -89,23 +93,25 @@ func RenderExplain(recs []Record, unit string) (string, error) {
 		}
 		var prevPasses []PassDecision
 		if prev != nil {
-			if pu, ok := prev.Units[name]; ok {
-				prevPasses = pu.Passes
-			}
+			prevPasses = prev.Unit(name).Passes
 		}
 		fmt.Fprintf(&sb, "  %-4s %-12s %-22s %5s %5s %5s %5s %6s %6s %9s %9s  %s\n",
 			"slot", "pass", "reason", "runs", "skip", "dorm", "audit", "bmemo", "bhash", "time", "saved", "prev-reason")
-		for _, pd := range ur.Passes {
+		for i := range ur.Passes {
+			pd := &ur.Passes[i]
 			audit := fmt.Sprintf("%d", pd.Audited)
 			if pd.Unsound > 0 {
 				audit = fmt.Sprintf("%d!%d", pd.Audited, pd.Unsound)
 			}
 			fmt.Fprintf(&sb, "  [%2d] %-12s %-22s %5d %5d %5d %5s %6d %6d %8.3fms %8.3fms  %s\n",
-				pd.Slot, pd.Pass, pd.Reason, pd.Runs, pd.Skipped, pd.Dormant, audit,
+				pd.Slot, last.PassName(pd), pd.DecisionReason(), pd.Runs, pd.Skipped, pd.Dormant, audit,
 				pd.BlocksMemoized, pd.BlocksRehashed,
 				float64(pd.RunNS)/1e6, float64(pd.SavedNS)/1e6,
 				prevReason(prevPasses, pd.Slot))
 		}
+	}
+	if unlisted > 0 {
+		fmt.Fprintf(&sb, "\n%d more unit(s) — cached (content hash unchanged, nothing recompiled)\n", unlisted)
 	}
 	return sb.String(), nil
 }
@@ -123,9 +129,9 @@ func inList(list []string, name string) bool {
 // prevReason finds the previous build's reason for the same slot ("-" when
 // the unit was cached, absent, or differently shaped last build).
 func prevReason(passes []PassDecision, slot int) string {
-	for _, pd := range passes {
-		if pd.Slot == slot {
-			return pd.Reason
+	for i := range passes {
+		if passes[i].Slot == slot {
+			return passes[i].DecisionReason()
 		}
 	}
 	return "-"

@@ -77,7 +77,7 @@ func reasonCounts(t *testing.T, rec history.Record, unit string) map[string]int 
 	}
 	out := map[string]int{}
 	for _, d := range ur.Passes {
-		out[d.Reason]++
+		out[d.DecisionReason()]++
 	}
 	return out
 }
@@ -127,24 +127,24 @@ func TestReasonSkippedDormantAndNotDormant(t *testing.T) {
 	ur := rec.Units["main.mc"]
 	var sawSkip, sawNotDormant bool
 	for _, d := range ur.Passes {
-		switch d.Reason {
+		switch d.DecisionReason() {
 		case core.ReasonSkippedDormant:
 			sawSkip = true
 			if d.Skipped == 0 {
-				t.Errorf("slot %d (%s) reason %q but skipped=0", d.Slot, d.Pass, d.Reason)
+				t.Errorf("slot %d (%s) reason %q but skipped=0", d.Slot, rec.PassName(&d), d.DecisionReason())
 			}
 		case core.ReasonNotDormant:
 			sawNotDormant = true
 		case core.ReasonColdState:
-			t.Errorf("slot %d (%s) still cold on the second build", d.Slot, d.Pass)
+			t.Errorf("slot %d (%s) still cold on the second build", d.Slot, rec.PassName(&d))
 		}
 	}
 	// mem2reg promoted an alloca last build, so its record is not dormant
 	// and the slot must be charged to not-dormant-last-time.
-	if len(ur.Passes) == 0 || ur.Passes[0].Pass != "mem2reg" {
-		t.Fatalf("expected slot 0 to be mem2reg, got %+v", ur.Passes)
+	if len(ur.Passes) == 0 || rec.PassName(&ur.Passes[0]) != "mem2reg" {
+		t.Fatalf("expected slot 0 to be mem2reg, got %+v of pipeline %v", ur.Passes, rec.Pipeline)
 	}
-	if got := ur.Passes[0].Reason; got != core.ReasonNotDormant {
+	if got := ur.Passes[0].DecisionReason(); got != core.ReasonNotDormant {
 		t.Errorf("mem2reg reason %q, want %q", got, core.ReasonNotDormant)
 	}
 	if !sawSkip {
@@ -185,7 +185,7 @@ func TestReasonFingerprintMismatch(t *testing.T) {
 	dormantSlots := map[int]string{}
 	for _, d := range recs[0].Units["main.mc"].Passes {
 		if d.Runs > 0 && d.Dormant == d.Runs {
-			dormantSlots[d.Slot] = d.Pass
+			dormantSlots[d.Slot] = recs[0].PassName(&d)
 		}
 	}
 	if len(dormantSlots) == 0 {
@@ -196,10 +196,10 @@ func TestReasonFingerprintMismatch(t *testing.T) {
 		if _, was := dormantSlots[d.Slot]; !was {
 			continue
 		}
-		if d.Reason == core.ReasonFingerprintMismatch {
+		if d.DecisionReason() == core.ReasonFingerprintMismatch {
 			sawFP = true
-		} else if d.Reason == core.ReasonSkippedDormant {
-			t.Errorf("slot %d (%s) skipped despite a semantic edit", d.Slot, d.Pass)
+		} else if d.DecisionReason() == core.ReasonSkippedDormant {
+			t.Errorf("slot %d (%s) skipped despite a semantic edit", d.Slot, rec.PassName(&d))
 		}
 	}
 	if !sawFP {

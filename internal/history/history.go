@@ -9,9 +9,15 @@
 // (the /builds endpoint). They read through LoadLast, which decodes only the
 // newest records they show.
 //
-// A record is sized by the work its build did: decision tables and timeline
-// events exist for the units that compiled, and a unit served from the object
-// cache costs one short entry in Units and a share of UnitsCached.
+// A record is sized by the work its build did: Units, decision tables and
+// timeline events exist for the units the build decided something about, and
+// a unit served from the object cache costs a share of UnitsCached and of
+// CachedDigest. What a reader can derive is not written: a decision row's
+// pass name is Pipeline[Slot], its reason a function of its counts. Records
+// of the two older shapes (a Units entry for every unit; a pass name and a
+// reason in every row) are read and brought to this shape by Load and
+// LoadLast (Record.Normalize, which a build's own record goes through as
+// well), never written.
 //
 // The file is bounded: Append keeps only the newest Limit records
 // (default DefaultLimit). An append reads the file once and decodes every
@@ -32,13 +38,18 @@ package history
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"time"
 
+	"statefulcc/internal/core"
 	"statefulcc/internal/obs"
 	"statefulcc/internal/vfs"
 )
@@ -60,15 +71,17 @@ const maxLineBytes = 16 * 1024 * 1024
 const TempPattern = ".history-*"
 
 // PassDecision is one pipeline slot's decision provenance for one unit:
-// what the slot did and, for every execution, why. Reason strings are the
-// core.Reason* taxonomy (skipped-dormant, cold-state, not-dormant-last-time,
-// fingerprint-mismatch, policy-disabled, ran).
+// what the slot did and, for every execution, why. The slot's pass is
+// Record.PassName, its dominant reason DecisionReason.
 type PassDecision struct {
-	Pass   string `json:"pass"`
+	// Pass and Reason are read, not written: records from before the pass
+	// names moved to Record.Pipeline and the reason became derived carry
+	// them in every row. A loaded record keeps one only where it says
+	// something Pipeline or the counts do not.
+	Pass   string `json:"pass,omitempty"`
 	Slot   int    `json:"slot"`
 	Module bool   `json:"module,omitempty"`
-	// Reason is the slot's dominant decision reason.
-	Reason string `json:"reason"`
+	Reason string `json:"reason,omitempty"`
 	// Per-outcome execution counts.
 	Runs    int `json:"runs,omitempty"`
 	Dormant int `json:"dormant,omitempty"`
@@ -94,10 +107,27 @@ type PassDecision struct {
 	BlocksRehashed int64 `json:"blocks_rehashed,omitempty"`
 }
 
+// DecisionReason is the slot's dominant decision reason, in the core.Reason*
+// taxonomy (skipped-dormant, cold-state, not-dormant-last-time,
+// fingerprint-mismatch, policy-disabled, ran): core.SlotStats.Reason over the
+// counts the row carries.
+func (pd *PassDecision) DecisionReason() string {
+	if pd.Reason != "" {
+		return pd.Reason
+	}
+	sl := core.SlotStats{
+		Runs: pd.Runs, Skipped: pd.Skipped, Unsound: pd.Unsound, Quarantined: pd.Quarantined,
+		FPMismatch: pd.FPMismatch, NotDormant: pd.NotDormant, Cold: pd.Cold, Policy: pd.Policy,
+	}
+	return sl.Reason()
+}
+
 // UnitRecord is one unit's outcome within a build.
 type UnitRecord struct {
-	// Cached marks units served whole from the object cache (content hash
-	// unchanged); no compilation, hence no pass decisions.
+	// Cached marks units served whole from a cache (content hash unchanged);
+	// no compilation, hence no pass decisions. Such a unit is listed in
+	// Record.Units only when there is more to say about it (Remote,
+	// Quarantine, a footprint disagreement).
 	Cached bool `json:"cached,omitempty"`
 	// CompileNS is the unit's compile wall time (0 when cached).
 	CompileNS int64 `json:"compile_ns,omitempty"`
@@ -224,7 +254,10 @@ type Record struct {
 	UnitsCached   int   `json:"units_cached"`
 	// UnitsRemote counts shared-cache hits within UnitsCached.
 	UnitsRemote int `json:"units_remote,omitempty"`
-	StateBytes  int `json:"state_bytes"`
+	// CachedDigest stands for the names of the cached units Units does not
+	// list (see CachedDigest): equal digests, the same units left alone.
+	CachedDigest string `json:"cached_digest,omitempty"`
+	StateBytes   int    `json:"state_bytes"`
 	// SkipRatePct is this build's registry skip rate ×100 at record time.
 	SkipRatePct float64 `json:"skip_rate_pct"`
 	// FootprintMissed / FootprintRedundant list the units (unit order) whose
@@ -242,8 +275,105 @@ type Record struct {
 	// (cumulative across the builder's lifetime; schema in
 	// docs/OBSERVABILITY.md). encoding/json sorts the keys.
 	Metrics map[string]int64 `json:"metrics"`
-	// Units maps every unit in the snapshot to its outcome and decisions.
+	// Pipeline names the pass of each pipeline slot, once for the build's
+	// every decision table (absent when no unit has one).
+	Pipeline []string `json:"pipeline,omitempty"`
+	// Units maps the units the build decided — compiled, fetched from the
+	// shared cache, panicked, quarantined, or named in FootprintMissed or
+	// FootprintRedundant — to their outcome and decisions. Every other unit
+	// of the snapshot was served from the object cache and is counted in
+	// UnitsCached; Unit answers for it.
 	Units map[string]UnitRecord `json:"units"`
+}
+
+// Unit returns the named unit's outcome: its entry in Units, or for a unit
+// the record does not list what every such unit was — cached.
+func (r *Record) Unit(name string) UnitRecord {
+	if u, ok := r.Units[name]; ok {
+		return u
+	}
+	return UnitRecord{Cached: true}
+}
+
+// PassName returns the pass of a decision row of this record.
+func (r *Record) PassName(pd *PassDecision) string {
+	if pd.Pass == "" && pd.Slot >= 0 && pd.Slot < len(r.Pipeline) {
+		return r.Pipeline[pd.Slot]
+	}
+	return pd.Pass
+}
+
+// CachedDigest is the digest a record carries in place of the names of the
+// cached units it does not list: 16 hex digits of the SHA-256 over the
+// sorted names (sorted here, in place), each followed by a newline; "" for
+// no names.
+func CachedDigest(names []string) string {
+	if len(names) == 0 {
+		return ""
+	}
+	sort.Strings(names)
+	h := sha256.New()
+	for _, name := range names {
+		io.WriteString(h, name)
+		h.Write([]byte{'\n'})
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
+}
+
+// Normalize brings a record to the shape records have on disk, from a
+// description of every unit (what a build starts from, and what the two
+// older shapes on disk are): a timeline event of a unit that occupied no
+// worker is dropped, a Units entry that says nothing but "cached" goes into
+// CachedDigest, pass names move to Pipeline, and a row's reason is dropped
+// where its counts give the same. A record in that shape is left as it is.
+func (r *Record) Normalize() {
+	if r.Timeline != nil {
+		r.Timeline.Events = slices.DeleteFunc(r.Timeline.Events, func(e TimelineEvent) bool { return e.Worker < 0 })
+	}
+	var unlisted []string
+	listed := make([]string, 0, len(r.Units))
+	for name, u := range r.Units {
+		if u.Cached && !u.Remote && !u.Panicked && u.Quarantine == "" && u.CompileNS == 0 && u.Passes == nil &&
+			!slices.Contains(r.FootprintMissed, name) && !slices.Contains(r.FootprintRedundant, name) {
+			unlisted = append(unlisted, name)
+			delete(r.Units, name)
+		} else {
+			listed = append(listed, name)
+		}
+	}
+	if len(unlisted) > 0 {
+		r.CachedDigest = CachedDigest(unlisted)
+	}
+	sort.Strings(listed)
+	for _, name := range listed {
+		passes := r.Units[name].Passes
+		for i := range passes {
+			pd := &passes[i]
+			// Tables list their slots in order: the first to name the next
+			// slot's pass names it for the record. A row that disagrees, or
+			// sits out of order, keeps its own name.
+			if pd.Pass != "" && pd.Slot == len(r.Pipeline) {
+				r.Pipeline = append(r.Pipeline, pd.Pass)
+			}
+			if pd.Slot >= 0 && pd.Slot < len(r.Pipeline) && r.Pipeline[pd.Slot] == pd.Pass {
+				pd.Pass = ""
+			}
+			if reason := pd.Reason; reason != "" {
+				if pd.Reason = ""; pd.DecisionReason() != reason {
+					pd.Reason = reason
+				}
+			}
+		}
+	}
+}
+
+// decodeLine decodes one line of a history file for a reader.
+func decodeLine(line []byte) (rec Record, ok bool) {
+	if len(line) >= maxLineBytes || json.Unmarshal(line, &rec) != nil {
+		return rec, false
+	}
+	rec.Normalize()
+	return rec, true
 }
 
 // Encode renders the record as its canonical single JSON line (no trailing
@@ -281,15 +411,10 @@ func LoadFS(fsys vfs.FS, path string) ([]Record, error) {
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
 	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
+		// A torn or corrupt line is dropped: stay usable.
+		if rec, ok := decodeLine(sc.Bytes()); ok {
+			recs = append(recs, rec)
 		}
-		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			continue // torn or corrupt line: drop, stay usable
-		}
-		recs = append(recs, rec)
 	}
 	if err := sc.Err(); err != nil {
 		// A scanner failure mid-file (e.g. an absurdly long corrupt line)

@@ -54,10 +54,11 @@ func TestAppendLoadRoundTrip(t *testing.T) {
 			t.Errorf("record %d: skip %v, want %v", i, r.SkipRatePct, float64(i))
 		}
 	}
-	if got := recs[0].Units["a.mc"].Passes[0].Reason; got != "cold-state" {
-		t.Errorf("decision reason lost: %q", got)
+	pd := &recs[0].Units["a.mc"].Passes[0]
+	if pass, reason := recs[0].PassName(pd), pd.DecisionReason(); pass != "mem2reg" || reason != "cold-state" {
+		t.Errorf("decision lost: pass %q, reason %q", pass, reason)
 	}
-	if !recs[1].Units["b.mc"].Cached {
+	if !recs[1].Unit("b.mc").Cached {
 		t.Error("cached flag lost")
 	}
 }

@@ -7,7 +7,6 @@ package history
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"slices"
@@ -65,8 +64,7 @@ func LoadLast(path string, n int) ([]Record, error) {
 			buf, off, chunk = grown, off-read, 2*chunk
 			continue
 		}
-		var rec Record
-		if line := buf[nl+1:]; len(line) < maxLineBytes && json.Unmarshal(line, &rec) == nil {
+		if rec, ok := decodeLine(buf[nl+1:]); ok {
 			recs = append(recs, rec)
 		}
 		if nl < 0 {

@@ -1,0 +1,170 @@
+package history
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+)
+
+// The three shapes a history file can hold a record in, oldest first, and
+// what tells them apart in the bytes. testdata/ has the same three
+// builds of a five-unit project in each: a cold build; an edit of two units,
+// one of which panicked and was quarantined; an edit of one unit beside a
+// shared-cache fetch, with a missed and a redundant footprint verdict. The two
+// older files were written by the code of their time, the newest is what
+// loading either gives.
+var recordShapes = []struct {
+	file                  string
+	skipEvents, rowReason bool
+}{
+	{"history_pr20.jsonl", true, true},   // an event and a Units entry per unit
+	{"history_pr21.jsonl", false, true},  // scheduled events; {"cached":true} entries, pass and reason per row
+	{"history_pr23.jsonl", false, false}, // decided units, a pipeline per record
+}
+
+// TestThreeRecordShapesOneAnswer: whichever shape a file is in, Load and
+// LoadLast return the same records and explain, history and regress print the
+// same text.
+func TestThreeRecordShapesOneAnswer(t *testing.T) {
+	type answers struct {
+		recs []Record
+		text map[string]string
+	}
+	var want answers
+	for i, shape := range recordShapes {
+		path := filepath.Join("testdata", shape.file)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if skip, reason := bytes.Contains(raw, []byte(`"o":"skip"`)), bytes.Contains(raw, []byte(`"reason":"`)); skip != shape.skipEvents ||
+			reason != shape.rowReason || bytes.Contains(raw, []byte(`"cached_digest"`)) == reason {
+			t.Fatalf("%s is not in the shape its name says", shape.file)
+		}
+
+		got := answers{text: map[string]string{}}
+		if got.recs, err = Load(path); err != nil || len(got.recs) != 3 {
+			t.Fatalf("%s: %d records, err %v", shape.file, len(got.recs), err)
+		}
+		for n := 1; n <= 4; n++ {
+			last, err := LoadLast(path, n)
+			if tail := got.recs[max(0, 3-n):]; err != nil || !reflect.DeepEqual(last, tail) {
+				t.Errorf("%s: LoadLast(%d) is not the tail of Load (err %v)", shape.file, n, err)
+			}
+		}
+		for upTo := 1; upTo <= 3; upTo++ {
+			for _, unit := range []string{"", "main.mc", "src/a.mc", "src/b.mc", "src/d.mc"} {
+				out, err := RenderExplain(got.recs[:upTo], unit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got.text["explain "+unit+" at build "+string(rune('0'+upTo))] = out
+			}
+		}
+		got.text["history"] = RenderHistory(got.recs, 0)
+		res, err := CheckRegress(got.recs, RegressOptions{SkipDropPts: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.text["regress"] = res.String()
+
+		if i == 0 {
+			want = got
+			continue
+		}
+		if !reflect.DeepEqual(got.recs, want.recs) {
+			t.Errorf("%s loads to other records than %s:\n%+v\n%+v", shape.file, recordShapes[0].file, got.recs, want.recs)
+		}
+		for surface, text := range want.text {
+			if got.text[surface] != text {
+				t.Errorf("%s, %s:\n%s\nfrom %s:\n%s", shape.file, surface, got.text[surface], recordShapes[0].file, text)
+			}
+		}
+	}
+
+	// What the answer is. Build 3 lists the unit it compiled, the one it
+	// fetched and the cached one the footprint check named; the other two are
+	// a count and a digest, and still have an answer.
+	last := want.recs[2]
+	if listed := len(last.Units); listed != 3 || last.UnitsCached != 4 || last.UnitsRemote != 1 ||
+		last.CachedDigest != CachedDigest([]string{"src/c.mc", "src/a.mc"}) {
+		t.Errorf("build 3 lists %d units (%d cached, %d remote, digest %q)", listed, last.UnitsCached, last.UnitsRemote, last.CachedDigest)
+	}
+	if u := last.Unit("src/a.mc"); !u.Cached || u.Passes != nil {
+		t.Errorf("build 3, a unit the record does not list: %+v, want cached", u)
+	}
+	row := &last.Units["src/b.mc"].Passes[3]
+	if pass, reason := last.PassName(row), row.DecisionReason(); pass != "inline" || reason != "fingerprint-mismatch" ||
+		row.Pass != "" || row.Reason != "" {
+		t.Errorf("build 3, src/b.mc slot 3: pass %q reason %q (stored %q, %q)", pass, reason, row.Pass, row.Reason)
+	}
+	for surface, wantText := range map[string]string{
+		"explain src/a.mc at build 3": "unit src/a.mc — cached (content hash unchanged, nothing recompiled)",
+		"explain main.mc at build 3":  "unit main.mc — cached [FOOTPRINT MISSED",
+		"explain  at build 3":         "2 more unit(s) — cached",
+		"explain src/a.mc at build 2": "[PANICKED: isolated, compiled stateless] [QUARANTINED: panic]",
+		"explain src/b.mc at build 3": "fingerprint-mismatch",
+		"regress":                     "REGRESSION: skip rate dropped",
+	} {
+		if !strings.Contains(want.text[surface], wantText) {
+			t.Errorf("%s lacks %q:\n%s", surface, wantText, want.text[surface])
+		}
+	}
+
+	// The current shape is what loading gives: encoding the loaded records
+	// reproduces the newest file byte for byte.
+	var again bytes.Buffer
+	for i := range want.recs {
+		line, err := want.recs[i].Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		again.Write(append(line, '\n'))
+	}
+	newest, err := os.ReadFile(filepath.Join("testdata", recordShapes[2].file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), newest) {
+		t.Errorf("loading and encoding %s changes it:\n%s", recordShapes[2].file, again.Bytes())
+	}
+}
+
+// TestLoadKeepsWhatItCannotDerive: a row of an older record whose pass or
+// reason is not what the record's pipeline or the row's counts say keeps it.
+func TestLoadKeepsWhatItCannotDerive(t *testing.T) {
+	rec := Record{Seq: 1, UnitsCompiled: 2, Units: map[string]UnitRecord{
+		"a.mc": {CompileNS: 5, Passes: []PassDecision{
+			{Pass: "mem2reg", Slot: 0, Reason: "cold-state", Runs: 1, Cold: 1},
+			{Pass: "dce", Slot: 1, Reason: "ran", Runs: 1, Cold: 1},
+		}},
+		"b.mc": {CompileNS: 5, Passes: []PassDecision{
+			{Pass: "mem2reg", Slot: 0, Reason: "cold-state", Runs: 1, Cold: 1},
+			{Pass: "gvn", Slot: 1, Reason: "cold-state", Runs: 1, Cold: 1},
+		}},
+	}}
+	line, err := rec.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := decodeLine(line)
+	if !ok {
+		t.Fatal("the record does not decode")
+	}
+	if !reflect.DeepEqual(got.Pipeline, []string{"mem2reg", "dce"}) {
+		t.Errorf("pipeline %v, want that of the first unit by name", got.Pipeline)
+	}
+	a, b := got.Units["a.mc"].Passes, got.Units["b.mc"].Passes
+	if a[0].Pass != "" || a[0].Reason != "" || b[0].Pass != "" || a[1].Pass != "" {
+		t.Errorf("derivable fields kept: %+v %+v", a, b)
+	}
+	if a[1].Reason != "ran" || a[1].DecisionReason() != "ran" {
+		t.Errorf("a reason the counts do not give was dropped: %+v", a[1])
+	}
+	if b[1].Pass != "gvn" || got.PassName(&b[1]) != "gvn" {
+		t.Errorf("a pass name the pipeline does not give was dropped: %+v", b[1])
+	}
+}

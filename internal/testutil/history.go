@@ -33,24 +33,31 @@ var historyCounters = []string{
 }
 
 // HistoryRecord is a flight-recorder record with the shape of one megarepo
-// edit-loop build (≈ 14 KB encoded): 208 units of which two compiled, each
-// with the full 22-slot decision table, a timeline event for each of the two,
-// and the counters snapshot. The same seq gives the same record; Seq itself
-// is left for history.Append to assign.
+// edit-loop build (≈ 5 KB encoded): 208 units of which two compiled, listed
+// each with the full 22-slot decision table and a timeline event, the other
+// 206 as a count and a digest, and the counters snapshot. The same seq gives
+// the same record; Seq itself is left for history.Append to assign.
 func HistoryRecord(seq int) *history.Record {
-	return historyRecord(seq, false)
+	return historyRecord(seq, 3)
 }
 
 // HistoryRecordV1 is the same build as HistoryRecord(seq) in the shape
-// records had until PR 21 (≈ 29 KB): the timeline also carries a "skip" event
-// on worker -1 for each of the 206 units served from the object cache.
+// records had until PR 21 (≈ 29 KB): a "skip" timeline event on worker -1
+// and a {"cached":true} entry for each of the 206 units served from the
+// object cache, and the pass name and the reason in every decision row.
 // History files hold such records until they rotate out; readers must show
-// the two alike.
+// all shapes alike.
 func HistoryRecordV1(seq int) *history.Record {
-	return historyRecord(seq, true)
+	return historyRecord(seq, 1)
 }
 
-func historyRecord(seq int, skipEvents bool) *history.Record {
+// HistoryRecordV2 is the same build in the shape of PR 21 and 22 (≈ 14 KB):
+// HistoryRecordV1 without the "skip" events.
+func HistoryRecordV2(seq int) *history.Record {
+	return historyRecord(seq, 2)
+}
+
+func historyRecord(seq, shape int) *history.Record {
 	const units = 208
 	n := int64(seq)
 	rec := &history.Record{
@@ -72,6 +79,9 @@ func historyRecord(seq int, skipEvents bool) *history.Record {
 			Events: make([]history.TimelineEvent, 0, units),
 		},
 	}
+	if shape == 3 {
+		rec.Pipeline = historyPipeline
+	}
 	for i, name := range historyCounters {
 		rec.Metrics[name] = n * int64(i*i*977+i)
 	}
@@ -80,6 +90,7 @@ func historyRecord(seq int, skipEvents bool) *history.Record {
 	if edited[1] == edited[0] {
 		edited[1] = 1 + edited[0]%(units-1)
 	}
+	var cached []string
 	for u := 0; u < units; u++ {
 		name := "main.mc"
 		if u > 0 {
@@ -87,8 +98,11 @@ func historyRecord(seq int, skipEvents bool) *history.Record {
 		}
 		at := 60000 + 5000*int64(u) + n
 		if u != edited[0] && u != edited[1] {
-			rec.Units[name] = history.UnitRecord{Cached: true}
-			if skipEvents {
+			cached = append(cached, name)
+			if shape < 3 {
+				rec.Units[name] = history.UnitRecord{Cached: true}
+			}
+			if shape == 1 {
 				rec.Timeline.Events = append(rec.Timeline.Events, history.TimelineEvent{
 					Unit: name, Worker: -1, Outcome: "skip", EnqueueNS: at, StartNS: at, EndNS: at + 4100})
 			}
@@ -97,11 +111,15 @@ func historyRecord(seq int, skipEvents bool) *history.Record {
 		ur := history.UnitRecord{CompileNS: 1400000 + 31*n}
 		for slot, pass := range historyPipeline {
 			k := int64(slot + 1)
-			ur.Passes = append(ur.Passes, history.PassDecision{
-				Pass: pass, Slot: slot, Module: pass == "inline" || pass == "globalopt" || pass == "deadfunc",
-				Reason: "not-dormant-last-time", Runs: 3 + slot%3, Skipped: slot % 4, NotDormant: 3 + slot%3,
+			pd := history.PassDecision{
+				Slot: slot, Module: pass == "inline" || pass == "globalopt" || pass == "deadfunc",
+				Runs: 3 + slot%3, Skipped: slot % 4, NotDormant: 3 + slot%3,
 				RunNS: 10000*k + n, SavedNS: 1400 * int64(slot%4), BlocksRehashed: 15 * int64(slot%3),
-			})
+			}
+			if shape < 3 {
+				pd.Pass, pd.Reason = pass, pd.DecisionReason()
+			}
+			ur.Passes = append(ur.Passes, pd)
 		}
 		rec.Units[name] = ur
 		// One worker each, inside the compile phase (obs.Timeline.Validate).
@@ -112,6 +130,9 @@ func historyRecord(seq int, skipEvents bool) *history.Record {
 		rec.Timeline.Events = append(rec.Timeline.Events, history.TimelineEvent{
 			Unit: name, Worker: worker, Outcome: "compile", EnqueueNS: 1720000 + n, StartNS: start,
 			EndNS: start + ur.CompileNS, FrontendNS: 350000 + n, PassesNS: 1000000 + n, CodegenNS: 22000 + n})
+	}
+	if shape == 3 {
+		rec.CachedDigest = history.CachedDigest(cached)
 	}
 	return rec
 }

@@ -250,8 +250,8 @@ func (m *machine) call(f *codegen.FuncCode, args []int64) (int64, error) {
 			pc++
 		case codegen.ICall:
 			callee := m.prog.Funcs[in.Imm]
-			args := make([]int64, len(in.Args))
-			for i, s := range in.Args {
+			args := make([]int64, in.C)
+			for i, s := range f.ArgSlots(in) {
 				args[i] = slots[s]
 			}
 			beforeCall := m.steps
@@ -281,16 +281,16 @@ func (m *machine) call(f *codegen.FuncCode, args []int64) (int64, error) {
 			if slots[in.A] != 0 {
 				pc = int(in.Imm)
 			} else {
-				pc = int(in.Imm2)
+				pc = int(in.B)
 			}
 		case codegen.IPrint:
 			if m.cfg.Output != nil {
 				var sb strings.Builder
-				if in.StrIdx >= 0 {
-					sb.WriteString(m.prog.Strings[in.StrIdx])
+				if in.Imm >= 0 {
+					sb.WriteString(m.prog.Strings[in.Imm])
 				}
-				for i, s := range in.Args {
-					if i > 0 || in.StrIdx >= 0 {
+				for i, s := range f.ArgSlots(in) {
+					if i > 0 || in.Imm >= 0 {
 						sb.WriteByte(' ')
 					}
 					fmt.Fprintf(&sb, "%d", slots[s])
@@ -304,8 +304,8 @@ func (m *machine) call(f *codegen.FuncCode, args []int64) (int64, error) {
 		case codegen.IAssert:
 			if slots[in.A] == 0 {
 				msg := "assertion failed"
-				if in.StrIdx >= 0 {
-					msg = "assertion failed: " + m.prog.Strings[in.StrIdx]
+				if in.Imm >= 0 {
+					msg = "assertion failed: " + m.prog.Strings[in.Imm]
 				}
 				return 0, m.trap(f, "%s", msg)
 			}
