@@ -55,14 +55,16 @@ fuzz:
 # faults land on concurrent worker paths), the execution-fault walk — pass
 # panics, a nondeterministic pass caught by the soundness sentinel,
 # cancellation mid-build, and the daemon's SIGTERM drain — plus fuzz bursts
-# on the two attacker-grade parsers: the state decoder and the IR
-# fingerprinter.
+# on the attacker-grade parsers: the state decoder, the IR fingerprinter, the
+# cache's blob and wire decoders, and the reader of a history file's end
+# (whatever a crash or another writer left there).
 chaos:
 	$(GO) test -race -timeout 15m ./internal/vfs/...
 	$(GO) test -race -timeout 15m -run 'TestChaos|TestSaveSyncs' ./internal/state ./internal/history ./internal/buildsys
 	$(GO) test -race -timeout 15m -run 'TestPanic|TestSentinel|TestCancelled|TestAudited|TestWarnf' ./internal/buildsys
 	$(GO) test -race -timeout 15m -run 'TestServeSIGTERMDrain|TestServePollSkipsOverlap' ./cmd/minibuild
 	$(GO) test -fuzz FuzzStateDecode -fuzztime 30s ./internal/state
+	$(GO) test -fuzz FuzzHistoryTail -fuzztime 20s ./internal/history
 	$(GO) test -fuzz FuzzFootprintDecode -fuzztime 30s ./internal/footprint
 	$(GO) test -fuzz FuzzFingerprintStability -fuzztime 30s ./internal/fingerprint
 	$(GO) test -fuzz FuzzCASBlobDecode -fuzztime 20s ./internal/cas

@@ -14,6 +14,7 @@ import (
 	"statefulcc/internal/buildsys"
 	"statefulcc/internal/compiler"
 	"statefulcc/internal/footprint"
+	"statefulcc/internal/history"
 	"statefulcc/internal/state"
 	"statefulcc/internal/vfs"
 )
@@ -175,6 +176,21 @@ func helper(n int) int { return n * 5 + 1; }
 	}
 	if _, ok := err.(errRegression); !ok {
 		t.Fatalf("want errRegression (exit 2), got %T: %v", err, err)
+	}
+
+	// The same when that record is the last of a segment that has just been
+	// rotated out (the build after it crashed before its first write): the
+	// newest record is the older segment's, and the scan of the state
+	// directory takes history.1.jsonl for no state file.
+	hpath := history.Path(filepath.Join(dir, ".minibuild"))
+	if err := os.Rename(hpath, history.OlderPath(hpath)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := runDeps([]string{"-dir", dir, "-check"}).(errRegression); !ok {
+		t.Fatal("deps -check no longer finds the recorded miss once its segment is the older one")
+	}
+	if err := runDeps([]string{"-dir", dir}); err != nil {
+		t.Fatalf("deps listing beside history.1.jsonl: %v", err)
 	}
 }
 

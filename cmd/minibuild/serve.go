@@ -62,7 +62,7 @@ func runServe(args []string) error {
 	jobs := fs.Int("j", 0, "parallel compile workers (default GOMAXPROCS)")
 	addr := fs.String("addr", "127.0.0.1:8377", "HTTP listen address")
 	interval := fs.Duration("interval", 500*time.Millisecond, "project poll interval")
-	limit := fs.Int("history-limit", history.DefaultLimit, "flight-recorder record cap")
+	limit := fs.Int("history-limit", history.DefaultLimit, "flight-recorder records per segment file (the newest that many are kept at least)")
 	audit := fs.Float64("audit", 0, "soundness-sentinel audit rate in [0,1]: probability a would-be-skipped pass executes anyway for verification")
 	casServe := fs.Bool("cas-serve", false, "host the shared content-addressed cache under /cas/ (multi-tenant, on-disk under the cache directory; see docs/ARCHITECTURE.md)")
 	casQuota := fs.Int64("cas-quota", 256<<20, "per-tenant shared-cache byte quota (LRU eviction past it; 0 = unbounded)")

@@ -75,8 +75,9 @@ type Options struct {
 	// state directory is set; "-" disables recording entirely. Appends are
 	// advisory: failures never fail the build.
 	HistoryPath string
-	// HistoryLimit bounds the history file to the newest N records
-	// (default history.DefaultLimit).
+	// HistoryLimit bounds each of the history's two segment files to N
+	// records, so that the newest N at least are kept (default
+	// history.DefaultLimit).
 	HistoryLimit int
 	// FS is the filesystem the state and history layers perform their I/O
 	// through. Nil means the real filesystem; the chaos suites inject a

@@ -13,6 +13,7 @@ import (
 	"statefulcc/internal/buildsys"
 	"statefulcc/internal/codegen"
 	"statefulcc/internal/compiler"
+	histpkg "statefulcc/internal/history"
 	"statefulcc/internal/obs"
 	"statefulcc/internal/project"
 	"statefulcc/internal/state"
@@ -225,6 +226,15 @@ func TestCrashMidStateWrite(t *testing.T) {
 	if ok, err := filepath.Match(state.TempPattern, filepath.Base(orphan)); err != nil || !ok {
 		t.Fatalf("test orphan %q does not match state.TempPattern %q", orphan, state.TempPattern)
 	}
+	// And of the flight recorder: a repair's temp file, which is swept too,
+	// beside a rotated-out segment, which is nobody's leftover.
+	histOrphan := filepath.Join(dir, ".history-2718281828")
+	olderSegment := histpkg.OlderPath(histpkg.Path(dir))
+	for _, path := range []string{histOrphan, olderSegment} {
+		if err := os.WriteFile(path, []byte("{\"seq\":1,\"units\":{}}\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -267,6 +277,12 @@ func TestCrashMidStateWrite(t *testing.T) {
 	}
 	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
 		t.Errorf("orphaned temp file not swept at builder start (stat err: %v)", err)
+	}
+	if _, err := os.Stat(histOrphan); !os.IsNotExist(err) {
+		t.Errorf("orphaned history temp file not swept at builder start (stat err: %v)", err)
+	}
+	if data, err := os.ReadFile(olderSegment); err != nil || string(data) != "{\"seq\":1,\"units\":{}}\n" {
+		t.Errorf("the older history segment did not survive a builder's start and build: %q, err %v", data, err)
 	}
 
 	// The rebuild rewrote good state; one more fresh builder must skip again.

@@ -273,7 +273,12 @@ func TestGoldenBlobV1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(obj, goldenObject()) {
+	// (Validated like every decoded object: that is what records Digests.)
+	src := goldenObject()
+	if err := src.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(obj, src) {
 		t.Fatal("golden payload does not decode back to the source object")
 	}
 

@@ -9,7 +9,11 @@
 // assigns every SSA value a frame slot.
 package codegen
 
-import "fmt"
+import (
+	"fmt"
+
+	"statefulcc/internal/fingerprint"
+)
 
 // Opcode is a bytecode operation.
 type Opcode uint8
@@ -137,7 +141,18 @@ type Object struct {
 	GlobalRelocs []Reloc
 	// Externs this unit expects at link time.
 	Externs []string
+	// Digests holds one content digest per function of Funcs, recorded by
+	// Validate — once, where the object is made — and never serialized: what
+	// a linked program keeps of a function main does not reach.
+	Digests []uint64
+	// sites lists the ICalls and IGAddrs of the code in (Func, Pc) order,
+	// recorded by Validate beside Digests: the linker walks it beside the
+	// relocation tables, not the code — a twentieth of the instructions.
+	sites []site
 }
+
+// site is one ICall, with its argument count, or one IGAddr (args -1).
+type site struct{ fn, pc, args int32 }
 
 // Validate checks what the linker and the VM take on trust from an object,
 // wherever it came from (the compiler checks its own output once, the
@@ -146,33 +161,78 @@ type Object struct {
 // function, every string index is in the table (or -1), and the two
 // relocation tables list exactly the ICall and the IGAddr sites in
 // (Func, Pc) order.
+//
+// The same walk records what a link takes from the object without reading its
+// code again: sites, and Digests. A function's digest covers everything a
+// link of it depends on and nothing a link assigns: its name and frame, every
+// instruction with a call's or a global address's symbol and a print's or an
+// assertion's string in place of the index that stands for them, and its
+// argument pool. An object whose code is edited afterwards is validated
+// again.
 func (o *Object) Validate() error {
+	o.Digests = make([]uint64, len(o.Funcs))
+	o.sites = make([]site, 0, len(o.Relocs)+len(o.GlobalRelocs))
 	calls, globals := relocCursor(o.Relocs), relocCursor(o.GlobalRelocs)
+	var h fingerprint.Hasher
 	for fi, f := range o.Funcs {
+		h.Reset()
+		h.String(f.Name)
+		h.Uint64(uint64(uint32(f.NumParams)) | uint64(uint32(f.NumSlots))<<32)
+		hasResult := uint64(0)
+		if f.HasResult {
+			hasResult = 1
+		}
+		h.Uint64(uint64(uint32(f.AllocaWords)) | hasResult<<32)
+		h.Uint64(uint64(len(f.Code)))
 		inCode := func(pc int64) bool { return pc >= 0 && pc < int64(len(f.Code)) }
+		inStrings := func(idx int64) bool {
+			if idx < 0 || idx >= int64(len(o.Strings)) {
+				h.Uint64(0)
+				return idx == -1
+			}
+			h.Uint64(1)
+			h.String(o.Strings[idx])
+			return true
+		}
 		for pc := range f.Code {
 			in := &f.Code[pc]
+			h.Uint64(uint64(in.Op) | uint64(in.Sub)<<8 | uint64(uint32(in.A))<<32)
+			h.Uint64(uint64(uint32(in.B)) | uint64(uint32(in.C))<<32)
 			ok := true
 			switch in.Op {
 			case ICall:
-				_, ok = calls.take(fi, pc)
+				var sym string
+				sym, ok = calls.take(fi, pc)
+				h.String(sym)
 				ok = ok && in.argsIn(f)
+				o.sites = append(o.sites, site{int32(fi), int32(pc), in.C})
 			case IGAddr:
-				_, ok = globals.take(fi, pc)
+				var sym string
+				sym, ok = globals.take(fi, pc)
+				h.String(sym)
+				o.sites = append(o.sites, site{int32(fi), int32(pc), -1})
 			case IPrint:
-				ok = in.argsIn(f) && in.Imm >= -1 && in.Imm < int64(len(o.Strings))
+				ok = in.argsIn(f) && inStrings(in.Imm)
 			case IAssert:
-				ok = in.Imm >= -1 && in.Imm < int64(len(o.Strings))
+				ok = inStrings(in.Imm)
 			case IJmp:
+				h.Int(in.Imm)
 				ok = inCode(in.Imm)
 			case IBr:
+				h.Int(in.Imm)
 				ok = inCode(in.Imm) && inCode(int64(in.B))
+			default:
+				h.Int(in.Imm)
 			}
 			if !ok {
 				return fmt.Errorf("unit %s: func %s pc %d: malformed %s (window, target, string or relocation out of place)",
 					o.Unit, f.Name, pc, in.Op)
 			}
 		}
+		for _, slot := range f.Args {
+			h.Uint64(uint64(uint32(slot)))
+		}
+		o.Digests[fi] = h.Sum()
 	}
 	if len(calls) != 0 || len(globals) != 0 {
 		return fmt.Errorf("unit %s: relocation that names no call or global-address site, or sites out of order", o.Unit)
@@ -212,10 +272,17 @@ type Reloc struct {
 	Symbol string
 }
 
-// Program is a fully linked executable.
+// Program is a fully linked executable: the functions main reaches, patched
+// and indexed, and of every other function of the linked objects its name and
+// digest — enough for a comparison of two programs to see a change in code
+// that does not run, at none of the cost of keeping that code.
 type Program struct {
+	// Funcs holds the functions main reaches, in layout order (unit name,
+	// then position in the unit); an ICall's Imm indexes it.
 	Funcs     []*FuncCode
 	FuncIndex map[string]int
+	// Unreached lists the functions left out, in layout order.
+	Unreached []Unreached
 	// GlobalWords is the size of the global segment; Globals hold initial
 	// values at their assigned addresses.
 	GlobalWords int
@@ -224,4 +291,11 @@ type Program struct {
 	Strings     []string
 	// EntryIndex is the index of main.
 	EntryIndex int
+}
+
+// Unreached is a function of a linked object that main does not reach.
+type Unreached struct {
+	Name string
+	// Digest is the function's entry in its object's Digests.
+	Digest uint64
 }

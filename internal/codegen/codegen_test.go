@@ -369,3 +369,116 @@ func main() int { return twice(g) + lib(1); }`
 		}
 	}
 }
+
+// TestUnreachedCodeIsStillLinked: main reaches nothing of what is wrong in
+// these programs, and the linker refuses each with the message it had when it
+// emitted every function.
+func TestUnreachedCodeIsStillLinked(t *testing.T) {
+	main := `func main() int { return 0; }`
+	for _, tc := range []struct {
+		name  string
+		units map[string]string
+		edit  func(o *codegen.Object) // of unit dead.mc, after it compiled
+		want  string
+	}{
+		{"undefined function",
+			map[string]string{"dead.mc": `extern func gone(x int) int; func dead() int { return gone(1); }`}, nil,
+			"link: undefined function gone (called from dead in unit dead.mc)"},
+		{"undefined global",
+			map[string]string{"dead.mc": `var g int = 1; func dead() int { return g; }`},
+			func(o *codegen.Object) { o.Globals = nil },
+			"link: undefined global g (used by dead in unit dead.mc)"},
+		{"arity",
+			map[string]string{
+				"dead.mc": `extern func lib(x int) int; func dead() int { return lib(1); }`,
+				"lib.mc":  `func lib(x int, y int) int { return x + y; }`}, nil,
+			"link: dead calls lib with 1 args, want 2"},
+		{"duplicate function",
+			map[string]string{"dead.mc": `func dead() int { return 1; }`, "dead2.mc": `func dead() int { return 2; }`}, nil,
+			"link: duplicate function dead (unit dead2.mc)"},
+		{"duplicate global",
+			map[string]string{"dead.mc": `var g int = 1;`, "dead2.mc": `var g int = 2;`}, nil,
+			"link: duplicate global g (unit dead2.mc)"},
+		{"relocation missing",
+			map[string]string{"dead.mc": `extern func lib(x int) int; func dead() int { return lib(1) + lib(2); }`, "lib.mc": `func lib(x int) int { return x; }`},
+			func(o *codegen.Object) { o.Relocs = o.Relocs[1:] },
+			"has no relocation, or the unit's relocations are out of site order"},
+		{"relocation left over",
+			map[string]string{"dead.mc": `extern func lib(x int) int; func dead() int { return lib(1); }`, "lib.mc": `func lib(x int) int { return x; }`},
+			func(o *codegen.Object) { o.Relocs = append(o.Relocs, o.Relocs[0]) },
+			"link: unit dead.mc has 1 relocation(s) that name no call or global-address site in order"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			objs := []*codegen.Object{compileNamed(t, "main.mc", main)}
+			for unit, src := range tc.units {
+				obj := compileNamed(t, unit, src)
+				if unit == "dead.mc" && tc.edit != nil {
+					tc.edit(obj)
+				}
+				objs = append(objs, obj)
+			}
+			_, err := codegen.Link(objs)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Link: %v, want an error with %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestUnreachedFunctionIsInTheDisassembly: a function main does not reach is
+// one line of DisassembleProgram, and that line follows the function's
+// content — an instruction, the symbol a call names, a string an assertion
+// prints — so a comparison of two programs' text sees what either left out.
+func TestUnreachedFunctionIsInTheDisassembly(t *testing.T) {
+	const dead = `
+var g int = 3;
+extern func lib(x int) int;
+extern func lib2(x int) int;
+func dead(x int) int { assert(x != 0, "nonzero"); return lib(x) + g; }`
+	link := func(edit func(o *codegen.Object)) string {
+		t.Helper()
+		obj := compileNamed(t, "dead.mc", dead)
+		if edit != nil {
+			edit(obj)
+			if err := obj.Validate(); err != nil { // what made the object records its digests
+				t.Fatal(err)
+			}
+		}
+		p, err := codegen.Link([]*codegen.Object{obj,
+			compileNamed(t, "lib.mc", `func lib(x int) int { return x; } func lib2(x int) int { return x; }`),
+			compileNamed(t, "main.mc", `func main() int { return 0; }`)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.Funcs) != 1 || len(p.Unreached) != 3 || p.Funcs[p.EntryIndex].Name != "main" {
+			t.Fatalf("%d functions linked, %d left out; want main alone and three left out", len(p.Funcs), len(p.Unreached))
+		}
+		return codegen.DisassembleProgram(p)
+	}
+	base := link(nil)
+	if !strings.Contains(base, "\nunreached dead: ") || !strings.Contains(base, "\nunreached lib2: ") {
+		t.Fatalf("no line for a function left out:\n%s", base)
+	}
+	if again := link(func(*codegen.Object) {}); again != base {
+		t.Error("validating an object again changed its digests")
+	}
+	for name, edit := range map[string]func(o *codegen.Object){
+		"instruction": func(o *codegen.Object) {
+			for pc := range o.Funcs[0].Code {
+				if in := &o.Funcs[0].Code[pc]; in.Op == codegen.IBin {
+					in.Sub ^= 1
+					return
+				}
+			}
+			t.Fatal("no binary operation to flip")
+		},
+		"call symbol":   func(o *codegen.Object) { o.Relocs[0].Symbol = "lib2" },
+		"global symbol": func(o *codegen.Object) { o.Globals[0].Name, o.GlobalRelocs[0].Symbol = "h", "h" },
+		"string":        func(o *codegen.Object) { o.Strings[0] = "non-zero" },
+		"frame":         func(o *codegen.Object) { o.Funcs[0].NumSlots++ },
+	} {
+		if got := link(edit); got == base {
+			t.Errorf("%s changed in a function main does not reach, and the disassembly did not", name)
+		}
+	}
+}

@@ -50,7 +50,9 @@ func DisassembleObject(o *Object) string {
 	return sb.String()
 }
 
-// DisassembleProgram renders a linked program.
+// DisassembleProgram renders a linked program: the functions main reaches in
+// full, then one line for each function it does not, so two programs that
+// differ anywhere in what was linked differ here.
 func DisassembleProgram(p *Program) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "program: %d functions, %d global words, entry #%d\n",
@@ -58,6 +60,12 @@ func DisassembleProgram(p *Program) string {
 	for _, f := range p.Funcs {
 		sb.WriteByte('\n')
 		sb.WriteString(f.Disassemble(p.Strings))
+	}
+	if len(p.Unreached) > 0 {
+		sb.WriteByte('\n')
+	}
+	for _, u := range p.Unreached {
+		fmt.Fprintf(&sb, "unreached %s: %016x\n", u.Name, u.Digest)
 	}
 	return sb.String()
 }

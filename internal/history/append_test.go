@@ -1,8 +1,9 @@
 package history_test
 
 // What an append reads, keeps and costs: a read fault never shrinks the
-// history, rotation copies old lines byte for byte, and an append at the
-// limit on a file of real shape stays inside an allocation ceiling.
+// history, neither a rotation nor a repair changes a byte of an old line, and
+// an append to a file of real shape at the limit reads and allocates what one
+// record takes.
 
 import (
 	"bytes"
@@ -119,13 +120,24 @@ func fileShapes(t *testing.T) []fileShape {
 		{"over the limit by 1", canons(1, 5)},
 		{"over the limit by 50", canons(1, 54)},
 		{"over the limit, foreign and corrupt", append(canons(1, 5), corrupt, foreign, canon(7))},
+		{"over the limit, torn tail", append(canons(1, 6), line{`{"seq":9,"time_unix_ms":17`, false})},
+		{"at the limit, corrupt last line", append(canons(1, 4), corrupt)},
 	}
 }
 
-// TestRotationKeepsBytes: whenever an append rewrites the file, the records
-// that survive are the newest limit-1 that LoadFS returned before it, and
-// their lines are the bytes that were in the file — not a re-encoding, so a
-// field this version does not know survives rotation.
+// TestRotationKeepsBytes: whatever an append does to the file it finds — add
+// its line in place, rotate the file out first, or repair it — the records
+// that were there are still there, up to the limit, and their lines are the
+// bytes that were in the file: not a re-encoding, so a field this version
+// does not know survives.
+//
+//   - The file ends in a whole record: every byte stays; a corrupt line in
+//     the middle is not the append's business.
+//   - It does not (torn, unterminated or corrupt last line): the file is first
+//     replaced by its lines that load, as they stand; what LoadFS drops is
+//     gone from it.
+//   - Either way the file is renamed to the older segment before the new line
+//     is written if its last record's Seq is a multiple of the limit.
 func TestRotationKeepsBytes(t *testing.T) {
 	const limit = shapeLimit
 	for _, tc := range fileShapes(t) {
@@ -139,8 +151,11 @@ func TestRotationKeepsBytes(t *testing.T) {
 					gone = append(gone, strings.TrimSuffix(l.text, "\n"))
 				}
 			}
+			last := tc.lines[len(tc.lines)-1]
+			whole := last.loads && strings.HasSuffix(last.text, "\n")
+			found := strings.Join(file, "")
 			path := filepath.Join(t.TempDir(), history.FileName)
-			if err := os.WriteFile(path, []byte(strings.Join(file, "")), 0o644); err != nil {
+			if err := os.WriteFile(path, []byte(found), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			before, err := history.Load(path)
@@ -150,23 +165,24 @@ func TestRotationKeepsBytes(t *testing.T) {
 			if len(kept) != len(before) {
 				t.Fatalf("case is wrong about itself: %d lines marked as loading, LoadFS returns %d records", len(kept), len(before))
 			}
-			if len(before) > limit-1 {
-				before, kept = before[len(before)-(limit-1):], kept[len(kept)-(limit-1):]
+			lastSeq := 0
+			if len(before) > 0 {
+				lastSeq = before[len(before)-1].Seq
 			}
 
 			added := chaosRecord(0)
 			if err := history.Append(path, added, limit); err != nil {
 				t.Fatal(err)
 			}
-			lastSeq := 0
-			if len(before) > 0 {
-				lastSeq = before[len(before)-1].Seq
-			}
 			if added.Seq != lastSeq+1 {
 				t.Errorf("new record got Seq %d, want %d", added.Seq, lastSeq+1)
 			}
+			addedLine, err := added.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
 
-			// (a) the records: newest limit-1 of what loaded, then the new one.
+			// (a) the records: what loaded, then the new one.
 			after, err := history.Load(path)
 			if err != nil {
 				t.Fatal(err)
@@ -174,23 +190,31 @@ func TestRotationKeepsBytes(t *testing.T) {
 			if want := append(before, *added); !reflect.DeepEqual(after, want) {
 				t.Errorf("records after the append have Seqs %v, want %v with equal content", seqs(after), seqs(want))
 			}
-			// (b) the bytes: every kept line as it stood, then the new line,
-			// and nothing else — the file ends in a newline.
-			addedLine, err := added.Encode()
+			// (b) the bytes of the two segments.
+			wantActive, wantOlder := found, ""
+			if !whole {
+				wantActive = strings.Join(kept, "")
+			}
+			if lastSeq%limit == 0 {
+				wantActive, wantOlder = "", wantActive
+			}
+			wantActive += string(addedLine) + "\n"
+			active, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := os.ReadFile(path)
-			if err != nil {
+			older, err := os.ReadFile(history.OlderPath(path))
+			if err != nil && !os.IsNotExist(err) {
 				t.Fatal(err)
 			}
-			if want := strings.Join(kept, "") + string(addedLine) + "\n"; string(got) != want {
-				t.Errorf("file after the append is not the kept lines byte for byte plus the new one:\n got %q\nwant %q", got, want)
+			if string(active) != wantActive || string(older) != wantOlder {
+				t.Errorf("after the append (whole tail: %v, last Seq %d, limit %d)\nactive segment %q\n           want %q\n older segment %q\n           want %q",
+					whole, lastSeq, limit, active, wantActive, older, wantOlder)
 			}
-			// (c), (d) what LoadFS drops is gone from the file.
+			// (c) a repair leaves nothing of what LoadFS drops.
 			for _, g := range gone {
-				if bytes.Contains(got, []byte(g)) {
-					t.Errorf("dropped line %q is still in the file", g)
+				if !whole && bytes.Contains(append(active, older...), []byte(g)) {
+					t.Errorf("dropped line %q is still in the repaired file", g)
 				}
 			}
 		})
@@ -217,7 +241,8 @@ func atLimitFile(tb testing.TB) (path string, size int) {
 }
 
 // BenchmarkAppendAtLimit is the cost every build of a lived-in checkout
-// pays: one append to a file at the default limit, 200 records of ≈ 5.7 KB.
+// pays: one append to a history at the default limit, 200 records of ≈ 5.7 KB
+// (the first iteration rotates them out; every 200th after it rotates too).
 func BenchmarkAppendAtLimit(b *testing.B) {
 	path, size := atLimitFile(b)
 	b.ReportAllocs()
@@ -230,38 +255,49 @@ func BenchmarkAppendAtLimit(b *testing.B) {
 	b.ReportMetric(float64(size)/(1<<20), "file_MB")
 }
 
-// TestAppendAtLimitAllocBytes holds an append at the limit to what it
-// allocates today plus a tenth. What it allocates is the file's bytes, one
-// record decoded at a time, and the new line; an append that kept the decoded
-// records or encoded old ones again (PR 19's did both) costs a fifth more.
+// TestAppendAtLimitAllocBytes holds an append to a file at the limit to what
+// it allocates today plus a tenth, and to what it reads. The first append
+// finds 200 records ending on Seq 200 and rotates them out: it reads the end
+// of the file, and the file once, a chunk at a time, to count its lines. The
+// next two read the end of the file they find. What each allocates is one
+// chunk, the file's last record decoded, and the new line.
 //
-// The file is 200 records of the shape builds write. Until PR 21 that shape
-// had a timeline event for every cached unit (testutil.HistoryRecordV1): the
-// file was 5.71 MB and the same append allocated 31.9 MB on it (PR 19's: 38.8).
-// Until PR 23 it had a table entry for every cached unit and a pass name and a
-// reason in every decision row (testutil.HistoryRecordV2): 2.81 MB, 18.9 MB.
+// The file is 200 records of the shape builds write. While an append read the
+// whole file and decoded every line of it to check it, it allocated 6.8 MB on
+// this file (18.9 MB on the shape records had until PR 23, 31.9 MB on the one
+// they had until PR 21, when the file was 5.71 MB).
 func TestAppendAtLimitAllocBytes(t *testing.T) {
-	const nowMB = 6.8 // 1.14 MB file; 6.8 in three runs when PR 23 re-pinned it
-	path, _ := atLimitFile(t)
+	const nowMB = 0.10 // 1.14 MB file; 0.09–0.10 in six runs when PR 24 pinned it
+	const chunk = 64 << 10
+	path, size := atLimitFile(t)
 	recs := make([]*history.Record, 3)
 	for i := range recs {
 		recs[i] = testutil.HistoryRecord(history.DefaultLimit + 1 + i)
 	}
+	reads := make([]int64, len(recs))
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	for _, rec := range recs {
-		if err := history.Append(path, rec, 0); err != nil {
+	for i, rec := range recs {
+		fsys := vfs.NewFaultFS(vfs.OS)
+		if err := history.AppendFS(fsys, path, rec, 0); err != nil {
 			t.Fatal(err)
 		}
+		reads[i] = fsys.BytesRead(path) + fsys.BytesRead(history.OlderPath(path))
 	}
 	runtime.ReadMemStats(&m1)
 	gotMB := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(len(recs)) / (1 << 20)
-	t.Logf("%.1f MB allocated per append at the limit (recorded %.1f)", gotMB, nowMB)
+	t.Logf("%.2f MB allocated per append at the limit (recorded %.2f); bytes read %v of a %d-byte file", gotMB, nowMB, reads, size)
 	if ceiling := 1.1 * nowMB; gotMB > ceiling {
-		t.Errorf("append at the limit allocates %.1f MB, ceiling %.1f (1.1 × the recorded %.1f): is an old record being kept or re-encoded?",
+		t.Errorf("append at the limit allocates %.2f MB, ceiling %.2f (1.1 × the recorded %.2f): is it holding more than the end of the file?",
 			gotMB, ceiling, nowMB)
 	}
-	if recs, err := history.Load(path); err != nil || len(recs) != history.DefaultLimit {
-		t.Fatalf("file after the appends: %d records, err %v", len(recs), err)
+	if reads[0] > int64(size)+chunk || reads[1] > chunk || reads[2] > chunk {
+		t.Errorf("the appends read %v bytes; want the file (%d) and a chunk (%d) for the one that rotates, a chunk for the others", reads, size, chunk)
+	}
+	if recs, err := history.Load(path); err != nil || len(recs) != history.DefaultLimit+3 {
+		t.Fatalf("history after the appends: %d records, err %v; want the %d it had and 3", len(recs), err, history.DefaultLimit)
+	}
+	if older, err := history.LoadFS(nil, history.OlderPath(path)); err != nil || len(older) != history.DefaultLimit {
+		t.Fatalf("older segment after the appends: %d records, err %v; want the %d the file had", len(older), err, history.DefaultLimit)
 	}
 }

@@ -1,7 +1,7 @@
 package history_test
 
 // Flight-recorder chaos suite: walk every injectable I/O fault point of
-// an append/rotate/load workload and prove the recorder degrades
+// an append/rotate/repair/load workload and prove the recorder degrades
 // gracefully — a faulted append may drop its record (the recorder is
 // advisory and reports the error to its caller), but it must never
 // corrupt the file into mangled or fused records, never lose a record
@@ -9,7 +9,9 @@ package history_test
 // Fault points are enumerated by recording a clean run, not hand-kept.
 
 import (
+	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"statefulcc/internal/history"
@@ -17,9 +19,21 @@ import (
 	"statefulcc/internal/vfs/chaostest"
 )
 
-// chaosLimit forces rotation partway through the workload so the walk
-// covers the rewrite path (createtemp/write/sync/close/rename) too.
+// chaosLimit puts three rotations into the workload (rename of the full
+// segment, the first write of the next).
 const chaosLimit = 4
+
+// chaosDamage is what a crashed predecessor left at the end of the active
+// segment before the workload's nth append, for the appends that have an
+// entry: those take the repair path (read whole, createtemp/write/sync/close/
+// rename), the others append in place, and the ones after every fourth rotate
+// first. A line that does not decode is repaired at once; the torn one costs
+// its append the three looks it gives a writer that may be alive.
+var chaosDamage = map[int]string{
+	1: `{"seq":99,"time_unix_ms":17`,
+	2: "{not json}\n", 3: "{not json}\n", 5: "\n", 6: "{not json}\n", 7: `{"seq":"x"}` + "\n",
+	9: "{not json}\n", 10: "42\n", 11: "{not json}\n",
+}
 
 // chaosRecord builds a small distinguishable record: Workers carries the
 // append index so loaded records can be matched back to what was written.
@@ -41,26 +55,54 @@ func chaosRecord(i int) *history.Record {
 func appendWorkload(t *testing.T, fsys vfs.FS, path string, nAppends int) (failed int) {
 	t.Helper()
 	for i := 0; i < nAppends; i++ {
-		before, _ := history.LoadFS(nil, path)
-		if len(before) > chaosLimit-1 {
-			before = before[len(before)-(chaosLimit-1):]
-		}
-		if err := history.AppendFS(fsys, path, chaosRecord(i), chaosLimit); err != nil {
+		if !appendChecked(t, fsys, path, i) {
 			failed++
-		}
-		after, _ := history.LoadFS(nil, path)
-		have := make(map[[2]int]bool, len(after))
-		for _, r := range after {
-			have[[2]int{r.Seq, r.Workers}] = true
-		}
-		for _, r := range before {
-			if !have[[2]int{r.Seq, r.Workers}] {
-				t.Fatalf("append %d lost record Seq %d (written by append %d): %d records before, %d after",
-					i, r.Seq, r.Workers-1000, len(before), len(after))
-			}
 		}
 	}
 	return failed
+}
+
+// chaosWorkload is appendWorkload over chaosAppends appends, each finding
+// the damage chaosDamage has for it. The damage is written past the fault
+// injector — the crash being simulated has already happened — and there is
+// nothing to damage while every earlier append has failed.
+func chaosWorkload(t *testing.T, fsys vfs.FS, path string) (failed int) {
+	t.Helper()
+	for i := 0; i < chaosAppends; i++ {
+		if damage, ok := chaosDamage[i]; ok {
+			if f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644); err == nil {
+				f.WriteString(damage)
+				f.Close()
+			}
+		}
+		if !appendChecked(t, fsys, path, i) {
+			failed++
+		}
+	}
+	return failed
+}
+
+// appendChecked makes the workload's ith append, reports whether it
+// succeeded, and holds it to the no-loss invariant either way.
+func appendChecked(t *testing.T, fsys vfs.FS, path string, i int) bool {
+	t.Helper()
+	before, _ := history.LoadFS(nil, path)
+	if len(before) > chaosLimit-1 {
+		before = before[len(before)-(chaosLimit-1):]
+	}
+	err := history.AppendFS(fsys, path, chaosRecord(i), chaosLimit)
+	after, _ := history.LoadFS(nil, path)
+	have := make(map[[2]int]bool, len(after))
+	for _, r := range after {
+		have[[2]int{r.Seq, r.Workers}] = true
+	}
+	for _, r := range before {
+		if !have[[2]int{r.Seq, r.Workers}] {
+			t.Fatalf("append %d lost record Seq %d (written by append %d): %d records before, %d after",
+				i, r.Seq, r.Workers-1000, len(before), len(after))
+		}
+	}
+	return err == nil
 }
 
 // checkIntegrity loads the file cleanly and asserts every surviving
@@ -90,23 +132,26 @@ func checkIntegrity(t *testing.T, path string, nAppends int) []history.Record {
 			t.Fatalf("loaded record %d mangled: %+v", i, r)
 		}
 	}
-	if len(recs) > chaosLimit {
-		t.Fatalf("limit not enforced: %d records > %d", len(recs), chaosLimit)
+	if len(recs) > 2*chaosLimit {
+		t.Fatalf("limit not enforced: %d records in two segments of at most %d", len(recs), chaosLimit)
 	}
 	return recs
 }
 
+// chaosAppends is the length of the walked workload: thirteen appends, nine
+// of them repairs (chaosDamage) and three of the other four rotations, give
+// history.jsonl and the repair's temp file every fault point this walk has
+// ever named — an append used to read the whole file, and past the limit
+// rewrite it, every time.
+const chaosAppends = 13
+
 func TestChaosAppend(t *testing.T) {
-	// Crosses the rotation threshold at chaosLimit and rotates on every
-	// append after it, nine times in all. Thirteen appends also give history.jsonl as many opens, reads
-	// and closes as six did when an append opened the file twice, so every
-	// fault point this walk has ever named is still a point.
-	const nAppends = 13
+	const nAppends = chaosAppends
 
 	// Record a clean run to enumerate fault points.
 	recDir := t.TempDir()
 	rec := vfs.NewFaultFS(vfs.OS, vfs.WithCanon(chaostest.Canon(recDir, history.TempPattern)))
-	if failed := appendWorkload(t, rec, filepath.Join(recDir, history.FileName), nAppends); failed != 0 {
+	if failed := chaosWorkload(t, rec, filepath.Join(recDir, history.FileName)); failed != 0 {
 		t.Fatalf("clean run failed %d appends", failed)
 	}
 	checkIntegrity(t, filepath.Join(recDir, history.FileName), nAppends)
@@ -135,7 +180,7 @@ func TestChaosAppend(t *testing.T) {
 				ffs := vfs.NewFaultFS(vfs.OS,
 					vfs.WithCanon(chaostest.Canon(dir, history.TempPattern)),
 					vfs.WithRules(chaostest.RuleFor(p, kind)))
-				appendWorkload(t, ffs, path, nAppends)
+				chaosWorkload(t, ffs, path)
 				chaostest.AssertFired(t, ffs, p)
 
 				// Degradation invariant: no append lost a record (held inside
@@ -186,4 +231,83 @@ func TestChaosTornTrailingLine(t *testing.T) {
 	if recs = checkIntegrity(t, path, 3); len(recs) != 3 {
 		t.Fatalf("recovery append did not restore the file: %d records", len(recs))
 	}
+}
+
+// TestChaosRotation pins the crash points of a rotation directly: readers
+// return what they returned before it, whatever the rotation got to, and the
+// next clean append lands after it with the next Seq.
+func TestChaosRotation(t *testing.T) {
+	full := func(t *testing.T) (path string, before []history.Record) {
+		path = filepath.Join(t.TempDir(), history.FileName)
+		// Six appends: the first four are the older segment, the last is one
+		// short of filling the active one.
+		if failed := appendWorkload(t, nil, path, 2*chaosLimit-1); failed != 0 {
+			t.Fatal("seed appends failed")
+		}
+		if err := history.Append(path, chaosRecord(2*chaosLimit-1), chaosLimit); err != nil {
+			t.Fatal(err)
+		}
+		return path, checkIntegrity(t, path, 2*chaosLimit)
+	}
+	for _, tc := range []struct {
+		name string
+		rule vfs.Rule
+		// rotated: the fault hits after the rename, so the segment that was
+		// older is gone, as after any rotation.
+		rotated bool
+	}{
+		{"rename fails", vfs.Rule{Op: vfs.OpRename, Path: filepath.Base(history.OlderPath(history.FileName)), Kind: vfs.FaultError}, false},
+		{"crash at the rename", vfs.Rule{Op: vfs.OpRename, Path: filepath.Base(history.OlderPath(history.FileName)), Kind: vfs.FaultCrash}, false},
+		{"crash after the rename, before the first write", vfs.Rule{Op: vfs.OpOpenFile, Path: history.FileName, Kind: vfs.FaultCrash}, true},
+		{"first write to the new segment tears", vfs.Rule{Op: vfs.OpWrite, Path: history.FileName, Kind: vfs.FaultTorn}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path, before := full(t)
+			if len(before) != 2*chaosLimit {
+				t.Fatalf("%d records before the rotation, want two full segments", len(before))
+			}
+			ffs := vfs.NewFaultFS(vfs.OS, vfs.WithRules(tc.rule))
+			if err := history.AppendFS(ffs, path, chaosRecord(2*chaosLimit), chaosLimit); err == nil {
+				t.Fatal("the faulted append reported success")
+			}
+			if len(ffs.Injected()) == 0 {
+				t.Fatal("the fault never fired")
+			}
+			want := before
+			if tc.rotated {
+				want = before[chaosLimit:]
+			}
+			if after := checkIntegrity(t, path, 2*chaosLimit+1); !reflect.DeepEqual(after, want) {
+				t.Fatalf("readers have Seqs %v after the fault, want %v", seqs(after), seqs(want))
+			}
+			next := chaosRecord(2 * chaosLimit)
+			if err := history.Append(path, next, chaosLimit); err != nil {
+				t.Fatal(err)
+			}
+			after := checkIntegrity(t, path, 2*chaosLimit+1)
+			if want := append(before[chaosLimit:], *next); next.Seq != 2*chaosLimit+1 || !reflect.DeepEqual(after, want) {
+				t.Fatalf("after the next append (Seq %d) readers have Seqs %v, want %v", next.Seq, seqs(after), seqs(want))
+			}
+		})
+	}
+
+	// The older segment is deleted (by hand, by a cleaner): readers have the
+	// active segment, appends and the next rotation go on without it.
+	t.Run("older segment missing", func(t *testing.T) {
+		path, before := full(t)
+		if err := os.Remove(history.OlderPath(path)); err != nil {
+			t.Fatal(err)
+		}
+		if after := checkIntegrity(t, path, 2*chaosLimit); !reflect.DeepEqual(after, before[chaosLimit:]) {
+			t.Fatalf("readers have Seqs %v, want the active segment's %v", seqs(after), seqs(before[chaosLimit:]))
+		}
+		next := chaosRecord(2 * chaosLimit)
+		if err := history.Append(path, next, chaosLimit); err != nil {
+			t.Fatal(err)
+		}
+		after := checkIntegrity(t, path, 2*chaosLimit+1)
+		if want := append(before[chaosLimit:], *next); next.Seq != 2*chaosLimit+1 || !reflect.DeepEqual(after, want) {
+			t.Fatalf("after the next append (Seq %d) readers have Seqs %v, want %v", next.Seq, seqs(after), seqs(want))
+		}
+	})
 }

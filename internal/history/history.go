@@ -19,16 +19,18 @@
 // LoadLast (Record.Normalize, which a build's own record goes through as
 // well), never written.
 //
-// The file is bounded: Append keeps only the newest Limit records
-// (default DefaultLimit). An append reads the file once and decodes every
-// line to check it, one record at a time, keeping only where each valid
-// line starts and ends; it then either adds its line in place or, when the
-// file is at the limit or holds a line that did not decode, replaces the
-// file atomically with the newest valid lines copied as they stand plus
-// the new one. A torn trailing line from a crashed append is dropped on the
-// next read and repaired by the next append. The recorder is advisory and
-// must never fail a build: an append that cannot read or write reports an
-// error and leaves the history as it found it.
+// The history is bounded and is two files: the active segment, which every
+// build appends one line to, and the segment that was active before it
+// (OlderPath). An append reads the end of the active segment and decodes its
+// last line — whose Seq it continues — and nothing else, so it costs the same
+// on a file of any length and in a process that has never seen the file; when
+// that line ends a full segment (a Seq that is a multiple of Limit, default
+// DefaultLimit) the segment is renamed over the older one and the append
+// starts the next. Readers read both files. A torn trailing line from a
+// crashed append is dropped on the next read and repaired by the next append,
+// the one case in which a segment is read whole and rewritten. The recorder
+// is advisory and must never fail a build: an append that cannot read or
+// write reports an error and leaves the history as it found it.
 //
 // Determinism: records encode via encoding/json, which sorts map keys, so
 // two encodings of the same record (and the metrics/unit tables inside it)
@@ -43,10 +45,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"statefulcc/internal/core"
@@ -54,18 +58,19 @@ import (
 	"statefulcc/internal/vfs"
 )
 
-// FileName is the flight-recorder file inside a state directory.
+// FileName is the flight recorder's active segment inside a state directory.
 const FileName = "history.jsonl"
 
-// DefaultLimit is the default record cap of a history file.
+// DefaultLimit is the default record cap of a history segment: the two
+// segments hold the newest DefaultLimit records at least.
 const DefaultLimit = 200
 
 // maxLineBytes is the longest line read back as a record; a longer one is
 // corrupt.
 const maxLineBytes = 16 * 1024 * 1024
 
-// TempPattern is the glob the rotation rewriter's in-flight temp files
-// match. A crash mid-rewrite orphans one; like state.TempPattern files,
+// TempPattern is the glob the in-flight temp files of a segment's repair
+// match. A crash mid-repair orphans one; like state.TempPattern files,
 // they are never read back, so a state directory's single writer may
 // sweep matches at startup.
 const TempPattern = ".history-*"
@@ -382,32 +387,70 @@ func (r *Record) Encode() ([]byte, error) {
 	return json.Marshal(r)
 }
 
-// Path returns the history file path inside a state directory.
+// Path returns the path of the flight recorder's active segment inside a
+// state directory; every function of this package that takes a history path
+// takes this one and finds the older segment beside it.
 func Path(stateDir string) string {
 	return filepath.Join(stateDir, FileName)
 }
 
-// Load reads every parseable record from a history file. A missing file is
-// an empty history; corrupt lines — in particular a torn trailing line from
-// a crashed append — are dropped, never an error. Records are returned in
-// file order (oldest first).
+// OlderPath returns the path of the segment that was active before the one at
+// path: history.jsonl → history.1.jsonl.
+func OlderPath(path string) string {
+	ext := filepath.Ext(path)
+	return strings.TrimSuffix(path, ext) + ".1" + ext
+}
+
+// Load reads every parseable record of a history: the older segment's, then
+// the active segment's. A missing file is an empty history; corrupt lines —
+// in particular a torn trailing line from a crashed append — are dropped,
+// never an error. Records are returned in file order (oldest first).
 func Load(path string) ([]Record, error) {
 	return LoadFS(vfs.OS, path)
 }
 
 // LoadFS is Load through an injectable filesystem (nil means the real
 // one).
-func LoadFS(fsys vfs.FS, path string) ([]Record, error) {
-	f, err := vfs.Default(fsys).Open(path)
+func LoadFS(fsys vfs.FS, path string) (recs []Record, err error) {
+	fsys = vfs.Default(fsys)
+	err = unrotated(fsys, path, func() error {
+		if recs, err = loadSegment(fsys, OlderPath(path), nil); err == nil {
+			recs, err = loadSegment(fsys, path, recs)
+		}
+		return err
+	})
+	return recs, err
+}
+
+// unrotated runs read, which reads the older segment and then the active
+// one, and runs it again (twice at most) if the segments were rotated
+// meanwhile: a reader that has the older segment and then opens the active
+// one after a rotation has missed the segment in between. A rotation shows as
+// another file under the older segment's name.
+func unrotated(fsys vfs.FS, path string, read func() error) error {
+	older := OlderPath(path)
+	for attempt := 1; ; attempt++ {
+		before, _ := fsys.Stat(older)
+		err := read()
+		after, _ := fsys.Stat(older)
+		same := before == nil && after == nil || before != nil && after != nil && os.SameFile(before, after)
+		if err != nil || same || attempt == 3 {
+			return err
+		}
+	}
+}
+
+// loadSegment appends the records of one segment file to recs.
+func loadSegment(fsys vfs.FS, path string, recs []Record) ([]Record, error) {
+	f, err := fsys.Open(path)
 	if os.IsNotExist(err) {
-		return nil, nil
+		return recs, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("history: %w", err)
 	}
 	defer f.Close()
 
-	var recs []Record
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
 	for sc.Scan() {
@@ -416,18 +459,15 @@ func LoadFS(fsys vfs.FS, path string) ([]Record, error) {
 			recs = append(recs, rec)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		// A scanner failure mid-file (e.g. an absurdly long corrupt line)
-		// still yields whatever parsed before it.
-		return recs, nil
-	}
+	// A scanner failure mid-file (e.g. an absurdly long corrupt line) still
+	// yields whatever parsed before it.
 	return recs, nil
 }
 
-// Append writes rec to the history file at path, assigning the next Seq and
-// bounding the file to the newest limit records (DefaultLimit when limit
-// <= 0). See AppendFS for what is read, what is kept and when the file is
-// rewritten.
+// Append writes rec to the history whose active segment is at path, assigning
+// the next Seq and keeping at least the newest limit records (DefaultLimit
+// when limit <= 0). See AppendFS for what is read, what is written and when a
+// segment is rotated or rewritten.
 func Append(path string, rec *Record, limit int) error {
 	return AppendFS(vfs.OS, path, rec, limit)
 }
@@ -435,31 +475,50 @@ func Append(path string, rec *Record, limit int) error {
 // AppendFS is Append through an injectable filesystem (nil means the real
 // one).
 //
-// What is read: the whole file, once, into one buffer. Every line is decoded
-// into a Record the way LoadFS decodes it — the decode is the validity
-// check — and then dropped: only the line's byte span and its Seq stay, so
-// the append never holds more than one old record decoded. Only a file that
-// ends in a torn line is read again (up to three times, about 11 ms in all):
-// the line may be another process's append still being written, and that
-// must not be taken for a crashed one and rewritten away.
+// What is read: the end of the active segment — one chunk, more only when
+// its last line is longer — and of that the last line is decoded, the way
+// LoadFS decodes it. The segment must end in a whole record: a line that
+// decodes, and its newline. Its Seq numbers the new record; nothing before
+// it is looked at, so an append costs the same on a file of any length, and
+// a corrupt line in the middle of a segment stays where it is (readers drop
+// it) until the segment is rotated out. An empty or missing active segment
+// takes the numbering from the end of the older one.
 //
-// What is written: rec gets the Seq after the last line that decoded. When
-// every byte of the file is a newline-terminated line that decoded and the
-// new record fits under the limit, the record's line is one O_APPEND write.
-// Otherwise — rotation, a corrupt or blank line, a torn or unterminated
-// tail — the newest limit-1 lines that decoded are copied to a temp file,
-// byte for byte as they stand (an old record is never re-marshalled, so
-// fields this version does not know survive), the new line follows, and the
-// temp file replaces the history atomically (fsync + rename): a crash never
-// loses the existing history.
+// What is written: the record's line, one O_APPEND write. Before it, when the
+// active segment is full — it ends on a Seq that is a multiple of limit, and
+// holds limit lines or more (see rotate) — the segment is renamed to
+// OlderPath, replacing the older segment, and the write starts the next:
+// rotation moves no byte. At least the newest limit records are in the two
+// files at any time, and a process whose segment is renamed between its read
+// and its write writes to the renamed file, which readers still read. Two
+// processes that find the segment full at once must not both rename — the
+// second would replace the full segment with the first one's new one — so a
+// rotation is made under a lock on the state directory, by whoever gets it
+// without waiting and still finds the file it read; the other writes to what
+// it finds.
+//
+// The repair, before any of that: an active segment that does not end in a
+// whole record — a crashed append's torn line, a line that does not decode —
+// is read whole and rewritten. Its lines that decode are copied to a temp
+// file byte for byte as they stand (an old record is never re-marshalled, so
+// fields this version does not know survive) and the temp file replaces the
+// segment atomically (fsync + rename); the append then looks at the end of
+// the file again and goes on as above. A last line that neither ends nor
+// decodes may instead be another process's append seen between two pages of
+// its one write, and replacing the file under a live writer loses its record
+// and every record that lands before the rename: a live write ends within
+// microseconds, a dead one never, so the append looks again (three times,
+// about 11 ms in all) before it calls the line dead.
 //
 // Every failure is returned, and none of them shrinks the history. A read
-// that fails, tears or crashes ends the append with the file untouched: the
-// lines it did not see are not lines that failed to decode. A short write or
-// a failing Close on the O_APPEND handle, which can silently drop a
-// buffered record, is detected too. Callers that treat the recorder as
-// advisory (the build system) surface the error as a warning and a counter
-// rather than dropping it on the floor.
+// that fails, tears or crashes ends the append with both files untouched. A
+// failed rotation leaves the full segment active for the next append to
+// rotate; a crash after it leaves the older segment alone, which holds limit
+// records and the Seq the next append continues from. A short write or a
+// failing Close on the O_APPEND handle, which can silently drop a buffered
+// record, is detected too. Callers that treat the recorder as advisory (the
+// build system) surface the error as a warning and a counter rather than
+// dropping it on the floor.
 func AppendFS(fsys vfs.FS, path string, rec *Record, limit int) error {
 	fsys = vfs.Default(fsys)
 	if limit <= 0 {
@@ -469,91 +528,56 @@ func AppendFS(fsys vfs.FS, path string, rec *Record, limit int) error {
 		return fmt.Errorf("history: %w", err)
 	}
 
-	data, err := readFile(fsys, path)
+	end, err := readEnd(fsys, path)
+	for wait := tornTailWait; err == nil && end.torn && wait <= 100*tornTailWait; wait *= 10 {
+		time.Sleep(wait)
+		end, err = readEnd(fsys, path)
+	}
 	if err != nil {
 		return fmt.Errorf("history: %w", err)
 	}
-	kept, lastSeq, clean := scanLines(data)
-	// A last line that neither ends nor decodes is what a crashed append
-	// leaves — or another process's append seen between two pages of its one
-	// write. Only the first may be rewritten away: replacing the file under a
-	// live writer loses its record and every record that lands before the
-	// rename. A live write ends within microseconds, a dead one never, so
-	// look again a few times before calling it dead.
-	for wait := tornTailWait; tornTail(data, kept) && wait <= 100*tornTailWait; wait *= 10 {
-		time.Sleep(wait)
-		again, err := readFile(fsys, path)
-		if err != nil {
+	if !end.whole {
+		if err := repair(fsys, path); err != nil {
 			return fmt.Errorf("history: %w", err)
 		}
-		if len(again) != len(data) {
-			data = again
-			kept, lastSeq, clean = scanLines(data)
+		if end, err = readEnd(fsys, path); err != nil {
+			return fmt.Errorf("history: %w", err)
+		}
+		if !end.whole {
+			return fmt.Errorf("history: %s does not end in a whole record after its repair: another process is writing it", path)
 		}
 	}
-	rec.Seq = lastSeq + 1
+	if end.file == nil || end.size == 0 {
+		if end.seq, err = olderSeq(fsys, path); err != nil {
+			return err
+		}
+	} else if end.seq > 0 && end.seq%limit == 0 {
+		if err := rotate(fsys, path, end.file, limit); err != nil {
+			return fmt.Errorf("history: %w", err)
+		}
+	}
+	rec.Seq = end.seq + 1
 	line, err := rec.Encode()
 	if err != nil {
 		return fmt.Errorf("history: %w", err)
 	}
 	line = append(line, '\n')
 
-	if clean && len(kept)+1 <= limit {
-		f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("history: %w", err)
-		}
-		n, werr := f.Write(line)
-		if werr == nil && n != len(line) {
-			// A short write without an error would silently truncate the
-			// record; report it so the caller can count and warn.
-			werr = io.ErrShortWrite
-		}
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return fmt.Errorf("history: %w", werr)
-		}
-		return nil
-	}
-
-	// Rewrite: the newest limit-1 lines that decoded, as they stand, then
-	// the new one; swap atomically.
-	if len(kept) > limit-1 {
-		kept = kept[len(kept)-(limit-1):]
-	}
-	tmp, err := fsys.CreateTemp(filepath.Dir(path), TempPattern)
+	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("history: %w", err)
 	}
-	defer fsys.Remove(tmp.Name())
-	w := bufio.NewWriter(tmp)
-	for i := 0; i < len(kept); {
-		// Neighbouring lines go out as one write.
-		run := kept[i]
-		for i++; i < len(kept) && kept[i].start == run.end; i++ {
-			run.end = kept[i].end
-		}
-		w.Write(data[run.start:run.end])
-		if data[run.end-1] != '\n' {
-			w.WriteByte('\n') // an unterminated last line that decoded
-		}
+	n, werr := f.Write(line)
+	if werr == nil && n != len(line) {
+		// A short write without an error would silently truncate the
+		// record; report it so the caller can count and warn.
+		werr = io.ErrShortWrite
 	}
-	w.Write(line)
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("history: %w", err)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("history: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("history: %w", err)
-	}
-	if err := fsys.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("history: %w", err)
+	if werr != nil {
+		return fmt.Errorf("history: %w", werr)
 	}
 	return nil
 }
@@ -562,13 +586,159 @@ func AppendFS(fsys vfs.FS, path string, rec *Record, limit int) error {
 // gives a torn last line to turn into a whole one.
 const tornTailWait = 100 * time.Microsecond
 
-// tornTail reports whether data ends in an unterminated line that is not
-// among the kept ones.
-func tornTail(data []byte, kept []span) bool {
-	if len(data) == 0 || data[len(data)-1] == '\n' {
-		return false
+// segmentEnd is what an append learns from the end of the active segment.
+type segmentEnd struct {
+	file fs.FileInfo // nil: there is no such file
+	size int64
+	// whole: the segment may be appended to in place. It is missing or
+	// empty, or its last line decodes, to Seq seq, and ends in a newline.
+	whole bool
+	seq   int
+	// torn: not whole, and the bytes after the last newline do not decode —
+	// what a crashed append leaves, or one still being written.
+	torn bool
+}
+
+// readEnd reads the last line of the segment at path. Any failure to read is
+// an error: a segment that could not be read must never pass for an empty
+// one.
+func readEnd(fsys vfs.FS, path string) (segmentEnd, error) {
+	var end segmentEnd
+	fi, err := fsys.Stat(path)
+	if os.IsNotExist(err) {
+		end.whole = true
+		return end, nil
 	}
-	return len(kept) == 0 || kept[len(kept)-1].end != len(data)
+	if err != nil {
+		return end, err
+	}
+	f, err := fsys.Open(path)
+	if os.IsNotExist(err) { // rotated away since the Stat
+		end.whole = true
+		return end, nil
+	}
+	if err != nil {
+		return end, err
+	}
+	defer f.Close()
+	lines, err := newBackward(f)
+	if err != nil {
+		return end, err
+	}
+	end.file, end.size = fi, lines.size
+	// What follows the last newline comes first: nothing, in a file that
+	// ends in a whole line.
+	rest, more, err := lines.next()
+	if err != nil {
+		return end, err
+	}
+	if !more && len(rest) == 0 {
+		end.whole = true // an empty file
+		return end, nil
+	}
+	last := rest
+	if len(rest) == 0 {
+		if last, _, err = lines.next(); err != nil {
+			return end, err
+		}
+	}
+	rec, ok := decodeLine(last)
+	end.whole, end.seq = ok && len(rest) == 0, rec.Seq
+	end.torn = !ok && len(rest) > 0
+	return end, nil
+}
+
+// olderSeq returns the Seq of the newest record of the older segment, 0 when
+// there is none: where the numbering continues when the active segment has
+// nothing in it — before the first rotation, and after a crash between a
+// rotation and the write that follows it.
+func olderSeq(fsys vfs.FS, path string) (int, error) {
+	recs, err := loadLast(fsys, []string{OlderPath(path)}, 1)
+	if err != nil || len(recs) == 0 {
+		return 0, err
+	}
+	return recs[0].Seq, nil
+}
+
+// rotate makes the active segment, seen by the caller as the file active and
+// ending on a multiple of limit, the older one — if it is full: if it holds
+// limit lines. (Two writers can give two records one Seq, and the second can
+// land after the rotation that the first one's Seq set off: the new segment
+// then ends on that Seq again, a few lines long. Renaming it would replace
+// limit records with those few.) Counting reads the segment once, which an
+// append otherwise never does, once in limit appends. Nothing is renamed
+// either when another process holds the rotation lock — it is rotating this
+// segment now — or when the file at path is no longer the one the caller saw:
+// it has been rotated since.
+func rotate(fsys vfs.FS, path string, active fs.FileInfo, limit int) error {
+	unlock, ok := lockRotation(filepath.Dir(path))
+	if !ok {
+		return nil
+	}
+	defer unlock()
+	now, err := fsys.Stat(path)
+	if os.IsNotExist(err) || err == nil && !os.SameFile(active, now) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	f, err := fsys.Open(path)
+	if err != nil {
+		return err
+	}
+	lines, chunk := 0, make([]byte, tailChunk)
+	for err == nil {
+		var n int
+		n, err = f.Read(chunk)
+		lines += bytes.Count(chunk[:n], []byte{'\n'})
+	}
+	f.Close()
+	if err != io.EOF {
+		return err
+	}
+	if lines < limit {
+		return nil
+	}
+	return fsys.Rename(path, OlderPath(path))
+}
+
+// repair replaces an active segment that does not end in a whole record with
+// its lines that decode, as they stand (see AppendFS).
+func repair(fsys vfs.FS, path string) error {
+	data, err := readFile(fsys, path)
+	if err != nil {
+		return err
+	}
+	tmp, err := fsys.CreateTemp(filepath.Dir(path), TempPattern)
+	if err != nil {
+		return err
+	}
+	defer fsys.Remove(tmp.Name())
+	w := bufio.NewWriter(tmp)
+	for kept := scanLines(data); len(kept) > 0; {
+		// Neighbouring lines go out as one write.
+		run := kept[0]
+		for kept = kept[1:]; len(kept) > 0 && kept[0].start == run.end; kept = kept[1:] {
+			run.end = kept[0].end
+		}
+		w.Write(data[run.start:run.end])
+		if data[run.end-1] != '\n' {
+			w.WriteByte('\n') // an unterminated last line that decoded
+		}
+	}
+	if err := w.Flush(); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	return fsys.Rename(tmp.Name(), path)
 }
 
 // readFile returns the bytes of the file at path (nil for a missing file),
@@ -589,7 +759,11 @@ func readFile(fsys vfs.FS, path string) ([]byte, error) {
 	defer f.Close()
 	// One buffer of the file's size; the slack lets the read that reports
 	// end of file find room, so the buffer grows only if the file did.
-	data := make([]byte, 0, fi.Size()+512)
+	return readToEOF(f, make([]byte, 0, fi.Size()+512))
+}
+
+// readToEOF appends what is left of f to data.
+func readToEOF(f vfs.File, data []byte) ([]byte, error) {
 	for {
 		if len(data) == cap(data) {
 			data = append(data, 0)[:len(data)]
@@ -605,18 +779,13 @@ func readFile(fsys vfs.FS, path string) ([]byte, error) {
 	}
 }
 
-// span is one line of the history file as offsets into its bytes: end is
-// past the newline when the line has one.
+// span is one line of a segment as offsets into its bytes: end is past the
+// newline when the line has one.
 type span struct{ start, end int }
 
-// scanLines walks the file's lines once and returns the spans of those
-// LoadFS would return a record for, the Seq of the last of them (0 when
-// there is none), and whether the file is clean: every byte belongs to a
-// newline-terminated line that decoded. Only a clean file may be appended
-// to in place — a plain append after a torn line would fuse the new record
-// onto it.
-func scanLines(data []byte) (kept []span, lastSeq int, clean bool) {
-	clean = true
+// scanLines walks a segment's lines once and returns the spans of those
+// LoadFS would return a record for.
+func scanLines(data []byte) (kept []span) {
 	for start := 0; start < len(data); {
 		text, _, terminated := bytes.Cut(data[start:], []byte{'\n'})
 		end := start + len(text)
@@ -624,14 +793,10 @@ func scanLines(data []byte) (kept []span, lastSeq int, clean bool) {
 			end++
 		}
 		var rec Record
-		if len(text) >= maxLineBytes || json.Unmarshal(text, &rec) != nil {
-			clean = false // blank, torn or corrupt: LoadFS drops it too
-		} else {
+		if len(text) < maxLineBytes && json.Unmarshal(text, &rec) == nil {
 			kept = append(kept, span{start, end})
-			lastSeq = rec.Seq
-			clean = clean && terminated
 		}
 		start = end
 	}
-	return kept, lastSeq, clean
+	return kept
 }

@@ -63,35 +63,42 @@ func TestAppendLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRotation: the file is bounded to the newest limit records and Seq
-// keeps rising across rotations.
+// TestRotation: the history is bounded — two segments, each rotated out when
+// it ends on a multiple of the limit — never holds fewer than the newest
+// limit records, and Seq keeps rising across rotations.
 func TestRotation(t *testing.T) {
 	path := filepath.Join(t.TempDir(), FileName)
 	const limit = 5
-	for i := 0; i < limit*3; i++ {
+	for i := 1; i <= limit*3; i++ {
 		if err := Append(path, testRecord(float64(i), 1000), limit); err != nil {
 			t.Fatal(err)
 		}
-	}
-	recs, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != limit {
-		t.Fatalf("after rotation: %d records, want %d", len(recs), limit)
-	}
-	for i, r := range recs {
-		want := limit*3 - limit + i + 1
-		if r.Seq != want {
-			t.Errorf("record %d: seq %d, want %d", i, r.Seq, want)
+		recs, err := Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) < min(i, limit) || len(recs) > 2*limit {
+			t.Fatalf("after %d appends: %d records, want the newest %d at least and %d at most", i, len(recs), min(i, limit), 2*limit)
+		}
+		for k, r := range recs {
+			if want := i - len(recs) + 1 + k; r.Seq != want {
+				t.Fatalf("after %d appends: record %d has seq %d, want %d", i, k, r.Seq, want)
+			}
 		}
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	// Fifteen appends: the third segment is full, the second is the older
+	// one, the first is gone.
+	for file, want := range map[string]int{path: limit, OlderPath(path): limit} {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := bytes.Count(data, []byte("\n")); n != want {
+			t.Errorf("%s has %d lines, want %d", filepath.Base(file), n, want)
+		}
 	}
-	if n := bytes.Count(data, []byte("\n")); n != limit {
-		t.Errorf("file has %d lines, want %d", n, limit)
+	if recs, err := LoadLast(path, limit); err != nil || len(recs) != limit || recs[0].Seq != 2*limit+1 {
+		t.Errorf("LoadLast(%d): %d records (err %v), want %d from seq %d", limit, len(recs), err, limit, 2*limit+1)
 	}
 }
 

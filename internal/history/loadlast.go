@@ -1,77 +1,161 @@
 package history
 
-// The readers' side of "a record is sized by the work the build did": a
-// command that shows the newest build, or the newest few, reads the file from
-// its end and decodes those records only. An append still decodes every line
-// (that is its validity check); a reader has no reason to.
+// Reading a history from its end: a command that shows the newest build, or
+// the newest few, decodes those records only, and an append decodes one — the
+// last line of the active segment, whose Seq it continues.
 
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"slices"
+
+	"statefulcc/internal/vfs"
 )
 
-// tailChunk is the first read LoadLast makes from the end of the file; each
-// further read doubles, so a record of any size costs O(log) reads.
+// tailChunk is how much of a file is read at a time, from its end towards its
+// start: the end of a file whose last line is shorter is read with one, and a
+// line of any length with no more than its own length and one chunk.
 const tailChunk = 64 * 1024
 
-// LoadLast returns the newest n records of the history file at path, oldest
-// first — the last n of what Load returns, for every file Load can read
-// (torn tail, corrupt or blank lines in the middle, a missing file) — having
-// read only the end of the file and decoded only the lines it walked over
-// to find n that parse. n <= 0 means every record and is Load.
+// backward yields a file's lines from the last to the first.
+type backward struct {
+	f    vfs.File
+	size int64 // of the file when it was opened
+	off  int64 // file offset of buf[lo]
+	// buf[lo:hi] is the part of the file that has been read and not yet
+	// returned; what is read next goes in front of it. buf[fresh:hi] is known
+	// to hold no newline, so a long line is searched once, not once per chunk.
+	buf           []byte
+	lo, hi, fresh int
+}
+
+func newBackward(f vfs.File) (*backward, error) {
+	size, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return nil, err
+	}
+	return &backward{f: f, size: size, off: size}, nil
+}
+
+// next returns the line before those returned so far, without its newline,
+// and whether a line precedes it in the file. The first line returned is
+// what follows the file's last newline: empty when the file ends in one.
+// After a line of maxLineBytes or more it reports no further line. The line
+// is valid until the next call.
+func (b *backward) next() (line []byte, more bool, err error) {
+	for {
+		if nl := bytes.LastIndexByte(b.buf[b.lo:b.fresh], '\n'); nl >= 0 {
+			line, b.hi = b.buf[b.lo+nl+1:b.hi], b.lo+nl
+			b.fresh = b.hi
+			return line, true, nil
+		}
+		if b.off == 0 || b.hi-b.lo >= maxLineBytes {
+			line, b.hi = b.buf[b.lo:b.hi], b.lo
+			return line, false, nil
+		}
+		if err := b.fill(); err != nil {
+			return nil, false, err
+		}
+	}
+}
+
+// fill reads the chunk of the file that ends where buf[lo:hi] starts.
+func (b *backward) fill() error {
+	n := int(min(tailChunk, b.off))
+	if _, err := b.f.Seek(b.off-int64(n), io.SeekStart); err != nil {
+		return err
+	}
+	if b.off == b.size {
+		// The file's last chunk is read up to where the file ends now, not
+		// where it ended when it was opened: a line that was being written
+		// then is whole if it has landed since.
+		data, err := readToEOF(b.f, make([]byte, 0, n+512))
+		if err != nil {
+			return err
+		}
+		if len(data) < n {
+			return fmt.Errorf("%s has lost %d bytes since it was opened", b.f.Name(), n-len(data))
+		}
+		b.buf, b.lo, b.hi, b.fresh = data, 0, len(data), len(data)
+	} else {
+		if held := b.hi - b.lo; b.lo < n {
+			// Room in front, doubled each time so that a long line is not
+			// copied once per chunk.
+			grown := make([]byte, n+2*held)
+			copy(grown[len(grown)-held:], b.buf[b.lo:b.hi])
+			b.buf, b.lo, b.hi = grown, len(grown)-held, len(grown)
+		}
+		if _, err := io.ReadFull(b.f, b.buf[b.lo-n:b.lo]); err != nil {
+			return err
+		}
+		b.lo, b.fresh = b.lo-n, b.lo
+	}
+	b.off -= int64(n)
+	return nil
+}
+
+// LoadLast returns the newest n records of the history whose active segment
+// is at path, oldest first — the last n of what Load returns, for every file
+// Load can read (torn tail, corrupt or blank lines in the middle, a missing
+// file) — having read only the end of the active segment, and of the older
+// one when the active one holds fewer than n, and decoded only the lines it
+// walked over to find n that parse. n <= 0 means every record and is Load.
 //
 // One difference from Load, on a file neither can read whole: at a line of
 // maxLineBytes or more Load stops and has the records before it, LoadLast
 // stops and has the records after it.
-func LoadLast(path string, n int) ([]Record, error) {
+func LoadLast(path string, n int) (recs []Record, err error) {
 	if n <= 0 {
 		return Load(path)
 	}
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("history: %w", err)
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("history: %w", err)
-	}
+	err = unrotated(vfs.OS, path, func() error {
+		recs, err = loadLast(vfs.OS, []string{path, OlderPath(path)}, n)
+		return err
+	})
+	return recs, err
+}
 
-	var (
-		recs  []Record    // newest first
-		buf   []byte      // the file from off up to the lines already walked
-		off   = fi.Size() // an append after this point is the next reader's
-		chunk = int64(tailChunk)
-	)
-	for len(recs) < n {
-		nl := bytes.LastIndexByte(buf, '\n')
-		if nl < 0 && off > 0 {
-			// The line buf ends with starts before buf does.
-			if len(buf) >= maxLineBytes {
-				break
-			}
-			read := min(chunk, off)
-			grown := make([]byte, read+int64(len(buf)))
-			if _, err := f.ReadAt(grown[:read], off-read); err != nil {
-				return nil, fmt.Errorf("history: %w", err)
-			}
-			copy(grown[read:], buf)
-			buf, off, chunk = grown, off-read, 2*chunk
-			continue
+// loadLast returns the newest n records of the files at paths, which are
+// given newest first.
+func loadLast(fsys vfs.FS, paths []string, n int) ([]Record, error) {
+	var recs []Record // newest first
+	for _, path := range paths {
+		if err := segmentLast(fsys, path, n, &recs); err != nil {
+			return nil, fmt.Errorf("history: %w", err)
 		}
-		if rec, ok := decodeLine(buf[nl+1:]); ok {
-			recs = append(recs, rec)
-		}
-		if nl < 0 {
-			break // that was the file's first line
-		}
-		buf = buf[:nl]
 	}
 	slices.Reverse(recs)
 	return recs, nil
+}
+
+// segmentLast appends to recs, newest first, the newest records of one
+// segment until recs holds n.
+func segmentLast(fsys vfs.FS, path string, n int, recs *[]Record) error {
+	if len(*recs) >= n {
+		return nil
+	}
+	f, err := fsys.Open(path)
+	if os.IsNotExist(err) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	lines, err := newBackward(f)
+	if err != nil {
+		return err
+	}
+	for more := true; more && len(*recs) < n; {
+		var line []byte
+		if line, more, err = lines.next(); err != nil {
+			return err
+		}
+		if rec, ok := decodeLine(line); ok {
+			*recs = append(*recs, rec)
+		}
+	}
+	return nil
 }

@@ -141,23 +141,33 @@ func runAppender(spec string) int {
 }
 
 // TestTwoProcessAppend: two minibuild processes on one state directory
-// interleave their appends. Below the limit each append is one O_APPEND
-// write of one whole line, so no record is lost or torn however the two
-// interleave. Sequence numbers are not coordinated — each writer numbers its
-// record from the tail it read — so a Seq can repeat; readers select by
-// position, and `profile -build N` takes the first match.
+// interleave their appends. An append is one O_APPEND write of one whole
+// line, so no record is lost or torn however the two interleave — across a
+// rotation too: the full segment is renamed, not rewritten, so a line written
+// to it by the process that did not rename it is in the older segment, and
+// the rename is made by one of the two (AppendFS). Sequence numbers are not
+// coordinated — each writer numbers its record from the end it read — so a
+// Seq can repeat; readers select by position, and `profile -build N` takes
+// the first match.
 func TestTwoProcessAppend(t *testing.T) {
-	t.Run("below the limit", func(t *testing.T) {
-		const appends = 50
+	const appends = 50
+	// twoWriters runs two appender processes against one history of seeded
+	// records and returns its path.
+	twoWriters := func(t *testing.T, seeded, limit int) string {
 		exe, err := os.Executable()
 		if err != nil {
 			t.Skip("no path to the test binary:", err)
 		}
 		path := filepath.Join(t.TempDir(), history.FileName)
+		for i := 1; i <= seeded; i++ {
+			if err := history.Append(path, chaosRecord(i), limit); err != nil {
+				t.Fatal(err)
+			}
+		}
 		var cmds []*exec.Cmd
 		for writer := 1; writer <= 2; writer++ {
 			cmd := exec.Command(exe)
-			cmd.Env = append(os.Environ(), fmt.Sprintf("%s=%d:%d:%d:%s", appenderEnv, writer, appends, 4*appends, path))
+			cmd.Env = append(os.Environ(), fmt.Sprintf("%s=%d:%d:%d:%s", appenderEnv, writer, appends, limit, path))
 			cmd.Stderr = os.Stderr
 			if err := cmd.Start(); err != nil {
 				t.Fatal(err)
@@ -169,70 +179,78 @@ func TestTwoProcessAppend(t *testing.T) {
 				t.Fatalf("appender: %v", err)
 			}
 		}
-
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
+		return path
+	}
+	// allThere holds the history to the seeded records and every record of
+	// both writers, each line a record, and returns the records.
+	allThere := func(t *testing.T, path string, seeded int) []history.Record {
+		lines := 0
+		for _, file := range []string{history.OlderPath(path), path} {
+			data, err := os.ReadFile(file)
+			if os.IsNotExist(err) {
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lines += bytes.Count(data, []byte{'\n'}); len(data) == 0 || data[len(data)-1] != '\n' {
+				t.Errorf("%s is empty or ends in a torn line", filepath.Base(file))
+			}
 		}
 		recs, err := history.Load(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if lines := bytes.Count(data, []byte{'\n'}); lines != 2*appends || len(recs) != lines || data[len(data)-1] != '\n' {
-			t.Fatalf("%d lines, %d of them records, want %d of each: a line was lost, torn or fused", lines, len(recs), 2*appends)
+		if lines != seeded+2*appends || len(recs) != lines {
+			t.Fatalf("%d lines, %d of them records, want %d of each: a line was lost, torn or fused", lines, len(recs), seeded+2*appends)
 		}
 		held := make(map[int]bool, len(recs))
 		seen := make(map[int]bool, len(recs))
-		for _, r := range recs {
+		for _, r := range recs[seeded:] {
 			held[r.Workers], seen[r.Seq] = true, true
-			if r.Seq < 1 || r.Seq > len(recs) {
-				t.Errorf("Seq %d in a file of %d records", r.Seq, len(recs))
+			if r.Seq <= seeded || r.Seq > len(recs) {
+				t.Errorf("Seq %d in a history of %d records, %d of them there before", r.Seq, len(recs), seeded)
 			}
 		}
 		for writer := 1; writer <= 2; writer++ {
 			for i := 1; i <= appends; i++ {
 				if !held[1000*writer+i] {
-					t.Errorf("writer %d's append %d is not in the file", writer, i)
+					t.Errorf("writer %d's append %d is not in the history", writer, i)
 				}
 			}
 		}
 		// Allowed, so reported as what it is and not as a failure.
-		t.Logf("%d records, %d of them with a Seq another record has", len(recs), len(recs)-len(seen))
+		t.Logf("%d records from the two writers, %d of them with a Seq another has", 2*appends, 2*appends-len(seen))
+		return recs
+	}
+
+	t.Run("below the limit", func(t *testing.T) {
+		path := twoWriters(t, 0, 4*appends)
+		allThere(t, path, 0)
+		if _, err := os.Stat(history.OlderPath(path)); !os.IsNotExist(err) {
+			t.Errorf("a segment was rotated out below the limit (stat: %v)", err)
+		}
 	})
 
-	// At the limit an append is read, rewrite to a temp file, rename: a line
-	// the other process added between this one's read and its rename is not
-	// in the file that replaces it. The interleaving is made here, not waited
-	// for: the second writer appends at the moment the first has read the
-	// file and asks for its temp file.
+	// The segment fills while both processes are appending (it starts 30
+	// short of full; the two add 50 Seqs at least, 100 at most, so they cross
+	// one limit and cannot reach the next): both can find it full at once, one
+	// renames it, and the other's line goes where it finds room — the renamed
+	// file if it had it open, the new one if not. Until segments, the file at
+	// its limit was read, rewritten and renamed over, and a line the other
+	// process added in between was lost.
 	t.Run("at the limit", func(t *testing.T) {
-		const limit = 4
-		path := filepath.Join(t.TempDir(), history.FileName)
-		for i := 1; i <= limit; i++ {
-			if err := history.Append(path, chaosRecord(i), limit); err != nil {
-				t.Fatal(err)
-			}
-		}
-		other := chaosRecord(2000)
-		fsys := &hookFS{FS: vfs.OS, onCreateTemp: func(int) {
-			if err := history.Append(path, other, limit); err != nil {
-				t.Error(err)
-			}
-		}}
-		if err := history.AppendFS(fsys, path, chaosRecord(1000), limit); err != nil {
-			t.Fatal(err)
-		}
-		recs, err := history.Load(path)
+		const limit, seeded = 200, 170
+		path := twoWriters(t, seeded, limit)
+		recs := allThere(t, path, seeded)
+		older, err := history.LoadFS(nil, history.OlderPath(path))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range recs {
-			if r.Workers == other.Workers {
-				t.Fatal("the other writer's record survived: the known loss is fixed, make this subtest assert it")
-			}
+		// (LoadFS of the older segment's path finds no segment older still.)
+		if len(older) < limit || len(older) == len(recs) {
+			t.Errorf("%d of %d records in the older segment: want one rotation, at Seq %d", len(older), len(recs), limit)
 		}
-		t.Skipf("known loss (docs/ROBUSTNESS.md): the rewrite replaced the file the other process had appended to, "+
-			"%d records kept with Seqs %v; rotation by segment file, ROADMAP item 1(b), is the fix", len(recs), seqs(recs))
 	})
 }
 
@@ -291,13 +309,52 @@ func TestAppendWaitsOutALiveWriter(t *testing.T) {
 	}
 }
 
+// TestReaderSeesARotation: a reader has read the older segment and is about
+// to open the active one when an append rotates — the file it opens is the
+// new segment, and the one it should have read is now the older one. It
+// notices that history.1.jsonl is another file than before and reads again.
+func TestReaderSeesARotation(t *testing.T) {
+	const limit = 4
+	path := filepath.Join(t.TempDir(), history.FileName)
+	for i := 1; i <= 2*limit; i++ { // [1..4] older, [5..8] active and full
+		if err := history.Append(path, chaosRecord(i), limit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rotated := false
+	fsys := &hookFS{FS: vfs.OS, onOpen: func(name string) {
+		if name == path && !rotated {
+			rotated = true
+			if err := history.Append(path, chaosRecord(2*limit+1), limit); err != nil {
+				t.Error(err)
+			}
+		}
+	}}
+	recs, err := history.LoadFS(fsys, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(seqs(recs)), "[5 6 7 8 9]"; !rotated || got != want {
+		t.Errorf("a reader across a rotation (made: %v) has Seqs %s, want %s: the segment that was active when it started, and the new one", rotated, got, want)
+	}
+}
+
 // hookFS calls onStat and onCreateTemp, when set, before the nth Stat and
-// CreateTemp (counted from 1) go through: a place to stand inside an append,
-// after it has read the file and before it replaces it.
+// CreateTemp (counted from 1) go through, and onOpen before an Open of the
+// named file: places to stand inside an append, after it has read the file
+// and before it replaces it, or inside a reader between its two files.
 type hookFS struct {
 	vfs.FS
 	stats, temps         int
 	onStat, onCreateTemp func(nth int)
+	onOpen               func(name string)
+}
+
+func (f *hookFS) Open(name string) (vfs.File, error) {
+	if f.onOpen != nil {
+		f.onOpen(name)
+	}
+	return f.FS.Open(name)
 }
 
 func (f *hookFS) Stat(name string) (fs.FileInfo, error) {

@@ -135,6 +135,7 @@ type FaultFS struct {
 	calls    []Call
 	injected []Call
 	crashed  bool
+	read     map[string]int64 // canonical path → bytes its reads returned
 }
 
 // Option configures a FaultFS.
@@ -160,7 +161,7 @@ func WithSchedule(s *Schedule) Option {
 
 // NewFaultFS wraps inner.
 func NewFaultFS(inner FS, opts ...Option) *FaultFS {
-	ffs := &FaultFS{inner: inner, keyCount: make(map[Call]int)}
+	ffs := &FaultFS{inner: inner, keyCount: make(map[Call]int), read: make(map[string]int64)}
 	for _, o := range opts {
 		o(ffs)
 	}
@@ -180,6 +181,15 @@ func (f *FaultFS) Injected() []Call {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return append([]Call(nil), f.injected...)
+}
+
+// BytesRead returns how many bytes the reads logged under the canonical path
+// have returned: what a caller took out of the file, beside how often it
+// asked (Calls).
+func (f *FaultFS) BytesRead(path string) int64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.read[path]
 }
 
 // Crashed reports whether a crash fault has fired.
@@ -354,7 +364,8 @@ type faultFile struct {
 
 func (f *faultFile) Name() string { return f.inner.Name() }
 
-func (f *faultFile) Read(p []byte) (int, error) {
+func (f *faultFile) Read(p []byte) (n int, err error) {
+	defer func() { f.fs.countRead(f.path, n) }()
 	kind, err := f.fs.begin(OpRead, f.path)
 	if err != nil {
 		if kind == FaultTorn && len(p) > 0 {
@@ -368,6 +379,21 @@ func (f *faultFile) Read(p []byte) (int, error) {
 		return 0, err
 	}
 	return f.inner.Read(p)
+}
+
+// Seek is not a fault point of its own: a position is only ever taken for
+// the Read that follows, and that one is.
+func (f *faultFile) Seek(offset int64, whence int) (int64, error) {
+	return f.inner.Seek(offset, whence)
+}
+
+func (f *FaultFS) countRead(path string, n int) {
+	if f.canon != nil {
+		path = f.canon(path)
+	}
+	f.mu.Lock()
+	f.read[path] += int64(n)
+	f.mu.Unlock()
 }
 
 func (f *faultFile) Write(p []byte) (int, error) {

@@ -53,6 +53,9 @@ var Ops = []Op{
 type File interface {
 	io.Reader
 	io.Writer
+	// Seek positions the next Read: the flight recorder reads a file's end
+	// without reading what is before it.
+	io.Seeker
 	// Sync flushes the file to stable storage (fsync).
 	Sync() error
 	Close() error
