@@ -39,10 +39,12 @@ test:
 # compile path made: linked functions share their argument pools, read-only,
 # with the cached objects they were linked from. The flight recorder is in
 # the list for what it shares across processes, not goroutines: its append,
-# its readers and the two-process append test run here too.
+# its readers and the two-process append test run here too. So is the IR
+# and its fingerprint: the fingerprint's pooled scratch is the one structure
+# that package shares between workers (TestFunctionConcurrent).
 race:
 	$(GO) test -race -timeout 15m ./internal/buildsys/... ./internal/obs/... ./internal/history/... ./internal/workload ./internal/footprint ./internal/cas ./cmd/minibuild
-	$(GO) test -race -timeout 15m ./internal/passes/... ./internal/core/... ./internal/codegen/... ./internal/vm/... ./internal/analysis/... ./internal/compiler/...
+	$(GO) test -race -timeout 15m ./internal/passes/... ./internal/core/... ./internal/codegen/... ./internal/vm/... ./internal/analysis/... ./internal/compiler/... ./internal/fingerprint/... ./internal/ir/...
 	$(GO) test -race -timeout 15m ./internal/lexer/... ./internal/parser/... ./internal/types/... ./internal/irbuild/...
 
 # fuzz runs the fingerprint stability/sensitivity fuzzer for a short burst

@@ -1,10 +1,14 @@
 package statefulcc_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -56,5 +60,81 @@ func TestDocsNameWhatExists(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCounterTableMatchesRegistry holds docs/OBSERVABILITY.md's counter
+// table to the Ctr* constants of internal/obs/counters.go: every constant has
+// a row, every name in the table is a constant, and a constant marked
+// Deprecated is in a row whose meaning starts with "retired" (and only such
+// a constant is).
+func TestCounterTableMatchesRegistry(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), filepath.Join("internal", "obs", "counters.go"), nil, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deprecated := map[string]bool{} // counter name → marked Deprecated
+	for _, decl := range f.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.CONST {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			vs := spec.(*ast.ValueSpec)
+			for i, id := range vs.Names {
+				if !strings.HasPrefix(id.Name, "Ctr") || i >= len(vs.Values) {
+					continue
+				}
+				lit, ok := vs.Values[i].(*ast.BasicLit)
+				if !ok || lit.Kind != token.STRING {
+					t.Fatalf("%s is not a string literal", id.Name)
+				}
+				name, _ := strconv.Unquote(lit.Value)
+				deprecated[name] = vs.Doc != nil && strings.Contains(vs.Doc.Text(), "Deprecated:")
+			}
+		}
+	}
+	if len(deprecated) == 0 {
+		t.Fatal("no Ctr* constants found in internal/obs/counters.go")
+	}
+
+	doc, err := os.ReadFile(filepath.Join("docs", "OBSERVABILITY.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	section := string(doc)
+	if i := strings.Index(section, "## Counter schema\n"); i >= 0 {
+		section = section[i+len("## Counter schema\n"):]
+	} else {
+		t.Fatal(`docs/OBSERVABILITY.md has no "## Counter schema" section`)
+	}
+	if i := strings.Index(section, "\n## "); i >= 0 {
+		section = section[:i]
+	}
+	name := regexp.MustCompile("`([a-z_]+\\.[a-z_.]+)`")
+	documented := map[string]bool{}
+	for _, line := range strings.Split(section, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 4 || !strings.Contains(cells[1], "`") {
+			continue
+		}
+		retired := strings.HasPrefix(strings.TrimSpace(cells[2]), "retired")
+		for _, m := range name.FindAllStringSubmatch(cells[1], -1) {
+			documented[m[1]] = true
+			dep, isConst := deprecated[m[1]]
+			switch {
+			case !isConst:
+				t.Errorf("docs/OBSERVABILITY.md's counter table has %s, which no Ctr* constant names", m[1])
+			case dep && !retired:
+				t.Errorf("%s is Deprecated in counters.go but its row does not say retired", m[1])
+			case !dep && retired:
+				t.Errorf("%s has a retired row but is not Deprecated in counters.go", m[1])
+			}
+		}
+	}
+	for n := range deprecated {
+		if !documented[n] {
+			t.Errorf("counter %s (internal/obs/counters.go) has no row in docs/OBSERVABILITY.md's counter table", n)
+		}
 	}
 }

@@ -97,9 +97,6 @@ func (b *Builder) historyRecord(rep *Report) *history.Record {
 				Unsound:     sl.Unsound,
 				RunNS:       sl.RunNS,
 				SavedNS:     sl.SavedNS,
-
-				BlocksMemoized: sl.BlocksMemoized,
-				BlocksRehashed: sl.BlocksRehashed,
 			})
 		}
 		rec.Units[name] = u

@@ -6,7 +6,9 @@ package core
 //  1. Before running function pass i on function F, obtain F's current IR
 //     fingerprint. Fingerprints are cached: a skipped or dormant pass
 //     leaves the IR unchanged, so the fingerprint flows to the next slot
-//     for free, and only *active* passes force a rehash.
+//     for free, and only *active* passes force a rehash. hashCache is the
+//     only fingerprint cache: a rehash hashes the whole function, so no IR
+//     write has to announce itself for a fingerprint to be right.
 //
 //  2. If the stored record for (F, i) matches the fingerprint and says
 //     "dormant", skip the pass. Otherwise run it, time it, and store the
@@ -84,13 +86,6 @@ type Options struct {
 	// never output: auditing a sound skip re-runs a dormant pass, which by
 	// definition leaves the IR unchanged.
 	AuditSeed uint64
-	// SelfCheckHashes cross-checks every memoized fingerprint against a
-	// from-scratch recomputation and panics on divergence (slow; tests
-	// only). This is the differential oracle for the hierarchical
-	// fingerprint memo: a pass that mutates IR without advancing the
-	// generation counters shows up here immediately instead of as a silent
-	// unsound skip.
-	SelfCheckHashes bool
 	// Obs carries the observability context: per-slot spans go to its
 	// tracer, pipeline totals to its counters. Nil disables both.
 	Obs *obs.Sink
@@ -103,13 +98,8 @@ type Driver struct {
 	fps   []passes.FuncPass   // per slot (nil for module slots)
 	mps   []passes.ModulePass // per slot (nil for function slots)
 
-	// memo caches per-block hashes across pipeline slots and compilations
-	// (entries are reset at every Run; the map's capacity persists).
+	// scratch is the working memory every pass instance above shares.
 	// Drivers are single-threaded per worker, so no locking.
-	memo *fingerprint.Memo
-
-	// scratch is the working memory every pass instance above shares —
-	// like the driver, single-threaded per worker.
 	scratch *passes.Scratch
 
 	// auditState is the sentinel's splitmix64 PRNG state (advanced only
@@ -125,7 +115,7 @@ func NewDriver(opts Options) (*Driver, error) {
 	if opts.AuditSeed == 0 {
 		opts.AuditSeed = 1
 	}
-	d := &Driver{opts: opts, auditState: opts.AuditSeed, memo: fingerprint.NewMemo(), scratch: &passes.Scratch{}}
+	d := &Driver{opts: opts, auditState: opts.AuditSeed, scratch: &passes.Scratch{}}
 	for _, name := range opts.Pipeline {
 		info, ok := passes.Lookup(name)
 		if !ok {
@@ -182,15 +172,13 @@ func quarantineFor(st *UnitState, reason string) *Quarantine {
 // Policy returns the driver's skipping policy.
 func (d *Driver) Policy() Policy { return d.opts.Policy }
 
-// hashCache caches per-function fingerprints across pipeline slots, backed
-// by the driver's per-block hash memo: an active pass invalidates one
-// function's hash, and the following rehash recomputes only the blocks the
-// pass actually touched (tracked by the IR generation counters).
+// hashCache caches per-function fingerprints across pipeline slots: a
+// skipped or dormant pass leaves the IR unchanged, so its fingerprint flows
+// to the next slot, and only a pass that changed a function (invalidate)
+// makes the next get hash it again, from scratch.
 type hashCache struct {
-	vals      map[*ir.Func]uint64
-	memo      *fingerprint.Memo
-	stats     *Stats
-	selfCheck bool
+	vals  map[*ir.Func]uint64
+	stats *Stats
 }
 
 func (c *hashCache) get(f *ir.Func) uint64 {
@@ -198,36 +186,18 @@ func (c *hashCache) get(f *ir.Func) uint64 {
 		return h
 	}
 	start := time.Now()
-	h := fingerprint.FunctionWith(f, c.memo)
+	h := fingerprint.Function(f)
 	c.stats.HashNS += time.Since(start).Nanoseconds()
 	c.stats.Hashes++
-	if c.selfCheck {
-		if ref := fingerprint.Function(f); ref != h {
-			panic(fmt.Sprintf("core: memoized fingerprint of %s diverged from reference "+
-				"(%#x != %#x): an IR mutation missed its generation bump", f.Name, h, ref))
-		}
-	}
 	c.vals[f] = h
 	return h
 }
 
 func (c *hashCache) invalidate(f *ir.Func) { delete(c.vals, f) }
 
-// invalidateDeep additionally drops f's memoized block hashes. The audit
-// path uses it: a lying pass may have mutated IR without advancing the
-// generation counters, so the sentinel's rehash must not trust the memo.
-func (c *hashCache) invalidateDeep(f *ir.Func) {
-	delete(c.vals, f)
-	c.memo.Invalidate(f)
-}
-
-// invalidateAll drops every cached hash, function- and block-level. Module
-// passes may mutate any function's blocks without generation-counter
-// discipline (they splice IR directly), so the block memo must go too.
-func (c *hashCache) invalidateAll() {
-	c.vals = make(map[*ir.Func]uint64)
-	c.memo.Reset()
-}
+// invalidateAll drops every cached hash: a module pass may have changed any
+// function.
+func (c *hashCache) invalidateAll() { clear(c.vals) }
 
 // Run executes the pipeline on m. When the policy is stateful or
 // predictive, st supplies and receives dormancy records; it may be nil (or
@@ -243,17 +213,8 @@ func (d *Driver) Run(m *ir.Module, st *UnitState) (*UnitState, *Stats, error) {
 // ctx's error (errors.Is-able against context.Canceled/DeadlineExceeded);
 // the partially updated state must not be persisted by the caller.
 func (d *Driver) RunContext(ctx context.Context, m *ir.Module, st *UnitState) (*UnitState, *Stats, error) {
-	// The scratch and the block memo keep their memory from unit to unit,
-	// not the unit's IR. For the memo that is also a matter of correctness —
-	// fresh IR means fresh *ir.Block identities and generation counters, and
-	// a stale entry keyed by a recycled pointer must not be consulted — so it
-	// never survives a compilation boundary; emptying it here rather than on
-	// entry keeps a resident worker's last unit from being pinned by the
-	// *ir.Func keys until its next compile.
-	defer func() {
-		d.scratch.Release()
-		d.memo.Reset()
-	}()
+	// The scratch keeps its memory from unit to unit, not the unit's IR.
+	defer d.scratch.Release()
 	if !st.Compatible(d.opts.Pipeline) {
 		// Quarantine survives a pipeline change: it is keyed by pass name,
 		// and distrust in a pass is not cured by reordering the pipeline.
@@ -272,13 +233,7 @@ func (d *Driver) RunContext(ctx context.Context, m *ir.Module, st *UnitState) (*
 		stats.Slots[i].Pass = info.Name
 		stats.Slots[i].Module = info.Module
 	}
-	memoized0, rehashed0 := d.memo.BlocksMemoized, d.memo.BlocksRehashed
-	cache := &hashCache{
-		vals:      make(map[*ir.Func]uint64),
-		memo:      d.memo,
-		stats:     stats,
-		selfCheck: d.opts.SelfCheckHashes,
-	}
+	cache := &hashCache{vals: make(map[*ir.Func]uint64), stats: stats}
 
 	// The prune set is the functions entering the pipeline: a function the
 	// pipeline itself deletes (deadfunc) reappears in the next build's
@@ -295,7 +250,6 @@ func (d *Driver) RunContext(ctx context.Context, m *ir.Module, st *UnitState) (*
 		// span covers it; hash time is attributed by delta.
 		spanStart := tr.Now()
 		hashes0, hashNS0 := stats.Hashes, stats.HashNS
-		bm0, br0 := d.memo.BlocksMemoized, d.memo.BlocksRehashed
 
 		var err error
 		if cerr := ctx.Err(); cerr != nil {
@@ -316,8 +270,6 @@ func (d *Driver) RunContext(ctx context.Context, m *ir.Module, st *UnitState) (*
 				}
 			}
 		}
-		ss.BlocksMemoized += d.memo.BlocksMemoized - bm0
-		ss.BlocksRehashed += d.memo.BlocksRehashed - br0
 		if tr != nil {
 			tr.Emit(obs.Span{
 				Name: "pass:" + info.Name, Cat: obs.CatPass,
@@ -329,8 +281,6 @@ func (d *Driver) RunContext(ctx context.Context, m *ir.Module, st *UnitState) (*
 			})
 		}
 		if err != nil {
-			stats.BlocksMemoized = d.memo.BlocksMemoized - memoized0
-			stats.BlocksRehashed = d.memo.BlocksRehashed - rehashed0
 			d.countStats(stats)
 			return st, stats, err
 		}
@@ -338,8 +288,6 @@ func (d *Driver) RunContext(ctx context.Context, m *ir.Module, st *UnitState) (*
 
 	// Garbage-collect records of functions deleted from the source.
 	st.Prune(live)
-	stats.BlocksMemoized = d.memo.BlocksMemoized - memoized0
-	stats.BlocksRehashed = d.memo.BlocksRehashed - rehashed0
 	d.countStats(stats)
 	return st, stats, nil
 }
@@ -372,8 +320,6 @@ func (d *Driver) countStats(stats *Stats) {
 	pc.SavedNS.Add(stats.SavedNS())
 	pc.Hashes.Add(int64(stats.Hashes))
 	pc.HashNS.Add(stats.HashNS)
-	pc.BlocksMemoized.Add(stats.BlocksMemoized)
-	pc.BlocksRehashed.Add(stats.BlocksRehashed)
 	pc.DecSkipped.Add(int64(skipped))
 	pc.DecCold.Add(int64(cold))
 	pc.DecNotDormant.Add(int64(notDormant))
@@ -458,7 +404,7 @@ func (d *Driver) runFuncSlot(m *ir.Module, f *ir.Func, st *UnitState, slot int, 
 		pass.Run(f)
 		elapsed := time.Since(start).Nanoseconds()
 		ss.RunNS += elapsed
-		cache.invalidateDeep(f)
+		cache.invalidate(f)
 		h2 := cache.get(f)
 		if h2 == h {
 			ss.Skipped++ // the skip decision stands, audited and confirmed

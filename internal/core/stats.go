@@ -83,14 +83,6 @@ type SlotStats struct {
 	// from the input — unsound skips the sentinel caught (each engages a
 	// quarantine and is charged as a run with ReasonAuditUnsound).
 	Unsound int
-
-	// Hierarchical-fingerprint accounting: block hashes reused from the
-	// memo vs recomputed while this slot's fingerprints were taken.
-
-	// BlocksMemoized counts block hashes served from the memo.
-	BlocksMemoized int64
-	// BlocksRehashed counts block hashes recomputed.
-	BlocksRehashed int64
 }
 
 // Reason returns the slot's dominant decision reason — the reason covering
@@ -129,11 +121,6 @@ type Stats struct {
 	HashNS int64
 	// Hashes counts fingerprint computations.
 	Hashes int
-	// BlocksMemoized counts block hashes served from the hierarchical
-	// fingerprint memo instead of being recomputed.
-	BlocksMemoized int64
-	// BlocksRehashed counts block hashes actually recomputed.
-	BlocksRehashed int64
 	// Functions is the number of functions entering the pipeline.
 	Functions int
 }
@@ -214,13 +201,9 @@ func (s *Stats) Merge(other *Stats) {
 		s.Slots[i].Quarantined += other.Slots[i].Quarantined
 		s.Slots[i].Audited += other.Slots[i].Audited
 		s.Slots[i].Unsound += other.Slots[i].Unsound
-		s.Slots[i].BlocksMemoized += other.Slots[i].BlocksMemoized
-		s.Slots[i].BlocksRehashed += other.Slots[i].BlocksRehashed
 	}
 	s.HashNS += other.HashNS
 	s.Hashes += other.Hashes
-	s.BlocksMemoized += other.BlocksMemoized
-	s.BlocksRehashed += other.BlocksRehashed
 	s.Functions += other.Functions
 }
 
@@ -245,8 +228,6 @@ func (s *Stats) ByPass() map[string]SlotStats {
 		agg.Quarantined += sl.Quarantined
 		agg.Audited += sl.Audited
 		agg.Unsound += sl.Unsound
-		agg.BlocksMemoized += sl.BlocksMemoized
-		agg.BlocksRehashed += sl.BlocksRehashed
 		out[sl.Pass] = agg
 	}
 	return out

@@ -14,9 +14,9 @@
 //
 // The hash is hierarchical: each basic block is hashed independently into
 // a 64-bit sub-hash, and the function hash folds the sub-hashes in layout
-// order. The hierarchy exists for memoization (see Memo): when a pass
-// rewrites one block of a ten-block function, the next fingerprint recomputes
-// one block hash and reuses nine.
+// order. No sub-hash is reused; the hierarchy stays because it defines the
+// values every persisted dormancy record is keyed by, and flattening it
+// would move all of them (testdata/function_fingerprints.json pins them).
 //
 // The underlying hash is FNV-seeded splitmix64 word mixing, chosen because
 // dormancy records are advisory identities within a trusted cache, not
@@ -115,93 +115,6 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// funcMemo holds one function's memoized block hashes, indexed by block
-// position. The whole record is valid only while the function's layout
-// generation matches: every mutation of the block list (add, remove,
-// reorder) advances it, so while it matches, position i still names the
-// same block, and entry i is valid iff gens[i] matches that block's
-// content generation. Keying by position rather than block pointer means
-// a function fingerprint costs one map lookup, not one per block — the
-// map was the dominant cold-path overhead of the hierarchy.
-type funcMemo struct {
-	layout uint32
-	gens   []uint32
-	hashes []uint64
-}
-
-// Memo memoizes per-block hashes across FunctionWith calls. It is owned by
-// a single pipeline driver (not safe for concurrent use) and must be Reset
-// at every compilation boundary: records are keyed by function pointer and
-// validated by generation counters, and a fresh compilation rebuilds IR
-// with fresh counters, so stale cross-compilation records could otherwise
-// alias recycled pointers.
-type Memo struct {
-	funcs map[*ir.Func]*funcMemo
-	// free recycles invalidated records (and their slice capacity) so the
-	// cold path after a Reset — the start of every compilation — does not
-	// reallocate one record per function. Recycled records are marked
-	// stale by truncating gens to length zero, which can never pass the
-	// record-shape check against a function with blocks.
-	free []*funcMemo
-
-	// BlocksMemoized and BlocksRehashed count block-hash reuse vs
-	// recomputation, cumulatively over the memo's lifetime. They feed the
-	// fingerprint.blocks_memoized / fingerprint.blocks_rehashed counters.
-	BlocksMemoized int64
-	BlocksRehashed int64
-}
-
-// NewMemo returns an empty memo.
-func NewMemo() *Memo {
-	return &Memo{funcs: make(map[*ir.Func]*funcMemo)}
-}
-
-// Reset drops all memoized hashes (keeping the map's capacity, the record
-// free list, and the cumulative counters). Must be called at every
-// compilation boundary.
-func (m *Memo) Reset() {
-	if m == nil {
-		return
-	}
-	for _, fm := range m.funcs {
-		fm.gens = fm.gens[:0]
-		m.free = append(m.free, fm)
-	}
-	clear(m.funcs)
-}
-
-// Invalidate drops the memoized hashes of f's blocks. The driver's
-// soundness sentinel uses it before an audit rehash so that a pass that
-// mutated IR without advancing generation counters (the lying-pass failure
-// mode the sentinel exists to catch) cannot hide behind the memo.
-func (m *Memo) Invalidate(f *ir.Func) {
-	if m == nil {
-		return
-	}
-	if fm, ok := m.funcs[f]; ok {
-		fm.gens = fm.gens[:0]
-		m.free = append(m.free, fm)
-		delete(m.funcs, f)
-	}
-}
-
-// record returns f's memo record, creating (or recycling) one on first
-// sight.
-func (m *Memo) record(f *ir.Func) *funcMemo {
-	if fm := m.funcs[f]; fm != nil {
-		return fm
-	}
-	var fm *funcMemo
-	if n := len(m.free); n > 0 {
-		fm = m.free[n-1]
-		m.free = m.free[:n-1]
-	} else {
-		fm = new(funcMemo)
-	}
-	m.funcs[f] = fm
-	return fm
-}
-
 // scratch holds the reusable working state of one function hash: the dense
 // value-renumbering table and the block-index table. Pooled so
 // steady-state fingerprinting allocates nothing.
@@ -296,10 +209,9 @@ func (sc *scratch) hashPhi(h *Hasher, v *ir.Value) {
 	h.Uint64(set)
 }
 
-// hashBlock computes one block's self-contained sub-hash. The encoding
-// references other blocks only through the dense numbering and layout
-// indices, which is exactly what the layout generation in the memo's
-// validity rule covers.
+// hashBlock computes one block's sub-hash. The encoding references other
+// blocks and their values only through the dense numbering and layout
+// indices, never through pointers or IDs.
 func (sc *scratch) hashBlock(b *ir.Block) uint64 {
 	var h Hasher
 	h.Reset()
@@ -327,25 +239,17 @@ func (sc *scratch) hashBlock(b *ir.Block) uint64 {
 	return h.Sum()
 }
 
-// Function fingerprints one function's IR without memoization. It is the
-// reference implementation of the hierarchical hash: FunctionWith with any
-// memo must produce the identical value (the self-check tests enforce it).
-func Function(f *ir.Func) uint64 {
-	return FunctionWith(f, nil)
-}
-
-// FunctionWith fingerprints one function's IR, reusing memoized block
-// hashes where the memo's generation checks prove them still valid. A nil
-// memo recomputes everything.
+// Function fingerprints one function's IR: each block's sub-hash, folded
+// in layout order after the signature.
 //
 // The implementation sits on every incremental compile's hot path, so it
 // avoids maps, sorting, and steady-state allocation: value and block
-// renumbering use pooled dense slices indexed by ID, order-insensitive
+// renumbering use pooled dense slices indexed by ID, and order-insensitive
 // collections (pred lists, phi operands) are folded with a commutative
-// multiset combiner instead of being sorted, and the renumbering pass is
-// skipped entirely when every block hash is memoized.
-func FunctionWith(f *ir.Func, memo *Memo) uint64 {
+// multiset combiner instead of being sorted.
+func Function(f *ir.Func) uint64 {
 	sc := scratchPool.Get().(*scratch)
+	sc.number(f)
 
 	var h Hasher
 	h.Reset()
@@ -356,62 +260,11 @@ func FunctionWith(f *ir.Func, memo *Memo) uint64 {
 	}
 	h.Byte(byte(f.Result))
 	h.Int(int64(len(f.Blocks)))
-
-	if memo == nil {
-		sc.number(f)
-		for _, b := range f.Blocks {
-			h.Uint64(sc.hashBlock(b))
-		}
-		sum := h.Sum()
-		scratchPool.Put(sc)
-		return sum
+	for _, b := range f.Blocks {
+		h.Uint64(sc.hashBlock(b))
 	}
-
-	layout := f.LayoutGen()
-	fm := memo.record(f)
-	if fm.layout != layout || len(fm.gens) != len(f.Blocks) {
-		// First sight or layout changed: every sub-hash is stale (the
-		// numbering and block indices they reference may have shifted).
-		fm.layout = layout
-		fm.gens = grow(fm.gens, len(f.Blocks))
-		fm.hashes = grow(fm.hashes, len(f.Blocks))
-		sc.number(f)
-		for i, b := range f.Blocks {
-			bh := sc.hashBlock(b)
-			fm.gens[i] = b.Gen()
-			fm.hashes[i] = bh
-			h.Uint64(bh)
-		}
-		memo.BlocksRehashed += int64(len(f.Blocks))
-		sum := h.Sum()
-		scratchPool.Put(sc)
-		return sum
-	}
-
-	// Layout unchanged, so position i still names the block it did when
-	// the record was filled; only content-touched blocks rehash. The
-	// renumbering pass is skipped entirely when every block is memoized.
-	numbered := false
-	for i, b := range f.Blocks {
-		if fm.gens[i] == b.Gen() {
-			memo.BlocksMemoized++
-			h.Uint64(fm.hashes[i])
-			continue
-		}
-		if !numbered {
-			sc.number(f)
-			numbered = true
-		}
-		bh := sc.hashBlock(b)
-		fm.gens[i] = b.Gen()
-		fm.hashes[i] = bh
-		memo.BlocksRehashed++
-		h.Uint64(bh)
-	}
-
-	sum := h.Sum()
 	scratchPool.Put(sc)
-	return sum
+	return h.Sum()
 }
 
 // Module fingerprints a whole module: globals, externs, and all functions

@@ -1,7 +1,9 @@
 package fingerprint_test
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -310,5 +312,91 @@ func TestStringsHash(t *testing.T) {
 	}
 	if fingerprint.Strings(nil) == a {
 		t.Error("empty list collides")
+	}
+}
+
+// TestHasherPoolReset pins the pooled-hasher contract: a hasher from the
+// pool behaves like a fresh one regardless of prior use.
+func TestHasherPoolReset(t *testing.T) {
+	h1 := fingerprint.Get()
+	h1.Int(42)
+	h1.String("dirty")
+	fingerprint.Put(h1)
+
+	h2 := fingerprint.Get()
+	defer fingerprint.Put(h2)
+	ref := fingerprint.New()
+	for i := 0; i < 3; i++ {
+		s := fmt.Sprintf("probe-%d", i)
+		h2.String(s)
+		ref.String(s)
+	}
+	if h2.Sum() != ref.Sum() {
+		t.Fatal("pooled hasher not equivalent to a fresh hasher after Put/Get")
+	}
+}
+
+var raceEnabled bool // set by race_test.go
+
+// TestWarmFingerprintAllocsFree is the allocation-regression pin for the
+// hot path: re-fingerprinting an unchanged function takes its tables from
+// the pooled scratch and allocates nothing.
+func TestWarmFingerprintAllocsFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	m := buildProbe(t)
+	for _, f := range m.Funcs {
+		fingerprint.Function(f)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, f := range m.Funcs {
+			fingerprint.Function(f)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm fingerprinting allocates %.1f objects/run, want 0", allocs)
+	}
+}
+
+// TestFunctionConcurrent: the pooled scratch is the one structure the
+// package shares between goroutines. Four goroutines fingerprinting one
+// megarepo unit's functions, each through scratch another left sized for a
+// different function, must agree with a serial pass (run it under -race).
+func TestFunctionConcurrent(t *testing.T) {
+	snap := workload.Generate(workload.MegaProfile())
+	var funcs []*ir.Func
+	for _, unit := range snap.Units()[:4] {
+		m, err := testutil.BuildModule(unit, string(snap[unit]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		funcs = append(funcs, m.Funcs...)
+	}
+	want := make([]uint64, len(funcs))
+	for i, f := range funcs {
+		want[i] = fingerprint.Function(f)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				for k := range funcs {
+					i := (k*(w+1) + round) % len(funcs) // each goroutine its own order
+					if got := fingerprint.Function(funcs[i]); got != want[i] {
+						errs <- fmt.Sprintf("goroutine %d: %s hashed %#x, serially %#x", w, funcs[i].Name, got, want[i])
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

@@ -105,11 +105,6 @@ type PassDecision struct {
 	// Timing: pass execution time and estimated time skipping saved.
 	RunNS   int64 `json:"run_ns,omitempty"`
 	SavedNS int64 `json:"saved_ns,omitempty"`
-	// Hierarchical-fingerprint memo effectiveness while this slot's
-	// fingerprints were taken: block hashes served from the memo vs
-	// recomputed.
-	BlocksMemoized int64 `json:"blocks_memoized,omitempty"`
-	BlocksRehashed int64 `json:"blocks_rehashed,omitempty"`
 }
 
 // DecisionReason is the slot's dominant decision reason, in the core.Reason*

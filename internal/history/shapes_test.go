@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -115,7 +116,9 @@ func TestThreeRecordShapesOneAnswer(t *testing.T) {
 	}
 
 	// The current shape is what loading gives: encoding the loaded records
-	// reproduces the newest file byte for byte.
+	// reproduces the newest file byte for byte — less its rows'
+	// blocks_memoized and blocks_rehashed keys, which the fingerprint block
+	// memo wrote until PR 25 deleted it and which loading drops.
 	var again bytes.Buffer
 	for i := range want.recs {
 		line, err := want.recs[i].Encode()
@@ -128,6 +131,11 @@ func TestThreeRecordShapesOneAnswer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	memoKeys := regexp.MustCompile(`,"blocks_(memoized|rehashed)":\d+`)
+	if !memoKeys.Match(newest) {
+		t.Fatalf("%s has no blocks_memoized/blocks_rehashed keys to drop", recordShapes[2].file)
+	}
+	newest = memoKeys.ReplaceAll(newest, nil)
 	if !bytes.Equal(again.Bytes(), newest) {
 		t.Errorf("loading and encoding %s changes it:\n%s", recordShapes[2].file, again.Bytes())
 	}

@@ -71,27 +71,22 @@ func replaceArgs(repl []*Value, v *Value) bool {
 
 // ReplaceUses rewrites, in one scan of the function, every operand that has
 // an entry in repl (indexed by Value.ID) to its replacement, following
-// chains. Blocks whose operands changed are touched. It does not remove the
-// replaced values' defining instructions. Reports whether anything changed.
+// chains. It does not remove the replaced values' defining instructions.
+// Reports whether anything changed.
 func (f *Func) ReplaceUses(repl []*Value) bool {
 	changed := false
 	for _, b := range f.Blocks {
-		touched := false
 		for _, v := range b.Phis {
 			if replaceArgs(repl, v) {
-				touched = true
+				changed = true
 			}
 		}
 		for _, v := range b.Instrs {
 			if replaceArgs(repl, v) {
-				touched = true
+				changed = true
 			}
 		}
 		if b.Term != nil && replaceArgs(repl, b.Term) {
-			touched = true
-		}
-		if touched {
-			b.Touch()
 			changed = true
 		}
 	}
@@ -99,8 +94,8 @@ func (f *Func) ReplaceUses(repl []*Value) bool {
 }
 
 // RemoveInstrs removes every instruction v of the block with dead[v.ID] set
-// in one compaction (one TouchLayout for the block), returning how many
-// went. Phis and terminators are not handled here.
+// in one compaction, returning how many went. Phis and terminators are not
+// handled here.
 func (b *Block) RemoveInstrs(dead []bool) int {
 	keep := b.Instrs[:0]
 	for _, v := range b.Instrs {
@@ -114,7 +109,6 @@ func (b *Block) RemoveInstrs(dead []bool) int {
 	if n > 0 {
 		clear(b.Instrs[len(keep):])
 		b.Instrs = keep
-		b.TouchLayout()
 	}
 	return n
 }
@@ -133,7 +127,6 @@ func (b *Block) RemovePhis(dead []bool) int {
 	if n > 0 {
 		clear(b.Phis[len(keep):])
 		b.Phis = keep
-		b.TouchLayout()
 	}
 	return n
 }

@@ -34,8 +34,6 @@ func (b *Block) RedirectEdge(oldTo, newTo *Block) bool {
 			b.Term.Blocks[i] = newTo
 			oldTo.removePredEdge(b)
 			newTo.Preds = append(newTo.Preds, b)
-			b.Touch()
-			newTo.Touch()
 			done = true
 			break // redirect a single occurrence
 		}
@@ -64,7 +62,6 @@ func (b *Block) SplitEdge(succ *Block) *Block {
 	for i, s := range b.Term.Blocks {
 		if s == succ {
 			b.Term.Blocks[i] = mid
-			b.Touch()
 			break
 		}
 	}
@@ -72,7 +69,6 @@ func (b *Block) SplitEdge(succ *Block) *Block {
 	for i, p := range succ.Preds {
 		if p == b {
 			succ.Preds[i] = mid
-			succ.Touch()
 			break
 		}
 	}
@@ -192,7 +188,6 @@ func (f *Func) RemoveUnreachable() int {
 	if n > 0 {
 		clear(f.Blocks[len(keep):])
 		f.Blocks = keep
-		f.layoutGen++
 	}
 	return n
 }

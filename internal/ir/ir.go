@@ -83,7 +83,6 @@ type Func struct {
 
 	nextValueID int
 	nextBlockID int
-	layoutGen   uint32
 	mem         *slab // nil until a bare function first needs it
 }
 
@@ -134,18 +133,8 @@ func (f *Func) NewBlock() *Block {
 	b.ID, b.Func = f.nextBlockID, f
 	f.nextBlockID++
 	f.Blocks = append(f.Blocks, b)
-	f.layoutGen++
 	return b
 }
-
-// LayoutGen returns the function's structural generation. It advances on
-// every mutation that can change the dense value numbering or block
-// indexing the fingerprint package derives from layout order: block
-// creation/removal and instruction or phi list membership changes.
-// In-place rewrites (operand swaps, opcode changes) advance only the owning
-// block's Gen. Together the two counters are the hierarchical fingerprint
-// memo's invalidation key: a memoized block hash is valid iff both match.
-func (f *Func) LayoutGen() uint32 { return f.layoutGen }
 
 // NumValues returns an upper bound on value IDs, for dense side tables.
 func (f *Func) NumValues() int { return f.nextValueID }
@@ -188,35 +177,10 @@ type Block struct {
 	Instrs []*Value
 	Term   *Value
 	Preds  []*Block
-
-	gen uint32
 }
 
 // Name returns the block's printable label.
 func (b *Block) Name() string { return fmt.Sprintf("b%d", b.ID) }
-
-// Gen returns the block's content generation, advanced by every mutation
-// of the block's own contents (instructions, phis, terminator, preds).
-// Fingerprint memoization keys block hashes by (Gen, Func.LayoutGen); see
-// Func.LayoutGen for the invalidation contract.
-func (b *Block) Gen() uint32 { return b.gen }
-
-// Touch marks the block's contents changed in place. Every IR helper calls
-// it automatically; passes that write Block or Value fields directly must
-// call it themselves (or TouchLayout when list membership changed) — a
-// missed touch turns into a stale memoized block hash, which the
-// fingerprint self-check tests and the soundness sentinel exist to catch.
-func (b *Block) Touch() { b.gen++ }
-
-// TouchLayout marks a structural change: the block's instruction/phi list
-// membership or order changed, shifting the function-wide dense value
-// numbering every other block's hash may reference.
-func (b *Block) TouchLayout() {
-	b.gen++
-	if b.Func != nil {
-		b.Func.layoutGen++
-	}
-}
 
 // Succs returns the block's successors (the terminator's block operands).
 func (b *Block) Succs() []*Block {
@@ -231,7 +195,6 @@ func (b *Block) Succs() []*Block {
 func (b *Block) AddInstr(v *Value) *Value {
 	v.Block = b
 	b.Instrs = append(b.Instrs, v)
-	b.TouchLayout()
 	return v
 }
 
@@ -251,7 +214,6 @@ func (b *Block) AddInstrs(vs []*Value) {
 		v.Block = b
 	}
 	b.Instrs = append(b.Instrs, vs...)
-	b.TouchLayout()
 }
 
 // InsertInstr inserts v at position i among the ordinary instructions.
@@ -260,14 +222,12 @@ func (b *Block) InsertInstr(i int, v *Value) {
 	b.Instrs = append(b.Instrs, nil)
 	copy(b.Instrs[i+1:], b.Instrs[i:])
 	b.Instrs[i] = v
-	b.TouchLayout()
 }
 
 // AddPhi appends a phi to the block.
 func (b *Block) AddPhi(v *Value) *Value {
 	v.Block = b
 	b.Phis = append(b.Phis, v)
-	b.TouchLayout()
 	return v
 }
 
@@ -281,7 +241,6 @@ func (b *Block) SetTerm(v *Value) {
 	}
 	v.Block = b
 	b.Term = v
-	b.Touch()
 	for _, s := range v.Blocks {
 		if s.Preds == nil {
 			// Nearly every block has one or two predecessors: room for both
@@ -289,7 +248,6 @@ func (b *Block) SetTerm(v *Value) {
 			s.Preds = cut(&s.Func.slab().blkPtrs, 2)[:0]
 		}
 		s.Preds = append(s.Preds, b)
-		s.Touch()
 	}
 }
 
@@ -302,7 +260,6 @@ func (b *Block) removePredEdge(p *Block) {
 			for _, phi := range b.Phis {
 				phi.removeIncoming(p)
 			}
-			b.Touch()
 			return
 		}
 	}
@@ -358,9 +315,6 @@ func (v *Value) Incoming(pred *Block) *Value {
 
 // SetIncoming replaces the phi operand for pred.
 func (v *Value) SetIncoming(pred *Block, val *Value) {
-	if v.Block != nil {
-		v.Block.Touch()
-	}
 	for i, b := range v.Blocks {
 		if b == pred {
 			v.Args[i] = val
@@ -377,9 +331,6 @@ func (v *Value) removeIncoming(pred *Block) {
 		if b == pred {
 			v.Args = append(v.Args[:i], v.Args[i+1:]...)
 			v.Blocks = append(v.Blocks[:i], v.Blocks[i+1:]...)
-			if v.Block != nil {
-				v.Block.Touch()
-			}
 			return
 		}
 	}

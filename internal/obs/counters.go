@@ -22,10 +22,13 @@ const (
 	CtrPassSavedNS      = "pass.saved_ns"
 	CtrHashes           = "fingerprint.hashes"
 	CtrHashNS           = "fingerprint.hash_ns"
-	// Hierarchical-fingerprint memo effectiveness: block hashes served from
-	// the memo vs recomputed. Their ratio is the hierarchy's hit rate;
-	// `minibuild explain` renders it per pass (docs/PERFORMANCE.md).
+
+	// Deprecated: the per-block fingerprint memo these counted was deleted
+	// in PR 25 and nothing registers them. They stay only because
+	// benchmark/trace.go still reads them (its fingerprint.memo_hit_rate row
+	// reads 0); the [benchmark] PR that drops that row deletes them.
 	CtrBlocksMemoized = "fingerprint.blocks_memoized"
+	// Deprecated: see CtrBlocksMemoized.
 	CtrBlocksRehashed = "fingerprint.blocks_rehashed"
 
 	// Decision-provenance counters: every pass execution decision falls
@@ -252,7 +255,6 @@ type PassCounters struct {
 	Runs, Dormant, Skipped, Mispredicted *Counter
 	RunNS, SavedNS                       *Counter
 	Hashes, HashNS                       *Counter
-	BlocksMemoized, BlocksRehashed       *Counter
 	// Soundness-sentinel totals (audit.* counters).
 	Audited, Unsound *Counter
 	// Decision-provenance buckets (decision.* counters).
@@ -274,8 +276,6 @@ func (r *Registry) Pass() *PassCounters {
 		SavedNS:        r.Counter(CtrPassSavedNS),
 		Hashes:         r.Counter(CtrHashes),
 		HashNS:         r.Counter(CtrHashNS),
-		BlocksMemoized: r.Counter(CtrBlocksMemoized),
-		BlocksRehashed: r.Counter(CtrBlocksRehashed),
 		Audited:        r.Counter(CtrAuditSampled),
 		Unsound:        r.Counter(CtrAuditUnsound),
 		DecSkipped:     r.Counter(CtrDecSkippedDormant),

@@ -93,11 +93,10 @@ func (g *gvnWalk) valueNum(v *ir.Value) int {
 }
 
 // resolveArgs rewrites v's operands through earlier replacements.
-func (g *gvnWalk) resolveArgs(b *ir.Block, v *ir.Value) {
+func (g *gvnWalk) resolveArgs(v *ir.Value) {
 	for i, a := range v.Args {
 		if r := ir.Resolve(g.repl, a); r != a {
 			v.Args[i] = r
-			b.Touch()
 			g.changed = true
 		}
 	}
@@ -108,7 +107,7 @@ func (g *gvnWalk) visit(b *ir.Block) {
 	mark := len(g.p.added)
 	removed := false
 	for _, v := range b.Instrs {
-		g.resolveArgs(b, v)
+		g.resolveArgs(v)
 		if v.Op == ir.OpCopy {
 			g.repl[v.ID] = v.Args[0]
 			g.dead[v.ID] = true
@@ -145,10 +144,10 @@ func (g *gvnWalk) visit(b *ir.Block) {
 	}
 	// Phis and terminators also need operand resolution.
 	for _, phi := range b.Phis {
-		g.resolveArgs(b, phi)
+		g.resolveArgs(phi)
 	}
 	if b.Term != nil {
-		g.resolveArgs(b, b.Term)
+		g.resolveArgs(b.Term)
 	}
 	for _, c := range g.dom.Children(b) {
 		g.visit(c)

@@ -32,10 +32,7 @@ func (p *InstCombine) Run(f *ir.Func) bool {
 		var dead []bool
 		resolve := func(v *ir.Value) {
 			for i, a := range v.Args {
-				if r := ir.Resolve(repl, a); r != a {
-					v.Args[i] = r
-					v.Block.Touch()
-				}
+				v.Args[i] = ir.Resolve(repl, a)
 			}
 		}
 		for _, b := range f.Blocks {
@@ -99,7 +96,6 @@ func simplifyBranch(b *ir.Block) bool {
 	}
 	t.Args[0] = cond.Args[0]
 	t.Blocks[0], t.Blocks[1] = t.Blocks[1], t.Blocks[0]
-	b.Touch()
 	return true
 }
 
@@ -131,7 +127,6 @@ func simplifyValue(f *ir.Func, v *ir.Value) (*ir.Value, bool) {
 			inv, _ := x.Op.InvertCompare()
 			v.Op = inv
 			v.Args = f.ValueList(x.Args[0], x.Args[1])
-			v.Block.Touch()
 			return nil, true
 		}
 		return nil, false
@@ -158,7 +153,6 @@ func simplifyBinary(f *ir.Func, v *ir.Value) (*ir.Value, bool) {
 		v.Args[0], v.Args[1] = y, x
 		x, y = v.Args[0], v.Args[1]
 		xc, xConst, yc, yConst = yc, yConst, xc, xConst
-		v.Block.Touch()
 		mutated = true
 	}
 
@@ -199,7 +193,6 @@ func simplifyBinary(f *ir.Func, v *ir.Value) (*ir.Value, bool) {
 				if folded, ok := ir.EvalBinary(v.Op, c1, yc); ok {
 					v.Args[0] = x.Args[0]
 					v.Args[1] = f.ConstInt(folded)
-					v.Block.Touch()
 					return nil, true
 				}
 			}

@@ -101,7 +101,6 @@ func hoistLoop(f *ir.Func, loop *analysis.Loop, s *Scratch) bool {
 		v.Block = pre
 		pre.Instrs = append(pre.Instrs, v)
 	}
-	pre.TouchLayout()
 	return true
 }
 

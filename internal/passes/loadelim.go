@@ -42,10 +42,7 @@ func (p *LoadElim) Run(f *ir.Func) bool {
 			// they are looked at; the rest of the function catches up in
 			// the closing ReplaceUses.
 			for i, a := range v.Args {
-				if r := ir.Resolve(repl, a); r != a {
-					v.Args[i] = r
-					b.Touch()
-				}
+				v.Args[i] = ir.Resolve(repl, a)
 			}
 			switch v.Op {
 			case ir.OpLoad:

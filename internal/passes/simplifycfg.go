@@ -106,11 +106,8 @@ func removeTrivialPhis(f *ir.Func, s *Scratch) bool {
 			for i, a := range phi.Args {
 				// A phi removed earlier in this sweep is seen as the value
 				// that replaced it.
-				if r := ir.Resolve(repl, a); r != a {
-					phi.Args[i] = r
-					b.Touch()
-					a = r
-				}
+				a = ir.Resolve(repl, a)
+				phi.Args[i] = a
 				if a == phi {
 					continue
 				}
@@ -207,19 +204,16 @@ func mergeStraightLine(f *ir.Func, sc *Scratch) bool {
 					}
 				}
 			}
-			s.Touch()
 		}
 		b.Term = nil
 		term.Block = pred
 		// Detach pred's old jump and install b's terminator directly: the
 		// successor pred-lists were already rewritten in place.
 		pred.Term = term
-		pred.TouchLayout()
 		// Remove b from the function.
 		for i, q := range f.Blocks {
 			if q == b {
 				f.Blocks = append(f.Blocks[:i], f.Blocks[i+1:]...)
-				b.TouchLayout()
 				break
 			}
 		}

@@ -33,7 +33,6 @@ func (*Strength) Run(f *ir.Func) bool {
 					// x + x → x << 1.
 					v.Op = ir.OpShl
 					v.Args[1] = f.ConstInt(1)
-					b.Touch()
 					changed = true
 				}
 			}
@@ -62,12 +61,10 @@ func reduceMul(f *ir.Func, b *ir.Block, i *int, v *ir.Value) bool {
 	case c == -1:
 		v.Op = ir.OpNeg
 		v.Args = f.ValueList(x)
-		b.Touch()
 		return true
 	case c > 1 && isPow2(c):
 		v.Op = ir.OpShl
 		v.Args = f.ValueList(x, f.ConstInt(int64(bits.TrailingZeros64(uint64(c)))))
-		b.Touch()
 		return true
 	case c > 2 && isPow2(c-1):
 		// x * (2^k + 1) → (x << k) + x
@@ -76,7 +73,6 @@ func reduceMul(f *ir.Func, b *ir.Block, i *int, v *ir.Value) bool {
 		*i++
 		v.Op = ir.OpAdd
 		v.Args = f.ValueList(sh, x)
-		b.Touch()
 		return true
 	case c > 2 && isPow2(c+1):
 		// x * (2^k - 1) → (x << k) - x
@@ -85,7 +81,6 @@ func reduceMul(f *ir.Func, b *ir.Block, i *int, v *ir.Value) bool {
 		*i++
 		v.Op = ir.OpSub
 		v.Args = f.ValueList(sh, x)
-		b.Touch()
 		return true
 	}
 	return false

@@ -23,9 +23,8 @@ var historyCounters = []string{
 	"build.link_ns", "build.panic", "build.units_cached", "build.units_compiled",
 	"decision.cold_state", "decision.fingerprint_mismatch", "decision.not_dormant",
 	"decision.policy_disabled", "decision.quarantined", "decision.skipped_dormant",
-	"fingerprint.blocks_memoized", "fingerprint.blocks_rehashed", "fingerprint.hash_ns",
-	"fingerprint.hashes", "footprint.checked", "footprint.missed", "footprint.redundant",
-	"fullcache.hits", "fullcache.misses", "history.io_error", "pass.dormant",
+	"fingerprint.hash_ns", "fingerprint.hashes", "footprint.checked", "footprint.missed",
+	"footprint.redundant", "fullcache.hits", "fullcache.misses", "history.io_error", "pass.dormant",
 	"pass.mispredicted", "pass.run_ns", "pass.runs", "pass.saved_ns", "pass.skipped",
 	"quarantine.engaged", "quarantine.lifted", "stage.codegen_ns", "stage.frontend_ns",
 	"stage.passes_ns", "state.io_error", "state.load_misses", "state.loads",
@@ -114,7 +113,7 @@ func historyRecord(seq, shape int) *history.Record {
 			pd := history.PassDecision{
 				Slot: slot, Module: pass == "inline" || pass == "globalopt" || pass == "deadfunc",
 				Runs: 3 + slot%3, Skipped: slot % 4, NotDormant: 3 + slot%3,
-				RunNS: 10000*k + n, SavedNS: 1400 * int64(slot%4), BlocksRehashed: 15 * int64(slot%3),
+				RunNS: 10000*k + n, SavedNS: 1400 * int64(slot%4),
 			}
 			if shape < 3 {
 				pd.Pass, pd.Reason = pass, pd.DecisionReason()
