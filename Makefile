@@ -1,7 +1,7 @@
 GO ?= go
 SMOKEDIR ?= .smoke
 
-.PHONY: ci fmt vet build test race fuzz chaos bench-compare profile-smoke footprint-guard cas-battery net-chaos smoke
+.PHONY: ci fmt vet build test race fuzz chaos bench-compare bench-resident profile-smoke footprint-guard cas-battery net-chaos smoke
 
 # ci is the tier-1 gate: everything must stay green, including the race
 # detector over the worker pool, the observability counters, the
@@ -12,8 +12,9 @@ SMOKEDIR ?= .smoke
 # the shared-cache battery (two clients over one CAS must match the
 # stateless oracle at every commit), and the network-adversity battery
 # (every client↔server exchange failed every way must still produce
-# oracle-identical builds).
-ci: fmt vet build test race chaos smoke profile-smoke footprint-guard cas-battery net-chaos
+# oracle-identical builds), and one iteration of the resident-rebuild
+# benchmark (so the benchmark the profiling recipe names keeps running).
+ci: fmt vet build test race chaos smoke profile-smoke footprint-guard cas-battery net-chaos bench-resident
 
 # fmt fails when any file is not gofmt-clean (it lists them, changes none).
 fmt:
@@ -86,6 +87,12 @@ bench-compare:
 	@mkdir -p .bench_build && $(GO) build -o .bench_build/benchmark ./benchmark
 	@.bench_build/benchmark -compare $(BASE) $(NEW); code=$$?; \
 		echo "bench-compare: exit $$code (0 pass, 1 regress, 2 unresolved)"; exit $$code
+
+# bench-resident runs BenchmarkResidentRebuild once: a resident builder's
+# megarepo rebuild with no edit, a 2-unit edit and equal cloned bytes, each
+# reporting hashedB/op (docs/PERFORMANCE.md, "Profiling").
+bench-resident:
+	$(GO) test -run '^$$' -bench ResidentRebuild -benchtime 1x ./internal/buildsys
 
 # profile-smoke is the critical-path profiler's end-to-end check: cold
 # build, edit, incremental rebuild, then `minibuild profile -json` on the

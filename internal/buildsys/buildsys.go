@@ -23,6 +23,7 @@
 package buildsys
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"runtime"
@@ -98,7 +99,8 @@ type Options struct {
 	// mode (docs/ROBUSTNESS.md).
 	EnforceFootprint bool
 	// ContentHashHook, when set, replaces the declared content hash for a
-	// unit (receives the honest hash). Test-only: a deliberately lying
+	// unit (receives the honest hash). It is called once per unit per build,
+	// on the goroutine that called Build. Test-only: a deliberately lying
 	// invalidator for the footprint battery. The footprint's own ground
 	// truth never goes through this hook.
 	ContentHashHook func(unit string, src []byte, honest uint64) uint64
@@ -198,6 +200,8 @@ func (r *Report) Utilization() float64 {
 // unitEntry is the retained per-unit build state.
 type unitEntry struct {
 	hash       uint64            // declared content hash of the compiled source
+	src        []byte            // newest source seen for the unit: the caller's slice, not a copy
+	honest     uint64            // contentHash(src)
 	obj        *codegen.Object   // cached object
 	state      *core.UnitState   // dormancy records (stateful/predictive)
 	stateBytes int               // serialized size of state
@@ -266,6 +270,7 @@ type builderCounters struct {
 	quarantineEngaged, quarantineLifted     *obs.Counter
 	footprintChecked                        *obs.Counter
 	footprintMissed, footprintRedundant     *obs.Counter
+	sourceBytesHashed                       *obs.Counter
 }
 
 // builderHists are the registry latency histograms the build loop feeds
@@ -316,6 +321,7 @@ func NewBuilder(opts Options) (*Builder, error) {
 			footprintChecked:   reg.Counter(obs.CtrFootprintChecked),
 			footprintMissed:    reg.Counter(obs.CtrFootprintMissed),
 			footprintRedundant: reg.Counter(obs.CtrFootprintRedundant),
+			sourceBytesHashed:  reg.Counter(obs.CtrSourceBytesHashed),
 		},
 		hist: builderHists{
 			unitCompile:  reg.Histogram(obs.HistUnitCompileNS),
@@ -402,6 +408,10 @@ func (b *Builder) Mode() compiler.Mode { return b.opts.Mode }
 // Build compiles the snapshot incrementally: unchanged units come from the
 // object cache, changed units compile concurrently, and the result links
 // deterministically (unit-name order, independent of scheduling).
+//
+// Build keeps a reference to each unit's bytes until the next build, so
+// that an unchanged unit is compared, not hashed again. Never modify a
+// slice after passing it in; Clone the snapshot first and edit the copy.
 func (b *Builder) Build(snap project.Snapshot) (*Report, error) {
 	return b.BuildContext(context.Background(), snap)
 }
@@ -439,19 +449,23 @@ func (b *Builder) BuildContext(ctx context.Context, snap project.Snapshot) (*Rep
 		stats: &core.Stats{},
 	}
 
-	// Partition: content-hash every unit, collect the ones needing work.
-	// With footprint tracing on, every declared decision is cross-checked
-	// against the unit's traced read footprint — and under EnforceFootprint
-	// the footprint verdict overrides the declared one.
+	// Partition: content-hash every unit once, collect the ones needing
+	// work. With footprint tracing on, every declared decision is
+	// cross-checked against the unit's traced read footprint — and under
+	// EnforceFootprint the footprint verdict overrides the declared one.
 	pipeHash := footprint.HashStrings(b.opts.Pipeline)
 	units := snap.Units()
-	var work []string
+	var work []compileJob
 	var skipEvents []obs.UnitEvent
 	for _, name := range units {
 		src := snap[name]
 		decStartNS := b.tlNow()
-		h := b.declaredHash(name, src)
 		e := b.units[name]
+		honest := b.sourceHash(e, src)
+		if e != nil {
+			e.src, e.honest = src, honest
+		}
+		h := b.declaredHash(name, src, honest)
 		cached := e != nil && e.hash == h && e.obj != nil
 		if b.footprintOn() {
 			cached = b.crossCheck(rep, e, name, src, pipeHash, cached)
@@ -472,7 +486,7 @@ func (b *Builder) BuildContext(ctx context.Context, snap project.Snapshot) (*Rep
 			})
 			continue
 		}
-		work = append(work, name)
+		work = append(work, compileJob{name: name, src: src, honest: honest, hash: h})
 	}
 
 	// Compile changed units on the worker pool. The phase-start stamp is
@@ -480,7 +494,7 @@ func (b *Builder) BuildContext(ctx context.Context, snap project.Snapshot) (*Rep
 	// within [CompileStartNS, CompileStartNS+CompileNS] on the timeline.
 	compileStart := time.Now()
 	compileStartNS := b.tlNow()
-	outcomes, unitEvents, err := b.runCompiles(ctx, snap, work)
+	outcomes, unitEvents, err := b.runCompiles(ctx, work)
 	if err != nil {
 		return nil, err
 	}
@@ -491,17 +505,12 @@ func (b *Builder) BuildContext(ctx context.Context, snap project.Snapshot) (*Rep
 	// holes (nil results): completed units still commit — their state files
 	// are already fully written — and the build reports partially below.
 	cancelled := false
-	for i, name := range work {
-		out := outcomes[i]
+	for i, j := range work {
+		name, out := j.name, outcomes[i]
 		if out.remote {
 			// Served from the shared cache: a verified remote object (and
 			// possibly adopted dormancy state) with no compile behind it.
-			e, ok := b.units[name]
-			if !ok {
-				e = &unitEntry{}
-				b.units[name] = e
-			}
-			e.hash = b.declaredHash(name, snap[name])
+			e := b.commitEntry(j)
 			e.obj = out.casObj
 			e.diskProbed = true
 			// The remote object carries no trace; any prior footprint no
@@ -522,12 +531,7 @@ func (b *Builder) BuildContext(ctx context.Context, snap project.Snapshot) (*Rep
 			cancelled = true
 			continue
 		}
-		e, ok := b.units[name]
-		if !ok {
-			e = &unitEntry{}
-			b.units[name] = e
-		}
-		e.hash = b.declaredHash(name, snap[name])
+		e := b.commitEntry(j)
 		e.obj = out.res.Object
 		e.diskProbed = true // fresh state below supersedes anything on disk
 		if out.fp != nil {
@@ -713,6 +717,31 @@ func assembleTimeline(workers int, rep *Report, compileStartNS int64, skips, com
 		LinkNS:         rep.LinkNS,
 		Events:         events,
 	}
+}
+
+// commitEntry returns the entry of a unit the pool settled, creating it
+// for a new unit, stamped with the hashes the partition computed for the
+// source the job built.
+func (b *Builder) commitEntry(j compileJob) *unitEntry {
+	e, ok := b.units[j.name]
+	if !ok {
+		e = &unitEntry{}
+		b.units[j.name] = e
+	}
+	e.hash, e.src, e.honest = j.hash, j.src, j.honest
+	return e
+}
+
+// sourceHash is contentHash(src), taken from the unit's entry when src
+// holds the bytes the entry last saw. A slice the caller passed again is
+// equal at once (same array, same length); a fresh copy costs a compare,
+// about a quarter of hashing it.
+func (b *Builder) sourceHash(e *unitEntry, src []byte) uint64 {
+	if e != nil && bytes.Equal(e.src, src) {
+		return e.honest
+	}
+	b.ctr.sourceBytesHashed.Add(int64(len(src)))
+	return contentHash(src)
 }
 
 // contentHash fingerprints a unit's source bytes — the file-level identity

@@ -43,13 +43,12 @@ func (b *Builder) footprintOn() bool {
 
 // declaredHash is the declared-channel content hash for a unit: the honest
 // contentHash unless a ContentHashHook (a lying invalidator under test)
-// overrides it.
-func (b *Builder) declaredHash(unit string, src []byte) uint64 {
-	h := contentHash(src)
+// overrides it. The partition loop calls it once per unit per build.
+func (b *Builder) declaredHash(unit string, src []byte, honest uint64) uint64 {
 	if b.opts.ContentHashHook != nil {
-		h = b.opts.ContentHashHook(unit, src, h)
+		return b.opts.ContentHashHook(unit, src, honest)
 	}
-	return h
+	return honest
 }
 
 // newTrace starts a unit's footprint trace with its invalidating entries

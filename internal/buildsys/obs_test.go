@@ -38,6 +38,7 @@ var schedulingInvariant = []string{
 	obs.CtrBuilds,
 	obs.CtrUnitsCompiled,
 	obs.CtrUnitsCached,
+	obs.CtrSourceBytesHashed,
 	obs.CtrStateLoads,
 	obs.CtrStateLoadMisses,
 	obs.CtrDecSkippedDormant,

@@ -42,7 +42,6 @@ import (
 	"statefulcc/internal/core"
 	"statefulcc/internal/footprint"
 	"statefulcc/internal/obs"
-	"statefulcc/internal/project"
 )
 
 // outcome is one unit's compile result.
@@ -73,6 +72,10 @@ type outcome struct {
 type compileJob struct {
 	name string
 	src  []byte
+	// honest is contentHash(src) and hash the declared hash the partition
+	// decided on; the commit stamps both on the unit's entry, and the
+	// footprint record carries hash.
+	honest, hash uint64
 	// prev is the unit's in-memory dormancy state, if any.
 	prev *core.UnitState
 	// probeDisk asks the worker to try loading state from StateDir first
@@ -85,22 +88,21 @@ type compileJob struct {
 	enqueueNS int64
 }
 
-// runCompiles compiles work (in unit-name order) and returns per-job
-// outcomes and scheduling events aligned with it. Compile failures return
-// an error; cancellation does not — it leaves nil-result holes (and
-// zero-unit event holes) for the caller to detect.
-func (b *Builder) runCompiles(ctx context.Context, snap project.Snapshot, work []string) ([]outcome, []obs.UnitEvent, error) {
+// runCompiles compiles the partition's jobs (in unit-name order) and
+// returns per-job outcomes and scheduling events aligned with them. Compile
+// failures return an error; cancellation does not — it leaves nil-result
+// holes (and zero-unit event holes) for the caller to detect.
+func (b *Builder) runCompiles(ctx context.Context, jobs []compileJob) ([]outcome, []obs.UnitEvent, error) {
 	enq := b.tlNow()
-	jobs := make([]compileJob, len(work))
-	for i, name := range work {
-		j := compileJob{name: name, src: snap[name], enqueueNS: enq}
-		if e, ok := b.units[name]; ok {
+	for i := range jobs {
+		j := &jobs[i]
+		j.enqueueNS = enq
+		if e, ok := b.units[j.name]; ok {
 			j.prev = e.state
 			j.probeDisk = !e.diskProbed && e.state == nil
 		} else {
 			j.probeDisk = true
 		}
-		jobs[i] = j
 	}
 
 	results := make([]outcome, len(jobs))
@@ -334,7 +336,7 @@ func (b *Builder) finishTrace(tr *footprint.Trace, j compileJob, res *compiler.U
 	if res.Object != nil {
 		RecordObjectDeps(tr, res.Object)
 	}
-	return tr.Finish(b.declaredHash(j.name, j.src))
+	return tr.Finish(j.hash)
 }
 
 // compileQuarantined compiles a whole-unit-quarantined unit on the

@@ -59,6 +59,11 @@ const (
 	CtrUnitsCompiled = "build.units_compiled"
 	CtrUnitsCached   = "build.units_cached"
 	CtrLinkNS        = "build.link_ns"
+	// build.source_bytes_hashed counts the source bytes the partition loop
+	// content-hashed: a unit whose bytes equal the ones its entry last saw
+	// is compared instead, so a resident no-edit build reads 0. A work
+	// counter, deterministic for a given snapshot history.
+	CtrSourceBytesHashed = "build.source_bytes_hashed"
 
 	// Adversity counters: pass panics converted to unit diagnostics,
 	// builds abandoned by cancellation/deadline, and quarantine

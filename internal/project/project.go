@@ -17,6 +17,11 @@ import (
 const SourceSuffix = ".mc"
 
 // Snapshot is an immutable view of a project's sources at one build.
+//
+// A Builder's Build keeps a reference to each unit's bytes until the next
+// build and compares them with what it is given then, so a unit whose bytes
+// are equal is not hashed again. Never modify a slice after passing it to
+// Build; Clone the snapshot first and edit the copy.
 type Snapshot map[string][]byte
 
 // Clone deep-copies the snapshot (edit simulation mutates copies).
