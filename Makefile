@@ -57,10 +57,14 @@ fuzz:
 # walks over every state/history I/O call (under the race detector, since
 # faults land on concurrent worker paths), the execution-fault walk — pass
 # panics, a nondeterministic pass caught by the soundness sentinel,
-# cancellation mid-build, and the daemon's SIGTERM drain — plus fuzz bursts
-# on the attacker-grade parsers: the state decoder, the IR fingerprinter, the
-# cache's blob and wire decoders, and the reader of a history file's end
-# (whatever a crash or another writer left there).
+# cancellation mid-build, and the daemon's SIGTERM drain — plus a burst of
+# every fuzz target: the attacker-grade parsers (the state decoder, the IR
+# fingerprinter, the cache's keys, blob and wire decoders, the reader of a
+# history file's end — whatever a crash or another writer left there — and
+# the frontend), the optimizer against the unoptimized program, and the skip
+# rule itself (an edit compiled over a warm state, every skip audited, must
+# equal a stateless compile). TestMakefileFuzzesEveryTarget holds this list
+# to the fuzz targets in the tree.
 chaos:
 	$(GO) test -race -timeout 15m ./internal/vfs/...
 	$(GO) test -race -timeout 15m -run 'TestChaos|TestSaveSyncs' ./internal/state ./internal/history ./internal/buildsys
@@ -73,6 +77,10 @@ chaos:
 	$(GO) test -fuzz FuzzCASBlobDecode -fuzztime 20s ./internal/cas
 	$(GO) test -fuzz FuzzCASObjectDecode -fuzztime 20s ./internal/cas
 	$(GO) test -fuzz FuzzCASWire -fuzztime 20s ./internal/cas
+	$(GO) test -run '^$$' -fuzz '^FuzzCASKey$$' -fuzztime 10s ./internal/cas
+	$(GO) test -run '^$$' -fuzz '^FuzzFrontend$$' -fuzztime 20s ./internal/parser
+	$(GO) test -run '^$$' -fuzz '^FuzzPipelineDifferential$$' -fuzztime 20s ./internal/passes
+	$(GO) test -run '^$$' -fuzz '^FuzzStatefulEdit$$' -fuzztime 30s ./internal/compiler
 
 # bench-compare judges two reports of the benchmark of record
 # (`go run ./benchmark -seed S -out FILE`, see benchmark/README.md). The

@@ -124,14 +124,6 @@ func BenchmarkTable5VsFullCache(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure6Ablation regenerates the skip-policy ablation.
-func BenchmarkFigure6Ablation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := bench.Figure6Ablation(benchSuite()[1], bench.Config{Commits: 5})
-		reportTable(b, tab, err)
-	}
-}
-
 // BenchmarkFigure7Parallelism regenerates the parallel-build extension.
 func BenchmarkFigure7Parallelism(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -30,7 +30,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	exps := fs.String("exp", "all", "comma-separated experiment ids (t1,f1,f2,t2,f3,f4,t3,t4,f5,t5,f6,f7,t6) or 'all'")
+	exps := fs.String("exp", "all", "comma-separated experiment ids (t1,f1,f2,t2,f3,f4,t3,t4,f5,t5,f7,t6) or 'all'")
 	quick := fs.Bool("quick", false, "small suite and short histories (fast)")
 	commits := fs.Int("commits", 20, "simulated commits per project")
 	repeats := fs.Int("repeats", 1, "timing repeats per history (min kept)")
@@ -71,7 +71,6 @@ func run(args []string) error {
 		{"t4", func() (*bench.Table, error) { return bench.Table4Correctness(suite, cfg) }},
 		{"f5", func() (*bench.Table, error) { return bench.Figure5PerPassSavings(suite, cfg) }},
 		{"t5", func() (*bench.Table, error) { return bench.Table5VsFullCache(suite, cfg) }},
-		{"f6", func() (*bench.Table, error) { return bench.Figure6Ablation(sweepProject, cfg) }},
 		{"f7", func() (*bench.Table, error) { return bench.Figure7Parallelism(sweepProject, cfg) }},
 		{"t6", func() (*bench.Table, error) { return bench.Table6PipelineLength(sweepProject, cfg) }},
 	}

@@ -1,7 +1,7 @@
 package main
 
 // The deps subcommand: print the dependency footprints recorded by
-// footprint-traced builds (state format v6), diff them against the current
+// footprint-traced builds (on their state files), diff them against the current
 // tree, and — with -check — gate CI on missed invalidations, exiting 2 the
 // way regress does.
 //
@@ -149,7 +149,7 @@ func runDeps(args []string) error {
 
 // loadFootprints reads every state file under stateDir and returns the
 // recorded footprints keyed by unit name. Unreadable or footprint-less
-// files are skipped (pre-v6 state, corrupt files, quarantine markers from
+// files are skipped (older formats, corrupt files, quarantine markers from
 // untraced builds).
 func loadFootprints(stateDir string) (map[string]*footprint.Record, error) {
 	entries, err := vfs.OS.ReadDir(stateDir)

@@ -88,8 +88,6 @@ func parseMode(mode string) (compiler.Mode, error) {
 		return compiler.ModeStateless, nil
 	case "stateful":
 		return compiler.ModeStateful, nil
-	case "predictive":
-		return compiler.ModePredictive, nil
 	case "fullcache":
 		return compiler.ModeFullCache, nil
 	default:
@@ -117,7 +115,7 @@ func resolveStateDir(dir, cache string) string {
 func runBuild(args []string) error {
 	fs := flag.NewFlagSet("minibuild", flag.ContinueOnError)
 	dir, cache := stateDirFlags(fs)
-	mode := fs.String("mode", "stateful", "compiler policy: stateless|stateful|predictive|fullcache")
+	mode := fs.String("mode", "stateful", "compiler policy: stateless|stateful|fullcache")
 	runProg := fs.Bool("run", false, "execute the built program")
 	showStats := fs.Bool("watch-stats", false, "print pipeline statistics")
 	jobs := fs.Int("j", 0, "parallel compile workers (default GOMAXPROCS)")
@@ -156,7 +154,7 @@ func runBuild(args []string) error {
 	}
 
 	stateDir := resolveStateDir(*dir, *cache)
-	if cmode == compiler.ModeStateful || cmode == compiler.ModePredictive {
+	if cmode == compiler.ModeStateful {
 		if err := os.MkdirAll(stateDir, 0o755); err != nil {
 			return err
 		}

@@ -58,7 +58,7 @@ const (
 func runServe(args []string) error {
 	fs := flag.NewFlagSet("minibuild serve", flag.ContinueOnError)
 	dir, cache := stateDirFlags(fs)
-	mode := fs.String("mode", "stateful", "compiler policy: stateless|stateful|predictive|fullcache")
+	mode := fs.String("mode", "stateful", "compiler policy: stateless|stateful|fullcache")
 	jobs := fs.Int("j", 0, "parallel compile workers (default GOMAXPROCS)")
 	addr := fs.String("addr", "127.0.0.1:8377", "HTTP listen address")
 	interval := fs.Duration("interval", 500*time.Millisecond, "project poll interval")
@@ -262,7 +262,7 @@ func newBuildServerCfg(cfg serveConfig) (*buildServer, error) {
 	}
 	histPath := history.Path(stateDir)
 	casDir := filepath.Join(stateDir, "cas")
-	if cmode != compiler.ModeStateful && cmode != compiler.ModePredictive {
+	if cmode != compiler.ModeStateful {
 		stateDir = ""
 	}
 

@@ -11,12 +11,15 @@
 //	minicc -stats file.mc             print pipeline statistics
 //	minicc -trace out.json file.mc    write a Chrome trace_event profile
 //	minicc -metrics file.mc           print the counters block
+//	minicc -verify-state ...          run every skipped pass anyway and
+//	                                  exit non-zero on an unsound skip
 //	minicc -O0|-O1|-O2 ...            pipeline selection
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -34,15 +37,16 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "minicc:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("minicc", flag.ContinueOnError)
-	mode := fs.String("mode", "stateless", "compilation policy: stateless|stateful|predictive|fullcache")
+	fs.SetOutput(stderr)
+	mode := fs.String("mode", "stateless", "compilation policy: stateless|stateful|fullcache")
 	stateDir := fs.String("state-dir", "", "directory for persistent dormancy state (stateful modes)")
 	emitIR := fs.Bool("emit-ir", false, "print optimized IR instead of producing a program")
 	emitAsm := fs.Bool("emit-asm", false, "print disassembled bytecode instead of producing a program")
@@ -52,7 +56,7 @@ func run(args []string) error {
 	o1 := fs.Bool("O1", false, "quick pipeline")
 	o2 := fs.Bool("O2", true, "standard pipeline (default)")
 	verifyIR := fs.Bool("verify-ir", false, "verify IR after every pass")
-	verifyState := fs.Bool("verify-state", false, "re-run skipped passes and cross-check dormancy")
+	verifyState := fs.Bool("verify-state", false, "run every pass the dormancy state would skip anyway and compare its output fingerprint with its input (the soundness sentinel at rate 1); exit non-zero on an unsound skip")
 	footprintOn := fs.Bool("footprint", false, "record each unit's dependency footprint on its persisted state (inspect with `minibuild deps`)")
 	var export obs.CLIExport
 	export.Register(fs)
@@ -85,19 +89,24 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	var auditRate float64
+	if *verifyState {
+		auditRate = 1
+	}
 	reg := obs.NewRegistry()
 	comp, err := compiler.New(compiler.Options{
-		Pipeline:    pipeline,
-		Mode:        cmode,
-		VerifyIR:    *verifyIR,
-		VerifySkips: *verifyState,
-		Obs:         &obs.Sink{Tracer: export.Tracer(), Pass: reg.Pass(), TID: 1},
+		Pipeline:  pipeline,
+		Mode:      cmode,
+		VerifyIR:  *verifyIR,
+		AuditRate: auditRate,
+		Obs:       &obs.Sink{Tracer: export.Tracer(), Pass: reg.Pass(), TID: 1},
 	})
 	if err != nil {
 		return err
 	}
 
 	var objects []*codegen.Object
+	var unsound []string // "unit: n" for every unit with an unsound skip
 	for _, file := range files {
 		src, err := os.ReadFile(file)
 		if err != nil {
@@ -109,7 +118,7 @@ func run(args []string) error {
 		if *stateDir != "" {
 			st, err = state.Load(statePathFor(*stateDir, unit))
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "minicc: discarding unreadable state for %s: %v\n", unit, err)
+				fmt.Fprintf(stderr, "minicc: discarding unreadable state for %s: %v\n", unit, err)
 				st = nil
 			}
 		}
@@ -130,23 +139,34 @@ func run(args []string) error {
 		}
 		if *stateDir != "" && res.State != nil {
 			if err := state.Save(statePathFor(*stateDir, unit), res.State); err != nil {
-				fmt.Fprintf(os.Stderr, "minicc: saving state for %s: %v\n", unit, err)
+				fmt.Fprintf(stderr, "minicc: saving state for %s: %v\n", unit, err)
 			}
 		}
 		if *emitIR {
-			fmt.Println(res.Module.String())
+			fmt.Fprintln(stdout, res.Module.String())
 		}
 		if *emitAsm {
-			fmt.Println(codegen.DisassembleObject(res.Object))
+			fmt.Fprintln(stdout, codegen.DisassembleObject(res.Object))
 		}
-		if *stats && res.Stats != nil {
-			fmt.Printf("--- %s ---\n%s", unit, res.Stats)
+		if res.Stats != nil {
+			if *stats {
+				fmt.Fprintf(stdout, "--- %s ---\n%s", unit, res.Stats)
+			}
+			if _, n := res.Stats.SentinelTotals(); n > 0 {
+				unsound = append(unsound, fmt.Sprintf("%s: %d", unit, n))
+			}
 		}
 		objects = append(objects, res.Object)
 	}
 
-	if err := export.Export(os.Stdout, os.Stderr, reg.Snapshot()); err != nil {
+	if err := export.Export(stdout, stderr, reg.Snapshot()); err != nil {
 		return err
+	}
+	if len(unsound) > 0 {
+		// The output is still right: an audited pass's output is what a
+		// stateless compile makes, and the (unit, pass) pair is quarantined
+		// in the saved state.
+		return fmt.Errorf("-verify-state: unsound skips (%s)", strings.Join(unsound, ", "))
 	}
 
 	if *emitIR || *emitAsm {
@@ -156,16 +176,16 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("linked %d unit(s): %d functions, %d global words, entry %q\n",
+	fmt.Fprintf(stdout, "linked %d unit(s): %d functions, %d global words, entry %q\n",
 		len(objects), len(prog.Funcs), prog.GlobalWords, "main")
 
 	if *runProg {
-		res, err := vm.Run(prog, vm.Config{Output: os.Stdout})
+		res, err := vm.Run(prog, vm.Config{Output: stdout})
 		if err != nil {
 			return err
 		}
 		if res.ExitValue != 0 {
-			fmt.Fprintf(os.Stderr, "program exited with %d\n", res.ExitValue)
+			fmt.Fprintf(stderr, "program exited with %d\n", res.ExitValue)
 		}
 	}
 	return nil
@@ -177,8 +197,6 @@ func parseMode(s string) (compiler.Mode, error) {
 		return compiler.ModeStateless, nil
 	case "stateful":
 		return compiler.ModeStateful, nil
-	case "predictive":
-		return compiler.ModePredictive, nil
 	case "fullcache":
 		return compiler.ModeFullCache, nil
 	default:

@@ -60,20 +60,9 @@ func run(args []string) error {
 				if r.Changed {
 					verdict = "active"
 				}
-				fmt.Printf("    slot %2d: %-7s hash=%016x cost=%s\n", i, verdict, r.InputHash, fmtNS(r.CostNS))
+				fmt.Printf("    slot %2d: %-7s hash=%016x\n", i, verdict, r.InputHash)
 			}
 		}
 	}
 	return nil
-}
-
-func fmtNS(ns int64) string {
-	switch {
-	case ns >= 1e6:
-		return fmt.Sprintf("%.2fms", float64(ns)/1e6)
-	case ns >= 1e3:
-		return fmt.Sprintf("%.1fµs", float64(ns)/1e3)
-	default:
-		return fmt.Sprintf("%dns", ns)
-	}
 }

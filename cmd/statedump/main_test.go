@@ -40,7 +40,7 @@ func TestDumpIsDeterministic(t *testing.T) {
 		name := fmt.Sprintf("f%02d", i)
 		want = append(want, "func "+name+":")
 		st.Funcs[name] = &core.FuncState{
-			Slots: []core.Record{{InputHash: uint64(i), CostNS: 512}, {Changed: true}},
+			Slots: []core.Record{{InputHash: uint64(i)}, {Changed: true}},
 			Seen:  []bool{true, true},
 		}
 	}

@@ -63,6 +63,44 @@ func TestDocsNameWhatExists(t *testing.T) {
 	}
 }
 
+// TestMakefileFuzzesEveryTarget fails when a fuzz target in a *_test.go file
+// is not named in the Makefile: a target only `make chaos` bursts is
+// explored beyond its seeds, so one missing from the Makefile never is.
+func TestMakefileFuzzesEveryTarget(t *testing.T) {
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fuzzDecl := regexp.MustCompile(`(?m)^func (Fuzz\w+)\(`)
+	found := 0
+	if err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path == ".git":
+			return fs.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range fuzzDecl.FindAllStringSubmatch(string(src), -1) {
+			found++
+			if !regexp.MustCompile(`\b` + m[1] + `\b`).Match(mk) {
+				t.Errorf("%s declares %s, which the Makefile never fuzzes; add a burst to `make chaos`", path, m[1])
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if found == 0 {
+		t.Fatal("no fuzz targets found; the walk is broken")
+	}
+}
+
 // TestCounterTableMatchesRegistry holds docs/OBSERVABILITY.md's counter
 // table to the Ctr* constants of internal/obs/counters.go: every constant has
 // a row, every name in the table is a constant, and a constant marked

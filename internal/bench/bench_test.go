@@ -154,22 +154,6 @@ func TestFigure5PerPass(t *testing.T) {
 	}
 }
 
-func TestFigure6Ablation(t *testing.T) {
-	tab, err := bench.Figure6Ablation(tinySuite()[0], tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3 policies", len(tab.Rows))
-	}
-	// The guarded policy reports zero mispredictions.
-	for _, row := range tab.Rows {
-		if row[0] == "stateful" && row[4] != "0" {
-			t.Errorf("stateful mispredictions = %s, want 0", row[4])
-		}
-	}
-}
-
 func TestFigure3And4RunClean(t *testing.T) {
 	if _, err := bench.Figure3PerFileCDF(tinySuite()[:1], tinyConfig()); err != nil {
 		t.Fatal(err)

@@ -416,7 +416,7 @@ func Figure5PerPassSavings(suite []workload.Profile, cfg Config) (*Table, error)
 	t := &Table{
 		ID:      "F5",
 		Title:   "Per-pass skipping profile (aggregated over incremental builds)",
-		Columns: []string{"pass", "skipped", "runs", "dormant runs", "est. saved ms"},
+		Columns: []string{"pass", "skipped", "runs", "dormant runs"},
 		Notes: []string{
 			"which pipeline stages pay for statefulness: cleanup passes re-run after enabling passes dominate",
 		},
@@ -438,10 +438,15 @@ func Figure5PerPassSavings(suite []workload.Profile, cfg Config) (*Table, error)
 	for name := range byPass {
 		names = append(names, name)
 	}
-	sort.Slice(names, func(i, j int) bool { return byPass[names[i]].SavedNS > byPass[names[j]].SavedNS })
+	sort.Slice(names, func(i, j int) bool {
+		if a, b := byPass[names[i]].Skipped, byPass[names[j]].Skipped; a != b {
+			return a > b
+		}
+		return names[i] < names[j]
+	})
 	for _, name := range names {
 		s := byPass[name]
-		t.AddRow(s.Pass, s.Skipped, s.Runs, s.Dormant, ms(s.SavedNS))
+		t.AddRow(s.Pass, s.Skipped, s.Runs, s.Dormant)
 	}
 	return t, nil
 }
@@ -474,93 +479,6 @@ func Table5VsFullCache(suite []workload.Profile, cfg Config) (*Table, error) {
 			kb(lastStateBytes(runs[compiler.ModeFullCache])))
 	}
 	return t, nil
-}
-
-// Figure6Ablation compares skip policies and quantifies cold-build
-// recording overhead and the predictive policy's misprediction rate.
-func Figure6Ablation(p workload.Profile, cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
-	t := &Table{
-		ID:      "F6",
-		Title:   fmt.Sprintf("Skip-policy ablation (project %s)", p.Name),
-		Columns: []string{"policy", "cold ms", "incremental ms", "skipped/commit", "mispredictions"},
-		Notes: []string{
-			"predictive (no fingerprint guard) skips slightly more but mispredicts; guarded skipping never does",
-			"cold-build delta over stateless is the recording overhead",
-		},
-	}
-	for _, mode := range []compiler.Mode{compiler.ModeStateless, compiler.ModeStateful, compiler.ModePredictive} {
-		run, err := RunHistory(p, mode, cfg)
-		if err != nil {
-			return nil, err
-		}
-		var skipped int
-		for _, s := range run.Incremental {
-			if s.Stats != nil {
-				_, _, sk := s.Stats.Totals()
-				skipped += sk
-			}
-		}
-		mis := "0"
-		if mode == compiler.ModePredictive {
-			n, err := countMispredictions(p, cfg)
-			if err != nil {
-				return nil, err
-			}
-			mis = fmt.Sprint(n)
-		} else if mode == compiler.ModeStateless {
-			mis = "n/a"
-		}
-		t.AddRow(mode.String(), ms(run.Cold.TotalNS), ms(run.MeanIncrementalNS()),
-			fmt.Sprintf("%.1f", float64(skipped)/float64(max(1, len(run.Incremental)))), mis)
-	}
-	return t, nil
-}
-
-// countMispredictions replays the history under the predictive policy with
-// skip verification, counting wrong skips.
-func countMispredictions(p workload.Profile, cfg Config) (int, error) {
-	cfg = cfg.withDefaults()
-	base := workload.Generate(p)
-	hist := workload.GenerateHistory(base, p.Seed^cfg.Seed, cfg.Commits, cfg.CommitShape)
-
-	d, err := core.NewDriver(core.Options{Policy: core.Predictive, VerifySkips: true})
-	if err != nil {
-		return 0, err
-	}
-	states := map[string]*core.UnitState{}
-	total := 0
-	prev := project.Snapshot(nil)
-	for _, snap := range append([]project.Snapshot{base}, hist.Commits...) {
-		for _, unit := range snap.Units() {
-			if prev != nil {
-				if old, ok := prev[unit]; ok && string(old) == string(snap[unit]) {
-					continue // file-level cache hit; compiler not invoked
-				}
-			}
-			m, err := compiler.Frontend(unit, snap[unit])
-			if err != nil {
-				return 0, err
-			}
-			st, stats, err := d.Run(m, states[unit])
-			if err != nil {
-				return 0, err
-			}
-			states[unit] = st
-			for _, sl := range stats.Slots {
-				total += sl.Mispredicted
-			}
-		}
-		prev = snap
-	}
-	return total, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ModuleIRSize is a helper surfaced for the statedump tool: the bitcode

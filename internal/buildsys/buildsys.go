@@ -7,7 +7,7 @@
 //     unchanged units are never recompiled (the make/ninja file-level
 //     skipping the paper's dilution structure depends on);
 //
-//   - per-unit dormancy state for the stateful/predictive policies, fed
+//   - per-unit dormancy state for the stateful policy, fed
 //     back into the compiler when a changed unit *is* recompiled, and
 //     optionally persisted to a state directory so the next process still
 //     skips dormant passes; and
@@ -52,7 +52,7 @@ type Options struct {
 	// GOMAXPROCS.
 	Workers int
 	// StateDir, when set, persists per-unit dormancy state across
-	// processes (stateful/predictive modes). Missing or corrupt state
+	// processes (stateful mode). Missing or corrupt state
 	// files are treated as a cold start, never an error.
 	StateDir string
 	// VerifyIR forwards to the compiler (slow; tests only).
@@ -203,7 +203,7 @@ type unitEntry struct {
 	src        []byte            // newest source seen for the unit: the caller's slice, not a copy
 	honest     uint64            // contentHash(src)
 	obj        *codegen.Object   // cached object
-	state      *core.UnitState   // dormancy records (stateful/predictive)
+	state      *core.UnitState   // dormancy records (stateful)
 	stateBytes int               // serialized size of state
 	diskProbed bool              // StateDir was already consulted for this unit
 	fp         *footprint.Record // traced read footprint of the last compile
@@ -383,7 +383,7 @@ func (b *Builder) fallback(w int) (*compiler.Compiler, error) {
 // statefulMode reports whether the builder's mode keeps per-unit dormancy
 // state (and therefore has something to quarantine).
 func (b *Builder) statefulMode() bool {
-	return b.opts.Mode == compiler.ModeStateful || b.opts.Mode == compiler.ModePredictive
+	return b.opts.Mode == compiler.ModeStateful
 }
 
 // Metrics snapshots the builder's counters registry (cumulative across

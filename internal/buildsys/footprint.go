@@ -7,7 +7,7 @@ package buildsys
 // state-file I/O flows through the trace's recording FS wrapper as
 // advisory entries, and the compiled object's unresolved relocations
 // become link-scope entries. The finished record rides on the unit's
-// persisted state (format v6) and is retained in memory.
+// persisted state and is retained in memory.
 //
 // On the next build the partition loop derives the *true* invalidation
 // verdict from the retained footprint and compares it with the declared

@@ -96,7 +96,6 @@ func (b *Builder) historyRecord(rep *Report) *history.Record {
 				Audited:     sl.Audited,
 				Unsound:     sl.Unsound,
 				RunNS:       sl.RunNS,
-				SavedNS:     sl.SavedNS,
 			})
 		}
 		rec.Units[name] = u

@@ -33,7 +33,6 @@ var schedulingInvariant = []string{
 	obs.CtrPassRuns,
 	obs.CtrPassDormant,
 	obs.CtrPassSkipped,
-	obs.CtrPassMispredicted,
 	obs.CtrHashes,
 	obs.CtrBuilds,
 	obs.CtrUnitsCompiled,
@@ -120,8 +119,8 @@ func TestObsSpansAgreeWithRegistry(t *testing.T) {
 		dormant += int64(s.Dormant)
 		hashes += int64(s.Hashes)
 	}
-	// pass.runs counts mispredicted re-runs too; spans record them in Runs
-	// already, so the totals must line up exactly.
+	// pass.runs counts the sentinel's unsound audits too; spans record them
+	// in Runs already, so the totals must line up exactly.
 	if runs != metrics[obs.CtrPassRuns] {
 		t.Errorf("span runs = %d, counter %s = %d", runs, obs.CtrPassRuns, metrics[obs.CtrPassRuns])
 	}

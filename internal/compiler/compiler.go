@@ -1,5 +1,5 @@
 // Package compiler is the per-unit compilation facade: frontend (lex,
-// parse, typecheck, lower), the optimization pipeline under one of four
+// parse, typecheck, lower), the optimization pipeline under one of three
 // policies, and bytecode generation. The build system invokes it the way
 // make/ninja invoke a real compiler.
 //
@@ -8,7 +8,6 @@
 //   - Stateless — the conventional compiler; the paper's baseline.
 //   - Stateful — the paper's contribution: fingerprint-guarded dormant-pass
 //     skipping driven by persistent per-function records (internal/core).
-//   - Predictive — ablation: record-only skipping without the guard.
 //   - FullCache — a rustc/Zapcc-style comparator that caches whole
 //     optimized function bodies keyed by input fingerprints (see
 //     fullcache.go); far more state for a larger per-function win.
@@ -37,7 +36,6 @@ type Mode int
 const (
 	ModeStateless Mode = iota
 	ModeStateful
-	ModePredictive
 	ModeFullCache
 )
 
@@ -48,8 +46,6 @@ func (m Mode) String() string {
 		return "stateless"
 	case ModeStateful:
 		return "stateful"
-	case ModePredictive:
-		return "predictive"
 	case ModeFullCache:
 		return "fullcache"
 	default:
@@ -63,8 +59,6 @@ type Options struct {
 	Pipeline []string
 	// Mode is the compilation policy (default ModeStateless).
 	Mode Mode
-	// VerifySkips forwards to core.Options (tests/misprediction studies).
-	VerifySkips bool
 	// VerifyIR forwards to core.Options.
 	VerifyIR bool
 	// SkipCodegen stops after the pipeline (used by IR-dumping tools).
@@ -103,21 +97,18 @@ func New(opts Options) (*Compiler, error) {
 	}
 	c := &Compiler{opts: opts}
 	switch opts.Mode {
-	case ModeStateless, ModeStateful, ModePredictive:
+	case ModeStateless, ModeStateful:
 		policy := core.Stateless
 		if opts.Mode == ModeStateful {
 			policy = core.Stateful
-		} else if opts.Mode == ModePredictive {
-			policy = core.Predictive
 		}
 		d, err := core.NewDriver(core.Options{
-			Pipeline:    opts.Pipeline,
-			Policy:      policy,
-			VerifySkips: opts.VerifySkips,
-			VerifyIR:    opts.VerifyIR,
-			AuditRate:   opts.AuditRate,
-			AuditSeed:   opts.AuditSeed,
-			Obs:         opts.Obs,
+			Pipeline:  opts.Pipeline,
+			Policy:    policy,
+			VerifyIR:  opts.VerifyIR,
+			AuditRate: opts.AuditRate,
+			AuditSeed: opts.AuditSeed,
+			Obs:       opts.Obs,
 		})
 		if err != nil {
 			return nil, err
@@ -159,7 +150,7 @@ type UnitResult struct {
 	Object *codegen.Object
 	// Module is the post-pipeline IR.
 	Module *ir.Module
-	// State is the updated dormancy state (stateful/predictive modes).
+	// State is the updated dormancy state (stateful mode).
 	State *core.UnitState
 	// Stats holds pipeline statistics (nil in fullcache mode).
 	Stats *core.Stats
@@ -217,8 +208,8 @@ func (fe *frontend) build(unitName string, src []byte) (*ir.Module, error) {
 	return fe.lower.Build(unitName, tree, info)
 }
 
-// CompileUnit compiles one unit from source. For stateful/predictive
-// policies, st carries the previous build's dormancy records (nil on cold
+// CompileUnit compiles one unit from source. Under the stateful policy,
+// st carries the previous build's dormancy records (nil on cold
 // builds) and the updated state is returned in the result.
 func (c *Compiler) CompileUnit(unitName string, src []byte, st *core.UnitState) (*UnitResult, error) {
 	return c.CompileUnitContext(context.Background(), unitName, src, st)

@@ -1,0 +1,106 @@
+package compiler_test
+
+// FuzzStatefulEdit fuzzes the skip rule itself: a unit compiled stateful,
+// its state written and read back, then an edit of it compiled with that
+// state must come out exactly as a stateless compile of the edit — with the
+// soundness sentinel checking every skip and finding none unsound. Under
+// plain `go test` only the seeds run; `make chaos` runs a burst beyond them.
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+
+	"statefulcc/internal/codegen"
+	"statefulcc/internal/compiler"
+	"statefulcc/internal/state"
+	"statefulcc/internal/workload"
+)
+
+// fuzzEditProfile is a project small enough that its units make quick
+// seeds, with enough cross-unit calls for the wave edits to reach several
+// units.
+var fuzzEditProfile = workload.Profile{
+	Name: "fuzz-edit", Seed: 27,
+	Files: 3, FuncsPerFileMin: 2, FuncsPerFileMax: 3,
+	StmtsPerFuncMin: 2, StmtsPerFuncMax: 4,
+	GlobalsPerFile: 1, CrossFileCallFrac: 0.5, PrivateFrac: 0.3,
+}
+
+// addEditSeeds adds a (before, after) pair for every unit an edit of each
+// kind the workload makes changes: statement-level commits, rename waves
+// and interface churn.
+func addEditSeeds(f *testing.F) {
+	base := workload.Generate(fuzzEditProfile)
+	for _, kind := range []workload.StreamKind{workload.StreamDefault, workload.StreamRenameWave, workload.StreamInterfaceChurn} {
+		h := workload.GenerateHistoryStream(base, fuzzEditProfile.Seed, 2, workload.DefaultCommitOptions(), kind)
+		prev := base
+		for _, next := range h.Commits {
+			for _, unit := range next.Units() {
+				if !bytes.Equal(prev[unit], next[unit]) {
+					f.Add(string(prev[unit]), string(next[unit]))
+				}
+			}
+			prev = next
+		}
+	}
+}
+
+func FuzzStatefulEdit(f *testing.F) {
+	// The hand edits: a constant in one function, the same source again, and
+	// a rewrite that turns passes dormant on the first source active.
+	f.Add(libSrc, strings.Replace(libSrc, "x * 3 + 1", "x * 3 + 2", 1))
+	f.Add(mainSrc, mainSrc)
+	f.Add(`func f(x int) int { return x + 1 + 1; } func main() int { return f(1); }`,
+		`func f(x int) int { var s int = 0; for var i int = 0; i < 3; i++ { s += x * 4; } return s; } func main() int { return f(1); }`)
+	addEditSeeds(f)
+
+	f.Fuzz(func(t *testing.T, src0, src1 string) {
+		if len(src0) > 16<<10 || len(src1) > 16<<10 {
+			return
+		}
+		const unit = "fuzz.mc"
+		warm, err := compiler.New(compiler.Options{Mode: compiler.ModeStateful})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r0, err := warm.CompileUnit(unit, []byte(src0), nil)
+		if err != nil {
+			return // the fuzzer is after the skip rule, not frontend errors
+		}
+		var buf bytes.Buffer
+		if err := state.Encode(&buf, r0.State); err != nil {
+			t.Fatal(err)
+		}
+		st, err := state.DecodeBytes(buf.Bytes())
+		if err != nil {
+			t.Fatalf("the state a compile wrote does not decode: %v", err)
+		}
+
+		oracle, err := compiler.New(compiler.Options{Mode: compiler.ModeStateless})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := oracle.CompileUnit(unit, []byte(src1), nil)
+		if err != nil {
+			return
+		}
+		audited, err := compiler.New(compiler.Options{Mode: compiler.ModeStateful, AuditRate: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := audited.CompileUnit(unit, []byte(src1), st)
+		if err != nil {
+			t.Fatalf("stateful compile failed where stateless did not: %v", err)
+		}
+		if _, unsound := got.Stats.SentinelTotals(); unsound != 0 {
+			t.Errorf("%d unsound skips\nsrc0:\n%s\nsrc1:\n%s", unsound, src0, src1)
+		}
+		if g, w := got.Module.String(), want.Module.String(); g != w {
+			t.Fatalf("IR differs from stateless\n--- stateful ---\n%s\n--- stateless ---\n%s\nsrc0:\n%s\nsrc1:\n%s", g, w, src0, src1)
+		}
+		if g, w := codegen.DisassembleObject(got.Object), codegen.DisassembleObject(want.Object); g != w {
+			t.Fatalf("disassembly differs from stateless\n--- stateful ---\n%s\n--- stateless ---\n%s", g, w)
+		}
+	})
+}

@@ -17,11 +17,10 @@ package core
 //  3. Module passes get the same treatment keyed by a module fingerprint
 //     assembled from the cached function fingerprints.
 //
-// The Predictive policy (ablation) skips on the record alone without the
-// fingerprint guard; with VerifySkips enabled the driver re-runs every
-// skipped pass and counts mispredictions, which is how the soundness of
-// the guarded policy is demonstrated experimentally (its misprediction
-// count is always zero).
+// One procedure, runSlot, does all three for both slot kinds. The one
+// checker of a skip is the soundness sentinel: with probability AuditRate a
+// would-be skip runs anyway and its output fingerprint is compared with its
+// input (AuditRate 1 checks every skip).
 
 import (
 	"context"
@@ -43,9 +42,6 @@ const (
 	Stateless Policy = iota
 	// Stateful is the paper's fingerprint-guarded dormant-pass skipping.
 	Stateful
-	// Predictive skips on dormancy records without the fingerprint guard
-	// (ablation; unsound without VerifySkips).
-	Predictive
 )
 
 // String returns the policy name.
@@ -55,8 +51,6 @@ func (p Policy) String() string {
 		return "stateless"
 	case Stateful:
 		return "stateful"
-	case Predictive:
-		return "predictive"
 	default:
 		return fmt.Sprintf("policy(%d)", int(p))
 	}
@@ -68,10 +62,6 @@ type Options struct {
 	Pipeline []string
 	// Policy selects the skipping strategy (default Stateless).
 	Policy Policy
-	// VerifySkips re-runs every skipped pass and cross-checks dormancy;
-	// used by tests and the misprediction experiments. Skipping then saves
-	// no time but records Mispredicted counts.
-	VerifySkips bool
 	// VerifyIR runs the IR verifier after every pass (slow; tests only).
 	VerifyIR bool
 	// AuditRate is the soundness sentinel's sampling probability in [0, 1]:
@@ -199,10 +189,19 @@ func (c *hashCache) invalidate(f *ir.Func) { delete(c.vals, f) }
 // function.
 func (c *hashCache) invalidateAll() { clear(c.vals) }
 
-// Run executes the pipeline on m. When the policy is stateful or
-// predictive, st supplies and receives dormancy records; it may be nil (or
-// built for another pipeline), in which case a fresh state is created. The
-// (possibly new) state is returned alongside the statistics.
+// input fingerprints what a slot's pass reads: its function, or for a
+// module slot the module, assembled from the cached function hashes.
+func (c *hashCache) input(m *ir.Module, f *ir.Func, module bool) uint64 {
+	if module {
+		return fingerprint.ModuleWith(m, c.get)
+	}
+	return c.get(f)
+}
+
+// Run executes the pipeline on m. Under the stateful policy, st supplies
+// and receives dormancy records; it may be nil (or built for another
+// pipeline), in which case a fresh state is created. The (possibly new)
+// state is returned alongside the statistics.
 func (d *Driver) Run(m *ir.Module, st *UnitState) (*UnitState, *Stats, error) {
 	return d.RunContext(context.Background(), m, st)
 }
@@ -255,7 +254,7 @@ func (d *Driver) RunContext(ctx context.Context, m *ir.Module, st *UnitState) (*
 		if cerr := ctx.Err(); cerr != nil {
 			err = fmt.Errorf("core: %s cancelled: %w", m.Unit, cerr)
 		} else if info.Module {
-			err = d.runModuleSlot(m, st, slot, ss, cache)
+			err = d.runSlot(m, nil, st, slot, ss, cache)
 		} else {
 			// Function slot: iterate a snapshot (module passes may have
 			// changed the list; function passes do not).
@@ -265,7 +264,7 @@ func (d *Driver) RunContext(ctx context.Context, m *ir.Module, st *UnitState) (*
 					err = fmt.Errorf("core: %s cancelled: %w", m.Unit, cerr)
 					break
 				}
-				if err = d.runFuncSlot(m, f, st, slot, ss, cache); err != nil {
+				if err = d.runSlot(m, f, st, slot, ss, cache); err != nil {
 					break
 				}
 			}
@@ -277,7 +276,6 @@ func (d *Driver) RunContext(ctx context.Context, m *ir.Module, st *UnitState) (*
 				Start: spanStart, Dur: tr.Now() - spanStart,
 				Slot: slot, Runs: ss.Runs, Skipped: ss.Skipped, Dormant: ss.Dormant,
 				Hashes: stats.Hashes - hashes0, HashNS: stats.HashNS - hashNS0,
-				SavedNS: ss.SavedNS,
 			})
 		}
 		if err != nil {
@@ -299,315 +297,142 @@ func (d *Driver) countStats(stats *Stats) {
 	if pc == nil {
 		return
 	}
-	runs, dormant, skipped := stats.Totals()
-	var mispredicted, cold, notDormant, fpMismatch, policy int
-	var quarantined, audited, unsound int
-	for _, sl := range stats.Slots {
-		mispredicted += sl.Mispredicted
-		cold += sl.Cold
-		notDormant += sl.NotDormant
-		fpMismatch += sl.FPMismatch
-		policy += sl.Policy
-		quarantined += sl.Quarantined
-		audited += sl.Audited
-		unsound += sl.Unsound
+	var tot SlotStats
+	for i := range stats.Slots {
+		tot.add(&stats.Slots[i])
 	}
-	pc.Runs.Add(int64(runs))
-	pc.Dormant.Add(int64(dormant))
-	pc.Skipped.Add(int64(skipped))
-	pc.Mispredicted.Add(int64(mispredicted))
-	pc.RunNS.Add(stats.PassTimeNS())
-	pc.SavedNS.Add(stats.SavedNS())
+	pc.Runs.Add(int64(tot.Runs))
+	pc.Dormant.Add(int64(tot.Dormant))
+	pc.Skipped.Add(int64(tot.Skipped))
+	pc.RunNS.Add(tot.RunNS)
 	pc.Hashes.Add(int64(stats.Hashes))
 	pc.HashNS.Add(stats.HashNS)
-	pc.DecSkipped.Add(int64(skipped))
-	pc.DecCold.Add(int64(cold))
-	pc.DecNotDormant.Add(int64(notDormant))
-	pc.DecFPMismatch.Add(int64(fpMismatch))
-	pc.DecPolicy.Add(int64(policy))
-	pc.DecQuarantined.Add(int64(quarantined))
-	pc.Audited.Add(int64(audited))
-	pc.Unsound.Add(int64(unsound))
+	pc.DecSkipped.Add(int64(tot.Skipped))
+	pc.DecCold.Add(int64(tot.Cold))
+	pc.DecNotDormant.Add(int64(tot.NotDormant))
+	pc.DecFPMismatch.Add(int64(tot.FPMismatch))
+	pc.DecPolicy.Add(int64(tot.Policy))
+	pc.DecQuarantined.Add(int64(tot.Quarantined))
+	pc.Audited.Add(int64(tot.Audited))
+	pc.Unsound.Add(int64(tot.Unsound))
 }
 
-func (d *Driver) runFuncSlot(m *ir.Module, f *ir.Func, st *UnitState, slot int, ss *SlotStats, cache *hashCache) error {
-	info := d.infos[slot]
-	pass := d.fps[slot]
-	fs := st.funcState(f.Name, len(d.infos))
-	rec := &fs.Slots[slot]
-	seen := fs.Seen[slot]
+// runSlot is the skip decision, the sentinel and the record update of one
+// pipeline slot, on one function (f) or, for a module slot, on the module
+// (f is nil). The two slot kinds differ only in what they hash, run,
+// invalidate and verify; each of those four branches on info.Module.
+func (d *Driver) runSlot(m *ir.Module, f *ir.Func, st *UnitState, slot int, ss *SlotStats, cache *hashCache) error {
+	info := &d.infos[slot]
+	var rec *Record
+	var seen *bool
+	if info.Module {
+		rec, seen = &st.ModuleSlots[slot], &st.ModuleSeen[slot]
+	} else {
+		fs := st.funcState(f.Name, len(d.infos))
+		rec, seen = &fs.Slots[slot], &fs.Seen[slot]
+	}
+	stateful := d.opts.Policy == Stateful
+	// A function pass that is not function-local reads more than its
+	// function, so no function fingerprint can guard it.
+	eligible := info.Module || info.FunctionLocal
 
 	// Lazy hashing: a record that says "changed" can never satisfy a skip
-	// and (in the persisted format) carries no fingerprint, so the hash is
-	// computed only when a dormant record exists to check against — or
-	// after a run that turns out dormant, when the (unmodified) IR still
-	// equals the pass input. runReason points at the decision-provenance
-	// counter a non-skipped execution charges.
-	skippable := false
+	// and carries no fingerprint, so the hash is computed only when a
+	// dormant record exists to check against — or after a run that turns
+	// out dormant, when the (unmodified) IR still equals the pass input.
+	// runReason points at the decision-provenance counter a non-skipped
+	// execution charges.
 	var h uint64
-	haveHash := false
+	haveHash, skip := false, false
 	runReason := &ss.Policy
-	if d.opts.Policy != Stateless && st.Quarantined(info.Name) {
+	switch {
+	case !stateful:
+	case st.Quarantined(info.Name):
 		// Quarantined (unit, pass): skipping is suspended; the pass always
 		// runs. Fresh observations are still recorded so trust rebuilds.
 		runReason = &ss.Quarantined
+	case !eligible:
+	case !*seen:
+		runReason = &ss.Cold
+	case rec.Changed:
+		runReason = &ss.NotDormant
+	default:
+		h, haveHash = cache.input(m, f, info.Module), true
+		if rec.InputHash == h {
+			skip = true
+		} else {
+			runReason = &ss.FPMismatch
+		}
+	}
+	if skip && !d.auditFire() {
+		ss.Skipped++
+		return nil
+	}
+
+	start := time.Now()
+	var changed bool
+	if info.Module {
+		changed = d.mps[slot].RunModule(m)
 	} else {
-		switch d.opts.Policy {
-		case Stateful:
-			switch {
-			case !info.FunctionLocal:
-				// Ineligible pass: skipping disabled by policy.
-			case !seen:
-				runReason = &ss.Cold
-			case rec.Changed:
-				runReason = &ss.NotDormant
-			default:
-				h = cache.get(f)
-				haveHash = true
-				if rec.InputHash == h {
-					skippable = true
-				} else {
-					runReason = &ss.FPMismatch
-				}
-			}
-		case Predictive:
-			switch {
-			case !info.FunctionLocal:
-			case !seen:
-				runReason = &ss.Cold
-			case rec.Changed:
-				runReason = &ss.NotDormant
-			default:
-				skippable = true
-			}
+		changed = d.fps[slot].Run(f)
+	}
+	ss.RunNS += time.Since(start).Nanoseconds()
+	if changed || skip {
+		// A module pass may have touched any function; an audited pass is
+		// rehashed whatever it reported.
+		if info.Module {
+			cache.invalidateAll()
+		} else {
+			cache.invalidate(f)
 		}
 	}
 
-	if skippable && !d.opts.VerifySkips {
-		if !d.auditFire() {
-			ss.Skipped++
-			ss.SavedNS += rec.CostNS
-			return nil
-		}
-		// Soundness sentinel: execute the would-be skip anyway and compare
-		// the output IR fingerprint against the input. Identical output
+	if skip {
+		// Soundness sentinel: the would-be skip ran anyway. Identical output
 		// confirms the skip was sound (and costs only this audit); a
 		// mismatch is an unsound skip — the record was lying (a
 		// nondeterministic or impure pass), so the (unit, pass) pair is
 		// quarantined and the record invalidated. Either way the IR now on
 		// hand is exactly what a stateless compiler would have produced.
-		if !haveHash {
-			h = cache.get(f) // predictive policy skips without hashing
-		}
 		ss.Audited++
-		start := time.Now()
-		pass.Run(f)
-		elapsed := time.Since(start).Nanoseconds()
-		ss.RunNS += elapsed
-		cache.invalidate(f)
-		h2 := cache.get(f)
-		if h2 == h {
+		if cache.input(m, f, info.Module) == h {
 			ss.Skipped++ // the skip decision stands, audited and confirmed
-			rec.blend(elapsed)
 			return nil
 		}
 		ss.Runs++
 		ss.Unsound++
-		rec.InputHash = 0
-		rec.Changed = true
-		fs.Seen[slot] = true
+		*rec, *seen = Record{Changed: true}, true
 		quarantineFor(st, QuarantineUnsound).AddPass(info.Name)
-		if d.opts.VerifyIR {
-			if err := f.Verify(); err != nil {
-				return fmt.Errorf("core: pass %s broke %s.%s: %w", info.Name, m.Unit, f.Name, err)
-			}
-		}
-		return nil
-	}
-
-	start := time.Now()
-	changed := pass.Run(f)
-	elapsed := time.Since(start).Nanoseconds()
-
-	if skippable { // verify mode: the skip would have happened
-		ss.Skipped++
-		ss.SavedNS += rec.CostNS
-		if changed {
-			ss.Mispredicted++
-			if d.opts.Policy == Stateful {
-				return fmt.Errorf("core: soundness violation: guarded skip of %s on %s.%s was wrong",
-					info.Name, m.Unit, f.Name)
-			}
-		}
 	} else {
 		ss.Runs++
 		(*runReason)++
-		ss.RunNS += elapsed
 		if !changed {
 			ss.Dormant++
 		}
-	}
-
-	// Record the observation.
-	if d.opts.Policy != Stateless && info.FunctionLocal {
-		if changed {
-			// Changed records never satisfy skips; no fingerprint needed.
-			rec.InputHash = 0
-			rec.Changed = true
-		} else {
-			if d.opts.Policy == Stateful && !haveHash {
-				// The pass was dormant, so the current IR still equals its
-				// input; hash it now (and the cache stays warm for the
-				// next slot).
-				h = cache.get(f)
-			}
-			rec.InputHash = h
-			rec.Changed = false
-			rec.blend(elapsed)
-		}
-		fs.Seen[slot] = true
-	}
-	if changed {
-		cache.invalidate(f)
-	}
-
-	if d.opts.VerifyIR {
-		if err := f.Verify(); err != nil {
-			return fmt.Errorf("core: pass %s broke %s.%s: %w", info.Name, m.Unit, f.Name, err)
-		}
-	}
-	return nil
-}
-
-func (d *Driver) runModuleSlot(m *ir.Module, st *UnitState, slot int, ss *SlotStats, cache *hashCache) error {
-	info := d.infos[slot]
-	pass := d.mps[slot]
-	rec := &st.ModuleSlots[slot]
-	seen := st.ModuleSeen[slot]
-
-	// Lazy module hashing mirrors the function-slot logic: compute the
-	// module fingerprint only when a dormant record exists to compare
-	// against (or after a dormant run, below). Function hashing inside
-	// cache.get times itself; the combine step is negligible.
-	var h uint64
-	haveHash := false
-	skippable := false
-	runReason := &ss.Policy
-	if d.opts.Policy != Stateless && st.Quarantined(info.Name) {
-		runReason = &ss.Quarantined
-	} else {
-		switch d.opts.Policy {
-		case Stateful:
-			switch {
-			case !seen:
-				runReason = &ss.Cold
-			case rec.Changed:
-				runReason = &ss.NotDormant
-			default:
-				h = fingerprint.ModuleWith(m, cache.get)
-				haveHash = true
-				if rec.InputHash == h {
-					skippable = true
-				} else {
-					runReason = &ss.FPMismatch
+		if stateful && eligible {
+			if changed {
+				*rec = Record{Changed: true}
+			} else {
+				if !haveHash {
+					// The pass was dormant, so the IR still equals its input;
+					// hash it now (and the cache stays warm for the next slot).
+					h = cache.input(m, f, info.Module)
 				}
+				*rec = Record{InputHash: h}
 			}
-		case Predictive:
-			switch {
-			case !seen:
-				runReason = &ss.Cold
-			case rec.Changed:
-				runReason = &ss.NotDormant
-			default:
-				skippable = true
-			}
+			*seen = true
 		}
 	}
 
-	if skippable && !d.opts.VerifySkips {
-		if !d.auditFire() {
-			ss.Skipped++
-			ss.SavedNS += rec.CostNS
-			return nil
-		}
-		// Sentinel audit, module flavour: run the pass, then recompute the
-		// module fingerprint from scratch (the pass may have touched any
-		// function, so cached per-function hashes must not be trusted).
-		if !haveHash {
-			h = fingerprint.ModuleWith(m, cache.get)
-		}
-		ss.Audited++
-		start := time.Now()
-		pass.RunModule(m)
-		elapsed := time.Since(start).Nanoseconds()
-		ss.RunNS += elapsed
-		cache.invalidateAll()
-		h2 := fingerprint.ModuleWith(m, cache.get)
-		if h2 == h {
-			ss.Skipped++
-			rec.blend(elapsed)
-			return nil
-		}
-		ss.Runs++
-		ss.Unsound++
-		rec.InputHash = 0
-		rec.Changed = true
-		st.ModuleSeen[slot] = true
-		quarantineFor(st, QuarantineUnsound).AddPass(info.Name)
-		if d.opts.VerifyIR {
-			if err := m.Verify(); err != nil {
-				return fmt.Errorf("core: module pass %s broke %s: %w", info.Name, m.Unit, err)
-			}
-		}
+	if !d.opts.VerifyIR {
 		return nil
 	}
-
-	start := time.Now()
-	changed := pass.RunModule(m)
-	elapsed := time.Since(start).Nanoseconds()
-
-	if skippable {
-		ss.Skipped++
-		ss.SavedNS += rec.CostNS
-		if changed {
-			ss.Mispredicted++
-			if d.opts.Policy == Stateful {
-				return fmt.Errorf("core: soundness violation: guarded skip of module pass %s on %s was wrong",
-					info.Name, m.Unit)
-			}
-		}
-	} else {
-		ss.Runs++
-		(*runReason)++
-		ss.RunNS += elapsed
-		if !changed {
-			ss.Dormant++
-		}
-	}
-
-	if d.opts.Policy != Stateless {
-		if changed {
-			rec.InputHash = 0
-			rec.Changed = true
-		} else {
-			if d.opts.Policy == Stateful && !haveHash {
-				h = fingerprint.ModuleWith(m, cache.get)
-			}
-			rec.InputHash = h
-			rec.Changed = false
-			rec.blend(elapsed)
-		}
-		st.ModuleSeen[slot] = true
-	}
-	if changed {
-		// A module pass may have touched any function.
-		cache.invalidateAll()
-	}
-
-	if d.opts.VerifyIR {
+	if info.Module {
 		if err := m.Verify(); err != nil {
 			return fmt.Errorf("core: module pass %s broke %s: %w", info.Name, m.Unit, err)
 		}
+	} else if err := f.Verify(); err != nil {
+		return fmt.Errorf("core: pass %s broke %s.%s: %w", info.Name, m.Unit, f.Name, err)
 	}
 	return nil
 }

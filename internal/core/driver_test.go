@@ -125,12 +125,13 @@ func TestSecondBuildSkips(t *testing.T) {
 	}
 }
 
-// TestGuardedSkipsNeverMispredict: with verification enabled, the stateful
-// policy must have zero mispredictions across an edit sequence.
-func TestGuardedSkipsNeverMispredict(t *testing.T) {
-	d := newDriver(t, core.Options{Policy: core.Stateful, VerifySkips: true, VerifyIR: true})
+// TestGuardedSkipsAuditSound: with the sentinel checking every skip, the
+// stateful policy must have no unsound skip across an edit sequence.
+func TestGuardedSkipsAuditSound(t *testing.T) {
+	d := newDriver(t, core.Options{Policy: core.Stateful, AuditRate: 1, VerifyIR: true})
 	var st *core.UnitState
 	var err error
+	audited := 0
 	for _, src := range []string{unitSrc, unitSrc, editedSrc, editedSrc, unitSrc} {
 		m := build(t, src)
 		var stats *core.Stats
@@ -138,11 +139,14 @@ func TestGuardedSkipsNeverMispredict(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, sl := range stats.Slots {
-			if sl.Mispredicted != 0 {
-				t.Errorf("pass %s mispredicted %d times under the guarded policy", sl.Pass, sl.Mispredicted)
-			}
+		a, unsound := stats.SentinelTotals()
+		if unsound != 0 {
+			t.Errorf("%d unsound skips under the guarded policy", unsound)
 		}
+		audited += a
+	}
+	if audited == 0 {
+		t.Error("the sentinel audited no skip; the sequence never skipped")
 	}
 }
 
@@ -174,37 +178,6 @@ func TestEditLocalizesReruns(t *testing.T) {
 	if skippedEdit >= skippedSame {
 		t.Errorf("edited rebuild skipped %d >= identical rebuild %d; edit should cost some skips",
 			skippedEdit, skippedSame)
-	}
-}
-
-// TestPredictivePolicyMispredicts: without the fingerprint guard, an edit
-// that turns a dormant pass active must be caught as a misprediction —
-// demonstrating why the guard matters.
-func TestPredictivePolicyMispredicts(t *testing.T) {
-	d := newDriver(t, core.Options{Policy: core.Predictive, VerifySkips: true})
-
-	// fold is fully simplifiable, so late cleanup passes are dormant; the
-	// edit introduces a div-by-unknown that instcombine/sccp cannot fold,
-	// changing which passes are active.
-	src1 := `func f(x int) int { return x + 1 + 1; } func main() int { return f(1); }`
-	src2 := `func f(x int) int { var s int = 0; for var i int = 0; i < 3; i++ { s += x * 4; } return s; } func main() int { return f(1); }`
-
-	m1 := build(t, src1)
-	st, _, err := d.Run(m1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2 := build(t, src2)
-	_, stats, err := d.Run(m2, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, sl := range stats.Slots {
-		total += sl.Mispredicted
-	}
-	if total == 0 {
-		t.Error("predictive policy never mispredicted across a structural edit; ablation signal missing")
 	}
 }
 
@@ -263,7 +236,7 @@ func TestStatePruning(t *testing.T) {
 // TestNewFunctionRunsFully: a function added in an incremental build has no
 // records and must run the full pipeline (no skips for it).
 func TestNewFunctionRunsFully(t *testing.T) {
-	d := newDriver(t, core.Options{Policy: core.Stateful, VerifySkips: true})
+	d := newDriver(t, core.Options{Policy: core.Stateful, AuditRate: 1})
 	src1 := `func main() int { return 1; }`
 	src2 := `func fresh(x int) int { return x * 3; } func main() int { return fresh(2); }`
 	m1 := build(t, src1)
@@ -276,10 +249,8 @@ func TestNewFunctionRunsFully(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sl := range stats.Slots {
-		if sl.Mispredicted != 0 {
-			t.Errorf("misprediction on new-function build in %s", sl.Pass)
-		}
+	if _, unsound := stats.SentinelTotals(); unsound != 0 {
+		t.Errorf("%d unsound skips on a new-function build", unsound)
 	}
 }
 
@@ -336,7 +307,7 @@ func TestStatsMergeAndByPass(t *testing.T) {
 // miniature: on an incremental rebuild, a large majority of pass executions
 // are dormant.
 func TestDormantFractionMotivation(t *testing.T) {
-	d := newDriver(t, core.Options{Policy: core.Stateful, VerifySkips: true})
+	d := newDriver(t, core.Options{Policy: core.Stateful, AuditRate: 1})
 	m1 := build(t, unitSrc)
 	st, _, err := d.Run(m1, nil)
 	if err != nil {

@@ -31,23 +31,12 @@ import (
 const StateVersion = 4
 
 // Record is one dormancy observation: the fingerprint of the IR a pass
-// instance saw for a function, whether the pass changed it, and the
-// smoothed cost of running it (used for reporting estimated savings).
+// instance saw for a function and whether the pass changed it — the
+// paper's "a hash and a bit". A changed record never satisfies a skip, so
+// its hash is not kept.
 type Record struct {
 	InputHash uint64
 	Changed   bool
-	// CostNS is an exponentially weighted moving average of the observed
-	// run time in nanoseconds.
-	CostNS int64
-}
-
-// blend updates the cost EWMA (¾ old, ¼ new — cheap and stable).
-func (r *Record) blend(ns int64) {
-	if r.CostNS == 0 {
-		r.CostNS = ns
-		return
-	}
-	r.CostNS = (3*r.CostNS + ns) / 4
 }
 
 // Quarantine reasons — why a unit's (or pass's) cached execution state is
@@ -157,8 +146,7 @@ type UnitState struct {
 	// Footprint, when non-nil, is the dependency footprint recorded during
 	// the compile that produced this state: the ground-truth read set the
 	// build system cross-checks declared invalidation against
-	// (internal/footprint). Persisted in format v6; older files load with
-	// no footprint.
+	// (internal/footprint), persisted on the state file.
 	Footprint *footprint.Record
 }
 
@@ -234,33 +222,8 @@ func (s *UnitState) RecordCount() int {
 	return n
 }
 
-// SizeBytes estimates the serialized footprint of the compressed on-disk
-// format: one flags byte per slot, ~3 bytes of varints per seen slot, and 8
-// bytes per *distinct* input hash (runs of dormant passes share a hash).
-// The exact figure comes from internal/state.FileSize.
-func (s *UnitState) SizeBytes() int {
-	block := func(slots []Record, seen []bool) int {
-		distinct := make(map[uint64]bool)
-		n := 2
-		for i := range slots {
-			n++
-			if seen[i] && !slots[i].Changed {
-				n += 3
-				distinct[slots[i].InputHash] = true
-			}
-		}
-		return n + len(distinct)*8
-	}
-	n := block(s.ModuleSlots, s.ModuleSeen)
-	for name, fs := range s.Funcs {
-		n += len(name) + 4
-		n += block(fs.Slots, fs.Seen)
-	}
-	return n
-}
-
-// String summarizes the state for debugging.
+// String summarizes the state for debugging. Its size on disk is
+// internal/state.FileSize.
 func (s *UnitState) String() string {
-	return fmt.Sprintf("state(%s: %d funcs, %d records, ~%d bytes)",
-		s.Unit, len(s.Funcs), s.RecordCount(), s.SizeBytes())
+	return fmt.Sprintf("state(%s: %d funcs, %d records)", s.Unit, len(s.Funcs), s.RecordCount())
 }

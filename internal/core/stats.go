@@ -13,8 +13,8 @@ import (
 // the provenance taxonomy the build flight recorder (internal/history) and
 // `minibuild explain` report; docs/OBSERVABILITY.md documents each.
 const (
-	// ReasonSkippedDormant: a fingerprint-matched (or, in predictive mode,
-	// record-only) dormancy record allowed the execution to be skipped.
+	// ReasonSkippedDormant: a fingerprint-matched dormancy record allowed
+	// the execution to be skipped.
 	ReasonSkippedDormant = "skipped-dormant"
 	// ReasonColdState: no prior observation existed for this slot.
 	ReasonColdState = "cold-state"
@@ -50,13 +50,8 @@ type SlotStats struct {
 	Dormant int
 	// Skipped counts executions avoided by dormancy records.
 	Skipped int
-	// Mispredicted counts verified skips that would have been wrong
-	// (only populated in verify mode; always 0 for the guarded policy).
-	Mispredicted int
 	// RunNS is the total time spent executing the pass.
 	RunNS int64
-	// SavedNS estimates the time skipping avoided (sum of recorded costs).
-	SavedNS int64
 
 	// Decision provenance: every execution counted in Runs has exactly one
 	// of these reasons (Skipped executions are all ReasonSkippedDormant).
@@ -154,15 +149,6 @@ func (s *Stats) PassTimeNS() int64 {
 	return t
 }
 
-// SavedNS is the total estimated time saved by skipping.
-func (s *Stats) SavedNS() int64 {
-	var t int64
-	for _, sl := range s.Slots {
-		t += sl.SavedNS
-	}
-	return t
-}
-
 // DormantFraction is the fraction of pass executions (runs + skips) that
 // did or would have done nothing — the paper's motivation metric.
 func (s *Stats) DormantFraction() float64 {
@@ -188,19 +174,7 @@ func (s *Stats) Merge(other *Stats) {
 		if i >= len(s.Slots) {
 			break
 		}
-		s.Slots[i].Runs += other.Slots[i].Runs
-		s.Slots[i].Dormant += other.Slots[i].Dormant
-		s.Slots[i].Skipped += other.Slots[i].Skipped
-		s.Slots[i].Mispredicted += other.Slots[i].Mispredicted
-		s.Slots[i].RunNS += other.Slots[i].RunNS
-		s.Slots[i].SavedNS += other.Slots[i].SavedNS
-		s.Slots[i].Cold += other.Slots[i].Cold
-		s.Slots[i].NotDormant += other.Slots[i].NotDormant
-		s.Slots[i].FPMismatch += other.Slots[i].FPMismatch
-		s.Slots[i].Policy += other.Slots[i].Policy
-		s.Slots[i].Quarantined += other.Slots[i].Quarantined
-		s.Slots[i].Audited += other.Slots[i].Audited
-		s.Slots[i].Unsound += other.Slots[i].Unsound
+		s.Slots[i].add(&other.Slots[i])
 	}
 	s.HashNS += other.HashNS
 	s.Hashes += other.Hashes
@@ -211,26 +185,30 @@ func (s *Stats) Merge(other *Stats) {
 // pipeline slots).
 func (s *Stats) ByPass() map[string]SlotStats {
 	out := make(map[string]SlotStats)
-	for _, sl := range s.Slots {
+	for i := range s.Slots {
+		sl := &s.Slots[i]
 		agg := out[sl.Pass]
 		agg.Pass = sl.Pass
 		agg.Module = sl.Module
-		agg.Runs += sl.Runs
-		agg.Dormant += sl.Dormant
-		agg.Skipped += sl.Skipped
-		agg.Mispredicted += sl.Mispredicted
-		agg.RunNS += sl.RunNS
-		agg.SavedNS += sl.SavedNS
-		agg.Cold += sl.Cold
-		agg.NotDormant += sl.NotDormant
-		agg.FPMismatch += sl.FPMismatch
-		agg.Policy += sl.Policy
-		agg.Quarantined += sl.Quarantined
-		agg.Audited += sl.Audited
-		agg.Unsound += sl.Unsound
+		agg.add(sl)
 		out[sl.Pass] = agg
 	}
 	return out
+}
+
+// add folds o's counts and time into sl (Pass and Module are left alone).
+func (sl *SlotStats) add(o *SlotStats) {
+	sl.Runs += o.Runs
+	sl.Dormant += o.Dormant
+	sl.Skipped += o.Skipped
+	sl.RunNS += o.RunNS
+	sl.Cold += o.Cold
+	sl.NotDormant += o.NotDormant
+	sl.FPMismatch += o.FPMismatch
+	sl.Policy += o.Policy
+	sl.Quarantined += o.Quarantined
+	sl.Audited += o.Audited
+	sl.Unsound += o.Unsound
 }
 
 // String renders a compact table for logs and the minicc -stats flag.
@@ -239,12 +217,11 @@ func (s *Stats) String() string {
 	runs, dormant, skipped := s.Totals()
 	fmt.Fprintf(&sb, "pipeline: %d funcs, %d runs (%d dormant), %d skipped, dormant-fraction %.1f%%\n",
 		s.Functions, runs, dormant, skipped, 100*s.DormantFraction())
-	fmt.Fprintf(&sb, "pass time %.3fms, est. saved %.3fms, hashing %.3fms (%d hashes)\n",
-		float64(s.PassTimeNS())/1e6, float64(s.SavedNS())/1e6, float64(s.HashNS)/1e6, s.Hashes)
+	fmt.Fprintf(&sb, "pass time %.3fms, hashing %.3fms (%d hashes)\n",
+		float64(s.PassTimeNS())/1e6, float64(s.HashNS)/1e6, s.Hashes)
 	for i, sl := range s.Slots {
-		fmt.Fprintf(&sb, "  [%2d] %-12s runs=%-4d dormant=%-4d skipped=%-4d t=%.3fms saved=%.3fms\n",
-			i, sl.Pass, sl.Runs, sl.Dormant, sl.Skipped,
-			float64(sl.RunNS)/1e6, float64(sl.SavedNS)/1e6)
+		fmt.Fprintf(&sb, "  [%2d] %-12s runs=%-4d dormant=%-4d skipped=%-4d t=%.3fms\n",
+			i, sl.Pass, sl.Runs, sl.Dormant, sl.Skipped, float64(sl.RunNS)/1e6)
 	}
 	return sb.String()
 }

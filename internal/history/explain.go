@@ -95,18 +95,17 @@ func RenderExplain(recs []Record, unit string) (string, error) {
 		if prev != nil {
 			prevPasses = prev.Unit(name).Passes
 		}
-		fmt.Fprintf(&sb, "  %-4s %-12s %-22s %5s %5s %5s %5s %9s %9s  %s\n",
-			"slot", "pass", "reason", "runs", "skip", "dorm", "audit", "time", "saved", "prev-reason")
+		fmt.Fprintf(&sb, "  %-4s %-12s %-22s %5s %5s %5s %5s %9s  %s\n",
+			"slot", "pass", "reason", "runs", "skip", "dorm", "audit", "time", "prev-reason")
 		for i := range ur.Passes {
 			pd := &ur.Passes[i]
 			audit := fmt.Sprintf("%d", pd.Audited)
 			if pd.Unsound > 0 {
 				audit = fmt.Sprintf("%d!%d", pd.Audited, pd.Unsound)
 			}
-			fmt.Fprintf(&sb, "  [%2d] %-12s %-22s %5d %5d %5d %5s %8.3fms %8.3fms  %s\n",
+			fmt.Fprintf(&sb, "  [%2d] %-12s %-22s %5d %5d %5d %5s %8.3fms  %s\n",
 				pd.Slot, last.PassName(pd), pd.DecisionReason(), pd.Runs, pd.Skipped, pd.Dormant, audit,
-				float64(pd.RunNS)/1e6, float64(pd.SavedNS)/1e6,
-				prevReason(prevPasses, pd.Slot))
+				float64(pd.RunNS)/1e6, prevReason(prevPasses, pd.Slot))
 		}
 	}
 	if unlisted > 0 {

@@ -41,7 +41,7 @@ func newRecordedBuilder(t *testing.T, mode compiler.Mode) (*buildsys.Builder, st
 	stateDir := t.TempDir()
 	histPath := history.Path(stateDir)
 	opts := buildsys.Options{Mode: mode, HistoryPath: histPath, Workers: 1}
-	if mode == compiler.ModeStateful || mode == compiler.ModePredictive {
+	if mode == compiler.ModeStateful {
 		opts.StateDir = stateDir
 	}
 	b, err := buildsys.NewBuilder(opts)

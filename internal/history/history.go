@@ -102,9 +102,8 @@ type PassDecision struct {
 	// fingerprint differed — unsound skips (each engages a quarantine).
 	Audited int `json:"audited,omitempty"`
 	Unsound int `json:"unsound,omitempty"`
-	// Timing: pass execution time and estimated time skipping saved.
-	RunNS   int64 `json:"run_ns,omitempty"`
-	SavedNS int64 `json:"saved_ns,omitempty"`
+	// RunNS is the pass's execution time.
+	RunNS int64 `json:"run_ns,omitempty"`
 }
 
 // DecisionReason is the slot's dominant decision reason, in the core.Reason*

@@ -91,9 +91,6 @@ func WriteChrome(w io.Writer, spans []Span, counters map[string]int64) error {
 					args["hashes"] = sp.Hashes
 					args["hash_us"] = float64(sp.HashNS) / 1e3
 				}
-				if sp.SavedNS > 0 {
-					args["saved_us"] = float64(sp.SavedNS) / 1e3
-				}
 			}
 			ev.Args = args
 		}

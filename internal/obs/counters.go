@@ -14,14 +14,19 @@ import (
 // are the ones the stack emits and the docs/metrics schema guarantee.
 const (
 	// Pipeline counters (updated once per compiled unit by the driver).
-	CtrPassRuns         = "pass.runs"
-	CtrPassDormant      = "pass.dormant"
-	CtrPassSkipped      = "pass.skipped"
-	CtrPassMispredicted = "pass.mispredicted"
-	CtrPassRunNS        = "pass.run_ns"
-	CtrPassSavedNS      = "pass.saved_ns"
-	CtrHashes           = "fingerprint.hashes"
-	CtrHashNS           = "fingerprint.hash_ns"
+	CtrPassRuns    = "pass.runs"
+	CtrPassDormant = "pass.dormant"
+	CtrPassSkipped = "pass.skipped"
+	CtrPassRunNS   = "pass.run_ns"
+	CtrHashes      = "fingerprint.hashes"
+	CtrHashNS      = "fingerprint.hash_ns"
+
+	// Deprecated: the estimate of pass time skipping saved summed a pass-cost
+	// average each dormancy record used to carry. A record is now a
+	// fingerprint and a bit, and nothing registers this counter. It stays
+	// only because benchmark/trace.go still reads it (its passes.saved_ms
+	// row reads 0); the benchmark change that drops that row deletes it.
+	CtrPassSavedNS = "pass.saved_ns"
 
 	// Deprecated: the per-block fingerprint memo these counted was deleted
 	// in PR 25 and nothing registers them. They stay only because
@@ -257,9 +262,8 @@ func (r *Registry) Names() []string {
 // PassCounters are the pipeline driver's hot-path counters, pre-resolved
 // so the driver updates them without touching the registry.
 type PassCounters struct {
-	Runs, Dormant, Skipped, Mispredicted *Counter
-	RunNS, SavedNS                       *Counter
-	Hashes, HashNS                       *Counter
+	Runs, Dormant, Skipped, RunNS *Counter
+	Hashes, HashNS                *Counter
 	// Soundness-sentinel totals (audit.* counters).
 	Audited, Unsound *Counter
 	// Decision-provenance buckets (decision.* counters).
@@ -276,9 +280,7 @@ func (r *Registry) Pass() *PassCounters {
 		Runs:           r.Counter(CtrPassRuns),
 		Dormant:        r.Counter(CtrPassDormant),
 		Skipped:        r.Counter(CtrPassSkipped),
-		Mispredicted:   r.Counter(CtrPassMispredicted),
 		RunNS:          r.Counter(CtrPassRunNS),
-		SavedNS:        r.Counter(CtrPassSavedNS),
 		Hashes:         r.Counter(CtrHashes),
 		HashNS:         r.Counter(CtrHashNS),
 		Audited:        r.Counter(CtrAuditSampled),

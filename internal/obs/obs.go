@@ -61,10 +61,9 @@ type Span struct {
 	// Runs/Skipped/Dormant count pass executions within the span.
 	Runs, Skipped, Dormant int
 	// Hashes counts fingerprint computations attributed to the span;
-	// HashNS is their total time, SavedNS the estimated time skipping saved.
-	Hashes  int
-	HashNS  int64
-	SavedNS int64
+	// HashNS is their total time.
+	Hashes int
+	HashNS int64
 }
 
 // Tracer collects spans from concurrent workers. The zero value is not

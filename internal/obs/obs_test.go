@@ -108,7 +108,7 @@ func TestWriteChrome(t *testing.T) {
 		{Name: "build", Cat: CatBuild, TID: 0, Start: 0, Dur: 5e6},
 		{Name: "unit main.mc", Cat: CatUnit, Unit: "main.mc", TID: 1, Start: 1e5, Dur: 4e6},
 		{Name: "pass:gvn", Cat: CatPass, Unit: "main.mc", TID: 1, Start: 2e5, Dur: 1e6,
-			Slot: 8, Runs: 3, Skipped: 2, Dormant: 1, Hashes: 4, HashNS: 1e4, SavedNS: 5e4},
+			Slot: 8, Runs: 3, Skipped: 2, Dormant: 1, Hashes: 4, HashNS: 1e4},
 	}
 	counters := map[string]int64{CtrPassRuns: 3, CtrPassSkipped: 2}
 

@@ -41,7 +41,7 @@ func fuzzSeedStates() []*core.UnitState {
 			Unit:         "mod.mc",
 			PipelineHash: 0xDEADBEEF,
 			Funcs:        map[string]*core.FuncState{},
-			ModuleSlots:  []core.Record{{InputHash: 7, CostNS: 256}, {Changed: true}},
+			ModuleSlots:  []core.Record{{InputHash: 7}, {Changed: true}},
 			ModuleSeen:   []bool{true, true},
 		},
 		{
@@ -52,9 +52,9 @@ func fuzzSeedStates() []*core.UnitState {
 			Funcs: map[string]*core.FuncState{
 				"shared": {
 					Slots: []core.Record{
-						{InputHash: 0xAB, CostNS: 512},
-						{InputHash: 0xAB, CostNS: 512},
-						{InputHash: 0xCD, CostNS: 0},
+						{InputHash: 0xAB},
+						{InputHash: 0xAB},
+						{InputHash: 0xCD},
 					},
 					Seen: []bool{true, true, true},
 				},
@@ -110,7 +110,7 @@ func FuzzStateDecode(f *testing.F) {
 	// Adversarial headers: valid magic/version, then huge declared counts
 	// with no bytes behind them — the over-allocation shape — for the
 	// accepted version and for the ones on either side of it.
-	for _, v := range []uint32{3, 4, 5, state.FormatVersion, state.FormatVersion + 1} {
+	for _, v := range []uint32{3, 4, 5, 6, state.FormatVersion, state.FormatVersion + 1} {
 		hdr := []byte("SCCSTATE")
 		hdr = binary.LittleEndian.AppendUint32(hdr, v)
 		hdr = binary.LittleEndian.AppendUint64(hdr, 42)    // pipeline hash

@@ -7,8 +7,8 @@ package state_test
 // up as a diff against testdata/, and an intended change forces a
 // conscious FormatVersion bump plus `go test ./internal/state -update`.
 //
-// The pins are the current v6 layout, encoder and decoder. The frozen v3,
-// v4 and v5 files written by earlier encoders stay in testdata/ as
+// The pins are the current v7 layout, encoder and decoder. The frozen v3
+// to v6 files written by earlier encoders stay in testdata/ as
 // rejection fixtures: well-formed files of a layout the decoder no longer
 // reads (TestLoadRejectsVersionSkew, TestDecodeEveryPrefix).
 
@@ -35,29 +35,30 @@ var olderLayoutFiles = []string{
 	"unitstate_v3.golden",
 	"unitstate_v4.golden", "unitstate_v4_quarantined.golden",
 	"unitstate_v5.golden", "unitstate_v5_quarantined.golden",
+	"unitstate_v6.golden", "unitstate_v6_quarantined.golden", "unitstate_v6_footprint.golden",
 }
 
 // goldenState exercises every shape the format distinguishes: unseen
 // slots, seen-changed slots, seen-dormant slots sharing one hash-table
 // entry, a zero-slot function, and an empty-but-seen module block. All
-// values are normalized the way the encoder stores them (costs in 256ns
-// quanta) so the decoded state compares deeply equal.
+// values are normalized the way the encoder stores them (no hash on a
+// changed record) so the decoded state compares deeply equal.
 func goldenState() *core.UnitState {
 	return &core.UnitState{
 		Unit:         "golden.mc",
 		PipelineHash: 0x1122334455667788,
 		ModuleSlots: []core.Record{
-			{},                                   // unseen
-			{InputHash: 0xAABBCCDD, CostNS: 512}, // seen dormant
-			{Changed: true},                      // seen changed: no hash, no cost
-			{InputHash: 0xAABBCCDD, CostNS: 256}, // shares the hash-table entry
+			{},                      // unseen
+			{InputHash: 0xAABBCCDD}, // seen dormant
+			{Changed: true},         // seen changed: no hash
+			{InputHash: 0xAABBCCDD}, // shares the hash-table entry
 		},
 		ModuleSeen: []bool{false, true, true, true},
 		Funcs: map[string]*core.FuncState{
 			"helper": {
 				Slots: []core.Record{
-					{InputHash: 0x0102030405060708, CostNS: 0},                  // dormant, zero cost
-					{InputHash: 0x0102030405060708, CostNS: (1<<63 - 1) &^ 255}, // max quantized EWMA
+					{InputHash: 0x0102030405060708}, // dormant
+					{InputHash: 0},                  // dormant on hash zero, a legal value
 				},
 				Seen: []bool{true, true},
 			},
@@ -118,7 +119,7 @@ func checkGolden(t *testing.T, name string, st *core.UnitState,
 	}
 }
 
-// goldenFootprintState adds the v6 footprint block: every entry scope
+// goldenFootprintState adds the footprint block: every entry scope
 // (invalidating, advisory, link) in canonical order, plus the declared
 // hash recorded verbatim.
 func goldenFootprintState() *core.UnitState {
@@ -136,26 +137,26 @@ func goldenFootprintState() *core.UnitState {
 	return st
 }
 
-func TestGoldenFormatV6(t *testing.T) {
-	if state.FormatVersion != 6 {
+func TestGoldenFormatV7(t *testing.T) {
+	if state.FormatVersion != 7 {
 		t.Fatalf("FormatVersion is %d; regenerate the golden files for the new layout "+
 			"(go test ./internal/state -update) and rename them accordingly", state.FormatVersion)
 	}
-	checkGolden(t, "unitstate_v6.golden", goldenState(), state.Encode)
-	checkGolden(t, "unitstate_v6_quarantined.golden", goldenQuarantinedState(), state.Encode)
-	checkGolden(t, "unitstate_v6_footprint.golden", goldenFootprintState(), state.Encode)
+	checkGolden(t, "unitstate_v7.golden", goldenState(), state.Encode)
+	checkGolden(t, "unitstate_v7_quarantined.golden", goldenQuarantinedState(), state.Encode)
+	checkGolden(t, "unitstate_v7_footprint.golden", goldenFootprintState(), state.Encode)
 }
 
 // TestDecodeEveryPrefix feeds the decoder every strict prefix of the
-// golden v6 files. A truncated state file — the torn-write shape the atomic
+// golden v7 files. A truncated state file — the torn-write shape the atomic
 // saver is designed to prevent but a hostile filesystem can still produce —
 // must always be rejected, never misparsed into a partial state. The frozen
-// v5/v4/v3 files are walked too: every prefix of an older layout is an
+// v6 to v3 files are walked too: every prefix of an older layout is an
 // error, never a panic.
 func TestDecodeEveryPrefix(t *testing.T) {
 	for _, file := range append([]string{
-		"unitstate_v6.golden", "unitstate_v6_quarantined.golden",
-		"unitstate_v6_footprint.golden",
+		"unitstate_v7.golden", "unitstate_v7_quarantined.golden",
+		"unitstate_v7_footprint.golden",
 	}, olderLayoutFiles...) {
 		data, err := os.ReadFile(filepath.Join("testdata", file))
 		if err != nil {

@@ -5,7 +5,7 @@ package state_test
 // length. States are generated from a fixed seed over the shapes that have
 // bitten binary formats before: empty units, zero-slot functions, runs of
 // dormant slots sharing one hash (the distinct-hash table), hash zero,
-// zero and maximum quantized costs, and empty function names.
+// and empty function names.
 
 import (
 	"bytes"
@@ -18,9 +18,6 @@ import (
 	"statefulcc/internal/footprint"
 	"statefulcc/internal/state"
 )
-
-// maxQuantCost is the largest EWMA the 256ns-quantized encoding can carry.
-const maxQuantCost = (1<<63 - 1) &^ 255
 
 // randBlock generates one record block. Slots are independently unseen,
 // seen-changed, or seen-dormant; dormant slots draw from a small shared
@@ -35,20 +32,12 @@ func randBlock(r *rand.Rand, n int, pool []uint64) ([]core.Record, []bool) {
 		case 1: // seen, changed: flags only
 			seen[i] = true
 			slots[i].Changed = true
-		default: // seen, dormant: hash + quantized cost
+		default: // seen, dormant: hash
 			seen[i] = true
 			if r.Intn(3) == 0 {
 				slots[i].InputHash = r.Uint64()
 			} else {
 				slots[i].InputHash = pool[r.Intn(len(pool))]
-			}
-			switch r.Intn(4) {
-			case 0:
-				slots[i].CostNS = 0
-			case 1:
-				slots[i].CostNS = maxQuantCost
-			default:
-				slots[i].CostNS = int64(r.Intn(1<<20)) << 8
 			}
 		}
 	}
@@ -157,16 +146,15 @@ func TestRoundTripHandPickedEdges(t *testing.T) {
 			Funcs: map[string]*core.FuncState{
 				"f": {
 					Slots: []core.Record{
-						{InputHash: 9, CostNS: 256}, {InputHash: 9, CostNS: 256},
-						{InputHash: 9, CostNS: 256}, {InputHash: 9, CostNS: 256},
+						{InputHash: 9}, {InputHash: 9}, {InputHash: 9}, {InputHash: 9},
 					},
 					Seen: []bool{true, true, true, true},
 				},
 			},
 		},
-		"max cost EWMA": {
+		"hash zero": {
 			Unit:        "m.mc",
-			ModuleSlots: []core.Record{{InputHash: 1, CostNS: maxQuantCost}},
+			ModuleSlots: []core.Record{{InputHash: 0}},
 			ModuleSeen:  []bool{true},
 			Funcs:       map[string]*core.FuncState{},
 		},

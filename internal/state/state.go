@@ -20,8 +20,9 @@
 //     the dormant hashes are stored once in a small distinct-hash table and
 //     referenced by varint index.
 //
-// Costs are EWMA pass times quantized to 256ns units (they only feed
-// estimated-savings reporting).
+// A record is nothing else: a state file is a function of the source and
+// the pipeline alone, so a rebuild whose decisions did not change finds
+// its bytes already on disk.
 //
 //	magic "SCCSTATE" | u32 version | u64 pipelineHash | string unit
 //	quarantineBlock
@@ -36,9 +37,9 @@
 //	                (internal/footprint, self-versioned canonical codec) ]
 //
 //	recordBlock: uvarint nSlots | uvarint nHashes | nHashes × u64 |
-//	             nSlots × ( u8 flags [, uvarint hashIdx, uvarint cost256] )
+//	             nSlots × ( u8 flags [, uvarint hashIdx] )
 //
-// flags: bit0 = changed, bit1 = seen. hashIdx/cost follow only for seen
+// flags: bit0 = changed, bit1 = seen. hashIdx follows only for seen
 // dormant (changed=0) slots.
 //
 // The layout is zero-copy: the loader reads the whole file into one buffer
@@ -77,7 +78,7 @@ var magic = [8]byte{'S', 'C', 'C', 'S', 'T', 'A', 'T', 'E'}
 
 // FormatVersion is the on-disk layout version the encoder writes and the
 // only one the decoder accepts.
-const FormatVersion = 6
+const FormatVersion = 7
 
 // TempPattern is the glob the atomic writer's in-flight temp files match.
 // A crash between temp creation and rename orphans one; owners of a state
@@ -297,7 +298,7 @@ func (e *encoder) quarantineBlock(q *core.Quarantine) {
 }
 
 // recordBlock writes slot records with the distinct-hash table compression.
-// Only seen dormant records carry a hash and cost.
+// Only seen dormant records carry a hash.
 func (e *encoder) recordBlock(slots []core.Record, seen []bool) {
 	e.uv(uint64(len(slots)))
 	var hashes []uint64
@@ -326,7 +327,6 @@ func (e *encoder) recordBlock(slots []core.Record, seen []bool) {
 		e.bytes([]byte{flags})
 		if seen[i] && !r.Changed {
 			e.uv(uint64(idx[r.InputHash]))
-			e.uv(uint64(r.CostNS) >> 8)
 		}
 	}
 }
@@ -556,10 +556,6 @@ func (d *bdec) recordBlock() ([]core.Record, []bool) {
 				return nil, nil
 			}
 			r.InputHash = hashes[hi]
-			r.CostNS = int64(d.uv()) << 8
-			if d.err != nil {
-				return nil, nil
-			}
 		}
 		slots = append(slots, r)
 		seen = append(seen, sn)

@@ -25,7 +25,7 @@ var historyCounters = []string{
 	"decision.policy_disabled", "decision.quarantined", "decision.skipped_dormant",
 	"fingerprint.hash_ns", "fingerprint.hashes", "footprint.checked", "footprint.missed",
 	"footprint.redundant", "fullcache.hits", "fullcache.misses", "history.io_error", "pass.dormant",
-	"pass.mispredicted", "pass.run_ns", "pass.runs", "pass.saved_ns", "pass.skipped",
+	"pass.run_ns", "pass.runs", "pass.skipped",
 	"quarantine.engaged", "quarantine.lifted", "stage.codegen_ns", "stage.frontend_ns",
 	"stage.passes_ns", "state.io_error", "state.load_misses", "state.loads",
 	"state.save_unchanged", "state.saves", "worker.busy_ns",
@@ -113,7 +113,7 @@ func historyRecord(seq, shape int) *history.Record {
 			pd := history.PassDecision{
 				Slot: slot, Module: pass == "inline" || pass == "globalopt" || pass == "deadfunc",
 				Runs: 3 + slot%3, Skipped: slot % 4, NotDormant: 3 + slot%3,
-				RunNS: 10000*k + n, SavedNS: 1400 * int64(slot%4),
+				RunNS: 10000*k + n,
 			}
 			if shape < 3 {
 				pd.Pass, pd.Reason = pass, pd.DecisionReason()

@@ -1,11 +1,12 @@
 package workload_test
 
 // Differential mode-equivalence suite (the PR's headline correctness
-// asset): for every standard-suite profile, the four compilation policies
-// must produce byte-identical bytecode — not just identical behaviour —
-// across a cold build plus three incremental edits. The stateless build is
-// the oracle; stateful, predictive, and fullcache are the candidates whose
-// skipping/caching must be invisible in the final program.
+// asset): for every standard-suite profile, the compilation policies must
+// produce byte-identical bytecode — not just identical behaviour — across a
+// cold build plus three incremental edits. The stateless build is the
+// oracle; stateful, stateful with the soundness sentinel auditing every
+// skip, and fullcache are the candidates whose skipping/caching must be
+// invisible in the final program.
 
 import (
 	"testing"
@@ -13,15 +14,16 @@ import (
 	"statefulcc/internal/buildsys"
 	"statefulcc/internal/codegen"
 	"statefulcc/internal/compiler"
+	"statefulcc/internal/obs"
 	"statefulcc/internal/project"
 	"statefulcc/internal/workload"
 )
 
-// modeEquivModes are the candidate policies compared against stateless.
-var modeEquivModes = map[string]compiler.Mode{
-	"stateful":   compiler.ModeStateful,
-	"predictive": compiler.ModePredictive,
-	"fullcache":  compiler.ModeFullCache,
+// modeEquivCandidates are the candidate builders compared against stateless.
+var modeEquivCandidates = map[string]buildsys.Options{
+	"stateful":       {Mode: compiler.ModeStateful},
+	"stateful+audit": {Mode: compiler.ModeStateful, AuditRate: 1},
+	"fullcache":      {Mode: compiler.ModeFullCache},
 }
 
 func TestModeEquivalenceSuite(t *testing.T) {
@@ -42,8 +44,8 @@ func TestModeEquivalenceSuite(t *testing.T) {
 				t.Fatal(err)
 			}
 			candidates := map[string]*buildsys.Builder{}
-			for name, mode := range modeEquivModes {
-				b, err := buildsys.NewBuilder(buildsys.Options{Mode: mode})
+			for name, opts := range modeEquivCandidates {
+				b, err := buildsys.NewBuilder(opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -65,6 +67,9 @@ func TestModeEquivalenceSuite(t *testing.T) {
 					if got != want {
 						t.Errorf("build %d: %s bytecode diverges from stateless (%d vs %d bytes of disassembly)",
 							i, name, len(got), len(want))
+					}
+					if n := rep.Metrics[obs.CtrAuditUnsound]; n != 0 {
+						t.Errorf("build %d: %s: %d unsound skips", i, name, n)
 					}
 				}
 			}

@@ -42,9 +42,6 @@ const (
 	// Stateful is the paper's contribution: fingerprint-guarded
 	// dormant-pass skipping.
 	Stateful = compiler.ModeStateful
-	// Predictive skips on dormancy records without the fingerprint guard
-	// (ablation; unsound without verification).
-	Predictive = compiler.ModePredictive
 	// FullCache is a rustc/Zapcc-style whole-function IR cache comparator.
 	FullCache = compiler.ModeFullCache
 )

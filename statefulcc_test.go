@@ -103,10 +103,9 @@ func TestPublicPipelines(t *testing.T) {
 
 func TestPublicModeNames(t *testing.T) {
 	names := map[statefulcc.Mode]string{
-		statefulcc.Stateless:  "stateless",
-		statefulcc.Stateful:   "stateful",
-		statefulcc.Predictive: "predictive",
-		statefulcc.FullCache:  "fullcache",
+		statefulcc.Stateless: "stateless",
+		statefulcc.Stateful:  "stateful",
+		statefulcc.FullCache: "fullcache",
 	}
 	for mode, want := range names {
 		if got := mode.String(); got != want {
