@@ -40,7 +40,6 @@ import (
 	"statefulcc/internal/obs"
 	"statefulcc/internal/passes"
 	"statefulcc/internal/project"
-	"statefulcc/internal/state"
 	"statefulcc/internal/vfs"
 )
 
@@ -263,7 +262,7 @@ type builderCounters struct {
 	frontendNS, passesNS, codegenNS         *obs.Counter
 	cacheHits, cacheMisses                  *obs.Counter
 	stateLoads, stateLoadMisses, stateSaves *obs.Counter
-	stateSaveUnchanged                      *obs.Counter
+	stateSaveUnchanged, stateBytesWritten   *obs.Counter
 	stateIOErrors, historyIOErrors          *obs.Counter
 	workerBusyNS                            *obs.Counter
 	panics, cancelled                       *obs.Counter
@@ -311,6 +310,7 @@ func NewBuilder(opts Options) (*Builder, error) {
 			stateLoadMisses:    reg.Counter(obs.CtrStateLoadMisses),
 			stateSaves:         reg.Counter(obs.CtrStateSaves),
 			stateSaveUnchanged: reg.Counter(obs.CtrStateSaveUnchanged),
+			stateBytesWritten:  reg.Counter(obs.CtrStateBytesWritten),
 			stateIOErrors:      reg.Counter(obs.CtrStateIOErrors),
 			historyIOErrors:    reg.Counter(obs.CtrHistoryIOErrors),
 			workerBusyNS:       reg.Counter(obs.CtrWorkerBusyNS),
@@ -517,10 +517,7 @@ func (b *Builder) BuildContext(ctx context.Context, snap project.Snapshot) (*Rep
 			// longer describes it.
 			e.fp = nil
 			if out.casState != nil {
-				e.state = out.casState
-				if n, err := state.FileSize(out.casState); err == nil {
-					e.stateBytes = n
-				}
+				e.state, e.stateBytes = out.casState, out.stateBytes
 			}
 			rep.Units[name] = UnitReport{Remote: true}
 			rep.UnitsCached++
@@ -542,16 +539,10 @@ func (b *Builder) BuildContext(ctx context.Context, snap project.Snapshot) (*Rep
 			// Quarantine lifted with nothing to carry over: cold restart.
 			e.state, e.stateBytes = nil, 0
 		case out.qstate != nil:
-			e.state = out.qstate
-			if n, err := state.FileSize(out.qstate); err == nil {
-				e.stateBytes = n
-			}
+			e.state, e.stateBytes = out.qstate, out.stateBytes
 		default:
 			if st := out.res.State; st != nil {
-				e.state = st
-				if n, err := state.FileSize(st); err == nil {
-					e.stateBytes = n
-				}
+				e.state, e.stateBytes = st, out.stateBytes
 			}
 		}
 		b.hist.unitCompile.Observe(out.res.TotalNS)

@@ -21,7 +21,6 @@ package buildsys
 // the same unit N times across the fleet.
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -192,7 +191,7 @@ func (b *Builder) casFetch(ctx context.Context, j compileJob) (*outcome, *heldLe
 			out.casState = st
 			// Persist the adopted state locally so the next process of this
 			// client warms up without the network.
-			b.saveUnitState(j.name, st)
+			out.stateBytes = len(b.saveUnitState(j.name, st))
 		}
 	}
 	return out, nil
@@ -278,11 +277,12 @@ func (b *Builder) casFetchState(j compileJob) *core.UnitState {
 }
 
 // casPublish shares a completed honest compile: the object blob always,
-// the dormancy state when the stateful modes produced a clean one. The
+// the dormancy state (enc, the encoding its local save made) when the
+// stateful modes produced a clean one. The
 // object's ActionPut is what completes a held coalescing lease (waiters
 // wake with the result); every failure path abandons the lease instead so
 // waiters compile locally rather than waiting out the grace.
-func (b *Builder) casPublish(j compileJob, res *compiler.UnitResult, lease *heldLease) {
+func (b *Builder) casPublish(j compileJob, res *compiler.UnitResult, enc []byte, lease *heldLease) {
 	cc := b.cas
 	if res.Object == nil {
 		lease.abandon()
@@ -312,12 +312,8 @@ func (b *Builder) casPublish(j compileJob, res *compiler.UnitResult, lease *held
 	if !b.statefulMode() || res.State == nil || res.State.Quarantine != nil {
 		return
 	}
-	var buf bytes.Buffer
-	if err := state.Encode(&buf, res.State); err != nil {
-		return
-	}
 	saction := b.stateAction(j.name, j.src)
-	sblob := cas.EncodeBlob(cas.KindState, saction, j.name, buf.Bytes())
+	sblob := cas.EncodeBlob(cas.KindState, saction, j.name, enc)
 	skey := cas.Sum(sblob)
 	if err := cc.store.Put(skey, sblob); err != nil {
 		if !errors.Is(err, cas.ErrQuota) && !errors.Is(err, cas.ErrUnavailable) {

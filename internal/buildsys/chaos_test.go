@@ -252,7 +252,7 @@ func TestChaosBuildRebuild(t *testing.T) {
 	}
 	cov := chaostest.OpsCovered(points)
 	for _, op := range []vfs.Op{vfs.OpMkdirAll, vfs.OpReadDir, vfs.OpOpen, vfs.OpOpenFile,
-		vfs.OpCreateTemp, vfs.OpRead, vfs.OpWrite, vfs.OpSync, vfs.OpClose, vfs.OpRename, vfs.OpRemove} {
+		vfs.OpCreateTemp, vfs.OpRead, vfs.OpWrite, vfs.OpClose, vfs.OpRename, vfs.OpRemove} {
 		if cov[op] == 0 {
 			t.Fatalf("sequence never performs %s; the walk is not covering the I/O surface (%v)", op, cov)
 		}
@@ -286,6 +286,89 @@ func TestChaosBuildRebuild(t *testing.T) {
 				}
 
 				// Invariant: the fault clears, state heals, skips recover.
+				assertRecovered(t, dir, bases[1], wantSkips)
+			})
+		}
+	}
+}
+
+// TestChaosPowerLoss is the power-loss walk over the same sequence. State
+// saves do not fsync, so at every rename that publishes a state file the
+// walk lets the rename land and loses the data — the file is zeroed, cut
+// short or has a byte flipped (vfs.FaultLost) — and the process dies there
+// (every later call fails). The builds up to and after the loss still link
+// the stateless oracle's programs. The next process, a fresh builder over
+// the healthy disk, finds the damaged file: the unit runs cold (no skip,
+// every run a cold decision), the load is counted in state.io_error and
+// warned about, the program is still the oracle's, and the file is
+// rewritten — after which the directory recovers the full skip rate.
+func TestChaosPowerLoss(t *testing.T) {
+	bases := chaosBaselines(t)
+	wantSkips := controlSkips(t)
+
+	recDir := t.TempDir()
+	rec := vfs.NewFaultFS(vfs.OS, chaosCanon(recDir))
+	chaosSequence(t, rec, recDir, 1)
+	var renames []vfs.Call
+	for _, p := range chaostest.Points(rec.Calls()) {
+		if p.Op == vfs.OpRename && strings.HasSuffix(p.Path, ".state") {
+			renames = append(renames, p)
+		}
+	}
+	// build A saves both units, rebuild B lib.mc, fresh-builder build C both.
+	if len(renames) != 5 {
+		t.Fatalf("recorded %d state renames, want 5: %v", len(renames), renames)
+	}
+	reboot := chaosWideSnap()
+	unitOf := map[string]string{} // state file name → unit
+	for _, u := range reboot.Units() {
+		unitOf[filepath.Base(buildsys.StatePath(recDir, u))] = u
+	}
+
+	for _, p := range renames {
+		for _, d := range chaostest.Damages {
+			p, d := p, d
+			t.Run(chaostest.LostName(p, d), func(t *testing.T) {
+				t.Parallel()
+				dir := t.TempDir()
+				ffs := vfs.NewFaultFS(vfs.OS, chaosCanon(dir), vfs.WithRules(chaostest.LostRule(p, d, 16)))
+				dis := chaosSequence(t, ffs, dir, 1)
+				chaostest.AssertFired(t, ffs, p)
+				for i, st := range chaosSteps {
+					if dis[i] != bases[i] {
+						t.Errorf("%s output differs from the stateless baseline", st.name)
+					}
+				}
+
+				unit := unitOf[p.Path]
+				rep := mustBuild(t, chaosBuilder(t, nil, dir, 1), reboot)
+				if codegen.DisassembleProgram(rep.Program) != bases[len(bases)-1] {
+					t.Error("the build after the power loss differs from the stateless baseline")
+				}
+				if got := rep.Metrics[obs.CtrStateIOErrors]; got != 1 {
+					t.Errorf("%s = %d after one damaged file, want 1 (warnings %v)", obs.CtrStateIOErrors, got, rep.Warnings)
+				}
+				if len(rep.Warnings) != 1 || !strings.Contains(rep.Warnings[0], "state: load "+p.Path) ||
+					!strings.Contains(rep.Warnings[0], "running cold") {
+					t.Errorf("warnings %q, want one that %s ran cold", rep.Warnings, p.Path)
+				}
+				ur := rep.Units[unit]
+				if !ur.Compiled || len(ur.Slots) == 0 {
+					t.Fatalf("unit %s was not compiled after the power loss: %+v", unit, ur)
+				}
+				for _, s := range ur.Slots {
+					if s.Skipped != 0 || s.Cold != s.Runs {
+						t.Fatalf("unit %s slot %s: %d skipped, %d of %d runs cold; want a cold unit",
+							unit, s.Pass, s.Skipped, s.Cold, s.Runs)
+					}
+				}
+				raw, err := os.ReadFile(filepath.Join(dir, p.Path))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := state.DecodeBytes(raw); err != nil {
+					t.Errorf("the damaged file was not rewritten: %v", err)
+				}
 				assertRecovered(t, dir, bases[1], wantSkips)
 			})
 		}

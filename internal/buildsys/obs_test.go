@@ -40,6 +40,9 @@ var schedulingInvariant = []string{
 	obs.CtrSourceBytesHashed,
 	obs.CtrStateLoads,
 	obs.CtrStateLoadMisses,
+	obs.CtrStateSaves,
+	obs.CtrStateSaveUnchanged,
+	obs.CtrStateBytesWritten,
 	obs.CtrDecSkippedDormant,
 	obs.CtrDecCold,
 	obs.CtrDecNotDormant,
@@ -84,21 +87,13 @@ func TestObsCountersSchedulingInvariant(t *testing.T) {
 					workers, name, got[name], ref[name])
 			}
 		}
-		// Save attempts are invariant; how they split into written and
-		// unchanged depends on the encoded bytes, which carry quantized
-		// pass timings.
-		if g, r := stateSaveAttempts(got), stateSaveAttempts(ref); g != r {
-			t.Errorf("workers=%d: state save attempts = %d, want %d (workers=1)", workers, g, r)
-		}
 	}
 	if ref[obs.CtrPassSkipped] == 0 {
 		t.Error("history produced no skipped passes; invariance check is vacuous")
 	}
-}
-
-// stateSaveAttempts is the number of state saves that did not fail.
-func stateSaveAttempts(m map[string]int64) int64 {
-	return m[obs.CtrStateSaves] + m[obs.CtrStateSaveUnchanged]
+	if ref[obs.CtrStateBytesWritten] == 0 {
+		t.Error("history wrote no state bytes; invariance check is vacuous")
+	}
 }
 
 // TestObsSpansAgreeWithRegistry: the per-span pass accounting must sum to

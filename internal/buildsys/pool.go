@@ -65,6 +65,9 @@ type outcome struct {
 	remote   bool
 	casObj   *codegen.Object
 	casState *core.UnitState
+	// stateBytes is the encoded size of the state the unit keeps (casState,
+	// qstate or res.State), measured by the one encoding its save made.
+	stateBytes int
 }
 
 // compileJob carries everything a worker needs, precomputed so workers
@@ -314,15 +317,16 @@ func (b *Builder) compileOne(ctx context.Context, w int, j compileJob) (out outc
 		return outcome{err: err}
 	}
 	fp := b.finishTrace(tr, j, res)
+	var enc []byte
 	if res.State != nil {
 		b.settleQuarantine(res)
 		res.State.Footprint = fp
-		b.saveUnitState(j.name, res.State)
+		enc = b.saveUnitState(j.name, res.State)
 	}
 	if b.cas != nil {
-		b.casPublish(j, res, lease)
+		b.casPublish(j, res, enc, lease)
 	}
-	return outcome{res: res, fp: fp}
+	return outcome{res: res, fp: fp, stateBytes: len(enc)}
 }
 
 // finishTrace folds the compiled object's link-scope dependencies into the
@@ -374,8 +378,8 @@ func (b *Builder) compileQuarantined(ctx context.Context, w int, tr *footprint.T
 		return outcome{res: res, qclear: true, fp: fp}
 	}
 	marker.Footprint = fp
-	b.saveUnitState(j.name, marker)
-	return outcome{res: res, qstate: marker, fp: fp}
+	enc := b.saveUnitState(j.name, marker)
+	return outcome{res: res, qstate: marker, fp: fp, stateBytes: len(enc)}
 }
 
 // compileAfterPanic isolates a pass panic: count it, quarantine the unit's
@@ -387,11 +391,12 @@ func (b *Builder) compileAfterPanic(ctx context.Context, w int, tr *footprint.Tr
 	b.warnf("panic: unit %s: pass panicked: %s (unit quarantined, compiled stateless)", j.name, msg)
 
 	var marker *core.UnitState
+	var enc []byte
 	if b.statefulMode() {
 		marker = core.NewUnitState(j.name, b.opts.Pipeline)
 		marker.Quarantine = &core.Quarantine{Reason: core.QuarantinePanic}
 		b.ctr.quarantineEngaged.Inc()
-		b.saveUnitState(j.name, marker)
+		enc = b.saveUnitState(j.name, marker)
 	}
 
 	fc, ferr := b.fallback(w)
@@ -410,7 +415,7 @@ func (b *Builder) compileAfterPanic(ctx context.Context, w int, tr *footprint.Tr
 	if err != nil {
 		return outcome{err: err}
 	}
-	return outcome{res: res, panicked: true, qstate: marker, fp: b.finishTrace(tr, j, res)}
+	return outcome{res: res, panicked: true, qstate: marker, fp: b.finishTrace(tr, j, res), stateBytes: len(enc)}
 }
 
 // settleQuarantine advances a compiled unit's per-pass quarantine: a build

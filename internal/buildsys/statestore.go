@@ -3,14 +3,18 @@ package buildsys
 // Persistent per-unit dormancy state. Each unit's records live in their
 // own file under Options.StateDir, named from a sanitized unit name plus a
 // hash of the full name (unit names contain path separators and may
-// collide after sanitizing). The state is a pure optimization: loads that
-// fail for any reason — missing file, truncation, corruption, version
-// mismatch, injected I/O fault — yield a cold start, and save failures
-// are reported as warnings and state.io_error counts rather than failing
-// the build (internal/state writes atomically through the vfs seam, so a
-// crashed or failed save never leaves a half-written file to confuse the
-// next run). The chaos suite (chaos_test.go) walks every fault point on
-// these paths and proves the degradation is graceful.
+// collide after sanitizing). The state is a pure optimization, so a state
+// file only has to be valid or detectably invalid: loads that fail for any
+// reason — missing file, truncation, corruption, checksum or version
+// mismatch, injected I/O fault — yield a cold start, and save failures are
+// reported as warnings and state.io_error counts rather than failing the
+// build. internal/state publishes a file by renaming a complete temp file
+// over it, without an fsync: a crashed or failed save leaves the old file,
+// and a power loss that lands the rename but not the data leaves a file
+// whose checksum fails, which the next load turns into a cold unit. The
+// chaos suite (chaos_test.go) walks every fault point on these paths, the
+// power loss after every state rename included, and proves the
+// degradation is graceful.
 
 import (
 	"errors"
@@ -89,27 +93,33 @@ func (b *Builder) loadUnitState(fsys vfs.FS, unit string) *core.UnitState {
 	return st
 }
 
-// saveUnitState persists a unit's state; failures degrade to a warning and
-// a state.io_error count (state is advisory, and the atomic writer never
-// leaves partial files). A save whose bytes are already on disk writes
-// nothing and counts as state.save_unchanged instead of state.saves. It
-// goes through b.fs, never a unit's footprint-recording wrapper: the
-// compare-read is the builder's bookkeeping, not a dependency of the unit.
-func (b *Builder) saveUnitState(unit string, st *core.UnitState) {
+// saveUnitState encodes a unit's state once, persists it when there is a
+// state directory, and returns the encoding: its length is the unit's share
+// of Report.StateBytes, with or without a directory. Failures degrade to a
+// warning and a state.io_error count (state is advisory, and a file a save
+// left damaged fails its next load). A save whose bytes are already on disk
+// writes nothing and counts as state.save_unchanged instead of state.saves;
+// one that writes adds its bytes to state.bytes_written. It goes through
+// b.fs, never a unit's footprint-recording wrapper: the compare-read is the
+// builder's bookkeeping, not a dependency of the unit.
+func (b *Builder) saveUnitState(unit string, st *core.UnitState) []byte {
+	enc := state.Marshal(st)
 	path := b.statePath(unit)
 	if path == "" {
-		return
+		return enc
 	}
-	wrote, err := state.SaveChangedFS(b.fs, path, st)
+	wrote, err := state.WriteChangedFS(b.fs, path, enc)
 	switch {
 	case err != nil:
 		b.ctr.stateIOErrors.Inc()
 		b.warnf("state: save %s: %v (state not persisted)", filepath.Base(path), err)
 	case wrote:
 		b.ctr.stateSaves.Inc()
+		b.ctr.stateBytesWritten.Add(int64(len(enc)))
 	default:
 		b.ctr.stateSaveUnchanged.Inc()
 	}
+	return enc
 }
 
 // sweepStateTemp removes orphaned atomic-write temp files (state and

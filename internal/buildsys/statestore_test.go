@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"statefulcc/internal/buildsys"
+	"statefulcc/internal/cas"
 	"statefulcc/internal/codegen"
 	"statefulcc/internal/compiler"
 	"statefulcc/internal/footprint"
@@ -52,8 +53,8 @@ func withNewFunc(snap project.Snapshot, tag string, units ...string) project.Sna
 }
 
 // stateWrites tallies the atomic writer's steps on state files in a
-// recorded call log: temp files created, fsyncs, and renames, plus the
-// renamed-over file names.
+// recorded call log: temp files created, fsyncs (a state save issues
+// none), and renames, plus the renamed-over file names.
 func stateWrites(calls []vfs.Call) (created, synced int, renamed []string) {
 	for _, c := range calls {
 		switch {
@@ -135,6 +136,9 @@ func TestStateWrittenOnlyWhenChanged(t *testing.T) {
 		t.Fatalf("no-edit build: %s = %d, %s = %d; want 0 and %d",
 			obs.CtrStateSaves, saves, obs.CtrStateSaveUnchanged, same, n)
 	}
+	if got := rep.Metrics[obs.CtrStateBytesWritten]; got != 0 {
+		t.Fatalf("no-edit build: %s = %d, want 0", obs.CtrStateBytesWritten, got)
+	}
 
 	// A k-unit edit, new process: exactly the edited units' files.
 	edited := []string{units[1], units[n-2]}
@@ -144,14 +148,17 @@ func TestStateWrittenOnlyWhenChanged(t *testing.T) {
 	c, s, renamed := stateWrites(rec.Calls())
 	want := []string{paths[edited[0]], paths[edited[1]]}
 	sort.Strings(want)
-	if c != k || s != k || strings.Join(renamed, " ") != strings.Join(want, " ") {
-		t.Fatalf("%d-unit edit: %d temp files, %d syncs, renames %v; want %d, %d, %v", k, c, s, renamed, k, k, want)
+	if c != k || s != 0 || strings.Join(renamed, " ") != strings.Join(want, " ") {
+		t.Fatalf("%d-unit edit: %d temp files, %d syncs, renames %v; want %d, 0, %v", k, c, s, renamed, k, want)
 	}
 	if saves, same := rep.Metrics[obs.CtrStateSaves], rep.Metrics[obs.CtrStateSaveUnchanged]; saves != int64(k) || same != int64(n-k) {
 		t.Fatalf("%d-unit edit: %s = %d, %s = %d; want %d and %d",
 			k, obs.CtrStateSaves, saves, obs.CtrStateSaveUnchanged, same, k, n-k)
 	}
 	_, after := stateFiles(t, dir)
+	if got, want := rep.Metrics[obs.CtrStateBytesWritten], int64(len(after[edited[0]])+len(after[edited[1]])); got != want {
+		t.Fatalf("%d-unit edit: %s = %d, want the %d bytes of the two rewritten files", k, obs.CtrStateBytesWritten, got, want)
+	}
 	for _, u := range units {
 		changed := !bytes.Equal(before[u], after[u])
 		if isEdited := u == edited[0] || u == edited[1]; changed != isEdited {
@@ -246,4 +253,65 @@ func TestSaveCompareStaysOutOfFootprint(t *testing.T) {
 			t.Fatalf("unit %s: file entries %v; want one read of %s as loaded", u, got, paths[u])
 		}
 	}
+}
+
+// TestReportStateBytesAreTheFiles: Report.StateBytes is the sum of the
+// state files' sizes after a build — the length of the one encoding each
+// save made, carried from the worker — through a cold build, an edit, a
+// fresh builder over the warm directory (whose saves are elided) and a
+// remote adoption from a shared cache. Without a state directory the
+// report says the same.
+func TestReportStateBytesAreTheFiles(t *testing.T) {
+	base := workload.Generate(obsProfile())
+	units := base.Units()
+	edit := withNewFunc(base, "a", units[0], units[4])
+	onDisk := func(dir string) int {
+		_, raw := stateFiles(t, dir)
+		n := 0
+		for _, data := range raw {
+			n += len(data)
+		}
+		return n
+	}
+
+	dir := t.TempDir()
+	b := freshStateful(t, nil, dir, false)
+	noDir := freshStateful(t, nil, "", false)
+	for i, snap := range []project.Snapshot{base, edit} {
+		rep := mustBuild(t, b, snap)
+		if want := onDisk(dir); rep.StateBytes != want || want == 0 {
+			t.Fatalf("build %d: StateBytes = %d, state files hold %d bytes", i, rep.StateBytes, want)
+		}
+		if got := mustBuild(t, noDir, snap).StateBytes; got != rep.StateBytes {
+			t.Fatalf("build %d without a state directory: StateBytes = %d, want %d", i, got, rep.StateBytes)
+		}
+	}
+	rep := mustBuild(t, freshStateful(t, nil, dir, false), edit)
+	if want := onDisk(dir); rep.StateBytes != want || rep.Metrics[obs.CtrStateSaves] != 0 {
+		t.Fatalf("fresh builder: StateBytes = %d with %d saves, state files hold %d bytes",
+			rep.StateBytes, rep.Metrics[obs.CtrStateSaves], want)
+	}
+
+	store := cas.NewMemCAS(0)
+	mustBuild(t, casStateful(t, store, t.TempDir()), edit)
+	remoteDir := t.TempDir()
+	rep = mustBuild(t, casStateful(t, store, remoteDir), edit)
+	if rep.UnitsRemote != len(units) {
+		t.Fatalf("%d of %d units adopted from the shared cache", rep.UnitsRemote, len(units))
+	}
+	if want := onDisk(remoteDir); rep.StateBytes != want || want == 0 {
+		t.Fatalf("adopted states: StateBytes = %d, state files hold %d bytes", rep.StateBytes, want)
+	}
+}
+
+// casStateful is a stateful builder over dir sharing store.
+func casStateful(t *testing.T, store cas.Store, dir string) *buildsys.Builder {
+	t.Helper()
+	b, err := buildsys.NewBuilder(buildsys.Options{
+		Mode: compiler.ModeStateful, StateDir: dir, Workers: 4, CAS: store,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

@@ -95,14 +95,18 @@ const (
 	CtrFootprintRedundant = "footprint.redundant"
 
 	// Persistent-state counters (updated concurrently by workers).
-	// state.saves counts state files actually written (temp+fsync+rename);
-	// state.save_unchanged counts saves elided because the bytes on disk
-	// already equalled the new encoding. Their sum is the save attempts
-	// that did not fail (those are state.io_error).
+	// state.saves counts state files actually written (temp + write +
+	// rename, no fsync: a file a power loss damaged fails its checksum and
+	// its unit runs cold); state.save_unchanged counts saves elided because
+	// the bytes on disk already equalled the new encoding. Their sum is the
+	// save attempts that did not fail (those are state.io_error).
+	// state.bytes_written sums the bytes of the files the saves renamed
+	// into place.
 	CtrStateLoads         = "state.loads"
 	CtrStateLoadMisses    = "state.load_misses"
 	CtrStateSaves         = "state.saves"
 	CtrStateSaveUnchanged = "state.save_unchanged"
+	CtrStateBytesWritten  = "state.bytes_written"
 
 	// Degradation counters: state/history I/O failures the build absorbed
 	// (cold start, dropped save, dropped flight-recorder record) instead

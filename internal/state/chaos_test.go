@@ -9,6 +9,11 @@ package state_test
 // they already were, and the loader either returns one of the two valid
 // states or an error the callers treat as a cold start. The fault
 // points come from recording a clean run, not from a hand-kept list.
+//
+// A save does not fsync, so a power loss can land its rename without its
+// data: the power-loss walk damages the renamed file every way that can
+// happen and proves the load rejects it (a cold unit) and the next save
+// rewrites it.
 
 import (
 	"bytes"
@@ -63,36 +68,24 @@ func main() int { return helper(4); }`)
 	return stOld, stNew, a.Bytes(), b.Bytes()
 }
 
-// TestSaveSyncsBeforeRename pins the power-loss fix: the atomic writer
-// must fsync the temp file before renaming it over the state file.
-func TestSaveSyncsBeforeRename(t *testing.T) {
+// TestSaveNeverSyncs pins the durability contract: a state file only has
+// to be valid or detectably invalid, so a save issues no fsync, and the
+// rename that publishes the file is its last call.
+func TestSaveNeverSyncs(t *testing.T) {
 	st := buildStateFrom(t, `func main() int { return 7; }`)
 	dir := t.TempDir()
 	ffs := vfs.NewFaultFS(vfs.OS, vfs.WithCanon(chaostest.Canon(dir, state.TempPattern)))
 	if err := state.SaveFS(ffs, filepath.Join(dir, "unit.state"), st); err != nil {
 		t.Fatal(err)
 	}
-	syncAt, renameAt := -1, -1
-	for i, c := range ffs.Calls() {
-		switch c.Op {
-		case vfs.OpSync:
-			if syncAt < 0 {
-				syncAt = i
-			}
-		case vfs.OpRename:
-			if renameAt < 0 {
-				renameAt = i
-			}
+	calls := ffs.Calls()
+	for _, c := range calls {
+		if c.Op == vfs.OpSync {
+			t.Fatalf("save issued %v; a state save never syncs", c)
 		}
 	}
-	if syncAt < 0 {
-		t.Fatal("Save never syncs the temp file: a power loss can publish an empty state file")
-	}
-	if renameAt < 0 {
-		t.Fatal("Save never renamed (atomic publish missing)")
-	}
-	if syncAt > renameAt {
-		t.Fatalf("Sync (call %d) happens after Rename (call %d); must be before", syncAt, renameAt)
+	if last := calls[len(calls)-1]; last != (vfs.Call{Op: vfs.OpRename, Path: "unit.state", N: 1}) {
+		t.Fatalf("save's last call is %v, want the rename over unit.state: %v", last, calls)
 	}
 }
 
@@ -147,12 +140,14 @@ func TestChaosSaveLoad(t *testing.T) {
 		t.Fatalf("clean run: want a write then an elision, got wrote=%v/%v err=%v/%v",
 			clean[0].wrote, clean[1].wrote, clean[0].err, clean[1].err)
 	}
+	// 17 points: the compares' 3 opens, 6 reads and 3 closes, then
+	// mkdirall, createtemp, write, close and rename of the one write.
 	points := chaostest.Points(rec.Calls())
-	if len(points) < 14 {
+	if len(points) < 17 {
 		t.Fatalf("recorded only %d fault points; the seam has shrunk: %v", len(points), points)
 	}
 	cov := chaostest.OpsCovered(points)
-	for _, op := range []vfs.Op{vfs.OpCreateTemp, vfs.OpWrite, vfs.OpSync, vfs.OpClose, vfs.OpRename, vfs.OpOpen, vfs.OpRead} {
+	for _, op := range []vfs.Op{vfs.OpCreateTemp, vfs.OpWrite, vfs.OpClose, vfs.OpRename, vfs.OpOpen, vfs.OpRead} {
 		if cov[op] == 0 {
 			t.Fatalf("workload never performs %s; recording is not covering the save/load path (%v)", op, cov)
 		}
@@ -226,6 +221,63 @@ func TestChaosSaveLoad(t *testing.T) {
 				raw, err := os.ReadFile(path)
 				if err != nil || !bytes.Equal(raw, encNew) {
 					t.Fatalf("recovery save did not publish the new state: %v", err)
+				}
+			})
+		}
+	}
+}
+
+// TestChaosPowerLoss is the power-loss walk: the rename of a save lands
+// but its data does not, in each of the ways vfs.FaultLost damages a file.
+// The save reports success (the process never learns), the next load —
+// after the "reboot" — must reject the file rather than decode it, and the
+// next save must find the disk different and rewrite it whole.
+func TestChaosPowerLoss(t *testing.T) {
+	stOld, stNew, encOld, encNew := chaosStates(t)
+	seed := func(t *testing.T, path string) {
+		t.Helper()
+		if err := state.SaveFS(nil, path, stOld); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recDir := t.TempDir()
+	recPath := filepath.Join(recDir, "unit.state")
+	seed(t, recPath)
+	rec := vfs.NewFaultFS(vfs.OS, vfs.WithCanon(chaostest.Canon(recDir, state.TempPattern)))
+	if _, err := state.SaveChangedFS(rec, recPath, stNew); err != nil {
+		t.Fatal(err)
+	}
+	renames := callsOn(rec.Calls(), vfs.OpRename, "unit.state")
+	if len(renames) != 1 {
+		t.Fatalf("recorded renames %v, want the one save's", renames)
+	}
+	for _, p := range renames {
+		for _, d := range chaostest.Damages {
+			p, d := p, d
+			t.Run(chaostest.LostName(p, d), func(t *testing.T) {
+				dir := t.TempDir()
+				path := filepath.Join(dir, "unit.state")
+				seed(t, path)
+				ffs := vfs.NewFaultFS(vfs.OS,
+					vfs.WithCanon(chaostest.Canon(dir, state.TempPattern)),
+					vfs.WithRules(chaostest.LostRule(p, d, len(encNew)/2)))
+				wrote, err := state.SaveChangedFS(ffs, path, stNew)
+				chaostest.AssertFired(t, ffs, p)
+				if !wrote || err != nil {
+					t.Fatalf("the lost save reported wrote=%v, err=%v; the process sees its rename succeed", wrote, err)
+				}
+				raw, err := os.ReadFile(path)
+				if err != nil || bytes.Equal(raw, encNew) || bytes.Equal(raw, encOld) {
+					t.Fatalf("the power loss left the file intact (%d bytes, %v); the walk is vacuous", len(raw), err)
+				}
+				if got, err := state.LoadFS(nil, path); err == nil || got != nil {
+					t.Fatalf("damaged file loaded: state %v, err %v; want a rejection (a cold unit)", got, err)
+				}
+				if wrote, err := state.SaveChangedFS(nil, path, stNew); !wrote || err != nil {
+					t.Fatalf("save over the damaged file: wrote=%v, err=%v; want a rewrite", wrote, err)
+				}
+				if got, err := state.LoadFS(nil, path); err != nil || got.RecordCount() != stNew.RecordCount() {
+					t.Fatalf("rewritten file does not load: %v", err)
 				}
 			})
 		}
@@ -366,11 +418,10 @@ func TestSaveCallLog(t *testing.T) {
 }
 
 // TestChaosLoadNeverWrongState: torn on-disk prefixes of a valid file
-// (every length) must load as an error or reject — never decode into a
-// state that differs from the file's true source. This is the
-// crash-mid-write spectrum the atomic writer is supposed to make
-// impossible at the publish path; the loader must still be safe if a
-// non-atomic writer (or a failing disk) produces one.
+// (every seventh length) must load as an error — never decode into a
+// state that differs from the file's true source. A crash mid-write never
+// publishes one (the temp file is renamed only once complete), but a power
+// loss after the rename can, since saves do not fsync.
 func TestChaosLoadNeverWrongState(t *testing.T) {
 	_, stNew, _, encNew := chaosStates(t)
 	dir := t.TempDir()

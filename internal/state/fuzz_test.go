@@ -11,11 +11,18 @@ package state_test
 //     succeeds, FileSize agrees with the re-encoded length, and decoding
 //     the re-encoding reproduces the state exactly.
 //
+// Random bytes almost never carry a matching CRC-32C, so on its own the
+// harness would test the checksum and little else. Every input is
+// therefore decoded twice: as it is, and re-sealed — its checksum field
+// set to the checksum of its body — which takes it past the header to
+// the body parser.
+//
 // Run with: go test -fuzz FuzzStateDecode ./internal/state
 
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -110,54 +117,72 @@ func FuzzStateDecode(f *testing.F) {
 	// Adversarial headers: valid magic/version, then huge declared counts
 	// with no bytes behind them — the over-allocation shape — for the
 	// accepted version and for the ones on either side of it.
-	for _, v := range []uint32{3, 4, 5, 6, state.FormatVersion, state.FormatVersion + 1} {
-		hdr := []byte("SCCSTATE")
+	for _, v := range []uint32{3, 4, 5, 6, 7, state.FormatVersion, state.FormatVersion + 1} {
+		hdr := []byte("SCCS")
 		hdr = binary.LittleEndian.AppendUint32(hdr, v)
+		hdr = binary.LittleEndian.AppendUint32(hdr, 0)     // checksum, sealed below
 		hdr = binary.LittleEndian.AppendUint64(hdr, 42)    // pipeline hash
 		hdr = binary.LittleEndian.AppendUint32(hdr, 1<<19) // huge unit-name length
-		f.Add(append([]byte(nil), hdr...))
+		f.Add(reseal(hdr))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st, err := state.Decode(bytes.NewReader(data))
-		if err != nil {
-			if st != nil {
-				t.Fatal("Decode returned both a state and an error")
-			}
-			return
-		}
-		if st == nil {
-			t.Fatal("Decode returned neither state nor error")
-		}
-
-		// DecodeBytes is the same parser without the reader indirection;
-		// it must agree byte-for-byte (the zero-copy load path).
-		st0, err := state.DecodeBytes(append([]byte(nil), data...))
-		if err != nil {
-			t.Fatalf("DecodeBytes rejects what Decode accepted: %v", err)
-		}
-		if !reflect.DeepEqual(st, st0) {
-			t.Fatalf("Decode and DecodeBytes disagree:\nreader: %+v\nbytes:  %+v", st, st0)
-		}
-
-		// Accepted input must round-trip canonically.
-		var buf bytes.Buffer
-		if err := state.Encode(&buf, st); err != nil {
-			t.Fatalf("re-encoding a decoded state failed: %v", err)
-		}
-		n, err := state.FileSize(st)
-		if err != nil {
-			t.Fatalf("FileSize of a decoded state failed: %v", err)
-		}
-		if n != buf.Len() {
-			t.Fatalf("FileSize %d disagrees with encoded length %d", n, buf.Len())
-		}
-		st2, err := state.Decode(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("decoding a re-encoded state failed: %v", err)
-		}
-		if !reflect.DeepEqual(st, st2) {
-			t.Fatalf("re-encode/decode drifted:\nfirst:  %+v\nsecond: %+v", st, st2)
+		checkDecode(t, data)
+		if len(data) >= 12 {
+			checkDecode(t, reseal(data))
 		}
 	})
+}
+
+// reseal returns a copy of data with its checksum field (bytes 8..12) set
+// to the CRC-32C of everything after it, as the encoder stamps it.
+func reseal(data []byte) []byte {
+	out := bytes.Clone(data)
+	binary.LittleEndian.PutUint32(out[8:12], crc32.Checksum(out[12:], crc32.MakeTable(crc32.Castagnoli)))
+	return out
+}
+
+// checkDecode asserts the fuzz properties for one input.
+func checkDecode(t *testing.T, data []byte) {
+	t.Helper()
+	st, err := state.Decode(bytes.NewReader(data))
+	if err != nil {
+		if st != nil {
+			t.Fatal("Decode returned both a state and an error")
+		}
+		return
+	}
+	if st == nil {
+		t.Fatal("Decode returned neither state nor error")
+	}
+
+	// DecodeBytes is the same parser without the reader indirection;
+	// it must agree byte-for-byte (the zero-copy load path).
+	st0, err := state.DecodeBytes(append([]byte(nil), data...))
+	if err != nil {
+		t.Fatalf("DecodeBytes rejects what Decode accepted: %v", err)
+	}
+	if !reflect.DeepEqual(st, st0) {
+		t.Fatalf("Decode and DecodeBytes disagree:\nreader: %+v\nbytes:  %+v", st, st0)
+	}
+
+	// Accepted input must round-trip canonically.
+	var buf bytes.Buffer
+	if err := state.Encode(&buf, st); err != nil {
+		t.Fatalf("re-encoding a decoded state failed: %v", err)
+	}
+	n, err := state.FileSize(st)
+	if err != nil {
+		t.Fatalf("FileSize of a decoded state failed: %v", err)
+	}
+	if n != buf.Len() {
+		t.Fatalf("FileSize %d disagrees with encoded length %d", n, buf.Len())
+	}
+	st2, err := state.Decode(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("decoding a re-encoded state failed: %v", err)
+	}
+	if !reflect.DeepEqual(st, st2) {
+		t.Fatalf("re-encode/decode drifted:\nfirst:  %+v\nsecond: %+v", st, st2)
+	}
 }

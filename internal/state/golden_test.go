@@ -7,8 +7,8 @@ package state_test
 // up as a diff against testdata/, and an intended change forces a
 // conscious FormatVersion bump plus `go test ./internal/state -update`.
 //
-// The pins are the current v7 layout, encoder and decoder. The frozen v3
-// to v6 files written by earlier encoders stay in testdata/ as
+// The pins are the current v8 layout, encoder and decoder. The frozen v3
+// to v7 files written by earlier encoders stay in testdata/ as
 // rejection fixtures: well-formed files of a layout the decoder no longer
 // reads (TestLoadRejectsVersionSkew, TestDecodeEveryPrefix).
 
@@ -20,6 +20,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"statefulcc/internal/core"
@@ -36,6 +37,12 @@ var olderLayoutFiles = []string{
 	"unitstate_v4.golden", "unitstate_v4_quarantined.golden",
 	"unitstate_v5.golden", "unitstate_v5_quarantined.golden",
 	"unitstate_v6.golden", "unitstate_v6_quarantined.golden", "unitstate_v6_footprint.golden",
+	"unitstate_v7.golden", "unitstate_v7_quarantined.golden", "unitstate_v7_footprint.golden",
+}
+
+// currentLayoutFiles are the pins of the layout the encoder writes.
+var currentLayoutFiles = []string{
+	"unitstate_v8.golden", "unitstate_v8_quarantined.golden", "unitstate_v8_footprint.golden",
 }
 
 // goldenState exercises every shape the format distinguishes: unseen
@@ -137,27 +144,24 @@ func goldenFootprintState() *core.UnitState {
 	return st
 }
 
-func TestGoldenFormatV7(t *testing.T) {
-	if state.FormatVersion != 7 {
+func TestGoldenFormatV8(t *testing.T) {
+	if state.FormatVersion != 8 {
 		t.Fatalf("FormatVersion is %d; regenerate the golden files for the new layout "+
 			"(go test ./internal/state -update) and rename them accordingly", state.FormatVersion)
 	}
-	checkGolden(t, "unitstate_v7.golden", goldenState(), state.Encode)
-	checkGolden(t, "unitstate_v7_quarantined.golden", goldenQuarantinedState(), state.Encode)
-	checkGolden(t, "unitstate_v7_footprint.golden", goldenFootprintState(), state.Encode)
+	states := []*core.UnitState{goldenState(), goldenQuarantinedState(), goldenFootprintState()}
+	for i, name := range currentLayoutFiles {
+		checkGolden(t, name, states[i], state.Encode)
+	}
 }
 
 // TestDecodeEveryPrefix feeds the decoder every strict prefix of the
-// golden v7 files. A truncated state file — the torn-write shape the atomic
-// saver is designed to prevent but a hostile filesystem can still produce —
-// must always be rejected, never misparsed into a partial state. The frozen
-// v6 to v3 files are walked too: every prefix of an older layout is an
-// error, never a panic.
+// golden v8 files. A truncated state file — what a power loss after the
+// rename can leave, since saves do not fsync — must always be rejected,
+// never misparsed into a partial state. The frozen v7 to v3 files are
+// walked too: every prefix of an older layout is an error, never a panic.
 func TestDecodeEveryPrefix(t *testing.T) {
-	for _, file := range append([]string{
-		"unitstate_v7.golden", "unitstate_v7_quarantined.golden",
-		"unitstate_v7_footprint.golden",
-	}, olderLayoutFiles...) {
+	for _, file := range append(append([]string(nil), currentLayoutFiles...), olderLayoutFiles...) {
 		data, err := os.ReadFile(filepath.Join("testdata", file))
 		if err != nil {
 			t.Fatalf("golden file missing: %v", err)
@@ -167,6 +171,41 @@ func TestDecodeEveryPrefix(t *testing.T) {
 				t.Fatalf("%s truncated to %d/%d bytes decoded without error: %+v",
 					file, n, len(data), st)
 			}
+		}
+	}
+}
+
+// TestChecksumRejectsEveryByteFlip is the power-loss walk at the decoder:
+// every byte of each golden v8 file flipped in turn, and every truncation,
+// must be rejected by DecodeBytes with no state returned. A flip in the
+// header fails the magic, version or checksum compare; anywhere else the
+// CRC-32C, which detects every burst of up to 32 bits, does.
+func TestChecksumRejectsEveryByteFlip(t *testing.T) {
+	for _, file := range currentLayoutFiles {
+		data, err := os.ReadFile(filepath.Join("testdata", file))
+		if err != nil {
+			t.Fatalf("golden file missing: %v", err)
+		}
+		if _, err := state.DecodeBytes(bytes.Clone(data)); err != nil {
+			t.Fatalf("%s does not decode intact: %v", file, err)
+		}
+		for i := range data {
+			damaged := bytes.Clone(data)
+			damaged[i] ^= 0xFF
+			if st, err := state.DecodeBytes(damaged); err == nil || st != nil {
+				t.Fatalf("%s with byte %d flipped: state %+v, err %v; want a rejection", file, i, st, err)
+			}
+		}
+		for n := 0; n < len(data); n++ {
+			if st, err := state.DecodeBytes(bytes.Clone(data[:n])); err == nil || st != nil {
+				t.Fatalf("%s truncated to %d/%d bytes: state %+v, err %v; want a rejection", file, n, len(data), st, err)
+			}
+		}
+		// The checksum, not the parser, rejects a body flip.
+		damaged := bytes.Clone(data)
+		damaged[len(damaged)-1] ^= 0xFF
+		if _, err := state.DecodeBytes(damaged); err == nil || !strings.Contains(err.Error(), "checksum") {
+			t.Fatalf("%s with its last byte flipped: err %v, want a checksum mismatch", file, err)
 		}
 	}
 }

@@ -1,14 +1,24 @@
 // Package state persists the stateful compiler's dormancy records to disk.
 //
-// The format is a compact little-endian binary layout with a magic/version
-// header; a save whose bytes already sit on disk writes nothing, and every
-// write that does happen is atomic (temp file + fsync + rename) so a crashed
-// build or power loss never publishes a truncated state file — a corrupt
-// or stale file is simply discarded by the loader and the next build runs
+// The format is a compact little-endian binary layout with a magic, version
+// and checksum header. A save whose bytes already sit on disk writes
+// nothing; every write that does happen goes to a temp file that is renamed
+// over the state file, so another process sees either the old bytes or the
+// new bytes, never a mix.
+//
+// A state file only has to be valid or detectably invalid, never durable.
+// Any valid file is sound, whichever build wrote it, because every skip
+// re-checks the slot's input fingerprint (docs/STATEFULNESS.md §3); a file
+// that is missing, stale, of another version or damaged makes its unit run
 // cold, which is always safe because the records are a pure optimization.
-// That degradation guarantee is proven, not asserted: all I/O goes through
+// So a save does not fsync. A power loss that lands the rename but not the
+// data leaves a file of zeros, a short file or flipped bits; the header's
+// CRC-32C over every byte after it turns each of those into a rejected
+// load, and the unit costs one cold compile: degraded never means worse
+// than cold. That guarantee is proven, not asserted: all I/O goes through
 // the internal/vfs seam (SaveFS/LoadFS), and the chaos suites walk every
-// injectable fault point (docs/ROBUSTNESS.md).
+// injectable fault point, the power loss after each rename included
+// (docs/ROBUSTNESS.md).
 //
 // Layout. There is one layout and one decoder. Two observations keep the
 // state tiny, mirroring the paper's pitch:
@@ -24,7 +34,8 @@
 // the pipeline alone, so a rebuild whose decisions did not change finds
 // its bytes already on disk.
 //
-//	magic "SCCSTATE" | u32 version | u64 pipelineHash | string unit
+//	magic "SCCS" | u32 version | u32 CRC-32C(bytes[12:]) |
+//	u64 pipelineHash | string unit
 //	quarantineBlock
 //	u32 recLen | recordBlock(module slots)
 //	u32 nFuncs | nFuncs × ( string name, u32 recLen, recordBlock(slots) )
@@ -40,7 +51,10 @@
 //	             nSlots × ( u8 flags [, uvarint hashIdx] )
 //
 // flags: bit0 = changed, bit1 = seen. hashIdx follows only for seen
-// dormant (changed=0) slots.
+// dormant (changed=0) slots. The checksum is CRC-32C (Castagnoli), which
+// detects every burst of up to 32 bits and which Go computes in hardware
+// on amd64 and arm64; the decoder checks it before it parses a byte of the
+// body.
 //
 // The layout is zero-copy: the loader reads the whole file into one buffer
 // and DecodeBytes slices it in place — strings (unit name, function names,
@@ -56,13 +70,16 @@
 // A file of any other version is not migrated: DecodeBytes rejects it as an
 // unsupported version, the build runs that unit cold, and the next save
 // overwrites the file in the current layout — the paper's rule that state
-// is thrown away whenever the compiler changes.
+// is thrown away whenever the compiler changes. Files of v7 and before
+// begin with the 8-byte magic "SCCSTATE" and their version after it; the
+// decoder reports that version.
 package state
 
 import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -74,11 +91,21 @@ import (
 	"statefulcc/internal/vfs"
 )
 
-var magic = [8]byte{'S', 'C', 'C', 'S', 'T', 'A', 'T', 'E'}
+var magic = [4]byte{'S', 'C', 'C', 'S'}
+
+// olderMagic began every file of layout v7 and before, and their u32
+// version followed it.
+var olderMagic = []byte("SCCSTATE")
+
+// headerLen is the size of the header: magic, version, checksum.
+const headerLen = 12
+
+// castagnoli is the CRC-32C table the header's checksum is computed with.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // FormatVersion is the on-disk layout version the encoder writes and the
 // only one the decoder accepts.
-const FormatVersion = 7
+const FormatVersion = 8
 
 // TempPattern is the glob the atomic writer's in-flight temp files match.
 // A crash between temp creation and rename orphans one; owners of a state
@@ -92,33 +119,37 @@ func Save(path string, st *core.UnitState) error {
 }
 
 // SaveFS persists the unit state at path through fsys (nil means the real
-// filesystem), writing only if the bytes on disk differ: see SaveChangedFS,
+// filesystem), writing only if the bytes on disk differ: see WriteChangedFS,
 // which additionally reports whether a write happened.
 func SaveFS(fsys vfs.FS, path string, st *core.UnitState) error {
 	_, err := SaveChangedFS(fsys, path, st)
 	return err
 }
 
-// SaveChangedFS is the write-if-changed save. The state is encoded once
-// into memory and compared with the bytes currently at path; if the file
-// reads back fully and equal, nothing is written and wrote is false. Every
-// other outcome of the compare — no file, an open/read/close failure, a
-// different length, different bytes (which includes any older format
-// version) — takes the atomic write: encode to a temp file, fsync it, then
-// rename. The Sync matters — without it a power loss after the rename
-// could publish an empty or truncated file; with it, either the old state
-// or the complete new state is on disk.
+// SaveChangedFS is WriteChangedFS of the state's encoding.
+func SaveChangedFS(fsys vfs.FS, path string, st *core.UnitState) (wrote bool, err error) {
+	return WriteChangedFS(fsys, path, Marshal(st))
+}
+
+// WriteChangedFS is the write-if-changed save of an encoding Marshal
+// returned. The encoding is compared with the bytes currently at path; if
+// the file reads back fully and equal, nothing is written and wrote is
+// false. Every other outcome of the compare — no file, an open/read/close
+// failure, a different length, different bytes (which includes any older
+// format version) — takes the atomic write: the bytes go to a temp file,
+// which is closed and renamed over path. Another process therefore sees the
+// old file or the new one, never a mix.
+//
+// The temp file is not synced. A power loss that makes the rename durable
+// before the data can leave zeros, a prefix or flipped bits under the name;
+// the header's checksum makes such a file fail to load, and a unit whose
+// state fails to load runs cold, which is always correct.
 //
 // The compare is against the disk rather than against bytes remembered at
 // load time, so callers keep no per-unit memory and a file deleted or
 // replaced behind the process's back is rewritten by the next save.
-func SaveChangedFS(fsys vfs.FS, path string, st *core.UnitState) (wrote bool, err error) {
+func WriteChangedFS(fsys vfs.FS, path string, enc []byte) (wrote bool, err error) {
 	fsys = vfs.Default(fsys)
-	var buf bytes.Buffer
-	if err := Encode(&buf, st); err != nil {
-		return false, err
-	}
-	enc := buf.Bytes()
 	if onDiskEqual(fsys, path, enc) {
 		return false, nil
 	}
@@ -152,14 +183,10 @@ func onDiskEqual(fsys vfs.FS, path string, enc []byte) bool {
 	return rerr == io.ErrUnexpectedEOF && cerr == nil && bytes.Equal(got[:n], enc)
 }
 
-// publish writes enc to the open temp file, makes it durable, and renames
-// it over path.
+// publish writes enc to the open temp file, closes it, and renames it over
+// path. There is no Sync: see WriteChangedFS.
 func publish(fsys vfs.FS, tmp vfs.File, enc []byte, path string) error {
 	if _, err := tmp.Write(enc); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -196,23 +223,27 @@ func LoadFS(fsys vfs.FS, path string) (*core.UnitState, error) {
 	return DecodeBytes(buf)
 }
 
-// Encode streams the state in the current binary format. Functions
-// are written in name order so the output is deterministic.
+// Encode writes the state in the current binary format: Marshal's bytes.
 func Encode(w io.Writer, st *core.UnitState) error {
-	e := &encoder{w: w}
-	e.bytes(magic[:])
-	e.u32(FormatVersion)
+	_, err := w.Write(Marshal(st))
+	return err
+}
+
+// Marshal returns the state's encoding. Functions are written in name
+// order so the output is deterministic; the header's checksum is stamped
+// once the body is complete.
+func Marshal(st *core.UnitState) []byte {
+	e := &encoder{b: make([]byte, headerLen, 512)}
+	copy(e.b, magic[:])
+	binary.LittleEndian.PutUint32(e.b[4:8], FormatVersion)
 	e.u64(st.PipelineHash)
 	e.str(st.Unit)
 
 	e.quarantineBlock(st.Quarantine)
 
 	// Record blocks are length-prefixed so a reader can slice its way
-	// to any function without parsing the blocks before it. The block is
-	// staged in a scratch buffer to learn its length; the buffer is reused
-	// across functions.
-	var scratch bytes.Buffer
-	e.sizedRecordBlock(&scratch, st.ModuleSlots, st.ModuleSeen)
+	// to any function without parsing the blocks before it.
+	e.sizedRecordBlock(st.ModuleSlots, st.ModuleSeen)
 
 	names := make([]string, 0, len(st.Funcs))
 	for name := range st.Funcs {
@@ -223,10 +254,11 @@ func Encode(w io.Writer, st *core.UnitState) error {
 	for _, name := range names {
 		fs := st.Funcs[name]
 		e.str(name)
-		e.sizedRecordBlock(&scratch, fs.Slots, fs.Seen)
+		e.sizedRecordBlock(fs.Slots, fs.Seen)
 	}
 	e.footprintBlock(st.Footprint)
-	return e.err
+	binary.LittleEndian.PutUint32(e.b[8:12], crc32.Checksum(e.b[headerLen:], castagnoli))
+	return e.b
 }
 
 // footprintBlock writes the optional dependency footprint as a
@@ -234,13 +266,13 @@ func Encode(w io.Writer, st *core.UnitState) error {
 // encoding.
 func (e *encoder) footprintBlock(fp *footprint.Record) {
 	if fp == nil {
-		e.bytes([]byte{0})
+		e.byte(0)
 		return
 	}
-	e.bytes([]byte{1})
-	body := fp.AppendBinary(nil)
-	e.u32(uint32(len(body)))
-	e.bytes(body)
+	e.byte(1)
+	at := e.reserveLen()
+	e.b = fp.AppendBinary(e.b)
+	e.patchLen(at)
 }
 
 func (d *bdec) footprintBlock() *footprint.Record {
@@ -266,29 +298,20 @@ func (d *bdec) footprintBlock() *footprint.Record {
 }
 
 // sizedRecordBlock writes a u32 byte-length prefix followed by the record
-// block, staging it in scratch to measure it.
-func (e *encoder) sizedRecordBlock(scratch *bytes.Buffer, slots []core.Record, seen []bool) {
-	if e.err != nil {
-		return
-	}
-	scratch.Reset()
-	sub := &encoder{w: scratch}
-	sub.recordBlock(slots, seen)
-	if sub.err != nil {
-		e.err = sub.err
-		return
-	}
-	e.u32(uint32(scratch.Len()))
-	e.bytes(scratch.Bytes())
+// block.
+func (e *encoder) sizedRecordBlock(slots []core.Record, seen []bool) {
+	at := e.reserveLen()
+	e.recordBlock(slots, seen)
+	e.patchLen(at)
 }
 
 // quarantineBlock writes the optional quarantine marker.
 func (e *encoder) quarantineBlock(q *core.Quarantine) {
 	if q == nil {
-		e.bytes([]byte{0})
+		e.byte(0)
 		return
 	}
-	e.bytes([]byte{1})
+	e.byte(1)
 	e.str(q.Reason)
 	e.uv(uint64(q.Clean))
 	e.uv(uint64(len(q.Passes)))
@@ -324,7 +347,7 @@ func (e *encoder) recordBlock(slots []core.Record, seen []bool) {
 		if seen[i] {
 			flags |= 2
 		}
-		e.bytes([]byte{flags})
+		e.byte(flags)
 		if seen[i] && !r.Changed {
 			e.uv(uint64(idx[r.InputHash]))
 		}
@@ -348,16 +371,22 @@ func Decode(r io.Reader) (*core.UnitState, error) {
 // is checked against the bytes actually present before use, so no count in
 // the file can force an allocation or an out-of-range slice.
 func DecodeBytes(buf []byte) (*core.UnitState, error) {
-	if len(buf) < 12 {
+	if len(buf) < headerLen {
 		return nil, fmt.Errorf("state: %w", io.ErrUnexpectedEOF)
 	}
-	if !bytes.Equal(buf[:8], magic[:]) {
+	if !bytes.Equal(buf[:4], magic[:]) {
 		return nil, fmt.Errorf("state: bad magic")
 	}
-	if v := binary.LittleEndian.Uint32(buf[8:12]); v != FormatVersion {
+	if bytes.HasPrefix(buf, olderMagic) {
+		return nil, fmt.Errorf("state: unsupported version %d", binary.LittleEndian.Uint32(buf[8:12]))
+	}
+	if v := binary.LittleEndian.Uint32(buf[4:8]); v != FormatVersion {
 		return nil, fmt.Errorf("state: unsupported version %d", v)
 	}
-	d := &bdec{buf: buf, off: 12} // past magic + version
+	if sum := crc32.Checksum(buf[headerLen:], castagnoli); sum != binary.LittleEndian.Uint32(buf[8:12]) {
+		return nil, fmt.Errorf("state: checksum mismatch")
+	}
+	d := &bdec{buf: buf, off: headerLen}
 	st := &core.UnitState{Funcs: make(map[string]*core.FuncState)}
 	st.PipelineHash = d.u64()
 	st.Unit = d.str()
@@ -564,54 +593,37 @@ func (d *bdec) recordBlock() ([]core.Record, []bool) {
 }
 
 // FileSize reports the serialized size of a state value, used by the
-// state-overhead experiments.
+// state-overhead experiments and cmd/statedump. It never fails.
 func FileSize(st *core.UnitState) (int, error) {
-	var c countWriter
-	if err := Encode(&c, st); err != nil {
-		return 0, err
-	}
-	return c.n, nil
-}
-
-type countWriter struct{ n int }
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	c.n += len(p)
-	return len(p), nil
+	return len(Marshal(st)), nil
 }
 
 // --- low-level encoding -------------------------------------------------------
 
-type encoder struct {
-	w   io.Writer
-	err error
-	buf [8]byte
-}
+// encoder appends the encoding to b.
+type encoder struct{ b []byte }
 
-func (e *encoder) bytes(b []byte) {
-	if e.err != nil {
-		return
-	}
-	_, e.err = e.w.Write(b)
-}
+func (e *encoder) byte(c byte) { e.b = append(e.b, c) }
 
-func (e *encoder) u32(v uint32) {
-	binary.LittleEndian.PutUint32(e.buf[:4], v)
-	e.bytes(e.buf[:4])
-}
+func (e *encoder) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
 
-func (e *encoder) u64(v uint64) {
-	binary.LittleEndian.PutUint64(e.buf[:8], v)
-	e.bytes(e.buf[:8])
-}
+func (e *encoder) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
 
 func (e *encoder) str(s string) {
 	e.u32(uint32(len(s)))
-	e.bytes([]byte(s))
+	e.b = append(e.b, s...)
 }
 
-func (e *encoder) uv(v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	e.bytes(buf[:n])
+func (e *encoder) uv(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
+
+// reserveLen appends a u32 length placeholder and returns its offset.
+func (e *encoder) reserveLen() int {
+	e.u32(0)
+	return len(e.b) - 4
+}
+
+// patchLen fills the placeholder at offset at with the number of bytes
+// written after it.
+func (e *encoder) patchLen(at int) {
+	binary.LittleEndian.PutUint32(e.b[at:], uint32(len(e.b)-at-4))
 }

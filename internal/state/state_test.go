@@ -114,7 +114,7 @@ func TestLoadRejectsCorrupt(t *testing.T) {
 	cases := map[string][]byte{
 		"garbage":   []byte("this is not a state file at all........."),
 		"badmagic":  append([]byte("NOTSTATE"), make([]byte, 64)...),
-		"truncated": {'S', 'C', 'C', 'S', 'T', 'A', 'T', 'E', 1, 0},
+		"truncated": {'S', 'C', 'C', 'S', 8, 0, 0, 0, 1, 0},
 	}
 	for name, content := range cases {
 		p := filepath.Join(dir, name)
@@ -137,7 +137,7 @@ func TestLoadRejectsVersionSkew(t *testing.T) {
 		t.Fatal(err)
 	}
 	newer := buf.Bytes()
-	newer[8] = 99 // bump version field
+	newer[4] = 99 // bump version field
 	inputs := map[string][]byte{"version 99": newer}
 	for _, name := range olderLayoutFiles {
 		data, err := os.ReadFile(filepath.Join("testdata", name))

@@ -74,8 +74,8 @@ func RuleFor(p vfs.Call, kind vfs.Fault) vfs.Rule {
 }
 
 // OpsCovered tallies fault points per operation — the suites assert the
-// workload actually exercises the fault space (writes, syncs, renames,
-// …) rather than silently recording nothing.
+// workload actually exercises the fault space (writes, renames, …) rather
+// than silently recording nothing.
 func OpsCovered(points []vfs.Call) map[vfs.Op]int {
 	out := make(map[vfs.Op]int)
 	for _, p := range points {
@@ -122,5 +122,27 @@ func AssertFiredOrAbsent(t *testing.T, ffs *vfs.FaultFS, p vfs.Call) bool {
 
 // Name renders a point as a stable subtest name.
 func Name(p vfs.Call, kind vfs.Fault) string {
-	return fmt.Sprintf("%s/%s", kind, strings.ReplaceAll(p.String(), string(filepath.Separator), "|"))
+	return fmt.Sprintf("%s/%s", kind, pointName(p))
+}
+
+// Damages are the three ways a power loss after a rename (vfs.FaultLost)
+// leaves the renamed file.
+var Damages = []vfs.Damage{vfs.DamageZeroed, vfs.DamageTruncated, vfs.DamageFlipped}
+
+// LostRule builds the rule that loses the data of the rename at point p,
+// leaving the file as d says (at offset at).
+func LostRule(p vfs.Call, d vfs.Damage, at int) vfs.Rule {
+	r := RuleFor(p, vfs.FaultLost)
+	r.Damage, r.At = d, at
+	return r
+}
+
+// LostName renders a power-loss point as a stable subtest name
+// ("lost-zeroed/rename:unit.state#1").
+func LostName(p vfs.Call, d vfs.Damage) string {
+	return fmt.Sprintf("%s-%s/%s", vfs.FaultLost, d, pointName(p))
+}
+
+func pointName(p vfs.Call) string {
+	return strings.ReplaceAll(p.String(), string(filepath.Separator), "|")
 }

@@ -12,6 +12,7 @@ package vfs
 import (
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"path/filepath"
 	"strings"
@@ -38,6 +39,12 @@ const (
 	// FaultCrash fails the operation and every subsequent operation on
 	// this FaultFS (and all files opened through it) with ErrCrashed.
 	FaultCrash
+	// FaultLost, on a rename, is a power loss just after it: the rename
+	// succeeds and reaches the disk, the renamed file's data does not — its
+	// bytes are left as Rule.Damage says — and, as after FaultCrash, every
+	// later operation fails with ErrCrashed. On any other op it is
+	// FaultCrash.
+	FaultLost
 )
 
 // String names the fault kind for logs and subtest labels.
@@ -49,8 +56,36 @@ func (k Fault) String() string {
 		return "torn"
 	case FaultCrash:
 		return "crash"
+	case FaultLost:
+		return "lost"
 	}
 	return fmt.Sprintf("fault(%d)", int(k))
+}
+
+// Damage is what a FaultLost rename leaves of the renamed file's bytes.
+type Damage int
+
+const (
+	// DamageZeroed keeps the length and zeroes every byte: the file's size
+	// reached the disk, its data blocks did not.
+	DamageZeroed Damage = iota
+	// DamageTruncated keeps only the first Rule.At bytes.
+	DamageTruncated
+	// DamageFlipped inverts the byte at Rule.At (modulo the length).
+	DamageFlipped
+)
+
+// String names the damage for subtest labels.
+func (d Damage) String() string {
+	switch d {
+	case DamageZeroed:
+		return "zeroed"
+	case DamageTruncated:
+		return "truncated"
+	case DamageFlipped:
+		return "flipped"
+	}
+	return fmt.Sprintf("damage(%d)", int(d))
 }
 
 // Rule selects calls to fail. Zero fields match everything: an empty Op
@@ -63,6 +98,9 @@ type Rule struct {
 	Nth  int
 	Kind Fault
 	Err  error // error to inject; nil defaults to ErrInjected
+	// Damage and At say what a FaultLost rename leaves of the file.
+	Damage Damage
+	At     int
 }
 
 // Call is one logged filesystem operation. N is the 1-based occurrence
@@ -200,9 +238,10 @@ func (f *FaultFS) Crashed() bool {
 }
 
 // begin logs one operation and decides its fate: a nil error means the
-// operation proceeds to the wrapped FS; kind is meaningful only when err
-// is non-nil (FaultTorn lets the caller perform a partial write).
-func (f *FaultFS) begin(op Op, path string) (kind Fault, err error) {
+// operation proceeds to the wrapped FS; the fired rule is meaningful only
+// when err is non-nil (FaultTorn lets the caller perform a partial write,
+// FaultLost a rename that loses its data).
+func (f *FaultFS) begin(op Op, path string) (fired Rule, err error) {
 	if f.canon != nil {
 		path = f.canon(path)
 	}
@@ -216,7 +255,7 @@ func (f *FaultFS) begin(op Op, path string) (kind Fault, err error) {
 
 	if f.crashed {
 		f.injected = append(f.injected, call)
-		return FaultCrash, fmt.Errorf("%s %s: %w", op, path, ErrCrashed)
+		return Rule{Kind: FaultCrash}, fmt.Errorf("%s %s: %w", op, path, ErrCrashed)
 	}
 	for i := range f.rules {
 		r := &f.rules[i]
@@ -227,25 +266,26 @@ func (f *FaultFS) begin(op Op, path string) (kind Fault, err error) {
 		if r.Nth != 0 && f.matches[i] != r.Nth {
 			continue
 		}
-		return f.fire(call, r.Kind, r.Err)
+		return f.fire(call, *r)
 	}
 	if ok, kind := f.sched.decide(call); ok {
-		return f.fire(call, kind, nil)
+		return f.fire(call, Rule{Kind: kind})
 	}
-	return FaultError, nil
+	return Rule{}, nil
 }
 
 // fire records an injection and builds its error (mu held).
-func (f *FaultFS) fire(call Call, kind Fault, base error) (Fault, error) {
+func (f *FaultFS) fire(call Call, r Rule) (Rule, error) {
 	f.injected = append(f.injected, call)
-	if kind == FaultCrash {
+	if r.Kind == FaultCrash || r.Kind == FaultLost {
 		f.crashed = true
-		return kind, fmt.Errorf("%s %s: %w", call.Op, call.Path, ErrCrashed)
+		return r, fmt.Errorf("%s %s: %w", call.Op, call.Path, ErrCrashed)
 	}
+	base := r.Err
 	if base == nil {
 		base = ErrInjected
 	}
-	return kind, fmt.Errorf("%s %s: %w", call.Op, call.Path, base)
+	return r, fmt.Errorf("%s %s: %w", call.Op, call.Path, base)
 }
 
 // ruleMatches reports whether a rule selects a call (ignoring Nth).
@@ -319,10 +359,49 @@ func (f *FaultFS) CreateTemp(dir, pattern string) (File, error) {
 func (f *FaultFS) Rename(oldpath, newpath string) error {
 	// Identified by the destination: the source is usually a randomized
 	// temp name.
-	if _, err := f.begin(OpRename, newpath); err != nil {
+	r, err := f.begin(OpRename, newpath)
+	if err != nil && r.Kind != FaultLost {
 		return err
 	}
-	return f.inner.Rename(oldpath, newpath)
+	if rerr := f.inner.Rename(oldpath, newpath); rerr != nil || err == nil {
+		return rerr
+	}
+	// The power loss: the caller saw its rename succeed, and what it
+	// renamed reads back damaged.
+	return f.lose(newpath, r)
+}
+
+// lose rewrites the file at path, past the injector, as a FaultLost rule's
+// damage leaves it.
+func (f *FaultFS) lose(path string, r Rule) error {
+	in, err := f.inner.Open(path)
+	if err != nil {
+		return err
+	}
+	data, err := io.ReadAll(in)
+	in.Close()
+	if err != nil {
+		return err
+	}
+	switch r.Damage {
+	case DamageZeroed:
+		data = make([]byte, len(data))
+	case DamageTruncated:
+		data = data[:min(r.At, len(data))]
+	case DamageFlipped:
+		if len(data) > 0 {
+			data[r.At%len(data)] ^= 0xFF
+		}
+	}
+	out, err := f.inner.Create(path)
+	if err != nil {
+		return err
+	}
+	if _, err := out.Write(data); err != nil {
+		out.Close()
+		return err
+	}
+	return out.Close()
 }
 
 func (f *FaultFS) Remove(name string) error {
@@ -366,9 +445,9 @@ func (f *faultFile) Name() string { return f.inner.Name() }
 
 func (f *faultFile) Read(p []byte) (n int, err error) {
 	defer func() { f.fs.countRead(f.path, n) }()
-	kind, err := f.fs.begin(OpRead, f.path)
+	r, err := f.fs.begin(OpRead, f.path)
 	if err != nil {
-		if kind == FaultTorn && len(p) > 0 {
+		if r.Kind == FaultTorn && len(p) > 0 {
 			// Torn read: half the buffer fills, then the failure.
 			n, rerr := f.inner.Read(p[:len(p)/2])
 			if rerr != nil {
@@ -397,9 +476,9 @@ func (f *FaultFS) countRead(path string, n int) {
 }
 
 func (f *faultFile) Write(p []byte) (int, error) {
-	kind, err := f.fs.begin(OpWrite, f.path)
+	r, err := f.fs.begin(OpWrite, f.path)
 	if err != nil {
-		if kind == FaultTorn && len(p) > 0 {
+		if r.Kind == FaultTorn && len(p) > 0 {
 			// Torn write: half the buffer lands, then the failure.
 			n, werr := f.inner.Write(p[:len(p)/2])
 			if werr != nil {

@@ -283,3 +283,46 @@ func TestScheduleReplay(t *testing.T) {
 		t.Fatal("different seeds produced identical schedules (suspicious)")
 	}
 }
+
+// TestFaultLost: a FaultLost rename succeeds and leaves the destination
+// damaged as the rule says — zeroed at its length, cut to At bytes, or with
+// the byte at At inverted — and every later operation fails as after a
+// crash.
+func TestFaultLost(t *testing.T) {
+	data := []byte("0123456789")
+	cases := []struct {
+		damage vfs.Damage
+		want   []byte
+	}{
+		{vfs.DamageZeroed, make([]byte, len(data))},
+		{vfs.DamageTruncated, []byte("0123")},
+		{vfs.DamageFlipped, []byte("0123\xcb56789")},
+	}
+	for _, tc := range cases {
+		t.Run(tc.damage.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			src, dst := filepath.Join(dir, "tmp"), filepath.Join(dir, "dst")
+			if err := os.WriteFile(src, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			ffs := vfs.NewFaultFS(vfs.OS, vfs.WithRules(
+				vfs.Rule{Op: vfs.OpRename, Kind: vfs.FaultLost, Damage: tc.damage, At: 4}))
+			if err := ffs.Rename(src, dst); err != nil {
+				t.Fatalf("lost rename reported %v; the caller must see it succeed", err)
+			}
+			if _, err := os.Stat(src); !os.IsNotExist(err) {
+				t.Fatalf("the rename did not land: %v", err)
+			}
+			got, err := os.ReadFile(dst)
+			if err != nil || string(got) != string(tc.want) {
+				t.Fatalf("destination holds %q (%v), want %q", got, err, tc.want)
+			}
+			if !ffs.Crashed() || len(ffs.Injected()) != 1 {
+				t.Fatalf("crashed %v, injected %v; want the power loss recorded", ffs.Crashed(), ffs.Injected())
+			}
+			if _, err := ffs.Open(dst); !errors.Is(err, vfs.ErrCrashed) {
+				t.Fatalf("open after the power loss: %v, want ErrCrashed", err)
+			}
+		})
+	}
+}
