@@ -101,6 +101,78 @@ func TestMakefileFuzzesEveryTarget(t *testing.T) {
 	}
 }
 
+// TestMakefileRunPatternsMatch fails when a `-run` pattern in the Makefile
+// names a test that is not there: each of its alternatives must match a
+// Test, Fuzz or Example func of the packages on the same command line. A
+// pattern whose alternatives match nothing runs nothing and passes, so a
+// renamed test drops out of its gate without a sound. '^$' (run no test,
+// beside -fuzz or -bench) is the one pattern that may match nothing.
+func TestMakefileRunPatternsMatch(t *testing.T) {
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := strings.ReplaceAll(string(mk), "\\\n", " ") // join continued lines
+	text = strings.ReplaceAll(text, "$$", "$")
+	runArg := regexp.MustCompile(`-run '([^']*)'|-run (\S+)`)
+	funcDecl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Example)\w*)\(`)
+	checked := 0
+	for _, line := range strings.Split(text, "\n") {
+		m := runArg.FindStringSubmatch(line)
+		if m == nil || m[1]+m[2] == "^$" {
+			continue
+		}
+		var funcs []string
+		for _, field := range strings.Fields(line) {
+			if !strings.HasPrefix(field, "./") {
+				continue
+			}
+			dir, all := strings.CutSuffix(field, "/...")
+			if err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+				switch {
+				case err != nil:
+					return err
+				case d.IsDir() && path != dir && !all:
+					return fs.SkipDir
+				case d.IsDir() || !strings.HasSuffix(path, "_test.go"):
+					return nil
+				}
+				src, err := os.ReadFile(path)
+				if err != nil {
+					return err
+				}
+				for _, f := range funcDecl.FindAllStringSubmatch(string(src), -1) {
+					funcs = append(funcs, f[1])
+				}
+				return nil
+			}); err != nil {
+				t.Fatalf("Makefile line %q: %v", strings.TrimSpace(line), err)
+			}
+		}
+		if len(funcs) == 0 {
+			t.Errorf("Makefile line %q runs -run %q over no package with tests", strings.TrimSpace(line), m[1]+m[2])
+			continue
+		}
+		for _, alt := range strings.Split(m[1]+m[2], "|") {
+			re, err := regexp.Compile(alt)
+			if err != nil {
+				t.Fatalf("Makefile -run alternative %q: %v", alt, err)
+			}
+			matched := false
+			for _, f := range funcs {
+				matched = matched || re.MatchString(f)
+			}
+			if !matched {
+				t.Errorf("Makefile line %q: -run alternative %q matches no test of its packages", strings.TrimSpace(line), alt)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no -run pattern found in the Makefile; the scan is broken")
+	}
+}
+
 // TestCounterTableMatchesRegistry holds docs/OBSERVABILITY.md's counter
 // table to the Ctr* constants of internal/obs/counters.go: every constant has
 // a row, every name in the table is a constant, and a constant marked

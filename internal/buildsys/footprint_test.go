@@ -199,8 +199,7 @@ func TestChaosFootprintFaultWalk(t *testing.T) {
 		}
 	}
 
-	// Clean recorded run enumerates the footprint-mode fault points —
-	// including the traced state reads through the recording wrapper.
+	// Clean recorded run enumerates the footprint-mode fault points.
 	recDir := t.TempDir()
 	rec := vfs.NewFaultFS(vfs.OS, chaosCanon(recDir))
 	run(t, rec, recDir)

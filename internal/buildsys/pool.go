@@ -274,20 +274,15 @@ func (b *Builder) compileOne(ctx context.Context, w int, j compileJob) (out outc
 	}
 
 	// Footprint mode attaches a per-unit trace: invalidating entries are
-	// pre-recorded, and the unit's state load goes through the trace's
-	// recording FS so it lands as an advisory entry (saves do not: see
-	// saveUnitState). The trace is private to this job — concurrent units
+	// pre-recorded. The unit's state load and save stay out of it (see
+	// loadUnitState). The trace is private to this job — concurrent units
 	// never share one, so shared reads are counted once per reading unit,
 	// not globally.
 	tr := b.newTrace(j.name, j.src)
 
 	prev := j.prev
 	if prev == nil && j.probeDisk {
-		loadFS := b.fs
-		if tr != nil {
-			loadFS = tr.FS(b.fs)
-		}
-		prev = b.loadUnitState(loadFS, j.name)
+		prev = b.loadUnitState(j.name)
 	}
 
 	// A whole-unit quarantine (a pass panicked on this unit) compiles

@@ -17,9 +17,10 @@
 //     the real cross-unit dependency graph;
 //   - filesystem reads observed through the vfs seam (KindFile/KindStat/
 //     KindDir, recorded by the wrapper from Trace.FS) — *advisory* entries:
-//     dormancy-state loads and similar reads that influence only how fast
-//     the compile runs, never its output, and therefore must not trigger
-//     recompiles.
+//     reads that influence only how fast the compile runs, never its
+//     output, and therefore must not trigger recompiles. The build system
+//     routes none through it: a unit's dormancy-state load is an input to
+//     the optimizer, not to the output, and stays out of the footprint.
 //
 // Ground-truth hashing (HashBytes/HashStrings) is deliberately a different
 // algorithm (FNV-1a) from the fingerprint hasher the declared channel uses,

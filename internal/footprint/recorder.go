@@ -99,7 +99,8 @@ func (f *traceFS) Open(name string) (vfs.File, error) {
 	return &traceFile{File: h, t: f.t, path: name, hash: fnvOffset}, nil
 }
 
-// Create, OpenFile, and CreateTemp are write-side: pass through.
+// Create, OpenFile, and CreateTemp are write-side: pass through, and so do
+// a read handle's Write, Seek and Truncate (traceFile embeds the File).
 func (f *traceFS) Create(name string) (vfs.File, error) { return f.inner.Create(name) }
 
 func (f *traceFS) OpenFile(name string, flag int, perm fs.FileMode) (vfs.File, error) {
