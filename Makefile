@@ -57,8 +57,9 @@ fuzz:
 
 # chaos is the robustness gate (docs/ROBUSTNESS.md): the fault-injection
 # walks over every state/history I/O call (under the race detector, since
-# faults land on concurrent worker paths), the state save's shape (create
-# by rename, overwrite in place, never sync) and its torn-overwrite check,
+# faults land on concurrent worker paths), the state save's shape (one
+# write path: in place, no temp file, rename or sync; the file is old, new,
+# or rejected) and its torn-overwrite check,
 # the execution-fault walk — pass
 # panics, a nondeterministic pass caught by the soundness sentinel,
 # cancellation mid-build, and the daemon's SIGTERM drain — plus a burst of
@@ -72,7 +73,7 @@ fuzz:
 # pattern here to tests that exist.
 chaos:
 	$(GO) test -race -timeout 15m ./internal/vfs/...
-	$(GO) test -race -timeout 15m -run 'TestChaos|TestSaveNeverSyncs|TestEveryTornOverwriteIsRejected' ./internal/state ./internal/history ./internal/buildsys
+	$(GO) test -race -timeout 15m -run 'TestChaos|TestSaveWritesInPlace|TestEveryTornOverwriteIsRejected' ./internal/state ./internal/history ./internal/buildsys
 	$(GO) test -race -timeout 15m -run 'TestPanic|TestSentinel|TestCancelled|TestAudited|TestWarnf' ./internal/buildsys
 	$(GO) test -race -timeout 15m -run 'TestServeSIGTERMDrain|TestServePollSkipsOverlap' ./cmd/minibuild
 	$(GO) test -fuzz FuzzStateDecode -fuzztime 30s ./internal/state

@@ -55,9 +55,13 @@ func helper(n int) int {
 	return s
 }
 
+// orphanPattern is the glob of the temp files older builders' state saves
+// created and renamed; the start-up sweep still removes them.
+const orphanPattern = ".state-*"
+
 // chaosCanon builds the suite's canonicalizer over a state directory.
 func chaosCanon(stateDir string) vfs.Option {
-	return vfs.WithCanon(chaostest.Canon(stateDir, state.TempPattern, histpkg.TempPattern))
+	return vfs.WithCanon(chaostest.Canon(stateDir, orphanPattern, histpkg.TempPattern))
 }
 
 // chaosBuilder constructs a stateful builder over fsys. Workers is a
@@ -89,15 +93,15 @@ func main() int { print("sum", helper(6)); return helper(6) + helper(2); }
 	return s
 }
 
-// plantOrphans leaves the temp files a predecessor process would have
-// left had it died with one state save per unit creating its file. Every
-// builder of the sequence starts over such a directory, so the start-up sweep's
-// removals are part of the recorded walk. Written past the fault injector:
-// the crash being simulated already happened.
+// plantOrphans leaves the temp files an older builder would have left had
+// it died with one state save per unit creating its file through a temp
+// file. Every builder of the sequence starts over such a directory, so the
+// start-up sweep's removals are part of the recorded walk. Written past the
+// fault injector: the crash being simulated already happened.
 func plantOrphans(t *testing.T, stateDir string) {
 	t.Helper()
 	for _, unit := range []string{"lib", "main"} {
-		name := strings.Replace(state.TempPattern, "*", "orphan-"+unit, 1)
+		name := strings.Replace(orphanPattern, "*", "orphan-"+unit, 1)
 		if err := os.WriteFile(filepath.Join(stateDir, name), []byte("torn"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +264,7 @@ func TestChaosBuildRebuild(t *testing.T) {
 	}
 	cov := chaostest.OpsCovered(points)
 	for _, op := range []vfs.Op{vfs.OpMkdirAll, vfs.OpReadDir, vfs.OpOpen, vfs.OpOpenFile,
-		vfs.OpCreateTemp, vfs.OpRead, vfs.OpWrite, vfs.OpClose, vfs.OpRename, vfs.OpRemove} {
+		vfs.OpRead, vfs.OpWrite, vfs.OpTruncate, vfs.OpClose, vfs.OpRemove} {
 		if cov[op] == 0 {
 			t.Fatalf("sequence never performs %s; the walk is not covering the I/O surface (%v)", op, cov)
 		}
@@ -300,18 +304,15 @@ func TestChaosBuildRebuild(t *testing.T) {
 	}
 }
 
-// statePublishes returns the calls that end a state save that wrote: the
-// rename that publishes a created state file, and the Close of a state
-// file's handle after a Write through it (an overwrite in place).
-func statePublishes(calls []vfs.Call) (out []vfs.Call) {
+// stateCloses returns the calls that end a state save that wrote: the
+// Close of a state file's handle after a Write through it.
+func stateCloses(calls []vfs.Call) (out []vfs.Call) {
 	wrote := map[string]bool{}
 	for _, c := range calls {
 		if !strings.HasSuffix(c.Path, ".state") {
 			continue
 		}
 		switch c.Op {
-		case vfs.OpRename:
-			out = append(out, c)
 		case vfs.OpWrite:
 			wrote[c.Path] = true
 		case vfs.OpClose:
@@ -325,11 +326,10 @@ func statePublishes(calls []vfs.Call) (out []vfs.Call) {
 }
 
 // TestChaosPowerLoss is the power-loss walk over the same sequence. State
-// saves do not fsync, so at the rename of every save that creates a state
-// file and the close of every save that overwrites one the walk lets the
-// call succeed and loses the data — the file is zeroed, cut short or has a
-// byte flipped (vfs.FaultLost) — and the process dies there (every later
-// call fails). The builds up to and after the loss
+// saves do not fsync, so at the close of every save that writes a state
+// file, creating or overwriting it, the walk lets the close succeed and
+// loses the data — the file is zeroed, cut short or has a byte flipped
+// (vfs.FaultLost) — and the process dies there (every later call fails). The builds up to and after the loss
 // still link the stateless oracle's programs. The next process, a fresh
 // builder over the healthy disk, finds the damaged file: the unit runs cold
 // (no skip, every run a cold decision), the load is counted in
@@ -343,10 +343,10 @@ func TestChaosPowerLoss(t *testing.T) {
 	recDir := t.TempDir()
 	rec := vfs.NewFaultFS(vfs.OS, chaosCanon(recDir))
 	chaosSequence(t, rec, recDir, 1)
-	writes := statePublishes(rec.Calls())
+	writes := stateCloses(rec.Calls())
 	// build A creates both units' files, rebuild B overwrites lib.mc's,
 	// fresh-builder build C both.
-	if len(writes) != 5 || writes[0].Op != vfs.OpRename || writes[1].Op != vfs.OpRename {
+	if len(writes) != 5 {
 		t.Fatalf("recorded %d state saves that wrote, want 5: %v", len(writes), writes)
 	}
 	reboot := chaosWideSnap()
@@ -355,10 +355,13 @@ func TestChaosPowerLoss(t *testing.T) {
 		unitOf[filepath.Base(buildsys.StatePath(recDir, u))] = u
 	}
 
+	created := map[string]bool{} // the recording starts empty: a file's first save creates it
 	for _, p := range writes {
+		creates := !created[p.Path]
+		created[p.Path] = true
 		for _, d := range chaostest.Damages {
 			p, d := p, d
-			t.Run(chaostest.LostName(p, d), func(t *testing.T) {
+			t.Run(chaostest.LostName(p, d, creates), func(t *testing.T) {
 				t.Parallel()
 				dir := t.TempDir()
 				ffs := vfs.NewFaultFS(vfs.OS, chaosCanon(dir), vfs.WithRules(chaostest.LostRule(p, d, 16)))
@@ -410,7 +413,6 @@ func TestChaosPowerLoss(t *testing.T) {
 func TestChaosStateSaveSurfaced(t *testing.T) {
 	dir := t.TempDir()
 	ffs := vfs.NewFaultFS(vfs.OS, vfs.WithRules(
-		vfs.Rule{Op: vfs.OpCreateTemp, Path: state.TempPattern, Kind: vfs.FaultError},
 		vfs.Rule{Op: vfs.OpOpenFile, Path: "*.state", Kind: vfs.FaultError}))
 	b := chaosBuilder(t, ffs, dir, 1)
 	rep := mustBuild(t, b, twoUnitSnap())
@@ -564,10 +566,10 @@ func fmt16ish(i int) string {
 // and replaying the same seed must inject the same fault set — the property
 // that makes a failing chaos seed reproducible from its seed alone. The
 // replay is held at one worker: a fault is drawn per call identity
-// (op:canonical-path#n), and with two workers the temp files of both units'
-// creating saves share the identities close:.state-*#k, so which unit's
-// save meets a drawn fault — and then which destination file the next
-// compare-read opens and closes — is the scheduler's choice, not the seed's.
+// (op:canonical-path#n), and with two workers the creating saves of both
+// units share the identities mkdirall:<state dir>#k, so which unit's save
+// meets a drawn fault — and then which state file is written — is the
+// scheduler's choice, not the seed's.
 func TestChaosSeededSchedules(t *testing.T) {
 	bases := chaosBaselines(t)
 	wantSkips := controlSkips(t)

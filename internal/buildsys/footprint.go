@@ -3,10 +3,9 @@ package buildsys
 // Dependency-footprint tracing and the per-build cross-check — the
 // always-correct mode (docs/ROBUSTNESS.md). With Options.Footprint on,
 // every compile runs with a footprint.Trace attached: the unit's source
-// and the pipeline configuration are recorded as invalidating entries,
-// state-file I/O flows through the trace's recording FS wrapper as
-// advisory entries, and the compiled object's unresolved relocations
-// become link-scope entries. The finished record rides on the unit's
+// and the pipeline configuration are recorded as invalidating entries, and
+// the compiled object's unresolved relocations become link-scope entries;
+// state-file I/O is the builder's bookkeeping and is not recorded. The finished record rides on the unit's
 // persisted state and is retained in memory.
 //
 // On the next build the partition loop derives the *true* invalidation

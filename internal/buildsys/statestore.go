@@ -8,14 +8,13 @@ package buildsys
 // reason — missing file, truncation, corruption, checksum or version
 // mismatch, injected I/O fault — yield a cold start, and save failures are
 // reported as warnings and state.io_error counts rather than failing the
-// build. internal/state compares a file before saving it, overwrites an
-// existing file in place and creates a missing one by renaming a complete
-// temp file over it, all without an fsync: a save that fails or crashes
-// part way, or a power loss after it, leaves the old bytes, the new ones,
-// or a file whose checksum fails, which the next load turns into a cold
-// unit. The chaos suite (chaos_test.go) walks every fault point on these
-// paths, the power loss after every state save's rename or close included,
-// and proves the degradation is graceful.
+// build. internal/state compares a file before saving it and writes a
+// changed or missing one in place, without a temp file, rename or fsync: a
+// save that fails or crashes part way, or a power loss after it, leaves the
+// old bytes, the new ones, or a file whose checksum fails, which the next
+// load turns into a cold unit. The chaos suite (chaos_test.go) walks every
+// fault point on this path, the power loss after every state save's close
+// included, and proves the degradation is graceful.
 
 import (
 	"errors"
@@ -122,11 +121,18 @@ func (b *Builder) saveUnitState(unit string, st *core.UnitState) []byte {
 	return enc
 }
 
-// sweepStateTemp removes orphaned atomic-write temp files (state and
-// history rotation) from StateDir. A process that crashes between temp
-// creation and rename leaves one behind; they are never read back, so a
-// new builder (the directory's single writer) deletes them at startup.
-// Failures only count — the state directory may not even exist yet.
+// stateTempPattern is the glob of the temp files state saves created and
+// renamed before every save wrote its file in place. A builder of that
+// time that crashed between the two orphaned one, which a directory may
+// still hold.
+const stateTempPattern = ".state-*"
+
+// sweepStateTemp removes orphaned temp files from StateDir: the history
+// repair's and the ones older builders' state saves left (stateTempPattern).
+// A process that crashes between temp creation and rename leaves one
+// behind; they are never read back, so a new builder (the directory's
+// single writer) deletes them at startup. Failures only count — the state
+// directory may not even exist yet.
 func (b *Builder) sweepStateTemp() {
 	if b.opts.StateDir == "" {
 		return
@@ -142,7 +148,7 @@ func (b *Builder) sweepStateTemp() {
 		if e.IsDir() {
 			continue
 		}
-		stateTemp, _ := filepath.Match(state.TempPattern, e.Name())
+		stateTemp, _ := filepath.Match(stateTempPattern, e.Name())
 		histTemp, _ := filepath.Match(history.TempPattern, e.Name())
 		if !stateTemp && !histTemp {
 			continue

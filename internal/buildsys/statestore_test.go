@@ -56,7 +56,7 @@ func withNewFunc(snap project.Snapshot, tag string, units ...string) project.Sna
 // the names of the files they wrote, one per save — and the truncates on
 // state files.
 func stateWrites(calls []vfs.Call) (written []string, truncated int) {
-	for _, c := range statePublishes(calls) {
+	for _, c := range stateCloses(calls) {
 		written = append(written, c.Path)
 	}
 	for _, c := range calls {

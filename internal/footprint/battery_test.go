@@ -231,8 +231,8 @@ func TestFootprintGuard(t *testing.T) {
 }
 
 // TestFootprintWorkerStability pins per-unit footprints stable across
-// worker counts: the recording FS and trace dedupe shared reads once per
-// unit regardless of schedule. Run under -race via `make race`.
+// worker counts: the trace dedupes shared observations once per unit
+// regardless of schedule. Run under -race via `make race`.
 func TestFootprintWorkerStability(t *testing.T) {
 	p := workload.StandardSuite()[1] // parserlib: enough units to saturate 16 workers
 	snap := workload.Generate(p)

@@ -15,12 +15,12 @@
 //     arity as its hash, KindGlobal) — the *link-scope* entries: re-checked
 //     by the linker on every build, recorded so `minibuild deps` can print
 //     the real cross-unit dependency graph;
-//   - filesystem reads observed through the vfs seam (KindFile/KindStat/
-//     KindDir, recorded by the wrapper from Trace.FS) — *advisory* entries:
+//   - filesystem reads (KindFile/KindStat/KindDir) — *advisory* entries:
 //     reads that influence only how fast the compile runs, never its
-//     output, and therefore must not trigger recompiles. The build system
-//     routes none through it: a unit's dormancy-state load is an input to
-//     the optimizer, not to the output, and stays out of the footprint.
+//     output, and therefore must not trigger recompiles. Nothing records
+//     them any more: a unit's dormancy-state load is an input to the
+//     optimizer, not to the output, and stays out of the footprint. The
+//     kinds stay decodable, since older state files may carry them.
 //
 // Ground-truth hashing (HashBytes/HashStrings) is deliberately a different
 // algorithm (FNV-1a) from the fingerprint hasher the declared channel uses,
@@ -304,17 +304,5 @@ func HashStrings(ss []string) uint64 {
 	}
 	h ^= uint64(len(ss))
 	h *= fnvPrime
-	return h
-}
-
-// HashUint64 folds a machine word into a ground-truth hash (Stat entries).
-func HashUint64(vs ...uint64) uint64 {
-	h := uint64(fnvOffset)
-	for _, v := range vs {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xFF
-			h *= fnvPrime
-		}
-	}
 	return h
 }

@@ -1,13 +1,10 @@
 package footprint
 
 import (
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
-
-	"statefulcc/internal/vfs"
 )
 
 func TestTraceCanonicalAndDedupes(t *testing.T) {
@@ -160,71 +157,6 @@ func TestCodecRejects(t *testing.T) {
 	}
 }
 
-func TestTraceFSRecordsReads(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "data.txt")
-	content := []byte("hello footprint")
-	if err := writeFile(path, content); err != nil {
-		t.Fatal(err)
-	}
-
-	tr := NewTrace("u.mc")
-	fsys := tr.FS(vfs.OS)
-
-	f, err := fsys.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 4) // small buffer: hash must accumulate across reads
-	for {
-		if _, err := f.Read(buf); err != nil {
-			break
-		}
-	}
-	f.Close()
-	if _, err := fsys.Stat(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fsys.ReadDir(dir); err != nil {
-		t.Fatal(err)
-	}
-
-	rec := tr.Finish(1)
-	if h, ok := rec.Get(KindFile, path); !ok || h != HashBytes(content) {
-		t.Fatalf("file entry hash %016x, want incremental HashBytes %016x (ok=%v)", h, HashBytes(content), ok)
-	}
-	if _, ok := rec.Get(KindStat, path); !ok {
-		t.Fatal("stat entry not recorded")
-	}
-	if _, ok := rec.Get(KindDir, dir); !ok {
-		t.Fatal("readdir entry not recorded")
-	}
-}
-
-func TestTraceFSCloseWithoutEOF(t *testing.T) {
-	// A file closed before EOF still records, hashing what was read.
-	dir := t.TempDir()
-	path := filepath.Join(dir, "data.txt")
-	if err := writeFile(path, []byte("0123456789")); err != nil {
-		t.Fatal(err)
-	}
-	tr := NewTrace("u.mc")
-	fsys := tr.FS(vfs.OS)
-	f, err := fsys.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 4)
-	if _, err := f.Read(buf); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	rec := tr.Finish(1)
-	if h, ok := rec.Get(KindFile, path); !ok || h != HashBytes([]byte("0123")) {
-		t.Fatalf("partial-read hash %016x, want HashBytes of the 4 bytes read (ok=%v)", h, ok)
-	}
-}
-
 func TestTraceConcurrentAdd(t *testing.T) {
 	// Concurrent Adds with racing duplicates: no data race (run under
 	// -race), deterministic size, one entry per key.
@@ -248,16 +180,3 @@ func TestTraceConcurrentAdd(t *testing.T) {
 }
 
 var names = []string{"g0", "g1", "g2", "g3", "g4"}
-
-// writeFile is a tiny os.WriteFile stand-in through the vfs seam.
-func writeFile(path string, data []byte) error {
-	f, err := vfs.OS.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}

@@ -70,9 +70,8 @@ const DefaultLimit = 200
 const maxLineBytes = 16 * 1024 * 1024
 
 // TempPattern is the glob the in-flight temp files of a segment's repair
-// match. A crash mid-repair orphans one; like state.TempPattern files,
-// they are never read back, so a state directory's single writer may
-// sweep matches at startup.
+// match. A crash mid-repair orphans one; it is never read back, so a state
+// directory's single writer may sweep matches at startup.
 const TempPattern = ".history-*"
 
 // PassDecision is one pipeline slot's decision provenance for one unit:

@@ -95,11 +95,11 @@ const (
 	CtrFootprintRedundant = "footprint.redundant"
 
 	// Persistent-state counters (updated concurrently by workers).
-	// state.saves counts state files actually written (an existing file
-	// overwritten in place, a missing one created by temp file and rename,
-	// neither fsynced: a file a crash or power loss left torn fails its
-	// checksum and its unit runs cold); state.save_unchanged counts saves elided
-	// because the bytes on disk already equalled the new encoding. Their sum
+	// state.saves counts state files actually written (in place, created if
+	// missing, never fsynced: the file is old, new, or rejected — one a crash
+	// or power loss left torn fails its checksum and its unit runs cold);
+	// state.save_unchanged counts saves elided because the bytes on disk
+	// already equalled the new encoding. Their sum
 	// is the save attempts that did not fail (those are state.io_error).
 	// state.bytes_written sums the bytes the saves wrote.
 	CtrStateLoads         = "state.loads"

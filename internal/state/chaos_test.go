@@ -3,19 +3,19 @@ package state_test
 // State-layer chaos suite: walk every injectable I/O fault point of a
 // workload of saves — one that creates the state file, one that grows it,
 // one that finds its bytes already there, one that shrinks it — and a load,
-// and prove the write-if-changed, create-whole and in-place-overwrite
-// contracts under all of them. Whatever a fault leaves at the state path is
-// the old encoding, the new one, or bytes the loader rejects, never a third
-// state that decodes; a file being created is there whole or not at all. A
-// save that reports success has the new bytes on disk and is elided only
-// when they already were, and the loader either returns one of the valid
-// states or an error the callers treat as a cold start. The fault points
-// come from recording a clean run, not from a hand-kept list.
+// and prove the write-if-changed and write-in-place contracts under all of
+// them. Whatever a fault leaves at the state path is the old encoding (no
+// file, before the first save), the new one, or bytes the loader rejects —
+// old, new, or rejected — never a third state that decodes. A save that
+// reports success has the new bytes on disk and is elided only when they
+// already were, and the loader either returns one of the valid states or an
+// error the callers treat as a cold start. The fault points come from
+// recording a clean run, not from a hand-kept list.
 //
-// A save does not fsync, so a power loss can land its rename or its close
-// without its data: the power-loss walk damages the written file every way
-// that can happen and proves the load rejects it (a cold unit) and the next
-// save rewrites it.
+// A save does not fsync, so a power loss can land its close without its
+// data: the power-loss walk damages the written file every way that can
+// happen and proves the load rejects it (a cold unit) and the next save
+// rewrites it.
 
 import (
 	"bytes"
@@ -71,18 +71,18 @@ func main() int { return helper(4); }`)
 	return stOld, stNew, a.Bytes(), b.Bytes()
 }
 
-// TestSaveNeverSyncs pins the shape of a save and its durability contract:
-// a state file only has to be valid or detectably invalid, so no save
-// issues an fsync. A save that creates its file writes a temp file and ends
-// with the rename over the state path; one that changes an existing file
-// compares through a read-only handle, then opens it once for writing and
-// overwrites it in place — no temp file, no rename; an elided save opens
-// nothing for writing and writes nothing.
-func TestSaveNeverSyncs(t *testing.T) {
+// TestSaveWritesInPlace pins the shape of a save and its durability
+// contract: a state file only has to be valid or detectably invalid, so
+// there is one write path. Every save compares through a read-only handle;
+// every save that writes — creating the file or changing it — then opens
+// the state file once for writing and ends with its close. No save makes a
+// temp file, renames or fsyncs; an elided save opens nothing for writing
+// and writes nothing.
+func TestSaveWritesInPlace(t *testing.T) {
 	stOld, stNew, _, _ := chaosStates(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "unit.state")
-	ffs := vfs.NewFaultFS(vfs.OS, vfs.WithCanon(chaostest.Canon(dir, state.TempPattern)))
+	ffs := vfs.NewFaultFS(vfs.OS, vfs.WithCanon(chaostest.Canon(dir)))
 	// A new file, a file that grows, the same bytes again, a file that shrinks.
 	for i, st := range []*core.UnitState{stOld, stNew, stNew, stOld} {
 		before := len(ffs.Calls())
@@ -96,21 +96,19 @@ func TestSaveNeverSyncs(t *testing.T) {
 		calls := ffs.Calls()[before:]
 		ops := map[vfs.Op]int{}
 		for _, c := range calls {
-			if c.Path != "unit.state" && c.Path != state.TempPattern && c.Op != vfs.OpMkdirAll {
-				t.Fatalf("save %d touched %v; a save touches only its state file and temp file", i, c)
+			if c.Path != "unit.state" && c.Op != vfs.OpMkdirAll {
+				t.Fatalf("save %d touched %v; a save touches only its state file", i, c)
 			}
 			ops[c.Op]++
 		}
 		last := calls[len(calls)-1]
 		switch {
-		case ops[vfs.OpSync] != 0:
-			t.Fatalf("save %d synced: %v; a state save never syncs", i, calls)
-		case i == 0 && (ops[vfs.OpOpenFile] != 0 || last != vfs.Call{Op: vfs.OpRename, Path: "unit.state", N: 1}):
-			t.Fatalf("creating save: %v; want a temp file renamed over unit.state as its last call", calls)
-		case i > 0 && (ops[vfs.OpCreateTemp] != 0 || ops[vfs.OpRename] != 0 || last.Op != vfs.OpClose):
-			t.Fatalf("save %d over an existing file: %v; want no temp file or rename, ending with a close", i, calls)
-		case wrote && i > 0 && ops[vfs.OpOpenFile] != 1:
-			t.Fatalf("overwrite %d opened the file for writing %d times, want once: %v", i, ops[vfs.OpOpenFile], calls)
+		case ops[vfs.OpSync] != 0 || ops[vfs.OpCreateTemp] != 0 || ops[vfs.OpRename] != 0:
+			t.Fatalf("save %d: %v; a state save never syncs, makes a temp file or renames", i, calls)
+		case last.Op != vfs.OpClose:
+			t.Fatalf("save %d: %v; want it to end with a close of unit.state", i, calls)
+		case wrote && ops[vfs.OpOpenFile] != 1:
+			t.Fatalf("save %d opened the file for writing %d times, want once: %v", i, ops[vfs.OpOpenFile], calls)
 		case !wrote && ops[vfs.OpOpenFile]+ops[vfs.OpWrite]+ops[vfs.OpTruncate] != 0:
 			t.Fatalf("elided save %d opened for writing or wrote: %v", i, calls)
 		}
@@ -135,7 +133,7 @@ func TestChaosSaveLoad(t *testing.T) {
 	}
 
 	// The workload under test: create the state file with the old state
-	// (the compare finds no file: temp file + rename), overwrite it with
+	// (the compare finds no file: MkdirAll, then the write), overwrite it with
 	// the longer new one (the compare sees different bytes and must write
 	// in place), save the new state again (the compare sees equal bytes and
 	// elides), save the old state over it (a write that must cut the tail),
@@ -165,7 +163,7 @@ func TestChaosSaveLoad(t *testing.T) {
 		_, _ = state.LoadFS(fsys, path)
 		return steps
 	}
-	canon := func(dir string) vfs.Option { return vfs.WithCanon(chaostest.Canon(dir, state.TempPattern)) }
+	canon := func(dir string) vfs.Option { return vfs.WithCanon(chaostest.Canon(dir)) }
 
 	// Record a clean run to enumerate the fault points.
 	recDir := t.TempDir()
@@ -177,17 +175,16 @@ func TestChaosSaveLoad(t *testing.T) {
 			t.Fatalf("clean run, save %d: wrote=%v err=%v; want a write, a write, an elision, a write", i, clean[i].wrote, clean[i].err)
 		}
 	}
-	// 29 points: the compares' 4 opens, 5 reads and 3 closes; the create's
-	// mkdirall, createtemp, write, close and rename; the overwrites' 2
-	// openfiles, 2 writes, 2 truncates and 2 closes; then the load's open, 2
-	// reads and close.
+	// 29 points: the compares' 4 opens, 5 reads and 3 closes; the creating
+	// save's mkdirall; the three writes' 3 openfiles, 3 writes, 3 truncates
+	// and 3 closes; then the load's open, 2 reads and close.
 	points := chaostest.Points(rec.Calls())
 	if len(points) < 29 {
 		t.Fatalf("recorded only %d fault points; the seam has shrunk: %v", len(points), points)
 	}
 	cov := chaostest.OpsCovered(points)
-	for _, op := range []vfs.Op{vfs.OpOpen, vfs.OpRead, vfs.OpMkdirAll, vfs.OpCreateTemp, vfs.OpWrite,
-		vfs.OpRename, vfs.OpOpenFile, vfs.OpTruncate, vfs.OpClose} {
+	for _, op := range []vfs.Op{vfs.OpOpen, vfs.OpRead, vfs.OpMkdirAll, vfs.OpWrite,
+		vfs.OpOpenFile, vfs.OpTruncate, vfs.OpClose} {
 		if cov[op] == 0 {
 			t.Fatalf("workload never performs %s; recording is not covering the save/load path (%v)", op, cov)
 		}
@@ -213,11 +210,7 @@ func TestChaosSaveLoad(t *testing.T) {
 
 				for i, s := range steps {
 					// Invariant 1: the file is the old encoding, the new one,
-					// or bytes the loader rejects — never a third state — and
-					// a file being created appears whole or not at all.
-					if s.before == nil && s.after != nil && !bytes.Equal(s.after, s.target) {
-						t.Fatalf("save %d created a file of %d bytes that is not its encoding", i, len(s.after))
-					}
+					// or bytes the loader rejects — never a third state.
 					if !bytes.Equal(s.after, s.before) && !bytes.Equal(s.after, s.target) {
 						if got, err := state.DecodeBytes(bytes.Clone(s.after)); err == nil {
 							t.Fatalf("save %d left %d bytes that are neither encoding and decode (unit %q)", i, len(s.after), got.Unit)
@@ -235,14 +228,6 @@ func TestChaosSaveLoad(t *testing.T) {
 						t.Fatalf("save %d reported both a write and an error: %v", i, s.err)
 					}
 				}
-				// A failed save cleans up its temp file (a crash cannot: the
-				// builder's start-up sweep owns those).
-				if kind != vfs.FaultCrash {
-					if left, _ := filepath.Glob(filepath.Join(dir, state.TempPattern)); len(left) != 0 {
-						t.Fatalf("failed save left temp files behind: %v", left)
-					}
-				}
-
 				// Invariant 3: a clean load returns the state whose encoding
 				// the file holds, or rejects the file (a cold unit).
 				final := steps[len(steps)-1].after
@@ -277,18 +262,15 @@ func TestChaosSaveLoad(t *testing.T) {
 	}
 }
 
-// writePublishes returns the calls that end a save that wrote unit.state:
-// the rename that publishes a created file, and the Close of a handle
-// that wrote the file in place.
-func writePublishes(calls []vfs.Call) (out []vfs.Call) {
+// writeCloses returns the calls that end a save that wrote unit.state: the
+// Close of a handle that wrote the file.
+func writeCloses(calls []vfs.Call) (out []vfs.Call) {
 	wrote := false
 	for _, c := range calls {
 		if c.Path != "unit.state" {
 			continue
 		}
 		switch c.Op {
-		case vfs.OpRename:
-			out = append(out, c)
 		case vfs.OpWrite:
 			wrote = true
 		case vfs.OpClose:
@@ -301,10 +283,10 @@ func writePublishes(calls []vfs.Call) (out []vfs.Call) {
 	return out
 }
 
-// TestChaosPowerLoss is the power-loss walk: at the rename of a save that
-// creates the file, and at the close of each save that overwrites it — one
-// that grows the file, one that shrinks it — the file's name and size
-// reach the disk and its new data does not, in each of the ways
+// TestChaosPowerLoss is the power-loss walk: at the close of each save that
+// writes the file — one that creates it, one that grows it, one that
+// shrinks it — the file's name and size reach the disk and its new data
+// does not, in each of the ways
 // vfs.FaultLost damages a file, and the process dies there. The save
 // reports success (the process never learns), the next load — after the
 // "reboot" — must reject the file rather than decode it, and the next save
@@ -319,22 +301,22 @@ func TestChaosPowerLoss(t *testing.T) {
 		}
 		return wrote, errs
 	}
-	canon := func(dir string) vfs.Option { return vfs.WithCanon(chaostest.Canon(dir, state.TempPattern)) }
+	canon := func(dir string) vfs.Option { return vfs.WithCanon(chaostest.Canon(dir)) }
 	recDir := t.TempDir()
 	rec := vfs.NewFaultFS(vfs.OS, canon(recDir))
 	if _, errs := workload(rec, filepath.Join(recDir, "unit.state")); errs[0] != nil || errs[1] != nil || errs[2] != nil {
 		t.Fatal(errs)
 	}
-	publishes := writePublishes(rec.Calls())
-	if len(publishes) != len(plan) || publishes[0].Op != vfs.OpRename {
-		t.Fatalf("recorded publishes %v, want the create's rename then one close per overwrite", publishes)
+	closes := writeCloses(rec.Calls())
+	if len(closes) != len(plan) {
+		t.Fatalf("recorded closes after a write %v, want one per save", closes)
 	}
 	// Cut and flip inside the shorter encoding, so no damage is a no-op.
 	at := min(len(encOld), len(encNew)) / 2
-	for i, p := range publishes {
+	for i, p := range closes {
 		for _, d := range chaostest.Damages {
 			i, p, d := i, p, d
-			t.Run(chaostest.LostName(p, d), func(t *testing.T) {
+			t.Run(chaostest.LostName(p, d, i == 0), func(t *testing.T) {
 				dir := t.TempDir()
 				path := filepath.Join(dir, "unit.state")
 				ffs := vfs.NewFaultFS(vfs.OS, canon(dir), vfs.WithRules(chaostest.LostRule(p, d, at)))
@@ -455,7 +437,8 @@ func (f *shortFile) Read(p []byte) (int, error) {
 
 // TestSaveWritesWheneverDiskDiffers: the direct cases of the
 // write-if-changed rule. Only a file that reads back fully and equal is
-// left alone; anything else on disk is replaced by the current encoding.
+// left alone; anything else on disk — a file the compare cannot open
+// included — is overwritten in place with the current encoding.
 func TestSaveWritesWheneverDiskDiffers(t *testing.T) {
 	st := goldenState()
 	var b bytes.Buffer
@@ -488,6 +471,7 @@ func TestSaveWritesWheneverDiskDiffers(t *testing.T) {
 		{"empty file", []byte{}, vfs.OS, true},
 		{"v5 file", v5, vfs.OS, true},
 		{"equal bytes, short read", enc, shortReadFS{vfs.OS}, true},
+		{"file the save may not read", enc, vfs.NewFaultFS(vfs.OS, vfs.WithRules(vfs.Rule{Op: vfs.OpOpen, Kind: vfs.FaultError})), true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -536,28 +520,28 @@ func TestUnchangedSaveNeedsNoWriteAccess(t *testing.T) {
 }
 
 // TestSaveCallLog pins the I/O a save performs, call by call: a save into a
-// missing directory finds no file to compare, creates the directory and
-// publishes a temp file by rename; an elided save is one open+read+close of
-// the state file and nothing else; an overwrite compares the same way, then
-// opens the file for writing once, writes it from the start and truncates
-// it to the new length.
+// missing directory finds no file to compare, creates the directory, then
+// writes the file the one way every save writes: opens it for writing
+// once, writes it from the start and truncates it to the new length; an
+// elided save is one open+read+close of the state file and nothing else; an
+// overwrite compares the same way, then writes.
 func TestSaveCallLog(t *testing.T) {
 	stOld, stNew, _, _ := chaosStates(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sub", "unit.state")
-	ffs := vfs.NewFaultFS(vfs.OS, vfs.WithCanon(chaostest.Canon(dir, state.TempPattern)))
+	ffs := vfs.NewFaultFS(vfs.OS, vfs.WithCanon(chaostest.Canon(dir)))
 	steps := []struct {
 		name string
 		st   *core.UnitState
 		want string
 	}{
-		{"save into a missing directory", stOld, "open:sub/unit.state#1 mkdirall:sub#1 createtemp:sub/.state-*#1 " +
-			"write:sub/.state-*#1 close:sub/.state-*#1 rename:sub/unit.state#1"},
-		{"elided save", stOld, "open:sub/unit.state#2 read:sub/unit.state#1 read:sub/unit.state#2 close:sub/unit.state#1"},
+		{"save into a missing directory", stOld, "open:sub/unit.state#1 mkdirall:sub#1 " +
+			"openfile:sub/unit.state#1 write:sub/unit.state#1 truncate:sub/unit.state#1 close:sub/unit.state#1"},
+		{"elided save", stOld, "open:sub/unit.state#2 read:sub/unit.state#1 read:sub/unit.state#2 close:sub/unit.state#2"},
 		{"overwrite that grows the file", stNew, "open:sub/unit.state#3 read:sub/unit.state#3 read:sub/unit.state#4 " +
-			"close:sub/unit.state#2 openfile:sub/unit.state#1 write:sub/unit.state#1 truncate:sub/unit.state#1 close:sub/unit.state#3"},
-		{"overwrite that shrinks the file", stOld, "open:sub/unit.state#4 read:sub/unit.state#5 close:sub/unit.state#4 " +
-			"openfile:sub/unit.state#2 write:sub/unit.state#2 truncate:sub/unit.state#2 close:sub/unit.state#5"},
+			"close:sub/unit.state#3 openfile:sub/unit.state#2 write:sub/unit.state#2 truncate:sub/unit.state#2 close:sub/unit.state#4"},
+		{"overwrite that shrinks the file", stOld, "open:sub/unit.state#4 read:sub/unit.state#5 close:sub/unit.state#5 " +
+			"openfile:sub/unit.state#3 write:sub/unit.state#3 truncate:sub/unit.state#3 close:sub/unit.state#6"},
 	}
 	for _, step := range steps {
 		from := len(ffs.Calls())

@@ -2,26 +2,26 @@
 //
 // The format is a compact little-endian binary layout with a magic, version
 // and checksum header. A save first reads the state file back and writes
-// nothing if it already holds the new encoding. Otherwise it overwrites an
-// existing file in place, and creates a missing one whole: a temp file
-// renamed into place.
+// nothing if it already holds the new encoding. Otherwise it writes the
+// file in place, creating it if missing: one write path, no temp file and
+// no rename.
 //
 // A state file only has to be valid or detectably invalid, never durable or
 // atomic. Any valid file is sound, whichever build wrote it, because every
 // skip re-checks the slot's input fingerprint (docs/STATEFULNESS.md §3); a
 // file that is missing, stale, of another version or damaged makes its unit
 // run cold, which is always safe because the records are a pure
-// optimization. So a save never fsyncs, and an existing file is not
-// replaced by rename. A save that fails or crashes part way, or a power loss
-// after it, leaves a prefix of the new bytes over the old ones, an old tail
-// that was never cut, zeros or flipped bits; the header's CRC-32C over every
-// byte after it, up to the end of the file, makes each of those read back
-// as the old encoding, the new one, or a rejected load, and the unit costs
-// one cold compile: degraded never means worse than cold. That guarantee is
-// proven, not asserted: all I/O goes through the internal/vfs seam
-// (SaveFS/LoadFS), and the chaos suites walk every injectable fault point,
-// the power loss after each save's rename or close included
-// (docs/ROBUSTNESS.md).
+// optimization. So a save never fsyncs and never renames. A save that fails
+// or crashes part way, or a power loss after it, leaves a prefix of the new
+// bytes over the old ones (over nothing, for a file it created), an old
+// tail that was never cut, zeros or flipped bits; the header's CRC-32C over
+// every byte after it, up to the end of the file, makes each of those read
+// back as old, new, or rejected: the old encoding, the new one, or a
+// failed load, and the unit costs one cold compile: degraded never means
+// worse than cold. That guarantee is proven, not asserted: all I/O goes
+// through the internal/vfs seam (SaveFS/LoadFS), and the chaos suites walk
+// every injectable fault point, the power loss after each written file's
+// close included (docs/ROBUSTNESS.md).
 //
 // Layout. There is one layout and one decoder. Two observations keep the
 // state tiny, mirroring the paper's pitch:
@@ -110,12 +110,6 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // only one the decoder accepts.
 const FormatVersion = 8
 
-// TempPattern is the glob of the temp files a save that creates its state
-// file writes and renames. A crash between temp creation and rename orphans
-// one; owners of a state directory may sweep matches from a single-writer
-// context (the files are never read back, so removal is always safe).
-const TempPattern = ".state-*"
-
 // Save is SaveFS on the real filesystem.
 func Save(path string, st *core.UnitState) error {
 	return SaveFS(vfs.OS, path, st)
@@ -138,27 +132,23 @@ func SaveChangedFS(fsys vfs.FS, path string, st *core.UnitState) (wrote bool, er
 // returned. The encoding is compared with the bytes currently at path, read
 // through a read-only handle; if the file reads back fully and equal,
 // nothing is written and wrote is false, so an unchanged save never opens
-// the file for writing. Otherwise:
+// the file for writing. Otherwise the file is written in place, whether or
+// not it exists: OpenFile(O_WRONLY|O_CREATE), Write, Truncate to the
+// encoding's length, Close — after a MkdirAll of the directory when the
+// compare found no file. There is one write path: no O_TRUNC, no temp file,
+// no rename and no fsync.
 //
-//   - a file the compare opened is overwritten in place:
-//     OpenFile(O_WRONLY), Write, Truncate to the encoding's length, Close.
-//     There is no O_TRUNC, no temp file and no rename;
-//   - a file the compare could not open — no file, or one it may not
-//     read — is created whole: the bytes go to a temp file in the
-//     directory (made first if missing), which is closed and renamed over
-//     path.
-//
-// Neither way fsyncs. A save that fails or crashes part way, or a power
-// loss after it, can leave a prefix of the new bytes over the old ones, an
-// old tail the Truncate never cut, zeros or flipped bits. The header's
-// checksum covers every byte after it up to the end of the file, so each of
-// those reads back as the old encoding, the new one, or a file DecodeBytes
-// rejects — and a unit whose state fails to load runs cold, which is always
-// correct. The same holds for a reader in another process that races an
-// overwrite: it may find the file mid-write and reject it. Two processes
-// saving one file at once leave one process's encoding or a rejected file:
-// the Truncate is unconditional, so a save never keeps a tail another
-// process wrote.
+// A save that fails or crashes part way, or a power loss after it, can
+// leave a prefix of the new bytes over the old ones (or, for a file it
+// created, an empty or short file), an old tail the Truncate never cut,
+// zeros or flipped bits. The header's checksum covers every byte after it
+// up to the end of the file, so each of those reads back as the old
+// encoding, the new one, or a file DecodeBytes rejects — and a unit whose
+// state fails to load runs cold, which is always correct. The same holds
+// for a reader in another process that races a write: it may find the file
+// mid-write and reject it. Two processes saving one file at once leave one
+// process's encoding or a rejected file: the Truncate is unconditional, so
+// a save never keeps a tail another process wrote.
 //
 // The compare is against the disk rather than against bytes remembered at
 // load time, so callers keep no per-unit memory and a file deleted or
@@ -166,13 +156,14 @@ func SaveChangedFS(fsys vfs.FS, path string, st *core.UnitState) (wrote bool, er
 func WriteChangedFS(fsys vfs.FS, path string, enc []byte) (wrote bool, err error) {
 	fsys = vfs.Default(fsys)
 	found, equal := compareOnDisk(fsys, path, enc)
-	switch {
-	case equal:
+	if equal {
 		return false, nil
-	case found:
-		err = overwrite(fsys, path, enc)
-	default:
-		err = create(fsys, path, enc)
+	}
+	if !found {
+		err = fsys.MkdirAll(filepath.Dir(path), 0o755)
+	}
+	if err == nil {
+		err = writeInPlace(fsys, path, enc)
 	}
 	if err != nil {
 		return false, fmt.Errorf("state: %w", err)
@@ -196,10 +187,10 @@ func compareOnDisk(fsys vfs.FS, path string, enc []byte) (found, equal bool) {
 	return true, rerr == io.ErrUnexpectedEOF && cerr == nil && bytes.Equal(got[:n], enc)
 }
 
-// overwrite writes enc over the existing file at path from offset 0 and
-// cuts whatever tail is left.
-func overwrite(fsys vfs.FS, path string, enc []byte) error {
-	f, err := fsys.OpenFile(path, os.O_WRONLY, 0)
+// writeInPlace writes enc at offset 0 of the file at path, creating it if
+// missing, and cuts whatever tail is left.
+func writeInPlace(fsys vfs.FS, path string, enc []byte) error {
+	f, err := fsys.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
 	if err != nil {
 		return err
 	}
@@ -209,32 +200,6 @@ func overwrite(fsys vfs.FS, path string, enc []byte) error {
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
-	}
-	return err
-}
-
-// create publishes enc at path through a temp file in its directory, so
-// the name appears only once the bytes are written. There is no Sync: see
-// WriteChangedFS. It is the second write path, kept beside overwrite only
-// until ROADMAP item 1(e) lets overwrite create the file (O_CREATE).
-func create(fsys vfs.FS, path string, enc []byte) error {
-	if err := fsys.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	tmp, err := fsys.CreateTemp(filepath.Dir(path), TempPattern)
-	if err != nil {
-		return err
-	}
-	_, err = tmp.Write(enc)
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = fsys.Rename(tmp.Name(), path)
-	}
-	if err != nil {
-		// Once renamed the temp name is gone, so it is removed only here.
-		_ = fsys.Remove(tmp.Name()) // best effort: sweepers delete orphaned temps
 	}
 	return err
 }

@@ -125,14 +125,13 @@ func Name(p vfs.Call, kind vfs.Fault) string {
 	return fmt.Sprintf("%s/%s", kind, pointName(p))
 }
 
-// Damages are the three ways a power loss after a rename or after the
-// close of a written file (vfs.FaultLost) leaves the file.
+// Damages are the three ways a power loss after the close of a written
+// file (vfs.FaultLost) leaves the file.
 var Damages = []vfs.Damage{vfs.DamageZeroed, vfs.DamageTruncated, vfs.DamageFlipped}
 
-// LostRule builds the rule that loses the data of the file renamed or
-// closed at point p — a rename, or the Close of a handle opened for
-// writing — leaving the file as d says (at offset at). At any other point
-// the rule is a crash.
+// LostRule builds the rule that loses the data of the file closed at point
+// p — the Close of a handle opened for writing — leaving the file as d says
+// (at offset at). At any other point the rule is a crash.
 func LostRule(p vfs.Call, d vfs.Damage, at int) vfs.Rule {
 	r := RuleFor(p, vfs.FaultLost)
 	r.Damage, r.At = d, at
@@ -140,8 +139,13 @@ func LostRule(p vfs.Call, d vfs.Damage, at int) vfs.Rule {
 }
 
 // LostName renders a power-loss point as a stable subtest name
-// ("lost-zeroed/rename:unit.state#1").
-func LostName(p vfs.Call, d vfs.Damage) string {
+// ("lost-zeroed/close:unit.state#3"). The close of the save that created
+// the file is named for that ("lost-zeroed/create:unit.state#1"), so the
+// walk tells the creating save apart from the overwrites.
+func LostName(p vfs.Call, d vfs.Damage, created bool) string {
+	if created {
+		p.Op = "create"
+	}
 	return fmt.Sprintf("%s-%s/%s", vfs.FaultLost, d, pointName(p))
 }
 

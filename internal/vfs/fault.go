@@ -40,12 +40,11 @@ const (
 	// FaultCrash fails the operation and every subsequent operation on
 	// this FaultFS (and all files opened through it) with ErrCrashed.
 	FaultCrash
-	// FaultLost, on a rename or on the Close of a file opened for writing,
-	// is a power loss just after it: the rename or close succeeds, the
-	// file's name and size reached the disk and its new data did not — its
-	// bytes are left as Rule.Damage says — and, as after FaultCrash, every
-	// later operation fails with ErrCrashed.
-	// On any other op it is FaultCrash.
+	// FaultLost, on the Close of a file opened for writing, is a power loss
+	// just after it: the close succeeds, the file's name and size reached
+	// the disk and its new data did not — its bytes are left as Rule.Damage
+	// says — and, as after FaultCrash, every later operation fails with
+	// ErrCrashed. On any other op, a rename included, it is FaultCrash.
 	FaultLost
 )
 
@@ -64,7 +63,7 @@ func (k Fault) String() string {
 	return fmt.Sprintf("fault(%d)", int(k))
 }
 
-// Damage is what a FaultLost rename or close leaves of the file's bytes.
+// Damage is what a FaultLost close leaves of the file's bytes.
 type Damage int
 
 const (
@@ -100,7 +99,7 @@ type Rule struct {
 	Nth  int
 	Kind Fault
 	Err  error // error to inject; nil defaults to ErrInjected
-	// Damage and At say what a FaultLost rename or close leaves of the file.
+	// Damage and At say what a FaultLost close leaves of the file.
 	Damage Damage
 	At     int
 }
@@ -242,7 +241,7 @@ func (f *FaultFS) Crashed() bool {
 // begin logs one operation and decides its fate: a nil error means the
 // operation proceeds to the wrapped FS; the fired rule is meaningful only
 // when err is non-nil (FaultTorn lets the caller perform a partial write,
-// FaultLost a rename or close that loses the file's data).
+// FaultLost a close that loses the file's data).
 func (f *FaultFS) begin(op Op, path string) (fired Rule, err error) {
 	if f.canon != nil {
 		path = f.canon(path)
@@ -361,16 +360,10 @@ func (f *FaultFS) CreateTemp(dir, pattern string) (File, error) {
 func (f *FaultFS) Rename(oldpath, newpath string) error {
 	// Identified by the destination: the source is usually a randomized
 	// temp name.
-	r, err := f.begin(OpRename, newpath)
-	if err != nil && r.Kind != FaultLost {
+	if _, err := f.begin(OpRename, newpath); err != nil {
 		return err
 	}
-	if rerr := f.inner.Rename(oldpath, newpath); rerr != nil || err == nil {
-		return rerr
-	}
-	// The power loss: the caller saw its rename succeed, and what it
-	// renamed reads back damaged.
-	return f.lose(newpath, r)
+	return f.inner.Rename(oldpath, newpath)
 }
 
 // lose rewrites the file at path, past the injector, as a FaultLost rule's
