@@ -33,10 +33,11 @@ test:
 # registry and tracer under concurrent workers), the daemon's drain path,
 # and the workload differential suite under the race detector — and the
 # compile path itself: every worker reuses scratch memory (the frontend's
-# token buffer and tables, the passes' and code generation's dense side
-# tables) from unit to unit, which is shared state the moment two workers
-# can reach one scratch (internal/compiler's TestDirtyScratchAcrossWorkers
-# runs 1, 2 and 4 workers over one snapshot) — and the VM that runs what the
+# token buffer and tables, the IR arena its modules are cut from, the
+# passes' and code generation's dense side tables) from unit to unit, which
+# is shared state the moment two workers can reach one scratch
+# (internal/compiler's TestDirtyScratchAcrossWorkers runs 1, 2 and 4
+# workers over one snapshot) — and the VM that runs what the
 # compile path made: linked functions share their argument pools, read-only,
 # with the cached objects they were linked from. The flight recorder is in
 # the list for what it shares across processes, not goroutines: its append,

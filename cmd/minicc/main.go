@@ -143,6 +143,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 		}
 		if *emitIR {
+			// Printed now: the module is valid only until the next CompileUnit.
 			fmt.Fprintln(stdout, res.Module.String())
 		}
 		if *emitAsm {

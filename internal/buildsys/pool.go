@@ -259,13 +259,18 @@ func safeCompile(ctx context.Context, c *compiler.Compiler, name string, src []b
 // object, the state and the statistics of a result, never its module, and
 // an outcome lives until the build's history record is written — all 208
 // post-pipeline modules of a cold build, re-marked by every collection, if
-// they came along.
+// they came along. The worker's compilers release their IR arenas here, so
+// the next unit reuses the memory and an idle worker pins none of it.
 func (b *Builder) compileOne(ctx context.Context, w int, j compileJob) (out outcome) {
 	c := b.workers[w]
 	busyStart := time.Now()
 	defer func() {
 		if out.res != nil {
 			out.res.Module = nil
+		}
+		c.Release()
+		if fc := b.fallbacks[w]; fc != nil {
+			fc.Release()
 		}
 		b.busy[w] += time.Since(busyStart).Nanoseconds()
 	}()

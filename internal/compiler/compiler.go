@@ -79,9 +79,10 @@ type Options struct {
 // Compiler compiles units under a fixed policy. It is not safe for
 // concurrent use (the full cache and driver state are unsynchronized);
 // build systems run one compiler per worker. That makes it the owner of
-// the worker's scratch memory — the frontend's in fe, the passes' dense side
-// tables inside its driver, code generation's in cg — which is reused from
-// unit to unit and never shared between compilers.
+// the worker's scratch memory — the frontend's in fe, the IR arena among
+// them, the passes' dense side tables inside its driver, code generation's
+// in cg — which is reused from unit to unit and never shared between
+// compilers.
 type Compiler struct {
 	opts   Options
 	driver *core.Driver
@@ -137,6 +138,11 @@ func (c *Compiler) FullCacheStateBytes() int {
 	return c.cache.SizeBytes()
 }
 
+// Release gives the IR of the last compile's Module back to the
+// compiler's arena, wiped, so that an idle compiler pins none of it. That
+// Module must not be used afterwards.
+func (c *Compiler) Release() { c.fe.lower.Release() }
+
 // Stage span names emitted for every unit compilation.
 const (
 	StageFrontend = "frontend"
@@ -148,7 +154,12 @@ const (
 type UnitResult struct {
 	// Object is the compiled artifact (nil with SkipCodegen).
 	Object *codegen.Object
-	// Module is the post-pipeline IR.
+	// Module is the post-pipeline IR. Like the slice bufio.Scanner.Bytes
+	// returns, it may be overwritten: it is cut from the compiler's IR arena
+	// and valid only until the same Compiler's next compile or Release, so
+	// a caller that needs it later prints or encodes it first (a
+	// CloneModule copy shares its constants, which does not help). Object,
+	// State and Stats do not point into it and stay valid.
 	Module *ir.Module
 	// State is the updated dormancy state (stateful mode).
 	State *core.UnitState
@@ -180,11 +191,13 @@ func Frontend(unitName string, src []byte) (*ir.Module, error) {
 }
 
 // frontend is one worker's frontend scratch: the token buffer and list
-// stacks of the parser, the checker's tables, the lowering's slot table and
-// block stacks. Each stage zeroes its own when it is done with a unit —
-// the checker's, which lowering still reads, here — so that neither a
-// failed unit nor a large one leaves anything for the next, and an idle
-// worker pins no unit's AST or IR.
+// stacks of the parser, the checker's tables, the lowering's slot table,
+// block stacks and IR arena. Each stage zeroes its tables when it is done
+// with a unit — the checker's, which lowering still reads, here — so that
+// neither a failed unit nor a large one leaves anything for the next. The
+// arena holds the returned module's IR until the next unit's lowering or
+// Compiler.Release wipes it, so an idle, released worker pins no unit's AST
+// or IR.
 type frontend struct {
 	parse parser.Scratch
 	check types.Scratch

@@ -3,8 +3,10 @@ package compiler_test
 // FuzzStatefulEdit fuzzes the skip rule itself: a unit compiled stateful,
 // its state written and read back, then an edit of it compiled with that
 // state must come out exactly as a stateless compile of the edit — with the
-// soundness sentinel checking every skip and finding none unsound. Under
-// plain `go test` only the seeds run; `make chaos` runs a burst beyond them.
+// soundness sentinel checking every skip and finding none unsound. The
+// audited compiler compiles the unit before the edit first, so the edit is
+// lowered on a used IR arena, as on a build worker. Under plain `go test`
+// only the seeds run; `make chaos` runs a burst beyond them.
 
 import (
 	"bytes"
@@ -88,6 +90,9 @@ func FuzzStatefulEdit(f *testing.F) {
 		audited, err := compiler.New(compiler.Options{Mode: compiler.ModeStateful, AuditRate: 1})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if _, err := audited.CompileUnit(unit, []byte(src0), nil); err != nil {
+			t.Fatalf("src0 compiled once and failed on a second compiler: %v", err)
 		}
 		got, err := audited.CompileUnit(unit, []byte(src1), st)
 		if err != nil {

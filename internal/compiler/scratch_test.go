@@ -1,6 +1,7 @@
 package compiler_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"sort"
@@ -10,6 +11,7 @@ import (
 
 	"statefulcc/internal/codegen"
 	"statefulcc/internal/compiler"
+	"statefulcc/internal/state"
 	"statefulcc/internal/workload"
 )
 
@@ -143,6 +145,60 @@ func TestDirtyScratchAcrossWorkers(t *testing.T) {
 			if got := link(objs); got != want {
 				t.Errorf("%s, %d workers: program differs from the one built on clean scratch", mode, workers)
 			}
+		}
+	}
+}
+
+// TestNoBleedBetweenUnits compiles unit A, then B and the decoy, then A
+// again on one Compiler, whose IR arena serves B from the chunks A's IR was
+// cut from and the second A from the chunks the decoy left full. Both A
+// results must equal a fresh compiler's A in IR, object and state bytes.
+// A's first module is read before B compiles: it is valid only until the
+// compiler's next compile.
+func TestNoBleedBetweenUnits(t *testing.T) {
+	snap := workload.Generate(workload.QuickSuite()[1])
+	names := snap.Units()
+	a, b := names[0], names[len(names)-1]
+	type result struct{ ir, asm, state string }
+	read := func(res *compiler.UnitResult) result {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := state.Encode(&buf, res.State); err != nil {
+			t.Fatal(err)
+		}
+		return result{res.Module.String(), codegen.DisassembleObject(res.Object), buf.String()}
+	}
+	newCompiler := func() *compiler.Compiler {
+		c, err := compiler.New(compiler.Options{Mode: compiler.ModeStateful})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	compile := func(c *compiler.Compiler, name string, src []byte) result {
+		t.Helper()
+		res, err := c.CompileUnit(name, src, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return read(res)
+	}
+
+	want := compile(newCompiler(), a, snap[a])
+	c := newCompiler()
+	first := compile(c, a, snap[a])
+	compile(c, b, snap[b])
+	compile(c, "decoy.mc", []byte(decoySrc()))
+	again := compile(c, a, snap[a])
+	for i, got := range []result{first, again} {
+		if got.ir != want.ir {
+			t.Errorf("compile %d of %s: IR differs from a fresh compiler's\n--- got ---\n%s\n--- want ---\n%s", i+1, a, got.ir, want.ir)
+		}
+		if got.asm != want.asm {
+			t.Errorf("compile %d of %s: object differs from a fresh compiler's", i+1, a)
+		}
+		if got.state != want.state {
+			t.Errorf("compile %d of %s: state bytes differ from a fresh compiler's", i+1, a)
 		}
 	}
 }

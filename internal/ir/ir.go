@@ -168,6 +168,19 @@ func (f *Func) ConstBool(c bool) *Value {
 	return v
 }
 
+// NewPhi creates a phi of type t, not yet placed in any block, with room on
+// the slab for n incoming edges: its operand and block lists are empty and
+// are appended to in step.
+func (f *Func) NewPhi(t Type, n int) *Value {
+	v := f.newValue()
+	v.Op, v.Type = OpPhi, t
+	if n > 0 {
+		v.Args = cut(&f.slab().valPtrs, n)[:0]
+		v.Blocks = cut(&f.slab().blkPtrs, n)[:0]
+	}
+	return v
+}
+
 // Block is a basic block: phis, then ordinary instructions, then one
 // terminator. Preds is maintained by the edge-editing helpers in edit.go.
 type Block struct {

@@ -23,11 +23,15 @@ func Build(unit string, tree *ast.File, info *types.Info) (*ir.Module, error) {
 	return new(Scratch).Build(unit, tree, info)
 }
 
-// Scratch is one worker's reusable lowering memory. Build zeroes it before
-// it returns, so nothing of a unit's IR or symbols stays behind. One Scratch
-// per worker, never two goroutines on one; the package-level Build makes a
-// fresh one.
+// Scratch is one worker's reusable lowering memory. Build zeroes its tables
+// before it returns, so nothing of a unit's IR or symbols stays behind in
+// them. The module Build returns is cut from the scratch's arena and is
+// valid until the next Build or Release. One Scratch per worker, never two
+// goroutines on one; the package-level Build makes a fresh one, whose arena
+// has nothing to reuse.
 type Scratch struct {
+	// arena holds the IR of the module the last Build returned.
+	arena ir.Arena
 	// slots[n] is the alloca of the local or parameter whose declaration the
 	// parser numbered n (ast.DeclNode).
 	slots []*ir.Value
@@ -42,11 +46,13 @@ type Scratch struct {
 	blocks []*ir.Block
 }
 
-// Build is the package-level Build in the worker's scratch.
+// Build is the package-level Build in the worker's scratch. It releases the
+// module the previous Build returned: that one must not be used again.
 func (s *Scratch) Build(unit string, tree *ast.File, info *types.Info) (*ir.Module, error) {
-	defer s.release()
+	s.arena.Release()
+	defer s.wipe()
 	s.slots = ir.Grow(s.slots, tree.NumDecls)
-	m := &ir.Module{Unit: unit}
+	m := s.arena.NewModule(unit)
 
 	for _, d := range tree.Decls {
 		switch d := d.(type) {
@@ -81,8 +87,14 @@ func (s *Scratch) Build(unit string, tree *ast.File, info *types.Info) (*ir.Modu
 	return m, nil
 }
 
-// release zeroes the scratch through its capacity, keeping the memory.
-func (s *Scratch) release() {
+// Release gives the memory of the module the last Build returned back to
+// the scratch, wiped: that module must not be used again, and the worker
+// pins none of its IR.
+func (s *Scratch) Release() { s.arena.Release() }
+
+// wipe zeroes the scratch's tables through their capacity, keeping the
+// memory.
+func (s *Scratch) wipe() {
 	ir.Wipe(s.slots)
 	ir.Wipe(s.breaks)
 	ir.Wipe(s.continues)

@@ -198,7 +198,7 @@ func inlineCall(f *ir.Func, b *ir.Block, call *ir.Value, callee *ir.Func, s *Scr
 		case 1:
 			repl = rets[0].val
 		default:
-			phi := f.NewValue(ir.OpPhi, call.Type)
+			phi := f.NewPhi(call.Type, len(rets))
 			for _, r := range rets {
 				phi.Args = append(phi.Args, r.val)
 				phi.Blocks = append(phi.Blocks, r.block)

@@ -133,7 +133,7 @@ func ensurePreheader(f *ir.Func, loop *analysis.Loop) *ir.Block {
 	pre := f.NewBlock()
 	var prePhis []*ir.Value
 	for _, phi := range header.Phis {
-		nphi := f.NewValue(ir.OpPhi, phi.Type)
+		nphi := f.NewPhi(phi.Type, len(outside))
 		for _, p := range outside {
 			nphi.Args = append(nphi.Args, phi.Incoming(p))
 			nphi.Blocks = append(nphi.Blocks, p)

@@ -84,10 +84,8 @@ func (p *Mem2Reg) Run(f *ir.Func) bool {
 					continue
 				}
 				hasPhi[fb.ID] = int32(k)
-				phi := f.NewValue(ir.OpPhi, m.scalarType(k))
 				// Renaming fills in one operand per predecessor.
-				phi.Args = make([]*ir.Value, 0, len(fb.Preds))
-				phi.Blocks = make([]*ir.Block, 0, len(fb.Preds))
+				phi := f.NewPhi(m.scalarType(k), len(fb.Preds))
 				fb.AddPhi(phi)
 				m.placed = append(m.placed, phi)
 				m.placedNum = append(m.placedNum, int32(k))
