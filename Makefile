@@ -45,9 +45,10 @@ test:
 # and its fingerprint: the fingerprint's pooled scratch is the one structure
 # that package shares between workers (TestFunctionConcurrent). So is the
 # state codec and its save, all of whose tests run here (`make chaos` runs
-# its walks only).
+# its walks only). So is the fault core every injector logs its calls
+# through from concurrent workers.
 race:
-	$(GO) test -race -timeout 15m ./internal/buildsys/... ./internal/obs/... ./internal/history/... ./internal/workload ./internal/footprint ./internal/cas ./internal/state/... ./cmd/minibuild
+	$(GO) test -race -timeout 15m ./internal/buildsys/... ./internal/obs/... ./internal/history/... ./internal/workload ./internal/footprint ./internal/cas ./internal/state/... ./internal/faults/... ./cmd/minibuild
 	$(GO) test -race -timeout 15m ./internal/passes/... ./internal/core/... ./internal/codegen/... ./internal/vm/... ./internal/analysis/... ./internal/compiler/... ./internal/fingerprint/... ./internal/ir/...
 	$(GO) test -race -timeout 15m ./internal/lexer/... ./internal/parser/... ./internal/types/... ./internal/irbuild/...
 
@@ -56,14 +57,17 @@ race:
 fuzz:
 	$(GO) test -fuzz FuzzFingerprintStability -fuzztime 30s ./internal/fingerprint
 
-# chaos is the robustness gate (docs/ROBUSTNESS.md): the fault-injection
-# walks over every state/history I/O call (under the race detector, since
-# faults land on concurrent worker paths), the state save's shape (one
+# chaos is the robustness gate (docs/ROBUSTNESS.md): the fault core the
+# injectors share (its rules, occurrence numbering and schedule golden),
+# the fault-injection walks over every state/history I/O call (under the
+# race detector, since faults land on concurrent worker paths), the state
+# save's shape (one
 # write path: in place, no temp file, rename or sync; the file is old, new,
 # or rejected) and its torn-overwrite check,
 # the execution-fault walk — pass
 # panics, a nondeterministic pass caught by the soundness sentinel,
-# cancellation mid-build, and the daemon's SIGTERM drain — plus a burst of
+# cancellation mid-build, a plan across the disk, wire and pass injectors
+# in one build sequence, and the daemon's SIGTERM drain — plus a burst of
 # every fuzz target: the attacker-grade parsers (the state decoder, the IR
 # fingerprinter, the cache's keys, blob and wire decoders, the reader of a
 # history file's end — whatever a crash or another writer left there — and
@@ -73,9 +77,9 @@ fuzz:
 # to the fuzz targets in the tree, TestMakefileRunPatternsMatch every -run
 # pattern here to tests that exist.
 chaos:
-	$(GO) test -race -timeout 15m ./internal/vfs/...
+	$(GO) test -race -timeout 15m ./internal/vfs/... ./internal/faults/...
 	$(GO) test -race -timeout 15m -run 'TestChaos|TestSaveWritesInPlace|TestEveryTornOverwriteIsRejected' ./internal/state ./internal/history ./internal/buildsys
-	$(GO) test -race -timeout 15m -run 'TestPanic|TestSentinel|TestCancelled|TestAudited|TestWarnf' ./internal/buildsys
+	$(GO) test -race -timeout 15m -run 'TestPanic|TestSentinel|TestCancelled|TestAudited|TestWarnf|TestCrossLayer' ./internal/buildsys
 	$(GO) test -race -timeout 15m -run 'TestServeSIGTERMDrain|TestServePollSkipsOverlap' ./cmd/minibuild
 	$(GO) test -fuzz FuzzStateDecode -fuzztime 30s ./internal/state
 	$(GO) test -fuzz FuzzHistoryTail -fuzztime 20s ./internal/history

@@ -161,27 +161,3 @@ func stepLive(set BitSet, v *ir.Value) {
 		}
 	}
 }
-
-// LiveAcrossCall reports, per value ID, whether the value is live across
-// any call instruction — a statistic used by the codegen slot packer.
-func LiveAcrossCall(f *ir.Func, lv *Liveness) []bool {
-	res := make([]bool, f.NumValues())
-	for _, b := range f.Blocks {
-		live := lv.LiveOut[b.ID].Clone()
-		if b.Term != nil {
-			stepLive(live, b.Term)
-		}
-		for i := len(b.Instrs) - 1; i >= 0; i-- {
-			v := b.Instrs[i]
-			if v.Op == ir.OpCall {
-				for w := 0; w < f.NumValues(); w++ {
-					if live.Has(w) {
-						res[w] = true
-					}
-				}
-			}
-			stepLive(live, v)
-		}
-	}
-	return res
-}

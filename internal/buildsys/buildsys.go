@@ -61,9 +61,6 @@ type Options struct {
 	// fingerprint is verified against the input. 0 disables; 1 audits every
 	// skip (tests). See docs/ROBUSTNESS.md.
 	AuditRate float64
-	// AuditSeed seeds the sentinel's sampler (0 means a fixed default).
-	// Each worker slot derives its own stream from it.
-	AuditSeed uint64
 	// Pipeline overrides the pass list (default passes.StandardPipeline).
 	Pipeline []string
 	// Trace, when set, receives build/link/unit/stage/pass spans from
@@ -335,10 +332,6 @@ func NewBuilder(opts Options) (*Builder, error) {
 	b.cas = newBuilderCAS(opts.CAS, reg)
 	pass := reg.Pass()
 	b.passCtrs = pass
-	seed := opts.AuditSeed
-	if seed == 0 {
-		seed = 1
-	}
 	for i := 0; i < opts.Workers; i++ {
 		c, err := compiler.New(compiler.Options{
 			Pipeline:  opts.Pipeline,
@@ -347,7 +340,7 @@ func NewBuilder(opts Options) (*Builder, error) {
 			AuditRate: opts.AuditRate,
 			// Each worker slot gets its own sampling stream so audits are
 			// not correlated across workers.
-			AuditSeed: seed + uint64(i),
+			AuditSeed: 1 + uint64(i),
 			// Worker i reports as logical thread i+1; thread 0 is the
 			// build orchestrator.
 			Obs: &obs.Sink{Tracer: opts.Trace, Pass: pass, TID: i + 1},

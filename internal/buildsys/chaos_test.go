@@ -33,12 +33,13 @@ import (
 	"statefulcc/internal/buildsys"
 	"statefulcc/internal/codegen"
 	"statefulcc/internal/compiler"
+	"statefulcc/internal/faults"
+	"statefulcc/internal/faults/chaostest"
 	histpkg "statefulcc/internal/history"
 	"statefulcc/internal/obs"
 	"statefulcc/internal/project"
 	"statefulcc/internal/state"
 	"statefulcc/internal/vfs"
-	"statefulcc/internal/vfs/chaostest"
 )
 
 // chaosEditedSnap is twoUnitSnap with lib.mc edited (same signature, new
@@ -288,7 +289,7 @@ func TestChaosBuildRebuild(t *testing.T) {
 				// timings, so buffered write/read chunk counts can shift ±1
 				// between runs; a point that provably did not occur in this
 				// replay is tolerated, anything else must fire.
-				chaostest.AssertFiredOrAbsent(t, ffs, p)
+				chaostest.AssertFiredOrAbsent(t, ffs.Log, p)
 
 				// Invariant: byte-identical output under every fault.
 				for i, st := range chaosSteps {
@@ -306,7 +307,7 @@ func TestChaosBuildRebuild(t *testing.T) {
 
 // stateCloses returns the calls that end a state save that wrote: the
 // Close of a state file's handle after a Write through it.
-func stateCloses(calls []vfs.Call) (out []vfs.Call) {
+func stateCloses(calls []faults.Call) (out []faults.Call) {
 	wrote := map[string]bool{}
 	for _, c := range calls {
 		if !strings.HasSuffix(c.Path, ".state") {
@@ -366,7 +367,7 @@ func TestChaosPowerLoss(t *testing.T) {
 				dir := t.TempDir()
 				ffs := vfs.NewFaultFS(vfs.OS, chaosCanon(dir), vfs.WithRules(chaostest.LostRule(p, d, 16)))
 				dis := chaosSequence(t, ffs, dir, 1)
-				chaostest.AssertFired(t, ffs, p)
+				chaostest.AssertFired(t, ffs.Log, p)
 				for i, st := range chaosSteps {
 					if dis[i] != bases[i] {
 						t.Errorf("%s output differs from the stateless baseline", st.name)

@@ -13,11 +13,11 @@ import (
 	"statefulcc/internal/buildsys"
 	"statefulcc/internal/codegen"
 	"statefulcc/internal/compiler"
+	"statefulcc/internal/faults/chaostest"
 	"statefulcc/internal/footprint"
 	"statefulcc/internal/obs"
 	"statefulcc/internal/state"
 	"statefulcc/internal/vfs"
-	"statefulcc/internal/vfs/chaostest"
 )
 
 // footprintBuilder is a stateful builder with tracing on.
@@ -215,7 +215,7 @@ func TestChaosFootprintFaultWalk(t *testing.T) {
 			dir := t.TempDir()
 			ffs := vfs.NewFaultFS(vfs.OS, chaosCanon(dir), vfs.WithRules(chaostest.RuleFor(p, vfs.FaultError)))
 			run(t, ffs, dir)
-			chaostest.AssertFiredOrAbsent(t, ffs, p)
+			chaostest.AssertFiredOrAbsent(t, ffs.Log, p)
 		})
 	}
 }

@@ -19,12 +19,13 @@ import (
 	"statefulcc/internal/cas"
 	"statefulcc/internal/codegen"
 	"statefulcc/internal/compiler"
+	"statefulcc/internal/faults"
+	"statefulcc/internal/faults/chaostest"
 	"statefulcc/internal/footprint"
 	"statefulcc/internal/obs"
 	"statefulcc/internal/project"
 	"statefulcc/internal/state"
 	"statefulcc/internal/vfs"
-	"statefulcc/internal/vfs/chaostest"
 	"statefulcc/internal/workload"
 )
 
@@ -55,7 +56,7 @@ func withNewFunc(snap project.Snapshot, tag string, units ...string) project.Sna
 // stateWrites tallies the state saves that wrote in a recorded call log —
 // the names of the files they wrote, one per save — and the truncates on
 // state files.
-func stateWrites(calls []vfs.Call) (written []string, truncated int) {
+func stateWrites(calls []faults.Call) (written []string, truncated int) {
 	for _, c := range stateCloses(calls) {
 		written = append(written, c.Path)
 	}

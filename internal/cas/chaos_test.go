@@ -24,10 +24,10 @@ import (
 	"statefulcc/internal/cas"
 	"statefulcc/internal/codegen"
 	"statefulcc/internal/compiler"
+	"statefulcc/internal/faults/chaostest"
 	"statefulcc/internal/obs"
 	"statefulcc/internal/project"
 	"statefulcc/internal/vfs"
-	"statefulcc/internal/vfs/chaostest"
 )
 
 // chaosSnap is a two-unit program exercising the cross-unit link path.
@@ -123,7 +123,7 @@ func TestChaosCASWalk(t *testing.T) {
 					vfs.WithRules(chaostest.RuleFor(p, kind)))
 				disA, disB := casChaosSequence(t, cas.NewDiskCAS(dir, ffs))
 
-				chaostest.AssertFiredOrAbsent(t, ffs, p)
+				chaostest.AssertFiredOrAbsent(t, ffs.Log, p)
 
 				// Invariant: byte-identical output under every fault — a
 				// degraded cache recompiles, it never misbuilds.

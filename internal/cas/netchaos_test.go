@@ -21,6 +21,8 @@ import (
 	"statefulcc/internal/cas"
 	"statefulcc/internal/codegen"
 	"statefulcc/internal/compiler"
+	"statefulcc/internal/faults"
+	"statefulcc/internal/faults/chaostest"
 	"statefulcc/internal/obs"
 )
 
@@ -56,23 +58,24 @@ func chaosBuilder(t *testing.T, url, tenant string, ft *cas.FaultTransport) *bui
 // with `kind`.
 type netChaosCase struct {
 	owner string // "A" or "B"
-	call  cas.NetCall
+	call  faults.Call
 	kind  cas.NetFault
 }
 
-// applicable reports whether kind can meaningfully fire on call: body
-// kinds need a recorded 2xx body, and silent-corruption kinds (truncate,
-// bitflip) additionally need the client to *read* that body — PUT
-// responses are discarded, so corrupting them observably changes nothing.
-func applicable(c cas.NetCall, kind cas.NetFault) bool {
+// applicable reports whether kind can meaningfully fire on call c, as ft
+// recorded it: body kinds need a recorded 2xx body, and silent-corruption
+// kinds (truncate, bitflip) additionally need the client to *read* that
+// body — PUT responses are discarded, so corrupting them observably changes
+// nothing.
+func applicable(ft *cas.FaultTransport, c faults.Call, kind cas.NetFault) bool {
 	if !kind.BodyFault() {
 		return true
 	}
-	if c.Status < 200 || c.Status >= 300 || c.RespBytes == 0 {
+	if status, size := ft.Response(c); status < 200 || status >= 300 || size == 0 {
 		return false
 	}
 	if kind == cas.NetTruncate || kind == cas.NetBitFlip {
-		return c.Method == "GET" || c.Method == "POST"
+		return c.Op == "GET" || c.Op == "POST"
 	}
 	return true
 }
@@ -100,17 +103,15 @@ func TestPartitionBattery(t *testing.T) {
 
 	// Enumerate exchange × kind.
 	var cases []netChaosCase
-	for _, c := range callsA {
-		for _, k := range cas.NetFaultKinds {
-			if applicable(c, k) {
-				cases = append(cases, netChaosCase{"A", c, k})
-			}
-		}
-	}
-	for _, c := range callsB {
-		for _, k := range cas.NetFaultKinds {
-			if applicable(c, k) {
-				cases = append(cases, netChaosCase{"B", c, k})
+	for _, side := range []struct {
+		owner string
+		ft    *cas.FaultTransport
+	}{{"A", ftA}, {"B", ftB}} {
+		for _, c := range chaostest.Points(side.ft.Calls()) {
+			for _, k := range cas.NetFaultKinds {
+				if applicable(side.ft, c, k) {
+					cases = append(cases, netChaosCase{side.owner, c, k})
+				}
 			}
 		}
 	}
@@ -119,7 +120,7 @@ func TestPartitionBattery(t *testing.T) {
 
 	for _, tc := range cases {
 		tc := tc
-		name := tc.owner + "/" + strings.ReplaceAll(tc.call.String(), "/", "_") + "/" + tc.kind.String()
+		name := tc.owner + "/" + strings.ReplaceAll(cas.NetName(tc.call), "/", "_") + "/" + tc.kind.String()
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			srv := cas.NewServer(cas.NewMemCAS(0), cas.ServerOptions{
@@ -130,7 +131,7 @@ func TestPartitionBattery(t *testing.T) {
 			defer hs.Close()
 
 			rule := cas.NetRule{
-				Method: tc.call.Method, Path: tc.call.Path,
+				Method: string(tc.call.Op), Path: tc.call.Path,
 				Nth: tc.call.N, Kind: tc.kind,
 			}
 			var ruleA, ruleB []cas.NetOption
@@ -171,9 +172,7 @@ func TestPartitionBattery(t *testing.T) {
 			if tc.owner == "B" {
 				owner = caseFTB
 			}
-			if len(owner.Injected()) == 0 {
-				t.Fatalf("the %s fault never fired on %s — the recorded identity did not replay", tc.kind, tc.call)
-			}
+			chaostest.AssertFired(t, owner.Log, tc.call)
 			// Failure kinds must be visible in the degradation books (a
 			// latency spike is not a failure and may pass silently).
 			if tc.kind != cas.NetLatency {

@@ -3,13 +3,12 @@ package cas
 // FaultTransport: the wire-level sibling of vfs.FaultFS. It wraps any
 // http.RoundTripper, records every client↔server exchange in a call log,
 // and injects deterministic network faults according to explicit rules
-// and/or a seeded probabilistic schedule. Determinism is the design
-// center, exactly as at the vfs seam: an exchange is identified by
-// (method, URL path, nth occurrence of that pair) — a key that does not
-// depend on goroutine interleaving across distinct paths — so a fault
-// schedule replays exactly under the build system's worker pool, and the
-// partition battery can enumerate a clean run's exchanges and then fail
-// each one every way (docs/ROBUSTNESS.md, "Network adversity").
+// and/or a seeded probabilistic schedule. An exchange is the faults.Call
+// (method, URL path, nth occurrence of that pair), so the partition
+// battery can enumerate a clean run's exchanges and then fail each one
+// every way (docs/ROBUSTNESS.md, "Network adversity"). The identity, rule
+// selection, schedule and logs are internal/faults'; this file holds what
+// a fired fault does to an exchange.
 //
 // Every response body is buffered inside RoundTrip (the /cas/ wire
 // protocol's bodies are small and always read to completion), which is
@@ -22,10 +21,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"path"
 	"strings"
 	"sync"
 	"time"
+
+	"statefulcc/internal/faults"
 )
 
 // ErrNetInjected is the base error of every injected connection-level
@@ -90,26 +90,14 @@ func (k NetFault) BodyFault() bool {
 	return k == NetHangup || k == NetTruncate || k == NetBitFlip
 }
 
-// NetCall is one logged exchange. N is the 1-based occurrence index of
-// the (Method, Path) pair — the replay-stable identity of the exchange.
-// Status and RespBytes describe the clean response when one was produced
-// (0/0 for exchanges that failed before a response).
-type NetCall struct {
-	Method    string
-	Path      string
-	N         int
-	Status    int
-	RespBytes int
-}
+// NetName renders an exchange as "METHOD path#n", its subtest-friendly
+// identity.
+func NetName(c faults.Call) string { return fmt.Sprintf("%s %s#%d", c.Op, c.Path, c.N) }
 
-// String renders the exchange as its subtest-friendly identity.
-func (c NetCall) String() string { return fmt.Sprintf("%s %s#%d", c.Method, c.Path, c.N) }
-
-// NetRule selects exchanges to fail. An empty Method or Path matches
-// everything (Path is a path.Match glob, also tried against the final
-// path element); Nth 0 fires on every matching exchange, Nth n > 0 only
-// from the nth matching exchange on, for Count consecutive matches
-// (Count <= 0 means one).
+// NetRule selects exchanges to fail, as the faults.Rule with Op Method
+// does: an empty Method or Path matches everything; Nth 0 fires on every
+// matching exchange, Nth n > 0 from the nth matching exchange on, for
+// Count consecutive matches (Count <= 0 means one).
 type NetRule struct {
 	Method string
 	Path   string
@@ -118,48 +106,15 @@ type NetRule struct {
 	Kind   NetFault
 }
 
-// NetSchedule injects faults probabilistically but reproducibly: whether
-// an exchange faults, and how, is a pure function of (Seed, method, path,
-// occurrence index) — the same seed over the same workload injects the
-// same faults regardless of goroutine interleaving.
+// NetSchedule is a seeded faults.Schedule over the exchanges; the hash
+// that decides an exchange also picks its kind, so the kind replays too.
 type NetSchedule struct {
 	Seed uint64
 	// Prob is the per-exchange injection probability in [0, 1].
 	Prob float64
 	// Kinds bounds the fault kinds drawn (empty means all of
-	// NetFaultKinds); the choice comes from the same hash, so it replays.
+	// NetFaultKinds).
 	Kinds []NetFault
-}
-
-// decide returns whether the exchange faults and how.
-func (s *NetSchedule) decide(method, urlPath string, n int) (bool, NetFault) {
-	if s == nil || s.Prob <= 0 {
-		return false, NetRefused
-	}
-	h := uint64(14695981039346656037) // FNV-1a offset basis
-	mix := func(b byte) { h ^= uint64(b); h *= 1099511628211 }
-	for i := 0; i < 8; i++ {
-		mix(byte(s.Seed >> (8 * i)))
-	}
-	for i := 0; i < len(method); i++ {
-		mix(method[i])
-	}
-	mix(0)
-	for i := 0; i < len(urlPath); i++ {
-		mix(urlPath[i])
-	}
-	mix(0)
-	for i := 0; i < 8; i++ {
-		mix(byte(uint64(n) >> (8 * i)))
-	}
-	if float64(h&0xFFFFFFFF)/float64(1<<32) >= s.Prob {
-		return false, NetRefused
-	}
-	kinds := s.Kinds
-	if len(kinds) == 0 {
-		kinds = NetFaultKinds
-	}
-	return true, kinds[(h>>33)%uint64(len(kinds))]
 }
 
 // FaultTransport wraps an http.RoundTripper with exchange logging and
@@ -167,17 +122,19 @@ func (s *NetSchedule) decide(method, urlPath string, n int) (bool, NetFault) {
 // pure recorder — the partition battery uses that mode to enumerate the
 // exchange space. Safe for concurrent use.
 type FaultTransport struct {
+	*faults.Log
 	inner   http.RoundTripper
 	latency time.Duration
+	rules   []NetRule
+	sched   faults.Schedule
+	kinds   []NetFault
 
-	mu       sync.Mutex
-	rules    []NetRule
-	matches  []int // per-rule matching-exchange count (drives Nth/Count)
-	sched    *NetSchedule
-	keyCount map[string]int // method+path → occurrences
-	calls    []NetCall
-	injected []NetCall
+	mu   sync.Mutex
+	resp map[faults.Call]response // the clean response of each exchange
 }
+
+// response is the shape of an exchange's clean response.
+type response struct{ status, size int }
 
 // NetOption configures a FaultTransport.
 type NetOption func(*FaultTransport)
@@ -189,7 +146,9 @@ func WithNetRules(rules ...NetRule) NetOption {
 
 // WithNetSchedule installs a seeded probabilistic schedule.
 func WithNetSchedule(s *NetSchedule) NetOption {
-	return func(t *FaultTransport) { t.sched = s }
+	return func(t *FaultTransport) {
+		t.sched, t.kinds = faults.Schedule{Seed: s.Seed, Prob: s.Prob}, s.Kinds
+	}
 }
 
 // WithNetLatency sets the delay a NetLatency fault injects (default
@@ -203,94 +162,49 @@ func NewFaultTransport(inner http.RoundTripper, opts ...NetOption) *FaultTranspo
 	if inner == nil {
 		inner = http.DefaultTransport
 	}
-	t := &FaultTransport{inner: inner, latency: 50 * time.Millisecond, keyCount: make(map[string]int)}
+	t := &FaultTransport{inner: inner, latency: 50 * time.Millisecond, resp: make(map[faults.Call]response)}
 	for _, o := range opts {
 		o(t)
 	}
-	t.matches = make([]int, len(t.rules))
+	sel := make([]faults.Rule, len(t.rules))
+	for i, r := range t.rules {
+		sel[i] = faults.Rule{Op: faults.Op(r.Method), Path: r.Path, Nth: r.Nth, Count: r.Count}
+	}
+	t.Log = faults.NewLog(sel...)
 	return t
 }
 
-// Calls returns a copy of the full exchange log, in observation order.
-func (t *FaultTransport) Calls() []NetCall {
+// Response returns the status and body size of the clean response the
+// exchange c got (0, 0 when it failed before one). The partition battery
+// filters the body kinds on them.
+func (t *FaultTransport) Response(c faults.Call) (status, size int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]NetCall(nil), t.calls...)
+	r := t.resp[c]
+	return r.status, r.size
 }
 
-// Injected returns the exchanges that actually had a fault applied (a
-// body fault on a bodyless response never applies and is not counted).
-func (t *FaultTransport) Injected() []NetCall {
+// begin logs the exchange and decides its fate.
+func (t *FaultTransport) begin(method, urlPath string) (faults.Call, NetFault, bool) {
+	call, i := t.Next(faults.Op(method), urlPath)
+	if i >= 0 {
+		return call, t.rules[i].Kind, true
+	}
+	hit, bits := t.sched.Decide(call)
+	if !hit {
+		return call, NetRefused, false
+	}
+	kinds := t.kinds
+	if len(kinds) == 0 {
+		kinds = NetFaultKinds
+	}
+	return call, kinds[bits%uint64(len(kinds))], true
+}
+
+// note records the clean response shape of call.
+func (t *FaultTransport) note(call faults.Call, status, size int) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]NetCall(nil), t.injected...)
-}
-
-// begin logs the exchange and decides its fate; idx is the log slot to
-// fill in with the clean response's shape later.
-func (t *FaultTransport) begin(method, urlPath string) (call NetCall, idx int, kind NetFault, fire bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	key := method + " " + urlPath
-	t.keyCount[key]++
-	call = NetCall{Method: method, Path: urlPath, N: t.keyCount[key]}
-	idx = len(t.calls)
-	t.calls = append(t.calls, call)
-
-	for i := range t.rules {
-		r := &t.rules[i]
-		if !netRuleMatches(r, call) {
-			continue
-		}
-		t.matches[i]++
-		if r.Nth != 0 {
-			count := r.Count
-			if count <= 0 {
-				count = 1
-			}
-			if t.matches[i] < r.Nth || t.matches[i] >= r.Nth+count {
-				continue
-			}
-		}
-		return call, idx, r.Kind, true
-	}
-	if ok, k := t.sched.decide(method, urlPath, call.N); ok {
-		return call, idx, k, true
-	}
-	return call, idx, NetRefused, false
-}
-
-// netRuleMatches reports whether a rule selects an exchange (ignoring
-// Nth/Count).
-func netRuleMatches(r *NetRule, c NetCall) bool {
-	if r.Method != "" && r.Method != c.Method {
-		return false
-	}
-	if r.Path == "" {
-		return true
-	}
-	if ok, _ := path.Match(r.Path, c.Path); ok {
-		return true
-	}
-	if strings.ContainsRune(r.Path, '/') {
-		return false
-	}
-	ok, _ := path.Match(r.Path, path.Base(c.Path))
-	return ok
-}
-
-// note records the clean response shape for log slot idx.
-func (t *FaultTransport) note(idx, status, respBytes int) {
-	t.mu.Lock()
-	t.calls[idx].Status = status
-	t.calls[idx].RespBytes = respBytes
-	t.mu.Unlock()
-}
-
-// recordInjected marks the exchange as actually faulted.
-func (t *FaultTransport) recordInjected(c NetCall) {
-	t.mu.Lock()
-	t.injected = append(t.injected, c)
+	t.resp[call] = response{status, size}
 	t.mu.Unlock()
 }
 
@@ -298,21 +212,21 @@ func (t *FaultTransport) recordInjected(c NetCall) {
 // response body is always fully buffered, so callers never observe a
 // partially consumed wire stream.
 func (t *FaultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	call, idx, kind, fire := t.begin(req.Method, req.URL.Path)
+	call, kind, fire := t.begin(req.Method, req.URL.Path)
 
 	if fire {
 		switch kind {
 		case NetRefused:
-			t.recordInjected(call)
-			return nil, fmt.Errorf("%s: connection refused: %w", call, ErrNetInjected)
+			t.Inject(call)
+			return nil, fmt.Errorf("%s: connection refused: %w", NetName(call), ErrNetInjected)
 		case NetStall:
-			t.recordInjected(call)
+			t.Inject(call)
 			<-req.Context().Done()
-			return nil, fmt.Errorf("%s: stalled: %w", call, req.Context().Err())
+			return nil, fmt.Errorf("%s: stalled: %w", NetName(call), req.Context().Err())
 		case Net5xx:
-			t.recordInjected(call)
+			t.Inject(call)
 			body := "injected 503 burst"
-			t.note(idx, http.StatusServiceUnavailable, len(body))
+			t.note(call, http.StatusServiceUnavailable, len(body))
 			return &http.Response{
 				StatusCode:    http.StatusServiceUnavailable,
 				Status:        "503 Service Unavailable (injected)",
@@ -325,13 +239,13 @@ func (t *FaultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 				Request:       req,
 			}, nil
 		case NetLatency:
-			t.recordInjected(call)
+			t.Inject(call)
 			timer := time.NewTimer(t.latency)
 			select {
 			case <-timer.C:
 			case <-req.Context().Done():
 				timer.Stop()
-				return nil, fmt.Errorf("%s: latency spike: %w", call, req.Context().Err())
+				return nil, fmt.Errorf("%s: latency spike: %w", NetName(call), req.Context().Err())
 			}
 			// Then proceed with the real exchange below.
 		}
@@ -349,13 +263,13 @@ func (t *FaultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.note(idx, resp.StatusCode, len(data))
+	t.note(call, resp.StatusCode, len(data))
 
 	if fire && kind.BodyFault() && len(data) > 0 {
-		t.recordInjected(call)
+		t.Inject(call)
 		switch kind {
 		case NetHangup:
-			resp.Body = &hangupBody{data: data[:(len(data)+1)/2], call: call}
+			resp.Body = &hangupBody{data: data[:(len(data)+1)/2], call: NetName(call)}
 			resp.ContentLength = -1
 			return resp, nil
 		case NetTruncate:
@@ -375,9 +289,8 @@ func (t *FaultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 // connection would.
 type hangupBody struct {
 	data []byte
-	call NetCall
+	call string
 	off  int
-	dead bool
 }
 
 func (b *hangupBody) Read(p []byte) (int, error) {
@@ -386,7 +299,6 @@ func (b *hangupBody) Read(p []byte) (int, error) {
 		b.off += n
 		return n, nil
 	}
-	b.dead = true
 	return 0, fmt.Errorf("%s: connection hangup mid-body: %w", b.call, ErrNetInjected)
 }
 

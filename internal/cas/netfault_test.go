@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"statefulcc/internal/cas"
+	"statefulcc/internal/faults"
 )
 
 const faultEchoBody = "0123456789abcdef0123456789abcdef"
@@ -178,14 +179,17 @@ func TestFaultTransportCallLog(t *testing.T) {
 	if len(calls) != 3 {
 		t.Fatalf("logged %d calls, want 3", len(calls))
 	}
-	want := []cas.NetCall{
-		{Method: "GET", Path: "/cas/blob/a", N: 1, Status: 200, RespBytes: len(faultEchoBody)},
-		{Method: "GET", Path: "/cas/blob/a", N: 2, Status: 200, RespBytes: len(faultEchoBody)},
-		{Method: "GET", Path: "/cas/blob/b", N: 1, Status: 200, RespBytes: len(faultEchoBody)},
+	want := []faults.Call{
+		{Op: "GET", Path: "/cas/blob/a", N: 1},
+		{Op: "GET", Path: "/cas/blob/a", N: 2},
+		{Op: "GET", Path: "/cas/blob/b", N: 1},
 	}
 	for i := range want {
 		if calls[i] != want[i] {
 			t.Fatalf("call %d = %+v, want %+v", i, calls[i], want[i])
+		}
+		if status, size := ft.Response(calls[i]); status != 200 || size != len(faultEchoBody) {
+			t.Fatalf("call %d's response = %d, %d bytes; want 200, %d", i, status, size, len(faultEchoBody))
 		}
 	}
 	if len(ft.Injected()) != 0 {
@@ -198,7 +202,7 @@ func TestFaultTransportCallLog(t *testing.T) {
 // on every exchange.
 func TestFaultTransportScheduleDeterminism(t *testing.T) {
 	srv := newEchoServer(t)
-	run := func(seed uint64, prob float64) []cas.NetCall {
+	run := func(seed uint64, prob float64) []faults.Call {
 		ft := cas.NewFaultTransport(nil, cas.WithNetSchedule(&cas.NetSchedule{
 			Seed: seed, Prob: prob,
 			// Keep the draw to kinds whose failures are cheap and
@@ -219,7 +223,7 @@ func TestFaultTransportScheduleDeterminism(t *testing.T) {
 		t.Fatalf("same seed injected %d then %d faults", len(first), len(second))
 	}
 	for i := range first {
-		if first[i].Method != second[i].Method || first[i].Path != second[i].Path || first[i].N != second[i].N {
+		if first[i] != second[i] {
 			t.Fatalf("replay diverged at %d: %v vs %v", i, first[i], second[i])
 		}
 	}

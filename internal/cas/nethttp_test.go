@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"statefulcc/internal/cas"
+	"statefulcc/internal/faults"
 	"statefulcc/internal/obs"
 )
 
@@ -33,7 +34,7 @@ func newCASBackend(t *testing.T) (string, *cas.MemCAS) {
 func exchangesFor(ft *cas.FaultTransport, method, path string) int {
 	n := 0
 	for _, c := range ft.Calls() {
-		if c.Method == method && c.Path == path {
+		if c.Op == faults.Op(method) && c.Path == path {
 			n++
 		}
 	}

@@ -88,16 +88,6 @@ func (k Kind) String() string {
 	}
 }
 
-// Invalidating reports whether entries of this kind participate in
-// invalidation: a changed invalidating entry means the cached object is
-// stale.
-func (k Kind) Invalidating() bool { return k == KindSource || k == KindPipeline }
-
-// LinkScope reports whether entries of this kind are re-resolved (and
-// arity-checked) by the linker on every build — recorded for dependency
-// reporting, not for recompile decisions.
-func (k Kind) LinkScope() bool { return k == KindCall || k == KindGlobal }
-
 // Advisory reports whether entries of this kind reflect reads that affect
 // only compile speed (dormancy-state files and similar), never output.
 func (k Kind) Advisory() bool {

@@ -14,9 +14,9 @@ import (
 	"reflect"
 	"testing"
 
+	"statefulcc/internal/faults/chaostest"
 	"statefulcc/internal/history"
 	"statefulcc/internal/vfs"
-	"statefulcc/internal/vfs/chaostest"
 )
 
 // chaosLimit puts three rotations into the workload (rename of the full
@@ -181,7 +181,7 @@ func TestChaosAppend(t *testing.T) {
 					vfs.WithCanon(chaostest.Canon(dir, history.TempPattern)),
 					vfs.WithRules(chaostest.RuleFor(p, kind)))
 				chaosWorkload(t, ffs, path)
-				chaostest.AssertFired(t, ffs, p)
+				chaostest.AssertFired(t, ffs.Log, p)
 
 				// Degradation invariant: no append lost a record (held inside
 				// appendWorkload), and whatever survived is valid, ordered,

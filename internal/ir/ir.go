@@ -3,10 +3,7 @@ package ir
 // This file defines the core IR data structures — Module, Global, Func,
 // Block, Value — and their construction and mutation helpers.
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Module is the IR of one compilation unit.
 type Module struct {
@@ -300,9 +297,6 @@ type Value struct {
 	Block *Block
 }
 
-// AuxInt returns the constant payload.
-func (v *Value) AuxInt() int64 { return v.Aux }
-
 // IsConst reports whether v is a constant, returning its value.
 func (v *Value) IsConst() (int64, bool) {
 	if v.Op == OpConst {
@@ -368,10 +362,4 @@ func (v *Value) String() string {
 	default:
 		return fmt.Sprintf("v%d", v.ID)
 	}
-}
-
-// SortFuncs orders module functions by name; used before fingerprinting
-// module-level state so that declaration order doesn't leak into hashes.
-func (m *Module) SortFuncs() {
-	sort.Slice(m.Funcs, func(i, j int) bool { return m.Funcs[i].Name < m.Funcs[j].Name })
 }

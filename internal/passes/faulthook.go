@@ -11,12 +11,15 @@ package passes
 //
 // Arming is process-global (compilers instantiate fresh pass instances per
 // worker, so per-instance state would never reach them) and synchronized:
-// worker goroutines consult the armed config concurrently.
+// worker goroutines consult the armed config concurrently. An arming is a
+// faults.Log with one rule whose path is the function name; its injected
+// log counts the firings.
 
 import (
 	"sync"
 	"time"
 
+	"statefulcc/internal/faults"
 	"statefulcc/internal/ir"
 )
 
@@ -57,10 +60,10 @@ type FaultConfig struct {
 }
 
 var (
-	faultMu    sync.Mutex
-	faultCfg   FaultConfig
-	faultFired int
-	faultGate  chan struct{}
+	faultMu   sync.Mutex
+	faultCfg  FaultConfig
+	faultLog  *faults.Log // nil while disarmed
+	faultGate chan struct{}
 )
 
 // ArmFaultHook arms the fault hook for subsequent compilations. Arming
@@ -69,7 +72,14 @@ func ArmFaultHook(cfg FaultConfig) {
 	faultMu.Lock()
 	defer faultMu.Unlock()
 	faultCfg = cfg
-	faultFired = 0
+	faultLog = nil
+	if cfg.Mode != FaultNone {
+		rule := faults.Rule{Path: cfg.Func}
+		if cfg.Times > 0 {
+			rule.Nth, rule.Count = 1, cfg.Times
+		}
+		faultLog = faults.NewLog(rule)
+	}
 	if cfg.Mode == FaultBlock {
 		faultGate = make(chan struct{})
 	}
@@ -81,6 +91,7 @@ func DisarmFaultHook() {
 	faultMu.Lock()
 	defer faultMu.Unlock()
 	faultCfg = FaultConfig{}
+	faultLog = nil
 	if faultGate != nil {
 		close(faultGate)
 		faultGate = nil
@@ -101,26 +112,25 @@ func ReleaseFaultHook() {
 func FaultHookFired() int {
 	faultMu.Lock()
 	defer faultMu.Unlock()
-	return faultFired
+	if faultLog == nil {
+		return 0
+	}
+	return len(faultLog.Injected())
 }
 
 // faultHookFire consults the armed config for one pass execution,
-// consuming a firing when it matches.
-func faultHookFire(fn string) (FaultConfig, int, chan struct{}, bool) {
+// consuming a firing when it matches; seq numbers the firing.
+func faultHookFire(fn string) (cfg FaultConfig, seq int, gate chan struct{}, fire bool) {
 	faultMu.Lock()
 	defer faultMu.Unlock()
-	cfg := faultCfg
-	if cfg.Mode == FaultNone {
+	if faultLog == nil {
 		return cfg, 0, nil, false
 	}
-	if cfg.Func != "" && cfg.Func != fn {
+	call, i := faultLog.Next("run", fn)
+	if i < 0 {
 		return cfg, 0, nil, false
 	}
-	if cfg.Times > 0 && faultFired >= cfg.Times {
-		return cfg, 0, nil, false
-	}
-	faultFired++
-	return cfg, faultFired, faultGate, true
+	return faultCfg, faultLog.Inject(call), faultGate, true
 }
 
 // FaultHook is the pass. Registered FunctionLocal so it is eligible for

@@ -26,10 +26,11 @@ import (
 	"testing"
 
 	"statefulcc/internal/core"
+	"statefulcc/internal/faults"
+	"statefulcc/internal/faults/chaostest"
 	"statefulcc/internal/state"
 	"statefulcc/internal/testutil"
 	"statefulcc/internal/vfs"
-	"statefulcc/internal/vfs/chaostest"
 )
 
 // buildStateFrom compiles src into a populated dormancy state.
@@ -206,7 +207,7 @@ func TestChaosSaveLoad(t *testing.T) {
 				path := filepath.Join(dir, "unit.state")
 				ffs := vfs.NewFaultFS(vfs.OS, canon(dir), vfs.WithRules(chaostest.RuleFor(p, kind)))
 				steps := workload(t, ffs, path)
-				chaostest.AssertFired(t, ffs, p)
+				chaostest.AssertFired(t, ffs.Log, p)
 
 				for i, s := range steps {
 					// Invariant 1: the file is the old encoding, the new one,
@@ -264,7 +265,7 @@ func TestChaosSaveLoad(t *testing.T) {
 
 // writeCloses returns the calls that end a save that wrote unit.state: the
 // Close of a handle that wrote the file.
-func writeCloses(calls []vfs.Call) (out []vfs.Call) {
+func writeCloses(calls []faults.Call) (out []faults.Call) {
 	wrote := false
 	for _, c := range calls {
 		if c.Path != "unit.state" {
@@ -321,7 +322,7 @@ func TestChaosPowerLoss(t *testing.T) {
 				path := filepath.Join(dir, "unit.state")
 				ffs := vfs.NewFaultFS(vfs.OS, canon(dir), vfs.WithRules(chaostest.LostRule(p, d, at)))
 				wrote, errs := workload(ffs, path)
-				chaostest.AssertFired(t, ffs, p)
+				chaostest.AssertFired(t, ffs.Log, p)
 				if !wrote[i] || errs[i] != nil {
 					t.Fatalf("the lost save reported wrote=%v, err=%v; the process sees its %s succeed", wrote[i], errs[i], p.Op)
 				}
@@ -390,8 +391,8 @@ func main() int { return twice(4); }`)),
 }
 
 // callsOn filters points to one (op, canonical path).
-func callsOn(points []vfs.Call, op vfs.Op, path string) []vfs.Call {
-	var out []vfs.Call
+func callsOn(points []faults.Call, op vfs.Op, path string) []faults.Call {
+	var out []faults.Call
 	for _, p := range points {
 		if p.Op == op && p.Path == path {
 			out = append(out, p)

@@ -1,13 +1,10 @@
 package vfs
 
-// FaultFS: the deterministic fault injector. It wraps any FS, records
-// every operation in a call log, and injects failures according to
-// explicit rules and/or a seeded probabilistic schedule. Determinism is
-// the design center: a call is identified by (op, canonical path, nth
-// occurrence of that pair), a key that does not depend on goroutine
-// interleaving across distinct paths — so a fault schedule replays
-// exactly, even under the build system's worker pool, and a failing chaos
-// seed reproduces from its seed alone.
+// FaultFS: the deterministic fault injector at the filesystem seam. It
+// wraps any FS, records every operation in a call log, and injects failures
+// according to explicit rules and/or a seeded probabilistic schedule. The
+// call identity, rule selection, schedule and logs are internal/faults';
+// this file holds what a fired fault does to a filesystem operation.
 
 import (
 	"errors"
@@ -16,8 +13,9 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
+
+	"statefulcc/internal/faults"
 )
 
 // ErrInjected is the base error of every injected (non-crash) fault.
@@ -89,13 +87,13 @@ func (d Damage) String() string {
 	return fmt.Sprintf("damage(%d)", int(d))
 }
 
-// Rule selects calls to fail. Zero fields match everything: an empty Op
-// matches any operation, an empty Path matches any path, and Nth 0 fires
-// on every matching call (Nth n > 0 fires only on the nth matching call,
-// counted per rule).
+// Rule selects calls to fail, as a faults.Rule with its Count unset does:
+// zero fields match everything, Path is a glob matched against the
+// canonical path (and, without a separator, its base), and Nth n > 0
+// fires only on the nth matching call, counted per rule.
 type Rule struct {
 	Op   Op
-	Path string // glob, matched against the canonical path and its base
+	Path string
 	Nth  int
 	Kind Fault
 	Err  error // error to inject; nil defaults to ErrInjected
@@ -104,21 +102,7 @@ type Rule struct {
 	At     int
 }
 
-// Call is one logged filesystem operation. N is the 1-based occurrence
-// index of this (Op, Path) pair — the replay-stable identity of the call.
-type Call struct {
-	Op   Op
-	Path string
-	N    int
-}
-
-// String renders the call as its subtest-friendly identity.
-func (c Call) String() string { return fmt.Sprintf("%s:%s#%d", c.Op, c.Path, c.N) }
-
-// Schedule injects faults probabilistically but reproducibly: whether a
-// call fails is a pure function of (Seed, op, canonical path, occurrence
-// index), so the same seed over the same workload injects the same faults
-// regardless of thread interleaving.
+// Schedule is a seeded faults.Schedule over the filesystem's calls.
 type Schedule struct {
 	Seed uint64
 	// Prob is the per-call injection probability in [0, 1].
@@ -128,53 +112,21 @@ type Schedule struct {
 	Torn bool
 }
 
-// decide returns whether the call faults and how.
-func (s *Schedule) decide(c Call) (bool, Fault) {
-	if s == nil || s.Prob <= 0 {
-		return false, FaultError
-	}
-	h := uint64(14695981039346656037) // FNV-1a offset basis
-	mix := func(b byte) { h ^= uint64(b); h *= 1099511628211 }
-	for i := 0; i < 8; i++ {
-		mix(byte(s.Seed >> (8 * i)))
-	}
-	for i := 0; i < len(c.Op); i++ {
-		mix(c.Op[i])
-	}
-	mix(0)
-	for i := 0; i < len(c.Path); i++ {
-		mix(c.Path[i])
-	}
-	mix(0)
-	for i := 0; i < 8; i++ {
-		mix(byte(uint64(c.N) >> (8 * i)))
-	}
-	if float64(h&0xFFFFFFFF)/float64(1<<32) >= s.Prob {
-		return false, FaultError
-	}
-	if s.Torn && c.Op == OpWrite && h&(1<<33) != 0 {
-		return true, FaultTorn
-	}
-	return true, FaultError
-}
-
 // FaultFS wraps an FS with call logging and deterministic fault
 // injection. With no rules and no schedule it is a pure recorder — the
 // chaos harness uses that mode to enumerate the fault-point space. Safe
 // for concurrent use.
 type FaultFS struct {
+	*faults.Log
 	inner FS
 	canon func(string) string
+	rules []Rule
+	sched faults.Schedule
+	torn  bool
 
-	mu       sync.Mutex
-	rules    []Rule
-	matches  []int // per-rule matching-call count (drives Nth)
-	sched    *Schedule
-	keyCount map[Call]int // (op, path) → occurrences; N field zero in keys
-	calls    []Call
-	injected []Call
-	crashed  bool
-	read     map[string]int64 // canonical path → bytes its reads returned
+	mu      sync.Mutex
+	crashed bool
+	read    map[string]int64 // canonical path → bytes its reads returned
 }
 
 // Option configures a FaultFS.
@@ -195,31 +147,21 @@ func WithRules(rules ...Rule) Option {
 
 // WithSchedule installs a seeded probabilistic schedule.
 func WithSchedule(s *Schedule) Option {
-	return func(ffs *FaultFS) { ffs.sched = s }
+	return func(ffs *FaultFS) { ffs.sched, ffs.torn = faults.Schedule{Seed: s.Seed, Prob: s.Prob}, s.Torn }
 }
 
 // NewFaultFS wraps inner.
 func NewFaultFS(inner FS, opts ...Option) *FaultFS {
-	ffs := &FaultFS{inner: inner, keyCount: make(map[Call]int), read: make(map[string]int64)}
+	ffs := &FaultFS{inner: inner, read: make(map[string]int64)}
 	for _, o := range opts {
 		o(ffs)
 	}
-	ffs.matches = make([]int, len(ffs.rules))
+	sel := make([]faults.Rule, len(ffs.rules))
+	for i, r := range ffs.rules {
+		sel[i] = faults.Rule{Op: r.Op, Path: r.Path, Nth: r.Nth}
+	}
+	ffs.Log = faults.NewLog(sel...)
 	return ffs
-}
-
-// Calls returns a copy of the full call log, in observation order.
-func (f *FaultFS) Calls() []Call {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]Call(nil), f.calls...)
-}
-
-// Injected returns the calls that had a fault injected.
-func (f *FaultFS) Injected() []Call {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]Call(nil), f.injected...)
 }
 
 // BytesRead returns how many bytes the reads logged under the canonical path
@@ -242,71 +184,38 @@ func (f *FaultFS) Crashed() bool {
 // operation proceeds to the wrapped FS; the fired rule is meaningful only
 // when err is non-nil (FaultTorn lets the caller perform a partial write,
 // FaultLost a close that loses the file's data).
-func (f *FaultFS) begin(op Op, path string) (fired Rule, err error) {
+func (f *FaultFS) begin(op Op, path string) (Rule, error) {
 	if f.canon != nil {
 		path = f.canon(path)
 	}
+	call, i := f.Next(op, path)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-
-	key := Call{Op: op, Path: path}
-	f.keyCount[key]++
-	call := Call{Op: op, Path: path, N: f.keyCount[key]}
-	f.calls = append(f.calls, call)
-
-	if f.crashed {
-		f.injected = append(f.injected, call)
-		return Rule{Kind: FaultCrash}, fmt.Errorf("%s %s: %w", op, path, ErrCrashed)
-	}
-	for i := range f.rules {
-		r := &f.rules[i]
-		if !ruleMatches(r, call) {
-			continue
+	var r Rule
+	switch {
+	case f.crashed:
+		r.Kind = FaultCrash
+	case i >= 0:
+		r = f.rules[i]
+	default:
+		hit, bits := f.sched.Decide(call)
+		if !hit {
+			return Rule{}, nil
 		}
-		f.matches[i]++
-		if r.Nth != 0 && f.matches[i] != r.Nth {
-			continue
+		if f.torn && op == OpWrite && bits&1 != 0 {
+			r.Kind = FaultTorn
 		}
-		return f.fire(call, *r)
 	}
-	if ok, kind := f.sched.decide(call); ok {
-		return f.fire(call, Rule{Kind: kind})
-	}
-	return Rule{}, nil
-}
-
-// fire records an injection and builds its error (mu held).
-func (f *FaultFS) fire(call Call, r Rule) (Rule, error) {
-	f.injected = append(f.injected, call)
+	f.Inject(call)
 	if r.Kind == FaultCrash || r.Kind == FaultLost {
 		f.crashed = true
-		return r, fmt.Errorf("%s %s: %w", call.Op, call.Path, ErrCrashed)
+		return r, fmt.Errorf("%s %s: %w", op, path, ErrCrashed)
 	}
 	base := r.Err
 	if base == nil {
 		base = ErrInjected
 	}
-	return r, fmt.Errorf("%s %s: %w", call.Op, call.Path, base)
-}
-
-// ruleMatches reports whether a rule selects a call (ignoring Nth).
-func ruleMatches(r *Rule, c Call) bool {
-	if r.Op != "" && r.Op != c.Op {
-		return false
-	}
-	if r.Path == "" {
-		return true
-	}
-	if ok, _ := filepath.Match(r.Path, c.Path); ok {
-		return true
-	}
-	if strings.ContainsRune(r.Path, filepath.Separator) {
-		// A glob with a separator is anchored to the full path; only
-		// bare-name globs fall back to base matching.
-		return false
-	}
-	ok, _ := filepath.Match(r.Path, filepath.Base(c.Path))
-	return ok
+	return r, fmt.Errorf("%s %s: %w", op, path, base)
 }
 
 // --- FS implementation --------------------------------------------------------

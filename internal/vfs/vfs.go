@@ -16,11 +16,13 @@ import (
 	"io"
 	"io/fs"
 	"os"
+
+	"statefulcc/internal/faults"
 )
 
 // Op names one injectable filesystem operation. Fault rules select on it;
 // the FaultFS call log records it.
-type Op string
+type Op = faults.Op
 
 // The complete operation vocabulary. Directory-level ops come from FS,
 // handle-level ops (OpRead..OpTruncate) from File.

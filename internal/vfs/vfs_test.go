@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"statefulcc/internal/faults"
 	"statefulcc/internal/vfs"
 )
 
@@ -226,7 +227,7 @@ func TestCallLogIdentity(t *testing.T) {
 	}
 	calls := ffs.Calls()
 	key := filepath.Join(dir, ".state-*")
-	want := []vfs.Call{
+	want := []faults.Call{
 		{Op: vfs.OpCreateTemp, Path: key, N: 1},
 		{Op: vfs.OpClose, Path: key, N: 1},
 		{Op: vfs.OpCreateTemp, Path: key, N: 2},
@@ -251,7 +252,7 @@ func TestCallLogIdentity(t *testing.T) {
 // the same faults; a different seed (almost surely) differs somewhere
 // over many calls.
 func TestScheduleReplay(t *testing.T) {
-	run := func(seed uint64) []vfs.Call {
+	run := func(seed uint64) []faults.Call {
 		dir := t.TempDir()
 		ffs := vfs.NewFaultFS(vfs.OS,
 			vfs.WithSchedule(&vfs.Schedule{Seed: seed, Prob: 0.3, Torn: true}),
