@@ -71,7 +71,8 @@ fuzz:
 # every fuzz target: the attacker-grade parsers (the state decoder, the IR
 # fingerprinter, the cache's keys, blob and wire decoders, the reader of a
 # history file's end — whatever a crash or another writer left there — and
-# the frontend), the optimizer against the unoptimized program, and the skip
+# the frontend, on a fresh scratch and on one a file before it left full or
+# stopped mid-way), the optimizer against the unoptimized program, and the skip
 # rule itself (an edit compiled over a warm state, every skip audited, must
 # equal a stateless compile). TestMakefileFuzzesEveryTarget holds this list
 # to the fuzz targets in the tree, TestMakefileRunPatternsMatch every -run
@@ -90,6 +91,7 @@ chaos:
 	$(GO) test -fuzz FuzzCASWire -fuzztime 20s ./internal/cas
 	$(GO) test -run '^$$' -fuzz '^FuzzCASKey$$' -fuzztime 10s ./internal/cas
 	$(GO) test -run '^$$' -fuzz '^FuzzFrontend$$' -fuzztime 20s ./internal/parser
+	$(GO) test -run '^$$' -fuzz '^FuzzScratchReuse$$' -fuzztime 30s ./internal/parser
 	$(GO) test -run '^$$' -fuzz '^FuzzPipelineDifferential$$' -fuzztime 20s ./internal/passes
 	$(GO) test -run '^$$' -fuzz '^FuzzStatefulEdit$$' -fuzztime 30s ./internal/compiler
 

@@ -4,6 +4,15 @@
 // (functions, global variables, constants, and extern function prototypes);
 // statements and expressions follow C with Go-flavoured spelling. Every
 // node carries its source position for diagnostics.
+//
+// Who owns a tree depends on who parsed it. The parser cuts the nodes and
+// the lists between them from the chunks of a parser.Scratch. A compile
+// worker reuses its scratch from file to file: such a tree is valid until
+// the scratch's next ParseFile or Release, after which its nodes are zero
+// or belong to another file. The package-level parser.ParseFile parses on
+// a fresh scratch that nobody releases, so its tree is the caller's, like
+// any heap value. The strings in a tree are ordinary heap strings either
+// way and may be kept.
 package ast
 
 import (

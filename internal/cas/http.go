@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"syscall"
 	"time"
 
 	"statefulcc/internal/obs"
@@ -25,11 +26,13 @@ import (
 //     blob/action traffic, LeaseBudget for coalescing long-polls), so an
 //     indefinitely stalled connection costs at most the budget, never a
 //     hung build.
-//   - Retries follow a strict taxonomy: only transport failures, mid-body
-//     read errors, 5xx responses, and blown deadlines re-send. Every
-//     service verdict — 404 miss, 410 verify refusal, 507 quota, any
-//     other 4xx, and locally detected verify/malformed payloads — is
-//     final on the first answer and never burns the retry budget.
+//   - Retries follow a strict taxonomy: only transport failures in the
+//     middle of an exchange, mid-body read errors, 5xx responses, and
+//     blown deadlines re-send. A refused dial (ECONNREFUSED) is a definite
+//     answer — nothing listens — and so is every service verdict: 404
+//     miss, 410 verify refusal, 507 quota, any other 4xx, and locally
+//     detected verify/malformed payloads. Those are final on the first
+//     answer and never burn the retry budget or wait out a backoff.
 //   - A per-backend circuit breaker fronts every wire attempt: enough
 //     transport failures open it, open requests fast-fail with
 //     ErrUnavailable (cas.breaker_open) instead of waiting on a dead
@@ -140,9 +143,11 @@ func (h *HTTPCAS) SetMetrics(reg *obs.Registry) {
 func (h *HTTPCAS) BreakerState() BreakerState { return h.breaker.State() }
 
 // Retryable reports whether err is worth a re-send under the strict
-// taxonomy: transport failures, mid-body read errors, 5xx responses, and
-// blown deadlines are; every service verdict (the package sentinels, any
-// 4xx status) and caller cancellation are final.
+// taxonomy: transport failures in the middle of an exchange, mid-body read
+// errors, 5xx responses, and blown deadlines are; a refused dial, every
+// service verdict (the package sentinels, any 4xx status) and caller
+// cancellation are final. A refused dial still counts against the breaker
+// (isNetFailure): it is the answer of a backend that is down.
 func Retryable(err error) bool {
 	if err == nil {
 		return false
@@ -151,7 +156,7 @@ func Retryable(err error) bool {
 		errors.Is(err, ErrVerify) || errors.Is(err, ErrQuota) {
 		return false
 	}
-	if errors.Is(err, context.Canceled) {
+	if errors.Is(err, context.Canceled) || errors.Is(err, syscall.ECONNREFUSED) {
 		return false
 	}
 	var se *statusErr

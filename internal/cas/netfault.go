@@ -23,6 +23,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"statefulcc/internal/faults"
@@ -37,7 +38,8 @@ type NetFault int
 
 const (
 	// NetRefused fails the exchange before any bytes move, as a refused
-	// TCP connection would.
+	// TCP connection would: the error wraps syscall.ECONNREFUSED, like a
+	// real refused dial's, as well as ErrNetInjected.
 	NetRefused NetFault = iota
 	// NetHangup delivers half the response body, then fails the read —
 	// the peer dropped the connection mid-body.
@@ -218,7 +220,7 @@ func (t *FaultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		switch kind {
 		case NetRefused:
 			t.Inject(call)
-			return nil, fmt.Errorf("%s: connection refused: %w", NetName(call), ErrNetInjected)
+			return nil, fmt.Errorf("%s: %w: %w", NetName(call), syscall.ECONNREFUSED, ErrNetInjected)
 		case NetStall:
 			t.Inject(call)
 			<-req.Context().Done()

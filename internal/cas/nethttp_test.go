@@ -11,6 +11,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"syscall"
 	"testing"
 	"time"
 
@@ -189,10 +190,12 @@ func TestHTTPCASHedgedRead(t *testing.T) {
 }
 
 // TestHTTPCASBreakerLifecycle drives the breaker through its whole life
-// over real HTTP: five refused exchanges trip it, open requests fast-fail
-// without touching the wire, the cooldown admits a single probe, and the
-// probe's success restores full service — all deterministic under the
-// injected clock and visible in the metrics registry.
+// over real HTTP: five refused exchanges trip it — a refused dial is a
+// definite answer, so each Get makes one and none is retried — open
+// requests fast-fail without touching the wire, the cooldown admits a
+// single probe, and the probe's success restores full service — all
+// deterministic under the injected clock and visible in the metrics
+// registry.
 func TestHTTPCASBreakerLifecycle(t *testing.T) {
 	url, _ := newCASBackend(t)
 	key, data := cas.Sum([]byte("lifecycle blob")), []byte("lifecycle blob")
@@ -214,18 +217,23 @@ func TestHTTPCASBreakerLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Get #1: three refused exchanges (attempt + 2 retries), consec = 3.
-	if _, err := h.Get(key); !errors.Is(err, cas.ErrNetInjected) {
-		t.Fatalf("Get #1: err = %v, want injected refusal", err)
+	// Gets #1-#4: one refused exchange each, no retry; consec = 4.
+	for i := 1; i <= 4; i++ {
+		if _, err := h.Get(key); !errors.Is(err, cas.ErrNetInjected) || !errors.Is(err, syscall.ECONNREFUSED) {
+			t.Fatalf("Get #%d: err = %v, want injected refusal", i, err)
+		}
+		if n := exchangesFor(ft, "GET", "/cas/blob/"+key.String()); n != i {
+			t.Fatalf("Get #%d: %d wire exchanges so far, want %d (a refusal is not retried)", i, n, i)
+		}
 	}
 	if got := h.BreakerState(); got != cas.BreakerClosed {
-		t.Fatalf("state after 3 failures = %v, want closed", got)
+		t.Fatalf("state after 4 failures = %v, want closed", got)
 	}
 
-	// Get #2: exchanges 4 and 5 refuse — the 5th trips the breaker — and
-	// the final retry fast-fails on the open breaker without a wire trip.
-	if _, err := h.Get(key); !errors.Is(err, cas.ErrUnavailable) {
-		t.Fatalf("Get #2: err = %v, want ErrUnavailable from the open breaker", err)
+	// Get #5: the 5th refusal trips the breaker; the Get reports the
+	// refusal itself, since nothing is retried onto the open breaker.
+	if _, err := h.Get(key); !errors.Is(err, syscall.ECONNREFUSED) {
+		t.Fatalf("Get #5: err = %v, want the refusal that tripped the breaker", err)
 	}
 	if got := h.BreakerState(); got != cas.BreakerOpen {
 		t.Fatalf("state after 5 failures = %v, want open", got)
@@ -235,9 +243,9 @@ func TestHTTPCASBreakerLifecycle(t *testing.T) {
 		t.Fatalf("wire exchanges before fast-fail = %d, want 5", wire)
 	}
 
-	// Get #3 (cooldown not elapsed): pure fast-fail, zero wire traffic.
+	// Get #6 (cooldown not elapsed): pure fast-fail, zero wire traffic.
 	if _, err := h.Get(key); !errors.Is(err, cas.ErrUnavailable) {
-		t.Fatalf("Get #3: err = %v, want ErrUnavailable", err)
+		t.Fatalf("Get #6: err = %v, want ErrUnavailable", err)
 	}
 	if n := exchangesFor(ft, "GET", "/cas/blob/"+key.String()); n != wire {
 		t.Fatalf("open breaker touched the wire: %d exchanges, had %d", n, wire)
@@ -271,14 +279,44 @@ func TestHTTPCASBreakerLifecycle(t *testing.T) {
 		{obs.CtrCASBreakerProbes, m[obs.CtrCASBreakerProbes], 1},
 		{obs.CtrCASBreakerRecovered, m[obs.CtrCASBreakerRecovered], 1},
 		{obs.CtrCASNetErrors, m[obs.CtrCASNetErrors], 5},
-		{obs.CtrCASRetries, m[obs.CtrCASRetries], 4},
+		{obs.CtrCASRetries, m[obs.CtrCASRetries], 0},
+		{obs.CtrCASBreakerOpen, m[obs.CtrCASBreakerOpen], 1},
 	}
 	for _, c := range checks {
 		if c.got != c.want {
 			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
 		}
 	}
-	if m[obs.CtrCASBreakerOpen] < 2 {
-		t.Errorf("%s = %d, want >= 2 fast-fails", obs.CtrCASBreakerOpen, m[obs.CtrCASBreakerOpen])
+}
+
+// TestHTTPCASRetriesHangup: a failure in the middle of an exchange — the
+// peer hung up mid-body — is re-sent after a backoff, unlike a refused dial
+// (TestHTTPCASBreakerLifecycle): two hangups, then the third exchange
+// answers. Each hangup counts as a network error, and so against the
+// breaker.
+func TestHTTPCASRetriesHangup(t *testing.T) {
+	url, _ := newCASBackend(t)
+	key, data := cas.Sum([]byte("retry blob")), []byte("retry blob")
+	ft := cas.NewFaultTransport(nil, cas.WithNetRules(cas.NetRule{
+		Method: http.MethodGet, Path: "/cas/blob/*", Nth: 1, Count: 2, Kind: cas.NetHangup,
+	}))
+	reg := obs.NewRegistry()
+	h := cas.NewHTTPCASOpts(url, "t", cas.HTTPOptions{Transport: ft, Backoff: time.Millisecond})
+	h.SetMetrics(reg)
+	if err := h.Put(key, data); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := h.Get(key); err != nil || string(got) != string(data) {
+		t.Fatalf("Get = %q, %v; want the blob after the retries", got, err)
+	}
+	if n := exchangesFor(ft, "GET", "/cas/blob/"+key.String()); n != 3 {
+		t.Errorf("%d exchanges, want 3", n)
+	}
+	m := reg.Snapshot()
+	if m[obs.CtrCASRetries] != 2 {
+		t.Errorf("cas.retry = %d, want 2", m[obs.CtrCASRetries])
+	}
+	if m[obs.CtrCASNetErrors] != 2 {
+		t.Errorf("cas.net_error = %d, want 2", m[obs.CtrCASNetErrors])
 	}
 }

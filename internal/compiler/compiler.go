@@ -190,12 +190,13 @@ func Frontend(unitName string, src []byte) (*ir.Module, error) {
 	return new(frontend).build(unitName, src)
 }
 
-// frontend is one worker's frontend scratch: the token buffer and list
-// stacks of the parser, the checker's tables, the lowering's slot table,
-// block stacks and IR arena. Each stage zeroes its tables when it is done
-// with a unit — the checker's, which lowering still reads, here — so that
+// frontend is one worker's frontend scratch: the parser's token buffer,
+// list stacks, intern table and AST arena, the checker's tables and symbol
+// memory, the lowering's slot table, block stacks and IR arena. The AST and
+// the checker's tables are the unit's frontend arena: lowering reads them,
+// and they are wiped and returned when it returns, on every path, so that
 // neither a failed unit nor a large one leaves anything for the next. The
-// arena holds the returned module's IR until the next unit's lowering or
+// IR arena holds the returned module's IR until the next unit's lowering or
 // Compiler.Release wipes it, so an idle, released worker pins no unit's AST
 // or IR.
 type frontend struct {
@@ -205,6 +206,7 @@ type frontend struct {
 }
 
 func (fe *frontend) build(unitName string, src []byte) (*ir.Module, error) {
+	defer fe.release()
 	var errs source.ErrorList
 	file := source.NewFile(unitName, src)
 	tree := fe.parse.ParseFile(file, &errs)
@@ -212,13 +214,19 @@ func (fe *frontend) build(unitName string, src []byte) (*ir.Module, error) {
 		errs.Sort()
 		return nil, fmt.Errorf("%s: %w", unitName, &errs)
 	}
-	defer fe.check.Release()
 	info := fe.check.Check(file, tree, &errs)
 	if errs.HasErrors() {
 		errs.Sort()
 		return nil, fmt.Errorf("%s: %w", unitName, &errs)
 	}
 	return fe.lower.Build(unitName, tree, info)
+}
+
+// release wipes the unit's AST and the checker's tables: nothing the
+// returned module or error holds points into them.
+func (fe *frontend) release() {
+	fe.check.Release()
+	fe.parse.Release()
 }
 
 // CompileUnit compiles one unit from source. Under the stateful policy,

@@ -53,6 +53,16 @@ func brokenDecoySrc() string {
 	return src + "    return s;\n}\nfunc _broken() int { var x int = true; return y; }\n"
 }
 
+// cutDecoySrc is a unit that does not parse: the broken decoy's
+// declarations and bodies — enough to fill chunks of every hot node kind in
+// the worker's frontend arena — and then a function that stops mid-file,
+// inside an expression inside a call's argument list inside a loop body, so
+// the parser gives up with list stacks open and the arena part cut.
+func cutDecoySrc() string {
+	return strings.TrimSuffix(brokenDecoySrc(), "func _broken() int { var x int = true; return y; }\n") +
+		"func _cut(a int, b int) int {\n    for var i int = 0; i < a; i++ {\n        b = _helper(a, (b + i) * "
+}
+
 // probeSrc joins the snapshot: its globals have no initializers, so a value
 // left in the checker's table at their declaration numbers would become
 // their initial value and change what probe_globals folds to.
@@ -68,8 +78,10 @@ func probeSrc() string {
 // TestDirtyScratchAcrossWorkers compiles one snapshot on 1, 2 and 4 workers
 // — each a compiler.Compiler with its own scratch, fed from a shared queue
 // as the build system's pool does — dirtying every worker's scratch between
-// units with the decoy and with a larger one that fails type-checking, and
-// holds each linked program to the one built by a fresh Compiler per unit.
+// units with the decoy, with a larger one that fails type-checking and with
+// one that fails in the parser after filling part of the frontend arena,
+// and holds each linked program to the one built by a fresh Compiler per
+// unit.
 // Run under the race detector (make race) it also shows that no scratch is
 // reachable from two workers.
 func TestDirtyScratchAcrossWorkers(t *testing.T) {
@@ -80,7 +92,7 @@ func TestDirtyScratchAcrossWorkers(t *testing.T) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	decoy, broken := []byte(decoySrc()), []byte(brokenDecoySrc())
+	decoy, broken, cut := []byte(decoySrc()), []byte(brokenDecoySrc()), []byte(cutDecoySrc())
 
 	link := func(objs []*codegen.Object) [32]byte {
 		t.Helper()
@@ -124,6 +136,9 @@ func TestDirtyScratchAcrossWorkers(t *testing.T) {
 						}
 						if _, err := c.CompileUnit("broken.mc", broken, nil); err == nil || !strings.Contains(err.Error(), "undefined: y") || !strings.Contains(err.Error(), "_helper redeclared") {
 							t.Errorf("broken decoy: got %v, want its type errors", err)
+						}
+						if _, err := c.CompileUnit("cut.mc", cut, nil); err == nil || !strings.Contains(err.Error(), "expected expression") {
+							t.Errorf("cut decoy: got %v, want its syntax error", err)
 						}
 						res, err := c.CompileUnit(names[i], snap[names[i]], nil)
 						if err != nil {

@@ -31,6 +31,9 @@ type Lexer struct {
 	src    []byte
 	offset int
 	errs   *source.ErrorList
+	// names interns identifier and number spellings; a lexer given none
+	// makes its own.
+	names *Names
 
 	// keepComments controls whether COMMENT tokens are emitted or skipped;
 	// the parser never wants them, but tools may.
@@ -115,13 +118,16 @@ func (l *Lexer) Next() Token {
 }
 
 // Tokenize scans the whole file into a fresh slice, always ending with EOF.
-func (l *Lexer) Tokenize() []Token { return l.TokenizeInto(nil) }
+func (l *Lexer) Tokenize() []Token { return l.TokenizeInto(nil, nil) }
 
 // TokenizeInto is Tokenize into the caller's buffer: the tokens overwrite
 // buf from its start and the filled slice comes back. A worker that lexes
 // file after file keeps one buffer, clearing it between files so the last
-// file's literal strings are not kept alive.
-func (l *Lexer) TokenizeInto(buf []Token) []Token {
+// file's literal strings are not kept alive, and one Names table, which
+// the spellings of identifiers and numbers come from (nil: a table of the
+// lexer's own).
+func (l *Lexer) TokenizeInto(buf []Token, names *Names) []Token {
+	l.names = names
 	// MiniC source runs at four to five bytes a token (operators, short
 	// names, indentation), so a buffer of a quarter of the remaining bytes
 	// nearly always holds the file; a shorter one is replaced at once rather
@@ -161,7 +167,43 @@ func (l *Lexer) scanIdent(start int) Token {
 			return Token{Kind: kind, Pos: source.Pos(start)}
 		}
 	}
-	return Token{Kind: token.IDENT, Pos: source.Pos(start), Lit: string(l.src[start:l.offset])}
+	return Token{Kind: token.IDENT, Pos: source.Pos(start), Lit: l.spelling(start)}
+}
+
+// spelling returns the source text from start to the current offset, from
+// the lexer's intern table.
+func (l *Lexer) spelling(start int) string {
+	if l.names == nil {
+		l.names = new(Names)
+	}
+	return l.names.intern(l.src[start:l.offset])
+}
+
+// Names is an intern table of the identifier and number spellings a worker
+// has lexed: a name used a hundred times in a file, or in every file, is one
+// string. The strings are ordinary immutable heap strings and may outlive
+// any file (they become IR symbol and global names); the table only saves
+// making them again. One table per worker, never two goroutines on one; the
+// zero value is ready.
+type Names struct{ m map[string]string }
+
+// maxNames bounds a table: when it is full it starts over, so a worker that
+// lexes a large project keeps the spellings of the last few thousand names,
+// not all of them (the megarepo's 208 units spell 14 555).
+const maxNames = 1 << 12
+
+func (n *Names) intern(b []byte) string {
+	if s, ok := n.m[string(b)]; ok {
+		return s
+	}
+	if n.m == nil {
+		n.m = make(map[string]string)
+	} else if len(n.m) >= maxNames {
+		clear(n.m)
+	}
+	s := string(b)
+	n.m[s] = s
+	return s
 }
 
 func (l *Lexer) scanNumber(start int) Token {
@@ -177,7 +219,7 @@ func (l *Lexer) scanNumber(start int) Token {
 			l.errorf(start, "malformed hex literal")
 			return Token{Kind: token.ILLEGAL, Pos: source.Pos(start), Lit: string(l.src[start:l.offset])}
 		}
-		return Token{Kind: token.INT, Pos: source.Pos(start), Lit: string(l.src[start:l.offset])}
+		return Token{Kind: token.INT, Pos: source.Pos(start), Lit: l.spelling(start)}
 	}
 	for l.offset < len(l.src) && isDigit(l.src[l.offset]) {
 		l.offset++
@@ -190,7 +232,7 @@ func (l *Lexer) scanNumber(start int) Token {
 		l.errorf(start, "identifier may not start with a digit")
 		return Token{Kind: token.ILLEGAL, Pos: source.Pos(start), Lit: string(l.src[start:l.offset])}
 	}
-	return Token{Kind: token.INT, Pos: source.Pos(start), Lit: string(l.src[start:l.offset])}
+	return Token{Kind: token.INT, Pos: source.Pos(start), Lit: l.spelling(start)}
 }
 
 func isHexDigit(b byte) bool {

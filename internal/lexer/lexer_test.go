@@ -117,9 +117,9 @@ func TestEveryKeywordIsScanned(t *testing.T) {
 // overwrite the first's in the same memory and equal a fresh Tokenize.
 func TestTokenizeIntoReusesTheBuffer(t *testing.T) {
 	var errs source.ErrorList
-	long := New(source.NewFile("a.mc", []byte("func f(a int) int { return a * 2 + 1; }")), &errs).TokenizeInto(nil)
+	long := New(source.NewFile("a.mc", []byte("func f(a int) int { return a * 2 + 1; }")), &errs).TokenizeInto(nil, nil)
 	src := "var x int = 3;"
-	short := New(source.NewFile("b.mc", []byte(src)), &errs).TokenizeInto(long)
+	short := New(source.NewFile("b.mc", []byte(src)), &errs).TokenizeInto(long, nil)
 	if &short[0] != &long[0] {
 		t.Error("TokenizeInto allocated although the buffer was long enough")
 	}

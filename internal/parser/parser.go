@@ -25,36 +25,46 @@ type Parser struct {
 	nexprs, ndecls int32
 }
 
-// Scratch is one worker's reusable parsing memory: the token buffer, and
-// the stacks on which the entries of a statement, argument, parameter or
-// declaration list wait until the list is complete and is allocated once at
-// its final length (nested lists stack above their parents). Nothing of a
-// parsed file stays behind: ParseFile zeroes what it used. One Scratch per
-// worker, never two goroutines on one; the package-level functions make a
-// fresh one per call.
+// Scratch is one worker's reusable parsing memory: the token buffer, the
+// intern table the lexer spells names from, the arena the AST is cut from,
+// and the stacks on which the entries of a statement, argument, parameter or
+// declaration list wait until the list is complete and is cut at its final
+// length (nested lists stack above their parents). One Scratch per worker,
+// never two goroutines on one; the package-level functions make a fresh one
+// per call, and the trees they return are the caller's to keep.
 type Scratch struct {
 	tokBuf []lexer.Token
+	names  lexer.Names
+	nodes  arena
 	stmts  []ast.Stmt
 	exprs  []ast.Expr
 	params []*ast.Param
 	decls  []ast.Decl
 }
 
-// take pops the entries above mark off a list stack into a slice of exactly
-// their number (nil for none).
-func take[T any](stack *[]T, mark int) []T {
+// take pops the entries above mark off a list stack into a list of exactly
+// their number cut from mem (nil for none).
+func take[T any](stack *[]T, mark int, mem *chunks[T]) []T {
 	var list []T
 	if top := (*stack)[mark:]; len(top) > 0 {
-		list = make([]T, len(top))
+		list = mem.cut(len(top))
 		copy(list, top)
 	}
 	*stack = (*stack)[:mark]
 	return list
 }
 
-// release zeroes the scratch, keeping its memory: the tokens' literal
-// strings and the listed nodes live on in the AST only.
-func (s *Scratch) release() {
+// place cuts a new node from mem and sets it to n.
+func place[T any](mem *chunks[T], n T) *T {
+	node := &mem.cut(1)[0]
+	*node = n
+	return node
+}
+
+// clearStacks zeroes the token buffer and the list stacks, keeping their
+// memory: the tokens' literal strings and the listed nodes live on in the
+// AST only.
+func (s *Scratch) clearStacks() {
 	clear(s.tokBuf)
 	clear(s.stmts[:cap(s.stmts)])
 	clear(s.exprs[:cap(s.exprs)])
@@ -63,16 +73,25 @@ func (s *Scratch) release() {
 	s.stmts, s.exprs, s.params, s.decls = s.stmts[:0], s.exprs[:0], s.params[:0], s.decls[:0]
 }
 
+// Release gives the memory of the tree the last ParseFile returned back to
+// the scratch, wiped: that tree must not be used again, and the worker pins
+// none of it.
+func (s *Scratch) Release() { s.nodes.release() }
+
 // ParseFile lexes and parses one source file, reporting problems to errs.
 // A partial AST is returned even when errors occurred.
 func ParseFile(file *source.File, errs *source.ErrorList) *ast.File {
 	return new(Scratch).ParseFile(file, errs)
 }
 
-// ParseFile is the package-level ParseFile in the worker's scratch.
+// ParseFile is the package-level ParseFile in the worker's scratch. It
+// releases the tree the previous ParseFile returned; the one it returns is
+// cut from the scratch's arena and is valid until the next ParseFile or
+// Release.
 func (s *Scratch) ParseFile(file *source.File, errs *source.ErrorList) *ast.File {
-	defer s.release()
-	s.tokBuf = lexer.New(file, errs).TokenizeInto(s.tokBuf)
+	s.Release()
+	defer s.clearStacks()
+	s.tokBuf = lexer.New(file, errs).TokenizeInto(s.tokBuf, &s.names)
 	p := &Parser{mem: s, file: file, toks: s.tokBuf, errs: errs}
 	return p.parseFile()
 }
@@ -178,7 +197,7 @@ func (p *Parser) parseFile() *ast.File {
 			p.advance()
 		}
 	}
-	f.Decls = take(&p.mem.decls, 0)
+	f.Decls = take(&p.mem.decls, 0, &p.mem.nodes.declLists)
 	f.NumExprs, f.NumDecls = int(p.nexprs), int(p.ndecls)
 	return f
 }
@@ -203,7 +222,7 @@ func (p *Parser) parseDecl() ast.Decl {
 }
 
 func (p *Parser) parseFuncDecl() *ast.FuncDecl {
-	fn := &ast.FuncDecl{DeclNode: p.decl(), FuncPos: p.expect(token.FUNC).Pos}
+	fn := place(&p.mem.nodes.funcs, ast.FuncDecl{DeclNode: p.decl(), FuncPos: p.expect(token.FUNC).Pos})
 	fn.Name = p.expect(token.IDENT).Lit
 	fn.Params = p.parseParams()
 	if p.at(token.INTTYPE) || p.at(token.BOOLTYPE) || p.at(token.LBRACK) {
@@ -214,7 +233,7 @@ func (p *Parser) parseFuncDecl() *ast.FuncDecl {
 }
 
 func (p *Parser) parseExternDecl() *ast.ExternDecl {
-	d := &ast.ExternDecl{DeclNode: p.decl(), ExternPos: p.expect(token.EXTERN).Pos}
+	d := place(&p.mem.nodes.externs, ast.ExternDecl{DeclNode: p.decl(), ExternPos: p.expect(token.EXTERN).Pos})
 	p.expect(token.FUNC)
 	d.Name = p.expect(token.IDENT).Lit
 	d.Params = p.parseParams()
@@ -235,18 +254,18 @@ func (p *Parser) parseParams() []*ast.Param {
 		}
 		name := p.expect(token.IDENT)
 		typ := p.parseType()
-		p.mem.params = append(p.mem.params, &ast.Param{DeclNode: p.decl(), NamePos: name.Pos, Name: name.Lit, Type: typ})
+		p.mem.params = append(p.mem.params, place(&p.mem.nodes.params, ast.Param{DeclNode: p.decl(), NamePos: name.Pos, Name: name.Lit, Type: typ}))
 	}
 	p.expect(token.RPAREN)
-	return take(&p.mem.params, mark)
+	return take(&p.mem.params, mark, &p.mem.nodes.paramLists)
 }
 
 func (p *Parser) parseType() ast.TypeExpr {
 	switch p.kind() {
 	case token.INTTYPE:
-		return &ast.ScalarType{TokPos: p.advance().Pos, Kind: token.INTTYPE}
+		return place(&p.mem.nodes.scalars, ast.ScalarType{TokPos: p.advance().Pos, Kind: token.INTTYPE})
 	case token.BOOLTYPE:
-		return &ast.ScalarType{TokPos: p.advance().Pos, Kind: token.BOOLTYPE}
+		return place(&p.mem.nodes.scalars, ast.ScalarType{TokPos: p.advance().Pos, Kind: token.BOOLTYPE})
 	case token.LBRACK:
 		lb := p.advance()
 		lenTok := p.expect(token.INT)
@@ -256,16 +275,16 @@ func (p *Parser) parseType() ast.TypeExpr {
 		return &ast.ArrayType{
 			LbrackPos: lb.Pos,
 			Len:       n,
-			Elem:      &ast.ScalarType{TokPos: elemTok.Pos, Kind: token.INTTYPE},
+			Elem:      place(&p.mem.nodes.scalars, ast.ScalarType{TokPos: elemTok.Pos, Kind: token.INTTYPE}),
 		}
 	default:
 		p.errorf("expected type, found %q", p.cur().String())
-		return &ast.ScalarType{TokPos: p.cur().Pos, Kind: token.INTTYPE}
+		return place(&p.mem.nodes.scalars, ast.ScalarType{TokPos: p.cur().Pos, Kind: token.INTTYPE})
 	}
 }
 
 func (p *Parser) parseVarDecl() *ast.VarDecl {
-	d := &ast.VarDecl{DeclNode: p.decl(), VarPos: p.expect(token.VAR).Pos}
+	d := place(&p.mem.nodes.vars, ast.VarDecl{DeclNode: p.decl(), VarPos: p.expect(token.VAR).Pos})
 	d.Name = p.expect(token.IDENT).Lit
 	d.Type = p.parseType()
 	if p.accept(token.ASSIGN) {
@@ -286,7 +305,7 @@ func (p *Parser) parseConstDecl() *ast.ConstDecl {
 // --- statements ---------------------------------------------------------------
 
 func (p *Parser) parseBlock() *ast.BlockStmt {
-	b := &ast.BlockStmt{LbracePos: p.expect(token.LBRACE).Pos}
+	b := place(&p.mem.nodes.blocks, ast.BlockStmt{LbracePos: p.expect(token.LBRACE).Pos})
 	mark := len(p.mem.stmts)
 	for !p.at(token.RBRACE) && !p.at(token.EOF) {
 		before := p.pos
@@ -298,7 +317,7 @@ func (p *Parser) parseBlock() *ast.BlockStmt {
 			p.advance()
 		}
 	}
-	b.Stmts = take(&p.mem.stmts, mark)
+	b.Stmts = take(&p.mem.stmts, mark, &p.mem.nodes.stmtLists)
 	p.expect(token.RBRACE)
 	return b
 }
@@ -310,7 +329,7 @@ func (p *Parser) parseStmt() ast.Stmt {
 	case token.VAR:
 		d := p.parseVarDecl()
 		p.expect(token.SEMICOLON)
-		return &ast.DeclStmt{Decl: d}
+		return place(&p.mem.nodes.declStmts, ast.DeclStmt{Decl: d})
 	case token.IF:
 		return p.parseIf()
 	case token.WHILE:
@@ -318,7 +337,7 @@ func (p *Parser) parseStmt() ast.Stmt {
 	case token.FOR:
 		return p.parseFor()
 	case token.RETURN:
-		r := &ast.ReturnStmt{ReturnPos: p.advance().Pos}
+		r := place(&p.mem.nodes.returns, ast.ReturnStmt{ReturnPos: p.advance().Pos})
 		if !p.at(token.SEMICOLON) {
 			r.Value = p.parseExpr()
 		}
@@ -346,7 +365,7 @@ func (p *Parser) parseStmt() ast.Stmt {
 // the statement forms legal in for-headers — without the trailing semicolon.
 func (p *Parser) parseSimpleStmt() ast.Stmt {
 	if p.at(token.VAR) {
-		return &ast.DeclStmt{Decl: p.parseVarDecl()}
+		return place(&p.mem.nodes.declStmts, ast.DeclStmt{Decl: p.parseVarDecl()})
 	}
 	e := p.parseExpr()
 	switch {
@@ -356,7 +375,7 @@ func (p *Parser) parseSimpleStmt() ast.Stmt {
 		if !isLvalue(e) {
 			p.errs.Errorf(p.file.Position(e.Pos()), "left side of assignment must be a variable or array element")
 		}
-		return &ast.AssignStmt{Lhs: e, Op: op, Rhs: rhs}
+		return place(&p.mem.nodes.assigns, ast.AssignStmt{Lhs: e, Op: op, Rhs: rhs})
 	case p.at(token.INC), p.at(token.DEC):
 		op := token.ADDASSIGN
 		if p.advance().Kind == token.DEC {
@@ -365,7 +384,7 @@ func (p *Parser) parseSimpleStmt() ast.Stmt {
 		if !isLvalue(e) {
 			p.errs.Errorf(p.file.Position(e.Pos()), "operand of ++/-- must be a variable or array element")
 		}
-		return &ast.AssignStmt{Lhs: e, Op: op, Rhs: &ast.IntLit{ExprNode: p.expr(), LitPos: e.Pos(), Value: 1}}
+		return place(&p.mem.nodes.assigns, ast.AssignStmt{Lhs: e, Op: op, Rhs: place(&p.mem.nodes.ints, ast.IntLit{ExprNode: p.expr(), LitPos: e.Pos(), Value: 1})})
 	default:
 		if _, ok := e.(*ast.CallExpr); !ok {
 			p.errs.Errorf(p.file.Position(e.Pos()), "expression statement must be a call")
@@ -383,7 +402,7 @@ func isLvalue(e ast.Expr) bool {
 }
 
 func (p *Parser) parseIf() ast.Stmt {
-	s := &ast.IfStmt{IfPos: p.expect(token.IF).Pos}
+	s := place(&p.mem.nodes.ifs, ast.IfStmt{IfPos: p.expect(token.IF).Pos})
 	s.Cond = p.parseExpr()
 	s.Then = p.parseBlock()
 	if p.accept(token.ELSE) {
@@ -397,14 +416,14 @@ func (p *Parser) parseIf() ast.Stmt {
 }
 
 func (p *Parser) parseWhile() ast.Stmt {
-	s := &ast.WhileStmt{WhilePos: p.expect(token.WHILE).Pos}
+	s := place(&p.mem.nodes.whiles, ast.WhileStmt{WhilePos: p.expect(token.WHILE).Pos})
 	s.Cond = p.parseExpr()
 	s.Body = p.parseBlock()
 	return s
 }
 
 func (p *Parser) parseFor() ast.Stmt {
-	s := &ast.ForStmt{ForPos: p.expect(token.FOR).Pos}
+	s := place(&p.mem.nodes.fors, ast.ForStmt{ForPos: p.expect(token.FOR).Pos})
 	if !p.at(token.SEMICOLON) {
 		s.Init = p.parseSimpleStmt()
 	}
@@ -435,7 +454,7 @@ func (p *Parser) parseBinary(minPrec int) ast.Expr {
 		}
 		op := p.advance().Kind
 		y := p.parseBinary(prec + 1)
-		x = &ast.BinaryExpr{ExprNode: p.expr(), X: x, Op: op, Y: y}
+		x = place(&p.mem.nodes.binaries, ast.BinaryExpr{ExprNode: p.expr(), X: x, Op: op, Y: y})
 	}
 }
 
@@ -443,7 +462,7 @@ func (p *Parser) parseUnary() ast.Expr {
 	switch p.kind() {
 	case token.SUB, token.NOT, token.XOR:
 		t := p.advance()
-		return &ast.UnaryExpr{ExprNode: p.expr(), OpPos: t.Pos, Op: t.Kind, X: p.parseUnary()}
+		return place(&p.mem.nodes.unaries, ast.UnaryExpr{ExprNode: p.expr(), OpPos: t.Pos, Op: t.Kind, X: p.parseUnary()})
 	}
 	return p.parsePostfix()
 }
@@ -456,12 +475,12 @@ func (p *Parser) parsePostfix() ast.Expr {
 			p.advance()
 			idx := p.parseExpr()
 			p.expect(token.RBRACK)
-			x = &ast.IndexExpr{ExprNode: p.expr(), X: x, Index: idx}
+			x = place(&p.mem.nodes.indexes, ast.IndexExpr{ExprNode: p.expr(), X: x, Index: idx})
 		case token.LPAREN:
 			id, ok := x.(*ast.IdentExpr)
 			if !ok {
 				p.errorf("called object is not a function name")
-				id = &ast.IdentExpr{ExprNode: p.expr(), NamePos: x.Pos(), Name: "<error>"}
+				id = place(&p.mem.nodes.idents, ast.IdentExpr{ExprNode: p.expr(), NamePos: x.Pos(), Name: "<error>"})
 			}
 			x = p.parseCall(id)
 		default:
@@ -472,7 +491,7 @@ func (p *Parser) parsePostfix() ast.Expr {
 
 func (p *Parser) parseCall(callee *ast.IdentExpr) ast.Expr {
 	p.expect(token.LPAREN)
-	call := &ast.CallExpr{ExprNode: p.expr(), Callee: callee}
+	call := place(&p.mem.nodes.calls, ast.CallExpr{ExprNode: p.expr(), Callee: callee})
 	mark := len(p.mem.exprs)
 	for !p.at(token.RPAREN) && !p.at(token.EOF) {
 		if len(p.mem.exprs) > mark && !p.accept(token.COMMA) {
@@ -481,7 +500,7 @@ func (p *Parser) parseCall(callee *ast.IdentExpr) ast.Expr {
 		}
 		p.mem.exprs = append(p.mem.exprs, p.parseExpr())
 	}
-	call.Args = take(&p.mem.exprs, mark)
+	call.Args = take(&p.mem.exprs, mark, &p.mem.nodes.exprLists)
 	call.Rparen = p.expect(token.RPAREN).Pos
 	return call
 }
@@ -490,14 +509,14 @@ func (p *Parser) parsePrimary() ast.Expr {
 	switch p.kind() {
 	case token.IDENT:
 		t := p.advance()
-		return &ast.IdentExpr{ExprNode: p.expr(), NamePos: t.Pos, Name: t.Lit}
+		return place(&p.mem.nodes.idents, ast.IdentExpr{ExprNode: p.expr(), NamePos: t.Pos, Name: t.Lit})
 	case token.INT:
 		t := p.advance()
 		v, err := parseIntLit(t.Lit)
 		if err != nil {
 			p.errs.Errorf(p.file.Position(t.Pos), "invalid integer literal %q", t.Lit)
 		}
-		return &ast.IntLit{ExprNode: p.expr(), LitPos: t.Pos, Value: v}
+		return place(&p.mem.nodes.ints, ast.IntLit{ExprNode: p.expr(), LitPos: t.Pos, Value: v})
 	case token.TRUE:
 		return &ast.BoolLit{ExprNode: p.expr(), LitPos: p.advance().Pos, Value: true}
 	case token.FALSE:
@@ -509,14 +528,14 @@ func (p *Parser) parsePrimary() ast.Expr {
 		lp := p.advance()
 		x := p.parseExpr()
 		p.expect(token.RPAREN)
-		return &ast.ParenExpr{ExprNode: p.expr(), LparenPos: lp.Pos, X: x}
+		return place(&p.mem.nodes.parens, ast.ParenExpr{ExprNode: p.expr(), LparenPos: lp.Pos, X: x})
 	default:
 		p.errorf("expected expression, found %q", p.cur().String())
 		t := p.cur()
 		if !p.at(token.EOF) && !p.at(token.SEMICOLON) && !p.at(token.RBRACE) && !p.at(token.RPAREN) {
 			p.advance()
 		}
-		return &ast.IntLit{ExprNode: p.expr(), LitPos: t.Pos, Value: 0}
+		return place(&p.mem.nodes.ints, ast.IntLit{ExprNode: p.expr(), LitPos: t.Pos, Value: 0})
 	}
 }
 

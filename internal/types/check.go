@@ -18,14 +18,22 @@ func Check(file *source.File, tree *ast.File, errs *source.ErrorList) *Info {
 }
 
 // Scratch is one worker's reusable checking memory: Info's tables, the
-// top-level scope and the stack of local scopes. One Scratch per worker,
-// never two goroutines on one; the package-level Check makes a fresh one.
+// top-level scope, the stack of local scopes, and the unit's symbols and
+// function signatures. One Scratch per worker, never two goroutines on one;
+// the package-level Check makes a fresh one.
 type Scratch struct {
 	info Info
 	top  map[string]*Symbol
 	// locals holds the block scopes of the function being checked, innermost
 	// last; a scope is the entries above the mark its opener keeps.
 	locals []*Symbol
+	// syms, sigs and sigParams are the memory of the unit's symbols, its
+	// functions' signatures and their parameter types. Each has at most one
+	// entry per declaring node, so it is sized once from the parser's count
+	// and never grown: its entries are pointed to.
+	syms      []Symbol
+	sigs      []Signature
+	sigParams []*Type
 }
 
 // Check is the package-level Check in the worker's scratch. The Info it
@@ -38,12 +46,10 @@ func (s *Scratch) Check(file *source.File, tree *ast.File, errs *source.ErrorLis
 	s.info.exprs = sized(s.info.exprs, tree.NumExprs)
 	s.info.defs = sized(s.info.defs, tree.NumDecls)
 	s.info.globalInits = sized(s.info.globalInits, tree.NumDecls)
-	c := &checker{
-		Scratch: s,
-		file:    file,
-		errs:    errs,
-		syms:    make([]Symbol, 0, tree.NumDecls),
-	}
+	s.syms = reserve(s.syms, tree.NumDecls)
+	s.sigs = reserve(s.sigs, tree.NumDecls)
+	s.sigParams = reserve(s.sigParams, tree.NumDecls)
+	c := &checker{Scratch: s, file: file, errs: errs}
 	s.top[BuiltinPrint], s.top[BuiltinAssert] = builtinPrint, builtinAssert
 	c.collectTopLevel(tree)
 	c.checkBodies(tree)
@@ -67,7 +73,10 @@ func (s *Scratch) Release() {
 	info.Funcs, info.Globals = info.Funcs[:0], info.Globals[:0]
 	clear(s.top)
 	clear(s.locals[:cap(s.locals)])
-	s.locals = s.locals[:0]
+	clear(s.syms)
+	clear(s.sigs)
+	clear(s.sigParams)
+	s.locals, s.syms, s.sigs, s.sigParams = s.locals[:0], s.syms[:0], s.sigs[:0], s.sigParams[:0]
 }
 
 // sized returns a table of length n on buf's memory, which Release left
@@ -77,6 +86,15 @@ func sized[T any](buf []T, n int) []T {
 		return make([]T, n, n+n/4)
 	}
 	return buf[:n]
+}
+
+// reserve returns an empty list with room for n on buf's memory, which
+// Release left zeroed as far as it was used.
+func reserve[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, 0, n+n/4)
+	}
+	return buf
 }
 
 // The builtins are the same two symbols in every unit; nothing writes to a
@@ -96,10 +114,6 @@ type checker struct {
 	*Scratch
 	file *source.File
 	errs *source.ErrorList
-	// syms is the memory of this unit's symbols: one per declaring node, so
-	// sized once from the parser's count and never grown (symbols are
-	// pointed to).
-	syms []Symbol
 
 	// Per-function state.
 	fn        *ast.FuncDecl
@@ -171,18 +185,22 @@ func (c *checker) resolveType(t ast.TypeExpr) *Type {
 	}
 }
 
+// signatureOf places the signature of a function or extern in the unit's
+// signature memory.
 func (c *checker) signatureOf(params []*ast.Param, result ast.TypeExpr) *Signature {
-	sig := &Signature{Result: VoidType}
-	if len(params) > 0 {
-		sig.Params = make([]*Type, 0, len(params))
-	}
+	c.sigs = append(c.sigs, Signature{Result: VoidType})
+	sig := &c.sigs[len(c.sigs)-1]
+	start := len(c.sigParams)
 	for _, p := range params {
 		t := c.resolveType(p.Type)
 		if t.Kind == Array {
 			c.errorf(p.Pos(), "arrays cannot be passed as parameters")
 			t = IntType
 		}
-		sig.Params = append(sig.Params, t)
+		c.sigParams = append(c.sigParams, t)
+	}
+	if end := len(c.sigParams); end > start {
+		sig.Params = c.sigParams[start:end:end]
 	}
 	if result != nil {
 		t := c.resolveType(result)
