@@ -46,9 +46,10 @@ test:
 # that package shares between workers (TestFunctionConcurrent). So is the
 # state codec and its save, all of whose tests run here (`make chaos` runs
 # its walks only). So is the fault core every injector logs its calls
-# through from concurrent workers.
+# through from concurrent workers, and the oracle driver the differential
+# batteries walk their candidates with.
 race:
-	$(GO) test -race -timeout 15m ./internal/buildsys/... ./internal/obs/... ./internal/history/... ./internal/workload ./internal/footprint ./internal/cas ./internal/state/... ./internal/faults/... ./cmd/minibuild
+	$(GO) test -race -timeout 15m ./internal/buildsys/... ./internal/obs/... ./internal/history/... ./internal/workload ./internal/footprint ./internal/cas ./internal/state/... ./internal/faults/... ./internal/oracletest ./cmd/minibuild
 	$(GO) test -race -timeout 15m ./internal/passes/... ./internal/core/... ./internal/codegen/... ./internal/vm/... ./internal/analysis/... ./internal/compiler/... ./internal/fingerprint/... ./internal/ir/...
 	$(GO) test -race -timeout 15m ./internal/lexer/... ./internal/parser/... ./internal/types/... ./internal/irbuild/...
 
@@ -74,7 +75,10 @@ fuzz:
 # the frontend, on a fresh scratch and on one a file before it left full or
 # stopped mid-way), the optimizer against the unoptimized program, and the skip
 # rule itself (an edit compiled over a warm state, every skip audited, must
-# equal a stateless compile). TestMakefileFuzzesEveryTarget holds this list
+# equal a stateless compile; and an edit of one unit built by resident and
+# per-commit builders must link the stateless program — its inputs are
+# minimized for at most 100 runs, or minimizing one input, each run a dozen
+# builds, takes the whole burst). TestMakefileFuzzesEveryTarget holds this list
 # to the fuzz targets in the tree, TestMakefileRunPatternsMatch every -run
 # pattern here to tests that exist.
 chaos:
@@ -94,6 +98,7 @@ chaos:
 	$(GO) test -run '^$$' -fuzz '^FuzzScratchReuse$$' -fuzztime 30s ./internal/parser
 	$(GO) test -run '^$$' -fuzz '^FuzzPipelineDifferential$$' -fuzztime 20s ./internal/passes
 	$(GO) test -run '^$$' -fuzz '^FuzzStatefulEdit$$' -fuzztime 30s ./internal/compiler
+	$(GO) test -run '^$$' -fuzz '^FuzzBuildEdit$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/buildsys
 
 # bench-compare judges two reports of the benchmark of record
 # (`go run ./benchmark -seed S -out FILE`, see benchmark/README.md). The

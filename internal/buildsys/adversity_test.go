@@ -16,10 +16,10 @@ import (
 	"time"
 
 	"statefulcc/internal/buildsys"
-	"statefulcc/internal/codegen"
 	"statefulcc/internal/compiler"
 	"statefulcc/internal/core"
 	"statefulcc/internal/obs"
+	"statefulcc/internal/oracletest"
 	"statefulcc/internal/passes"
 	"statefulcc/internal/project"
 	"statefulcc/internal/vm"
@@ -38,21 +38,6 @@ func advSnap() project.Snapshot {
 		"b.mc": []byte("func beta() int { return 2; }\n"),
 		"m.mc": []byte("extern func alpha() int;\nextern func beta() int;\nfunc main() int { return alpha() + beta(); }\n"),
 	}
-}
-
-// statelessRef compiles snap on a fresh stateless builder (hook must be
-// disarmed) and returns the canonical program rendering.
-func statelessRef(t *testing.T, snap project.Snapshot, pipeline []string) string {
-	t.Helper()
-	b, err := buildsys.NewBuilder(buildsys.Options{Mode: compiler.ModeStateless, Workers: 1, Pipeline: pipeline})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := b.Build(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return codegen.DisassembleProgram(rep.Program)
 }
 
 // TestPanicIsolatedToUnit: a pass panicking on one unit must not fail the
@@ -96,8 +81,8 @@ func TestPanicIsolatedToUnit(t *testing.T) {
 		t.Errorf("%s = %d, want 1", obs.CtrQuarantineEngaged, rep.Metrics[obs.CtrQuarantineEngaged])
 	}
 
-	if got, want := codegen.DisassembleProgram(rep.Program), statelessRef(t, snap, advPipeline); got != want {
-		t.Error("panicked-then-isolated build differs from stateless reference")
+	if d := oracletest.Reference(t, advPipeline, snap)[0].Diff(rep.Program); d != "" {
+		t.Errorf("panicked-then-isolated build differs from stateless reference: %s", d)
 	}
 	out, res, err := vm.RunCapture(rep.Program, vm.Config{})
 	if err != nil || res.ExitValue != 3 {
@@ -164,8 +149,8 @@ func TestPanicQuarantineLiftsAfterCleanBuilds(t *testing.T) {
 	if ur := rep.Units["b.mc"]; ur.Quarantine != "" || ur.Panicked {
 		t.Errorf("post-lift build: %+v, want plain stateful compile", ur)
 	}
-	if got, want := codegen.DisassembleProgram(rep.Program), statelessRef(t, snap, advPipeline); got != want {
-		t.Error("post-lift build differs from stateless reference")
+	if d := oracletest.Reference(t, advPipeline, snap)[0].Diff(rep.Program); d != "" {
+		t.Errorf("post-lift build differs from stateless reference: %s", d)
 	}
 }
 
@@ -225,8 +210,8 @@ func TestSentinelCatchesUnsoundSkip(t *testing.T) {
 	if hookSlot == nil {
 		t.Error("no slot charged the unsound skip to faulthook")
 	}
-	if got, want := codegen.DisassembleProgram(rep.Program), statelessRef(t, snap, advPipeline); got != want {
-		t.Error("audited build with unsound pass differs from stateless reference")
+	if d := oracletest.Reference(t, advPipeline, snap)[0].Diff(rep.Program); d != "" {
+		t.Errorf("audited build with unsound pass differs from stateless reference: %s", d)
 	}
 }
 
@@ -235,8 +220,10 @@ func TestSentinelCatchesUnsoundSkip(t *testing.T) {
 // compile; after QuarantineCleanTarget clean compiles it lifts and
 // skipping resumes on the records kept warm throughout.
 func TestSentinelQuarantineSuspendsSkippingThenLifts(t *testing.T) {
-	snap := project.Snapshot{
-		"u.mc": []byte("func helper() int { return 7; }\nfunc main() int { return helper() + 0; }\n"),
+	edit := func(i int) project.Snapshot {
+		return project.Snapshot{
+			"u.mc": []byte(fmt.Sprintf("func helper() int { return 7; }\nfunc main() int { return helper() + %d; }\n", i)),
+		}
 	}
 	b, err := buildsys.NewBuilder(buildsys.Options{
 		Mode: compiler.ModeStateful, Workers: 1,
@@ -245,17 +232,13 @@ func TestSentinelQuarantineSuspendsSkippingThenLifts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Build(snap); err != nil {
+	if _, err := b.Build(edit(0)); err != nil {
 		t.Fatal(err)
 	}
-	edit := func(i int) {
-		snap["u.mc"] = []byte(fmt.Sprintf("func helper() int { return 7; }\nfunc main() int { return helper() + %d; }\n", i))
-	}
 
-	edit(1)
 	passes.ArmFaultHook(passes.FaultConfig{Mode: passes.FaultMutate, Func: "helper", Times: 1})
 	defer passes.DisarmFaultHook()
-	rep, err := b.Build(snap)
+	rep, err := b.Build(edit(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,41 +248,41 @@ func TestSentinelQuarantineSuspendsSkippingThenLifts(t *testing.T) {
 	}
 
 	// Clean compiles: faulthook must run with decision "quarantined" while
-	// quarantined, then lift at target.
+	// quarantined, then lift at target; every one links the stateless
+	// reference's program.
+	var clean []project.Snapshot
 	for i := 1; i <= core.QuarantineCleanTarget; i++ {
-		edit(i + 1)
-		rep, err = b.Build(snap)
-		if err != nil {
-			t.Fatalf("clean build %d: %v", i, err)
-		}
-		ur := rep.Units["u.mc"]
-		if i < core.QuarantineCleanTarget {
-			if ur.Quarantine != core.QuarantineUnsound {
-				t.Errorf("clean build %d: quarantine %q, want still engaged", i, ur.Quarantine)
-			}
-			quarantinedRuns := 0
-			for _, sl := range ur.Slots {
-				if sl.Pass == "faulthook" {
-					quarantinedRuns += sl.Quarantined
-				}
-			}
-			if quarantinedRuns == 0 {
-				t.Errorf("clean build %d: faulthook not forced to run under quarantine", i)
-			}
-		} else if ur.Quarantine != "" {
-			t.Errorf("lift build: quarantine %q, want lifted", ur.Quarantine)
-		}
-		if got, want := codegen.DisassembleProgram(rep.Program), statelessRef(t, snap, advPipeline); got != want {
-			t.Errorf("clean build %d differs from stateless reference", i)
-		}
+		clean = append(clean, edit(i+1))
 	}
+	oracletest.Walk(t, clean, oracletest.Reference(t, advPipeline, clean...), oracletest.Candidate{
+		Name: "quarantined stateful", Build: oracletest.Resident(b),
+		Check: func(i int, r *buildsys.Report) {
+			rep = r
+			ur := rep.Units["u.mc"]
+			if i+1 < core.QuarantineCleanTarget {
+				if ur.Quarantine != core.QuarantineUnsound {
+					t.Errorf("clean build %d: quarantine %q, want still engaged", i+1, ur.Quarantine)
+				}
+				quarantinedRuns := 0
+				for _, sl := range ur.Slots {
+					if sl.Pass == "faulthook" {
+						quarantinedRuns += sl.Quarantined
+					}
+				}
+				if quarantinedRuns == 0 {
+					t.Errorf("clean build %d: faulthook not forced to run under quarantine", i+1)
+				}
+			} else if ur.Quarantine != "" {
+				t.Errorf("lift build: quarantine %q, want lifted", ur.Quarantine)
+			}
+		},
+	})
 	if rep.Metrics[obs.CtrQuarantineLifted] != 1 {
 		t.Errorf("%s = %d, want 1", obs.CtrQuarantineLifted, rep.Metrics[obs.CtrQuarantineLifted])
 	}
 
 	// Post-lift: skipping resumes (records stayed warm under quarantine).
-	edit(99)
-	rep, err = b.Build(snap)
+	rep, err = b.Build(edit(99))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,8 +364,8 @@ func TestCancelledBuildLeavesStateLoadable(t *testing.T) {
 	if rep2.Metrics[obs.CtrStateIOErrors] != 0 {
 		t.Errorf("state dir inconsistent after cancellation: %d I/O errors", rep2.Metrics[obs.CtrStateIOErrors])
 	}
-	if got, want := codegen.DisassembleProgram(rep2.Program), statelessRef(t, snap, advPipeline); got != want {
-		t.Error("post-cancellation build differs from stateless reference")
+	if d := oracletest.Reference(t, advPipeline, snap)[0].Diff(rep2.Program); d != "" {
+		t.Errorf("post-cancellation build differs from stateless reference: %s", d)
 	}
 }
 
@@ -390,19 +373,15 @@ func TestCancelledBuildLeavesStateLoadable(t *testing.T) {
 // sentinel sampling (p=0.05) and saturated (p=1) across an edit history —
 // auditing may only confirm or repair skips, never change output.
 func TestAuditedBuildsMatchStateless(t *testing.T) {
-	seq := history(t, 71, 4)
-	slProgs, slOuts, slExits := buildSeq(t, buildsys.Options{Mode: compiler.ModeStateless, Workers: 1}, seq)
+	seq := history(71, 4)
+	ref := oracletest.Reference(t, nil, seq...)
 	for _, rate := range []float64{0.05, 1} {
-		progs, outs, exits := buildSeq(t, buildsys.Options{
-			Mode: compiler.ModeStateful, Workers: 4, AuditRate: rate,
-		}, seq)
-		for i := range seq {
-			if progs[i] != slProgs[i] {
-				t.Fatalf("audit=%v build %d: program differs from stateless", rate, i)
-			}
-			if outs[i] != slOuts[i] || exits[i] != slExits[i] {
-				t.Fatalf("audit=%v build %d: behaviour differs", rate, i)
-			}
+		b, err := buildsys.NewBuilder(buildsys.Options{Mode: compiler.ModeStateful, Workers: 4, AuditRate: rate})
+		if err != nil {
+			t.Fatal(err)
 		}
+		oracletest.Walk(t, seq, ref, oracletest.Candidate{
+			Name: fmt.Sprintf("audit=%v", rate), Build: oracletest.Resident(b), Check: oracletest.Runs(t, ref),
+		})
 	}
 }

@@ -3,19 +3,19 @@ package buildsys_test
 // Concurrency correctness: the whole point of the parallel builder is that
 // scheduling must be unobservable. These tests pin that down three ways —
 // identical linked-program bytes across worker counts, parallel-stateful
-// vs serial-stateless equivalence over edit histories, and the bench
+// vs stateless equivalence over edit histories, and the bench
 // harness's own behavioural check over several workloads. All of them run
 // clean under `go test -race`.
 
 import (
+	"fmt"
 	"testing"
 
 	"statefulcc/internal/bench"
 	"statefulcc/internal/buildsys"
-	"statefulcc/internal/codegen"
 	"statefulcc/internal/compiler"
+	"statefulcc/internal/oracletest"
 	"statefulcc/internal/project"
-	"statefulcc/internal/vm"
 	"statefulcc/internal/workload"
 )
 
@@ -29,73 +29,41 @@ func testProfile(seed int64) workload.Profile {
 }
 
 // history returns a base snapshot plus a few commits.
-func history(t *testing.T, seed int64, commits int) []project.Snapshot {
-	t.Helper()
-	base := workload.Generate(testProfile(seed))
-	h := workload.GenerateHistory(base, seed*13, commits, workload.DefaultCommitOptions())
-	return append([]project.Snapshot{base}, h.Commits...)
-}
-
-// buildSeq runs a snapshot sequence through one builder, returning the
-// disassembled program text (a canonical byte-for-byte rendering) and VM
-// behaviour after each build.
-func buildSeq(t *testing.T, opts buildsys.Options, seq []project.Snapshot) (progs []string, outs []string, exits []int64) {
-	t.Helper()
-	b, err := buildsys.NewBuilder(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, snap := range seq {
-		rep, err := b.Build(snap)
-		if err != nil {
-			t.Fatalf("build %d: %v", i, err)
-		}
-		out, res, err := vm.RunCapture(rep.Program, vm.Config{})
-		if err != nil {
-			t.Fatalf("build %d: execution: %v", i, err)
-		}
-		progs = append(progs, codegen.DisassembleProgram(rep.Program))
-		outs = append(outs, out)
-		exits = append(exits, res.ExitValue)
-	}
-	return progs, outs, exits
+func history(seed int64, commits int) []project.Snapshot {
+	return oracletest.Stream(testProfile(seed), workload.StreamDefault, seed*13, commits)
 }
 
 // TestWorkerCountDeterminism: Workers ∈ {1,2,8} must produce identical
-// linked programs and identical VM behaviour at every step of a history.
+// linked programs and identical VM behaviour at every step of a history —
+// each the stateless reference's.
 func TestWorkerCountDeterminism(t *testing.T) {
-	seq := history(t, 31, 4)
-	refProgs, refOuts, refExits := buildSeq(t, buildsys.Options{Mode: compiler.ModeStateful, Workers: 1}, seq)
-	for _, workers := range []int{2, 8} {
-		progs, outs, exits := buildSeq(t, buildsys.Options{Mode: compiler.ModeStateful, Workers: workers}, seq)
-		for i := range seq {
-			if progs[i] != refProgs[i] {
-				t.Fatalf("workers=%d build %d: linked program differs from workers=1", workers, i)
-			}
-			if outs[i] != refOuts[i] || exits[i] != refExits[i] {
-				t.Fatalf("workers=%d build %d: behaviour differs: %q/%d vs %q/%d",
-					workers, i, outs[i], exits[i], refOuts[i], refExits[i])
-			}
+	seq := history(31, 4)
+	ref := oracletest.Reference(t, nil, seq...)
+	for _, workers := range []int{1, 2, 8} {
+		b, err := buildsys.NewBuilder(buildsys.Options{Mode: compiler.ModeStateful, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
 		}
+		oracletest.Walk(t, seq, ref, oracletest.Candidate{
+			Name: fmt.Sprintf("workers=%d", workers), Build: oracletest.Resident(b), Check: oracletest.Runs(t, ref),
+		})
 	}
 }
 
 // TestParallelStatefulMatchesSerialStateless: the stateful policy on a
 // parallel pool must be indistinguishable — program bytes and behaviour —
-// from the conventional serial compiler throughout an edit history.
+// from the conventional serial compiler (oracletest.Reference, one worker)
+// throughout an edit history.
 func TestParallelStatefulMatchesSerialStateless(t *testing.T) {
-	seq := history(t, 47, 5)
-	slProgs, slOuts, slExits := buildSeq(t, buildsys.Options{Mode: compiler.ModeStateless, Workers: 1}, seq)
-	sfProgs, sfOuts, sfExits := buildSeq(t, buildsys.Options{Mode: compiler.ModeStateful, Workers: 8}, seq)
-	for i := range seq {
-		if sfProgs[i] != slProgs[i] {
-			t.Fatalf("build %d: parallel stateful program differs from serial stateless", i)
-		}
-		if sfOuts[i] != slOuts[i] || sfExits[i] != slExits[i] {
-			t.Fatalf("build %d: behaviour differs: %q/%d vs %q/%d",
-				i, sfOuts[i], sfExits[i], slOuts[i], slExits[i])
-		}
+	seq := history(47, 5)
+	ref := oracletest.Reference(t, nil, seq...)
+	b, err := buildsys.NewBuilder(buildsys.Options{Mode: compiler.ModeStateful, Workers: 8})
+	if err != nil {
+		t.Fatal(err)
 	}
+	oracletest.Walk(t, seq, ref, oracletest.Candidate{
+		Name: "parallel stateful", Build: oracletest.Resident(b), Check: oracletest.Runs(t, ref),
+	})
 }
 
 // TestVerifyParallelBehaviour runs the bench harness's behavioural check
@@ -112,7 +80,7 @@ func TestVerifyParallelBehaviour(t *testing.T) {
 // TestIncrementalAccounting: unchanged units come from the cache, changed
 // units recompile, and the union covers the snapshot.
 func TestIncrementalAccounting(t *testing.T) {
-	seq := history(t, 9, 2)
+	seq := history(9, 2)
 	b, err := buildsys.NewBuilder(buildsys.Options{Mode: compiler.ModeStateful, Workers: 4})
 	if err != nil {
 		t.Fatal(err)

@@ -114,14 +114,55 @@ func (l *heldLease) abandon() {
 	}
 }
 
-// casFetch tries to serve job j from the shared cache. It returns a
-// remote-hit outcome, or nil to compile locally — then with a non-nil
-// lease if this worker won a coalescing leadership (the caller must
-// publish or abandon). Runs on a worker slot; every failure degrades to
-// (nil, nil) after counting and warning.
-func (b *Builder) casFetch(ctx context.Context, j compileJob) (*outcome, *heldLease) {
+// errBlobHeader is a blob whose bytes match its key but whose header names
+// another kind, action or unit: a redirected or poisoned entry.
+var errBlobHeader = errors.New("blob header mismatch")
+
+// get is the one verified read of a blob: its bytes hash to blobKey
+// (checked inside Get) and its header names exactly kind, action and unit,
+// or its payload is not returned. The error is the store's, or
+// errBlobHeader.
+func (cc *builderCAS) get(kind int, action, blobKey cas.Key, unit string) ([]byte, error) {
+	data, err := cc.store.Get(blobKey)
+	if err != nil {
+		return nil, err
+	}
+	blob, err := cas.DecodeBlob(data)
+	if err != nil || blob.Kind != kind || blob.Action != action || blob.Unit != unit {
+		return nil, errBlobHeader
+	}
+	return blob.Payload, nil
+}
+
+// put is the one publish: the blob of kind for action and unit, then the
+// action entry naming it. A failure counts as a cas.io_error unless the
+// store refused it by quota or an open breaker; it returns which call
+// failed ("" for the blob, " action" for the entry) and its error.
+func (cc *builderCAS) put(kind int, action cas.Key, unit string, payload []byte) (string, error) {
+	blob := cas.EncodeBlob(kind, action, unit, payload)
+	key := cas.Sum(blob)
+	if err := cc.store.Put(key, blob); err != nil {
+		if !errors.Is(err, cas.ErrQuota) && !errors.Is(err, cas.ErrUnavailable) {
+			cc.ioErrors.Inc()
+		}
+		return "", err
+	}
+	if err := cc.store.ActionPut(action, key); err != nil {
+		if !errors.Is(err, cas.ErrUnavailable) {
+			cc.ioErrors.Inc()
+		}
+		return " action", err
+	}
+	return "", nil
+}
+
+// casFetch tries to serve job j, whose object action key is action, from
+// the shared cache. It returns a remote-hit outcome, or nil to compile
+// locally — then with a non-nil lease if this worker won a coalescing
+// leadership (the caller must publish or abandon). Runs on a worker slot;
+// every failure degrades to (nil, nil) after counting and warning.
+func (b *Builder) casFetch(ctx context.Context, j compileJob, action cas.Key) (*outcome, *heldLease) {
 	cc := b.cas
-	action := b.objectAction(j.name, j.src)
 	start := time.Now()
 	coalesced := false
 	blobKey, err := cc.store.ActionGet(action)
@@ -175,7 +216,30 @@ func (b *Builder) casFetch(ctx context.Context, j compileJob) (*outcome, *heldLe
 			return nil, nil
 		}
 	}
-	obj := b.casFetchObject(j, action, blobKey)
+	// The object is served only if it verifies and its payload decodes;
+	// any failure is a counted miss, never a served object.
+	payload, err := cc.get(cas.KindObject, action, blobKey, j.name)
+	var obj *codegen.Object
+	switch {
+	case err == nil:
+		if obj, err = cas.DecodeObject(payload); err != nil {
+			cc.verifyFailed.Inc()
+			b.warnf("cas: unit %s: object payload rejected: %v (recompiling locally)", j.name, err)
+		}
+	case errors.Is(err, errBlobHeader):
+		cc.verifyFailed.Inc()
+		b.warnf("cas: unit %s: blob header mismatch (poisoned entry rejected; recompiling locally)", j.name)
+	case errors.Is(err, cas.ErrVerify):
+		cc.verifyFailed.Inc()
+		b.warnf("cas: unit %s: poisoned blob rejected (recompiling locally)", j.name)
+	case errors.Is(err, cas.ErrNotFound):
+		// Action entry outlived its blob (eviction race): plain miss.
+	case errors.Is(err, cas.ErrUnavailable):
+		b.warnf("cas: backend unavailable (circuit open; compiling locally)")
+	default:
+		cc.ioErrors.Inc()
+		b.warnf("cas: unit %s: blob fetch: %v (recompiling locally)", j.name, err)
+	}
 	if obj == nil {
 		cc.miss.Inc()
 		return nil, nil
@@ -197,43 +261,6 @@ func (b *Builder) casFetch(ctx context.Context, j compileJob) (*outcome, *heldLe
 	return out, nil
 }
 
-// casFetchObject fetches and fully verifies the object blob: bytes hash to
-// the blob key (inside Get), the header names this exact action and unit,
-// and the payload decodes. Any failure is a counted miss, never a served
-// object.
-func (b *Builder) casFetchObject(j compileJob, action, blobKey cas.Key) *codegen.Object {
-	cc := b.cas
-	data, err := cc.store.Get(blobKey)
-	if err != nil {
-		switch {
-		case errors.Is(err, cas.ErrVerify):
-			cc.verifyFailed.Inc()
-			b.warnf("cas: unit %s: poisoned blob rejected (recompiling locally)", j.name)
-		case errors.Is(err, cas.ErrNotFound):
-			// Action entry outlived its blob (eviction race): plain miss.
-		case errors.Is(err, cas.ErrUnavailable):
-			b.warnf("cas: backend unavailable (circuit open; compiling locally)")
-		default:
-			cc.ioErrors.Inc()
-			b.warnf("cas: unit %s: blob fetch: %v (recompiling locally)", j.name, err)
-		}
-		return nil
-	}
-	blob, err := cas.DecodeBlob(data)
-	if err != nil || blob.Kind != cas.KindObject || blob.Action != action || blob.Unit != j.name {
-		cc.verifyFailed.Inc()
-		b.warnf("cas: unit %s: blob header mismatch (poisoned entry rejected; recompiling locally)", j.name)
-		return nil
-	}
-	obj, err := cas.DecodeObject(blob.Payload)
-	if err != nil {
-		cc.verifyFailed.Inc()
-		b.warnf("cas: unit %s: object payload rejected: %v (recompiling locally)", j.name, err)
-		return nil
-	}
-	return obj
-}
-
 // casFetchState fetches the unit's shared dormancy state (advisory: any
 // failure returns nil and the unit just warms up locally). A fetched state
 // carrying a quarantine is discarded — quarantine is a local trust
@@ -249,21 +276,19 @@ func (b *Builder) casFetchState(j compileJob) *core.UnitState {
 		}
 		return nil
 	}
-	data, err := cc.store.Get(blobKey)
+	payload, err := cc.get(cas.KindState, action, blobKey, j.name)
 	if err != nil {
-		if errors.Is(err, cas.ErrVerify) {
+		switch {
+		case errors.Is(err, errBlobHeader):
+			cc.verifyFailed.Inc()
+			b.warnf("cas: unit %s: state blob header mismatch (rejected)", j.name)
+		case errors.Is(err, cas.ErrVerify):
 			cc.verifyFailed.Inc()
 			b.warnf("cas: unit %s: poisoned state blob rejected", j.name)
 		}
 		return nil
 	}
-	blob, err := cas.DecodeBlob(data)
-	if err != nil || blob.Kind != cas.KindState || blob.Action != action || blob.Unit != j.name {
-		cc.verifyFailed.Inc()
-		b.warnf("cas: unit %s: state blob header mismatch (rejected)", j.name)
-		return nil
-	}
-	st, err := state.DecodeBytes(blob.Payload)
+	st, err := state.DecodeBytes(payload)
 	if err != nil {
 		cc.verifyFailed.Inc()
 		b.warnf("cas: unit %s: state payload rejected: %v", j.name, err)
@@ -276,56 +301,28 @@ func (b *Builder) casFetchState(j compileJob) *core.UnitState {
 	return st
 }
 
-// casPublish shares a completed honest compile: the object blob always,
-// the dormancy state (enc, the encoding its local save made) when the
-// stateful modes produced a clean one. The
+// casPublish shares a completed honest compile under its object action
+// key: the object blob always, the dormancy state (enc, the encoding its
+// local save made) when the stateful modes produced a clean one. The
 // object's ActionPut is what completes a held coalescing lease (waiters
 // wake with the result); every failure path abandons the lease instead so
 // waiters compile locally rather than waiting out the grace.
-func (b *Builder) casPublish(j compileJob, res *compiler.UnitResult, enc []byte, lease *heldLease) {
-	cc := b.cas
+func (b *Builder) casPublish(j compileJob, action cas.Key, res *compiler.UnitResult, enc []byte, lease *heldLease) {
 	if res.Object == nil {
 		lease.abandon()
 		return
 	}
-	action := b.objectAction(j.name, j.src)
-	blob := cas.EncodeBlob(cas.KindObject, action, j.name, cas.EncodeObject(res.Object))
-	key := cas.Sum(blob)
-	if err := cc.store.Put(key, blob); err != nil {
-		if !errors.Is(err, cas.ErrQuota) && !errors.Is(err, cas.ErrUnavailable) {
-			cc.ioErrors.Inc()
-		}
-		b.warnf("cas: unit %s: publish: %v (result not shared)", j.name, err)
+	if call, err := b.cas.put(cas.KindObject, action, j.name, cas.EncodeObject(res.Object)); err != nil {
+		b.warnf("cas: unit %s: publish%s: %v (result not shared)", j.name, call, err)
 		lease.abandon()
 		return
 	}
-	if err := cc.store.ActionPut(action, key); err != nil {
-		if !errors.Is(err, cas.ErrUnavailable) {
-			cc.ioErrors.Inc()
-		}
-		b.warnf("cas: unit %s: publish action: %v (result not shared)", j.name, err)
-		lease.abandon()
-		return
-	}
-	cc.published.Inc()
+	b.cas.published.Inc()
 
 	if !b.statefulMode() || res.State == nil || res.State.Quarantine != nil {
 		return
 	}
-	saction := b.stateAction(j.name, j.src)
-	sblob := cas.EncodeBlob(cas.KindState, saction, j.name, enc)
-	skey := cas.Sum(sblob)
-	if err := cc.store.Put(skey, sblob); err != nil {
-		if !errors.Is(err, cas.ErrQuota) && !errors.Is(err, cas.ErrUnavailable) {
-			cc.ioErrors.Inc()
-		}
-		b.warnf("cas: unit %s: publish state: %v (state not shared)", j.name, err)
-		return
-	}
-	if err := cc.store.ActionPut(saction, skey); err != nil {
-		if !errors.Is(err, cas.ErrUnavailable) {
-			cc.ioErrors.Inc()
-		}
-		b.warnf("cas: unit %s: publish state action: %v (state not shared)", j.name, err)
+	if call, err := b.cas.put(cas.KindState, b.stateAction(j.name, j.src), j.name, enc); err != nil {
+		b.warnf("cas: unit %s: publish state%s: %v (state not shared)", j.name, call, err)
 	}
 }

@@ -22,21 +22,21 @@ package buildsys_test
 // list.
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
 	"statefulcc/internal/buildsys"
-	"statefulcc/internal/codegen"
 	"statefulcc/internal/compiler"
 	"statefulcc/internal/faults"
 	"statefulcc/internal/faults/chaostest"
 	histpkg "statefulcc/internal/history"
 	"statefulcc/internal/obs"
+	"statefulcc/internal/oracletest"
 	"statefulcc/internal/project"
 	"statefulcc/internal/state"
 	"statefulcc/internal/vfs"
@@ -143,62 +143,53 @@ var chaosSteps = func() []chaosStep {
 	return steps
 }()
 
-// chaosSequenceReports runs chaosSteps over builders made by mk and returns
-// one report per step. Builds must succeed: the compile itself never touches
-// the filesystem (sources come from the in-memory snapshot), so any build
-// error here means a state/history I/O fault escaped the degradation layer.
-func chaosSequenceReports(t *testing.T, stateDir string, mk func() *buildsys.Builder) (reps []*buildsys.Report) {
-	t.Helper()
-	var b *buildsys.Builder
+// chaosStream is the snapshot of every step of chaosSteps.
+func chaosStream() (stream []project.Snapshot) {
 	for _, st := range chaosSteps {
+		stream = append(stream, st.snap())
+	}
+	return stream
+}
+
+// chaosCandidate walks chaosSteps over builders made by mk: a step marked
+// fresh plants an older builder's orphans and starts a new builder over
+// stateDir. Builds must succeed: the compile itself never touches the
+// filesystem (sources come from the in-memory snapshot), so any build error
+// means a state/history I/O fault escaped the degradation layer.
+func chaosCandidate(t *testing.T, stateDir string, mk func() *buildsys.Builder) oracletest.Candidate {
+	var b *buildsys.Builder
+	return oracletest.Candidate{Name: "chaos sequence", Build: func(i int, snap project.Snapshot) (*buildsys.Report, error) {
+		st := chaosSteps[i]
 		if st.fresh {
 			plantOrphans(t, stateDir)
 			b = mk()
 		}
-		rep, err := b.Build(st.snap())
+		rep, err := b.Build(snap)
 		if err != nil {
-			t.Fatalf("%s failed under injected I/O fault: %v", st.name, err)
+			return nil, fmt.Errorf("%s failed under injected I/O fault: %w", st.name, err)
 		}
-		reps = append(reps, rep)
-	}
-	return reps
+		return rep, nil
+	}}
 }
 
-// chaosSequence is chaosSequenceReports over chaosBuilder, reduced to the
-// programs' disassemblies.
-func chaosSequence(t *testing.T, fsys vfs.FS, stateDir string, workers int) (dis []string) {
+// chaosSequence walks chaosCandidate over chaosBuilder against the
+// stateless baselines.
+func chaosSequence(t *testing.T, bases []oracletest.Ref, fsys vfs.FS, stateDir string, workers int) {
 	t.Helper()
-	reps := chaosSequenceReports(t, stateDir, func() *buildsys.Builder {
+	oracletest.Walk(t, chaosStream(), bases, chaosCandidate(t, stateDir, func() *buildsys.Builder {
 		return chaosBuilder(t, fsys, stateDir, workers)
-	})
-	for _, rep := range reps {
-		dis = append(dis, codegen.DisassembleProgram(rep.Program))
-	}
-	return dis
+	}))
 }
 
 // chaosBaselines are the stateless builds of chaosSteps' snapshots — the
 // byte-identity baselines every faulted build is compared against.
-func chaosBaselines(t *testing.T) (bases []string) {
+func chaosBaselines(t *testing.T) []oracletest.Ref {
 	t.Helper()
-	for _, st := range chaosSteps {
-		bases = append(bases, statelessDisasm(t, st.snap()))
-	}
-	if bases[0] == bases[1] || bases[2] == bases[3] {
+	bases := oracletest.Reference(t, nil, chaosStream()...)
+	if bases[0].Dis == bases[1].Dis || bases[2].Dis == bases[3].Dis {
 		t.Fatal("edited snapshot compiles identically; the edit step is vacuous")
 	}
 	return bases
-}
-
-// statelessDisasm builds snap with the stateless policy — the byte-identity
-// baseline the chaos walk compares every faulted build against.
-func statelessDisasm(t *testing.T, snap project.Snapshot) string {
-	t.Helper()
-	b, err := buildsys.NewBuilder(buildsys.Options{Mode: compiler.ModeStateless, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return codegen.DisassembleProgram(mustBuild(t, b, snap).Program)
 }
 
 // controlSkips measures the full skip rate of an unfaulted fresh builder:
@@ -223,7 +214,7 @@ func controlSkips(t *testing.T) int {
 // file a faulted save left torn is rejected by the healing build's load —
 // its only warnings may say so — and rewritten by its save; the build after
 // it warns about nothing.
-func assertRecovered(t *testing.T, stateDir, wantDisB string, wantSkips int) {
+func assertRecovered(t *testing.T, stateDir string, wantB oracletest.Ref, wantSkips int) {
 	t.Helper()
 	snapB := chaosEditedSnap()
 	repHeal := mustBuild(t, chaosBuilder(t, nil, stateDir, 1), snapB)
@@ -232,15 +223,15 @@ func assertRecovered(t *testing.T, stateDir, wantDisB string, wantSkips int) {
 			t.Fatalf("fault-free healing build warned about more than a rejected state file: %v", repHeal.Warnings)
 		}
 	}
-	if codegen.DisassembleProgram(repHeal.Program) != wantDisB {
-		t.Fatal("healing build output differs from the stateless baseline")
+	if d := wantB.Diff(repHeal.Program); d != "" {
+		t.Fatalf("healing build output differs from the stateless baseline: %s", d)
 	}
 	repWarm := mustBuild(t, chaosBuilder(t, nil, stateDir, 1), snapB)
 	if len(repWarm.Warnings) != 0 {
 		t.Fatalf("the build after the healing build still warned: %v", repWarm.Warnings)
 	}
-	if codegen.DisassembleProgram(repWarm.Program) != wantDisB {
-		t.Fatal("post-recovery warm build output differs from the stateless baseline")
+	if d := wantB.Diff(repWarm.Program); d != "" {
+		t.Fatalf("post-recovery warm build output differs from the stateless baseline: %s", d)
 	}
 	if _, _, skipped := repWarm.Stats().Totals(); skipped != wantSkips {
 		t.Fatalf("post-recovery skip count = %d, want full control rate %d", skipped, wantSkips)
@@ -256,9 +247,7 @@ func TestChaosBuildRebuild(t *testing.T) {
 	// recorded call sequence deterministic).
 	recDir := t.TempDir()
 	rec := vfs.NewFaultFS(vfs.OS, chaosCanon(recDir))
-	if !slices.Equal(chaosSequence(t, rec, recDir, 1), bases) {
-		t.Fatal("clean recorded run does not match the stateless baselines")
-	}
+	chaosSequence(t, bases, rec, recDir, 1)
 	points := chaostest.Points(rec.Calls())
 	if len(points) < 30 {
 		t.Fatalf("recorded only %d fault points; the vfs seam has shrunk: %v", len(points), points)
@@ -283,20 +272,14 @@ func TestChaosBuildRebuild(t *testing.T) {
 				t.Parallel()
 				dir := t.TempDir()
 				ffs := vfs.NewFaultFS(vfs.OS, chaosCanon(dir), vfs.WithRules(chaostest.RuleFor(p, kind)))
-				dis := chaosSequence(t, ffs, dir, 1)
+				// Invariant: byte-identical output under every fault.
+				chaosSequence(t, bases, ffs, dir, 1)
 
 				// Coverage self-check. Flight-recorder records embed build
 				// timings, so buffered write/read chunk counts can shift ±1
 				// between runs; a point that provably did not occur in this
 				// replay is tolerated, anything else must fire.
 				chaostest.AssertFiredOrAbsent(t, ffs.Log, p)
-
-				// Invariant: byte-identical output under every fault.
-				for i, st := range chaosSteps {
-					if dis[i] != bases[i] {
-						t.Errorf("%s output differs from the stateless baseline", st.name)
-					}
-				}
 
 				// Invariant: the fault clears, state heals, skips recover.
 				assertRecovered(t, dir, bases[1], wantSkips)
@@ -343,7 +326,7 @@ func TestChaosPowerLoss(t *testing.T) {
 
 	recDir := t.TempDir()
 	rec := vfs.NewFaultFS(vfs.OS, chaosCanon(recDir))
-	chaosSequence(t, rec, recDir, 1)
+	chaosSequence(t, bases, rec, recDir, 1)
 	writes := stateCloses(rec.Calls())
 	// build A creates both units' files, rebuild B overwrites lib.mc's,
 	// fresh-builder build C both.
@@ -366,18 +349,13 @@ func TestChaosPowerLoss(t *testing.T) {
 				t.Parallel()
 				dir := t.TempDir()
 				ffs := vfs.NewFaultFS(vfs.OS, chaosCanon(dir), vfs.WithRules(chaostest.LostRule(p, d, 16)))
-				dis := chaosSequence(t, ffs, dir, 1)
+				chaosSequence(t, bases, ffs, dir, 1)
 				chaostest.AssertFired(t, ffs.Log, p)
-				for i, st := range chaosSteps {
-					if dis[i] != bases[i] {
-						t.Errorf("%s output differs from the stateless baseline", st.name)
-					}
-				}
 
 				unit := unitOf[p.Path]
 				rep := mustBuild(t, chaosBuilder(t, nil, dir, 1), reboot)
-				if codegen.DisassembleProgram(rep.Program) != bases[len(bases)-1] {
-					t.Error("the build after the power loss differs from the stateless baseline")
+				if d := bases[len(bases)-1].Diff(rep.Program); d != "" {
+					t.Errorf("the build after the power loss differs from the stateless baseline: %s", d)
 				}
 				if got := rep.Metrics[obs.CtrStateIOErrors]; got != 1 {
 					t.Errorf("%s = %d after one damaged file, want 1 (warnings %v)", obs.CtrStateIOErrors, got, rep.Warnings)
@@ -433,8 +411,8 @@ func TestChaosStateSaveSurfaced(t *testing.T) {
 	if !stateWarn {
 		t.Errorf("no save warning in Report.Warnings: %v", rep.Warnings)
 	}
-	if codegen.DisassembleProgram(rep.Program) != statelessDisasm(t, twoUnitSnap()) {
-		t.Error("degraded build output differs from the stateless baseline")
+	if d := oracletest.Reference(t, nil, twoUnitSnap())[0].Diff(rep.Program); d != "" {
+		t.Errorf("degraded build output differs from the stateless baseline: %s", d)
 	}
 }
 
@@ -464,8 +442,8 @@ func TestChaosStateLoadSurfaced(t *testing.T) {
 	if !loadWarn {
 		t.Errorf("no load warning in Report.Warnings: %v", rep.Warnings)
 	}
-	if codegen.DisassembleProgram(rep.Program) != statelessDisasm(t, snap) {
-		t.Error("cold-start build output differs from the stateless baseline")
+	if d := oracletest.Reference(t, nil, snap)[0].Diff(rep.Program); d != "" {
+		t.Errorf("cold-start build output differs from the stateless baseline: %s", d)
 	}
 }
 
@@ -517,8 +495,8 @@ func TestChaosHistoryReadFault(t *testing.T) {
 		t.Fatalf("injected %v, want the one history read", ffs.Injected())
 	}
 
-	if codegen.DisassembleProgram(rep.Program) != statelessDisasm(t, chaosEditedSnap()) {
-		t.Error("build output differs from the stateless baseline")
+	if d := oracletest.Reference(t, nil, chaosEditedSnap())[0].Diff(rep.Program); d != "" {
+		t.Errorf("build output differs from the stateless baseline: %s", d)
 	}
 	if len(rep.Warnings) != 1 || !strings.Contains(rep.Warnings[0], "history: append") {
 		t.Errorf("warnings = %q, want one about the history append", rep.Warnings)
@@ -583,9 +561,7 @@ func TestChaosSeededSchedules(t *testing.T) {
 				dir := t.TempDir()
 				ffs := vfs.NewFaultFS(vfs.OS, chaosCanon(dir),
 					vfs.WithSchedule(&vfs.Schedule{Seed: seed, Prob: 0.2, Torn: true}))
-				if dis := chaosSequence(t, ffs, dir, workers); !slices.Equal(dis, bases) {
-					t.Fatalf("seed %d, %d workers: faulted build output differs from stateless baseline", seed, workers)
-				}
+				chaosSequence(t, bases, ffs, dir, workers)
 				// The write/read chunk points are left out: their identities
 				// on volatile-size files (the history embeds timings)
 				// legitimately come and go; everything else must match exactly.
@@ -616,6 +592,6 @@ func TestChaosSeededSchedules(t *testing.T) {
 	dir := t.TempDir()
 	ffs := vfs.NewFaultFS(vfs.OS, chaosCanon(dir),
 		vfs.WithSchedule(&vfs.Schedule{Seed: 99, Prob: 0.3, Torn: true}))
-	chaosSequence(t, ffs, dir, 2)
+	chaosSequence(t, bases, ffs, dir, 2)
 	assertRecovered(t, dir, bases[1], wantSkips)
 }

@@ -20,6 +20,7 @@ import (
 	"statefulcc/internal/core"
 	"statefulcc/internal/faults"
 	"statefulcc/internal/obs"
+	"statefulcc/internal/oracletest"
 	"statefulcc/internal/passes"
 	"statefulcc/internal/vfs"
 )
@@ -35,7 +36,7 @@ func TestCrossLayerFaultPlan(t *testing.T) {
 	snap := advSnap()
 	edited := advSnap()
 	edited[unit] = []byte("func beta() int { return 3; }\n")
-	oracle := statelessRef(t, edited, advPipeline)
+	oracle := oracletest.Reference(t, advPipeline, edited)[0]
 
 	srv := cas.NewServer(cas.NewMemCAS(0), cas.ServerOptions{Metrics: obs.NewRegistry()})
 	hs := httptest.NewServer(srv.Handler())
@@ -106,7 +107,8 @@ func TestCrossLayerFaultPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := codegen.DisassembleProgram(mustBuild(t, fresh, edited).Program); got != oracle {
-		t.Errorf("build after the plan differs from the stateless oracle:\n%s\nwant:\n%s", got, oracle)
+	if p := mustBuild(t, fresh, edited).Program; oracle.Diff(p) != "" {
+		t.Errorf("build after the plan differs from the stateless oracle: %s\n%s\nwant:\n%s",
+			oracle.Diff(p), codegen.DisassembleProgram(p), oracle.Dis)
 	}
 }

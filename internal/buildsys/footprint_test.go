@@ -16,6 +16,7 @@ import (
 	"statefulcc/internal/faults/chaostest"
 	"statefulcc/internal/footprint"
 	"statefulcc/internal/obs"
+	"statefulcc/internal/oracletest"
 	"statefulcc/internal/state"
 	"statefulcc/internal/vfs"
 )
@@ -53,15 +54,7 @@ func TestFootprintCheckedOnCacheHits(t *testing.T) {
 func TestFootprintMissedServesStaleWithoutEnforce(t *testing.T) {
 	// The frozen-hash lie without enforcement: the stale object is served
 	// (documenting the failure mode), the miss is counted and warned.
-	frozen := map[string]uint64{}
-	hook := func(unit string, _ []byte, honest uint64) uint64 {
-		if h, ok := frozen[unit]; ok {
-			return h
-		}
-		frozen[unit] = honest
-		return honest
-	}
-	b := footprintBuilder(t, t.TempDir(), false, hook)
+	b := footprintBuilder(t, t.TempDir(), false, oracletest.LyingHook())
 	repA := mustBuild(t, b, twoUnitSnap())
 	repB := mustBuild(t, b, chaosEditedSnap())
 
@@ -179,7 +172,7 @@ func TestChaosFootprintFaultWalk(t *testing.T) {
 
 	run := func(t *testing.T, fsys vfs.FS, dir string) {
 		t.Helper()
-		reps := chaosSequenceReports(t, dir, func() *buildsys.Builder {
+		c := chaosCandidate(t, dir, func() *buildsys.Builder {
 			b, err := buildsys.NewBuilder(buildsys.Options{
 				Mode: compiler.ModeStateful, StateDir: dir, Workers: 1, FS: fsys,
 				Footprint: true, EnforceFootprint: true,
@@ -189,14 +182,12 @@ func TestChaosFootprintFaultWalk(t *testing.T) {
 			}
 			return b
 		})
-		for i, rep := range reps {
+		c.Check = func(i int, rep *buildsys.Report) {
 			if len(rep.FootprintMissed) != 0 {
 				t.Fatalf("build %d: honest faulted build reported missed invalidations: %v", i, rep.FootprintMissed)
 			}
-			if codegen.DisassembleProgram(rep.Program) != bases[i] {
-				t.Fatalf("build %d: faulted footprint build diverged from the stateless oracle", i)
-			}
 		}
+		oracletest.Walk(t, chaosStream(), bases, c)
 	}
 
 	// Clean recorded run enumerates the footprint-mode fault points.

@@ -37,6 +37,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"statefulcc/internal/cas"
 	"statefulcc/internal/codegen"
 	"statefulcc/internal/compiler"
 	"statefulcc/internal/core"
@@ -86,8 +87,7 @@ type compileJob struct {
 	probeDisk bool
 	// enqueueNS is when the job became ready for a worker, on the build's
 	// timeline clock. File-level units have no inter-unit dependencies, so
-	// every job is ready the moment the pool starts; dependency-ordered
-	// scheduling (ROADMAP) will stagger these.
+	// every job is ready the moment the pool starts.
 	enqueueNS int64
 }
 
@@ -299,8 +299,10 @@ func (b *Builder) compileOne(ctx context.Context, w int, j compileJob) (out outc
 	// Shared cache: try a verified remote fetch before compiling; a miss
 	// may return a coalescing lease this worker must publish or abandon.
 	var lease *heldLease
+	var action cas.Key // hashed once: the fetch and the publish share it
 	if b.cas != nil {
-		remote, held := b.casFetch(ctx, j)
+		action = b.objectAction(j.name, j.src)
+		remote, held := b.casFetch(ctx, j, action)
 		if remote != nil {
 			return *remote
 		}
@@ -324,7 +326,7 @@ func (b *Builder) compileOne(ctx context.Context, w int, j compileJob) (out outc
 		enc = b.saveUnitState(j.name, res.State)
 	}
 	if b.cas != nil {
-		b.casPublish(j, res, enc, lease)
+		b.casPublish(j, action, res, enc, lease)
 	}
 	return outcome{res: res, fp: fp, stateBytes: len(enc)}
 }

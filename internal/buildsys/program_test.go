@@ -15,8 +15,8 @@ import (
 	"statefulcc/internal/codegen"
 	"statefulcc/internal/compiler"
 	"statefulcc/internal/fingerprint"
+	"statefulcc/internal/oracletest"
 	"statefulcc/internal/project"
-	"statefulcc/internal/vm"
 	"statefulcc/internal/workload"
 )
 
@@ -55,22 +55,9 @@ var disassemblyGolden = map[string]string{
 	"megarepo":   "3a5e4f29cc4de774b5db88265684e7e3786e6dc75b14a1a97fe3c12de21d3fb4",
 }
 
-func statelessProgram(t *testing.T, snap project.Snapshot) *codegen.Program {
-	t.Helper()
-	b, err := buildsys.NewBuilder(buildsys.Options{Mode: compiler.ModeStateless})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := b.Build(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rep.Program
-}
-
 func TestDisassemblyGolden(t *testing.T) {
 	for _, p := range append(workload.StandardSuite(), workload.MegaProfile()) {
-		sum := sha256.Sum256([]byte(codegen.DisassembleProgram(statelessProgram(t, workload.Generate(p)))))
+		sum := sha256.Sum256([]byte(oracletest.Reference(t, nil, workload.Generate(p))[0].Dis))
 		if got := hex.EncodeToString(sum[:]); got != disassemblyGolden[p.Name] {
 			t.Errorf("%s: disassembly digest %s, want %s", p.Name, got, disassemblyGolden[p.Name])
 		}
@@ -231,8 +218,8 @@ func TestLinkedProgramIsTheReachedPartOfTheFullLink(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if built := statelessProgram(t, snap); codegen.DisassembleProgram(built) != codegen.DisassembleProgram(got) {
-			t.Errorf("%s: the Builder's program is not the link of the stateless compiler's objects", prof.Name)
+		if d := oracletest.Reference(t, nil, snap)[0].Diff(got); d != "" {
+			t.Errorf("%s: the Builder's program is not the link of the stateless compiler's objects: %s", prof.Name, d)
 		}
 
 		reached := map[int]bool{full.EntryIndex: true}
@@ -303,7 +290,11 @@ func TestRetainedProgramBytes(t *testing.T) {
 	}
 	kept := make([]*codegen.Program, 0, programs)
 	for len(kept) < programs {
-		kept = append(kept, statelessProgram(t, snap))
+		b, err := buildsys.NewBuilder(buildsys.Options{Mode: compiler.ModeStateless})
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept = append(kept, mustBuild(t, b, snap).Program)
 	}
 	// What the programs hold alive is what dropping them frees.
 	with := liveHeap()
@@ -339,28 +330,26 @@ func spare(x int) int { calls++; return inner(x) + 3; }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for step, callSpare := range []bool{false, true, false, true} {
-		snap := project.Snapshot{"lib.mc": lib, "main.mc": mainSrc(callSpare)}
-		rep, err := stateful.Build(snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if step > 0 && rep.UnitsCompiled != 1 {
-			t.Errorf("step %d: %d units compiled, want main.mc alone", step, rep.UnitsCompiled)
-		}
-		oracle := statelessProgram(t, snap)
-		if got, want := codegen.DisassembleProgram(rep.Program), codegen.DisassembleProgram(oracle); got != want {
-			t.Errorf("step %d: the stateful program is not the stateless one:\n%s\nwant:\n%s", step, got, want)
-		}
-		_, linked := rep.Program.FuncIndex["spare"]
-		leftOut := slices.ContainsFunc(rep.Program.Unreached, func(u codegen.Unreached) bool { return u.Name == "spare" })
-		if linked != callSpare || leftOut == callSpare {
-			t.Errorf("step %d: main calls spare: %v; spare linked: %v, left out: %v", step, callSpare, linked, leftOut)
-		}
-		out, res, err := vm.RunCapture(rep.Program, vm.Config{})
-		wantOut, wantRes, wantErr := vm.RunCapture(oracle, vm.Config{})
-		if err != nil || wantErr != nil || out != wantOut || res.ExitValue != wantRes.ExitValue || res.Steps != wantRes.Steps {
-			t.Errorf("step %d: ran to %q, %+v (%v); the oracle to %q, %+v (%v)", step, out, res, err, wantOut, wantRes, wantErr)
-		}
+	calls := []bool{false, true, false, true}
+	var stream []project.Snapshot
+	for _, callSpare := range calls {
+		stream = append(stream, project.Snapshot{"lib.mc": lib, "main.mc": mainSrc(callSpare)})
 	}
+	ref := oracletest.Reference(t, nil, stream...)
+	runs := oracletest.Runs(t, ref)
+	oracletest.Walk(t, stream, ref, oracletest.Candidate{
+		Name: "stateful", Build: oracletest.Resident(stateful),
+		Check: func(step int, rep *buildsys.Report) {
+			callSpare := calls[step]
+			if step > 0 && rep.UnitsCompiled != 1 {
+				t.Errorf("step %d: %d units compiled, want main.mc alone", step, rep.UnitsCompiled)
+			}
+			_, linked := rep.Program.FuncIndex["spare"]
+			leftOut := slices.ContainsFunc(rep.Program.Unreached, func(u codegen.Unreached) bool { return u.Name == "spare" })
+			if linked != callSpare || leftOut == callSpare {
+				t.Errorf("step %d: main calls spare: %v; spare linked: %v, left out: %v", step, callSpare, linked, leftOut)
+			}
+			runs(step, rep)
+		},
+	})
 }

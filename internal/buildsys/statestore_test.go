@@ -17,12 +17,12 @@ import (
 
 	"statefulcc/internal/buildsys"
 	"statefulcc/internal/cas"
-	"statefulcc/internal/codegen"
 	"statefulcc/internal/compiler"
 	"statefulcc/internal/faults"
 	"statefulcc/internal/faults/chaostest"
 	"statefulcc/internal/footprint"
 	"statefulcc/internal/obs"
+	"statefulcc/internal/oracletest"
 	"statefulcc/internal/project"
 	"statefulcc/internal/state"
 	"statefulcc/internal/vfs"
@@ -187,28 +187,25 @@ func TestStateWrittenOnlyWhenChanged(t *testing.T) {
 // every commit, with footprint tracing off and on, and leaves only
 // canonical state files behind.
 func TestBuilderPerCommitMatchesStateless(t *testing.T) {
-	base := workload.Generate(obsProfile())
-	hist := workload.GenerateHistory(base, 4242, 3, workload.DefaultCommitOptions())
-	stream := append([]project.Snapshot{base}, hist.Commits...)
-	oracle := make([]string, len(stream))
-	for i, snap := range stream {
-		oracle[i] = statelessDisasm(t, snap)
-	}
+	stream := oracletest.Stream(obsProfile(), workload.StreamDefault, 4242, 3)
+	oracle := oracletest.Reference(t, nil, stream...)
 	for _, traced := range []bool{false, true} {
 		traced := traced
 		t.Run(fmt.Sprintf("footprint=%v", traced), func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()
-			for i, snap := range stream {
-				rep := mustBuild(t, freshStateful(t, nil, dir, traced), snap)
-				if codegen.DisassembleProgram(rep.Program) != oracle[i] {
-					t.Fatalf("commit %d: program differs from the stateless oracle", i)
-				}
-				if len(rep.Warnings) != 0 {
-					t.Fatalf("commit %d: warnings %v", i, rep.Warnings)
-				}
-				stateFiles(t, dir)
-			}
+			oracletest.Walk(t, stream, oracle, oracletest.Candidate{
+				Name: "builder per commit",
+				Build: func(_ int, snap project.Snapshot) (*buildsys.Report, error) {
+					return freshStateful(t, nil, dir, traced).Build(snap)
+				},
+				Check: func(i int, rep *buildsys.Report) {
+					if len(rep.Warnings) != 0 {
+						t.Fatalf("commit %d: warnings %v", i, rep.Warnings)
+					}
+					stateFiles(t, dir)
+				},
+			})
 		})
 	}
 }

@@ -26,7 +26,7 @@ import (
 func TestTimelineInvariants(t *testing.T) {
 	for _, workers := range []int{1, 4, 16} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			seq := history(t, 7, 4)
+			seq := history(7, 4)
 			b, err := buildsys.NewBuilder(buildsys.Options{Mode: compiler.ModeStateful, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
@@ -92,7 +92,7 @@ func TestTimelineInvariants(t *testing.T) {
 // critical-path unit sequence, because a serial schedule is deterministic
 // and Analyze breaks every tie on unit name.
 func TestTimelineDeterministicChain(t *testing.T) {
-	seq := history(t, 11, 0)
+	seq := history(11, 0)
 	chains := make([][]string, 2)
 	for r := range chains {
 		b, err := buildsys.NewBuilder(buildsys.Options{Mode: compiler.ModeStateful, Workers: 1})
@@ -118,7 +118,7 @@ func TestTimelineDeterministicChain(t *testing.T) {
 // TestTimelineIncrementalSkips checks the skip events: an unchanged rebuild
 // schedules nothing and records every unit as an unscheduled cache skip.
 func TestTimelineIncrementalSkips(t *testing.T) {
-	seq := history(t, 5, 0)
+	seq := history(5, 0)
 	b, err := buildsys.NewBuilder(buildsys.Options{Mode: compiler.ModeStateful, Workers: 4})
 	if err != nil {
 		t.Fatal(err)

@@ -20,33 +20,11 @@ import (
 
 	"statefulcc/internal/buildsys"
 	"statefulcc/internal/cas"
-	"statefulcc/internal/codegen"
 	"statefulcc/internal/compiler"
 	"statefulcc/internal/obs"
-	"statefulcc/internal/project"
+	"statefulcc/internal/oracletest"
 	"statefulcc/internal/workload"
 )
-
-// batteryHistory builds the snapshot sequence for one profile × stream.
-func batteryHistory(p workload.Profile, kind workload.StreamKind, commits int) []project.Snapshot {
-	base := workload.Generate(p)
-	hist := workload.GenerateHistoryStream(base, p.Seed*13, commits, workload.DefaultCommitOptions(), kind)
-	return append([]project.Snapshot{base}, hist.Commits...)
-}
-
-// statelessDis is the oracle: a from-scratch stateless build's disassembly.
-func statelessDis(t *testing.T, snap project.Snapshot) string {
-	t.Helper()
-	b, err := buildsys.NewBuilder(buildsys.Options{Mode: compiler.ModeStateless})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := b.Build(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return codegen.DisassembleProgram(rep.Program)
-}
 
 // casClient builds a stateful builder wired to the shared cache at url
 // under its own tenant namespace and its own private state directory.
@@ -76,7 +54,7 @@ func TestTwoClientBattery(t *testing.T) {
 			p, kind := p, kind
 			t.Run(p.Name+"/"+kind.String(), func(t *testing.T) {
 				t.Parallel()
-				snaps := batteryHistory(p, kind, 4)
+				stream := oracletest.Stream(p, kind, p.Seed*13, 4)
 
 				reg := obs.NewRegistry()
 				srv := cas.NewServer(cas.NewMemCAS(0), cas.ServerOptions{Metrics: reg})
@@ -86,38 +64,26 @@ func TestTwoClientBattery(t *testing.T) {
 				clientA := casClient(t, hs.URL, "client-a")
 				clientB := casClient(t, hs.URL, "client-b")
 
-				for i, snap := range snaps {
-					oracle := statelessDis(t, snap)
-					repA, err := clientA.Build(snap)
-					if err != nil {
-						t.Fatalf("commit %d: client A: %v", i, err)
-					}
-					if got := codegen.DisassembleProgram(repA.Program); got != oracle {
-						t.Fatalf("commit %d: client A's output diverged from the stateless oracle", i)
-					}
-					repB, err := clientB.Build(snap)
-					if err != nil {
-						t.Fatalf("commit %d: client B: %v", i, err)
-					}
-					if got := codegen.DisassembleProgram(repB.Program); got != oracle {
-						t.Fatalf("commit %d: client B's output diverged from the stateless oracle", i)
-					}
-					// A published every unit it compiled before B started, so
-					// B never compiles: every local miss is a verified remote
-					// hit. This is the cross-client reuse claim, per commit.
-					if repB.UnitsCompiled != 0 {
-						t.Fatalf("commit %d: client B compiled %d units despite A publishing first (remote %d, cached %d)",
-							i, repB.UnitsCompiled, repB.UnitsRemote, repB.UnitsCached)
-					}
-					if i == 0 && repB.UnitsRemote != len(snap) {
-						t.Fatalf("cold client B served %d of %d units remotely", repB.UnitsRemote, len(snap))
-					}
-					for _, w := range repB.Warnings {
-						if strings.Contains(w, "cas:") {
-							t.Fatalf("commit %d: clean battery run produced a cas warning: %s", i, w)
-						}
-					}
-				}
+				oracletest.Walk(t, stream, oracletest.Reference(t, nil, stream...),
+					oracletest.Candidate{Name: "client A", Build: oracletest.Resident(clientA)},
+					oracletest.Candidate{Name: "client B", Build: oracletest.Resident(clientB),
+						Check: func(i int, repB *buildsys.Report) {
+							// A published every unit it compiled before B started, so
+							// B never compiles: every local miss is a verified remote
+							// hit. This is the cross-client reuse claim, per commit.
+							if repB.UnitsCompiled != 0 {
+								t.Fatalf("commit %d: client B compiled %d units despite A publishing first (remote %d, cached %d)",
+									i, repB.UnitsCompiled, repB.UnitsRemote, repB.UnitsCached)
+							}
+							if i == 0 && repB.UnitsRemote != len(stream[0]) {
+								t.Fatalf("cold client B served %d of %d units remotely", repB.UnitsRemote, len(stream[0]))
+							}
+							for _, w := range repB.Warnings {
+								if strings.Contains(w, "cas:") {
+									t.Fatalf("commit %d: clean battery run produced a cas warning: %s", i, w)
+								}
+							}
+						}})
 
 				// Client-side and server-side books agree on a healthy run.
 				mB := clientB.Metrics()
@@ -145,7 +111,7 @@ func TestTwoClientBattery(t *testing.T) {
 func TestPoisonedBlobNeverServed(t *testing.T) {
 	p := workload.QuickSuite()[0]
 	snap := workload.Generate(p)
-	oracle := statelessDis(t, snap)
+	oracle := oracletest.Reference(t, nil, snap)[0]
 
 	mem := cas.NewMemCAS(0)
 	srv := cas.NewServer(mem, cas.ServerOptions{Metrics: obs.NewRegistry()})
@@ -189,8 +155,8 @@ func TestPoisonedBlobNeverServed(t *testing.T) {
 	if rep.UnitsCompiled != len(snap) {
 		t.Fatalf("client B compiled %d of %d units; the rest came from a poisoned store", rep.UnitsCompiled, len(snap))
 	}
-	if got := codegen.DisassembleProgram(rep.Program); got != oracle {
-		t.Fatal("client B's output diverged from the oracle after rejecting the poisoned store")
+	if d := oracle.Diff(rep.Program); d != "" {
+		t.Fatalf("client B's output diverged from the oracle after rejecting the poisoned store: %s", d)
 	}
 	m := b.Metrics()
 	if m[obs.CtrCASVerifyFailed] < int64(len(snap)) {
@@ -221,7 +187,7 @@ func TestPoisonedBlobNeverServed(t *testing.T) {
 	if repC.UnitsRemote != len(snap) {
 		t.Fatalf("after healing, client C got %d of %d units remotely", repC.UnitsRemote, len(snap))
 	}
-	if got := codegen.DisassembleProgram(repC.Program); got != oracle {
-		t.Fatal("client C's output diverged from the oracle")
+	if d := oracle.Diff(repC.Program); d != "" {
+		t.Fatalf("client C's output diverged from the oracle: %s", d)
 	}
 }

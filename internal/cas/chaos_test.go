@@ -26,6 +26,7 @@ import (
 	"statefulcc/internal/compiler"
 	"statefulcc/internal/faults/chaostest"
 	"statefulcc/internal/obs"
+	"statefulcc/internal/oracletest"
 	"statefulcc/internal/project"
 	"statefulcc/internal/vfs"
 )
@@ -65,10 +66,10 @@ func casChaosBuilder(t *testing.T, store cas.Store) *buildsys.Builder {
 
 // casChaosSequence runs the workload under test — builder A publishes a
 // cold build into the store, then a fresh builder B builds the same
-// snapshot against it — and returns both disassemblies. Both builds must
+// snapshot against it — and returns both programs. Both builds must
 // succeed: sources come from the in-memory snapshot, so a build error here
 // means a CAS I/O fault escaped the degradation layer.
-func casChaosSequence(t *testing.T, store cas.Store) (disA, disB string) {
+func casChaosSequence(t *testing.T, store cas.Store) (progA, progB *codegen.Program) {
 	t.Helper()
 	snap := chaosSnap()
 	repA, err := casChaosBuilder(t, store).Build(snap)
@@ -79,20 +80,20 @@ func casChaosSequence(t *testing.T, store cas.Store) (disA, disB string) {
 	if err != nil {
 		t.Fatalf("consumer build failed under injected CAS fault: %v", err)
 	}
-	return codegen.DisassembleProgram(repA.Program), codegen.DisassembleProgram(repB.Program)
+	return repA.Program, repB.Program
 }
 
 // TestChaosCASWalk is the fault-point walk over the publish→fetch sequence.
 func TestChaosCASWalk(t *testing.T) {
 	snap := chaosSnap()
-	base := statelessDis(t, snap)
+	base := oracletest.Reference(t, nil, snap)[0]
 
 	// Record a clean run to enumerate the store's fault points.
 	recDir := t.TempDir()
 	canon := vfs.WithCanon(chaostest.Canon(recDir, cas.TempPattern))
 	rec := vfs.NewFaultFS(vfs.OS, canon)
-	disA, disB := casChaosSequence(t, cas.NewDiskCAS(recDir, rec))
-	if disA != base || disB != base {
+	progA, progB := casChaosSequence(t, cas.NewDiskCAS(recDir, rec))
+	if base.Diff(progA) != "" || base.Diff(progB) != "" {
 		t.Fatal("clean recorded run does not match the stateless baseline")
 	}
 	points := chaostest.Points(rec.Calls())
@@ -121,17 +122,17 @@ func TestChaosCASWalk(t *testing.T) {
 				ffs := vfs.NewFaultFS(vfs.OS,
 					vfs.WithCanon(chaostest.Canon(dir, cas.TempPattern)),
 					vfs.WithRules(chaostest.RuleFor(p, kind)))
-				disA, disB := casChaosSequence(t, cas.NewDiskCAS(dir, ffs))
+				progA, progB := casChaosSequence(t, cas.NewDiskCAS(dir, ffs))
 
 				chaostest.AssertFiredOrAbsent(t, ffs.Log, p)
 
 				// Invariant: byte-identical output under every fault — a
 				// degraded cache recompiles, it never misbuilds.
-				if disA != base {
-					t.Error("publisher output differs from the stateless baseline")
+				if d := base.Diff(progA); d != "" {
+					t.Errorf("publisher output differs from the stateless baseline: %s", d)
 				}
-				if disB != base {
-					t.Error("consumer output differs from the stateless baseline")
+				if d := base.Diff(progB); d != "" {
+					t.Errorf("consumer output differs from the stateless baseline: %s", d)
 				}
 
 				// Invariant: the store is never left corrupt. With the fault
@@ -150,8 +151,8 @@ func TestChaosCASWalk(t *testing.T) {
 					t.Fatalf("post-recovery reuse: %d remote, %d compiled, want all %d remote",
 						rep.UnitsRemote, rep.UnitsCompiled, len(snap))
 				}
-				if codegen.DisassembleProgram(rep.Program) != base {
-					t.Error("post-recovery output differs from the stateless baseline")
+				if d := base.Diff(rep.Program); d != "" {
+					t.Errorf("post-recovery output differs from the stateless baseline: %s", d)
 				}
 			})
 		}
@@ -163,7 +164,7 @@ func TestChaosCASWalk(t *testing.T) {
 // recompiles, never a build error or a wrong output.
 func TestChaosCASTransportDegrades(t *testing.T) {
 	snap := chaosSnap()
-	base := statelessDis(t, snap)
+	base := oracletest.Reference(t, nil, snap)[0]
 
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "injected server failure", http.StatusInternalServerError)
@@ -178,8 +179,8 @@ func TestChaosCASTransportDegrades(t *testing.T) {
 	if rep.UnitsCompiled != len(snap) || rep.UnitsRemote != 0 {
 		t.Fatalf("broken server: %d compiled, %d remote, want all local", rep.UnitsCompiled, rep.UnitsRemote)
 	}
-	if codegen.DisassembleProgram(rep.Program) != base {
-		t.Fatal("degraded build output differs from the stateless baseline")
+	if d := base.Diff(rep.Program); d != "" {
+		t.Fatalf("degraded build output differs from the stateless baseline: %s", d)
 	}
 	warned := false
 	for _, w := range rep.Warnings {

@@ -13,15 +13,15 @@ import (
 
 	"statefulcc/internal/buildsys"
 	"statefulcc/internal/cas"
-	"statefulcc/internal/codegen"
 	"statefulcc/internal/compiler"
 	"statefulcc/internal/obs"
+	"statefulcc/internal/oracletest"
 	"statefulcc/internal/workload"
 )
 
 func TestFleetCoalescing(t *testing.T) {
 	snap := workload.Generate(workload.QuickSuite()[0])
-	oracle := statelessDis(t, snap)
+	oracle := oracletest.Reference(t, nil, snap)[0]
 
 	reg := obs.NewRegistry()
 	mem := cas.NewMemCAS(0)
@@ -63,8 +63,8 @@ func TestFleetCoalescing(t *testing.T) {
 			t.Fatalf("builder %d: %v", i, err)
 		}
 		compiled += reports[i].UnitsCompiled
-		if got := codegen.DisassembleProgram(reports[i].Program); got != oracle {
-			t.Fatalf("builder %d's output diverged from the fleet oracle", i)
+		if d := oracle.Diff(reports[i].Program); d != "" {
+			t.Fatalf("builder %d's output diverged from the fleet oracle: %s", i, d)
 		}
 	}
 	// Exactly-once compilation across the whole fleet: the lease pre-check

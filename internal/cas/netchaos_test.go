@@ -19,11 +19,11 @@ import (
 
 	"statefulcc/internal/buildsys"
 	"statefulcc/internal/cas"
-	"statefulcc/internal/codegen"
 	"statefulcc/internal/compiler"
 	"statefulcc/internal/faults"
 	"statefulcc/internal/faults/chaostest"
 	"statefulcc/internal/obs"
+	"statefulcc/internal/oracletest"
 )
 
 // The battery reuses chaos_test.go's chaosSnap two-unit workload.
@@ -82,7 +82,7 @@ func applicable(ft *cas.FaultTransport, c faults.Call, kind cas.NetFault) bool {
 
 func TestPartitionBattery(t *testing.T) {
 	snap := chaosSnap()
-	oracle := statelessDis(t, snap)
+	oracle := oracletest.Reference(t, nil, snap)[0]
 
 	// Phase 1: record the clean exchange space.
 	recSrv := cas.NewServer(cas.NewMemCAS(0), cas.ServerOptions{Metrics: obs.NewRegistry()})
@@ -157,11 +157,11 @@ func TestPartitionBattery(t *testing.T) {
 			}
 			elapsed := time.Since(start)
 
-			if got := codegen.DisassembleProgram(repA.Program); got != oracle {
-				t.Errorf("client A's output diverged from the oracle under %s on %s", tc.kind, tc.call)
+			if d := oracle.Diff(repA.Program); d != "" {
+				t.Errorf("client A's output diverged from the oracle under %s on %s: %s", tc.kind, tc.call, d)
 			}
-			if got := codegen.DisassembleProgram(repB.Program); got != oracle {
-				t.Errorf("client B's output diverged from the oracle under %s on %s", tc.kind, tc.call)
+			if d := oracle.Diff(repB.Program); d != "" {
+				t.Errorf("client B's output diverged from the oracle under %s on %s: %s", tc.kind, tc.call, d)
 			}
 			if elapsed >= 5*time.Second {
 				t.Errorf("case took %v; the budgets should bound any single fault well under 5s", elapsed)

@@ -15,9 +15,10 @@ import (
 	"testing"
 	"time"
 
+	"statefulcc/internal/buildsys"
 	"statefulcc/internal/cas"
-	"statefulcc/internal/codegen"
 	"statefulcc/internal/obs"
+	"statefulcc/internal/oracletest"
 	"statefulcc/internal/workload"
 )
 
@@ -29,7 +30,8 @@ import (
 // battery contract, against a restarted server.
 func TestServeRestartPersistence(t *testing.T) {
 	dir := t.TempDir()
-	snaps := batteryHistory(workload.QuickSuite()[0], workload.StreamDefault, 3)
+	p := workload.QuickSuite()[0]
+	snaps := oracletest.Stream(p, workload.StreamDefault, p.Seed*13, 3)
 
 	reg1 := obs.NewRegistry()
 	srv1 := cas.NewServer(cas.NewDiskCAS(dir, nil), cas.ServerOptions{Metrics: reg1})
@@ -75,20 +77,15 @@ func TestServeRestartPersistence(t *testing.T) {
 	// The PR 9 battery contract against the restarted server: B compiles
 	// nothing, ever, and matches the oracle at every commit.
 	clientB := casClient(t, hs2.URL, "client-b")
-	for i, snap := range snaps {
-		oracle := statelessDis(t, snap)
-		rep, err := clientB.Build(snap)
-		if err != nil {
-			t.Fatalf("commit %d: client B vs restarted server: %v", i, err)
-		}
-		if rep.UnitsCompiled != 0 {
-			t.Fatalf("commit %d: client B compiled %d units against the restarted server (remote %d, cached %d)",
-				i, rep.UnitsCompiled, rep.UnitsRemote, rep.UnitsCached)
-		}
-		if got := codegen.DisassembleProgram(rep.Program); got != oracle {
-			t.Fatalf("commit %d: client B's output diverged from the oracle after the restart", i)
-		}
-	}
+	oracletest.Walk(t, snaps, oracletest.Reference(t, nil, snaps...), oracletest.Candidate{
+		Name: "client B vs restarted server", Build: oracletest.Resident(clientB),
+		Check: func(i int, rep *buildsys.Report) {
+			if rep.UnitsCompiled != 0 {
+				t.Fatalf("commit %d: client B compiled %d units against the restarted server (remote %d, cached %d)",
+					i, rep.UnitsCompiled, rep.UnitsRemote, rep.UnitsCached)
+			}
+		},
+	})
 }
 
 // TestRecoverTornState stages every torn crash shape directly on disk —

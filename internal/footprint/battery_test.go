@@ -2,15 +2,15 @@ package footprint_test
 
 // The differential soundness battery — the tentpole's acceptance proof.
 //
-// Oracle: a stateless builder compiling every snapshot from scratch. For
-// every suite profile × edit stream, an enforce-footprint stateful builder
-// (persisting state to disk) must produce byte-identical linked programs
-// (by disassembly) at every commit, and honest builds must cross-check
+// Oracle: a stateless builder compiling every snapshot from scratch
+// (oracletest.Reference). For every suite profile × edit stream, an
+// enforce-footprint stateful builder (persisting state to disk) must
+// produce byte-identical linked programs at every commit, and honest builds must cross-check
 // every cache decision with zero missed invalidations (TestFootprintGuard,
 // `make footprint-guard`).
 //
-// The adversarial case: a lying invalidator (Options.ContentHashHook
-// freezing each unit's first-seen hash) makes the declared channel claim
+// The adversarial case: a lying invalidator (oracletest.LyingHook, an
+// Options.ContentHashHook freezing each unit's first-seen hash) makes the declared channel claim
 // "unchanged" forever. The very next build after an edit must flag the
 // edited units as footprint.missed, and under enforcement the output must
 // still match the stateless oracle — the traced footprint overrides the
@@ -24,33 +24,13 @@ import (
 	"testing"
 
 	"statefulcc/internal/buildsys"
-	"statefulcc/internal/codegen"
 	"statefulcc/internal/compiler"
 	"statefulcc/internal/footprint"
 	"statefulcc/internal/obs"
+	"statefulcc/internal/oracletest"
 	"statefulcc/internal/project"
 	"statefulcc/internal/workload"
 )
-
-// batteryHistory builds the snapshot sequence for one profile × stream.
-func batteryHistory(p workload.Profile, kind workload.StreamKind, commits int) []project.Snapshot {
-	base := workload.Generate(p)
-	hist := workload.GenerateHistoryStream(base, p.Seed*13, commits, workload.DefaultCommitOptions(), kind)
-	return append([]project.Snapshot{base}, hist.Commits...)
-}
-
-func statelessDis(t *testing.T, snap project.Snapshot) string {
-	t.Helper()
-	b, err := buildsys.NewBuilder(buildsys.Options{Mode: compiler.ModeStateless})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := b.Build(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return codegen.DisassembleProgram(rep.Program)
-}
 
 func TestDifferentialBattery(t *testing.T) {
 	profiles := workload.QuickSuite()
@@ -65,7 +45,7 @@ func TestDifferentialBattery(t *testing.T) {
 			p, kind := p, kind
 			t.Run(p.Name+"/"+kind.String(), func(t *testing.T) {
 				t.Parallel()
-				snaps := batteryHistory(p, kind, 4)
+				stream := oracletest.Stream(p, kind, p.Seed*13, 4)
 				enforced, err := buildsys.NewBuilder(buildsys.Options{
 					Mode: compiler.ModeStateful, StateDir: t.TempDir(),
 					Footprint: true, EnforceFootprint: true,
@@ -73,34 +53,16 @@ func TestDifferentialBattery(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i, snap := range snaps {
-					rep, err := enforced.Build(snap)
-					if err != nil {
-						t.Fatalf("commit %d: %v", i, err)
-					}
-					if got, want := codegen.DisassembleProgram(rep.Program), statelessDis(t, snap); got != want {
-						t.Fatalf("commit %d: enforce-footprint output diverged from the stateless oracle", i)
-					}
-					if len(rep.FootprintMissed) != 0 {
-						t.Fatalf("commit %d: honest build reported missed invalidations: %v", i, rep.FootprintMissed)
-					}
-				}
+				oracletest.Walk(t, stream, oracletest.Reference(t, nil, stream...), oracletest.Candidate{
+					Name: "enforce-footprint", Build: oracletest.Resident(enforced),
+					Check: func(i int, rep *buildsys.Report) {
+						if len(rep.FootprintMissed) != 0 {
+							t.Fatalf("commit %d: honest build reported missed invalidations: %v", i, rep.FootprintMissed)
+						}
+					},
+				})
 			})
 		}
-	}
-}
-
-// lyingHook freezes each unit's first-seen declared hash: after an edit the
-// declared channel still reports the pre-edit hash, the classic broken
-// invalidator.
-func lyingHook() func(string, []byte, uint64) uint64 {
-	frozen := map[string]uint64{}
-	return func(unit string, _ []byte, honest uint64) uint64 {
-		if h, ok := frozen[unit]; ok {
-			return h
-		}
-		frozen[unit] = honest
-		return honest
 	}
 }
 
@@ -117,7 +79,7 @@ func editedUnits(a, b project.Snapshot) map[string]bool {
 
 func TestLyingInvalidatorCaughtNextBuild(t *testing.T) {
 	p := workload.QuickSuite()[0]
-	snaps := batteryHistory(p, workload.StreamDefault, 2)
+	snaps := oracletest.Stream(p, workload.StreamDefault, p.Seed*13, 2)
 	base, edited := snaps[0], snaps[1]
 	want := editedUnits(base, edited)
 	if len(want) == 0 {
@@ -128,7 +90,7 @@ func TestLyingInvalidatorCaughtNextBuild(t *testing.T) {
 	// flagged on the very next build, and the stale object really served.
 	b, err := buildsys.NewBuilder(buildsys.Options{
 		Mode: compiler.ModeStateful, StateDir: t.TempDir(),
-		Footprint: true, ContentHashHook: lyingHook(),
+		Footprint: true, ContentHashHook: oracletest.LyingHook(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +129,7 @@ func TestLyingInvalidatorCaughtNextBuild(t *testing.T) {
 	// anyway — the footprint overrides the declared channel.
 	e, err := buildsys.NewBuilder(buildsys.Options{
 		Mode: compiler.ModeStateful, StateDir: t.TempDir(),
-		Footprint: true, EnforceFootprint: true, ContentHashHook: lyingHook(),
+		Footprint: true, EnforceFootprint: true, ContentHashHook: oracletest.LyingHook(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -179,8 +141,8 @@ func TestLyingInvalidatorCaughtNextBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := codegen.DisassembleProgram(erep.Program), statelessDis(t, edited); got != want {
-		t.Fatal("enforce-footprint build shipped a stale object despite the traced footprint")
+	if d := oracletest.Reference(t, nil, edited)[0].Diff(erep.Program); d != "" {
+		t.Fatalf("enforce-footprint build shipped a stale object despite the traced footprint: %s", d)
 	}
 	if len(erep.FootprintMissed) == 0 {
 		t.Fatal("enforcement silently corrected the lie without flagging it")
@@ -201,7 +163,7 @@ func TestFootprintGuard(t *testing.T) {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			t.Parallel()
-			snaps := batteryHistory(p, workload.StreamDefault, 3)
+			snaps := oracletest.Stream(p, workload.StreamDefault, p.Seed*13, 3)
 			b, err := buildsys.NewBuilder(buildsys.Options{
 				Mode: compiler.ModeStateful, StateDir: t.TempDir(), Footprint: true,
 			})

@@ -1,10 +1,10 @@
 package obs
 
 // Fixed log-bucket latency histograms. Counters answer "how much total";
-// the build-service item on the ROADMAP needs "how is it distributed" —
-// cache-hit latency percentiles in /metrics — which means histograms that
-// are as cheap to update under the worker pool as the counters are: one
-// atomic add per observation, no locks, no allocation.
+// histograms answer "how is it distributed" — cache-fetch latency
+// percentiles in /metrics — and are as cheap to update under the worker
+// pool as the counters are: one atomic add per observation, no locks, no
+// allocation.
 //
 // Buckets are powers of two from 4096ns (2^12, below any real compile)
 // through 2^39ns (~9.2 minutes, above any sane build), plus +Inf. Fixed

@@ -3,18 +3,18 @@ package workload_test
 // Differential mode-equivalence suite (the PR's headline correctness
 // asset): for every standard-suite profile, the compilation policies must
 // produce byte-identical bytecode — not just identical behaviour — across a
-// cold build plus three incremental edits. The stateless build is the
-// oracle; stateful, stateful with the soundness sentinel auditing every
-// skip, and fullcache are the candidates whose skipping/caching must be
-// invisible in the final program.
+// cold build plus five incremental edits (mathkit's first four leave the
+// program as it was). A fresh stateless build of each snapshot is the
+// oracle (oracletest.Reference); stateful, stateful with the soundness
+// sentinel auditing every skip, and fullcache are the candidates whose
+// skipping/caching must be invisible in the final program.
 
 import (
 	"testing"
 
 	"statefulcc/internal/buildsys"
-	"statefulcc/internal/codegen"
 	"statefulcc/internal/compiler"
-	"statefulcc/internal/obs"
+	"statefulcc/internal/oracletest"
 	"statefulcc/internal/project"
 	"statefulcc/internal/workload"
 )
@@ -35,44 +35,12 @@ func TestModeEquivalenceSuite(t *testing.T) {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			t.Parallel()
-			base := workload.Generate(p)
-			hist := workload.GenerateHistory(base, p.Seed^0x5eed, 3, workload.DefaultCommitOptions())
-			seq := append([]project.Snapshot{base}, hist.Commits...)
-
-			oracle, err := buildsys.NewBuilder(buildsys.Options{Mode: compiler.ModeStateless})
-			if err != nil {
-				t.Fatal(err)
-			}
-			candidates := map[string]*buildsys.Builder{}
+			stream := oracletest.Stream(p, workload.StreamDefault, p.Seed^0x5eed, 5)
+			var cands []oracletest.Candidate
 			for name, opts := range modeEquivCandidates {
-				b, err := buildsys.NewBuilder(opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				candidates[name] = b
+				cands = append(cands, residentMode(t, name, opts, nil))
 			}
-
-			for i, snap := range seq {
-				rep, err := oracle.Build(snap)
-				if err != nil {
-					t.Fatalf("build %d stateless: %v", i, err)
-				}
-				want := codegen.DisassembleProgram(rep.Program)
-				for name, b := range candidates {
-					rep, err := b.Build(snap)
-					if err != nil {
-						t.Fatalf("build %d %s: %v", i, name, err)
-					}
-					got := codegen.DisassembleProgram(rep.Program)
-					if got != want {
-						t.Errorf("build %d: %s bytecode diverges from stateless (%d vs %d bytes of disassembly)",
-							i, name, len(got), len(want))
-					}
-					if n := rep.Metrics[obs.CtrAuditUnsound]; n != 0 {
-						t.Errorf("build %d: %s: %d unsound skips", i, name, n)
-					}
-				}
-			}
+			oracletest.Walk(t, stream, oracletest.Reference(t, nil, stream...), cands...)
 		})
 	}
 }
@@ -81,35 +49,21 @@ func TestModeEquivalenceSuite(t *testing.T) {
 // builders that persist dormancy records to disk and are recreated between
 // commits — the CLI deployment model, where skips are driven by state
 // written in an earlier process — and still demands byte-identical output.
+// Seven commits: the first program-changing edit of the stream is its
+// seventh.
 func TestModeEquivalencePersistedState(t *testing.T) {
 	p := workload.QuickSuite()[0]
-	base := workload.Generate(p)
-	hist := workload.GenerateHistory(base, p.Seed^0xd15c, 3, workload.DefaultCommitOptions())
-	seq := append([]project.Snapshot{base}, hist.Commits...)
+	stream := oracletest.Stream(p, workload.StreamDefault, p.Seed^0xd15c, 7)
 	stateDir := t.TempDir()
-
-	oracle, err := buildsys.NewBuilder(buildsys.Options{Mode: compiler.ModeStateless})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, snap := range seq {
-		rep, err := oracle.Build(snap)
-		if err != nil {
-			t.Fatalf("build %d stateless: %v", i, err)
-		}
-		want := codegen.DisassembleProgram(rep.Program)
-
-		// Fresh builder per commit: only the on-disk state carries over.
-		b, err := buildsys.NewBuilder(buildsys.Options{Mode: compiler.ModeStateful, StateDir: stateDir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srep, err := b.Build(snap)
-		if err != nil {
-			t.Fatalf("build %d stateful: %v", i, err)
-		}
-		if got := codegen.DisassembleProgram(srep.Program); got != want {
-			t.Errorf("build %d: persisted-state stateful bytecode diverges from stateless", i)
-		}
-	}
+	oracletest.Walk(t, stream, oracletest.Reference(t, nil, stream...), oracletest.Candidate{
+		Name: "persisted-state stateful",
+		Build: func(_ int, snap project.Snapshot) (*buildsys.Report, error) {
+			// Fresh builder per commit: only the on-disk state carries over.
+			b, err := buildsys.NewBuilder(buildsys.Options{Mode: compiler.ModeStateful, StateDir: stateDir})
+			if err != nil {
+				return nil, err
+			}
+			return b.Build(snap)
+		},
+	})
 }

@@ -11,8 +11,8 @@ import (
 
 	"statefulcc/internal/buildsys"
 	"statefulcc/internal/compiler"
+	"statefulcc/internal/oracletest"
 	"statefulcc/internal/project"
-	"statefulcc/internal/vm"
 	"statefulcc/internal/workload"
 )
 
@@ -23,8 +23,8 @@ func TestWaveStreamsCompileAndAgree(t *testing.T) {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			t.Parallel()
-			base := workload.Generate(smallProfile(1234))
-			hist := workload.GenerateHistoryStream(base, 555, 6,
+			stream := oracletest.Stream(smallProfile(1234), kind, 555, 6)
+			hist := workload.GenerateHistoryStream(stream[0], 555, 6,
 				workload.DefaultCommitOptions(), kind)
 
 			sawWave := false
@@ -39,35 +39,9 @@ func TestWaveStreamsCompileAndAgree(t *testing.T) {
 				t.Fatalf("%s stream produced no wave edits", kind)
 			}
 
-			stateless, err := buildsys.NewBuilder(buildsys.Options{Mode: compiler.ModeStateless})
-			if err != nil {
-				t.Fatal(err)
-			}
-			stateful, err := buildsys.NewBuilder(buildsys.Options{Mode: compiler.ModeStateful})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, snap := range append([]project.Snapshot{base}, hist.Commits...) {
-				rep1, err := stateless.Build(snap)
-				if err != nil {
-					t.Fatalf("commit %d stateless: %v", i, err)
-				}
-				rep2, err := stateful.Build(snap)
-				if err != nil {
-					t.Fatalf("commit %d stateful: %v", i, err)
-				}
-				out1, res1, err := vm.RunCapture(rep1.Program, vm.Config{})
-				if err != nil {
-					t.Fatalf("commit %d stateless run: %v", i, err)
-				}
-				out2, res2, err := vm.RunCapture(rep2.Program, vm.Config{})
-				if err != nil {
-					t.Fatalf("commit %d stateful run: %v", i, err)
-				}
-				if out1 != out2 || res1.ExitValue != res2.ExitValue {
-					t.Fatalf("commit %d: modes diverged under %s stream", i, kind)
-				}
-			}
+			ref := oracletest.Reference(t, nil, stream...)
+			oracletest.Walk(t, stream, ref,
+				residentMode(t, "stateful", buildsys.Options{Mode: compiler.ModeStateful}, oracletest.Runs(t, ref)))
 		})
 	}
 }

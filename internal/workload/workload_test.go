@@ -6,6 +6,7 @@ import (
 
 	"statefulcc/internal/buildsys"
 	"statefulcc/internal/compiler"
+	"statefulcc/internal/oracletest"
 	"statefulcc/internal/passes"
 	"statefulcc/internal/project"
 	"statefulcc/internal/testutil"
@@ -143,50 +144,28 @@ func TestEditsChangeSource(t *testing.T) {
 	}
 }
 
-// TestEditedSequenceDifferential runs a commit history under stateless and
-// stateful builders simultaneously, comparing program behaviour after each
-// commit — the incremental-correctness property end to end.
+// TestEditedSequenceDifferential runs a commit history under stateful
+// (IR-verifying) and fullcache builders, comparing each linked program and
+// its behaviour with a fresh stateless build's after each commit — the
+// incremental-correctness property end to end. (No edit of the seed-321
+// history reaches the program; seed 708's third does.)
 func TestEditedSequenceDifferential(t *testing.T) {
-	snap := workload.Generate(smallProfile(14))
-	h := workload.GenerateHistory(snap, 321, 6, workload.DefaultCommitOptions())
+	stream := oracletest.Stream(smallProfile(14), workload.StreamDefault, 708, 6)
+	ref := oracletest.Reference(t, nil, stream...)
+	oracletest.Walk(t, stream, ref,
+		residentMode(t, "stateful", buildsys.Options{Mode: compiler.ModeStateful, VerifyIR: true}, oracletest.Runs(t, ref)),
+		residentMode(t, "fullcache", buildsys.Options{Mode: compiler.ModeFullCache}, oracletest.Runs(t, ref)))
+}
 
-	stateless, err := buildsys.NewBuilder(buildsys.Options{Mode: compiler.ModeStateless})
+// residentMode is the candidate that builds every commit on one builder
+// made with opts.
+func residentMode(t *testing.T, name string, opts buildsys.Options, check func(int, *buildsys.Report)) oracletest.Candidate {
+	t.Helper()
+	b, err := buildsys.NewBuilder(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stateful, err := buildsys.NewBuilder(buildsys.Options{Mode: compiler.ModeStateful, VerifyIR: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullcache, err := buildsys.NewBuilder(buildsys.Options{Mode: compiler.ModeFullCache})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	run := func(b *buildsys.Builder, s project.Snapshot) (string, int64) {
-		rep, err := b.Build(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, res, err := vm.RunCapture(rep.Program, vm.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out, res.ExitValue
-	}
-
-	seq := append([]project.Snapshot{snap}, h.Commits...)
-	for i, s := range seq {
-		o1, e1 := run(stateless, s)
-		o2, e2 := run(stateful, s)
-		o3, e3 := run(fullcache, s)
-		if o1 != o2 || e1 != e2 {
-			t.Fatalf("build %d: stateful behaviour differs: %q/%d vs %q/%d", i, o1, e1, o2, e2)
-		}
-		if o1 != o3 || e1 != e3 {
-			t.Fatalf("build %d: fullcache behaviour differs: %q/%d vs %q/%d", i, o1, e1, o3, e3)
-		}
-	}
+	return oracletest.Candidate{Name: name, Build: oracletest.Resident(b), Check: check}
 }
 
 // TestIncrementalBuildCachesUnits: unchanged units must come from the
@@ -240,13 +219,11 @@ func TestLongHistoryProgramsExecute(t *testing.T) {
 		commits = 6
 	}
 	for _, p := range profiles {
-		base := workload.Generate(p)
-		h := workload.GenerateHistory(base, p.Seed^1, commits, workload.DefaultCommitOptions())
 		b, err := buildsys.NewBuilder(buildsys.Options{Mode: compiler.ModeStateless})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, snap := range append([]project.Snapshot{base}, h.Commits...) {
+		for i, snap := range oracletest.Stream(p, workload.StreamDefault, p.Seed^1, commits) {
 			rep, err := b.Build(snap)
 			if err != nil {
 				t.Fatalf("%s commit %d: %v", p.Name, i, err)
