@@ -1,19 +1,14 @@
-// Benchmark harness entry points: one testing.B per table and figure of
-// the reproduced evaluation (see DESIGN.md §5 and EXPERIMENTS.md), plus
-// micro-benchmarks for the stateful machinery itself.
-//
-// The table/figure benchmarks execute the corresponding experiment once per
-// b.N over a reduced suite so `go test -bench=.` stays fast; the full-suite
-// numbers in EXPERIMENTS.md come from `go run ./cmd/experiments`.
+// Micro-benchmarks of the stateful machinery: the fingerprint hash, a
+// single-unit compile with and without warm dormancy records, state
+// serialization and the VM. They are profiling aids (docs/PERFORMANCE.md);
+// the end-to-end numbers in EXPERIMENTS.md come from `go run ./benchmark`.
 package statefulcc_test
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"statefulcc"
-	"statefulcc/internal/bench"
 	"statefulcc/internal/compiler"
 	"statefulcc/internal/core"
 	"statefulcc/internal/fingerprint"
@@ -22,130 +17,10 @@ import (
 	"statefulcc/internal/workload"
 )
 
-func benchSuite() []workload.Profile { return workload.StandardSuite()[:3] }
-
-func benchConfig() bench.Config { return bench.Config{Commits: 8} }
-
-func reportTable(b *testing.B, tab *bench.Table, err error) {
-	b.Helper()
-	if err != nil {
-		b.Fatal(err)
-	}
-	if testing.Verbose() {
-		b.Log("\n" + tab.String())
-	}
-}
-
-// BenchmarkTable1Characteristics regenerates Table 1 (project shapes).
-func BenchmarkTable1Characteristics(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := bench.Table1Characteristics(benchSuite())
-		reportTable(b, tab, err)
-	}
-}
-
-// BenchmarkFigure1DormantFraction regenerates the motivation figure.
-func BenchmarkFigure1DormantFraction(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := bench.Figure1DormantFraction(benchSuite(), benchConfig())
-		reportTable(b, tab, err)
-	}
-}
-
-// BenchmarkFigure2DormancyPersistence regenerates the persistence figure.
-func BenchmarkFigure2DormancyPersistence(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := bench.Figure2DormancyPersistence(benchSuite(), benchConfig())
-		reportTable(b, tab, err)
-	}
-}
-
-// BenchmarkTable2EndToEnd regenerates the headline end-to-end comparison
-// and reports the mean speedup as a custom metric.
-func BenchmarkTable2EndToEnd(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := bench.Table2EndToEnd(benchSuite(), benchConfig())
-		reportTable(b, tab, err)
-		if err == nil && len(tab.Rows) > 0 {
-			var v float64
-			mean := tab.Rows[len(tab.Rows)-1][3]
-			if _, err := sscan(mean, &v); err == nil {
-				b.ReportMetric(v, "mean-speedup-%")
-			}
-		}
-	}
-}
-
-// BenchmarkFigure3PerFileCDF regenerates the per-file speedup distribution.
-func BenchmarkFigure3PerFileCDF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := bench.Figure3PerFileCDF(benchSuite(), benchConfig())
-		reportTable(b, tab, err)
-	}
-}
-
-// BenchmarkFigure4EditSize regenerates the edit-size sensitivity sweep.
-func BenchmarkFigure4EditSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := bench.Figure4EditSize(benchSuite()[1], bench.Config{Commits: 5})
-		reportTable(b, tab, err)
-	}
-}
-
-// BenchmarkTable3StateOverhead regenerates the state-size table.
-func BenchmarkTable3StateOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := bench.Table3StateOverhead(benchSuite(), benchConfig())
-		reportTable(b, tab, err)
-	}
-}
-
-// BenchmarkTable4Correctness regenerates the output-equivalence table.
-func BenchmarkTable4Correctness(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := bench.Table4Correctness(benchSuite()[:2], bench.Config{Commits: 5})
-		reportTable(b, tab, err)
-	}
-}
-
-// BenchmarkFigure5PerPassSavings regenerates the per-pass skipping profile.
-func BenchmarkFigure5PerPassSavings(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := bench.Figure5PerPassSavings(benchSuite(), benchConfig())
-		reportTable(b, tab, err)
-	}
-}
-
-// BenchmarkTable5VsFullCache regenerates the full-IR-cache comparison.
-func BenchmarkTable5VsFullCache(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := bench.Table5VsFullCache(benchSuite(), benchConfig())
-		reportTable(b, tab, err)
-	}
-}
-
-// BenchmarkFigure7Parallelism regenerates the parallel-build extension.
-func BenchmarkFigure7Parallelism(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := bench.Figure7Parallelism(benchSuite()[0], bench.Config{Commits: 3})
-		reportTable(b, tab, err)
-	}
-}
-
-// BenchmarkTable6PipelineLength regenerates the pipeline-length extension.
-func BenchmarkTable6PipelineLength(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := bench.Table6PipelineLength(benchSuite()[0], bench.Config{Commits: 3})
-		reportTable(b, tab, err)
-	}
-}
-
-// --- micro-benchmarks of the stateful machinery -----------------------------
-
-// benchModule compiles one generated unit to IR for hashing benches.
+// benchUnit returns the first unit of a generated standard-suite project.
 func benchUnit(b *testing.B) (string, []byte) {
 	b.Helper()
-	snap := workload.Generate(benchSuite()[1])
+	snap := workload.Generate(workload.StandardSuite()[1])
 	unit := snap.Units()[0]
 	return unit, snap[unit]
 }
@@ -245,12 +120,4 @@ func main() int { return fib(18); }`)})
 			b.Fatal(err)
 		}
 	}
-}
-
-func sscan(s string, v *float64) (int, error) {
-	t := s
-	if len(t) > 0 && t[len(t)-1] == '%' {
-		t = t[:len(t)-1]
-	}
-	return fmt.Sscan(t, v)
 }

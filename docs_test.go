@@ -8,15 +8,19 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 )
 
 // TestDocsNameWhatExists fails when markdown here mentions a cmd/<name> or
-// internal/<name> that is not a directory in the tree, or a "`make <target>`"
-// that is not a .PHONY target. Planning and history files, the verbatim run
-// listings and benchmark/ (frozen by BENCHMARK.json) may name what is gone.
+// internal/<name> that is not a directory in the tree, a "`make <target>`"
+// that is not a .PHONY target, or a Test, Benchmark or Fuzz name that no
+// func of a *_test.go in the tree (benchmark/ included) begins with: a -run
+// pattern may name a group of tests by their common prefix. Planning and
+// history files, the verbatim run listings and benchmark/ (frozen by
+// BENCHMARK.json) may name what is gone.
 func TestDocsNameWhatExists(t *testing.T) {
 	skip := map[string]bool{
 		"ROADMAP.md": true, "CHANGES.md": true, "ISSUE.md": true, "PAPER.md": true, "PAPERS.md": true,
@@ -32,8 +36,34 @@ func TestDocsNameWhatExists(t *testing.T) {
 			targets[name] = true
 		}
 	}
+	var declared []string
+	testDecl := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	if err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path == ".git":
+			return fs.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range testDecl.FindAllStringSubmatch(string(src), -1) {
+			declared = append(declared, m[1])
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(declared)
 	pkgRef := regexp.MustCompile(`\b(?:cmd|internal)/[a-z0-9_]+`)
 	makeRef := regexp.MustCompile("`make ([a-z][a-z-]*)")
+	// Go runs Test, Benchmark and Fuzz funcs whose next rune is not a
+	// lower-case letter, so "Testing" and "Benchmarks" are prose.
+	testRef := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
 	if err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		switch {
 		case err != nil:
@@ -55,6 +85,11 @@ func TestDocsNameWhatExists(t *testing.T) {
 		for _, m := range makeRef.FindAllStringSubmatch(string(text), -1) {
 			if !targets[m[1]] {
 				t.Errorf("%s mentions `make %s`, which is not a .PHONY target of the Makefile", path, m[1])
+			}
+		}
+		for _, name := range testRef.FindAllString(string(text), -1) {
+			if i, _ := slices.BinarySearch(declared, name); i == len(declared) || !strings.HasPrefix(declared[i], name) {
+				t.Errorf("%s mentions %s, which no func of a *_test.go in the tree begins with", path, name)
 			}
 		}
 		return nil

@@ -122,13 +122,6 @@ func SizeOfFunc(f *ir.Func) int {
 	return c.n
 }
 
-// SizeOfModule reports the encoded size of a module in bytes.
-func SizeOfModule(m *ir.Module) int {
-	var c countWriter
-	_ = EncodeModule(&c, m)
-	return c.n
-}
-
 type countWriter struct{ n int }
 
 func (c *countWriter) Write(p []byte) (int, error) {

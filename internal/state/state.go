@@ -601,7 +601,7 @@ func (d *bdec) recordBlock() ([]core.Record, []bool) {
 }
 
 // FileSize reports the serialized size of a state value, used by the
-// state-overhead experiments and cmd/statedump. It never fails.
+// benchmark's state rows and cmd/statedump. It never fails.
 func FileSize(st *core.UnitState) (int, error) {
 	return len(Marshal(st)), nil
 }

@@ -2,9 +2,8 @@ package workload
 
 // StandardSuite defines the benchmark projects used throughout the
 // evaluation — the reproduction's stand-in for the paper's real-world C++
-// project list (Table 1). Sizes span roughly an order of magnitude so the
-// end-to-end experiments can show how the stateful win scales with project
-// size and edit locality.
+// project list (Table 1). Sizes span roughly an order of magnitude, so the
+// batteries that iterate over the suite see small and large projects alike.
 
 // StandardSuite returns the eight benchmark project profiles.
 func StandardSuite() []Profile {
@@ -61,9 +60,10 @@ func StandardSuite() []Profile {
 }
 
 // MegaProfile returns the scale stress profile — roughly twice monorepo,
-// past the 200-unit mark — used by the footprint battery's scale case and
-// the footprint-overhead benchmark row. It is deliberately not part of
-// StandardSuite so the end-to-end experiment matrix stays fast.
+// past the 200-unit mark — that every workload of the benchmark of record
+// (`go run ./benchmark`) builds, and the footprint battery's scale case. It
+// is deliberately not part of StandardSuite, so the batteries that iterate
+// over the suite stay fast.
 func MegaProfile() Profile {
 	return Profile{
 		Name: "megarepo", Seed: 909,
