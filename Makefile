@@ -61,7 +61,8 @@ fuzz:
 # chaos is the robustness gate (docs/ROBUSTNESS.md): the fault core the
 # injectors share (its rules, occurrence numbering and schedule golden),
 # the fault-injection walks over every state/history I/O call (under the
-# race detector, since faults land on concurrent worker paths), the state
+# race detector, since faults land on concurrent worker paths) and over the
+# flight recorder's append that reads nothing (TestAppender), the state
 # save's shape (one
 # write path: in place, no temp file, rename or sync; the file is old, new,
 # or rejected) and its torn-overwrite check,
@@ -83,7 +84,7 @@ fuzz:
 # pattern here to tests that exist.
 chaos:
 	$(GO) test -race -timeout 15m ./internal/vfs/... ./internal/faults/...
-	$(GO) test -race -timeout 15m -run 'TestChaos|TestSaveWritesInPlace|TestEveryTornOverwriteIsRejected' ./internal/state ./internal/history ./internal/buildsys
+	$(GO) test -race -timeout 15m -run 'TestChaos|TestSaveWritesInPlace|TestEveryTornOverwriteIsRejected|TestAppender' ./internal/state ./internal/history ./internal/buildsys
 	$(GO) test -race -timeout 15m -run 'TestPanic|TestSentinel|TestCancelled|TestAudited|TestWarnf|TestCrossLayer' ./internal/buildsys
 	$(GO) test -race -timeout 15m -run 'TestServeSIGTERMDrain|TestServePollSkipsOverlap' ./cmd/minibuild
 	$(GO) test -fuzz FuzzStateDecode -fuzztime 30s ./internal/state

@@ -37,6 +37,7 @@ import (
 	"statefulcc/internal/core"
 	"statefulcc/internal/fingerprint"
 	"statefulcc/internal/footprint"
+	"statefulcc/internal/history"
 	"statefulcc/internal/obs"
 	"statefulcc/internal/passes"
 	"statefulcc/internal/project"
@@ -133,7 +134,9 @@ type UnitReport struct {
 
 // Report summarizes one Build call.
 type Report struct {
-	// TotalNS is the end-to-end build wall time.
+	// TotalNS is the build's wall time up to and including the link. It
+	// leaves out the flight-recorder append that follows it (the
+	// history.append span times that).
 	TotalNS int64
 	// CompileNS is the wall time of the (parallel) compile phase.
 	CompileNS int64
@@ -235,6 +238,12 @@ type Builder struct {
 	// unset); see cas.go.
 	cas *builderCAS
 
+	// linker links every build, checking again only the objects that moved
+	// since the last; recorder is the flight recorder's appender (nil when
+	// recording is off), which remembers what its last append left.
+	linker   codegen.Linker
+	recorder *history.Appender
+
 	// tlEpoch is the current build's monotonic epoch: every timeline
 	// timestamp is time.Since(tlEpoch) — never a wall-clock subtraction,
 	// which an NTP step could corrupt (see obs.Timeline). Set at the top of
@@ -261,12 +270,13 @@ type builderCounters struct {
 	stateLoads, stateLoadMisses, stateSaves *obs.Counter
 	stateSaveUnchanged, stateBytesWritten   *obs.Counter
 	stateIOErrors, historyIOErrors          *obs.Counter
+	historyTailReads                        *obs.Counter
 	workerBusyNS                            *obs.Counter
 	panics, cancelled                       *obs.Counter
 	quarantineEngaged, quarantineLifted     *obs.Counter
 	footprintChecked                        *obs.Counter
 	footprintMissed, footprintRedundant     *obs.Counter
-	sourceBytesHashed                       *obs.Counter
+	sourceBytesHashed, linkObjectsChecked   *obs.Counter
 }
 
 // builderHists are the registry latency histograms the build loop feeds
@@ -310,6 +320,7 @@ func NewBuilder(opts Options) (*Builder, error) {
 			stateBytesWritten:  reg.Counter(obs.CtrStateBytesWritten),
 			stateIOErrors:      reg.Counter(obs.CtrStateIOErrors),
 			historyIOErrors:    reg.Counter(obs.CtrHistoryIOErrors),
+			historyTailReads:   reg.Counter(obs.CtrHistoryTailReads),
 			workerBusyNS:       reg.Counter(obs.CtrWorkerBusyNS),
 			panics:             reg.Counter(obs.CtrBuildPanics),
 			cancelled:          reg.Counter(obs.CtrBuildCancelled),
@@ -319,6 +330,7 @@ func NewBuilder(opts Options) (*Builder, error) {
 			footprintMissed:    reg.Counter(obs.CtrFootprintMissed),
 			footprintRedundant: reg.Counter(obs.CtrFootprintRedundant),
 			sourceBytesHashed:  reg.Counter(obs.CtrSourceBytesHashed),
+			linkObjectsChecked: reg.Counter(obs.CtrLinkObjectsChecked),
 		},
 		hist: builderHists{
 			unitCompile:  reg.Histogram(obs.HistUnitCompileNS),
@@ -330,6 +342,9 @@ func NewBuilder(opts Options) (*Builder, error) {
 		warnSeen:  make(map[string]int),
 	}
 	b.cas = newBuilderCAS(opts.CAS, reg)
+	if path := b.historyPath(); path != "" {
+		b.recorder = history.NewAppender(b.fs, path, opts.HistoryLimit, b.ctr.historyTailReads)
+	}
 	pass := reg.Pass()
 	b.passCtrs = pass
 	for i := 0; i < opts.Workers; i++ {
@@ -582,7 +597,8 @@ func (b *Builder) BuildContext(ctx context.Context, snap project.Snapshot) (*Rep
 	for _, name := range units {
 		objs = append(objs, b.units[name].obj)
 	}
-	prog, err := codegen.Link(objs)
+	prog, err := b.linker.Link(objs)
+	b.ctr.linkObjectsChecked.Add(int64(b.linker.Checked()))
 	if err != nil {
 		return nil, fmt.Errorf("buildsys: %w", err)
 	}

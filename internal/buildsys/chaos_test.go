@@ -4,9 +4,9 @@ package buildsys_test
 // injectable state/history I/O fault point of a build→edit→rebuild
 // sequence (including a fresh-process disk reload whose state saves are
 // elided, a fresh process whose saves write, no-edit rebuilds whose only
-// I/O is the flight recorder's, and the start-up sweep of a crashed
-// predecessor's temp files) and prove the
-// "never worse than cold" degradation invariant:
+// I/O is the flight recorder's, with and without another writer's append
+// before them, and the start-up sweep of a crashed predecessor's temp files)
+// and prove the "never worse than cold" degradation invariant:
 //
 //  1. the builder returns success whenever the compile itself succeeds —
 //     state-layer and flight-recorder failures surface as Report.Warnings
@@ -111,34 +111,57 @@ func plantOrphans(t *testing.T, stateDir string) {
 
 // chaosStep is one build of the workload under test.
 type chaosStep struct {
-	name  string
-	fresh bool // built by a new builder over the same state directory
-	snap  func() project.Snapshot
+	name    string
+	fresh   bool // built by a new builder over the same state directory
+	foreign bool // another process appends to the history before the build
+	snap    func() project.Snapshot
 }
 
 // chaosIdleBuilds is how many times the last builder builds C again with
-// nothing edited. Every unit is served from memory and no state file is
-// touched: the flight recorder's append is the only I/O such a build does,
-// so these steps walk its fault points and nothing else. Six of them also
-// give history.jsonl as many opens and reads over the sequence as it had
-// when an append opened the file twice, so every fault point the walk has
-// ever named is still a point.
+// nothing edited. Every unit is served from memory, no state file is touched
+// and the link checks no object: the flight recorder's append is the only I/O
+// such a build does, so these steps walk its fault points and nothing else.
+// The builder's appender finds history.jsonl as its own last append left it,
+// so each of these appends is stat, openfile, write, close, stat and reads
+// nothing; a fault on one of those calls drops the appender's memory, and the
+// next idle build walks the full path — mkdirall, stat, open, reads, close,
+// then the write — from there. Every fresh builder's append takes the full
+// path too: "build A" finds no file, and the two fresh-builder steps' appends
+// are where the reads of history.jsonl the walk names come from.
 const chaosIdleBuilds = 6
+
+// chaosForeignBuilds is how many times, after the idle builds, another
+// process appends a record to history.jsonl and then the last builder builds
+// C again with nothing edited. The builder's appender finds the segment grown
+// by a line it did not write: each of these appends is the stat that finds
+// the segment moved, then a resident builder's full path — mkdirall, stat,
+// open, two reads, close, openfile, write, close, stat — numbering after the
+// other writer's record. The other
+// process writes past the fault injector: its I/O is not the builder's, and
+// its record is there whatever the fault did to the builder's. Seven of these
+// give history.jsonl as many mkdiralls, opens, reads and closes over the
+// sequence as it had when every append read the file's end, so every fault
+// point the walk has ever named is still a point.
+const chaosForeignBuilds = 7
 
 // chaosSteps is the workload under test: build A, edit, rebuild B, a fresh
 // builder ("new process") rebuilding B from disk state (both state saves
 // find their bytes on disk and are elided), another fresh builder
 // building C (both saves write), and that builder building C again
-// chaosIdleBuilds times.
+// chaosIdleBuilds times, then chaosForeignBuilds times after another
+// writer's append.
 var chaosSteps = func() []chaosStep {
 	steps := []chaosStep{
-		{"build A", true, twoUnitSnap},
-		{"rebuild B", false, chaosEditedSnap},
-		{"fresh-builder rebuild B", true, chaosEditedSnap},
-		{"fresh-builder build C", true, chaosWideSnap},
+		{name: "build A", fresh: true, snap: twoUnitSnap},
+		{name: "rebuild B", snap: chaosEditedSnap},
+		{name: "fresh-builder rebuild B", fresh: true, snap: chaosEditedSnap},
+		{name: "fresh-builder build C", fresh: true, snap: chaosWideSnap},
 	}
 	for i := 0; i < chaosIdleBuilds; i++ {
-		steps = append(steps, chaosStep{"no-edit rebuild C", false, chaosWideSnap})
+		steps = append(steps, chaosStep{name: "no-edit rebuild C", snap: chaosWideSnap})
+	}
+	for i := 0; i < chaosForeignBuilds; i++ {
+		steps = append(steps, chaosStep{name: "no-edit rebuild C after another writer", foreign: true, snap: chaosWideSnap})
 	}
 	return steps
 }()
@@ -153,7 +176,8 @@ func chaosStream() (stream []project.Snapshot) {
 
 // chaosCandidate walks chaosSteps over builders made by mk: a step marked
 // fresh plants an older builder's orphans and starts a new builder over
-// stateDir. Builds must succeed: the compile itself never touches the
+// stateDir, one marked foreign appends another process's record to the
+// history first. Builds must succeed: the compile itself never touches the
 // filesystem (sources come from the in-memory snapshot), so any build error
 // means a state/history I/O fault escaped the degradation layer.
 func chaosCandidate(t *testing.T, stateDir string, mk func() *buildsys.Builder) oracletest.Candidate {
@@ -163,6 +187,12 @@ func chaosCandidate(t *testing.T, stateDir string, mk func() *buildsys.Builder) 
 		if st.fresh {
 			plantOrphans(t, stateDir)
 			b = mk()
+		}
+		if st.foreign {
+			rec := &histpkg.Record{TimeUnixMS: 1700000000000 + int64(i), Mode: "stateless", Workers: 1}
+			if err := histpkg.AppendFS(vfs.OS, histpkg.Path(stateDir), rec, 0); err != nil {
+				return nil, fmt.Errorf("%s: the other writer's append: %w", st.name, err)
+			}
 		}
 		rep, err := b.Build(snap)
 		if err != nil {

@@ -45,6 +45,15 @@ func FuzzBuildEdit(f *testing.F) {
 		}
 	}
 
+	// Seeds for what a linker takes as moved: a function of the edited unit
+	// that changes its arity, and a global of it that goes away. Nothing
+	// else names either; an edit that broke another unit would not link.
+	for u, unit := range units {
+		src := string(base[unit])
+		f.Add(uint8(u), src+"\nfunc fuzz_moved() int { return 1; }\n", src+"\nfunc fuzz_moved(a int) int { return a; }\n")
+		f.Add(uint8(u), src+"\nvar fuzz_gone int = 3;\nfunc fuzz_user() int { return fuzz_gone; }\n", src)
+	}
+
 	f.Fuzz(func(t *testing.T, u uint8, src0, src1 string) {
 		if len(src0) > 16<<10 || len(src1) > 16<<10 {
 			return

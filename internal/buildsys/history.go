@@ -31,17 +31,21 @@ func (b *Builder) historyPath() string {
 	return ""
 }
 
-// recordHistory appends one record for a completed build. Failures never
-// fail the build, but they are surfaced — history.io_error counter plus a
-// report warning — instead of silently dropping the record. (The counter
-// increments after this build's Metrics snapshot was taken, so it shows
-// up in Builder.Metrics and the next build's record.)
+// recordHistory appends one record for a completed build, timed by a
+// history.append span. Failures never fail the build, but they are surfaced
+// — history.io_error counter plus a report warning — instead of silently
+// dropping the record. (The counter, like history.tail_reads, increments
+// after this build's Metrics snapshot was taken, so it shows up in
+// Builder.Metrics and the next build's record.)
 func (b *Builder) recordHistory(rep *Report) {
-	path := b.historyPath()
-	if path == "" {
+	if b.recorder == nil {
 		return
 	}
-	if err := history.AppendFS(b.fs, path, b.historyRecord(rep), b.opts.HistoryLimit); err != nil {
+	start := b.opts.Trace.Now()
+	err := b.recorder.Append(b.historyRecord(rep))
+	b.opts.Trace.Emit(obs.Span{Name: "history.append", Cat: obs.CatBuild, TID: 0,
+		Start: start, Dur: b.opts.Trace.Now() - start})
+	if err != nil {
 		b.ctr.historyIOErrors.Inc()
 		b.warnf("history: append: %v (flight-recorder record dropped)", err)
 	}

@@ -288,11 +288,12 @@ func digitToBump(src []byte) int {
 }
 
 // BenchmarkResidentRebuild times a resident stateful builder's rebuild of
-// the megarepo, with hashedB/op the source bytes each build content-hashed:
-// noedit passes the same snapshot again, edit2 alternates between two
-// snapshots that differ in two units, and clone alternates between two
-// copies of equal bytes (what `minibuild serve` passes after re-reading the
-// tree).
+// the megarepo, with hashedB/op the source bytes each build content-hashed,
+// tailReads/op the flight-recorder appends that read the history's end and
+// linkChecked/op the objects the link checked: noedit passes the same
+// snapshot again, edit2 alternates between two snapshots that differ in two
+// units, and clone alternates between two copies of equal bytes (what
+// `minibuild serve` passes after re-reading the tree).
 func BenchmarkResidentRebuild(b *testing.B) {
 	base := workload.Generate(workload.MegaProfile())
 	units := base.Units()
@@ -312,12 +313,64 @@ func BenchmarkResidentRebuild(b *testing.B) {
 			}
 			buildHashed(b, builder, base)
 			b.ResetTimer()
-			var hashed int64
+			var hashed, reads, checked int64
 			for i := 0; i < b.N; i++ {
+				r, c := builder.ctr.historyTailReads.Load(), builder.ctr.linkObjectsChecked.Load()
 				_, n := buildHashed(b, builder, bm.snaps[i%len(bm.snaps)])
 				hashed += n
+				reads += builder.ctr.historyTailReads.Load() - r
+				checked += builder.ctr.linkObjectsChecked.Load() - c
 			}
 			b.ReportMetric(float64(hashed)/float64(b.N), "hashedB/op")
+			b.ReportMetric(float64(reads)/float64(b.N), "tailReads/op")
+			b.ReportMetric(float64(checked)/float64(b.N), "linkChecked/op")
 		})
+	}
+}
+
+// TestResidentRebuildWork: what a resident builder's rebuild costs beside its
+// compiles follows the edit, not the project. A builder's first build reads
+// the history's end and checks every object; a rebuild with no edit reads
+// nothing and checks nothing; an edit of two units that adds a function to
+// each and takes it away again checks those two objects and reads nothing. A
+// new builder over the same state directory starts over.
+func TestResidentRebuildWork(t *testing.T) {
+	base := workload.Generate(identityProfile())
+	units := base.Units()
+	edited := withExtraFuncs(base, units[1], units[len(units)-2])
+	dir := t.TempDir()
+	newBuilder := func() *Builder {
+		b, err := NewBuilder(Options{Mode: compiler.ModeStateful, StateDir: dir, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	b := newBuilder()
+	for _, step := range []struct {
+		name           string
+		snap           project.Snapshot
+		fresh          bool
+		reads, checked int64
+	}{
+		{"first build", base, false, 1, int64(len(units))},
+		{"no edit", base, false, 0, 0},
+		{"two units edited", edited, false, 0, 2},
+		{"the edit undone", base, false, 0, 2},
+		{"a new builder", base, true, 1, int64(len(units))},
+		{"its rebuild", base, false, 0, 0},
+	} {
+		if step.fresh {
+			b = newBuilder()
+		}
+		r, c := b.ctr.historyTailReads.Load(), b.ctr.linkObjectsChecked.Load()
+		if _, err := b.Build(step.snap); err != nil {
+			t.Fatal(err)
+		}
+		reads, checked := b.ctr.historyTailReads.Load()-r, b.ctr.linkObjectsChecked.Load()-c
+		if reads != step.reads || checked != step.checked {
+			t.Errorf("%s: %d history tail reads and %d objects checked, want %d and %d",
+				step.name, reads, checked, step.reads, step.checked)
+		}
 	}
 }

@@ -38,6 +38,8 @@ var schedulingInvariant = []string{
 	obs.CtrUnitsCompiled,
 	obs.CtrUnitsCached,
 	obs.CtrSourceBytesHashed,
+	obs.CtrLinkObjectsChecked,
+	obs.CtrHistoryTailReads,
 	obs.CtrStateLoads,
 	obs.CtrStateLoadMisses,
 	obs.CtrStateSaves,
@@ -93,6 +95,41 @@ func TestObsCountersSchedulingInvariant(t *testing.T) {
 	}
 	if ref[obs.CtrStateBytesWritten] == 0 {
 		t.Error("history wrote no state bytes; invariance check is vacuous")
+	}
+}
+
+// TestHistoryAppendSpan: a traced resident build times its flight-recorder
+// append, which Report.TotalNS leaves out, as one history.append span after
+// the link.
+func TestHistoryAppendSpan(t *testing.T) {
+	tr := obs.NewTracer()
+	b, err := buildsys.NewBuilder(buildsys.Options{Mode: compiler.ModeStateful, StateDir: t.TempDir(), Workers: 2, Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := workload.Generate(obsProfile())
+	hist := workload.GenerateHistory(base, 5, 1, workload.DefaultCommitOptions())
+	if _, err := b.Build(base); err != nil {
+		t.Fatal(err)
+	}
+	n := len(tr.Spans())
+	if _, err := b.Build(hist.Commits[0]); err != nil {
+		t.Fatal(err)
+	}
+	var link, appends []obs.Span
+	for _, s := range tr.Spans()[n:] {
+		switch s.Name {
+		case "link":
+			link = append(link, s)
+		case "history.append":
+			appends = append(appends, s)
+		}
+	}
+	if len(link) != 1 || len(appends) != 1 {
+		t.Fatalf("the rebuild emitted %d link and %d history.append spans, want one of each", len(link), len(appends))
+	}
+	if a := appends[0]; a.Cat != obs.CatBuild || a.Start < link[0].Start+link[0].Dur || a.Dur <= 0 {
+		t.Errorf("history.append span %+v does not follow the link span %+v", a, link[0])
 	}
 }
 

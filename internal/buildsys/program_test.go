@@ -3,6 +3,7 @@ package buildsys_test
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"maps"
 	"reflect"
 	"regexp"
 	"runtime"
@@ -352,4 +353,66 @@ func spare(x int) int { calls++; return inner(x) + 3; }`)
 			runs(step, rep)
 		},
 	})
+}
+
+// TestLinkerMatchesLink walks megarepo streams through one warm
+// codegen.Linker the way a resident builder does — an unchanged unit keeps
+// its object, a changed one gets a new one — and at every commit holds its
+// program to codegen.Link of the same objects, and the program of the commit
+// before to what it was when it was returned: a later link writes nothing a
+// program holds.
+func TestLinkerMatchesLink(t *testing.T) {
+	c, err := compiler.New(compiler.Options{Mode: compiler.ModeStateless})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []workload.StreamKind{workload.StreamDefault, workload.StreamRenameWave, workload.StreamInterfaceChurn} {
+		var l codegen.Linker
+		srcs, objs := map[string][]byte{}, map[string]*codegen.Object{}
+		var last, lastCopy *codegen.Program
+		checked := 0
+		for i, snap := range oracletest.Stream(workload.MegaProfile(), kind, 7, 8) {
+			var list []*codegen.Object
+			for _, unit := range snap.Units() {
+				if !slices.Equal(srcs[unit], snap[unit]) {
+					res, err := c.CompileUnit(unit, snap[unit], nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					srcs[unit], objs[unit] = snap[unit], res.Object
+				}
+				list = append(list, objs[unit])
+			}
+			got, err := l.Link(list)
+			want, wantErr := codegen.Link(list)
+			if err != nil || wantErr != nil {
+				t.Fatalf("%s commit %d: warm Linker: %v; Link: %v", kind, i, err, wantErr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s commit %d: the warm Linker's program is not Link's", kind, i)
+			}
+			if last != nil && !reflect.DeepEqual(last, lastCopy) {
+				t.Fatalf("%s commit %d: linking it changed the program of the commit before", kind, i)
+			}
+			last, lastCopy = got, cloneProgram(got)
+			if i > 0 {
+				checked += l.Checked()
+			}
+		}
+		t.Logf("%s: %d objects checked over the commits after the first", kind, checked)
+	}
+}
+
+// cloneProgram is a copy of p that shares nothing with it.
+func cloneProgram(p *codegen.Program) *codegen.Program {
+	q := *p
+	q.Funcs = make([]*codegen.FuncCode, len(p.Funcs))
+	for i, f := range p.Funcs {
+		g := *f
+		g.Code, g.Args = slices.Clone(f.Code), slices.Clone(f.Args)
+		q.Funcs[i] = &g
+	}
+	q.FuncIndex, q.GlobalIndex = maps.Clone(p.FuncIndex), maps.Clone(p.GlobalIndex)
+	q.Unreached, q.GlobalInit, q.Strings = slices.Clone(p.Unreached), slices.Clone(p.GlobalInit), slices.Clone(p.Strings)
+	return &q
 }

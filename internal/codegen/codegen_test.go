@@ -482,3 +482,132 @@ func dead(x int) int { assert(x != 0, "nonzero"); return lib(x) + g; }`
 		}
 	}
 }
+
+// linkerUnits are the units the Linker tests edit: main calls lib, and
+// user.mc's object uses lib.mc's global g (an object whose own definition
+// of g was taken out, the way only a hand-made object can name another
+// unit's global).
+func linkerUnits(t *testing.T) map[string]*codegen.Object {
+	t.Helper()
+	user := compileNamed(t, "user.mc", `var g int = 1; func use() int { return g + 1; }`)
+	user.Globals = nil
+	if err := user.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*codegen.Object{
+		"lib.mc":  compileNamed(t, "lib.mc", `var g int = 5; func lib(x int) int { return x + g; } func spare() int { return 2; }`),
+		"main.mc": compileNamed(t, "main.mc", `extern func lib(x int) int; func main() int { print("r", lib(1)); return lib(2); }`),
+		"user.mc": user,
+	}
+}
+
+// objectList is units' objects in an order that is not layout order.
+func objectList(units map[string]*codegen.Object) (objs []*codegen.Object) {
+	for _, o := range units {
+		objs = append(objs, o)
+	}
+	return objs
+}
+
+// TestLinkerChecksWhatMoved: a warm Linker checks the objects it has not
+// seen and links what Link links.
+func TestLinkerChecksWhatMoved(t *testing.T) {
+	units := linkerUnits(t)
+	var l codegen.Linker
+	link := func(wantChecked int) {
+		t.Helper()
+		objs := objectList(units)
+		got, err := l.Link(objs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := codegen.Link(objs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("warm Linker:\n%s\nLink:\n%s", codegen.DisassembleProgram(got), codegen.DisassembleProgram(want))
+		}
+		if l.Checked() != wantChecked {
+			t.Errorf("checked %d objects, want %d", l.Checked(), wantChecked)
+		}
+	}
+	link(3)
+	link(0)
+	units["lib.mc"] = compileNamed(t, "lib.mc", `var g int = 5; func lib(x int) int { return x * g; } func spare() int { return 3; }`)
+	link(1)
+	units["lib.mc"] = compileNamed(t, "lib.mc", `var g int = 5; var h [3]int; func lib(x int) int { return x * g + h[1]; }`)
+	link(1) // spare is gone and the global segment is laid out again; nobody names either
+	again := *units["user.mc"]
+	if err := again.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	units["user.mc"] = &again // validated again: a new object to the Linker
+	link(1)
+	units["extra.mc"] = compileNamed(t, "extra.mc", `func extra(a int, b int) int { return a - b; }`)
+	link(1)
+	delete(units, "extra.mc")
+	link(0)
+	units["zz.mc"] = compileNamed(t, "zz.mc", `var last int = 9; func zz() int { return last; }`)
+	link(1)
+	delete(units, "zz.mc") // the last object's global leaves the segment
+	link(0)
+	units["early.mc"] = compileNamed(t, "early.mc", `func early(x int) int { return x - 1; }`)
+	link(1)
+	// lib now reaches early, which comes before it in layout: the call to
+	// lib in main, whose object is unchanged, is patched anew.
+	units["lib.mc"] = compileNamed(t, "lib.mc", `extern func early(x int) int; var g int = 5; var h [3]int; func lib(x int) int { return early(x) * g + h[1]; }`)
+	link(1)
+}
+
+// TestLinkerErrorsMatchLink: whatever a warm Linker is asked to link that
+// does not link, it refuses with the error Link gives, and after the fix it
+// links what Link links, having forgotten everything it knew.
+func TestLinkerErrorsMatchLink(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(t *testing.T, units map[string]*codegen.Object)
+		want string
+	}{
+		{"changed unit calls an undefined function", func(t *testing.T, units map[string]*codegen.Object) {
+			units["main.mc"] = compileNamed(t, "main.mc", `extern func lib(x int) int; extern func gone() int; func main() int { return lib(1) + gone(); }`)
+		}, "link: undefined function gone (called from main in unit main.mc)"},
+		{"callee's arity changes under an unchanged caller", func(t *testing.T, units map[string]*codegen.Object) {
+			units["lib.mc"] = compileNamed(t, "lib.mc", `var g int = 5; func lib(x int, y int) int { return x + y + g; } func spare() int { return 2; }`)
+		}, "link: main calls lib with 1 args, want 2"},
+		{"global used by an unchanged unit is removed", func(t *testing.T, units map[string]*codegen.Object) {
+			units["lib.mc"] = compileNamed(t, "lib.mc", `func lib(x int) int { return x; } func spare() int { return 2; }`)
+		}, "link: undefined global g (used by use in unit user.mc)"},
+		{"duplicate function across units", func(t *testing.T, units map[string]*codegen.Object) {
+			units["dup.mc"] = compileNamed(t, "dup.mc", `func spare() int { return 4; }`)
+		}, "link: duplicate function spare (unit lib.mc)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			units := linkerUnits(t)
+			var l codegen.Linker
+			if _, err := l.Link(objectList(units)); err != nil {
+				t.Fatal(err)
+			}
+			good := objectList(units)
+			tc.edit(t, units)
+			bad := objectList(units)
+			_, want := codegen.Link(bad)
+			if want == nil || want.Error() != tc.want {
+				t.Fatalf("Link: %v, want %q", want, tc.want)
+			}
+			if _, err := l.Link(bad); err == nil || err.Error() != want.Error() {
+				t.Fatalf("warm Linker: %v, want %q", err, want)
+			}
+			got, err := l.Link(good)
+			if err != nil {
+				t.Fatalf("after the fix: %v", err)
+			}
+			if wantProg, _ := codegen.Link(good); !reflect.DeepEqual(got, wantProg) {
+				t.Errorf("after the fix the warm Linker links another program")
+			}
+			if l.Checked() != len(good) {
+				t.Errorf("after a failed link the Linker checked %d objects, want all %d", l.Checked(), len(good))
+			}
+		})
+	}
+}

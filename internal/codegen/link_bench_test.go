@@ -1,6 +1,7 @@
 package codegen_test
 
 import (
+	"slices"
 	"testing"
 
 	"statefulcc/internal/codegen"
@@ -41,6 +42,40 @@ func BenchmarkLinkMega(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkLinkMegaTwoChanged is the link of a resident builder's 2-unit
+// build: one warm Linker relinks the megarepo with two objects replaced every
+// time (by copies validated again, which a Linker takes for new objects), so
+// each link checks those two and emits what main reaches.
+func BenchmarkLinkMegaTwoChanged(b *testing.B) {
+	objs := megaObjects(b)
+	edited := slices.Clone(objs)
+	for _, i := range []int{1, len(objs) - 2} {
+		o := *objs[i]
+		if err := o.Validate(); err != nil {
+			b.Fatal(err)
+		}
+		edited[i] = &o
+	}
+	var l codegen.Linker
+	if _, err := l.Link(objs); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	checked := 0
+	for i := 0; i < b.N; i++ {
+		in := edited
+		if i%2 == 1 {
+			in = objs
+		}
+		if _, err := l.Link(in); err != nil {
+			b.Fatal(err)
+		}
+		checked += l.Checked()
+	}
+	b.ReportMetric(float64(checked)/float64(b.N), "checked/op")
 }
 
 // BenchmarkValidateMega is what a build that compiles (or fetches) every unit

@@ -23,8 +23,10 @@
 // build appends one line to, and the segment that was active before it
 // (OlderPath). An append reads the end of the active segment and decodes its
 // last line — whose Seq it continues — and nothing else, so it costs the same
-// on a file of any length and in a process that has never seen the file; when
-// that line ends a full segment (a Seq that is a multiple of Limit, default
+// on a file of any length and in a process that has never seen the file. An
+// Appender that finds the segment as its own last append left it, by one
+// Stat, reads nothing and continues the Seq it wrote. When the last line ends
+// a full segment (a Seq that is a multiple of Limit, default
 // DefaultLimit) the segment is renamed over the older one and the append
 // starts the next. Readers read both files. A torn trailing line from a
 // crashed append is dropped on the next read and repaired by the next append,
@@ -466,7 +468,48 @@ func Append(path string, rec *Record, limit int) error {
 }
 
 // AppendFS is Append through an injectable filesystem (nil means the real
-// one).
+// one): the append of an Appender that remembers nothing.
+func AppendFS(fsys vfs.FS, path string, rec *Record, limit int) error {
+	return NewAppender(fsys, path, limit, nil).Append(rec)
+}
+
+// Appender appends records to the history whose active segment is at one
+// path, and remembers what its own last append left there: the file, its
+// size and modification time after the write, and the Seq written. A builder
+// holds one for its life, so that an append to a segment nobody else touched
+// since reads nothing (see Append).
+type Appender struct {
+	fs        vfs.FS
+	path      string
+	limit     int
+	tailReads *obs.Counter
+	// last is the segment as the last append left it (nil: nothing is
+	// remembered), seq the Seq that append wrote.
+	last fs.FileInfo
+	seq  int
+}
+
+// NewAppender returns an Appender of the history whose active segment is at
+// path, through fsys (nil means the real filesystem), keeping at least the
+// newest limit records (DefaultLimit when limit <= 0). tailReads, when not
+// nil, counts the appends that read the end of the segment.
+func NewAppender(fsys vfs.FS, path string, limit int, tailReads *obs.Counter) *Appender {
+	if limit <= 0 {
+		limit = DefaultLimit
+	}
+	return &Appender{fs: vfs.Default(fsys), path: path, limit: limit, tailReads: tailReads}
+}
+
+// Append writes rec to the history, assigning the next Seq.
+//
+// When the appender remembers its last append, and one Stat finds the
+// segment the file it wrote, of the size and modification time that write
+// left, and no rotation is due (its Seq is not a multiple of the limit), the
+// record is numbered after the remembered Seq and written: one O_APPEND
+// write, nothing read. After every write a Stat refreshes the memory, which
+// is kept only when the segment is still the file the append wrote to and
+// grew by exactly the new line; a foreign writer in between drops it. Any
+// mismatch, and the first append, take the full path below.
 //
 // What is read: the end of the active segment — one chunk, more only when
 // its last line is longer — and of that the last line is decoded, the way
@@ -509,54 +552,75 @@ func Append(path string, rec *Record, limit int) error {
 // rotate; a crash after it leaves the older segment alone, which holds limit
 // records and the Seq the next append continues from. A short write or a
 // failing Close on the O_APPEND handle, which can silently drop a buffered
-// record, is detected too. Callers that treat the recorder as advisory (the
-// build system) surface the error as a warning and a counter rather than
-// dropping it on the floor.
-func AppendFS(fsys vfs.FS, path string, rec *Record, limit int) error {
-	fsys = vfs.Default(fsys)
-	if limit <= 0 {
-		limit = DefaultLimit
+// record, is detected too. The Stat after the write is not a failure of the
+// append — the record is written — and only drops the memory. Callers that
+// treat the recorder as advisory (the build system) surface the error as a
+// warning and a counter rather than dropping it on the floor.
+func (a *Appender) Append(rec *Record) error {
+	last := a.last
+	a.last = nil // what this append leaves, write remembers
+	if last != nil && a.seq%a.limit != 0 {
+		fi, err := a.fs.Stat(a.path)
+		if err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("history: %w", err)
+		}
+		if err == nil && os.SameFile(last, fi) && fi.Size() == last.Size() && fi.ModTime().Equal(last.ModTime()) {
+			return a.write(rec, a.seq, last)
+		}
 	}
-	if err := fsys.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	if err := a.fs.MkdirAll(filepath.Dir(a.path), 0o755); err != nil {
 		return fmt.Errorf("history: %w", err)
 	}
 
-	end, err := readEnd(fsys, path)
+	a.tailReads.Inc()
+	end, err := readEnd(a.fs, a.path)
 	for wait := tornTailWait; err == nil && end.torn && wait <= 100*tornTailWait; wait *= 10 {
 		time.Sleep(wait)
-		end, err = readEnd(fsys, path)
+		end, err = readEnd(a.fs, a.path)
 	}
 	if err != nil {
 		return fmt.Errorf("history: %w", err)
 	}
 	if !end.whole {
-		if err := repair(fsys, path); err != nil {
+		if err := repair(a.fs, a.path); err != nil {
 			return fmt.Errorf("history: %w", err)
 		}
-		if end, err = readEnd(fsys, path); err != nil {
+		if end, err = readEnd(a.fs, a.path); err != nil {
 			return fmt.Errorf("history: %w", err)
 		}
 		if !end.whole {
-			return fmt.Errorf("history: %s does not end in a whole record after its repair: another process is writing it", path)
+			return fmt.Errorf("history: %s does not end in a whole record after its repair: another process is writing it", a.path)
 		}
 	}
 	if end.file == nil || end.size == 0 {
-		if end.seq, err = olderSeq(fsys, path); err != nil {
+		if end.seq, err = olderSeq(a.fs, a.path); err != nil {
 			return err
 		}
-	} else if end.seq > 0 && end.seq%limit == 0 {
-		if err := rotate(fsys, path, end.file, limit); err != nil {
+	} else if end.seq > 0 && end.seq%a.limit == 0 {
+		rotated, err := rotate(a.fs, a.path, end.file, a.limit)
+		if err != nil {
 			return fmt.Errorf("history: %w", err)
 		}
+		if rotated {
+			end.file = nil
+		}
 	}
-	rec.Seq = end.seq + 1
+	return a.write(rec, end.seq, end.file)
+}
+
+// write numbers rec after seq and appends its line to the segment, which the
+// caller found to be the file prev (nil: no file, or one it rotated away),
+// and remembers what the write left if the segment is prev grown by the line,
+// or a file holding the line alone.
+func (a *Appender) write(rec *Record, seq int, prev fs.FileInfo) error {
+	rec.Seq = seq + 1
 	line, err := rec.Encode()
 	if err != nil {
 		return fmt.Errorf("history: %w", err)
 	}
 	line = append(line, '\n')
 
-	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := a.fs.OpenFile(a.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("history: %w", err)
 	}
@@ -571,6 +635,14 @@ func AppendFS(fsys vfs.FS, path string, rec *Record, limit int) error {
 	}
 	if werr != nil {
 		return fmt.Errorf("history: %w", werr)
+	}
+
+	want := int64(len(line))
+	if prev != nil {
+		want += prev.Size()
+	}
+	if fi, err := a.fs.Stat(a.path); err == nil && fi.Size() == want && (prev == nil || os.SameFile(prev, fi)) {
+		a.last, a.seq = fi, rec.Seq
 	}
 	return nil
 }
@@ -662,23 +734,23 @@ func olderSeq(fsys vfs.FS, path string) (int, error) {
 // append otherwise never does, once in limit appends. Nothing is renamed
 // either when another process holds the rotation lock — it is rotating this
 // segment now — or when the file at path is no longer the one the caller saw:
-// it has been rotated since.
-func rotate(fsys vfs.FS, path string, active fs.FileInfo, limit int) error {
+// it has been rotated since. It reports whether it renamed the segment.
+func rotate(fsys vfs.FS, path string, active fs.FileInfo, limit int) (bool, error) {
 	unlock, ok := lockRotation(filepath.Dir(path))
 	if !ok {
-		return nil
+		return false, nil
 	}
 	defer unlock()
 	now, err := fsys.Stat(path)
 	if os.IsNotExist(err) || err == nil && !os.SameFile(active, now) {
-		return nil
+		return false, nil
 	}
 	if err != nil {
-		return err
+		return false, err
 	}
 	f, err := fsys.Open(path)
 	if err != nil {
-		return err
+		return false, err
 	}
 	lines, chunk := 0, make([]byte, tailChunk)
 	for err == nil {
@@ -688,12 +760,15 @@ func rotate(fsys vfs.FS, path string, active fs.FileInfo, limit int) error {
 	}
 	f.Close()
 	if err != io.EOF {
-		return err
+		return false, err
 	}
 	if lines < limit {
-		return nil
+		return false, nil
 	}
-	return fsys.Rename(path, OlderPath(path))
+	if err := fsys.Rename(path, OlderPath(path)); err != nil {
+		return false, err
+	}
+	return true, nil
 }
 
 // repair replaces an active segment that does not end in a whole record with

@@ -69,6 +69,13 @@ const (
 	// is compared instead, so a resident no-edit build reads 0. A work
 	// counter, deterministic for a given snapshot history.
 	CtrSourceBytesHashed = "build.source_bytes_hashed"
+	// build.link_objects_checked counts the objects whose call and
+	// global-address sites the link resolved: every object on a builder's
+	// first link, after that the objects that changed and those naming a
+	// function or global that moved (codegen.Linker), so a resident no-edit
+	// build reads 0. A work counter, deterministic for a given snapshot
+	// history.
+	CtrLinkObjectsChecked = "build.link_objects_checked"
 
 	// Adversity counters: pass panics converted to unit diagnostics,
 	// builds abandoned by cancellation/deadline, and quarantine
@@ -114,6 +121,13 @@ const (
 	// `minibuild serve` exports them so operators can alert on them.
 	CtrStateIOErrors   = "state.io_error"
 	CtrHistoryIOErrors = "history.io_error"
+
+	// history.tail_reads counts the flight-recorder appends that read the end
+	// of the history's active segment: a builder's first append, and any
+	// append that does not find the segment as its own last append left it
+	// (history.Appender). A work counter, deterministic for a given build
+	// sequence; like history.io_error it lands after the build's snapshot.
+	CtrHistoryTailReads = "history.tail_reads"
 
 	// Worker-pool counters.
 	CtrWorkerBusyNS = "worker.busy_ns"
