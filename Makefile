@@ -147,23 +147,23 @@ footprint-guard:
 # cas-battery is the shared cache's correctness gate (docs/ARCHITECTURE.md):
 # the two-client differential battery (cold client B must match the
 # stateless oracle at every commit with zero local compiles), the poisoned
-# store walk, the 16-builder coalescing fleet under the race detector, and
-# the chaos fault walk over every CAS I/O point.
+# store walk, the 16-builder cold fleet under the race detector, and the
+# chaos fault walk over every CAS I/O point.
 cas-battery:
 	$(GO) test -race -timeout 15m -count=1 ./internal/cas
 
 # net-chaos is the network-adversity gate (docs/ROBUSTNESS.md): the
 # partition battery (every recorded client↔server exchange × every fault
 # kind must still yield oracle-identical builds within the deadline
-# budgets), the breaker lifecycle and retry-taxonomy proofs, hedged
-# fetches, crash-restart recovery, and the daemon's slow-loris / body-limit
-# / drain-wakes-leases defenses — all under the race detector.
+# budgets), the breaker lifecycle and retry-taxonomy proofs, crash-restart
+# recovery from the startup scan, and the daemon's slow-loris / body-limit
+# defenses — all under the race detector.
 net-chaos:
 	$(GO) test -race -timeout 15m -count=1 \
-		-run 'TestPartitionBattery|TestBreaker|TestHTTPCAS|TestFaultTransport|TestServeRestart|TestRecoverTorn|TestExpireStale|TestDrainLeases' \
+		-run 'TestPartitionBattery|TestBreaker|TestHTTPCAS|TestFaultTransport|TestServeRestart|TestRecoverTorn' \
 		./internal/cas
 	$(GO) test -race -timeout 15m -count=1 \
-		-run 'TestServeSlowLoris|TestServeCASBodyLimit|TestServeDrainWakes' ./cmd/minibuild
+		-run 'TestServeSlowLoris|TestServeCASBodyLimit' ./cmd/minibuild
 
 # smoke is the flight-recorder end-to-end check: cold build, comment-only
 # edit, incremental rebuild, then gate on the recorded history — regress

@@ -293,16 +293,9 @@ func dashStatus(sb *strings.Builder, rec *history.Record) {
 		fmt.Fprintf(sb, `<tr><td>breaker trips / probes / recoveries</td><td class="%s">%d / %d / %d</td></tr>`,
 			cls, trips, m[obs.CtrCASBreakerProbes], m[obs.CtrCASBreakerRecovered])
 	}
-	if hedged := m[obs.CtrCASHedged]; hedged > 0 {
-		fmt.Fprintf(sb, `<tr><td>hedged fetches issued / won</td><td>%d / %d</td></tr>`,
-			hedged, m[obs.CtrCASHedgeWins])
-	}
 	if rec, orph := m[obs.CtrCASRecoveredRefs], m[obs.CtrCASRecoveredOrphans]; rec+orph > 0 {
-		fmt.Fprintf(sb, `<tr><td>restart recovery: refs rebuilt / orphans dropped</td><td>%d / %d</td></tr>`,
+		fmt.Fprintf(sb, `<tr><td>startup scan: blobs accounted / temp files swept</td><td>%d / %d</td></tr>`,
 			rec, orph)
-	}
-	if exp := m[obs.CtrCASLeaseExpired]; exp > 0 {
-		fmt.Fprintf(sb, `<tr><td>coalescing leases expired</td><td class="warn">%d</td></tr>`, exp)
 	}
 	sb.WriteString("</table>")
 }

@@ -124,9 +124,7 @@ func runBuild(args []string) error {
 	footprintOn := fs.Bool("footprint", false, "trace each unit's dependency footprint and cross-check cache decisions against it (see docs/ROBUSTNESS.md and `minibuild deps`)")
 	enforce := fs.Bool("enforce-footprint", false, "always-correct mode: the traced footprint overrides the declared content hash (implies -footprint)")
 	casURL := fs.String("cas", "", "shared-cache base URL (a `minibuild serve -cas-serve` instance, e.g. http://127.0.0.1:8377): fetch verified objects by content hash and publish local compiles back")
-	casTenant := fs.String("cas-tenant", "", "shared-cache tenant namespace (default \"default\")")
 	casBudget := fs.Duration("cas-budget", 0, "per-fetch shared-cache deadline budget, retries included (default 10s); a stalled or partitioned backend costs at most this per operation before the build compiles locally")
-	casHedge := fs.Duration("cas-hedge", 0, "issue a hedged duplicate shared-cache read if the first has not answered within this duration (0 = off; see docs/ROBUSTNESS.md)")
 	var export obs.CLIExport
 	export.Register(fs)
 	if err := fs.Parse(args); err != nil {
@@ -169,12 +167,9 @@ func runBuild(args []string) error {
 
 	var casStore cas.Store
 	if *casURL != "" {
-		casStore = cas.NewHTTPCASOpts(*casURL, *casTenant, cas.HTTPOptions{
-			FetchBudget: *casBudget,
-			HedgeAfter:  *casHedge,
-		})
-	} else if *casTenant != "" || *casBudget != 0 || *casHedge != 0 {
-		return fmt.Errorf("-cas-tenant/-cas-budget/-cas-hedge require -cas")
+		casStore = cas.NewHTTPCASOpts(*casURL, "", cas.HTTPOptions{FetchBudget: *casBudget})
+	} else if *casBudget != 0 {
+		return fmt.Errorf("-cas-budget requires -cas")
 	}
 
 	builder, err := buildsys.NewBuilder(buildsys.Options{

@@ -3,13 +3,11 @@ package main
 // Daemon-level network adversity: the production http.Server config must
 // bound a slow-loris client without disturbing healthy /cas/ traffic, the
 // per-request body limit must refuse oversized uploads with 413 (counted
-// as cas.body_rejected), and a drain must wake blocked lease long-polls
-// immediately instead of holding shutdown open for a grace window.
+// as cas.body_rejected).
 
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -84,7 +82,6 @@ func TestServeSlowLorisBounded(t *testing.T) {
 	// Healthy traffic flows while the loris dangles: a miss probe answers
 	// 404 promptly.
 	req, _ := http.NewRequest(http.MethodGet, base+"/cas/blob/"+cas.Sum([]byte("absent")).String(), nil)
-	req.Header.Set(cas.TenantHeader, "probe")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatalf("healthy request failed while the loris dangled: %v", err)
@@ -130,7 +127,6 @@ func TestServeCASBodyLimit(t *testing.T) {
 		t.Helper()
 		req, _ := http.NewRequest(http.MethodPut,
 			base+"/cas/blob/"+cas.Sum(data).String(), bytes.NewReader(data))
-		req.Header.Set(cas.TenantHeader, "limit-test")
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatalf("PUT: %v", err)
@@ -158,79 +154,5 @@ func TestServeCASBodyLimit(t *testing.T) {
 	resp.Body.Close()
 	if !strings.Contains(string(body), "cas_body_rejected") {
 		t.Fatal("/metrics does not export the body-rejection counter")
-	}
-}
-
-// TestServeDrainWakesLeaseWaiters: a lease long-poll blocked on another
-// client's compile cannot hold shutdown open — the drain wakes it (wire
-// verdict "retry": compile locally) and the loop exits promptly even
-// though the lease grace is an hour.
-func TestServeDrainWakesLeaseWaiters(t *testing.T) {
-	srv := newCASServeServer(t, serveConfig{casGrace: time.Hour, drainGrace: 50 * time.Millisecond})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- serveLoop(ctx, srv, ln, time.Hour, io.Discard) }()
-	base := "http://" + ln.Addr().String()
-	action := cas.Sum([]byte("drained action")).String()
-
-	lease := func(tenant string) (string, error) {
-		req, _ := http.NewRequest(http.MethodPost, base+"/cas/lease/"+action, nil)
-		req.Header.Set(cas.TenantHeader, tenant)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			return "", err
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			return "", fmt.Errorf("lease: status %d: %s", resp.StatusCode, body)
-		}
-		return strings.TrimSpace(string(body)), nil
-	}
-
-	// First client becomes the leader (and never publishes — it "died").
-	verdict, err := lease("client-a")
-	if err != nil || verdict != "leader" {
-		t.Fatalf("first lease: verdict=%q err=%v, want leader", verdict, err)
-	}
-	// Second client blocks as a waiter.
-	waiter := make(chan string, 1)
-	go func() {
-		v, werr := lease("client-b")
-		if werr != nil {
-			v = "error: " + werr.Error()
-		}
-		waiter <- v
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.casSrv.LeaseWaiters() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if srv.casSrv.LeaseWaiters() == 0 {
-		t.Fatal("the second lease never joined the flight as a waiter")
-	}
-
-	// Drain. The waiter must wake with "retry" and the loop must exit well
-	// inside the hour-long grace.
-	cancel()
-	select {
-	case v := <-waiter:
-		if v != "retry" {
-			t.Fatalf("drained lease waiter got %q, want \"retry\"", v)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("lease waiter still blocked after the drain")
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("serveLoop: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("serveLoop did not exit after the drain")
 	}
 }

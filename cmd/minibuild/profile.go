@@ -264,10 +264,9 @@ func renderProfile(w io.Writer, rec *history.Record, tl *obs.Timeline, cp *obs.C
 	// degraded path cost and how the breaker behaved (docs/ROBUSTNESS.md).
 	m := rec.Metrics
 	if m[obs.CtrCASNetErrors]+m[obs.CtrCASRetries]+m[obs.CtrCASBreakerOpen]+
-		m[obs.CtrCASBreakerTrips]+m[obs.CtrCASHedged] > 0 {
+		m[obs.CtrCASBreakerTrips] > 0 {
 		fmt.Fprintf(w, "\nshared-cache network adversity:\n")
-		fmt.Fprintf(w, "  net errors %d, retries %d, hedged %d (won %d)\n",
-			m[obs.CtrCASNetErrors], m[obs.CtrCASRetries], m[obs.CtrCASHedged], m[obs.CtrCASHedgeWins])
+		fmt.Fprintf(w, "  net errors %d, retries %d\n", m[obs.CtrCASNetErrors], m[obs.CtrCASRetries])
 		fmt.Fprintf(w, "  breaker: %d fast-fails while open, %d trips, %d probes, %d recoveries\n",
 			m[obs.CtrCASBreakerOpen], m[obs.CtrCASBreakerTrips],
 			m[obs.CtrCASBreakerProbes], m[obs.CtrCASBreakerRecovered])

@@ -64,9 +64,8 @@ func runServe(args []string) error {
 	interval := fs.Duration("interval", 500*time.Millisecond, "project poll interval")
 	limit := fs.Int("history-limit", history.DefaultLimit, "flight-recorder records per segment file (the newest that many are kept at least)")
 	audit := fs.Float64("audit", 0, "soundness-sentinel audit rate in [0,1]: probability a would-be-skipped pass executes anyway for verification")
-	casServe := fs.Bool("cas-serve", false, "host the shared content-addressed cache under /cas/ (multi-tenant, on-disk under the cache directory; see docs/ARCHITECTURE.md)")
-	casQuota := fs.Int64("cas-quota", 256<<20, "per-tenant shared-cache byte quota (LRU eviction past it; 0 = unbounded)")
-	casGrace := fs.Duration("cas-lease-grace", 5*time.Second, "coalescing lease grace: how long a build waits on another client's in-flight compile of the same unit")
+	casServe := fs.Bool("cas-serve", false, "host the shared content-addressed cache under /cas/ (on-disk under the cache directory; see docs/ARCHITECTURE.md)")
+	casQuota := fs.Int64("cas-quota", 256<<20, "shared-cache byte bound over all stored blobs (LRU eviction past it; 0 = unbounded)")
 	casMaxBody := fs.Int64("cas-max-body", 64<<20, "per-request /cas/ upload body limit in bytes (over-limit uploads get 413 and count cas.body_rejected)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -78,8 +77,7 @@ func runServe(args []string) error {
 	srv, err := newBuildServerCfg(serveConfig{
 		dir: *dir, cache: *cache, mode: *mode,
 		jobs: *jobs, histLimit: *limit, auditRate: *audit,
-		casServe: *casServe, casQuota: *casQuota, casGrace: *casGrace,
-		casMaxBody: *casMaxBody,
+		casServe: *casServe, casQuota: *casQuota, casMaxBody: *casMaxBody,
 	})
 	if err != nil {
 		return err
@@ -98,9 +96,7 @@ func runServe(args []string) error {
 // newHTTPServer wraps the daemon mux in an http.Server with read, write,
 // and idle timeouts: even a local daemon must not let a stuck or
 // malicious client pin a connection (or a half-sent request header or
-// body — slowloris) forever. The write timeout comfortably exceeds the
-// lease long-poll grace so coalescing waiters are bounded by their own
-// deadline, not cut off by the transport's.
+// body — slowloris) forever.
 func newHTTPServer(h http.Handler) *http.Server {
 	return &http.Server{
 		Handler:           h,
@@ -142,12 +138,6 @@ func serveLoop(ctx context.Context, srv *buildServer, ln net.Listener, interval 
 			case <-ctx.Done():
 				return
 			case <-t.C:
-				if srv.casSrv != nil {
-					// Lease janitor: reap coalescing flights whose leader died
-					// without publishing or abandoning, so waiters across the
-					// fleet never block past the grace (cas.lease_expired).
-					srv.casSrv.ExpireStaleLeases()
-				}
 				if _, err := srv.pollOnce(buildCtx); err != nil {
 					fmt.Fprintf(os.Stderr, "minibuild serve: %v\n", err)
 				}
@@ -175,12 +165,6 @@ func serveLoop(ctx context.Context, srv *buildServer, ln net.Listener, interval 
 		case <-time.After(srv.drainGrace):
 			buildCancel()
 			<-idle
-		}
-		if srv.casSrv != nil {
-			// Wake every lease long-poll before Shutdown: a waiter blocked on
-			// another client's compile would otherwise hold the graceful drain
-			// open for its whole grace window.
-			srv.casSrv.DrainLeases()
 		}
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), httpShutdownGrace)
 		defer cancel()
@@ -234,12 +218,10 @@ type serveConfig struct {
 	drainGrace       time.Duration // 0 means defaultDrainGrace
 
 	// Shared-cache hosting (-cas-serve): mount /cas/ over a DiskCAS under
-	// the cache directory, with per-tenant quotas and lease-based
-	// coalescing. The resident builder publishes through the same policy
-	// layer in-process (tenant "serve").
+	// the cache directory, held to a store-wide byte bound. The resident
+	// builder publishes through the same server in-process.
 	casServe   bool
 	casQuota   int64
-	casGrace   time.Duration
 	casMaxBody int64
 }
 
@@ -269,17 +251,15 @@ func newBuildServerCfg(cfg serveConfig) (*buildServer, error) {
 	var casSrv *cas.Server
 	var casStore cas.Store
 	if cfg.casServe {
-		// NewServer over a DiskCAS runs crash-restart recovery here: temp
-		// sweep, ref-marker reload, accounting rebuild (docs/ROBUSTNESS.md).
+		// NewServer over a DiskCAS runs the startup scan here: temp sweep,
+		// then the books from the blob tree (docs/ROBUSTNESS.md).
 		casSrv = cas.NewServer(cas.NewDiskCAS(casDir, nil), cas.ServerOptions{
-			TenantQuota:  cfg.casQuota,
-			LeaseGrace:   cfg.casGrace,
+			Quota:        cfg.casQuota,
 			MaxBodyBytes: cfg.casMaxBody,
 			Metrics:      obs.NewRegistry(),
 		})
-		// The resident builder shares through the same policy layer,
-		// in-process, under its own tenant namespace.
-		casStore = casSrv.Local("serve")
+		// The resident builder shares through the same server, in-process.
+		casStore = casSrv
 	}
 
 	b, err := buildsys.NewBuilder(buildsys.Options{

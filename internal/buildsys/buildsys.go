@@ -104,10 +104,9 @@ type Options struct {
 	// CAS, when set, is the shared content-addressed cache (internal/cas):
 	// units that miss the local object cache are fetched from it by action
 	// key — with every blob byte-verified before use — and honest local
-	// compiles publish their objects and dormancy state back. When the
-	// store also implements cas.Leaser, concurrent misses of the same
-	// action coalesce onto one compile. Advisory: every CAS failure
-	// degrades to a local recompile with a warning (see cas.go).
+	// compiles publish their objects and dormancy state back. Advisory:
+	// every CAS failure degrades to a local recompile with a warning (see
+	// cas.go).
 	CAS cas.Store
 }
 

@@ -14,14 +14,8 @@ package buildsys
 // build or fail one. A blob is accepted only if its bytes hash to its key
 // AND its header names the exact action and unit asked about, so neither a
 // poisoned blob nor a redirected action entry can ever be served.
-//
-// When the store also implements cas.Leaser (HTTPCAS against a serve
-// instance does), misses coalesce: one builder becomes the compile leader
-// and everyone else waits for its published result instead of compiling
-// the same unit N times across the fleet.
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -42,16 +36,13 @@ const casObjectDomain = "statefulcc/object"
 
 var casStateDomain = fmt.Sprintf("statefulcc/state/v%d", state.FormatVersion)
 
-// builderCAS is the builder's resolved shared-cache handle: the store, the
-// optional coalescing interface, and the pre-resolved client-side cas.*
-// counters.
+// builderCAS is the builder's resolved shared-cache handle: the store and
+// the pre-resolved client-side cas.* counters.
 type builderCAS struct {
-	store  cas.Store
-	leaser cas.Leaser
+	store cas.Store
 
 	hit, miss, verifyFailed *obs.Counter
-	coalesced, published    *obs.Counter
-	ioErrors                *obs.Counter
+	published, ioErrors     *obs.Counter
 	fetch                   *obs.Histogram
 }
 
@@ -66,16 +57,12 @@ func newBuilderCAS(store cas.Store, reg *obs.Registry) *builderCAS {
 		hit:          reg.Counter(obs.CtrCASHits),
 		miss:         reg.Counter(obs.CtrCASMisses),
 		verifyFailed: reg.Counter(obs.CtrCASVerifyFailed),
-		coalesced:    reg.Counter(obs.CtrCASCoalesced),
 		published:    reg.Counter(obs.CtrCASPublished),
 		ioErrors:     reg.Counter(obs.CtrCASIOErrors),
 		fetch:        reg.Histogram(obs.HistCASFetchNS),
 	}
-	if l, ok := store.(cas.Leaser); ok {
-		cc.leaser = l
-	}
 	// A network-backed store (HTTPCAS) counts its own wire adversity —
-	// retries, hedges, breaker transitions; binding it to the builder's
+	// retries, breaker transitions; binding it to the builder's
 	// registry lands those rows in /metrics and the flight recorder.
 	if m, ok := store.(interface{ SetMetrics(*obs.Registry) }); ok {
 		m.SetMetrics(reg)
@@ -95,23 +82,6 @@ func (b *Builder) objectAction(unit string, src []byte) cas.Key {
 func (b *Builder) stateAction(unit string, src []byte) cas.Key {
 	return cas.ActionKey(casStateDomain, core.StateVersion, cas.BlobFormatVersion,
 		b.opts.Mode.String(), b.opts.Pipeline, unit, src)
-}
-
-// heldLease is a coalescing leadership this worker must settle: publishing
-// (casPublish's ActionPut) completes it on the server; any failure path
-// abandons it so waiters fall back to compiling locally instead of
-// blocking out their grace period.
-type heldLease struct {
-	leaser cas.Leaser
-	action cas.Key
-}
-
-// abandon releases the lease (nil-safe; errors are irrelevant — the
-// server's grace timeout covers a lost abandon).
-func (l *heldLease) abandon() {
-	if l != nil {
-		_ = l.leaser.Abandon(l.action)
-	}
 }
 
 // errBlobHeader is a blob whose bytes match its key but whose header names
@@ -158,63 +128,29 @@ func (cc *builderCAS) put(kind int, action cas.Key, unit string, payload []byte)
 
 // casFetch tries to serve job j, whose object action key is action, from
 // the shared cache. It returns a remote-hit outcome, or nil to compile
-// locally — then with a non-nil lease if this worker won a coalescing
-// leadership (the caller must publish or abandon). Runs on a worker slot;
-// every failure degrades to (nil, nil) after counting and warning.
-func (b *Builder) casFetch(ctx context.Context, j compileJob, action cas.Key) (*outcome, *heldLease) {
+// locally. Runs on a worker slot; every failure degrades to nil after
+// counting and warning.
+func (b *Builder) casFetch(j compileJob, action cas.Key) *outcome {
 	cc := b.cas
 	start := time.Now()
-	coalesced := false
 	blobKey, err := cc.store.ActionGet(action)
 	if err != nil {
+		cc.miss.Inc()
 		switch {
 		case errors.Is(err, cas.ErrNotFound):
-			// A plain miss: try to coalesce with any concurrent compile of
-			// the same action before doing the work ourselves.
-			if cc.leaser == nil {
-				cc.miss.Inc()
-				return nil, nil
-			}
-			lr, lerr := cc.leaser.Lease(ctx, action)
-			if lerr != nil {
-				if !errors.Is(lerr, cas.ErrUnavailable) {
-					cc.ioErrors.Inc()
-				}
-				cc.miss.Inc()
-				b.warnf("cas: unit %s: lease: %v (compiling locally)", j.name, lerr)
-				return nil, nil
-			}
-			switch {
-			case lr.Leader:
-				cc.miss.Inc()
-				return nil, &heldLease{leaser: cc.leaser, action: action}
-			case lr.Found:
-				blobKey = lr.Blob
-				coalesced = true
-			default:
-				// Leader abandoned or the grace expired: compile locally
-				// (and publish, so late waiters still benefit).
-				cc.miss.Inc()
-				return nil, nil
-			}
 		case errors.Is(err, cas.ErrVerify):
 			cc.verifyFailed.Inc()
-			cc.miss.Inc()
 			b.warnf("cas: unit %s: poisoned action entry rejected (recompiling locally)", j.name)
-			return nil, nil
 		case errors.Is(err, cas.ErrUnavailable):
 			// Breaker open: the fast-fail was already charged to
 			// cas.breaker_open by the client — a miss here, not an io_error
 			// (nothing actually touched the wire).
-			cc.miss.Inc()
 			b.warnf("cas: backend unavailable (circuit open; compiling locally)")
-			return nil, nil
 		default:
 			cc.ioErrors.Inc()
-			cc.miss.Inc()
 			b.warnf("cas: unit %s: action lookup: %v (recompiling locally)", j.name, err)
-			return nil, nil
 		}
+		return nil
 	}
 	// The object is served only if it verifies and its payload decodes;
 	// any failure is a counted miss, never a served object.
@@ -242,12 +178,9 @@ func (b *Builder) casFetch(ctx context.Context, j compileJob, action cas.Key) (*
 	}
 	if obj == nil {
 		cc.miss.Inc()
-		return nil, nil
+		return nil
 	}
 	cc.hit.Inc()
-	if coalesced {
-		cc.coalesced.Inc()
-	}
 	cc.fetch.Observe(time.Since(start).Nanoseconds())
 	out := &outcome{remote: true, casObj: obj}
 	if b.statefulMode() {
@@ -258,7 +191,7 @@ func (b *Builder) casFetch(ctx context.Context, j compileJob, action cas.Key) (*
 			out.stateBytes = len(b.saveUnitState(j.name, st))
 		}
 	}
-	return out, nil
+	return out
 }
 
 // casFetchState fetches the unit's shared dormancy state (advisory: any
@@ -303,18 +236,13 @@ func (b *Builder) casFetchState(j compileJob) *core.UnitState {
 
 // casPublish shares a completed honest compile under its object action
 // key: the object blob always, the dormancy state (enc, the encoding its
-// local save made) when the stateful modes produced a clean one. The
-// object's ActionPut is what completes a held coalescing lease (waiters
-// wake with the result); every failure path abandons the lease instead so
-// waiters compile locally rather than waiting out the grace.
-func (b *Builder) casPublish(j compileJob, action cas.Key, res *compiler.UnitResult, enc []byte, lease *heldLease) {
+// local save made) when the stateful modes produced a clean one.
+func (b *Builder) casPublish(j compileJob, action cas.Key, res *compiler.UnitResult, enc []byte) {
 	if res.Object == nil {
-		lease.abandon()
 		return
 	}
 	if call, err := b.cas.put(cas.KindObject, action, j.name, cas.EncodeObject(res.Object)); err != nil {
 		b.warnf("cas: unit %s: publish%s: %v (result not shared)", j.name, call, err)
-		lease.abandon()
 		return
 	}
 	b.cas.published.Inc()

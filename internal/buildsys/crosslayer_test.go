@@ -43,7 +43,7 @@ func TestCrossLayerFaultPlan(t *testing.T) {
 	defer hs.Close()
 	stateDir := t.TempDir()
 	client := func(ft *cas.FaultTransport) cas.Store {
-		return cas.NewHTTPCASOpts(hs.URL, "plan", cas.HTTPOptions{
+		return cas.NewHTTPCASOpts(hs.URL, "", cas.HTTPOptions{
 			Transport: ft, Backoff: time.Millisecond, FetchBudget: 300 * time.Millisecond,
 		})
 	}

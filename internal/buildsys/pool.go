@@ -296,26 +296,20 @@ func (b *Builder) compileOne(ctx context.Context, w int, j compileJob) (out outc
 		return b.compileQuarantined(ctx, w, tr, j, prev)
 	}
 
-	// Shared cache: try a verified remote fetch before compiling; a miss
-	// may return a coalescing lease this worker must publish or abandon.
-	var lease *heldLease
+	// Shared cache: try a verified remote fetch before compiling.
 	var action cas.Key // hashed once: the fetch and the publish share it
 	if b.cas != nil {
 		action = b.objectAction(j.name, j.src)
-		remote, held := b.casFetch(ctx, j, action)
-		if remote != nil {
+		if remote := b.casFetch(j, action); remote != nil {
 			return *remote
 		}
-		lease = held
 	}
 
 	res, err, panicked, msg := safeCompile(ctx, c, j.name, j.src, prev)
 	if panicked {
-		lease.abandon()
 		return b.compileAfterPanic(ctx, w, tr, j, msg)
 	}
 	if err != nil {
-		lease.abandon()
 		return outcome{err: err}
 	}
 	fp := b.finishTrace(tr, j, res)
@@ -326,7 +320,7 @@ func (b *Builder) compileOne(ctx context.Context, w int, j compileJob) (out outc
 		enc = b.saveUnitState(j.name, res.State)
 	}
 	if b.cas != nil {
-		b.casPublish(j, action, res, enc, lease)
+		b.casPublish(j, action, res, enc)
 	}
 	return outcome{res: res, fp: fp, stateBytes: len(enc)}
 }

@@ -1,8 +1,8 @@
 package cas_test
 
 // The multi-client differential battery — the shared cache's acceptance
-// proof. Two independent stateful builders (separate state dirs, separate
-// tenants) share one CAS over real HTTP. Client A builds each commit first
+// proof. Two independent stateful builders (separate state dirs) share one
+// CAS over real HTTP. Client A builds each commit first
 // and publishes; client B must then build the same commit with ZERO local
 // compiles — everything served from the shared cache or its own warm state
 // — and its linked output must be byte-identical (by disassembly) to a
@@ -27,13 +27,13 @@ import (
 )
 
 // casClient builds a stateful builder wired to the shared cache at url
-// under its own tenant namespace and its own private state directory.
-func casClient(t *testing.T, url, tenant string) *buildsys.Builder {
+// with its own private state directory.
+func casClient(t *testing.T, url string) *buildsys.Builder {
 	t.Helper()
 	b, err := buildsys.NewBuilder(buildsys.Options{
 		Mode:     compiler.ModeStateful,
 		StateDir: t.TempDir(),
-		CAS:      cas.NewHTTPCAS(url, tenant),
+		CAS:      cas.NewHTTPCAS(url, ""),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -61,8 +61,8 @@ func TestTwoClientBattery(t *testing.T) {
 				hs := httptest.NewServer(srv.Handler())
 				defer hs.Close()
 
-				clientA := casClient(t, hs.URL, "client-a")
-				clientB := casClient(t, hs.URL, "client-b")
+				clientA := casClient(t, hs.URL)
+				clientB := casClient(t, hs.URL)
 
 				oracletest.Walk(t, stream, oracletest.Reference(t, nil, stream...),
 					oracletest.Candidate{Name: "client A", Build: oracletest.Resident(clientA)},
@@ -121,7 +121,7 @@ func TestPoisonedBlobNeverServed(t *testing.T) {
 	// Stateless publishers/consumers: exactly one object blob per unit, no
 	// state blobs, so the bookkeeping below is exact.
 	a, err := buildsys.NewBuilder(buildsys.Options{
-		Mode: compiler.ModeStateless, CAS: cas.NewHTTPCAS(hs.URL, "client-a"),
+		Mode: compiler.ModeStateless, CAS: cas.NewHTTPCAS(hs.URL, ""),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestPoisonedBlobNeverServed(t *testing.T) {
 	}
 
 	b, err := buildsys.NewBuilder(buildsys.Options{
-		Mode: compiler.ModeStateless, CAS: cas.NewHTTPCAS(hs.URL, "client-b"),
+		Mode: compiler.ModeStateless, CAS: cas.NewHTTPCAS(hs.URL, ""),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +175,7 @@ func TestPoisonedBlobNeverServed(t *testing.T) {
 	// The store self-healed (poisoned blobs dropped on first verify) and B
 	// republished honest objects: a third client now gets clean remote hits.
 	c, err := buildsys.NewBuilder(buildsys.Options{
-		Mode: compiler.ModeStateless, CAS: cas.NewHTTPCAS(hs.URL, "client-c"),
+		Mode: compiler.ModeStateless, CAS: cas.NewHTTPCAS(hs.URL, ""),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,6 @@
 // Package cas is the content-addressed artifact store under the shared
 // build cache: compiled unit objects and per-unit dormancy records keyed
-// by content hash, shared between builder processes, machines, and tenants
+// by content hash, shared between builder processes and machines
 // (docs/ARCHITECTURE.md).
 //
 // Two namespaces:
@@ -23,12 +23,12 @@
 // Backends: DiskCAS (sharded objects/ab/<key> layout, atomic
 // fsync-before-rename writes through the vfs seam), MemCAS (bounded LRU,
 // tests and hot tier), HTTPCAS (client for the `minibuild serve` /cas/
-// endpoints, with retry/backoff). Server adds multi-tenant namespaces with
-// byte quotas, LRU eviction, and request coalescing.
+// endpoints, with deadline budgets, retries and a circuit breaker). Server
+// is the Store a serve instance hosts: one namespace over one backing store,
+// held to a store-wide byte bound by LRU eviction.
 package cas
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -163,8 +163,8 @@ var (
 	// miss (recompile), never serve the bytes, and count it
 	// (cas.verify_failed).
 	ErrVerify = errors.New("cas: verification failed")
-	// ErrQuota: the write was refused because it cannot fit the namespace's
-	// byte quota even after eviction.
+	// ErrQuota: the write was refused because it cannot fit the store's
+	// byte bound even after eviction.
 	ErrQuota = errors.New("cas: quota exceeded")
 	// ErrUnavailable: the backend is temporarily unreachable and the client
 	// declined to wait — the circuit breaker is open, or every admitted
@@ -198,30 +198,4 @@ type Store interface {
 	// ActionPut records action → blob. Last writer wins; entries are tiny
 	// and advisory (the blob header is what clients trust).
 	ActionPut(action, blob Key) error
-}
-
-// Leaser is the optional coalescing interface a Store may implement
-// (HTTPCAS does, against a serve instance): N concurrent builders of the
-// same action elect one compile leader, and everyone else waits for the
-// leader's published result instead of compiling the same unit N times.
-type Leaser interface {
-	// Lease coalesces one action. The first caller becomes the leader
-	// (Leader true) and MUST either publish the action (ActionPut) or
-	// Abandon it; every other caller blocks until the action publishes
-	// (Found true, Blob set), the leader abandons, the server's lease
-	// grace expires, or ctx is cancelled (Found false — compile locally).
-	Lease(ctx context.Context, action Key) (LeaseResult, error)
-	// Abandon releases a held lease without publishing, waking waiters so
-	// they fall back to compiling locally.
-	Abandon(action Key) error
-}
-
-// LeaseResult is one Lease call's verdict.
-type LeaseResult struct {
-	// Leader: this caller compiles (and must publish or abandon).
-	Leader bool
-	// Found: a waiter was handed the published result.
-	Found bool
-	// Blob is the published result's blob key (valid when Found).
-	Blob Key
 }

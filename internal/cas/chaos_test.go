@@ -171,7 +171,7 @@ func TestChaosCASTransportDegrades(t *testing.T) {
 	}))
 	defer hs.Close()
 
-	b := casChaosBuilder(t, cas.NewHTTPCAS(hs.URL, "chaos"))
+	b := casChaosBuilder(t, cas.NewHTTPCAS(hs.URL, ""))
 	rep, err := b.Build(snap)
 	if err != nil {
 		t.Fatalf("build failed against a broken cache server: %v", err)

@@ -169,138 +169,49 @@ func (d *DiskCAS) writeAtomic(path string, data []byte) error {
 	return nil
 }
 
-// SweepTemp removes leftover temp files from crashed writers under every
-// namespace — objects, actions, and the tenant ref-marker tree. Best
-// effort; returns the number removed. cas.Server runs it automatically at
-// startup so a crash mid-publish cannot accumulate temp files unbounded.
+// SweepTemp removes the temp files crashed writers left in the objects
+// and actions shards. Best effort; returns the number removed. cas.Server
+// runs it at startup so a crash mid-publish cannot accumulate temp files
+// unbounded.
 func (d *DiskCAS) SweepTemp() int {
 	removed := 0
-	for _, ns := range []string{"objects", "actions", "tenants"} {
-		removed += d.sweepDir(filepath.Join(d.root, ns))
-	}
-	return removed
-}
-
-// sweepDir recursively removes TempPattern files under dir (the tree is
-// at most three levels deep: tenants/<tenant>/<shard>/<file>).
-func (d *DiskCAS) sweepDir(dir string) int {
-	entries, err := d.fs.ReadDir(dir)
-	if err != nil {
-		return 0
-	}
-	removed := 0
-	for _, e := range entries {
-		name := filepath.Join(dir, e.Name())
-		if e.IsDir() {
-			removed += d.sweepDir(name)
-			continue
-		}
-		if ok, _ := filepath.Match(TempPattern, e.Name()); ok {
-			if d.fs.Remove(name) == nil {
+	for _, ns := range []string{"objects", "actions"} {
+		d.eachShardFile(ns, func(dir, name string) {
+			if ok, _ := filepath.Match(TempPattern, name); ok && d.fs.Remove(filepath.Join(dir, name)) == nil {
 				removed++
 			}
-		}
+		})
 	}
 	return removed
 }
 
-// Tenant reference markers: the durable half of cas.Server's per-tenant
-// accounting. A marker at
-//
-//	<root>/tenants/<tenant>/<shard>/<key>
-//
-// holds the blob's size in decimal and means "this tenant references this
-// blob". Markers are written atomically before the blob publishes and
-// removed after eviction drops the reference, so at any crash point the
-// marker tree is a superset-or-equal of the truth — startup recovery
-// (Server.recover) cross-validates every marker against the blob tree,
-// drops markers whose blob vanished, and deletes blobs no marker
-// references. The rebuilt accounting therefore always matches a
-// from-scratch scan.
-
-func (d *DiskCAS) refPath(tenant string, key Key) string {
-	return filepath.Join(d.root, "tenants", tenant, key.Shard(), key.String())
-}
-
-// WriteTenantRef durably records that tenant references key (size bytes).
-// Idempotent: re-writing an existing marker rewrites the same content.
-func (d *DiskCAS) WriteTenantRef(tenant string, key Key, size int64) error {
-	return d.writeAtomic(d.refPath(tenant, key), []byte(fmt.Sprintf("%d\n", size)))
-}
-
-// RemoveTenantRef drops tenant's marker for key; absent markers are not
-// an error (crash between blob delete and marker delete re-runs this).
-func (d *DiskCAS) RemoveTenantRef(tenant string, key Key) error {
-	err := d.fs.Remove(d.refPath(tenant, key))
-	if err != nil && !isNotExist(err) {
-		return err
-	}
-	return nil
-}
-
-// LoadTenantRefs scans the marker tree and returns per-tenant key→size
-// maps plus the number of malformed markers dropped (bad name, bad size —
-// removed so the tree self-heals like poisoned action entries do).
-func (d *DiskCAS) LoadTenantRefs() (map[string]map[Key]int64, int) {
-	refs := make(map[string]map[Key]int64)
-	dropped := 0
-	tenantsDir := filepath.Join(d.root, "tenants")
-	tenants, err := d.fs.ReadDir(tenantsDir)
+// eachShardFile calls fn for every file in the shard directories of
+// namespace ns (<root>/<ns>/<shard>/<name>).
+func (d *DiskCAS) eachShardFile(ns string, fn func(dir, name string)) {
+	nsDir := filepath.Join(d.root, ns)
+	shards, err := d.fs.ReadDir(nsDir)
 	if err != nil {
-		return refs, 0
+		return
 	}
-	for _, t := range tenants {
-		if !t.IsDir() {
+	for _, sh := range shards {
+		if !sh.IsDir() {
 			continue
 		}
-		tDir := filepath.Join(tenantsDir, t.Name())
-		shards, err := d.fs.ReadDir(tDir)
+		dir := filepath.Join(nsDir, sh.Name())
+		entries, err := d.fs.ReadDir(dir)
 		if err != nil {
 			continue
 		}
-		for _, sh := range shards {
-			if !sh.IsDir() {
-				continue
-			}
-			shDir := filepath.Join(tDir, sh.Name())
-			entries, err := d.fs.ReadDir(shDir)
-			if err != nil {
-				continue
-			}
-			for _, e := range entries {
-				if e.IsDir() {
-					continue
-				}
-				if ok, _ := filepath.Match(TempPattern, e.Name()); ok {
-					continue // SweepTemp's job
-				}
-				path := filepath.Join(shDir, e.Name())
-				key, kerr := ParseKey(e.Name())
-				data, rerr := d.readFile(path)
-				var size int64
-				var serr error
-				if rerr == nil {
-					_, serr = fmt.Sscanf(strings.TrimSpace(string(data)), "%d", &size)
-				}
-				if kerr != nil || rerr != nil || serr != nil || size < 0 {
-					_ = d.fs.Remove(path)
-					dropped++
-					continue
-				}
-				m := refs[t.Name()]
-				if m == nil {
-					m = make(map[Key]int64)
-					refs[t.Name()] = m
-				}
-				m[key] = size
+		for _, e := range entries {
+			if !e.IsDir() {
+				fn(dir, e.Name())
 			}
 		}
 	}
-	return refs, dropped
 }
 
-// BlobSize stats a blob (ErrNotFound when absent) — recovery's
-// cross-check that a marker's blob really exists at the recorded size.
+// BlobSize stats a blob (ErrNotFound when absent): the startup scan's
+// size of a stored blob.
 func (d *DiskCAS) BlobSize(key Key) (int64, error) {
 	info, err := d.fs.Stat(d.blobPath(key))
 	if err != nil {
@@ -312,33 +223,15 @@ func (d *DiskCAS) BlobSize(key Key) (int64, error) {
 	return info.Size(), nil
 }
 
-// BlobKeys lists every stored blob key — recovery's orphan scan (a blob
-// no marker references after a crash is unaccounted garbage and is
-// deleted).
+// BlobKeys lists every stored blob key: the startup scan. A file whose
+// name is not a key (a temp file, anything else) is not a blob.
 func (d *DiskCAS) BlobKeys() []Key {
 	var keys []Key
-	objDir := filepath.Join(d.root, "objects")
-	shards, err := d.fs.ReadDir(objDir)
-	if err != nil {
-		return nil
-	}
-	for _, sh := range shards {
-		if !sh.IsDir() {
-			continue
+	d.eachShardFile("objects", func(_, name string) {
+		if key, err := ParseKey(name); err == nil {
+			keys = append(keys, key)
 		}
-		entries, err := d.fs.ReadDir(filepath.Join(objDir, sh.Name()))
-		if err != nil {
-			continue
-		}
-		for _, e := range entries {
-			if e.IsDir() {
-				continue
-			}
-			if key, err := ParseKey(e.Name()); err == nil {
-				keys = append(keys, key)
-			}
-		}
-	}
+	})
 	return keys
 }
 

@@ -95,7 +95,8 @@ func FuzzCASObjectDecode(f *testing.F) {
 }
 
 // FuzzCASWire drives the serve handler with arbitrary requests: any input
-// may be rejected, none may panic or return a nonsense status.
+// may be rejected, none may panic or return a nonsense status, and a path
+// outside the blob and action routes (the lease/ seeds are two) is 404.
 func FuzzCASWire(f *testing.F) {
 	k := cas.Sum([]byte("wire seed")).String()
 	f.Add(uint8(0), "blob/"+k, []byte("body"))
@@ -111,7 +112,7 @@ func FuzzCASWire(f *testing.F) {
 		if err != nil {
 			return // not a request the router could ever see
 		}
-		srv := cas.NewServer(cas.NewMemCAS(1<<20), cas.ServerOptions{TenantQuota: 4096})
+		srv := cas.NewServer(cas.NewMemCAS(1<<20), cas.ServerOptions{Quota: 4096})
 		// Built directly rather than via httptest.NewRequest: the fuzzer may
 		// produce paths that parse but cannot survive a request-line re-parse
 		// (control bytes), and those still reach a handler in production.
@@ -125,6 +126,10 @@ func FuzzCASWire(f *testing.F) {
 		srv.Handler().ServeHTTP(rec, req)
 		if rec.Code < 200 || rec.Code > 599 {
 			t.Fatalf("handler returned status %d", rec.Code)
+		}
+		kind, _, _ := strings.Cut(strings.TrimPrefix(u.Path, "/cas/"), "/")
+		if kind != "blob" && kind != "action" && rec.Code != http.StatusNotFound {
+			t.Fatalf("%s %s: status %d, want 404 outside the blob and action routes", req.Method, u.Path, rec.Code)
 		}
 	})
 }

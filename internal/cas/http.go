@@ -15,15 +15,13 @@ import (
 )
 
 // HTTPCAS is the client for a serve instance's /cas/ endpoints. It
-// implements Store plus Leaser (coalescing) and — like every backend —
-// verifies blob bytes against their key on every read, so a server (or a
-// middlebox) handing back wrong bytes is a counted miss, never a wrong
-// hit.
+// implements Store and — like every backend — verifies blob bytes against
+// their key on every read, so a server (or a middlebox) handing back wrong
+// bytes is a counted miss, never a wrong hit.
 //
 // The network-adversity contract (docs/ROBUSTNESS.md):
 //
-//   - Every operation runs under a deadline budget (FetchBudget for
-//     blob/action traffic, LeaseBudget for coalescing long-polls), so an
+//   - Every operation runs under a deadline budget (FetchBudget), so an
 //     indefinitely stalled connection costs at most the budget, never a
 //     hung build.
 //   - Retries follow a strict taxonomy: only transport failures in the
@@ -38,18 +36,14 @@ import (
 //     ErrUnavailable (cas.breaker_open) instead of waiting on a dead
 //     backend, and half-open probes re-engage a recovered server without
 //     operator action.
-//   - Optional hedged seconds (HedgeAfter > 0) race a duplicate GET/HEAD
-//     against tail-latency spikes; the first response wins and the loser
-//     is cancelled. Hedging is restricted to idempotent reads.
 type HTTPCAS struct {
 	base    string // "http://host:port", no trailing slash
-	tenant  string
 	client  *http.Client
 	opts    HTTPOptions
 	breaker *Breaker
 
-	netErrors, retriesCtr, hedged, hedgeWins, breakerOpen *obs.Counter
-	histNet                                               *obs.Histogram
+	netErrors, retriesCtr, breakerOpen *obs.Counter
+	histNet                            *obs.Histogram
 }
 
 // HTTPOptions tunes the client; zero values pick the defaults.
@@ -66,13 +60,6 @@ type HTTPOptions struct {
 	// FetchBudget bounds one blob/action operation end to end, retries
 	// included (default 10s). A stalled connection costs at most this.
 	FetchBudget time.Duration
-	// LeaseBudget bounds one coalescing long-poll (default 30s). It must
-	// exceed the server's lease grace, or waiters would give up before
-	// the server re-elects a leader.
-	LeaseBudget time.Duration
-	// HedgeAfter, when positive, issues a hedged duplicate GET/HEAD if
-	// the first attempt has not answered within it (default off).
-	HedgeAfter time.Duration
 	// NoBreaker disables the circuit breaker (tests that want raw retry
 	// behaviour).
 	NoBreaker bool
@@ -80,23 +67,18 @@ type HTTPOptions struct {
 	Breaker BreakerOptions
 }
 
-const (
-	defaultFetchBudget = 10 * time.Second
-	defaultLeaseBudget = 30 * time.Second
-)
+const defaultFetchBudget = 10 * time.Second
 
-// NewHTTPCAS builds a client for base (e.g. "http://127.0.0.1:7777") under
-// the given tenant namespace ("" means "default") with default options —
-// breaker on, budgets on, hedging off.
-func NewHTTPCAS(base, tenant string) *HTTPCAS {
-	return NewHTTPCASOpts(base, tenant, HTTPOptions{})
+// NewHTTPCAS builds a client for base (e.g. "http://127.0.0.1:7777") with
+// default options — breaker on, budgets on. The second argument is ignored;
+// pass "".
+func NewHTTPCAS(base, _ string) *HTTPCAS {
+	return NewHTTPCASOpts(base, "", HTTPOptions{})
 }
 
-// NewHTTPCASOpts is NewHTTPCAS with explicit options.
-func NewHTTPCASOpts(base, tenant string, opts HTTPOptions) *HTTPCAS {
-	if tenant == "" {
-		tenant = "default"
-	}
+// NewHTTPCASOpts is NewHTTPCAS with explicit options. The second argument
+// is ignored; pass "".
+func NewHTTPCASOpts(base, _ string, opts HTTPOptions) *HTTPCAS {
 	if opts.Retries <= 0 {
 		opts.Retries = 2
 	}
@@ -106,12 +88,8 @@ func NewHTTPCASOpts(base, tenant string, opts HTTPOptions) *HTTPCAS {
 	if opts.FetchBudget <= 0 {
 		opts.FetchBudget = defaultFetchBudget
 	}
-	if opts.LeaseBudget <= 0 {
-		opts.LeaseBudget = defaultLeaseBudget
-	}
 	h := &HTTPCAS{
 		base:   strings.TrimRight(base, "/"),
-		tenant: tenant,
 		client: &http.Client{Transport: opts.Transport},
 		opts:   opts,
 	}
@@ -131,8 +109,6 @@ func (h *HTTPCAS) SetMetrics(reg *obs.Registry) {
 	}
 	h.netErrors = reg.Counter(obs.CtrCASNetErrors)
 	h.retriesCtr = reg.Counter(obs.CtrCASRetries)
-	h.hedged = reg.Counter(obs.CtrCASHedged)
-	h.hedgeWins = reg.Counter(obs.CtrCASHedgeWins)
 	h.breakerOpen = reg.Counter(obs.CtrCASBreakerOpen)
 	h.histNet = reg.Histogram(obs.HistCASNetNS)
 	h.breaker.SetMetrics(reg)
@@ -144,10 +120,10 @@ func (h *HTTPCAS) BreakerState() BreakerState { return h.breaker.State() }
 
 // Retryable reports whether err is worth a re-send under the strict
 // taxonomy: transport failures in the middle of an exchange, mid-body read
-// errors, 5xx responses, and blown deadlines are; a refused dial, every
-// service verdict (the package sentinels, any 4xx status) and caller
-// cancellation are final. A refused dial still counts against the breaker
-// (isNetFailure): it is the answer of a backend that is down.
+// errors, 5xx responses, and blown deadlines are; a refused dial and every
+// service verdict (the package sentinels, any 4xx status) are final. A
+// refused dial still counts against the breaker (isNetFailure): it is the
+// answer of a backend that is down.
 func Retryable(err error) bool {
 	if err == nil {
 		return false
@@ -156,7 +132,7 @@ func Retryable(err error) bool {
 		errors.Is(err, ErrVerify) || errors.Is(err, ErrQuota) {
 		return false
 	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, syscall.ECONNREFUSED) {
+	if errors.Is(err, syscall.ECONNREFUSED) {
 		return false
 	}
 	var se *statusErr
@@ -168,13 +144,9 @@ func Retryable(err error) bool {
 
 // isNetFailure reports whether err is a transport-level failure — the
 // kind that counts against the circuit breaker and cas.net_error. Service
-// verdicts (any status below 500) and caller cancellation are not
-// failures: the backend answered, or the caller walked away.
+// verdicts (any status below 500) are not failures: the backend answered.
 func isNetFailure(err error) bool {
 	if err == nil {
-		return false
-	}
-	if errors.Is(err, context.Canceled) {
 		return false
 	}
 	var se *statusErr
@@ -197,94 +169,38 @@ func (e *statusErr) Error() string {
 // do issues one operation under its deadline budget, re-sending only
 // retryable failures with doubling backoff. The request body is a byte
 // slice so retries can replay it.
-func (h *HTTPCAS) do(ctx context.Context, method, path string, body []byte) ([]byte, error) {
-	budget := h.opts.FetchBudget
-	if strings.HasPrefix(path, "/cas/lease/") && method == http.MethodPost {
-		budget = h.opts.LeaseBudget
-	}
-	bctx, cancel := context.WithTimeout(ctx, budget)
+func (h *HTTPCAS) do(method, path string, body []byte) ([]byte, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), h.opts.FetchBudget)
 	defer cancel()
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		data, err := h.roundTrip(bctx, method, path, body, attempt == 0)
+		data, err := h.roundTrip(ctx, method, path, body)
 		if err == nil {
 			return data, nil
 		}
 		lastErr = err
-		if !Retryable(err) || attempt >= h.opts.Retries || bctx.Err() != nil {
+		if !Retryable(err) || attempt >= h.opts.Retries || ctx.Err() != nil {
 			return nil, lastErr
 		}
 		h.retriesCtr.Inc()
 		select {
 		case <-time.After(h.opts.Backoff << attempt):
-		case <-bctx.Done():
+		case <-ctx.Done():
 			return nil, lastErr
 		}
 	}
 }
 
-// roundTrip is one breaker-gated exchange (possibly hedged). The breaker
-// sees exactly one verdict per admitted exchange.
-func (h *HTTPCAS) roundTrip(ctx context.Context, method, path string, body []byte, first bool) ([]byte, error) {
+// roundTrip is one breaker-gated exchange. The breaker sees exactly one
+// verdict per admitted exchange.
+func (h *HTTPCAS) roundTrip(ctx context.Context, method, path string, body []byte) ([]byte, error) {
 	if err := h.breaker.Allow(); err != nil {
 		h.breakerOpen.Inc()
 		return nil, err
 	}
-	data, err := h.exchange(ctx, method, path, body, first)
+	data, err := h.attempt(ctx, method, path, body)
 	h.breaker.Report(isNetFailure(err))
 	return data, err
-}
-
-// exchange runs the wire attempt, racing a hedged duplicate for
-// idempotent reads when configured. Hedging only applies to the first
-// attempt of an operation: a retry already is a second request.
-func (h *HTTPCAS) exchange(ctx context.Context, method, path string, body []byte, first bool) ([]byte, error) {
-	hedgeable := first && h.opts.HedgeAfter > 0 &&
-		(method == http.MethodGet || method == http.MethodHead)
-	if !hedgeable {
-		return h.attempt(ctx, method, path, body)
-	}
-	type result struct {
-		data  []byte
-		err   error
-		hedge bool
-	}
-	actx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ch := make(chan result, 2)
-	go func() {
-		d, e := h.attempt(actx, method, path, body)
-		ch <- result{d, e, false}
-	}()
-	timer := time.NewTimer(h.opts.HedgeAfter)
-	defer timer.Stop()
-	pending := 1
-	var firstErr error
-	for {
-		select {
-		case r := <-ch:
-			if r.err == nil {
-				if r.hedge {
-					h.hedgeWins.Inc()
-				}
-				cancel() // the loser's attempt dies with context.Canceled
-				return r.data, nil
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			if pending--; pending == 0 {
-				return nil, firstErr
-			}
-		case <-timer.C:
-			pending++
-			h.hedged.Inc()
-			go func() {
-				d, e := h.attempt(actx, method, path, body)
-				ch <- result{d, e, true}
-			}()
-		}
-	}
 }
 
 // attempt is one raw wire attempt: build, send, fully read, classify. It
@@ -298,7 +214,6 @@ func (h *HTTPCAS) attempt(ctx context.Context, method, path string, body []byte)
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set(TenantHeader, h.tenant)
 	start := time.Now()
 	resp, err := h.client.Do(req)
 	var data []byte
@@ -338,7 +253,7 @@ func mapStatus(err error) error {
 
 // Get fetches and byte-verifies a blob.
 func (h *HTTPCAS) Get(key Key) ([]byte, error) {
-	data, err := h.do(context.Background(), http.MethodGet, "/cas/blob/"+key.String(), nil)
+	data, err := h.do(http.MethodGet, "/cas/blob/"+key.String(), nil)
 	if err != nil {
 		return nil, mapStatus(err)
 	}
@@ -348,18 +263,18 @@ func (h *HTTPCAS) Get(key Key) ([]byte, error) {
 	return data, nil
 }
 
-// Put uploads a blob (server re-verifies; ErrQuota on a full namespace).
+// Put uploads a blob (server re-verifies; ErrQuota past its byte bound).
 func (h *HTTPCAS) Put(key Key, data []byte) error {
 	if Sum(data) != key {
 		return fmt.Errorf("cas: put %s: bytes hash to %s: %w", key, Sum(data), ErrVerify)
 	}
-	_, err := h.do(context.Background(), http.MethodPut, "/cas/blob/"+key.String(), data)
+	_, err := h.do(http.MethodPut, "/cas/blob/"+key.String(), data)
 	return mapStatus(err)
 }
 
 // Has probes blob existence with HEAD.
 func (h *HTTPCAS) Has(key Key) (bool, error) {
-	_, err := h.do(context.Background(), http.MethodHead, "/cas/blob/"+key.String(), nil)
+	_, err := h.do(http.MethodHead, "/cas/blob/"+key.String(), nil)
 	if err == nil {
 		return true, nil
 	}
@@ -375,7 +290,7 @@ func (h *HTTPCAS) Delete(Key) error { return nil }
 
 // ActionGet resolves an action entry.
 func (h *HTTPCAS) ActionGet(action Key) (Key, error) {
-	data, err := h.do(context.Background(), http.MethodGet, "/cas/action/"+action.String(), nil)
+	data, err := h.do(http.MethodGet, "/cas/action/"+action.String(), nil)
 	if err != nil {
 		return Key{}, mapStatus(err)
 	}
@@ -386,38 +301,9 @@ func (h *HTTPCAS) ActionGet(action Key) (Key, error) {
 	return blob, nil
 }
 
-// ActionPut publishes action → blob (waking the server's lease waiters).
+// ActionPut publishes action → blob.
 func (h *HTTPCAS) ActionPut(action, blob Key) error {
-	_, err := h.do(context.Background(), http.MethodPut, "/cas/action/"+action.String(),
+	_, err := h.do(http.MethodPut, "/cas/action/"+action.String(),
 		[]byte(blob.String()+"\n"))
-	return mapStatus(err)
-}
-
-// Lease long-polls the server's coalescing endpoint (Leaser). The
-// LeaseBudget bounds the poll; ctx cancellation wins if it comes first.
-func (h *HTTPCAS) Lease(ctx context.Context, action Key) (LeaseResult, error) {
-	data, err := h.do(ctx, http.MethodPost, "/cas/lease/"+action.String(), nil)
-	if err != nil {
-		return LeaseResult{}, mapStatus(err)
-	}
-	line := strings.TrimSpace(string(data))
-	switch {
-	case line == "leader":
-		return LeaseResult{Leader: true}, nil
-	case line == "retry":
-		return LeaseResult{}, nil
-	case strings.HasPrefix(line, "found "):
-		blob, perr := ParseKey(strings.TrimPrefix(line, "found "))
-		if perr != nil {
-			return LeaseResult{}, fmt.Errorf("cas: lease response %q: %w", line, ErrVerify)
-		}
-		return LeaseResult{Found: true, Blob: blob}, nil
-	}
-	return LeaseResult{}, fmt.Errorf("cas: lease response %q: %w", line, ErrVerify)
-}
-
-// Abandon releases a held lease without publishing.
-func (h *HTTPCAS) Abandon(action Key) error {
-	_, err := h.do(context.Background(), http.MethodDelete, "/cas/lease/"+action.String(), nil)
 	return mapStatus(err)
 }

@@ -36,17 +36,16 @@ func chaosOpts(ft *cas.FaultTransport) cas.HTTPOptions {
 		Transport:   ft,
 		Backoff:     2 * time.Millisecond,
 		FetchBudget: 300 * time.Millisecond,
-		LeaseBudget: 500 * time.Millisecond,
 	}
 }
 
 // chaosBuilder is a stateless builder (no local warm state, so every
 // remote degradation is fully exercised) wired through ft.
-func chaosBuilder(t *testing.T, url, tenant string, ft *cas.FaultTransport) *buildsys.Builder {
+func chaosBuilder(t *testing.T, url string, ft *cas.FaultTransport) *buildsys.Builder {
 	t.Helper()
 	b, err := buildsys.NewBuilder(buildsys.Options{
 		Mode: compiler.ModeStateless,
-		CAS:  cas.NewHTTPCASOpts(url, tenant, chaosOpts(ft)),
+		CAS:  cas.NewHTTPCASOpts(url, "", chaosOpts(ft)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +74,7 @@ func applicable(ft *cas.FaultTransport, c faults.Call, kind cas.NetFault) bool {
 		return false
 	}
 	if kind == cas.NetTruncate || kind == cas.NetBitFlip {
-		return c.Op == "GET" || c.Op == "POST"
+		return c.Op == "GET"
 	}
 	return true
 }
@@ -89,10 +88,10 @@ func TestPartitionBattery(t *testing.T) {
 	recHS := httptest.NewServer(recSrv.Handler())
 	ftA := cas.NewFaultTransport(nil)
 	ftB := cas.NewFaultTransport(nil)
-	if _, err := chaosBuilder(t, recHS.URL, "client-a", ftA).Build(snap); err != nil {
+	if _, err := chaosBuilder(t, recHS.URL, ftA).Build(snap); err != nil {
 		t.Fatalf("clean run, client A: %v", err)
 	}
-	if _, err := chaosBuilder(t, recHS.URL, "client-b", ftB).Build(snap); err != nil {
+	if _, err := chaosBuilder(t, recHS.URL, ftB).Build(snap); err != nil {
 		t.Fatalf("clean run, client B: %v", err)
 	}
 	recHS.Close()
@@ -123,10 +122,7 @@ func TestPartitionBattery(t *testing.T) {
 		name := tc.owner + "/" + strings.ReplaceAll(cas.NetName(tc.call), "/", "_") + "/" + tc.kind.String()
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			srv := cas.NewServer(cas.NewMemCAS(0), cas.ServerOptions{
-				Metrics:    obs.NewRegistry(),
-				LeaseGrace: 100 * time.Millisecond,
-			})
+			srv := cas.NewServer(cas.NewMemCAS(0), cas.ServerOptions{Metrics: obs.NewRegistry()})
 			hs := httptest.NewServer(srv.Handler())
 			defer hs.Close()
 
@@ -143,8 +139,8 @@ func TestPartitionBattery(t *testing.T) {
 			}
 			caseFTA := cas.NewFaultTransport(nil, ruleA...)
 			caseFTB := cas.NewFaultTransport(nil, ruleB...)
-			builderA := chaosBuilder(t, hs.URL, "client-a", caseFTA)
-			builderB := chaosBuilder(t, hs.URL, "client-b", caseFTB)
+			builderA := chaosBuilder(t, hs.URL, caseFTA)
+			builderB := chaosBuilder(t, hs.URL, caseFTB)
 
 			start := time.Now()
 			repA, err := builderA.Build(snap)

@@ -1,19 +1,19 @@
 package cas_test
 
-// Crash-restart recovery proofs: a server restarted over a DiskCAS tree
-// rebuilds exactly the accounting the dead process held (the PR 9
-// two-client battery passes against the restarted server with 100%
-// hits), torn publish states recover to a consistent store, stale
-// coalescing leases expire within the grace window, and the shutdown
-// drain wakes every long-poll immediately.
+// Crash-restart proofs: a server restarted over a DiskCAS tree accounts
+// exactly what the blob tree holds (the two-client battery passes against
+// the restarted server with 100% hits), and a tree a crash left torn
+// converges: temp files swept, foreign files ignored, a poisoned blob
+// dropped from the books at its first read.
 
 import (
+	"errors"
+	"io/fs"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
 	"statefulcc/internal/buildsys"
 	"statefulcc/internal/cas"
@@ -22,61 +22,84 @@ import (
 	"statefulcc/internal/workload"
 )
 
+// scanObjects sums the files under <dir>/objects from scratch: what the
+// blob tree holds, counted without the store's code.
+func scanObjects(t *testing.T, dir string) (files int, bytes int64) {
+	t.Helper()
+	err := filepath.WalkDir(filepath.Join(dir, "objects"), func(_ string, e fs.DirEntry, err error) error {
+		if err != nil || e.IsDir() {
+			return err
+		}
+		info, err := e.Info()
+		if err != nil {
+			return err
+		}
+		files++
+		bytes += info.Size()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files, bytes
+}
+
 // TestServeRestartPersistence: client A populates a DiskCAS-backed server
 // across a commit history; the server process "crashes" (is discarded)
-// and a new one starts over the same tree. Recovery must rebuild the
-// exact tenant accounting the dead server held, and a fresh client B must
-// then build every commit with zero local compiles — the full PR 9
-// battery contract, against a restarted server.
+// and a new one starts over the same tree. The restarted server's books
+// must equal the dead server's and a from-scratch scan of objects/, every
+// accounted blob must be served, and a fresh client B must then build
+// every commit with zero local compiles — the two-client battery's
+// contract, against a restarted server.
 func TestServeRestartPersistence(t *testing.T) {
 	dir := t.TempDir()
 	p := workload.QuickSuite()[0]
 	snaps := oracletest.Stream(p, workload.StreamDefault, p.Seed*13, 3)
 
-	reg1 := obs.NewRegistry()
-	srv1 := cas.NewServer(cas.NewDiskCAS(dir, nil), cas.ServerOptions{Metrics: reg1})
+	srv1 := cas.NewServer(cas.NewDiskCAS(dir, nil), cas.ServerOptions{Metrics: obs.NewRegistry()})
 	hs1 := httptest.NewServer(srv1.Handler())
-	clientA := casClient(t, hs1.URL, "client-a")
+	clientA := casClient(t, hs1.URL)
 	for i, snap := range snaps {
 		if _, err := clientA.Build(snap); err != nil {
 			t.Fatalf("commit %d: client A: %v", i, err)
 		}
 	}
-	accounting1 := srv1.TenantAccounting()
-	refs1 := srv1.GlobalRefs()
+	books1 := srv1.Accounting()
 	hs1.Close() // the "crash": srv1's in-memory books are gone
-
-	if len(accounting1["client-a"]) == 0 {
+	if len(books1) == 0 {
 		t.Fatal("client A published nothing; the restart test has no state to recover")
 	}
 
 	// Restart: a brand-new server over the same disk tree. NewServer runs
-	// recovery before serving.
+	// the startup scan before serving.
 	reg2 := obs.NewRegistry()
 	srv2 := cas.NewServer(cas.NewDiskCAS(dir, nil), cas.ServerOptions{Metrics: reg2})
 	hs2 := httptest.NewServer(srv2.Handler())
 	defer hs2.Close()
 
-	if got := srv2.TenantAccounting(); !reflect.DeepEqual(got, accounting1) {
-		t.Fatalf("recovered tenant accounting diverged from the pre-crash books:\n got %v\nwant %v", got, accounting1)
+	books := srv2.Accounting()
+	if !reflect.DeepEqual(books, books1) {
+		t.Fatalf("restarted books diverged from the pre-crash books:\n got %v\nwant %v", books, books1)
 	}
-	if got := srv2.GlobalRefs(); !reflect.DeepEqual(got, refs1) {
-		t.Fatalf("recovered global refcounts diverged:\n got %v\nwant %v", got, refs1)
+	files, total := scanObjects(t, dir)
+	if got := bookedBytes(srv2); len(books) != files || got != total {
+		t.Fatalf("books hold %d blobs, %d bytes; a scan of objects/ finds %d files, %d bytes", len(books), got, files, total)
 	}
-	wantRefs := int64(0)
-	for _, m := range accounting1 {
-		wantRefs += int64(len(m))
+	for key, size := range books {
+		if data, err := srv2.Get(key); err != nil || int64(len(data)) != size {
+			t.Fatalf("accounted blob %s (%d bytes) not served: %d bytes, %v", key, size, len(data), err)
+		}
 	}
-	if got := reg2.Snapshot()[obs.CtrCASRecoveredRefs]; got != wantRefs {
-		t.Fatalf("%s = %d, want %d", obs.CtrCASRecoveredRefs, got, wantRefs)
+	if got := reg2.Snapshot()[obs.CtrCASRecoveredRefs]; got != int64(files) {
+		t.Fatalf("%s = %d, want %d", obs.CtrCASRecoveredRefs, got, files)
 	}
 	if got := reg2.Snapshot()[obs.CtrCASRecoveredOrphans]; got != 0 {
 		t.Fatalf("%s = %d on a cleanly shut-down tree, want 0", obs.CtrCASRecoveredOrphans, got)
 	}
 
-	// The PR 9 battery contract against the restarted server: B compiles
-	// nothing, ever, and matches the oracle at every commit.
-	clientB := casClient(t, hs2.URL, "client-b")
+	// The two-client battery's contract against the restarted server: B
+	// compiles nothing, ever, and matches the oracle at every commit.
+	clientB := casClient(t, hs2.URL)
 	oracletest.Walk(t, snaps, oracletest.Reference(t, nil, snaps...), oracletest.Candidate{
 		Name: "client B vs restarted server", Build: oracletest.Resident(clientB),
 		Check: func(i int, rep *buildsys.Report) {
@@ -88,157 +111,71 @@ func TestServeRestartPersistence(t *testing.T) {
 	})
 }
 
-// TestRecoverTornState stages every torn crash shape directly on disk —
-// a healthy marker+blob pair, a marker whose blob never published, a blob
-// nobody references, a malformed marker, and an orphaned temp file — and
-// proves Recover() converges to exactly the from-scratch-scan state.
+// TestRecoverTornState stages what a crash can leave on disk — temp files
+// of a publish that never renamed, in the objects and the actions shards —
+// beside a healthy blob, a file under objects/ whose name is not a key,
+// and a poisoned blob, and proves the startup scan converges: the temps
+// are swept, the foreign file is neither accounted nor touched, and the
+// poisoned blob leaves the books at its first read.
 func TestRecoverTornState(t *testing.T) {
 	dir := t.TempDir()
 	d := cas.NewDiskCAS(dir, nil)
-
-	// Healthy pair: marker written before blob, both present.
-	goodKey, goodData := cas.Sum([]byte("published blob")), []byte("published blob")
-	if err := d.WriteTenantRef("t1", goodKey, int64(len(goodData))); err != nil {
-		t.Fatal(err)
+	write := func(path string, data []byte) {
+		t.Helper()
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
+
+	goodData := []byte("published blob")
+	goodKey := cas.Sum(goodData)
 	if err := d.Put(goodKey, goodData); err != nil {
 		t.Fatal(err)
 	}
-	// Torn: the leader died after the marker, before the blob.
-	lostKey := cas.Sum([]byte("never published"))
-	if err := d.WriteTenantRef("t1", lostKey, 15); err != nil {
-		t.Fatal(err)
+	shard := filepath.Join(dir, "objects", goodKey.Shard())
+	temps := []string{
+		filepath.Join(shard, ".cas-crashed"),
+		filepath.Join(dir, "actions", goodKey.Shard(), ".cas-crashed"),
 	}
-	// Torn the other way: a blob no marker references.
-	strayKey, strayData := cas.Sum([]byte("unreferenced blob")), []byte("unreferenced blob")
-	if err := d.Put(strayKey, strayData); err != nil {
-		t.Fatal(err)
+	for _, p := range temps {
+		write(p, []byte("half-written"))
 	}
-	// A malformed marker (crash mid-write would have been swept as a temp
-	// file; this models manual damage) and an orphaned temp file.
-	shardDir := filepath.Dir(filepath.Join(dir, "tenants", "t1", goodKey.Shard(), goodKey.String()))
-	if err := os.WriteFile(filepath.Join(shardDir, "zz-not-a-key"), []byte("junk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	tempFile := filepath.Join(dir, "objects", ".cas-orphan")
-	if err := os.MkdirAll(filepath.Dir(tempFile), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(tempFile, []byte("half-written"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	foreign := filepath.Join(shard, "zz-not-a-key")
+	write(foreign, []byte("junk"))
+	poisonKey := cas.Sum([]byte("the honest bytes"))
+	write(filepath.Join(dir, "objects", poisonKey.Shard(), poisonKey.String()), []byte("other bytes"))
 
 	reg := obs.NewRegistry()
-	srv := cas.NewServer(d, cas.ServerOptions{Metrics: reg, DisableRecovery: true})
-	recovered, orphans := srv.Recover()
+	srv := cas.NewServer(d, cas.ServerOptions{Metrics: reg})
 
-	if recovered != 1 {
-		t.Fatalf("recovered %d refs, want 1 (the healthy pair)", recovered)
+	for _, p := range temps {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Fatalf("temp file %s survived the startup sweep", p)
+		}
 	}
-	if orphans < 3 {
-		t.Fatalf("recovered %d orphans, want >= 3 (lost marker, stray blob, malformed marker)", orphans)
+	want := map[cas.Key]int64{goodKey: int64(len(goodData)), poisonKey: int64(len("other bytes"))}
+	if got := srv.Accounting(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("books after the scan = %v, want %v", got, want)
 	}
-	// The store converged: the stray blob is gone, the healthy blob serves.
-	if ok, _ := d.Has(strayKey); ok {
-		t.Fatal("unreferenced blob survived recovery")
+	if _, err := os.Stat(foreign); err != nil {
+		t.Fatalf("the scan touched a file that is not a blob: %v", err)
 	}
-	if data, err := srv.Get("t1", goodKey); err != nil || string(data) != string(goodData) {
-		t.Fatalf("healthy blob unreadable after recovery: %v", err)
-	}
-	if _, err := os.Stat(tempFile); !os.IsNotExist(err) {
-		t.Fatal("orphaned temp file survived the startup sweep")
-	}
-	// The torn marker is gone from disk: a second recovery sees only the
-	// healthy state.
-	refs, dropped := d.LoadTenantRefs()
-	if dropped != 0 {
-		t.Fatalf("second scan dropped %d markers; recovery left damage behind", dropped)
-	}
-	if len(refs) != 1 || len(refs["t1"]) != 1 || refs["t1"][goodKey] != int64(len(goodData)) {
-		t.Fatalf("marker tree after recovery = %v, want exactly the healthy pair", refs)
-	}
-	want := map[string]map[cas.Key]int64{"t1": {goodKey: int64(len(goodData))}}
-	if got := srv.TenantAccounting(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("accounting = %v, want %v", got, want)
-	}
-	m := reg.Snapshot()
-	if m[obs.CtrCASRecoveredRefs] != 1 || m[obs.CtrCASRecoveredOrphans] < 3 {
-		t.Fatalf("counters refs/orphans = %d/%d, want 1/>=3",
+	if m := reg.Snapshot(); m[obs.CtrCASRecoveredRefs] != 2 || m[obs.CtrCASRecoveredOrphans] != 2 {
+		t.Fatalf("counters accounted/swept = %d/%d, want 2/2",
 			m[obs.CtrCASRecoveredRefs], m[obs.CtrCASRecoveredOrphans])
 	}
-}
 
-// TestExpireStaleLeases: a leader that died holding a lease blocks
-// waiters only until the janitor runs — under a fake clock, so the proof
-// is that ExpireStaleLeases (not the waiter's own timeout, parked an
-// hour out) did the waking.
-func TestExpireStaleLeases(t *testing.T) {
-	clk := newFakeClock()
-	reg := obs.NewRegistry()
-	srv := cas.NewServer(cas.NewMemCAS(0), cas.ServerOptions{
-		Metrics: reg, Now: clk.Now, LeaseGrace: time.Hour,
-	})
-	action := cas.Sum([]byte("stale action"))
-	if res := srv.Lease(nil, action); !res.Leader {
-		t.Fatalf("first lease = %+v, want leader", res)
+	if data, err := srv.Get(goodKey); err != nil || string(data) != string(goodData) {
+		t.Fatalf("healthy blob unreadable after the scan: %v", err)
 	}
-	woke := make(chan cas.LeaseResult, 1)
-	go func() { woke <- srv.Lease(nil, action) }()
-	// Wait for the waiter to actually join the flight.
-	deadline := time.Now().Add(2 * time.Second)
-	for srv.LeaseWaiters() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	if _, err := srv.Get(poisonKey); !errors.Is(err, cas.ErrVerify) {
+		t.Fatalf("poisoned blob read = %v, want ErrVerify", err)
 	}
-
-	clk.Advance(2 * time.Hour) // the leader is now long dead
-	if n := srv.ExpireStaleLeases(); n != 1 {
-		t.Fatalf("ExpireStaleLeases reaped %d flights, want 1", n)
-	}
-	select {
-	case res := <-woke:
-		if res.Found || res.Leader {
-			t.Fatalf("expired-lease waiter got %+v, want a compile-locally verdict", res)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("waiter still blocked after the stale lease expired")
-	}
-	if got := reg.Snapshot()[obs.CtrCASLeaseExpired]; got != 1 {
-		t.Fatalf("%s = %d, want 1", obs.CtrCASLeaseExpired, got)
-	}
-	// The flight is gone: the next lease elects a fresh leader.
-	if res := srv.Lease(nil, action); !res.Leader {
-		t.Fatalf("post-expiry lease = %+v, want a fresh leader", res)
-	}
-}
-
-// TestDrainLeasesWakesWaiters: shutdown releases every long-poll at once.
-func TestDrainLeasesWakesWaiters(t *testing.T) {
-	srv := cas.NewServer(cas.NewMemCAS(0), cas.ServerOptions{LeaseGrace: time.Hour})
-	a1, a2 := cas.Sum([]byte("drain-1")), cas.Sum([]byte("drain-2"))
-	if res := srv.Lease(nil, a1); !res.Leader {
-		t.Fatal("a1: want leader")
-	}
-	if res := srv.Lease(nil, a2); !res.Leader {
-		t.Fatal("a2: want leader")
-	}
-	woke := make(chan cas.LeaseResult, 2)
-	go func() { woke <- srv.Lease(nil, a1) }()
-	go func() { woke <- srv.Lease(nil, a2) }()
-	deadline := time.Now().Add(2 * time.Second)
-	for srv.LeaseWaiters() < 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if n := srv.DrainLeases(); n != 2 {
-		t.Fatalf("DrainLeases released %d flights, want 2", n)
-	}
-	for i := 0; i < 2; i++ {
-		select {
-		case res := <-woke:
-			if res.Found || res.Leader {
-				t.Fatalf("drained waiter got %+v, want compile-locally", res)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatal("a waiter is still blocked after DrainLeases")
-		}
+	want = map[cas.Key]int64{goodKey: int64(len(goodData))}
+	if got := srv.Accounting(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("books after the poisoned read = %v, want %v", got, want)
 	}
 }

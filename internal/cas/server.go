@@ -1,6 +1,7 @@
 package cas
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -13,82 +14,57 @@ import (
 	"statefulcc/internal/obs"
 )
 
-// Server is the multi-tenant shared-cache service `minibuild serve` mounts
-// under /cas/. It wraps one backing Store (blobs are deduplicated across
-// tenants — content addressing makes that safe) and adds the policy layer:
-//
-//   - Tenancy: every request names a tenant (X-CAS-Tenant, default
-//     "default"). A tenant holds *references* to blobs; the byte quota and
-//     LRU eviction operate on a tenant's references, and the backing blob is
-//     deleted only when its global reference count reaches zero. Evicting a
-//     shared blob from one tenant therefore never breaks another tenant's
-//     reads.
-//
-//   - Coalescing: Lease elects one compile leader per action key
-//     (singleflight); every other concurrent builder of the same action
-//     blocks until the leader publishes, then fetches the result instead of
-//     compiling. A leader that dies is covered by the lease grace: waiters
-//     time out and compile locally, and a stale flight is replaced by the
-//     next leaser.
+// Server is the shared-cache service `minibuild serve` mounts under /cas/.
+// It is itself a Store: it wraps one backing Store and adds the one policy a
+// long-running cache needs, a store-wide byte bound (ServerOptions.Quota)
+// kept by least-recently-used eviction. The verified reads, the poisoned
+// blob defences and the body limit are the backing store's and the wire
+// handler's; the server only keeps the books that the bound needs.
 //
 // All methods are safe for concurrent use. Time is injectable (Options.Now)
 // so the eviction tests run under a fake clock.
 //
-// Crash-restart safety (docs/ROBUSTNESS.md): when the backing store is a
-// RefPersister (DiskCAS is), every tenant reference is mirrored as a
-// durable marker file, and NewServer runs startup recovery — sweep
-// orphaned temp files, reload the marker tree, cross-validate each marker
-// against its blob, drop whichever half of a torn pair survived the
-// crash, and rebuild the per-tenant byte totals and global refcounts. The
-// rebuilt accounting provably matches a from-scratch scan, so a restarted
-// server serves the same hits under the same quotas as the one that died.
+// Crash-restart safety (docs/ROBUSTNESS.md): when the backing store can be
+// scanned (DiskCAS can), NewServer sweeps the temp files a crashed publish
+// left and accounts every blob the store holds. The books of a restarted
+// server are a from-scratch scan of the blob tree, so they provably match
+// one, and it serves the same hits under the same bound as the one that
+// died.
 type Server struct {
-	store   Store
-	opts    ServerOptions
-	persist RefPersister // non-nil when the store persists tenant refs
+	store Store
+	opts  ServerOptions
 
-	mu      sync.Mutex
-	tenants map[string]*tenant
-	refs    map[Key]int // global blob refcount across tenants
-	flights map[Key]*flight
+	mu    sync.Mutex
+	blobs map[Key]*blobRef // every blob the server counts as stored
+	total int64            // the sum of their sizes
 
 	inflight atomic.Int64 // /cas/ requests currently being served
 
-	ctrHit, ctrMiss, ctrVerify     *obs.Counter
-	ctrCoalesced, ctrPublished     *obs.Counter
-	ctrIOErr, ctrEvicted           *obs.Counter
-	ctrRecRefs, ctrRecOrphans      *obs.Counter
-	ctrLeaseExpired, ctrBodyReject *obs.Counter
-	histServe                      *obs.Histogram
+	ctrHit, ctrMiss, ctrVerify *obs.Counter
+	ctrPublished, ctrIOErr     *obs.Counter
+	ctrEvicted, ctrBodyReject  *obs.Counter
+	ctrScanned, ctrSwept       *obs.Counter
+	histServe                  *obs.Histogram
 }
 
-// RefPersister is the optional durable-accounting interface a backing
-// store may implement (DiskCAS does). When present, the server mirrors
-// every tenant reference into the store and rebuilds its accounting from
-// the mirror at startup.
-type RefPersister interface {
-	WriteTenantRef(tenant string, key Key, size int64) error
-	RemoveTenantRef(tenant string, key Key) error
-	LoadTenantRefs() (map[string]map[Key]int64, int)
-	BlobSize(key Key) (int64, error)
-	BlobKeys() []Key
+type blobRef struct {
+	size int64
+	last time.Time
 }
 
-// TempSweeper is the optional crash-janitor interface a backing store may
-// implement (DiskCAS does); NewServer runs it before recovery so temp
-// files orphaned mid-publish cannot accumulate across restarts.
-type TempSweeper interface {
+// scanner is what the startup scan needs of a backing store (DiskCAS has
+// it): sweep the temp files a crashed write left, then list and size the
+// stored blobs.
+type scanner interface {
 	SweepTemp() int
+	BlobKeys() []Key
+	BlobSize(key Key) (int64, error)
 }
 
 // ServerOptions configures the policy layer.
 type ServerOptions struct {
-	// TenantQuota bounds each tenant namespace's referenced bytes; <= 0
-	// means unbounded.
-	TenantQuota int64
-	// LeaseGrace bounds how long a lease waiter blocks (and how stale a
-	// flight may be before a new leaser replaces it). Default 5s.
-	LeaseGrace time.Duration
+	// Quota bounds the bytes of all stored blobs; <= 0 means unbounded.
+	Quota int64
 	// Now is the clock (tests inject a fake one); default time.Now.
 	Now func() time.Time
 	// Metrics receives the cas.* server counters and the cas.serve_ns
@@ -98,297 +74,168 @@ type ServerOptions struct {
 	// maxBlobWire). Over-limit uploads are refused with 413 and counted
 	// (cas.body_rejected) before they can balloon the server.
 	MaxBodyBytes int64
-	// DisableRecovery skips startup recovery (tests that stage a specific
-	// pre-recovery disk state and want to run recovery by hand).
-	DisableRecovery bool
 }
 
-type tenant struct {
-	bytes int64
-	refs  map[Key]*tenantRef
-}
-
-type tenantRef struct {
-	size int64
-	last time.Time
-}
-
-type flight struct {
-	done      chan struct{}
-	blob      Key
-	published bool
-	created   time.Time
-	waiters   int // coalesced callers currently blocked on done (tests)
-}
-
-// NewServer wraps a backing store in the policy layer. When the store
-// persists tenant refs (DiskCAS), startup recovery runs here: temp sweep,
-// marker reload, cross-validation, accounting rebuild.
+// NewServer wraps a backing store in the policy layer. When the store can
+// be scanned (DiskCAS), the startup scan runs here.
 func NewServer(store Store, opts ServerOptions) *Server {
-	if opts.LeaseGrace <= 0 {
-		opts.LeaseGrace = 5 * time.Second
-	}
 	if opts.Now == nil {
 		opts.Now = time.Now
 	}
 	if opts.MaxBodyBytes <= 0 {
 		opts.MaxBodyBytes = maxBlobWire
 	}
-	s := &Server{
-		store:   store,
-		opts:    opts,
-		tenants: make(map[string]*tenant),
-		refs:    make(map[Key]int),
-		flights: make(map[Key]*flight),
-	}
-	s.persist, _ = store.(RefPersister)
+	s := &Server{store: store, opts: opts, blobs: make(map[Key]*blobRef)}
 	if r := opts.Metrics; r != nil {
 		s.ctrHit = r.Counter(obs.CtrCASHits)
 		s.ctrMiss = r.Counter(obs.CtrCASMisses)
 		s.ctrVerify = r.Counter(obs.CtrCASVerifyFailed)
-		s.ctrCoalesced = r.Counter(obs.CtrCASCoalesced)
 		s.ctrPublished = r.Counter(obs.CtrCASPublished)
 		s.ctrIOErr = r.Counter(obs.CtrCASIOErrors)
 		s.ctrEvicted = r.Counter(obs.CtrCASEvicted)
-		s.ctrRecRefs = r.Counter(obs.CtrCASRecoveredRefs)
-		s.ctrRecOrphans = r.Counter(obs.CtrCASRecoveredOrphans)
-		s.ctrLeaseExpired = r.Counter(obs.CtrCASLeaseExpired)
 		s.ctrBodyReject = r.Counter(obs.CtrCASBodyRejected)
+		s.ctrScanned = r.Counter(obs.CtrCASRecoveredRefs)
+		s.ctrSwept = r.Counter(obs.CtrCASRecoveredOrphans)
 		s.histServe = r.Histogram(obs.HistCASServeNS)
 	}
-	if !opts.DisableRecovery {
-		s.Recover()
-	}
+	s.scan()
 	return s
 }
 
-// Recover rebuilds the server's tenant accounting from the backing
-// store's durable state (a no-op for stores without a RefPersister). The
-// sequence and its invariants:
-//
-//  1. Sweep temp files orphaned by a crash mid-publish (TempSweeper).
-//  2. Reload the tenant ref-marker tree; malformed markers are dropped.
-//  3. Cross-validate every marker against its blob. Markers were written
-//     before their blob published and removed after eviction deleted it,
-//     so a crash leaves at most a marker without a blob (leader died
-//     before publishing) or a blob without a marker (crash between blob
-//     delete and marker delete is impossible in that order, but a
-//     from-scratch blob may predate tenancy) — both halves of a torn
-//     pair are dropped, counted as cas.recovered_orphans.
-//  4. Rebuild per-tenant byte totals and global refcounts from the
-//     surviving markers (cas.recovered_refs), then re-apply quotas.
-//
-// The result is exactly what a from-scratch scan of the store would
-// build: no reference without a readable blob, no blob without a
-// reference, totals that sum the surviving sizes.
-func (s *Server) Recover() (recovered, orphans int) {
-	if s.persist == nil {
-		return 0, 0
+// scan rebuilds the books from a scannable backing store: sweep the
+// temp files orphaned by a crash mid-publish (cas.recovered_orphans), then
+// account every stored blob at its size on disk (cas.recovered_refs) and
+// evict down to the quota. A file under objects/ whose name is not a key
+// is not a blob and is left alone; a blob whose bytes are poisoned is
+// accounted until its first read, which deletes it and drops it from the
+// books.
+func (s *Server) scan() {
+	sc, ok := s.store.(scanner)
+	if !ok {
+		return
 	}
-	if sw, ok := s.store.(TempSweeper); ok {
-		sw.SweepTemp()
-	}
-	refs, dropped := s.persist.LoadTenantRefs()
-	orphans = dropped
-	referenced := make(map[Key]bool)
+	s.ctrSwept.Add(int64(sc.SweepTemp()))
+	now := s.opts.Now()
 	s.mu.Lock()
-	for tenantName, m := range refs {
-		t := s.tenantLocked(tenantName)
-		for key, size := range m {
-			actual, err := s.persist.BlobSize(key)
-			if err != nil || actual != size {
-				// Marker without a matching blob: the leader died between
-				// marker write and blob publish (or the blob is torn —
-				// content addressing fixes a key's size, so a mismatch can
-				// only be corruption, and reads would refuse it anyway).
-				_ = s.persist.RemoveTenantRef(tenantName, key)
-				orphans++
-				continue
-			}
-			t.refs[key] = &tenantRef{size: size, last: s.opts.Now()}
-			t.bytes += size
-			s.refs[key]++
-			referenced[key] = true
-			recovered++
+	defer s.mu.Unlock()
+	for _, key := range sc.BlobKeys() {
+		if size, err := sc.BlobSize(key); err == nil {
+			s.blobs[key] = &blobRef{size: size, last: now}
+			s.total += size
+			s.ctrScanned.Inc()
 		}
 	}
-	for _, key := range s.persist.BlobKeys() {
-		if !referenced[key] {
-			_ = s.store.Delete(key)
-			orphans++
-		}
-	}
-	for name, t := range s.tenants {
-		s.evictLocked(name, t)
-	}
-	s.mu.Unlock()
-	s.ctrRecRefs.Add(int64(recovered))
-	s.ctrRecOrphans.Add(int64(orphans))
-	return recovered, orphans
+	s.evictLocked(Key{})
 }
 
 // Metrics returns the registry the server counts into (may be nil).
 func (s *Server) Metrics() *obs.Registry { return s.opts.Metrics }
 
-func (s *Server) tenantLocked(name string) *tenant {
-	t, ok := s.tenants[name]
-	if !ok {
-		t = &tenant{refs: make(map[Key]*tenantRef)}
-		s.tenants[name] = t
-	}
-	return t
-}
-
-// Get reads a blob on behalf of a tenant, touching its LRU slot.
-func (s *Server) Get(tenantName string, key Key) ([]byte, error) {
+// Get reads a blob, touching its LRU slot.
+func (s *Server) Get(key Key) ([]byte, error) {
 	data, err := s.store.Get(key)
 	if err != nil {
 		if errors.Is(err, ErrVerify) {
-			// The backing store dropped a poisoned blob; drop every
-			// tenant's reference too so quotas stay truthful.
+			// The backing store dropped a poisoned blob; so do the books.
 			s.ctrVerify.Inc()
-			s.dropRefs(key)
+			s.mu.Lock()
+			s.forgetLocked(key)
+			s.mu.Unlock()
 		}
 		return nil, err
 	}
 	s.mu.Lock()
-	t := s.tenantLocked(tenantName)
-	if ref, ok := t.refs[key]; ok {
-		ref.last = s.opts.Now()
-	} else {
-		// Reading a blob another tenant published creates a reference (the
-		// reader now depends on it staying alive).
-		t.refs[key] = &tenantRef{size: int64(len(data)), last: s.opts.Now()}
-		t.bytes += int64(len(data))
-		s.refs[key]++
-		s.persistRef(tenantName, key, int64(len(data)))
-		s.evictLocked(tenantName, t)
+	if b, ok := s.blobs[key]; ok {
+		b.last = s.opts.Now()
 	}
 	s.mu.Unlock()
 	return data, nil
 }
 
-// Put stores a blob into a tenant's namespace, evicting that tenant's LRU
-// references as needed to fit the quota. A blob bigger than the whole
-// quota is refused (ErrQuota).
-func (s *Server) Put(tenantName string, key Key, data []byte) error {
+// Put stores a blob, evicting least-recently-used blobs as needed to fit
+// the quota. A blob bigger than the whole quota is refused (ErrQuota).
+// A blob joins the books only once it is written, and the blob being put
+// is never the victim, so whenever no Put is in flight the store holds no
+// more than the quota and every stored blob is accounted.
+func (s *Server) Put(key Key, data []byte) error {
 	if Sum(data) != key {
 		s.ctrVerify.Inc()
 		return fmt.Errorf("cas: put %s: bytes hash to %s: %w", key, Sum(data), ErrVerify)
 	}
 	size := int64(len(data))
-	if s.opts.TenantQuota > 0 && size > s.opts.TenantQuota {
-		return fmt.Errorf("cas: blob %s is %d bytes, tenant quota %d: %w",
-			key, size, s.opts.TenantQuota, ErrQuota)
+	if s.opts.Quota > 0 && size > s.opts.Quota {
+		return fmt.Errorf("cas: blob %s is %d bytes, quota %d: %w", key, size, s.opts.Quota, ErrQuota)
 	}
-	s.mu.Lock()
-	t := s.tenantLocked(tenantName)
-	if ref, ok := t.refs[key]; ok {
-		ref.last = s.opts.Now()
-		s.mu.Unlock()
-		return nil
-	}
-	t.refs[key] = &tenantRef{size: size, last: s.opts.Now()}
-	t.bytes += size
-	s.refs[key]++
-	// Marker before blob: a crash between the two leaves a marker whose
-	// blob is missing, which recovery drops; the reverse order would leave
-	// an unaccounted blob holding real bytes.
-	s.persistRef(tenantName, key, size)
-	s.evictLocked(tenantName, t)
-	s.mu.Unlock()
 	if err := s.store.Put(key, data); err != nil {
-		s.dropRefs(key)
 		return err
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	now := s.opts.Now()
+	if b, ok := s.blobs[key]; ok {
+		b.last = now
+		return nil
+	}
+	s.blobs[key] = &blobRef{size: size, last: now}
+	s.total += size
+	s.evictLocked(key)
 	return nil
 }
 
-// evictLocked shrinks tenant t to its quota by evicting least-recently-used
-// references (oldest access first; key order breaks ties, so the choice is
-// deterministic under a fake clock). The blob itself is deleted only when
-// no tenant references it anymore.
-func (s *Server) evictLocked(name string, t *tenant) {
-	if s.opts.TenantQuota <= 0 {
-		return
-	}
-	for t.bytes > s.opts.TenantQuota {
+// evictLocked deletes least-recently-used blobs other than keep until the
+// books fit the quota (oldest access first; key order breaks ties, so the
+// choice is deterministic under a fake clock).
+func (s *Server) evictLocked(keep Key) {
+	for s.opts.Quota > 0 && s.total > s.opts.Quota {
 		var victim Key
-		var vr *tenantRef
-		for k, r := range t.refs {
-			if vr == nil || r.last.Before(vr.last) ||
-				(r.last.Equal(vr.last) && k.String() < victim.String()) {
-				victim, vr = k, r
+		var v *blobRef
+		for k, b := range s.blobs {
+			if k == keep {
+				continue
+			}
+			if v == nil || b.last.Before(v.last) ||
+				(b.last.Equal(v.last) && bytes.Compare(k[:], victim[:]) < 0) {
+				victim, v = k, b
 			}
 		}
-		if vr == nil {
+		if v == nil {
 			return
 		}
-		t.bytes -= vr.size
-		delete(t.refs, victim)
-		s.unpersistRef(name, victim)
+		s.forgetLocked(victim)
 		s.ctrEvicted.Inc()
-		if s.refs[victim]--; s.refs[victim] <= 0 {
-			delete(s.refs, victim)
-			_ = s.store.Delete(victim)
+		if err := s.store.Delete(victim); err != nil {
+			s.ctrIOErr.Inc()
 		}
 	}
 }
 
-// dropRefs removes every tenant's reference to a blob that no longer
-// exists (poisoned and self-healed, or a failed store write).
-func (s *Server) dropRefs(key Key) {
+func (s *Server) forgetLocked(key Key) {
+	if b, ok := s.blobs[key]; ok {
+		s.total -= b.size
+		delete(s.blobs, key)
+	}
+}
+
+// Accounting snapshots the books: every blob the server counts as stored,
+// with its size (the restart and eviction tests compare it with the store).
+func (s *Server) Accounting() map[Key]int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for name, t := range s.tenants {
-		if ref, ok := t.refs[key]; ok {
-			t.bytes -= ref.size
-			delete(t.refs, key)
-			s.unpersistRef(name, key)
-		}
+	out := make(map[Key]int64, len(s.blobs))
+	for k, b := range s.blobs {
+		out[k] = b.size
 	}
-	delete(s.refs, key)
+	return out
 }
 
-// persistRef / unpersistRef mirror one reference change into the durable
-// marker tree (no-ops without a RefPersister). Failures degrade: the
-// in-memory accounting stays authoritative for this process's lifetime,
-// the miss is counted, and recovery after the next restart re-derives a
-// consistent state from whatever did land.
-func (s *Server) persistRef(tenant string, key Key, size int64) {
-	if s.persist == nil {
-		return
-	}
-	if err := s.persist.WriteTenantRef(tenant, key, size); err != nil {
-		s.ctrIOErr.Inc()
-	}
-}
-
-func (s *Server) unpersistRef(tenant string, key Key) {
-	if s.persist == nil {
-		return
-	}
-	if err := s.persist.RemoveTenantRef(tenant, key); err != nil {
-		s.ctrIOErr.Inc()
-	}
-}
-
-// TenantBytes reports a tenant's referenced byte total (tests, /dash).
-func (s *Server) TenantBytes(name string) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if t, ok := s.tenants[name]; ok {
-		return t.bytes
-	}
-	return 0
-}
-
-// Has reports blob existence (tenant-agnostic: existence is global).
+// Has reports blob existence.
 func (s *Server) Has(key Key) (bool, error) { return s.store.Has(key) }
 
-// Delete removes a blob and every tenant's reference to it.
+// Delete removes a blob from the store and the books.
 func (s *Server) Delete(key Key) error {
-	s.dropRefs(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.forgetLocked(key)
 	return s.store.Delete(key)
 }
 
@@ -408,146 +255,14 @@ func (s *Server) ActionGet(action Key) (Key, error) {
 	return blob, err
 }
 
-// ActionPut records action → blob and wakes any coalesced waiters.
+// ActionPut records action → blob.
 func (s *Server) ActionPut(action, blob Key) error {
 	if err := s.store.ActionPut(action, blob); err != nil {
 		s.ctrIOErr.Inc()
 		return err
 	}
 	s.ctrPublished.Inc()
-	s.mu.Lock()
-	if f, ok := s.flights[action]; ok {
-		f.blob = blob
-		f.published = true
-		close(f.done)
-		delete(s.flights, action)
-	}
-	s.mu.Unlock()
 	return nil
-}
-
-// Lease coalesces concurrent builds of one action. The first caller (or
-// the first after a stale flight) becomes the leader and must ActionPut or
-// Abandon; everyone else blocks until publish, abandon, grace expiry, or
-// cancel (cancel is the HTTP request context on the wire path).
-func (s *Server) Lease(cancel <-chan struct{}, action Key) LeaseResult {
-	s.mu.Lock()
-	// A result published before we leased is a plain hit, not coalescing.
-	if blob, err := s.store.ActionGet(action); err == nil {
-		s.mu.Unlock()
-		s.ctrHit.Inc()
-		return LeaseResult{Found: true, Blob: blob}
-	}
-	f, ok := s.flights[action]
-	if !ok || s.opts.Now().Sub(f.created) > s.opts.LeaseGrace {
-		// No flight, or its leader has exceeded the grace (died): take over.
-		s.flights[action] = &flight{done: make(chan struct{}), created: s.opts.Now()}
-		s.mu.Unlock()
-		return LeaseResult{Leader: true}
-	}
-	f.waiters++
-	s.mu.Unlock()
-
-	timer := time.NewTimer(s.opts.LeaseGrace)
-	defer timer.Stop()
-	select {
-	case <-f.done:
-		if f.published {
-			s.ctrCoalesced.Inc()
-			return LeaseResult{Found: true, Blob: f.blob}
-		}
-		return LeaseResult{} // leader abandoned: compile locally
-	case <-timer.C:
-		return LeaseResult{} // leader too slow: compile locally
-	case <-cancel:
-		return LeaseResult{}
-	}
-}
-
-// Abandon releases a flight without publishing, waking waiters so they
-// compile locally.
-func (s *Server) Abandon(action Key) {
-	s.mu.Lock()
-	if f, ok := s.flights[action]; ok {
-		close(f.done)
-		delete(s.flights, action)
-	}
-	s.mu.Unlock()
-}
-
-// ExpireStaleLeases reaps coalescing flights whose leader has exceeded
-// the lease grace without publishing or abandoning (it died, or its
-// network did). Waiters wake and compile locally; the serve loop runs
-// this periodically (cas.lease_expired counts the reaps). Returns the
-// number expired.
-func (s *Server) ExpireStaleLeases() int {
-	s.mu.Lock()
-	now := s.opts.Now()
-	n := 0
-	for action, f := range s.flights {
-		if now.Sub(f.created) > s.opts.LeaseGrace {
-			close(f.done) // published stays false: waiters compile locally
-			delete(s.flights, action)
-			n++
-		}
-	}
-	s.mu.Unlock()
-	s.ctrLeaseExpired.Add(int64(n))
-	return n
-}
-
-// DrainLeases wakes every lease waiter regardless of age — the shutdown
-// path, run before http.Server.Shutdown so long-polls cannot hold the
-// graceful drain open for a full grace window. Returns the number of
-// flights released.
-func (s *Server) DrainLeases() int {
-	s.mu.Lock()
-	n := len(s.flights)
-	for action, f := range s.flights {
-		close(f.done)
-		delete(s.flights, action)
-	}
-	s.mu.Unlock()
-	return n
-}
-
-// LeaseWaiters reports how many callers are currently blocked inside
-// Lease across all flights (tests synchronize on it; /healthz could too).
-func (s *Server) LeaseWaiters() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, f := range s.flights {
-		n += f.waiters
-	}
-	return n
-}
-
-// TenantAccounting snapshots every tenant's key→size reference map —
-// the restart tests compare this against a from-scratch scan.
-func (s *Server) TenantAccounting() map[string]map[Key]int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]map[Key]int64, len(s.tenants))
-	for name, t := range s.tenants {
-		m := make(map[Key]int64, len(t.refs))
-		for k, r := range t.refs {
-			m[k] = r.size
-		}
-		out[name] = m
-	}
-	return out
-}
-
-// GlobalRefs snapshots the cross-tenant blob refcounts.
-func (s *Server) GlobalRefs() map[Key]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[Key]int, len(s.refs))
-	for k, n := range s.refs {
-		out[k] = n
-	}
-	return out
 }
 
 // InFlight reports the number of /cas/ requests currently being served
@@ -558,44 +273,17 @@ func (s *Server) InFlight() int64 { return s.inflight.Load() }
 //
 //	GET    /cas/blob/<key>     200 bytes | 404 | 410 (verify failed) | 500
 //	HEAD   /cas/blob/<key>     200 | 404
-//	PUT    /cas/blob/<key>     204 | 400 (verify) | 507 (quota) | 500
+//	PUT    /cas/blob/<key>     204 | 400 (verify) | 413 (body limit) | 507 (quota) | 500
 //	GET    /cas/action/<key>   200 "<blobkey>\n" | 404 | 410 | 500
 //	PUT    /cas/action/<key>   body "<blobkey>" → 204
-//	POST   /cas/lease/<key>    long-poll → "leader\n" | "found <blobkey>\n" | "retry\n"
-//	DELETE /cas/lease/<key>    204 (abandon)
 //
-// The tenant rides in the X-CAS-Tenant header (default "default"). Status
-// codes are chosen so a client can branch without parsing bodies: 404 is a
-// miss, 410 a verify failure (also a miss, but counted), 507 a quota
-// refusal.
-
-// TenantHeader names the HTTP header carrying the tenant namespace.
-const TenantHeader = "X-CAS-Tenant"
+// Any other path is 404, and a malformed key 400. Status codes are chosen
+// so a client can branch without parsing bodies: 404 is a miss, 410 a
+// verify failure (also a miss, but counted), 507 a quota refusal.
 
 // maxBlobWire bounds a single uploaded blob (64 MiB — far above any unit
 // object, small enough that a hostile PUT cannot balloon the server).
 const maxBlobWire = 64 << 20
-
-// ValidTenant reports whether a tenant name is acceptable on the wire.
-// Tenant names become filesystem path components in the durable ref tree,
-// so the grammar is strict: 1–64 characters of [A-Za-z0-9._-], not
-// starting with a dot (which also excludes "." and ".." — a hostile
-// header cannot escape the tenants/ directory).
-func ValidTenant(name string) bool {
-	if name == "" || len(name) > 64 || name[0] == '.' {
-		return false
-	}
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9':
-		case c == '.' || c == '_' || c == '-':
-		default:
-			return false
-		}
-	}
-	return true
-}
 
 // Handler returns the /cas/ HTTP handler. Mount it at "/cas/".
 func (s *Server) Handler() http.Handler {
@@ -604,21 +292,9 @@ func (s *Server) Handler() http.Handler {
 		defer s.inflight.Add(-1)
 		start := time.Now()
 		defer func() { s.histServe.Observe(time.Since(start).Nanoseconds()) }()
-		tenantName := r.Header.Get(TenantHeader)
-		if tenantName == "" {
-			tenantName = "default"
-		}
-		if !ValidTenant(tenantName) {
-			http.Error(w, "cas: invalid tenant name", http.StatusBadRequest)
-			return
-		}
 		rest, ok := strings.CutPrefix(r.URL.Path, "/cas/")
-		if !ok {
-			http.NotFound(w, r)
-			return
-		}
-		kind, keyHex, ok := strings.Cut(rest, "/")
-		if !ok {
+		kind, keyHex, cut := strings.Cut(rest, "/")
+		if !ok || !cut || (kind != "blob" && kind != "action") {
 			http.NotFound(w, r)
 			return
 		}
@@ -627,23 +303,18 @@ func (s *Server) Handler() http.Handler {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		switch kind {
-		case "blob":
-			s.serveBlob(w, r, tenantName, key)
-		case "action":
+		if kind == "blob" {
+			s.serveBlob(w, r, key)
+		} else {
 			s.serveAction(w, r, key)
-		case "lease":
-			s.serveLease(w, r, key)
-		default:
-			http.NotFound(w, r)
 		}
 	})
 }
 
-func (s *Server) serveBlob(w http.ResponseWriter, r *http.Request, tenantName string, key Key) {
+func (s *Server) serveBlob(w http.ResponseWriter, r *http.Request, key Key) {
 	switch r.Method {
 	case http.MethodGet:
-		data, err := s.Get(tenantName, key)
+		data, err := s.Get(key)
 		if err != nil {
 			writeCASErr(w, err)
 			return
@@ -665,10 +336,7 @@ func (s *Server) serveBlob(w http.ResponseWriter, r *http.Request, tenantName st
 		// MaxBytesReader both bounds the read and closes the connection on
 		// an over-limit body, so a hostile uploader cannot stream past the
 		// limit and a stalled one is bounded by the server's read timeouts.
-		limit := s.opts.MaxBodyBytes
-		if limit > maxBlobWire {
-			limit = maxBlobWire
-		}
+		limit := min(s.opts.MaxBodyBytes, maxBlobWire)
 		data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 		if err != nil {
 			var mbe *http.MaxBytesError
@@ -680,7 +348,7 @@ func (s *Server) serveBlob(w http.ResponseWriter, r *http.Request, tenantName st
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		if err := s.Put(tenantName, key, data); err != nil {
+		if err := s.Put(key, data); err != nil {
 			writeCASErr(w, err)
 			return
 		}
@@ -714,26 +382,6 @@ func (s *Server) serveAction(w http.ResponseWriter, r *http.Request, action Key)
 			writeCASErr(w, err)
 			return
 		}
-		w.WriteHeader(http.StatusNoContent)
-	default:
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-	}
-}
-
-func (s *Server) serveLease(w http.ResponseWriter, r *http.Request, action Key) {
-	switch r.Method {
-	case http.MethodPost:
-		res := s.Lease(r.Context().Done(), action)
-		switch {
-		case res.Leader:
-			fmt.Fprintln(w, "leader")
-		case res.Found:
-			fmt.Fprintf(w, "found %s\n", res.Blob)
-		default:
-			fmt.Fprintln(w, "retry")
-		}
-	case http.MethodDelete:
-		s.Abandon(action)
 		w.WriteHeader(http.StatusNoContent)
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)

@@ -142,18 +142,15 @@ const (
 	// cas.verify_failed counts blobs or action entries rejected by the
 	// strict byte-verify rule — every one of them is ALSO a miss (a poisoned
 	// blob is never served; the unit recompiles locally).
-	// cas.coalesced counts builds that waited on another client's in-flight
-	// compile of the same action instead of compiling (singleflight).
 	// cas.published counts objects published to the store after an honest
 	// local compile; cas.io_error counts CAS transport/storage failures the
 	// build degraded around (recompiled locally, warned, carried on).
 	CtrCASHits         = "cas.hit"
 	CtrCASMisses       = "cas.miss"
 	CtrCASVerifyFailed = "cas.verify_failed"
-	CtrCASCoalesced    = "cas.coalesced"
 	CtrCASPublished    = "cas.published"
 	CtrCASIOErrors     = "cas.io_error"
-	// cas.evicted counts tenant-namespace LRU evictions on the server.
+	// cas.evicted counts the server's LRU evictions under its byte bound.
 	CtrCASEvicted = "cas.evicted"
 
 	// Network-adversity counters (docs/ROBUSTNESS.md, "Network adversity").
@@ -161,9 +158,7 @@ const (
 	// errors, mid-body hangups, 5xx responses, blown deadline budgets — the
 	// build degraded around; cas.retry counts re-attempts issued for
 	// retryable failures (the strict taxonomy: 404/410/507 and every other
-	// service verdict never burns a retry); cas.hedged counts hedged second
-	// requests issued against tail-latency spikes and cas.hedge_won the
-	// hedges whose response arrived first. The circuit breaker's lifecycle:
+	// service verdict never burns a retry). The circuit breaker's lifecycle:
 	// cas.breaker_trips counts closed/half-open → open transitions,
 	// cas.breaker_probes half-open probe requests, cas.breaker_recovered
 	// half-open → closed recoveries, and cas.breaker_open requests
@@ -171,24 +166,19 @@ const (
 	// degraded build compiles locally without waiting on a dead backend).
 	CtrCASNetErrors        = "cas.net_error"
 	CtrCASRetries          = "cas.retry"
-	CtrCASHedged           = "cas.hedged"
-	CtrCASHedgeWins        = "cas.hedge_won"
 	CtrCASBreakerOpen      = "cas.breaker_open"
 	CtrCASBreakerTrips     = "cas.breaker_trips"
 	CtrCASBreakerProbes    = "cas.breaker_probes"
 	CtrCASBreakerRecovered = "cas.breaker_recovered"
 
-	// Server crash-restart recovery counters (cas.Server over a DiskCAS):
-	// cas.recovered_refs counts tenant references rebuilt from the on-disk
-	// ref markers at startup; cas.recovered_orphans counts markers and
-	// blobs dropped because their counterpart vanished mid-crash;
-	// cas.lease_expired counts coalescing flights the janitor expired past
-	// the lease grace (a leader that died without publishing or
-	// abandoning); cas.body_rejected counts over-limit request bodies
-	// refused at the wire before they could balloon the server.
+	// Server startup-scan counters (cas.Server over a DiskCAS):
+	// cas.recovered_refs counts the blobs the startup scan accounted;
+	// cas.recovered_orphans counts the temp files it swept (a publish that
+	// crashed before its rename). cas.body_rejected counts over-limit
+	// request bodies refused at the wire before they could balloon the
+	// server.
 	CtrCASRecoveredRefs    = "cas.recovered_refs"
 	CtrCASRecoveredOrphans = "cas.recovered_orphans"
-	CtrCASLeaseExpired     = "cas.lease_expired"
 	CtrCASBodyRejected     = "cas.body_rejected"
 )
 

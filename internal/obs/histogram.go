@@ -40,9 +40,8 @@ const (
 	HistCASServeNS = "cas.serve_ns"
 	// HistCASNetNS is the per-wire-attempt latency of the shared-cache
 	// client — one observation per request that was admitted by the
-	// circuit breaker (success or failure), so latency spikes and hedge
-	// effectiveness are visible separately from the whole-fetch
-	// cas.fetch_ns.
+	// circuit breaker (success or failure), so latency spikes are visible
+	// separately from the whole-fetch cas.fetch_ns.
 	HistCASNetNS = "cas.net_ns"
 )
 
