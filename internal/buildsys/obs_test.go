@@ -34,6 +34,7 @@ var schedulingInvariant = []string{
 	obs.CtrPassDormant,
 	obs.CtrPassSkipped,
 	obs.CtrHashes,
+	obs.CtrFuncsPruned,
 	obs.CtrBuilds,
 	obs.CtrUnitsCompiled,
 	obs.CtrUnitsCached,
@@ -95,6 +96,9 @@ func TestObsCountersSchedulingInvariant(t *testing.T) {
 	}
 	if ref[obs.CtrStateBytesWritten] == 0 {
 		t.Error("history wrote no state bytes; invariance check is vacuous")
+	}
+	if ref[obs.CtrFuncsPruned] == 0 {
+		t.Error("history pruned no function; invariance check is vacuous")
 	}
 }
 

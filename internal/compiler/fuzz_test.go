@@ -3,7 +3,10 @@ package compiler_test
 // FuzzStatefulEdit fuzzes the skip rule itself: a unit compiled stateful,
 // its state written and read back, then an edit of it compiled with that
 // state must come out exactly as a stateless compile of the edit — with the
-// soundness sentinel checking every skip and finding none unsound. The
+// soundness sentinel checking every skip and finding none unsound — and as
+// the reference that prunes nothing (testutil.CompileUnpruned: both
+// compilers go through the driver, which removes the functions deadfunc
+// would delete before the first pass). The
 // audited compiler compiles the unit before the edit first, so the edit is
 // lowered on a used IR arena, as on a build worker. Under plain `go test`
 // only the seeds run; `make chaos` runs a burst beyond them.
@@ -16,6 +19,7 @@ import (
 	"statefulcc/internal/codegen"
 	"statefulcc/internal/compiler"
 	"statefulcc/internal/state"
+	"statefulcc/internal/testutil"
 	"statefulcc/internal/workload"
 )
 
@@ -55,6 +59,13 @@ func FuzzStatefulEdit(f *testing.F) {
 	f.Add(mainSrc, mainSrc)
 	f.Add(`func f(x int) int { return x + 1 + 1; } func main() int { return f(1); }`,
 		`func f(x int) int { var s int = 0; for var i int = 0; i < 3; i++ { s += x * 4; } return s; } func main() int { return f(1); }`)
+	// A private function loses its only call, so the edit prunes it, and
+	// gets the call back, so the edit compiles it against a state that
+	// holds no records for it.
+	called := `func _h(x int) int { var s int = 0; for var i int = 0; i < x; i++ { s += i * 5; } return s; } func main() int { return _h(4) + 1; }`
+	uncalled := strings.Replace(called, "_h(4) + 1", "4 + 1", 1)
+	f.Add(called, uncalled)
+	f.Add(uncalled, called)
 	addEditSeeds(f)
 
 	f.Fuzz(func(t *testing.T, src0, src1 string) {
@@ -106,6 +117,16 @@ func FuzzStatefulEdit(f *testing.F) {
 		}
 		if g, w := codegen.DisassembleObject(got.Object), codegen.DisassembleObject(want.Object); g != w {
 			t.Fatalf("disassembly differs from stateless\n--- stateful ---\n%s\n--- stateless ---\n%s", g, w)
+		}
+		refMod, refObj, err := testutil.CompileUnpruned(unit, src1, nil)
+		if err != nil {
+			t.Fatalf("the unpruned reference failed where the driver did not: %v", err)
+		}
+		if g, w := got.Module.String(), refMod.String(); g != w {
+			t.Fatalf("IR differs from the unpruned reference\n--- stateful ---\n%s\n--- unpruned ---\n%s\nsrc0:\n%s\nsrc1:\n%s", g, w, src0, src1)
+		}
+		if g, w := codegen.DisassembleObject(got.Object), codegen.DisassembleObject(refObj); g != w {
+			t.Fatalf("disassembly differs from the unpruned reference\n--- stateful ---\n%s\n--- unpruned ---\n%s", g, w)
 		}
 	})
 }

@@ -95,6 +95,11 @@ type Driver struct {
 	// auditState is the sentinel's splitmix64 PRNG state (advanced only
 	// when 0 < AuditRate < 1).
 	auditState uint64
+
+	// prune is set when the pipeline holds deadfunc: Run then removes the
+	// functions it would only delete before the first pass
+	// (passes.PruneDeadFuncs), under every policy.
+	prune bool
 }
 
 // NewDriver builds a driver for the configured pipeline.
@@ -112,6 +117,7 @@ func NewDriver(opts Options) (*Driver, error) {
 			return nil, fmt.Errorf("core: unknown pass %q", name)
 		}
 		d.infos = append(d.infos, info)
+		d.prune = d.prune || name == "deadfunc"
 		inst := info.New()
 		passes.UseScratch(inst, d.scratch)
 		if info.Module {
@@ -224,9 +230,17 @@ func (d *Driver) RunContext(ctx context.Context, m *ir.Module, st *UnitState) (*
 		st = NewUnitState(m.Unit, d.opts.Pipeline)
 		st.Quarantine = q
 	}
+	// Pruning comes before the first fingerprint, under both policies, so
+	// neither hashes, optimizes nor records a function deadfunc deletes
+	// whatever its body (and the stateful gain is not credited with it).
+	pruned := 0
+	if d.prune {
+		pruned = passes.PruneDeadFuncs(m)
+	}
 	stats := &Stats{
 		Slots:     make([]SlotStats, len(d.infos)),
 		Functions: len(m.Funcs),
+		Pruned:    pruned,
 	}
 	for i, info := range d.infos {
 		stats.Slots[i].Pass = info.Name
@@ -236,7 +250,8 @@ func (d *Driver) RunContext(ctx context.Context, m *ir.Module, st *UnitState) (*
 
 	// The prune set is the functions entering the pipeline: a function the
 	// pipeline itself deletes (deadfunc) reappears in the next build's
-	// fresh IR, and its early-slot records must survive to be skippable.
+	// fresh IR, and its early-slot records must survive to be skippable. A
+	// function pruned above has no records to keep.
 	live := make(map[string]bool, len(m.Funcs))
 	for _, f := range m.Funcs {
 		live[f.Name] = true
@@ -307,6 +322,7 @@ func (d *Driver) countStats(stats *Stats) {
 	pc.RunNS.Add(tot.RunNS)
 	pc.Hashes.Add(int64(stats.Hashes))
 	pc.HashNS.Add(stats.HashNS)
+	pc.FuncsPruned.Add(int64(stats.Pruned))
 	pc.DecSkipped.Add(int64(tot.Skipped))
 	pc.DecCold.Add(int64(tot.Cold))
 	pc.DecNotDormant.Add(int64(tot.NotDormant))

@@ -322,3 +322,40 @@ func TestDormantFractionMotivation(t *testing.T) {
 		t.Errorf("dormant fraction on incremental rebuild = %.2f; motivation expects most passes dormant", f)
 	}
 }
+
+// TestDriverPrunesWhatDeadfuncDeletes: a pipeline holding deadfunc loses
+// the never-called private functions before its first pass, under both
+// policies, and records nothing for them; one without deadfunc keeps them.
+func TestDriverPrunesWhatDeadfuncDeletes(t *testing.T) {
+	src := unitSrc + `
+func _orphan(x int) int { return helper(x) * 2; }
+func _leaf(x int) int { return x + 1; }
+func _root(x int) int { return _leaf(x) * 3; }
+`
+	// _orphan calls the public helper, so it shares main's component and
+	// stays; the chain _root → _leaf goes.
+	for _, policy := range []core.Policy{core.Stateless, core.Stateful} {
+		d := newDriver(t, core.Options{Policy: policy})
+		m := build(t, src)
+		st, stats, err := d.Run(m, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Pruned != 2 || stats.Functions != 5 {
+			t.Errorf("%v: pruned %d of %d functions, want 2 of 7", policy, stats.Pruned, stats.Pruned+stats.Functions)
+		}
+		for _, name := range []string{"_root", "_leaf"} {
+			if _, ok := st.Funcs[name]; ok {
+				t.Errorf("%v: state holds records for pruned %s", policy, name)
+			}
+		}
+	}
+	d := newDriver(t, core.Options{Pipeline: passes.QuickPipeline, Policy: core.Stateful})
+	_, stats, err := d.Run(build(t, src), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Pruned != 0 || stats.Functions != 7 {
+		t.Errorf("quick pipeline: pruned %d of %d functions, want none", stats.Pruned, stats.Pruned+stats.Functions)
+	}
+}

@@ -118,6 +118,10 @@ type Stats struct {
 	Hashes int
 	// Functions is the number of functions entering the pipeline.
 	Functions int
+	// Pruned is the number of functions removed before the first pass
+	// (passes.PruneDeadFuncs): never called, they would only be optimized
+	// for deadfunc to delete.
+	Pruned int
 }
 
 // Totals sums runs/dormant/skips across slots.
@@ -179,6 +183,7 @@ func (s *Stats) Merge(other *Stats) {
 	s.HashNS += other.HashNS
 	s.Hashes += other.Hashes
 	s.Functions += other.Functions
+	s.Pruned += other.Pruned
 }
 
 // ByPass aggregates slot stats by pass name (a pass can appear at several
@@ -215,8 +220,8 @@ func (sl *SlotStats) add(o *SlotStats) {
 func (s *Stats) String() string {
 	var sb strings.Builder
 	runs, dormant, skipped := s.Totals()
-	fmt.Fprintf(&sb, "pipeline: %d funcs, %d runs (%d dormant), %d skipped, dormant-fraction %.1f%%\n",
-		s.Functions, runs, dormant, skipped, 100*s.DormantFraction())
+	fmt.Fprintf(&sb, "pipeline: %d funcs (%d pruned), %d runs (%d dormant), %d skipped, dormant-fraction %.1f%%\n",
+		s.Functions, s.Pruned, runs, dormant, skipped, 100*s.DormantFraction())
 	fmt.Fprintf(&sb, "pass time %.3fms, hashing %.3fms (%d hashes)\n",
 		float64(s.PassTimeNS())/1e6, float64(s.HashNS)/1e6, s.Hashes)
 	for i, sl := range s.Slots {

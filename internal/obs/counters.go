@@ -20,6 +20,12 @@ const (
 	CtrPassRunNS   = "pass.run_ns"
 	CtrHashes      = "fingerprint.hashes"
 	CtrHashNS      = "fingerprint.hash_ns"
+	// pass.funcs_pruned counts the functions the driver removed before the
+	// first pass: never called, naming no private global, so deadfunc would
+	// delete them whatever the passes before it did
+	// (passes.PruneDeadFuncs). A work counter, deterministic for a given
+	// source.
+	CtrFuncsPruned = "pass.funcs_pruned"
 
 	// Deprecated: the estimate of pass time skipping saved summed a pass-cost
 	// average each dormancy record used to carry. A record is now a
@@ -272,6 +278,7 @@ func (r *Registry) Names() []string {
 type PassCounters struct {
 	Runs, Dormant, Skipped, RunNS *Counter
 	Hashes, HashNS                *Counter
+	FuncsPruned                   *Counter
 	// Soundness-sentinel totals (audit.* counters).
 	Audited, Unsound *Counter
 	// Decision-provenance buckets (decision.* counters).
@@ -291,6 +298,7 @@ func (r *Registry) Pass() *PassCounters {
 		RunNS:          r.Counter(CtrPassRunNS),
 		Hashes:         r.Counter(CtrHashes),
 		HashNS:         r.Counter(CtrHashNS),
+		FuncsPruned:    r.Counter(CtrFuncsPruned),
 		Audited:        r.Counter(CtrAuditSampled),
 		Unsound:        r.Counter(CtrAuditUnsound),
 		DecSkipped:     r.Counter(CtrDecSkippedDormant),

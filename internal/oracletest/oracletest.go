@@ -20,6 +20,7 @@ import (
 	"statefulcc/internal/codegen"
 	"statefulcc/internal/compiler"
 	"statefulcc/internal/project"
+	"statefulcc/internal/testutil"
 	"statefulcc/internal/vm"
 	"statefulcc/internal/workload"
 )
@@ -87,6 +88,33 @@ func Reference(t testing.TB, pipeline []string, stream ...project.Snapshot) []Re
 	}
 	if edited && !changed {
 		t.Fatalf("reference: no edit of the stream changes the program; the stream is vacuous")
+	}
+	return refs
+}
+
+// Unpruned is the reference of every snapshot of stream that does not go
+// through the compiler's driver, and so removes no function before the
+// first pass: each unit through testutil.CompileUnpruned with the given
+// pipeline (nil: the standard one), the objects through codegen.Link.
+// Reference goes through the driver, which prunes; a battery holds its
+// candidates to both.
+func Unpruned(t testing.TB, pipeline []string, stream ...project.Snapshot) []Ref {
+	t.Helper()
+	refs := make([]Ref, len(stream))
+	for i, snap := range stream {
+		var objs []*codegen.Object
+		for _, unit := range snap.Units() {
+			_, obj, err := testutil.CompileUnpruned(unit, string(snap[unit]), pipeline)
+			if err != nil {
+				t.Fatalf("unpruned reference: snapshot %d: %s: %v", i, unit, err)
+			}
+			objs = append(objs, obj)
+		}
+		p, err := codegen.Link(objs)
+		if err != nil {
+			t.Fatalf("unpruned reference: snapshot %d: %v", i, err)
+		}
+		refs[i] = Ref{p, codegen.DisassembleProgram(p)}
 	}
 	return refs
 }

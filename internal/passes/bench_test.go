@@ -36,9 +36,12 @@ func newWorker(tb testing.TB) *worker {
 }
 
 // compile optimizes and lowers one module, as core.Driver and
-// compiler.Compiler do.
-func (w *worker) compile(tb testing.TB, m *ir.Module) *codegen.Object {
+// compiler.Compiler do: the functions deadfunc would delete leave the
+// module before the first pass. It returns the object and how many
+// functions were pruned.
+func (w *worker) compile(tb testing.TB, m *ir.Module) (*codegen.Object, int) {
 	defer w.scratch.Release()
+	pruned := passes.PruneDeadFuncs(m)
 	for _, p := range w.passes {
 		if mp, ok := p.(passes.ModulePass); ok {
 			mp.RunModule(m)
@@ -52,15 +55,16 @@ func (w *worker) compile(tb testing.TB, m *ir.Module) *codegen.Object {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return obj
+	return obj, pruned
 }
 
 // BenchmarkPipelineMega runs the standard pipeline and code generation over
 // every unit of the megarepo profile on one worker — the compile path of
 // the benchmark of record's fresh_process workload, without the build
-// system around it. One op is the whole project; ns/unit, B/unit and
-// allocs/unit divide by its 208 units. The frontend runs with the timer
-// stopped (passes mutate IR, so every op needs fresh modules).
+// system around it. One op is the whole project; ns/unit, B/unit,
+// allocs/unit and funcsPruned/unit divide by its 208 units. The frontend
+// runs with the timer stopped (passes mutate IR, so every op needs fresh
+// modules).
 func BenchmarkPipelineMega(b *testing.B) {
 	w := newWorker(b)
 	snap := workload.Generate(workload.MegaProfile())
@@ -72,6 +76,7 @@ func BenchmarkPipelineMega(b *testing.B) {
 
 	var before, after runtime.MemStats
 	var bytes, mallocs uint64
+	pruned := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -87,7 +92,8 @@ func BenchmarkPipelineMega(b *testing.B) {
 		runtime.ReadMemStats(&before)
 		b.StartTimer()
 		for _, m := range mods {
-			w.compile(b, m)
+			_, n := w.compile(b, m)
+			pruned += n
 		}
 		b.StopTimer()
 		runtime.ReadMemStats(&after)
@@ -99,4 +105,5 @@ func BenchmarkPipelineMega(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/units, "ns/unit")
 	b.ReportMetric(float64(bytes)/units, "B/unit")
 	b.ReportMetric(float64(mallocs)/units, "allocs/unit")
+	b.ReportMetric(float64(pruned)/units, "funcsPruned/unit")
 }

@@ -220,3 +220,100 @@ func (*DeadFunc) RunModule(m *ir.Module) bool {
 		}
 	}
 }
+
+// PruneDeadFuncs removes, before any pass runs, the functions a pipeline
+// holding deadfunc would optimize only for deadfunc to delete, and returns
+// how many it removed. It drops a connected component of the undirected
+// call graph over the module's defined functions when every function in it
+// is private, is not main and names no private global, and its calls among
+// themselves form no cycle (a self-call counts).
+//
+// The pipeline's output is the same without the component:
+//
+//   - No call edge joins it to the rest of the module, so no other function
+//     inlines one of its bodies, and callGraphPostorder, whose walks never
+//     cross between it and the rest, orders the rest the same without it.
+//   - globalopt constifies and removes private globals only, from usage
+//     flags only functions naming them set.
+//   - Nothing outside calls into it, and inlining within it adds no cycle,
+//     so its call graph is still acyclic and uncalled from outside when
+//     deadfunc runs: deadfunc's fixpoint removes all of it, and its calls
+//     decide nothing about the rest. A cycle is left alone because
+//     deadfunc keeps one whose calls the pipeline did not delete.
+//
+// A dead function naming a private global is kept even when nothing calls
+// it: a store it holds blocks constification until globalopt runs.
+func PruneDeadFuncs(m *ir.Module) int {
+	n := len(m.Funcs)
+	if n == 0 {
+		return 0
+	}
+	index := make(map[string]int, n)
+	for i, f := range m.Funcs {
+		index[f.Name] = i
+	}
+	root := make([]int, n)  // union-find forest over the undirected graph
+	keep := make([]bool, n) // the function fails the test; at a root: the component stays
+	calls := make([]int, n) // call sites naming the function, within the module
+	type edge struct{ from, to int }
+	var edges []edge
+	find := func(i int) int {
+		for root[i] != i {
+			root[i] = root[root[i]]
+			i = root[i]
+		}
+		return i
+	}
+	for i := range root {
+		root[i] = i
+	}
+	for i, f := range m.Funcs {
+		keep[i] = !f.Private || f.Name == "main"
+		f.ForEachValue(func(v *ir.Value) {
+			switch v.Op {
+			case ir.OpCall:
+				if j, ok := index[v.Sym]; ok {
+					edges = append(edges, edge{i, j})
+					calls[j]++
+					root[find(i)] = find(j)
+				}
+			case ir.OpGlobalAddr:
+				if g := m.FindGlobal(v.Sym); g != nil && g.Private {
+					keep[i] = true
+				}
+			}
+		})
+	}
+	// Peel uncalled functions as deadfunc does; what is left is kept (a
+	// cycle, or called from one).
+	peeled := make([]bool, n)
+	for progress := true; progress; {
+		progress = false
+		for i := range peeled {
+			if peeled[i] || calls[i] > 0 {
+				continue
+			}
+			peeled[i], progress = true, true
+			for _, e := range edges {
+				if e.from == i {
+					calls[e.to]--
+				}
+			}
+		}
+	}
+	for i := range keep {
+		if keep[i] || !peeled[i] {
+			keep[find(i)] = true
+		}
+	}
+	out := m.Funcs[:0]
+	for i, f := range m.Funcs {
+		if keep[find(i)] {
+			out = append(out, f)
+		}
+	}
+	pruned := n - len(out)
+	clear(m.Funcs[len(out):])
+	m.Funcs = out
+	return pruned
+}

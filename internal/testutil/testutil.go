@@ -11,6 +11,7 @@ import (
 	"statefulcc/internal/ir"
 	"statefulcc/internal/irbuild"
 	"statefulcc/internal/parser"
+	"statefulcc/internal/passes"
 	"statefulcc/internal/source"
 	"statefulcc/internal/types"
 	"statefulcc/internal/vm"
@@ -29,6 +30,31 @@ func BuildModule(unit, src string) (*ir.Module, error) {
 		return nil, fmt.Errorf("check: %w", &errs)
 	}
 	return irbuild.Build(unit, tree, info)
+}
+
+// CompileUnpruned is the reference compile of one unit that removes no
+// function before the first pass: the frontend, passes.RunPipeline over the
+// given pipeline (nil: the standard one) and codegen.Compile. The compiler's
+// driver prunes the functions deadfunc would delete
+// (passes.PruneDeadFuncs), so a test that holds a build to this
+// reference holds the pruning to the output it must not change. The module
+// is the post-pipeline IR and is the caller's.
+func CompileUnpruned(unit, src string, pipeline []string) (*ir.Module, *codegen.Object, error) {
+	if pipeline == nil {
+		pipeline = passes.StandardPipeline
+	}
+	m, err := BuildModule(unit, src)
+	if err != nil {
+		return nil, nil, err
+	}
+	if _, err := passes.RunPipeline(m, pipeline); err != nil {
+		return nil, nil, err
+	}
+	obj, err := codegen.Compile(m)
+	if err != nil {
+		return nil, nil, err
+	}
+	return m, obj, nil
 }
 
 // Transform is an optional IR transformation applied between lowering and
