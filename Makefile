@@ -167,8 +167,11 @@ net-chaos:
 
 # smoke is the flight-recorder end-to-end check: cold build, comment-only
 # edit, incremental rebuild, then gate on the recorded history — regress
-# exits 2 unless the rebuild actually skipped dormant passes, and explain
-# must render the edited unit's decision table.
+# exits 2 unless the rebuild actually skipped dormant passes, explain must
+# render the edited unit's decision table and answer for main.mc, which the
+# edit left alone, and history must list both builds. (Each build here is a
+# new process with an empty object cache, so the rebuild compiles main.mc
+# again; a record that leaves a cached unit out is read by the tests.)
 smoke:
 	rm -rf $(SMOKEDIR)
 	mkdir -p $(SMOKEDIR)/proj
@@ -179,4 +182,6 @@ smoke:
 	$(SMOKEDIR)/minibuild -dir $(SMOKEDIR)/proj -mode stateful
 	$(SMOKEDIR)/minibuild regress -dir $(SMOKEDIR)/proj -min-skip-rate 10
 	$(SMOKEDIR)/minibuild explain -dir $(SMOKEDIR)/proj math.mc
+	$(SMOKEDIR)/minibuild explain -dir $(SMOKEDIR)/proj main.mc
+	$(SMOKEDIR)/minibuild history -dir $(SMOKEDIR)/proj -n 2
 	rm -rf $(SMOKEDIR)

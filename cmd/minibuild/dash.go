@@ -108,35 +108,20 @@ func dashGantt(sb *strings.Builder, rec *history.Record) {
 		sb.WriteString("<p>record carries no scheduling timeline</p>")
 		return
 	}
-	tl := rec.Timeline.ToObs()
-	cp := obs.Analyze(tl)
+	cp := obs.Analyze(rec.Timeline)
 	onChain := make(map[string]bool, len(cp.Chain))
 	for _, l := range cp.Chain {
 		onChain[l.Unit] = true
 	}
 
 	// Units served from the local object cache were never scheduled and a
-	// record has no event for them (one written before PR 21 has a "skip"
-	// event each, dropped here); the record's tallies count them.
+	// record has no event for them; the record's tallies count them.
 	skips := rec.UnitsCached - rec.UnitsRemote
-	var sched []obs.UnitEvent
-	for _, e := range tl.Events {
-		if e.Scheduled() {
-			e.StartNS -= tl.CompileStartNS
-			e.EndNS -= tl.CompileStartNS
-			sched = append(sched, e)
-		}
-	}
+	sched := waterfall(rec.Timeline)
 	if len(sched) == 0 {
 		fmt.Fprintf(sb, "<p>fully cached build (%d skips) — nothing scheduled</p>", skips)
 		return
 	}
-	sort.Slice(sched, func(i, j int) bool {
-		if sched[i].StartNS != sched[j].StartNS {
-			return sched[i].StartNS < sched[j].StartNS
-		}
-		return sched[i].Unit < sched[j].Unit
-	})
 	truncated := 0
 	if len(sched) > dashGanttMaxRows {
 		truncated = len(sched) - dashGanttMaxRows

@@ -126,7 +126,7 @@ func TestRenderProfileSections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tl := rec.Timeline.ToObs()
+	tl := rec.Timeline
 	if err := tl.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestBothRecordShapesRenderAlike(t *testing.T) {
 	}
 	render := func(rec *history.Record) map[string]string {
 		t.Helper()
-		tl := rec.Timeline.ToObs()
+		tl := rec.Timeline
 		if err := tl.Validate(); err != nil {
 			t.Fatalf("build %d: %v", rec.Seq, err)
 		}
@@ -252,15 +252,15 @@ func TestBothRecordShapesRenderAlike(t *testing.T) {
 	sort.Strings(names)
 	cached := func(rec *history.Record, shape int) *history.Record {
 		rec.UnitsCompiled, rec.UnitsCached = 0, len(names)
-		rec.Units, rec.Pipeline, rec.Timeline.Events = map[string]history.UnitRecord{}, nil, []history.TimelineEvent{}
+		rec.Units, rec.Pipeline, rec.Timeline.Events = map[string]history.UnitRecord{}, nil, []obs.UnitEvent{}
 		for i, name := range names {
 			if shape < 3 {
 				rec.Units[name] = history.UnitRecord{Cached: true}
 			}
 			if shape == 1 {
 				at := int64(1000 * i)
-				rec.Timeline.Events = append(rec.Timeline.Events, history.TimelineEvent{
-					Unit: name, Worker: -1, Outcome: obs.OutcomeSkip, EnqueueNS: at, StartNS: at, EndNS: at + 900})
+				rec.Timeline.Events = append(rec.Timeline.Events, obs.UnitEvent{
+					Unit: name, Worker: -1, Outcome: "skip", EnqueueNS: at, StartNS: at, EndNS: at + 900})
 			}
 		}
 		if shape == 3 {
@@ -387,7 +387,7 @@ func TestThreeRecordShapesOnEverySurface(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: profile -build %d: %v", file, seq, err)
 			}
-			tl := rec.Timeline.ToObs()
+			tl := rec.Timeline
 			if err := tl.Validate(); err != nil {
 				t.Fatalf("%s: build %d: %v", file, seq, err)
 			}

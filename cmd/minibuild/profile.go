@@ -40,7 +40,7 @@ func runProfile(args []string) error {
 	if err != nil {
 		return err
 	}
-	tl := rec.Timeline.ToObs()
+	tl := rec.Timeline
 	if err := tl.Validate(); err != nil {
 		return fmt.Errorf("build %d: corrupt timeline: %w", rec.Seq, err)
 	}
@@ -179,21 +179,14 @@ func passAttribution(rec *history.Record, unit string, top int) []map[string]any
 // waterfallWidth is the bar width of the waterfall/utilization charts.
 const waterfallWidth = 40
 
-// renderProfile writes the human-readable profile report.
-func renderProfile(w io.Writer, rec *history.Record, tl *obs.Timeline, cp *obs.CritPath) {
-	fmt.Fprintf(w, "build %d (%s, %d workers): wall %.3fms = compile %.3fms + link %.3fms; %d compiled, %d cached\n",
-		rec.Seq, rec.Mode, tl.Workers, fms(cp.WallNS), fms(cp.CompileWallNS), fms(cp.LinkNS),
-		rec.UnitsCompiled, rec.UnitsCached)
-
-	// Waterfall: scheduled events by start time, bars scaled to the
-	// compile phase.
-	var sched []obs.UnitEvent
-	for _, e := range tl.Events {
-		if e.Scheduled() {
-			e.StartNS -= tl.CompileStartNS
-			e.EndNS -= tl.CompileStartNS
-			sched = append(sched, e)
-		}
+// waterfall returns a timeline's events rebased to the compile phase start,
+// in start order (ties broken on unit name).
+func waterfall(tl *obs.Timeline) []obs.UnitEvent {
+	sched := make([]obs.UnitEvent, len(tl.Events))
+	for i, e := range tl.Events {
+		e.StartNS -= tl.CompileStartNS
+		e.EndNS -= tl.CompileStartNS
+		sched[i] = e
 	}
 	sort.Slice(sched, func(i, j int) bool {
 		if sched[i].StartNS != sched[j].StartNS {
@@ -201,6 +194,17 @@ func renderProfile(w io.Writer, rec *history.Record, tl *obs.Timeline, cp *obs.C
 		}
 		return sched[i].Unit < sched[j].Unit
 	})
+	return sched
+}
+
+// renderProfile writes the human-readable profile report.
+func renderProfile(w io.Writer, rec *history.Record, tl *obs.Timeline, cp *obs.CritPath) {
+	fmt.Fprintf(w, "build %d (%s, %d workers): wall %.3fms = compile %.3fms + link %.3fms; %d compiled, %d cached\n",
+		rec.Seq, rec.Mode, tl.Workers, fms(cp.WallNS), fms(cp.CompileWallNS), fms(cp.LinkNS),
+		rec.UnitsCompiled, rec.UnitsCached)
+
+	// Waterfall: events by start time, bars scaled to the compile phase.
+	sched := waterfall(tl)
 	onChain := make(map[string]bool, len(cp.Chain))
 	for _, l := range cp.Chain {
 		onChain[l.Unit] = true

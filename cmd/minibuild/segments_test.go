@@ -75,7 +75,7 @@ func TestReadersAcrossTheSegmentBoundary(t *testing.T) {
 				got[fmt.Sprintf("profile -build %d", seq)] = "[err: " + err.Error() + "]"
 				continue
 			}
-			tl := rec.Timeline.ToObs()
+			tl := rec.Timeline
 			var page strings.Builder
 			renderProfile(&page, rec, tl, obs.Analyze(tl))
 			got[fmt.Sprintf("profile -build %d", seq)] = page.String()

@@ -28,7 +28,6 @@ import (
 	"statefulcc/internal/codegen"
 	"statefulcc/internal/compiler"
 	"statefulcc/internal/core"
-	"statefulcc/internal/fingerprint"
 	"statefulcc/internal/footprint"
 	"statefulcc/internal/obs"
 	"statefulcc/internal/passes"
@@ -116,7 +115,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 		var st *core.UnitState
 		if *stateDir != "" {
-			st, err = state.Load(statePathFor(*stateDir, unit))
+			st, err = state.Load(buildsys.StatePath(*stateDir, unit))
 			if err != nil {
 				fmt.Fprintf(stderr, "minicc: discarding unreadable state for %s: %v\n", unit, err)
 				st = nil
@@ -138,7 +137,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			res.State.Footprint = tr.Finish(buildsys.ContentHash(src))
 		}
 		if *stateDir != "" && res.State != nil {
-			if err := state.Save(statePathFor(*stateDir, unit), res.State); err != nil {
+			if err := state.Save(buildsys.StatePath(*stateDir, unit), res.State); err != nil {
 				fmt.Fprintf(stderr, "minicc: saving state for %s: %v\n", unit, err)
 			}
 		}
@@ -203,8 +202,4 @@ func parseMode(s string) (compiler.Mode, error) {
 	default:
 		return 0, fmt.Errorf("unknown mode %q", s)
 	}
-}
-
-func statePathFor(dir, unit string) string {
-	return filepath.Join(dir, fmt.Sprintf("%016x.state", fingerprint.Strings([]string{unit})))
 }

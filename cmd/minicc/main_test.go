@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"statefulcc/internal/buildsys"
 	"statefulcc/internal/core"
 	"statefulcc/internal/obs"
 	"statefulcc/internal/state"
@@ -100,7 +101,7 @@ func TestVerifyStateExitsOnUnsoundSkip(t *testing.T) {
 	}
 	// A dormant slot's input is the next slot's input too, so a changed
 	// record after a dormant one becomes a lie by taking its hash.
-	path := statePathFor(filepath.Join(dir, "st"), "u.mc")
+	path := buildsys.StatePath(filepath.Join(dir, "st"), "u.mc")
 	st, err := state.Load(path)
 	if err != nil || st == nil {
 		t.Fatalf("state: %v, %v", st, err)

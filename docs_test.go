@@ -12,6 +12,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"statefulcc/internal/passes"
 )
 
 // TestDocsNameWhatExists fails when markdown here mentions a cmd/<name> or
@@ -281,5 +283,34 @@ func TestCounterTableMatchesRegistry(t *testing.T) {
 		if !documented[n] {
 			t.Errorf("counter %s (internal/obs/counters.go) has no row in docs/OBSERVABILITY.md's counter table", n)
 		}
+	}
+}
+
+// TestDesignPassRowMatchesRegistry holds DESIGN.md's pass-inventory row to
+// passes.Registry(): the row names, in backticks, every registered pass and
+// nothing else, less the test-only faulthook.
+func TestDesignPassRowMatchesRegistry(t *testing.T) {
+	doc, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := regexp.MustCompile(`(?m)^\|[^|]*\| Optimization passes[^|]*\|[^|]*\|(.*)\|$`).FindSubmatch(doc)
+	if row == nil {
+		t.Fatal("DESIGN.md has no Optimization passes row")
+	}
+	var named []string
+	for _, m := range regexp.MustCompile("`([a-z0-9-]+)`").FindAllSubmatch(row[1], -1) {
+		named = append(named, string(m[1]))
+	}
+	var registered []string
+	for _, in := range passes.Registry() {
+		if in.Name != "faulthook" {
+			registered = append(registered, in.Name)
+		}
+	}
+	slices.Sort(named)
+	slices.Sort(registered)
+	if !slices.Equal(named, registered) {
+		t.Errorf("DESIGN.md's pass row names %v; passes.Registry() has %v", named, registered)
 	}
 }

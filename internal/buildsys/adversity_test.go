@@ -18,6 +18,7 @@ import (
 	"statefulcc/internal/buildsys"
 	"statefulcc/internal/compiler"
 	"statefulcc/internal/core"
+	histpkg "statefulcc/internal/history"
 	"statefulcc/internal/obs"
 	"statefulcc/internal/oracletest"
 	"statefulcc/internal/passes"
@@ -69,9 +70,9 @@ func TestPanicIsolatedToUnit(t *testing.T) {
 		t.Errorf("b.mc quarantine %q, want %q", ur.Quarantine, core.QuarantinePanic)
 	}
 	for _, name := range []string{"a.mc", "m.mc"} {
-		u := rep.Units[name]
-		if !u.Compiled || u.Panicked || u.Quarantine != "" {
-			t.Errorf("%s: compiled=%v panicked=%v quarantine=%q, want clean compile", name, u.Compiled, u.Panicked, u.Quarantine)
+		u := rep.Unit(name)
+		if u.Cached || u.Panicked || u.Quarantine != "" {
+			t.Errorf("%s: cached=%v panicked=%v quarantine=%q, want clean compile", name, u.Cached, u.Panicked, u.Quarantine)
 		}
 	}
 	if rep.Metrics[obs.CtrBuildPanics] != 1 {
@@ -118,8 +119,8 @@ func TestPanicQuarantineLiftsAfterCleanBuilds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("clean build %d: %v", i, err)
 		}
-		ur := rep.Units["b.mc"]
-		if !ur.Compiled {
+		ur := rep.Unit("b.mc")
+		if ur.Cached {
 			t.Fatalf("clean build %d: b.mc not recompiled", i)
 		}
 		if i < core.QuarantineCleanTarget {
@@ -201,10 +202,10 @@ func TestSentinelCatchesUnsoundSkip(t *testing.T) {
 	if ur.Quarantine != core.QuarantineUnsound {
 		t.Errorf("unit quarantine %q, want %q", ur.Quarantine, core.QuarantineUnsound)
 	}
-	var hookSlot *core.SlotStats
-	for i := range ur.Slots {
-		if ur.Slots[i].Pass == "faulthook" && ur.Slots[i].Unsound > 0 {
-			hookSlot = &ur.Slots[i]
+	var hookSlot *histpkg.PassDecision
+	for i := range ur.Passes {
+		if rep.PassName(&ur.Passes[i]) == "faulthook" && ur.Passes[i].Unsound > 0 {
+			hookSlot = &ur.Passes[i]
 		}
 	}
 	if hookSlot == nil {
@@ -264,9 +265,9 @@ func TestSentinelQuarantineSuspendsSkippingThenLifts(t *testing.T) {
 					t.Errorf("clean build %d: quarantine %q, want still engaged", i+1, ur.Quarantine)
 				}
 				quarantinedRuns := 0
-				for _, sl := range ur.Slots {
-					if sl.Pass == "faulthook" {
-						quarantinedRuns += sl.Quarantined
+				for i := range ur.Passes {
+					if rep.PassName(&ur.Passes[i]) == "faulthook" {
+						quarantinedRuns += ur.Passes[i].Quarantined
 					}
 				}
 				if quarantinedRuns == 0 {
@@ -287,8 +288,8 @@ func TestSentinelQuarantineSuspendsSkippingThenLifts(t *testing.T) {
 		t.Fatal(err)
 	}
 	skipped := 0
-	for _, sl := range rep.Units["u.mc"].Slots {
-		skipped += sl.Skipped
+	for _, pd := range rep.Units["u.mc"].Passes {
+		skipped += pd.Skipped
 	}
 	if skipped == 0 {
 		t.Error("post-lift build skipped nothing; warm records lost")

@@ -27,7 +27,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -110,54 +109,21 @@ type Options struct {
 	CAS cas.Store
 }
 
-// UnitReport describes one unit within a build.
-type UnitReport struct {
-	// Compiled is false when the unit came from the object cache.
-	Compiled bool
-	// CompileNS is the unit's own compile wall time (0 when cached).
-	CompileNS int64
-	// Slots is the unit's per-pipeline-slot statistics including decision
-	// provenance (nil for cached units and for modes without a pass
-	// driver, e.g. fullcache) — the raw material of `minibuild explain`.
-	Slots []core.SlotStats
-	// Panicked means a pass panicked compiling this unit; the panic was
-	// isolated and the unit recompiled through the stateless fallback.
-	Panicked bool
-	// Quarantine is the unit's active quarantine reason after this build
-	// ("" when none): core.QuarantinePanic or core.QuarantineUnsound.
-	Quarantine string
-	// Remote means the unit was served from the shared cache: its verified
-	// object was fetched by content hash instead of compiling.
-	Remote bool
-}
-
-// Report summarizes one Build call.
+// Report summarizes one Build call. Its Record is the build's
+// flight-recorder record, filled in the shape it is stored in: Units lists the
+// units the build decided (compiled, fetched from the shared cache,
+// quarantined, or named by the footprint check), Timeline has an event for
+// each unit that occupied a worker, and a unit served from the object cache is
+// a share of UnitsCached and of CachedDigest (Record.Unit answers for it).
+// TotalNS leaves out the flight-recorder append that follows the link (the
+// history.append span times that). Metrics is a snapshot of the builder's
+// counters registry taken after this build; counters are cumulative across
+// the builder's lifetime (docs/OBSERVABILITY.md has the schema). A cancelled
+// build's Record has the units that completed and no Timeline.
 type Report struct {
-	// TotalNS is the build's wall time up to and including the link. It
-	// leaves out the flight-recorder append that follows it (the
-	// history.append span times that).
-	TotalNS int64
-	// CompileNS is the wall time of the (parallel) compile phase.
-	CompileNS int64
-	// LinkNS is the link wall time.
-	LinkNS int64
-	// UnitsCompiled / UnitsCached partition the snapshot's units.
-	UnitsCompiled, UnitsCached int
-	// UnitsRemote counts the units served from the shared cache (a subset
-	// of UnitsCached: a remote hit is a cache hit that crossed the wire).
-	UnitsRemote int
-	// StateBytes is the persistent-state footprint after this build
-	// (serialized dormancy state, or the full cache's memory footprint).
-	StateBytes int
-	// Units maps every unit in the snapshot to its outcome.
-	Units map[string]UnitReport
+	history.Record
 	// Program is the linked executable.
 	Program *codegen.Program
-	// Metrics is a snapshot of the builder's counters registry taken after
-	// this build. Counters are cumulative across the builder's lifetime
-	// (dormancy hit/skip totals, fingerprint vs pass time, state I/O,
-	// worker busy time); see docs/OBSERVABILITY.md for the schema.
-	Metrics map[string]int64
 	// WorkerBusyNS is each worker slot's busy time during this build's
 	// compile phase (index = worker slot).
 	WorkerBusyNS []int64
@@ -166,20 +132,6 @@ type Report struct {
 	// state, dropped flight-recorder records). Mirrored by the
 	// state.io_error / history.io_error counters in Metrics.
 	Warnings []string
-	// FootprintMissed lists units (unit order) whose declared cache decision
-	// was "unchanged" while their traced footprint changed — missed
-	// invalidations, the soundness violations the footprint cross-check
-	// exists to catch. Under EnforceFootprint they were recompiled; in
-	// check-only mode the stale object shipped (and a warning says so).
-	FootprintMissed []string
-	// FootprintRedundant lists units the declared channel recompiled though
-	// their traced footprint proves the cached object was still valid.
-	FootprintRedundant []string
-	// Timeline is the build's scheduling event log — one event per unit
-	// (skip or compile) with monotonic enqueue/start/end timestamps — the
-	// raw material of `minibuild profile` (obs.Analyze). Nil on cancelled
-	// builds.
-	Timeline *obs.Timeline
 
 	stats *core.Stats
 }
@@ -452,7 +404,11 @@ func (b *Builder) BuildContext(ctx context.Context, snap project.Snapshot) (*Rep
 	}
 
 	rep := &Report{
-		Units: make(map[string]UnitReport, len(snap)),
+		Record: history.Record{
+			Mode:    b.opts.Mode.String(),
+			Workers: b.opts.Workers,
+			Units:   make(map[string]history.UnitRecord),
+		},
 		stats: &core.Stats{},
 	}
 
@@ -460,10 +416,12 @@ func (b *Builder) BuildContext(ctx context.Context, snap project.Snapshot) (*Rep
 	// work. With footprint tracing on, every declared decision is
 	// cross-checked against the unit's traced read footprint — and under
 	// EnforceFootprint the footprint verdict overrides the declared one.
+	// A cached unit the check named is listed in the record; the others are
+	// its CachedDigest.
 	pipeHash := footprint.HashStrings(b.opts.Pipeline)
 	units := snap.Units()
 	var work []compileJob
-	var skipEvents []obs.UnitEvent
+	var unlisted []string
 	for _, name := range units {
 		src := snap[name]
 		decStartNS := b.tlNow()
@@ -474,27 +432,28 @@ func (b *Builder) BuildContext(ctx context.Context, snap project.Snapshot) (*Rep
 		}
 		h := b.declaredHash(name, src, honest)
 		cached := e != nil && e.hash == h && e.obj != nil
+		named := len(rep.FootprintMissed) + len(rep.FootprintRedundant)
 		if b.footprintOn() {
 			cached = b.crossCheck(rep, e, name, src, pipeHash, cached)
 		}
-		decEndNS := b.tlNow()
-		b.hist.skipDecision.Observe(decEndNS - decStartNS)
+		b.hist.skipDecision.Observe(b.tlNow() - decStartNS)
 		if cached {
 			if e.hash != h {
 				// Enforcement proved the object valid under a moved declared
 				// hash; adopt the new hash so the channels re-converge.
 				e.hash = h
 			}
-			rep.Units[name] = UnitReport{}
+			if named != len(rep.FootprintMissed)+len(rep.FootprintRedundant) {
+				rep.Units[name] = history.UnitRecord{Cached: true}
+			} else {
+				unlisted = append(unlisted, name)
+			}
 			rep.UnitsCached++
-			skipEvents = append(skipEvents, obs.UnitEvent{
-				Unit: name, Worker: -1, Outcome: obs.OutcomeSkip,
-				EnqueueNS: decStartNS, StartNS: decStartNS, EndNS: decEndNS,
-			})
 			continue
 		}
 		work = append(work, compileJob{name: name, src: src, honest: honest, hash: h})
 	}
+	rep.CachedDigest = history.CachedDigest(unlisted)
 
 	// Compile changed units on the worker pool. The phase-start stamp is
 	// taken after compileStart so scheduled events (recorded inside) land
@@ -526,7 +485,7 @@ func (b *Builder) BuildContext(ctx context.Context, snap project.Snapshot) (*Rep
 			if out.casState != nil {
 				e.state, e.stateBytes = out.casState, out.stateBytes
 			}
-			rep.Units[name] = UnitReport{Remote: true}
+			rep.Units[name] = history.UnitRecord{Cached: true, Remote: true}
 			rep.UnitsCached++
 			rep.UnitsRemote++
 			continue
@@ -553,13 +512,16 @@ func (b *Builder) BuildContext(ctx context.Context, snap project.Snapshot) (*Rep
 			}
 		}
 		b.hist.unitCompile.Observe(out.res.TotalNS)
-		ur := UnitReport{Compiled: true, CompileNS: out.res.TotalNS, Panicked: out.panicked}
+		ur := history.UnitRecord{CompileNS: out.res.TotalNS, Panicked: out.panicked}
 		if e.state != nil && e.state.Quarantine != nil {
 			ur.Quarantine = e.state.Quarantine.Reason
 		}
 		if out.res.Stats != nil {
 			rep.stats.Merge(out.res.Stats)
-			ur.Slots = append([]core.SlotStats(nil), out.res.Stats.Slots...)
+			ur.Passes = decisions(out.res.Stats.Slots)
+			if ur.Passes != nil {
+				rep.Pipeline = b.opts.Pipeline
+			}
 		}
 		b.ctr.frontendNS.Add(out.res.StageNS(compiler.StageFrontend))
 		b.ctr.passesNS.Add(out.res.StageNS(compiler.StagePasses))
@@ -609,7 +571,16 @@ func (b *Builder) BuildContext(ctx context.Context, snap project.Snapshot) (*Rep
 	rep.StateBytes = b.stateBytes()
 	rep.TotalNS = time.Since(start).Nanoseconds()
 	b.hist.buildWall.Observe(rep.TotalNS)
-	rep.Timeline = assembleTimeline(b.opts.Workers, rep, compileStartNS, skipEvents, unitEvents)
+	// The pool's events are in job order, which is unit order, and a build
+	// that reaches the link has no cancellation holes among them.
+	rep.Timeline = &obs.Timeline{
+		Workers:        b.opts.Workers,
+		WallNS:         rep.TotalNS,
+		CompileStartNS: compileStartNS,
+		CompileWallNS:  rep.CompileNS,
+		LinkNS:         rep.LinkNS,
+		Events:         unitEvents,
+	}
 
 	// Build-level accounting: counters first, then the snapshot the
 	// report carries.
@@ -622,6 +593,8 @@ func (b *Builder) BuildContext(ctx context.Context, snap project.Snapshot) (*Rep
 		b.ctr.workerBusyNS.Add(ns)
 	}
 	rep.Metrics = b.reg.Snapshot()
+	rep.SkipRatePct = 100 * obs.SkipRate(rep.Metrics)
+	rep.TimeUnixMS = time.Now().UnixMilli()
 	b.opts.Trace.Emit(obs.Span{Name: "build", Cat: obs.CatBuild, TID: 0,
 		Start: buildStart, Dur: rep.TotalNS})
 	b.recordHistory(rep)
@@ -691,31 +664,6 @@ func (b *Builder) stateBytes() int {
 		n += e.stateBytes
 	}
 	return n
-}
-
-// assembleTimeline merges the partition stage's skip events with the
-// pool's scheduling events into the build's timeline, sorted by unit name
-// (scheduling must not leak into the recorded artifact's shape). Event
-// holes from cancellation are dropped, but cancelled builds never reach
-// this point anyway — only successful builds carry a timeline.
-func assembleTimeline(workers int, rep *Report, compileStartNS int64, skips, compiles []obs.UnitEvent) *obs.Timeline {
-	events := make([]obs.UnitEvent, 0, len(skips)+len(compiles))
-	events = append(events, skips...)
-	for _, e := range compiles {
-		if e.Unit == "" {
-			continue
-		}
-		events = append(events, e)
-	}
-	sort.Slice(events, func(i, j int) bool { return events[i].Unit < events[j].Unit })
-	return &obs.Timeline{
-		Workers:        workers,
-		WallNS:         rep.TotalNS,
-		CompileStartNS: compileStartNS,
-		CompileWallNS:  rep.CompileNS,
-		LinkNS:         rep.LinkNS,
-		Events:         events,
-	}
 }
 
 // commitEntry returns the entry of a unit the pool settled, creating it

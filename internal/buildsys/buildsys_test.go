@@ -108,7 +108,7 @@ func TestIncrementalAccounting(t *testing.T) {
 			t.Errorf("build %d: accounting %d+%d != %d", i+1, rep.UnitsCompiled, rep.UnitsCached, len(snap))
 		}
 		for name, ur := range rep.Units {
-			if ur.Compiled && ur.CompileNS <= 0 {
+			if !ur.Cached && ur.CompileNS <= 0 {
 				t.Errorf("build %d: compiled unit %s has no compile time", i+1, name)
 			}
 		}

@@ -394,14 +394,14 @@ func TestChaosPowerLoss(t *testing.T) {
 					!strings.Contains(rep.Warnings[0], "running cold") {
 					t.Errorf("warnings %q, want one that %s ran cold", rep.Warnings, p.Path)
 				}
-				ur := rep.Units[unit]
-				if !ur.Compiled || len(ur.Slots) == 0 {
+				ur := rep.Unit(unit)
+				if ur.Cached || len(ur.Passes) == 0 {
 					t.Fatalf("unit %s was not compiled after the power loss: %+v", unit, ur)
 				}
-				for _, s := range ur.Slots {
-					if s.Skipped != 0 || s.Cold != s.Runs {
+				for i := range ur.Passes {
+					if s := &ur.Passes[i]; s.Skipped != 0 || s.Cold != s.Runs {
 						t.Fatalf("unit %s slot %s: %d skipped, %d of %d runs cold; want a cold unit",
-							unit, s.Pass, s.Skipped, s.Cold, s.Runs)
+							unit, rep.PassName(s), s.Skipped, s.Cold, s.Runs)
 					}
 				}
 				raw, err := os.ReadFile(filepath.Join(dir, p.Path))

@@ -1,17 +1,15 @@
 package buildsys
 
-// Flight-recorder integration: after every successful Build, one
-// internal/history record — build timings, the counters-registry snapshot,
-// the per-slot decision provenance of each unit the build decided, and the
-// scheduled part of the timeline (Report.Units and Report.Timeline keep an
-// entry for every unit; the record one for every unit the build did
-// something about, and a count and a digest for the rest) — is appended to
-// the state directory. Recording is advisory: it is skipped without a
-// destination and append failures never fail a build.
+// Flight-recorder integration: after every successful Build, the build's
+// report's Record — build timings, the counters-registry snapshot, the
+// per-slot decision provenance of each unit the build decided, and the
+// timeline of the units that occupied a worker, filled by Build in the shape
+// records are stored in — is appended to the state directory as it is.
+// Recording is advisory: it is skipped without a destination and append
+// failures never fail a build.
 
 import (
-	"time"
-
+	"statefulcc/internal/core"
 	"statefulcc/internal/history"
 	"statefulcc/internal/obs"
 )
@@ -42,7 +40,7 @@ func (b *Builder) recordHistory(rep *Report) {
 		return
 	}
 	start := b.opts.Trace.Now()
-	err := b.recorder.Append(b.historyRecord(rep))
+	err := b.recorder.Append(&rep.Record)
 	b.opts.Trace.Emit(obs.Span{Name: "history.append", Cat: obs.CatBuild, TID: 0,
 		Start: start, Dur: b.opts.Trace.Now() - start})
 	if err != nil {
@@ -51,59 +49,31 @@ func (b *Builder) recordHistory(rep *Report) {
 	}
 }
 
-// historyRecord converts a build report into its flight-recorder record:
-// every unit's outcome as the report has it, brought to the shape records
-// have on disk — decided units only — by the function that defines that
-// shape for readers too.
-func (b *Builder) historyRecord(rep *Report) *history.Record {
-	rec := &history.Record{
-		TimeUnixMS:    time.Now().UnixMilli(),
-		Mode:          b.opts.Mode.String(),
-		Workers:       b.opts.Workers,
-		TotalNS:       rep.TotalNS,
-		CompileNS:     rep.CompileNS,
-		LinkNS:        rep.LinkNS,
-		UnitsCompiled: rep.UnitsCompiled,
-		UnitsCached:   rep.UnitsCached,
-		UnitsRemote:   rep.UnitsRemote,
-		StateBytes:    rep.StateBytes,
-		SkipRatePct:   100 * obs.SkipRate(rep.Metrics),
-		Metrics:       rep.Metrics,
-		Units:         make(map[string]history.UnitRecord, len(rep.Units)),
-		Timeline:      history.TimelineFromObs(rep.Timeline),
-
-		FootprintMissed:    rep.FootprintMissed,
-		FootprintRedundant: rep.FootprintRedundant,
+// decisions is a compiled unit's decision table as the record stores it:
+// one row per pipeline slot, the pass name left to Record.Pipeline and the
+// reason to the row's counts (nil for a unit without one).
+func decisions(slots []core.SlotStats) []history.PassDecision {
+	if len(slots) == 0 {
+		return nil
 	}
-	for name, ur := range rep.Units {
-		u := history.UnitRecord{
-			Cached:     !ur.Compiled,
-			CompileNS:  ur.CompileNS,
-			Panicked:   ur.Panicked,
-			Quarantine: ur.Quarantine,
-			Remote:     ur.Remote,
+	rows := make([]history.PassDecision, len(slots))
+	for slot := range slots {
+		sl := &slots[slot]
+		rows[slot] = history.PassDecision{
+			Slot:        slot,
+			Module:      sl.Module,
+			Runs:        sl.Runs,
+			Dormant:     sl.Dormant,
+			Skipped:     sl.Skipped,
+			Cold:        sl.Cold,
+			NotDormant:  sl.NotDormant,
+			FPMismatch:  sl.FPMismatch,
+			Policy:      sl.Policy,
+			Quarantined: sl.Quarantined,
+			Audited:     sl.Audited,
+			Unsound:     sl.Unsound,
+			RunNS:       sl.RunNS,
 		}
-		for slot := range ur.Slots {
-			sl := &ur.Slots[slot]
-			u.Passes = append(u.Passes, history.PassDecision{
-				Pass:        sl.Pass,
-				Slot:        slot,
-				Module:      sl.Module,
-				Runs:        sl.Runs,
-				Dormant:     sl.Dormant,
-				Skipped:     sl.Skipped,
-				Cold:        sl.Cold,
-				NotDormant:  sl.NotDormant,
-				FPMismatch:  sl.FPMismatch,
-				Policy:      sl.Policy,
-				Quarantined: sl.Quarantined,
-				Audited:     sl.Audited,
-				Unsound:     sl.Unsound,
-				RunNS:       sl.RunNS,
-			})
-		}
-		rec.Units[name] = u
 	}
-	rec.Normalize()
-	return rec
+	return rows
 }

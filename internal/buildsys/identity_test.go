@@ -213,9 +213,9 @@ func TestResidentSourceIdentity(t *testing.T) {
 		}
 		snap[u][i]++
 		rep, hashed := buildHashed(t, b, snap)
-		if rep.UnitsCompiled != 1 || !rep.Units[u].Compiled || hashed != int64(len(snap[u])) {
+		if rep.UnitsCompiled != 1 || rep.Unit(u).Cached || hashed != int64(len(snap[u])) {
 			t.Fatalf("compiled %d units (%s: %v), hashed %d bytes; want %s alone and %d",
-				rep.UnitsCompiled, u, rep.Units[u].Compiled, hashed, u, len(snap[u]))
+				rep.UnitsCompiled, u, !rep.Unit(u).Cached, hashed, u, len(snap[u]))
 		}
 		if codegen.DisassembleProgram(rep.Program) != statelessText(t, snap) {
 			t.Fatal("the program is not the stateless oracle's")

@@ -1,24 +1,23 @@
 package buildsys_test
 
 // Scheduling-timeline invariants (docs/OBSERVABILITY.md): every build's
-// recorded timeline must validate, cover exactly the snapshot's units, and
-// support a critical-path analysis whose total is sandwiched between the
+// recorded timeline must validate, cover exactly the units that occupied a
+// worker, and support a critical-path analysis whose total is sandwiched between the
 // longest single unit and the measured wall time — at 1, 4, and 16 workers,
 // under the race detector (the events slice is written concurrently by the
 // pool).
 
 import (
 	"fmt"
-	"maps"
 	"os"
 	"reflect"
-	"slices"
 	"testing"
 
 	"statefulcc/internal/buildsys"
 	"statefulcc/internal/compiler"
 	histpkg "statefulcc/internal/history"
 	"statefulcc/internal/obs"
+	"statefulcc/internal/passes"
 	"statefulcc/internal/project"
 	"statefulcc/internal/workload"
 )
@@ -47,16 +46,14 @@ func TestTimelineInvariants(t *testing.T) {
 					t.Errorf("build %d: timeline workers = %d, want %d", i, tl.Workers, workers)
 				}
 
-				// One event per unit in the snapshot, partitioned exactly as
-				// the report says.
-				if len(tl.Events) != len(snap) {
-					t.Errorf("build %d: %d events, want %d (one per unit)", i, len(tl.Events), len(snap))
+				// One event per compiled unit, each listed in the record.
+				if len(tl.Events) != rep.UnitsCompiled {
+					t.Errorf("build %d: %d events, report compiled %d", i, len(tl.Events), rep.UnitsCompiled)
 				}
-				if got := tl.Compiled(); got != rep.UnitsCompiled {
-					t.Errorf("build %d: %d scheduled events, report compiled %d", i, got, rep.UnitsCompiled)
-				}
-				if skips := len(tl.Events) - tl.Compiled(); skips != rep.UnitsCached {
-					t.Errorf("build %d: %d skip events, report cached %d", i, skips, rep.UnitsCached)
+				for _, e := range tl.Events {
+					if rep.Unit(e.Unit).Cached {
+						t.Errorf("build %d: event for %s, which the record says was cached", i, e.Unit)
+					}
 				}
 
 				// Critical path total: at least the longest single unit, at
@@ -115,8 +112,9 @@ func TestTimelineDeterministicChain(t *testing.T) {
 	}
 }
 
-// TestTimelineIncrementalSkips checks the skip events: an unchanged rebuild
-// schedules nothing and records every unit as an unscheduled cache skip.
+// TestTimelineIncrementalSkips checks the cache skips: an unchanged rebuild
+// schedules nothing, so its timeline has no event and its record lists no
+// unit, and the skips are counted and timed all the same.
 func TestTimelineIncrementalSkips(t *testing.T) {
 	seq := history(5, 0)
 	b, err := buildsys.NewBuilder(buildsys.Options{Mode: compiler.ModeStateful, Workers: 4})
@@ -134,29 +132,29 @@ func TestTimelineIncrementalSkips(t *testing.T) {
 	if err := tl.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if rep.UnitsCompiled != 0 || tl.Compiled() != 0 {
-		t.Fatalf("unchanged rebuild compiled %d units (%d scheduled events)", rep.UnitsCompiled, tl.Compiled())
+	if rep.UnitsCompiled != 0 || len(tl.Events) != 0 || len(rep.Units) != 0 {
+		t.Fatalf("unchanged rebuild compiled %d units, %d events, %d units listed", rep.UnitsCompiled, len(tl.Events), len(rep.Units))
 	}
-	if len(tl.Events) != len(seq[0]) || len(tl.Events) != rep.UnitsCached {
-		t.Errorf("%d skip events, want %d (= %d cached)", len(tl.Events), len(seq[0]), rep.UnitsCached)
+	if rep.UnitsCached != len(seq[0]) || rep.CachedDigest != histpkg.CachedDigest(seq[0].Units()) {
+		t.Errorf("%d cached, digest %q; want all %d units", rep.UnitsCached, rep.CachedDigest, len(seq[0]))
 	}
-	for i := range tl.Events {
-		if e := &tl.Events[i]; e.Outcome != obs.OutcomeSkip || e.Scheduled() {
-			t.Errorf("%s: outcome %q on worker %d, want unscheduled skip", e.Unit, e.Outcome, e.Worker)
+	for _, name := range seq[0].Units() {
+		if u := rep.Unit(name); !u.Cached || u.Remote || u.Passes != nil {
+			t.Errorf("%s: %+v, want cached", name, u)
 		}
+	}
+	if n := b.Histograms()[obs.HistSkipDecisionNS].Count; n != int64(2*len(seq[0])) {
+		t.Errorf("%d skip decisions timed over two builds, want %d", n, 2*len(seq[0]))
 	}
 	if cp := obs.Analyze(tl); len(cp.Chain) != 0 {
 		t.Errorf("fully cached build produced a %d-link chain", len(cp.Chain))
 	}
 }
 
-// TestRecordSizedByWork: the flight recorder persists what a build did. A
-// 2-unit edit of a 120-unit project leaves a record with two timeline events
-// and two units in its table, a cold build one with an event and an entry per
-// unit, and the build's own report (Report.Timeline, Report.Units) keeps one
-// of each per unit either way. Nothing a reader
-// uses goes missing: the persisted timeline validates and analyzes to the
-// same critical path as the full one.
+// TestRecordSizedByWork: a build's report is sized by what the build did. A
+// 2-unit edit of a 120-unit project has two timeline events and two units in
+// its table, a cold build an event and an entry per unit, and the history
+// file holds the report's record as it is.
 func TestRecordSizedByWork(t *testing.T) {
 	p := testProfile(5)
 	p.Files, p.FuncsPerFileMax, p.StmtsPerFuncMax = 120, 3, 5
@@ -169,78 +167,43 @@ func TestRecordSizedByWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	var reps []*buildsys.Report
-	for _, snap := range []project.Snapshot{base, edited} {
+	for i, snap := range []project.Snapshot{base, edited} {
 		rep, err := b.Build(snap)
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := []int{len(base), 2}[i]
+		if rep.UnitsCompiled != want || len(rep.Units) != want || len(rep.Timeline.Events) != want {
+			t.Errorf("build %d: %d compiled, %d units listed, %d events; want %d each",
+				i, rep.UnitsCompiled, len(rep.Units), len(rep.Timeline.Events), want)
+		}
+		for _, e := range rep.Timeline.Events {
+			if _, ok := rep.Units[e.Unit]; !ok {
+				t.Errorf("build %d: an event for %s and no entry in the table", i, e.Unit)
+			}
+		}
 		reps = append(reps, rep)
-	}
-	if cold, warm := reps[0], reps[1]; cold.UnitsCompiled != len(base) || warm.UnitsCompiled != 2 {
-		t.Fatalf("case is wrong about itself: cold build compiled %d of %d, edit compiled %d, want all and 2",
-			cold.UnitsCompiled, len(base), warm.UnitsCompiled)
 	}
 	recs, err := histpkg.Load(histpkg.Path(dir))
 	if err != nil || len(recs) != 2 {
 		t.Fatalf("%d records, err %v; want 2", len(recs), err)
 	}
-
-	for i, rec := range recs {
-		rep := reps[i]
-		if len(rep.Timeline.Events) != len(base) {
-			t.Errorf("build %d: Report.Timeline has %d events, want one per unit (%d)", i, len(rep.Timeline.Events), len(base))
-		}
-		var scheduled []string
-		for _, e := range rep.Timeline.Events {
-			if e.Scheduled() {
-				scheduled = append(scheduled, e.Unit)
-			}
-		}
-		var persisted []string
-		for _, e := range rec.Timeline.Events {
-			persisted = append(persisted, e.Unit)
-		}
-		if !slices.Equal(persisted, scheduled) || len(persisted) != rep.UnitsCompiled {
-			t.Errorf("build %d: record has events for %v, want the %d scheduled units %v", i, persisted, rep.UnitsCompiled, scheduled)
-		}
-		if rec.UnitsCached != len(base)-len(persisted) || len(rec.Units) != len(persisted) || len(rep.Units) != len(base) {
-			t.Errorf("build %d: units_cached %d, %d units in the record's table, %d in the report's; want %d, %d and %d",
-				i, rec.UnitsCached, len(rec.Units), len(rep.Units), len(base)-len(persisted), len(persisted), len(base))
-		}
-		for _, name := range persisted {
-			if _, ok := rec.Units[name]; !ok {
-				t.Errorf("build %d: the record has an event for %s and no entry in its table", i, name)
-			}
-		}
-		tl := rec.Timeline.ToObs()
-		if err := tl.Validate(); err != nil {
-			t.Errorf("build %d: persisted timeline: %v", i, err)
-		}
-		if got, want := obs.Analyze(tl), obs.Analyze(rep.Timeline); !reflect.DeepEqual(got, want) {
-			t.Errorf("build %d: persisted timeline analyzes to\n%+v\nthe build's own to\n%+v", i, got, want)
+	for i := range recs {
+		if !reflect.DeepEqual(&recs[i], &reps[i].Record) {
+			t.Errorf("build %d: the history holds\n%+v\nthe report\n%+v", i, recs[i], reps[i].Record)
 		}
 	}
 
 	// Against the shape records had at first: the same record with a "skip"
 	// event and a table entry for every cached unit.
-	slim := recs[1]
-	old, oldTL := slim, *slim.Timeline
-	old.Timeline, oldTL.Events = &oldTL, nil
-	old.Units = maps.Clone(slim.Units)
-	for name, ur := range reps[1].Units {
-		if !ur.Compiled {
-			old.Units[name] = histpkg.UnitRecord{Cached: true}
-		}
+	slim := &reps[1].Record
+	slimLine, err := slim.Encode()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, e := range reps[1].Timeline.Events {
-		oldTL.Events = append(oldTL.Events, histpkg.TimelineEvent{
-			Unit: e.Unit, Worker: e.Worker, Outcome: e.Outcome, EnqueueNS: e.EnqueueNS, StartNS: e.StartNS, EndNS: e.EndNS,
-			FrontendNS: e.FrontendNS, PassesNS: e.PassesNS, CodegenNS: e.CodegenNS})
-	}
-	slimLine, err1 := slim.Encode()
-	oldLine, err2 := old.Encode()
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
+	oldLine, err := firstShape(t, slim, edited, passes.StandardPipeline).Encode()
+	if err != nil {
+		t.Fatal(err)
 	}
 	t.Logf("2-unit edit of %d units: record %d bytes, %d with an event and an entry per unit", len(base), len(slimLine), len(oldLine))
 	if limit := len(oldLine) * 6 / 10; len(slimLine) > limit {

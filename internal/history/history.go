@@ -13,11 +13,12 @@
 // timeline events exist for the units the build decided something about, and
 // a unit served from the object cache costs a share of UnitsCached and of
 // CachedDigest. What a reader can derive is not written: a decision row's
-// pass name is Pipeline[Slot], its reason a function of its counts. Records
-// of the two older shapes (a Units entry for every unit; a pass name and a
-// reason in every row) are read and brought to this shape by Load and
-// LoadLast (Record.Normalize, which a build's own record goes through as
-// well), never written.
+// pass name is Pipeline[Slot], its reason a function of its counts. A build
+// fills its record in this shape as it goes (buildsys.Report embeds it).
+// Records of the two older shapes on disk (a Units entry for every unit, and
+// in the oldest a "skip" timeline event too; a pass name and a reason in every
+// row) are read and brought to this shape by Load and LoadLast
+// (Record.Normalize), never written.
 //
 // The history is bounded and is two files: the active segment, which every
 // build appends one line to, and the segment that was active before it
@@ -145,97 +146,6 @@ type UnitRecord struct {
 	Remote bool `json:"remote,omitempty"`
 }
 
-// TimelineEvent is one scheduled unit's event in the compact persisted form
-// (single-letter keys: the history file is bounded by bytes in practice, not
-// records).
-type TimelineEvent struct {
-	Unit    string `json:"u"`
-	Worker  int    `json:"w"`
-	Outcome string `json:"o"`
-	// Monotonic nanoseconds since the build's epoch (obs.UnitEvent).
-	EnqueueNS int64 `json:"q,omitempty"`
-	StartNS   int64 `json:"s,omitempty"`
-	EndNS     int64 `json:"e,omitempty"`
-	// Per-stage split of the compile.
-	FrontendNS int64 `json:"fe,omitempty"`
-	PassesNS   int64 `json:"pa,omitempty"`
-	CodegenNS  int64 `json:"cg,omitempty"`
-}
-
-// Timeline is the persisted form of a build's scheduling timeline
-// (obs.Timeline): what `minibuild profile` and the serve /dash page
-// reconstruct schedules from after the building process exited.
-//
-// Events holds what the build did — one event per unit that occupied a worker
-// (compile, remote, panic, quarantine, error) — so a record's size follows
-// the build's work, not the project's. Units served from the object cache
-// have no event: their number is Record.UnitsCached less Record.UnitsRemote,
-// the partition stage they were decided in ends at CompileStartNS, and the
-// latency of each decision is in the builder's unit.skip_decision_ns
-// histogram (obs.HistSkipDecisionNS). Records written before this carried a
-// "skip" event on worker -1 for each of them; every reader drops unscheduled
-// events, so both shapes read the same.
-type Timeline struct {
-	Workers        int             `json:"workers"`
-	WallNS         int64           `json:"wall_ns"`
-	CompileStartNS int64           `json:"compile_start_ns,omitempty"`
-	CompileWallNS  int64           `json:"compile_wall_ns,omitempty"`
-	LinkNS         int64           `json:"link_ns,omitempty"`
-	Events         []TimelineEvent `json:"events"`
-}
-
-// TimelineFromObs converts a build's in-memory timeline to its persisted
-// form, keeping the scheduled events only (nil in, nil out).
-func TimelineFromObs(t *obs.Timeline) *Timeline {
-	if t == nil {
-		return nil
-	}
-	out := &Timeline{
-		Workers:        t.Workers,
-		WallNS:         t.WallNS,
-		CompileStartNS: t.CompileStartNS,
-		CompileWallNS:  t.CompileWallNS,
-		LinkNS:         t.LinkNS,
-		Events:         make([]TimelineEvent, 0, t.Compiled()),
-	}
-	for i := range t.Events {
-		e := &t.Events[i]
-		if !e.Scheduled() {
-			continue
-		}
-		out.Events = append(out.Events, TimelineEvent{
-			Unit: e.Unit, Worker: e.Worker, Outcome: e.Outcome,
-			EnqueueNS: e.EnqueueNS, StartNS: e.StartNS, EndNS: e.EndNS,
-			FrontendNS: e.FrontendNS, PassesNS: e.PassesNS, CodegenNS: e.CodegenNS,
-		})
-	}
-	return out
-}
-
-// ToObs converts a persisted timeline back to the analysis form consumed
-// by obs.Analyze (nil in, nil out).
-func (t *Timeline) ToObs() *obs.Timeline {
-	if t == nil {
-		return nil
-	}
-	out := &obs.Timeline{
-		Workers:        t.Workers,
-		WallNS:         t.WallNS,
-		CompileStartNS: t.CompileStartNS,
-		CompileWallNS:  t.CompileWallNS,
-		LinkNS:         t.LinkNS,
-		Events:         make([]obs.UnitEvent, len(t.Events)),
-	}
-	for i, e := range t.Events {
-		out.Events[i] = obs.UnitEvent{
-			Unit: e.Unit, Worker: e.Worker, Outcome: e.Outcome,
-			EnqueueNS: e.EnqueueNS, StartNS: e.StartNS, EndNS: e.EndNS,
-			FrontendNS: e.FrontendNS, PassesNS: e.PassesNS, CodegenNS: e.CodegenNS,
-		}
-	}
-	return out
-}
-
 // Record is one build's flight-recorder entry.
 type Record struct {
 	// Seq numbers records monotonically within one history file (assigned
@@ -268,9 +178,10 @@ type Record struct {
 	// deps -check` exits 2 on a fresh missed entry.
 	FootprintMissed    []string `json:"footprint_missed,omitempty"`
 	FootprintRedundant []string `json:"footprint_redundant,omitempty"`
-	// Timeline is the build's scheduling event log (absent in records from
-	// builds that predate it, and in cancelled builds).
-	Timeline *Timeline `json:"timeline,omitempty"`
+	// Timeline is the build's scheduling event log: an event for each unit
+	// that occupied a worker (absent in records from builds that predate it,
+	// and in cancelled builds).
+	Timeline *obs.Timeline `json:"timeline,omitempty"`
 	// Metrics is the builder's counters-registry snapshot after the build
 	// (cumulative across the builder's lifetime; schema in
 	// docs/OBSERVABILITY.md). encoding/json sorts the keys.
@@ -320,15 +231,15 @@ func CachedDigest(names []string) string {
 	return hex.EncodeToString(h.Sum(nil)[:8])
 }
 
-// Normalize brings a record to the shape records have on disk, from a
-// description of every unit (what a build starts from, and what the two
-// older shapes on disk are): a timeline event of a unit that occupied no
-// worker is dropped, a Units entry that says nothing but "cached" goes into
+// Normalize brings a record of one of the two older shapes on disk to
+// today's: a timeline event of a unit that occupied no worker (a "skip" on
+// worker -1) is dropped, a Units entry that says nothing but "cached" goes into
 // CachedDigest, pass names move to Pipeline, and a row's reason is dropped
-// where its counts give the same. A record in that shape is left as it is.
+// where its counts give the same. A record in today's shape is left as it
+// is.
 func (r *Record) Normalize() {
 	if r.Timeline != nil {
-		r.Timeline.Events = slices.DeleteFunc(r.Timeline.Events, func(e TimelineEvent) bool { return e.Worker < 0 })
+		r.Timeline.Events = slices.DeleteFunc(r.Timeline.Events, func(e obs.UnitEvent) bool { return e.Worker < 0 })
 	}
 	var unlisted []string
 	listed := make([]string, 0, len(r.Units))

@@ -18,7 +18,7 @@ package obs
 // Wait taxonomy (the "why was the pool not fully busy" blame):
 //
 //   - queue wait: a unit was enqueued and ready, but every worker was
-//     busy (StartNS − EnqueueNS summed over scheduled units);
+//     busy (StartNS − EnqueueNS summed over the events);
 //   - dependency wait: a unit's job became ready only partway into the
 //     compile phase (EnqueueNS − CompileStartNS) — structurally zero for
 //     file-level builds, nonzero once dependency-ordered scheduling lands;
@@ -105,21 +105,15 @@ type CritPath struct {
 func Analyze(t *Timeline) *CritPath {
 	cp := &CritPath{WallNS: t.WallNS, CompileWallNS: t.CompileWallNS, LinkNS: t.LinkNS}
 
-	// Scheduled events only, grouped into per-worker lanes. Times are
-	// rebased to the compile phase start so chain waits and worker gaps
-	// measure scheduling, not the partition stage that precedes it.
+	// Events grouped into per-worker lanes. Times are rebased to the compile
+	// phase start so chain waits and worker gaps measure scheduling, not the
+	// partition stage that precedes it.
 	lanes := make(map[int][]UnitEvent)
-	var scheduled int
-	for i := range t.Events {
-		e := t.Events[i]
-		if !e.Scheduled() {
-			continue
-		}
+	for _, e := range t.Events {
 		e.EnqueueNS = max64(0, e.EnqueueNS-t.CompileStartNS)
 		e.StartNS = max64(0, e.StartNS-t.CompileStartNS)
 		e.EndNS = max64(0, e.EndNS-t.CompileStartNS)
 		lanes[e.Worker] = append(lanes[e.Worker], e)
-		scheduled++
 		if d := e.DurNS(); d > cp.LongestUnitNS || (d == cp.LongestUnitNS && cp.LongestUnit > e.Unit) {
 			cp.LongestUnit, cp.LongestUnitNS = e.Unit, d
 		}
@@ -168,7 +162,7 @@ func Analyze(t *Timeline) *CritPath {
 		}
 	}
 
-	if scheduled == 0 {
+	if len(t.Events) == 0 {
 		return cp
 	}
 
@@ -230,7 +224,7 @@ func classifyWait(wait, enqueue, freeAt int64, hadPred bool) string {
 	}
 }
 
-// latestEnd returns the scheduled event with the maximum EndNS, breaking
+// latestEnd returns the event with the maximum EndNS, breaking
 // ties on unit name for determinism.
 func latestEnd(lanes map[int][]UnitEvent) UnitEvent {
 	var best UnitEvent

@@ -1,12 +1,13 @@
 package obs
 
 // The scheduling timeline: a structured per-build event log of what the
-// worker pool actually did — one event per unit with enqueue/start/end
-// timestamps, the worker slot that ran it, its outcome, and the per-stage
-// time split. The build system assembles one Timeline per Build call and
-// the flight recorder persists it (internal/history), so `minibuild
-// profile` and the serve /dash page can reconstruct the schedule — and its
-// critical path (critpath.go) — long after the process exited.
+// worker pool actually did — one event per unit that occupied a worker, with
+// enqueue/start/end timestamps, the worker slot that ran it, its outcome, and
+// the per-stage time split. The build system assembles one Timeline per Build
+// call and the flight recorder persists it as it is (internal/history; the
+// JSON keys are short because a history file is bounded by bytes), so
+// `minibuild profile` and the serve /dash page can reconstruct the schedule —
+// and its critical path (critpath.go) — long after the process exited.
 //
 // Clock discipline: every timestamp is nanoseconds since the build's
 // monotonic epoch, derived exclusively through time.Since of one time.Time
@@ -25,10 +26,6 @@ import (
 
 // Unit outcomes recorded in the timeline.
 const (
-	// OutcomeSkip: the unit was served whole from the object cache. Skip
-	// events are not scheduled on a worker (Worker == -1); their tiny
-	// Start..End interval is the cache-decision check itself.
-	OutcomeSkip = "skip"
 	// OutcomeCompile: the unit compiled normally on a worker.
 	OutcomeCompile = "compile"
 	// OutcomePanic: the unit's compile panicked and was retried on the
@@ -52,65 +49,52 @@ const (
 // time.Time at build start and derives every field via time.Since).
 type UnitEvent struct {
 	// Unit is the unit name.
-	Unit string
-	// Worker is the worker slot that compiled the unit, or -1 for units
-	// never scheduled (Outcome == OutcomeSkip).
-	Worker int
+	Unit string `json:"u"`
+	// Worker is the worker slot that ran the unit.
+	Worker int `json:"w"`
 	// Outcome is one of the Outcome* constants.
-	Outcome string
+	Outcome string `json:"o"`
 	// EnqueueNS is when the unit's compile job became ready for a worker.
-	// For skip events it equals StartNS (the decision point).
-	EnqueueNS int64
-	// StartNS / EndNS bound the unit's compile (or, for skips, the cache
-	// decision).
-	StartNS, EndNS int64
-	// Per-stage split of the compile (zero for skips and fullcache mode).
-	FrontendNS, PassesNS, CodegenNS int64
+	EnqueueNS int64 `json:"q,omitempty"`
+	// StartNS / EndNS bound the unit's compile.
+	StartNS int64 `json:"s,omitempty"`
+	EndNS   int64 `json:"e,omitempty"`
+	// Per-stage split of the compile (zero for remote fetches and fullcache
+	// mode).
+	FrontendNS int64 `json:"fe,omitempty"`
+	PassesNS   int64 `json:"pa,omitempty"`
+	CodegenNS  int64 `json:"cg,omitempty"`
 }
 
 // DurNS is the event's own duration.
 func (e *UnitEvent) DurNS() int64 { return e.EndNS - e.StartNS }
 
-// Scheduled reports whether the event occupied a worker slot.
-func (e *UnitEvent) Scheduled() bool { return e.Worker >= 0 }
-
 // Timeline is one build's scheduling event log.
 type Timeline struct {
 	// Workers is the pool's worker-slot count.
-	Workers int
+	Workers int `json:"workers"`
 	// WallNS is the whole build's wall time (partition + compile + link).
-	WallNS int64
+	WallNS int64 `json:"wall_ns"`
 	// CompileStartNS / CompileWallNS bound the parallel compile phase
 	// within the build.
-	CompileStartNS int64
-	CompileWallNS  int64
+	CompileStartNS int64 `json:"compile_start_ns,omitempty"`
+	CompileWallNS  int64 `json:"compile_wall_ns,omitempty"`
 	// LinkNS is the link stage's duration (it follows the compile phase).
-	LinkNS int64
+	LinkNS int64 `json:"link_ns,omitempty"`
 	// Events is in unit-name order (scheduling must not leak into the
-	// recorded artifact's shape). A build's own timeline has one entry per
-	// unit; one read back from the flight recorder has the scheduled events
-	// only (history.TimelineFromObs), and every consumer here — Validate,
-	// Analyze, Compiled — reads both the same.
-	Events []UnitEvent
-}
-
-// Compiled counts the events that occupied a worker (everything except
-// cache skips).
-func (t *Timeline) Compiled() int {
-	n := 0
-	for i := range t.Events {
-		if t.Events[i].Scheduled() {
-			n++
-		}
-	}
-	return n
+	// recorded artifact's shape) and has the units that occupied a worker
+	// only. A unit served from the object cache has no event: the partition
+	// stage it was decided in ends at CompileStartNS, and the latency of each
+	// decision is in the builder's unit.skip_decision_ns histogram
+	// (HistSkipDecisionNS).
+	Events []UnitEvent `json:"events"`
 }
 
 // Validate checks the timeline's ordering invariants: events sorted by
 // unit name, every timestamp non-negative and ordered enqueue ≤ start ≤
-// end, scheduled events within the compile phase and on a valid worker
-// slot. A violation means a recording bug (most likely a wall-clock
-// reading leaking into what must be monotonic deltas).
+// end, every event within the compile phase and on a valid worker slot. A
+// violation means a recording bug (most likely a wall-clock reading leaking
+// into what must be monotonic deltas).
 func (t *Timeline) Validate() error {
 	if t.Workers < 1 {
 		return fmt.Errorf("timeline: %d workers", t.Workers)
@@ -133,18 +117,11 @@ func (t *Timeline) Validate() error {
 			return fmt.Errorf("timeline: %s: non-monotonic times enqueue=%d start=%d end=%d",
 				e.Unit, e.EnqueueNS, e.StartNS, e.EndNS)
 		}
-		if e.Scheduled() {
-			if e.Worker >= t.Workers {
-				return fmt.Errorf("timeline: %s: worker %d out of range [0,%d)", e.Unit, e.Worker, t.Workers)
-			}
-			if e.Outcome == OutcomeSkip {
-				return fmt.Errorf("timeline: %s: skip outcome on worker %d", e.Unit, e.Worker)
-			}
-			if end := t.CompileStartNS + t.CompileWallNS; t.CompileWallNS > 0 && e.EndNS > end {
-				return fmt.Errorf("timeline: %s: ends at %dns, past the compile phase end %dns", e.Unit, e.EndNS, end)
-			}
-		} else if e.Outcome != OutcomeSkip {
-			return fmt.Errorf("timeline: %s: unscheduled event with outcome %q", e.Unit, e.Outcome)
+		if e.Worker < 0 || e.Worker >= t.Workers {
+			return fmt.Errorf("timeline: %s: worker %d out of range [0,%d)", e.Unit, e.Worker, t.Workers)
+		}
+		if end := t.CompileStartNS + t.CompileWallNS; t.CompileWallNS > 0 && e.EndNS > end {
+			return fmt.Errorf("timeline: %s: ends at %dns, past the compile phase end %dns", e.Unit, e.EndNS, end)
 		}
 		if e.FrontendNS < 0 || e.PassesNS < 0 || e.CodegenNS < 0 {
 			return fmt.Errorf("timeline: %s: negative stage time", e.Unit)

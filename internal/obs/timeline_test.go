@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -11,7 +10,6 @@ import (
 //
 //	worker 0: a [100,500], b [520,1100]   (b queue-waits 20ns on a)
 //	worker 1: c [150,400]                 (50ns lead-in starvation)
-//	cache:    d (skip, decision at 50)
 //
 // CompileStartNS=100, so rebased: a [0,400], b [420,1000], c [50,300].
 func validTimeline() *Timeline {
@@ -26,44 +24,20 @@ func validTimeline() *Timeline {
 				FrontendNS: 100, PassesNS: 200, CodegenNS: 100},
 			{Unit: "b", Worker: 0, Outcome: OutcomeCompile, EnqueueNS: 100, StartNS: 520, EndNS: 1100},
 			{Unit: "c", Worker: 1, Outcome: OutcomeCompile, EnqueueNS: 100, StartNS: 150, EndNS: 400},
-			{Unit: "d", Worker: -1, Outcome: OutcomeSkip, EnqueueNS: 50, StartNS: 50, EndNS: 50},
 		},
 	}
 }
 
+// TestTimelineValidateAccepts: a well-formed schedule validates, and so does
+// the timeline of a fully cached build, which has no events.
 func TestTimelineValidateAccepts(t *testing.T) {
 	tl := validTimeline()
 	if err := tl.Validate(); err != nil {
 		t.Fatalf("valid timeline rejected: %v", err)
 	}
-	if got := tl.Compiled(); got != 3 {
-		t.Errorf("Compiled() = %d, want 3", got)
-	}
-}
-
-// TestTimelineScheduledEventsOnly: a timeline read back from the flight
-// recorder has no event for a unit served from the object cache. It validates,
-// counts and analyzes as the build's own timeline does — also when the build
-// scheduled nothing and no event is left.
-func TestTimelineScheduledEventsOnly(t *testing.T) {
-	full, slim := validTimeline(), validTimeline()
-	slim.Events = slim.Events[:3] // without d, the skip
-	if err := slim.Validate(); err != nil {
-		t.Fatalf("timeline without unscheduled events rejected: %v", err)
-	}
-	if slim.Compiled() != full.Compiled() {
-		t.Errorf("Compiled() = %d without the skip events, %d with", slim.Compiled(), full.Compiled())
-	}
-	if got, want := Analyze(slim), Analyze(full); !reflect.DeepEqual(got, want) {
-		t.Errorf("analysis without the skip events:\n%+v\nwith them:\n%+v", got, want)
-	}
-
-	slim.Events, slim.CompileWallNS = nil, 0
-	if err := slim.Validate(); err != nil {
+	tl.Events, tl.CompileWallNS = []UnitEvent{}, 0
+	if err := tl.Validate(); err != nil {
 		t.Fatalf("timeline of a fully cached build, no events, rejected: %v", err)
-	}
-	if cp := Analyze(slim); len(cp.Chain) != 0 || len(cp.Workers) != slim.Workers {
-		t.Errorf("fully cached build: chain %v, %d worker rows; want none and %d", cp.Chain, len(cp.Workers), slim.Workers)
 	}
 }
 
@@ -82,11 +56,10 @@ func TestTimelineValidateRejects(t *testing.T) {
 		{"empty unit name", func(tl *Timeline) { tl.Events[0].Unit = "" }},
 		{"start before enqueue", func(tl *Timeline) { tl.Events[0].StartNS = tl.Events[0].EnqueueNS - 1 }},
 		{"end before start", func(tl *Timeline) { tl.Events[0].EndNS = tl.Events[0].StartNS - 1 }},
-		{"negative enqueue", func(tl *Timeline) { tl.Events[3].EnqueueNS = -1 }},
+		{"negative enqueue", func(tl *Timeline) { tl.Events[2].EnqueueNS = -1 }},
 		{"worker out of range", func(tl *Timeline) { tl.Events[0].Worker = 2 }},
-		{"skip outcome on a worker", func(tl *Timeline) { tl.Events[0].Outcome = OutcomeSkip }},
+		{"unscheduled event", func(tl *Timeline) { tl.Events[2].Worker = -1 }},
 		{"end past compile phase", func(tl *Timeline) { tl.Events[1].EndNS = 1101 }},
-		{"unscheduled non-skip", func(tl *Timeline) { tl.Events[3].Outcome = OutcomeCompile }},
 		{"negative stage time", func(tl *Timeline) { tl.Events[0].PassesNS = -1 }},
 	}
 	for _, tc := range cases {
@@ -174,12 +147,7 @@ func TestAnalyzeDeterministic(t *testing.T) {
 }
 
 func TestAnalyzeNothingCompiled(t *testing.T) {
-	cp := Analyze(&Timeline{
-		Workers: 4, WallNS: 100, CompileWallNS: 0, LinkNS: 10,
-		Events: []UnitEvent{
-			{Unit: "a", Worker: -1, Outcome: OutcomeSkip, EnqueueNS: 5, StartNS: 5, EndNS: 5},
-		},
-	})
+	cp := Analyze(&Timeline{Workers: 4, WallNS: 100, CompileWallNS: 0, LinkNS: 10, Events: []UnitEvent{}})
 	if len(cp.Chain) != 0 || cp.TotalNS != 0 || cp.PathNS != 0 {
 		t.Errorf("fully cached build produced a chain: %+v", cp)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"statefulcc/internal/history"
+	"statefulcc/internal/obs"
 )
 
 // historyPipeline is the standard pipeline's slots, the rows of a compiled
@@ -72,10 +73,10 @@ func historyRecord(seq, shape int) *history.Record {
 		SkipRatePct:   23 + float64(seq%100)/7,
 		Metrics:       make(map[string]int64, len(historyCounters)),
 		Units:         make(map[string]history.UnitRecord, units),
-		Timeline: &history.Timeline{
+		Timeline: &obs.Timeline{
 			Workers: 2, WallNS: 5700000 + 1009*n, CompileStartNS: 1720000 + n,
 			CompileWallNS: 2300000 + 503*n, LinkNS: 1600000 + 251*n,
-			Events: make([]history.TimelineEvent, 0, units),
+			Events: make([]obs.UnitEvent, 0, units),
 		},
 	}
 	if shape == 3 {
@@ -102,7 +103,7 @@ func historyRecord(seq, shape int) *history.Record {
 				rec.Units[name] = history.UnitRecord{Cached: true}
 			}
 			if shape == 1 {
-				rec.Timeline.Events = append(rec.Timeline.Events, history.TimelineEvent{
+				rec.Timeline.Events = append(rec.Timeline.Events, obs.UnitEvent{
 					Unit: name, Worker: -1, Outcome: "skip", EnqueueNS: at, StartNS: at, EndNS: at + 4100})
 			}
 			continue
@@ -126,7 +127,7 @@ func historyRecord(seq, shape int) *history.Record {
 		if u == edited[1] {
 			worker = 1
 		}
-		rec.Timeline.Events = append(rec.Timeline.Events, history.TimelineEvent{
+		rec.Timeline.Events = append(rec.Timeline.Events, obs.UnitEvent{
 			Unit: name, Worker: worker, Outcome: "compile", EnqueueNS: 1720000 + n, StartNS: start,
 			EndNS: start + ur.CompileNS, FrontendNS: 350000 + n, PassesNS: 1000000 + n, CodegenNS: 22000 + n})
 	}
