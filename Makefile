@@ -124,7 +124,8 @@ bench-resident:
 # profile-smoke is the critical-path profiler's end-to-end check: cold
 # build, edit, incremental rebuild, then `minibuild profile -json` on the
 # recorded history — the output must be valid JSON with a non-empty
-# critical path (python3 parses and asserts both).
+# critical path and longest unit ≤ critical-path total ≤ compile wall ≤
+# build wall (python3 parses and asserts both).
 profile-smoke:
 	rm -rf $(SMOKEDIR)-profile
 	mkdir -p $(SMOKEDIR)-profile/proj
@@ -135,7 +136,7 @@ profile-smoke:
 	$(SMOKEDIR)-profile/minibuild -dir $(SMOKEDIR)-profile/proj -mode stateful
 	$(SMOKEDIR)-profile/minibuild profile -dir $(SMOKEDIR)-profile/proj
 	$(SMOKEDIR)-profile/minibuild profile -dir $(SMOKEDIR)-profile/proj -json \
-		| python3 -c 'import json,sys; d=json.load(sys.stdin); assert d["critical_path"], "empty critical path"; assert d["critical_total_ns"] >= d["longest_unit_ns"] > 0, "critical path below longest unit"'
+		| python3 -c 'import json,sys; d=json.load(sys.stdin); assert d["critical_path"], "empty critical path"; assert 0 < d["longest_unit_ns"] <= d["critical_total_ns"] <= d["compile_wall_ns"] <= d["wall_ns"], "not longest unit <= critical total <= compile wall <= build wall: %s" % {k: d[k] for k in ("longest_unit_ns", "critical_total_ns", "compile_wall_ns", "wall_ns")}'
 	rm -rf $(SMOKEDIR)-profile
 
 # footprint-guard is the always-correct tripwire: honest suite builds with

@@ -90,7 +90,7 @@ func writeHTML(w http.ResponseWriter, page string) {
 // outcomeColor maps a timeline outcome to its bar color.
 func outcomeColor(outcome string) string {
 	switch outcome {
-	case obs.OutcomePanic, obs.OutcomeError:
+	case obs.OutcomePanic:
 		return "#c33"
 	case obs.OutcomeQuarantine:
 		return "#c60"
@@ -108,7 +108,7 @@ func dashGantt(sb *strings.Builder, rec *history.Record) {
 		sb.WriteString("<p>record carries no scheduling timeline</p>")
 		return
 	}
-	cp := obs.Analyze(rec.Timeline)
+	cp := obs.Analyze(rec.Timeline, rec.Workers, rec.CompileNS)
 	onChain := make(map[string]bool, len(cp.Chain))
 	for _, l := range cp.Chain {
 		onChain[l.Unit] = true
@@ -128,7 +128,7 @@ func dashGantt(sb *strings.Builder, rec *history.Record) {
 		sched = sched[:dashGanttMaxRows]
 	}
 
-	span := cp.CompileWallNS
+	span := rec.CompileNS
 	if span <= 0 {
 		span = 1
 	}
@@ -153,9 +153,9 @@ func dashGantt(sb *strings.Builder, rec *history.Record) {
 			html.EscapeString(e.Unit), fms(e.DurNS()), e.Worker, e.Outcome)
 	}
 	sb.WriteString("</svg>")
-	fmt.Fprintf(sb, "<p>%d scheduled, %d cache skips; critical path %d units %.1fms of %.1fms compile wall (outlined); waits: queue %.1fms, dependency %.1fms, starvation %.1fms</p>",
-		len(sched)+truncated, skips, len(cp.Chain), fms(cp.TotalNS), fms(cp.CompileWallNS),
-		fms(cp.QueueWaitNS), fms(cp.DependencyWaitNS), fms(cp.StarvationNS))
+	fmt.Fprintf(sb, "<p>%d scheduled, %d cache skips; critical path %d units %.1fms of %.1fms compile wall (outlined); waits: queue %.1fms, starvation %.1fms</p>",
+		len(sched)+truncated, skips, len(cp.Chain), fms(cp.TotalNS), fms(rec.CompileNS),
+		fms(cp.QueueWaitNS), fms(cp.StarvationNS))
 	if truncated > 0 {
 		fmt.Fprintf(sb, "<p>(%d shortest rows omitted)</p>", truncated)
 	}

@@ -126,14 +126,13 @@ func TestRenderProfileSections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tl := rec.Timeline
-	if err := tl.Validate(); err != nil {
+	cp, err := profileOf(rec)
+	if err != nil {
 		t.Fatal(err)
 	}
-	cp := obs.Analyze(tl)
 
 	var buf bytes.Buffer
-	renderProfile(&buf, rec, tl, cp)
+	renderProfile(&buf, rec, cp)
 	out := buf.String()
 	for _, want := range []string{
 		"compile waterfall", "critical path", "top wait causes", "worker utilization", "main.mc",
@@ -143,10 +142,10 @@ func TestRenderProfileSections(t *testing.T) {
 		}
 	}
 
-	j := profileJSON(rec, tl, cp)
+	j := profileJSON(rec, cp)
 	for _, key := range []string{
-		"seq", "workers", "wall_ns", "critical_path", "critical_total_ns",
-		"longest_unit_ns", "queue_wait_ns", "dependency_wait_ns", "starvation_ns", "worker_loads",
+		"seq", "workers", "wall_ns", "compile_wall_ns", "critical_path", "critical_total_ns",
+		"longest_unit_ns", "queue_wait_ns", "starvation_ns", "worker_loads",
 	} {
 		if _, ok := j[key]; !ok {
 			t.Errorf("profile JSON missing key %q", key)
@@ -190,15 +189,14 @@ func TestBothRecordShapesRenderAlike(t *testing.T) {
 	}
 	render := func(rec *history.Record) map[string]string {
 		t.Helper()
-		tl := rec.Timeline
-		if err := tl.Validate(); err != nil {
-			t.Fatalf("build %d: %v", rec.Seq, err)
+		cp, err := profileOf(rec)
+		if err != nil {
+			t.Fatal(err)
 		}
-		cp := obs.Analyze(tl)
 		var profile, gantt strings.Builder
-		renderProfile(&profile, rec, tl, cp)
+		renderProfile(&profile, rec, cp)
 		dashGantt(&gantt, rec)
-		pj, err := json.Marshal(profileJSON(rec, tl, cp))
+		pj, err := json.Marshal(profileJSON(rec, cp))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +258,7 @@ func TestBothRecordShapesRenderAlike(t *testing.T) {
 			if shape == 1 {
 				at := int64(1000 * i)
 				rec.Timeline.Events = append(rec.Timeline.Events, obs.UnitEvent{
-					Unit: name, Worker: -1, Outcome: "skip", EnqueueNS: at, StartNS: at, EndNS: at + 900})
+					Unit: name, Worker: -1, Outcome: "skip", StartNS: at, EndNS: at + 900})
 			}
 		}
 		if shape == 3 {
@@ -347,9 +345,10 @@ func TestReadersTakeTheNewestRecords(t *testing.T) {
 }
 
 // TestThreeRecordShapesOnEverySurface: the three histories under
-// internal/history/testdata — the same three builds as PR 20, PR 21 and
-// today's code write them — give the same bytes on /builds?n=, /dash and
-// `profile`, and `explain` knows the same units in each.
+// internal/history/testdata — the same three builds in three shapes older
+// code wrote — give the same bytes on /builds?n=, /dash and `profile`, and
+// `explain` knows the same units in each. What is served is the current
+// shape, whose timeline holds nothing the record has already.
 func TestThreeRecordShapesOnEverySurface(t *testing.T) {
 	srv := newTestServer(t)
 	ts := httptest.NewServer(srv.handler())
@@ -387,14 +386,13 @@ func TestThreeRecordShapesOnEverySurface(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: profile -build %d: %v", file, seq, err)
 			}
-			tl := rec.Timeline
-			if err := tl.Validate(); err != nil {
-				t.Fatalf("%s: build %d: %v", file, seq, err)
+			cp, err := profileOf(rec)
+			if err != nil {
+				t.Fatalf("%s: %v", file, err)
 			}
-			cp := obs.Analyze(tl)
 			var text strings.Builder
-			renderProfile(&text, rec, tl, cp)
-			pj, err := json.Marshal(profileJSON(rec, tl, cp))
+			renderProfile(&text, rec, cp)
+			pj, err := json.Marshal(profileJSON(rec, cp))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -431,7 +429,9 @@ func TestThreeRecordShapesOnEverySurface(t *testing.T) {
 			t.Errorf("%s lacks %q:\n%s", surface, text, want[surface])
 		}
 	}
-	if strings.Contains(want["/builds"], `"reason"`) || strings.Contains(want["/builds"], `"o":"skip"`) {
-		t.Errorf("/builds serves what a reader derives:\n%s", want["/builds"])
+	for _, key := range []string{`"reason"`, `"o":"skip"`, `"q":`, `"wall_ns"`, `"compile_wall_ns"`, `"timeline":{"workers"`} {
+		if strings.Contains(want["/builds"], key) {
+			t.Errorf("/builds serves what a reader derives (%s):\n%s", key, want["/builds"])
+		}
 	}
 }

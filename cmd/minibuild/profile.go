@@ -9,8 +9,8 @@ package main
 //   - the critical chain — the unit sequence that bounded the build's wall
 //     time — with per-pass time attribution from the record's decision
 //     tables; and
-//   - the wait blame: queue wait vs dependency wait vs worker starvation,
-//     plus a per-worker utilization table.
+//   - the wait blame: queue wait vs worker starvation, plus a per-worker
+//     utilization table.
 //
 // -build N selects a record by sequence number (default: the newest record
 // that carries a timeline); -json emits the analysis machine-readably (the
@@ -40,16 +40,24 @@ func runProfile(args []string) error {
 	if err != nil {
 		return err
 	}
-	tl := rec.Timeline
-	if err := tl.Validate(); err != nil {
-		return fmt.Errorf("build %d: corrupt timeline: %w", rec.Seq, err)
+	cp, err := profileOf(rec)
+	if err != nil {
+		return err
 	}
-	cp := obs.Analyze(tl)
 	if *asJSON {
-		return json.NewEncoder(os.Stdout).Encode(profileJSON(rec, tl, cp))
+		return json.NewEncoder(os.Stdout).Encode(profileJSON(rec, cp))
 	}
-	renderProfile(os.Stdout, rec, tl, cp)
+	renderProfile(os.Stdout, rec, cp)
 	return nil
+}
+
+// profileOf validates a record's timeline against the record's worker count
+// and phase times, and analyzes it.
+func profileOf(rec *history.Record) (*obs.CritPath, error) {
+	if err := rec.Timeline.Validate(rec.Workers, rec.TotalNS, rec.CompileNS, rec.LinkNS); err != nil {
+		return nil, fmt.Errorf("build %d: corrupt timeline: %w", rec.Seq, err)
+	}
+	return obs.Analyze(rec.Timeline, rec.Workers, rec.CompileNS), nil
 }
 
 // loadTimelineRecord reads as much of the history as it takes to find the
@@ -103,7 +111,7 @@ func pickTimelineRecord(recs []history.Record, seq int, path string) (*history.R
 }
 
 // profileJSON shapes the analysis for -json output.
-func profileJSON(rec *history.Record, tl *obs.Timeline, cp *obs.CritPath) map[string]any {
+func profileJSON(rec *history.Record, cp *obs.CritPath) map[string]any {
 	chain := make([]map[string]any, 0, len(cp.Chain))
 	for _, l := range cp.Chain {
 		link := map[string]any{
@@ -128,18 +136,17 @@ func profileJSON(rec *history.Record, tl *obs.Timeline, cp *obs.CritPath) map[st
 		})
 	}
 	return map[string]any{
-		"seq": rec.Seq, "mode": rec.Mode, "workers": tl.Workers,
-		"wall_ns": cp.WallNS, "compile_wall_ns": cp.CompileWallNS, "link_ns": cp.LinkNS,
+		"seq": rec.Seq, "mode": rec.Mode, "workers": rec.Workers,
+		"wall_ns": rec.TotalNS, "compile_wall_ns": rec.CompileNS, "link_ns": rec.LinkNS,
 		"units_compiled": rec.UnitsCompiled, "units_cached": rec.UnitsCached,
-		"critical_path":      chain,
-		"critical_path_ns":   cp.PathNS,
-		"critical_total_ns":  cp.TotalNS,
-		"longest_unit":       cp.LongestUnit,
-		"longest_unit_ns":    cp.LongestUnitNS,
-		"queue_wait_ns":      cp.QueueWaitNS,
-		"dependency_wait_ns": cp.DependencyWaitNS,
-		"starvation_ns":      cp.StarvationNS,
-		"worker_loads":       workers,
+		"critical_path":     chain,
+		"critical_path_ns":  cp.PathNS,
+		"critical_total_ns": cp.TotalNS,
+		"longest_unit":      cp.LongestUnit,
+		"longest_unit_ns":   cp.LongestUnitNS,
+		"queue_wait_ns":     cp.QueueWaitNS,
+		"starvation_ns":     cp.StarvationNS,
+		"worker_loads":      workers,
 	}
 }
 
@@ -198,13 +205,13 @@ func waterfall(tl *obs.Timeline) []obs.UnitEvent {
 }
 
 // renderProfile writes the human-readable profile report.
-func renderProfile(w io.Writer, rec *history.Record, tl *obs.Timeline, cp *obs.CritPath) {
+func renderProfile(w io.Writer, rec *history.Record, cp *obs.CritPath) {
 	fmt.Fprintf(w, "build %d (%s, %d workers): wall %.3fms = compile %.3fms + link %.3fms; %d compiled, %d cached\n",
-		rec.Seq, rec.Mode, tl.Workers, fms(cp.WallNS), fms(cp.CompileWallNS), fms(cp.LinkNS),
+		rec.Seq, rec.Mode, rec.Workers, fms(rec.TotalNS), fms(rec.CompileNS), fms(rec.LinkNS),
 		rec.UnitsCompiled, rec.UnitsCached)
 
 	// Waterfall: events by start time, bars scaled to the compile phase.
-	sched := waterfall(tl)
+	sched := waterfall(rec.Timeline)
 	onChain := make(map[string]bool, len(cp.Chain))
 	for _, l := range cp.Chain {
 		onChain[l.Unit] = true
@@ -217,13 +224,13 @@ func renderProfile(w io.Writer, rec *history.Record, tl *obs.Timeline, cp *obs.C
 				mark = "*"
 			}
 			fmt.Fprintf(w, "  %s w%-2d %-20s %10.3fms %s %s\n",
-				mark, e.Worker, e.Unit, fms(e.DurNS()), bar(e.StartNS, e.EndNS, cp.CompileWallNS), e.Outcome)
+				mark, e.Worker, e.Unit, fms(e.DurNS()), bar(e.StartNS, e.EndNS, rec.CompileNS), e.Outcome)
 		}
 	}
 
 	// The critical chain, with per-pass attribution from the record.
 	fmt.Fprintf(w, "\ncritical path: %d units, %.3fms compile + %.3fms wait = %.3fms of %.3fms compile wall (longest unit %s %.3fms)\n",
-		len(cp.Chain), fms(cp.PathNS), fms(cp.TotalNS-cp.PathNS), fms(cp.TotalNS), fms(cp.CompileWallNS),
+		len(cp.Chain), fms(cp.PathNS), fms(cp.TotalNS-cp.PathNS), fms(cp.TotalNS), fms(rec.CompileNS),
 		cp.LongestUnit, fms(cp.LongestUnitNS))
 	for _, l := range cp.Chain {
 		wait := ""
@@ -243,7 +250,6 @@ func renderProfile(w io.Writer, rec *history.Record, tl *obs.Timeline, cp *obs.C
 	}
 	causes := []cause{
 		{obs.WaitQueue, cp.QueueWaitNS},
-		{obs.WaitDependency, cp.DependencyWaitNS},
 		{obs.WaitStarved, cp.StarvationNS},
 	}
 	sort.Slice(causes, func(i, j int) bool {
@@ -261,7 +267,7 @@ func renderProfile(w io.Writer, rec *history.Record, tl *obs.Timeline, cp *obs.C
 	for _, wl := range cp.Workers {
 		fmt.Fprintf(w, "  w%-2d %3d units %10.3fms busy %5.1f%% %s longest gap %.3fms\n",
 			wl.Worker, wl.Units, fms(wl.BusyNS), wl.UtilizationPct,
-			bar(0, wl.BusyNS, cp.CompileWallNS), fms(wl.LongestGapNS))
+			bar(0, wl.BusyNS, rec.CompileNS), fms(wl.LongestGapNS))
 	}
 
 	// Shared-cache network adversity, when the build saw any: what the

@@ -71,13 +71,16 @@ func TestReadersAcrossTheSegmentBoundary(t *testing.T) {
 		got["regress -window 1"] = stdoutOf(t, runRegress, "-cache", stateDir, "-window", "1")
 		for seq := 0; seq <= 4; seq++ {
 			rec, err := loadTimelineRecord(srv.histPath, seq)
+			var cp *obs.CritPath
+			if err == nil {
+				cp, err = profileOf(rec)
+			}
 			if err != nil {
 				got[fmt.Sprintf("profile -build %d", seq)] = "[err: " + err.Error() + "]"
 				continue
 			}
-			tl := rec.Timeline
 			var page strings.Builder
-			renderProfile(&page, rec, tl, obs.Analyze(tl))
+			renderProfile(&page, rec, cp)
 			got[fmt.Sprintf("profile -build %d", seq)] = page.String()
 		}
 		for _, url := range []string{"/builds", "/builds?n=1", "/builds?n=2", "/builds?n=3", "/dash"} {

@@ -124,9 +124,6 @@ type Report struct {
 	history.Record
 	// Program is the linked executable.
 	Program *codegen.Program
-	// WorkerBusyNS is each worker slot's busy time during this build's
-	// compile phase (index = worker slot).
-	WorkerBusyNS []int64
 	// Warnings lists the state/history I/O failures this build absorbed:
 	// the build is correct but ran degraded (cold starts, unpersisted
 	// state, dropped flight-recorder records). Mirrored by the
@@ -142,9 +139,13 @@ type Report struct {
 func (r *Report) Stats() *core.Stats { return r.stats }
 
 // Utilization reports the worker pool's utilization of this build's
-// compile phase: busy time across workers / (workers × phase wall time).
+// compile phase: busy time across workers — the timeline's events — over
+// workers × phase wall time (0 without a timeline or a compile phase).
 func (r *Report) Utilization() float64 {
-	return obs.Utilization(r.WorkerBusyNS, r.CompileNS)
+	if r.Timeline == nil || r.CompileNS <= 0 {
+		return 0
+	}
+	return float64(r.Timeline.BusyNS()) / (float64(r.CompileNS) * float64(r.Workers))
 }
 
 // unitEntry is the retained per-unit build state.
@@ -177,13 +178,10 @@ type Builder struct {
 
 	// Observability: reg is the builder's counter registry; ctr holds the
 	// pre-resolved counters the build loop and workers update; hist the
-	// pre-resolved latency histograms; busy is per-worker busy time, reset
-	// each Build (each worker writes only its own slot, so no
-	// synchronization is needed within a build).
+	// pre-resolved latency histograms.
 	reg  *obs.Registry
 	ctr  builderCounters
 	hist builderHists
-	busy []int64
 
 	// cas is the resolved shared-cache handle (nil when Options.CAS is
 	// unset); see cas.go.
@@ -288,7 +286,6 @@ func NewBuilder(opts Options) (*Builder, error) {
 			skipDecision: reg.Histogram(obs.HistSkipDecisionNS),
 			buildWall:    reg.Histogram(obs.HistBuildWallNS),
 		},
-		busy:      make([]int64, opts.Workers),
 		fallbacks: make([]*compiler.Compiler, opts.Workers),
 		warnSeen:  make(map[string]int),
 	}
@@ -388,9 +385,6 @@ func (b *Builder) BuildContext(ctx context.Context, snap project.Snapshot) (*Rep
 	if len(snap) == 0 {
 		return nil, fmt.Errorf("buildsys: empty snapshot (no units to build)")
 	}
-	for i := range b.busy {
-		b.busy[i] = 0
-	}
 	b.warnMu.Lock()
 	b.warnSeen, b.warnOrder, b.warnDropped = make(map[string]int), nil, 0
 	b.warnMu.Unlock()
@@ -465,6 +459,7 @@ func (b *Builder) BuildContext(ctx context.Context, snap project.Snapshot) (*Rep
 		return nil, err
 	}
 	rep.CompileNS = time.Since(compileStart).Nanoseconds()
+	tl := &obs.Timeline{CompileStartNS: compileStartNS, Events: unitEvents}
 
 	// Commit outcomes in unit order so report stats, cache contents, and
 	// state sizes never depend on worker scheduling. A cancelled build has
@@ -523,9 +518,9 @@ func (b *Builder) BuildContext(ctx context.Context, snap project.Snapshot) (*Rep
 				rep.Pipeline = b.opts.Pipeline
 			}
 		}
-		b.ctr.frontendNS.Add(out.res.StageNS(compiler.StageFrontend))
-		b.ctr.passesNS.Add(out.res.StageNS(compiler.StagePasses))
-		b.ctr.codegenNS.Add(out.res.StageNS(compiler.StageCodegen))
+		b.ctr.frontendNS.Add(out.res.FrontendNS)
+		b.ctr.passesNS.Add(out.res.PassesNS)
+		b.ctr.codegenNS.Add(out.res.CodegenNS)
 		b.ctr.cacheHits.Add(int64(out.res.CacheHits))
 		b.ctr.cacheMisses.Add(int64(out.res.CacheMisses))
 		rep.Units[name] = ur
@@ -538,10 +533,7 @@ func (b *Builder) BuildContext(ctx context.Context, snap project.Snapshot) (*Rep
 		b.ctr.cancelled.Inc()
 		rep.StateBytes = b.stateBytes()
 		rep.TotalNS = time.Since(start).Nanoseconds()
-		rep.WorkerBusyNS = append([]int64(nil), b.busy...)
-		for _, ns := range b.busy {
-			b.ctr.workerBusyNS.Add(ns)
-		}
+		b.ctr.workerBusyNS.Add(tl.BusyNS())
 		rep.Metrics = b.reg.Snapshot()
 		rep.Warnings = b.takeWarnings()
 		cerr := ctx.Err()
@@ -573,14 +565,7 @@ func (b *Builder) BuildContext(ctx context.Context, snap project.Snapshot) (*Rep
 	b.hist.buildWall.Observe(rep.TotalNS)
 	// The pool's events are in job order, which is unit order, and a build
 	// that reaches the link has no cancellation holes among them.
-	rep.Timeline = &obs.Timeline{
-		Workers:        b.opts.Workers,
-		WallNS:         rep.TotalNS,
-		CompileStartNS: compileStartNS,
-		CompileWallNS:  rep.CompileNS,
-		LinkNS:         rep.LinkNS,
-		Events:         unitEvents,
-	}
+	rep.Timeline = tl
 
 	// Build-level accounting: counters first, then the snapshot the
 	// report carries.
@@ -588,10 +573,7 @@ func (b *Builder) BuildContext(ctx context.Context, snap project.Snapshot) (*Rep
 	b.ctr.unitsCompiled.Add(int64(rep.UnitsCompiled))
 	b.ctr.unitsCached.Add(int64(rep.UnitsCached))
 	b.ctr.linkNS.Add(rep.LinkNS)
-	rep.WorkerBusyNS = append([]int64(nil), b.busy...)
-	for _, ns := range b.busy {
-		b.ctr.workerBusyNS.Add(ns)
-	}
+	b.ctr.workerBusyNS.Add(tl.BusyNS())
 	rep.Metrics = b.reg.Snapshot()
 	rep.SkipRatePct = 100 * obs.SkipRate(rep.Metrics)
 	rep.TimeUnixMS = time.Now().UnixMilli()

@@ -268,7 +268,13 @@ func TestObsSkipRatePersistedState(t *testing.T) {
 	if rep.Metrics[obs.CtrPassSkipped] != m[obs.CtrPassSkipped] {
 		t.Error("report metrics snapshot disagrees with builder registry")
 	}
-	if u := rep.Utilization(); u < 0 || u > 1 {
-		t.Errorf("utilization %v out of [0,1]", u)
+	// A worker's busy time is the sum of its events: the counter and the
+	// utilization are read off the timeline.
+	busy := rep.Timeline.BusyNS()
+	if busy <= 0 || m[obs.CtrWorkerBusyNS] != busy {
+		t.Errorf("%s = %d, the timeline's events %dns", obs.CtrWorkerBusyNS, m[obs.CtrWorkerBusyNS], busy)
+	}
+	if u, want := rep.Utilization(), float64(busy)/float64(2*rep.CompileNS); u != want || u <= 0 || u > 1 {
+		t.Errorf("utilization %v, want %v in (0,1]", u, want)
 	}
 }

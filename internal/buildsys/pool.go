@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"statefulcc/internal/cas"
 	"statefulcc/internal/codegen"
@@ -85,21 +84,17 @@ type compileJob struct {
 	// probeDisk asks the worker to try loading state from StateDir first
 	// (first compile of this unit in this process).
 	probeDisk bool
-	// enqueueNS is when the job became ready for a worker, on the build's
-	// timeline clock. File-level units have no inter-unit dependencies, so
-	// every job is ready the moment the pool starts.
-	enqueueNS int64
 }
 
 // runCompiles compiles the partition's jobs (in unit-name order) and
-// returns per-job outcomes and scheduling events aligned with them. Compile
-// failures return an error; cancellation does not — it leaves nil-result
-// holes (and zero-unit event holes) for the caller to detect.
+// returns per-job outcomes and scheduling events aligned with them. Every
+// job is ready when the pool starts: file-level units have no inter-unit
+// dependencies. Compile failures return an error, so no event records one;
+// cancellation does not — it leaves nil-result holes (and zero-unit event
+// holes) for the caller to detect.
 func (b *Builder) runCompiles(ctx context.Context, jobs []compileJob) ([]outcome, []obs.UnitEvent, error) {
-	enq := b.tlNow()
 	for i := range jobs {
 		j := &jobs[i]
-		j.enqueueNS = enq
 		if e, ok := b.units[j.name]; ok {
 			j.prev = e.state
 			j.probeDisk = !e.diskProbed && e.state == nil
@@ -143,7 +138,7 @@ func (b *Builder) runCompiles(ctx context.Context, jobs []compileJob) ([]outcome
 
 // runJob runs job i on worker w and records its scheduling event. Each
 // slot in results/events is written by exactly one worker, so no
-// synchronization is needed (same contract as b.busy).
+// synchronization is needed.
 func (b *Builder) runJob(ctx context.Context, w, i int, jobs []compileJob, results []outcome, events []obs.UnitEvent) {
 	startNS := b.tlNow()
 	results[i] = b.compileOne(ctx, w, jobs[i])
@@ -152,13 +147,8 @@ func (b *Builder) runJob(ctx context.Context, w, i int, jobs []compileJob, resul
 
 // unitEvent classifies one job's outcome into its timeline event.
 func (b *Builder) unitEvent(w int, j compileJob, out outcome, startNS, endNS int64) obs.UnitEvent {
-	ev := obs.UnitEvent{
-		Unit: j.name, Worker: w, Outcome: obs.OutcomeCompile,
-		EnqueueNS: j.enqueueNS, StartNS: startNS, EndNS: endNS,
-	}
+	ev := obs.UnitEvent{Unit: j.name, Worker: w, Outcome: obs.OutcomeCompile, StartNS: startNS, EndNS: endNS}
 	switch {
-	case out.err != nil:
-		ev.Outcome = obs.OutcomeError
 	case out.remote:
 		ev.Outcome = obs.OutcomeRemote
 	case out.panicked:
@@ -167,9 +157,7 @@ func (b *Builder) unitEvent(w int, j compileJob, out outcome, startNS, endNS int
 		ev.Outcome = obs.OutcomeQuarantine
 	}
 	if out.res != nil {
-		ev.FrontendNS = out.res.StageNS(compiler.StageFrontend)
-		ev.PassesNS = out.res.StageNS(compiler.StagePasses)
-		ev.CodegenNS = out.res.StageNS(compiler.StageCodegen)
+		ev.FrontendNS, ev.PassesNS, ev.CodegenNS = out.res.FrontendNS, out.res.PassesNS, out.res.CodegenNS
 	}
 	return ev
 }
@@ -249,11 +237,10 @@ func safeCompile(ctx context.Context, c *compiler.Compiler, name string, src []b
 }
 
 // compileOne runs one unit through worker w's compiler, loading and saving
-// persistent dormancy state around it when a state directory is set. Busy
-// time (including state I/O) accrues to the worker's slot in b.busy —
-// written only by this worker, so no synchronization is needed; the shared
-// counters it touches are atomic. The unit's state pointer (shared with
-// b.units) is only ever touched by the one worker compiling the unit.
+// persistent dormancy state around it when a state directory is set; its
+// event (runJob) times it, state I/O included. The shared counters it
+// touches are atomic. The unit's state pointer (shared with b.units) is only
+// ever touched by the one worker compiling the unit.
 //
 // The unit's IR does not leave with the outcome: the build system reads the
 // object, the state and the statistics of a result, never its module, and
@@ -263,7 +250,6 @@ func safeCompile(ctx context.Context, c *compiler.Compiler, name string, src []b
 // the next unit reuses the memory and an idle worker pins none of it.
 func (b *Builder) compileOne(ctx context.Context, w int, j compileJob) (out outcome) {
 	c := b.workers[w]
-	busyStart := time.Now()
 	defer func() {
 		if out.res != nil {
 			out.res.Module = nil
@@ -272,7 +258,6 @@ func (b *Builder) compileOne(ctx context.Context, w int, j compileJob) (out outc
 		if fc := b.fallbacks[w]; fc != nil {
 			fc.Release()
 		}
-		b.busy[w] += time.Since(busyStart).Nanoseconds()
 	}()
 	if cerr := ctx.Err(); cerr != nil {
 		return outcome{err: fmt.Errorf("%s: build cancelled: %w", j.name, cerr)}

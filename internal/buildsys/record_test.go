@@ -45,7 +45,7 @@ func firstShape(t *testing.T, rec *histpkg.Record, snap project.Snapshot, pipeli
 		}
 		old.Units[name] = histpkg.UnitRecord{Cached: true}
 		at := int64(1000 * len(events))
-		events = append(events, obs.UnitEvent{Unit: name, Worker: -1, Outcome: "skip", EnqueueNS: at, StartNS: at, EndNS: at + 500})
+		events = append(events, obs.UnitEvent{Unit: name, Worker: -1, Outcome: "skip", StartNS: at, EndNS: at + 500})
 	}
 	sort.Slice(events, func(i, j int) bool { return events[i].Unit < events[j].Unit })
 	old.Timeline.Events = events

@@ -39,11 +39,11 @@ func TestTimelineInvariants(t *testing.T) {
 				if tl == nil {
 					t.Fatalf("build %d: no timeline recorded", i)
 				}
-				if err := tl.Validate(); err != nil {
+				if err := tl.Validate(rep.Workers, rep.TotalNS, rep.CompileNS, rep.LinkNS); err != nil {
 					t.Fatalf("build %d: %v", i, err)
 				}
-				if tl.Workers != workers {
-					t.Errorf("build %d: timeline workers = %d, want %d", i, tl.Workers, workers)
+				if rep.Workers != workers {
+					t.Errorf("build %d: record workers = %d, want %d", i, rep.Workers, workers)
 				}
 
 				// One event per compiled unit, each listed in the record.
@@ -58,12 +58,12 @@ func TestTimelineInvariants(t *testing.T) {
 
 				// Critical path total: at least the longest single unit, at
 				// most the compile phase wall, which is at most the build wall.
-				cp := obs.Analyze(tl)
-				if cp.TotalNS > tl.CompileWallNS {
-					t.Errorf("build %d: critical total %dns exceeds compile wall %dns", i, cp.TotalNS, tl.CompileWallNS)
+				cp := obs.Analyze(tl, rep.Workers, rep.CompileNS)
+				if cp.TotalNS > rep.CompileNS {
+					t.Errorf("build %d: critical total %dns exceeds compile wall %dns", i, cp.TotalNS, rep.CompileNS)
 				}
-				if tl.CompileWallNS > tl.WallNS {
-					t.Errorf("build %d: compile wall %dns exceeds build wall %dns", i, tl.CompileWallNS, tl.WallNS)
+				if rep.CompileNS > rep.TotalNS {
+					t.Errorf("build %d: compile wall %dns exceeds build wall %dns", i, rep.CompileNS, rep.TotalNS)
 				}
 				if cp.PathNS > cp.TotalNS {
 					t.Errorf("build %d: chain compile %dns exceeds chain extent %dns", i, cp.PathNS, cp.TotalNS)
@@ -100,7 +100,7 @@ func TestTimelineDeterministicChain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, l := range obs.Analyze(rep.Timeline).Chain {
+		for _, l := range obs.Analyze(rep.Timeline, rep.Workers, rep.CompileNS).Chain {
 			chains[r] = append(chains[r], l.Unit)
 		}
 	}
@@ -129,7 +129,7 @@ func TestTimelineIncrementalSkips(t *testing.T) {
 		t.Fatal(err)
 	}
 	tl := rep.Timeline
-	if err := tl.Validate(); err != nil {
+	if err := tl.Validate(rep.Workers, rep.TotalNS, rep.CompileNS, rep.LinkNS); err != nil {
 		t.Fatal(err)
 	}
 	if rep.UnitsCompiled != 0 || len(tl.Events) != 0 || len(rep.Units) != 0 {
@@ -146,7 +146,7 @@ func TestTimelineIncrementalSkips(t *testing.T) {
 	if n := b.Histograms()[obs.HistSkipDecisionNS].Count; n != int64(2*len(seq[0])) {
 		t.Errorf("%d skip decisions timed over two builds, want %d", n, 2*len(seq[0]))
 	}
-	if cp := obs.Analyze(tl); len(cp.Chain) != 0 {
+	if cp := obs.Analyze(tl, rep.Workers, rep.CompileNS); len(cp.Chain) != 0 {
 		t.Errorf("fully cached build produced a %d-link chain", len(cp.Chain))
 	}
 }

@@ -61,8 +61,6 @@ type Options struct {
 	Mode Mode
 	// VerifyIR forwards to core.Options.
 	VerifyIR bool
-	// SkipCodegen stops after the pipeline (used by IR-dumping tools).
-	SkipCodegen bool
 	// AuditRate forwards to core.Options: the soundness sentinel's
 	// probability of executing a would-be-skipped pass anyway to verify the
 	// dormancy assumption (0 disables, 1 audits every skip).
@@ -71,7 +69,7 @@ type Options struct {
 	// equal-seed compilers audit the same skips).
 	AuditSeed uint64
 	// Obs carries the observability context (shared tracer, counters,
-	// worker thread id). Nil disables tracing; stage spans are still
+	// worker thread id). Nil disables tracing; stage times are still
 	// recorded in each UnitResult.
 	Obs *obs.Sink
 }
@@ -143,7 +141,7 @@ func (c *Compiler) FullCacheStateBytes() int {
 // Module must not be used afterwards.
 func (c *Compiler) Release() { c.fe.lower.Release() }
 
-// Stage span names emitted for every unit compilation.
+// Stage span names emitted to the tracer for every unit compilation.
 const (
 	StageFrontend = "frontend"
 	StagePasses   = "passes"
@@ -152,14 +150,17 @@ const (
 
 // UnitResult is the outcome of compiling one unit.
 type UnitResult struct {
-	// Object is the compiled artifact (nil with SkipCodegen).
+	// Object is the compiled artifact.
 	Object *codegen.Object
 	// Module is the post-pipeline IR. Like the slice bufio.Scanner.Bytes
 	// returns, it may be overwritten: it is cut from the compiler's IR arena
 	// and valid only until the same Compiler's next compile or Release, so
 	// a caller that needs it later prints or encodes it first (a
 	// CloneModule copy shares its constants, which does not help). Object,
-	// State and Stats do not point into it and stay valid.
+	// State and Stats do not point into it and stay valid. In fullcache
+	// mode a body replayed from the cache is decoded from bitcode, which
+	// numbers its values afresh: the printed module then differs from a
+	// stateless compile's in value IDs, though the object is byte-identical.
 	Module *ir.Module
 	// State is the updated dormancy state (stateful mode).
 	State *core.UnitState
@@ -167,22 +168,12 @@ type UnitResult struct {
 	Stats *core.Stats
 	// CacheHits/CacheMisses count full-cache function lookups.
 	CacheHits, CacheMisses int
-	// Spans is the structured stage breakdown (frontend/passes/codegen).
-	// Start times are relative to the tracer epoch when tracing, or to the
-	// unit compile start otherwise; per-pass spans go to the tracer only.
-	Spans []obs.Span
+	// FrontendNS, PassesNS and CodegenNS are the stage times; the tracer,
+	// when one is attached, receives them as stage spans (and the per-pass
+	// spans besides).
+	FrontendNS, PassesNS, CodegenNS int64
 	// TotalNS is the unit's end-to-end compile wall time.
 	TotalNS int64
-}
-
-// StageNS returns the duration of the named stage span (0 when absent).
-func (r *UnitResult) StageNS(name string) int64 {
-	for _, sp := range r.Spans {
-		if sp.Name == name {
-			return sp.Dur
-		}
-	}
-	return 0
 }
 
 // Frontend runs lex/parse/check/lower on one unit.
@@ -243,7 +234,7 @@ func (c *Compiler) CompileUnit(unitName string, src []byte, st *core.UnitState) 
 // are short relative to the pipeline).
 func (c *Compiler) CompileUnitContext(ctx context.Context, unitName string, src []byte, st *core.UnitState) (*UnitResult, error) {
 	// Span clock: the shared tracer's epoch when tracing, the unit start
-	// otherwise — either way spans within one unit share a timeline.
+	// otherwise — either way the stages of one unit share a timeline.
 	tr := c.opts.Obs.Trace()
 	tid := c.opts.Obs.ThreadID()
 	unitStart := time.Now()
@@ -254,11 +245,10 @@ func (c *Compiler) CompileUnitContext(ctx context.Context, unitName string, src 
 		return time.Since(unitStart).Nanoseconds()
 	}
 	res := &UnitResult{}
-	stage := func(name string, start int64) {
-		sp := obs.Span{Name: name, Cat: obs.CatStage, Unit: unitName, TID: tid,
-			Start: start, Dur: now() - start}
-		res.Spans = append(res.Spans, sp)
-		tr.Emit(sp)
+	stage := func(name string, start int64, dur *int64) {
+		*dur = now() - start
+		tr.Emit(obs.Span{Name: name, Cat: obs.CatStage, Unit: unitName, TID: tid,
+			Start: start, Dur: *dur})
 	}
 	t0 := now()
 
@@ -267,7 +257,7 @@ func (c *Compiler) CompileUnitContext(ctx context.Context, unitName string, src 
 	if err != nil {
 		return nil, err
 	}
-	stage(StageFrontend, start)
+	stage(StageFrontend, start, &res.FrontendNS)
 	res.Module = m
 
 	start = now()
@@ -290,17 +280,15 @@ func (c *Compiler) CompileUnitContext(ctx context.Context, unitName string, src 
 		}
 		res.Stats = stats
 	}
-	stage(StagePasses, start)
+	stage(StagePasses, start, &res.PassesNS)
 
-	if !c.opts.SkipCodegen {
-		start = now()
-		obj, err := c.cg.Compile(m)
-		if err != nil {
-			return nil, err
-		}
-		stage(StageCodegen, start)
-		res.Object = obj
+	start = now()
+	obj, err := c.cg.Compile(m)
+	if err != nil {
+		return nil, err
 	}
+	stage(StageCodegen, start, &res.CodegenNS)
+	res.Object = obj
 	res.TotalNS = now() - t0
 	tr.Emit(obs.Span{Name: "unit " + unitName, Cat: obs.CatUnit, Unit: unitName,
 		TID: tid, Start: t0, Dur: res.TotalNS})

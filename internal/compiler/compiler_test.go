@@ -121,11 +121,12 @@ func TestStatefulSkipsOnRebuild(t *testing.T) {
 	if _, _, skipped := r2.Stats.Totals(); skipped == 0 {
 		t.Error("no skips on identical rebuild")
 	}
-	if r2.TotalNS <= 0 || r2.StageNS(compiler.StageFrontend) <= 0 {
-		t.Error("stage spans not populated")
+	if r2.TotalNS <= 0 || r2.FrontendNS <= 0 || r2.PassesNS <= 0 || r2.CodegenNS <= 0 {
+		t.Errorf("stage times not populated: total %d, frontend %d, passes %d, codegen %d",
+			r2.TotalNS, r2.FrontendNS, r2.PassesNS, r2.CodegenNS)
 	}
-	if len(r2.Spans) != 3 {
-		t.Errorf("stage spans = %d, want 3 (frontend/passes/codegen)", len(r2.Spans))
+	if sum := r2.FrontendNS + r2.PassesNS + r2.CodegenNS; sum > r2.TotalNS {
+		t.Errorf("stage times sum to %dns, past the unit's %dns", sum, r2.TotalNS)
 	}
 }
 
@@ -258,20 +259,5 @@ func TestFrontendErrors(t *testing.T) {
 	}
 	if _, err := c.CompileUnit("bad.mc", []byte(`func f() { x = 1; }`), nil); err == nil {
 		t.Error("type error not reported")
-	}
-}
-
-// TestSkipCodegen supports IR tooling.
-func TestSkipCodegen(t *testing.T) {
-	c, err := compiler.New(compiler.Options{Mode: compiler.ModeStateless, SkipCodegen: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := c.CompileUnit("u.mc", []byte(`func main() { }`), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Object != nil || r.Module == nil {
-		t.Error("SkipCodegen should produce IR but no object")
 	}
 }

@@ -22,6 +22,11 @@ package compiler
 // body. The tests exercise the classic trap — an `if false { _g = 1; }`
 // store in another function flipping constification — to demonstrate the
 // key catches it.
+//
+// A replayed body is decoded from bitcode, which numbers its values afresh.
+// So a warm compile's UnitResult.Module differs from a stateless compile's in
+// value IDs when printed, while the object code generation makes of it is
+// byte-identical: compare a replayed body by its object, not its text.
 
 import (
 	"bytes"

@@ -15,10 +15,12 @@
 // CachedDigest. What a reader can derive is not written: a decision row's
 // pass name is Pipeline[Slot], its reason a function of its counts. A build
 // fills its record in this shape as it goes (buildsys.Report embeds it).
-// Records of the two older shapes on disk (a Units entry for every unit, and
-// in the oldest a "skip" timeline event too; a pass name and a reason in every
-// row) are read and brought to this shape by Load and LoadLast
-// (Record.Normalize), never written.
+// Records of the older shapes on disk (a Units entry for every unit, and in
+// the oldest a "skip" timeline event too; a pass name and a reason in every
+// row; a timeline envelope that copies the record's build times, and an
+// enqueue time in every event) are read and brought to this shape by Load and
+// LoadLast — decoding ignores the envelope and enqueue times, Record.Normalize
+// does the rest — and never written.
 //
 // The history is bounded and is two files: the active segment, which every
 // build appends one line to, and the segment that was active before it
@@ -49,6 +51,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -156,7 +159,8 @@ type Record struct {
 	// Mode and Workers describe the builder configuration.
 	Mode    string `json:"mode"`
 	Workers int    `json:"workers"`
-	// Build-level timings and tallies.
+	// Build-level timings and tallies. Workers and the three times are the
+	// ones the Timeline is validated and analyzed against: it keeps no copy.
 	TotalNS       int64 `json:"total_ns"`
 	CompileNS     int64 `json:"compile_ns"`
 	LinkNS        int64 `json:"link_ns"`
@@ -310,64 +314,18 @@ func OlderPath(path string) string {
 // Load reads every parseable record of a history: the older segment's, then
 // the active segment's. A missing file is an empty history; corrupt lines —
 // in particular a torn trailing line from a crashed append — are dropped,
-// never an error. Records are returned in file order (oldest first).
+// never an error. Records are returned in file order (oldest first). It is
+// LoadLast with no bound: the lines are read from the end, and at a line of
+// maxLineBytes or more, which no reader can read whole, reading stops with
+// the records after it.
 func Load(path string) ([]Record, error) {
 	return LoadFS(vfs.OS, path)
 }
 
 // LoadFS is Load through an injectable filesystem (nil means the real
 // one).
-func LoadFS(fsys vfs.FS, path string) (recs []Record, err error) {
-	fsys = vfs.Default(fsys)
-	err = unrotated(fsys, path, func() error {
-		if recs, err = loadSegment(fsys, OlderPath(path), nil); err == nil {
-			recs, err = loadSegment(fsys, path, recs)
-		}
-		return err
-	})
-	return recs, err
-}
-
-// unrotated runs read, which reads the older segment and then the active
-// one, and runs it again (twice at most) if the segments were rotated
-// meanwhile: a reader that has the older segment and then opens the active
-// one after a rotation has missed the segment in between. A rotation shows as
-// another file under the older segment's name.
-func unrotated(fsys vfs.FS, path string, read func() error) error {
-	older := OlderPath(path)
-	for attempt := 1; ; attempt++ {
-		before, _ := fsys.Stat(older)
-		err := read()
-		after, _ := fsys.Stat(older)
-		same := before == nil && after == nil || before != nil && after != nil && os.SameFile(before, after)
-		if err != nil || same || attempt == 3 {
-			return err
-		}
-	}
-}
-
-// loadSegment appends the records of one segment file to recs.
-func loadSegment(fsys vfs.FS, path string, recs []Record) ([]Record, error) {
-	f, err := fsys.Open(path)
-	if os.IsNotExist(err) {
-		return recs, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("history: %w", err)
-	}
-	defer f.Close()
-
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
-	for sc.Scan() {
-		// A torn or corrupt line is dropped: stay usable.
-		if rec, ok := decodeLine(sc.Bytes()); ok {
-			recs = append(recs, rec)
-		}
-	}
-	// A scanner failure mid-file (e.g. an absurdly long corrupt line) still
-	// yields whatever parsed before it.
-	return recs, nil
+func LoadFS(fsys vfs.FS, path string) ([]Record, error) {
+	return load(vfs.Default(fsys), path, math.MaxInt)
 }
 
 // Append writes rec to the history whose active segment is at path, assigning

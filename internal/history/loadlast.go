@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
 
@@ -81,11 +82,16 @@ func (b *backward) fill() error {
 		b.buf, b.lo, b.hi, b.fresh = data, 0, len(data), len(data)
 	} else {
 		if held := b.hi - b.lo; b.lo < n {
-			// Room in front, doubled each time so that a long line is not
-			// copied once per chunk.
-			grown := make([]byte, n+2*held)
-			copy(grown[len(grown)-held:], b.buf[b.lo:b.hi])
-			b.buf, b.lo, b.hi = grown, len(grown)-held, len(grown)
+			// Room in front: the buffer's own when what is held fits beside
+			// a chunk (a whole file is read through one buffer), or a new one,
+			// doubled each time so that a long line is not copied once per
+			// chunk.
+			buf := b.buf
+			if len(buf) < n+held {
+				buf = make([]byte, n+2*held)
+			}
+			copy(buf[len(buf)-held:], b.buf[b.lo:b.hi])
+			b.buf, b.lo, b.hi = buf, len(buf)-held, len(buf)
 		}
 		if _, err := io.ReadFull(b.f, b.buf[b.lo-n:b.lo]); err != nil {
 			return err
@@ -97,24 +103,36 @@ func (b *backward) fill() error {
 }
 
 // LoadLast returns the newest n records of the history whose active segment
-// is at path, oldest first — the last n of what Load returns, for every file
-// Load can read (torn tail, corrupt or blank lines in the middle, a missing
-// file) — having read only the end of the active segment, and of the older
-// one when the active one holds fewer than n, and decoded only the lines it
-// walked over to find n that parse. n <= 0 means every record and is Load.
-//
-// One difference from Load, on a file neither can read whole: at a line of
-// maxLineBytes or more Load stops and has the records before it, LoadLast
-// stops and has the records after it.
-func LoadLast(path string, n int) (recs []Record, err error) {
+// is at path, oldest first — the last n of what Load returns, on every file
+// (torn tail, corrupt or blank lines in the middle, a missing file, a line
+// too long to read) — having read only the end of the active segment, and of
+// the older one when the active one holds fewer than n, and decoded only the
+// lines it walked over to find n that parse. n <= 0 means every record and is
+// Load.
+func LoadLast(path string, n int) ([]Record, error) {
 	if n <= 0 {
-		return Load(path)
+		n = math.MaxInt
 	}
-	err = unrotated(vfs.OS, path, func() error {
-		recs, err = loadLast(vfs.OS, []string{path, OlderPath(path)}, n)
-		return err
-	})
-	return recs, err
+	return load(vfs.OS, path, n)
+}
+
+// load returns the newest n records of the history whose active segment is at
+// path: the active segment's and then the older one's, each read from its
+// end. It reads both again (twice at most) if the segments were rotated
+// meanwhile: a reader that has the active segment and then opens the older
+// one after a rotation reads the same records twice and misses the new active
+// segment. A rotation shows as another file under the older segment's name.
+func load(fsys vfs.FS, path string, n int) ([]Record, error) {
+	older := OlderPath(path)
+	for attempt := 1; ; attempt++ {
+		before, _ := fsys.Stat(older)
+		recs, err := loadLast(fsys, []string{path, older}, n)
+		after, _ := fsys.Stat(older)
+		same := before == nil && after == nil || before != nil && after != nil && os.SameFile(before, after)
+		if err != nil || same || attempt == 3 {
+			return recs, err
+		}
+	}
 }
 
 // loadLast returns the newest n records of the files at paths, which are

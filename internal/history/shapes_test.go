@@ -10,13 +10,16 @@ import (
 	"testing"
 )
 
-// The three shapes a history file can hold a record in, oldest first, and
-// what tells them apart in the bytes. testdata/ has the same three
-// builds of a five-unit project in each: a cold build; an edit of two units,
-// one of which panicked and was quarantined; an edit of one unit beside a
-// shared-cache fetch, with a missed and a redundant footprint verdict. The two
-// older files were written by the code of their time, the newest is what
-// loading either gives.
+// Three shapes a history file can hold a record in, oldest first, and what
+// tells them apart in the bytes. testdata/ has the same three builds of a
+// five-unit project in each: a cold build; an edit of two units, one of which
+// panicked and was quarantined; an edit of one unit beside a shared-cache
+// fetch, with a missed and a redundant footprint verdict. Each file was
+// written by the code of its time, and each has a timeline envelope (workers,
+// wall_ns, compile_wall_ns, link_ns) and an enqueue time ("q") per event,
+// which builds no longer write. What loading any of them gives is the current
+// shape: the newest file less the keys the end of
+// TestThreeRecordShapesOneAnswer drops.
 var recordShapes = []struct {
 	file                  string
 	skipEvents, rowReason bool
@@ -42,7 +45,8 @@ func TestThreeRecordShapesOneAnswer(t *testing.T) {
 			t.Fatal(err)
 		}
 		if skip, reason := bytes.Contains(raw, []byte(`"o":"skip"`)), bytes.Contains(raw, []byte(`"reason":"`)); skip != shape.skipEvents ||
-			reason != shape.rowReason || bytes.Contains(raw, []byte(`"cached_digest"`)) == reason {
+			reason != shape.rowReason || bytes.Contains(raw, []byte(`"cached_digest"`)) == reason ||
+			bytes.Count(raw, []byte(`"timeline":{"workers":2,"wall_ns":`)) != 3 || !bytes.Contains(raw, []byte(`,"q":`)) {
 			t.Fatalf("%s is not in the shape its name says", shape.file)
 		}
 
@@ -118,9 +122,11 @@ func TestThreeRecordShapesOneAnswer(t *testing.T) {
 	// The current shape is what loading gives: encoding the loaded records
 	// reproduces the newest file byte for byte — less its rows'
 	// blocks_memoized and blocks_rehashed keys, which the fingerprint block
-	// memo wrote until it was deleted, and saved_ns, the estimate a dormancy
-	// record's cost average fed until the average was deleted. Loading drops
-	// all three.
+	// memo wrote until it was deleted; saved_ns, the estimate a dormancy
+	// record's cost average fed until the average was deleted; each event's
+	// enqueue time q, the compile phase's start for every job; and the
+	// timeline's workers, wall_ns, compile_wall_ns and link_ns, copies of the
+	// record's own keys, which stay. Loading drops them all.
 	var again bytes.Buffer
 	for i := range want.recs {
 		line, err := want.recs[i].Encode()
@@ -133,12 +139,20 @@ func TestThreeRecordShapesOneAnswer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"blocks_memoized", "blocks_rehashed", "saved_ns"} {
-		dropped := regexp.MustCompile(`,"` + key + `":\d+`)
+	for _, drop := range []struct{ key, pattern, keep string }{
+		{"blocks_memoized", `,"blocks_memoized":\d+`, ""},
+		{"blocks_rehashed", `,"blocks_rehashed":\d+`, ""},
+		{"saved_ns", `,"saved_ns":\d+`, ""},
+		{"q", `,"q":\d+`, ""},
+		{"workers and wall_ns", `"timeline":\{"workers":\d+,"wall_ns":\d+,`, `"timeline":{`},
+		{"compile_wall_ns", `,"compile_wall_ns":\d+`, ""},
+		{"timeline link_ns", `,"link_ns":\d+,"events":`, `,"events":`},
+	} {
+		dropped := regexp.MustCompile(drop.pattern)
 		if !dropped.Match(newest) {
-			t.Fatalf("%s has no %s keys to drop", recordShapes[2].file, key)
+			t.Fatalf("%s has no %s keys to drop", recordShapes[2].file, drop.key)
 		}
-		newest = dropped.ReplaceAll(newest, nil)
+		newest = dropped.ReplaceAll(newest, []byte(drop.keep))
 	}
 	if !bytes.Equal(again.Bytes(), newest) {
 		t.Errorf("loading and encoding %s changes it:\n%s", recordShapes[2].file, again.Bytes())

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"statefulcc/internal/vfs"
@@ -40,6 +41,7 @@ func FuzzHistoryTail(f *testing.F) {
 	for cut := 0; cut <= len(line); cut++ { // a valid record cut at every offset
 		f.Add(other, uint16(0), line[:cut])
 	}
+	f.Add(other, uint16(17*1024), line) // a line a MiB past the bound, then a record
 
 	f.Fuzz(func(t *testing.T, prefix []byte, padKiB uint16, suffix []byte) {
 		data := append(bytes.Clone(prefix), bytes.Repeat([]byte{'x'}, int(padKiB)%(17*1024+1)<<10)...)
@@ -86,9 +88,12 @@ func FuzzHistoryTail(f *testing.F) {
 				read, len(data), looked, most)
 		}
 
-		// And the append that follows keeps every record a reader had, unless
-		// it would have to wait for a writer that may be alive (a torn tail:
-		// eleven milliseconds an input).
+		// And the append that follows keeps every record a reader had, as the
+		// newest before its own, unless it would have to wait for a writer
+		// that may be alive (a torn tail: eleven milliseconds an input). A
+		// reader stops at a line too long to read, and has the records after
+		// it only; the repair that drops the line gives the records before it
+		// back.
 		if got.torn {
 			return
 		}
@@ -104,7 +109,9 @@ func FuzzHistoryTail(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(after) != len(before)+1 || after[len(after)-1].Seq != added.Seq || (len(before) > 0 && added.Seq != before[len(before)-1].Seq+1) {
+		kept := len(after) - 1 - len(before)
+		if kept < 0 || after[len(after)-1].Seq != added.Seq || (len(before) > 0 && added.Seq != before[len(before)-1].Seq+1) ||
+			!slices.EqualFunc(after[kept:len(after)-1], before, func(a, b Record) bool { return a.Seq == b.Seq }) {
 			t.Fatalf("%d records before the append, %d after; new Seq %d", len(before), len(after), added.Seq)
 		}
 	})

@@ -12,33 +12,23 @@ package obs
 // through its worker's occupancy chain. The chain's self times plus its
 // waits exactly tile [0, TotalNS], so TotalNS ≤ the compile phase wall
 // time and ≥ the longest single unit — the invariants the tests pin.
-// When function-level cross-unit incrementality lands (ROADMAP), its
-// dependency edges will feed the same walk through EnqueueNS.
 //
-// Wait taxonomy (the "why was the pool not fully busy" blame):
+// Wait taxonomy (the "why was the pool not fully busy" blame). Every job is
+// ready when the compile phase starts, so a unit waits on the pool or not at
+// all:
 //
-//   - queue wait: a unit was enqueued and ready, but every worker was
-//     busy (StartNS − EnqueueNS summed over the events);
-//   - dependency wait: a unit's job became ready only partway into the
-//     compile phase (EnqueueNS − CompileStartNS) — structurally zero for
-//     file-level builds, nonzero once dependency-ordered scheduling lands;
+//   - queue wait: a unit was ready, but every worker was busy (StartNS −
+//     CompileStartNS summed over the events);
 //   - starvation: a worker sat idle while the phase still ran (phase wall
 //     − busy, summed over workers) — the cost of a lopsided schedule.
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "sort"
 
 // Wait causes attributed to critical-chain gaps.
 const (
 	// WaitQueue: the unit was ready before its worker freed up; the gap is
 	// the pool dispatch latency.
 	WaitQueue = "queue-wait"
-	// WaitDependency: the unit's job was not yet enqueued when its worker
-	// freed up — the start was bounded by job readiness, not the pool.
-	WaitDependency = "dependency-wait"
 	// WaitStarved: the worker was free and no job was running on it — lead-in
 	// idle before the chain's first unit started.
 	WaitStarved = "starvation"
@@ -77,8 +67,6 @@ type WorkerLoad struct {
 
 // CritPath is the scheduling analysis of one build's timeline.
 type CritPath struct {
-	// WallNS / CompileWallNS / LinkNS echo the timeline's phase times.
-	WallNS, CompileWallNS, LinkNS int64
 	// Chain is the critical path, first unit first. Empty when nothing
 	// compiled (a fully cached build's wall time is bounded by the cache
 	// check and link, not by any unit).
@@ -96,24 +84,27 @@ type CritPath struct {
 	// Workers is the per-slot utilization table.
 	Workers []WorkerLoad
 	// Wait-cause totals across the whole schedule (not just the chain).
-	QueueWaitNS, DependencyWaitNS, StarvationNS int64
+	QueueWaitNS, StarvationNS int64
 }
 
 // Analyze reconstructs the critical path and worker-utilization blame from
-// a timeline. It is deterministic: ties (equal end times) break on unit
-// name, so two identical schedules analyze identically.
-func Analyze(t *Timeline) *CritPath {
-	cp := &CritPath{WallNS: t.WallNS, CompileWallNS: t.CompileWallNS, LinkNS: t.LinkNS}
+// a timeline of a build with the given worker count and compile phase wall
+// time (the record's Workers and CompileNS). It is deterministic: ties
+// (equal end times) break on unit name, so two identical schedules analyze
+// identically.
+func Analyze(t *Timeline, workers int, compileNS int64) *CritPath {
+	cp := &CritPath{}
 
 	// Events grouped into per-worker lanes. Times are rebased to the compile
 	// phase start so chain waits and worker gaps measure scheduling, not the
-	// partition stage that precedes it.
+	// partition stage that precedes it; a rebased start is the unit's queue
+	// wait.
 	lanes := make(map[int][]UnitEvent)
 	for _, e := range t.Events {
-		e.EnqueueNS = max64(0, e.EnqueueNS-t.CompileStartNS)
-		e.StartNS = max64(0, e.StartNS-t.CompileStartNS)
-		e.EndNS = max64(0, e.EndNS-t.CompileStartNS)
+		e.StartNS = max(0, e.StartNS-t.CompileStartNS)
+		e.EndNS = max(0, e.EndNS-t.CompileStartNS)
 		lanes[e.Worker] = append(lanes[e.Worker], e)
+		cp.QueueWaitNS += e.StartNS
 		if d := e.DurNS(); d > cp.LongestUnitNS || (d == cp.LongestUnitNS && cp.LongestUnit > e.Unit) {
 			cp.LongestUnit, cp.LongestUnitNS = e.Unit, d
 		}
@@ -131,8 +122,7 @@ func Analyze(t *Timeline) *CritPath {
 	// Per-worker utilization and idle-gap blame over the compile phase.
 	// Every configured slot appears, including ones that never got a unit —
 	// a fully idle slot is exactly the starvation signal worth surfacing.
-	phase := t.CompileWallNS
-	for w := 0; w < t.Workers; w++ {
+	for w := 0; w < workers; w++ {
 		wl := WorkerLoad{Worker: w}
 		var cursor int64
 		for _, e := range lanes[w] {
@@ -143,23 +133,15 @@ func Analyze(t *Timeline) *CritPath {
 			}
 			cursor = e.EndNS
 		}
-		if tail := phase - cursor; tail > wl.LongestGapNS {
+		if tail := compileNS - cursor; tail > wl.LongestGapNS {
 			wl.LongestGapNS = tail
 		}
-		wl.IdleNS = max64(0, phase-wl.BusyNS)
-		if phase > 0 {
-			wl.UtilizationPct = 100 * float64(wl.BusyNS) / float64(phase)
+		wl.IdleNS = max(0, compileNS-wl.BusyNS)
+		if compileNS > 0 {
+			wl.UtilizationPct = 100 * float64(wl.BusyNS) / float64(compileNS)
 		}
 		cp.Workers = append(cp.Workers, wl)
 		cp.StarvationNS += wl.IdleNS
-	}
-
-	// Whole-schedule wait totals.
-	for _, lane := range lanes {
-		for _, e := range lane {
-			cp.QueueWaitNS += max64(0, e.StartNS-e.EnqueueNS)
-			cp.DependencyWaitNS += e.EnqueueNS
-		}
 	}
 
 	if len(t.Events) == 0 {
@@ -185,8 +167,8 @@ func Analyze(t *Timeline) *CritPath {
 		if ok {
 			freeAt = pred.EndNS
 		}
-		link.WaitNS = max64(0, cur.StartNS-freeAt)
-		link.WaitCause = classifyWait(link.WaitNS, cur.EnqueueNS, freeAt, ok)
+		link.WaitNS = max(0, cur.StartNS-freeAt)
+		link.WaitCause = classifyWait(link.WaitNS, ok)
 		chain = append(chain, link)
 		if !ok {
 			break
@@ -205,18 +187,13 @@ func Analyze(t *Timeline) *CritPath {
 	return cp
 }
 
-// classifyWait attributes a chain gap: zero gaps have no cause; a gap is
-// dependency wait only when readiness (enqueue − freeAt) accounts for its
-// dominant share — job-prep stamps land a few µs after the phase opens,
-// and that sliver must not relabel a long idle stretch; otherwise a ready
-// unit on a worker with prior occupancy waited on dispatch (queue), and a
-// gap before a worker's first unit is lead-in starvation.
-func classifyWait(wait, enqueue, freeAt int64, hadPred bool) string {
+// classifyWait attributes a chain gap: zero gaps have no cause; a unit on a
+// worker with prior occupancy waited on dispatch (queue), and a gap before a
+// worker's first unit is lead-in starvation.
+func classifyWait(wait int64, hadPred bool) string {
 	switch {
 	case wait <= 0:
 		return ""
-	case enqueue-freeAt > wait/2:
-		return WaitDependency
 	case hadPred:
 		return WaitQueue
 	default:
@@ -258,31 +235,4 @@ func predecessor(lane []UnitEvent, cur UnitEvent, visited map[string]bool) (Unit
 		}
 	}
 	return best, found
-}
-
-// String renders a compact multi-line summary (the `minibuild profile`
-// table builds on the same data with more detail).
-func (cp *CritPath) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "critical path: %d units, %.3fms compile + %.3fms wait = %.3fms of %.3fms compile wall\n",
-		len(cp.Chain), ms(cp.PathNS), ms(cp.TotalNS-cp.PathNS), ms(cp.TotalNS), ms(cp.CompileWallNS))
-	for _, l := range cp.Chain {
-		wait := ""
-		if l.WaitNS > 0 {
-			wait = fmt.Sprintf("  +%.3fms %s", ms(l.WaitNS), l.WaitCause)
-		}
-		fmt.Fprintf(&sb, "  %-24s w%d %8.3fms%s\n", l.Unit, l.Worker, ms(l.SelfNS), wait)
-	}
-	fmt.Fprintf(&sb, "waits: queue %.3fms, dependency %.3fms, starvation %.3fms\n",
-		ms(cp.QueueWaitNS), ms(cp.DependencyWaitNS), ms(cp.StarvationNS))
-	return sb.String()
-}
-
-func ms(ns int64) float64 { return float64(ns) / 1e6 }
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

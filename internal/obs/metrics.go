@@ -72,16 +72,3 @@ func SkipRate(snap map[string]int64) float64 {
 	}
 	return float64(skipped) / float64(runs+skipped)
 }
-
-// Utilization returns the worker-pool utilization for a compile phase:
-// total busy time across workers divided by workers × phase wall time.
-func Utilization(busyNS []int64, phaseWallNS int64) float64 {
-	if len(busyNS) == 0 || phaseWallNS <= 0 {
-		return 0
-	}
-	var busy int64
-	for _, b := range busyNS {
-		busy += b
-	}
-	return float64(busy) / (float64(phaseWallNS) * float64(len(busyNS)))
-}

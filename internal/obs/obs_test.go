@@ -183,18 +183,12 @@ func TestMetricsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDerivedRates: skip rate and utilization formulas.
+// TestDerivedRates: the skip rate formula.
 func TestDerivedRates(t *testing.T) {
 	if r := SkipRate(map[string]int64{CtrPassRuns: 3, CtrPassSkipped: 1}); r != 0.25 {
 		t.Errorf("SkipRate = %v, want 0.25", r)
 	}
 	if r := SkipRate(nil); r != 0 {
 		t.Errorf("SkipRate(nil) = %v", r)
-	}
-	if u := Utilization([]int64{50, 100}, 100); u != 0.75 {
-		t.Errorf("Utilization = %v, want 0.75", u)
-	}
-	if u := Utilization(nil, 100); u != 0 {
-		t.Errorf("Utilization(nil) = %v", u)
 	}
 }

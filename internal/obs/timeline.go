@@ -2,12 +2,15 @@ package obs
 
 // The scheduling timeline: a structured per-build event log of what the
 // worker pool actually did — one event per unit that occupied a worker, with
-// enqueue/start/end timestamps, the worker slot that ran it, its outcome, and
-// the per-stage time split. The build system assembles one Timeline per Build
+// start/end timestamps, the worker slot that ran it, its outcome, and the
+// per-stage time split. The build system assembles one Timeline per Build
 // call and the flight recorder persists it as it is (internal/history; the
 // JSON keys are short because a history file is bounded by bytes), so
 // `minibuild profile` and the serve /dash page can reconstruct the schedule —
-// and its critical path (critpath.go) — long after the process exited.
+// and its critical path (critpath.go) — long after the process exited. The
+// timeline holds only what the record does not: the worker count and the
+// build, compile and link times are the record's, and the functions here take
+// them as arguments.
 //
 // Clock discipline: every timestamp is nanoseconds since the build's
 // monotonic epoch, derived exclusively through time.Since of one time.Time
@@ -34,9 +37,6 @@ const (
 	// OutcomeQuarantine: the unit compiled through its quarantine's
 	// stateless fallback.
 	OutcomeQuarantine = "quarantine"
-	// OutcomeError: the unit's compile failed with a diagnostic. The event
-	// still records the time the failing attempt consumed.
-	OutcomeError = "error"
 	// OutcomeRemote: the unit was served from the shared content-addressed
 	// cache (internal/cas) instead of compiling. Remote events are
 	// scheduled — the fetch and verify occupy a worker slot — but carry no
@@ -54,9 +54,9 @@ type UnitEvent struct {
 	Worker int `json:"w"`
 	// Outcome is one of the Outcome* constants.
 	Outcome string `json:"o"`
-	// EnqueueNS is when the unit's compile job became ready for a worker.
-	EnqueueNS int64 `json:"q,omitempty"`
-	// StartNS / EndNS bound the unit's compile.
+	// StartNS / EndNS bound the unit's compile. Every job is ready when the
+	// compile phase starts (CompileStartNS): file-level units have no
+	// inter-unit dependencies.
 	StartNS int64 `json:"s,omitempty"`
 	EndNS   int64 `json:"e,omitempty"`
 	// Per-stage split of the compile (zero for remote fetches and fullcache
@@ -69,18 +69,14 @@ type UnitEvent struct {
 // DurNS is the event's own duration.
 func (e *UnitEvent) DurNS() int64 { return e.EndNS - e.StartNS }
 
-// Timeline is one build's scheduling event log.
+// Timeline is one build's scheduling event log. Older records also carry a
+// phase envelope (workers, wall_ns, compile_wall_ns, link_ns: copies of the
+// record's own fields) and each event's enqueue time ("q": the compile
+// phase's start, for every job); decoding ignores them.
 type Timeline struct {
-	// Workers is the pool's worker-slot count.
-	Workers int `json:"workers"`
-	// WallNS is the whole build's wall time (partition + compile + link).
-	WallNS int64 `json:"wall_ns"`
-	// CompileStartNS / CompileWallNS bound the parallel compile phase
-	// within the build.
+	// CompileStartNS is when the compile phase began within the build: the
+	// partition stage — every cache decision — ends there.
 	CompileStartNS int64 `json:"compile_start_ns,omitempty"`
-	CompileWallNS  int64 `json:"compile_wall_ns,omitempty"`
-	// LinkNS is the link stage's duration (it follows the compile phase).
-	LinkNS int64 `json:"link_ns,omitempty"`
 	// Events is in unit-name order (scheduling must not leak into the
 	// recorded artifact's shape) and has the units that occupied a worker
 	// only. A unit served from the object cache has no event: the partition
@@ -90,18 +86,30 @@ type Timeline struct {
 	Events []UnitEvent `json:"events"`
 }
 
-// Validate checks the timeline's ordering invariants: events sorted by
-// unit name, every timestamp non-negative and ordered enqueue ≤ start ≤
-// end, every event within the compile phase and on a valid worker slot. A
-// violation means a recording bug (most likely a wall-clock reading leaking
-// into what must be monotonic deltas).
-func (t *Timeline) Validate() error {
-	if t.Workers < 1 {
-		return fmt.Errorf("timeline: %d workers", t.Workers)
+// BusyNS is the time the events occupied their workers, summed over all of
+// them: a worker's busy time is the sum of its events.
+func (t *Timeline) BusyNS() int64 {
+	var busy int64
+	for i := range t.Events {
+		busy += t.Events[i].DurNS()
 	}
-	if t.WallNS < 0 || t.CompileWallNS < 0 || t.LinkNS < 0 || t.CompileStartNS < 0 {
+	return busy
+}
+
+// Validate checks the timeline's ordering invariants against the build's
+// worker count and its build, compile and link times (the record's Workers,
+// TotalNS, CompileNS and LinkNS): events sorted by unit name, every timestamp
+// non-negative and ordered compile start ≤ start ≤ end, every event within
+// the compile phase and on a valid worker slot. A violation means a recording
+// bug (most likely a wall-clock reading leaking into what must be monotonic
+// deltas).
+func (t *Timeline) Validate(workers int, wallNS, compileNS, linkNS int64) error {
+	if workers < 1 {
+		return fmt.Errorf("timeline: %d workers", workers)
+	}
+	if wallNS < 0 || compileNS < 0 || linkNS < 0 || t.CompileStartNS < 0 {
 		return fmt.Errorf("timeline: negative phase duration (wall=%d compile=%d link=%d)",
-			t.WallNS, t.CompileWallNS, t.LinkNS)
+			wallNS, compileNS, linkNS)
 	}
 	if !sort.SliceIsSorted(t.Events, func(i, j int) bool {
 		return t.Events[i].Unit < t.Events[j].Unit
@@ -113,14 +121,14 @@ func (t *Timeline) Validate() error {
 		if e.Unit == "" {
 			return fmt.Errorf("timeline: event %d has no unit", i)
 		}
-		if e.EnqueueNS < 0 || e.StartNS < e.EnqueueNS || e.EndNS < e.StartNS {
-			return fmt.Errorf("timeline: %s: non-monotonic times enqueue=%d start=%d end=%d",
-				e.Unit, e.EnqueueNS, e.StartNS, e.EndNS)
+		if e.StartNS < t.CompileStartNS || e.EndNS < e.StartNS {
+			return fmt.Errorf("timeline: %s: non-monotonic times compile start=%d start=%d end=%d",
+				e.Unit, t.CompileStartNS, e.StartNS, e.EndNS)
 		}
-		if e.Worker < 0 || e.Worker >= t.Workers {
-			return fmt.Errorf("timeline: %s: worker %d out of range [0,%d)", e.Unit, e.Worker, t.Workers)
+		if e.Worker < 0 || e.Worker >= workers {
+			return fmt.Errorf("timeline: %s: worker %d out of range [0,%d)", e.Unit, e.Worker, workers)
 		}
-		if end := t.CompileStartNS + t.CompileWallNS; t.CompileWallNS > 0 && e.EndNS > end {
+		if end := t.CompileStartNS + compileNS; compileNS > 0 && e.EndNS > end {
 			return fmt.Errorf("timeline: %s: ends at %dns, past the compile phase end %dns", e.Unit, e.EndNS, end)
 		}
 		if e.FrontendNS < 0 || e.PassesNS < 0 || e.CodegenNS < 0 {

@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"strings"
+	"reflect"
 	"testing"
 )
 
@@ -11,32 +11,47 @@ import (
 //	worker 0: a [100,500], b [520,1100]   (b queue-waits 20ns on a)
 //	worker 1: c [150,400]                 (50ns lead-in starvation)
 //
-// CompileStartNS=100, so rebased: a [0,400], b [420,1000], c [50,300].
+// CompileStartNS=100, so rebased: a [0,400], b [420,1000], c [50,300]. The
+// build's worker count and times, which its record holds, are validPhases.
 func validTimeline() *Timeline {
 	return &Timeline{
-		Workers:        2,
-		WallNS:         1200,
 		CompileStartNS: 100,
-		CompileWallNS:  1000,
-		LinkNS:         50,
 		Events: []UnitEvent{
-			{Unit: "a", Worker: 0, Outcome: OutcomeCompile, EnqueueNS: 100, StartNS: 100, EndNS: 500,
+			{Unit: "a", Worker: 0, Outcome: OutcomeCompile, StartNS: 100, EndNS: 500,
 				FrontendNS: 100, PassesNS: 200, CodegenNS: 100},
-			{Unit: "b", Worker: 0, Outcome: OutcomeCompile, EnqueueNS: 100, StartNS: 520, EndNS: 1100},
-			{Unit: "c", Worker: 1, Outcome: OutcomeCompile, EnqueueNS: 100, StartNS: 150, EndNS: 400},
+			{Unit: "b", Worker: 0, Outcome: OutcomeCompile, StartNS: 520, EndNS: 1100},
+			{Unit: "c", Worker: 1, Outcome: OutcomeCompile, StartNS: 150, EndNS: 400},
 		},
 	}
+}
+
+// phases is what Validate and Analyze take from a build's record.
+type phases struct {
+	workers                   int
+	wallNS, compileNS, linkNS int64
+}
+
+var validPhases = phases{workers: 2, wallNS: 1200, compileNS: 1000, linkNS: 50}
+
+func (p phases) validate(tl *Timeline) error {
+	return tl.Validate(p.workers, p.wallNS, p.compileNS, p.linkNS)
+}
+
+func analyze(tl *Timeline) *CritPath {
+	return Analyze(tl, validPhases.workers, validPhases.compileNS)
 }
 
 // TestTimelineValidateAccepts: a well-formed schedule validates, and so does
 // the timeline of a fully cached build, which has no events.
 func TestTimelineValidateAccepts(t *testing.T) {
 	tl := validTimeline()
-	if err := tl.Validate(); err != nil {
+	if err := validPhases.validate(tl); err != nil {
 		t.Fatalf("valid timeline rejected: %v", err)
 	}
-	tl.Events, tl.CompileWallNS = []UnitEvent{}, 0
-	if err := tl.Validate(); err != nil {
+	tl.Events = []UnitEvent{}
+	cached := validPhases
+	cached.compileNS = 0
+	if err := cached.validate(tl); err != nil {
 		t.Fatalf("timeline of a fully cached build, no events, rejected: %v", err)
 	}
 }
@@ -44,35 +59,46 @@ func TestTimelineValidateAccepts(t *testing.T) {
 func TestTimelineValidateRejects(t *testing.T) {
 	cases := []struct {
 		name   string
-		mutate func(*Timeline)
+		mutate func(*Timeline, *phases)
 	}{
-		{"zero workers", func(tl *Timeline) { tl.Workers = 0 }},
-		{"negative wall", func(tl *Timeline) { tl.WallNS = -1 }},
-		{"negative compile start", func(tl *Timeline) { tl.CompileStartNS = -1 }},
-		{"negative link", func(tl *Timeline) { tl.LinkNS = -1 }},
-		{"events out of unit order", func(tl *Timeline) {
+		{"zero workers", func(tl *Timeline, p *phases) { p.workers = 0 }},
+		{"negative wall", func(tl *Timeline, p *phases) { p.wallNS = -1 }},
+		{"negative compile start", func(tl *Timeline, p *phases) { tl.CompileStartNS = -1 }},
+		{"negative link", func(tl *Timeline, p *phases) { p.linkNS = -1 }},
+		{"events out of unit order", func(tl *Timeline, p *phases) {
 			tl.Events[0], tl.Events[1] = tl.Events[1], tl.Events[0]
 		}},
-		{"empty unit name", func(tl *Timeline) { tl.Events[0].Unit = "" }},
-		{"start before enqueue", func(tl *Timeline) { tl.Events[0].StartNS = tl.Events[0].EnqueueNS - 1 }},
-		{"end before start", func(tl *Timeline) { tl.Events[0].EndNS = tl.Events[0].StartNS - 1 }},
-		{"negative enqueue", func(tl *Timeline) { tl.Events[2].EnqueueNS = -1 }},
-		{"worker out of range", func(tl *Timeline) { tl.Events[0].Worker = 2 }},
-		{"unscheduled event", func(tl *Timeline) { tl.Events[2].Worker = -1 }},
-		{"end past compile phase", func(tl *Timeline) { tl.Events[1].EndNS = 1101 }},
-		{"negative stage time", func(tl *Timeline) { tl.Events[0].PassesNS = -1 }},
+		{"empty unit name", func(tl *Timeline, p *phases) { tl.Events[0].Unit = "" }},
+		{"start before the compile phase", func(tl *Timeline, p *phases) { tl.Events[0].StartNS = tl.CompileStartNS - 1 }},
+		{"end before start", func(tl *Timeline, p *phases) { tl.Events[0].EndNS = tl.Events[0].StartNS - 1 }},
+		{"worker out of range", func(tl *Timeline, p *phases) { tl.Events[0].Worker = 2 }},
+		{"fewer workers than the events used", func(tl *Timeline, p *phases) { p.workers = 1 }},
+		{"unscheduled event", func(tl *Timeline, p *phases) { tl.Events[2].Worker = -1 }},
+		{"end past compile phase", func(tl *Timeline, p *phases) { tl.Events[1].EndNS = 1101 }},
+		{"compile phase shorter than the events", func(tl *Timeline, p *phases) { p.compileNS = 999 }},
+		{"negative stage time", func(tl *Timeline, p *phases) { tl.Events[0].PassesNS = -1 }},
 	}
 	for _, tc := range cases {
-		tl := validTimeline()
-		tc.mutate(tl)
-		if err := tl.Validate(); err == nil {
+		tl, p := validTimeline(), validPhases
+		tc.mutate(tl, &p)
+		if err := p.validate(tl); err == nil {
 			t.Errorf("%s: Validate accepted a corrupt timeline", tc.name)
 		}
 	}
 }
 
+// TestTimelineBusy: the busy time is the events' durations summed.
+func TestTimelineBusy(t *testing.T) {
+	if busy := validTimeline().BusyNS(); busy != 400+580+250 {
+		t.Errorf("BusyNS = %d, want 1230", busy)
+	}
+	if busy := (&Timeline{}).BusyNS(); busy != 0 {
+		t.Errorf("BusyNS of no events = %d", busy)
+	}
+}
+
 func TestAnalyzeCriticalChain(t *testing.T) {
-	cp := Analyze(validTimeline())
+	cp := analyze(validTimeline())
 
 	// The chain is a → b on worker 0 (b ends last, a is its predecessor).
 	if len(cp.Chain) != 2 || cp.Chain[0].Unit != "a" || cp.Chain[1].Unit != "b" {
@@ -84,8 +110,8 @@ func TestAnalyzeCriticalChain(t *testing.T) {
 	if cp.TotalNS != 1000 {
 		t.Errorf("TotalNS = %d, want 1000 (rebased end of b)", cp.TotalNS)
 	}
-	if cp.TotalNS > cp.CompileWallNS {
-		t.Errorf("TotalNS %d exceeds compile wall %d", cp.TotalNS, cp.CompileWallNS)
+	if cp.TotalNS > validPhases.compileNS {
+		t.Errorf("TotalNS %d exceeds compile wall %d", cp.TotalNS, validPhases.compileNS)
 	}
 	if cp.LongestUnit != "b" || cp.LongestUnitNS != 580 {
 		t.Errorf("longest unit = %s/%d, want b/580", cp.LongestUnit, cp.LongestUnitNS)
@@ -102,13 +128,10 @@ func TestAnalyzeCriticalChain(t *testing.T) {
 		t.Errorf("chain link a wait = %d/%q, want 0/empty", a.WaitNS, a.WaitCause)
 	}
 
-	// Whole-schedule wait totals: starts minus rebased enqueues (queue), no
-	// dependency-ordered jobs yet, and both workers' idle (20 + 750).
+	// Whole-schedule wait totals: rebased starts (queue) and both workers'
+	// idle (20 + 750).
 	if cp.QueueWaitNS != 0+420+50 {
 		t.Errorf("QueueWaitNS = %d, want 470", cp.QueueWaitNS)
-	}
-	if cp.DependencyWaitNS != 0 {
-		t.Errorf("DependencyWaitNS = %d, want 0", cp.DependencyWaitNS)
 	}
 	if cp.StarvationNS != 20+750 {
 		t.Errorf("StarvationNS = %d, want 770", cp.StarvationNS)
@@ -126,28 +149,16 @@ func TestAnalyzeCriticalChain(t *testing.T) {
 		t.Errorf("worker 1 load = %+v", w1)
 	}
 
-	if s := cp.String(); !strings.Contains(s, "critical path: 2 units") {
-		t.Errorf("String() missing chain summary:\n%s", s)
-	}
 }
 
 func TestAnalyzeDeterministic(t *testing.T) {
-	a, b := Analyze(validTimeline()), Analyze(validTimeline())
-	if a.String() != b.String() {
-		t.Error("two analyses of the same timeline differ")
-	}
-	if len(a.Chain) != len(b.Chain) {
-		t.Fatalf("chain lengths differ: %d vs %d", len(a.Chain), len(b.Chain))
-	}
-	for i := range a.Chain {
-		if a.Chain[i].Unit != b.Chain[i].Unit {
-			t.Errorf("chain link %d differs: %s vs %s", i, a.Chain[i].Unit, b.Chain[i].Unit)
-		}
+	if a, b := analyze(validTimeline()), analyze(validTimeline()); !reflect.DeepEqual(a, b) {
+		t.Errorf("two analyses of the same timeline differ:\n%+v\n%+v", a, b)
 	}
 }
 
 func TestAnalyzeNothingCompiled(t *testing.T) {
-	cp := Analyze(&Timeline{Workers: 4, WallNS: 100, CompileWallNS: 0, LinkNS: 10, Events: []UnitEvent{}})
+	cp := Analyze(&Timeline{Events: []UnitEvent{}}, 4, 0)
 	if len(cp.Chain) != 0 || cp.TotalNS != 0 || cp.PathNS != 0 {
 		t.Errorf("fully cached build produced a chain: %+v", cp)
 	}
@@ -158,19 +169,17 @@ func TestAnalyzeNothingCompiled(t *testing.T) {
 
 func TestClassifyWait(t *testing.T) {
 	cases := []struct {
-		name                  string
-		wait, enqueue, freeAt int64
-		hadPred               bool
-		want                  string
+		name    string
+		wait    int64
+		hadPred bool
+		want    string
 	}{
-		{"no gap", 0, 0, 0, true, ""},
-		{"dispatch gap after a predecessor", 20, 0, 400, true, WaitQueue},
-		{"lead-in idle before a worker's first unit", 100, 0, 0, false, WaitStarved},
-		{"readiness dominates the gap", 100, 80, 0, false, WaitDependency},
-		{"readiness sliver must not relabel a long idle", 47_000_000, 7_000, 0, false, WaitStarved},
+		{"no gap", 0, true, ""},
+		{"dispatch gap after a predecessor", 20, true, WaitQueue},
+		{"lead-in idle before a worker's first unit", 100, false, WaitStarved},
 	}
 	for _, tc := range cases {
-		if got := classifyWait(tc.wait, tc.enqueue, tc.freeAt, tc.hadPred); got != tc.want {
+		if got := classifyWait(tc.wait, tc.hadPred); got != tc.want {
 			t.Errorf("%s: classifyWait = %q, want %q", tc.name, got, tc.want)
 		}
 	}
@@ -181,12 +190,11 @@ func TestAnalyzeZeroDurationTies(t *testing.T) {
 	// visited map must keep the backward walk terminating instead of
 	// bouncing between events that "end at or before" each other's start.
 	cp := Analyze(&Timeline{
-		Workers: 1, WallNS: 20, CompileStartNS: 0, CompileWallNS: 20,
 		Events: []UnitEvent{
-			{Unit: "x", Worker: 0, Outcome: OutcomeCompile, EnqueueNS: 10, StartNS: 10, EndNS: 10},
-			{Unit: "y", Worker: 0, Outcome: OutcomeCompile, EnqueueNS: 10, StartNS: 10, EndNS: 10},
+			{Unit: "x", Worker: 0, Outcome: OutcomeCompile, StartNS: 10, EndNS: 10},
+			{Unit: "y", Worker: 0, Outcome: OutcomeCompile, StartNS: 10, EndNS: 10},
 		},
-	})
+	}, 1, 20)
 	if len(cp.Chain) != 2 {
 		t.Fatalf("chain = %+v, want both zero-duration units", cp.Chain)
 	}

@@ -74,9 +74,8 @@ func historyRecord(seq, shape int) *history.Record {
 		Metrics:       make(map[string]int64, len(historyCounters)),
 		Units:         make(map[string]history.UnitRecord, units),
 		Timeline: &obs.Timeline{
-			Workers: 2, WallNS: 5700000 + 1009*n, CompileStartNS: 1720000 + n,
-			CompileWallNS: 2300000 + 503*n, LinkNS: 1600000 + 251*n,
-			Events: make([]obs.UnitEvent, 0, units),
+			CompileStartNS: 1720000 + n,
+			Events:         make([]obs.UnitEvent, 0, units),
 		},
 	}
 	if shape == 3 {
@@ -104,7 +103,7 @@ func historyRecord(seq, shape int) *history.Record {
 			}
 			if shape == 1 {
 				rec.Timeline.Events = append(rec.Timeline.Events, obs.UnitEvent{
-					Unit: name, Worker: -1, Outcome: "skip", EnqueueNS: at, StartNS: at, EndNS: at + 4100})
+					Unit: name, Worker: -1, Outcome: "skip", StartNS: at, EndNS: at + 4100})
 			}
 			continue
 		}
@@ -128,7 +127,7 @@ func historyRecord(seq, shape int) *history.Record {
 			worker = 1
 		}
 		rec.Timeline.Events = append(rec.Timeline.Events, obs.UnitEvent{
-			Unit: name, Worker: worker, Outcome: "compile", EnqueueNS: 1720000 + n, StartNS: start,
+			Unit: name, Worker: worker, Outcome: "compile", StartNS: start,
 			EndNS: start + ur.CompileNS, FrontendNS: 350000 + n, PassesNS: 1000000 + n, CodegenNS: 22000 + n})
 	}
 	if shape == 3 {
