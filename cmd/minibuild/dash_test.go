@@ -159,6 +159,17 @@ func TestRenderProfileSections(t *testing.T) {
 	if _, err := pickTimelineRecord(recs, 999, srv.histPath); err == nil {
 		t.Error("pickTimelineRecord accepted an unknown build sequence")
 	}
+
+	// A bar fills cells for a non-empty interval only: an idle worker's row
+	// is all dots.
+	for _, iv := range [][2]int64{{0, 0}, {37, 37}, {100, 100}} {
+		if got := bar(iv[0], iv[1], 100); strings.ContainsRune(got, '█') {
+			t.Errorf("bar(%d, %d, 100) = %s: an empty interval fills a cell", iv[0], iv[1], got)
+		}
+	}
+	if got := bar(0, 1, 100); !strings.HasPrefix(got, "|█·") {
+		t.Errorf("bar(0, 1, 100) = %s: a short interval fills no cell", got)
+	}
 }
 
 // TestBothRecordShapesRenderAlike: history files hold records written before

@@ -81,20 +81,6 @@ func run(args []string) error {
 	return runBuild(args)
 }
 
-// parseMode maps the -mode flag to a compiler policy.
-func parseMode(mode string) (compiler.Mode, error) {
-	switch mode {
-	case "stateless":
-		return compiler.ModeStateless, nil
-	case "stateful":
-		return compiler.ModeStateful, nil
-	case "fullcache":
-		return compiler.ModeFullCache, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q", mode)
-	}
-}
-
 // stateDirFlags installs the -dir and -cache/-state flags shared by every
 // subcommand and returns their destinations.
 func stateDirFlags(fs *flag.FlagSet) (dir, cache *string) {
@@ -134,7 +120,7 @@ func runBuild(args []string) error {
 		return fmt.Errorf("-audit %v out of range [0,1]", *audit)
 	}
 
-	cmode, err := parseMode(*mode)
+	cmode, err := compiler.ParseMode(*mode)
 	if err != nil {
 		return err
 	}

@@ -162,9 +162,9 @@ func passAttribution(rec *history.Record, unit string, top int) []map[string]any
 		ns   int64
 	}
 	var pts []pt
-	for i := range u.Passes {
-		if p := &u.Passes[i]; p.RunNS > 0 {
-			pts = append(pts, pt{rec.PassName(p), p.RunNS})
+	for slot := range u.Passes {
+		if row := &u.Passes[slot]; row.RunNS > 0 {
+			pts = append(pts, pt{rec.PassName(slot, row), row.RunNS})
 		}
 	}
 	sort.Slice(pts, func(i, j int) bool {
@@ -283,13 +283,14 @@ func renderProfile(w io.Writer, rec *history.Record, cp *obs.CritPath) {
 	}
 }
 
-// bar renders [start,end) as a fixed-width interval bar over [0,total).
+// bar renders [start,end) as a fixed-width interval bar over [0,total); an
+// empty interval (an idle worker's busy time) fills no cell.
 func bar(start, end, total int64) string {
 	cells := make([]rune, waterfallWidth)
 	for i := range cells {
 		cells[i] = '·'
 	}
-	if total > 0 {
+	if total > 0 && end > start {
 		lo := int(start * waterfallWidth / total)
 		hi := int(end * waterfallWidth / total)
 		if hi >= waterfallWidth {

@@ -225,16 +225,11 @@ type serveConfig struct {
 	casMaxBody int64
 }
 
-// newBuildServer constructs the resident builder with default tuning.
-func newBuildServer(dir, cache, mode string, jobs, histLimit int) (*buildServer, error) {
-	return newBuildServerCfg(serveConfig{dir: dir, cache: cache, mode: mode, jobs: jobs, histLimit: histLimit})
-}
-
 // newBuildServerCfg constructs the resident builder. Unlike one-shot
 // builds, serve records flight-recorder history for every mode: the state
 // directory exists even when the policy itself persists nothing.
 func newBuildServerCfg(cfg serveConfig) (*buildServer, error) {
-	cmode, err := parseMode(cfg.mode)
+	cmode, err := compiler.ParseMode(cfg.mode)
 	if err != nil {
 		return nil, err
 	}

@@ -33,7 +33,7 @@ func newTestServer(t *testing.T) *buildServer {
 	if err := os.WriteFile(filepath.Join(dir, "main.mc"), []byte(serveProg), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := newBuildServer(dir, filepath.Join(dir, ".minibuild"), "stateful", 1, 50)
+	srv, err := newBuildServerCfg(serveConfig{dir: dir, cache: filepath.Join(dir, ".minibuild"), mode: "stateful", jobs: 1, histLimit: 50})
 	if err != nil {
 		t.Fatal(err)
 	}

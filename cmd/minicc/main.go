@@ -84,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		pipeline = []string{"mem2reg"}
 	}
 
-	cmode, err := parseMode(*mode)
+	cmode, err := compiler.ParseMode(*mode)
 	if err != nil {
 		return err
 	}
@@ -189,17 +189,4 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	return nil
-}
-
-func parseMode(s string) (compiler.Mode, error) {
-	switch strings.ToLower(s) {
-	case "stateless":
-		return compiler.ModeStateless, nil
-	case "stateful":
-		return compiler.ModeStateful, nil
-	case "fullcache":
-		return compiler.ModeFullCache, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q", s)
-	}
 }

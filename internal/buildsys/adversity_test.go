@@ -18,7 +18,6 @@ import (
 	"statefulcc/internal/buildsys"
 	"statefulcc/internal/compiler"
 	"statefulcc/internal/core"
-	histpkg "statefulcc/internal/history"
 	"statefulcc/internal/obs"
 	"statefulcc/internal/oracletest"
 	"statefulcc/internal/passes"
@@ -202,9 +201,9 @@ func TestSentinelCatchesUnsoundSkip(t *testing.T) {
 	if ur.Quarantine != core.QuarantineUnsound {
 		t.Errorf("unit quarantine %q, want %q", ur.Quarantine, core.QuarantineUnsound)
 	}
-	var hookSlot *histpkg.PassDecision
+	var hookSlot *core.SlotStats
 	for i := range ur.Passes {
-		if rep.PassName(&ur.Passes[i]) == "faulthook" && ur.Passes[i].Unsound > 0 {
+		if rep.PassName(i, &ur.Passes[i]) == "faulthook" && ur.Passes[i].Unsound > 0 {
 			hookSlot = &ur.Passes[i]
 		}
 	}
@@ -266,7 +265,7 @@ func TestSentinelQuarantineSuspendsSkippingThenLifts(t *testing.T) {
 				}
 				quarantinedRuns := 0
 				for i := range ur.Passes {
-					if rep.PassName(&ur.Passes[i]) == "faulthook" {
+					if rep.PassName(i, &ur.Passes[i]) == "faulthook" {
 						quarantinedRuns += ur.Passes[i].Quarantined
 					}
 				}

@@ -454,77 +454,46 @@ func (b *Builder) BuildContext(ctx context.Context, snap project.Snapshot) (*Rep
 	// within [CompileStartNS, CompileStartNS+CompileNS] on the timeline.
 	compileStart := time.Now()
 	compileStartNS := b.tlNow()
-	outcomes, unitEvents, err := b.runCompiles(ctx, work)
+	results, err := b.runCompiles(ctx, work)
 	if err != nil {
 		return nil, err
 	}
 	rep.CompileNS = time.Since(compileStart).Nanoseconds()
-	tl := &obs.Timeline{CompileStartNS: compileStartNS, Events: unitEvents}
+	tl := &obs.Timeline{CompileStartNS: compileStartNS, Events: make([]obs.UnitEvent, 0, len(work))}
 
-	// Commit outcomes in unit order so report stats, cache contents, and
+	// Commit results in unit order so report stats, cache contents, and
 	// state sizes never depend on worker scheduling. A cancelled build has
-	// holes (nil results): completed units still commit — their state files
-	// are already fully written — and the build reports partially below.
+	// holes (results without an object): completed units still commit —
+	// their state files are already fully written — and the build reports
+	// partially below.
 	cancelled := false
 	for i, j := range work {
-		name, out := j.name, outcomes[i]
-		if out.remote {
-			// Served from the shared cache: a verified remote object (and
-			// possibly adopted dormancy state) with no compile behind it.
-			e := b.commitEntry(j)
-			e.obj = out.casObj
-			e.diskProbed = true
-			// The remote object carries no trace; any prior footprint no
-			// longer describes it.
-			e.fp = nil
-			if out.casState != nil {
-				e.state, e.stateBytes = out.casState, out.stateBytes
-			}
-			rep.Units[name] = history.UnitRecord{Cached: true, Remote: true}
-			rep.UnitsCached++
-			rep.UnitsRemote++
-			continue
-		}
-		if out.res == nil {
+		r := &results[i]
+		if r.obj == nil {
 			cancelled = true
 			continue
 		}
 		e := b.commitEntry(j)
-		e.obj = out.res.Object
-		e.diskProbed = true // fresh state below supersedes anything on disk
-		if out.fp != nil {
-			e.fp = out.fp
+		// The worker consulted the state directory (or superseded it).
+		e.obj, e.state, e.stateBytes, e.fp, e.diskProbed = r.obj, r.state, r.stateBytes, r.fp, true
+		rep.Units[j.name] = r.rec
+		tl.Events = append(tl.Events, r.ev)
+		if r.rec.Remote {
+			rep.UnitsCached++
+			rep.UnitsRemote++
+		} else {
+			rep.UnitsCompiled++
+			b.hist.unitCompile.Observe(r.rec.CompileNS)
 		}
-		switch {
-		case out.qclear:
-			// Quarantine lifted with nothing to carry over: cold restart.
-			e.state, e.stateBytes = nil, 0
-		case out.qstate != nil:
-			e.state, e.stateBytes = out.qstate, out.stateBytes
-		default:
-			if st := out.res.State; st != nil {
-				e.state, e.stateBytes = st, out.stateBytes
-			}
+		if r.stats != nil {
+			rep.stats.Merge(r.stats)
+			rep.Pipeline = b.opts.Pipeline
 		}
-		b.hist.unitCompile.Observe(out.res.TotalNS)
-		ur := history.UnitRecord{CompileNS: out.res.TotalNS, Panicked: out.panicked}
-		if e.state != nil && e.state.Quarantine != nil {
-			ur.Quarantine = e.state.Quarantine.Reason
-		}
-		if out.res.Stats != nil {
-			rep.stats.Merge(out.res.Stats)
-			ur.Passes = decisions(out.res.Stats.Slots)
-			if ur.Passes != nil {
-				rep.Pipeline = b.opts.Pipeline
-			}
-		}
-		b.ctr.frontendNS.Add(out.res.FrontendNS)
-		b.ctr.passesNS.Add(out.res.PassesNS)
-		b.ctr.codegenNS.Add(out.res.CodegenNS)
-		b.ctr.cacheHits.Add(int64(out.res.CacheHits))
-		b.ctr.cacheMisses.Add(int64(out.res.CacheMisses))
-		rep.Units[name] = ur
-		rep.UnitsCompiled++
+		b.ctr.frontendNS.Add(r.ev.FrontendNS)
+		b.ctr.passesNS.Add(r.ev.PassesNS)
+		b.ctr.codegenNS.Add(r.ev.CodegenNS)
+		b.ctr.cacheHits.Add(int64(r.cacheHits))
+		b.ctr.cacheMisses.Add(int64(r.cacheMisses))
 	}
 
 	if cancelled {
@@ -563,8 +532,7 @@ func (b *Builder) BuildContext(ctx context.Context, snap project.Snapshot) (*Rep
 	rep.StateBytes = b.stateBytes()
 	rep.TotalNS = time.Since(start).Nanoseconds()
 	b.hist.buildWall.Observe(rep.TotalNS)
-	// The pool's events are in job order, which is unit order, and a build
-	// that reaches the link has no cancellation holes among them.
+	// The events are in job order, which is unit order.
 	rep.Timeline = tl
 
 	// Build-level accounting: counters first, then the snapshot the

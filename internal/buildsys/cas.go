@@ -24,6 +24,7 @@ import (
 	"statefulcc/internal/codegen"
 	"statefulcc/internal/compiler"
 	"statefulcc/internal/core"
+	"statefulcc/internal/history"
 	"statefulcc/internal/obs"
 	"statefulcc/internal/state"
 )
@@ -126,11 +127,13 @@ func (cc *builderCAS) put(kind int, action cas.Key, unit string, payload []byte)
 	return "", nil
 }
 
-// casFetch tries to serve job j, whose object action key is action, from
-// the shared cache. It returns a remote-hit outcome, or nil to compile
-// locally. Runs on a worker slot; every failure degrades to nil after
-// counting and warning.
-func (b *Builder) casFetch(j compileJob, action cas.Key) *outcome {
+// casFetch tries to serve job j, whose object action key is action and whose
+// dormancy state was prev, from the shared cache. It returns the remote hit,
+// or false to compile locally. Runs on a worker slot; every failure degrades
+// to false after counting and warning. In the stateful mode a hit keeps the
+// shared state when there is one, and prev when there is not: the unit's
+// next compile is as warm as it would have been.
+func (b *Builder) casFetch(j compileJob, action cas.Key, prev *core.UnitState) (unitResult, bool) {
 	cc := b.cas
 	start := time.Now()
 	blobKey, err := cc.store.ActionGet(action)
@@ -150,7 +153,7 @@ func (b *Builder) casFetch(j compileJob, action cas.Key) *outcome {
 			cc.ioErrors.Inc()
 			b.warnf("cas: unit %s: action lookup: %v (recompiling locally)", j.name, err)
 		}
-		return nil
+		return unitResult{}, false
 	}
 	// The object is served only if it verifies and its payload decodes;
 	// any failure is a counted miss, never a served object.
@@ -178,20 +181,21 @@ func (b *Builder) casFetch(j compileJob, action cas.Key) *outcome {
 	}
 	if obj == nil {
 		cc.miss.Inc()
-		return nil
+		return unitResult{}, false
 	}
 	cc.hit.Inc()
 	cc.fetch.Observe(time.Since(start).Nanoseconds())
-	out := &outcome{remote: true, casObj: obj}
+	r := unitResult{obj: obj, rec: history.UnitRecord{Cached: true, Remote: true}, ev: obs.UnitEvent{Outcome: obs.OutcomeRemote}}
 	if b.statefulMode() {
 		if st := b.casFetchState(j); st != nil {
-			out.casState = st
 			// Persist the adopted state locally so the next process of this
 			// client warms up without the network.
-			out.stateBytes = len(b.saveUnitState(j.name, st))
+			r.state, r.stateBytes = st, len(b.saveUnitState(j.name, st))
+		} else if prev != nil {
+			r.state, r.stateBytes = prev, len(state.Marshal(prev))
 		}
 	}
-	return out
+	return r, true
 }
 
 // casFetchState fetches the unit's shared dormancy state (advisory: any

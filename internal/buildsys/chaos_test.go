@@ -401,7 +401,7 @@ func TestChaosPowerLoss(t *testing.T) {
 				for i := range ur.Passes {
 					if s := &ur.Passes[i]; s.Skipped != 0 || s.Cold != s.Runs {
 						t.Fatalf("unit %s slot %s: %d skipped, %d of %d runs cold; want a cold unit",
-							unit, rep.PassName(s), s.Skipped, s.Cold, s.Runs)
+							unit, rep.PassName(i, s), s.Skipped, s.Cold, s.Runs)
 					}
 				}
 				raw, err := os.ReadFile(filepath.Join(dir, p.Path))

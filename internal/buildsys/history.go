@@ -9,7 +9,6 @@ package buildsys
 // failures never fail a build.
 
 import (
-	"statefulcc/internal/core"
 	"statefulcc/internal/history"
 	"statefulcc/internal/obs"
 )
@@ -47,33 +46,4 @@ func (b *Builder) recordHistory(rep *Report) {
 		b.ctr.historyIOErrors.Inc()
 		b.warnf("history: append: %v (flight-recorder record dropped)", err)
 	}
-}
-
-// decisions is a compiled unit's decision table as the record stores it:
-// one row per pipeline slot, the pass name left to Record.Pipeline and the
-// reason to the row's counts (nil for a unit without one).
-func decisions(slots []core.SlotStats) []history.PassDecision {
-	if len(slots) == 0 {
-		return nil
-	}
-	rows := make([]history.PassDecision, len(slots))
-	for slot := range slots {
-		sl := &slots[slot]
-		rows[slot] = history.PassDecision{
-			Slot:        slot,
-			Module:      sl.Module,
-			Runs:        sl.Runs,
-			Dormant:     sl.Dormant,
-			Skipped:     sl.Skipped,
-			Cold:        sl.Cold,
-			NotDormant:  sl.NotDormant,
-			FPMismatch:  sl.FPMismatch,
-			Policy:      sl.Policy,
-			Quarantined: sl.Quarantined,
-			Audited:     sl.Audited,
-			Unsound:     sl.Unsound,
-			RunNS:       sl.RunNS,
-		}
-	}
-	return rows
 }

@@ -46,7 +46,6 @@ var schedulingInvariant = []string{
 	obs.CtrStateSaves,
 	obs.CtrStateSaveUnchanged,
 	obs.CtrStateBytesWritten,
-	obs.CtrDecSkippedDormant,
 	obs.CtrDecCold,
 	obs.CtrDecNotDormant,
 	obs.CtrDecFPMismatch,

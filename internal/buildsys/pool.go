@@ -12,7 +12,7 @@ package buildsys
 //     recompiles on the worker whose in-memory function cache saw it last
 //     and cross-build cache hits survive parallelism.
 //
-// Outcomes land in a results slice indexed by job order; nothing about the
+// Results land in a slice indexed by job order; nothing about the
 // build's observable behaviour depends on scheduling. On error the pool
 // stops issuing new jobs, drains, and reports the failure of the
 // lowest-indexed unit so error messages are deterministic too.
@@ -41,33 +41,34 @@ import (
 	"statefulcc/internal/compiler"
 	"statefulcc/internal/core"
 	"statefulcc/internal/footprint"
+	"statefulcc/internal/history"
 	"statefulcc/internal/obs"
 )
 
-// outcome is one unit's compile result.
-type outcome struct {
-	res *compiler.UnitResult
+// unitResult is one job's result in the shape the build keeps it: what the
+// unit's entry holds after the build, the unit's record row, and what the
+// report and the counters take from it. The path that settles the unit —
+// remote fetch, quarantine, panic or compile — fills it; the commit assigns
+// it in unit order. A cancelled job leaves the zero result, a hole.
+type unitResult struct {
 	err error
-	// panicked means the unit's normal compile panicked and res (if set)
-	// came from the stateless fallback.
-	panicked bool
-	// qstate, when set, is the quarantine-marker state to retain for the
-	// unit in place of res.State (whole-unit quarantines compile stateless,
-	// so res.State is nil).
-	qstate *core.UnitState
-	// qclear means the unit's quarantine lifted and it restarts cold.
-	qclear bool
-	// fp is the unit's traced read footprint (footprint mode only): the
-	// ground truth the next build's cross-check runs against.
-	fp *footprint.Record
-	// remote means the unit was served from the shared cache (res is nil;
-	// casObj — and possibly casState — carry the verified fetch instead).
-	remote   bool
-	casObj   *codegen.Object
-	casState *core.UnitState
-	// stateBytes is the encoded size of the state the unit keeps (casState,
-	// qstate or res.State), measured by the one encoding its save made.
+	obj *codegen.Object
+	// state is the dormancy state the entry keeps (nil: none) and stateBytes
+	// its encoded size, measured by the one encoding its save made.
+	state      *core.UnitState
 	stateBytes int
+	// fp is the unit's traced read footprint (footprint mode only, and
+	// never for a remote object): the ground truth the next build's
+	// cross-check runs against.
+	fp  *footprint.Record
+	rec history.UnitRecord
+	// stats are the pass driver's statistics (rec.Passes is their table),
+	// cacheHits and cacheMisses the full-cache lookups of the compile.
+	stats                  *core.Stats
+	cacheHits, cacheMisses int
+	// ev is the unit's timeline event, its stage times included; runJob
+	// stamps the unit, worker and times.
+	ev obs.UnitEvent
 }
 
 // compileJob carries everything a worker needs, precomputed so workers
@@ -87,12 +88,11 @@ type compileJob struct {
 }
 
 // runCompiles compiles the partition's jobs (in unit-name order) and
-// returns per-job outcomes and scheduling events aligned with them. Every
-// job is ready when the pool starts: file-level units have no inter-unit
-// dependencies. Compile failures return an error, so no event records one;
-// cancellation does not — it leaves nil-result holes (and zero-unit event
-// holes) for the caller to detect.
-func (b *Builder) runCompiles(ctx context.Context, jobs []compileJob) ([]outcome, []obs.UnitEvent, error) {
+// returns their results aligned with them. Every job is ready when the pool
+// starts: file-level units have no inter-unit dependencies. Compile failures
+// return an error; cancellation does not — it leaves holes (zero results)
+// for the caller to detect.
+func (b *Builder) runCompiles(ctx context.Context, jobs []compileJob) ([]unitResult, error) {
 	for i := range jobs {
 		j := &jobs[i]
 		if e, ok := b.units[j.name]; ok {
@@ -103,20 +103,16 @@ func (b *Builder) runCompiles(ctx context.Context, jobs []compileJob) ([]outcome
 		}
 	}
 
-	results := make([]outcome, len(jobs))
-	events := make([]obs.UnitEvent, len(jobs))
-	nworkers := len(b.workers)
-	if nworkers > len(jobs) {
-		nworkers = len(jobs)
-	}
+	results := make([]unitResult, len(jobs))
+	nworkers := min(len(b.workers), len(jobs))
 	if nworkers == 0 {
-		return results, events, nil
+		return results, nil
 	}
 
 	if b.opts.Mode == compiler.ModeFullCache {
-		b.runSharded(ctx, jobs, results, events, nworkers)
+		b.runSharded(ctx, jobs, results, nworkers)
 	} else {
-		b.runStealing(ctx, jobs, results, events, nworkers)
+		b.runStealing(ctx, jobs, results, nworkers)
 	}
 
 	for i := range results {
@@ -127,43 +123,25 @@ func (b *Builder) runCompiles(ctx context.Context, jobs []compileJob) ([]outcome
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			// Cancellation is the caller's ctx speaking, not a unit failing;
 			// report it as a hole, not an error.
-			results[i] = outcome{}
-			events[i] = obs.UnitEvent{}
+			results[i] = unitResult{}
 			continue
 		}
-		return nil, nil, fmt.Errorf("buildsys: %w", err)
+		return nil, fmt.Errorf("buildsys: %w", err)
 	}
-	return results, events, nil
+	return results, nil
 }
 
-// runJob runs job i on worker w and records its scheduling event. Each
-// slot in results/events is written by exactly one worker, so no
-// synchronization is needed.
-func (b *Builder) runJob(ctx context.Context, w, i int, jobs []compileJob, results []outcome, events []obs.UnitEvent) {
+// runJob runs job i on worker w and stamps its timeline event. Each slot of
+// results is written by exactly one worker, so no synchronization is needed.
+func (b *Builder) runJob(ctx context.Context, w, i int, jobs []compileJob, results []unitResult) {
 	startNS := b.tlNow()
-	results[i] = b.compileOne(ctx, w, jobs[i])
-	events[i] = b.unitEvent(w, jobs[i], results[i], startNS, b.tlNow())
-}
-
-// unitEvent classifies one job's outcome into its timeline event.
-func (b *Builder) unitEvent(w int, j compileJob, out outcome, startNS, endNS int64) obs.UnitEvent {
-	ev := obs.UnitEvent{Unit: j.name, Worker: w, Outcome: obs.OutcomeCompile, StartNS: startNS, EndNS: endNS}
-	switch {
-	case out.remote:
-		ev.Outcome = obs.OutcomeRemote
-	case out.panicked:
-		ev.Outcome = obs.OutcomePanic
-	case out.qstate != nil || out.qclear:
-		ev.Outcome = obs.OutcomeQuarantine
-	}
-	if out.res != nil {
-		ev.FrontendNS, ev.PassesNS, ev.CodegenNS = out.res.FrontendNS, out.res.PassesNS, out.res.CodegenNS
-	}
-	return ev
+	r := b.compileOne(ctx, w, jobs[i])
+	r.ev.Unit, r.ev.Worker, r.ev.StartNS, r.ev.EndNS = jobs[i].name, w, startNS, b.tlNow()
+	results[i] = r
 }
 
 // runStealing drains jobs through a shared atomic cursor.
-func (b *Builder) runStealing(ctx context.Context, jobs []compileJob, results []outcome, events []obs.UnitEvent, nworkers int) {
+func (b *Builder) runStealing(ctx context.Context, jobs []compileJob, results []unitResult, nworkers int) {
 	var next int64
 	var failed atomic.Bool
 	var wg sync.WaitGroup
@@ -176,7 +154,7 @@ func (b *Builder) runStealing(ctx context.Context, jobs []compileJob, results []
 				if i >= len(jobs) || failed.Load() || ctx.Err() != nil {
 					return
 				}
-				b.runJob(ctx, w, i, jobs, results, events)
+				b.runJob(ctx, w, i, jobs, results)
 				if results[i].err != nil {
 					failed.Store(true)
 				}
@@ -187,7 +165,7 @@ func (b *Builder) runStealing(ctx context.Context, jobs []compileJob, results []
 }
 
 // runSharded assigns each job to a fixed worker by unit-name hash.
-func (b *Builder) runSharded(ctx context.Context, jobs []compileJob, results []outcome, events []obs.UnitEvent, nworkers int) {
+func (b *Builder) runSharded(ctx context.Context, jobs []compileJob, results []unitResult, nworkers int) {
 	shards := make([][]int, nworkers)
 	for i, j := range jobs {
 		// Shard on the full worker set, not nworkers: the unit→worker
@@ -213,7 +191,7 @@ func (b *Builder) runSharded(ctx context.Context, jobs []compileJob, results []o
 				if ctx.Err() != nil {
 					return
 				}
-				b.runJob(ctx, w, i, jobs, results, events)
+				b.runJob(ctx, w, i, jobs, results)
 			}
 		}(w, shards[w])
 	}
@@ -242,25 +220,21 @@ func safeCompile(ctx context.Context, c *compiler.Compiler, name string, src []b
 // touches are atomic. The unit's state pointer (shared with b.units) is only
 // ever touched by the one worker compiling the unit.
 //
-// The unit's IR does not leave with the outcome: the build system reads the
-// object, the state and the statistics of a result, never its module, and
-// an outcome lives until the build's history record is written — all 208
-// post-pipeline modules of a cold build, re-marked by every collection, if
-// they came along. The worker's compilers release their IR arenas here, so
-// the next unit reuses the memory and an idle worker pins none of it.
-func (b *Builder) compileOne(ctx context.Context, w int, j compileJob) (out outcome) {
+// The unit's IR does not leave with the result: the build system keeps the
+// object, the state and the statistics of a compile, never its module, so
+// none of the 208 post-pipeline modules of a cold build outlives its unit.
+// The worker's compilers release their IR arenas here, so the next unit
+// reuses the memory and an idle worker pins none of it.
+func (b *Builder) compileOne(ctx context.Context, w int, j compileJob) unitResult {
 	c := b.workers[w]
 	defer func() {
-		if out.res != nil {
-			out.res.Module = nil
-		}
 		c.Release()
 		if fc := b.fallbacks[w]; fc != nil {
 			fc.Release()
 		}
 	}()
 	if cerr := ctx.Err(); cerr != nil {
-		return outcome{err: fmt.Errorf("%s: build cancelled: %w", j.name, cerr)}
+		return unitResult{err: fmt.Errorf("%s: build cancelled: %w", j.name, cerr)}
 	}
 
 	// Footprint mode attaches a per-unit trace: invalidating entries are
@@ -285,8 +259,8 @@ func (b *Builder) compileOne(ctx context.Context, w int, j compileJob) (out outc
 	var action cas.Key // hashed once: the fetch and the publish share it
 	if b.cas != nil {
 		action = b.objectAction(j.name, j.src)
-		if remote := b.casFetch(j, action); remote != nil {
-			return *remote
+		if remote, ok := b.casFetch(j, action, prev); ok {
+			return remote
 		}
 	}
 
@@ -295,7 +269,7 @@ func (b *Builder) compileOne(ctx context.Context, w int, j compileJob) (out outc
 		return b.compileAfterPanic(ctx, w, tr, j, msg)
 	}
 	if err != nil {
-		return outcome{err: err}
+		return unitResult{err: err}
 	}
 	fp := b.finishTrace(tr, j, res)
 	var enc []byte
@@ -307,7 +281,25 @@ func (b *Builder) compileOne(ctx context.Context, w int, j compileJob) (out outc
 	if b.cas != nil {
 		b.casPublish(j, action, res, enc)
 	}
-	return outcome{res: res, fp: fp, stateBytes: len(enc)}
+	return compiled(res, obs.OutcomeCompile, res.State, len(enc), fp)
+}
+
+// compiled is the result of a unit compiled to res by the path outcome names,
+// keeping state st of encoded size stateBytes.
+func compiled(res *compiler.UnitResult, outcome string, st *core.UnitState, stateBytes int, fp *footprint.Record) unitResult {
+	r := unitResult{
+		obj: res.Object, state: st, stateBytes: stateBytes, fp: fp,
+		rec:   history.UnitRecord{CompileNS: res.TotalNS, Panicked: outcome == obs.OutcomePanic},
+		stats: res.Stats, cacheHits: res.CacheHits, cacheMisses: res.CacheMisses,
+		ev: obs.UnitEvent{Outcome: outcome, FrontendNS: res.FrontendNS, PassesNS: res.PassesNS, CodegenNS: res.CodegenNS},
+	}
+	if res.Stats != nil {
+		r.rec.Passes = res.Stats.Slots
+	}
+	if st != nil && st.Quarantine != nil {
+		r.rec.Quarantine = st.Quarantine.Reason
+	}
+	return r
 }
 
 // finishTrace folds the compiled object's link-scope dependencies into the
@@ -329,10 +321,10 @@ func (b *Builder) finishTrace(tr *footprint.Trace, j compileJob, res *compiler.U
 // count. At core.QuarantineCleanTarget the quarantine lifts and the unit
 // restarts cold — the pre-panic records were discarded at engagement, so
 // trust rebuilds from fresh observations.
-func (b *Builder) compileQuarantined(ctx context.Context, w int, tr *footprint.Trace, j compileJob, marker *core.UnitState) outcome {
+func (b *Builder) compileQuarantined(ctx context.Context, w int, tr *footprint.Trace, j compileJob, marker *core.UnitState) unitResult {
 	fc, ferr := b.fallback(w)
 	if ferr != nil {
-		return outcome{err: ferr}
+		return unitResult{err: ferr}
 	}
 	res, err, panicked, msg := safeCompile(ctx, fc, j.name, j.src, nil)
 	if panicked {
@@ -342,13 +334,10 @@ func (b *Builder) compileQuarantined(ctx context.Context, w int, tr *footprint.T
 		b.ctr.panics.Inc()
 		marker.Quarantine.Clean = 0
 		b.saveUnitState(j.name, marker)
-		return outcome{
-			err:      fmt.Errorf("%s: pass panicked (unit quarantined, stateless retry): %s", j.name, msg),
-			panicked: true,
-		}
+		return unitResult{err: fmt.Errorf("%s: pass panicked (unit quarantined, stateless retry): %s", j.name, msg)}
 	}
 	if err != nil {
-		return outcome{err: err}
+		return unitResult{err: err}
 	}
 	fp := b.finishTrace(tr, j, res)
 	q := marker.Quarantine
@@ -356,18 +345,18 @@ func (b *Builder) compileQuarantined(ctx context.Context, w int, tr *footprint.T
 	if q.Clean >= core.QuarantineCleanTarget {
 		b.ctr.quarantineLifted.Inc()
 		b.removeUnitState(j.name)
-		return outcome{res: res, qclear: true, fp: fp}
+		return compiled(res, obs.OutcomeQuarantine, nil, 0, fp)
 	}
 	marker.Footprint = fp
 	enc := b.saveUnitState(j.name, marker)
-	return outcome{res: res, qstate: marker, fp: fp, stateBytes: len(enc)}
+	return compiled(res, obs.OutcomeQuarantine, marker, len(enc), fp)
 }
 
 // compileAfterPanic isolates a pass panic: count it, quarantine the unit's
 // state (its records may have been half-updated by the panicking pass),
 // and retry once on the stateless fallback so the unit — whose source is
 // not at fault — still compiles.
-func (b *Builder) compileAfterPanic(ctx context.Context, w int, tr *footprint.Trace, j compileJob, msg string) outcome {
+func (b *Builder) compileAfterPanic(ctx context.Context, w int, tr *footprint.Trace, j compileJob, msg string) unitResult {
 	b.ctr.panics.Inc()
 	b.warnf("panic: unit %s: pass panicked: %s (unit quarantined, compiled stateless)", j.name, msg)
 
@@ -382,21 +371,17 @@ func (b *Builder) compileAfterPanic(ctx context.Context, w int, tr *footprint.Tr
 
 	fc, ferr := b.fallback(w)
 	if ferr != nil {
-		return outcome{err: ferr}
+		return unitResult{err: ferr}
 	}
 	res, err, panicked2, msg2 := safeCompile(ctx, fc, j.name, j.src, nil)
 	if panicked2 {
 		b.ctr.panics.Inc()
-		return outcome{
-			err:      fmt.Errorf("%s: pass panicked (persisted through stateless retry): %s", j.name, msg2),
-			panicked: true,
-			qstate:   marker,
-		}
+		return unitResult{err: fmt.Errorf("%s: pass panicked (persisted through stateless retry): %s", j.name, msg2)}
 	}
 	if err != nil {
-		return outcome{err: err}
+		return unitResult{err: err}
 	}
-	return outcome{res: res, panicked: true, qstate: marker, fp: b.finishTrace(tr, j, res), stateBytes: len(enc)}
+	return compiled(res, obs.OutcomePanic, marker, len(enc), b.finishTrace(tr, j, res))
 }
 
 // settleQuarantine advances a compiled unit's per-pass quarantine: a build

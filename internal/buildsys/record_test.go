@@ -35,7 +35,7 @@ func firstShape(t *testing.T, rec *histpkg.Record, snap project.Snapshot, pipeli
 	old.Pipeline, old.CachedDigest = nil, ""
 	for _, u := range old.Units {
 		for i := range u.Passes {
-			u.Passes[i].Pass = pipeline[u.Passes[i].Slot]
+			u.Passes[i].Pass = pipeline[i]
 		}
 	}
 	events := old.Timeline.Events

@@ -15,7 +15,7 @@ import (
 
 // TestBuildDoesNotRetainIR follows the modules of a three-unit build with
 // finalizers. A unit's IR is garbage once its compile has returned — while
-// its outcome still waits for the link, and then behind the Report and the
+// its result still waits for the link, and then behind the Report and the
 // resident Builder (whose workers keep their scratch memory, wiped) — so
 // the first unit's module is collected while the third is still compiling,
 // and all three once Build has returned.

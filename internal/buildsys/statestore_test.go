@@ -343,3 +343,58 @@ func casStateful(t *testing.T, store cas.Store, dir string) *buildsys.Builder {
 	}
 	return b
 }
+
+// stateless is a shared cache that serves no dormancy state: it hides every
+// blob of cas.KindState.
+type stateless struct{ cas.Store }
+
+func (s stateless) Get(key cas.Key) ([]byte, error) {
+	data, err := s.Store.Get(key)
+	if blob, derr := cas.DecodeBlob(data); err == nil && derr == nil && blob.Kind == cas.KindState {
+		return nil, cas.ErrNotFound
+	}
+	return data, err
+}
+
+// TestRemoteHitKeepsLoadedState: a unit served from a shared cache that has
+// no state for it keeps the state its worker loaded from the warm state
+// directory, so an edit of the unit compiles warm, not cold.
+func TestRemoteHitKeepsLoadedState(t *testing.T) {
+	base := workload.Generate(obsProfile())
+	units := base.Units()
+	dir := t.TempDir()
+	mustBuild(t, freshStateful(t, nil, dir, false), base)
+	store := cas.NewMemCAS(0)
+	mustBuild(t, casStateful(t, store, t.TempDir()), base)
+
+	b := casStateful(t, stateless{store}, dir)
+	rep := mustBuild(t, b, base)
+	if rep.UnitsRemote != len(units) {
+		t.Fatalf("%d of %d units fetched from the shared cache", rep.UnitsRemote, len(units))
+	}
+	_, raw := stateFiles(t, dir)
+	onDisk := 0
+	for _, data := range raw {
+		onDisk += len(data)
+	}
+	if rep.StateBytes != onDisk {
+		t.Errorf("StateBytes = %d after the remote build, the state files hold %d bytes", rep.StateBytes, onDisk)
+	}
+
+	// A comment changes the unit's bytes, not its IR: a warm unit skips.
+	edit := base.Clone()
+	edit[units[0]] = append(append([]byte(nil), base[units[0]]...), "\n// touched\n"...)
+	rep = mustBuild(t, b, edit)
+	ur := rep.Unit(units[0])
+	if ur.Remote || len(ur.Passes) == 0 {
+		t.Fatalf("the edited unit was not compiled: %+v", ur)
+	}
+	cold, skipped := 0, 0
+	for _, row := range ur.Passes {
+		cold += row.Cold
+		skipped += row.Skipped
+	}
+	if cold != 0 || skipped == 0 {
+		t.Errorf("the edited unit ran %d cold and skipped %d: the state the remote hit loaded was dropped", cold, skipped)
+	}
+}

@@ -4,10 +4,11 @@ package buildsys_test
 // recorded timeline must validate, cover exactly the units that occupied a
 // worker, and support a critical-path analysis whose total is sandwiched between the
 // longest single unit and the measured wall time — at 1, 4, and 16 workers,
-// under the race detector (the events slice is written concurrently by the
-// pool).
+// under the race detector (the results the events are taken from are written
+// concurrently by the pool).
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"reflect"
@@ -214,7 +215,8 @@ func TestRecordSizedByWork(t *testing.T) {
 // TestRecordBytes holds the two record sizes the edit loop's cost follows —
 // every append decodes the whole file — on the megarepo: a 2-unit edit wrote
 // 14.2 KiB and a 208-unit compile 559 KiB when a record had an entry for
-// every unit and a pass name and a reason in every decision row.
+// every unit and a pass name and a reason in every decision row, and about 3.6 and
+// 279 KiB while every row still wrote its slot.
 func TestRecordBytes(t *testing.T) {
 	base := workload.Generate(workload.MegaProfile())
 	edited, _ := workload.NewEditor(9).Commit(base, workload.CommitOptions{Units: 2})
@@ -243,6 +245,11 @@ func TestRecordBytes(t *testing.T) {
 		t.Logf("%d of %d units compiled: record %.1f KiB", build.compiled, len(base), kib)
 		if kib > build.maxKiB {
 			t.Errorf("a build compiling %d of %d units wrote a record of %.1f KiB, want at most %.0f", build.compiled, len(base), kib, build.maxKiB)
+		}
+		// A decision row's slot is its index and its pass is named by the
+		// record's pipeline: a row writes neither.
+		if bytes.Contains(line, []byte(`"slot":`)) || bytes.Contains(line, []byte(`"pass":`)) {
+			t.Errorf("a build compiling %d of %d units wrote a slot or a pass name in a decision row", build.compiled, len(base))
 		}
 	}
 }

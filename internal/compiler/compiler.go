@@ -16,6 +16,7 @@ package compiler
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"statefulcc/internal/codegen"
@@ -51,6 +52,16 @@ func (m Mode) String() string {
 	default:
 		return fmt.Sprintf("mode(%d)", int(m))
 	}
+}
+
+// ParseMode is the inverse of Mode.String, ignoring case.
+func ParseMode(s string) (Mode, error) {
+	for m := ModeStateless; m <= ModeFullCache; m++ {
+		if strings.EqualFold(s, m.String()) {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q", s)
 }
 
 // Options configures a Compiler.

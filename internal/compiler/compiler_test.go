@@ -261,3 +261,18 @@ func TestFrontendErrors(t *testing.T) {
 		t.Error("type error not reported")
 	}
 }
+
+// TestParseMode: ParseMode inverts Mode.String whatever the case, and names
+// what it cannot parse.
+func TestParseMode(t *testing.T) {
+	for _, m := range []compiler.Mode{compiler.ModeStateless, compiler.ModeStateful, compiler.ModeFullCache} {
+		for _, s := range []string{m.String(), strings.ToUpper(m.String())} {
+			if got, err := compiler.ParseMode(s); err != nil || got != m {
+				t.Errorf("ParseMode(%q) = %v, %v; want %v", s, got, err, m)
+			}
+		}
+	}
+	if _, err := compiler.ParseMode("predictive"); err == nil || !strings.Contains(err.Error(), `"predictive"`) {
+		t.Errorf("ParseMode of an unknown mode: %v", err)
+	}
+}

@@ -25,6 +25,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"statefulcc/internal/fingerprint"
@@ -107,6 +108,8 @@ func NewDriver(opts Options) (*Driver, error) {
 	if len(opts.Pipeline) == 0 {
 		opts.Pipeline = passes.StandardPipeline
 	}
+	// Every Stats the driver returns shares the pipeline as its names.
+	opts.Pipeline = slices.Clone(opts.Pipeline)
 	if opts.AuditSeed == 0 {
 		opts.AuditSeed = 1
 	}
@@ -238,12 +241,12 @@ func (d *Driver) RunContext(ctx context.Context, m *ir.Module, st *UnitState) (*
 		pruned = passes.PruneDeadFuncs(m)
 	}
 	stats := &Stats{
+		Pipeline:  d.opts.Pipeline,
 		Slots:     make([]SlotStats, len(d.infos)),
 		Functions: len(m.Funcs),
 		Pruned:    pruned,
 	}
 	for i, info := range d.infos {
-		stats.Slots[i].Pass = info.Name
 		stats.Slots[i].Module = info.Module
 	}
 	cache := &hashCache{vals: make(map[*ir.Func]uint64), stats: stats}
@@ -323,7 +326,6 @@ func (d *Driver) countStats(stats *Stats) {
 	pc.Hashes.Add(int64(stats.Hashes))
 	pc.HashNS.Add(stats.HashNS)
 	pc.FuncsPruned.Add(int64(stats.Pruned))
-	pc.DecSkipped.Add(int64(tot.Skipped))
 	pc.DecCold.Add(int64(tot.Cold))
 	pc.DecNotDormant.Add(int64(tot.NotDormant))
 	pc.DecFPMismatch.Add(int64(tot.FPMismatch))

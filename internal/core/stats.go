@@ -38,46 +38,52 @@ const (
 )
 
 // SlotStats aggregates one pipeline slot's behaviour over the functions (or
-// the module) it processed.
+// the module) it processed. It is also a row of the flight recorder's
+// decision table (internal/history): the row's slot is its index, its pass
+// name is in the record's Pipeline and its reason is Reason, so none of them
+// is written. The JSON keys are the ones records have always stored.
 type SlotStats struct {
-	// Pass is the pass name of this pipeline slot.
-	Pass string
+	// Pass names the slot's pass only where no pipeline does: in ByPass's
+	// aggregates, and in a row of an older record whose Pipeline names
+	// another pass for the slot. A Stats names its slots in Stats.Pipeline.
+	Pass string `json:"pass,omitempty"`
 	// Module is true for module-pass slots.
-	Module bool
+	Module bool `json:"module,omitempty"`
 	// Runs counts actual pass executions.
-	Runs int
+	Runs int `json:"runs,omitempty"`
 	// Dormant counts executions that reported no change.
-	Dormant int
+	Dormant int `json:"dormant,omitempty"`
 	// Skipped counts executions avoided by dormancy records.
-	Skipped int
-	// RunNS is the total time spent executing the pass.
-	RunNS int64
+	Skipped int `json:"skipped,omitempty"`
 
 	// Decision provenance: every execution counted in Runs has exactly one
 	// of these reasons (Skipped executions are all ReasonSkippedDormant).
 	// See the Reason* constants.
 
 	// Cold counts runs with no prior observation for the slot.
-	Cold int
+	Cold int `json:"cold,omitempty"`
 	// NotDormant counts runs whose record said "changed last time".
-	NotDormant int
+	NotDormant int `json:"not_dormant,omitempty"`
 	// FPMismatch counts runs whose dormant record failed the fingerprint
 	// guard (stateful policy only).
-	FPMismatch int
+	FPMismatch int `json:"fingerprint_mismatch,omitempty"`
 	// Policy counts runs where skipping was ruled out by policy or pass
 	// eligibility (stateless mode, or non-function-local function passes).
-	Policy int
+	Policy int `json:"policy_disabled,omitempty"`
 	// Quarantined counts runs forced by a (unit, pass) quarantine.
-	Quarantined int
+	Quarantined int `json:"quarantined,omitempty"`
 
 	// Soundness-sentinel accounting (see docs/ROBUSTNESS.md).
 
 	// Audited counts would-be skips the sentinel executed anyway.
-	Audited int
+	Audited int `json:"audited,omitempty"`
 	// Unsound counts audited executions whose output fingerprint differed
 	// from the input — unsound skips the sentinel caught (each engages a
 	// quarantine and is charged as a run with ReasonAuditUnsound).
-	Unsound int
+	Unsound int `json:"unsound,omitempty"`
+
+	// RunNS is the total time spent executing the pass.
+	RunNS int64 `json:"run_ns,omitempty"`
 }
 
 // Reason returns the slot's dominant decision reason — the reason covering
@@ -110,6 +116,9 @@ func (sl *SlotStats) Reason() string {
 
 // Stats aggregates one compilation.
 type Stats struct {
+	// Pipeline names the pass of each slot; it is the driver's, shared by
+	// every Stats the driver returns, and never written to.
+	Pipeline []string
 	// Slots has one entry per pipeline slot.
 	Slots []SlotStats
 	// HashNS is the total time spent fingerprinting.
@@ -168,9 +177,9 @@ func (s *Stats) DormantFraction() float64 {
 // Merge accumulates other into s (slot-wise; pipelines must match).
 func (s *Stats) Merge(other *Stats) {
 	if len(s.Slots) == 0 {
+		s.Pipeline = other.Pipeline
 		s.Slots = make([]SlotStats, len(other.Slots))
 		for i := range other.Slots {
-			s.Slots[i].Pass = other.Slots[i].Pass
 			s.Slots[i].Module = other.Slots[i].Module
 		}
 	}
@@ -191,12 +200,12 @@ func (s *Stats) Merge(other *Stats) {
 func (s *Stats) ByPass() map[string]SlotStats {
 	out := make(map[string]SlotStats)
 	for i := range s.Slots {
-		sl := &s.Slots[i]
-		agg := out[sl.Pass]
-		agg.Pass = sl.Pass
+		sl, pass := &s.Slots[i], s.Pipeline[i]
+		agg := out[pass]
+		agg.Pass = pass
 		agg.Module = sl.Module
 		agg.add(sl)
-		out[sl.Pass] = agg
+		out[pass] = agg
 	}
 	return out
 }
@@ -226,7 +235,7 @@ func (s *Stats) String() string {
 		float64(s.PassTimeNS())/1e6, float64(s.HashNS)/1e6, s.Hashes)
 	for i, sl := range s.Slots {
 		fmt.Fprintf(&sb, "  [%2d] %-12s runs=%-4d dormant=%-4d skipped=%-4d t=%.3fms\n",
-			i, sl.Pass, sl.Runs, sl.Dormant, sl.Skipped, float64(sl.RunNS)/1e6)
+			i, s.Pipeline[i], sl.Runs, sl.Dormant, sl.Skipped, float64(sl.RunNS)/1e6)
 	}
 	return sb.String()
 }

@@ -11,6 +11,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"statefulcc/internal/core"
 )
 
 // RenderExplain renders the newest record's decision tables: every unit the
@@ -91,21 +93,21 @@ func RenderExplain(recs []Record, unit string) (string, error) {
 			sb.WriteString("  (no pass decisions recorded for this mode)\n")
 			continue
 		}
-		var prevPasses []PassDecision
+		var prevPasses []core.SlotStats
 		if prev != nil {
 			prevPasses = prev.Unit(name).Passes
 		}
 		fmt.Fprintf(&sb, "  %-4s %-12s %-22s %5s %5s %5s %5s %9s  %s\n",
 			"slot", "pass", "reason", "runs", "skip", "dorm", "audit", "time", "prev-reason")
-		for i := range ur.Passes {
-			pd := &ur.Passes[i]
-			audit := fmt.Sprintf("%d", pd.Audited)
-			if pd.Unsound > 0 {
-				audit = fmt.Sprintf("%d!%d", pd.Audited, pd.Unsound)
+		for slot := range ur.Passes {
+			row := &ur.Passes[slot]
+			audit := fmt.Sprintf("%d", row.Audited)
+			if row.Unsound > 0 {
+				audit = fmt.Sprintf("%d!%d", row.Audited, row.Unsound)
 			}
 			fmt.Fprintf(&sb, "  [%2d] %-12s %-22s %5d %5d %5d %5s %8.3fms  %s\n",
-				pd.Slot, last.PassName(pd), pd.DecisionReason(), pd.Runs, pd.Skipped, pd.Dormant, audit,
-				float64(pd.RunNS)/1e6, prevReason(prevPasses, pd.Slot))
+				slot, last.PassName(slot, row), row.Reason(), row.Runs, row.Skipped, row.Dormant, audit,
+				float64(row.RunNS)/1e6, prevReason(prevPasses, slot))
 		}
 	}
 	if unlisted > 0 {
@@ -125,12 +127,10 @@ func inList(list []string, name string) bool {
 }
 
 // prevReason finds the previous build's reason for the same slot ("-" when
-// the unit was cached, absent, or differently shaped last build).
-func prevReason(passes []PassDecision, slot int) string {
-	for i := range passes {
-		if passes[i].Slot == slot {
-			return passes[i].DecisionReason()
-		}
+// the unit was cached, absent, or had fewer slots last build).
+func prevReason(passes []core.SlotStats, slot int) string {
+	if slot < len(passes) {
+		return passes[slot].Reason()
 	}
 	return "-"
 }

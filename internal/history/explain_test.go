@@ -76,8 +76,8 @@ func reasonCounts(t *testing.T, rec history.Record, unit string) map[string]int 
 		t.Fatalf("record #%d has no unit %q (units: %v)", rec.Seq, unit, rec.Units)
 	}
 	out := map[string]int{}
-	for _, d := range ur.Passes {
-		out[d.DecisionReason()]++
+	for _, row := range ur.Passes {
+		out[row.Reason()]++
 	}
 	return out
 }
@@ -126,25 +126,25 @@ func TestReasonSkippedDormantAndNotDormant(t *testing.T) {
 	rec := recs[1]
 	ur := rec.Units["main.mc"]
 	var sawSkip, sawNotDormant bool
-	for _, d := range ur.Passes {
-		switch d.DecisionReason() {
+	for slot, row := range ur.Passes {
+		switch row.Reason() {
 		case core.ReasonSkippedDormant:
 			sawSkip = true
-			if d.Skipped == 0 {
-				t.Errorf("slot %d (%s) reason %q but skipped=0", d.Slot, rec.PassName(&d), d.DecisionReason())
+			if row.Skipped == 0 {
+				t.Errorf("slot %d (%s) reason %q but skipped=0", slot, rec.PassName(slot, &row), row.Reason())
 			}
 		case core.ReasonNotDormant:
 			sawNotDormant = true
 		case core.ReasonColdState:
-			t.Errorf("slot %d (%s) still cold on the second build", d.Slot, rec.PassName(&d))
+			t.Errorf("slot %d (%s) still cold on the second build", slot, rec.PassName(slot, &row))
 		}
 	}
 	// mem2reg promoted an alloca last build, so its record is not dormant
 	// and the slot must be charged to not-dormant-last-time.
-	if len(ur.Passes) == 0 || rec.PassName(&ur.Passes[0]) != "mem2reg" {
+	if len(ur.Passes) == 0 || rec.PassName(0, &ur.Passes[0]) != "mem2reg" {
 		t.Fatalf("expected slot 0 to be mem2reg, got %+v of pipeline %v", ur.Passes, rec.Pipeline)
 	}
-	if got := ur.Passes[0].DecisionReason(); got != core.ReasonNotDormant {
+	if got := ur.Passes[0].Reason(); got != core.ReasonNotDormant {
 		t.Errorf("mem2reg reason %q, want %q", got, core.ReasonNotDormant)
 	}
 	if !sawSkip {
@@ -152,10 +152,6 @@ func TestReasonSkippedDormantAndNotDormant(t *testing.T) {
 	}
 	if !sawNotDormant {
 		t.Error("no slot charged to not-dormant-last-time on an identical-IR rebuild")
-	}
-	if rec.Metrics["decision.skipped_dormant"] != rec.Metrics["pass.skipped"] {
-		t.Errorf("decision.skipped_dormant=%d diverges from pass.skipped=%d",
-			rec.Metrics["decision.skipped_dormant"], rec.Metrics["pass.skipped"])
 	}
 
 	out, err := history.RenderExplain(recs, "main.mc")
@@ -183,23 +179,23 @@ func TestReasonFingerprintMismatch(t *testing.T) {
 	// Slots dormant at the end of build 1 must now be charged to
 	// fingerprint-mismatch (their records exist but no longer apply).
 	dormantSlots := map[int]string{}
-	for _, d := range recs[0].Units["main.mc"].Passes {
-		if d.Runs > 0 && d.Dormant == d.Runs {
-			dormantSlots[d.Slot] = recs[0].PassName(&d)
+	for slot, row := range recs[0].Units["main.mc"].Passes {
+		if row.Runs > 0 && row.Dormant == row.Runs {
+			dormantSlots[slot] = recs[0].PassName(slot, &row)
 		}
 	}
 	if len(dormantSlots) == 0 {
 		t.Fatal("build 1 left no dormant slots; scenario cannot exercise fingerprint-mismatch")
 	}
 	var sawFP bool
-	for _, d := range rec.Units["main.mc"].Passes {
-		if _, was := dormantSlots[d.Slot]; !was {
+	for slot, row := range rec.Units["main.mc"].Passes {
+		if _, was := dormantSlots[slot]; !was {
 			continue
 		}
-		if d.DecisionReason() == core.ReasonFingerprintMismatch {
+		if row.Reason() == core.ReasonFingerprintMismatch {
 			sawFP = true
-		} else if d.DecisionReason() == core.ReasonSkippedDormant {
-			t.Errorf("slot %d (%s) skipped despite a semantic edit", d.Slot, rec.PassName(&d))
+		} else if row.Reason() == core.ReasonSkippedDormant {
+			t.Errorf("slot %d (%s) skipped despite a semantic edit", slot, rec.PassName(slot, &row))
 		}
 	}
 	if !sawFP {

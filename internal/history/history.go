@@ -12,15 +12,16 @@
 // A record is sized by the work its build did: Units, decision tables and
 // timeline events exist for the units the build decided something about, and
 // a unit served from the object cache costs a share of UnitsCached and of
-// CachedDigest. What a reader can derive is not written: a decision row's
-// pass name is Pipeline[Slot], its reason a function of its counts. A build
-// fills its record in this shape as it goes (buildsys.Report embeds it).
-// Records of the older shapes on disk (a Units entry for every unit, and in
-// the oldest a "skip" timeline event too; a pass name and a reason in every
-// row; a timeline envelope that copies the record's build times, and an
-// enqueue time in every event) are read and brought to this shape by Load and
-// LoadLast — decoding ignores the envelope and enqueue times, Record.Normalize
-// does the rest — and never written.
+// CachedDigest. A decision row is the pass driver's core.SlotStats, and what a
+// reader can derive is not written: a row's slot is its index, its pass name
+// Pipeline[slot], its reason a function of its counts. A build fills its
+// record in this shape as it goes (buildsys.Report embeds it). Records of the
+// older shapes on disk (a Units entry for every unit, and in the oldest a
+// "skip" timeline event too; a slot in every row, and in the older two a pass
+// name and a reason; a timeline envelope that copies the record's build
+// times, and an enqueue time in every event) are read and brought to this
+// shape by Load and LoadLast — decoding ignores the slots, reasons, envelope
+// and enqueue times, Record.Normalize does the rest — and never written.
 //
 // The history is bounded and is two files: the active segment, which every
 // build appends one line to, and the segment that was active before it
@@ -80,52 +81,6 @@ const maxLineBytes = 16 * 1024 * 1024
 // directory's single writer may sweep matches at startup.
 const TempPattern = ".history-*"
 
-// PassDecision is one pipeline slot's decision provenance for one unit:
-// what the slot did and, for every execution, why. The slot's pass is
-// Record.PassName, its dominant reason DecisionReason.
-type PassDecision struct {
-	// Pass and Reason are read, not written: records from before the pass
-	// names moved to Record.Pipeline and the reason became derived carry
-	// them in every row. A loaded record keeps one only where it says
-	// something Pipeline or the counts do not.
-	Pass   string `json:"pass,omitempty"`
-	Slot   int    `json:"slot"`
-	Module bool   `json:"module,omitempty"`
-	Reason string `json:"reason,omitempty"`
-	// Per-outcome execution counts.
-	Runs    int `json:"runs,omitempty"`
-	Dormant int `json:"dormant,omitempty"`
-	Skipped int `json:"skipped,omitempty"`
-	// Per-reason run counts (each run charged to exactly one).
-	Cold        int `json:"cold,omitempty"`
-	NotDormant  int `json:"not_dormant,omitempty"`
-	FPMismatch  int `json:"fingerprint_mismatch,omitempty"`
-	Policy      int `json:"policy_disabled,omitempty"`
-	Quarantined int `json:"quarantined,omitempty"`
-	// Soundness-sentinel provenance: Audited counts would-be skips the
-	// sentinel executed anyway; Unsound counts the audits whose output
-	// fingerprint differed — unsound skips (each engages a quarantine).
-	Audited int `json:"audited,omitempty"`
-	Unsound int `json:"unsound,omitempty"`
-	// RunNS is the pass's execution time.
-	RunNS int64 `json:"run_ns,omitempty"`
-}
-
-// DecisionReason is the slot's dominant decision reason, in the core.Reason*
-// taxonomy (skipped-dormant, cold-state, not-dormant-last-time,
-// fingerprint-mismatch, policy-disabled, ran): core.SlotStats.Reason over the
-// counts the row carries.
-func (pd *PassDecision) DecisionReason() string {
-	if pd.Reason != "" {
-		return pd.Reason
-	}
-	sl := core.SlotStats{
-		Runs: pd.Runs, Skipped: pd.Skipped, Unsound: pd.Unsound, Quarantined: pd.Quarantined,
-		FPMismatch: pd.FPMismatch, NotDormant: pd.NotDormant, Cold: pd.Cold, Policy: pd.Policy,
-	}
-	return sl.Reason()
-}
-
 // UnitRecord is one unit's outcome within a build.
 type UnitRecord struct {
 	// Cached marks units served whole from a cache (content hash unchanged);
@@ -135,9 +90,12 @@ type UnitRecord struct {
 	Cached bool `json:"cached,omitempty"`
 	// CompileNS is the unit's compile wall time (0 when cached).
 	CompileNS int64 `json:"compile_ns,omitempty"`
-	// Passes is the per-slot decision table (nil for cached units and for
-	// modes without a pass driver, e.g. fullcache).
-	Passes []PassDecision `json:"passes,omitempty"`
+	// Passes is the per-slot decision table, one row per pipeline slot in
+	// slot order: the pass driver's statistics as it returned them (nil for
+	// cached units and for modes without a pass driver, e.g. fullcache).
+	// Record.PassName names a row's pass, core.SlotStats.Reason gives its
+	// dominant decision reason.
+	Passes []core.SlotStats `json:"passes,omitempty"`
 	// Panicked marks a unit whose compile panicked this build; the panic was
 	// isolated and the unit recompiled through the stateless fallback.
 	Panicked bool `json:"panicked,omitempty"`
@@ -210,12 +168,12 @@ func (r *Record) Unit(name string) UnitRecord {
 	return UnitRecord{Cached: true}
 }
 
-// PassName returns the pass of a decision row of this record.
-func (r *Record) PassName(pd *PassDecision) string {
-	if pd.Pass == "" && pd.Slot >= 0 && pd.Slot < len(r.Pipeline) {
-		return r.Pipeline[pd.Slot]
+// PassName returns the pass of row slot of a decision table of this record.
+func (r *Record) PassName(slot int, row *core.SlotStats) string {
+	if row.Pass == "" && slot < len(r.Pipeline) {
+		return r.Pipeline[slot]
 	}
-	return pd.Pass
+	return row.Pass
 }
 
 // CachedDigest is the digest a record carries in place of the names of the
@@ -235,12 +193,13 @@ func CachedDigest(names []string) string {
 	return hex.EncodeToString(h.Sum(nil)[:8])
 }
 
-// Normalize brings a record of one of the two older shapes on disk to
-// today's: a timeline event of a unit that occupied no worker (a "skip" on
-// worker -1) is dropped, a Units entry that says nothing but "cached" goes into
-// CachedDigest, pass names move to Pipeline, and a row's reason is dropped
-// where its counts give the same. A record in today's shape is left as it
-// is.
+// Normalize brings a record of one of the older shapes on disk to today's: a
+// timeline event of a unit that occupied no worker (a "skip" on worker -1) is
+// dropped, a Units entry that says nothing but "cached" goes into
+// CachedDigest, and the rows' pass names move to Pipeline by position.
+// (Decoding has already ignored the rows' slot and reason keys: a row's slot
+// is its index and its reason a function of its counts.) A record in today's
+// shape is left as it is.
 func (r *Record) Normalize() {
 	if r.Timeline != nil {
 		r.Timeline.Events = slices.DeleteFunc(r.Timeline.Events, func(e obs.UnitEvent) bool { return e.Worker < 0 })
@@ -262,21 +221,15 @@ func (r *Record) Normalize() {
 	sort.Strings(listed)
 	for _, name := range listed {
 		passes := r.Units[name].Passes
-		for i := range passes {
-			pd := &passes[i]
-			// Tables list their slots in order: the first to name the next
-			// slot's pass names it for the record. A row that disagrees, or
-			// sits out of order, keeps its own name.
-			if pd.Pass != "" && pd.Slot == len(r.Pipeline) {
-				r.Pipeline = append(r.Pipeline, pd.Pass)
+		for slot := range passes {
+			row := &passes[slot]
+			// The first table to name the next slot's pass names it for the
+			// record. A row that disagrees keeps its own name.
+			if row.Pass != "" && slot == len(r.Pipeline) {
+				r.Pipeline = append(r.Pipeline, row.Pass)
 			}
-			if pd.Slot >= 0 && pd.Slot < len(r.Pipeline) && r.Pipeline[pd.Slot] == pd.Pass {
-				pd.Pass = ""
-			}
-			if reason := pd.Reason; reason != "" {
-				if pd.Reason = ""; pd.DecisionReason() != reason {
-					pd.Reason = reason
-				}
+			if slot < len(r.Pipeline) && r.Pipeline[slot] == row.Pass {
+				row.Pass = ""
 			}
 		}
 	}

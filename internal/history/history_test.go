@@ -7,8 +7,13 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"statefulcc/internal/core"
 )
 
+// testRecord is a small record in the current shape. FuzzHistoryTail seeds a
+// cut of its line at every offset, so the line's length (385 bytes at Seq 41)
+// numbers the seeds that follow; keep it when changing the record.
 func testRecord(skipPct float64, totalNS int64) *Record {
 	return &Record{
 		TimeUnixMS:    1700000000000,
@@ -21,10 +26,9 @@ func testRecord(skipPct float64, totalNS int64) *Record {
 		UnitsCached:   1,
 		SkipRatePct:   skipPct,
 		Metrics:       map[string]int64{"pass.runs": 10, "pass.skipped": 5, "build.count": 1},
+		Pipeline:      []string{"mem2reg", "loadelim"},
 		Units: map[string]UnitRecord{
-			"a.mc": {CompileNS: totalNS / 2, Passes: []PassDecision{
-				{Pass: "mem2reg", Slot: 0, Reason: "cold-state", Runs: 1, Cold: 1},
-			}},
+			"a.mc": {CompileNS: totalNS / 2, Passes: []core.SlotStats{{Runs: 1, Cold: 1}, {Skipped: 1}}},
 			"b.mc": {Cached: true},
 		},
 	}
@@ -54,9 +58,11 @@ func TestAppendLoadRoundTrip(t *testing.T) {
 			t.Errorf("record %d: skip %v, want %v", i, r.SkipRatePct, float64(i))
 		}
 	}
-	pd := &recs[0].Units["a.mc"].Passes[0]
-	if pass, reason := recs[0].PassName(pd), pd.DecisionReason(); pass != "mem2reg" || reason != "cold-state" {
-		t.Errorf("decision lost: pass %q, reason %q", pass, reason)
+	for slot, want := range [][2]string{{"mem2reg", "cold-state"}, {"loadelim", "skipped-dormant"}} {
+		row := &recs[0].Units["a.mc"].Passes[slot]
+		if pass, reason := recs[0].PassName(slot, row), row.Reason(); pass != want[0] || reason != want[1] {
+			t.Errorf("decision lost: slot %d pass %q, reason %q", slot, pass, reason)
+		}
 	}
 	if !recs[1].Unit("b.mc").Cached {
 		t.Error("cached flag lost")

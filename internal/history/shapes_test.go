@@ -102,9 +102,8 @@ func TestThreeRecordShapesOneAnswer(t *testing.T) {
 		t.Errorf("build 3, a unit the record does not list: %+v, want cached", u)
 	}
 	row := &last.Units["src/b.mc"].Passes[3]
-	if pass, reason := last.PassName(row), row.DecisionReason(); pass != "inline" || reason != "fingerprint-mismatch" ||
-		row.Pass != "" || row.Reason != "" {
-		t.Errorf("build 3, src/b.mc slot 3: pass %q reason %q (stored %q, %q)", pass, reason, row.Pass, row.Reason)
+	if pass, reason := last.PassName(3, row), row.Reason(); pass != "inline" || reason != "fingerprint-mismatch" || row.Pass != "" {
+		t.Errorf("build 3, src/b.mc slot 3: pass %q reason %q (stored %q)", pass, reason, row.Pass)
 	}
 	for surface, wantText := range map[string]string{
 		"explain src/a.mc at build 3": "unit src/a.mc — cached (content hash unchanged, nothing recompiled)",
@@ -120,8 +119,9 @@ func TestThreeRecordShapesOneAnswer(t *testing.T) {
 	}
 
 	// The current shape is what loading gives: encoding the loaded records
-	// reproduces the newest file byte for byte — less its rows'
-	// blocks_memoized and blocks_rehashed keys, which the fingerprint block
+	// reproduces the newest file byte for byte — less its rows' slot keys,
+	// which restated each row's index; their blocks_memoized and
+	// blocks_rehashed keys, which the fingerprint block
 	// memo wrote until it was deleted; saved_ns, the estimate a dormancy
 	// record's cost average fed until the average was deleted; each event's
 	// enqueue time q, the compile phase's start for every job; and the
@@ -140,6 +140,7 @@ func TestThreeRecordShapesOneAnswer(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, drop := range []struct{ key, pattern, keep string }{
+		{"slot", `"slot":\d+,`, ""},
 		{"blocks_memoized", `,"blocks_memoized":\d+`, ""},
 		{"blocks_rehashed", `,"blocks_rehashed":\d+`, ""},
 		{"saved_ns", `,"saved_ns":\d+`, ""},
@@ -159,23 +160,17 @@ func TestThreeRecordShapesOneAnswer(t *testing.T) {
 	}
 }
 
-// TestLoadKeepsWhatItCannotDerive: a row of an older record whose pass or
-// reason is not what the record's pipeline or the row's counts say keeps it.
+// TestLoadKeepsWhatItCannotDerive: a row of an older record whose pass is
+// not what the record's pipeline says keeps it. The row's slot and reason
+// keys are not kept: its slot is its index and its reason what its counts say.
 func TestLoadKeepsWhatItCannotDerive(t *testing.T) {
-	rec := Record{Seq: 1, UnitsCompiled: 2, Units: map[string]UnitRecord{
-		"a.mc": {CompileNS: 5, Passes: []PassDecision{
-			{Pass: "mem2reg", Slot: 0, Reason: "cold-state", Runs: 1, Cold: 1},
-			{Pass: "dce", Slot: 1, Reason: "ran", Runs: 1, Cold: 1},
-		}},
-		"b.mc": {CompileNS: 5, Passes: []PassDecision{
-			{Pass: "mem2reg", Slot: 0, Reason: "cold-state", Runs: 1, Cold: 1},
-			{Pass: "gvn", Slot: 1, Reason: "cold-state", Runs: 1, Cold: 1},
-		}},
-	}}
-	line, err := rec.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	line := []byte(`{"seq":1,"units_compiled":2,"units":{` +
+		`"a.mc":{"compile_ns":5,"passes":[` +
+		`{"pass":"mem2reg","slot":0,"reason":"cold-state","runs":1,"cold":1},` +
+		`{"pass":"dce","slot":1,"reason":"ran","runs":1,"cold":1}]},` +
+		`"b.mc":{"compile_ns":5,"passes":[` +
+		`{"pass":"mem2reg","slot":0,"reason":"cold-state","runs":1,"cold":1},` +
+		`{"pass":"gvn","slot":1,"reason":"cold-state","runs":1,"cold":1}]}}}`)
 	got, ok := decodeLine(line)
 	if !ok {
 		t.Fatal("the record does not decode")
@@ -184,13 +179,21 @@ func TestLoadKeepsWhatItCannotDerive(t *testing.T) {
 		t.Errorf("pipeline %v, want that of the first unit by name", got.Pipeline)
 	}
 	a, b := got.Units["a.mc"].Passes, got.Units["b.mc"].Passes
-	if a[0].Pass != "" || a[0].Reason != "" || b[0].Pass != "" || a[1].Pass != "" {
-		t.Errorf("derivable fields kept: %+v %+v", a, b)
+	if a[0].Pass != "" || b[0].Pass != "" || a[1].Pass != "" {
+		t.Errorf("derivable pass names kept: %+v %+v", a, b)
 	}
-	if a[1].Reason != "ran" || a[1].DecisionReason() != "ran" {
-		t.Errorf("a reason the counts do not give was dropped: %+v", a[1])
+	if a[1].Reason() != "cold-state" {
+		t.Errorf("a row's reason is %q, not what its counts say", a[1].Reason())
 	}
-	if b[1].Pass != "gvn" || got.PassName(&b[1]) != "gvn" {
+	if b[1].Pass != "gvn" || got.PassName(1, &b[1]) != "gvn" {
 		t.Errorf("a pass name the pipeline does not give was dropped: %+v", b[1])
+	}
+	again, err := got.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(again, []byte(`"slot"`)) || bytes.Contains(again, []byte(`"reason"`)) ||
+		bytes.Count(again, []byte(`"pass"`)) != 1 {
+		t.Errorf("the loaded record encodes to\n%s", again)
 	}
 }

@@ -43,15 +43,13 @@ const (
 	CtrBlocksRehashed = "fingerprint.blocks_rehashed"
 
 	// Decision-provenance counters: every pass execution decision falls
-	// into exactly one bucket (see core.Reason* and docs/OBSERVABILITY.md).
-	// decision.skipped_dormant always equals pass.skipped; it exists so the
-	// whole taxonomy lives under one namespace in exports.
-	CtrDecSkippedDormant = "decision.skipped_dormant"
-	CtrDecCold           = "decision.cold_state"
-	CtrDecNotDormant     = "decision.not_dormant"
-	CtrDecFPMismatch     = "decision.fingerprint_mismatch"
-	CtrDecPolicy         = "decision.policy_disabled"
-	CtrDecQuarantined    = "decision.quarantined"
+	// into exactly one bucket (see core.Reason* and docs/OBSERVABILITY.md);
+	// the skipped-dormant bucket is pass.skipped.
+	CtrDecCold        = "decision.cold_state"
+	CtrDecNotDormant  = "decision.not_dormant"
+	CtrDecFPMismatch  = "decision.fingerprint_mismatch"
+	CtrDecPolicy      = "decision.policy_disabled"
+	CtrDecQuarantined = "decision.quarantined"
 
 	// Soundness-sentinel counters: audit.sampled counts would-be skips the
 	// sentinel executed anyway; audit.unsound counts the ones whose output
@@ -282,7 +280,7 @@ type PassCounters struct {
 	// Soundness-sentinel totals (audit.* counters).
 	Audited, Unsound *Counter
 	// Decision-provenance buckets (decision.* counters).
-	DecSkipped, DecCold, DecNotDormant, DecFPMismatch, DecPolicy, DecQuarantined *Counter
+	DecCold, DecNotDormant, DecFPMismatch, DecPolicy, DecQuarantined *Counter
 }
 
 // Pass resolves the standard pipeline counters (nil-safe: a nil registry
@@ -301,7 +299,6 @@ func (r *Registry) Pass() *PassCounters {
 		FuncsPruned:    r.Counter(CtrFuncsPruned),
 		Audited:        r.Counter(CtrAuditSampled),
 		Unsound:        r.Counter(CtrAuditUnsound),
-		DecSkipped:     r.Counter(CtrDecSkippedDormant),
 		DecCold:        r.Counter(CtrDecCold),
 		DecNotDormant:  r.Counter(CtrDecNotDormant),
 		DecFPMismatch:  r.Counter(CtrDecFPMismatch),

@@ -14,7 +14,6 @@ func registrySnapshot() (*Registry, map[string]int64) {
 	pc := reg.Pass()
 	pc.Runs.Add(7)
 	pc.Skipped.Add(3)
-	pc.DecSkipped.Add(3)
 	pc.DecCold.Add(4)
 	pc.DecNotDormant.Add(2)
 	pc.DecFPMismatch.Add(1)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 
+	"statefulcc/internal/core"
 	"statefulcc/internal/history"
 	"statefulcc/internal/obs"
 )
@@ -23,7 +24,7 @@ var historyCounters = []string{
 	"audit.sampled", "audit.unsound", "build.cancelled", "build.count",
 	"build.link_ns", "build.panic", "build.units_cached", "build.units_compiled",
 	"decision.cold_state", "decision.fingerprint_mismatch", "decision.not_dormant",
-	"decision.policy_disabled", "decision.quarantined", "decision.skipped_dormant",
+	"decision.policy_disabled", "decision.quarantined",
 	"fingerprint.hash_ns", "fingerprint.hashes", "footprint.checked", "footprint.missed",
 	"footprint.redundant", "fullcache.hits", "fullcache.misses", "history.io_error", "pass.dormant",
 	"pass.run_ns", "pass.runs", "pass.skipped",
@@ -33,7 +34,7 @@ var historyCounters = []string{
 }
 
 // HistoryRecord is a flight-recorder record with the shape of one megarepo
-// edit-loop build (≈ 5 KB encoded): 208 units of which two compiled, listed
+// edit-loop build (≈ 4 KB encoded): 208 units of which two compiled, listed
 // each with the full 22-slot decision table and a timeline event, the other
 // 206 as a count and a digest, and the counters snapshot. The same seq gives
 // the same record; Seq itself is left for history.Append to assign.
@@ -42,16 +43,17 @@ func HistoryRecord(seq int) *history.Record {
 }
 
 // HistoryRecordV1 is the same build as HistoryRecord(seq) in the shape
-// records had until PR 21 (≈ 29 KB): a "skip" timeline event on worker -1
+// records had until PR 21 (≈ 24 KB): a "skip" timeline event on worker -1
 // and a {"cached":true} entry for each of the 206 units served from the
-// object cache, and the pass name and the reason in every decision row.
-// History files hold such records until they rotate out; readers must show
-// all shapes alike.
+// object cache, and the pass name in every decision row (those records also
+// stored a row's slot and reason, which readers ignore and a core.SlotStats
+// row cannot carry; internal/history/testdata has them). History files hold
+// such records until they rotate out; readers must show all shapes alike.
 func HistoryRecordV1(seq int) *history.Record {
 	return historyRecord(seq, 1)
 }
 
-// HistoryRecordV2 is the same build in the shape of PR 21 and 22 (≈ 14 KB):
+// HistoryRecordV2 is the same build in the shape of PR 21 and 22 (≈ 11 KB):
 // HistoryRecordV1 without the "skip" events.
 func HistoryRecordV2(seq int) *history.Record {
 	return historyRecord(seq, 2)
@@ -110,15 +112,15 @@ func historyRecord(seq, shape int) *history.Record {
 		ur := history.UnitRecord{CompileNS: 1400000 + 31*n}
 		for slot, pass := range historyPipeline {
 			k := int64(slot + 1)
-			pd := history.PassDecision{
-				Slot: slot, Module: pass == "inline" || pass == "globalopt" || pass == "deadfunc",
-				Runs: 3 + slot%3, Skipped: slot % 4, NotDormant: 3 + slot%3,
+			row := core.SlotStats{
+				Module: pass == "inline" || pass == "globalopt" || pass == "deadfunc",
+				Runs:   3 + slot%3, Skipped: slot % 4, NotDormant: 3 + slot%3,
 				RunNS: 10000*k + n,
 			}
 			if shape < 3 {
-				pd.Pass, pd.Reason = pass, pd.DecisionReason()
+				row.Pass = pass
 			}
-			ur.Passes = append(ur.Passes, pd)
+			ur.Passes = append(ur.Passes, row)
 		}
 		rec.Units[name] = ur
 		// One worker each, inside the compile phase (obs.Timeline.Validate).
