@@ -144,13 +144,14 @@ func TestObsSpansAgreeWithRegistry(t *testing.T) {
 	hist := workload.GenerateHistory(base, 17, 2, workload.DefaultCommitOptions())
 	metrics, spans := runHistory(t, 4, base, hist.Commits)
 
-	var runs, skipped, dormant, hashes int64
+	var runs, skipped, replayed, dormant, hashes int64
 	for _, s := range spans {
 		if s.Cat != obs.CatPass {
 			continue
 		}
 		runs += int64(s.Runs)
 		skipped += int64(s.Skipped)
+		replayed += int64(s.Replayed)
 		dormant += int64(s.Dormant)
 		hashes += int64(s.Hashes)
 	}
@@ -161,6 +162,11 @@ func TestObsSpansAgreeWithRegistry(t *testing.T) {
 	}
 	if skipped != metrics[obs.CtrPassSkipped] {
 		t.Errorf("span skips = %d, counter %s = %d", skipped, obs.CtrPassSkipped, metrics[obs.CtrPassSkipped])
+	}
+	// A resident builder replays unchanged functions' segments, so the
+	// stream exercises the replay attribution too.
+	if replayed == 0 || replayed != metrics[obs.CtrPassReplayed] {
+		t.Errorf("span replays = %d, counter %s = %d (want equal and > 0)", replayed, obs.CtrPassReplayed, metrics[obs.CtrPassReplayed])
 	}
 	if dormant != metrics[obs.CtrPassDormant] {
 		t.Errorf("span dormant = %d, counter %s = %d", dormant, obs.CtrPassDormant, metrics[obs.CtrPassDormant])

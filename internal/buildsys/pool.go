@@ -80,7 +80,8 @@ type compileJob struct {
 	// decided on; the commit stamps both on the unit's entry, and the
 	// footprint record carries hash.
 	honest, hash uint64
-	// prev is the unit's in-memory dormancy state, if any.
+	// prev is the unit's in-memory dormancy state, if any, with the segment
+	// outputs the driver replays (a state loaded from disk has none).
 	prev *core.UnitState
 	// probeDisk asks the worker to try loading state from StateDir first
 	// (first compile of this unit in this process).
@@ -140,28 +141,39 @@ func (b *Builder) runJob(ctx context.Context, w, i int, jobs []compileJob, resul
 	results[i] = r
 }
 
+// runWorkers runs work(w) for every worker slot w < nworkers: slot 0 on the
+// calling goroutine, so the build's first unit starts without waiting for
+// a goroutine to be scheduled, and the others on goroutines of their own.
+// It returns when every slot has.
+func runWorkers(nworkers int, work func(w int)) {
+	var wg sync.WaitGroup
+	for w := 1; w < nworkers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			work(w)
+		}(w)
+	}
+	work(0)
+	wg.Wait()
+}
+
 // runStealing drains jobs through a shared atomic cursor.
 func (b *Builder) runStealing(ctx context.Context, jobs []compileJob, results []unitResult, nworkers int) {
 	var next int64
 	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < nworkers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1) - 1)
-				if i >= len(jobs) || failed.Load() || ctx.Err() != nil {
-					return
-				}
-				b.runJob(ctx, w, i, jobs, results)
-				if results[i].err != nil {
-					failed.Store(true)
-				}
+	runWorkers(nworkers, func(w int) {
+		for {
+			i := int(atomic.AddInt64(&next, 1) - 1)
+			if i >= len(jobs) || failed.Load() || ctx.Err() != nil {
+				return
 			}
-		}(w)
-	}
-	wg.Wait()
+			b.runJob(ctx, w, i, jobs, results)
+			if results[i].err != nil {
+				failed.Store(true)
+			}
+		}
+	})
 }
 
 // runSharded assigns each job to a fixed worker by unit-name hash.
@@ -182,20 +194,14 @@ func (b *Builder) runSharded(ctx context.Context, jobs []compileJob, results []u
 	// in another and make the reported error scheduling-dependent.
 	// Cancellation still stops each shard (compileOne's entry check makes
 	// the remaining jobs cheap holes).
-	var wg sync.WaitGroup
-	for w := 0; w < nworkers; w++ {
-		wg.Add(1)
-		go func(w int, idxs []int) {
-			defer wg.Done()
-			for _, i := range idxs {
-				if ctx.Err() != nil {
-					return
-				}
-				b.runJob(ctx, w, i, jobs, results)
+	runWorkers(nworkers, func(w int) {
+		for _, i := range shards[w] {
+			if ctx.Err() != nil {
+				return
 			}
-		}(w, shards[w])
-	}
-	wg.Wait()
+			b.runJob(ctx, w, i, jobs, results)
+		}
+	})
 }
 
 // safeCompile runs one compile under a recover() boundary. A pass panic —

@@ -7,6 +7,7 @@ import (
 	"statefulcc/internal/codegen"
 	"statefulcc/internal/compiler"
 	"statefulcc/internal/core"
+	"statefulcc/internal/state"
 	"statefulcc/internal/vm"
 )
 
@@ -114,12 +115,35 @@ func TestStatefulSkipsOnRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := c.CompileUnit("lib.mc", []byte(libSrc), r1.State)
+	// The state a fresh process loads: the records, without the segment
+	// memo r1.State holds in memory.
+	fresh, err := state.DecodeBytes(state.Marshal(r1.State))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := c.CompileUnit("lib.mc", []byte(libSrc), fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, _, skipped := r2.Stats.Totals(); skipped == 0 {
 		t.Error("no skips on identical rebuild")
+	}
+	// Resident, the identical rebuild replays its segments instead. (A
+	// result's Module lasts until the compiler's next compile.)
+	want := r2.Module.String()
+	r3, err := c.CompileUnit("lib.mc", []byte(libSrc), r1.State)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed := 0
+	for _, sl := range r3.Stats.Slots {
+		replayed += sl.Replayed
+	}
+	if replayed == 0 {
+		t.Error("no replays on a resident identical rebuild")
+	}
+	if r3.Module.String() != want {
+		t.Error("the replayed rebuild's IR differs from the dormancy rebuild's")
 	}
 	if r2.TotalNS <= 0 || r2.FrontendNS <= 0 || r2.PassesNS <= 0 || r2.CodegenNS <= 0 {
 		t.Errorf("stage times not populated: total %d, frontend %d, passes %d, codegen %d",

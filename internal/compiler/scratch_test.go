@@ -81,7 +81,9 @@ func probeSrc() string {
 // units with the decoy, with a larger one that fails type-checking and with
 // one that fails in the parser after filling part of the frontend arena,
 // and holds each linked program to the one built by a fresh Compiler per
-// unit.
+// unit. Stateful, each unit then compiles again on its in-memory state, so
+// its segments replay through the snapshot tables (the encoder's and the
+// restore's) the decoy left behind.
 // Run under the race detector (make race) it also shows that no scratch is
 // reachable from two workers.
 func TestDirtyScratchAcrossWorkers(t *testing.T) {
@@ -146,6 +148,30 @@ func TestDirtyScratchAcrossWorkers(t *testing.T) {
 							continue
 						}
 						objs[i] = res.Object
+						if mode != compiler.ModeStateful {
+							continue
+						}
+						// Stateful, the unit compiles once more on its
+						// in-memory state after the decoy has dirtied the
+						// scratch again: every segment replays, restored
+						// through the snapshot tables the decoy left full,
+						// and the object must not move.
+						if _, err := c.CompileUnit("decoy.mc", decoy, nil); err != nil {
+							t.Errorf("decoy: %v", err)
+						}
+						again, err := c.CompileUnit(names[i], snap[names[i]], res.State)
+						if err != nil {
+							t.Errorf("%s again: %v", names[i], err)
+							continue
+						}
+						replayed := 0
+						for _, sl := range again.Stats.Slots {
+							replayed += sl.Replayed
+						}
+						if replayed == 0 {
+							t.Errorf("%s again: nothing replayed", names[i])
+						}
+						objs[i] = again.Object
 					}
 				}()
 			}

@@ -17,7 +17,12 @@ package core
 //  3. Module passes get the same treatment keyed by a module fingerprint
 //     assembled from the cached function fingerprints.
 //
-// One procedure, runSlot, does all three for both slot kinds. The one
+//  4. Under the stateful policy, a function that enters a segment (a run of
+//     function-local slots) with the exact IR it had in the unit's last
+//     in-memory compile takes that compile's segment output instead of
+//     running the segment's passes (replay.go).
+//
+// One procedure, runSlot, does the first three for both slot kinds. The one
 // checker of a skip is the soundness sentinel: with probability AuditRate a
 // would-be skip runs anyway and its output fingerprint is compared with its
 // input (AuditRate 1 checks every skip).
@@ -101,6 +106,13 @@ type Driver struct {
 	// functions it would only delete before the first pass
 	// (passes.PruneDeadFuncs), under every policy.
 	prune bool
+
+	// segs are the pipeline's segments under the stateful policy (none
+	// under the stateless one), segAt each slot's segment or -1, and
+	// replay their working memory (replay.go).
+	segs   []segment
+	segAt  []int
+	replay replay
 }
 
 // NewDriver builds a driver for the configured pipeline.
@@ -131,6 +143,7 @@ func NewDriver(opts Options) (*Driver, error) {
 			d.mps = append(d.mps, nil)
 		}
 	}
+	d.segs, d.segAt = segmentsOf(d.infos, opts.Policy)
 	return d, nil
 }
 
@@ -223,6 +236,7 @@ func (d *Driver) Run(m *ir.Module, st *UnitState) (*UnitState, *Stats, error) {
 func (d *Driver) RunContext(ctx context.Context, m *ir.Module, st *UnitState) (*UnitState, *Stats, error) {
 	// The scratch keeps its memory from unit to unit, not the unit's IR.
 	defer d.scratch.Release()
+	defer d.replay.release()
 	if !st.Compatible(d.opts.Pipeline) {
 		// Quarantine survives a pipeline change: it is keyed by pass name,
 		// and distrust in a pass is not cured by reordering the pipeline.
@@ -259,6 +273,9 @@ func (d *Driver) RunContext(ctx context.Context, m *ir.Module, st *UnitState) (*
 	for _, f := range m.Funcs {
 		live[f.Name] = true
 	}
+	if len(d.segs) > 0 {
+		d.replay.begin(m.Funcs, len(d.segs))
+	}
 
 	tr := d.opts.Obs.Trace()
 	for slot, info := range d.infos {
@@ -275,16 +292,42 @@ func (d *Driver) RunContext(ctx context.Context, m *ir.Module, st *UnitState) (*
 			err = d.runSlot(m, nil, st, slot, ss, cache)
 		} else {
 			// Function slot: iterate a snapshot (module passes may have
-			// changed the list; function passes do not).
+			// changed the list; function passes do not). A slot of a
+			// segment passes over the functions that replay it.
 			funcs := append([]*ir.Func(nil), m.Funcs...)
-			for _, f := range funcs {
+			seg := d.segAt[slot]
+			first := seg >= 0 && slot == d.segs[seg].first
+			last := seg >= 0 && slot == d.segs[seg].last
+			switch {
+			case seg < 0:
+				d.replay.touched = true
+			case first:
+				d.beginSegment(st, seg)
+			}
+			for i, f := range funcs {
 				if cerr := ctx.Err(); cerr != nil {
 					err = fmt.Errorf("core: %s cancelled: %w", m.Unit, cerr)
 					break
 				}
-				if err = d.runSlot(m, f, st, slot, ss, cache); err != nil {
+				replayed := seg >= 0 && !first && d.replay.fns[i].replayed
+				if first {
+					if replayed, err = d.enterFunc(st, seg, f, cache); err != nil {
+						break
+					}
+				}
+				if replayed {
+					ss.Replayed++
+				} else if err = d.runSlot(m, f, st, slot, ss, cache); err != nil {
 					break
 				}
+				if last {
+					d.leaveFunc(st, seg, i, ss)
+				}
+			}
+			if err == nil && last {
+				// Until a slot outside the segments runs, the next
+				// segment's input is this one's output.
+				d.replay.touched = false
 			}
 		}
 		if tr != nil {
@@ -292,11 +335,14 @@ func (d *Driver) RunContext(ctx context.Context, m *ir.Module, st *UnitState) (*
 				Name: "pass:" + info.Name, Cat: obs.CatPass,
 				Unit: m.Unit, TID: d.opts.Obs.ThreadID(),
 				Start: spanStart, Dur: tr.Now() - spanStart,
-				Slot: slot, Runs: ss.Runs, Skipped: ss.Skipped, Dormant: ss.Dormant,
+				Slot: slot, Runs: ss.Runs, Skipped: ss.Skipped, Dormant: ss.Dormant, Replayed: ss.Replayed,
 				Hashes: stats.Hashes - hashes0, HashNS: stats.HashNS - hashNS0,
 			})
 		}
 		if err != nil {
+			// A compile cut short leaves records of half a pipeline: the
+			// memo no longer matches them, so it goes.
+			st.memo = memo{}
 			d.countStats(stats)
 			return st, stats, err
 		}
@@ -304,6 +350,9 @@ func (d *Driver) RunContext(ctx context.Context, m *ir.Module, st *UnitState) (*
 
 	// Garbage-collect records of functions deleted from the source.
 	st.Prune(live)
+	if len(d.segs) > 0 {
+		d.commit(st)
+	}
 	d.countStats(stats)
 	return st, stats, nil
 }
@@ -322,6 +371,7 @@ func (d *Driver) countStats(stats *Stats) {
 	pc.Runs.Add(int64(tot.Runs))
 	pc.Dormant.Add(int64(tot.Dormant))
 	pc.Skipped.Add(int64(tot.Skipped))
+	pc.Replayed.Add(int64(tot.Replayed))
 	pc.RunNS.Add(tot.RunNS)
 	pc.Hashes.Add(int64(stats.Hashes))
 	pc.HashNS.Add(stats.HashNS)
@@ -400,6 +450,7 @@ func (d *Driver) runSlot(m *ir.Module, f *ir.Func, st *UnitState, slot int, ss *
 		// rehashed whatever it reported.
 		if info.Module {
 			cache.invalidateAll()
+			d.replay.touched = true
 		} else {
 			cache.invalidate(f)
 		}

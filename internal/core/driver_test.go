@@ -7,6 +7,7 @@ import (
 	"statefulcc/internal/core"
 	"statefulcc/internal/ir"
 	"statefulcc/internal/passes"
+	"statefulcc/internal/state"
 	"statefulcc/internal/testutil"
 )
 
@@ -48,6 +49,26 @@ func build(t *testing.T, src string) *ir.Module {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// loaded is st as a fresh process loads it from its file: the dormancy
+// records, and no segment memo.
+func loaded(t *testing.T, st *core.UnitState) *core.UnitState {
+	t.Helper()
+	got, err := state.DecodeBytes(state.Marshal(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// replayed sums the executions segment replays avoided.
+func replayed(s *core.Stats) int {
+	n := 0
+	for _, sl := range s.Slots {
+		n += sl.Replayed
+	}
+	return n
 }
 
 func newDriver(t *testing.T, opts core.Options) *core.Driver {
@@ -105,7 +126,7 @@ func TestSecondBuildSkips(t *testing.T) {
 	}
 
 	m2 := build(t, unitSrc)
-	_, s2, err := d.Run(m2, st)
+	_, s2, err := d.Run(m2, loaded(t, st))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,6 +143,24 @@ func TestSecondBuildSkips(t *testing.T) {
 	}
 	if s2.DormantFraction() < 0.5 {
 		t.Errorf("dormant fraction %.2f unexpectedly low", s2.DormantFraction())
+	}
+
+	// The state build 1 left in memory also holds its segment outputs: an
+	// identical rebuild replays every function slot and runs only the
+	// module slots, to the same IR.
+	m3 := build(t, unitSrc)
+	_, s3, err := d.Run(m3, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sl := range s3.Slots {
+		if !sl.Module && (sl.Replayed != s3.Functions || sl.Runs+sl.Skipped != 0) {
+			t.Errorf("slot %d: replayed %d, runs %d, skipped %d of %d functions; want all replayed",
+				i, sl.Replayed, sl.Runs, sl.Skipped, s3.Functions)
+		}
+	}
+	if m3.String() != m2.String() {
+		t.Error("the replayed rebuild's IR differs from the dormancy rebuild's")
 	}
 }
 
@@ -161,12 +200,12 @@ func TestEditLocalizesReruns(t *testing.T) {
 	}
 	// Rebuild twice: once identical (baseline skips), once edited.
 	mSame := build(t, unitSrc)
-	_, sSame, err := d.Run(mSame, st)
+	_, sSame, err := d.Run(mSame, loaded(t, st))
 	if err != nil {
 		t.Fatal(err)
 	}
 	mEdit := build(t, editedSrc)
-	_, sEdit, err := d.Run(mEdit, st)
+	_, sEdit, err := d.Run(mEdit, loaded(t, st))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,6 +217,15 @@ func TestEditLocalizesReruns(t *testing.T) {
 	if skippedEdit >= skippedSame {
 		t.Errorf("edited rebuild skipped %d >= identical rebuild %d; edit should cost some skips",
 			skippedEdit, skippedSame)
+	}
+
+	// Resident, the untouched functions replay and the edited one runs.
+	_, rEdit, err := d.Run(build(t, editedSrc), st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := replayed(rEdit); n == 0 || n >= len(rEdit.Slots)*rEdit.Functions {
+		t.Errorf("resident edited rebuild replayed %d executions; want the untouched functions' only", n)
 	}
 }
 

@@ -1,0 +1,39 @@
+package core
+
+import "statefulcc/internal/ir"
+
+// RecordSegments does what a compile's recording does to m's functions as
+// they stand — at every segment, key the input, encode the output — and
+// makes the result st's memo, dropping the one st had first so nothing
+// replays.
+func (d *Driver) RecordSegments(m *ir.Module, st *UnitState) {
+	defer d.replay.release()
+	st.memo = memo{}
+	cache := &hashCache{vals: map[*ir.Func]uint64{}, stats: &Stats{}}
+	var ss SlotStats
+	d.replay.begin(m.Funcs, len(d.segs))
+	for seg := range d.segs {
+		d.beginSegment(st, seg)
+		for i, f := range m.Funcs {
+			if _, err := d.enterFunc(st, seg, f, cache); err != nil {
+				panic(err)
+			}
+			d.leaveFunc(st, seg, i, &ss)
+		}
+		d.replay.touched = false
+	}
+	d.commit(st)
+}
+
+// WithoutReplay is d with no segments: it records and replays nothing,
+// the baseline BenchmarkFreshCompileMega prices recording against.
+func (d *Driver) WithoutReplay() *Driver {
+	n := *d
+	n.segs = nil
+	n.segAt = make([]int, len(d.segAt))
+	for i := range n.segAt {
+		n.segAt[i] = -1
+	}
+	n.replay = replay{}
+	return &n
+}

@@ -1,0 +1,264 @@
+package core
+
+// Segment replay: the paper's record is a hash and a bit, so it can skip
+// only a pass that changed nothing. Most pass runs are passes that changed
+// the IR last time, and a record of an active pass never authorizes a skip.
+// A resident builder keeps, beside each unit's records, the output of every
+// segment — a maximal run of function-local function slots — for every
+// function, under the exact key of the segment's input (ir.Snapshot). A
+// function that enters a segment with the IR it had last time takes the
+// recorded output instead of running the segment's passes: a deterministic
+// segment's output under its exact input is Fungi's named reuse.
+//
+// The memo lives only in memory. It is never persisted, holds no pointer
+// into IR, and goes with the state it rides on (a pipeline change, a
+// quarantine, a cold restart); it is rebuilt at the end of every compile
+// from the entries the compile used or recorded, so a function that left
+// the unit leaves the memo. Module passes run on every compile, so what
+// inline splices and globalopt constifies is always recomputed; the next
+// segment's key sees it. A replayed slot keeps its dormancy records: they
+// describe the same input, so a resident builder writes the state files a
+// fresh builder would.
+
+import (
+	"slices"
+
+	"statefulcc/internal/ir"
+	"statefulcc/internal/passes"
+)
+
+// segment is one run of function-local function slots, first..last.
+type segment struct{ first, last int }
+
+// memo is a unit's segment outputs. The entries of the function whose
+// FuncState.memo is i+1 are ents[i : i+segments], one per segment.
+type memo struct {
+	buf  []byte
+	ents []memoEntry
+}
+
+// memoEntry is one (function, segment) output: its encoding is
+// buf[off:off+n], recorded from a run on the input keyed in, producing the
+// output keyed out. n == 0 is no entry.
+type memoEntry struct {
+	in, out uint64
+	off, n  uint32
+}
+
+// entry returns fs's entry for segment seg, or nil.
+func (mm *memo) entry(fs *FuncState, seg int) *memoEntry {
+	if fs.memo == 0 || int(fs.memo)-1+seg >= len(mm.ents) {
+		return nil
+	}
+	if e := &mm.ents[int(fs.memo)-1+seg]; e.n > 0 {
+		return e
+	}
+	return nil
+}
+
+// MemoBytes is the size of the unit's segment memo: its encodings and
+// their index. It is in memory only; a state file never holds it.
+func (s *UnitState) MemoBytes() int {
+	if s == nil {
+		return 0
+	}
+	return len(s.memo.buf) + len(s.memo.ents)*24
+}
+
+// segmentsOf returns the pipeline's segments (nil for a stateless driver)
+// and each slot's segment (-1 for none).
+func segmentsOf(infos []passes.Info, policy Policy) ([]segment, []int) {
+	at := make([]int, len(infos))
+	var segs []segment
+	for i := range infos {
+		at[i] = -1
+		if policy != Stateful || infos[i].Module || !infos[i].FunctionLocal {
+			continue
+		}
+		if n := len(segs); n > 0 && segs[n-1].last == i-1 {
+			segs[n-1].last = i
+		} else {
+			segs = append(segs, segment{i, i})
+		}
+		at[i] = len(segs) - 1
+	}
+	return segs, at
+}
+
+// replay is one driver's segment-replay memory, reused from unit to unit:
+// the snapshot codec's tables, the functions of the segment in progress,
+// and the next memo while the compile builds it.
+type replay struct {
+	snap ir.Snapshot
+	// entry lists the functions entering the pipeline; states their
+	// FuncStates, in the same order (nil for one no segment saw).
+	entry  []*ir.Func
+	states []*FuncState
+	fns    []segFunc
+	buf    []byte
+	ents   []memoEntry
+	// outs holds, by entry position, the key of each function's output at
+	// the last segment's end and its ID counters then. touched is set when
+	// a slot outside the segments may have changed the IR since that end:
+	// a module slot that ran and reported a change (or was audited), or a
+	// function slot that is not function-local. Until it is, a function
+	// whose counters did not move still has that output as its input, and
+	// the next segment takes the key from here instead of encoding the
+	// function again.
+	outs    []segOut
+	touched bool
+	// quarantined is set while the segment in progress holds a quarantined
+	// pass; cursor is the entry position its function search has reached.
+	quarantined bool
+	cursor      int
+}
+
+// segOut is one function's output key at a segment's end (ok: it has one).
+type segOut struct {
+	key    uint64
+	nv, nb int
+	ok     bool
+}
+
+// segFunc is one function's decision at a segment's first slot.
+type segFunc struct {
+	f   *ir.Func
+	pos int // index in replay.entry, -1 for none
+	// key is the input's key (keyed: it has one).
+	key   uint64
+	keyed bool
+	// replayed: the segment's output was restored from old; audit: the
+	// sentinel sampled the replay, so the segment runs and its output key
+	// must equal old.out.
+	replayed, audit bool
+	old             memoEntry
+}
+
+// release drops the replay memory's references into the unit's IR and
+// state.
+func (rp *replay) release() {
+	rp.snap.Release()
+	ir.Wipe(rp.entry)
+	ir.Wipe(rp.states)
+	clear(rp.fns[:cap(rp.fns)])
+	rp.entry, rp.states, rp.fns = rp.entry[:0], rp.states[:0], rp.fns[:0]
+}
+
+// begin starts a compile's next memo over the functions entering the
+// pipeline.
+func (rp *replay) begin(funcs []*ir.Func, nseg int) {
+	rp.entry = append(rp.entry[:0], funcs...)
+	rp.states = ir.Dense(rp.states, len(funcs))
+	rp.ents = ir.Dense(rp.ents, len(funcs)*nseg)
+	rp.outs = ir.Dense(rp.outs, len(funcs))
+	rp.buf = rp.buf[:0]
+	rp.touched = true // nothing was keyed yet
+}
+
+// beginSegment starts segment seg at its first slot: a segment holding a
+// quarantined pass replays nothing.
+func (d *Driver) beginSegment(st *UnitState, seg int) {
+	rp := &d.replay
+	sg := d.segs[seg]
+	rp.quarantined = false
+	for slot := sg.first; slot <= sg.last; slot++ {
+		rp.quarantined = rp.quarantined || st.Quarantined(d.infos[slot].Name)
+	}
+	rp.fns, rp.cursor = rp.fns[:0], 0
+}
+
+// enterFunc decides, at segment seg's first slot and right before the slot
+// runs on f (so a run finds f's IR where the key walk left it, in cache),
+// whether f replays the segment: its input key matches its entry and the
+// sentinel does not sample the replay. It reports whether f replayed.
+func (d *Driver) enterFunc(st *UnitState, seg int, f *ir.Func, cache *hashCache) (bool, error) {
+	rp := &d.replay
+	// The segment's functions are the entry list or a subsequence of it.
+	for rp.cursor < len(rp.entry) && rp.entry[rp.cursor] != f {
+		rp.cursor++
+	}
+	sf := segFunc{f: f, pos: -1}
+	fs := st.funcState(f.Name, len(d.infos))
+	if rp.cursor < len(rp.entry) {
+		sf.pos = rp.cursor
+		rp.states[sf.pos] = fs
+	}
+	if o := &rp.outs[max(sf.pos, 0)]; sf.pos >= 0 && !rp.touched && o.ok &&
+		o.nv == f.NumValues() && o.nb == f.NumBlockIDs() {
+		sf.key, sf.keyed = o.key, true
+	} else {
+		sf.key, sf.keyed = rp.snap.Key(f)
+	}
+	var err error
+	if e := st.memo.entry(fs, seg); sf.keyed && !rp.quarantined && e != nil && e.in == sf.key {
+		sf.old = *e
+		if d.auditFire() {
+			sf.audit = true
+		} else {
+			rp.snap.RestoreFunc(f, st.memo.buf[e.off:e.off+e.n])
+			cache.invalidate(f)
+			sf.replayed = true
+			if d.opts.VerifyIR {
+				err = f.Verify()
+			}
+		}
+	}
+	rp.fns = append(rp.fns, sf)
+	return sf.replayed, err
+}
+
+// leaveFunc records, at segment seg's last slot and right after the slot
+// ran on it, the i-th function's output in the next memo: a replayed one's
+// recorded bytes, a run's encoding. An audited replay whose output key
+// differs from its entry's is an unsound replay: it is counted on ss and
+// recorded no more.
+func (d *Driver) leaveFunc(st *UnitState, seg, i int, ss *SlotStats) {
+	rp := &d.replay
+	sf := &rp.fns[i]
+	if sf.pos < 0 {
+		return
+	}
+	rp.outs[sf.pos].ok = false
+	if !sf.keyed {
+		return
+	}
+	start := len(rp.buf)
+	e := memoEntry{in: sf.key, out: sf.old.out, off: uint32(start)}
+	if sf.replayed {
+		rp.buf = append(rp.buf, st.memo.buf[sf.old.off:sf.old.off+sf.old.n]...)
+	} else {
+		var ok bool
+		if rp.buf, ok = rp.snap.AppendFunc(rp.buf, sf.f); !ok {
+			return
+		}
+		e.out = ir.KeyOf(rp.buf[start:])
+	}
+	e.n = uint32(len(rp.buf) - start)
+	rp.outs[sf.pos] = segOut{key: e.out, nv: sf.f.NumValues(), nb: sf.f.NumBlockIDs(), ok: true}
+	if sf.audit {
+		ss.Audited++
+		if e.out != sf.old.out {
+			ss.Unsound++
+			rp.buf = rp.buf[:start]
+			return
+		}
+	}
+	rp.ents[sf.pos*len(d.segs)+seg] = e
+}
+
+// commit makes the compile's memo the unit's: one buffer and one index,
+// copied out of the worker's memory, each entering function pointing at
+// its entries.
+func (d *Driver) commit(st *UnitState) {
+	rp := &d.replay
+	for _, fs := range st.Funcs {
+		fs.memo = 0
+	}
+	nseg := len(d.segs)
+	for pos, fs := range rp.states {
+		if fs != nil {
+			fs.memo = int32(pos*nseg + 1)
+		}
+	}
+	st.memo = memo{buf: slices.Clone(rp.buf), ents: slices.Clone(rp.ents)}
+}

@@ -119,6 +119,10 @@ type FuncState struct {
 	Slots []Record
 	// Seen marks slots that hold a real observation.
 	Seen []bool
+
+	// memo is 1 + the index of the function's first entry in its unit's
+	// segment memo (replay.go), 0 for none. It is never persisted.
+	memo int32
 }
 
 func newFuncState(n int) *FuncState {
@@ -148,6 +152,10 @@ type UnitState struct {
 	// build system cross-checks declared invalidation against
 	// (internal/footprint), persisted on the state file.
 	Footprint *footprint.Record
+
+	// memo is the unit's segment outputs (replay.go): in memory only, so a
+	// state decoded from its file has none.
+	memo memo
 }
 
 // Quarantined reports whether the named pass may not be skipped for this

@@ -16,6 +16,10 @@ const (
 	// ReasonSkippedDormant: a fingerprint-matched dormancy record allowed
 	// the execution to be skipped.
 	ReasonSkippedDormant = "skipped-dormant"
+	// ReasonReplayed: the function's segment input matched the resident
+	// builder's memo, so the slot took its part of the recorded segment
+	// output (replay.go).
+	ReasonReplayed = "replayed"
 	// ReasonColdState: no prior observation existed for this slot.
 	ReasonColdState = "cold-state"
 	// ReasonNotDormant: the record says the pass changed the IR last time.
@@ -55,6 +59,10 @@ type SlotStats struct {
 	Dormant int `json:"dormant,omitempty"`
 	// Skipped counts executions avoided by dormancy records.
 	Skipped int `json:"skipped,omitempty"`
+	// Replayed counts executions avoided by a segment replay: the function
+	// took its recorded segment output (replay.go). For a function slot,
+	// Runs + Skipped + Replayed is the number of functions entering it.
+	Replayed int `json:"replayed,omitempty"`
 
 	// Decision provenance: every execution counted in Runs has exactly one
 	// of these reasons (Skipped executions are all ReasonSkippedDormant).
@@ -87,9 +95,10 @@ type SlotStats struct {
 }
 
 // Reason returns the slot's dominant decision reason — the reason covering
-// the most executions, with skips breaking ties (they are the interesting
-// outcome), then the run reasons in guard order. ReasonRan covers slots
-// that executed without finer provenance; an idle slot reports "".
+// the most executions, with skips and then replays breaking ties (they are
+// the interesting outcomes), then the run reasons in guard order.
+// ReasonRan covers slots that executed without finer provenance; an idle
+// slot reports "".
 func (sl *SlotStats) Reason() string {
 	best, n := "", 0
 	for _, c := range []struct {
@@ -97,6 +106,7 @@ func (sl *SlotStats) Reason() string {
 		count  int
 	}{
 		{ReasonSkippedDormant, sl.Skipped},
+		{ReasonReplayed, sl.Replayed},
 		{ReasonAuditUnsound, sl.Unsound},
 		{ReasonQuarantined, sl.Quarantined},
 		{ReasonFingerprintMismatch, sl.FPMismatch},
@@ -215,6 +225,7 @@ func (sl *SlotStats) add(o *SlotStats) {
 	sl.Runs += o.Runs
 	sl.Dormant += o.Dormant
 	sl.Skipped += o.Skipped
+	sl.Replayed += o.Replayed
 	sl.RunNS += o.RunNS
 	sl.Cold += o.Cold
 	sl.NotDormant += o.NotDormant

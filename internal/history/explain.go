@@ -97,16 +97,16 @@ func RenderExplain(recs []Record, unit string) (string, error) {
 		if prev != nil {
 			prevPasses = prev.Unit(name).Passes
 		}
-		fmt.Fprintf(&sb, "  %-4s %-12s %-22s %5s %5s %5s %5s %9s  %s\n",
-			"slot", "pass", "reason", "runs", "skip", "dorm", "audit", "time", "prev-reason")
+		fmt.Fprintf(&sb, "  %-4s %-12s %-22s %5s %5s %5s %5s %5s %9s  %s\n",
+			"slot", "pass", "reason", "runs", "skip", "rply", "dorm", "audit", "time", "prev-reason")
 		for slot := range ur.Passes {
 			row := &ur.Passes[slot]
 			audit := fmt.Sprintf("%d", row.Audited)
 			if row.Unsound > 0 {
 				audit = fmt.Sprintf("%d!%d", row.Audited, row.Unsound)
 			}
-			fmt.Fprintf(&sb, "  [%2d] %-12s %-22s %5d %5d %5d %5s %8.3fms  %s\n",
-				slot, last.PassName(slot, row), row.Reason(), row.Runs, row.Skipped, row.Dormant, audit,
+			fmt.Fprintf(&sb, "  [%2d] %-12s %-22s %5d %5d %5d %5d %5s %8.3fms  %s\n",
+				slot, last.PassName(slot, row), row.Reason(), row.Runs, row.Skipped, row.Replayed, row.Dormant, audit,
 				float64(row.RunNS)/1e6, prevReason(prevPasses, slot))
 		}
 	}

@@ -116,8 +116,10 @@ func TestReasonSkippedDormantAndNotDormant(t *testing.T) {
 	b, hist := newRecordedBuilder(t, compiler.ModeStateful)
 	mustBuild(t, b, progV1)
 	// IR-preserving edit: the content hash changes (forcing a recompile)
-	// but the parsed program is identical, so dormancy replays exactly.
-	mustBuild(t, b, progV1+"\n// touched\n")
+	// but the parsed program is identical, so dormancy replays exactly. It
+	// is built by a new builder over the state directory, as a fresh
+	// process would: the resident one would replay its segments instead.
+	mustBuild(t, reopen(t, hist), progV1+"\n// touched\n")
 
 	recs := mustLoad(t, hist)
 	if len(recs) != 2 {
@@ -164,6 +166,30 @@ func TestReasonSkippedDormantAndNotDormant(t *testing.T) {
 			t.Errorf("explain output missing %q:\n%s", want, out)
 		}
 	}
+
+	// The resident builder kept main's segment outputs: the same IR again
+	// replays every function slot.
+	mustBuild(t, b, progV1+"\n// touched twice\n")
+	recs = mustLoad(t, hist)
+	ur = recs[len(recs)-1].Units["main.mc"]
+	if got := ur.Passes[0].Reason(); got != core.ReasonReplayed || ur.Passes[0].Replayed != 1 {
+		t.Errorf("mem2reg on the resident rebuild: reason %q, replayed %d; want %q, 1", got, ur.Passes[0].Replayed, core.ReasonReplayed)
+	}
+	if out, err := history.RenderExplain(recs, "main.mc"); err != nil || !strings.Contains(out, core.ReasonReplayed) {
+		t.Errorf("explain output missing %q (%v):\n%s", core.ReasonReplayed, err, out)
+	}
+}
+
+// reopen returns a new builder over the state directory of the history at
+// hist: a fresh process's view of it.
+func reopen(t *testing.T, hist string) *buildsys.Builder {
+	t.Helper()
+	dir := filepath.Dir(hist)
+	b, err := buildsys.NewBuilder(buildsys.Options{Mode: compiler.ModeStateful, HistoryPath: hist, StateDir: dir, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func TestReasonFingerprintMismatch(t *testing.T) {

@@ -87,6 +87,9 @@ func WriteChrome(w io.Writer, spans []Span, counters map[string]int64) error {
 				args["runs"] = sp.Runs
 				args["skipped"] = sp.Skipped
 				args["dormant"] = sp.Dormant
+				if sp.Replayed > 0 {
+					args["replayed"] = sp.Replayed
+				}
 				if sp.Hashes > 0 {
 					args["hashes"] = sp.Hashes
 					args["hash_us"] = float64(sp.HashNS) / 1e3

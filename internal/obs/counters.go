@@ -17,9 +17,13 @@ const (
 	CtrPassRuns    = "pass.runs"
 	CtrPassDormant = "pass.dormant"
 	CtrPassSkipped = "pass.skipped"
-	CtrPassRunNS   = "pass.run_ns"
-	CtrHashes      = "fingerprint.hashes"
-	CtrHashNS      = "fingerprint.hash_ns"
+	// pass.replayed counts the pass executions a segment replay avoided: a
+	// function whose segment input matched the resident builder's memo took
+	// the recorded output, and each slot of the segment counts it once.
+	CtrPassReplayed = "pass.replayed"
+	CtrPassRunNS    = "pass.run_ns"
+	CtrHashes       = "fingerprint.hashes"
+	CtrHashNS       = "fingerprint.hash_ns"
 	// pass.funcs_pruned counts the functions the driver removed before the
 	// first pass: never called, naming no private global, so deadfunc would
 	// delete them whatever the passes before it did
@@ -274,9 +278,9 @@ func (r *Registry) Names() []string {
 // PassCounters are the pipeline driver's hot-path counters, pre-resolved
 // so the driver updates them without touching the registry.
 type PassCounters struct {
-	Runs, Dormant, Skipped, RunNS *Counter
-	Hashes, HashNS                *Counter
-	FuncsPruned                   *Counter
+	Runs, Dormant, Skipped, Replayed, RunNS *Counter
+	Hashes, HashNS                          *Counter
+	FuncsPruned                             *Counter
 	// Soundness-sentinel totals (audit.* counters).
 	Audited, Unsound *Counter
 	// Decision-provenance buckets (decision.* counters).
@@ -293,6 +297,7 @@ func (r *Registry) Pass() *PassCounters {
 		Runs:           r.Counter(CtrPassRuns),
 		Dormant:        r.Counter(CtrPassDormant),
 		Skipped:        r.Counter(CtrPassSkipped),
+		Replayed:       r.Counter(CtrPassReplayed),
 		RunNS:          r.Counter(CtrPassRunNS),
 		Hashes:         r.Counter(CtrHashes),
 		HashNS:         r.Counter(CtrHashNS),

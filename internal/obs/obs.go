@@ -58,8 +58,9 @@ type Span struct {
 
 	// Slot is the pipeline slot index (-1 for non-pass spans).
 	Slot int
-	// Runs/Skipped/Dormant count pass executions within the span.
-	Runs, Skipped, Dormant int
+	// Runs/Skipped/Dormant count pass executions within the span, Replayed
+	// the ones a segment replay avoided.
+	Runs, Skipped, Dormant, Replayed int
 	// Hashes counts fingerprint computations attributed to the span;
 	// HashNS is their total time.
 	Hashes int

@@ -37,7 +37,8 @@ func helper(n int) int {
 	snap := statefulcc.Snapshot{
 		"main.mc": []byte(helper + `func main() int { return helper(3) - 2; }`),
 	}
-	b, err := statefulcc.NewBuilder(statefulcc.BuildOptions{Mode: statefulcc.Stateful})
+	opts := statefulcc.BuildOptions{Mode: statefulcc.Stateful, StateDir: t.TempDir()}
+	b, err := statefulcc.NewBuilder(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,10 +49,16 @@ func helper(n int) int {
 	if r1.UnitsCompiled != 1 {
 		t.Errorf("compiled = %d", r1.UnitsCompiled)
 	}
-	// Edit main only: helper's dormant records must produce skips.
+	// Edit main only: helper's dormant records must produce skips. A new
+	// builder over the state directory is a fresh process: it has the
+	// records and nothing else.
 	edited := snap.Clone()
 	edited["main.mc"] = []byte(helper + `func main() int { return helper(3) - 1; }`)
-	r2, err := b.Build(edited)
+	fresh, err := statefulcc.NewBuilder(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := fresh.Build(edited)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,6 +68,23 @@ func helper(n int) int {
 	_, exit, err := statefulcc.RunProgram(r2.Program)
 	if err != nil || exit != 2 {
 		t.Errorf("exit=%d err=%v", exit, err)
+	}
+
+	// The resident builder also kept helper's segment outputs: it replays
+	// them, and links the same program.
+	r3, err := b.Build(edited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed := 0
+	for _, sl := range r3.Stats().Slots {
+		replayed += sl.Replayed
+	}
+	if replayed == 0 {
+		t.Error("no replays through the public API")
+	}
+	if _, exit, err := statefulcc.RunProgram(r3.Program); err != nil || exit != 2 {
+		t.Errorf("resident rebuild: exit=%d err=%v", exit, err)
 	}
 }
 
