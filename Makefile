@@ -172,11 +172,17 @@ net-chaos:
 # render the edited unit's decision table and answer for main.mc, which the
 # edit left alone, and history must list both builds. (Each build here is a
 # new process with an empty object cache, so the rebuild compiles main.mc
-# again; a record that leaves a cached unit out is read by the tests.)
+# again; a record that leaves a cached unit out is read by the tests.) It
+# first compiles and runs the project through minicc under the full cache
+# with the IR verifier on (minicc's flag is written -run=true, since
+# TestMakefileRunPatternsMatch reads the flag and its next word as a go
+# test pattern).
 smoke:
 	rm -rf $(SMOKEDIR)
 	mkdir -p $(SMOKEDIR)/proj
 	cp examples/project/*.mc $(SMOKEDIR)/proj/
+	$(GO) build -o $(SMOKEDIR)/minicc ./cmd/minicc
+	cd $(SMOKEDIR)/proj && ../minicc -mode fullcache -verify-ir -run=true *.mc
 	$(GO) build -o $(SMOKEDIR)/minibuild ./cmd/minibuild
 	$(SMOKEDIR)/minibuild -dir $(SMOKEDIR)/proj -mode stateful
 	printf '\n// smoke edit\n' >> $(SMOKEDIR)/proj/math.mc

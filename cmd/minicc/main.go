@@ -46,7 +46,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("minicc", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	mode := fs.String("mode", "stateless", "compilation policy: stateless|stateful|fullcache")
-	stateDir := fs.String("state-dir", "", "directory for persistent dormancy state (stateful modes)")
+	stateDir := fs.String("state-dir", "", "directory for persistent dormancy state (stateful mode)")
 	emitIR := fs.Bool("emit-ir", false, "print optimized IR instead of producing a program")
 	emitAsm := fs.Bool("emit-asm", false, "print disassembled bytecode instead of producing a program")
 	stats := fs.Bool("stats", false, "print pipeline statistics per unit")
@@ -104,6 +104,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
+	// Only dormancy records are persisted: the full cache lives in memory.
+	persist := *stateDir != "" && cmode == compiler.ModeStateful
 	var objects []*codegen.Object
 	var unsound []string // "unit: n" for every unit with an unsound skip
 	for _, file := range files {
@@ -114,7 +116,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		unit := filepath.ToSlash(file)
 
 		var st *core.UnitState
-		if *stateDir != "" {
+		if persist {
 			st, err = state.Load(buildsys.StatePath(*stateDir, unit))
 			if err != nil {
 				fmt.Fprintf(stderr, "minicc: discarding unreadable state for %s: %v\n", unit, err)
@@ -126,7 +128,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if *footprintOn && res.State != nil {
+		if *footprintOn && persist {
 			// minicc has no build-system seam, so the footprint holds the
 			// invalidating and link-scope entries only (no advisory file
 			// reads): source bytes, pipeline identity, unresolved symbols.
@@ -136,7 +138,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			buildsys.RecordObjectDeps(tr, res.Object)
 			res.State.Footprint = tr.Finish(buildsys.ContentHash(src))
 		}
-		if *stateDir != "" && res.State != nil {
+		if persist {
 			if err := state.Save(buildsys.StatePath(*stateDir, unit), res.State); err != nil {
 				fmt.Fprintf(stderr, "minicc: saving state for %s: %v\n", unit, err)
 			}
@@ -148,13 +150,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if *emitAsm {
 			fmt.Fprintln(stdout, codegen.DisassembleObject(res.Object))
 		}
-		if res.Stats != nil {
-			if *stats {
-				fmt.Fprintf(stdout, "--- %s ---\n%s", unit, res.Stats)
-			}
-			if _, n := res.Stats.SentinelTotals(); n > 0 {
-				unsound = append(unsound, fmt.Sprintf("%s: %d", unit, n))
-			}
+		if *stats {
+			fmt.Fprintf(stdout, "--- %s ---\n%s", unit, res.Stats)
+		}
+		if _, n := res.Stats.SentinelTotals(); n > 0 {
+			unsound = append(unsound, fmt.Sprintf("%s: %d", unit, n))
 		}
 		objects = append(objects, res.Object)
 	}

@@ -143,3 +143,25 @@ func TestRetiredModeRejected(t *testing.T) {
 		t.Errorf("err = %v, want unknown mode", err)
 	}
 }
+
+// TestFullCacheWritesNoState: only dormancy records are persisted, so a
+// fullcache compile over a state directory writes no state file, and a
+// -verify-ir run over it verifies and runs the program.
+func TestFullCacheWritesNoState(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "u.mc"), []byte(testSrc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := minicc(t, dir, "-mode", "fullcache", "-state-dir", "st", "-verify-ir", "-run", "u.mc"); err != nil {
+			t.Fatalf("compile %d: %v", i+1, err)
+		}
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "st", "*.state"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 0 {
+		t.Errorf("fullcache wrote state files: %v", files)
+	}
+}

@@ -154,7 +154,7 @@ type unitEntry struct {
 	src        []byte            // newest source seen for the unit: the caller's slice, not a copy
 	honest     uint64            // contentHash(src)
 	obj        *codegen.Object   // cached object
-	state      *core.UnitState   // dormancy records (stateful), and the segment memo that lives only here
+	state      *core.UnitState   // dormancy records (stateful), and the segment memo or full cache that lives only here
 	stateBytes int               // serialized size of state
 	diskProbed bool              // StateDir was already consulted for this unit
 	fp         *footprint.Record // traced read footprint of the last compile
@@ -215,7 +215,6 @@ type builderCounters struct {
 	builds, unitsCompiled, unitsCached      *obs.Counter
 	linkNS                                  *obs.Counter
 	frontendNS, passesNS, codegenNS         *obs.Counter
-	cacheHits, cacheMisses                  *obs.Counter
 	stateLoads, stateLoadMisses, stateSaves *obs.Counter
 	stateSaveUnchanged, stateBytesWritten   *obs.Counter
 	stateIOErrors, historyIOErrors          *obs.Counter
@@ -260,8 +259,6 @@ func NewBuilder(opts Options) (*Builder, error) {
 			frontendNS:         reg.Counter(obs.CtrFrontendNS),
 			passesNS:           reg.Counter(obs.CtrPassesNS),
 			codegenNS:          reg.Counter(obs.CtrCodegenNS),
-			cacheHits:          reg.Counter(obs.CtrCacheHits),
-			cacheMisses:        reg.Counter(obs.CtrCacheMisses),
 			stateLoads:         reg.Counter(obs.CtrStateLoads),
 			stateLoadMisses:    reg.Counter(obs.CtrStateLoadMisses),
 			stateSaves:         reg.Counter(obs.CtrStateSaves),
@@ -492,8 +489,6 @@ func (b *Builder) BuildContext(ctx context.Context, snap project.Snapshot) (*Rep
 		b.ctr.frontendNS.Add(r.ev.FrontendNS)
 		b.ctr.passesNS.Add(r.ev.PassesNS)
 		b.ctr.codegenNS.Add(r.ev.CodegenNS)
-		b.ctr.cacheHits.Add(int64(r.cacheHits))
-		b.ctr.cacheMisses.Add(int64(r.cacheMisses))
 	}
 
 	if cancelled {
@@ -599,19 +594,17 @@ func (b *Builder) takeWarnings() []string {
 	return out
 }
 
-// stateBytes reports the retained persistent-state footprint: serialized
-// dormancy state for the record-keeping modes, the in-memory cache size
+// stateBytes reports the retained state footprint: serialized dormancy
+// state for the record-keeping modes, the units' in-memory cached bodies
 // for fullcache.
 func (b *Builder) stateBytes() int {
 	n := 0
-	if b.opts.Mode == compiler.ModeFullCache {
-		for _, c := range b.workers {
-			n += c.FullCacheStateBytes()
-		}
-		return n
-	}
 	for _, e := range b.units {
-		n += e.stateBytes
+		if b.opts.Mode == compiler.ModeFullCache {
+			n += e.state.MemoBytes()
+		} else {
+			n += e.stateBytes
+		}
 	}
 	return n
 }

@@ -2,15 +2,10 @@ package buildsys
 
 // The parallel compile phase. Each worker slot owns one compiler (they are
 // not safe for concurrent use), and changed units are dispatched across
-// the slots:
-//
-//   - record-keeping modes pull from a shared queue (work stealing), which
-//     balances cold builds well — dormancy state is per unit and travels
-//     with the job, so it does not matter which worker compiles a unit;
-//
-//   - fullcache mode shards units to workers by unit-name hash, so a unit
-//     recompiles on the worker whose in-memory function cache saw it last
-//     and cross-build cache hits survive parallelism.
+// the slots from a shared queue (work stealing), which balances cold
+// builds well. A unit's state — its dormancy records, segment memo or full
+// cache — is per unit and travels with the job, so it does not matter
+// which worker compiles a unit.
 //
 // Results land in a slice indexed by job order; nothing about the
 // build's observable behaviour depends on scheduling. On error the pool
@@ -62,10 +57,8 @@ type unitResult struct {
 	// cross-check runs against.
 	fp  *footprint.Record
 	rec history.UnitRecord
-	// stats are the pass driver's statistics (rec.Passes is their table),
-	// cacheHits and cacheMisses the full-cache lookups of the compile.
-	stats                  *core.Stats
-	cacheHits, cacheMisses int
+	// stats are the pass driver's statistics (rec.Passes is their table).
+	stats *core.Stats
 	// ev is the unit's timeline event, its stage times included; runJob
 	// stamps the unit, worker and times.
 	ev obs.UnitEvent
@@ -80,8 +73,9 @@ type compileJob struct {
 	// decided on; the commit stamps both on the unit's entry, and the
 	// footprint record carries hash.
 	honest, hash uint64
-	// prev is the unit's in-memory dormancy state, if any, with the segment
-	// outputs the driver replays (a state loaded from disk has none).
+	// prev is the unit's in-memory state, if any, with the segment outputs
+	// or the full cache's bodies the driver replays (a state loaded from
+	// disk has neither).
 	prev *core.UnitState
 	// probeDisk asks the worker to try loading state from StateDir first
 	// (first compile of this unit in this process).
@@ -110,11 +104,7 @@ func (b *Builder) runCompiles(ctx context.Context, jobs []compileJob) ([]unitRes
 		return results, nil
 	}
 
-	if b.opts.Mode == compiler.ModeFullCache {
-		b.runSharded(ctx, jobs, results, nworkers)
-	} else {
-		b.runStealing(ctx, jobs, results, nworkers)
-	}
+	b.runStealing(ctx, jobs, results, nworkers)
 
 	for i := range results {
 		err := results[i].err
@@ -141,28 +131,14 @@ func (b *Builder) runJob(ctx context.Context, w, i int, jobs []compileJob, resul
 	results[i] = r
 }
 
-// runWorkers runs work(w) for every worker slot w < nworkers: slot 0 on the
-// calling goroutine, so the build's first unit starts without waiting for
-// a goroutine to be scheduled, and the others on goroutines of their own.
-// It returns when every slot has.
-func runWorkers(nworkers int, work func(w int)) {
-	var wg sync.WaitGroup
-	for w := 1; w < nworkers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			work(w)
-		}(w)
-	}
-	work(0)
-	wg.Wait()
-}
-
-// runStealing drains jobs through a shared atomic cursor.
+// runStealing drains jobs through a shared atomic cursor on worker slots
+// w < nworkers: slot 0 on the calling goroutine, so the build's first unit
+// starts without waiting for a goroutine to be scheduled, and the others on
+// goroutines of their own. It returns when every slot has.
 func (b *Builder) runStealing(ctx context.Context, jobs []compileJob, results []unitResult, nworkers int) {
 	var next int64
 	var failed atomic.Bool
-	runWorkers(nworkers, func(w int) {
+	work := func(w int) {
 		for {
 			i := int(atomic.AddInt64(&next, 1) - 1)
 			if i >= len(jobs) || failed.Load() || ctx.Err() != nil {
@@ -173,35 +149,17 @@ func (b *Builder) runStealing(ctx context.Context, jobs []compileJob, results []
 				failed.Store(true)
 			}
 		}
-	})
-}
-
-// runSharded assigns each job to a fixed worker by unit-name hash.
-func (b *Builder) runSharded(ctx context.Context, jobs []compileJob, results []unitResult, nworkers int) {
-	shards := make([][]int, nworkers)
-	for i, j := range jobs {
-		// Shard on the full worker set, not nworkers: the unit→worker
-		// mapping must not depend on how many units this build touches.
-		s := int(contentHash([]byte(j.name)) % uint64(len(b.workers)))
-		if s >= nworkers {
-			// Fewer active workers than slots this build; fold in.
-			s %= nworkers
-		}
-		shards[s] = append(shards[s], i)
 	}
-	// No early abort here: a shard must finish its whole list, or a
-	// later-indexed failure in one shard could mask an earlier-indexed one
-	// in another and make the reported error scheduling-dependent.
-	// Cancellation still stops each shard (compileOne's entry check makes
-	// the remaining jobs cheap holes).
-	runWorkers(nworkers, func(w int) {
-		for _, i := range shards[w] {
-			if ctx.Err() != nil {
-				return
-			}
-			b.runJob(ctx, w, i, jobs, results)
-		}
-	})
+	var wg sync.WaitGroup
+	for w := 1; w < nworkers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			work(w)
+		}(w)
+	}
+	work(0)
+	wg.Wait()
 }
 
 // safeCompile runs one compile under a recover() boundary. A pass panic —
@@ -279,7 +237,7 @@ func (b *Builder) compileOne(ctx context.Context, w int, j compileJob) unitResul
 	}
 	fp := b.finishTrace(tr, j, res)
 	var enc []byte
-	if res.State != nil {
+	if b.statefulMode() {
 		b.settleQuarantine(res)
 		res.State.Footprint = fp
 		enc = b.saveUnitState(j.name, res.State)
@@ -296,12 +254,10 @@ func compiled(res *compiler.UnitResult, outcome string, st *core.UnitState, stat
 	r := unitResult{
 		obj: res.Object, state: st, stateBytes: stateBytes, fp: fp,
 		rec:   history.UnitRecord{CompileNS: res.TotalNS, Panicked: outcome == obs.OutcomePanic},
-		stats: res.Stats, cacheHits: res.CacheHits, cacheMisses: res.CacheMisses,
-		ev: obs.UnitEvent{Outcome: outcome, FrontendNS: res.FrontendNS, PassesNS: res.PassesNS, CodegenNS: res.CodegenNS},
+		stats: res.Stats,
+		ev:    obs.UnitEvent{Outcome: outcome, FrontendNS: res.FrontendNS, PassesNS: res.PassesNS, CodegenNS: res.CodegenNS},
 	}
-	if res.Stats != nil {
-		r.rec.Passes = res.Stats.Slots
-	}
+	r.rec.Passes = res.Stats.Slots
 	if st != nil && st.Quarantine != nil {
 		r.rec.Quarantine = st.Quarantine.Reason
 	}
@@ -401,11 +357,9 @@ func (b *Builder) settleQuarantine(res *compiler.UnitResult) {
 	if st == nil || st.Quarantine == nil {
 		return
 	}
-	if res.Stats != nil {
-		if _, unsound := res.Stats.SentinelTotals(); unsound > 0 {
-			b.ctr.quarantineEngaged.Inc()
-			return
-		}
+	if _, unsound := res.Stats.SentinelTotals(); unsound > 0 {
+		b.ctr.quarantineEngaged.Inc()
+		return
 	}
 	st.Quarantine.Clean++
 	if st.Quarantine.Clean >= core.QuarantineCleanTarget {

@@ -9,8 +9,11 @@
 //   - Stateful — the paper's contribution: fingerprint-guarded dormant-pass
 //     skipping driven by persistent per-function records (internal/core).
 //   - FullCache — a rustc/Zapcc-style comparator that caches whole
-//     optimized function bodies keyed by input fingerprints (see
-//     fullcache.go); far more state for a larger per-function win.
+//     optimized function bodies keyed by input fingerprints
+//     (internal/core's fullcache.go); far more state for a larger
+//     per-function win.
+//
+// Every policy is one of the pass driver's (core.Policy).
 package compiler
 
 import (
@@ -86,7 +89,7 @@ type Options struct {
 }
 
 // Compiler compiles units under a fixed policy. It is not safe for
-// concurrent use (the full cache and driver state are unsynchronized);
+// concurrent use (the driver's state is unsynchronized);
 // build systems run one compiler per worker. That makes it the owner of
 // the worker's scratch memory — the frontend's in fe, the IR arena among
 // them, the passes' dense side tables inside its driver, code generation's
@@ -95,7 +98,6 @@ type Options struct {
 type Compiler struct {
 	opts   Options
 	driver *core.Driver
-	cache  *FullCache
 	fe     frontend
 	cg     codegen.Scratch
 }
@@ -105,31 +107,29 @@ func New(opts Options) (*Compiler, error) {
 	if len(opts.Pipeline) == 0 {
 		opts.Pipeline = passes.StandardPipeline
 	}
-	c := &Compiler{opts: opts}
+	var policy core.Policy
 	switch opts.Mode {
-	case ModeStateless, ModeStateful:
-		policy := core.Stateless
-		if opts.Mode == ModeStateful {
-			policy = core.Stateful
-		}
-		d, err := core.NewDriver(core.Options{
-			Pipeline:  opts.Pipeline,
-			Policy:    policy,
-			VerifyIR:  opts.VerifyIR,
-			AuditRate: opts.AuditRate,
-			AuditSeed: opts.AuditSeed,
-			Obs:       opts.Obs,
-		})
-		if err != nil {
-			return nil, err
-		}
-		c.driver = d
+	case ModeStateless:
+		policy = core.Stateless
+	case ModeStateful:
+		policy = core.Stateful
 	case ModeFullCache:
-		c.cache = NewFullCache(opts.Pipeline)
+		policy = core.FullCache
 	default:
 		return nil, fmt.Errorf("compiler: unknown mode %d", opts.Mode)
 	}
-	return c, nil
+	d, err := core.NewDriver(core.Options{
+		Pipeline:  opts.Pipeline,
+		Policy:    policy,
+		VerifyIR:  opts.VerifyIR,
+		AuditRate: opts.AuditRate,
+		AuditSeed: opts.AuditSeed,
+		Obs:       opts.Obs,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Compiler{opts: opts, driver: d}, nil
 }
 
 // Mode returns the compiler's policy.
@@ -137,15 +137,6 @@ func (c *Compiler) Mode() Mode { return c.opts.Mode }
 
 // Pipeline returns the pass list.
 func (c *Compiler) Pipeline() []string { return c.opts.Pipeline }
-
-// FullCacheStateBytes reports the full cache's current footprint (0 for
-// other modes).
-func (c *Compiler) FullCacheStateBytes() int {
-	if c.cache == nil {
-		return 0
-	}
-	return c.cache.SizeBytes()
-}
 
 // Release gives the IR of the last compile's Module back to the
 // compiler's arena, wiped, so that an idle compiler pins none of it. That
@@ -168,17 +159,15 @@ type UnitResult struct {
 	// and valid only until the same Compiler's next compile or Release, so
 	// a caller that needs it later prints or encodes it first (a
 	// CloneModule copy shares its constants, which does not help). Object,
-	// State and Stats do not point into it and stay valid. In fullcache
-	// mode a body replayed from the cache is decoded from bitcode, which
-	// numbers its values afresh: the printed module then differs from a
-	// stateless compile's in value IDs, though the object is byte-identical.
+	// State and Stats do not point into it and stay valid.
 	Module *ir.Module
-	// State is the updated dormancy state (stateful mode).
+	// State is the updated unit state: the dormancy records and segment
+	// memo (stateful mode) or the full cache's bodies (fullcache mode,
+	// whose state holds no records and is never saved); nil in stateless
+	// mode.
 	State *core.UnitState
-	// Stats holds pipeline statistics (nil in fullcache mode).
+	// Stats holds pipeline statistics.
 	Stats *core.Stats
-	// CacheHits/CacheMisses count full-cache function lookups.
-	CacheHits, CacheMisses int
 	// FrontendNS, PassesNS and CodegenNS are the stage times; the tracer,
 	// when one is attached, receives them as stage spans (and the per-pass
 	// spans besides).
@@ -233,7 +222,8 @@ func (fe *frontend) release() {
 
 // CompileUnit compiles one unit from source. Under the stateful policy,
 // st carries the previous build's dormancy records (nil on cold
-// builds) and the updated state is returned in the result.
+// builds) and the updated state is returned in the result; under the
+// fullcache policy, st carries the unit's cached bodies the same way.
 func (c *Compiler) CompileUnit(unitName string, src []byte, st *core.UnitState) (*UnitResult, error) {
 	return c.CompileUnitContext(context.Background(), unitName, src, st)
 }
@@ -272,25 +262,16 @@ func (c *Compiler) CompileUnitContext(ctx context.Context, unitName string, src 
 	res.Module = m
 
 	start = now()
-	switch c.opts.Mode {
-	case ModeFullCache:
-		hits, misses, err := c.cache.Optimize(m)
-		if err != nil {
-			return nil, err
-		}
-		res.CacheHits, res.CacheMisses = hits, misses
-	default:
-		newState, stats, err := c.driver.RunContext(ctx, m, st)
-		if err != nil {
-			return nil, err
-		}
-		if c.opts.Mode != ModeStateless {
-			// Stateless compilation records nothing; returning the empty
-			// state would only make callers persist dead bytes.
-			res.State = newState
-		}
-		res.Stats = stats
+	newState, stats, err := c.driver.RunContext(ctx, m, st)
+	if err != nil {
+		return nil, err
 	}
+	if c.opts.Mode != ModeStateless {
+		// Stateless compilation records nothing; returning the empty
+		// state would only make callers persist dead bytes.
+		res.State = newState
+	}
+	res.Stats = stats
 	stage(StagePasses, start, &res.PassesNS)
 
 	start = now()

@@ -1,15 +1,22 @@
 package compiler_test
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"statefulcc/internal/codegen"
 	"statefulcc/internal/compiler"
 	"statefulcc/internal/core"
+	"statefulcc/internal/ir"
+	"statefulcc/internal/passes"
 	"statefulcc/internal/state"
 	"statefulcc/internal/vm"
 )
+
+// allModes is every compilation policy.
+var allModes = []compiler.Mode{compiler.ModeStateless, compiler.ModeStateful, compiler.ModeFullCache}
 
 const libSrc = `
 var _mode int = 1;
@@ -154,6 +161,10 @@ func TestStatefulSkipsOnRebuild(t *testing.T) {
 	}
 }
 
+// fullCacheMisses is the number of functions entering the pipeline that
+// the full cache did not restore.
+func fullCacheMisses(r *compiler.UnitResult) int { return r.Stats.Functions - r.Stats.Restored }
+
 // TestFullCacheHitsOnRebuild: unchanged functions must be cache hits on the
 // second build, and an edit must miss only its dependency cone.
 func TestFullCacheHitsOnRebuild(t *testing.T) {
@@ -165,29 +176,29 @@ func TestFullCacheHitsOnRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.CacheHits != 0 {
-		t.Errorf("cold build had %d hits", r1.CacheHits)
+	if r1.Stats.Restored != 0 {
+		t.Errorf("cold build had %d hits", r1.Stats.Restored)
 	}
-	r2, err := c.CompileUnit("main.mc", []byte(mainSrc), nil)
+	if r1.State.MemoBytes() == 0 {
+		t.Error("full cache reports zero state")
+	}
+	r2, err := c.CompileUnit("main.mc", []byte(mainSrc), r1.State)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2.CacheMisses != 0 {
-		t.Errorf("identical rebuild had %d misses", r2.CacheMisses)
+	if n := fullCacheMisses(r2); n != 0 {
+		t.Errorf("identical rebuild had %d misses", n)
 	}
 	// Edit fib only: main calls fib, so main misses too; an independent
 	// function would hit (fib and main share no independent sibling here,
 	// so check hit+miss accounting instead).
 	edited := strings.Replace(mainSrc, "return fib(n - 1) + fib(n - 2);", "return fib(n - 1) + fib(n - 2) + 0;", 1)
-	r3, err := c.CompileUnit("main.mc", []byte(edited), nil)
+	r3, err := c.CompileUnit("main.mc", []byte(edited), r2.State)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r3.CacheMisses == 0 {
+	if fullCacheMisses(r3) == 0 {
 		t.Error("edit produced no misses")
-	}
-	if c.FullCacheStateBytes() == 0 {
-		t.Error("full cache reports zero state")
 	}
 }
 
@@ -204,16 +215,17 @@ func main() int { return alpha(1) + beta(2); }`
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.CompileUnit("u.mc", []byte(src1), nil); err != nil {
+	r1, err := c.CompileUnit("u.mc", []byte(src1), nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := c.CompileUnit("u.mc", []byte(src2), nil)
+	r2, err := c.CompileUnit("u.mc", []byte(src2), r1.State)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// beta unchanged and independent → hit; alpha and main (calls alpha) miss.
-	if r2.CacheHits != 1 || r2.CacheMisses != 2 {
-		t.Errorf("hits=%d misses=%d, want 1/2", r2.CacheHits, r2.CacheMisses)
+	if r2.Stats.Restored != 1 || fullCacheMisses(r2) != 2 {
+		t.Errorf("hits=%d misses=%d, want 1/2", r2.Stats.Restored, fullCacheMisses(r2))
 	}
 }
 
@@ -242,9 +254,14 @@ func main() int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := c.CompileUnit("u.mc", []byte(srcLive), nil)
+	r2, err := c.CompileUnit("u.mc", []byte(srcLive), r1.State)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// reader is unchanged and independent of writer's body but for _g:
+	// only the touchers in its key make it miss.
+	if r2.Stats.Restored != 0 {
+		t.Errorf("live-store build restored %d bodies, want 0", r2.Stats.Restored)
 	}
 	out1, res1 := execUnit(t, r1)
 	out2, res2 := execUnit(t, r2)
@@ -272,6 +289,42 @@ func execUnit(t *testing.T, r *compiler.UnitResult) (string, int64) {
 	return out, res.ExitValue
 }
 
+// TestCancelledCompileAborts: under every policy, a compile under a
+// cancelled context stops in the pipeline with an error wrapping
+// context.Canceled.
+func TestCancelledCompileAborts(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, mode := range allModes {
+		c, err := compiler.New(compiler.Options{Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.CompileUnitContext(ctx, "lib.mc", []byte(libSrc), nil); !errors.Is(err, context.Canceled) {
+			t.Errorf("%v: cancelled compile returned %v, want context.Canceled", mode, err)
+		}
+	}
+}
+
+// TestVerifyIRCatchesABrokenPass: under every policy, VerifyIR stops the
+// compile at the pass that broke the IR and names it.
+func TestVerifyIRCatchesABrokenPass(t *testing.T) {
+	passes.ArmFaultHook(passes.FaultConfig{Mode: passes.FaultObserve, Func: "churn", Observe: func(f *ir.Func) {
+		entry := f.Entry()
+		entry.Preds = append(entry.Preds, entry)
+	}})
+	defer passes.DisarmFaultHook()
+	for _, mode := range allModes {
+		c, err := compiler.New(compiler.Options{Mode: mode, VerifyIR: true, Pipeline: []string{"mem2reg", "faulthook"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.CompileUnit("lib.mc", []byte(libSrc), nil); err == nil || !strings.Contains(err.Error(), "pass faulthook broke lib.mc.churn") {
+			t.Errorf("%v: compile through a broken pass returned %v, want the verifier's error", mode, err)
+		}
+	}
+}
+
 // TestFrontendErrors surface cleanly.
 func TestFrontendErrors(t *testing.T) {
 	c, err := compiler.New(compiler.Options{Mode: compiler.ModeStateless})
@@ -289,7 +342,7 @@ func TestFrontendErrors(t *testing.T) {
 // TestParseMode: ParseMode inverts Mode.String whatever the case, and names
 // what it cannot parse.
 func TestParseMode(t *testing.T) {
-	for _, m := range []compiler.Mode{compiler.ModeStateless, compiler.ModeStateful, compiler.ModeFullCache} {
+	for _, m := range allModes {
 		for _, s := range []string{m.String(), strings.ToUpper(m.String())} {
 			if got, err := compiler.ParseMode(s); err != nil || got != m {
 				t.Errorf("ParseMode(%q) = %v, %v; want %v", s, got, err, m)

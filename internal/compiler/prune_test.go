@@ -41,7 +41,8 @@ func unprunedOutput(t *testing.T, unit, src string) (string, string) {
 }
 
 // modeCompiler compiles units under one mode, each twice: cold, then with
-// the state (or the full cache) the first compile left, so skipping runs.
+// the state (records, segment memo or full cache) the first compile left,
+// so skipping and replay run.
 type modeCompiler struct {
 	c      *compiler.Compiler
 	states map[string]*core.UnitState
@@ -57,7 +58,7 @@ func newModeCompiler(t *testing.T, m pruneMode) *modeCompiler {
 }
 
 // compile compiles one unit and returns its module text, disassembly and
-// the number of functions the driver pruned (0 in fullcache mode).
+// the number of functions the driver pruned.
 func (mc *modeCompiler) compile(t *testing.T, unit, src string) (string, string, int) {
 	t.Helper()
 	r, err := mc.c.CompileUnit(unit, []byte(src), mc.states[unit])
@@ -65,14 +66,10 @@ func (mc *modeCompiler) compile(t *testing.T, unit, src string) (string, string,
 		t.Fatalf("%s: %v", unit, err)
 	}
 	mc.states[unit] = r.State
-	pruned := 0
-	if r.Stats != nil {
-		pruned = r.Stats.Pruned
-		if _, unsound := r.Stats.SentinelTotals(); unsound != 0 {
-			t.Fatalf("%s: %d unsound skips", unit, unsound)
-		}
+	if _, unsound := r.Stats.SentinelTotals(); unsound != 0 {
+		t.Fatalf("%s: %d unsound skips", unit, unsound)
 	}
-	return r.Module.String(), codegen.DisassembleObject(r.Object), pruned
+	return r.Module.String(), codegen.DisassembleObject(r.Object), r.Stats.Pruned
 }
 
 // checkAgainstUnpruned compiles every unit of units twice under every mode
@@ -95,11 +92,7 @@ func checkAgainstUnpruned(t *testing.T, units []string, src func(string) string)
 		for round := 0; round < 2; round++ {
 			for _, u := range units {
 				text, dis, n := mc.compile(t, u, src(u))
-				// A body the full cache replays is decoded from bitcode,
-				// which numbers its values afresh: only its object is the
-				// reference's.
-				replayed := mode.opts.Mode == compiler.ModeFullCache && round > 0
-				if text != refs[u].text && !replayed {
+				if text != refs[u].text {
 					t.Fatalf("%s, compile %d: %s: module differs from the unpruned reference\n--- got ---\n%s\n--- want ---\n%s",
 						mode.name, round+1, u, text, refs[u].text)
 				}
@@ -113,7 +106,7 @@ func checkAgainstUnpruned(t *testing.T, units []string, src func(string) string)
 			}
 		}
 	}
-	for _, name := range []string{"stateful", "audited"} {
+	for _, name := range []string{"stateful", "audited", "fullcache"} {
 		if pruned[name] != pruned["stateless"] {
 			t.Fatalf("%s pruned %d functions, stateless %d", name, pruned[name], pruned["stateless"])
 		}

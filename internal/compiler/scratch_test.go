@@ -81,9 +81,9 @@ func probeSrc() string {
 // units with the decoy, with a larger one that fails type-checking and with
 // one that fails in the parser after filling part of the frontend arena,
 // and holds each linked program to the one built by a fresh Compiler per
-// unit. Stateful, each unit then compiles again on its in-memory state, so
-// its segments replay through the snapshot tables (the encoder's and the
-// restore's) the decoy left behind.
+// unit. Stateful and under the full cache, each unit then compiles again on
+// its in-memory state, so its segments or whole bodies replay through the
+// snapshot tables (the encoder's and the restore's) the decoy left behind.
 // Run under the race detector (make race) it also shows that no scratch is
 // reachable from two workers.
 func TestDirtyScratchAcrossWorkers(t *testing.T) {
@@ -112,7 +112,7 @@ func TestDirtyScratchAcrossWorkers(t *testing.T) {
 		return c
 	}
 
-	for _, mode := range []compiler.Mode{compiler.ModeStateless, compiler.ModeStateful} {
+	for _, mode := range []compiler.Mode{compiler.ModeStateless, compiler.ModeStateful, compiler.ModeFullCache} {
 		clean := make([]*codegen.Object, len(names))
 		for i, name := range names {
 			res, err := newCompiler(mode).CompileUnit(name, snap[name], nil)
@@ -148,12 +148,12 @@ func TestDirtyScratchAcrossWorkers(t *testing.T) {
 							continue
 						}
 						objs[i] = res.Object
-						if mode != compiler.ModeStateful {
+						if mode == compiler.ModeStateless {
 							continue
 						}
-						// Stateful, the unit compiles once more on its
-						// in-memory state after the decoy has dirtied the
-						// scratch again: every segment replays, restored
+						// The unit compiles once more on its in-memory
+						// state after the decoy has dirtied the scratch
+						// again: every segment or body replays, restored
 						// through the snapshot tables the decoy left full,
 						// and the object must not move.
 						if _, err := c.CompileUnit("decoy.mc", decoy, nil); err != nil {

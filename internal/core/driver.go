@@ -22,6 +22,11 @@ package core
 //     in-memory compile takes that compile's segment output instead of
 //     running the segment's passes (replay.go).
 //
+// The FullCache policy, the comparator, replaces the first three: a
+// function whose closure key matches the unit's last in-memory compile
+// takes that compile's post-pipeline body and no function slot
+// (fullcache.go).
+//
 // One procedure, runSlot, does the first three for both slot kinds. The one
 // checker of a skip is the soundness sentinel: with probability AuditRate a
 // would-be skip runs anyway and its output fingerprint is compared with its
@@ -48,6 +53,9 @@ const (
 	Stateless Policy = iota
 	// Stateful is the paper's fingerprint-guarded dormant-pass skipping.
 	Stateful
+	// FullCache is the rustc/Zapcc-style comparator: whole optimized
+	// function bodies, restored on a closure-key match (fullcache.go).
+	FullCache
 )
 
 // String returns the policy name.
@@ -57,6 +65,8 @@ func (p Policy) String() string {
 		return "stateless"
 	case Stateful:
 		return "stateful"
+	case FullCache:
+		return "fullcache"
 	default:
 		return fmt.Sprintf("policy(%d)", int(p))
 	}
@@ -108,8 +118,8 @@ type Driver struct {
 	prune bool
 
 	// segs are the pipeline's segments under the stateful policy (none
-	// under the stateless one), segAt each slot's segment or -1, and
-	// replay their working memory (replay.go).
+	// under the others), segAt each slot's segment or -1, and replay their
+	// working memory (replay.go), and the full cache's (fullcache.go).
 	segs   []segment
 	segAt  []int
 	replay replay
@@ -144,6 +154,9 @@ func NewDriver(opts Options) (*Driver, error) {
 		}
 	}
 	d.segs, d.segAt = segmentsOf(d.infos, opts.Policy)
+	if opts.Policy == FullCache {
+		d.replay.restored = make(map[*ir.Func]bool)
+	}
 	return d, nil
 }
 
@@ -247,8 +260,8 @@ func (d *Driver) RunContext(ctx context.Context, m *ir.Module, st *UnitState) (*
 		st = NewUnitState(m.Unit, d.opts.Pipeline)
 		st.Quarantine = q
 	}
-	// Pruning comes before the first fingerprint, under both policies, so
-	// neither hashes, optimizes nor records a function deadfunc deletes
+	// Pruning comes before the first fingerprint, under every policy, so
+	// none hashes, optimizes nor records a function deadfunc deletes
 	// whatever its body (and the stateful gain is not credited with it).
 	pruned := 0
 	if d.prune {
@@ -273,8 +286,14 @@ func (d *Driver) RunContext(ctx context.Context, m *ir.Module, st *UnitState) (*
 	for _, f := range m.Funcs {
 		live[f.Name] = true
 	}
+	full := d.opts.Policy == FullCache
 	if len(d.segs) > 0 {
 		d.replay.begin(m.Funcs, len(d.segs))
+	}
+	if full {
+		if err := d.restoreBodies(m, st, cache, stats); err != nil {
+			return d.abandon(st, stats, err)
+		}
 	}
 
 	tr := d.opts.Obs.Trace()
@@ -293,8 +312,14 @@ func (d *Driver) RunContext(ctx context.Context, m *ir.Module, st *UnitState) (*
 		} else {
 			// Function slot: iterate a snapshot (module passes may have
 			// changed the list; function passes do not). A slot of a
-			// segment passes over the functions that replay it.
+			// segment passes over the functions that replay it, every slot
+			// over the functions the full cache restored.
 			funcs := append([]*ir.Func(nil), m.Funcs...)
+			if full {
+				n := len(funcs)
+				funcs = d.replay.unrestored(funcs)
+				ss.Replayed = n - len(funcs)
+			}
 			seg := d.segAt[slot]
 			first := seg >= 0 && slot == d.segs[seg].first
 			last := seg >= 0 && slot == d.segs[seg].last
@@ -340,21 +365,28 @@ func (d *Driver) RunContext(ctx context.Context, m *ir.Module, st *UnitState) (*
 			})
 		}
 		if err != nil {
-			// A compile cut short leaves records of half a pipeline: the
-			// memo no longer matches them, so it goes.
-			st.memo = memo{}
-			d.countStats(stats)
-			return st, stats, err
+			return d.abandon(st, stats, err)
 		}
 	}
 
 	// Garbage-collect records of functions deleted from the source.
 	st.Prune(live)
-	if len(d.segs) > 0 {
+	switch {
+	case full:
+		d.recordBodies(m, st)
+	case len(d.segs) > 0:
 		d.commit(st)
 	}
 	d.countStats(stats)
 	return st, stats, nil
+}
+
+// abandon ends a compile cut short by err. It leaves records of half a
+// pipeline: the memo no longer matches them, so it goes.
+func (d *Driver) abandon(st *UnitState, stats *Stats, err error) (*UnitState, *Stats, error) {
+	st.memo = memo{}
+	d.countStats(stats)
+	return st, stats, err
 }
 
 // countStats folds one compilation's totals into the shared pass counters
@@ -383,6 +415,10 @@ func (d *Driver) countStats(stats *Stats) {
 	pc.DecQuarantined.Add(int64(tot.Quarantined))
 	pc.Audited.Add(int64(tot.Audited))
 	pc.Unsound.Add(int64(tot.Unsound))
+	if d.opts.Policy == FullCache {
+		pc.FullHits.Add(int64(stats.Restored))
+		pc.FullMisses.Add(int64(stats.Functions - stats.Restored))
+	}
 }
 
 // runSlot is the skip decision, the sentinel and the record update of one

@@ -111,6 +111,11 @@ type replay struct {
 	// pass; cursor is the entry position its function search has reached.
 	quarantined bool
 	cursor      int
+	// nseg is the number of memo entries per function: one per segment, or
+	// one whole-pipeline body under the FullCache policy. restored is the
+	// set of functions whose body the full cache restored (fullcache.go).
+	nseg     int
+	restored map[*ir.Func]bool
 }
 
 // segOut is one function's output key at a segment's end (ok: it has one).
@@ -141,12 +146,14 @@ func (rp *replay) release() {
 	ir.Wipe(rp.entry)
 	ir.Wipe(rp.states)
 	clear(rp.fns[:cap(rp.fns)])
+	clear(rp.restored)
 	rp.entry, rp.states, rp.fns = rp.entry[:0], rp.states[:0], rp.fns[:0]
 }
 
 // begin starts a compile's next memo over the functions entering the
-// pipeline.
+// pipeline, with nseg entries per function.
 func (rp *replay) begin(funcs []*ir.Func, nseg int) {
+	rp.nseg = nseg
 	rp.entry = append(rp.entry[:0], funcs...)
 	rp.states = ir.Dense(rp.states, len(funcs))
 	rp.ents = ir.Dense(rp.ents, len(funcs)*nseg)
@@ -243,7 +250,7 @@ func (d *Driver) leaveFunc(st *UnitState, seg, i int, ss *SlotStats) {
 			return
 		}
 	}
-	rp.ents[sf.pos*len(d.segs)+seg] = e
+	rp.ents[sf.pos*rp.nseg+seg] = e
 }
 
 // commit makes the compile's memo the unit's: one buffer and one index,
@@ -254,10 +261,9 @@ func (d *Driver) commit(st *UnitState) {
 	for _, fs := range st.Funcs {
 		fs.memo = 0
 	}
-	nseg := len(d.segs)
 	for pos, fs := range rp.states {
 		if fs != nil {
-			fs.memo = int32(pos*nseg + 1)
+			fs.memo = int32(pos*rp.nseg + 1)
 		}
 	}
 	st.memo = memo{buf: slices.Clone(rp.buf), ents: slices.Clone(rp.ents)}

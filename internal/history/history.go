@@ -92,7 +92,7 @@ type UnitRecord struct {
 	CompileNS int64 `json:"compile_ns,omitempty"`
 	// Passes is the per-slot decision table, one row per pipeline slot in
 	// slot order: the pass driver's statistics as it returned them (nil for
-	// cached units and for modes without a pass driver, e.g. fullcache).
+	// cached units).
 	// Record.PassName names a row's pass, core.SlotStats.Reason gives its
 	// dominant decision reason.
 	Passes []core.SlotStats `json:"passes,omitempty"`

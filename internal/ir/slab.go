@@ -40,7 +40,7 @@ type chunked[T any] struct {
 }
 
 // Chunk lengths double from the first bound to the second: a function of a
-// few values (a decoded full-cache body has a slab to itself) does not pay
+// few values (a NewFunc or CloneFunc function has a slab to itself) does not pay
 // for a large one's chunk. 256 values are 28 KB, the allocator's largest
 // small-object class. A megarepo unit (about 1 000 values) leaves a fifth of
 // what it reserves unused; chunks of 64 leave 5 % and were 3-5 % slower on

@@ -285,6 +285,9 @@ type PassCounters struct {
 	Audited, Unsound *Counter
 	// Decision-provenance buckets (decision.* counters).
 	DecCold, DecNotDormant, DecFPMismatch, DecPolicy, DecQuarantined *Counter
+	// Full-cache outcomes (fullcache.* counters), per function entering
+	// the pipeline.
+	FullHits, FullMisses *Counter
 }
 
 // Pass resolves the standard pipeline counters (nil-safe: a nil registry
@@ -309,5 +312,7 @@ func (r *Registry) Pass() *PassCounters {
 		DecFPMismatch:  r.Counter(CtrDecFPMismatch),
 		DecPolicy:      r.Counter(CtrDecPolicy),
 		DecQuarantined: r.Counter(CtrDecQuarantined),
+		FullHits:       r.Counter(CtrCacheHits),
+		FullMisses:     r.Counter(CtrCacheMisses),
 	}
 }

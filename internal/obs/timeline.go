@@ -59,8 +59,7 @@ type UnitEvent struct {
 	// inter-unit dependencies.
 	StartNS int64 `json:"s,omitempty"`
 	EndNS   int64 `json:"e,omitempty"`
-	// Per-stage split of the compile (zero for remote fetches and fullcache
-	// mode).
+	// Per-stage split of the compile (zero for remote fetches).
 	FrontendNS int64 `json:"fe,omitempty"`
 	PassesNS   int64 `json:"pa,omitempty"`
 	CodegenNS  int64 `json:"cg,omitempty"`
