@@ -76,7 +76,9 @@ fuzz:
 # the frontend, on a fresh scratch and on one a file before it left full or
 # stopped mid-way), the optimizer against the unoptimized program, and the skip
 # rule itself (an edit compiled over a warm state, every skip audited, must
-# equal a stateless compile; and an edit of one unit built by resident and
+# equal a stateless compile, and so must the edit compiled under fullcache
+# over its own in-memory memo, every replay audited: the burst fuzzes both
+# reuse policies; and an edit of one unit built by resident and
 # per-commit builders must link the stateless program — its inputs are
 # minimized for at most 100 runs, or minimizing one input, each run a dozen
 # builds, takes the whole burst). TestMakefileFuzzesEveryTarget holds this list

@@ -154,7 +154,7 @@ type unitEntry struct {
 	src        []byte            // newest source seen for the unit: the caller's slice, not a copy
 	honest     uint64            // contentHash(src)
 	obj        *codegen.Object   // cached object
-	state      *core.UnitState   // dormancy records (stateful), and the segment memo or full cache that lives only here
+	state      *core.UnitState   // dormancy records (stateful), and the segment memo that lives only here
 	stateBytes int               // serialized size of state
 	diskProbed bool              // StateDir was already consulted for this unit
 	fp         *footprint.Record // traced read footprint of the last compile
@@ -595,7 +595,7 @@ func (b *Builder) takeWarnings() []string {
 }
 
 // stateBytes reports the retained state footprint: serialized dormancy
-// state for the record-keeping modes, the units' in-memory cached bodies
+// state for the record-keeping modes, the units' in-memory segment outputs
 // for fullcache.
 func (b *Builder) stateBytes() int {
 	n := 0

@@ -1,7 +1,8 @@
 package buildsys_test
 
 import (
-	"path/filepath"
+	"bytes"
+	"maps"
 	"testing"
 
 	"statefulcc/internal/buildsys"
@@ -12,23 +13,23 @@ import (
 )
 
 // oneUnitEdits builds base, then each unit once more after a comment-only
-// edit of it alone, and returns the full-cache hits of those builds.
+// edit of it alone, and returns the executions those builds replayed.
 func oneUnitEdits(t *testing.T, b *buildsys.Builder, base project.Snapshot) int64 {
 	t.Helper()
 	mustBuild(t, b, base)
-	before := b.Metrics()[obs.CtrCacheHits]
+	before := b.Metrics()[obs.CtrPassReplayed]
 	snap := base.Clone()
 	for _, unit := range base.Units() {
 		snap[unit] = append(append([]byte(nil), base[unit]...), "\n// edited\n"...)
 		mustBuild(t, b, snap)
 	}
-	return b.Metrics()[obs.CtrCacheHits] - before
+	return b.Metrics()[obs.CtrPassReplayed] - before
 }
 
-// TestFullCacheHitsIndependentOfWorkers: a unit's cached bodies travel with
-// its job, so after a full fullcache build a one-unit edit restores as many
-// functions on four workers as on one, whichever worker compiled the unit
-// before.
+// TestFullCacheHitsIndependentOfWorkers: a unit's segment outputs travel
+// with its job, so after a full fullcache build a one-unit edit replays as
+// many executions on four workers as on one, whichever worker compiled the
+// unit before.
 func TestFullCacheHitsIndependentOfWorkers(t *testing.T) {
 	base := workload.Generate(testProfile(47))
 	hits := map[int]int64{}
@@ -40,35 +41,46 @@ func TestFullCacheHitsIndependentOfWorkers(t *testing.T) {
 		hits[workers] = oneUnitEdits(t, b, base)
 	}
 	if hits[1] == 0 {
-		t.Fatal("comment-only edits restored no function on one worker")
+		t.Fatal("comment-only edits replayed nothing on one worker")
 	}
 	if hits[4] != hits[1] {
-		t.Errorf("one-unit edits restored %d functions on 4 workers, %d on 1", hits[4], hits[1])
+		t.Errorf("one-unit edits replayed %d executions on 4 workers, %d on 1", hits[4], hits[1])
 	}
 }
 
 // TestFullCacheWritesNoState: the full cache lives in memory with each
-// unit, so a fullcache builder with a state directory writes no state file,
-// while its report counts the cached bodies' bytes and its record rows the
-// restored functions (explain's rply column).
+// unit, so a fullcache builder with a state directory neither reads the
+// state files a stateful builder left there nor writes any, while its
+// report counts the segment outputs' bytes and its record rows the
+// replayed executions (explain's rply column).
 func TestFullCacheWritesNoState(t *testing.T) {
 	dir := t.TempDir()
+	base := workload.Generate(testProfile(48))
+	sf, err := buildsys.NewBuilder(buildsys.Options{Mode: compiler.ModeStateful, Workers: 2, StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustBuild(t, sf, base)
+	_, written := stateFiles(t, dir)
+	if len(written) == 0 {
+		t.Fatal("the stateful builder wrote no state file")
+	}
 	b, err := buildsys.NewBuilder(buildsys.Options{Mode: compiler.ModeFullCache, Workers: 2, StateDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := workload.Generate(testProfile(48))
 	oneUnitEdits(t, b, base)
-	files, err := filepath.Glob(filepath.Join(dir, "*.state"))
-	if err != nil {
-		t.Fatal(err)
+	m := b.Metrics()
+	if m[obs.CtrStateLoads] != 0 || m[obs.CtrStateSaves] != 0 || m[obs.CtrStateSaveUnchanged] != 0 {
+		t.Errorf("fullcache loaded %d state files and saved %d (%d unchanged)",
+			m[obs.CtrStateLoads], m[obs.CtrStateSaves], m[obs.CtrStateSaveUnchanged])
 	}
-	if len(files) != 0 {
-		t.Errorf("fullcache wrote state files: %v", files)
+	if _, files := stateFiles(t, dir); !maps.EqualFunc(files, written, bytes.Equal) {
+		t.Errorf("fullcache changed the state files: %d after, %d before", len(files), len(written))
 	}
 	rep := mustBuild(t, b, base)
 	if rep.StateBytes == 0 {
-		t.Error("the report counts no cached bodies")
+		t.Error("the report counts no segment outputs")
 	}
 	last := base.Units()[len(base)-1]
 	replayed := 0
@@ -76,6 +88,6 @@ func TestFullCacheWritesNoState(t *testing.T) {
 		replayed += row.Replayed
 	}
 	if replayed == 0 {
-		t.Errorf("%s's record rows show no restored function: %+v", last, rep.Units[last])
+		t.Errorf("%s's record rows show no replayed execution: %+v", last, rep.Units[last])
 	}
 }

@@ -74,11 +74,10 @@ type compileJob struct {
 	// footprint record carries hash.
 	honest, hash uint64
 	// prev is the unit's in-memory state, if any, with the segment outputs
-	// or the full cache's bodies the driver replays (a state loaded from
-	// disk has neither).
+	// the driver replays (a state loaded from disk has none).
 	prev *core.UnitState
 	// probeDisk asks the worker to try loading state from StateDir first
-	// (first compile of this unit in this process).
+	// (a stateful builder's first compile of this unit in this process).
 	probeDisk bool
 }
 
@@ -88,13 +87,14 @@ type compileJob struct {
 // return an error; cancellation does not — it leaves holes (zero results)
 // for the caller to detect.
 func (b *Builder) runCompiles(ctx context.Context, jobs []compileJob) ([]unitResult, error) {
+	stateful := b.statefulMode()
 	for i := range jobs {
 		j := &jobs[i]
 		if e, ok := b.units[j.name]; ok {
 			j.prev = e.state
-			j.probeDisk = !e.diskProbed && e.state == nil
+			j.probeDisk = stateful && !e.diskProbed && e.state == nil
 		} else {
-			j.probeDisk = true
+			j.probeDisk = stateful
 		}
 	}
 

@@ -8,12 +8,12 @@
 //   - Stateless — the conventional compiler; the paper's baseline.
 //   - Stateful — the paper's contribution: fingerprint-guarded dormant-pass
 //     skipping driven by persistent per-function records (internal/core).
-//   - FullCache — a rustc/Zapcc-style comparator that caches whole
-//     optimized function bodies keyed by input fingerprints
-//     (internal/core's fullcache.go); far more state for a larger
-//     per-function win.
+//   - FullCache — the full-IR caching comparator: each function's segment
+//     outputs under the exact input that produced them, kept in memory with
+//     the unit's state, and no dormancy records; far more state for a
+//     larger per-function win.
 //
-// Every policy is one of the pass driver's (core.Policy).
+// A Mode is the pass driver's policy (core.Policy).
 package compiler
 
 import (
@@ -34,28 +34,14 @@ import (
 )
 
 // Mode selects the compilation policy.
-type Mode int
+type Mode = core.Policy
 
 // Modes.
 const (
-	ModeStateless Mode = iota
-	ModeStateful
-	ModeFullCache
+	ModeStateless = core.Stateless
+	ModeStateful  = core.Stateful
+	ModeFullCache = core.FullCache
 )
-
-// String returns the mode name.
-func (m Mode) String() string {
-	switch m {
-	case ModeStateless:
-		return "stateless"
-	case ModeStateful:
-		return "stateful"
-	case ModeFullCache:
-		return "fullcache"
-	default:
-		return fmt.Sprintf("mode(%d)", int(m))
-	}
-}
 
 // ParseMode is the inverse of Mode.String, ignoring case.
 func ParseMode(s string) (Mode, error) {
@@ -107,20 +93,9 @@ func New(opts Options) (*Compiler, error) {
 	if len(opts.Pipeline) == 0 {
 		opts.Pipeline = passes.StandardPipeline
 	}
-	var policy core.Policy
-	switch opts.Mode {
-	case ModeStateless:
-		policy = core.Stateless
-	case ModeStateful:
-		policy = core.Stateful
-	case ModeFullCache:
-		policy = core.FullCache
-	default:
-		return nil, fmt.Errorf("compiler: unknown mode %d", opts.Mode)
-	}
 	d, err := core.NewDriver(core.Options{
 		Pipeline:  opts.Pipeline,
-		Policy:    policy,
+		Policy:    opts.Mode,
 		VerifyIR:  opts.VerifyIR,
 		AuditRate: opts.AuditRate,
 		AuditSeed: opts.AuditSeed,
@@ -162,9 +137,8 @@ type UnitResult struct {
 	// State and Stats do not point into it and stay valid.
 	Module *ir.Module
 	// State is the updated unit state: the dormancy records and segment
-	// memo (stateful mode) or the full cache's bodies (fullcache mode,
-	// whose state holds no records and is never saved); nil in stateless
-	// mode.
+	// memo (stateful mode) or the segment memo alone (fullcache mode,
+	// whose state is never saved); nil in stateless mode.
 	State *core.UnitState
 	// Stats holds pipeline statistics.
 	Stats *core.Stats
@@ -223,7 +197,7 @@ func (fe *frontend) release() {
 // CompileUnit compiles one unit from source. Under the stateful policy,
 // st carries the previous build's dormancy records (nil on cold
 // builds) and the updated state is returned in the result; under the
-// fullcache policy, st carries the unit's cached bodies the same way.
+// fullcache policy, st carries the unit's segment outputs the same way.
 func (c *Compiler) CompileUnit(unitName string, src []byte, st *core.UnitState) (*UnitResult, error) {
 	return c.CompileUnitContext(context.Background(), unitName, src, st)
 }

@@ -3,6 +3,7 @@ package compiler_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -161,12 +162,29 @@ func TestStatefulSkipsOnRebuild(t *testing.T) {
 	}
 }
 
-// fullCacheMisses is the number of functions entering the pipeline that
-// the full cache did not restore.
-func fullCacheMisses(r *compiler.UnitResult) int { return r.Stats.Functions - r.Stats.Restored }
+// replays sums the executions r's replays avoided.
+func replays(r *compiler.UnitResult) int {
+	n := 0
+	for _, sl := range r.Stats.Slots {
+		n += sl.Replayed
+	}
+	return n
+}
 
-// TestFullCacheHitsOnRebuild: unchanged functions must be cache hits on the
-// second build, and an edit must miss only its dependency cone.
+// functionRuns sums the pass executions of r's function slots: 0 when
+// every function replayed every segment.
+func functionRuns(r *compiler.UnitResult) int {
+	n := 0
+	for _, sl := range r.Stats.Slots {
+		if !sl.Module {
+			n += sl.Runs
+		}
+	}
+	return n
+}
+
+// TestFullCacheHitsOnRebuild: an identical rebuild replays every function
+// slot of every function, and an edit runs some again.
 func TestFullCacheHitsOnRebuild(t *testing.T) {
 	c, err := compiler.New(compiler.Options{Mode: compiler.ModeFullCache})
 	if err != nil {
@@ -176,8 +194,8 @@ func TestFullCacheHitsOnRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Stats.Restored != 0 {
-		t.Errorf("cold build had %d hits", r1.Stats.Restored)
+	if n := replays(r1); n != 0 {
+		t.Errorf("cold build replayed %d executions", n)
 	}
 	if r1.State.MemoBytes() == 0 {
 		t.Error("full cache reports zero state")
@@ -186,24 +204,27 @@ func TestFullCacheHitsOnRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := fullCacheMisses(r2); n != 0 {
-		t.Errorf("identical rebuild had %d misses", n)
+	if n := functionRuns(r2); n != 0 || replays(r2) == 0 {
+		t.Errorf("identical rebuild ran %d function-slot executions and replayed %d", n, replays(r2))
 	}
-	// Edit fib only: main calls fib, so main misses too; an independent
-	// function would hit (fib and main share no independent sibling here,
-	// so check hit+miss accounting instead).
+	// Edit fib: fib's first segment misses, and so does every segment
+	// whose input fib's new body reaches.
 	edited := strings.Replace(mainSrc, "return fib(n - 1) + fib(n - 2);", "return fib(n - 1) + fib(n - 2) + 0;", 1)
 	r3, err := c.CompileUnit("main.mc", []byte(edited), r2.State)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fullCacheMisses(r3) == 0 {
-		t.Error("edit produced no misses")
+	if functionRuns(r3) == 0 {
+		t.Error("edit ran no function slot")
 	}
 }
 
 // TestFullCacheIndependentFunctionHits: editing one function must not
-// invalidate an unrelated one.
+// invalidate an unrelated one. The first segment's input is each
+// function's own body, so beta and main (unchanged before inlining)
+// replay it; after inline main holds alpha's new body, so the second
+// segment replays beta alone. Beta replays every function slot, edited
+// alpha none.
 func TestFullCacheIndependentFunctionHits(t *testing.T) {
 	src1 := `
 func alpha(x int) int { return x * 2; }
@@ -223,15 +244,27 @@ func main() int { return alpha(1) + beta(2); }`
 	if err != nil {
 		t.Fatal(err)
 	}
-	// beta unchanged and independent → hit; alpha and main (calls alpha) miss.
-	if r2.Stats.Restored != 1 || fullCacheMisses(r2) != 2 {
-		t.Errorf("hits=%d misses=%d, want 1/2", r2.Stats.Restored, fullCacheMisses(r2))
+	inline := slices.Index(r2.Stats.Pipeline, "inline")
+	for slot, sl := range r2.Stats.Slots {
+		want := 0
+		switch {
+		case sl.Module:
+		case slot < inline:
+			want = 2 // beta, main
+		default:
+			want = 1 // beta
+		}
+		if sl.Replayed != want {
+			t.Errorf("slot %d (%s) replayed %d functions, want %d", slot, r2.Stats.Pipeline[slot], sl.Replayed, want)
+		}
 	}
 }
 
 // TestFullCacheGlobalUsageTrap is the classic staleness trap: an
 // unreachable store to a private global in another function flips to
-// reachable; the reader's cached (constified) body must be invalidated.
+// reachable; the reader's constified body must not be reused. globalopt
+// runs on the real IR in every compile, so the edit's module is the
+// stateless compile's.
 func TestFullCacheGlobalUsageTrap(t *testing.T) {
 	srcDead := `
 var _g int = 5;
@@ -254,17 +287,24 @@ func main() int {
 	if err != nil {
 		t.Fatal(err)
 	}
+	out1, res1 := execUnit(t, r1)
 	r2, err := c.CompileUnit("u.mc", []byte(srcLive), r1.State)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// reader is unchanged and independent of writer's body but for _g:
-	// only the touchers in its key make it miss.
-	if r2.Stats.Restored != 0 {
-		t.Errorf("live-store build restored %d bodies, want 0", r2.Stats.Restored)
-	}
-	out1, res1 := execUnit(t, r1)
+	got := r2.Module.String()
 	out2, res2 := execUnit(t, r2)
+	base, err := compiler.New(compiler.Options{Mode: compiler.ModeStateless})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := base.CompileUnit("u.mc", []byte(srcLive), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := want.Module.String(); got != w {
+		t.Errorf("live-store module differs from stateless:\n%s\nwant:\n%s", got, w)
+	}
 	if out1 != "" || out2 != "" {
 		t.Errorf("unexpected output %q %q", out1, out2)
 	}

@@ -8,8 +8,11 @@ package compiler_test
 // compilers go through the driver, which removes the functions deadfunc
 // would delete before the first pass). The
 // audited compiler compiles the unit before the edit first, so the edit is
-// lowered on a used IR arena, as on a build worker. Under plain `go test`
-// only the seeds run; `make chaos` runs a burst beyond them.
+// lowered on a used IR arena, as on a build worker. A fullcache compiler
+// audited at rate 1 compiles the same pair, the edit from the in-memory
+// state of its own first compile, and is held to the same references, so
+// both reuse policies are fuzzed. Under plain `go test` only the seeds
+// run; `make chaos` runs a burst beyond them.
 
 import (
 	"bytes"
@@ -67,6 +70,12 @@ func FuzzStatefulEdit(f *testing.F) {
 	f.Add(called, uncalled)
 	f.Add(uncalled, called)
 	addEditSeeds(f)
+	// The inliner trap: acc is under inline's threshold when it reaches
+	// inline and far past it unrolled, so a cache that restored acc's
+	// post-pipeline body before inline would keep main's call where a
+	// stateless compile folds main to a constant.
+	accSrc := `func acc(x int) int { var s int = 0; for var i int = 0; i < 8; i++ { s = s * 3 + x * i - 7; } return s; } func main() int { return acc(3) - 22000; }`
+	f.Add(accSrc, strings.Replace(accSrc, "22000", "22081", 1))
 
 	f.Fuzz(func(t *testing.T, src0, src1 string) {
 		if len(src0) > 16<<10 || len(src1) > 16<<10 {
@@ -109,24 +118,43 @@ func FuzzStatefulEdit(f *testing.F) {
 		if err != nil {
 			t.Fatalf("stateful compile failed where stateless did not: %v", err)
 		}
-		if _, unsound := got.Stats.SentinelTotals(); unsound != 0 {
-			t.Errorf("%d unsound skips\nsrc0:\n%s\nsrc1:\n%s", unsound, src0, src1)
+		// The full cache's memo is never encoded: its compiler replays from
+		// the in-memory state its own src0 compile returned.
+		full, err := compiler.New(compiler.Options{Mode: compiler.ModeFullCache, AuditRate: 1})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if g, w := got.Module.String(), want.Module.String(); g != w {
-			t.Fatalf("IR differs from stateless\n--- stateful ---\n%s\n--- stateless ---\n%s\nsrc0:\n%s\nsrc1:\n%s", g, w, src0, src1)
+		f0, err := full.CompileUnit(unit, []byte(src0), nil)
+		if err != nil {
+			t.Fatalf("src0 compiled stateful and failed under fullcache: %v", err)
 		}
-		if g, w := codegen.DisassembleObject(got.Object), codegen.DisassembleObject(want.Object); g != w {
-			t.Fatalf("disassembly differs from stateless\n--- stateful ---\n%s\n--- stateless ---\n%s", g, w)
+		gotFull, err := full.CompileUnit(unit, []byte(src1), f0.State)
+		if err != nil {
+			t.Fatalf("fullcache compile failed where stateless did not: %v", err)
 		}
 		refMod, refObj, err := testutil.CompileUnpruned(unit, src1, nil)
 		if err != nil {
 			t.Fatalf("the unpruned reference failed where the driver did not: %v", err)
 		}
-		if g, w := got.Module.String(), refMod.String(); g != w {
-			t.Fatalf("IR differs from the unpruned reference\n--- stateful ---\n%s\n--- unpruned ---\n%s\nsrc0:\n%s\nsrc1:\n%s", g, w, src0, src1)
-		}
-		if g, w := codegen.DisassembleObject(got.Object), codegen.DisassembleObject(refObj); g != w {
-			t.Fatalf("disassembly differs from the unpruned reference\n--- stateful ---\n%s\n--- unpruned ---\n%s", g, w)
+		for _, r := range []struct {
+			mode string
+			res  *compiler.UnitResult
+		}{{"stateful", got}, {"fullcache", gotFull}} {
+			if _, unsound := r.res.Stats.SentinelTotals(); unsound != 0 {
+				t.Errorf("%s: %d unsound skips or replays\nsrc0:\n%s\nsrc1:\n%s", r.mode, unsound, src0, src1)
+			}
+			if g, w := r.res.Module.String(), want.Module.String(); g != w {
+				t.Fatalf("IR differs from stateless\n--- %s ---\n%s\n--- stateless ---\n%s\nsrc0:\n%s\nsrc1:\n%s", r.mode, g, w, src0, src1)
+			}
+			if g, w := codegen.DisassembleObject(r.res.Object), codegen.DisassembleObject(want.Object); g != w {
+				t.Fatalf("disassembly differs from stateless\n--- %s ---\n%s\n--- stateless ---\n%s", r.mode, g, w)
+			}
+			if g, w := r.res.Module.String(), refMod.String(); g != w {
+				t.Fatalf("IR differs from the unpruned reference\n--- %s ---\n%s\n--- unpruned ---\n%s\nsrc0:\n%s\nsrc1:\n%s", r.mode, g, w, src0, src1)
+			}
+			if g, w := codegen.DisassembleObject(r.res.Object), codegen.DisassembleObject(refObj); g != w {
+				t.Fatalf("disassembly differs from the unpruned reference\n--- %s ---\n%s\n--- unpruned ---\n%s", r.mode, g, w)
+			}
 		}
 	})
 }

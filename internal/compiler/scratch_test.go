@@ -153,7 +153,7 @@ func TestDirtyScratchAcrossWorkers(t *testing.T) {
 						}
 						// The unit compiles once more on its in-memory
 						// state after the decoy has dirtied the scratch
-						// again: every segment or body replays, restored
+						// again: every segment replays, restored
 						// through the snapshot tables the decoy left full,
 						// and the object must not move.
 						if _, err := c.CompileUnit("decoy.mc", decoy, nil); err != nil {

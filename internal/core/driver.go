@@ -17,15 +17,11 @@ package core
 //  3. Module passes get the same treatment keyed by a module fingerprint
 //     assembled from the cached function fingerprints.
 //
-//  4. Under the stateful policy, a function that enters a segment (a run of
-//     function-local slots) with the exact IR it had in the unit's last
-//     in-memory compile takes that compile's segment output instead of
-//     running the segment's passes (replay.go).
-//
-// The FullCache policy, the comparator, replaces the first three: a
-// function whose closure key matches the unit's last in-memory compile
-// takes that compile's post-pipeline body and no function slot
-// (fullcache.go).
+//  4. A function that enters a segment (a run of function-local slots)
+//     with the exact IR it had in the unit's last in-memory compile takes
+//     that compile's segment output instead of running the segment's
+//     passes (replay.go). The stateful policy does all four; the FullCache
+//     policy, the comparator, does only this one and keeps no records.
 //
 // One procedure, runSlot, does the first three for both slot kinds. The one
 // checker of a skip is the soundness sentinel: with probability AuditRate a
@@ -53,8 +49,8 @@ const (
 	Stateless Policy = iota
 	// Stateful is the paper's fingerprint-guarded dormant-pass skipping.
 	Stateful
-	// FullCache is the rustc/Zapcc-style comparator: whole optimized
-	// function bodies, restored on a closure-key match (fullcache.go).
+	// FullCache is the full-IR caching comparator: segment replay
+	// (replay.go) without dormancy records.
 	FullCache
 )
 
@@ -117,9 +113,9 @@ type Driver struct {
 	// (passes.PruneDeadFuncs), under every policy.
 	prune bool
 
-	// segs are the pipeline's segments under the stateful policy (none
-	// under the others), segAt each slot's segment or -1, and replay their
-	// working memory (replay.go), and the full cache's (fullcache.go).
+	// segs are the pipeline's segments (none under the stateless policy),
+	// segAt each slot's segment or -1, and replay their working memory
+	// (replay.go).
 	segs   []segment
 	segAt  []int
 	replay replay
@@ -134,6 +130,9 @@ func NewDriver(opts Options) (*Driver, error) {
 	opts.Pipeline = slices.Clone(opts.Pipeline)
 	if opts.AuditSeed == 0 {
 		opts.AuditSeed = 1
+	}
+	if opts.Policy < Stateless || opts.Policy > FullCache {
+		return nil, fmt.Errorf("core: unknown policy %d", int(opts.Policy))
 	}
 	d := &Driver{opts: opts, auditState: opts.AuditSeed, scratch: &passes.Scratch{}}
 	for _, name := range opts.Pipeline {
@@ -154,9 +153,6 @@ func NewDriver(opts Options) (*Driver, error) {
 		}
 	}
 	d.segs, d.segAt = segmentsOf(d.infos, opts.Policy)
-	if opts.Policy == FullCache {
-		d.replay.restored = make(map[*ir.Func]bool)
-	}
 	return d, nil
 }
 
@@ -286,14 +282,8 @@ func (d *Driver) RunContext(ctx context.Context, m *ir.Module, st *UnitState) (*
 	for _, f := range m.Funcs {
 		live[f.Name] = true
 	}
-	full := d.opts.Policy == FullCache
 	if len(d.segs) > 0 {
-		d.replay.begin(m.Funcs, len(d.segs))
-	}
-	if full {
-		if err := d.restoreBodies(m, st, cache, stats); err != nil {
-			return d.abandon(st, stats, err)
-		}
+		d.begin(m.Funcs)
 	}
 
 	tr := d.opts.Obs.Trace()
@@ -312,14 +302,8 @@ func (d *Driver) RunContext(ctx context.Context, m *ir.Module, st *UnitState) (*
 		} else {
 			// Function slot: iterate a snapshot (module passes may have
 			// changed the list; function passes do not). A slot of a
-			// segment passes over the functions that replay it, every slot
-			// over the functions the full cache restored.
+			// segment passes over the functions that replay it.
 			funcs := append([]*ir.Func(nil), m.Funcs...)
-			if full {
-				n := len(funcs)
-				funcs = d.replay.unrestored(funcs)
-				ss.Replayed = n - len(funcs)
-			}
 			seg := d.segAt[slot]
 			first := seg >= 0 && slot == d.segs[seg].first
 			last := seg >= 0 && slot == d.segs[seg].last
@@ -371,10 +355,7 @@ func (d *Driver) RunContext(ctx context.Context, m *ir.Module, st *UnitState) (*
 
 	// Garbage-collect records of functions deleted from the source.
 	st.Prune(live)
-	switch {
-	case full:
-		d.recordBodies(m, st)
-	case len(d.segs) > 0:
+	if len(d.segs) > 0 {
 		d.commit(st)
 	}
 	d.countStats(stats)
@@ -415,10 +396,6 @@ func (d *Driver) countStats(stats *Stats) {
 	pc.DecQuarantined.Add(int64(tot.Quarantined))
 	pc.Audited.Add(int64(tot.Audited))
 	pc.Unsound.Add(int64(tot.Unsound))
-	if d.opts.Policy == FullCache {
-		pc.FullHits.Add(int64(stats.Restored))
-		pc.FullMisses.Add(int64(stats.Functions - stats.Restored))
-	}
 }
 
 // runSlot is the skip decision, the sentinel and the record update of one

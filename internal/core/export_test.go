@@ -11,7 +11,7 @@ func (d *Driver) RecordSegments(m *ir.Module, st *UnitState) {
 	st.memo = memo{}
 	cache := &hashCache{vals: map[*ir.Func]uint64{}, stats: &Stats{}}
 	var ss SlotStats
-	d.replay.begin(m.Funcs, len(d.segs))
+	d.begin(m.Funcs)
 	for seg := range d.segs {
 		d.beginSegment(st, seg)
 		for i, f := range m.Funcs {

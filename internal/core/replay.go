@@ -8,7 +8,10 @@ package core
 // function, under the exact key of the segment's input (ir.Snapshot). A
 // function that enters a segment with the IR it had last time takes the
 // recorded output instead of running the segment's passes: a deterministic
-// segment's output under its exact input is Fungi's named reuse.
+// segment's output under its exact input is Fungi's named reuse. The
+// FullCache policy, the comparator the paper measures its records against,
+// is this memo alone: the same segments, keys and sentinel, no dormancy
+// records.
 //
 // The memo lives only in memory. It is never persisted, holds no pointer
 // into IR, and goes with the state it rides on (a pipeline change, a
@@ -72,7 +75,7 @@ func segmentsOf(infos []passes.Info, policy Policy) ([]segment, []int) {
 	var segs []segment
 	for i := range infos {
 		at[i] = -1
-		if policy != Stateful || infos[i].Module || !infos[i].FunctionLocal {
+		if policy == Stateless || infos[i].Module || !infos[i].FunctionLocal {
 			continue
 		}
 		if n := len(segs); n > 0 && segs[n-1].last == i-1 {
@@ -111,11 +114,6 @@ type replay struct {
 	// pass; cursor is the entry position its function search has reached.
 	quarantined bool
 	cursor      int
-	// nseg is the number of memo entries per function: one per segment, or
-	// one whole-pipeline body under the FullCache policy. restored is the
-	// set of functions whose body the full cache restored (fullcache.go).
-	nseg     int
-	restored map[*ir.Func]bool
 }
 
 // segOut is one function's output key at a segment's end (ok: it has one).
@@ -146,17 +144,16 @@ func (rp *replay) release() {
 	ir.Wipe(rp.entry)
 	ir.Wipe(rp.states)
 	clear(rp.fns[:cap(rp.fns)])
-	clear(rp.restored)
 	rp.entry, rp.states, rp.fns = rp.entry[:0], rp.states[:0], rp.fns[:0]
 }
 
 // begin starts a compile's next memo over the functions entering the
-// pipeline, with nseg entries per function.
-func (rp *replay) begin(funcs []*ir.Func, nseg int) {
-	rp.nseg = nseg
+// pipeline, with one entry per function and segment.
+func (d *Driver) begin(funcs []*ir.Func) {
+	rp := &d.replay
 	rp.entry = append(rp.entry[:0], funcs...)
 	rp.states = ir.Dense(rp.states, len(funcs))
-	rp.ents = ir.Dense(rp.ents, len(funcs)*nseg)
+	rp.ents = ir.Dense(rp.ents, len(funcs)*len(d.segs))
 	rp.outs = ir.Dense(rp.outs, len(funcs))
 	rp.buf = rp.buf[:0]
 	rp.touched = true // nothing was keyed yet
@@ -250,7 +247,7 @@ func (d *Driver) leaveFunc(st *UnitState, seg, i int, ss *SlotStats) {
 			return
 		}
 	}
-	rp.ents[sf.pos*rp.nseg+seg] = e
+	rp.ents[sf.pos*len(d.segs)+seg] = e
 }
 
 // commit makes the compile's memo the unit's: one buffer and one index,
@@ -263,7 +260,7 @@ func (d *Driver) commit(st *UnitState) {
 	}
 	for pos, fs := range rp.states {
 		if fs != nil {
-			fs.memo = int32(pos*rp.nseg + 1)
+			fs.memo = int32(pos*len(d.segs) + 1)
 		}
 	}
 	st.memo = memo{buf: slices.Clone(rp.buf), ents: slices.Clone(rp.ents)}

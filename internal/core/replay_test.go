@@ -189,27 +189,32 @@ func TestIDTrap(t *testing.T) {
 }
 
 // TestSampledReplayRuns: a replay the sentinel samples is not taken — the
-// segment runs under the dormancy rules and its output key is checked
-// against the entry's.
+// segment runs (under the dormancy rules, for the stateful policy) and its
+// output key is checked against the entry's. Both reuse policies replay
+// through the same segments, so the full cache's replays are sampled too.
 func TestSampledReplayRuns(t *testing.T) {
-	d := newDriver(t, core.Options{Policy: core.Stateful, AuditRate: 1})
-	st, _, err := d.Run(build(t, unitSrc), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := build(t, unitSrc)
-	_, stats, err := d.Run(m, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	audited, unsound := stats.SentinelTotals()
-	if n := replayed(stats); n != 0 || audited == 0 || unsound != 0 {
-		t.Errorf("replayed %d, audited %d, unsound %d; want 0, > 0, 0", n, audited, unsound)
-	}
-	for _, seg := range standardSegments(t) {
-		if last := stats.Slots[seg[1]]; last.Audited < stats.Functions {
-			t.Errorf("slot %d closes a segment and audited %d of %d replays", seg[1], last.Audited, stats.Functions)
-		}
+	for _, policy := range []core.Policy{core.Stateful, core.FullCache} {
+		t.Run(policy.String(), func(t *testing.T) {
+			d := newDriver(t, core.Options{Policy: policy, AuditRate: 1})
+			st, _, err := d.Run(build(t, unitSrc), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := build(t, unitSrc)
+			_, stats, err := d.Run(m, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			audited, unsound := stats.SentinelTotals()
+			if n := replayed(stats); n != 0 || audited == 0 || unsound != 0 {
+				t.Errorf("replayed %d, audited %d, unsound %d; want 0, > 0, 0", n, audited, unsound)
+			}
+			for _, seg := range standardSegments(t) {
+				if last := stats.Slots[seg[1]]; last.Audited < stats.Functions {
+					t.Errorf("slot %d closes a segment and audited %d of %d replays", seg[1], last.Audited, stats.Functions)
+				}
+			}
+		})
 	}
 }
 

@@ -18,8 +18,7 @@ const (
 	ReasonSkippedDormant = "skipped-dormant"
 	// ReasonReplayed: the function's segment input matched the resident
 	// builder's memo, so the slot took its part of the recorded segment
-	// output (replay.go), or the full cache restored its post-pipeline
-	// body (fullcache.go).
+	// output (replay.go).
 	ReasonReplayed = "replayed"
 	// ReasonColdState: no prior observation existed for this slot.
 	ReasonColdState = "cold-state"
@@ -61,8 +60,7 @@ type SlotStats struct {
 	// Skipped counts executions avoided by dormancy records.
 	Skipped int `json:"skipped,omitempty"`
 	// Replayed counts executions avoided by a replay: the function took its
-	// recorded segment output (replay.go) or, under the FullCache policy,
-	// its recorded post-pipeline body (fullcache.go). For a function slot,
+	// recorded segment output (replay.go). For a function slot,
 	// Runs + Skipped + Replayed is the number of functions entering it.
 	Replayed int `json:"replayed,omitempty"`
 
@@ -143,10 +141,6 @@ type Stats struct {
 	// (passes.PruneDeadFuncs): never called, they would only be optimized
 	// for deadfunc to delete.
 	Pruned int
-	// Restored is the number of functions entering the pipeline that took
-	// their recorded post-pipeline body under the FullCache policy (its
-	// hits; Functions - Restored are its misses).
-	Restored int
 }
 
 // Totals sums runs/dormant/skips across slots.
@@ -209,7 +203,6 @@ func (s *Stats) Merge(other *Stats) {
 	s.Hashes += other.Hashes
 	s.Functions += other.Functions
 	s.Pruned += other.Pruned
-	s.Restored += other.Restored
 }
 
 // ByPass aggregates slot stats by pass name (a pass can appear at several

@@ -93,10 +93,6 @@ const (
 	CtrQuarantineEngaged = "quarantine.engaged"
 	CtrQuarantineLifted  = "quarantine.lifted"
 
-	// Full-cache counters.
-	CtrCacheHits   = "fullcache.hits"
-	CtrCacheMisses = "fullcache.misses"
-
 	// Dependency-footprint cross-check counters (internal/footprint,
 	// docs/ROBUSTNESS.md): footprint.checked counts units whose cache
 	// decision was cross-checked against their traced read footprint;
@@ -285,9 +281,6 @@ type PassCounters struct {
 	Audited, Unsound *Counter
 	// Decision-provenance buckets (decision.* counters).
 	DecCold, DecNotDormant, DecFPMismatch, DecPolicy, DecQuarantined *Counter
-	// Full-cache outcomes (fullcache.* counters), per function entering
-	// the pipeline.
-	FullHits, FullMisses *Counter
 }
 
 // Pass resolves the standard pipeline counters (nil-safe: a nil registry
@@ -312,7 +305,5 @@ func (r *Registry) Pass() *PassCounters {
 		DecFPMismatch:  r.Counter(CtrDecFPMismatch),
 		DecPolicy:      r.Counter(CtrDecPolicy),
 		DecQuarantined: r.Counter(CtrDecQuarantined),
-		FullHits:       r.Counter(CtrCacheHits),
-		FullMisses:     r.Counter(CtrCacheMisses),
 	}
 }

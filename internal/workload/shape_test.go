@@ -83,8 +83,8 @@ type shape struct {
 
 // policies are the builders the history runs on: the serial stateless
 // compiler every other policy is held to, the stateful policy on four
-// workers, and the full cache on the default pool (its footprint is one
-// cached body per function, whatever the pool).
+// workers, and the full cache on the default pool (its footprint is each
+// function's segment outputs, whatever the pool).
 var policies = []buildsys.Options{
 	{Mode: compiler.ModeStateless, Workers: 1},
 	{Mode: compiler.ModeStateful, Workers: 4},

@@ -42,7 +42,8 @@ const (
 	// Stateful is the paper's contribution: fingerprint-guarded
 	// dormant-pass skipping.
 	Stateful = compiler.ModeStateful
-	// FullCache is a rustc/Zapcc-style whole-function IR cache comparator.
+	// FullCache is the full-IR caching comparator: segment replay of
+	// optimized IR without dormancy records, kept in memory only.
 	FullCache = compiler.ModeFullCache
 )
 
