@@ -75,11 +75,11 @@ fuzz:
 # history file's end — whatever a crash or another writer left there — and
 # the frontend, on a fresh scratch and on one a file before it left full or
 # stopped mid-way), the optimizer against the unoptimized program, and the skip
-# rule itself (an edit compiled over a warm state, every skip audited, must
-# equal a stateless compile, and so must the edit compiled under fullcache
-# over its own in-memory memo, every replay audited: the burst fuzzes both
-# reuse policies; and an edit of one unit built by resident and
-# per-commit builders must link the stateless program — its inputs are
+# rule itself (an edit compiled under each of the four arms — stateless,
+# dormancy records alone over their state written and read back, segment
+# replay alone and both over their in-memory state — every skip and replay
+# audited, must equal a stateless compile; and an edit of one unit built
+# by resident and per-commit builders must link the stateless program — its inputs are
 # minimized for at most 100 runs, or minimizing one input, each run a dozen
 # builds, takes the whole burst). TestMakefileFuzzesEveryTarget holds this list
 # to the fuzz targets in the tree, TestMakefileRunPatternsMatch every -run
@@ -175,16 +175,18 @@ net-chaos:
 # edit left alone, and history must list both builds. (Each build here is a
 # new process with an empty object cache, so the rebuild compiles main.mc
 # again; a record that leaves a cached unit out is read by the tests.) It
-# first compiles and runs the project through minicc under the full cache
-# with the IR verifier on (minicc's flag is written -run=true, since
-# TestMakefileRunPatternsMatch reads the flag and its next word as a go
-# test pattern).
+# first compiles and runs the project through stateful minicc twice over
+# one state directory with the IR verifier on; the second, warm run audits
+# every skip and fails on an unsound one (minicc's flag is written
+# -run=true, since TestMakefileRunPatternsMatch reads the flag and its next
+# word as a go test pattern).
 smoke:
 	rm -rf $(SMOKEDIR)
 	mkdir -p $(SMOKEDIR)/proj
 	cp examples/project/*.mc $(SMOKEDIR)/proj/
 	$(GO) build -o $(SMOKEDIR)/minicc ./cmd/minicc
-	cd $(SMOKEDIR)/proj && ../minicc -mode fullcache -verify-ir -run=true *.mc
+	cd $(SMOKEDIR)/proj && ../minicc -mode stateful -state-dir st -verify-state -verify-ir -run=true *.mc
+	cd $(SMOKEDIR)/proj && ../minicc -mode stateful -state-dir st -verify-state -verify-ir -run=true *.mc
 	$(GO) build -o $(SMOKEDIR)/minibuild ./cmd/minibuild
 	$(SMOKEDIR)/minibuild -dir $(SMOKEDIR)/proj -mode stateful
 	printf '\n// smoke edit\n' >> $(SMOKEDIR)/proj/math.mc

@@ -23,7 +23,8 @@
 //
 // Within one process the object cache lives in memory; the dormancy state
 // additionally persists to -cache so the *next* invocation's recompiles
-// still skip dormant passes — exactly the paper's deployment model.
+// still skip dormant passes — exactly the paper's deployment model; with
+// nothing to replay, -mode stateful runs the dormancy records alone.
 package main
 
 import (
@@ -37,6 +38,7 @@ import (
 	"statefulcc/internal/buildsys"
 	"statefulcc/internal/cas"
 	"statefulcc/internal/compiler"
+	"statefulcc/internal/core"
 	"statefulcc/internal/obs"
 	"statefulcc/internal/project"
 	"statefulcc/internal/vm"
@@ -101,7 +103,7 @@ func resolveStateDir(dir, cache string) string {
 func runBuild(args []string) error {
 	fs := flag.NewFlagSet("minibuild", flag.ContinueOnError)
 	dir, cache := stateDirFlags(fs)
-	mode := fs.String("mode", "stateful", "compiler policy: stateless|stateful|fullcache")
+	mode := fs.String("mode", "stateful", "compiler policy: stateless|stateful")
 	runProg := fs.Bool("run", false, "execute the built program")
 	showStats := fs.Bool("watch-stats", false, "print pipeline statistics")
 	jobs := fs.Int("j", 0, "parallel compile workers (default GOMAXPROCS)")
@@ -124,6 +126,8 @@ func runBuild(args []string) error {
 	if err != nil {
 		return err
 	}
+	// This process builds each unit once: it would replay nothing.
+	cmode &^= core.Replay
 
 	// Cooperative cancellation: ^C (and an optional -timeout deadline)
 	// aborts the build between pass slots rather than killing the process
@@ -138,7 +142,7 @@ func runBuild(args []string) error {
 	}
 
 	stateDir := resolveStateDir(*dir, *cache)
-	if cmode == compiler.ModeStateful {
+	if cmode&core.Records != 0 {
 		if err := os.MkdirAll(stateDir, 0o755); err != nil {
 			return err
 		}

@@ -41,6 +41,7 @@ import (
 	"statefulcc/internal/buildsys"
 	"statefulcc/internal/cas"
 	"statefulcc/internal/compiler"
+	"statefulcc/internal/core"
 	"statefulcc/internal/history"
 	"statefulcc/internal/obs"
 	"statefulcc/internal/project"
@@ -58,7 +59,7 @@ const (
 func runServe(args []string) error {
 	fs := flag.NewFlagSet("minibuild serve", flag.ContinueOnError)
 	dir, cache := stateDirFlags(fs)
-	mode := fs.String("mode", "stateful", "compiler policy: stateless|stateful|fullcache")
+	mode := fs.String("mode", "stateful", "compiler policy: stateless|stateful")
 	jobs := fs.Int("j", 0, "parallel compile workers (default GOMAXPROCS)")
 	addr := fs.String("addr", "127.0.0.1:8377", "HTTP listen address")
 	interval := fs.Duration("interval", 500*time.Millisecond, "project poll interval")
@@ -239,7 +240,7 @@ func newBuildServerCfg(cfg serveConfig) (*buildServer, error) {
 	}
 	histPath := history.Path(stateDir)
 	casDir := filepath.Join(stateDir, "cas")
-	if cmode != compiler.ModeStateful {
+	if cmode&core.Records == 0 {
 		stateDir = ""
 	}
 

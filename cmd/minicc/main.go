@@ -45,7 +45,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("minicc", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	mode := fs.String("mode", "stateless", "compilation policy: stateless|stateful|fullcache")
+	mode := fs.String("mode", "stateless", "compilation policy: stateless|stateful")
 	stateDir := fs.String("state-dir", "", "directory for persistent dormancy state (stateful mode)")
 	emitIR := fs.Bool("emit-ir", false, "print optimized IR instead of producing a program")
 	emitAsm := fs.Bool("emit-asm", false, "print disassembled bytecode instead of producing a program")
@@ -88,6 +88,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	// Each file compiles once: a segment memo would replay nothing.
+	cmode &^= core.Replay
 	var auditRate float64
 	if *verifyState {
 		auditRate = 1
@@ -104,8 +106,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	// Only dormancy records are persisted: the full cache lives in memory.
-	persist := *stateDir != "" && cmode == compiler.ModeStateful
+	persist := *stateDir != "" && cmode&core.Records != 0
 	var objects []*codegen.Object
 	var unsound []string // "unit: n" for every unit with an unsound skip
 	for _, file := range files {

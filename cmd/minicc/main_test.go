@@ -51,7 +51,9 @@ func minicc(t *testing.T, dir string, args ...string) (string, error) {
 
 // TestVerifyStateMatchesStateless: a stateful compile run twice over one
 // state directory with -verify-state — the second compile skips, and every
-// skip is audited — exits 0, and its IR is the stateless compile's.
+// skip is audited — exits 0, and its IR is the stateless compile's. Each
+// file compiles once in a process, so minicc runs the dormancy records
+// alone: nothing replays.
 func TestVerifyStateMatchesStateless(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "u.mc"), []byte(testSrc), 0o644); err != nil {
@@ -77,8 +79,8 @@ func TestVerifyStateMatchesStateless(t *testing.T) {
 		if i == 1 && ctr[obs.CtrAuditSampled] == 0 {
 			t.Errorf("the warm compile audited no skip: %v", ctr)
 		}
-		if ctr[obs.CtrAuditUnsound] != 0 {
-			t.Errorf("compile %d: %d unsound skips", i+1, ctr[obs.CtrAuditUnsound])
+		if ctr[obs.CtrAuditUnsound] != 0 || ctr[obs.CtrPassReplayed] != 0 {
+			t.Errorf("compile %d: %d unsound skips, %d replayed", i+1, ctr[obs.CtrAuditUnsound], ctr[obs.CtrPassReplayed])
 		}
 	}
 }
@@ -132,36 +134,18 @@ func TestVerifyStateExitsOnUnsoundSkip(t *testing.T) {
 	}
 }
 
-// TestRetiredModeRejected: the policy that skipped without the fingerprint
-// guard is gone; asking for it is an error, not a silent fallback.
+// TestRetiredModeRejected: -mode takes the two product modes only. The
+// policy that skipped without the fingerprint guard is gone, the full-IR
+// cache left with the comparator's name, and the single-bit arms are no
+// product mode: asking for any is an error, not a silent fallback.
 func TestRetiredModeRejected(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "u.mc"), []byte(testSrc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := minicc(t, dir, "-mode", "predictive", "u.mc"); err == nil || !strings.Contains(err.Error(), `unknown mode "predictive"`) {
-		t.Errorf("err = %v, want unknown mode", err)
-	}
-}
-
-// TestFullCacheWritesNoState: only dormancy records are persisted, so a
-// fullcache compile over a state directory writes no state file, and a
-// -verify-ir run over it verifies and runs the program.
-func TestFullCacheWritesNoState(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "u.mc"), []byte(testSrc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := minicc(t, dir, "-mode", "fullcache", "-state-dir", "st", "-verify-ir", "-run", "u.mc"); err != nil {
-			t.Fatalf("compile %d: %v", i+1, err)
+	for _, mode := range []string{"predictive", "fullcache", "records", "replay"} {
+		if _, err := minicc(t, dir, "-mode", mode, "u.mc"); err == nil || !strings.Contains(err.Error(), `unknown mode "`+mode+`"`) {
+			t.Errorf("-mode %s: err = %v, want unknown mode", mode, err)
 		}
-	}
-	files, err := filepath.Glob(filepath.Join(dir, "st", "*.state"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) != 0 {
-		t.Errorf("fullcache wrote state files: %v", files)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"statefulcc"
+	"statefulcc/internal/oracletest"
 )
 
 // e2eExpectations: program name → (expected output fragmentS, expected exit).
@@ -62,7 +63,7 @@ func TestTestdataPrograms(t *testing.T) {
 			}
 			var ref string
 			var refExit int64
-			for i, mode := range []statefulcc.Mode{statefulcc.Stateless, statefulcc.Stateful, statefulcc.FullCache} {
+			for i, mode := range oracletest.Arms {
 				b, err := statefulcc.NewBuilder(statefulcc.BuildOptions{Mode: mode})
 				if err != nil {
 					t.Fatal(err)

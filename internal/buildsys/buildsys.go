@@ -333,10 +333,11 @@ func (b *Builder) fallback(w int) (*compiler.Compiler, error) {
 	return b.fallbacks[w], nil
 }
 
-// statefulMode reports whether the builder's mode keeps per-unit dormancy
-// state (and therefore has something to quarantine).
-func (b *Builder) statefulMode() bool {
-	return b.opts.Mode == compiler.ModeStateful
+// keepsRecords reports whether the builder's policy keeps per-unit
+// dormancy records (and therefore state files, and something to
+// quarantine).
+func (b *Builder) keepsRecords() bool {
+	return b.opts.Mode&core.Records != 0
 }
 
 // Metrics snapshots the builder's counters registry (cumulative across
@@ -354,9 +355,6 @@ func (b *Builder) tlNow() int64 { return time.Since(b.tlEpoch).Nanoseconds() }
 
 // Workers returns the normalized worker count.
 func (b *Builder) Workers() int { return b.opts.Workers }
-
-// Mode returns the builder's compilation policy.
-func (b *Builder) Mode() compiler.Mode { return b.opts.Mode }
 
 // Build compiles the snapshot incrementally: unchanged units come from the
 // object cache, changed units compile concurrently, and the result links
@@ -595,15 +593,15 @@ func (b *Builder) takeWarnings() []string {
 }
 
 // stateBytes reports the retained state footprint: serialized dormancy
-// state for the record-keeping modes, the units' in-memory segment outputs
-// for fullcache.
+// records for a policy that keeps them, the units' in-memory segment
+// outputs for Replay alone.
 func (b *Builder) stateBytes() int {
 	n := 0
 	for _, e := range b.units {
-		if b.opts.Mode == compiler.ModeFullCache {
-			n += e.state.MemoBytes()
-		} else {
+		if b.keepsRecords() {
 			n += e.stateBytes
+		} else {
+			n += e.state.MemoBytes()
 		}
 	}
 	return n

@@ -71,18 +71,18 @@ func newBuilderCAS(store cas.Store, reg *obs.Registry) *builderCAS {
 	return cc
 }
 
-// objectAction derives the unit's object action key. It hashes the honest
-// source bytes directly — a lying ContentHashHook (test-only) can corrupt
-// the local declared channel, never the shared cache.
-func (b *Builder) objectAction(unit string, src []byte) cas.Key {
-	return cas.ActionKey(casObjectDomain, core.StateVersion, cas.BlobFormatVersion,
-		b.opts.Mode.String(), b.opts.Pipeline, unit, src)
-}
-
-// stateAction derives the unit's dormancy-state action key.
-func (b *Builder) stateAction(unit string, src []byte) cas.Key {
-	return cas.ActionKey(casStateDomain, core.StateVersion, cas.BlobFormatVersion,
-		b.opts.Mode.String(), b.opts.Pipeline, unit, src)
+// actionKey derives the unit's action key in domain (casObjectDomain or
+// casStateDomain). It hashes the honest source bytes directly — a lying
+// ContentHashHook (test-only) can corrupt the local declared channel, never
+// the shared cache. Replay changes no byte that leaves the process, so
+// every policy with Records keys as the stateful one: a one-shot client and
+// a resident daemon share a cache.
+func (b *Builder) actionKey(domain, unit string, src []byte) cas.Key {
+	mode := b.opts.Mode
+	if b.keepsRecords() {
+		mode = core.Stateful
+	}
+	return cas.ActionKey(domain, core.StateVersion, cas.BlobFormatVersion, mode.String(), b.opts.Pipeline, unit, src)
 }
 
 // errBlobHeader is a blob whose bytes match its key but whose header names
@@ -186,7 +186,7 @@ func (b *Builder) casFetch(j compileJob, action cas.Key, prev *core.UnitState) (
 	cc.hit.Inc()
 	cc.fetch.Observe(time.Since(start).Nanoseconds())
 	r := unitResult{obj: obj, rec: history.UnitRecord{Cached: true, Remote: true}, ev: obs.UnitEvent{Outcome: obs.OutcomeRemote}}
-	if b.statefulMode() {
+	if b.keepsRecords() {
 		if st := b.casFetchState(j); st != nil {
 			// Persist the adopted state locally so the next process of this
 			// client warms up without the network.
@@ -205,7 +205,7 @@ func (b *Builder) casFetch(j compileJob, action cas.Key, prev *core.UnitState) (
 // traced read sets name the producing client's state paths.
 func (b *Builder) casFetchState(j compileJob) *core.UnitState {
 	cc := b.cas
-	action := b.stateAction(j.name, j.src)
+	action := b.actionKey(casStateDomain, j.name, j.src)
 	blobKey, err := cc.store.ActionGet(action)
 	if err != nil {
 		if errors.Is(err, cas.ErrVerify) {
@@ -251,10 +251,10 @@ func (b *Builder) casPublish(j compileJob, action cas.Key, res *compiler.UnitRes
 	}
 	b.cas.published.Inc()
 
-	if !b.statefulMode() || res.State == nil || res.State.Quarantine != nil {
+	if !b.keepsRecords() || res.State == nil || res.State.Quarantine != nil {
 		return
 	}
-	if call, err := b.cas.put(cas.KindState, b.stateAction(j.name, j.src), j.name, enc); err != nil {
+	if call, err := b.cas.put(cas.KindState, b.actionKey(casStateDomain, j.name, j.src), j.name, enc); err != nil {
 		b.warnf("cas: unit %s: publish state%s: %v (state not shared)", j.name, call, err)
 	}
 }

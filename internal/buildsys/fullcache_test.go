@@ -7,6 +7,7 @@ import (
 
 	"statefulcc/internal/buildsys"
 	"statefulcc/internal/compiler"
+	"statefulcc/internal/core"
 	"statefulcc/internal/obs"
 	"statefulcc/internal/project"
 	"statefulcc/internal/workload"
@@ -27,14 +28,14 @@ func oneUnitEdits(t *testing.T, b *buildsys.Builder, base project.Snapshot) int6
 }
 
 // TestFullCacheHitsIndependentOfWorkers: a unit's segment outputs travel
-// with its job, so after a full fullcache build a one-unit edit replays as
+// with its job, so after a full replay build a one-unit edit replays as
 // many executions on four workers as on one, whichever worker compiled the
 // unit before.
 func TestFullCacheHitsIndependentOfWorkers(t *testing.T) {
 	base := workload.Generate(testProfile(47))
 	hits := map[int]int64{}
 	for _, workers := range []int{1, 4} {
-		b, err := buildsys.NewBuilder(buildsys.Options{Mode: compiler.ModeFullCache, Workers: workers})
+		b, err := buildsys.NewBuilder(buildsys.Options{Mode: core.Replay, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,8 +49,8 @@ func TestFullCacheHitsIndependentOfWorkers(t *testing.T) {
 	}
 }
 
-// TestFullCacheWritesNoState: the full cache lives in memory with each
-// unit, so a fullcache builder with a state directory neither reads the
+// TestFullCacheWritesNoState: the segment memo lives in memory with each
+// unit, so a builder on Replay alone with a state directory neither reads the
 // state files a stateful builder left there nor writes any, while its
 // report counts the segment outputs' bytes and its record rows the
 // replayed executions (explain's rply column).
@@ -65,18 +66,18 @@ func TestFullCacheWritesNoState(t *testing.T) {
 	if len(written) == 0 {
 		t.Fatal("the stateful builder wrote no state file")
 	}
-	b, err := buildsys.NewBuilder(buildsys.Options{Mode: compiler.ModeFullCache, Workers: 2, StateDir: dir})
+	b, err := buildsys.NewBuilder(buildsys.Options{Mode: core.Replay, Workers: 2, StateDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	oneUnitEdits(t, b, base)
 	m := b.Metrics()
 	if m[obs.CtrStateLoads] != 0 || m[obs.CtrStateSaves] != 0 || m[obs.CtrStateSaveUnchanged] != 0 {
-		t.Errorf("fullcache loaded %d state files and saved %d (%d unchanged)",
+		t.Errorf("replay loaded %d state files and saved %d (%d unchanged)",
 			m[obs.CtrStateLoads], m[obs.CtrStateSaves], m[obs.CtrStateSaveUnchanged])
 	}
 	if _, files := stateFiles(t, dir); !maps.EqualFunc(files, written, bytes.Equal) {
-		t.Errorf("fullcache changed the state files: %d after, %d before", len(files), len(written))
+		t.Errorf("replay changed the state files: %d after, %d before", len(files), len(written))
 	}
 	rep := mustBuild(t, b, base)
 	if rep.StateBytes == 0 {

@@ -77,7 +77,7 @@ type compileJob struct {
 	// the driver replays (a state loaded from disk has none).
 	prev *core.UnitState
 	// probeDisk asks the worker to try loading state from StateDir first
-	// (a stateful builder's first compile of this unit in this process).
+	// (a records-keeping builder's first compile of the unit in this process).
 	probeDisk bool
 }
 
@@ -87,14 +87,14 @@ type compileJob struct {
 // return an error; cancellation does not — it leaves holes (zero results)
 // for the caller to detect.
 func (b *Builder) runCompiles(ctx context.Context, jobs []compileJob) ([]unitResult, error) {
-	stateful := b.statefulMode()
+	records := b.keepsRecords()
 	for i := range jobs {
 		j := &jobs[i]
 		if e, ok := b.units[j.name]; ok {
 			j.prev = e.state
-			j.probeDisk = stateful && !e.diskProbed && e.state == nil
+			j.probeDisk = records && !e.diskProbed && e.state == nil
 		} else {
-			j.probeDisk = stateful
+			j.probeDisk = records
 		}
 	}
 
@@ -215,14 +215,14 @@ func (b *Builder) compileOne(ctx context.Context, w int, j compileJob) unitResul
 
 	// A whole-unit quarantine (a pass panicked on this unit) compiles
 	// through the stateless fallback until enough clean builds lift it.
-	if b.statefulMode() && prev != nil && prev.Quarantine.Whole() {
+	if b.keepsRecords() && prev != nil && prev.Quarantine.Whole() {
 		return b.compileQuarantined(ctx, w, tr, j, prev)
 	}
 
 	// Shared cache: try a verified remote fetch before compiling.
 	var action cas.Key // hashed once: the fetch and the publish share it
 	if b.cas != nil {
-		action = b.objectAction(j.name, j.src)
+		action = b.actionKey(casObjectDomain, j.name, j.src)
 		if remote, ok := b.casFetch(j, action, prev); ok {
 			return remote
 		}
@@ -237,7 +237,7 @@ func (b *Builder) compileOne(ctx context.Context, w int, j compileJob) unitResul
 	}
 	fp := b.finishTrace(tr, j, res)
 	var enc []byte
-	if b.statefulMode() {
+	if b.keepsRecords() {
 		b.settleQuarantine(res)
 		res.State.Footprint = fp
 		enc = b.saveUnitState(j.name, res.State)
@@ -324,7 +324,7 @@ func (b *Builder) compileAfterPanic(ctx context.Context, w int, tr *footprint.Tr
 
 	var marker *core.UnitState
 	var enc []byte
-	if b.statefulMode() {
+	if b.keepsRecords() {
 		marker = core.NewUnitState(j.name, b.opts.Pipeline)
 		marker.Quarantine = &core.Quarantine{Reason: core.QuarantinePanic}
 		b.ctr.quarantineEngaged.Inc()

@@ -8,6 +8,7 @@ import (
 
 	"statefulcc/internal/buildsys"
 	"statefulcc/internal/compiler"
+	"statefulcc/internal/core"
 	"statefulcc/internal/obs"
 	"statefulcc/internal/oracletest"
 	"statefulcc/internal/workload"
@@ -15,9 +16,10 @@ import (
 
 // TestResidentStateFilesMatchFreshBuilders: segment replay is in memory
 // only and a replayed slot keeps its dormancy records, so a resident
-// builder — which replays — leaves the same state files as a new builder
-// per commit — which cannot — over a megarepo stream of 32-unit commits,
-// and links the stateless reference's program at every commit.
+// stateful builder — which replays — leaves the same state files as a new
+// builder per commit on Records alone — what a one-shot minibuild runs —
+// over a megarepo stream of 32-unit commits, and both link the stateless
+// reference's program at every commit.
 func TestResidentStateFilesMatchFreshBuilders(t *testing.T) {
 	base := workload.Generate(workload.MegaProfile())
 	hist := workload.GenerateHistory(base, 32, 4, workload.CommitOptions{Units: 32, EditsPerUnit: 2})
@@ -28,7 +30,7 @@ func TestResidentStateFilesMatchFreshBuilders(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := func() *buildsys.Builder {
-		b, err := buildsys.NewBuilder(buildsys.Options{Mode: compiler.ModeStateful, StateDir: freshDir})
+		b, err := buildsys.NewBuilder(buildsys.Options{Mode: core.Records, StateDir: freshDir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,8 +52,15 @@ func TestResidentStateFilesMatchFreshBuilders(t *testing.T) {
 		if d := ref[i].Diff(rep.Program); d != "" {
 			t.Fatalf("commit %d: resident program differs from the stateless reference: %s", i, d)
 		}
-		if _, err := fresh().Build(snap); err != nil {
+		frep, err := fresh().Build(snap)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if d := ref[i].Diff(frep.Program); d != "" {
+			t.Fatalf("commit %d: fresh program differs from the stateless reference: %s", i, d)
+		}
+		if n := frep.Metrics[obs.CtrPassReplayed]; n != 0 {
+			t.Fatalf("commit %d: a fresh Records builder replayed %d executions", i, n)
 		}
 		files, err := filepath.Glob(filepath.Join(residentDir, "*.state"))
 		if err != nil || len(files) != len(snap) {

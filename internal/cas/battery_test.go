@@ -21,17 +21,18 @@ import (
 	"statefulcc/internal/buildsys"
 	"statefulcc/internal/cas"
 	"statefulcc/internal/compiler"
+	"statefulcc/internal/core"
 	"statefulcc/internal/obs"
 	"statefulcc/internal/oracletest"
 	"statefulcc/internal/workload"
 )
 
-// casClient builds a stateful builder wired to the shared cache at url
+// casClient builds a builder under mode wired to the shared cache at url
 // with its own private state directory.
-func casClient(t *testing.T, url string) *buildsys.Builder {
+func casClient(t *testing.T, url string, mode compiler.Mode) *buildsys.Builder {
 	t.Helper()
 	b, err := buildsys.NewBuilder(buildsys.Options{
-		Mode:     compiler.ModeStateful,
+		Mode:     mode,
 		StateDir: t.TempDir(),
 		CAS:      cas.NewHTTPCAS(url, ""),
 	})
@@ -61,8 +62,11 @@ func TestTwoClientBattery(t *testing.T) {
 				hs := httptest.NewServer(srv.Handler())
 				defer hs.Close()
 
-				clientA := casClient(t, hs.URL)
-				clientB := casClient(t, hs.URL)
+				// A is a resident stateful builder, B runs Records alone,
+				// as a one-shot minibuild does: replay changes no byte
+				// that leaves the process, so both key their actions alike.
+				clientA := casClient(t, hs.URL, compiler.ModeStateful)
+				clientB := casClient(t, hs.URL, core.Records)
 
 				oracletest.Walk(t, stream, oracletest.Reference(t, nil, stream...),
 					oracletest.Candidate{Name: "client A", Build: oracletest.Resident(clientA)},

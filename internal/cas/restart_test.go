@@ -17,6 +17,7 @@ import (
 
 	"statefulcc/internal/buildsys"
 	"statefulcc/internal/cas"
+	"statefulcc/internal/compiler"
 	"statefulcc/internal/obs"
 	"statefulcc/internal/oracletest"
 	"statefulcc/internal/workload"
@@ -58,7 +59,7 @@ func TestServeRestartPersistence(t *testing.T) {
 
 	srv1 := cas.NewServer(cas.NewDiskCAS(dir, nil), cas.ServerOptions{Metrics: obs.NewRegistry()})
 	hs1 := httptest.NewServer(srv1.Handler())
-	clientA := casClient(t, hs1.URL)
+	clientA := casClient(t, hs1.URL, compiler.ModeStateful)
 	for i, snap := range snaps {
 		if _, err := clientA.Build(snap); err != nil {
 			t.Fatalf("commit %d: client A: %v", i, err)
@@ -99,7 +100,7 @@ func TestServeRestartPersistence(t *testing.T) {
 
 	// The two-client battery's contract against the restarted server: B
 	// compiles nothing, ever, and matches the oracle at every commit.
-	clientB := casClient(t, hs2.URL)
+	clientB := casClient(t, hs2.URL, compiler.ModeStateful)
 	oracletest.Walk(t, snaps, oracletest.Reference(t, nil, snaps...), oracletest.Candidate{
 		Name: "client B vs restarted server", Build: oracletest.Resident(clientB),
 		Check: func(i int, rep *buildsys.Report) {

@@ -1,19 +1,14 @@
 // Package compiler is the per-unit compilation facade: frontend (lex,
-// parse, typecheck, lower), the optimization pipeline under one of three
-// policies, and bytecode generation. The build system invokes it the way
-// make/ninja invoke a real compiler.
+// parse, typecheck, lower), the optimization pipeline under a policy, and
+// bytecode generation. The build system invokes it the way make/ninja
+// invoke a real compiler.
 //
-// Policies:
-//
-//   - Stateless — the conventional compiler; the paper's baseline.
-//   - Stateful — the paper's contribution: fingerprint-guarded dormant-pass
-//     skipping driven by persistent per-function records (internal/core).
-//   - FullCache — the full-IR caching comparator: each function's segment
-//     outputs under the exact input that produced them, kept in memory with
-//     the unit's state, and no dormancy records; far more state for a
-//     larger per-function win.
-//
-// A Mode is the pass driver's policy (core.Policy).
+// A Mode is the pass driver's policy (core.Policy), two bits: Records, the
+// paper's dormant-pass skipping driven by persistent per-function records,
+// and Replay, full-IR caching of each function's segment outputs in memory.
+// The product's modes are ModeStateless (neither, the paper's baseline) and
+// ModeStateful (both); a process that compiles each unit once clears
+// Replay, having no memo to replay.
 package compiler
 
 import (
@@ -40,12 +35,12 @@ type Mode = core.Policy
 const (
 	ModeStateless = core.Stateless
 	ModeStateful  = core.Stateful
-	ModeFullCache = core.FullCache
 )
 
-// ParseMode is the inverse of Mode.String, ignoring case.
+// ParseMode is the inverse of Mode.String for the two product modes,
+// ignoring case.
 func ParseMode(s string) (Mode, error) {
-	for m := ModeStateless; m <= ModeFullCache; m++ {
+	for _, m := range []Mode{ModeStateless, ModeStateful} {
 		if strings.EqualFold(s, m.String()) {
 			return m, nil
 		}
@@ -107,12 +102,6 @@ func New(opts Options) (*Compiler, error) {
 	return &Compiler{opts: opts, driver: d}, nil
 }
 
-// Mode returns the compiler's policy.
-func (c *Compiler) Mode() Mode { return c.opts.Mode }
-
-// Pipeline returns the pass list.
-func (c *Compiler) Pipeline() []string { return c.opts.Pipeline }
-
 // Release gives the IR of the last compile's Module back to the
 // compiler's arena, wiped, so that an idle compiler pins none of it. That
 // Module must not be used afterwards.
@@ -136,9 +125,8 @@ type UnitResult struct {
 	// CloneModule copy shares its constants, which does not help). Object,
 	// State and Stats do not point into it and stay valid.
 	Module *ir.Module
-	// State is the updated unit state: the dormancy records and segment
-	// memo (stateful mode) or the segment memo alone (fullcache mode,
-	// whose state is never saved); nil in stateless mode.
+	// State is the updated unit state: the dormancy records (Records) and
+	// the segment memo (Replay); nil in stateless mode.
 	State *core.UnitState
 	// Stats holds pipeline statistics.
 	Stats *core.Stats
@@ -194,10 +182,9 @@ func (fe *frontend) release() {
 	fe.parse.Release()
 }
 
-// CompileUnit compiles one unit from source. Under the stateful policy,
-// st carries the previous build's dormancy records (nil on cold
-// builds) and the updated state is returned in the result; under the
-// fullcache policy, st carries the unit's segment outputs the same way.
+// CompileUnit compiles one unit from source. st carries the previous
+// build's dormancy records (Records) and segment outputs (Replay), nil on
+// cold builds, and the updated state is returned in the result.
 func (c *Compiler) CompileUnit(unitName string, src []byte, st *core.UnitState) (*UnitResult, error) {
 	return c.CompileUnitContext(context.Background(), unitName, src, st)
 }
@@ -240,7 +227,7 @@ func (c *Compiler) CompileUnitContext(ctx context.Context, unitName string, src 
 	if err != nil {
 		return nil, err
 	}
-	if c.opts.Mode != ModeStateless {
+	if c.opts.Mode&(core.Records|core.Replay) != 0 {
 		// Stateless compilation records nothing; returning the empty
 		// state would only make callers persist dead bytes.
 		res.State = newState

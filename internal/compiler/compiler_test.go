@@ -11,13 +11,11 @@ import (
 	"statefulcc/internal/compiler"
 	"statefulcc/internal/core"
 	"statefulcc/internal/ir"
+	"statefulcc/internal/oracletest"
 	"statefulcc/internal/passes"
 	"statefulcc/internal/state"
 	"statefulcc/internal/vm"
 )
-
-// allModes is every compilation policy.
-var allModes = []compiler.Mode{compiler.ModeStateless, compiler.ModeStateful, compiler.ModeFullCache}
 
 const libSrc = `
 var _mode int = 1;
@@ -96,7 +94,7 @@ func TestAllModesAgree(t *testing.T) {
 	}
 	wantOut, wantExit, _ := compileBoth(t, base, map[string]*core.UnitState{})
 
-	for _, mode := range []compiler.Mode{compiler.ModeStateful, compiler.ModeFullCache} {
+	for _, mode := range oracletest.Arms {
 		c, err := compiler.New(compiler.Options{Mode: mode, VerifyIR: true})
 		if err != nil {
 			t.Fatal(err)
@@ -186,7 +184,7 @@ func functionRuns(r *compiler.UnitResult) int {
 // TestFullCacheHitsOnRebuild: an identical rebuild replays every function
 // slot of every function, and an edit runs some again.
 func TestFullCacheHitsOnRebuild(t *testing.T) {
-	c, err := compiler.New(compiler.Options{Mode: compiler.ModeFullCache})
+	c, err := compiler.New(compiler.Options{Mode: core.Replay})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +196,7 @@ func TestFullCacheHitsOnRebuild(t *testing.T) {
 		t.Errorf("cold build replayed %d executions", n)
 	}
 	if r1.State.MemoBytes() == 0 {
-		t.Error("full cache reports zero state")
+		t.Error("replay reports zero state")
 	}
 	r2, err := c.CompileUnit("main.mc", []byte(mainSrc), r1.State)
 	if err != nil {
@@ -232,7 +230,7 @@ func beta(x int) int { return x + 5; }
 func main() int { return alpha(1) + beta(2); }`
 	src2 := strings.Replace(src1, "x * 2", "x * 4", 1)
 
-	c, err := compiler.New(compiler.Options{Mode: compiler.ModeFullCache})
+	c, err := compiler.New(compiler.Options{Mode: core.Replay})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +277,7 @@ func main() int {
 }`
 	srcLive := strings.Replace(srcDead, "if false { _g = 7; }", "if c { _g = 7; }", 1)
 
-	c, err := compiler.New(compiler.Options{Mode: compiler.ModeFullCache})
+	c, err := compiler.New(compiler.Options{Mode: core.Replay})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +333,7 @@ func execUnit(t *testing.T, r *compiler.UnitResult) (string, int64) {
 func TestCancelledCompileAborts(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, mode := range allModes {
+	for _, mode := range oracletest.Arms {
 		c, err := compiler.New(compiler.Options{Mode: mode})
 		if err != nil {
 			t.Fatal(err)
@@ -354,7 +352,7 @@ func TestVerifyIRCatchesABrokenPass(t *testing.T) {
 		entry.Preds = append(entry.Preds, entry)
 	}})
 	defer passes.DisarmFaultHook()
-	for _, mode := range allModes {
+	for _, mode := range oracletest.Arms {
 		c, err := compiler.New(compiler.Options{Mode: mode, VerifyIR: true, Pipeline: []string{"mem2reg", "faulthook"}})
 		if err != nil {
 			t.Fatal(err)
@@ -379,17 +377,20 @@ func TestFrontendErrors(t *testing.T) {
 	}
 }
 
-// TestParseMode: ParseMode inverts Mode.String whatever the case, and names
-// what it cannot parse.
+// TestParseMode: ParseMode inverts Mode.String for the two product modes
+// whatever the case, and names what it cannot parse: the single-bit arms
+// are not product modes, and the retired names are gone.
 func TestParseMode(t *testing.T) {
-	for _, m := range allModes {
+	for _, m := range []compiler.Mode{compiler.ModeStateless, compiler.ModeStateful} {
 		for _, s := range []string{m.String(), strings.ToUpper(m.String())} {
 			if got, err := compiler.ParseMode(s); err != nil || got != m {
 				t.Errorf("ParseMode(%q) = %v, %v; want %v", s, got, err, m)
 			}
 		}
 	}
-	if _, err := compiler.ParseMode("predictive"); err == nil || !strings.Contains(err.Error(), `"predictive"`) {
-		t.Errorf("ParseMode of an unknown mode: %v", err)
+	for _, s := range []string{"fullcache", "records", "replay", "predictive"} {
+		if _, err := compiler.ParseMode(s); err == nil || !strings.Contains(err.Error(), `unknown mode "`+s+`"`) {
+			t.Errorf("ParseMode(%q): %v, want unknown mode", s, err)
+		}
 	}
 }

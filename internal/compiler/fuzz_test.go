@@ -1,18 +1,18 @@
 package compiler_test
 
-// FuzzStatefulEdit fuzzes the skip rule itself: a unit compiled stateful,
-// its state written and read back, then an edit of it compiled with that
-// state must come out exactly as a stateless compile of the edit — with the
-// soundness sentinel checking every skip and finding none unsound — and as
-// the reference that prunes nothing (testutil.CompileUnpruned: both
-// compilers go through the driver, which removes the functions deadfunc
-// would delete before the first pass). The
-// audited compiler compiles the unit before the edit first, so the edit is
-// lowered on a used IR arena, as on a build worker. A fullcache compiler
-// audited at rate 1 compiles the same pair, the edit from the in-memory
-// state of its own first compile, and is held to the same references, so
-// both reuse policies are fuzzed. Under plain `go test` only the seeds
-// run; `make chaos` runs a burst beyond them.
+// FuzzStatefulEdit fuzzes the skip rule itself: under each of the four arms
+// (oracletest.Arms), at AuditRate 1, a unit is compiled and an edit of it
+// is compiled with the state that compile left. The edit must come out
+// exactly as a stateless compile of it — with the soundness sentinel
+// checking every skip and replay and finding none unsound — and as the
+// reference that prunes nothing (testutil.CompileUnpruned: every compiler
+// goes through the driver, which removes the functions deadfunc would
+// delete before the first pass). Records alone takes its state written and
+// read back, as a fresh process loads it; a replaying arm takes the
+// in-memory state, memo and all. Each arm's compiler compiles the unit
+// before the edit, so the edit is lowered on a used IR arena, as on a build
+// worker. Under plain `go test` only the seeds run; `make chaos` runs a
+// burst beyond them.
 
 import (
 	"bytes"
@@ -21,6 +21,8 @@ import (
 
 	"statefulcc/internal/codegen"
 	"statefulcc/internal/compiler"
+	"statefulcc/internal/core"
+	"statefulcc/internal/oracletest"
 	"statefulcc/internal/state"
 	"statefulcc/internal/testutil"
 	"statefulcc/internal/workload"
@@ -82,23 +84,6 @@ func FuzzStatefulEdit(f *testing.F) {
 			return
 		}
 		const unit = "fuzz.mc"
-		warm, err := compiler.New(compiler.Options{Mode: compiler.ModeStateful})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r0, err := warm.CompileUnit(unit, []byte(src0), nil)
-		if err != nil {
-			return // the fuzzer is after the skip rule, not frontend errors
-		}
-		var buf bytes.Buffer
-		if err := state.Encode(&buf, r0.State); err != nil {
-			t.Fatal(err)
-		}
-		st, err := state.DecodeBytes(buf.Bytes())
-		if err != nil {
-			t.Fatalf("the state a compile wrote does not decode: %v", err)
-		}
-
 		oracle, err := compiler.New(compiler.Options{Mode: compiler.ModeStateless})
 		if err != nil {
 			t.Fatal(err)
@@ -107,53 +92,53 @@ func FuzzStatefulEdit(f *testing.F) {
 		if err != nil {
 			return
 		}
-		audited, err := compiler.New(compiler.Options{Mode: compiler.ModeStateful, AuditRate: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := audited.CompileUnit(unit, []byte(src0), nil); err != nil {
-			t.Fatalf("src0 compiled once and failed on a second compiler: %v", err)
-		}
-		got, err := audited.CompileUnit(unit, []byte(src1), st)
-		if err != nil {
-			t.Fatalf("stateful compile failed where stateless did not: %v", err)
-		}
-		// The full cache's memo is never encoded: its compiler replays from
-		// the in-memory state its own src0 compile returned.
-		full, err := compiler.New(compiler.Options{Mode: compiler.ModeFullCache, AuditRate: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		f0, err := full.CompileUnit(unit, []byte(src0), nil)
-		if err != nil {
-			t.Fatalf("src0 compiled stateful and failed under fullcache: %v", err)
-		}
-		gotFull, err := full.CompileUnit(unit, []byte(src1), f0.State)
-		if err != nil {
-			t.Fatalf("fullcache compile failed where stateless did not: %v", err)
+		wantIR, wantDis := want.Module.String(), codegen.DisassembleObject(want.Object)
+		if _, err := oracle.CompileUnit(unit, []byte(src0), nil); err != nil {
+			return // the fuzzer is after the skip rule, not frontend errors
 		}
 		refMod, refObj, err := testutil.CompileUnpruned(unit, src1, nil)
 		if err != nil {
 			t.Fatalf("the unpruned reference failed where the driver did not: %v", err)
 		}
-		for _, r := range []struct {
-			mode string
-			res  *compiler.UnitResult
-		}{{"stateful", got}, {"fullcache", gotFull}} {
-			if _, unsound := r.res.Stats.SentinelTotals(); unsound != 0 {
-				t.Errorf("%s: %d unsound skips or replays\nsrc0:\n%s\nsrc1:\n%s", r.mode, unsound, src0, src1)
+		refIR, refDis := refMod.String(), codegen.DisassembleObject(refObj)
+		for _, mode := range oracletest.Arms {
+			c, err := compiler.New(compiler.Options{Mode: mode, AuditRate: 1})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if g, w := r.res.Module.String(), want.Module.String(); g != w {
-				t.Fatalf("IR differs from stateless\n--- %s ---\n%s\n--- stateless ---\n%s\nsrc0:\n%s\nsrc1:\n%s", r.mode, g, w, src0, src1)
+			r0, err := c.CompileUnit(unit, []byte(src0), nil)
+			if err != nil {
+				t.Fatalf("%v: src0 compiled stateless and failed: %v", mode, err)
 			}
-			if g, w := codegen.DisassembleObject(r.res.Object), codegen.DisassembleObject(want.Object); g != w {
-				t.Fatalf("disassembly differs from stateless\n--- %s ---\n%s\n--- stateless ---\n%s", r.mode, g, w)
+			st := r0.State
+			if mode == core.Records {
+				var buf bytes.Buffer
+				if err := state.Encode(&buf, st); err != nil {
+					t.Fatal(err)
+				}
+				if st, err = state.DecodeBytes(buf.Bytes()); err != nil {
+					t.Fatalf("the state a compile wrote does not decode: %v", err)
+				}
 			}
-			if g, w := r.res.Module.String(), refMod.String(); g != w {
-				t.Fatalf("IR differs from the unpruned reference\n--- %s ---\n%s\n--- unpruned ---\n%s\nsrc0:\n%s\nsrc1:\n%s", r.mode, g, w, src0, src1)
+			got, err := c.CompileUnit(unit, []byte(src1), st)
+			if err != nil {
+				t.Fatalf("%v compile failed where stateless did not: %v", mode, err)
 			}
-			if g, w := codegen.DisassembleObject(r.res.Object), codegen.DisassembleObject(refObj); g != w {
-				t.Fatalf("disassembly differs from the unpruned reference\n--- %s ---\n%s\n--- unpruned ---\n%s", r.mode, g, w)
+			if _, unsound := got.Stats.SentinelTotals(); unsound != 0 {
+				t.Errorf("%v: %d unsound skips or replays\nsrc0:\n%s\nsrc1:\n%s", mode, unsound, src0, src1)
+			}
+			gotIR, gotDis := got.Module.String(), codegen.DisassembleObject(got.Object)
+			if gotIR != wantIR {
+				t.Fatalf("IR differs from stateless\n--- %v ---\n%s\n--- stateless ---\n%s\nsrc0:\n%s\nsrc1:\n%s", mode, gotIR, wantIR, src0, src1)
+			}
+			if gotDis != wantDis {
+				t.Fatalf("disassembly differs from stateless\n--- %v ---\n%s\n--- stateless ---\n%s", mode, gotDis, wantDis)
+			}
+			if gotIR != refIR {
+				t.Fatalf("IR differs from the unpruned reference\n--- %v ---\n%s\n--- unpruned ---\n%s\nsrc0:\n%s\nsrc1:\n%s", mode, gotIR, refIR, src0, src1)
+			}
+			if gotDis != refDis {
+				t.Fatalf("disassembly differs from the unpruned reference\n--- %v ---\n%s\n--- unpruned ---\n%s", mode, gotDis, refDis)
 			}
 		}
 	})

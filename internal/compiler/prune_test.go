@@ -12,6 +12,7 @@ import (
 	"statefulcc/internal/codegen"
 	"statefulcc/internal/compiler"
 	"statefulcc/internal/core"
+	"statefulcc/internal/oracletest"
 	"statefulcc/internal/testutil"
 	"statefulcc/internal/workload"
 )
@@ -22,11 +23,13 @@ type pruneMode struct {
 	opts compiler.Options
 }
 
-var pruneModes = []pruneMode{
-	{"stateless", compiler.Options{Mode: compiler.ModeStateless}},
-	{"stateful", compiler.Options{Mode: compiler.ModeStateful}},
-	{"audited", compiler.Options{Mode: compiler.ModeStateful, AuditRate: 1}},
-	{"fullcache", compiler.Options{Mode: compiler.ModeFullCache}},
+// pruneModes are the four arms, and the stateful one audited at rate 1.
+func pruneModes() []pruneMode {
+	var ms []pruneMode
+	for _, arm := range oracletest.Arms {
+		ms = append(ms, pruneMode{arm.String(), compiler.Options{Mode: arm}})
+	}
+	return append(ms, pruneMode{"audited", compiler.Options{Mode: compiler.ModeStateful, AuditRate: 1}})
 }
 
 // unprunedOutput is the reference: post-pipeline module text and object
@@ -41,7 +44,7 @@ func unprunedOutput(t *testing.T, unit, src string) (string, string) {
 }
 
 // modeCompiler compiles units under one mode, each twice: cold, then with
-// the state (records, segment memo or full cache) the first compile left,
+// the state (records, segment memo or both) the first compile left,
 // so skipping and replay run.
 type modeCompiler struct {
 	c      *compiler.Compiler
@@ -87,7 +90,7 @@ func checkAgainstUnpruned(t *testing.T, units []string, src func(string) string)
 		refs[u] = ref{text, dis}
 	}
 	pruned := map[string]int{}
-	for _, mode := range pruneModes {
+	for _, mode := range pruneModes() {
 		mc := newModeCompiler(t, mode)
 		for round := 0; round < 2; round++ {
 			for _, u := range units {
@@ -106,15 +109,15 @@ func checkAgainstUnpruned(t *testing.T, units []string, src func(string) string)
 			}
 		}
 	}
-	for _, name := range []string{"stateful", "audited", "fullcache"} {
-		if pruned[name] != pruned["stateless"] {
-			t.Fatalf("%s pruned %d functions, stateless %d", name, pruned[name], pruned["stateless"])
+	for name, n := range pruned {
+		if n != pruned["stateless"] {
+			t.Fatalf("%s pruned %d functions, stateless %d", name, n, pruned["stateless"])
 		}
 	}
 	return pruned["stateless"]
 }
 
-// TestEveryModeMatchesTheUnprunedReference holds the four modes to the
+// TestEveryModeMatchesTheUnprunedReference holds the five modes to the
 // unpruned reference over the eight suite profiles and the megarepo.
 func TestEveryModeMatchesTheUnprunedReference(t *testing.T) {
 	profiles := append(workload.StandardSuite(), workload.MegaProfile())

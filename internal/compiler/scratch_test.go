@@ -11,6 +11,8 @@ import (
 
 	"statefulcc/internal/codegen"
 	"statefulcc/internal/compiler"
+	"statefulcc/internal/core"
+	"statefulcc/internal/oracletest"
 	"statefulcc/internal/state"
 	"statefulcc/internal/workload"
 )
@@ -81,9 +83,10 @@ func probeSrc() string {
 // units with the decoy, with a larger one that fails type-checking and with
 // one that fails in the parser after filling part of the frontend arena,
 // and holds each linked program to the one built by a fresh Compiler per
-// unit. Stateful and under the full cache, each unit then compiles again on
-// its in-memory state, so its segments or whole bodies replay through the
-// snapshot tables (the encoder's and the restore's) the decoy left behind.
+// unit, under every arm. Under each arm that keeps state, each unit then
+// compiles again on its in-memory state: its segments replay through the
+// snapshot tables (the encoder's and the restore's) the decoy left behind,
+// or, under Records alone, its dormant passes skip.
 // Run under the race detector (make race) it also shows that no scratch is
 // reachable from two workers.
 func TestDirtyScratchAcrossWorkers(t *testing.T) {
@@ -112,7 +115,7 @@ func TestDirtyScratchAcrossWorkers(t *testing.T) {
 		return c
 	}
 
-	for _, mode := range []compiler.Mode{compiler.ModeStateless, compiler.ModeStateful, compiler.ModeFullCache} {
+	for _, mode := range oracletest.Arms {
 		clean := make([]*codegen.Object, len(names))
 		for i, name := range names {
 			res, err := newCompiler(mode).CompileUnit(name, snap[name], nil)
@@ -153,9 +156,10 @@ func TestDirtyScratchAcrossWorkers(t *testing.T) {
 						}
 						// The unit compiles once more on its in-memory
 						// state after the decoy has dirtied the scratch
-						// again: every segment replays, restored
-						// through the snapshot tables the decoy left full,
-						// and the object must not move.
+						// again: under Replay every segment replays,
+						// restored through the snapshot tables the decoy
+						// left full, under Records alone dormant passes
+						// skip, and the object must not move.
 						if _, err := c.CompileUnit("decoy.mc", decoy, nil); err != nil {
 							t.Errorf("decoy: %v", err)
 						}
@@ -164,12 +168,16 @@ func TestDirtyScratchAcrossWorkers(t *testing.T) {
 							t.Errorf("%s again: %v", names[i], err)
 							continue
 						}
-						replayed := 0
+						replayed, skipped := 0, 0
 						for _, sl := range again.Stats.Slots {
 							replayed += sl.Replayed
+							skipped += sl.Skipped
 						}
-						if replayed == 0 {
+						if mode&core.Replay != 0 && replayed == 0 {
 							t.Errorf("%s again: nothing replayed", names[i])
+						}
+						if mode == core.Records && skipped == 0 {
+							t.Errorf("%s again: nothing skipped", names[i])
 						}
 						objs[i] = again.Object
 					}

@@ -20,8 +20,9 @@ package core
 //  4. A function that enters a segment (a run of function-local slots)
 //     with the exact IR it had in the unit's last in-memory compile takes
 //     that compile's segment output instead of running the segment's
-//     passes (replay.go). The stateful policy does all four; the FullCache
-//     policy, the comparator, does only this one and keeps no records.
+//     passes (replay.go).
+//
+// A policy is two bits: Records does the first three, Replay the fourth.
 //
 // One procedure, runSlot, does the first three for both slot kinds. The one
 // checker of a skip is the soundness sentinel: with probability AuditRate a
@@ -40,32 +41,27 @@ import (
 	"statefulcc/internal/passes"
 )
 
-// Policy selects the skipping strategy.
+// Policy selects the reuse a driver does: a set of two bits.
 type Policy int
 
 // Policies.
 const (
 	// Stateless runs every pass — the conventional compiler baseline.
-	Stateless Policy = iota
-	// Stateful is the paper's fingerprint-guarded dormant-pass skipping.
-	Stateful
-	// FullCache is the full-IR caching comparator: segment replay
-	// (replay.go) without dormancy records.
-	FullCache
+	Stateless Policy = 0
+	// Records is the paper's fingerprint-guarded dormant-pass skipping.
+	Records Policy = 1
+	// Replay is the full-IR caching comparator: segment replay (replay.go).
+	Replay Policy = 2
+	// Stateful does both.
+	Stateful = Records | Replay
 )
 
 // String returns the policy name.
 func (p Policy) String() string {
-	switch p {
-	case Stateless:
-		return "stateless"
-	case Stateful:
-		return "stateful"
-	case FullCache:
-		return "fullcache"
-	default:
+	if p&^Stateful != 0 {
 		return fmt.Sprintf("policy(%d)", int(p))
 	}
+	return [...]string{"stateless", "records", "replay", "stateful"}[p]
 }
 
 // Options configures a Driver.
@@ -113,7 +109,7 @@ type Driver struct {
 	// (passes.PruneDeadFuncs), under every policy.
 	prune bool
 
-	// segs are the pipeline's segments (none under the stateless policy),
+	// segs are the pipeline's segments (none without Replay),
 	// segAt each slot's segment or -1, and replay their working memory
 	// (replay.go).
 	segs   []segment
@@ -131,7 +127,7 @@ func NewDriver(opts Options) (*Driver, error) {
 	if opts.AuditSeed == 0 {
 		opts.AuditSeed = 1
 	}
-	if opts.Policy < Stateless || opts.Policy > FullCache {
+	if opts.Policy&^Stateful != 0 {
 		return nil, fmt.Errorf("core: unknown policy %d", int(opts.Policy))
 	}
 	d := &Driver{opts: opts, auditState: opts.AuditSeed, scratch: &passes.Scratch{}}
@@ -190,9 +186,6 @@ func quarantineFor(st *UnitState, reason string) *Quarantine {
 	return st.Quarantine
 }
 
-// Policy returns the driver's skipping policy.
-func (d *Driver) Policy() Policy { return d.opts.Policy }
-
 // hashCache caches per-function fingerprints across pipeline slots: a
 // skipped or dormant pass leaves the IR unchanged, so its fingerprint flows
 // to the next slot, and only a pass that changed a function (invalidate)
@@ -229,9 +222,9 @@ func (c *hashCache) input(m *ir.Module, f *ir.Func, module bool) uint64 {
 	return c.get(f)
 }
 
-// Run executes the pipeline on m. Under the stateful policy, st supplies
-// and receives dormancy records; it may be nil (or built for another
-// pipeline), in which case a fresh state is created. The (possibly new)
+// Run executes the pipeline on m. st supplies and receives the dormancy
+// records (Records) and segment memo (Replay); it may be nil (or built for
+// another pipeline), in which case a fresh state is created. The (possibly new)
 // state is returned alongside the statistics.
 func (d *Driver) Run(m *ir.Module, st *UnitState) (*UnitState, *Stats, error) {
 	return d.RunContext(context.Background(), m, st)
@@ -404,15 +397,17 @@ func (d *Driver) countStats(stats *Stats) {
 // invalidate and verify; each of those four branches on info.Module.
 func (d *Driver) runSlot(m *ir.Module, f *ir.Func, st *UnitState, slot int, ss *SlotStats, cache *hashCache) error {
 	info := &d.infos[slot]
+	records := d.opts.Policy&Records != 0
 	var rec *Record
 	var seen *bool
-	if info.Module {
+	switch {
+	case !records:
+	case info.Module:
 		rec, seen = &st.ModuleSlots[slot], &st.ModuleSeen[slot]
-	} else {
+	default:
 		fs := st.funcState(f.Name, len(d.infos))
 		rec, seen = &fs.Slots[slot], &fs.Seen[slot]
 	}
-	stateful := d.opts.Policy == Stateful
 	// A function pass that is not function-local reads more than its
 	// function, so no function fingerprint can guard it.
 	eligible := info.Module || info.FunctionLocal
@@ -427,7 +422,7 @@ func (d *Driver) runSlot(m *ir.Module, f *ir.Func, st *UnitState, slot int, ss *
 	haveHash, skip := false, false
 	runReason := &ss.Policy
 	switch {
-	case !stateful:
+	case !records:
 	case st.Quarantined(info.Name):
 		// Quarantined (unit, pass): skipping is suspended; the pass always
 		// runs. Fresh observations are still recorded so trust rebuilds.
@@ -491,7 +486,7 @@ func (d *Driver) runSlot(m *ir.Module, f *ir.Func, st *UnitState, slot int, ss *
 		if !changed {
 			ss.Dormant++
 		}
-		if stateful && eligible {
+		if records && eligible {
 			if changed {
 				*rec = Record{Changed: true}
 			} else {

@@ -24,16 +24,3 @@ func (d *Driver) RecordSegments(m *ir.Module, st *UnitState) {
 	}
 	d.commit(st)
 }
-
-// WithoutReplay is d with no segments: it records and replays nothing,
-// the baseline BenchmarkFreshCompileMega prices recording against.
-func (d *Driver) WithoutReplay() *Driver {
-	n := *d
-	n.segs = nil
-	n.segAt = make([]int, len(d.segAt))
-	for i := range n.segAt {
-		n.segAt[i] = -1
-	}
-	n.replay = replay{}
-	return &n
-}

@@ -8,10 +8,9 @@ package core
 // function, under the exact key of the segment's input (ir.Snapshot). A
 // function that enters a segment with the IR it had last time takes the
 // recorded output instead of running the segment's passes: a deterministic
-// segment's output under its exact input is Fungi's named reuse. The
-// FullCache policy, the comparator the paper measures its records against,
-// is this memo alone: the same segments, keys and sentinel, no dormancy
-// records.
+// segment's output under its exact input is Fungi's named reuse. It is the
+// Replay bit of a policy; Replay alone, with no dormancy records, is the
+// full-IR caching comparator the paper measures its records against.
 //
 // The memo lives only in memory. It is never persisted, holds no pointer
 // into IR, and goes with the state it rides on (a pipeline change, a
@@ -21,7 +20,9 @@ package core
 // inline splices and globalopt constifies is always recomputed; the next
 // segment's key sees it. A replayed slot keeps its dormancy records: they
 // describe the same input, so a resident builder writes the state files a
-// fresh builder would.
+// fresh builder would: replay changes no byte that leaves the process. A
+// process that compiles each unit once cannot replay, so it runs Records
+// alone and records no memo.
 
 import (
 	"slices"
@@ -68,14 +69,14 @@ func (s *UnitState) MemoBytes() int {
 	return len(s.memo.buf) + len(s.memo.ents)*24
 }
 
-// segmentsOf returns the pipeline's segments (nil for a stateless driver)
-// and each slot's segment (-1 for none).
+// segmentsOf returns the pipeline's segments (nil for a policy without
+// Replay) and each slot's segment (-1 for none).
 func segmentsOf(infos []passes.Info, policy Policy) ([]segment, []int) {
 	at := make([]int, len(infos))
 	var segs []segment
 	for i := range infos {
 		at[i] = -1
-		if policy == Stateless || infos[i].Module || !infos[i].FunctionLocal {
+		if policy&Replay == 0 || infos[i].Module || !infos[i].FunctionLocal {
 			continue
 		}
 		if n := len(segs); n > 0 && segs[n-1].last == i-1 {

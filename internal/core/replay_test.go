@@ -8,6 +8,7 @@ import (
 	"statefulcc/internal/core"
 	"statefulcc/internal/fingerprint"
 	"statefulcc/internal/ir"
+	"statefulcc/internal/oracletest"
 	"statefulcc/internal/passes"
 	"statefulcc/internal/state"
 	"statefulcc/internal/workload"
@@ -190,10 +191,13 @@ func TestIDTrap(t *testing.T) {
 
 // TestSampledReplayRuns: a replay the sentinel samples is not taken — the
 // segment runs (under the dormancy rules, for the stateful policy) and its
-// output key is checked against the entry's. Both reuse policies replay
-// through the same segments, so the full cache's replays are sampled too.
+// output key is checked against the entry's. Every replaying arm replays
+// through the same segments, so Replay alone is sampled too.
 func TestSampledReplayRuns(t *testing.T) {
-	for _, policy := range []core.Policy{core.Stateful, core.FullCache} {
+	for _, policy := range oracletest.Arms {
+		if policy&core.Replay == 0 {
+			continue
+		}
 		t.Run(policy.String(), func(t *testing.T) {
 			d := newDriver(t, core.Options{Policy: policy, AuditRate: 1})
 			st, _, err := d.Run(build(t, unitSrc), nil)
@@ -248,13 +252,17 @@ func TestPipelineChangeDropsMemo(t *testing.T) {
 
 // BenchmarkFreshCompileMega compiles every megarepo unit the way a fresh
 // process does — frontend, dormancy records decoded from their encoding
-// (no memo), the pipeline — with recording on ("record") and with the
-// driver's segments taken away ("none"): the difference is what recording
-// costs a compile that cannot replay.
+// (no memo), the pipeline — on the stateful policy, which records the memo
+// ("record"), and on Records alone, which keeps no segments ("none"): the
+// difference is what recording costs a compile that cannot replay.
 func BenchmarkFreshCompileMega(b *testing.B) {
 	snap := workload.Generate(workload.MegaProfile())
 	units := snap.Units()
 	d, err := core.NewDriver(core.Options{Policy: core.Stateful})
+	if err != nil {
+		b.Fatal(err)
+	}
+	records, err := core.NewDriver(core.Options{Policy: core.Records})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -273,7 +281,7 @@ func BenchmarkFreshCompileMega(b *testing.B) {
 	for _, c := range []struct {
 		name string
 		d    *core.Driver
-	}{{"record", d}, {"none", d.WithoutReplay()}} {
+	}{{"record", d}, {"none", records}} {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for j, u := range units {

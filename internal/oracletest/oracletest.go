@@ -19,11 +19,17 @@ import (
 	"statefulcc/internal/buildsys"
 	"statefulcc/internal/codegen"
 	"statefulcc/internal/compiler"
+	"statefulcc/internal/core"
 	"statefulcc/internal/project"
 	"statefulcc/internal/testutil"
 	"statefulcc/internal/vm"
 	"statefulcc/internal/workload"
 )
+
+// Arms are the four policies every battery walks: no reuse, dormancy
+// records alone (the paper's mechanism), segment replay alone (the full-IR
+// caching comparator), and both.
+var Arms = []core.Policy{core.Stateless, core.Records, core.Replay, core.Stateful}
 
 // Stream is the snapshot sequence of one profile × stream kind × seed: the
 // generated base, then commits commits of the stream.

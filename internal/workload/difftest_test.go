@@ -2,8 +2,7 @@ package workload_test
 
 // Wide-seed differential sweep: the strongest whole-system correctness
 // asset. For many random projects and commit histories, the linked program
-// must be identical under the stateless-optimized, stateful, and fullcache
-// compilers, and run; and the stateful compiler's output IR must stay
+// must be identical under every arm (oracletest.Arms), and run; and the stateful compiler's output IR must stay
 // byte-identical to the stateless compiler's throughout the history.
 
 import (
@@ -33,12 +32,8 @@ func TestWideSeedDifferential(t *testing.T) {
 			stream := oracletest.Stream(smallProfile(seed), workload.StreamDefault, seed*7, 5)
 			ref := oracletest.Reference(t, nil, stream...)
 			var cands []oracletest.Candidate
-			for name, mode := range map[string]compiler.Mode{
-				"stateless": compiler.ModeStateless,
-				"stateful":  compiler.ModeStateful,
-				"fullcache": compiler.ModeFullCache,
-			} {
-				cands = append(cands, residentMode(t, name, buildsys.Options{Mode: mode}, oracletest.Runs(t, ref)))
+			for _, mode := range oracletest.Arms {
+				cands = append(cands, residentMode(t, mode.String(), buildsys.Options{Mode: mode}, oracletest.Runs(t, ref)))
 			}
 			oracletest.Walk(t, stream, ref, cands...)
 		})

@@ -5,26 +5,20 @@ package workload_test
 // produce byte-identical bytecode — not just identical behaviour — across a
 // cold build plus five incremental edits (mathkit's first four leave the
 // program as it was). A fresh stateless build of each snapshot is the
-// oracle (oracletest.Reference); stateful, stateful with the soundness
-// sentinel auditing every skip, and fullcache are the candidates whose
-// skipping/caching must be invisible in the final program.
+// oracle (oracletest.Reference); every arm (oracletest.Arms), and stateful
+// with the soundness sentinel auditing every skip, are the candidates whose
+// skipping and replay must be invisible in the final program.
 
 import (
 	"testing"
 
 	"statefulcc/internal/buildsys"
 	"statefulcc/internal/compiler"
+	"statefulcc/internal/core"
 	"statefulcc/internal/oracletest"
 	"statefulcc/internal/project"
 	"statefulcc/internal/workload"
 )
-
-// modeEquivCandidates are the candidate builders compared against stateless.
-var modeEquivCandidates = map[string]buildsys.Options{
-	"stateful":       {Mode: compiler.ModeStateful},
-	"stateful+audit": {Mode: compiler.ModeStateful, AuditRate: 1},
-	"fullcache":      {Mode: compiler.ModeFullCache},
-}
 
 func TestModeEquivalenceSuite(t *testing.T) {
 	profiles := workload.StandardSuite()
@@ -36,34 +30,42 @@ func TestModeEquivalenceSuite(t *testing.T) {
 		t.Run(p.Name, func(t *testing.T) {
 			t.Parallel()
 			stream := oracletest.Stream(p, workload.StreamDefault, p.Seed^0x5eed, 5)
-			var cands []oracletest.Candidate
-			for name, opts := range modeEquivCandidates {
-				cands = append(cands, residentMode(t, name, opts, nil))
+			cands := []oracletest.Candidate{residentMode(t, "stateful+audit",
+				buildsys.Options{Mode: compiler.ModeStateful, AuditRate: 1}, nil)}
+			for _, mode := range oracletest.Arms {
+				cands = append(cands, residentMode(t, mode.String(), buildsys.Options{Mode: mode}, nil))
 			}
 			oracletest.Walk(t, stream, oracletest.Reference(t, nil, stream...), cands...)
 		})
 	}
 }
 
-// TestModeEquivalencePersistedState re-runs the history with stateful
-// builders that persist dormancy records to disk and are recreated between
-// commits — the CLI deployment model, where skips are driven by state
-// written in an earlier process — and still demands byte-identical output.
-// Seven commits: the first program-changing edit of the stream is its
-// seventh.
+// TestModeEquivalencePersistedState re-runs the history with builders of
+// every arm that keeps dormancy records, which persist them to disk and are
+// recreated between commits — the CLI deployment model, where skips are
+// driven by state written in an earlier process — and still demands
+// byte-identical output. Seven commits: the first program-changing edit of
+// the stream is its seventh.
 func TestModeEquivalencePersistedState(t *testing.T) {
 	p := workload.QuickSuite()[0]
 	stream := oracletest.Stream(p, workload.StreamDefault, p.Seed^0xd15c, 7)
-	stateDir := t.TempDir()
-	oracletest.Walk(t, stream, oracletest.Reference(t, nil, stream...), oracletest.Candidate{
-		Name: "persisted-state stateful",
-		Build: func(_ int, snap project.Snapshot) (*buildsys.Report, error) {
-			// Fresh builder per commit: only the on-disk state carries over.
-			b, err := buildsys.NewBuilder(buildsys.Options{Mode: compiler.ModeStateful, StateDir: stateDir})
-			if err != nil {
-				return nil, err
-			}
-			return b.Build(snap)
-		},
-	})
+	var cands []oracletest.Candidate
+	for _, mode := range oracletest.Arms {
+		if mode&core.Records == 0 {
+			continue
+		}
+		stateDir := t.TempDir()
+		cands = append(cands, oracletest.Candidate{
+			Name: "persisted-state " + mode.String(),
+			Build: func(_ int, snap project.Snapshot) (*buildsys.Report, error) {
+				// Fresh builder per commit: only the on-disk state carries over.
+				b, err := buildsys.NewBuilder(buildsys.Options{Mode: mode, StateDir: stateDir})
+				if err != nil {
+					return nil, err
+				}
+				return b.Build(snap)
+			},
+		})
+	}
+	oracletest.Walk(t, stream, oracletest.Reference(t, nil, stream...), cands...)
 }

@@ -15,7 +15,9 @@ import (
 
 	"statefulcc/internal/buildsys"
 	"statefulcc/internal/compiler"
+	"statefulcc/internal/core"
 	"statefulcc/internal/ir"
+	"statefulcc/internal/oracletest"
 	"statefulcc/internal/passes"
 	"statefulcc/internal/project"
 	"statefulcc/internal/vm"
@@ -81,16 +83,6 @@ type shape struct {
 	builds                   map[compiler.Mode][]build // cold build first
 }
 
-// policies are the builders the history runs on: the serial stateless
-// compiler every other policy is held to, the stateful policy on four
-// workers, and the full cache on the default pool (its footprint is each
-// function's segment outputs, whatever the pool).
-var policies = []buildsys.Options{
-	{Mode: compiler.ModeStateless, Workers: 1},
-	{Mode: compiler.ModeStateful, Workers: 4},
-	{Mode: compiler.ModeFullCache},
-}
-
 func measureShape(t *testing.T, p workload.Profile) shape {
 	t.Helper()
 	base := workload.Generate(p)
@@ -130,8 +122,14 @@ func measureShape(t *testing.T, p workload.Profile) shape {
 		prev = commit
 	}
 
+	// The history runs on every arm: the serial stateless compiler every
+	// other arm is held to, and the others on four workers.
 	stateBytes := make(map[compiler.Mode]int)
-	for _, opts := range policies {
+	for _, mode := range oracletest.Arms {
+		opts := buildsys.Options{Mode: mode, Workers: 4}
+		if mode == compiler.ModeStateless {
+			opts.Workers = 1
+		}
 		b, err := buildsys.NewBuilder(opts)
 		if err != nil {
 			t.Fatal(err)
@@ -152,8 +150,8 @@ func measureShape(t *testing.T, p workload.Profile) shape {
 			stateBytes[opts.Mode] = rep.StateBytes
 		}
 	}
-	if sf := stateBytes[compiler.ModeStateful]; sf > 0 {
-		s.stateRatio = float64(stateBytes[compiler.ModeFullCache]) / float64(sf)
+	if rec := stateBytes[core.Records]; rec > 0 {
+		s.stateRatio = float64(stateBytes[core.Replay]) / float64(rec)
 	}
 	return s
 }
@@ -183,10 +181,10 @@ func behavesLike(t *testing.T, s shape, mode compiler.Mode, n int) {
 // four commits of the default shape, to the paper's motivation: at least
 // 30 % of pass executions dormant (F1), a dormant pass still dormant after
 // an edit to its file at least half the time (F2), and full-IR caching
-// keeping at least twice the dormancy records' state (T3). It also checks
-// that every build of the history accounts for each unit once, and that
-// the stateful and full-cache programs, built on a parallel pool, behave
-// as the serial stateless compiler's (T4; F7 for the cold build). Each check
+// (core.Replay) keeping at least twice the dormancy records' state (T3). It
+// also checks that every build of the history accounts for each unit once,
+// and that every arm's programs, built on a parallel pool, behave as the
+// serial stateless compiler's (T4; F7 for the cold build). Each check
 // is named for the test that held it before the table harness was deleted.
 func TestEvaluationShape(t *testing.T) {
 	checks := []struct {
@@ -202,7 +200,7 @@ func TestEvaluationShape(t *testing.T) {
 			t.Logf("%s: observations = %d", s.profile, s.persistence.total)
 		}},
 		{"Table3StateOverhead", func(t *testing.T, s shape) {
-			within(t, s, "fullcache/stateful state bytes", s.stateRatio, 2, math.Inf(1))
+			within(t, s, "replay/records state bytes", s.stateRatio, 2, math.Inf(1))
 		}},
 		{"RunHistoryShapes", func(t *testing.T, s shape) {
 			builds := s.builds[compiler.ModeStateful]
@@ -220,8 +218,9 @@ func TestEvaluationShape(t *testing.T) {
 			}
 		}},
 		{"Table4Correctness", func(t *testing.T, s shape) {
-			behavesLike(t, s, compiler.ModeStateful, 5)
-			behavesLike(t, s, compiler.ModeFullCache, 5)
+			for _, mode := range oracletest.Arms {
+				behavesLike(t, s, mode, 5)
+			}
 		}},
 		{"Figure7Parallelism", func(t *testing.T, s shape) {
 			behavesLike(t, s, compiler.ModeStateful, 1)

@@ -89,7 +89,7 @@ func TestGeneratedDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d unoptimized: %v", seed, err)
 		}
-		for _, mode := range []compiler.Mode{compiler.ModeStateless, compiler.ModeStateful, compiler.ModeFullCache} {
+		for _, mode := range oracletest.Arms {
 			out, exit := buildAndRun(t, snap, mode)
 			if out != refOut || exit != refExit {
 				t.Errorf("seed %d mode %v: behaviour differs\nref:  %q/%d\ngot:  %q/%d",
@@ -144,17 +144,19 @@ func TestEditsChangeSource(t *testing.T) {
 	}
 }
 
-// TestEditedSequenceDifferential runs a commit history under stateful
-// (IR-verifying) and fullcache builders, comparing each linked program and
-// its behaviour with a fresh stateless build's after each commit — the
+// TestEditedSequenceDifferential runs a commit history under an
+// IR-verifying builder of every arm, comparing each linked program and its
+// behaviour with a fresh stateless build's after each commit — the
 // incremental-correctness property end to end. (No edit of the seed-321
 // history reaches the program; seed 708's third does.)
 func TestEditedSequenceDifferential(t *testing.T) {
 	stream := oracletest.Stream(smallProfile(14), workload.StreamDefault, 708, 6)
 	ref := oracletest.Reference(t, nil, stream...)
-	oracletest.Walk(t, stream, ref,
-		residentMode(t, "stateful", buildsys.Options{Mode: compiler.ModeStateful, VerifyIR: true}, oracletest.Runs(t, ref)),
-		residentMode(t, "fullcache", buildsys.Options{Mode: compiler.ModeFullCache}, oracletest.Runs(t, ref)))
+	var cands []oracletest.Candidate
+	for _, mode := range oracletest.Arms {
+		cands = append(cands, residentMode(t, mode.String(), buildsys.Options{Mode: mode, VerifyIR: true}, oracletest.Runs(t, ref)))
+	}
+	oracletest.Walk(t, stream, ref, cands...)
 }
 
 // residentMode is the candidate that builds every commit on one builder

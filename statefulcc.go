@@ -39,12 +39,9 @@ type Mode = compiler.Mode
 const (
 	// Stateless is the conventional compiler (the paper's baseline).
 	Stateless = compiler.ModeStateless
-	// Stateful is the paper's contribution: fingerprint-guarded
-	// dormant-pass skipping.
+	// Stateful is the paper's contribution, fingerprint-guarded
+	// dormant-pass skipping, with in-memory segment replay.
 	Stateful = compiler.ModeStateful
-	// FullCache is the full-IR caching comparator: segment replay of
-	// optimized IR without dormancy records, kept in memory only.
-	FullCache = compiler.ModeFullCache
 )
 
 // Snapshot is a project source tree: unit name → contents.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"statefulcc"
+	"statefulcc/internal/core"
 )
 
 func TestCompileAndLinkAndRun(t *testing.T) {
@@ -128,8 +129,9 @@ func TestPublicPipelines(t *testing.T) {
 func TestPublicModeNames(t *testing.T) {
 	names := map[statefulcc.Mode]string{
 		statefulcc.Stateless: "stateless",
+		core.Records:         "records",
+		core.Replay:          "replay",
 		statefulcc.Stateful:  "stateful",
-		statefulcc.FullCache: "fullcache",
 	}
 	for mode, want := range names {
 		if got := mode.String(); got != want {
