@@ -74,7 +74,10 @@ fuzz:
 # fingerprinter, the cache's keys, blob and wire decoders, the reader of a
 # history file's end — whatever a crash or another writer left there — and
 # the frontend, on a fresh scratch and on one a file before it left full or
-# stopped mid-way), the optimizer against the unoptimized program, and the skip
+# stopped mid-way), the compiler's depth-0 split of a unit into declarations
+# against the parser's (it agrees or declines; a new input is minimized for
+# at most 100 runs, or minimizing the many the splitter's branches turn up
+# takes the whole burst), the optimizer against the unoptimized program, and the skip
 # rule itself (an edit compiled under each of the four arms — stateless,
 # dormancy records alone over their state written and read back, segment
 # replay alone and both over their in-memory state — every skip and replay
@@ -100,6 +103,7 @@ chaos:
 	$(GO) test -run '^$$' -fuzz '^FuzzFrontend$$' -fuzztime 20s ./internal/parser
 	$(GO) test -run '^$$' -fuzz '^FuzzScratchReuse$$' -fuzztime 30s ./internal/parser
 	$(GO) test -run '^$$' -fuzz '^FuzzPipelineDifferential$$' -fuzztime 20s ./internal/passes
+	$(GO) test -run '^$$' -fuzz '^FuzzSplit$$' -fuzztime 20s -fuzzminimizetime 100x ./internal/compiler
 	$(GO) test -run '^$$' -fuzz '^FuzzStatefulEdit$$' -fuzztime 30s ./internal/compiler
 	$(GO) test -run '^$$' -fuzz '^FuzzBuildEdit$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/buildsys
 

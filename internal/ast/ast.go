@@ -109,7 +109,12 @@ type FuncDecl struct {
 	Name    string
 	Params  []*Param
 	Result  TypeExpr // nil for void
-	Body    *BlockStmt
+	// Body is nil when the parser was told to pass over it unread
+	// (parser.Scratch.ParseSkipping).
+	Body *BlockStmt
+	// End is the offset just past the last token of the body the parser
+	// read (its closing brace, when it parsed without error).
+	End source.Pos
 }
 
 // ExternDecl is "extern func name(params) ret?;" — a prototype for a

@@ -3,12 +3,15 @@ package buildsys_test
 import (
 	"bytes"
 	"fmt"
+	"regexp"
+	"strings"
 	"testing"
 
 	"statefulcc/internal/buildsys"
 	"statefulcc/internal/compiler"
 	"statefulcc/internal/oracletest"
 	"statefulcc/internal/project"
+	"statefulcc/internal/testutil"
 	"statefulcc/internal/workload"
 )
 
@@ -52,6 +55,15 @@ func FuzzBuildEdit(f *testing.F) {
 		src := string(base[unit])
 		f.Add(uint8(u), src+"\nfunc fuzz_moved() int { return 1; }\n", src+"\nfunc fuzz_moved(a int) int { return a; }\n")
 		f.Add(uint8(u), src+"\nvar fuzz_gone int = 3;\nfunc fuzz_user() int { return fuzz_gone; }\n", src)
+	}
+
+	// Seeds for what decides a frontend reuse: edits of the declarations
+	// around functions whose bytes stay the same (testutil.DeclEdits), with
+	// an extern of a function another unit defines.
+	for u, unit := range units {
+		for _, e := range testutil.DeclEdits(string(base[unit]), externFor(base, unit)) {
+			f.Add(uint8(u), e[0], e[1])
+		}
 	}
 
 	f.Fuzz(func(t *testing.T, u uint8, src0, src1 string) {
@@ -102,4 +114,24 @@ func FuzzBuildEdit(f *testing.F) {
 			}
 		}
 	})
+}
+
+// publicFunc matches the header of a public function as the generator
+// writes it.
+var publicFunc = regexp.MustCompile(`(?m)^func ([a-z]\w*)(\([^)]*\)(?: int)?) \{`)
+
+// externFor returns an extern declaration of a function another unit of
+// snap defines and unit does not name, so that it resolves at link time.
+func externFor(snap project.Snapshot, unit string) string {
+	for _, other := range snap.Units() {
+		if other == unit {
+			continue
+		}
+		for _, m := range publicFunc.FindAllStringSubmatch(string(snap[other]), -1) {
+			if m[1] != "main" && !strings.Contains(string(snap[unit]), m[1]+"(") {
+				return "extern func " + m[1] + m[2] + ";"
+			}
+		}
+	}
+	return ""
 }

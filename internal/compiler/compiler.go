@@ -24,7 +24,6 @@ import (
 	"statefulcc/internal/obs"
 	"statefulcc/internal/parser"
 	"statefulcc/internal/passes"
-	"statefulcc/internal/source"
 	"statefulcc/internal/types"
 )
 
@@ -140,39 +139,24 @@ type UnitResult struct {
 
 // Frontend runs lex/parse/check/lower on one unit.
 func Frontend(unitName string, src []byte) (*ir.Module, error) {
-	return new(frontend).build(unitName, src)
+	m, _, err := new(frontend).build(unitName, src, nil)
+	return m, err
 }
 
 // frontend is one worker's frontend scratch: the parser's token buffer,
 // list stacks, intern table and AST arena, the checker's tables and symbol
-// memory, the lowering's slot table, block stacks and IR arena. The AST and
-// the checker's tables are the unit's frontend arena: lowering reads them,
-// and they are wiped and returned when it returns, on every path, so that
-// neither a failed unit nor a large one leaves anything for the next. The
-// IR arena holds the returned module's IR until the next unit's lowering or
-// Compiler.Release wipes it, so an idle, released worker pins no unit's AST
-// or IR.
+// memory, the lowering's slot table, block stacks and IR arena, and the
+// memory of frontend reuse (reuse.go). The AST and the checker's tables are
+// the unit's frontend arena: lowering reads them, and they are wiped and
+// returned when it returns, on every path, so that neither a failed unit
+// nor a large one leaves anything for the next. The IR arena holds the
+// returned module's IR until the next unit's lowering or Compiler.Release
+// wipes it, so an idle, released worker pins no unit's AST or IR.
 type frontend struct {
 	parse parser.Scratch
 	check types.Scratch
 	lower irbuild.Scratch
-}
-
-func (fe *frontend) build(unitName string, src []byte) (*ir.Module, error) {
-	defer fe.release()
-	var errs source.ErrorList
-	file := source.NewFile(unitName, src)
-	tree := fe.parse.ParseFile(file, &errs)
-	if errs.HasErrors() {
-		errs.Sort()
-		return nil, fmt.Errorf("%s: %w", unitName, &errs)
-	}
-	info := fe.check.Check(file, tree, &errs)
-	if errs.HasErrors() {
-		errs.Sort()
-		return nil, fmt.Errorf("%s: %w", unitName, &errs)
-	}
-	return fe.lower.Build(unitName, tree, info)
+	reuse reuse
 }
 
 // release wipes the unit's AST and the checker's tables: nothing the
@@ -215,12 +199,17 @@ func (c *Compiler) CompileUnitContext(ctx context.Context, unitName string, src 
 	t0 := now()
 
 	start := now()
-	m, err := c.fe.build(unitName, src)
+	m, fc, err := c.frontend(unitName, src, st)
 	if err != nil {
 		return nil, err
 	}
 	stage(StageFrontend, start, &res.FrontendNS)
 	res.Module = m
+	if pc := c.opts.Obs.PassCtrs(); pc != nil {
+		pc.FuncsLowered.Add(int64(fc.lowered))
+		pc.FuncsReused.Add(int64(fc.reused))
+		pc.BytesLexed.Add(int64(fc.lexed))
+	}
 
 	start = now()
 	newState, stats, err := c.driver.RunContext(ctx, m, st)

@@ -34,7 +34,7 @@ func BenchmarkFrontendMega(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, name := range names {
-			if _, err := fe.build(name, snap[name]); err != nil {
+			if _, _, err := fe.build(name, snap[name], nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -73,7 +73,7 @@ func TestFrontendAllocs(t *testing.T) {
 	ast.Inspect(tree, func(ast.Node) bool { nodes++; return true })
 
 	var fe frontend
-	m, err := fe.build("alloc.mc", src)
+	m, _, err := fe.build("alloc.mc", src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestFrontendAllocs(t *testing.T) {
 		t.Fatalf("work has %d values; the bound below was set for about 200", values)
 	}
 	got := testing.AllocsPerRun(runs, func() {
-		if _, err := fe.build("alloc.mc", src); err != nil {
+		if _, _, err := fe.build("alloc.mc", src, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -107,7 +107,7 @@ func TestFrontendReleasesOnEveryPath(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var fe frontend
-			_, err := fe.build("unit.mc", []byte(tc.src))
+			_, _, err := fe.build("unit.mc", []byte(tc.src), nil)
 			if tc.err == "" && err != nil || tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)) {
 				t.Fatalf("build: %v, want %q", err, tc.err)
 			}

@@ -4,15 +4,17 @@ package compiler_test
 // (oracletest.Arms), at AuditRate 1, a unit is compiled and an edit of it
 // is compiled with the state that compile left. The edit must come out
 // exactly as a stateless compile of it — with the soundness sentinel
-// checking every skip and replay and finding none unsound — and as the
-// reference that prunes nothing (testutil.CompileUnpruned: every compiler
-// goes through the driver, which removes the functions deadfunc would
-// delete before the first pass). Records alone takes its state written and
-// read back, as a fresh process loads it; a replaying arm takes the
-// in-memory state, memo and all. Each arm's compiler compiles the unit
-// before the edit, so the edit is lowered on a used IR arena, as on a build
-// worker. Under plain `go test` only the seeds run; `make chaos` runs a
-// burst beyond them.
+// checking every skip, replay and frontend reuse and finding none unsound —
+// and as the reference that prunes nothing (testutil.CompileUnpruned: every
+// compiler goes through the driver, which removes the functions deadfunc
+// would delete before the first pass). The replaying arms compile at
+// AuditRate 0 as well, where a replay or reuse is taken, not audited. An
+// edit that does not compile must fail with a stateless compile's
+// diagnostics. Records alone takes its state written and read back, as a
+// fresh process loads it; a replaying arm takes the in-memory state, memo
+// and all. Each arm's compiler compiles the unit before the edit, so the
+// edit is lowered on a used IR arena, as on a build worker. Under plain `go
+// test` only the seeds run; `make chaos` runs a burst beyond them.
 
 import (
 	"bytes"
@@ -78,6 +80,13 @@ func FuzzStatefulEdit(f *testing.F) {
 	// stateless compile folds main to a constant.
 	accSrc := `func acc(x int) int { var s int = 0; for var i int = 0; i < 8; i++ { s = s * 3 + x * i - 7; } return s; } func main() int { return acc(3) - 22000; }`
 	f.Add(accSrc, strings.Replace(accSrc, "22000", "22081", 1))
+	// Edits of the declarations around a function whose bytes stay the
+	// same, which decide whether the frontend may reuse it.
+	for _, src := range []string{libSrc, mainSrc} {
+		for _, e := range testutil.DeclEdits(src, "extern func fz_ext(a int) int;") {
+			f.Add(e[0], e[1])
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, src0, src1 string) {
 		if len(src0) > 16<<10 || len(src1) > 16<<10 {
@@ -88,57 +97,76 @@ func FuzzStatefulEdit(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := oracle.CompileUnit(unit, []byte(src1), nil)
-		if err != nil {
-			return
+		var wantIR, wantDis string
+		want, wantErr := oracle.CompileUnit(unit, []byte(src1), nil)
+		if wantErr == nil {
+			wantIR, wantDis = want.Module.String(), codegen.DisassembleObject(want.Object)
 		}
-		wantIR, wantDis := want.Module.String(), codegen.DisassembleObject(want.Object)
 		if _, err := oracle.CompileUnit(unit, []byte(src0), nil); err != nil {
 			return // the fuzzer is after the skip rule, not frontend errors
 		}
-		refMod, refObj, err := testutil.CompileUnpruned(unit, src1, nil)
-		if err != nil {
-			t.Fatalf("the unpruned reference failed where the driver did not: %v", err)
+		var refIR, refDis string
+		if wantErr == nil {
+			refMod, refObj, err := testutil.CompileUnpruned(unit, src1, nil)
+			if err != nil {
+				t.Fatalf("the unpruned reference failed where the driver did not: %v", err)
+			}
+			refIR, refDis = refMod.String(), codegen.DisassembleObject(refObj)
 		}
-		refIR, refDis := refMod.String(), codegen.DisassembleObject(refObj)
 		for _, mode := range oracletest.Arms {
-			c, err := compiler.New(compiler.Options{Mode: mode, AuditRate: 1})
-			if err != nil {
-				t.Fatal(err)
+			// A replaying arm compiles at audit rate 0 too, where a reuse
+			// is taken, not only audited.
+			rates := []float64{1}
+			if mode&core.Replay != 0 {
+				rates = append(rates, 0)
 			}
-			r0, err := c.CompileUnit(unit, []byte(src0), nil)
-			if err != nil {
-				t.Fatalf("%v: src0 compiled stateless and failed: %v", mode, err)
-			}
-			st := r0.State
-			if mode == core.Records {
-				var buf bytes.Buffer
-				if err := state.Encode(&buf, st); err != nil {
+			for _, rate := range rates {
+				c, err := compiler.New(compiler.Options{Mode: mode, AuditRate: rate})
+				if err != nil {
 					t.Fatal(err)
 				}
-				if st, err = state.DecodeBytes(buf.Bytes()); err != nil {
-					t.Fatalf("the state a compile wrote does not decode: %v", err)
+				r0, err := c.CompileUnit(unit, []byte(src0), nil)
+				if err != nil {
+					t.Fatalf("%v: src0 compiled stateless and failed: %v", mode, err)
 				}
-			}
-			got, err := c.CompileUnit(unit, []byte(src1), st)
-			if err != nil {
-				t.Fatalf("%v compile failed where stateless did not: %v", mode, err)
-			}
-			if _, unsound := got.Stats.SentinelTotals(); unsound != 0 {
-				t.Errorf("%v: %d unsound skips or replays\nsrc0:\n%s\nsrc1:\n%s", mode, unsound, src0, src1)
-			}
-			gotIR, gotDis := got.Module.String(), codegen.DisassembleObject(got.Object)
-			if gotIR != wantIR {
-				t.Fatalf("IR differs from stateless\n--- %v ---\n%s\n--- stateless ---\n%s\nsrc0:\n%s\nsrc1:\n%s", mode, gotIR, wantIR, src0, src1)
-			}
-			if gotDis != wantDis {
-				t.Fatalf("disassembly differs from stateless\n--- %v ---\n%s\n--- stateless ---\n%s", mode, gotDis, wantDis)
-			}
-			if gotIR != refIR {
-				t.Fatalf("IR differs from the unpruned reference\n--- %v ---\n%s\n--- unpruned ---\n%s\nsrc0:\n%s\nsrc1:\n%s", mode, gotIR, refIR, src0, src1)
-			}
-			if gotDis != refDis {
-				t.Fatalf("disassembly differs from the unpruned reference\n--- %v ---\n%s\n--- unpruned ---\n%s", mode, gotDis, refDis)
+				st := r0.State
+				if mode == core.Records {
+					var buf bytes.Buffer
+					if err := state.Encode(&buf, st); err != nil {
+						t.Fatal(err)
+					}
+					if st, err = state.DecodeBytes(buf.Bytes()); err != nil {
+						t.Fatalf("the state a compile wrote does not decode: %v", err)
+					}
+				}
+				got, err := c.CompileUnit(unit, []byte(src1), st)
+				if wantErr != nil {
+					// Diagnostics are a stateless compile's, text and
+					// positions.
+					if err == nil || err.Error() != wantErr.Error() {
+						t.Fatalf("%v at audit rate %v: got error %v\nwant %v\nsrc0:\n%s\nsrc1:\n%s", mode, rate, err, wantErr, src0, src1)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%v compile failed where stateless did not: %v", mode, err)
+				}
+				if _, unsound := got.Stats.SentinelTotals(); unsound != 0 {
+					t.Errorf("%v: %d unsound skips, replays or reuses\nsrc0:\n%s\nsrc1:\n%s", mode, unsound, src0, src1)
+				}
+				gotIR, gotDis := got.Module.String(), codegen.DisassembleObject(got.Object)
+				if gotIR != wantIR {
+					t.Fatalf("IR differs from stateless\n--- %v at audit rate %v ---\n%s\n--- stateless ---\n%s\nsrc0:\n%s\nsrc1:\n%s", mode, rate, gotIR, wantIR, src0, src1)
+				}
+				if gotDis != wantDis {
+					t.Fatalf("disassembly differs from stateless\n--- %v at audit rate %v ---\n%s\n--- stateless ---\n%s", mode, rate, gotDis, wantDis)
+				}
+				if gotIR != refIR {
+					t.Fatalf("IR differs from the unpruned reference\n--- %v ---\n%s\n--- unpruned ---\n%s\nsrc0:\n%s\nsrc1:\n%s", mode, gotIR, refIR, src0, src1)
+				}
+				if gotDis != refDis {
+					t.Fatalf("disassembly differs from the unpruned reference\n--- %v ---\n%s\n--- unpruned ---\n%s", mode, gotDis, refDis)
+				}
 			}
 		}
 	})

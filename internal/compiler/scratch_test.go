@@ -12,6 +12,7 @@ import (
 	"statefulcc/internal/codegen"
 	"statefulcc/internal/compiler"
 	"statefulcc/internal/core"
+	"statefulcc/internal/obs"
 	"statefulcc/internal/oracletest"
 	"statefulcc/internal/state"
 	"statefulcc/internal/workload"
@@ -84,9 +85,10 @@ func probeSrc() string {
 // one that fails in the parser after filling part of the frontend arena,
 // and holds each linked program to the one built by a fresh Compiler per
 // unit, under every arm. Under each arm that keeps state, each unit then
-// compiles again on its in-memory state: its segments replay through the
-// snapshot tables (the encoder's and the restore's) the decoy left behind,
-// or, under Records alone, its dormant passes skip.
+// compiles again on its in-memory state on another worker than the one
+// that compiled it: its functions' frontend is reused and its segments
+// replay through the snapshot tables (the encoder's and the restore's) the
+// decoy left behind, or, under Records alone, its dormant passes skip.
 // Run under the race detector (make race) it also shows that no scratch is
 // reachable from two workers.
 func TestDirtyScratchAcrossWorkers(t *testing.T) {
@@ -107,8 +109,12 @@ func TestDirtyScratchAcrossWorkers(t *testing.T) {
 		}
 		return sha256.Sum256([]byte(codegen.DisassembleProgram(p)))
 	}
-	newCompiler := func(mode compiler.Mode) *compiler.Compiler {
-		c, err := compiler.New(compiler.Options{Mode: mode})
+	newCompiler := func(mode compiler.Mode, reg *obs.Registry) *compiler.Compiler {
+		var sink *obs.Sink
+		if reg != nil {
+			sink = &obs.Sink{Pass: reg.Pass()}
+		}
+		c, err := compiler.New(compiler.Options{Mode: mode, Obs: sink})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +124,7 @@ func TestDirtyScratchAcrossWorkers(t *testing.T) {
 	for _, mode := range oracletest.Arms {
 		clean := make([]*codegen.Object, len(names))
 		for i, name := range names {
-			res, err := newCompiler(mode).CompileUnit(name, snap[name], nil)
+			res, err := newCompiler(mode, nil).CompileUnit(name, snap[name], nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,13 +134,19 @@ func TestDirtyScratchAcrossWorkers(t *testing.T) {
 
 		for _, workers := range []int{1, 2, 4} {
 			objs := make([]*codegen.Object, len(names))
+			states := make([]*core.UnitState, len(names))
+			recorder := make([]int, len(names))
 			queue := make(chan int)
 			var wg sync.WaitGroup
+			compilers := make([]*compiler.Compiler, workers)
+			regs := make([]*obs.Registry, workers)
 			for w := 0; w < workers; w++ {
+				regs[w] = obs.NewRegistry()
+				compilers[w] = newCompiler(mode, regs[w])
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					c := newCompiler(mode)
+					c := compilers[w]
 					for i := range queue {
 						if _, err := c.CompileUnit("decoy.mc", decoy, nil); err != nil {
 							t.Errorf("decoy: %v", err)
@@ -150,36 +162,7 @@ func TestDirtyScratchAcrossWorkers(t *testing.T) {
 							t.Errorf("%s: %v", names[i], err)
 							continue
 						}
-						objs[i] = res.Object
-						if mode == compiler.ModeStateless {
-							continue
-						}
-						// The unit compiles once more on its in-memory
-						// state after the decoy has dirtied the scratch
-						// again: under Replay every segment replays,
-						// restored through the snapshot tables the decoy
-						// left full, under Records alone dormant passes
-						// skip, and the object must not move.
-						if _, err := c.CompileUnit("decoy.mc", decoy, nil); err != nil {
-							t.Errorf("decoy: %v", err)
-						}
-						again, err := c.CompileUnit(names[i], snap[names[i]], res.State)
-						if err != nil {
-							t.Errorf("%s again: %v", names[i], err)
-							continue
-						}
-						replayed, skipped := 0, 0
-						for _, sl := range again.Stats.Slots {
-							replayed += sl.Replayed
-							skipped += sl.Skipped
-						}
-						if mode&core.Replay != 0 && replayed == 0 {
-							t.Errorf("%s again: nothing replayed", names[i])
-						}
-						if mode == core.Records && skipped == 0 {
-							t.Errorf("%s again: nothing skipped", names[i])
-						}
-						objs[i] = again.Object
+						objs[i], states[i], recorder[i] = res.Object, res.State, w
 					}
 				}()
 			}
@@ -190,6 +173,56 @@ func TestDirtyScratchAcrossWorkers(t *testing.T) {
 			wg.Wait()
 			if t.Failed() {
 				return
+			}
+			if mode != compiler.ModeStateless {
+				// Each unit compiles once more on its in-memory state, on
+				// the next worker's compiler (the same one when there is
+				// one), after the decoy has dirtied its scratch again:
+				// under Replay every function's frontend is reused and
+				// every segment replays, restored through the snapshot
+				// tables the decoy left full — a memo recorded by one
+				// worker restored by another — under Records alone dormant
+				// passes skip, and the object must not move.
+				for w := 0; w < workers; w++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						c := compilers[w]
+						for i := range names {
+							if (recorder[i]+1)%workers != w {
+								continue
+							}
+							if _, err := c.CompileUnit("decoy.mc", decoy, nil); err != nil {
+								t.Errorf("decoy: %v", err)
+							}
+							before := regs[w].Snapshot()
+							again, err := c.CompileUnit(names[i], snap[names[i]], states[i])
+							if err != nil {
+								t.Errorf("%s again: %v", names[i], err)
+								continue
+							}
+							after := regs[w].Snapshot()
+							lowered := after[obs.CtrFuncsLowered] - before[obs.CtrFuncsLowered]
+							reused := after[obs.CtrFuncsReused] - before[obs.CtrFuncsReused]
+							replayed, skipped := 0, 0
+							for _, sl := range again.Stats.Slots {
+								replayed += sl.Replayed
+								skipped += sl.Skipped
+							}
+							if mode&core.Replay != 0 && (replayed == 0 || lowered != 0 || reused == 0) {
+								t.Errorf("%s again: %d replayed, %d functions lowered, %d reused; want every function reused", names[i], replayed, lowered, reused)
+							}
+							if mode == core.Records && skipped == 0 {
+								t.Errorf("%s again: nothing skipped", names[i])
+							}
+							objs[i] = again.Object
+						}
+					}()
+				}
+				wg.Wait()
+				if t.Failed() {
+					return
+				}
 			}
 			if got := link(objs); got != want {
 				t.Errorf("%s, %d workers: program differs from the one built on clean scratch", mode, workers)

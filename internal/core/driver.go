@@ -115,6 +115,8 @@ type Driver struct {
 	segs   []segment
 	segAt  []int
 	replay replay
+	// front is what the frontend did for the next Run (frontend.go).
+	front *Front
 }
 
 // NewDriver builds a driver for the configured pipeline.
@@ -149,6 +151,9 @@ func NewDriver(opts Options) (*Driver, error) {
 		}
 	}
 	d.segs, d.segAt = segmentsOf(d.infos, opts.Policy)
+	if len(d.segs) > 0 {
+		d.replay.awaits = make(map[*ir.Func]*memoEntry)
+	}
 	return d, nil
 }
 
@@ -191,8 +196,19 @@ func quarantineFor(st *UnitState, reason string) *Quarantine {
 // to the next slot, and only a pass that changed a function (invalidate)
 // makes the next get hash it again, from scratch.
 type hashCache struct {
-	vals  map[*ir.Func]uint64
-	stats *Stats
+	vals map[*ir.Func]uint64
+	// awaits holds, for a function whose IR is still the output a memo
+	// entry recorded, that entry: the function's next hash is the output's
+	// fingerprint, and the entry keeps it (replay.go). The map is the
+	// driver's, reused from unit to unit.
+	awaits map[*ir.Func]*memoEntry
+	stats  *Stats
+}
+
+// newCache returns a compile's empty hash cache.
+func (d *Driver) newCache(stats *Stats) *hashCache {
+	clear(d.replay.awaits)
+	return &hashCache{vals: make(map[*ir.Func]uint64), awaits: d.replay.awaits, stats: stats}
 }
 
 func (c *hashCache) get(f *ir.Func) uint64 {
@@ -204,14 +220,27 @@ func (c *hashCache) get(f *ir.Func) uint64 {
 	c.stats.HashNS += time.Since(start).Nanoseconds()
 	c.stats.Hashes++
 	c.vals[f] = h
+	if e := c.awaits[f]; e != nil {
+		e.fp, e.hasFP = h, true
+		delete(c.awaits, f)
+	}
 	return h
 }
 
-func (c *hashCache) invalidate(f *ir.Func) { delete(c.vals, f) }
+// await makes e take f's next hash, unless f changes first.
+func (c *hashCache) await(f *ir.Func, e *memoEntry) { c.awaits[f] = e }
+
+func (c *hashCache) invalidate(f *ir.Func) {
+	delete(c.vals, f)
+	delete(c.awaits, f)
+}
 
 // invalidateAll drops every cached hash: a module pass may have changed any
 // function.
-func (c *hashCache) invalidateAll() { clear(c.vals) }
+func (c *hashCache) invalidateAll() {
+	clear(c.vals)
+	clear(c.awaits)
+}
 
 // input fingerprints what a slot's pass reads: its function, or for a
 // module slot the module, assembled from the cached function hashes.
@@ -239,6 +268,13 @@ func (d *Driver) RunContext(ctx context.Context, m *ir.Module, st *UnitState) (*
 	// The scratch keeps its memory from unit to unit, not the unit's IR.
 	defer d.scratch.Release()
 	defer d.replay.release()
+	// Segment 0 is recorded from the memo the frontend restored from, even
+	// when the records are not compatible.
+	var frontAudited, frontUnsound int
+	if len(d.segs) > 0 {
+		frontAudited, frontUnsound = d.recordFront(st, m)
+	}
+	d.front = nil
 	if !st.Compatible(d.opts.Pipeline) {
 		// Quarantine survives a pipeline change: it is keyed by pass name,
 		// and distrust in a pass is not cured by reordering the pipeline.
@@ -254,18 +290,21 @@ func (d *Driver) RunContext(ctx context.Context, m *ir.Module, st *UnitState) (*
 	// whatever its body (and the stateful gain is not credited with it).
 	pruned := 0
 	if d.prune {
-		pruned = passes.PruneDeadFuncs(m)
+		pruned = passes.PruneDeadFuncsBy(m, d.refs)
 	}
 	stats := &Stats{
 		Pipeline:  d.opts.Pipeline,
 		Slots:     make([]SlotStats, len(d.infos)),
 		Functions: len(m.Funcs),
 		Pruned:    pruned,
+
+		FrontAudited: frontAudited,
+		FrontUnsound: frontUnsound,
 	}
 	for i, info := range d.infos {
 		stats.Slots[i].Module = info.Module
 	}
-	cache := &hashCache{vals: make(map[*ir.Func]uint64), stats: stats}
+	cache := d.newCache(stats)
 
 	// The prune set is the functions entering the pipeline: a function the
 	// pipeline itself deletes (deadfunc) reappears in the next build's
@@ -276,7 +315,9 @@ func (d *Driver) RunContext(ctx context.Context, m *ir.Module, st *UnitState) (*
 		live[f.Name] = true
 	}
 	if len(d.segs) > 0 {
-		d.begin(m.Funcs)
+		if err := d.begin(m.Funcs); err != nil {
+			return d.abandon(st, stats, err)
+		}
 	}
 
 	tr := d.opts.Obs.Trace()
@@ -323,7 +364,7 @@ func (d *Driver) RunContext(ctx context.Context, m *ir.Module, st *UnitState) (*
 					break
 				}
 				if last {
-					d.leaveFunc(st, seg, i, ss)
+					d.leaveFunc(st, seg, i, ss, cache)
 				}
 			}
 			if err == nil && last {
@@ -387,8 +428,8 @@ func (d *Driver) countStats(stats *Stats) {
 	pc.DecFPMismatch.Add(int64(tot.FPMismatch))
 	pc.DecPolicy.Add(int64(tot.Policy))
 	pc.DecQuarantined.Add(int64(tot.Quarantined))
-	pc.Audited.Add(int64(tot.Audited))
-	pc.Unsound.Add(int64(tot.Unsound))
+	pc.Audited.Add(int64(tot.Audited + stats.FrontAudited))
+	pc.Unsound.Add(int64(tot.Unsound + stats.FrontUnsound))
 }
 
 // runSlot is the skip decision, the sentinel and the record update of one

@@ -9,16 +9,18 @@ import "statefulcc/internal/ir"
 func (d *Driver) RecordSegments(m *ir.Module, st *UnitState) {
 	defer d.replay.release()
 	st.memo = memo{}
-	cache := &hashCache{vals: map[*ir.Func]uint64{}, stats: &Stats{}}
+	cache := d.newCache(&Stats{})
 	var ss SlotStats
-	d.begin(m.Funcs)
+	if err := d.begin(m.Funcs); err != nil {
+		panic(err)
+	}
 	for seg := range d.segs {
 		d.beginSegment(st, seg)
 		for i, f := range m.Funcs {
 			if _, err := d.enterFunc(st, seg, f, cache); err != nil {
 				panic(err)
 			}
-			d.leaveFunc(st, seg, i, &ss)
+			d.leaveFunc(st, seg, i, &ss, cache)
 		}
 		d.replay.touched = false
 	}

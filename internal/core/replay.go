@@ -22,7 +22,8 @@ package core
 // describe the same input, so a resident builder writes the state files a
 // fresh builder would: replay changes no byte that leaves the process. A
 // process that compiles each unit once cannot replay, so it runs Records
-// alone and records no memo.
+// alone and records no memo. The frontend is the memo's segment 0
+// (frontend.go).
 
 import (
 	"slices"
@@ -35,19 +36,32 @@ import (
 type segment struct{ first, last int }
 
 // memo is a unit's segment outputs. The entries of the function whose
-// FuncState.memo is i+1 are ents[i : i+segments], one per segment.
+// FuncState.memo is i+1 are ents[i : i+segments], one per segment. Segment
+// 0, the frontend's (frontend.go), is the keys of the unit's declarations
+// and, by declaration, fents: a function's post-frontend IR. Every encoding
+// is in buf.
 type memo struct {
-	buf  []byte
-	ents []memoEntry
+	buf     []byte
+	ents    []memoEntry
+	decls   []DeclKey
+	fents   []frontEntry
+	callees []string
 }
 
 // memoEntry is one (function, segment) output: its encoding is
 // buf[off:off+n], recorded from a run on the input keyed in, producing the
-// output keyed out. n == 0 is no entry.
+// output keyed out. n == 0 is no entry. fp is the output's canonical
+// fingerprint (fingerprint.Function) when hasFP: the first slot after the
+// segment that hashed the function computed it, and a replay restores it
+// with the IR, so no slot hashes a replayed function again.
 type memoEntry struct {
-	in, out uint64
-	off, n  uint32
+	in, out, fp uint64
+	off, n      uint32
+	hasFP       bool
 }
+
+// memoEntrySize is a memoEntry's size in memory.
+const memoEntrySize = 32
 
 // entry returns fs's entry for segment seg, or nil.
 func (mm *memo) entry(fs *FuncState, seg int) *memoEntry {
@@ -60,14 +74,24 @@ func (mm *memo) entry(fs *FuncState, seg int) *memoEntry {
 	return nil
 }
 
-// MemoBytes is the size of the unit's segment memo: its encodings and
-// their index. It is in memory only; a state file never holds it.
+// MemoBytes is the size of the unit's segment memo: its encodings, their
+// index, and segment 0's declaration keys. It is in memory only; a state
+// file never holds it.
 func (s *UnitState) MemoBytes() int {
 	if s == nil {
 		return 0
 	}
-	return len(s.memo.buf) + len(s.memo.ents)*24
+	mm := &s.memo
+	return len(mm.buf) + len(mm.ents)*memoEntrySize + len(mm.fents)*frontEntrySize +
+		len(mm.decls)*declKeySize + len(mm.callees)*stringSize
 }
+
+// The sizes in memory of a frontEntry, a DeclKey and a string header.
+const (
+	frontEntrySize = 32
+	declKeySize    = 32
+	stringSize     = 16
+)
 
 // segmentsOf returns the pipeline's segments (nil for a policy without
 // Replay) and each slot's segment (-1 for none).
@@ -111,6 +135,17 @@ type replay struct {
 	// function again.
 	outs    []segOut
 	touched bool
+	// awaits is the hash cache's (driver.go).
+	awaits map[*ir.Func]*memoEntry
+	// front is what the frontend did for the compile in progress, fents
+	// its segment-0 entries by declaration and callees their references,
+	// and seeds the keys of the functions it made, in module order; shells
+	// holds, by entry position, the seed's shell (frontend.go).
+	front   *Front
+	fents   []frontEntry
+	callees []string
+	seeds   []seed
+	shells  []int32
 	// quarantined is set while the segment in progress holds a quarantined
 	// pass; cursor is the entry position its function search has reached.
 	quarantined bool
@@ -142,22 +177,49 @@ type segFunc struct {
 // state.
 func (rp *replay) release() {
 	rp.snap.Release()
+	clear(rp.awaits)
 	ir.Wipe(rp.entry)
 	ir.Wipe(rp.states)
 	clear(rp.fns[:cap(rp.fns)])
-	rp.entry, rp.states, rp.fns = rp.entry[:0], rp.states[:0], rp.fns[:0]
+	clear(rp.seeds[:cap(rp.seeds)])
+	clear(rp.callees[:cap(rp.callees)])
+	rp.entry, rp.states, rp.fns, rp.seeds, rp.callees = rp.entry[:0], rp.states[:0], rp.fns[:0], rp.seeds[:0], rp.callees[:0]
+	rp.front = nil
 }
 
-// begin starts a compile's next memo over the functions entering the
-// pipeline, with one entry per function and segment.
-func (d *Driver) begin(funcs []*ir.Func) {
+// begin goes on with a compile's next memo, which recordFront started,
+// over the functions entering the pipeline, with one entry per function and
+// segment. A function the frontend keyed enters the first segment with that
+// key; nothing else was keyed yet. A shell the frontend left is filled
+// there (enterFunc), or here when a slot outside the segments comes first.
+func (d *Driver) begin(funcs []*ir.Func) error {
 	rp := &d.replay
 	rp.entry = append(rp.entry[:0], funcs...)
 	rp.states = ir.Dense(rp.states, len(funcs))
 	rp.ents = ir.Dense(rp.ents, len(funcs)*len(d.segs))
 	rp.outs = ir.Dense(rp.outs, len(funcs))
-	rp.buf = rp.buf[:0]
-	rp.touched = true // nothing was keyed yet
+	rp.shells = ir.Dense(rp.shells, len(funcs))
+	rp.touched = len(rp.seeds) == 0
+	// Prune removed functions and kept the others' order.
+	k := 0
+	for pos, f := range funcs {
+		for k < len(rp.seeds) && rp.seeds[k].f != f {
+			k++
+		}
+		if k == len(rp.seeds) {
+			break
+		}
+		sd := &rp.seeds[k]
+		rp.outs[pos] = segOut{key: sd.key, nv: sd.nv, nb: sd.nb, ok: true}
+		rp.shells[pos] = sd.shell
+		if sd.shell > 0 && d.segs[0].first > 0 {
+			if err := d.fill(f, sd.shell); err != nil {
+				return err
+			}
+			rp.shells[pos] = 0
+		}
+	}
+	return nil
 }
 
 // beginSegment starts segment seg at its first slot: a segment holding a
@@ -188,13 +250,25 @@ func (d *Driver) enterFunc(st *UnitState, seg int, f *ir.Func, cache *hashCache)
 		sf.pos = rp.cursor
 		rp.states[sf.pos] = fs
 	}
+	// A shell the frontend left takes this segment's recorded output if it
+	// replays and its post-frontend IR if not.
+	var shell int32
+	if sf.pos >= 0 {
+		shell, rp.shells[sf.pos] = rp.shells[sf.pos], 0
+	}
+	var err error
 	if o := &rp.outs[max(sf.pos, 0)]; sf.pos >= 0 && !rp.touched && o.ok &&
 		o.nv == f.NumValues() && o.nb == f.NumBlockIDs() {
 		sf.key, sf.keyed = o.key, true
 	} else {
+		if shell > 0 {
+			if err = d.fill(f, shell); err != nil {
+				return false, err
+			}
+			shell = 0
+		}
 		sf.key, sf.keyed = rp.snap.Key(f)
 	}
-	var err error
 	if e := st.memo.entry(fs, seg); sf.keyed && !rp.quarantined && e != nil && e.in == sf.key {
 		sf.old = *e
 		if d.auditFire() {
@@ -202,11 +276,17 @@ func (d *Driver) enterFunc(st *UnitState, seg int, f *ir.Func, cache *hashCache)
 		} else {
 			rp.snap.RestoreFunc(f, st.memo.buf[e.off:e.off+e.n])
 			cache.invalidate(f)
+			if e.hasFP {
+				cache.vals[f] = e.fp
+			}
 			sf.replayed = true
 			if d.opts.VerifyIR {
 				err = f.Verify()
 			}
 		}
+	}
+	if shell > 0 && !sf.replayed && err == nil {
+		err = d.fill(f, shell)
 	}
 	rp.fns = append(rp.fns, sf)
 	return sf.replayed, err
@@ -214,10 +294,11 @@ func (d *Driver) enterFunc(st *UnitState, seg int, f *ir.Func, cache *hashCache)
 
 // leaveFunc records, at segment seg's last slot and right after the slot
 // ran on it, the i-th function's output in the next memo: a replayed one's
-// recorded bytes, a run's encoding. An audited replay whose output key
+// recorded bytes and fingerprint, a run's encoding and, once a slot has
+// hashed the output, its fingerprint. An audited replay whose output key
 // differs from its entry's is an unsound replay: it is counted on ss and
 // recorded no more.
-func (d *Driver) leaveFunc(st *UnitState, seg, i int, ss *SlotStats) {
+func (d *Driver) leaveFunc(st *UnitState, seg, i int, ss *SlotStats, cache *hashCache) {
 	rp := &d.replay
 	sf := &rp.fns[i]
 	if sf.pos < 0 {
@@ -231,6 +312,7 @@ func (d *Driver) leaveFunc(st *UnitState, seg, i int, ss *SlotStats) {
 	e := memoEntry{in: sf.key, out: sf.old.out, off: uint32(start)}
 	if sf.replayed {
 		rp.buf = append(rp.buf, st.memo.buf[sf.old.off:sf.old.off+sf.old.n]...)
+		e.fp, e.hasFP = sf.old.fp, sf.old.hasFP
 	} else {
 		var ok bool
 		if rp.buf, ok = rp.snap.AppendFunc(rp.buf, sf.f); !ok {
@@ -248,7 +330,14 @@ func (d *Driver) leaveFunc(st *UnitState, seg, i int, ss *SlotStats) {
 			return
 		}
 	}
-	rp.ents[sf.pos*len(d.segs)+seg] = e
+	if !e.hasFP {
+		e.fp, e.hasFP = cache.vals[sf.f]
+	}
+	at := &rp.ents[sf.pos*len(d.segs)+seg]
+	*at = e
+	if !e.hasFP {
+		cache.await(sf.f, at)
+	}
 }
 
 // commit makes the compile's memo the unit's: one buffer and one index,
@@ -265,4 +354,5 @@ func (d *Driver) commit(st *UnitState) {
 		}
 	}
 	st.memo = memo{buf: slices.Clone(rp.buf), ents: slices.Clone(rp.ents)}
+	d.commitFront(&st.memo)
 }

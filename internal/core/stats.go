@@ -141,6 +141,10 @@ type Stats struct {
 	// (passes.PruneDeadFuncs): never called, they would only be optimized
 	// for deadfunc to delete.
 	Pruned int
+	// FrontAudited counts the frontend reuses the soundness sentinel
+	// sampled: the function was lowered anew and its IR checked against the
+	// memo's (frontend.go). FrontUnsound counts those whose IR differed.
+	FrontAudited, FrontUnsound int
 }
 
 // Totals sums runs/dormant/skips across slots.
@@ -160,7 +164,7 @@ func (s *Stats) SentinelTotals() (audited, unsound int) {
 		audited += sl.Audited
 		unsound += sl.Unsound
 	}
-	return
+	return audited + s.FrontAudited, unsound + s.FrontUnsound
 }
 
 // PassTimeNS is the total time spent inside passes.
@@ -203,6 +207,8 @@ func (s *Stats) Merge(other *Stats) {
 	s.Hashes += other.Hashes
 	s.Functions += other.Functions
 	s.Pruned += other.Pruned
+	s.FrontAudited += other.FrontAudited
+	s.FrontUnsound += other.FrontUnsound
 }
 
 // ByPass aggregates slot stats by pass name (a pass can appear at several

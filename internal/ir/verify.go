@@ -10,7 +10,13 @@ import "fmt"
 
 // Verify checks the module's structural invariants, returning the first
 // problem found or nil.
-func (m *Module) Verify() error {
+func (m *Module) Verify() error { return m.VerifySome(nil) }
+
+// VerifySome is Verify with the structural check of the i-th function done
+// only where check[i] is set (nil checks all): a module some of whose
+// functions are restored encodings of IR that was verified when it was made
+// (Snapshot) needs the check of the others only.
+func (m *Module) VerifySome(check []bool) error {
 	names := make(map[string]bool)
 	for _, g := range m.Globals {
 		if names[g.Name] {
@@ -22,11 +28,14 @@ func (m *Module) Verify() error {
 		}
 	}
 	var vt verifyTables // shared by the module's functions
-	for _, f := range m.Funcs {
+	for i, f := range m.Funcs {
 		if names[f.Name] {
 			return fmt.Errorf("module %s: duplicate symbol %s", m.Unit, f.Name)
 		}
 		names[f.Name] = true
+		if check != nil && !check[i] {
+			continue
+		}
 		if err := f.verify(&vt); err != nil {
 			return fmt.Errorf("module %s: %w", m.Unit, err)
 		}

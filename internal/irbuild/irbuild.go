@@ -18,7 +18,11 @@ import (
 )
 
 // Build lowers one checked compilation unit into an IR module.
-// The AST must have passed type checking without errors.
+// The AST must have passed type checking without errors. A function whose
+// body the parser passed over (a nil Body, parser.Scratch.ParseSkipping)
+// is an empty one, with no parameters and no body, in its place in
+// declaration order: the caller fills it with IR it kept from an earlier
+// compile.
 func Build(unit string, tree *ast.File, info *types.Info) (*ir.Module, error) {
 	return new(Scratch).Build(unit, tree, info)
 }
@@ -44,6 +48,9 @@ type Scratch struct {
 	// blocks is the layout of the function being lowered; the function gets
 	// a copy of what RemoveUnreachable leaves of it.
 	blocks []*ir.Block
+	// lowered[i] is set when the module's i-th function was lowered, not
+	// left empty.
+	lowered []bool
 }
 
 // Build is the package-level Build in the worker's scratch. It releases the
@@ -74,14 +81,22 @@ func (s *Scratch) Build(unit string, tree *ast.File, info *types.Info) (*ir.Modu
 	}
 
 	m.Funcs = make([]*ir.Func, 0, len(info.Funcs))
+	s.lowered = s.lowered[:0]
 	for _, fd := range info.Funcs {
+		if fd.Body == nil {
+			m.Funcs = append(m.Funcs, m.NewFunc(fd.Name, nil, ir.TVoid))
+			s.lowered = append(s.lowered, false)
+			continue
+		}
 		fn, err := s.buildFunc(m, fd, info)
 		if err != nil {
 			return nil, err
 		}
 		m.Funcs = append(m.Funcs, fn)
+		s.lowered = append(s.lowered, true)
 	}
-	if err := m.Verify(); err != nil {
+	// An empty function's IR was verified when it was lowered.
+	if err := m.VerifySome(s.lowered); err != nil {
 		return nil, fmt.Errorf("irbuild produced invalid IR: %w", err)
 	}
 	return m, nil

@@ -38,7 +38,21 @@ type Lexer struct {
 	// keepComments controls whether COMMENT tokens are emitted or skipped;
 	// the parser never wants them, but tools may.
 	keepComments bool
+
+	// skips are the ranges still to pass over (Skip).
+	skips []Span
 }
+
+// Span is the byte range [Start, End) of a source.
+type Span struct{ Start, End int }
+
+// Skip makes the lexer pass over the given ranges of the source, which are
+// sorted and disjoint, unread: where a token would start at a range's first
+// byte, the lexer returns one BODY token there and goes on after the range.
+// A range whose first byte is not where a token starts (it lies in a
+// comment, or in another token) is lexed as usual. The lexer keeps spans
+// until it has passed them.
+func (l *Lexer) Skip(spans []Span) { l.skips = spans }
 
 // Option configures a Lexer.
 type Option func(*Lexer)
@@ -93,6 +107,14 @@ func (l *Lexer) Next() Token {
 	for {
 		l.skipSpace()
 		start := l.offset
+		for len(l.skips) > 0 && l.skips[0].Start < start {
+			l.skips = l.skips[1:]
+		}
+		if len(l.skips) > 0 && l.skips[0].Start == start {
+			l.offset = l.skips[0].End
+			l.skips = l.skips[1:]
+			return Token{Kind: token.BODY, Pos: source.Pos(start)}
+		}
 		if l.offset >= len(l.src) {
 			return Token{Kind: token.EOF, Pos: source.Pos(start)}
 		}

@@ -31,6 +31,18 @@ const (
 	// source.
 	CtrFuncsPruned = "pass.funcs_pruned"
 
+	// Frontend counters (updated once per compiled unit by the compiler).
+	// frontend.funcs_lowered counts the functions the frontend lexed,
+	// parsed, checked and lowered; frontend.funcs_reused the ones whose
+	// declaration it found unchanged since the unit's last compile in the
+	// process, passed over unread and restored from the memo (Replay only);
+	// frontend.bytes_lexed the source bytes the lexer read. Work counters,
+	// deterministic for a given build sequence at audit rate 0 or 1 (a
+	// sampled reuse is lowered).
+	CtrFuncsLowered = "frontend.funcs_lowered"
+	CtrFuncsReused  = "frontend.funcs_reused"
+	CtrBytesLexed   = "frontend.bytes_lexed"
+
 	// Deprecated: the estimate of pass time skipping saved summed a pass-cost
 	// average each dormancy record used to carry. A record is now a
 	// fingerprint and a bit, and nothing registers this counter. It stays
@@ -271,12 +283,15 @@ func (r *Registry) Names() []string {
 	return names
 }
 
-// PassCounters are the pipeline driver's hot-path counters, pre-resolved
-// so the driver updates them without touching the registry.
+// PassCounters are the compile path's hot-path counters — the pipeline
+// driver's and the frontend's — pre-resolved so that a compile updates them
+// without touching the registry.
 type PassCounters struct {
 	Runs, Dormant, Skipped, Replayed, RunNS *Counter
 	Hashes, HashNS                          *Counter
 	FuncsPruned                             *Counter
+	// The frontend's work (frontend.* counters), which the compiler adds.
+	FuncsLowered, FuncsReused, BytesLexed *Counter
 	// Soundness-sentinel totals (audit.* counters).
 	Audited, Unsound *Counter
 	// Decision-provenance buckets (decision.* counters).
@@ -298,6 +313,9 @@ func (r *Registry) Pass() *PassCounters {
 		Hashes:         r.Counter(CtrHashes),
 		HashNS:         r.Counter(CtrHashNS),
 		FuncsPruned:    r.Counter(CtrFuncsPruned),
+		FuncsLowered:   r.Counter(CtrFuncsLowered),
+		FuncsReused:    r.Counter(CtrFuncsReused),
+		BytesLexed:     r.Counter(CtrBytesLexed),
 		Audited:        r.Counter(CtrAuditSampled),
 		Unsound:        r.Counter(CtrAuditUnsound),
 		DecCold:        r.Counter(CtrDecCold),

@@ -89,9 +89,21 @@ func ParseFile(file *source.File, errs *source.ErrorList) *ast.File {
 // cut from the scratch's arena and is valid until the next ParseFile or
 // Release.
 func (s *Scratch) ParseFile(file *source.File, errs *source.ErrorList) *ast.File {
+	return s.ParseSkipping(file, errs, nil)
+}
+
+// ParseSkipping is ParseFile with the function bodies at the given ranges
+// (each from its opening brace to just past its closing one, sorted) passed
+// over unread (lexer.Lexer.Skip): a function whose body the lexer skipped
+// has a nil Body. A range that is not where the lexer finds a token, or
+// one that does not follow a function's header, is no body: the first is
+// lexed as usual, the second is a syntax error.
+func (s *Scratch) ParseSkipping(file *source.File, errs *source.ErrorList, bodies []lexer.Span) *ast.File {
 	s.Release()
 	defer s.clearStacks()
-	s.tokBuf = lexer.New(file, errs).TokenizeInto(s.tokBuf, &s.names)
+	lx := lexer.New(file, errs)
+	lx.Skip(bodies)
+	s.tokBuf = lx.TokenizeInto(s.tokBuf, &s.names)
 	p := &Parser{mem: s, file: file, toks: s.tokBuf, errs: errs}
 	return p.parseFile()
 }
@@ -228,7 +240,14 @@ func (p *Parser) parseFuncDecl() *ast.FuncDecl {
 	if p.at(token.INTTYPE) || p.at(token.BOOLTYPE) || p.at(token.LBRACK) {
 		fn.Result = p.parseType()
 	}
+	if p.at(token.BODY) {
+		p.advance() // a body passed over unread: Body stays nil
+		return fn
+	}
 	fn.Body = p.parseBlock()
+	if p.pos > 0 {
+		fn.End = p.toks[p.pos-1].Pos + 1
+	}
 	return fn
 }
 

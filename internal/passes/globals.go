@@ -243,7 +243,32 @@ func (*DeadFunc) RunModule(m *ir.Module) bool {
 //
 // A dead function naming a private global is kept even when nothing calls
 // it: a store it holds blocks constification until globalopt runs.
-func PruneDeadFuncs(m *ir.Module) int {
+func PruneDeadFuncs(m *ir.Module) int { return PruneDeadFuncsBy(m, nil) }
+
+// RefsOf appends to calls the callee of every call f makes, in order, and
+// reports whether f names a private global of m: what PruneDeadFuncs reads
+// of a function.
+func RefsOf(m *ir.Module, f *ir.Func, calls []string) ([]string, bool) {
+	private := false
+	f.ForEachValue(func(v *ir.Value) {
+		switch v.Op {
+		case ir.OpCall:
+			calls = append(calls, v.Sym)
+		case ir.OpGlobalAddr:
+			if !private {
+				g := m.FindGlobal(v.Sym)
+				private = g != nil && g.Private
+			}
+		}
+	})
+	return calls, private
+}
+
+// PruneDeadFuncsBy is PruneDeadFuncs with what it reads of some functions
+// given: refs(i), when it reports ok, returns RefsOf(m, m.Funcs[i]) as they
+// were, and the function's body is not read (it may have none yet). A nil
+// refs reads every body.
+func PruneDeadFuncsBy(m *ir.Module, refs func(i int) (calls []string, private, ok bool)) int {
 	n := len(m.Funcs)
 	if n == 0 {
 		return 0
@@ -267,22 +292,25 @@ func PruneDeadFuncs(m *ir.Module) int {
 	for i := range root {
 		root[i] = i
 	}
+	var read []string
 	for i, f := range m.Funcs {
-		keep[i] = !f.Private || f.Name == "main"
-		f.ForEachValue(func(v *ir.Value) {
-			switch v.Op {
-			case ir.OpCall:
-				if j, ok := index[v.Sym]; ok {
-					edges = append(edges, edge{i, j})
-					calls[j]++
-					root[find(i)] = find(j)
-				}
-			case ir.OpGlobalAddr:
-				if g := m.FindGlobal(v.Sym); g != nil && g.Private {
-					keep[i] = true
-				}
+		var callees []string
+		private, ok := false, false
+		if refs != nil {
+			callees, private, ok = refs(i)
+		}
+		if !ok {
+			read, private = RefsOf(m, f, read[:0])
+			callees = read
+		}
+		keep[i] = !f.Private || f.Name == "main" || private
+		for _, callee := range callees {
+			if j, ok := index[callee]; ok {
+				edges = append(edges, edge{i, j})
+				calls[j]++
+				root[find(i)] = find(j)
 			}
-		})
+		}
 	}
 	// Peel uncalled functions as deadfunc does; what is left is kept (a
 	// cycle, or called from one).

@@ -6,6 +6,7 @@ package testutil
 
 import (
 	"fmt"
+	"strings"
 
 	"statefulcc/internal/codegen"
 	"statefulcc/internal/ir"
@@ -144,3 +145,56 @@ func work(n int, seed int) int {
 
 func main() int { return work(10, 5); }
 `
+
+// DeclEdits returns (before, after) pairs of a unit that edit declarations
+// other than the function a reuse rule looks at — headers, globals,
+// constants, externs — and edits that leave every function's meaning as it
+// was: comments and reordering. Each pair is src with a block of
+// declarations appended, before and after the edit; extern is an extern
+// declaration that resolves where src is compiled or linked. The fz_
+// functions are called from nowhere outside the block, so it links into
+// any project. Two of the edits do not compile: a redeclaration, and a
+// constant moved after the one that names it.
+func DeclEdits(src, extern string) [][2]string {
+	const (
+		consts = "const fz_k = 3;\nconst fz_j = fz_k + 1;\n"
+		global = "var fz_g int = 5;\n"
+		callee = "func fz_callee(x int) int { return x * fz_k + fz_g; }\n"
+		caller = "func fz_caller(y int) int { return fz_callee(y) + fz_j; }\n"
+		cb     = "func fz_cb(x int) int { return x + fz_k; }\n"
+		user   = "func fz_user(y int) int { fz_cb(y); return y + 2; }\n"
+		lone   = "func fz_lone(z int) int { return z - fz_k; }\n"
+		block  = consts + global + callee + caller + cb + user + lone
+	)
+	before := src + "\n" + block
+	edit := func(old, new string) [2]string {
+		return [2]string{before, src + "\n" + strings.Replace(block, old, new, 1)}
+	}
+	withExtern := src + "\n" + extern + "\n" + block
+	return [][2]string{
+		// A signature changes and its body does not: nothing calls it; a
+		// caller whose bytes stay the same calls a function of another
+		// result type; a caller changes with it.
+		edit("fz_lone(z int) int", "fz_lone(z int, w int) int"),
+		edit(cb, "func fz_cb(x int) bool { return x > fz_k; }\n"),
+		edit(callee+caller, "func fz_callee(x int, v int) int { return x * fz_k + fz_g; }\n"+
+			"func fz_caller(y int) int { return fz_callee(y, y) + fz_j; }\n"),
+		// A global's initializer and a constant's value, both named by
+		// functions whose bytes stay the same.
+		edit(global, "var fz_g int = 6;\n"),
+		edit("const fz_k = 3;", "const fz_k = 4;"),
+		// An extern comes and goes.
+		{before, withExtern},
+		{withExtern, before},
+		// A function declared a second time.
+		edit(lone, lone+"func fz_lone(z int) int { return z; }\n"),
+		// Comments inside a declaration and between two.
+		edit("{ return z - fz_k; }", "{ return z /* } */ - fz_k; }"),
+		edit(caller, "// between fz_callee and fz_caller\n"+caller),
+		// Declarations reordered: two functions, constants after their
+		// users, and a constant after the one it names.
+		edit(caller+cb, cb+caller),
+		edit(consts+global+callee, global+callee+consts),
+		edit(consts, "const fz_j = fz_k + 1;\nconst fz_k = 3;\n"),
+	}
+}

@@ -80,6 +80,11 @@ const (
 	INTTYPE  // int
 	BOOLTYPE // bool
 	keywordEnd
+
+	// BODY stands for a function body the lexer passed over unread, by
+	// offset, when the caller asked it to (lexer.Lexer.Skip): the compiler
+	// reuses that function's lowered body from its last compile.
+	BODY
 )
 
 var names = map[Kind]string{
@@ -140,6 +145,7 @@ var names = map[Kind]string{
 	EXTERN:    "extern",
 	INTTYPE:   "int",
 	BOOLTYPE:  "bool",
+	BODY:      "BODY",
 }
 
 // String returns the token's source spelling for operators and keywords,

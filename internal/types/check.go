@@ -13,6 +13,9 @@ import (
 // Check type-checks one compilation unit. Diagnostics go to errs; the
 // returned Info is usable (for the checked parts) even on error. The tree
 // must come from the parser, which numbers the nodes Info is indexed by.
+// Every top-level declaration is checked, and every function body the tree
+// holds: a function whose body the parser passed over has its signature
+// checked only.
 func Check(file *source.File, tree *ast.File, errs *source.ErrorList) *Info {
 	return new(Scratch).Check(file, tree, errs)
 }
@@ -273,10 +276,13 @@ func (c *checker) checkBodies(tree *ast.File) {
 		if sym == nil {
 			continue // redeclaration; already reported
 		}
+		c.info.Funcs = append(c.info.Funcs, fn)
+		if fn.Body == nil {
+			continue // passed over unread: the compiler reuses its lowering
+		}
 		c.fn = fn
 		c.fnSig = sym.Sig
 		c.loopDepth = 0
-		c.info.Funcs = append(c.info.Funcs, fn)
 
 		outer := c.openScope() // the parameters' scope, which the body may shadow
 		for i, p := range fn.Params {

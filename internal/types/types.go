@@ -160,7 +160,9 @@ const (
 // parser gave the file's expressions and declaring nodes (ast.ExprNode,
 // ast.DeclNode), read through the accessors below.
 type Info struct {
-	// Funcs lists the checked function declarations in source order.
+	// Funcs lists the function declarations in source order: the checked
+	// ones and those whose body the parser passed over (a nil Body), whose
+	// bodies are not checked.
 	Funcs []*ast.FuncDecl
 	// Globals lists global variable symbols in source order.
 	Globals []*Symbol

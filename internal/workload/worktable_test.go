@@ -2,13 +2,18 @@ package workload_test
 
 // The work table: what each of the four arms does over the benchmark's
 // resident edit shapes, in counts, not milliseconds — pass runs, dormancy
-// skips, replays and fingerprint hashes, summed over each build's deltas
-// after a cold build. Counts do not move with the host, so the table holds
-// the design's orderings and equalities, never golden numbers: both reuse
-// bits run no more passes than either bit alone, and either bit no more
-// than stateless; replay is the same with and without records; and a
-// fresh builder per commit (a one-shot process) skips by its records
-// alone, so it does the same work with and without the Replay bit.
+// skips, replays, fingerprint hashes, and the functions the frontend
+// lowered and reused and the source bytes it lexed, summed over each
+// build's deltas after a cold build. Counts do not move with the host, so
+// the table holds the design's orderings and equalities, never golden
+// numbers: both reuse bits run no more passes than either bit alone, and
+// either bit no more than stateless; replay is the same with and without
+// records; a replay carries its fingerprint, so both bits hash at most half
+// of what records alone hash; only a resident builder's replaying arms
+// reuse a function's frontend, and on a wide pull they lower at most 35 %
+// of the functions of the units they compile; and a fresh builder per
+// commit (a one-shot process) skips by its records alone, so it does the
+// same work with and without the Replay bit.
 
 import (
 	"fmt"
@@ -25,7 +30,10 @@ import (
 )
 
 // work is one arm's sums over a stream's commits.
-type work struct{ runs, skipped, replayed, hashes int64 }
+type work struct {
+	runs, skipped, replayed, hashes int64
+	lowered, reused, lexed          int64
+}
 
 // add folds in the counter deltas from before to after.
 func (w *work) add(before, after map[string]int64) {
@@ -33,6 +41,9 @@ func (w *work) add(before, after map[string]int64) {
 	w.skipped += after[obs.CtrPassSkipped] - before[obs.CtrPassSkipped]
 	w.replayed += after[obs.CtrPassReplayed] - before[obs.CtrPassReplayed]
 	w.hashes += after[obs.CtrHashes] - before[obs.CtrHashes]
+	w.lowered += after[obs.CtrFuncsLowered] - before[obs.CtrFuncsLowered]
+	w.reused += after[obs.CtrFuncsReused] - before[obs.CtrFuncsReused]
+	w.lexed += after[obs.CtrBytesLexed] - before[obs.CtrBytesLexed]
 }
 
 // workOf builds base and then every commit under mode, on one resident
@@ -83,7 +94,8 @@ func TestWorkTable(t *testing.T) {
 		{"wide_pull", workload.CommitOptions{Units: 32, EditsPerUnit: 2}},
 	}
 	var table strings.Builder
-	fmt.Fprintf(&table, "%-9s %-8s %-8s %-9s %8s %8s %8s %8s\n", "shape", "seed", "builder", "arm", "runs", "skipped", "replayed", "hashes")
+	fmt.Fprintf(&table, "%-9s %-8s %-8s %-9s %8s %8s %8s %8s %8s %8s %8s\n", "shape", "seed", "builder", "arm",
+		"runs", "skipped", "replayed", "hashes", "lowered", "reused", "lexed")
 	for _, sh := range shapes {
 		for _, seed := range []int64{7, 20240917} {
 			hist := workload.GenerateHistory(base, seed, commits, sh.shape).Commits
@@ -95,8 +107,9 @@ func TestWorkTable(t *testing.T) {
 				w := map[compiler.Mode]work{}
 				for _, mode := range oracletest.Arms {
 					w[mode] = workOf(t, base, hist, mode, fresh)
-					fmt.Fprintf(&table, "%-9s %-8d %-8s %-9v %8d %8d %8d %8d\n", sh.name, seed, builder, mode,
-						w[mode].runs, w[mode].skipped, w[mode].replayed, w[mode].hashes)
+					fmt.Fprintf(&table, "%-9s %-8d %-8s %-9v %8d %8d %8d %8d %8d %8d %8d\n", sh.name, seed, builder, mode,
+						w[mode].runs, w[mode].skipped, w[mode].replayed, w[mode].hashes,
+						w[mode].lowered, w[mode].reused, w[mode].lexed)
 				}
 				at := fmt.Sprintf("%s, seed %d, %s", sh.name, seed, builder)
 				both, rec, rep, none := w[core.Stateful], w[core.Records], w[core.Replay], w[core.Stateless]
@@ -107,7 +120,31 @@ func TestWorkTable(t *testing.T) {
 				if both.replayed != rep.replayed {
 					t.Errorf("%s: stateful replayed %d, replay alone %d", at, both.replayed, rep.replayed)
 				}
+				// Every arm compiles the same units, and only a resident
+				// builder's replaying arms reuse a function's frontend.
+				funcs := none.lowered + none.reused
+				for _, mode := range oracletest.Arms {
+					wm := w[mode]
+					if wm.lowered+wm.reused != funcs {
+						t.Errorf("%s: %v lowered %d and reused %d functions, stateless %d in all", at, mode, wm.lowered, wm.reused, funcs)
+					}
+					if (fresh || mode&core.Replay == 0) && wm.reused != 0 {
+						t.Errorf("%s: %v reused %d functions' frontend, want every function lowered", at, mode, wm.reused)
+					}
+				}
 				if !fresh {
+					// A replay restores its output's fingerprint, so both
+					// bits hash little beyond the functions that ran.
+					if 2*both.hashes > rec.hashes {
+						t.Errorf("%s: stateful hashed %d times, records alone %d; want at most half", at, both.hashes, rec.hashes)
+					}
+					if sh.name == "wide_pull" {
+						for _, wm := range []work{both, rep} {
+							if 100*wm.lowered > 35*funcs {
+								t.Errorf("%s: a replaying arm lowered %d of %d functions, want at most 35 %%", at, wm.lowered, funcs)
+							}
+						}
+					}
 					continue
 				}
 				if rec.skipped == 0 {
