@@ -123,7 +123,7 @@ bench-compare:
 
 # bench-resident runs BenchmarkResidentRebuild once: a resident builder's
 # megarepo rebuild with no edit, a 2-unit edit and equal cloned bytes, each
-# reporting hashedB/op (docs/PERFORMANCE.md, "Profiling").
+# reporting hashedB/op and codeReused/op (docs/PERFORMANCE.md, "Profiling").
 bench-resident:
 	$(GO) test -run '^$$' -bench ResidentRebuild -benchtime 1x ./internal/buildsys
 

@@ -66,6 +66,14 @@ func FuzzBuildEdit(f *testing.F) {
 		}
 	}
 
+	// Seeds for what a code reuse rebases: edits before a function whose
+	// final IR stays the same (testutil.CodeEdits).
+	for u, unit := range units {
+		for _, e := range testutil.CodeEdits(string(base[unit])) {
+			f.Add(uint8(u), e[0], e[1])
+		}
+	}
+
 	f.Fuzz(func(t *testing.T, u uint8, src0, src1 string) {
 		if len(src0) > 16<<10 || len(src1) > 16<<10 {
 			return

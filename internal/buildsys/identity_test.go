@@ -289,8 +289,10 @@ func digitToBump(src []byte) int {
 
 // BenchmarkResidentRebuild times a resident stateful builder's rebuild of
 // the megarepo, with hashedB/op the source bytes each build content-hashed,
-// tailReads/op the flight-recorder appends that read the history's end and
-// linkChecked/op the objects the link checked: noedit passes the same
+// tailReads/op the flight-recorder appends that read the history's end,
+// linkChecked/op the objects the link checked and codeReused/op the
+// functions whose code a compile took from the unit's last object: noedit
+// passes the same
 // snapshot again, edit2 alternates between two snapshots that differ in two
 // units, and clone alternates between two copies of equal bytes (what
 // `minibuild serve` passes after re-reading the tree).
@@ -313,17 +315,20 @@ func BenchmarkResidentRebuild(b *testing.B) {
 			}
 			buildHashed(b, builder, base)
 			b.ResetTimer()
-			var hashed, reads, checked int64
+			var hashed, reads, checked, codeReused int64
+			codeReusedCtr := builder.reg.Counter(obs.CtrCodeReused)
 			for i := 0; i < b.N; i++ {
-				r, c := builder.ctr.historyTailReads.Load(), builder.ctr.linkObjectsChecked.Load()
+				r, c, cr := builder.ctr.historyTailReads.Load(), builder.ctr.linkObjectsChecked.Load(), codeReusedCtr.Load()
 				_, n := buildHashed(b, builder, bm.snaps[i%len(bm.snaps)])
 				hashed += n
 				reads += builder.ctr.historyTailReads.Load() - r
 				checked += builder.ctr.linkObjectsChecked.Load() - c
+				codeReused += codeReusedCtr.Load() - cr
 			}
 			b.ReportMetric(float64(hashed)/float64(b.N), "hashedB/op")
 			b.ReportMetric(float64(reads)/float64(b.N), "tailReads/op")
 			b.ReportMetric(float64(checked)/float64(b.N), "linkChecked/op")
+			b.ReportMetric(float64(codeReused)/float64(b.N), "codeReused/op")
 		})
 	}
 }

@@ -8,6 +8,7 @@ package codegen
 
 import (
 	"fmt"
+	"slices"
 
 	"statefulcc/internal/analysis"
 	"statefulcc/internal/ir"
@@ -28,7 +29,7 @@ func Compile(m *ir.Module) (*Object, error) {
 
 // CompileWithOptions lowers a whole module to an object file.
 func CompileWithOptions(m *ir.Module, opts Options) (*Object, error) {
-	return new(Scratch).CompileWithOptions(m, opts)
+	return new(Scratch).CompileWithOptions(m, opts, nil, nil)
 }
 
 // Scratch is one worker's reusable working memory for code generation:
@@ -64,11 +65,15 @@ type Scratch struct {
 // Compile lowers a whole module in the worker's scratch with default
 // options.
 func (s *Scratch) Compile(m *ir.Module) (*Object, error) {
-	return s.CompileWithOptions(m, Options{})
+	return s.CompileWithOptions(m, Options{}, nil, nil)
 }
 
-// CompileWithOptions lowers a whole module in the worker's scratch.
-func (s *Scratch) CompileWithOptions(m *ir.Module, opts Options) (*Object, error) {
+// CompileWithOptions lowers a whole module in the worker's scratch. The
+// i-th function takes the code of prev's function reuse[i] instead when
+// that is not negative (reuse may be nil): the caller vouches that it was
+// generated, under the same options, from IR identical to the i-th
+// function's, IDs included.
+func (s *Scratch) CompileWithOptions(m *ir.Module, opts Options, prev *Object, reuse []int32) (*Object, error) {
 	// The scratch keeps its memory from unit to unit, not the unit's IR.
 	defer func() {
 		s.live.Release()
@@ -86,6 +91,10 @@ func (s *Scratch) CompileWithOptions(m *ir.Module, opts Options) (*Object, error
 	strIdx := make(map[string]int32)
 	obj.Funcs = make([]*FuncCode, 0, len(m.Funcs))
 	for i, f := range m.Funcs {
+		if i < len(reuse) && reuse[i] >= 0 {
+			obj.Funcs = append(obj.Funcs, obj.take(prev, int(reuse[i]), i, strIdx))
+			continue
+		}
 		fc, err := compileFunc(f, obj, i, strIdx, opts, s)
 		if err != nil {
 			return nil, fmt.Errorf("unit %s: %w", m.Unit, err)
@@ -255,14 +264,57 @@ func (c *fnCompiler) slot(v *ir.Value) int32 {
 	panic(fmt.Sprintf("codegen: value %s (%s) has no slot", v, v.Op))
 }
 
-func (c *fnCompiler) internString(s string) int32 {
-	if i, ok := c.strIdx[s]; ok {
+// intern returns s's index in o's string table, adding it when new.
+func (o *Object) intern(s string, strIdx map[string]int32) int32 {
+	if i, ok := strIdx[s]; ok {
 		return i
 	}
-	i := int32(len(c.obj.Strings))
-	c.obj.Strings = append(c.obj.Strings, s)
-	c.strIdx[s] = i
+	i := int32(len(o.Strings))
+	o.Strings = append(o.Strings, s)
+	strIdx[s] = i
 	return i
+}
+
+// take makes prev's function j o's function fn: its call and global
+// relocations are renumbered to fn, and its strings interned in o's table,
+// in code order as code generation interns them. FuncCode is immutable, so
+// the function is shared unless a string's index moved, when a copy of its
+// code takes the new indices.
+func (o *Object) take(prev *Object, j, fn int, strIdx map[string]int32) *FuncCode {
+	fc := prev.Funcs[j]
+	o.Relocs = appendRebased(o.Relocs, prev.Relocs, j, fn)
+	o.GlobalRelocs = appendRebased(o.GlobalRelocs, prev.GlobalRelocs, j, fn)
+	var code []Instr
+	for pc, in := range fc.Code {
+		if (in.Op != IPrint && in.Op != IAssert) || in.Imm < 0 {
+			continue
+		}
+		idx := int64(o.intern(prev.Strings[in.Imm], strIdx))
+		if idx != in.Imm && code == nil {
+			code = slices.Clone(fc.Code)
+		}
+		if code != nil {
+			code[pc].Imm = idx
+		}
+	}
+	if code == nil {
+		return fc
+	}
+	cp := *fc
+	cp.Code = code
+	return &cp
+}
+
+// appendRebased appends src's relocations of function from, in (Func, Pc)
+// order, to dst as function to's.
+func appendRebased(dst, src []Reloc, from, to int) []Reloc {
+	k, _ := slices.BinarySearchFunc(src, from, func(r Reloc, fn int) int { return r.Func - fn })
+	for ; k < len(src) && src[k].Func == from; k++ {
+		r := src[k]
+		r.Func = to
+		dst = append(dst, r)
+	}
+	return dst
 }
 
 // argSlots appends the slots of v's operands to the function's pool and
@@ -315,14 +367,14 @@ func (c *fnCompiler) emitInstr(v *ir.Value) error {
 	case ir.OpPrint:
 		in := Instr{Op: IPrint, Imm: -1}
 		if v.StrAux != "" {
-			in.Imm = int64(c.internString(v.StrAux))
+			in.Imm = int64(c.obj.intern(v.StrAux, c.strIdx))
 		}
 		in.B, in.C = c.argSlots(v)
 		c.emit(in)
 	case ir.OpAssert:
 		in := Instr{Op: IAssert, A: c.slot(v.Args[0]), Imm: -1}
 		if v.StrAux != "" {
-			in.Imm = int64(c.internString(v.StrAux))
+			in.Imm = int64(c.obj.intern(v.StrAux, c.strIdx))
 		}
 		c.emit(in)
 	default:

@@ -225,7 +225,7 @@ func (c *Compiler) CompileUnitContext(ctx context.Context, unitName string, src 
 	stage(StagePasses, start, &res.PassesNS)
 
 	start = now()
-	obj, err := c.cg.Compile(m)
+	obj, err := c.driver.Codegen(&c.cg, m, newState, stats)
 	if err != nil {
 		return nil, err
 	}

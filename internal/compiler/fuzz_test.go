@@ -4,7 +4,8 @@ package compiler_test
 // (oracletest.Arms), at AuditRate 1, a unit is compiled and an edit of it
 // is compiled with the state that compile left. The edit must come out
 // exactly as a stateless compile of it — with the soundness sentinel
-// checking every skip, replay and frontend reuse and finding none unsound —
+// checking every skip, replay, frontend reuse and code reuse and finding
+// none unsound —
 // and as the reference that prunes nothing (testutil.CompileUnpruned: every
 // compiler goes through the driver, which removes the functions deadfunc
 // would delete before the first pass). The replaying arms compile at
@@ -86,6 +87,11 @@ func FuzzStatefulEdit(f *testing.F) {
 		for _, e := range testutil.DeclEdits(src, "extern func fz_ext(a int) int;") {
 			f.Add(e[0], e[1])
 		}
+	}
+	// Edits before a function whose final IR stays the same, whose code a
+	// replaying compile takes from the last object and rebases.
+	for _, e := range testutil.CodeEdits(mainSrc) {
+		f.Add(e[0], e[1])
 	}
 
 	f.Fuzz(func(t *testing.T, src0, src1 string) {

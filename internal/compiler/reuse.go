@@ -31,13 +31,15 @@ import (
 // reuse is one worker's frontend-reuse memory, reused from unit to unit.
 type reuse struct {
 	decls []decl
-	// old[k] is the declaration of the unit's last compile that the k-th
-	// declaration reuses, -1 for none; audit[k] is set when the sentinel
-	// sampled that reuse.
-	old    []int32
-	audit  []bool
-	bodies []lexer.Span
-	front  core.Front
+	// old[k] is the ordinal of the function declaration of the unit's last
+	// compile that the k-th declaration reuses, -1 for none; audit[k] is set
+	// when the sentinel sampled that reuse. oldFuncs lists the function
+	// declarations of the last compile by ordinal.
+	old      []int32
+	oldFuncs []int32
+	audit    []bool
+	bodies   []lexer.Span
+	front    core.Front
 }
 
 // frontCounts is what one compile's frontend did: the functions it lowered
@@ -86,6 +88,12 @@ func (c *Compiler) plan(decls []decl, st *core.UnitState) bool {
 	if len(old) == 0 || len(keys) == 0 || !headersKept(old, keys) {
 		return false
 	}
+	ru.oldFuncs = ru.oldFuncs[:0]
+	for i, od := range old {
+		if od.Func {
+			ru.oldFuncs = append(ru.oldFuncs, int32(i))
+		}
+	}
 	some, o := false, 0
 	for k, key := range keys {
 		if !key.Func {
@@ -93,11 +101,11 @@ func (c *Compiler) plan(decls []decl, st *core.UnitState) bool {
 		}
 		// Declarations mostly keep their order: look where the last match
 		// left off first.
-		for tries := 0; tries < len(old); tries++ {
-			i := o
-			o = (o + 1) % len(old)
-			if old[i] == key && st.Restorable(i) {
-				ru.old[k] = int32(i)
+		for tries := 0; tries < len(ru.oldFuncs); tries++ {
+			n := o
+			o = (o + 1) % len(ru.oldFuncs)
+			if old[ru.oldFuncs[n]] == key && st.Restorable(n) {
+				ru.old[k] = int32(n)
 				ru.audit[k] = c.driver.Sample()
 				some = true
 				break
@@ -172,14 +180,17 @@ func (fe *frontend) build(unitName string, src []byte, decls []decl) (*ir.Module
 		fr.Decls = fr.Decls[:0]
 	}
 	fr.Funcs = fr.Funcs[:0]
-	k := 0
+	k, ord := 0, int32(0)
 	for _, fd := range info.Funcs {
 		for k < len(decls) && int(decls[k].start) != int(fd.FuncPos) {
+			if decls[k].fn {
+				ord++
+			}
 			k++
 		}
 		ff := core.FrontFunc{Decl: -1, Old: -1}
 		if k < len(decls) {
-			ff = core.FrontFunc{Decl: int32(k), Old: ru.old[k], Audit: ru.audit[k]}
+			ff = core.FrontFunc{Decl: ord, Old: ru.old[k], Audit: ru.audit[k]}
 		}
 		if fd.Body == nil {
 			counts.reused++

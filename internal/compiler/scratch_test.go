@@ -178,11 +178,12 @@ func TestDirtyScratchAcrossWorkers(t *testing.T) {
 				// Each unit compiles once more on its in-memory state, on
 				// the next worker's compiler (the same one when there is
 				// one), after the decoy has dirtied its scratch again:
-				// under Replay every function's frontend is reused and
-				// every segment replays, restored through the snapshot
-				// tables the decoy left full — a memo recorded by one
-				// worker restored by another — under Records alone dormant
-				// passes skip, and the object must not move.
+				// under Replay every function's frontend is reused, every
+				// segment replays, restored through the snapshot tables
+				// the decoy left full — a memo recorded by one worker
+				// restored by another — and every function's code is the
+				// last object's; under Records alone dormant passes skip,
+				// and the object must not move.
 				for w := 0; w < workers; w++ {
 					wg.Add(1)
 					go func() {
@@ -204,6 +205,8 @@ func TestDirtyScratchAcrossWorkers(t *testing.T) {
 							after := regs[w].Snapshot()
 							lowered := after[obs.CtrFuncsLowered] - before[obs.CtrFuncsLowered]
 							reused := after[obs.CtrFuncsReused] - before[obs.CtrFuncsReused]
+							generated := after[obs.CtrCodeCompiled] - before[obs.CtrCodeCompiled]
+							codeReused := after[obs.CtrCodeReused] - before[obs.CtrCodeReused]
 							replayed, skipped := 0, 0
 							for _, sl := range again.Stats.Slots {
 								replayed += sl.Replayed
@@ -211,6 +214,12 @@ func TestDirtyScratchAcrossWorkers(t *testing.T) {
 							}
 							if mode&core.Replay != 0 && (replayed == 0 || lowered != 0 || reused == 0) {
 								t.Errorf("%s again: %d replayed, %d functions lowered, %d reused; want every function reused", names[i], replayed, lowered, reused)
+							}
+							if mode&core.Replay != 0 && (generated != 0 || codeReused == 0) {
+								t.Errorf("%s again: code generated for %d functions, reused for %d; want every function's code reused", names[i], generated, codeReused)
+							}
+							if mode&core.Replay == 0 && codeReused != 0 {
+								t.Errorf("%s again: code reused for %d functions without Replay", names[i], codeReused)
 							}
 							if mode == core.Records && skipped == 0 {
 								t.Errorf("%s again: nothing skipped", names[i])

@@ -390,7 +390,7 @@ func (d *Driver) RunContext(ctx context.Context, m *ir.Module, st *UnitState) (*
 	// Garbage-collect records of functions deleted from the source.
 	st.Prune(live)
 	if len(d.segs) > 0 {
-		d.commit(st)
+		d.commit(st, m)
 	}
 	d.countStats(stats)
 	return st, stats, nil
@@ -498,8 +498,9 @@ func (d *Driver) runSlot(m *ir.Module, f *ir.Func, st *UnitState, slot int, ss *
 		// A module pass may have touched any function; an audited pass is
 		// rehashed whatever it reported.
 		if info.Module {
+			// deadfunc removes whole functions: the others' IR is as it was.
 			cache.invalidateAll()
-			d.replay.touched = true
+			d.replay.touched = d.replay.touched || info.Name != "deadfunc"
 		} else {
 			cache.invalidate(f)
 		}

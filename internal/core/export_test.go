@@ -24,5 +24,5 @@ func (d *Driver) RecordSegments(m *ir.Module, st *UnitState) {
 		}
 		d.replay.touched = false
 	}
-	d.commit(st)
+	d.commit(st, m)
 }

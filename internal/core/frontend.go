@@ -53,12 +53,13 @@ type Front struct {
 
 // FrontFunc is how the frontend made one function.
 type FrontFunc struct {
-	// Decl is the index of the function's declaration in Front.Decls, -1
-	// when the function is not to be recorded.
+	// Decl is the function's ordinal among the function declarations of
+	// Front.Decls, -1 when the function is not to be recorded.
 	Decl int32
-	// Old is the index, among the declarations of the unit's last compile,
-	// of the one whose entry the function reuses or, when Audit, is checked
-	// against; -1 for none. A function that reuses an entry is empty.
+	// Old is the ordinal, among the function declarations of the unit's
+	// last compile, of the one whose entry the function reuses or, when
+	// Audit, is checked against; -1 for none. A function that reuses an
+	// entry is empty.
 	Old int32
 	// Audit: the sentinel sampled the reuse, so the function was lowered
 	// anew, and its key must equal the entry's.
@@ -75,8 +76,8 @@ func (s *UnitState) LastFrontend() []DeclKey {
 	return s.memo.decls
 }
 
-// Restorable reports whether the i-th declaration of LastFrontend has an
-// entry to restore.
+// Restorable reports whether the i-th function declaration of
+// LastFrontend has an entry to restore.
 func (s *UnitState) Restorable(i int) bool {
 	return s != nil && i < len(s.memo.fents) && s.memo.fents[i].n > 0
 }
@@ -90,7 +91,8 @@ func (d *Driver) Frontend(fr *Front) { d.front = fr }
 // lower the function anyway and check the reuse.
 func (d *Driver) Sample() bool { return d.auditFire() }
 
-// frontEntry is one function's segment-0 entry: the encoding of its
+// frontEntry is one function declaration's segment-0 entry, by ordinal
+// among the unit's function declarations: the encoding of its
 // post-frontend IR, buf[off:off+n] of its memo, keyed key (n == 0 is no
 // entry), and what prune reads of it (passes.RefsOf): the callees of its
 // calls, callees[calls : calls+ncalls], and whether it names a private
@@ -120,7 +122,7 @@ func (d *Driver) recordFront(st *UnitState, m *ir.Module) (audited, unsound int)
 		rp.front, rp.fents = nil, rp.fents[:0]
 		return 0, 0
 	}
-	rp.fents = ir.Dense(rp.fents, len(fr.Decls))
+	rp.fents = ir.Dense(rp.fents, len(fr.Funcs))
 	for i, f := range m.Funcs {
 		ff := fr.Funcs[i]
 		if ff.Decl < 0 {
@@ -160,8 +162,8 @@ func (d *Driver) recordFront(st *UnitState, m *ir.Module) (audited, unsound int)
 }
 
 // seed is a function's key as the frontend made it; shell is 1 + the
-// declaration whose entry holds the IR of a function the frontend left
-// empty, 0 for one it lowered.
+// function declaration whose entry holds the IR of a function the frontend
+// left empty, 0 for one it lowered.
 type seed struct {
 	f      *ir.Func
 	key    uint64
@@ -184,7 +186,7 @@ func (d *Driver) refs(i int) ([]string, bool, bool) {
 }
 
 // fill gives a shell the frontend left (recordFront) the post-frontend IR of
-// the declaration numbered shell-1.
+// the function declaration numbered shell-1.
 func (d *Driver) fill(f *ir.Func, shell int32) error {
 	rp := &d.replay
 	e := &rp.fents[shell-1]

@@ -28,6 +28,7 @@ package core
 import (
 	"slices"
 
+	"statefulcc/internal/codegen"
 	"statefulcc/internal/ir"
 	"statefulcc/internal/passes"
 )
@@ -38,14 +39,16 @@ type segment struct{ first, last int }
 // memo is a unit's segment outputs. The entries of the function whose
 // FuncState.memo is i+1 are ents[i : i+segments], one per segment. Segment
 // 0, the frontend's (frontend.go), is the keys of the unit's declarations
-// and, by declaration, fents: a function's post-frontend IR. Every encoding
-// is in buf.
+// and, by function declaration, fents: a function's post-frontend IR. Every
+// encoding is in buf. The last segment (code.go) is obj, the unit's last
+// object.
 type memo struct {
 	buf     []byte
 	ents    []memoEntry
 	decls   []DeclKey
 	fents   []frontEntry
 	callees []string
+	obj     *codegen.Object
 }
 
 // memoEntry is one (function, segment) output: its encoding is
@@ -75,8 +78,8 @@ func (mm *memo) entry(fs *FuncState, seg int) *memoEntry {
 }
 
 // MemoBytes is the size of the unit's segment memo: its encodings, their
-// index, and segment 0's declaration keys. It is in memory only; a state
-// file never holds it.
+// index, and segment 0's declaration keys, but not the object, which the
+// builder keeps anyway. It is in memory only; a state file never holds it.
 func (s *UnitState) MemoBytes() int {
 	if s == nil {
 		return 0
@@ -128,19 +131,20 @@ type replay struct {
 	// outs holds, by entry position, the key of each function's output at
 	// the last segment's end and its ID counters then. touched is set when
 	// a slot outside the segments may have changed the IR since that end:
-	// a module slot that ran and reported a change (or was audited), or a
-	// function slot that is not function-local. Until it is, a function
-	// whose counters did not move still has that output as its input, and
-	// the next segment takes the key from here instead of encoding the
-	// function again.
+	// a module slot other than deadfunc that ran and reported a change (or
+	// was audited), or a function slot that is not function-local. Until it
+	// is, a function whose counters did not move still has that output as
+	// its input, and the next segment, or the code (code.go), takes the key
+	// from here instead of encoding the function again.
 	outs    []segOut
 	touched bool
 	// awaits is the hash cache's (driver.go).
 	awaits map[*ir.Func]*memoEntry
 	// front is what the frontend did for the compile in progress, fents
-	// its segment-0 entries by declaration and callees their references,
-	// and seeds the keys of the functions it made, in module order; shells
-	// holds, by entry position, the seed's shell (frontend.go).
+	// its segment-0 entries by function declaration and callees their
+	// references, and seeds the keys of the functions it made, in module
+	// order; shells holds, by entry position, the seed's shell
+	// (frontend.go).
 	front   *Front
 	fents   []frontEntry
 	callees []string
@@ -150,6 +154,13 @@ type replay struct {
 	// pass; cursor is the entry position its function search has reached.
 	quarantined bool
 	cursor      int
+	// prev and reuse are the last segment's match (code.go): the unit's
+	// last object and, for each function of the module, the index in it of
+	// the function whose code it takes, -1 for none; audits lists the
+	// reuses the sentinel sampled.
+	prev   *codegen.Object
+	reuse  []int32
+	audits []codeAudit
 }
 
 // segOut is one function's output key at a segment's end (ok: it has one).
@@ -342,9 +353,10 @@ func (d *Driver) leaveFunc(st *UnitState, seg, i int, ss *SlotStats, cache *hash
 
 // commit makes the compile's memo the unit's: one buffer and one index,
 // copied out of the worker's memory, each entering function pointing at
-// its entries.
-func (d *Driver) commit(st *UnitState) {
+// its entries, after the last segment has keyed m's final IR (code.go).
+func (d *Driver) commit(st *UnitState, m *ir.Module) {
 	rp := &d.replay
+	d.commitCode(m, &st.memo)
 	for _, fs := range st.Funcs {
 		fs.memo = 0
 	}

@@ -121,8 +121,11 @@ type FuncState struct {
 	Seen []bool
 
 	// memo is 1 + the index of the function's first entry in its unit's
-	// segment memo (replay.go), 0 for none. It is never persisted.
-	memo int32
+	// segment memo (replay.go), 0 for none; code is 1 + the function's
+	// index in the memo's object, whose code was generated from IR keyed
+	// codeKey, 0 for none (code.go). None of the three is persisted.
+	memo, code int32
+	codeKey    uint64
 }
 
 func newFuncState(n int) *FuncState {

@@ -145,6 +145,11 @@ type Stats struct {
 	// sampled: the function was lowered anew and its IR checked against the
 	// memo's (frontend.go). FrontUnsound counts those whose IR differed.
 	FrontAudited, FrontUnsound int
+	// CodeAudited counts the code reuses the sentinel sampled: the
+	// function's code was generated anew and its digest checked against the
+	// reused code's (code.go). CodeUnsound counts those whose digest
+	// differed.
+	CodeAudited, CodeUnsound int
 }
 
 // Totals sums runs/dormant/skips across slots.
@@ -164,7 +169,7 @@ func (s *Stats) SentinelTotals() (audited, unsound int) {
 		audited += sl.Audited
 		unsound += sl.Unsound
 	}
-	return audited + s.FrontAudited, unsound + s.FrontUnsound
+	return audited + s.FrontAudited + s.CodeAudited, unsound + s.FrontUnsound + s.CodeUnsound
 }
 
 // PassTimeNS is the total time spent inside passes.
@@ -209,6 +214,8 @@ func (s *Stats) Merge(other *Stats) {
 	s.Pruned += other.Pruned
 	s.FrontAudited += other.FrontAudited
 	s.FrontUnsound += other.FrontUnsound
+	s.CodeAudited += other.CodeAudited
+	s.CodeUnsound += other.CodeUnsound
 }
 
 // ByPass aggregates slot stats by pass name (a pass can appear at several

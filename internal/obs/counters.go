@@ -43,6 +43,15 @@ const (
 	CtrFuncsReused  = "frontend.funcs_reused"
 	CtrBytesLexed   = "frontend.bytes_lexed"
 
+	// Code generation counters (updated once per compiled unit by the
+	// driver's Codegen). codegen.funcs_compiled counts the functions whose
+	// code was generated; codegen.funcs_reused the ones that took their code
+	// from the unit's last object in the process, their final IR unchanged
+	// (Replay only). Work counters, deterministic for a given build sequence
+	// at audit rate 0 or 1 (a sampled reuse is generated).
+	CtrCodeCompiled = "codegen.funcs_compiled"
+	CtrCodeReused   = "codegen.funcs_reused"
+
 	// Deprecated: the estimate of pass time skipping saved summed a pass-cost
 	// average each dormancy record used to carry. A record is now a
 	// fingerprint and a bit, and nothing registers this counter. It stays
@@ -292,6 +301,8 @@ type PassCounters struct {
 	FuncsPruned                             *Counter
 	// The frontend's work (frontend.* counters), which the compiler adds.
 	FuncsLowered, FuncsReused, BytesLexed *Counter
+	// Code generation's work (codegen.* counters), which the driver adds.
+	CodeCompiled, CodeReused *Counter
 	// Soundness-sentinel totals (audit.* counters).
 	Audited, Unsound *Counter
 	// Decision-provenance buckets (decision.* counters).
@@ -316,6 +327,8 @@ func (r *Registry) Pass() *PassCounters {
 		FuncsLowered:   r.Counter(CtrFuncsLowered),
 		FuncsReused:    r.Counter(CtrFuncsReused),
 		BytesLexed:     r.Counter(CtrBytesLexed),
+		CodeCompiled:   r.Counter(CtrCodeCompiled),
+		CodeReused:     r.Counter(CtrCodeReused),
 		Audited:        r.Counter(CtrAuditSampled),
 		Unsound:        r.Counter(CtrAuditUnsound),
 		DecCold:        r.Counter(CtrDecCold),

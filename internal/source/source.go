@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Pos is a byte offset within a single source file. The zero value NoPos
@@ -54,27 +55,37 @@ func (p Position) String() string {
 type File struct {
 	Name    string
 	Content []byte
-	lines   []int // byte offset of the start of each line
+	// lines is the byte offset of the start of each line, built by the
+	// first call that needs it: only diagnostics resolve positions, and most
+	// compiles report none.
+	lines     []int
+	linesOnce sync.Once
 }
 
-// NewFile builds a File and computes its line table eagerly; files are small
-// (compiler inputs) so the eager scan keeps later lookups allocation-free.
+// NewFile builds a File. Its line table is built on the first NumLines,
+// Position, Line or Snippet call, once; lookups after it allocate nothing.
 func NewFile(name string, content []byte) *File {
-	f := &File{Name: name, Content: content}
-	f.lines = make([]int, 1, 1+bytes.Count(content, []byte{'\n'}))
-	for i, b := range content {
-		if b == '\n' {
-			f.lines = append(f.lines, i+1)
+	return &File{Name: name, Content: content}
+}
+
+// lineTable returns the line table, building it on the first call.
+func (f *File) lineTable() []int {
+	f.linesOnce.Do(func() {
+		f.lines = make([]int, 1, 1+bytes.Count(f.Content, []byte{'\n'}))
+		for i, b := range f.Content {
+			if b == '\n' {
+				f.lines = append(f.lines, i+1)
+			}
 		}
-	}
-	return f
+	})
+	return f.lines
 }
 
 // Size returns the file length in bytes.
 func (f *File) Size() int { return len(f.Content) }
 
 // NumLines returns the number of lines in the file.
-func (f *File) NumLines() int { return len(f.lines) }
+func (f *File) NumLines() int { return len(f.lineTable()) }
 
 // Position expands a Pos into a Position. Out-of-range or invalid positions
 // yield a Position with only the filename set.
@@ -83,11 +94,12 @@ func (f *File) Position(p Pos) Position {
 		return Position{Filename: f.Name}
 	}
 	// Binary search for the greatest line start <= p.
-	i := sort.Search(len(f.lines), func(i int) bool { return f.lines[i] > int(p) }) - 1
+	lines := f.lineTable()
+	i := sort.Search(len(lines), func(i int) bool { return lines[i] > int(p) }) - 1
 	return Position{
 		Filename: f.Name,
 		Line:     i + 1,
-		Column:   int(p) - f.lines[i] + 1,
+		Column:   int(p) - lines[i] + 1,
 		Offset:   int(p),
 	}
 }

@@ -1,6 +1,8 @@
 package source
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -144,5 +146,36 @@ func TestSeverityString(t *testing.T) {
 	}
 	if !strings.Contains(Severity(9).String(), "9") {
 		t.Error("unknown severity should embed the number")
+	}
+}
+
+// TestLazyLineTableMatchesEager resolves every offset of the testdata
+// programs, and one past the end, against positions counted from the start
+// of the file: the table the first lookup builds is the one an eager scan
+// built.
+func TestLazyLineTableMatchesEager(t *testing.T) {
+	paths, err := filepath.Glob("../../testdata/*.mc")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no testdata programs: %v", err)
+	}
+	for _, path := range paths {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := NewFile(path, src)
+		line, col := 1, 1
+		for off := 0; off <= len(src); off++ {
+			if got, want := f.Position(Pos(off)), (Position{Filename: path, Line: line, Column: col, Offset: off}); got != want {
+				t.Fatalf("%s offset %d: got %+v, want %+v", path, off, got, want)
+			}
+			col++
+			if off < len(src) && src[off] == '\n' {
+				line, col = line+1, 1
+			}
+		}
+		if f.NumLines() != line {
+			t.Errorf("%s: %d lines, want %d", path, f.NumLines(), line)
+		}
 	}
 }

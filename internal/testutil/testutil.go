@@ -198,3 +198,37 @@ func DeclEdits(src, extern string) [][2]string {
 		edit(consts, "const fz_j = fz_k + 1;\nconst fz_k = 3;\n"),
 	}
 }
+
+// CodeEdits returns (before, after) pairs of a unit that edit what comes
+// before a function whose final IR stays the same, fz_kept, so that a
+// compile that takes fz_kept's code from the unit's last object must rebase
+// it: a string literal added before its strings (their indices shift), a
+// call added or removed and a function added before it (its relocations
+// move in the tables, and its function index), the functions reordered,
+// and a global's size changed. Each pair is src with a block of
+// declarations appended, before and after the edit. fz_kept calls nothing
+// inline splices, and reads a private global that globalopt constifies in
+// every compile. The fz_ functions are called from nowhere outside the
+// block, so it links into any project.
+func CodeEdits(src string) [][2]string {
+	const (
+		globals = "var fz_wide [2]int;\nvar fz_buf [2]int;\nvar _fz_seed int = 4;\n"
+		rec     = "func fz_rec(x int) int { if x < 1 { return 0; } return fz_rec(x - 1) + 2; }\n"
+		head    = "func fz_head(x int) int { print(\"fz head\", x); fz_wide[1] = x; return x + 1; }\n"
+		kept    = "func fz_kept(x int) int { print(\"fz kept\", x); assert(x != 7, \"fz kept seven\"); fz_buf[0] = fz_rec(x) + _fz_seed; return fz_buf[0]; }\n"
+		block   = globals + rec + head + kept
+	)
+	before := src + "\n" + block
+	edit := func(old, new string) [2]string {
+		return [2]string{before, src + "\n" + strings.Replace(block, old, new, 1)}
+	}
+	call := edit("return x + 1; }", "return fz_rec(x) + 1; }")
+	return [][2]string{
+		edit(`print("fz head", x);`, `print("fz new", x); print("fz head", x);`),
+		call,
+		{call[1], call[0]},
+		edit(head, head+"func fz_added(x int) int { return fz_rec(x) - 1; }\n"),
+		edit(rec+head+kept, kept+head+rec),
+		edit("var fz_wide [2]int;", "var fz_wide [3]int;"),
+	}
+}

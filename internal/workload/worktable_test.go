@@ -2,18 +2,20 @@ package workload_test
 
 // The work table: what each of the four arms does over the benchmark's
 // resident edit shapes, in counts, not milliseconds — pass runs, dormancy
-// skips, replays, fingerprint hashes, and the functions the frontend
-// lowered and reused and the source bytes it lexed, summed over each
-// build's deltas after a cold build. Counts do not move with the host, so
-// the table holds the design's orderings and equalities, never golden
-// numbers: both reuse bits run no more passes than either bit alone, and
-// either bit no more than stateless; replay is the same with and without
-// records; a replay carries its fingerprint, so both bits hash at most half
-// of what records alone hash; only a resident builder's replaying arms
-// reuse a function's frontend, and on a wide pull they lower at most 35 %
-// of the functions of the units they compile; and a fresh builder per
-// commit (a one-shot process) skips by its records alone, so it does the
-// same work with and without the Replay bit.
+// skips, replays, fingerprint hashes, the functions the frontend lowered
+// and reused and the source bytes it lexed, and the functions whose code
+// was generated and reused, summed over each build's deltas after a cold
+// build. Counts do not move with the host, so the table holds the design's
+// orderings and equalities, never golden numbers: both reuse bits run no
+// more passes than either bit alone, and either bit no more than stateless;
+// replay is the same with and without records; a replay carries its
+// fingerprint, so both bits hash at most half of what records alone hash;
+// only a resident builder's replaying arms reuse a function's frontend or
+// its code, and on a wide pull they lower at most 35 % of the functions of
+// the units they compile and reuse the code of at least 60 % of the
+// functions of the objects they make; and a fresh builder per commit (a
+// one-shot process) skips by its records alone, so it does the same work
+// with and without the Replay bit.
 
 import (
 	"fmt"
@@ -33,6 +35,7 @@ import (
 type work struct {
 	runs, skipped, replayed, hashes int64
 	lowered, reused, lexed          int64
+	compiled, codeReused            int64
 }
 
 // add folds in the counter deltas from before to after.
@@ -44,6 +47,8 @@ func (w *work) add(before, after map[string]int64) {
 	w.lowered += after[obs.CtrFuncsLowered] - before[obs.CtrFuncsLowered]
 	w.reused += after[obs.CtrFuncsReused] - before[obs.CtrFuncsReused]
 	w.lexed += after[obs.CtrBytesLexed] - before[obs.CtrBytesLexed]
+	w.compiled += after[obs.CtrCodeCompiled] - before[obs.CtrCodeCompiled]
+	w.codeReused += after[obs.CtrCodeReused] - before[obs.CtrCodeReused]
 }
 
 // workOf builds base and then every commit under mode, on one resident
@@ -94,8 +99,8 @@ func TestWorkTable(t *testing.T) {
 		{"wide_pull", workload.CommitOptions{Units: 32, EditsPerUnit: 2}},
 	}
 	var table strings.Builder
-	fmt.Fprintf(&table, "%-9s %-8s %-8s %-9s %8s %8s %8s %8s %8s %8s %8s\n", "shape", "seed", "builder", "arm",
-		"runs", "skipped", "replayed", "hashes", "lowered", "reused", "lexed")
+	fmt.Fprintf(&table, "%-9s %-8s %-8s %-9s %8s %8s %8s %8s %8s %8s %8s %8s %8s\n", "shape", "seed", "builder", "arm",
+		"runs", "skipped", "replayed", "hashes", "lowered", "reused", "lexed", "codegen", "code-re")
 	for _, sh := range shapes {
 		for _, seed := range []int64{7, 20240917} {
 			hist := workload.GenerateHistory(base, seed, commits, sh.shape).Commits
@@ -107,9 +112,9 @@ func TestWorkTable(t *testing.T) {
 				w := map[compiler.Mode]work{}
 				for _, mode := range oracletest.Arms {
 					w[mode] = workOf(t, base, hist, mode, fresh)
-					fmt.Fprintf(&table, "%-9s %-8d %-8s %-9v %8d %8d %8d %8d %8d %8d %8d\n", sh.name, seed, builder, mode,
+					fmt.Fprintf(&table, "%-9s %-8d %-8s %-9v %8d %8d %8d %8d %8d %8d %8d %8d %8d\n", sh.name, seed, builder, mode,
 						w[mode].runs, w[mode].skipped, w[mode].replayed, w[mode].hashes,
-						w[mode].lowered, w[mode].reused, w[mode].lexed)
+						w[mode].lowered, w[mode].reused, w[mode].lexed, w[mode].compiled, w[mode].codeReused)
 				}
 				at := fmt.Sprintf("%s, seed %d, %s", sh.name, seed, builder)
 				both, rec, rep, none := w[core.Stateful], w[core.Records], w[core.Replay], w[core.Stateless]
@@ -121,15 +126,19 @@ func TestWorkTable(t *testing.T) {
 					t.Errorf("%s: stateful replayed %d, replay alone %d", at, both.replayed, rep.replayed)
 				}
 				// Every arm compiles the same units, and only a resident
-				// builder's replaying arms reuse a function's frontend.
-				funcs := none.lowered + none.reused
+				// builder's replaying arms reuse a function's frontend or
+				// its code.
+				funcs, final := none.lowered+none.reused, none.compiled+none.codeReused
 				for _, mode := range oracletest.Arms {
 					wm := w[mode]
 					if wm.lowered+wm.reused != funcs {
 						t.Errorf("%s: %v lowered %d and reused %d functions, stateless %d in all", at, mode, wm.lowered, wm.reused, funcs)
 					}
-					if (fresh || mode&core.Replay == 0) && wm.reused != 0 {
-						t.Errorf("%s: %v reused %d functions' frontend, want every function lowered", at, mode, wm.reused)
+					if wm.compiled+wm.codeReused != final {
+						t.Errorf("%s: %v generated code for %d functions and reused %d, stateless %d in all", at, mode, wm.compiled, wm.codeReused, final)
+					}
+					if (fresh || mode&core.Replay == 0) && (wm.reused != 0 || wm.codeReused != 0) {
+						t.Errorf("%s: %v reused %d functions' frontend and %d functions' code, want none", at, mode, wm.reused, wm.codeReused)
 					}
 				}
 				if !fresh {
@@ -142,6 +151,9 @@ func TestWorkTable(t *testing.T) {
 						for _, wm := range []work{both, rep} {
 							if 100*wm.lowered > 35*funcs {
 								t.Errorf("%s: a replaying arm lowered %d of %d functions, want at most 35 %%", at, wm.lowered, funcs)
+							}
+							if 100*wm.codeReused < 60*final {
+								t.Errorf("%s: a replaying arm reused the code of %d of %d functions, want at least 60 %%", at, wm.codeReused, final)
 							}
 						}
 					}
