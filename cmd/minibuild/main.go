@@ -126,9 +126,6 @@ func runBuild(args []string) error {
 	if err != nil {
 		return err
 	}
-	// This process builds each unit once: it would replay nothing.
-	cmode &^= core.Replay
-
 	// Cooperative cancellation: ^C (and an optional -timeout deadline)
 	// aborts the build between pass slots rather than killing the process
 	// mid-write — completed units' state files are fully written, the rest

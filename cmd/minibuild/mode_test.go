@@ -11,29 +11,39 @@ import (
 	"statefulcc/internal/obs"
 )
 
-// TestOneShotBuildsRunRecords: a one-shot build compiles each unit once,
-// so -mode stateful runs the dormancy records alone. Its flight-recorder
-// records say "records" and count no replay, and the warm build still
-// skips. The resident daemon keeps the memo: its records say "stateful",
-// and an edited rebuild replays.
+// TestOneShotBuildsRunRecords: a one-shot build persists each unit's memo
+// beside its state, so the second of two -mode stateful invocations over one
+// state directory replays from disk: both flight-recorder records say
+// "stateful", the second counts replays and dormancy skips, and its program
+// is the stateless one's. The resident daemon replays from memory.
 func TestOneShotBuildsRunRecords(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "main.mc"), []byte(serveProg), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		if out := stdoutOf(t, run, "-dir", dir, "-mode", "stateful"); !strings.HasSuffix(out, "[err: <nil>]") {
-			t.Fatalf("build %d: %s", i+1, out)
+	var outs [2]string
+	for i := range outs {
+		outs[i] = stdoutOf(t, run, "-dir", dir, "-mode", "stateful", "-run")
+		if !strings.HasSuffix(outs[i], "[err: <nil>]") {
+			t.Fatalf("build %d: %s", i+1, outs[i])
 		}
+	}
+	stateless := stdoutOf(t, run, "-dir", dir, "-mode", "stateless", "-run", "-state", t.TempDir())
+	if tail(outs[1]) != tail(stateless) {
+		t.Errorf("the replaying one-shot build's program output differs from stateless:\n%s\nvs\n%s", tail(outs[1]), tail(stateless))
 	}
 	recs, err := history.Load(history.Path(filepath.Join(dir, ".minibuild")))
 	if err != nil || len(recs) != 2 {
 		t.Fatalf("%d records (%v), want 2", len(recs), err)
 	}
 	for i, rec := range recs {
-		if rec.Mode != "records" || rec.Metrics[obs.CtrPassReplayed] != 0 {
-			t.Errorf("build %d: mode %q, %d replayed; want records, 0", i+1, rec.Mode, rec.Metrics[obs.CtrPassReplayed])
+		if rec.Mode != "stateful" {
+			t.Errorf("build %d: mode %q, want stateful", i+1, rec.Mode)
 		}
+	}
+	if recs[1].Metrics[obs.CtrPassReplayed] == 0 || recs[1].Metrics[obs.CtrStateMemoLoads] == 0 {
+		t.Errorf("the second one-shot build replayed %d executions from %d memos; want both > 0",
+			recs[1].Metrics[obs.CtrPassReplayed], recs[1].Metrics[obs.CtrStateMemoLoads])
 	}
 	if recs[1].Metrics[obs.CtrPassSkipped] == 0 {
 		t.Error("the warm one-shot build skipped nothing")
@@ -68,4 +78,16 @@ func TestRetiredModesRejected(t *testing.T) {
 			}
 		}
 	}
+}
+
+// tail is the program's part of a -run output: its lines but the build's
+// statistics, which hold timings.
+func tail(out string) string {
+	var keep []string
+	for _, line := range strings.Split(out, "\n") {
+		if !strings.HasPrefix(line, "built ") && !strings.HasPrefix(line, "dormancy: ") {
+			keep = append(keep, line)
+		}
+	}
+	return strings.Join(keep, "\n")
 }

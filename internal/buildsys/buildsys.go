@@ -51,8 +51,8 @@ type Options struct {
 	// GOMAXPROCS.
 	Workers int
 	// StateDir, when set, persists per-unit dormancy state across
-	// processes (stateful mode). Missing or corrupt state
-	// files are treated as a cold start, never an error.
+	// processes (Records), and each unit's segment memo (Replay). Missing
+	// or corrupt files are treated as a cold start, never an error.
 	StateDir string
 	// VerifyIR forwards to the compiler (slow; tests only).
 	VerifyIR bool
@@ -154,9 +154,10 @@ type unitEntry struct {
 	src        []byte            // newest source seen for the unit: the caller's slice, not a copy
 	honest     uint64            // contentHash(src)
 	obj        *codegen.Object   // cached object
-	state      *core.UnitState   // dormancy records (stateful), and the segment memo that lives only here
+	state      *core.UnitState   // dormancy records (stateful), and the segment memo
 	stateBytes int               // serialized size of state
 	diskProbed bool              // StateDir was already consulted for this unit
+	memoDirty  bool              // recompiled since its memo file was written (flushMemos)
 	fp         *footprint.Record // traced read footprint of the last compile
 }
 
@@ -198,6 +199,8 @@ type Builder struct {
 	// which an NTP step could corrupt (see obs.Timeline). Set at the top of
 	// each BuildContext; read by pool workers via tlNow.
 	tlEpoch time.Time
+	// memoFlushed is when flushMemos last wrote, or the builder started.
+	memoFlushed time.Time
 
 	// Degradation warnings accumulated during the current Build (workers
 	// append concurrently), deduplicated by message and snapshotted into
@@ -217,6 +220,8 @@ type builderCounters struct {
 	frontendNS, passesNS, codegenNS         *obs.Counter
 	stateLoads, stateLoadMisses, stateSaves *obs.Counter
 	stateSaveUnchanged, stateBytesWritten   *obs.Counter
+	memoLoads, memoRejected, memoSaves      *obs.Counter
+	memoSaveUnchanged, memoBytesWritten     *obs.Counter
 	stateIOErrors, historyIOErrors          *obs.Counter
 	historyTailReads                        *obs.Counter
 	workerBusyNS                            *obs.Counter
@@ -247,10 +252,11 @@ func NewBuilder(opts Options) (*Builder, error) {
 
 	reg := obs.NewRegistry()
 	b := &Builder{
-		opts:  opts,
-		fs:    vfs.Default(opts.FS),
-		units: make(map[string]*unitEntry),
-		reg:   reg,
+		opts:        opts,
+		fs:          vfs.Default(opts.FS),
+		units:       make(map[string]*unitEntry),
+		reg:         reg,
+		memoFlushed: time.Now(),
 		ctr: builderCounters{
 			builds:             reg.Counter(obs.CtrBuilds),
 			unitsCompiled:      reg.Counter(obs.CtrUnitsCompiled),
@@ -264,6 +270,11 @@ func NewBuilder(opts Options) (*Builder, error) {
 			stateSaves:         reg.Counter(obs.CtrStateSaves),
 			stateSaveUnchanged: reg.Counter(obs.CtrStateSaveUnchanged),
 			stateBytesWritten:  reg.Counter(obs.CtrStateBytesWritten),
+			memoLoads:          reg.Counter(obs.CtrStateMemoLoads),
+			memoRejected:       reg.Counter(obs.CtrStateMemoRejected),
+			memoSaves:          reg.Counter(obs.CtrStateMemoSaves),
+			memoSaveUnchanged:  reg.Counter(obs.CtrStateMemoSaveUnchanged),
+			memoBytesWritten:   reg.Counter(obs.CtrStateMemoBytesWritten),
 			stateIOErrors:      reg.Counter(obs.CtrStateIOErrors),
 			historyIOErrors:    reg.Counter(obs.CtrHistoryIOErrors),
 			historyTailReads:   reg.Counter(obs.CtrHistoryTailReads),
@@ -471,6 +482,7 @@ func (b *Builder) BuildContext(ctx context.Context, snap project.Snapshot) (*Rep
 		e := b.commitEntry(j)
 		// The worker consulted the state directory (or superseded it).
 		e.obj, e.state, e.stateBytes, e.fp, e.diskProbed = r.obj, r.state, r.stateBytes, r.fp, true
+		e.memoDirty = e.memoDirty || !j.probeDisk && b.persistsMemo()
 		rep.Units[j.name] = r.rec
 		tl.Events = append(tl.Events, r.ev)
 		if r.rec.Remote {
@@ -488,6 +500,7 @@ func (b *Builder) BuildContext(ctx context.Context, snap project.Snapshot) (*Rep
 		b.ctr.passesNS.Add(r.ev.PassesNS)
 		b.ctr.codegenNS.Add(r.ev.CodegenNS)
 	}
+	b.flushMemos(units)
 
 	if cancelled {
 		// Partial report: no link, no history record; counters and warnings

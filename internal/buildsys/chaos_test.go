@@ -240,16 +240,16 @@ func controlSkips(t *testing.T) int {
 
 // assertRecovered checks the recovery invariant over a possibly-damaged
 // state directory: a clean (fault-free) build heals the persisted state,
-// and the next fresh builder reaches the full control skip rate. A state
-// file a faulted save left torn is rejected by the healing build's load —
-// its only warnings may say so — and rewritten by its save; the build after
-// it warns about nothing.
+// and the next fresh builder reaches the full control skip rate. A state or
+// memo file a faulted save left torn is rejected by the healing build's
+// load — its only warnings may say so — and rewritten by its save; the
+// build after it warns about nothing.
 func assertRecovered(t *testing.T, stateDir string, wantB oracletest.Ref, wantSkips int) {
 	t.Helper()
 	snapB := chaosEditedSnap()
 	repHeal := mustBuild(t, chaosBuilder(t, nil, stateDir, 1), snapB)
 	for _, w := range repHeal.Warnings {
-		if !strings.HasPrefix(w, "state: load ") || !strings.HasSuffix(w, "(running cold)") {
+		if !strings.HasPrefix(w, "state: load ") || !strings.HasSuffix(w, "(running cold)") && !strings.HasSuffix(w, "(replaying nothing)") {
 			t.Fatalf("fault-free healing build warned about more than a rejected state file: %v", repHeal.Warnings)
 		}
 	}
@@ -320,10 +320,14 @@ func TestChaosBuildRebuild(t *testing.T) {
 
 // stateCloses returns the calls that end a state save that wrote: the
 // Close of a state file's handle after a Write through it.
-func stateCloses(calls []faults.Call) (out []faults.Call) {
+func stateCloses(calls []faults.Call) []faults.Call { return savesClosed(calls, ".state") }
+
+// savesClosed returns the Close of each handle of a file with the suffix
+// after a Write through it.
+func savesClosed(calls []faults.Call, suffix string) (out []faults.Call) {
 	wrote := map[string]bool{}
 	for _, c := range calls {
-		if !strings.HasSuffix(c.Path, ".state") {
+		if !strings.HasSuffix(c.Path, suffix) {
 			continue
 		}
 		switch c.Op {
@@ -410,6 +414,64 @@ func TestChaosPowerLoss(t *testing.T) {
 				}
 				if _, err := state.DecodeBytes(raw); err != nil {
 					t.Errorf("the damaged file was not rewritten: %v", err)
+				}
+				assertRecovered(t, dir, bases[1], wantSkips)
+			})
+		}
+	}
+}
+
+// TestChaosMemoPowerLoss is the power-loss walk at the close of every memo
+// save that wrote: the close succeeds, the file is zeroed, cut short or has
+// a byte flipped, and the process dies. The next process links the
+// stateless oracle's program, rejects the damaged memo (state.memo_rejected
+// 1, one warning), replays nothing of its unit, and rewrites the file, after
+// which the directory recovers the full skip rate.
+func TestChaosMemoPowerLoss(t *testing.T) {
+	bases := chaosBaselines(t)
+	wantSkips := controlSkips(t)
+
+	recDir := t.TempDir()
+	rec := vfs.NewFaultFS(vfs.OS, chaosCanon(recDir))
+	chaosSequence(t, bases, rec, recDir, 1)
+	writes := savesClosed(rec.Calls(), ".memo")
+	if len(writes) == 0 {
+		t.Fatal("the sequence saved no memo file")
+	}
+	reboot := chaosWideSnap()
+	unitOf := map[string]string{} // memo file name → unit
+	for _, u := range reboot.Units() {
+		unitOf[filepath.Base(buildsys.MemoPath(recDir, u))] = u
+	}
+	for _, p := range writes {
+		for _, d := range chaostest.Damages {
+			p, d := p, d
+			t.Run(chaostest.LostName(p, d, false), func(t *testing.T) {
+				t.Parallel()
+				dir := t.TempDir()
+				ffs := vfs.NewFaultFS(vfs.OS, chaosCanon(dir), vfs.WithRules(chaostest.LostRule(p, d, 16)))
+				chaosSequence(t, bases, ffs, dir, 1)
+				chaostest.AssertFired(t, ffs.Log, p)
+
+				unit := unitOf[p.Path]
+				rep := mustBuild(t, chaosBuilder(t, nil, dir, 1), reboot)
+				if d := bases[len(bases)-1].Diff(rep.Program); d != "" {
+					t.Errorf("the build after the power loss differs from the stateless baseline: %s", d)
+				}
+				if got := rep.Metrics[obs.CtrStateMemoRejected]; got != 1 {
+					t.Errorf("%s = %d after one damaged memo, want 1 (warnings %v)", obs.CtrStateMemoRejected, got, rep.Warnings)
+				}
+				if len(rep.Warnings) != 1 || !strings.Contains(rep.Warnings[0], "state: load "+p.Path) {
+					t.Errorf("warnings %q, want one about %s", rep.Warnings, p.Path)
+				}
+				ur := rep.Unit(unit)
+				for i := range ur.Passes {
+					if s := &ur.Passes[i]; s.Replayed != 0 {
+						t.Fatalf("unit %s slot %s replayed %d functions from a damaged memo", unit, rep.PassName(i, s), s.Replayed)
+					}
+				}
+				if rep.Metrics[obs.CtrStateMemoSaves] == 0 {
+					t.Error("the damaged memo file was not rewritten")
 				}
 				assertRecovered(t, dir, bases[1], wantSkips)
 			})

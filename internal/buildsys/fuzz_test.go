@@ -30,7 +30,10 @@ var fuzzBuildProfile = workload.Profile{
 // and a new builder per commit over one state directory must link the
 // stateless reference's program at both commits, with the sentinel auditing
 // every skip and finding none unsound and the footprint missing no
-// invalidation. Inputs whose stateless build fails are skipped. Under plain
+// invalidation. At audit rate 0, where every reuse is taken, a resident
+// builder and a new builder per commit over the memo files the last one
+// persisted must link it too. Inputs whose stateless build fails are
+// skipped. Under plain
 // `go test` only the seeds run; `make chaos` runs a burst beyond them.
 func FuzzBuildEdit(f *testing.F) {
 	base := workload.Generate(fuzzBuildProfile)
@@ -121,6 +124,22 @@ func FuzzBuildEdit(f *testing.F) {
 					oracletest.Candidate{Name: "builder per commit " + name, Build: perCommit, Check: noMiss})
 			}
 		}
+		taking := buildsys.Options{Mode: compiler.ModeStateful, Workers: 1, StateDir: t.TempDir()}
+		resident, err := buildsys.NewBuilder(taking)
+		if err != nil {
+			t.Fatal(err)
+		}
+		taking.StateDir = t.TempDir()
+		overMemo := func(_ int, snap project.Snapshot) (*buildsys.Report, error) {
+			b, err := buildsys.NewBuilder(taking)
+			if err != nil {
+				return nil, err
+			}
+			return b.Build(snap)
+		}
+		oracletest.Walk(t, stream, ref,
+			oracletest.Candidate{Name: "resident, audit rate 0", Build: oracletest.Resident(resident)},
+			oracletest.Candidate{Name: "builder per commit over the memo, audit rate 0", Build: overMemo})
 	})
 }
 

@@ -74,10 +74,10 @@ type compileJob struct {
 	// footprint record carries hash.
 	honest, hash uint64
 	// prev is the unit's in-memory state, if any, with the segment outputs
-	// the driver replays (a state loaded from disk has none).
+	// the driver replays.
 	prev *core.UnitState
-	// probeDisk asks the worker to try loading state from StateDir first
-	// (a records-keeping builder's first compile of the unit in this process).
+	// probeDisk asks the worker to try loading state and memo from StateDir
+	// first (the builder's first compile of the unit in this process).
 	probeDisk bool
 }
 
@@ -87,7 +87,7 @@ type compileJob struct {
 // return an error; cancellation does not — it leaves holes (zero results)
 // for the caller to detect.
 func (b *Builder) runCompiles(ctx context.Context, jobs []compileJob) ([]unitResult, error) {
-	records := b.keepsRecords()
+	records := b.keepsRecords() || b.persistsMemo()
 	for i := range jobs {
 		j := &jobs[i]
 		if e, ok := b.units[j.name]; ok {
@@ -242,6 +242,11 @@ func (b *Builder) compileOne(ctx context.Context, w int, j compileJob) unitResul
 		res.State.Footprint = fp
 		enc = b.saveUnitState(j.name, res.State)
 	}
+	if j.probeDisk {
+		// The unit's first compile in this builder: the memo file is the
+		// next process's. A recompile's memo waits for flushMemos.
+		b.saveUnitMemo(j.name, res.State)
+	}
 	if b.cas != nil {
 		b.casPublish(j, action, res, enc)
 	}
@@ -330,6 +335,7 @@ func (b *Builder) compileAfterPanic(ctx context.Context, w int, tr *footprint.Tr
 		b.ctr.quarantineEngaged.Inc()
 		enc = b.saveUnitState(j.name, marker)
 	}
+	b.removeUnitMemo(j.name)
 
 	fc, ferr := b.fallback(w)
 	if ferr != nil {

@@ -15,20 +15,30 @@ package buildsys
 // load turns into a cold unit. The chaos suite (chaos_test.go) walks every
 // fault point on this path, the power loss after every state save's close
 // included, and proves the degradation is graceful.
+//
+// Under the Replay bit each unit's segment memo is persisted the same way,
+// in a memo file beside its state file (MemoPath, internal/state's memo
+// file): loaded with the state, saved after it, dropped with it. A memo
+// file that does not load makes its unit replay nothing.
 
 import (
 	"errors"
 	"io/fs"
 	"path/filepath"
 	"strings"
+	"time"
 
 	"statefulcc/internal/core"
 	"statefulcc/internal/history"
 	"statefulcc/internal/state"
 )
 
-// stateSuffix is the per-unit state file extension.
-const stateSuffix = ".state"
+// stateSuffix is the per-unit state file extension, memoSuffix the memo
+// file's.
+const (
+	stateSuffix = ".state"
+	memoSuffix  = ".memo"
+)
 
 // statePath maps a unit name to its state file path ("" without StateDir).
 func (b *Builder) statePath(unit string) string {
@@ -55,6 +65,18 @@ func StatePath(stateDir, unit string) string {
 	return filepath.Join(stateDir, sb.String()+"-"+name+stateSuffix)
 }
 
+// MemoPath is the file a Builder with state directory stateDir keeps the
+// named unit's segment memo in: StatePath's, with the memo suffix.
+func MemoPath(stateDir, unit string) string {
+	return strings.TrimSuffix(StatePath(stateDir, unit), stateSuffix) + memoSuffix
+}
+
+// persistsMemo reports whether the builder keeps memo files: its policy
+// replays and it has a state directory.
+func (b *Builder) persistsMemo() bool {
+	return b.opts.Mode&core.Replay != 0 && b.opts.StateDir != ""
+}
+
 // fmt16 renders a hash as fixed-width lowercase hex without pulling fmt
 // into the hot path.
 func fmt16(v uint64) string {
@@ -67,8 +89,8 @@ func fmt16(v uint64) string {
 	return string(buf[:])
 }
 
-// loadUnitState reads a unit's persisted state through b.fs; any failure
-// is a cold start, never an error. Real failures (as opposed to a simply
+// loadUnitState reads a unit's persisted state, and its memo under
+// Replay, through b.fs; any failure is a cold start, never an error. Real failures (as opposed to a simply
 // missing file) additionally count as state.io_error and warn, so degraded
 // disks are visible. Called concurrently from worker goroutines; the
 // counters and warning list are synchronized. The load never goes through
@@ -79,17 +101,95 @@ func (b *Builder) loadUnitState(unit string) *core.UnitState {
 	if path == "" {
 		return nil
 	}
-	st, err := state.LoadFS(b.fs, path)
-	if err != nil {
-		b.ctr.stateIOErrors.Inc()
-		b.warnf("state: load %s: %v (running cold)", filepath.Base(path), err)
+	var st *core.UnitState
+	if !b.keepsRecords() {
+		// There is no state file: the memo rides a new state.
+		st = core.NewUnitState(unit, b.opts.Pipeline)
+	} else {
+		var err error
+		st, err = state.LoadFS(b.fs, path)
+		if err != nil {
+			b.ctr.stateIOErrors.Inc()
+			b.warnf("state: load %s: %v (running cold)", filepath.Base(path), err)
+		}
+		if err != nil || st == nil {
+			b.ctr.stateLoadMisses.Inc()
+			return nil
+		}
+		b.ctr.stateLoads.Inc()
 	}
-	if err != nil || st == nil {
-		b.ctr.stateLoadMisses.Inc()
+	// The memo goes with the state: none for a state the driver drops
+	// (another pipeline) or a unit the stateless fallback compiles.
+	if !b.persistsMemo() || !st.Compatible(b.opts.Pipeline) || st.Quarantine.Whole() {
+		return st
+	}
+	mpath := MemoPath(b.opts.StateDir, unit)
+	loaded, err := state.LoadMemoFS(b.fs, mpath, st)
+	switch {
+	case errors.Is(err, state.ErrOtherCompiler):
+		// Every memo file after a compiler rebuild: no fault to warn of.
+		b.ctr.memoRejected.Inc()
+	case err != nil:
+		b.ctr.memoRejected.Inc()
+		b.ctr.stateIOErrors.Inc()
+		b.warnf("state: load %s: %v (replaying nothing)", filepath.Base(mpath), err)
+	case loaded:
+		b.ctr.memoLoads.Inc()
+	case !b.keepsRecords():
 		return nil
 	}
-	b.ctr.stateLoads.Inc()
 	return st
+}
+
+// memoFlushInterval is how far the memo files of a builder's recompiled
+// units may lag behind its memory. A unit's memo file is read only by
+// another builder, so a resident builder does not rewrite it on every
+// recompile: it marks the unit, and the first build that ends this long
+// after the builder's last flush (or its start) writes the marked units'
+// memos (flushMemos). A lagging file is still sound, its keys exact; the
+// next process replays less of what changed meanwhile.
+var memoFlushInterval = time.Second
+
+// saveUnitMemo persists the memo of a unit's state, as saveUnitState its
+// records: write-if-changed, and a failure is a warning. A state without a
+// memo leaves the file as it is: an older memo is still sound, its keys
+// exact.
+func (b *Builder) saveUnitMemo(unit string, st *core.UnitState) {
+	if !b.persistsMemo() {
+		return
+	}
+	enc := state.MarshalMemo(st)
+	if enc == nil {
+		return
+	}
+	path := MemoPath(b.opts.StateDir, unit)
+	wrote, err := state.WriteChangedFS(b.fs, path, enc)
+	switch {
+	case err != nil:
+		b.ctr.stateIOErrors.Inc()
+		b.warnf("state: save %s: %v (memo not persisted)", filepath.Base(path), err)
+	case wrote:
+		b.ctr.memoSaves.Inc()
+		b.ctr.memoBytesWritten.Add(int64(len(enc)))
+	default:
+		b.ctr.memoSaveUnchanged.Inc()
+	}
+}
+
+// flushMemos saves the memos of the units recompiled since their memo file
+// was last written, in unit order, once memoFlushInterval has passed since
+// the last flush.
+func (b *Builder) flushMemos(units []string) {
+	if !b.persistsMemo() || time.Since(b.memoFlushed) < memoFlushInterval {
+		return
+	}
+	b.memoFlushed = time.Now()
+	for _, name := range units {
+		if e := b.units[name]; e != nil && e.memoDirty {
+			e.memoDirty = false
+			b.saveUnitMemo(name, e.state)
+		}
+	}
 }
 
 // saveUnitState encodes a unit's state once, persists it when there is a
@@ -159,13 +259,26 @@ func (b *Builder) sweepStateTemp() {
 	}
 }
 
-// removeUnitState deletes a removed unit's state file so StateDir tracks
-// the live project.
+// removeUnitState deletes a removed unit's state and memo files so
+// StateDir tracks the live project.
 func (b *Builder) removeUnitState(unit string) {
 	path := b.statePath(unit)
 	if path == "" {
 		return
 	}
+	b.removeFile(path)
+	b.removeUnitMemo(unit)
+}
+
+// removeUnitMemo deletes a unit's memo file: its state was dropped.
+func (b *Builder) removeUnitMemo(unit string) {
+	if b.persistsMemo() {
+		b.removeFile(MemoPath(b.opts.StateDir, unit))
+	}
+}
+
+// removeFile removes a file of StateDir; a missing one is no failure.
+func (b *Builder) removeFile(path string) {
 	if err := b.fs.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		b.ctr.stateIOErrors.Inc()
 		b.warnf("state: remove %s: %v (stale state file left behind)", filepath.Base(path), err)

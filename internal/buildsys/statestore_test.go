@@ -327,6 +327,10 @@ func TestReportStateBytesAreTheFiles(t *testing.T) {
 	if rep.UnitsRemote != len(units) {
 		t.Fatalf("%d of %d units adopted from the shared cache", rep.UnitsRemote, len(units))
 	}
+	// A remote hit compiles nothing, so it records no memo to save.
+	if n := rep.Metrics[obs.CtrStateMemoSaves]; n != 0 {
+		t.Fatalf("adopted units saved %d memo files, want 0", n)
+	}
 	if want := onDisk(remoteDir); rep.StateBytes != want || want == 0 {
 		t.Fatalf("adopted states: StateBytes = %d, state files hold %d bytes", rep.StateBytes, want)
 	}

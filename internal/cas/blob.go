@@ -131,8 +131,11 @@ func uvarMin(data []byte) (v uint64, n int, err error) {
 // form and is refused, so the compiler's objects are exactly what decodes.
 
 // EncodeObject renders a compiled unit object as its canonical payload.
-func EncodeObject(o *codegen.Object) []byte {
-	e := objEnc{buf: make([]byte, 0, 256)}
+func EncodeObject(o *codegen.Object) []byte { return AppendObject(make([]byte, 0, 256), o) }
+
+// AppendObject appends EncodeObject's payload of o to dst.
+func AppendObject(dst []byte, o *codegen.Object) []byte {
+	e := objEnc{buf: dst}
 	e.str(o.Unit)
 	e.uv(uint64(len(o.Globals)))
 	for _, g := range o.Globals {

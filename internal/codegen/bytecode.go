@@ -11,6 +11,7 @@ package codegen
 
 import (
 	"fmt"
+	"slices"
 
 	"statefulcc/internal/fingerprint"
 )
@@ -169,12 +170,36 @@ type site struct{ fn, pc, args int32 }
 // assertion's string in place of the index that stands for them, and its
 // argument pool. An object whose code is edited afterwards is validated
 // again.
-func (o *Object) Validate() error {
+func (o *Object) Validate() error { return o.validate(nil, nil) }
+
+// validate is Validate of an object whose function fi, where reuse[fi] is
+// j ≥ 0, was taken from prev's function j (Scratch.CompileWithOptions): that
+// function's code was checked in prev and its strings and relocations
+// rebased, so it keeps prev's digest, and its sites are prev's, renumbered,
+// which the relocation tables must still list.
+func (o *Object) validate(prev *Object, reuse []int32) error {
 	o.Digests = make([]uint64, len(o.Funcs))
 	o.sites = make([]site, 0, len(o.Relocs)+len(o.GlobalRelocs))
 	calls, globals := relocCursor(o.Relocs), relocCursor(o.GlobalRelocs)
 	var h fingerprint.Hasher
 	for fi, f := range o.Funcs {
+		if fi < len(reuse) && reuse[fi] >= 0 {
+			j := reuse[fi]
+			o.Digests[fi] = prev.Digests[j]
+			k, _ := slices.BinarySearchFunc(prev.sites, j, func(s site, fn int32) int { return int(s.fn - fn) })
+			for ; k < len(prev.sites) && prev.sites[k].fn == j; k++ {
+				s := prev.sites[k]
+				cur := &globals
+				if s.args >= 0 {
+					cur = &calls
+				}
+				if _, ok := cur.take(fi, int(s.pc)); !ok {
+					return fmt.Errorf("unit %s: func %s pc %d: relocation out of place in taken code", o.Unit, f.Name, s.pc)
+				}
+				o.sites = append(o.sites, site{int32(fi), s.pc, s.args})
+			}
+			continue
+		}
 		h.Reset()
 		h.String(f.Name)
 		h.Uint64(uint64(uint32(f.NumParams)) | uint64(uint32(f.NumSlots))<<32)

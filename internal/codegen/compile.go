@@ -102,7 +102,8 @@ func (s *Scratch) CompileWithOptions(m *ir.Module, opts Options, prev *Object, r
 		obj.Funcs = append(obj.Funcs, fc)
 	}
 	// One check where the object is made; the linker and the VM rely on it.
-	if err := obj.Validate(); err != nil {
+	// Taken code was checked in prev.
+	if err := obj.validate(prev, reuse); err != nil {
 		return nil, fmt.Errorf("codegen emitted a malformed object: %w", err)
 	}
 	return obj, nil

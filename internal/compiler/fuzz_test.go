@@ -119,14 +119,25 @@ func FuzzStatefulEdit(f *testing.F) {
 			}
 			refIR, refDis = refMod.String(), codegen.DisassembleObject(refObj)
 		}
+		// A run is one arm's second compile at an audit rate, on the state
+		// the first left in memory or on the one its files hold.
+		type run struct {
+			rate float64
+			disk bool
+		}
 		for _, mode := range oracletest.Arms {
 			// A replaying arm compiles at audit rate 0 too, where a reuse
-			// is taken, not only audited.
-			rates := []float64{1}
+			// is taken, not only audited; both bits do so from the state
+			// and memo files too, as a new process would.
+			runs := []run{{1, mode == core.Records}}
 			if mode&core.Replay != 0 {
-				rates = append(rates, 0)
+				runs = append(runs, run{0, false})
 			}
-			for _, rate := range rates {
+			if mode == core.Stateful {
+				runs = append(runs, run{0, true}, run{1, true})
+			}
+			for _, r := range runs {
+				rate := r.rate
 				c, err := compiler.New(compiler.Options{Mode: mode, AuditRate: rate})
 				if err != nil {
 					t.Fatal(err)
@@ -136,13 +147,18 @@ func FuzzStatefulEdit(f *testing.F) {
 					t.Fatalf("%v: src0 compiled stateless and failed: %v", mode, err)
 				}
 				st := r0.State
-				if mode == core.Records {
+				if r.disk {
 					var buf bytes.Buffer
 					if err := state.Encode(&buf, st); err != nil {
 						t.Fatal(err)
 					}
 					if st, err = state.DecodeBytes(buf.Bytes()); err != nil {
 						t.Fatalf("the state a compile wrote does not decode: %v", err)
+					}
+					if mode&core.Replay != 0 {
+						if err := state.DecodeMemo(state.MarshalMemo(r0.State), st); err != nil {
+							t.Fatalf("the memo a compile wrote does not decode: %v", err)
+						}
 					}
 				}
 				got, err := c.CompileUnit(unit, []byte(src1), st)

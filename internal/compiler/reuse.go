@@ -55,7 +55,8 @@ func (c *Compiler) frontend(unitName string, src []byte, st *core.UnitState) (*i
 	}
 	ru := &fe.reuse
 	var ok bool
-	ru.decls, ru.front.Decls, ok = split(src, ru.decls, ru.front.Decls)
+	ru.front.Seed = st.KeySeed()
+	ru.decls, ru.front.Decls, ok = split(src, ru.decls, ru.front.Decls, ru.front.Seed)
 	decls := ru.decls
 	if !ok {
 		decls, ru.front.Decls = nil, ru.front.Decls[:0]

@@ -1,10 +1,10 @@
 package compiler
 
 import (
-	"hash/maphash"
 	"math"
 
 	"statefulcc/internal/core"
+	"statefulcc/internal/ir"
 )
 
 // decl is one top-level declaration of a unit's source: its bytes are
@@ -20,7 +20,7 @@ type decl struct {
 func (d decl) header(src []byte) []byte { return src[d.start:d.body] }
 
 // split cuts src at depth 0 into its top-level declarations, returned in
-// decls with their keys in keys (both reused from their start): a function
+// decls with their keys under seed in keys (both reused from their start): a function
 // from its keyword through its body's closing brace, an extern, a global or
 // a constant from its keyword through its semicolon. It reads comments and
 // string literals as the lexer does, and nothing else: it declines (false)
@@ -28,7 +28,7 @@ func (d decl) header(src []byte) []byte { return src[d.start:d.body] }
 // declaration, an unterminated comment, string or body, a brace in a
 // declaration that has none — so that what it returns for a file the parser
 // accepts has the parser's declaration ranges (FuzzSplit holds it to that).
-func split(src []byte, decls []decl, keys []core.DeclKey) ([]decl, []core.DeclKey, bool) {
+func split(src []byte, decls []decl, keys []core.DeclKey, seed ir.KeySeed) ([]decl, []core.DeclKey, bool) {
 	decls, keys = decls[:0], keys[:0]
 	if len(src) >= math.MaxInt32 {
 		return decls, keys, false
@@ -46,20 +46,17 @@ func split(src []byte, decls []decl, keys []core.DeclKey) ([]decl, []core.DeclKe
 		if !ok {
 			return decls, keys, false
 		}
-		decls, keys = append(decls, d), append(keys, keyOf(src, d))
+		decls, keys = append(decls, d), append(keys, keyOf(src, d, seed))
 		i = int(d.end)
 	}
 }
 
-// declSeed seeds the declaration keys (core.DeclKey): they live in one
-// process's memory only.
-var declSeed = maphash.MakeSeed()
-
-// keyOf returns the key of d, a declaration of src.
-func keyOf(src []byte, d decl) core.DeclKey {
-	k := core.DeclKey{Head: maphash.Bytes(declSeed, d.header(src)), HeadLen: d.body - d.start, Func: d.fn}
+// keyOf returns the key of d, a declaration of src, under the seed of the
+// unit's memo.
+func keyOf(src []byte, d decl, seed ir.KeySeed) core.DeclKey {
+	k := core.DeclKey{Head: seed.Sum(d.header(src)), HeadLen: d.body - d.start, Func: d.fn}
 	if d.fn {
-		k.Body, k.BodyLen = maphash.Bytes(declSeed, src[d.body:d.end]), d.end-d.body
+		k.Body, k.BodyLen = seed.Sum(src[d.body:d.end]), d.end-d.body
 	}
 	return k
 }

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"statefulcc/internal/ir"
 	"statefulcc/internal/lexer"
 	"statefulcc/internal/parser"
 	"statefulcc/internal/source"
@@ -20,7 +21,7 @@ import (
 // It reports whether split declined.
 func checkSplit(t *testing.T, src []byte) bool {
 	t.Helper()
-	decls, _, ok := split(src, nil, nil)
+	decls, _, ok := split(src, nil, nil, ir.NewKeySeed())
 	if !ok {
 		return true
 	}

@@ -17,7 +17,8 @@ package core
 // functions it changed come out as they did last time. A function whose
 // final-IR key equals the one its code was generated from takes that code
 // (codegen.Scratch.CompileWithOptions), rebased to its new position and
-// string table. Like the rest of the memo, it is in memory only.
+// string table. The memo file keeps the object in the shared cache's codec
+// (internal/state).
 //
 // The soundness sentinel samples these reuses as it samples replays: a
 // sampled function's code is generated anyway, and its digest
@@ -53,7 +54,7 @@ func (d *Driver) commitCode(m *ir.Module, old *memo) {
 		fs, o := rp.states[pos], &rp.outs[pos]
 		key, ok := o.key, o.ok && !rp.touched && o.nv == f.NumValues() && o.nb == f.NumBlockIDs()
 		if !ok {
-			key, ok = rp.snap.Key(f)
+			key, ok = rp.snap.Key(f, rp.seed)
 		}
 		// A state's place is stale when its function was not in the last
 		// object; the object's name says so.

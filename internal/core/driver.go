@@ -272,6 +272,12 @@ func (d *Driver) RunContext(ctx context.Context, m *ir.Module, st *UnitState) (*
 	// when the records are not compatible.
 	var frontAudited, frontUnsound int
 	if len(d.segs) > 0 {
+		if d.front != nil {
+			// The frontend keyed the declarations under it already.
+			d.replay.seed = d.front.Seed
+		} else {
+			d.replay.seed = st.KeySeed()
+		}
 		frontAudited, frontUnsound = d.recordFront(st, m)
 	}
 	d.front = nil

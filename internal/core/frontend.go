@@ -33,7 +33,7 @@ import (
 // DeclKey is what the memo keeps of one top-level declaration of a unit:
 // the keys and lengths of its header — a function's bytes up to its body,
 // another declaration's whole — and, for a function, of its body. A key is
-// a 64-bit hash of the bytes under a seed of the process's own, as the
+// a 64-bit hash of the bytes under the seed of the unit's memo, as the
 // segment entries' keys are of their encodings: two declarations with equal
 // keys are, up to a collision no input can aim at, equal bytes.
 type DeclKey struct {
@@ -46,6 +46,8 @@ type DeclKey struct {
 // compiles: the keys of the unit's top-level declarations (none when it
 // was not split), and how each function of the module was made.
 type Front struct {
+	// Seed is what Decls are keyed under: the unit's memo's (KeySeed).
+	Seed  ir.KeySeed
 	Decls []DeclKey
 	// Funcs[i] is how the module's i-th function was made.
 	Funcs []FrontFunc
@@ -64,6 +66,16 @@ type FrontFunc struct {
 	// Audit: the sentinel sampled the reuse, so the function was lowered
 	// anew, and its key must equal the entry's.
 	Audit bool
+}
+
+// KeySeed returns the seed the keys of the unit's memo are under, or a new
+// one when it has none: the seed of the compile's keys, which the memo it
+// records keeps.
+func (s *UnitState) KeySeed() ir.KeySeed {
+	if s == nil || s.memo.seed == 0 {
+		return ir.NewKeySeed()
+	}
+	return s.memo.seed
 }
 
 // LastFrontend returns the declaration keys of the unit's last compile
@@ -140,7 +152,7 @@ func (d *Driver) recordFront(st *UnitState, m *ir.Module) (audited, unsound int)
 			if rp.buf, ok = rp.snap.AppendFunc(rp.buf, f); !ok {
 				continue
 			}
-			e.key = ir.KeyOf(rp.buf[e.off:])
+			e.key = rp.seed.Sum(rp.buf[e.off:])
 			rp.callees, e.private = passes.RefsOf(m, f, rp.callees)
 			if reused {
 				audited++

@@ -12,18 +12,18 @@ package core
 // Replay bit of a policy; Replay alone, with no dormancy records, is the
 // full-IR caching comparator the paper measures its records against.
 //
-// The memo lives only in memory. It is never persisted, holds no pointer
-// into IR, and goes with the state it rides on (a pipeline change, a
-// quarantine, a cold restart); it is rebuilt at the end of every compile
-// from the entries the compile used or recorded, so a function that left
-// the unit leaves the memo. Module passes run on every compile, so what
-// inline splices and globalopt constifies is always recomputed; the next
-// segment's key sees it. A replayed slot keeps its dormancy records: they
-// describe the same input, so a resident builder writes the state files a
-// fresh builder would: replay changes no byte that leaves the process. A
-// process that compiles each unit once cannot replay, so it runs Records
-// alone and records no memo. The frontend is the memo's segment 0
-// (frontend.go).
+// The memo holds no pointer into IR, and goes with the state it rides on (a
+// pipeline change, a quarantine, a cold restart); it is rebuilt at the end
+// of every compile from the entries the compile used or recorded, so a
+// function that left the unit leaves the memo. Its keys are hashes under
+// the unit's own random seed (ir.KeySeed), kept with the memo, so a builder
+// with a state directory persists it beside the unit's state file
+// (AppendMemo, internal/state's memo file) and a new process replays from
+// it. Module passes run on every compile, so what inline splices and
+// globalopt constifies is always recomputed; the next segment's key sees
+// it. A replayed slot keeps its dormancy records: they describe the same
+// input, so a replaying builder writes the state files a Records one
+// would. The frontend is the memo's segment 0 (frontend.go).
 
 import (
 	"slices"
@@ -41,8 +41,9 @@ type segment struct{ first, last int }
 // 0, the frontend's (frontend.go), is the keys of the unit's declarations
 // and, by function declaration, fents: a function's post-frontend IR. Every
 // encoding is in buf. The last segment (code.go) is obj, the unit's last
-// object.
+// object. Every key is under seed (0: the memo is empty).
 type memo struct {
+	seed    ir.KeySeed
 	buf     []byte
 	ents    []memoEntry
 	decls   []DeclKey
@@ -79,7 +80,7 @@ func (mm *memo) entry(fs *FuncState, seg int) *memoEntry {
 
 // MemoBytes is the size of the unit's segment memo: its encodings, their
 // index, and segment 0's declaration keys, but not the object, which the
-// builder keeps anyway. It is in memory only; a state file never holds it.
+// builder keeps anyway. A state file never holds it; the memo file does.
 func (s *UnitState) MemoBytes() int {
 	if s == nil {
 		return 0
@@ -121,6 +122,8 @@ func segmentsOf(infos []passes.Info, policy Policy) ([]segment, []int) {
 // and the next memo while the compile builds it.
 type replay struct {
 	snap ir.Snapshot
+	// seed keys the compile in progress: its memo's.
+	seed ir.KeySeed
 	// entry lists the functions entering the pipeline; states their
 	// FuncStates, in the same order (nil for one no segment saw).
 	entry  []*ir.Func
@@ -278,7 +281,7 @@ func (d *Driver) enterFunc(st *UnitState, seg int, f *ir.Func, cache *hashCache)
 			}
 			shell = 0
 		}
-		sf.key, sf.keyed = rp.snap.Key(f)
+		sf.key, sf.keyed = rp.snap.Key(f, rp.seed)
 	}
 	if e := st.memo.entry(fs, seg); sf.keyed && !rp.quarantined && e != nil && e.in == sf.key {
 		sf.old = *e
@@ -329,7 +332,7 @@ func (d *Driver) leaveFunc(st *UnitState, seg, i int, ss *SlotStats, cache *hash
 		if rp.buf, ok = rp.snap.AppendFunc(rp.buf, sf.f); !ok {
 			return
 		}
-		e.out = ir.KeyOf(rp.buf[start:])
+		e.out = rp.seed.Sum(rp.buf[start:])
 	}
 	e.n = uint32(len(rp.buf) - start)
 	rp.outs[sf.pos] = segOut{key: e.out, nv: sf.f.NumValues(), nb: sf.f.NumBlockIDs(), ok: true}
@@ -365,6 +368,6 @@ func (d *Driver) commit(st *UnitState, m *ir.Module) {
 			fs.memo = int32(pos*len(d.segs) + 1)
 		}
 	}
-	st.memo = memo{buf: slices.Clone(rp.buf), ents: slices.Clone(rp.ents)}
+	st.memo = memo{seed: rp.seed, buf: slices.Clone(rp.buf), ents: slices.Clone(rp.ents)}
 	d.commitFront(&st.memo)
 }

@@ -48,12 +48,13 @@ func BenchmarkSegmentRecordMega(b *testing.B) {
 	values, bytes := 0, 0
 	var snap ir.Snapshot
 	var buf []byte
+	seed := ir.NewKeySeed()
 	b.ResetTimer()
 	for _, m := range mods {
 		for i := 0; i < b.N; i++ {
 			buf = buf[:0]
 			for _, f := range m.Funcs {
-				snap.Key(f)
+				snap.Key(f, seed)
 				buf, _ = snap.AppendFunc(buf, f)
 			}
 		}
@@ -146,6 +147,7 @@ func TestIDTrap(t *testing.T) {
 
 	// The trap is real: after inlining, equal fingerprints, unequal keys.
 	var snap ir.Snapshot
+	seed := ir.NewKeySeed()
 	postInline := func(src string) *ir.Module {
 		m := build(t, src)
 		runSlots(t, m, 0, inline)
@@ -157,8 +159,8 @@ func TestIDTrap(t *testing.T) {
 		if fingerprint.Function(f1) != fingerprint.Function(f2) {
 			t.Fatalf("%s: the edit changed the post-inline fingerprint; the test needs one it leaves alone", name)
 		}
-		k1, ok1 := snap.Key(f1)
-		k2, ok2 := snap.Key(f2)
+		k1, ok1 := snap.Key(f1, seed)
+		k2, ok2 := snap.Key(f2, seed)
 		if !ok1 || !ok2 || k1 == k2 {
 			t.Fatalf("%s: post-inline keys %x/%v and %x/%v, want two different ones", name, k1, ok1, k2, ok2)
 		}

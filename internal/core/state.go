@@ -123,7 +123,7 @@ type FuncState struct {
 	// memo is 1 + the index of the function's first entry in its unit's
 	// segment memo (replay.go), 0 for none; code is 1 + the function's
 	// index in the memo's object, whose code was generated from IR keyed
-	// codeKey, 0 for none (code.go). None of the three is persisted.
+	// codeKey, 0 for none (code.go). The memo file keeps the three.
 	memo, code int32
 	codeKey    uint64
 }
@@ -156,8 +156,8 @@ type UnitState struct {
 	// (internal/footprint), persisted on the state file.
 	Footprint *footprint.Record
 
-	// memo is the unit's segment outputs (replay.go): in memory only, so a
-	// state decoded from its file has none.
+	// memo is the unit's segment outputs (replay.go): a state decoded from
+	// its file has none until its memo file is loaded (LoadMemo).
 	memo memo
 }
 

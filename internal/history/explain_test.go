@@ -16,6 +16,7 @@ package history_test
 // without a cycle.
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -117,8 +118,18 @@ func TestReasonSkippedDormantAndNotDormant(t *testing.T) {
 	mustBuild(t, b, progV1)
 	// IR-preserving edit: the content hash changes (forcing a recompile)
 	// but the parsed program is identical, so dormancy replays exactly. It
-	// is built by a new builder over the state directory, as a fresh
-	// process would: the resident one would replay its segments instead.
+	// is built by a new builder over the state directory without its memo
+	// files: the resident builder, or one that loads the memo, would replay
+	// the segments instead.
+	memos, err := filepath.Glob(filepath.Join(filepath.Dir(hist), "*.memo"))
+	if err != nil || len(memos) == 0 {
+		t.Fatalf("no memo file beside the state (%v)", err)
+	}
+	for _, path := range memos {
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+	}
 	mustBuild(t, reopen(t, hist), progV1+"\n// touched\n")
 
 	recs := mustLoad(t, hist)

@@ -8,7 +8,7 @@ package ir
 // encoded one did, and the next pass numbers the values it creates as it
 // would have on the original.
 //
-// The encoding is also its own key: KeyOf hashes it, so two functions with
+// The encoding is also its own key: a KeySeed hashes it, so two functions with
 // equal keys are (up to a 64-bit collision) the same input to a
 // deterministic function pass. fingerprint.Function is no substitute: it
 // renumbers values densely, and a pass's output depends on the IDs it was
@@ -30,7 +30,8 @@ package ir
 
 import (
 	"encoding/binary"
-	"hash/maphash"
+	"math/bits"
+	"math/rand/v2"
 	"unsafe"
 )
 
@@ -43,12 +44,63 @@ const (
 	snapBlocks
 )
 
-// keySeed seeds KeyOf. Keys live in one process's memory only, so a
-// per-process seed is all they need.
-var keySeed = maphash.MakeSeed()
+// A KeySeed seeds the keys of one unit's memo: its encodings' and its
+// declarations'. The seed is random and kept with the memo, on disk
+// too, so keys outlive the process that made them and still no input can
+// aim at a collision without reading the state directory.
+type KeySeed uint64
 
-// KeyOf is the key of an encoding made by AppendFunc.
-func KeyOf(enc []byte) uint64 { return maphash.Bytes(keySeed, enc) }
+// NewKeySeed returns a random seed, never 0.
+func NewKeySeed() KeySeed { return KeySeed(rand.Uint64() | 1) }
+
+// The wyhash constants.
+const (
+	wyp0 = 0xa0761d6478bd642f
+	wyp1 = 0xe7037ed1a0b428db
+	wyp2 = 0x8ebc6af09c88c6e3
+	wyp3 = 0x589965cc75374cc3
+)
+
+func wymix(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return hi ^ lo
+}
+
+// Sum is the 64-bit key of p under the seed (wyhash, final version 4).
+func (s KeySeed) Sum(p []byte) uint64 {
+	le := binary.LittleEndian
+	seed := uint64(s)
+	seed ^= wymix(seed^wyp0, wyp1)
+	n := len(p)
+	var a, b uint64
+	switch {
+	case n >= 4 && n <= 16:
+		q := (n >> 3) << 2
+		a = uint64(le.Uint32(p))<<32 | uint64(le.Uint32(p[q:]))
+		b = uint64(le.Uint32(p[n-4:]))<<32 | uint64(le.Uint32(p[n-4-q:]))
+	case n > 0 && n < 4:
+		a = uint64(p[0])<<16 | uint64(p[n>>1])<<8 | uint64(p[n-1])
+	case n > 16:
+		off, i := 0, n
+		if i > 48 {
+			see1, see2 := seed, seed
+			for ; i > 48; off, i = off+48, i-48 {
+				seed = wymix(le.Uint64(p[off:])^wyp1, le.Uint64(p[off+8:])^seed)
+				see1 = wymix(le.Uint64(p[off+16:])^wyp2, le.Uint64(p[off+24:])^see1)
+				see2 = wymix(le.Uint64(p[off+32:])^wyp3, le.Uint64(p[off+40:])^see2)
+			}
+			seed ^= see1 ^ see2
+		}
+		for ; i > 16; off, i = off+16, i-16 {
+			seed = wymix(le.Uint64(p[off:])^wyp1, le.Uint64(p[off+8:])^seed)
+		}
+		a, b = le.Uint64(p[off+i-16:]), le.Uint64(p[off+i-8:])
+	}
+	a ^= wyp1
+	b ^= seed
+	hi, lo := bits.Mul64(a, b)
+	return wymix(lo^wyp0^uint64(n), hi^wyp1)
+}
 
 // Snapshot is one worker's memory for encoding and restoring functions:
 // dense tables indexed by value, block and constant ID, reused from
@@ -96,15 +148,15 @@ func (s *Snapshot) Release() {
 	s.consts, s.strs = s.consts[:0], s.strs[:0]
 }
 
-// Key returns KeyOf(f's encoding), or false when f cannot be encoded (see
-// AppendFunc).
-func (s *Snapshot) Key(f *Func) (uint64, bool) {
+// Key returns the key of f's encoding under seed, or false when f cannot be
+// encoded (see AppendFunc).
+func (s *Snapshot) Key(f *Func, seed KeySeed) (uint64, bool) {
 	enc, ok := s.AppendFunc(s.key[:0], f)
 	if !ok {
 		return 0, false
 	}
 	s.key = enc
-	return KeyOf(enc), true
+	return seed.Sum(enc), true
 }
 
 // AppendFunc appends f's encoding to dst. It reports false, and returns dst

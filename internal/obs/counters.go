@@ -140,6 +140,16 @@ const (
 	CtrStateSaveUnchanged = "state.save_unchanged"
 	CtrStateBytesWritten  = "state.bytes_written"
 
+	// Memo files (Replay with a state directory): memos loaded with their
+	// unit's state, memo files rejected (torn, foreign, checksum), memo
+	// files written after the compare, saves elided because the file held
+	// the bytes already, and the bytes written.
+	CtrStateMemoLoads         = "state.memo_loads"
+	CtrStateMemoRejected      = "state.memo_rejected"
+	CtrStateMemoSaves         = "state.memo_saves"
+	CtrStateMemoSaveUnchanged = "state.memo_save_unchanged"
+	CtrStateMemoBytesWritten  = "state.memo_bytes_written"
+
 	// Degradation counters: state/history I/O failures the build absorbed
 	// (cold start, dropped save, dropped flight-recorder record) instead
 	// of failing. Nonzero values mean the build ran degraded but correct;

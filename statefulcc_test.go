@@ -4,6 +4,8 @@ package statefulcc_test
 // package must work without touching internal/ directly.
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -50,9 +52,9 @@ func helper(n int) int {
 	if r1.UnitsCompiled != 1 {
 		t.Errorf("compiled = %d", r1.UnitsCompiled)
 	}
-	// Edit main only: helper's dormant records must produce skips. A new
-	// builder over the state directory is a fresh process: it has the
-	// records and nothing else.
+	// Edit main only. A new builder over the state directory is a fresh
+	// process: it loads helper's records and its memo file, and replays
+	// helper.
 	edited := snap.Clone()
 	edited["main.mc"] = []byte(helper + `func main() int { return helper(3) - 1; }`)
 	fresh, err := statefulcc.NewBuilder(opts)
@@ -63,12 +65,34 @@ func helper(n int) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, skipped := r2.Stats().Totals(); skipped == 0 {
-		t.Error("no skips through the public API")
+	if replayedBy(r2) == 0 {
+		t.Error("a fresh process replayed nothing through the public API")
 	}
 	_, exit, err := statefulcc.RunProgram(r2.Program)
 	if err != nil || exit != 2 {
 		t.Errorf("exit=%d err=%v", exit, err)
+	}
+	// Without the memo files a fresh process has the records alone: the
+	// rebuild of what it recorded skips its dormant passes.
+	memos, err := filepath.Glob(filepath.Join(opts.StateDir, "*.memo"))
+	if err != nil || len(memos) == 0 {
+		t.Fatalf("no memo file in the state directory (%v)", err)
+	}
+	for _, path := range memos {
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	records, err := statefulcc.NewBuilder(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r4, err := records.Build(edited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, skipped := r4.Stats().Totals(); skipped == 0 {
+		t.Error("no skips through the public API")
 	}
 
 	// The resident builder also kept helper's segment outputs: it replays
@@ -77,16 +101,21 @@ func helper(n int) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed := 0
-	for _, sl := range r3.Stats().Slots {
-		replayed += sl.Replayed
-	}
-	if replayed == 0 {
+	if replayedBy(r3) == 0 {
 		t.Error("no replays through the public API")
 	}
 	if _, exit, err := statefulcc.RunProgram(r3.Program); err != nil || exit != 2 {
 		t.Errorf("resident rebuild: exit=%d err=%v", exit, err)
 	}
+}
+
+// replayedBy sums the executions a build's replays avoided.
+func replayedBy(rep *statefulcc.BuildReport) int {
+	n := 0
+	for _, sl := range rep.Stats().Slots {
+		n += sl.Replayed
+	}
+	return n
 }
 
 func TestPublicWorkloadRoundTrip(t *testing.T) {
